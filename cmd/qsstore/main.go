@@ -695,7 +695,7 @@ func printServerStats(ss *esm.ServerStats) {
 	if ss.Commits > 0 {
 		fmt.Printf(" (%.2f forces/commit)", float64(ss.LogForces)/float64(ss.Commits))
 	}
-	fmt.Println()
+	fmt.Printf("; %d page runs redone from the log, %d pages installed whole\n", ss.PagesLogApplied, ss.PagesInstalled)
 	if r := ss.Repl; r != nil {
 		fmt.Printf("replication:    %s, term %d, leader %q, %d followers, quorum %d\n",
 			r.Role, r.Term, r.Leader, r.Followers, r.Quorum)

@@ -40,6 +40,13 @@ type Frame struct {
 	// invalidation hint or a stale lock grant). The next access must
 	// revalidate against the server before trusting the bytes.
 	Stale bool
+	// Unlogged marks a frame some caller changed without declaring the
+	// change WAL-logged (MarkDirty sets it, MarkDirtyLogged leaves it
+	// alone). It is sticky until the frame is cleaned or leaves the pool.
+	// The ESM client ships an Unlogged dirty frame to the server whole; a
+	// dirty frame without the mark is rebuilt by the server from the log
+	// records alone and never sent.
+	Unlogged bool
 }
 
 // Policy selects a victim frame for replacement. It may assume the pool's
@@ -142,6 +149,7 @@ func (p *Pool) Put(pid disk.PageID, load func(buf []byte) error) (int, error) {
 	f.Prefetched = false
 	f.LSN = 0
 	f.Stale = false
+	f.Unlogged = false
 	p.index[pid] = i
 	return i, nil
 }
@@ -188,6 +196,7 @@ func (p *Pool) PutPrefetched(pid disk.PageID, data []byte) (idx int, ok bool) {
 	f.Prefetched = true
 	f.LSN = 0
 	f.Stale = false
+	f.Unlogged = false
 	p.index[pid] = i
 	return i, true
 }
@@ -256,6 +265,7 @@ func (p *Pool) Evict(i int) error {
 	f.Prefetched = false
 	f.LSN = 0
 	f.Stale = false
+	f.Unlogged = false
 	p.evicted++
 	if wasted && p.OnPrefetchDrop != nil {
 		p.OnPrefetchDrop(pid)
@@ -277,8 +287,18 @@ func (p *Pool) Unpin(i int) {
 	p.frames[i].Pin--
 }
 
-// MarkDirty flags frame i as modified.
-func (p *Pool) MarkDirty(i int) { p.frames[i].Dirty = true }
+// MarkDirty flags frame i as modified by a change the caller does not vouch
+// for as logged: the conservative default, under which the frame ships whole.
+func (p *Pool) MarkDirty(i int) {
+	p.frames[i].Dirty = true
+	p.frames[i].Unlogged = true
+}
+
+// MarkDirtyLogged flags frame i as modified by a change whose every byte the
+// caller covers with a log record (LogUpdate) before the transaction commits
+// or the frame is stolen. Only such callers may use it: a byte changed under
+// this call and never logged is lost, because the frame itself is not shipped.
+func (p *Pool) MarkDirtyLogged(i int) { p.frames[i].Dirty = true }
 
 // FlushAll writes back every dirty page (without evicting). Used at commit
 // and checkpoint.
@@ -292,6 +312,7 @@ func (p *Pool) FlushAll() error {
 				}
 			}
 			f.Dirty = false
+			f.Unlogged = false
 		}
 	}
 	return nil
@@ -312,6 +333,7 @@ func (p *Pool) DropAll() {
 			f.Prefetched = false
 			f.LSN = 0
 			f.Stale = false
+			f.Unlogged = false
 			if wasted && p.OnPrefetchDrop != nil {
 				p.OnPrefetchDrop(pid)
 			}

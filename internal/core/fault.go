@@ -279,16 +279,25 @@ func (s *Store) swizzlePage(d *PageDesc, data []byte, meta metaObject, reloc map
 	})
 	s.clock.Charge(sim.CtrSwizzledPtr, swizzled)
 
+	idx, ok := s.c.Pool().Lookup(d.Pid)
 	if s.cfg.Relocation == RelocOR && !s.snapTx {
-		// Commit the new assignment: the page ships at commit and its
-		// mapping object is rewritten with the new addresses.
-		if idx, ok := s.c.Pool().Lookup(d.Pid); ok {
-			s.c.Pool().MarkDirty(idx)
+		// Commit the new assignment: the swizzled pointers are logged by
+		// the page's diff (recovery copy above) and its mapping object is
+		// rewritten with the new addresses.
+		if ok {
+			s.dirtyLogged(idx)
 		}
 		if !d.Dirtied {
 			d.Dirtied = true
 			s.dirtied = append(s.dirtied, d)
 		}
+	} else if ok && swizzled > 0 {
+		// The frame now differs from the server's image in bytes no
+		// record will ever describe — a later recovery copy is taken
+		// after them. Should the page be updated while it stays resident,
+		// it must ship whole, swizzled pointers included, to agree with
+		// the mapping object that update writes.
+		s.c.Pool().Frame(idx).Unlogged = true
 	}
 	return nil
 }
@@ -306,8 +315,8 @@ func (s *Store) countMetaRead(pid disk.PageID, ctr sim.Counter) {
 // (Section 3.6): copy the page's objects into the recovery buffer, obtain
 // the exclusive page lock, and enable write access. Raw large-object pages
 // skip the recovery copy: they carry no header for LSN-based recovery, so
-// their durability is the whole-page ship at commit (see internal/esm),
-// and diffing them would emit unusable log records.
+// diffing them would emit unusable log records; they are marked with the
+// pool's plain MarkDirty and ship whole (see internal/esm).
 func (s *Store) enableWrite(d *PageDesc, data []byte) error {
 	if !s.cfg.BulkLoad {
 		if !d.IsLarge && s.freshPages[d.Pid] == nil {
@@ -320,7 +329,11 @@ func (s *Store) enableWrite(d *PageDesc, data []byte) error {
 		}
 	}
 	if idx, ok := s.c.Pool().Lookup(d.Pid); ok {
-		s.c.Pool().MarkDirty(idx)
+		if d.IsLarge {
+			s.c.Pool().MarkDirty(idx)
+		} else {
+			s.dirtyLogged(idx)
+		}
 	}
 	if !d.Dirtied {
 		d.Dirtied = true
@@ -350,7 +363,7 @@ func (s *Store) enableWriteDirect(d *PageDesc) error {
 			return err
 		}
 	}
-	s.c.Pool().MarkDirty(idx)
+	s.dirtyLogged(idx)
 	if !d.Dirtied {
 		d.Dirtied = true
 		s.dirtied = append(s.dirtied, d)

@@ -43,6 +43,21 @@ func (r *recoveryBuffer) reset() {
 	r.bytes = 0
 }
 
+// dirtyLogged marks frame idx modified by a change this layer logs in full
+// before the frame can leave the client: through the page's recovery copy
+// and its diff (ensureRecoveryCopy came first), a created page's whole-image
+// record, or a LogUpdate beside the call. Such a frame is never shipped —
+// the server rebuilds it from the records — so a caller that cannot promise
+// this must use the pool's plain MarkDirty. Bulk loads log nothing: there
+// every frame ships whole.
+func (s *Store) dirtyLogged(idx int) {
+	if s.cfg.BulkLoad {
+		s.c.Pool().MarkDirty(idx)
+		return
+	}
+	s.c.Pool().MarkDirtyLogged(idx)
+}
+
 // ensureRecoveryCopy snapshots the page's current contents before its first
 // modification of the transaction. If the buffer is full, earlier entries
 // are diffed and logged to make room.
@@ -232,7 +247,7 @@ func (s *Store) updateMapping(d *PageDesc) error {
 				old = append([]byte(nil), cur...)
 			}
 			copy(cur, blob)
-			s.c.Pool().MarkDirty(frame)
+			s.dirtyLogged(frame)
 			if !s.cfg.BulkLoad {
 				s.c.LogUpdate(meta.MapOID.Page, pageOff, old, blob)
 			}
@@ -248,37 +263,56 @@ func (s *Store) updateMapping(d *PageDesc) error {
 	if err != nil {
 		return err
 	}
-	copy(obj, blob)
+	// Both records below carry real before-images: the slot and the
+	// meta-object sit on pages other transactions committed, and an abort
+	// or a restart that undoes the slot's creation must be able to undo
+	// these too (a record without one is skipped by both).
+	var oldBlob []byte
+	pageOff := 0
 	if !s.cfg.BulkLoad {
-		_, pageOff, _, err := s.c.ReadObjectAt(mapOID)
-		if err != nil {
+		if _, pageOff, _, err = s.c.ReadObjectAt(mapOID); err != nil {
 			return err
 		}
-		s.c.LogUpdate(mapOID.Page, pageOff, nil, blob)
+		oldBlob = append([]byte(nil), obj...)
 	}
-	// Point the page's meta-object at its new mapping object. The data
-	// page is already dirty (it was modified this transaction) and its
-	// recovery diff covers this change when logging is on.
+	copy(obj, blob)
+	if frame, ok := s.c.Pool().Lookup(mapOID.Page); ok {
+		s.dirtyLogged(frame)
+	}
+	if !s.cfg.BulkLoad {
+		s.c.LogUpdate(mapOID.Page, pageOff, oldBlob, blob)
+	}
+	// Point the page's meta-object at its new mapping object. The page's
+	// diff already ran (flushRecovery comes first), so the change is logged
+	// here — except on a page created by this transaction, whose whole image
+	// is logged after this phase (logFreshPages) or when it is stolen.
 	data, idx, err = s.residentData(d)
 	if err != nil {
 		return err
 	}
 	p = page.MustWrap(data)
+	logMeta := !s.cfg.BulkLoad && s.freshPages[d.Pid] == nil
+	var oldMeta []byte
+	if logMeta {
+		if mdata, err := p.Object(metaSlot); err == nil {
+			oldMeta = append([]byte(nil), mdata...)
+		}
+	}
 	meta.MapOID = mapOID
 	if err := writeMeta(p, meta); err != nil {
 		return err
 	}
-	s.c.Pool().MarkDirty(idx)
-	if !s.cfg.BulkLoad && d.RecIdx < 0 && s.freshPages[d.Pid] == nil {
-		// The page's diff already ran (flushRecovery happens first), so
-		// log the meta change explicitly.
-		mdata, merr := p.Object(metaSlot)
-		if merr == nil {
-			off, _, oerr := p.SlotBounds(metaSlot)
-			if oerr == nil {
-				s.c.LogUpdate(d.Pid, off, nil, append([]byte(nil), mdata...))
-			}
+	s.dirtyLogged(idx)
+	if logMeta {
+		mdata, err := p.Object(metaSlot)
+		if err != nil {
+			return err
 		}
+		off, _, err := p.SlotBounds(metaSlot)
+		if err != nil {
+			return err
+		}
+		s.c.LogUpdate(d.Pid, off, oldMeta, append([]byte(nil), mdata...))
 	}
 	return nil
 }

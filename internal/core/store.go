@@ -61,8 +61,9 @@ const frameBatch = 256
 
 // Config tunes a Store.
 type Config struct {
-	// BulkLoad disables recovery copying, diffing, and logging: dirty
-	// pages ship whole at commit. Used by the database generator.
+	// BulkLoad disables recovery copying, diffing, and logging: every
+	// dirty page ships whole at commit (a normal session ships only the
+	// log, see dirtyLogged). Used by the database generator.
 	BulkLoad bool
 	// RecoveryBufferBytes bounds the recovery area (default 4MB).
 	RecoveryBufferBytes int
@@ -309,8 +310,8 @@ func (s *Store) EndSnapshot() error {
 
 // Commit runs the three commit phases of Section 5.2 — diff modified pages
 // and generate log records, update the mapping objects of modified pages,
-// and ship log plus dirty pages to the server — then releases transaction
-// state.
+// and ship the log (plus the dirty frames that are not log-covered) to the
+// server — then releases transaction state.
 func (s *Store) Commit() error {
 	if !s.inTx {
 		return esm.ErrNoTx
@@ -319,14 +320,17 @@ func (s *Store) Commit() error {
 	if err := s.flushRecovery(); err != nil {
 		return err
 	}
-	if err := s.logFreshPages(); err != nil {
-		return err
-	}
-	// Phase 2: mapping-object maintenance for every modified page.
+	// Phase 2: mapping-object maintenance for every modified page. It can
+	// rewrite the meta-object of a page created by this transaction, so
+	// the whole-image records of those pages are taken after it: the
+	// server rebuilds such a page from that record alone.
 	if err := s.updateMappings(); err != nil {
 		return err
 	}
-	// Phase 3: ESM commit (log force + dirty-page shipping).
+	if err := s.logFreshPages(); err != nil {
+		return err
+	}
+	// Phase 3: ESM commit (log force; only frames not log-covered ship).
 	if err := s.c.Commit(); err != nil {
 		return err
 	}
@@ -510,9 +514,10 @@ func (s *Store) onRefresh(pid disk.PageID, frame int) {
 	delete(s.byPid, pid)
 }
 
-// beforeSteal preserves write-ahead logging when the pool ships a dirty page
-// mid-transaction: the page is diffed against its recovery copy and the log
-// records are emitted before the page image leaves the client.
+// beforeSteal preserves write-ahead logging when a dirty page leaves the
+// pool mid-transaction: the page is diffed against its recovery copy and the
+// log records are emitted before the frame is given up — they are then all
+// the server gets of it, unless the frame is Unlogged and ships whole.
 func (s *Store) beforeSteal(pid disk.PageID, data []byte) error {
 	if s.cfg.BulkLoad {
 		delete(s.freshPages, pid)
@@ -643,7 +648,7 @@ func (s *Store) Alloc(cl *Cluster, size int, refOffsets []int) (Ref, error) {
 		if err != nil {
 			return NilRef, err
 		}
-		s.c.Pool().MarkDirty(idx)
+		s.dirtyLogged(idx)
 		if len(refOffsets) > 0 {
 			if err := s.setBitmapBits(d, off, refOffsets); err != nil {
 				return NilRef, err
@@ -694,7 +699,7 @@ func (s *Store) newDataPage(cl *Cluster) error {
 	if err := writeMeta(p, metaObject{VFrame: lo, MapOID: esm.NilOID, BmOID: bmOID}); err != nil {
 		return err
 	}
-	s.c.Pool().MarkDirty(idx)
+	s.dirtyLogged(idx) // freshPages below: logged whole at commit or steal
 
 	d := &PageDesc{
 		Lo: lo, Hi: lo + vmem.FrameSize,
@@ -748,7 +753,7 @@ func (s *Store) setBitmapBits(d *PageDesc, objOff int, refOffsets []int) error {
 		}
 		bitmapSet(bm, off)
 	}
-	s.c.Pool().MarkDirty(bmFrame)
+	s.dirtyLogged(bmFrame)
 	if !s.cfg.BulkLoad {
 		s.c.LogUpdate(meta.BmOID.Page, bmPageOff, old, append([]byte(nil), bm...))
 	}
@@ -857,7 +862,7 @@ func (s *Store) Delete(ref Ref) error {
 	for off := start &^ 7; off < start+len(obj); off += 8 {
 		bitmapClear(bm, off)
 	}
-	s.c.Pool().MarkDirty(bmFrame)
+	s.dirtyLogged(bmFrame)
 	if !s.cfg.BulkLoad {
 		s.c.LogUpdate(meta.BmOID.Page, bmOff, oldBm, append([]byte(nil), bm...))
 	}
@@ -870,7 +875,7 @@ func (s *Store) Delete(ref Ref) error {
 	if err := p.Delete(slot); err != nil {
 		return err
 	}
-	s.c.Pool().MarkDirty(idx)
+	s.dirtyLogged(idx) // enableWriteDirect above took the recovery copy
 	return nil
 }
 

@@ -99,9 +99,9 @@ type Client struct {
 	sid      uint64
 	pinLeaks int64
 
-	// BeforeSteal, if set, runs before a dirty page is shipped to the
-	// server mid-transaction (buffer-pool steal). QuickStore hooks this to
-	// diff the page and emit its log records first, preserving WAL order.
+	// BeforeSteal, if set, runs before a dirty page leaves the pool
+	// mid-transaction (buffer-pool steal). QuickStore hooks this to diff
+	// the page and emit its log records first, preserving WAL order.
 	BeforeSteal func(pid disk.PageID, data []byte) error
 
 	// OnRefresh, if set, runs after the coherence protocol rewrites a
@@ -625,11 +625,15 @@ func (c *Client) MarkDirty(pid disk.PageID) error {
 	return nil
 }
 
-// stealPage ships a dirty page to the server mid-transaction, after letting
-// the owner emit the log records that cover it (WAL). Header-bearing pages
-// are stamped with the last log sequence number so restart recovery can
-// decide redo/undo correctly; raw large-object data pages carry no header
-// and are never stamped.
+// stealPage lets a dirty page leave the client pool mid-transaction: the
+// owner first emits the log records that cover it (WAL) and the log batch
+// ships. A frame whose every change was declared logged needs nothing
+// more — the server redid those records onto its own copy — so only an
+// Unlogged frame is sent whole. Header-bearing pages are stamped with the
+// last log sequence number so restart recovery can decide redo/undo
+// correctly; raw large-object data pages carry no header and are never
+// stamped. The cost model is charged a page write either way: internal/sim
+// prices the paper's protocol, which ships every stolen page.
 func (c *Client) stealPage(pid disk.PageID, data []byte) error {
 	if c.BeforeSteal != nil {
 		if err := c.BeforeSteal(pid, data); err != nil {
@@ -641,6 +645,9 @@ func (c *Client) stealPage(pid disk.PageID, data []byte) error {
 	}
 	c.stampLSN(pid, data)
 	c.clock.Charge(sim.CtrClientWrite, 1)
+	if i, ok := c.pool.Lookup(pid); ok && !c.pool.Frame(i).Unlogged {
+		return nil
+	}
 	_, err := c.call(&Request{Op: OpWritePage, Tx: c.tx, Page: uint32(pid), Data: data})
 	return err
 }
@@ -709,6 +716,19 @@ func (c *Client) structBefore(idx int) []byte {
 	return append([]byte(nil), c.PageData(idx)...)
 }
 
+// dirtyStruct marks frame idx dirty after a structural edit made since
+// before was taken (structBefore) and logs the edit. With structural logging
+// on the records cover every byte that changed, so the frame is declared
+// logged; without it the frame ships whole.
+func (c *Client) dirtyStruct(pid disk.PageID, before []byte, idx int) {
+	if !c.LogStructure {
+		c.pool.MarkDirty(idx)
+		return
+	}
+	c.pool.MarkDirtyLogged(idx)
+	c.logStructDiff(pid, before, idx)
+}
+
 // logStructDiff emits update records for every byte run where the frame now
 // differs from before. Nearby runs are merged so one slot-directory edit
 // (header counters at the front, a slot entry at the back) costs two small
@@ -757,9 +777,13 @@ func (c *Client) FlushLog() error {
 	return nil
 }
 
-// Commit ships the remaining log records and all dirty resident pages to
-// the server, which forces the log; the client cache stays warm (pages
-// remain resident and clean), matching the paper's hot re-runs.
+// Commit ships the remaining log records to the server, which redoes them
+// onto its own pages, and with the commit request only the dirty frames
+// some caller changed without declaring the change logged (Frame.Unlogged:
+// bulk loads, raw large-object pages, B-tree pages); the server forces the
+// log. Every dirty frame is cleaned and keeps its place: the client cache
+// stays warm, matching the paper's hot re-runs. The cost model is charged
+// for every dirty frame, shipped or not — it prices the paper's protocol.
 func (c *Client) Commit() error {
 	if c.tx == 0 {
 		return ErrNoTx
@@ -768,19 +792,22 @@ func (c *Client) Commit() error {
 		return err
 	}
 	var payload []byte
-	var shipped []int
+	var cleaned []int
 	for i := 0; i < c.pool.Len(); i++ {
 		f := c.pool.Frame(i)
 		if f.Page == disk.InvalidPage || !f.Dirty {
 			continue
 		}
 		c.stampLSN(f.Page, f.Data)
-		var pidb [4]byte
-		binary.LittleEndian.PutUint32(pidb[:], uint32(f.Page))
-		payload = append(payload, pidb[:]...)
-		payload = append(payload, f.Data...)
+		if f.Unlogged {
+			var pidb [4]byte
+			binary.LittleEndian.PutUint32(pidb[:], uint32(f.Page))
+			payload = append(payload, pidb[:]...)
+			payload = append(payload, f.Data...)
+		}
 		f.Dirty = false
-		shipped = append(shipped, i)
+		f.Unlogged = false
+		cleaned = append(cleaned, i)
 		c.clock.Charge(sim.CtrClientWrite, 1)
 		c.clock.Charge(sim.CtrCommitFlushPage, 1)
 	}
@@ -811,16 +838,17 @@ func (c *Client) Commit() error {
 				}
 			}
 		}
-		// The shipped frames hold exactly the bytes the server just
-		// committed: stamp them with the commit token so the next Begin
-		// answers "not modified" for them. Under sharding the single
+		// The cleaned frames hold exactly the bytes the server just
+		// committed, whether it received them whole or rebuilt them from
+		// their records: stamp them with the commit token so the next
+		// Begin answers "not modified" for them. Under sharding the single
 		// response LSN is not the per-shard commit LSN, so the frames stay
 		// unversioned and revalidate as full reads.
 		tok := resp.N
 		if c.stamper != nil {
 			tok = 0
 		}
-		for _, i := range shipped {
+		for _, i := range cleaned {
 			f := c.pool.Frame(i)
 			f.LSN = c.noteToken(f.Page, tok)
 			f.Stale = false
@@ -834,8 +862,8 @@ func (c *Client) Commit() error {
 func (c *Client) AbortPinLeaks() int64 { return c.pinLeaks }
 
 // Abort discards the transaction: buffered log records and dirty resident
-// pages are dropped (their disk versions are intact), and the server undoes
-// any pages that were stolen mid-transaction.
+// pages are dropped, and the server undoes every log record that had
+// already shipped (it redid each onto its page on arrival).
 func (c *Client) Abort() error {
 	if c.tx == 0 {
 		return ErrNoTx

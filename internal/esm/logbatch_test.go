@@ -1,0 +1,262 @@
+package esm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"quickstore/internal/disk"
+	"quickstore/internal/wal"
+)
+
+// logBatch builds an OpLog payload from records (Type, Page, Off, Old, New).
+func logBatch(recs ...wal.Record) []byte {
+	out := make([]byte, 4)
+	binary.LittleEndian.PutUint32(out, uint32(len(recs)))
+	for _, r := range recs {
+		var h [logRecHeader]byte
+		h[0] = byte(r.Type)
+		binary.LittleEndian.PutUint32(h[1:], r.Page)
+		binary.LittleEndian.PutUint16(h[5:], r.Off)
+		binary.LittleEndian.PutUint16(h[7:], uint16(len(r.Old)))
+		binary.LittleEndian.PutUint16(h[9:], uint16(len(r.New)))
+		out = append(append(append(out, h[:]...), r.Old...), r.New...)
+	}
+	return out
+}
+
+// logBatchServer is a small server with npages allocated data pages.
+func logBatchServer(t testing.TB, npages int) (*Server, disk.PageID) {
+	t.Helper()
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.Volume().Allocate(npages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, first
+}
+
+func beginTx(t testing.TB, srv *Server) uint64 {
+	t.Helper()
+	resp := srv.Handle(&Request{Op: OpBegin})
+	if resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	return resp.N
+}
+
+func poolImage(t testing.TB, srv *Server, pid disk.PageID) []byte {
+	t.Helper()
+	buf := make([]byte, disk.PageSize)
+	if !srv.pool.Snapshot(pid, buf) {
+		if err := srv.vol.ReadPage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
+// TestLogBatchRedoneAtServer: an OpLog batch alone changes the server's
+// page — each record's after-image lands at its offset, the page LSN follows
+// the last record — and an abort undoes it from the before-images.
+func TestLogBatchRedoneAtServer(t *testing.T) {
+	srv, pid := logBatchServer(t, 2)
+	tx := beginTx(t, srv)
+	zeros := make([]byte, 5)
+	resp := srv.Handle(&Request{Op: OpLog, Tx: tx, Data: logBatch(
+		wal.Record{Type: wal.RecUpdate, Page: uint32(pid), Off: 100, Old: zeros, New: []byte("hello")},
+		wal.Record{Type: wal.RecUpdate, Page: uint32(pid), Off: 200, Old: zeros, New: []byte("world")},
+		wal.Record{Type: wal.RecUpdate, Page: uint32(pid + 1), Off: disk.PageSize - 5, Old: zeros, New: []byte("edge!")},
+	)})
+	if resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	img := poolImage(t, srv, pid)
+	if string(img[100:105]) != "hello" || string(img[200:205]) != "world" {
+		t.Fatalf("records not redone onto page %d: %q %q", pid, img[100:105], img[200:205])
+	}
+	if got := poolImage(t, srv, pid+1)[disk.PageSize-5:]; string(got) != "edge!" {
+		t.Fatalf("record at the page's end not redone: %q", got)
+	}
+	if lsn := pageLSNOf(poolImage(t, srv, pid+1)); lsn != resp.N {
+		t.Fatalf("page LSN %d, want the last record's LSN %d", lsn, resp.N)
+	}
+	st, err := serverStats(t, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PagesLogApplied != 2 || st.PagesInstalled != 0 {
+		t.Fatalf("stats: %d page runs log-applied, %d pages installed; want 2 and 0", st.PagesLogApplied, st.PagesInstalled)
+	}
+	if resp := srv.Handle(&Request{Op: OpAbort, Tx: tx}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	for _, p := range []disk.PageID{pid, pid + 1} {
+		if img := poolImage(t, srv, p); !bytes.Equal(img[8:], make([]byte, disk.PageSize-8)) {
+			t.Fatalf("page %d not restored by the abort", p)
+		}
+	}
+}
+
+// poisonBatches are batches the server must refuse: appended, any of the
+// first four would fail the server's own redo and every later restart.
+func poisonBatches(pid uint32) map[string][]byte {
+	good := wal.Record{Type: wal.RecUpdate, Page: pid, Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}}
+	return map[string][]byte{
+		"after-image past the page":           logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: disk.PageSize - 1, New: []byte{1, 2}}),
+		"before-image past the page":          logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: disk.PageSize - 1, Old: []byte{1, 2}, New: []byte{3, 4}}),
+		"before-image of another length":      logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: 8, Old: []byte{1, 2, 3}, New: []byte{4}}),
+		"before-image without an after-image": logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: 8, Old: []byte{1}}),
+		"not an update":                       logBatch(good, wal.Record{Type: wal.RecCommit, Page: pid}),
+		"truncated record":                    logBatch(good, good)[:4+logRecHeader+4+logRecHeader+1],
+		"count past payload":                  append([]byte{9, 0, 0, 0}, logBatch(good)[4:]...),
+	}
+}
+
+// TestLogBatchRejectsPoisonRecords: a bad record anywhere in a batch rejects
+// the whole batch before anything is appended or applied.
+func TestLogBatchRejectsPoisonRecords(t *testing.T) {
+	srv, pid := logBatchServer(t, 1)
+	tx := beginTx(t, srv)
+	for name, batch := range poisonBatches(uint32(pid)) {
+		records := srv.log.Records()
+		resp := srv.Handle(&Request{Op: OpLog, Tx: tx, Data: batch})
+		if resp.Err == "" {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := srv.log.Records(); got != records {
+			t.Errorf("%s: %d records appended by a rejected batch", name, got-records)
+		}
+		if img := poolImage(t, srv, pid); !bytes.Equal(img, make([]byte, disk.PageSize)) {
+			t.Fatalf("%s: a rejected batch changed page %d", name, pid)
+		}
+	}
+	// The log the rejected batches left behind restarts cleanly.
+	if _, err := OpenServer(srv.vol, srv.log, ServerConfig{BufferPages: 16}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzLogBatch throws arbitrary OpLog payloads at a server: whatever
+// happens, no panic; a batch with any record the checks refuse appends
+// nothing; and whatever was appended can be undone by an abort and replayed
+// by a restart.
+func FuzzLogBatch(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(logBatch())
+	f.Add(logBatch(wal.Record{Type: wal.RecUpdate, Page: 2, Off: 16, Old: []byte{0, 0}, New: []byte{7, 7}}))
+	f.Add(logBatch(wal.Record{Type: wal.RecUpdate, Page: 900, Off: 16, New: []byte{7}})) // past the volume
+	for _, b := range poisonBatches(2) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv, _ := logBatchServer(t, 4)
+		tx := beginTx(t, srv)
+		valid := len(data) >= 4
+		if valid {
+			count := int(binary.LittleEndian.Uint32(data))
+			for i, p := 0, 4; i < count && valid; i++ {
+				rec, next, err := parseLogRec(data, p)
+				valid = err == nil && rec.Type == wal.RecUpdate && rec.CheckRange(disk.PageSize) == nil
+				p = next
+			}
+		}
+		records := srv.log.Records()
+		resp := srv.Handle(&Request{Op: OpLog, Tx: tx, Data: data})
+		if !valid {
+			if resp.Err == "" {
+				t.Fatal("a batch with a refused record was accepted")
+			}
+			if got := srv.log.Records(); got != records {
+				t.Fatalf("a rejected batch appended %d records", got-records)
+			}
+		}
+		var maxPage uint32
+		_ = srv.log.Iterate(func(r wal.Record) bool {
+			if r.Type == wal.RecUpdate {
+				if err := r.CheckRange(disk.PageSize); err != nil {
+					t.Fatalf("appended: %v", err)
+				}
+				if r.Page > maxPage {
+					maxPage = r.Page
+				}
+			}
+			return true
+		})
+		srv.Handle(&Request{Op: OpAbort, Tx: tx})
+		if maxPage > 4096 {
+			return // recovery grows the volume over every page the log names
+		}
+		if _, err := OpenServer(srv.vol, srv.log, ServerConfig{BufferPages: 16}); err != nil {
+			t.Fatalf("restart over the fuzzed log: %v", err)
+		}
+	})
+}
+
+// wireCounter estimates what each call would put on a socket: the frame
+// header plus the marshaled request and response (proto.go's layouts).
+type wireCounter struct {
+	Transport
+	bytes         int64
+	commitPayload int
+}
+
+func (w *wireCounter) Call(req *Request) (*Response, error) {
+	resp, err := w.Transport.Call(req)
+	w.bytes += 12 + 28 + int64(len(req.Name)+len(req.Data))
+	if resp != nil {
+		w.bytes += 12 + 19 + int64(len(resp.Err)+len(resp.Data))
+	}
+	if req.Op == OpCommit {
+		w.commitPayload += len(req.Data)
+	}
+	return resp, err
+}
+
+// BenchmarkCommitLoggedPages measures one commit of 64 dirty frames whose
+// every change was declared logged (MarkDirtyLogged plus a LogUpdate each):
+// the log batch, the server's redo of it, the commit record and its force.
+// As a guard, not a measurement, it asserts that no page image rides in the
+// commit request.
+func BenchmarkCommitLoggedPages(b *testing.B) {
+	const npages = 64
+	srv, first := logBatchServer(b, npages)
+	tr := &wireCounter{Transport: NewInProcTransport(srv)}
+	c := NewClient(tr, ClientConfig{BufferPages: 2 * npages})
+	old := make([]byte, 16)
+	cur := make([]byte, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Begin(); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < npages; k++ {
+			pid := first + disk.PageID(k)
+			idx, err := c.FetchPage(pid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			at := c.PageData(idx)[512:528]
+			copy(old, at)
+			binary.LittleEndian.PutUint64(cur, uint64(i)+1)
+			copy(at, cur)
+			c.Pool().MarkDirtyLogged(idx)
+			c.LogUpdate(pid, 512, old, cur)
+		}
+		if err := c.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if tr.commitPayload != 0 {
+		b.Fatalf("%d bytes of page images in commit requests; covered frames must not ship", tr.commitPayload)
+	}
+	if got := binary.LittleEndian.Uint64(poolImage(b, srv, first)[512:]); got != uint64(b.N) {
+		b.Fatalf("server page holds %d after %d commits", got, b.N)
+	}
+	b.ReportMetric(float64(tr.bytes)/float64(b.N), "wire-B/op")
+}

@@ -76,8 +76,7 @@ func (c *Client) CreateObject(cl *Cluster, size int) (OID, []byte, error) {
 		if err != nil {
 			return NilOID, nil, err
 		}
-		c.pool.MarkDirty(idx)
-		c.logStructDiff(cl.pid, before, idx)
+		c.dirtyStruct(cl.pid, before, idx)
 		u, err := c.nextUnique()
 		if err != nil {
 			return NilOID, nil, err
@@ -107,6 +106,9 @@ func (c *Client) newClusterPage(cl *Cluster) error {
 	// in which case Put skips its loader.
 	p := page.Init(c.PageData(idx), page.TypeSlotted)
 	p.SetFileID(cl.file)
+	// Plain MarkDirty: the record below describes the page against zeroes,
+	// and the server's copy of a recycled page id is not zero, so this
+	// frame ships whole with the transaction that formats it.
 	c.pool.MarkDirty(idx)
 	if c.LogStructure {
 		// Diff against an all-zero page, not the prior frame bytes: a
@@ -122,8 +124,7 @@ func (c *Client) newClusterPage(cl *Cluster) error {
 		before := c.structBefore(lidx)
 		lp := page.MustWrap(c.PageData(lidx))
 		lp.SetNextPage(uint32(pid))
-		c.pool.MarkDirty(lidx)
-		c.logStructDiff(cl.last, before, lidx)
+		c.dirtyStruct(cl.last, before, lidx)
 	}
 	cl.pid = pid
 	cl.last = pid
@@ -189,8 +190,7 @@ func (c *Client) DeleteObject(oid OID) error {
 	if err := p.Delete(int(oid.Slot)); err != nil {
 		return err
 	}
-	c.pool.MarkDirty(idx)
-	c.logStructDiff(oid.Page, before, idx)
+	c.dirtyStruct(oid.Page, before, idx)
 	return nil
 }
 
@@ -252,6 +252,11 @@ func (c *Client) CreateLarge(cl *Cluster, size uint64, metaPages int) (OID, Larg
 	binary.LittleEndian.PutUint64(desc[8:], info.Size)
 	binary.LittleEndian.PutUint32(desc[16:], uint32(info.MetaFirst))
 	binary.LittleEndian.PutUint32(desc[20:], info.MetaPages)
+	// The descriptor's fields are written after CreateObject logged the
+	// slot: no record of this layer covers them, so the page ships whole.
+	if err := c.MarkDirty(descOID.Page); err != nil {
+		return NilOID, LargeInfo{}, err
+	}
 	large := OID{Page: descOID.Page, Slot: SlotLarge, Unique: descOID.Slot, File: descOID.File}
 	return large, info, nil
 }
@@ -305,8 +310,9 @@ func (c *Client) LargeReadAt(large OID, buf []byte, off uint64) error {
 	return nil
 }
 
-// LargeWriteAt copies buf into the large object at offset off, marking the
-// touched pages dirty and logging whole-range updates.
+// LargeWriteAt copies buf into the large object at offset off and marks the
+// touched pages dirty. Nothing is logged: raw data pages carry no header for
+// LSN-based redo, so they ship whole (steal, commit, prepare).
 func (c *Client) LargeWriteAt(large OID, buf []byte, off uint64) error {
 	info, err := c.LargeInfoOf(large)
 	if err != nil {
@@ -351,7 +357,6 @@ func (c *Client) deleteLarge(large OID) error {
 	if err := p.Delete(int(d.Slot)); err != nil {
 		return err
 	}
-	c.pool.MarkDirty(idx)
-	c.logStructDiff(d.Page, before, idx)
+	c.dirtyStruct(d.Page, before, idx)
 	return nil
 }

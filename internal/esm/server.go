@@ -200,11 +200,15 @@ type Server struct {
 	// prefetchPages counts pages served through OpReadPages batches;
 	// commits counts committed transactions; snapBegins/snapReads count
 	// snapshot sessions opened and pages served on the lock-free snapshot
-	// path. Atomics: stats reads race concurrent ops by design.
-	prefetchPages atomic.Int64
-	commits       atomic.Int64
-	snapBegins    atomic.Int64
-	snapReads     atomic.Int64
+	// path; pagesLogApplied/pagesInstalled count the two ways a
+	// transaction's bytes reach the pool (appendLogBatch page runs,
+	// installPage images). Atomics: stats reads race concurrent ops by design.
+	prefetchPages   atomic.Int64
+	commits         atomic.Int64
+	snapBegins      atomic.Int64
+	snapReads       atomic.Int64
+	pagesLogApplied atomic.Int64
+	pagesInstalled  atomic.Int64
 
 	// Transport-layer counters, maintained by Serve across every TCP
 	// connection (the in-proc transport never touches them). Atomics for
@@ -338,6 +342,14 @@ type ServerStats struct {
 	Commits        int64 `json:"commits"`
 	LogForces      int64 `json:"log_forces"`
 	LogPiggybacks  int64 `json:"log_piggybacks"`
+
+	// How transactions' bytes reached the pool. PagesLogApplied counts page
+	// runs redone from OpLog batches (the page itself never crossed the
+	// wire); PagesInstalled counts whole page images received by steal,
+	// commit, or prepare. A log-covered workload sliding back to whole-image
+	// shipping shows up as the second growing against the first.
+	PagesLogApplied int64 `json:"pages_log_applied"`
+	PagesInstalled  int64 `json:"pages_installed"`
 
 	// Lock-manager traffic. The snapshot-read acceptance check is a delta
 	// of LockGrants across a read sweep: the MVCC path must leave it flat.
@@ -536,9 +548,9 @@ func (vs volStore) WritePage(id uint32, buf []byte) error {
 }
 
 // pageLSNOf reads the LSN of a header-bearing (slotted/btree/catalog) page.
-// Raw large-object data pages never appear in byte-range log records: their
-// durability comes from whole-page shipping at commit, so recovery only ever
-// consults the LSN of slotted pages.
+// Raw large-object data pages never appear in byte-range log records: they
+// always ship whole (steal, commit, prepare), so redo and recovery only
+// ever consult the LSN of header-bearing pages.
 func pageLSNOf(buf []byte) uint64 {
 	return binary.LittleEndian.Uint64(buf[:8])
 }
@@ -780,6 +792,10 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			Commits:        s.commits.Load(),
 			LogForces:      s.log.Forces(),
 			LogPiggybacks:  s.log.Piggybacks(),
+
+			PagesLogApplied: s.pagesLogApplied.Load(),
+			PagesInstalled:  s.pagesInstalled.Load(),
+
 			LockGrants:     grants,
 			LockWaits:      waits,
 			SnapBegins:     s.snapBegins.Load(),
@@ -1214,36 +1230,39 @@ func (s *Server) readPage(pid disk.PageID) (*Response, error) {
 	return &Response{Page: uint32(pid), Data: out}, nil
 }
 
-// installPage places a shipped page image in the server pool, dirty.
-// With the version store on, the page's current committed image is
-// captured first — before the frame is overwritten — so snapshot readers
-// keep seeing the old bytes. The capture reads through the same
-// non-perturbing path as batch reads (pool snapshot, else the volume) and
-// is deduplicated per (transaction, page) inside the store, so a page a
-// transaction installs repeatedly (steal, then commit) is captured once.
+// captureBefore files the page's current image, once per (transaction,
+// page), before that transaction first changes the page's bytes in the
+// server pool — by a whole-image install or by applying its log records.
+// With the version store on, snapshot readers keep seeing the captured
+// bytes; the coherence table raises the page's pending count (versioned
+// reads stop vending tokens for it) and keeps the image as the delta base
+// the commit will publish. The capture reads through the same
+// non-perturbing path as batch reads (pool snapshot, else the volume).
+func (s *Server) captureBefore(tx uint64, pid disk.PageID) error {
+	if tx == 0 || s.coh.captured(tx, pid) {
+		return nil
+	}
+	before := make([]byte, disk.PageSize)
+	if !s.pool.Snapshot(pid, before) {
+		// A page past the volume's geometry has no committed image yet;
+		// its before-image is the all-zero buffer just made.
+		if err := s.vol.ReadPage(pid, before); err != nil && !errors.Is(err, disk.ErrPageOutOfRange) {
+			return err
+		}
+	}
+	if s.mv != nil {
+		s.mv.CaptureBefore(uint32(pid), tx, before)
+	}
+	s.coh.captureInstall(tx, pid, before)
+	return nil
+}
+
+// installPage places a shipped page image in the server pool, dirty: the
+// path of every page the client could not vouch for as log-covered (bulk
+// loads, raw large-object pages, B-tree pages, plain MarkDirty callers).
 func (s *Server) installPage(tx uint64, pid disk.PageID, data []byte) error {
-	if tx != 0 {
-		before := make([]byte, disk.PageSize)
-		if !s.pool.Snapshot(pid, before) {
-			if err := s.vol.ReadPage(pid, before); err != nil {
-				// A page past the volume's geometry has no committed
-				// image yet; its before-image is all zeroes.
-				if !errors.Is(err, disk.ErrPageOutOfRange) {
-					return err
-				}
-				for i := range before {
-					before[i] = 0
-				}
-			}
-		}
-		if s.mv != nil {
-			s.mv.CaptureBefore(uint32(pid), tx, before)
-		}
-		// Coherence capture, before the frame bytes change: raises the
-		// page's pending count (versioned reads stop vending tokens for
-		// it) and keeps the committed image as the delta base the commit
-		// will publish.
-		s.coh.captureInstall(tx, pid, before)
+	if err := s.captureBefore(tx, pid); err != nil {
+		return err
 	}
 	ref, _, err := s.pool.Load(pid, func(buf []byte) error {
 		copy(buf, data)
@@ -1255,61 +1274,133 @@ func (s *Server) installPage(tx uint64, pid disk.PageID, data []byte) error {
 	ref.Write(func(dst []byte) { copy(dst, data) }) // Load skips the fill when already resident
 	ref.MarkDirty()
 	ref.Release()
+	s.pagesInstalled.Add(1)
 	return nil
 }
 
+// pinForRedo captures pid's image for tx (first change only) and pins the
+// page in the pool, reading it from the volume on a miss; a page past the
+// volume's geometry starts from zeroes, as its capture did. Nothing is
+// charged to the cost model: internal/sim prices the protocol in which the
+// client ships this page at commit.
+func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (*buffer.PageRef, error) {
+	if err := s.captureBefore(tx, pid); err != nil {
+		return nil, err
+	}
+	ref, _, err := s.pool.Load(pid, func(buf []byte) error {
+		err := s.vol.ReadPage(pid, buf)
+		if errors.Is(err, disk.ErrPageOutOfRange) {
+			clear(buf)
+			return nil
+		}
+		return err
+	})
+	return ref, err
+}
+
+// logRecHeader is the fixed part of one OpLog batch record.
+const logRecHeader = 11
+
 // log batch format: count u32, then per record:
 // Type u8, Page u32, Off u16, oldLen u16, newLen u16, old..., new...
+//
+// parseLogRec decodes the record at data[p:] without copying its images
+// (wal.Log.Append serializes them before returning) and returns the offset
+// of the next one.
+func parseLogRec(data []byte, p int) (wal.Record, int, error) {
+	if len(data) < p+logRecHeader {
+		return wal.Record{}, 0, errShortMessage
+	}
+	rec := wal.Record{
+		Type: wal.RecType(data[p]),
+		Page: binary.LittleEndian.Uint32(data[p+1:]),
+		Off:  binary.LittleEndian.Uint16(data[p+5:]),
+	}
+	oldLen := int(binary.LittleEndian.Uint16(data[p+7:]))
+	newLen := int(binary.LittleEndian.Uint16(data[p+9:]))
+	p += logRecHeader
+	if len(data) < p+oldLen+newLen {
+		return wal.Record{}, 0, errShortMessage
+	}
+	if oldLen > 0 {
+		rec.Old = data[p : p+oldLen]
+	}
+	if newLen > 0 {
+		rec.New = data[p+oldLen : p+oldLen+newLen]
+	}
+	return rec, p + oldLen + newLen, nil
+}
+
+// appendLogBatch appends a transaction's update records to the log and
+// redoes each onto the server's own copy of its page, the step restart
+// recovery performs for records whose effect is missing: the records carry
+// byte-exact after-images, so a page whose every change was logged never
+// needs to be shipped (Client.Commit skips it).
+//
+// The whole batch is checked before anything is appended: a record that is
+// not an update, or whose range leaves the page, would otherwise sit in the
+// log and fail this redo and every later restart. Records of one page arrive
+// consecutively (the client logs a page's diff in one go), so each run of
+// them takes the page's content latch once; the page LSN follows each
+// record's LSN and the frame is left dirty, so the WAL rule on the steal
+// path holds as for an installed page. Before a transaction's first change
+// to a page its image is captured exactly as for an install.
 func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
 	if len(data) < 4 {
 		return 0, errShortMessage
 	}
 	count := int(binary.LittleEndian.Uint32(data))
-	p := 4
+	for i, p := 0, 4; i < count; i++ {
+		rec, next, err := parseLogRec(data, p)
+		if err != nil {
+			return 0, err
+		}
+		if rec.Type != wal.RecUpdate {
+			return 0, fmt.Errorf("esm: log batch record %d is %v, not an update", i, rec.Type)
+		}
+		if err := rec.CheckRange(disk.PageSize); err != nil {
+			return 0, err
+		}
+		p = next
+	}
 	s.mu.Lock()
 	last := s.lastTxLSN[tx]
 	s.mu.Unlock()
-	for i := 0; i < count; i++ {
-		if len(data) < p+11 {
-			return 0, errShortMessage
+	var err error
+	i, p := 0, 4 // advanced inside the latched closure below
+	for i < count {
+		pid := disk.PageID(binary.LittleEndian.Uint32(data[p+1:]))
+		var ref *buffer.PageRef
+		if ref, err = s.pinForRedo(tx, pid); err != nil {
+			break
 		}
-		typ := wal.RecType(data[p])
-		pid := binary.LittleEndian.Uint32(data[p+1:])
-		off := binary.LittleEndian.Uint16(data[p+5:])
-		oldLen := int(binary.LittleEndian.Uint16(data[p+7:]))
-		newLen := int(binary.LittleEndian.Uint16(data[p+9:]))
-		p += 11
-		if len(data) < p+oldLen+newLen {
-			return 0, errShortMessage
-		}
-		rec := wal.Record{
-			PrevLSN: last,
-			Tx:      tx,
-			Type:    typ,
-			Page:    pid,
-			Off:     off,
-		}
-		if oldLen > 0 {
-			rec.Old = append([]byte(nil), data[p:p+oldLen]...)
-		}
-		p += oldLen
-		if newLen > 0 {
-			rec.New = append([]byte(nil), data[p:p+newLen]...)
-		}
-		p += newLen
-		last = s.log.Append(rec)
+		ref.Write(func(page []byte) {
+			for i < count && disk.PageID(binary.LittleEndian.Uint32(data[p+1:])) == pid {
+				rec, next, _ := parseLogRec(data, p) // checked above
+				rec.Tx, rec.PrevLSN = tx, last
+				rec.LSN = s.log.Append(rec)
+				rec.Redo(page, setPageLSN)
+				last = rec.LSN
+				i, p = i+1, next
+			}
+		})
+		ref.MarkDirty()
+		ref.Release()
+		s.pagesLogApplied.Add(1)
 	}
 	s.mu.Lock()
 	s.lastTxLSN[tx] = last
 	s.mu.Unlock()
-	return last, nil
+	return last, err
 }
 
-// commit installs the shipped dirty pages (Data = repeated u32 pid + 8K
-// image), appends the commit record, and forces the log through it via the
-// group-commit path: concurrent committers share one physical force. The
-// commit LSN is returned so the ack can carry it to the session
-// (read-your-writes floor for later snapshot begins).
+// commit installs the pages the client shipped whole (Data = repeated u32
+// pid + 8K image — only frames it could not vouch for as log-covered; the
+// rest were already redone from their records by appendLogBatch), appends
+// the commit record, and forces the log through it via the group-commit
+// path: concurrent committers share one physical force. The commit LSN is
+// returned so the ack can carry it to the session (read-your-writes floor
+// for later snapshot begins).
 func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 	const rec = 4 + disk.PageSize
 	if len(data)%rec != 0 {
@@ -1391,9 +1482,12 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 	return lsn, nil
 }
 
-// abort undoes any of the transaction's updates that reached the server
-// (pages shipped mid-transaction under the steal policy), then releases its
-// locks. Updates that never left the client die with the client's cache.
+// abort undoes every update record the transaction shipped — each was
+// redone onto its page as it arrived (appendLogBatch), so each is undone
+// from its before-image, newest first, under a CLR — then releases the
+// transaction's locks. Records still buffered at the client die with it;
+// whole images it installed without records (raw large-object pages) have
+// no before-image here and stay, as they always have.
 func (s *Server) abort(tx uint64) error {
 	var mine []wal.Record
 	_ = s.log.Iterate(func(r wal.Record) bool {

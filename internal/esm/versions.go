@@ -139,12 +139,13 @@ func (c *cohState) bump(pid disk.PageID, token uint64) {
 	c.mu.Unlock()
 }
 
-// captureInstall records a transaction's first install over a page:
-// before holds the committed image about to be overwritten. Must be
-// called BEFORE the frame bytes change — it raises pending, which is what
-// keeps concurrent versioned reads from caching the mid-transaction
-// bytes. Duplicate installs by the same transaction (steal then commit)
-// keep the first capture.
+// captureInstall records a transaction's first change to a page in the
+// server pool: before holds the committed image about to be overwritten,
+// and the table keeps that slice (the caller made it for this and must not
+// write to it afterwards). Must be called BEFORE the frame bytes change —
+// it raises pending, which is what keeps concurrent versioned reads from
+// caching the mid-transaction bytes. Later changes by the same transaction
+// (log records, then a steal, then commit) keep the first capture.
 func (c *cohState) captureInstall(tx uint64, pid disk.PageID, before []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,11 +172,20 @@ func (c *cohState) captureInstall(tx uint64, pid disk.PageID, before []byte) {
 		cpt.token = 0
 	}
 	if c.imgBytes+c.prevBytes+len(before) <= c.capBytes {
-		cpt.img = append([]byte(nil), before...)
+		cpt.img = before
 		c.imgBytes += len(cpt.img)
 	}
 	m[pid] = cpt
 	c.pending[pid]++
+}
+
+// captured reports whether tx already holds a capture of pid, so the caller
+// can skip reading a before-image captureInstall would only drop.
+func (c *cohState) captured(tx uint64, pid disk.PageID) bool {
+	c.mu.Lock()
+	_, ok := c.captures[tx][pid]
+	c.mu.Unlock()
+	return ok
 }
 
 // commitTx retires a transaction's captures at commit: every installed

@@ -3,9 +3,10 @@
 // can reconstruct the database as of a single snapshot LSN while writers
 // proceed — without the reader ever touching the lock manager.
 //
-// The images come for free: the server's commit path already receives every
-// dirty page whole (installPage), so the bytes about to be overwritten ARE
-// the before-image the page-diff machinery implies. The store files each
+// The images come from the server's own pool: before a transaction first
+// changes a page there — by redoing its log records onto it as they arrive
+// or by installing an image it shipped whole — the server files the page's
+// current bytes (esm.Server.captureBefore). The store files each
 // image under the transaction that overwrote it; when that transaction
 // commits at LSN C the image becomes the committed version "valid for every
 // snapshot S < C". A snapshot at S resolving page P takes the committed
@@ -111,9 +112,7 @@ func New(maxBytes int) *Store {
 // transaction tx, copying it. Only the first capture per (tx, page) counts:
 // the caller invokes it before every install, and the image that matters is
 // the one preceding the transaction's FIRST overwrite. Must be called
-// before the live frame is overwritten (the server does so while holding
-// the frame's content latch for write, which orders it against snapshot
-// copies of the frame).
+// before the live frame is overwritten.
 func (s *Store) CaptureBefore(pid uint32, tx uint64, image []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

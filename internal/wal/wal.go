@@ -97,6 +97,30 @@ type Record struct {
 	New     []byte  // after image
 }
 
+// CheckRange reports whether the record's byte range fits a page of pageSize
+// bytes and its before-image, when present, is as long as its after-image.
+// The page server checks it before appending an update record, so that
+// neither its own redo of the record nor a later restart can index past the
+// page; Recover checks it again because the log file is outside input.
+func (r *Record) CheckRange(pageSize int) error {
+	if int(r.Off)+len(r.New) > pageSize {
+		return fmt.Errorf("wal: %v record for page %d covers [%d,%d), past the %d-byte page", r.Type, r.Page, r.Off, int(r.Off)+len(r.New), pageSize)
+	}
+	if len(r.Old) != 0 && len(r.Old) != len(r.New) {
+		return fmt.Errorf("wal: %v record for page %d has a %d-byte before-image for a %d-byte after-image", r.Type, r.Page, len(r.Old), len(r.New))
+	}
+	return nil
+}
+
+// Redo applies the record's after-image to its page and stamps the page with
+// the record's LSN: the one redo step, run by restart recovery for records
+// whose effect is missing and by the page server for every update record as
+// it is appended. The caller has checked the range (CheckRange).
+func (r *Record) Redo(pageBuf []byte, setPageLSN func(pageBuf []byte, lsn uint64)) {
+	copy(pageBuf[r.Off:], r.New)
+	setPageLSN(pageBuf, uint64(r.LSN))
+}
+
 // header layout within the fixed 50 bytes:
 //
 //	[0:8)   LSN
@@ -649,6 +673,7 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 	prepares := map[uint64]Record{}
 	firstLSN := map[uint64]LSN{}
 	var updates []Record
+	var rangeErr error
 	err = l.Iterate(func(r Record) bool {
 		if r.Tx != 0 {
 			if _, ok := firstLSN[r.Tx]; !ok {
@@ -668,10 +693,16 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 		case RecPrepare:
 			prepares[r.Tx] = r
 		case RecUpdate, RecCLR:
+			if rangeErr = r.CheckRange(pageSize); rangeErr != nil {
+				return false
+			}
 			updates = append(updates, r)
 		}
 		return true
 	})
+	if err == nil {
+		err = rangeErr
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -713,8 +744,7 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 		if LSN(pageLSNOf(buf)) >= r.LSN {
 			continue
 		}
-		copy(buf[int(r.Off):int(r.Off)+len(r.New)], r.New)
-		setPageLSN(buf, uint64(r.LSN))
+		r.Redo(buf, setPageLSN)
 		if err := store.WritePage(r.Page, buf); err != nil {
 			return nil, nil, nil, err
 		}
