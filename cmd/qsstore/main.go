@@ -608,17 +608,35 @@ func info(path string) error {
 	}
 	defer logf.Close()
 	var byType [8]int64
+	var payload int64
 	_ = logf.Iterate(func(r wal.Record) bool {
 		if int(r.Type) < len(byType) {
 			byType[r.Type]++
 		}
+		payload += int64(len(r.Old) + len(r.New))
 		return true
 	})
-	fmt.Printf("log:         %d records, %d bytes\n", logf.Records(), logf.Bytes())
+	fmt.Printf("log:         %s\n", logSummary(logf.Records(), logf.Bytes(), payload))
 	fmt.Printf("  begins=%d updates=%d commits=%d aborts=%d clrs=%d\n",
 		byType[wal.RecBegin], byType[wal.RecUpdate], byType[wal.RecCommit],
 		byType[wal.RecAbort], byType[wal.RecCLR])
 	return nil
+}
+
+// logSummary renders a log's size the way an operator sizes a log device:
+// records, bytes, mean record size, and — when the image bytes are known
+// (payload >= 0; only a scan of the log knows them) — the share of the log
+// that is framing rather than before- and after-images.
+func logSummary(records, bytes, payload int64) string {
+	s := fmt.Sprintf("%d records, %d bytes", records, bytes)
+	if records == 0 || bytes == 0 {
+		return s
+	}
+	s += fmt.Sprintf(", %.1f bytes/record", float64(bytes)/float64(records))
+	if payload >= 0 {
+		s += fmt.Sprintf(", %.1f%% header overhead (%d image bytes)", 100*float64(bytes-payload)/float64(bytes), payload)
+	}
+	return s
 }
 
 // stats opens the store (running restart recovery if the log demands it)
@@ -687,7 +705,7 @@ func printServerStats(ss *esm.ServerStats) {
 	}
 	fmt.Println()
 	fmt.Printf("volume:         %d allocated data pages\n", ss.AllocatedPages)
-	fmt.Printf("log:            %d records, %d bytes\n", ss.LogRecords, ss.LogBytes)
+	fmt.Printf("log:            %s\n", logSummary(ss.LogRecords, ss.LogBytes, -1))
 	fmt.Printf("disk:           %d reads, %d writes\n", ss.DiskReads, ss.DiskWrites)
 	fmt.Printf("prefetch:       %d pages served in batches, %d background disk reads\n",
 		ss.PrefetchPages, ss.PrefetchReads)

@@ -3,9 +3,11 @@ package esm
 import (
 	"encoding/binary"
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/faultinject"
 	"quickstore/internal/wal"
 )
 
@@ -42,18 +44,8 @@ func (h *commitDuringWrite) run() error {
 		return errors.New(resp.Err)
 	}
 	tx := resp.N
-	// One update record: value over zeroes at off on the target page, in
-	// the OpLog batch format (count, then type/pid/off/lens + images).
-	old := make([]byte, len(h.value))
-	rec := make([]byte, 0, 4+11+2*len(h.value))
-	rec = binary.LittleEndian.AppendUint32(rec, 1)
-	rec = append(rec, byte(wal.RecUpdate))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(h.target))
-	rec = binary.LittleEndian.AppendUint16(rec, uint16(h.off))
-	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(old)))
-	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(h.value)))
-	rec = append(rec, old...)
-	rec = append(rec, h.value...)
+	// One update record: value over zeroes at off on the target page.
+	rec := logBatch(wal.Record{Page: uint32(h.target), Off: uint16(h.off), Old: make([]byte, len(h.value)), New: h.value})
 	resp = h.srv.Handle(&Request{Op: OpLog, Tx: tx, Data: rec})
 	if resp.Err != "" {
 		return errors.New(resp.Err)
@@ -155,5 +147,100 @@ func TestCheckpointDoesNotRevertConcurrentCommit(t *testing.T) {
 	}
 	if got := c2.PageData(i)[64:68]; string(got) != "seed" {
 		t.Fatalf("pre-checkpoint commit lost: %q", got)
+	}
+}
+
+// overwriteSeeded commits one logged update of the seeded object, old to new.
+func overwriteSeeded(t *testing.T, srv *Server, oid OID, old, new string) {
+	t.Helper()
+	c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	obj, idx, err := c.ReadObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(obj[:len(old)]); got != old {
+		t.Fatalf("object holds %q, want %q", got, old)
+	}
+	copy(obj, new)
+	c.Pool().MarkDirtyLogged(idx)
+	c.LogUpdate(oid.Page, pageOffOf(t, c, oid), []byte(old), []byte(new))
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Regression for the lost LSN base: a checkpoint that cut the whole log and
+// died before anything else reached the file used to reopen at base 0 and
+// hand LSN 1 out again. A commit after that restart then logged an update
+// under an LSN below the one its page was stamped with before the cut, and
+// the next restart's redo skipped it (pageLSN >= record LSN): an acknowledged
+// commit lost. The log file's header carries the base now.
+func TestCheckpointCrashAfterCutKeepsLSNBase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.vol")
+	reopen := func() (*disk.FileVolume, *wal.Log) {
+		t.Helper()
+		vol, err := disk.OpenFileVolume(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logf, err := wal.OpenFileLog(path + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vol, logf
+	}
+	crash := func(vol *disk.FileVolume, logf *wal.Log) {
+		logf.DiscardUnflushed()
+		logf.Close()
+		vol.Abandon()
+	}
+	vol, err := disk.CreateFileVolume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logf, err := wal.CreateFileLog(path + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := faultinject.New(1)
+	srv, oid := seedObject(t, vol, logf, ServerConfig{BufferPages: 64, Fault: plane})
+	overwriteSeeded(t, srv, oid, "original", "version2")
+	stamped := logf.End() // the object's page carries an LSN just below this
+
+	// The checkpoint flushes the page, cuts the quiescent log to nothing,
+	// and dies.
+	plane.ArmCrash(faultinject.PtCheckpointAfterTruncate, 1)
+	if resp := srv.Handle(&Request{Op: OpCheckpoint}); resp.Err == "" {
+		t.Fatal("setup: the checkpoint did not reach its crash point")
+	}
+	crash(vol, logf)
+
+	vol, logf = reopen()
+	if logf.Records() != 0 {
+		t.Fatalf("setup: the cut left %d records; the base would be recoverable from them", logf.Records())
+	}
+	if logf.End() < stamped {
+		t.Errorf("log reopened at LSN %d, below LSN %d already stamped into pages", logf.End(), stamped)
+	}
+	srv, err = OpenServer(vol, logf, ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second commit to the same page; its page never reaches the volume.
+	overwriteSeeded(t, srv, oid, "version2", "version3")
+	crash(vol, logf)
+
+	vol, logf = reopen()
+	defer vol.Close()
+	defer logf.Close()
+	srv, err = OpenServer(vol, logf, ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readSeeded(t, srv, oid); got != "version3" {
+		t.Fatalf("acknowledged commit lost: object holds %q, want %q", got, "version3")
 	}
 }

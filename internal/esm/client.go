@@ -684,21 +684,10 @@ func (c *Client) stampLSN(pid disk.PageID, data []byte) {
 }
 
 // LogUpdate buffers a physical update record (before/after images for the
-// byte range at off on page pid) for the current transaction.
+// byte range at off on page pid) for the current transaction, in the
+// encoding the server's log will hold it in. old is empty or as long as new.
 func (c *Client) LogUpdate(pid disk.PageID, off int, old, new []byte) {
-	c.appendLogRec(wal.RecUpdate, pid, off, old, new)
-}
-
-func (c *Client) appendLogRec(typ wal.RecType, pid disk.PageID, off int, old, new []byte) {
-	var tmp [11]byte
-	tmp[0] = byte(typ)
-	binary.LittleEndian.PutUint32(tmp[1:], uint32(pid))
-	binary.LittleEndian.PutUint16(tmp[5:], uint16(off))
-	binary.LittleEndian.PutUint16(tmp[7:], uint16(len(old)))
-	binary.LittleEndian.PutUint16(tmp[9:], uint16(len(new)))
-	c.pending = append(c.pending, tmp[:]...)
-	c.pending = append(c.pending, old...)
-	c.pending = append(c.pending, new...)
+	c.pending = wal.AppendUpdate(c.pending, uint32(pid), uint16(off), old, new)
 	c.nrecs++
 	c.clock.Charge(sim.CtrLogRecord, 1)
 	c.clock.Charge(sim.CtrLogByte, int64(len(old)+len(new)))

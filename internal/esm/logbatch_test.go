@@ -3,24 +3,27 @@ package esm
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"quickstore/internal/disk"
 	"quickstore/internal/wal"
 )
 
-// logBatch builds an OpLog payload from records (Type, Page, Off, Old, New).
+// logBatch builds an OpLog payload from records (Page, Off, Old, New).
 func logBatch(recs ...wal.Record) []byte {
-	out := make([]byte, 4)
-	binary.LittleEndian.PutUint32(out, uint32(len(recs)))
-	for _, r := range recs {
-		var h [logRecHeader]byte
-		h[0] = byte(r.Type)
-		binary.LittleEndian.PutUint32(h[1:], r.Page)
-		binary.LittleEndian.PutUint16(h[5:], r.Off)
-		binary.LittleEndian.PutUint16(h[7:], uint16(len(r.Old)))
-		binary.LittleEndian.PutUint16(h[9:], uint16(len(r.New)))
-		out = append(append(append(out, h[:]...), r.Old...), r.New...)
+	bodies := make([][]byte, len(recs))
+	for i, r := range recs {
+		bodies[i] = wal.AppendUpdate(nil, r.Page, r.Off, r.Old, r.New)
+	}
+	return rawBatch(bodies...)
+}
+
+// rawBatch frames update bodies, well-formed or not, as an OpLog payload.
+func rawBatch(bodies ...[]byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(bodies)))
+	for _, b := range bodies {
+		out = append(out, b...)
 	}
 	return out
 }
@@ -101,18 +104,81 @@ func TestLogBatchRedoneAtServer(t *testing.T) {
 	}
 }
 
-// poisonBatches are batches the server must refuse: appended, any of the
-// first four would fail the server's own redo and every later restart.
+// TestAbortReadsOnlyItsOwnChain: an abort walks the transaction's PrevLSN
+// chain instead of scanning the retained log, so its cost follows its own
+// record count however many records of other transactions lie before,
+// between and after its own. Reading a record copies its images, so the
+// allocation count tells which happened: a scan makes two per unrelated
+// record.
+func TestAbortReadsOnlyItsOwnChain(t *testing.T) {
+	srv, pid := logBatchServer(t, 2)
+	const unrelated = 4000
+	noise := func(n int) {
+		recs := make([]wal.Record, n)
+		for i := range recs {
+			recs[i] = wal.Record{Page: uint32(pid + 1), Off: uint16(64 + 8*i%4096), Old: []byte{0, 0, 0, 0}, New: []byte{1, 2, 3, 4}}
+		}
+		tx := beginTx(t, srv)
+		if resp := srv.Handle(&Request{Op: OpLog, Tx: tx, Data: logBatch(recs...)}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		if resp := srv.Handle(&Request{Op: OpCommit, Tx: tx}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	}
+	noise(unrelated / 2)
+	tx := beginTx(t, srv)
+	zeros := make([]byte, 5)
+	for _, batch := range [][]byte{
+		logBatch(wal.Record{Page: uint32(pid), Off: 100, Old: zeros, New: []byte("hello")}),
+		logBatch(wal.Record{Page: uint32(pid), Off: 200, Old: zeros, New: []byte("world")},
+			wal.Record{Page: uint32(pid), Off: 100, Old: []byte("hello"), New: []byte("HELLO")}),
+	} {
+		if resp := srv.Handle(&Request{Op: OpLog, Tx: tx, Data: batch}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		noise(unrelated / 4) // between the victim's own records too
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := srv.Handle(&Request{Op: OpAbort, Tx: tx})
+	runtime.ReadMemStats(&after)
+	if resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	if img := poolImage(t, srv, pid); !bytes.Equal(img[8:], make([]byte, disk.PageSize-8)) {
+		t.Fatal("page not restored by the abort: overlapping updates must be undone newest first")
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > unrelated/10 {
+		t.Fatalf("abort of a 3-record transaction made %d allocations behind %d unrelated records: it is scanning the log", mallocs, unrelated)
+	}
+	var clrs int
+	_ = srv.log.Iterate(func(r wal.Record) bool {
+		if r.Tx == tx && r.Type == wal.RecCLR {
+			clrs++
+		}
+		return true
+	})
+	if clrs != 3 {
+		t.Fatalf("%d CLRs for 3 undone updates", clrs)
+	}
+}
+
+// poisonBatches are batches the server must refuse: appended, either of the
+// first two would fail the server's own redo and every later restart; the
+// rest are not the encoding (wal.AppendUpdate) at all. A before-image of
+// another length than its after-image, and a record that is not an update,
+// were poison once; the encoding can no longer say either.
 func poisonBatches(pid uint32) map[string][]byte {
-	good := wal.Record{Type: wal.RecUpdate, Page: pid, Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}}
+	good := wal.AppendUpdate(nil, pid, 64, []byte{0, 0}, []byte{1, 2})
 	return map[string][]byte{
-		"after-image past the page":           logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: disk.PageSize - 1, New: []byte{1, 2}}),
-		"before-image past the page":          logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: disk.PageSize - 1, Old: []byte{1, 2}, New: []byte{3, 4}}),
-		"before-image of another length":      logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: 8, Old: []byte{1, 2, 3}, New: []byte{4}}),
-		"before-image without an after-image": logBatch(good, wal.Record{Type: wal.RecUpdate, Page: pid, Off: 8, Old: []byte{1}}),
-		"not an update":                       logBatch(good, wal.Record{Type: wal.RecCommit, Page: pid}),
-		"truncated record":                    logBatch(good, good)[:4+logRecHeader+4+logRecHeader+1],
-		"count past payload":                  append([]byte{9, 0, 0, 0}, logBatch(good)[4:]...),
+		"after-image past the page":        rawBatch(good, wal.AppendUpdate(nil, pid, disk.PageSize-1, nil, []byte{1, 2})),
+		"before-image past the page":       rawBatch(good, wal.AppendUpdate(nil, pid, disk.PageSize-1, []byte{1, 2}, []byte{3, 4})),
+		"before-image flag with no image":  rawBatch(good, []byte{byte(pid), 8, 1}),
+		"page id spelled with spare bytes": rawBatch(good, []byte{byte(pid) | 0x80, 0x00, 8, 2, 7}),
+		"offset past any page":             rawBatch(good, []byte{byte(pid), 0x80, 0x80, 0x04, 2, 7}),
+		"truncated record":                 rawBatch(good, good[:len(good)-1]),
+		"count past payload":               append([]byte{9, 0, 0, 0}, good...),
 	}
 }
 
@@ -159,9 +225,9 @@ func FuzzLogBatch(f *testing.F) {
 		if valid {
 			count := int(binary.LittleEndian.Uint32(data))
 			for i, p := 0, 4; i < count && valid; i++ {
-				rec, next, err := parseLogRec(data, p)
-				valid = err == nil && rec.Type == wal.RecUpdate && rec.CheckRange(disk.PageSize) == nil
-				p = next
+				rec, n, err := wal.DecodeUpdate(data[p:])
+				valid = err == nil && rec.CheckRange(disk.PageSize) == nil
+				p += n
 			}
 		}
 		records := srv.log.Records()
@@ -228,6 +294,7 @@ func BenchmarkCommitLoggedPages(b *testing.B) {
 	c := NewClient(tr, ClientConfig{BufferPages: 2 * npages})
 	old := make([]byte, 16)
 	cur := make([]byte, 16)
+	logBefore := srv.log.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,4 +326,5 @@ func BenchmarkCommitLoggedPages(b *testing.B) {
 		b.Fatalf("server page holds %d after %d commits", got, b.N)
 	}
 	b.ReportMetric(float64(tr.bytes)/float64(b.N), "wire-B/op")
+	b.ReportMetric(float64(srv.log.Bytes()-logBefore)/float64(b.N), "log-B/op")
 }

@@ -1139,16 +1139,10 @@ func (s *Server) checkpoint() error {
 	if err := s.log.TruncateBefore(cut); err != nil {
 		return err
 	}
-	if err := s.fault.Hit(faultinject.PtCheckpointAfterTruncate); err != nil {
-		return err
-	}
-	// Re-anchor the LSN space. OpenFileLog recovers the base of a cut log
-	// from the LSNs of surviving records; a log whose tail emptied would
-	// reopen at base 0 and hand out LSNs that collide with pageLSNs
-	// stamped before the cut. A durable checkpoint record carries the
-	// base in its own LSN.
-	s.log.Append(wal.Record{Type: wal.RecCheckpoint})
-	return s.log.Flush()
+	// Nothing is written after the cut: the log file's header carries the
+	// LSN base, so even a log the cut emptied reopens where its LSN space
+	// left off and never hands out an LSN a page was stamped with before.
+	return s.fault.Hit(faultinject.PtCheckpointAfterTruncate)
 }
 
 // readPagesBatch serves one OpReadPages frame: every requested page is
@@ -1298,70 +1292,37 @@ func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (*buffer.PageRef, error)
 	return ref, err
 }
 
-// logRecHeader is the fixed part of one OpLog batch record.
-const logRecHeader = 11
-
-// log batch format: count u32, then per record:
-// Type u8, Page u32, Off u16, oldLen u16, newLen u16, old..., new...
-//
-// parseLogRec decodes the record at data[p:] without copying its images
-// (wal.Log.Append serializes them before returning) and returns the offset
-// of the next one.
-func parseLogRec(data []byte, p int) (wal.Record, int, error) {
-	if len(data) < p+logRecHeader {
-		return wal.Record{}, 0, errShortMessage
-	}
-	rec := wal.Record{
-		Type: wal.RecType(data[p]),
-		Page: binary.LittleEndian.Uint32(data[p+1:]),
-		Off:  binary.LittleEndian.Uint16(data[p+5:]),
-	}
-	oldLen := int(binary.LittleEndian.Uint16(data[p+7:]))
-	newLen := int(binary.LittleEndian.Uint16(data[p+9:]))
-	p += logRecHeader
-	if len(data) < p+oldLen+newLen {
-		return wal.Record{}, 0, errShortMessage
-	}
-	if oldLen > 0 {
-		rec.Old = data[p : p+oldLen]
-	}
-	if newLen > 0 {
-		rec.New = data[p+oldLen : p+oldLen+newLen]
-	}
-	return rec, p + oldLen + newLen, nil
-}
-
 // appendLogBatch appends a transaction's update records to the log and
 // redoes each onto the server's own copy of its page, the step restart
 // recovery performs for records whose effect is missing: the records carry
 // byte-exact after-images, so a page whose every change was logged never
 // needs to be shipped (Client.Commit skips it).
 //
-// The whole batch is checked before anything is appended: a record that is
-// not an update, or whose range leaves the page, would otherwise sit in the
-// log and fail this redo and every later restart. Records of one page arrive
-// consecutively (the client logs a page's diff in one go), so each run of
-// them takes the page's content latch once; the page LSN follows each
-// record's LSN and the frame is left dirty, so the WAL rule on the steal
-// path holds as for an installed page. Before a transaction's first change
-// to a page its image is captured exactly as for an install.
+// A batch is count u32, then count update bodies in the log's own encoding
+// (wal.AppendUpdate): the one codec serves the wire and the log, and a batch
+// can name nothing but updates. The whole batch is checked before anything is
+// appended: a record whose range leaves the page would otherwise sit in the
+// log and fail this redo and every later restart. Images are not copied out
+// of the request (wal.Log.Append serializes them before returning). Records
+// of one page arrive consecutively (the client logs a page's diff in one
+// go), so each run of them takes the page's content latch once; the page
+// LSN follows each record's LSN and the frame is left dirty, so the WAL rule
+// on the steal path holds as for an installed page. Before a transaction's
+// first change to a page its image is captured exactly as for an install.
 func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
 	if len(data) < 4 {
 		return 0, errShortMessage
 	}
 	count := int(binary.LittleEndian.Uint32(data))
 	for i, p := 0, 4; i < count; i++ {
-		rec, next, err := parseLogRec(data, p)
+		rec, n, err := wal.DecodeUpdate(data[p:])
 		if err != nil {
-			return 0, err
-		}
-		if rec.Type != wal.RecUpdate {
-			return 0, fmt.Errorf("esm: log batch record %d is %v, not an update", i, rec.Type)
+			return 0, fmt.Errorf("esm: log batch record %d: %w", i, err)
 		}
 		if err := rec.CheckRange(disk.PageSize); err != nil {
 			return 0, err
 		}
-		p = next
+		p += n
 	}
 	s.mu.Lock()
 	last := s.lastTxLSN[tx]
@@ -1369,19 +1330,22 @@ func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
 	var err error
 	i, p := 0, 4 // advanced inside the latched closure below
 	for i < count {
-		pid := disk.PageID(binary.LittleEndian.Uint32(data[p+1:]))
+		rec, n, _ := wal.DecodeUpdate(data[p:]) // checked above
+		pid := rec.Page
 		var ref *buffer.PageRef
-		if ref, err = s.pinForRedo(tx, pid); err != nil {
+		if ref, err = s.pinForRedo(tx, disk.PageID(pid)); err != nil {
 			break
 		}
 		ref.Write(func(page []byte) {
-			for i < count && disk.PageID(binary.LittleEndian.Uint32(data[p+1:])) == pid {
-				rec, next, _ := parseLogRec(data, p) // checked above
+			for rec.Page == pid {
 				rec.Tx, rec.PrevLSN = tx, last
 				rec.LSN = s.log.Append(rec)
 				rec.Redo(page, setPageLSN)
 				last = rec.LSN
-				i, p = i+1, next
+				if i, p = i+1, p+n; i == count {
+					return
+				}
+				rec, n, _ = wal.DecodeUpdate(data[p:])
 			}
 		})
 		ref.MarkDirty()
@@ -1489,16 +1453,22 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 // whole images it installed without records (raw large-object pages) have
 // no before-image here and stay, as they always have.
 func (s *Server) abort(tx uint64) error {
-	var mine []wal.Record
-	_ = s.log.Iterate(func(r wal.Record) bool {
-		if r.Tx == tx && r.Type == wal.RecUpdate {
-			mine = append(mine, r)
+	// Walk the transaction's own chain back from its last record: begin,
+	// update, prepare and commit records link through PrevLSN (CLRs hang
+	// off no chain), so the walk reads only this transaction's records
+	// however much the log has retained, and it meets the updates newest
+	// first — the order undo wants. The chain cannot reach below the
+	// retained log: a live transaction's first record pins every cut.
+	s.mu.Lock()
+	lsn := s.lastTxLSN[tx]
+	s.mu.Unlock()
+	for lsn != wal.NilLSN {
+		r, err := s.log.ReadAt(lsn)
+		if err != nil {
+			return fmt.Errorf("esm: abort of tx %d: %w", tx, err)
 		}
-		return true
-	})
-	for i := len(mine) - 1; i >= 0; i-- {
-		r := mine[i]
-		if len(r.Old) == 0 {
+		lsn = r.PrevLSN
+		if r.Type != wal.RecUpdate || len(r.Old) == 0 {
 			continue
 		}
 		pid := disk.PageID(r.Page)
@@ -1517,7 +1487,7 @@ func (s *Server) abort(tx uint64) error {
 			if wal.LSN(pageLSNOf(data)) < r.LSN {
 				return // never applied here
 			}
-			clr := s.log.Append(wal.Record{Tx: tx, Type: wal.RecCLR, Page: r.Page, Off: r.Off, New: append([]byte(nil), r.Old...)})
+			clr := s.log.Append(wal.Record{Tx: tx, Type: wal.RecCLR, Page: r.Page, Off: r.Off, New: r.Old})
 			copy(data[int(r.Off):int(r.Off)+len(r.Old)], r.Old)
 			setPageLSN(data, uint64(clr))
 			// Still under the content latch: any token vended for the page

@@ -35,8 +35,12 @@ func (w *wireTap) Call(req *esm.Request) (*esm.Response, error) {
 	case esm.OpLog:
 		n := int(binary.LittleEndian.Uint32(req.Data))
 		for i, p := 0, 4; i < n; i++ {
-			w.logged[disk.PageID(binary.LittleEndian.Uint32(req.Data[p+1:]))] = true
-			p += 11 + int(binary.LittleEndian.Uint16(req.Data[p+7:])) + int(binary.LittleEndian.Uint16(req.Data[p+9:]))
+			rec, size, err := wal.DecodeUpdate(req.Data[p:])
+			if err != nil {
+				return nil, err
+			}
+			w.logged[disk.PageID(rec.Page)] = true
+			p += size
 		}
 	case esm.OpWritePage:
 		w.whole[disk.PageID(req.Page)] = true

@@ -11,6 +11,7 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/lock"
+	"quickstore/internal/wal"
 )
 
 // Config tunes a Router.
@@ -332,24 +333,17 @@ func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
 	counts := map[int]uint32{}
 	p := 4
 	for i := 0; i < count; i++ {
-		if len(req.Data) < p+11 {
-			return nil, fmt.Errorf("shard: truncated log batch record %d", i)
+		rec, n, err := wal.DecodeUpdate(req.Data[p:])
+		if err != nil {
+			return nil, fmt.Errorf("shard: log batch record %d: %w", i, err)
 		}
-		pid := binary.LittleEndian.Uint32(req.Data[p+1:])
-		oldLen := int(binary.LittleEndian.Uint16(req.Data[p+7:]))
-		newLen := int(binary.LittleEndian.Uint16(req.Data[p+9:]))
-		if len(req.Data) < p+11+oldLen+newLen {
-			return nil, fmt.Errorf("shard: truncated log batch record %d payload", i)
-		}
-		shard := ShardOfPage(pid)
+		shard := ShardOfPage(rec.Page)
 		if parts[shard] == nil {
 			parts[shard] = make([]byte, 4)
 		}
-		rec := append([]byte(nil), req.Data[p:p+11+oldLen+newLen]...)
-		binary.LittleEndian.PutUint32(rec[1:], LocalPage(pid))
-		parts[shard] = append(parts[shard], rec...)
+		parts[shard] = wal.AppendUpdate(parts[shard], LocalPage(rec.Page), rec.Off, rec.Old, rec.New)
 		counts[shard]++
-		p += 11 + oldLen + newLen
+		p += n
 	}
 	t, err := r.tx(req.Tx)
 	if err != nil {

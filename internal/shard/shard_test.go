@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -337,17 +336,7 @@ func prepareInDoubt(t *testing.T, trs []esm.Transport, pid uint32, off uint16, o
 	partTx = call(1, &esm.Request{Op: esm.OpBegin}).N
 
 	// One logged update on the participant.
-	batch := make([]byte, 4)
-	binary.LittleEndian.PutUint32(batch, 1)
-	rec := make([]byte, 11)
-	rec[0] = byte(wal.RecUpdate)
-	binary.LittleEndian.PutUint32(rec[1:], pid)
-	binary.LittleEndian.PutUint16(rec[5:], off)
-	binary.LittleEndian.PutUint16(rec[7:], uint16(len(old)))
-	binary.LittleEndian.PutUint16(rec[9:], uint16(len(nw)))
-	batch = append(batch, rec...)
-	batch = append(batch, old...)
-	batch = append(batch, nw...)
+	batch := wal.AppendUpdate([]byte{1, 0, 0, 0}, pid, off, old, nw)
 	call(1, &esm.Request{Op: esm.OpLog, Tx: partTx, Data: batch})
 
 	call(1, &esm.Request{Op: esm.OpPrepare, Tx: partTx, Page: 0, N: coordTx, Data: nil})

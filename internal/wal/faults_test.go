@@ -38,8 +38,8 @@ func TestFlushToForcesPrefixOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(st.Size()) != int(before-1) {
-		t.Fatalf("file holds %d bytes, want %d", st.Size(), before-1)
+	if want := fileHeaderBytes + int(before-1); int(st.Size()) != want {
+		t.Fatalf("file holds %d bytes, want %d", st.Size(), want)
 	}
 	l2, err := OpenFileLog(path)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestFlushHookNilErrorFlushesEverything(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("hook called %d times", calls)
 	}
-	if l.FlushedLSN() != LSN(1+HeaderBytes) {
+	if l.FlushedLSN() != l.End() {
 		t.Fatal("nil-error hook must not shorten the flush")
 	}
 }
@@ -153,13 +153,14 @@ func FuzzOpenFileLogTornTail(f *testing.F) {
 			t.Fatal(err)
 		}
 		// Tear the tail: truncate `cut` bytes, then flip a byte in what
-		// remains.
-		if int(cut) > len(raw) {
-			cut = uint16(len(raw))
+		// remains. Only record bytes tear: the file header was forced
+		// before the first append.
+		if recs := len(raw) - fileHeaderBytes; int(cut) > recs {
+			cut = uint16(recs)
 		}
 		raw = raw[:len(raw)-int(cut)]
-		if len(raw) > 0 && flipMask != 0 {
-			raw[int(flipAt)%len(raw)] ^= flipMask
+		if recs := raw[fileHeaderBytes:]; len(recs) > 0 && flipMask != 0 {
+			recs[int(flipAt)%len(recs)] ^= flipMask
 		}
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)

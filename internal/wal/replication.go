@@ -162,18 +162,13 @@ func (l *Log) DurableFrom(from LSN, max int) ([]byte, error) {
 	}
 	avail := l.buf[off:l.flushed]
 	// Walk record boundaries: the durable prefix can end mid-record after
-	// an injected torn flush, and a capped chunk must not split a record.
-	end := 0
-	for end < len(avail) {
-		_, n, err := unmarshal(avail[end:])
-		if err != nil {
-			break // torn durable tail: ship only what parses
-		}
-		if max > 0 && end+n > max {
-			break
-		}
-		end += n
+	// an injected torn flush (ship only what decodes), and a capped chunk
+	// must not split a record.
+	limit := len(avail)
+	if max > 0 && max < limit {
+		limit = max
 	}
+	end, _ := validPrefix(avail, from, limit)
 	if end == 0 {
 		return nil, nil
 	}
@@ -182,9 +177,10 @@ func (l *Log) DurableFrom(from LSN, max int) ([]byte, error) {
 
 // AppendRaw splices pre-serialized records — shipped from a peer log whose
 // bytes this log mirrors — whose first record sits at start. Retransmits
-// are idempotent: bytes already present are verified, not re-appended. The
-// records are CRC-checked and must carry exactly the LSNs their offsets
-// imply; a start beyond End is a gap (the shipper must back up); content
+// are idempotent: bytes already present are verified, not re-appended. Every
+// record's checksum is verified seeded with the LSN it would occupy here, so
+// a chunk spliced at any position but its own is rejected as corrupt; a
+// start beyond End is a gap (the shipper must back up); content
 // that disagrees with bytes already present is ErrDiverged (the shipper
 // must snapshot-reset). The splice is buffered, not durable — the caller
 // flushes before acknowledging.
@@ -205,27 +201,10 @@ func (l *Log) AppendRaw(start LSN, chunk []byte) error {
 		return fmt.Errorf("wal: ship gap: chunk starts at %d, log ends at %d", uint64(start), uint64(end))
 	}
 	overlap := int(end - start)
-	// Validate every record before mutating: parse + CRC via unmarshal,
-	// contiguous LSNs, and the overlap boundary landing on a record edge.
-	pos := start
-	recs := int64(0)
-	boundaryOK := overlap == 0
-	for off := 0; off < len(chunk); {
-		rec, n, err := unmarshal(chunk[off:])
-		if err != nil {
-			return fmt.Errorf("wal: shipped chunk at %d: %w", uint64(pos), err)
-		}
-		if rec.LSN != pos {
-			return fmt.Errorf("wal: shipped record carries LSN %d at position %d", uint64(rec.LSN), uint64(pos))
-		}
-		if off == overlap {
-			boundaryOK = true
-		}
-		if off >= overlap {
-			recs++
-		}
-		off += n
-		pos += LSN(n)
+	// Validate every record before mutating.
+	valid, recs := validPrefix(chunk, start, len(chunk))
+	if valid != len(chunk) {
+		return fmt.Errorf("wal: shipped chunk at %d: %w", uint64(start)+uint64(valid), ErrCorrupt)
 	}
 	if overlap >= len(chunk) {
 		// Full retransmit: nothing new, but the bytes must agree.
@@ -235,14 +214,15 @@ func (l *Log) AppendRaw(start LSN, chunk []byte) error {
 		}
 		return nil
 	}
-	if !boundaryOK {
-		return ErrDiverged // our tail ends inside one of the shipped records
-	}
 	if overlap > 0 {
+		// Our tail must end on one of the chunk's record edges, not inside
+		// a shipped record, and agree with the chunk up to there.
+		edge, known := validPrefix(chunk, start, overlap)
 		off := int(start - LSN(1+l.base))
-		if !bytes.Equal(l.buf[off:off+overlap], chunk[:overlap]) {
+		if edge != overlap || !bytes.Equal(l.buf[off:off+overlap], chunk[:overlap]) {
 			return ErrDiverged
 		}
+		recs -= known
 	}
 	l.buf = append(l.buf, chunk[overlap:]...)
 	l.records += recs
@@ -259,35 +239,23 @@ func (l *Log) LoadSnapshot(start LSN, content []byte) error {
 	if start == NilLSN {
 		return fmt.Errorf("wal: snapshot start at nil LSN")
 	}
-	pos := start
-	recs := int64(0)
-	for off := 0; off < len(content); {
-		rec, n, err := unmarshal(content[off:])
-		if err != nil {
-			return fmt.Errorf("wal: snapshot content at %d: %w", uint64(pos), err)
-		}
-		if rec.LSN != pos {
-			return fmt.Errorf("wal: snapshot record carries LSN %d at position %d", uint64(rec.LSN), uint64(pos))
-		}
-		off += n
-		pos += LSN(n)
-		recs++
+	valid, recs := validPrefix(content, start, len(content))
+	if valid != len(content) {
+		return fmt.Errorf("wal: snapshot content at %d: %w", uint64(start)+uint64(valid), ErrCorrupt)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
+	if err := l.replaceFileLocked(int(start)-1, nil); err != nil {
+		return err
+	}
 	l.base = int(start) - 1
 	l.buf = append(l.buf[:0], content...)
 	l.flushed = 0
 	l.records = recs
 	l.bytes = int64(len(content))
-	if l.file != nil {
-		if err := l.file.Truncate(0); err != nil {
-			return err
-		}
-	}
 	if err := l.flushLocked(len(l.buf)); err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func TestTruncateBeforeClampsToBoundaries(t *testing.T) {
 }
 
 // A file log survives TruncateBefore across close/reopen: the tail is
-// intact, the base is recovered from record LSNs, and appends continue.
+// intact, the base is read from the file header, and appends continue.
 func TestTruncateBeforeFileLogReopens(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, err := CreateFileLog(path)
@@ -167,9 +167,9 @@ func TestTruncateBeforeCompactsSubscriptions(t *testing.T) {
 	}
 }
 
-// OpenFileLog prunes at an LSN-run break: leftover bytes that happen to
-// parse as records from an older file generation cannot splice onto the
-// tail and corrupt the recovered base.
+// OpenFileLog prunes at an LSN-run break: leftover bytes that were a valid
+// record at another position, in an older file generation, fail the checksum
+// seeded with this position and cannot splice onto the tail.
 func TestOpenFileLogPrunesLSNRunBreak(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, err := CreateFileLog(path)
@@ -187,8 +187,7 @@ func TestOpenFileLogPrunesLSNRunBreak(t *testing.T) {
 	// Append a VALID record image whose LSN belongs elsewhere in the
 	// stream — stale bytes a torn in-place rewrite could have left.
 	stale := Record{LSN: good + 1000, Tx: 9, Type: RecUpdate, Page: 9, New: []byte{9}}
-	buf := make([]byte, stale.size())
-	stale.marshal(buf)
+	buf := appendRecord(nil, &stale)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -4,16 +4,20 @@
 // record chains, commit/abort records, and restart recovery (redo winners,
 // undo losers).
 //
-// Each record carries a fixed 50-byte header; the paper's page-diffing
-// algorithm reasons explicitly about this header size when deciding whether
-// to merge adjacent modified regions into one record.
+// A record's LSN is its position in the log and is not stored: the record's
+// checksum is seeded with it, so a record decodes only at the position it was
+// written for. Everything else is variable-length (codec.go): an update of a
+// few bytes costs about a dozen bytes of framing, not the 50-byte header of
+// the paper's ESM, which survives only as the diffing algorithm's merge
+// threshold (HeaderBytes). A file log starts with a small header carrying
+// the LSN of its first record, so a log cut down to nothing by a checkpoint
+// still reopens where its LSN space left off.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
 	"time"
@@ -34,8 +38,8 @@ const (
 	RecUpdate
 	RecCommit
 	RecAbort
-	RecCLR // compensation record written during undo
-	RecCheckpoint
+	RecCLR        // compensation record written during undo
+	RecCheckpoint // reserved: nothing writes it, but the numbers after it are on disk
 	// RecPrepare marks a transaction prepared as a 2PC participant: its
 	// updates are durable and its locks held, but the outcome belongs to
 	// the coordinator. Page carries the coordinator's shard id, New the
@@ -78,10 +82,11 @@ func (t RecType) String() string {
 	return fmt.Sprintf("RecType(%d)", uint8(t))
 }
 
-// HeaderBytes is the fixed per-record header size. The paper cites "~50
-// bytes" as the header overhead that makes many tiny log records more
-// expensive than one merged record; the diffing algorithm in internal/core
-// uses this constant.
+// HeaderBytes is the paper's model of a log record header: "~50 bytes", the
+// overhead that makes many tiny log records more expensive than one merged
+// record. The diffing algorithm in internal/core merges regions closer than
+// this, and the cost model prices a record by it; both reproduce the paper's
+// record counts. It is not the size of a record in this log (see codec.go).
 const HeaderBytes = 50
 
 // Record is one log record. For RecUpdate and RecCLR, Page/Off/Old/New
@@ -119,73 +124,6 @@ func (r *Record) CheckRange(pageSize int) error {
 func (r *Record) Redo(pageBuf []byte, setPageLSN func(pageBuf []byte, lsn uint64)) {
 	copy(pageBuf[r.Off:], r.New)
 	setPageLSN(pageBuf, uint64(r.LSN))
-}
-
-// header layout within the fixed 50 bytes:
-//
-//	[0:8)   LSN
-//	[8:16)  PrevLSN
-//	[16:24) Tx
-//	[24:25) Type
-//	[25:29) Page
-//	[29:31) Off
-//	[31:33) len(Old)
-//	[33:35) len(New)
-//	[35:39) CRC32 of header[0:35] + payload
-//	[39:50) reserved
-func (r *Record) size() int { return HeaderBytes + len(r.Old) + len(r.New) }
-
-func (r *Record) marshal(buf []byte) {
-	binary.LittleEndian.PutUint64(buf[0:], uint64(r.LSN))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.PrevLSN))
-	binary.LittleEndian.PutUint64(buf[16:], r.Tx)
-	buf[24] = byte(r.Type)
-	binary.LittleEndian.PutUint32(buf[25:], r.Page)
-	binary.LittleEndian.PutUint16(buf[29:], r.Off)
-	binary.LittleEndian.PutUint16(buf[31:], uint16(len(r.Old)))
-	binary.LittleEndian.PutUint16(buf[33:], uint16(len(r.New)))
-	copy(buf[HeaderBytes:], r.Old)
-	copy(buf[HeaderBytes+len(r.Old):], r.New)
-	crc := crc32.ChecksumIEEE(buf[:35])
-	crc = crc32.Update(crc, crc32.IEEETable, buf[HeaderBytes:r.size()])
-	binary.LittleEndian.PutUint32(buf[35:], crc)
-	for i := 39; i < HeaderBytes; i++ {
-		buf[i] = 0
-	}
-}
-
-// ErrCorrupt reports a record whose checksum does not match.
-var ErrCorrupt = errors.New("wal: corrupt log record")
-
-func unmarshal(buf []byte) (Record, int, error) {
-	if len(buf) < HeaderBytes {
-		return Record{}, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	var r Record
-	r.LSN = LSN(binary.LittleEndian.Uint64(buf[0:]))
-	r.PrevLSN = LSN(binary.LittleEndian.Uint64(buf[8:]))
-	r.Tx = binary.LittleEndian.Uint64(buf[16:])
-	r.Type = RecType(buf[24])
-	r.Page = binary.LittleEndian.Uint32(buf[25:])
-	r.Off = binary.LittleEndian.Uint16(buf[29:])
-	oldLen := int(binary.LittleEndian.Uint16(buf[31:]))
-	newLen := int(binary.LittleEndian.Uint16(buf[33:]))
-	total := HeaderBytes + oldLen + newLen
-	if len(buf) < total {
-		return Record{}, 0, fmt.Errorf("%w: truncated payload", ErrCorrupt)
-	}
-	crc := crc32.ChecksumIEEE(buf[:35])
-	crc = crc32.Update(crc, crc32.IEEETable, buf[HeaderBytes:total])
-	if crc != binary.LittleEndian.Uint32(buf[35:]) {
-		return Record{}, 0, ErrCorrupt
-	}
-	if oldLen > 0 {
-		r.Old = append([]byte(nil), buf[HeaderBytes:HeaderBytes+oldLen]...)
-	}
-	if newLen > 0 {
-		r.New = append([]byte(nil), buf[HeaderBytes+oldLen:total]...)
-	}
-	return r, total, nil
 }
 
 // Log is an append-only write-ahead log. Records live in memory until Flush
@@ -237,17 +175,33 @@ type gcBatch struct {
 // NewMemLog creates a log with no backing file.
 func NewMemLog() *Log { return &Log{} }
 
-// CreateFileLog creates a log backed by a file at path (truncated).
+// CreateFileLog creates a log backed by a file at path (truncated). The file
+// header is durable before the log is handed out, so a reopen never meets a
+// torn one.
 func CreateFileLog(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := writeFileHeader(f, 0); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &Log{file: f, path: path}, nil
 }
 
+// writeFileHeader makes f an empty log whose first record will stand at
+// base+1.
+func writeFileHeader(f *os.File, base int) error {
+	if _, err := f.WriteAt(appendFileHeader(nil, base), 0); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
 // OpenFileLog opens an existing file log and loads its contents for
-// recovery iteration.
+// recovery iteration. A missing or zero-length file is a fresh log; any
+// other file must begin with a valid header or the open fails with ErrNotLog.
 func OpenFileLog(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -258,54 +212,70 @@ func OpenFileLog(path string) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	buf := make([]byte, st.Size())
-	if _, err := f.ReadAt(buf, 0); err != nil && st.Size() > 0 {
+	l := &Log{file: f, path: path}
+	if st.Size() == 0 {
+		if err := writeFileHeader(f, 0); err != nil {
+			f.Close()
+			return nil, err
+		}
+		return l, nil
+	}
+	raw := make([]byte, st.Size())
+	if _, err := f.ReadAt(raw, 0); err != nil {
 		f.Close()
 		return nil, err
 	}
-	l := &Log{buf: buf, flushed: len(buf), file: f, path: path}
-	// Count records for stats; stop at the first corrupt tail record
-	// (torn write at crash). Records carry absolute LSNs from before any
-	// truncation, so the base is recovered from the last record seen,
-	// keeping new LSNs monotone. A file always holds one contiguous LSN
-	// run (truncation rewrites it whole), so a record whose LSN breaks the
-	// run is leftover garbage, not log — prune there too.
-	valid := 0
-	lastEnd := 0
-	for off := 0; off < len(buf); {
-		rec, n, err := unmarshal(buf[off:])
-		if err != nil {
-			break
-		}
-		if valid > 0 && int(rec.LSN) != lastEnd+1 {
-			break
-		}
-		lastEnd = int(rec.LSN) - 1 + n
-		off += n
-		valid = off
-		l.records++
+	if l.base, err = parseFileHeader(raw); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	l.buf = l.buf[:valid]
+	// Keep the longest run of records that decode at their positions and
+	// stop at the first that does not: a torn write at the crash, or bytes
+	// an earlier, longer generation left at the same offsets (their
+	// checksums were seeded with other LSNs).
+	buf := raw[fileHeaderBytes:]
+	valid, recs := validPrefix(buf, LSN(1+l.base), len(buf))
+	l.buf = buf[:valid]
 	l.flushed = valid
+	l.records = recs
 	l.bytes = int64(valid)
-	if lastEnd > valid {
-		l.base = lastEnd - valid
-	}
 	return l, nil
 }
 
 // Append adds a record and returns its LSN. The record is not durable until
-// Flush. LSNs start at 1 so that NilLSN (0) is never a real record.
+// Flush. LSNs start at 1 so that NilLSN (0) is never a real record. A record
+// the format cannot express (see appendRecord) panics.
 func (l *Log) Append(r Record) LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r.LSN = LSN(1 + l.base + len(l.buf))
+	r.LSN = l.endLocked()
 	start := len(l.buf)
-	l.buf = append(l.buf, make([]byte, r.size())...)
-	r.marshal(l.buf[start:])
+	l.buf = appendRecord(l.buf, &r)
 	l.records++
-	l.bytes += int64(r.size())
+	l.bytes += int64(len(l.buf) - start)
 	return r.LSN
+}
+
+// ReadAt returns the record standing at lsn, checksum-verified, with its own
+// copies of the images. Following PrevLSN with it walks one transaction's
+// chain, newest record first, without touching anyone else's records; each
+// step lands strictly lower, so the walk ends.
+func (l *Log) ReadAt(lsn LSN) (Record, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	start := LSN(1 + l.base)
+	if lsn < start {
+		return Record{}, ErrCompacted
+	}
+	if lsn >= l.endLocked() {
+		return Record{}, fmt.Errorf("wal: read at %d, past the end of the log (%d)", uint64(lsn), uint64(l.endLocked()))
+	}
+	rec, _, err := decode(l.buf[lsn-start:], lsn)
+	if err != nil {
+		return Record{}, fmt.Errorf("wal: read at %d: %w", uint64(lsn), err)
+	}
+	rec.Old, rec.New = bytes.Clone(rec.Old), bytes.Clone(rec.New)
+	return rec, nil
 }
 
 // Flush forces all appended records to the backing file, if any.
@@ -350,7 +320,7 @@ func (l *Log) flushLocked(upto int) error {
 	}
 	advanced := false
 	if l.flushed < upto {
-		if _, err := l.file.WriteAt(l.buf[l.flushed:upto], int64(l.flushed)); err != nil {
+		if _, err := l.file.WriteAt(l.buf[l.flushed:upto], int64(fileHeaderBytes+l.flushed)); err != nil {
 			return err
 		}
 		l.flushed = upto
@@ -372,9 +342,10 @@ func (l *Log) flushLocked(upto int) error {
 // path: a dirty page may reach the volume only once the log covers its
 // pageLSN, and flushing just that prefix avoids forcing unrelated tail
 // records. An lsn already durable (or from a truncated generation) is a
-// no-op; an lsn beyond the log, or one whose bytes do not parse as a
-// record header (raw large-object pages stamp arbitrary bytes where the
-// LSN would sit), falls back to a full flush.
+// no-op; an lsn beyond the log, or one no record stands at (raw large-object
+// pages stamp arbitrary bytes where the LSN would sit, and bytes decoded at
+// a position they were not written for fail their checksum), falls back to
+// a full flush.
 func (l *Log) FlushTo(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -388,7 +359,7 @@ func (l *Log) FlushTo(lsn LSN) error {
 	if off >= len(l.buf) {
 		return l.flushLocked(len(l.buf))
 	}
-	_, n, err := unmarshal(l.buf[off:])
+	_, n, err := decode(l.buf[off:], lsn)
 	if err != nil {
 		return l.flushLocked(len(l.buf))
 	}
@@ -494,13 +465,14 @@ func (l *Log) Bytes() int64 {
 // the scan.
 func (l *Log) Iterate(fn func(Record) bool) error {
 	l.mu.Lock()
-	snapshot := l.buf[:len(l.buf)]
+	snapshot, start := l.buf[:len(l.buf)], LSN(1+l.base)
 	l.mu.Unlock()
 	for off := 0; off < len(snapshot); {
-		rec, n, err := unmarshal(snapshot[off:])
+		rec, n, err := decode(snapshot[off:], start+LSN(off))
 		if err != nil {
 			return err
 		}
+		rec.Old, rec.New = bytes.Clone(rec.Old), bytes.Clone(rec.New)
 		if !fn(rec) {
 			return nil
 		}
@@ -516,19 +488,47 @@ func (l *Log) Truncate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// LSNs stamped into pages must stay comparable with future records:
-	// the truncated generation's LSN space is never reused.
-	l.base += len(l.buf)
+	// the truncated generation's LSN space is never reused, and the new
+	// file's header says so even though no record is left to.
+	base := l.base + len(l.buf)
+	if err := l.replaceFileLocked(base, nil); err != nil {
+		return err
+	}
+	l.base = base
 	l.buf = l.buf[:0]
 	l.flushed = 0
 	// Wake subscribers: cursors inside the discarded generation must learn
 	// they are compacted and fall back to a snapshot.
 	l.signalDurableLocked()
-	if l.file != nil {
-		if err := l.file.Truncate(0); err != nil {
-			return err
-		}
-		return l.file.Sync()
+	return nil
+}
+
+// replaceFileLocked atomically replaces the backing file, if any, with a
+// header for base followed by tail: written to a temp file, forced, and
+// renamed over the log. Rewriting in place could lose durable tail records
+// if a crash lands mid-rewrite, and the tail is exactly the part that is
+// still needed. A crash before the rename keeps the old file whole (the cut
+// simply didn't happen); a crash after it leaves precisely the new one.
+func (l *Log) replaceFileLocked(base int, tail []byte) error {
+	if l.file == nil {
+		return nil
 	}
+	tmp := l.path + ".truncating"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.WriteAt(tail, int64(fileHeaderBytes)); err == nil {
+		if err = writeFileHeader(f, base); err == nil {
+			err = os.Rename(tmp, l.path)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	l.file.Close()
+	l.file = f
 	return nil
 }
 
@@ -555,55 +555,17 @@ func (l *Log) TruncateBefore(lsn LSN) error {
 	// Walk to the last record boundary at or below the cut. The buffer is
 	// record-aligned from 0, so this also refuses to split a record whose
 	// middle the (page-LSN-derived) cut points into.
-	boundary := 0
-	for boundary < off {
-		_, n, err := unmarshal(l.buf[boundary:])
-		if err != nil || boundary+n > off {
-			break
-		}
-		boundary += n
-	}
+	boundary, _ := validPrefix(l.buf, LSN(1+l.base), off)
 	if boundary == 0 {
 		return nil
 	}
-	// The backing file is replaced atomically (write tail to a temp file,
-	// rename over the log): rewriting in place could lose durable tail
-	// records if a crash lands mid-rewrite, and the tail is exactly the
-	// part that is still needed. Crash before the rename keeps the old
-	// file whole (the cut simply didn't happen); crash after it leaves
-	// precisely the tail. The in-memory state changes only once the new
-	// file is in place.
-	var newFile *os.File
-	if l.file != nil {
-		tmp := l.path + ".truncating"
-		f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		tail := l.buf[boundary:l.flushed]
-		if len(tail) > 0 {
-			if _, err := f.WriteAt(tail, 0); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := os.Rename(tmp, l.path); err != nil {
-			f.Close()
-			return err
-		}
-		newFile = f
+	// The in-memory state changes only once the new file is in place.
+	if err := l.replaceFileLocked(l.base+boundary, l.buf[boundary:l.flushed]); err != nil {
+		return err
 	}
 	l.base += boundary
 	l.buf = append([]byte(nil), l.buf[boundary:]...)
 	l.flushed -= boundary
-	if newFile != nil {
-		l.file.Close()
-		l.file = newFile
-	}
 	// Wake subscribers: cursors below the new start must learn they are
 	// compacted and fall back to a snapshot.
 	l.signalDurableLocked()

@@ -75,9 +75,9 @@ func TestDiscardUnflushed(t *testing.T) {
 	l := NewMemLog()
 	l.Append(Record{Tx: 1, Type: RecBegin})
 	l.Flush()
-	l.Append(Record{Tx: 1, Type: RecCommit})
+	commit := l.Append(Record{Tx: 1, Type: RecCommit}) // stands where the begin record ends
 	l.DiscardUnflushed()
-	if l.FlushedLSN() != LSN(1+HeaderBytes) {
+	if l.FlushedLSN() != commit {
 		t.Fatalf("FlushedLSN = %d", l.FlushedLSN())
 	}
 	n := 0
@@ -252,7 +252,7 @@ func TestRecoverCoordinatorPresumesAbort(t *testing.T) {
 func TestCorruptRecordDetected(t *testing.T) {
 	l := NewMemLog()
 	l.Append(Record{Tx: 1, Type: RecUpdate, Page: 1, Off: 0, New: []byte{1}})
-	l.buf[HeaderBytes] ^= 0xFF // flip a payload byte
+	l.buf[len(l.buf)-5] ^= 0xFF // flip the payload byte (the last before the CRC)
 	err := l.Iterate(func(Record) bool { return true })
 	if err == nil {
 		t.Fatal("corrupt record passed checksum")
@@ -262,17 +262,18 @@ func TestCorruptRecordDetected(t *testing.T) {
 // Property: marshal/unmarshal round-trips arbitrary records.
 func TestRecordRoundTripProperty(t *testing.T) {
 	f := func(tx uint64, pg uint32, off uint16, old, new []byte) bool {
-		if len(old) > 4000 {
-			old = old[:4000]
-		}
 		if len(new) > 4000 {
 			new = new[:4000]
 		}
+		if len(old) >= len(new) { // a before-image is absent or as long as the after-image
+			old = old[:len(new)]
+		} else {
+			old = nil
+		}
 		r := Record{LSN: 1, Tx: tx, Type: RecUpdate, Page: pg, Off: off, Old: old, New: new}
-		buf := make([]byte, r.size())
-		r.marshal(buf)
-		got, n, err := unmarshal(buf)
-		if err != nil || n != r.size() {
+		buf := appendRecord(nil, &r)
+		got, n, err := decode(buf, r.LSN)
+		if err != nil || n != len(buf) {
 			return false
 		}
 		return got.Tx == tx && got.Page == pg && got.Off == off &&
