@@ -17,6 +17,8 @@
 package bench
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"quickstore/internal/btree"
@@ -512,5 +514,176 @@ func BenchmarkExtrasFullOO7(b *testing.B) {
 		if _, err := oo7.StructuralDelete(db); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- Hot-path allocation guards ----------------------------------------------
+//
+// Once a page is mapped, a persistent dereference is an ordinary load: the
+// store must not show up in a hot traversal's profile, and in particular it
+// must not allocate. The three benchmarks below report ns/op for the record
+// and assert only allocation counts, which repeat exactly; the tests of the
+// same names run the assertions under plain `go test ./...`.
+
+// Allocation budgets. A hot T1 allocates its graph walker and visited-set
+// growth plus what one Begin/Commit round trip costs (30 today). A faulting
+// T1 is bounded per fault, whether cold (6.3 today: request, response and
+// its page image, server pool in-flight marker and page reference, and a
+// descriptor for each page the mapping object names) or in steady-state
+// replacement on a 128-page pool (4.0 today).
+const (
+	maxHotT1Allocs    = 64
+	maxAllocsPerFault = 8
+)
+
+var (
+	hotEnvOnce sync.Once
+	hotEnv     *harness.Env
+	hotEnvErr  error
+)
+
+// qsSession opens a QuickStore session on a shared small OO7 database and
+// returns its store alongside the benchmark driver.
+func qsSession(tb testing.TB, bufferPages int) (*core.Store, oo7.DB) {
+	tb.Helper()
+	hotEnvOnce.Do(func() { hotEnv, hotEnvErr = harness.Build(harness.SysQS, oo7.Small()) })
+	if hotEnvErr != nil {
+		tb.Fatal(hotEnvErr)
+	}
+	c := esm.NewClient(esm.NewInProcTransport(hotEnv.Srv),
+		esm.ClientConfig{BufferPages: bufferPages, Clock: hotEnv.Clock})
+	st, err := core.Open(c, core.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st, oo7.NewQS(st, false)
+}
+
+func runT1(tb testing.TB, db oo7.DB) {
+	tb.Helper()
+	n, err := oo7.T1(db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := oo7.Small()
+	if want := p.NumBaseAssemblies() * p.NumCompPerAssm * p.NumAtomicPerComp; n != want {
+		tb.Fatalf("T1 visited %d parts, want %d", n, want)
+	}
+}
+
+// assertHotDerefAllocFree maps the module object and checks that reading a
+// reference and a scalar field of it allocates nothing.
+func assertHotDerefAllocFree(tb testing.TB) (db oo7.DB, module oo7.Ref) {
+	tb.Helper()
+	_, db = qsSession(tb, 0)
+	if err := db.Begin(); err != nil {
+		tb.Fatal(err)
+	}
+	module = db.Root("module")
+	if db.GetRef(module, oo7.TModule, oo7.ModRoot) == oo7.NilRef || db.Err() != nil {
+		tb.Fatalf("module has no design root (err %v)", db.Err())
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		sinkRef = db.GetRef(module, oo7.TModule, oo7.ModRoot)
+		sinkI32 = db.GetI32(module, oo7.TModule, oo7.ModManSize)
+	})
+	if allocs != 0 || db.Err() != nil {
+		tb.Fatalf("mapped GetRef+GetI32: %v allocs/op (err %v), want 0", allocs, db.Err())
+	}
+	return db, module
+}
+
+var (
+	sinkRef oo7.Ref
+	sinkI32 int32
+)
+
+// assertHotT1Allocs warms a session that holds the whole database and
+// checks a hot T1 against its budget.
+func assertHotT1Allocs(tb testing.TB) oo7.DB {
+	tb.Helper()
+	_, db := qsSession(tb, 0)
+	runT1(tb, db)
+	if allocs := testing.AllocsPerRun(3, func() { runT1(tb, db) }); allocs > maxHotT1Allocs {
+		tb.Fatalf("hot T1: %v allocs/op, budget %d", allocs, maxHotT1Allocs)
+	}
+	return db
+}
+
+// assertPagingT1Allocs runs T1 on a 128-page client pool (a 722-page
+// database: steady-state replacement) against its per-fault budget.
+func assertPagingT1Allocs(tb testing.TB) oo7.DB {
+	tb.Helper()
+	st, db := qsSession(tb, 128)
+	runT1(tb, db)
+	faults := st.Space().Faults()
+	allocs := testing.AllocsPerRun(2, func() { runT1(tb, db) })
+	perOp := float64(st.Space().Faults()-faults) / 3 // AllocsPerRun warms up once more
+	if perOp < 500 {
+		tb.Fatalf("T1 on a 128-page pool took only %.0f faults; the pool is not paging", perOp)
+	}
+	if allocs/perOp > maxAllocsPerFault {
+		tb.Fatalf("paging T1: %v allocs/op over %.0f faults (%.1f per fault), budget %d per fault",
+			allocs, perOp, allocs/perOp, maxAllocsPerFault)
+	}
+	return db
+}
+
+func TestHotDerefAllocFree(t *testing.T) { assertHotDerefAllocFree(t) }
+func TestHotT1Allocs(t *testing.T)       { assertHotT1Allocs(t) }
+func TestPagingT1Allocs(t *testing.T)    { assertPagingT1Allocs(t) }
+
+// TestColdFaultAllocs bounds what one cold fault allocates end to end, over
+// the in-process transport: client and server caches are both empty, so
+// every page T1 touches takes the whole path — trap, mapping object, server
+// pool load, versioned read — exactly once.
+func TestColdFaultAllocs(t *testing.T) {
+	st, db := qsSession(t, 0)
+	if err := hotEnv.Srv.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	runT1(t, db)
+	runtime.ReadMemStats(&after)
+	faults := st.Space().Faults()
+	perFault := float64(after.Mallocs-before.Mallocs) / float64(faults)
+	t.Logf("cold T1: %d faults, %d allocations, %.2f per fault", faults, after.Mallocs-before.Mallocs, perFault)
+	if faults < 400 || perFault > maxAllocsPerFault {
+		t.Fatalf("cold T1: %.2f allocs per fault over %d faults, budget %d", perFault, faults, maxAllocsPerFault)
+	}
+}
+
+// BenchmarkHotDeref measures one mapped dereference plus one mapped scalar
+// read through the benchmark driver (two persistent accesses per op).
+func BenchmarkHotDeref(b *testing.B) {
+	db, module := assertHotDerefAllocFree(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRef = db.GetRef(module, oo7.TModule, oo7.ModRoot)
+		sinkI32 = db.GetI32(module, oo7.TModule, oo7.ModManSize)
+	}
+}
+
+// BenchmarkT1Hot measures a hot T1 on the small database: 402,407 mapped
+// accesses and one Begin/Commit per op.
+func BenchmarkT1Hot(b *testing.B) {
+	db := assertHotT1Allocs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runT1(b, db)
+	}
+}
+
+// BenchmarkT1Paging128 measures T1 in steady-state replacement.
+func BenchmarkT1Paging128(b *testing.B) {
+	db := assertPagingT1Allocs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runT1(b, db)
 	}
 }

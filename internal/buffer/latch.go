@@ -71,11 +71,19 @@ type latchFrame struct {
 
 // inflight marks a page with I/O in progress: a demand load filling a
 // frame, or an eviction writing one back. Waiters block on done, then
-// re-examine the stripe. err is written before done closes.
+// re-examine the stripe. err is written before done is released. The
+// completion signal is a WaitGroup inside the struct rather than a channel
+// beside it: every miss and every eviction makes one of these.
 type inflight struct {
-	done chan struct{}
+	done sync.WaitGroup
 	err  error
 	load bool // a demand load (waiters may adopt err); else an eviction
+}
+
+func newInflight(load bool) *inflight {
+	fl := &inflight{load: load}
+	fl.done.Add(1)
+	return fl
 }
 
 // maxReserveSpins bounds the retry loop when every frame in a stripe is
@@ -243,7 +251,7 @@ func (p *LatchPool) Load(pid disk.PageID, load func(buf []byte) error) (ref *Pag
 		if fl := s.inflight[pid]; fl != nil {
 			isLoad := fl.load
 			s.mu.Unlock()
-			<-fl.done
+			fl.done.Wait()
 			if isLoad && fl.err != nil {
 				// The load we were riding failed; adopt its error, as if
 				// our own read had failed.
@@ -251,7 +259,7 @@ func (p *LatchPool) Load(pid disk.PageID, load func(buf []byte) error) (ref *Pag
 			}
 			continue
 		}
-		fl := &inflight{done: make(chan struct{}), load: true}
+		fl := newInflight(true)
 		s.inflight[pid] = fl
 		s.mu.Unlock()
 
@@ -282,7 +290,7 @@ func (p *LatchPool) Load(pid disk.PageID, load func(buf []byte) error) (ref *Pag
 			s.mu.Unlock()
 		}
 		fl.err = rerr
-		close(fl.done)
+		fl.done.Done()
 		if rerr != nil {
 			return nil, true, rerr
 		}
@@ -345,7 +353,7 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 		dirty := f.dirty
 		f.pin = 1
 		delete(s.index, vpid)
-		fl := &inflight{done: make(chan struct{})}
+		fl := newInflight(false)
 		s.inflight[vpid] = fl
 		s.mu.Unlock()
 
@@ -362,7 +370,7 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 			s.index[vpid] = victim
 			f.pin = 0
 			s.mu.Unlock()
-			close(fl.done)
+			fl.done.Done()
 			return 0, werr
 		}
 		f.page = disk.InvalidPage
@@ -372,7 +380,7 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 		s.mu.Unlock()
 		p.evicted.Add(1)
 		p.resident.Add(-1)
-		close(fl.done)
+		fl.done.Done()
 		return victim, nil
 	}
 }
@@ -469,7 +477,7 @@ func (p *LatchPool) Evict(pid disk.PageID) (bool, error) {
 	dirty := f.dirty
 	f.pin = 1
 	delete(s.index, pid)
-	fl := &inflight{done: make(chan struct{})}
+	fl := newInflight(false)
 	s.inflight[pid] = fl
 	s.mu.Unlock()
 
@@ -485,7 +493,7 @@ func (p *LatchPool) Evict(pid disk.PageID) (bool, error) {
 		s.index[pid] = i
 		f.pin = 0
 		s.mu.Unlock()
-		close(fl.done)
+		fl.done.Done()
 		return false, werr
 	}
 	f.page = disk.InvalidPage
@@ -496,7 +504,7 @@ func (p *LatchPool) Evict(pid disk.PageID) (bool, error) {
 	s.mu.Unlock()
 	p.evicted.Add(1)
 	p.resident.Add(-1)
-	close(fl.done)
+	fl.done.Done()
 	return true, nil
 }
 

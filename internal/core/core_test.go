@@ -9,6 +9,7 @@ import (
 
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/sim"
 	"quickstore/internal/vmem"
 	"quickstore/internal/wal"
@@ -546,7 +547,7 @@ func TestDiffRegionsMergeRule(t *testing.T) {
 	// Paper's case 1: first and last byte of a 1K object -> two records.
 	cur[0] ^= 1
 	cur[1023] ^= 1
-	regs := diffRegions(old, cur, wal.HeaderBytes)
+	regs := pagedelta.Regions(old, cur, wal.HeaderBytes)
 	if len(regs) != 2 {
 		t.Fatalf("far-apart bytes: %d regions", len(regs))
 	}
@@ -555,27 +556,27 @@ func TestDiffRegionsMergeRule(t *testing.T) {
 	cur[0] ^= 1
 	cur[2] ^= 1
 	cur[4] ^= 1
-	regs = diffRegions(old, cur, wal.HeaderBytes)
-	if len(regs) != 1 || regs[0].off != 0 || regs[0].n != 5 {
+	regs = pagedelta.Regions(old, cur, wal.HeaderBytes)
+	if len(regs) != 1 || regs[0].Off != 0 || regs[0].N != 5 {
 		t.Fatalf("nearby bytes: %+v", regs)
 	}
 	// Boundary: gap exactly hdr/2 merges, gap just over does not.
 	cur = append([]byte(nil), old...)
 	cur[0] ^= 1
 	cur[1+wal.HeaderBytes/2] ^= 1
-	regs = diffRegions(old, cur, wal.HeaderBytes)
+	regs = pagedelta.Regions(old, cur, wal.HeaderBytes)
 	if len(regs) != 1 {
 		t.Fatalf("gap=hdr/2: %d regions", len(regs))
 	}
 	cur = append([]byte(nil), old...)
 	cur[0] ^= 1
 	cur[2+wal.HeaderBytes/2] ^= 1
-	regs = diffRegions(old, cur, wal.HeaderBytes)
+	regs = pagedelta.Regions(old, cur, wal.HeaderBytes)
 	if len(regs) != 2 {
 		t.Fatalf("gap>hdr/2: %d regions", len(regs))
 	}
 	// No changes -> no regions.
-	if regs := diffRegions(old, old, wal.HeaderBytes); len(regs) != 0 {
+	if regs := pagedelta.Regions(old, old, wal.HeaderBytes); len(regs) != 0 {
 		t.Fatalf("identical pages: %+v", regs)
 	}
 }
@@ -591,10 +592,10 @@ func TestDiffRegionsReconstructionProperty(t *testing.T) {
 		for _, e := range edits {
 			cur[int(e)%disk.PageSize] ^= byte(1 + rng.Intn(255))
 		}
-		regs := diffRegions(old, cur, wal.HeaderBytes)
+		regs := pagedelta.Regions(old, cur, wal.HeaderBytes)
 		rebuilt := append([]byte(nil), old...)
 		for _, r := range regs {
-			copy(rebuilt[r.off:r.off+r.n], cur[r.off:r.off+r.n])
+			copy(rebuilt[r.Off:r.Off+r.N], cur[r.Off:r.Off+r.N])
 		}
 		if !bytesEqual(rebuilt, cur) {
 			return false
@@ -602,10 +603,10 @@ func TestDiffRegionsReconstructionProperty(t *testing.T) {
 		// Regions must be disjoint, ordered, and genuinely needed.
 		prevEnd := -1
 		for _, r := range regs {
-			if r.off <= prevEnd || r.n <= 0 {
+			if r.Off <= prevEnd || r.N <= 0 {
 				return false
 			}
-			prevEnd = r.off + r.n
+			prevEnd = r.Off + r.N
 		}
 		return true
 	}
@@ -733,7 +734,7 @@ func TestMappingRoundTripProperty(t *testing.T) {
 				OID:      esm.OID{Page: disk.PageID(rng.Uint32()), Slot: uint16(rng.Intn(100)), File: 3},
 			}
 		}
-		got, err := unmarshalMapping(marshalMapping(entries))
+		got, err := appendMappingEntries(nil, appendMapping(nil, entries))
 		if err != nil || len(got) != n {
 			return false
 		}

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
 // diffRegionsRef is the original byte-at-a-time scanner, kept as the oracle
 // for the word-at-a-time fast path in diffRegions.
-func diffRegionsRef(old, cur []byte, hdr int) []region {
+func diffRegionsRef(old, cur []byte, hdr int) []pagedelta.Region {
 	n := len(cur)
 	if len(old) < n {
 		n = len(old)
 	}
-	var regs []region
+	var regs []pagedelta.Region
 	i := 0
 	for i < n {
 		if old[i] == cur[i] {
@@ -28,18 +29,18 @@ func diffRegionsRef(old, cur []byte, hdr int) []region {
 		}
 		if len(regs) > 0 {
 			last := &regs[len(regs)-1]
-			gap := i - (last.off + last.n)
+			gap := i - (last.Off + last.N)
 			if 2*gap <= hdr {
-				last.n = j - last.off
+				last.N = j - last.Off
 				i = j
 				continue
 			}
 		}
-		regs = append(regs, region{off: i, n: j - i})
+		regs = append(regs, pagedelta.Region{Off: i, N: j - i})
 		i = j
 	}
 	if len(cur) > len(old) {
-		regs = append(regs, region{off: len(old), n: len(cur) - len(old)})
+		regs = append(regs, pagedelta.Region{Off: len(old), N: len(cur) - len(old)})
 	}
 	return regs
 }
@@ -56,7 +57,7 @@ func bytesEqualRef(a, b []byte) bool {
 	return true
 }
 
-func regionsMatch(a, b []region) bool {
+func regionsMatch(a, b []pagedelta.Region) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -103,7 +104,7 @@ func TestDiffRegionsMatchesReference(t *testing.T) {
 			case 4:
 				cur = cur[:size-size/4]
 			}
-			got := diffRegions(old, cur, wal.HeaderBytes)
+			got := pagedelta.Regions(old, cur, wal.HeaderBytes)
 			want := diffRegionsRef(old, cur, wal.HeaderBytes)
 			if !regionsMatch(got, want) {
 				t.Fatalf("size %d trial %d: diffRegions=%v want %v", size, trial, got, want)
@@ -127,7 +128,7 @@ func TestDiffRegionsAllAlignments(t *testing.T) {
 			for k := 0; k < runLen && off+k < size; k++ {
 				cur[off+k] = 0xFF
 			}
-			got := diffRegions(old, cur, wal.HeaderBytes)
+			got := pagedelta.Regions(old, cur, wal.HeaderBytes)
 			want := diffRegionsRef(old, cur, wal.HeaderBytes)
 			if !regionsMatch(got, want) {
 				t.Fatalf("off %d run %d: got %v want %v", off, runLen, got, want)
@@ -178,7 +179,7 @@ func BenchmarkDiffIdentical(b *testing.B) {
 	b.SetBytes(disk.PageSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if regs := diffRegions(old, cur, wal.HeaderBytes); len(regs) != 0 {
+		if regs := pagedelta.Regions(old, cur, wal.HeaderBytes); len(regs) != 0 {
 			b.Fatal("identical pages produced regions")
 		}
 	}
@@ -192,7 +193,7 @@ func BenchmarkDiffSparse(b *testing.B) {
 	b.ReportAllocs()
 	var sink int
 	for i := 0; i < b.N; i++ {
-		sink += len(diffRegions(old, cur, wal.HeaderBytes))
+		sink += len(pagedelta.Regions(old, cur, wal.HeaderBytes))
 	}
 	_ = sink
 }
@@ -205,7 +206,7 @@ func BenchmarkDiffDense(b *testing.B) {
 	b.ReportAllocs()
 	var sink int
 	for i := 0; i < b.N; i++ {
-		sink += len(diffRegions(old, cur, wal.HeaderBytes))
+		sink += len(pagedelta.Regions(old, cur, wal.HeaderBytes))
 	}
 	_ = sink
 }

@@ -161,14 +161,26 @@ func (s *Store) processMapping(d *PageDesc, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: mapping object of %v: %w", d, err)
 	}
-	entries, err := unmarshalMapping(mapBytes)
+	// The entries are decoded into the store's buffer, which is taken for
+	// as long as they are in use: a fault nested in applying them (a stale
+	// lock grant under one-time relocation) decodes into a buffer of its own.
+	entries, err := appendMappingEntries(s.mapEntries[:0], mapBytes)
 	if err != nil {
 		return err
 	}
+	s.mapEntries = nil
+	err = s.applyMapping(d, data, meta, entries)
+	s.mapEntries = entries
+	return err
+}
+
+// applyMapping is processMapping once the mapping object is decoded.
+func (s *Store) applyMapping(d *PageDesc, data []byte, meta metaObject, entries []mapEntry) error {
 	s.clock.Charge(sim.CtrMapEntry, int64(len(entries)))
 
 	// reloc maps a recorded range base to its current (different) base.
 	var reloc map[vmem.Addr]relocTarget
+	var err error
 	for _, e := range entries {
 		tgt, ok := s.byOID[e.OID]
 		if ok {
@@ -253,10 +265,13 @@ func (s *Store) swizzlePage(d *PageDesc, data []byte, meta metaObject, reloc map
 	// discarded at EndSnapshot, so the swizzle is transient (as in QS) and
 	// must neither take the page lock nor mark anything dirty.
 	if s.cfg.Relocation == RelocOR && !s.cfg.BulkLoad && !s.snapTx {
-		if err := s.ensureRecoveryCopy(d, data); err != nil {
+		refreshed, err := s.lockPageX(d)
+		if err != nil || refreshed {
+			// After a stale grant the fault inside lockPageX has swizzled the
+			// refreshed image; reloc describes bytes that are gone.
 			return err
 		}
-		if err := s.lockPageX(d); err != nil {
+		if err := s.ensureRecoveryCopy(d, data); err != nil {
 			return err
 		}
 	}
@@ -319,13 +334,13 @@ func (s *Store) countMetaRead(pid disk.PageID, ctr sim.Counter) {
 // pool's plain MarkDirty and ship whole (see internal/esm).
 func (s *Store) enableWrite(d *PageDesc, data []byte) error {
 	if !s.cfg.BulkLoad {
+		if _, err := s.lockPageX(d); err != nil {
+			return err
+		}
 		if !d.IsLarge && s.freshPages[d.Pid] == nil {
 			if err := s.ensureRecoveryCopy(d, data); err != nil {
 				return err
 			}
-		}
-		if err := s.lockPageX(d); err != nil {
-			return err
 		}
 	}
 	if idx, ok := s.c.Pool().Lookup(d.Pid); ok {
@@ -356,10 +371,10 @@ func (s *Store) enableWriteDirect(d *PageDesc) error {
 		return err
 	}
 	if !s.cfg.BulkLoad && s.freshPages[d.Pid] == nil {
-		if err := s.ensureRecoveryCopy(d, data); err != nil {
+		if _, err := s.lockPageX(d); err != nil {
 			return err
 		}
-		if err := s.lockPageX(d); err != nil {
+		if err := s.ensureRecoveryCopy(d, data); err != nil {
 			return err
 		}
 	}

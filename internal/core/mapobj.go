@@ -71,24 +71,25 @@ type mapEntry struct {
 
 const mapEntrySize = 8 + 4 + 16 // 28 bytes
 
-func marshalMapping(entries []mapEntry) []byte {
-	buf := make([]byte, 4+len(entries)*mapEntrySize)
-	binary.LittleEndian.PutUint32(buf, uint32(len(entries)))
-	p := 4
+// appendMapping appends the mapping object holding entries to dst.
+func appendMapping(dst []byte, entries []mapEntry) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
+	var oid [esm.OIDSize]byte
 	for _, e := range entries {
-		binary.LittleEndian.PutUint64(buf[p:], uint64(e.ObjLo))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.ObjLo))
 		np := e.ObjPages &^ (1 << 31)
 		if e.IsLarge {
 			np |= 1 << 31
 		}
-		binary.LittleEndian.PutUint32(buf[p+8:], np)
-		e.OID.Marshal(buf[p+12:])
-		p += mapEntrySize
+		dst = binary.LittleEndian.AppendUint32(dst, np)
+		e.OID.Marshal(oid[:])
+		dst = append(dst, oid[:]...)
 	}
-	return buf
+	return dst
 }
 
-func unmarshalMapping(buf []byte) ([]mapEntry, error) {
+// appendMappingEntries decodes the mapping object buf onto dst.
+func appendMappingEntries(dst []mapEntry, buf []byte) ([]mapEntry, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("core: short mapping object (%d bytes)", len(buf))
 	}
@@ -96,19 +97,16 @@ func unmarshalMapping(buf []byte) ([]mapEntry, error) {
 	if len(buf) < 4+n*mapEntrySize {
 		return nil, fmt.Errorf("core: mapping object truncated (%d entries, %d bytes)", n, len(buf))
 	}
-	entries := make([]mapEntry, n)
-	p := 4
-	for i := range entries {
+	for p := 4; n > 0; n, p = n-1, p+mapEntrySize {
 		np := binary.LittleEndian.Uint32(buf[p+8:])
-		entries[i] = mapEntry{
+		dst = append(dst, mapEntry{
 			ObjLo:    vmem.Addr(binary.LittleEndian.Uint64(buf[p:])),
 			ObjPages: np &^ (1 << 31),
 			IsLarge:  np&(1<<31) != 0,
 			OID:      esm.UnmarshalOID(buf[p+12:]),
-		}
-		p += mapEntrySize
+		})
 	}
-	return entries, nil
+	return dst, nil
 }
 
 // bitmapBytes is the size of a bitmap object: one bit per 8-byte-aligned

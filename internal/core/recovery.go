@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"quickstore/internal/disk"
 	"quickstore/internal/page"
@@ -31,14 +32,26 @@ type recEntry struct {
 
 func (r *recoveryBuffer) full() bool { return r.bytes+disk.PageSize > r.cap }
 
+// add copies data into the next entry. reset only shortens entries, so the
+// copy lands in the page buffer an earlier transaction left there: like the
+// paper's fixed recovery area, the buffer is allocated once and refilled.
 func (r *recoveryBuffer) add(d *PageDesc, data []byte) int {
-	e := recEntry{pid: d.Pid, d: d, orig: append([]byte(nil), data...)}
-	r.entries = append(r.entries, e)
+	n := len(r.entries)
+	if n < cap(r.entries) {
+		r.entries = r.entries[:n+1]
+	} else {
+		r.entries = append(r.entries, recEntry{})
+	}
+	e := &r.entries[n]
+	e.pid, e.d, e.orig = d.Pid, d, append(e.orig[:0], data...)
 	r.bytes += disk.PageSize
-	return len(r.entries) - 1
+	return n
 }
 
 func (r *recoveryBuffer) reset() {
+	for i := range r.entries {
+		r.entries[i].d = nil // keep the page buffer, not the descriptor
+	}
 	r.entries = r.entries[:0]
 	r.bytes = 0
 }
@@ -118,30 +131,14 @@ func (s *Store) diffAndLog(d *PageDesc, cur []byte) {
 	}
 	s.clock.Charge(sim.CtrPageDiff, 1)
 	s.clock.Charge(sim.CtrDiffByte, int64(len(cur)))
-	for _, r := range diffRegions(orig, cur, wal.HeaderBytes) {
-		s.c.LogUpdate(d.Pid, r.off, orig[r.off:r.off+r.n], cur[r.off:r.off+r.n])
+	// A separate record pays wal.HeaderBytes of header, a merged one twice
+	// the clean gap (its old and new images) — the paper's example: bytes 1
+	// and 1024 of an object become two records, bytes 1, 3 and 5 become one.
+	s.regs = pagedelta.AppendRegions(s.regs[:0], orig, cur, wal.HeaderBytes)
+	for _, r := range s.regs {
+		s.c.LogUpdate(d.Pid, r.Off, orig[r.Off:r.Off+r.N], cur[r.Off:r.Off+r.N])
 	}
 	d.RecIdx = -1
-}
-
-// region is one modified byte range.
-type region struct{ off, n int }
-
-// diffRegions finds the modified regions of a page and merges neighbouring
-// regions when logging them separately would cost more than logging the
-// clean gap between them: a separate record pays hdr header bytes, a merged
-// record pays 2*gap payload bytes (old and new images of the gap). This is
-// the paper's example: bytes 1 and 1024 of an object become two records,
-// bytes 1, 3 and 5 become one. The SWAR scan itself lives in
-// internal/pagedelta, shared with the page server's warm-cache delta
-// shipping (DESIGN.md §18).
-func diffRegions(old, cur []byte, hdr int) []region {
-	pd := pagedelta.Regions(old, cur, hdr)
-	regs := make([]region, len(pd))
-	for i, r := range pd {
-		regs[i] = region{off: r.Off, n: r.N}
-	}
-	return regs
 }
 
 // logWholePage emits a redo-only record carrying a fresh page's entire
@@ -163,7 +160,7 @@ func (s *Store) logFreshPages() error {
 	for pid := range s.freshPages {
 		pids = append(pids, pid)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	slices.Sort(pids)
 	for _, pid := range pids {
 		idx, ok := s.c.Pool().Lookup(pid)
 		if !ok {
@@ -226,7 +223,10 @@ func (s *Store) updateMapping(d *PageDesc) error {
 	if err != nil {
 		return err
 	}
-	blob := marshalMapping(entries)
+	// Every use of blob below copies it (into the object, into the log
+	// batch), so the buffer is free again when this call returns.
+	s.mapBlob = appendMapping(s.mapBlob[:0], entries)
+	blob := s.mapBlob
 
 	if !meta.MapOID.IsNil() {
 		oldBlob, _, err := s.c.ReadObject(meta.MapOID)
@@ -318,9 +318,10 @@ func (s *Store) updateMapping(d *PageDesc) error {
 }
 
 // referencedSet builds the mapping entries for a page from its live
-// pointers, deduplicated by target object.
+// pointers, sorted by target address and deduplicated by target object. The
+// result is the store's scratch buffer, good until the next call.
 func (s *Store) referencedSet(data, bm []byte) ([]mapEntry, error) {
-	byLo := map[vmem.Addr]mapEntry{}
+	entries := s.refSet[:0]
 	var scanErr error
 	forEachPointer(bm, func(off int) bool {
 		ptr := vmem.Addr(leU64(data[off:]))
@@ -332,25 +333,24 @@ func (s *Store) referencedSet(data, bm []byte) ([]mapEntry, error) {
 			scanErr = fmt.Errorf("core: page pointer %#x at offset %d targets no descriptor", ptr, off)
 			return false
 		}
-		if _, ok := byLo[td.ObjLo]; !ok {
-			byLo[td.ObjLo] = mapEntry{
+		// Neighbouring pointers mostly share a target; the rest of the
+		// duplicates go after the sort.
+		if n := len(entries); n == 0 || entries[n-1].ObjLo != td.ObjLo {
+			entries = append(entries, mapEntry{
 				ObjLo:    td.ObjLo,
 				ObjPages: td.ObjPages,
 				IsLarge:  td.IsLarge,
 				OID:      td.Phys,
-			}
+			})
 		}
 		return true
 	})
+	s.refSet = entries
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	entries := make([]mapEntry, 0, len(byLo))
-	for _, e := range byLo {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ObjLo < entries[j].ObjLo })
-	return entries, nil
+	slices.SortFunc(entries, func(a, b mapEntry) int { return cmp.Compare(a.ObjLo, b.ObjLo) })
+	return slices.CompactFunc(entries, func(a, b mapEntry) bool { return a.ObjLo == b.ObjLo }), nil
 }
 
 func bytesEqual(a, b []byte) bool {
@@ -375,10 +375,10 @@ func bytesEqual(a, b []byte) bool {
 // external tests; it returns the (offset, length) pairs of the regions that
 // would be logged.
 func DiffRegionsForTest(old, cur []byte, hdr int) [][2]int {
-	regs := diffRegions(old, cur, hdr)
+	regs := pagedelta.Regions(old, cur, hdr)
 	out := make([][2]int, len(regs))
 	for i, r := range regs {
-		out[i] = [2]int{r.off, r.n}
+		out[i] = [2]int{r.Off, r.N}
 	}
 	return out
 }

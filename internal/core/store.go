@@ -9,6 +9,7 @@ import (
 	"quickstore/internal/esm"
 	"quickstore/internal/lock"
 	"quickstore/internal/page"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/prefetch"
 	"quickstore/internal/sim"
 	"quickstore/internal/vmem"
@@ -146,6 +147,15 @@ type Store struct {
 	rng    *rand.Rand
 	policy *SimplifiedClock // nil under the traditional-clock ablation
 	pf     *prefetch.Prefetcher
+
+	// Scratch buffers of the fault and commit paths, each valid only inside
+	// the call that fills it: decoded mapping entries (processMapping), a
+	// page's referenced set and its encoding (updateMapping), diff regions
+	// (diffAndLog).
+	mapEntries []mapEntry
+	refSet     []mapEntry
+	mapBlob    []byte
+	regs       []pagedelta.Region
 
 	// Diagnostics.
 	swizzleChecks int64
@@ -381,7 +391,7 @@ func (s *Store) endTx() {
 		d.RecIdx = -1
 	}
 	s.dirtied = s.dirtied[:0]
-	s.freshPages = map[disk.PageID]*PageDesc{}
+	clear(s.freshPages)
 	s.rec.reset()
 	s.inTx = false
 }
@@ -982,15 +992,26 @@ func (s *Store) FindDesc(ref Ref) *PageDesc { return s.tree.Find(ref) }
 // CheckTree validates the descriptor tree's invariants. Test hook.
 func (s *Store) CheckTree() error { return s.tree.check() }
 
-// lockPageX obtains the exclusive page lock for d once per transaction.
-func (s *Store) lockPageX(d *PageDesc) error {
+// lockPageX obtains the exclusive page lock for d once per transaction. The
+// lock comes before the recovery copy: a grant that finds the cached page
+// stale makes the client refresh the frame in place (onRefresh then revokes
+// the mapping), and a copy taken earlier would hold bytes another
+// transaction has since replaced — as the before-images of this one's log
+// records. After such a refresh the page is faulted back in here, so its new
+// image's mapping object is processed before anything reads its pointers;
+// refreshed reports that this happened.
+func (s *Store) lockPageX(d *PageDesc) (refreshed bool, err error) {
 	if d.XLocked {
-		return nil
+		return false, nil
 	}
+	wasMapped := d.FrameIdx >= 0
 	if err := s.c.Lock(lock.KindPage, uint32(d.Pid), lock.Exclusive); err != nil {
-		return err
+		return false, err
 	}
 	s.clock.Charge(sim.CtrLockUpgrade, 1)
 	d.XLocked = true
-	return nil
+	if wasMapped && d.FrameIdx < 0 {
+		return true, s.handleFault(d.Lo, vmem.AccessRead)
+	}
+	return false, nil
 }

@@ -439,8 +439,9 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 }
 
 // revalidateFrame refreshes a resident frame the server flagged stale (a
-// piggybacked invalidation hint or a stale lock grant): one versioned
-// read that comes back as not-modified, a delta patch, or a full image.
+// piggybacked invalidation hint, or a lock grant over a copy that is or may
+// be stale): one versioned read that comes back as not-modified, a delta
+// patch, or a full image.
 // Only the full-image answer charges a client read — the other two are
 // exactly the warm hit the uncoherent model never charged for.
 func (c *Client) revalidateFrame(i int) error {
@@ -887,17 +888,24 @@ func (c *Client) Abort() error {
 // cached frame's coherence token rides along, and the grant response says
 // whether that cached copy is still current as of the moment the lock was
 // granted — closing the window where a page validated at Begin goes stale
-// while this transaction waits for its lock. A stale grant marks the
-// frame for revalidation on its next fetch.
+// while this transaction waits for its lock. A stale grant revalidates the
+// frame before Lock returns (one versioned read; OnRefresh fires if bytes
+// changed), so nothing reached through the lock can be pre-grant data: the
+// object layer reads resident pages through its own mappings, not through
+// FetchPage, and would never see a flag left for the next fetch.
 func (c *Client) Lock(kind lock.Kind, id uint32, mode lock.Mode) error {
 	if c.tx == 0 {
 		return ErrNoTx
 	}
 	req := &Request{Op: OpLock, Tx: c.tx, Page: id, Mode: uint8(kind)<<4 | uint8(mode)}
+	frame := -1 // the clean cached copy the grant vouches for, if any
 	if c.coherent && kind == lock.KindPage {
 		if i, ok := c.pool.Lookup(disk.PageID(id)); ok {
-			if f := c.pool.Frame(i); !f.Dirty && !f.Stale {
-				req.N = f.LSN
+			if f := c.pool.Frame(i); !f.Dirty {
+				frame = i
+				if !f.Stale {
+					req.N = f.LSN
+				}
 			}
 		}
 	}
@@ -905,10 +913,8 @@ func (c *Client) Lock(kind lock.Kind, id uint32, mode lock.Mode) error {
 	if err != nil {
 		return err
 	}
-	if resp.Mode&RespStale != 0 {
-		if i, ok := c.pool.Lookup(disk.PageID(id)); ok {
-			c.pool.Frame(i).Stale = true
-		}
+	if frame >= 0 && (resp.Mode&RespStale != 0 || c.pool.Frame(frame).Stale) {
+		return c.revalidateFrame(frame)
 	}
 	return nil
 }

@@ -510,7 +510,7 @@ func newServerCommon(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, 
 		if err := s.fault.Hit(faultinject.PtStealAfterLogFlush); err != nil {
 			return err
 		}
-		s.clock.Charge(sim.CtrServerDiskWrite, 1)
+		s.clock.ChargeShared(sim.CtrServerDiskWrite, 1)
 		return s.vol.WritePage(pid, data)
 	}
 	return s, nil
@@ -785,10 +785,10 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			AllocatedPages: int(s.vol.AllocatedPages()),
 			LogRecords:     s.log.Records(),
 			LogBytes:       s.log.Bytes(),
-			DiskReads:      s.clock.Count(sim.CtrServerDiskRead),
-			DiskWrites:     s.clock.Count(sim.CtrServerDiskWrite),
+			DiskReads:      s.clock.SharedCount(sim.CtrServerDiskRead),
+			DiskWrites:     s.clock.SharedCount(sim.CtrServerDiskWrite),
 			PrefetchPages:  s.prefetchPages.Load(),
-			PrefetchReads:  s.clock.Count(sim.CtrPrefetchDiskRead),
+			PrefetchReads:  s.clock.SharedCount(sim.CtrPrefetchDiskRead),
 			Commits:        s.commits.Load(),
 			LogForces:      s.log.Forces(),
 			LogPiggybacks:  s.log.Piggybacks(),
@@ -877,15 +877,15 @@ func (s *Server) readPageVersioned(req *Request) (*Response, error) {
 	}
 	out := make([]byte, disk.PageSize)
 	ref, loaded, err := s.pool.Load(pid, func(buf []byte) error {
-		s.clock.Charge(sim.CtrServerDiskRead, 1)
-		s.clock.Charge(sim.CtrServerBufferHit, 1) // network leg of the transfer
+		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
+		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
 		return s.vol.ReadPage(pid, buf)
 	})
 	if err != nil {
 		return nil, err
 	}
 	if !loaded {
-		s.clock.Charge(sim.CtrServerBufferHit, 1)
+		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
 	}
 	ref.Read(func(data []byte) { copy(out, data) })
 	ref.Release()
@@ -1026,13 +1026,13 @@ func (s *Server) snapRead(pid disk.PageID, snap wal.LSN) (*Response, error) {
 	}
 	out := make([]byte, disk.PageSize)
 	if s.pool.Snapshot(pid, out) {
-		s.clock.Charge(sim.CtrServerBufferHit, 1)
+		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
 	} else {
 		if err := s.vol.ReadPage(pid, out); err != nil {
 			return nil, fmt.Errorf("esm: SnapRead(%d): %w", pid, err)
 		}
-		s.clock.Charge(sim.CtrServerDiskRead, 1)
-		s.clock.Charge(sim.CtrServerBufferHit, 1) // network leg of the transfer
+		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
+		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
 	}
 	img, err := s.mv.Lookup(uint32(pid), snap)
 	if err != nil {
@@ -1190,7 +1190,7 @@ func (s *Server) readPagesBatch(req *Request) (*Response, error) {
 			if err := s.vol.ReadPage(pid, dst); err != nil {
 				return nil, fmt.Errorf("esm: ReadPages(%d): %w", pid, err)
 			}
-			s.clock.Charge(sim.CtrPrefetchDiskRead, 1)
+			s.clock.ChargeShared(sim.CtrPrefetchDiskRead, 1)
 		}
 		if versioned {
 			token, _, _ := s.coh.answer(pid, 0, dst, ver1, pending1)
@@ -1207,8 +1207,8 @@ func (s *Server) readPagesBatch(req *Request) (*Response, error) {
 func (s *Server) readPage(pid disk.PageID) (*Response, error) {
 	out := make([]byte, disk.PageSize)
 	ref, loaded, err := s.pool.Load(pid, func(buf []byte) error {
-		s.clock.Charge(sim.CtrServerDiskRead, 1)
-		s.clock.Charge(sim.CtrServerBufferHit, 1) // network leg of the transfer
+		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
+		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
 		return s.vol.ReadPage(pid, buf)
 	})
 	if err != nil {
@@ -1217,7 +1217,7 @@ func (s *Server) readPage(pid disk.PageID) (*Response, error) {
 	if !loaded {
 		// Buffer hit — or a ride on another session's in-flight read of
 		// the same page (the dedup makes it cost the same as a hit).
-		s.clock.Charge(sim.CtrServerBufferHit, 1)
+		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
 	}
 	ref.Read(func(data []byte) { copy(out, data) })
 	ref.Release()
@@ -1473,7 +1473,7 @@ func (s *Server) abort(tx uint64) error {
 		}
 		pid := disk.PageID(r.Page)
 		ref, _, err := s.pool.Load(pid, func(buf []byte) error {
-			s.clock.Charge(sim.CtrServerDiskRead, 1)
+			s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
 			return s.vol.ReadPage(pid, buf)
 		})
 		if err != nil {

@@ -75,19 +75,43 @@ type waiter struct {
 	ready chan struct{}
 }
 
+// holder is one transaction's grant on a resource, at its strongest mode.
+type holder struct {
+	tx   uint64
+	mode Mode
+}
+
 type entry struct {
-	holders map[uint64]Mode // tx -> strongest held mode
-	queue   []*waiter       // FIFO wait queue
+	holders []holder  // at most one per transaction
+	queue   []*waiter // FIFO wait queue
+}
+
+// modeOf returns the mode tx holds on e (0 if none).
+func (e *entry) modeOf(tx uint64) Mode {
+	for _, h := range e.holders {
+		if h.tx == tx {
+			return h.mode
+		}
+	}
+	return 0
 }
 
 // Manager grants and releases locks. The zero value is not usable; call New.
+//
+// A transaction locks hundreds of pages and releases them all at once, so
+// the bookkeeping is recycled rather than reallocated: an entry leaving the
+// table and a finished transaction's resource list go to free lists (under
+// mu, like everything else) and are handed to the next taker.
 type Manager struct {
 	mu      sync.Mutex
 	table   map[Resource]*entry
-	held    map[uint64]map[Resource]Mode // tx -> resources
+	held    map[uint64][]Resource // tx -> resources it holds, each once
 	timeout time.Duration
 	grants  int64
 	waits   int64
+
+	freeEntries []*entry
+	freeHeld    [][]Resource
 }
 
 // New creates a Manager with the given wait timeout (0 means a sensible
@@ -98,33 +122,67 @@ func New(timeout time.Duration) *Manager {
 	}
 	return &Manager{
 		table:   map[Resource]*entry{},
-		held:    map[uint64]map[Resource]Mode{},
+		held:    map[uint64][]Resource{},
 		timeout: timeout,
 	}
 }
 
 func compatible(e *entry, tx uint64, mode Mode) bool {
-	for holder, m := range e.holders {
-		if holder == tx {
+	for _, h := range e.holders {
+		if h.tx == tx {
 			continue
 		}
-		if mode == Exclusive || m == Exclusive {
+		if mode == Exclusive || h.mode == Exclusive {
 			return false
 		}
 	}
 	return true
 }
 
+// entryLocked returns res's table entry, creating it; caller holds m.mu.
+func (m *Manager) entryLocked(res Resource) *entry {
+	e := m.table[res]
+	if e == nil {
+		if n := len(m.freeEntries); n > 0 {
+			e, m.freeEntries = m.freeEntries[n-1], m.freeEntries[:n-1]
+		} else {
+			e = &entry{}
+		}
+		m.table[res] = e
+	}
+	return e
+}
+
+// dropIfIdleLocked removes e from the table once nothing holds or awaits
+// res; caller holds m.mu. A queued waiter keeps its entry alive, so the
+// pointer a blocked Acquire holds is never one that was recycled.
+func (m *Manager) dropIfIdleLocked(res Resource, e *entry) {
+	if len(e.holders) == 0 && len(e.queue) == 0 {
+		delete(m.table, res)
+		e.queue = nil
+		m.freeEntries = append(m.freeEntries, e)
+	}
+}
+
 // grantLocked records the grant; caller holds m.mu.
 func (m *Manager) grantLocked(e *entry, tx uint64, res Resource, mode Mode) {
-	if e.holders[tx] < mode {
-		e.holders[tx] = mode
-	}
-	if m.held[tx] == nil {
-		m.held[tx] = map[Resource]Mode{}
-	}
-	m.held[tx][res] = e.holders[tx]
 	m.grants++
+	for i := range e.holders {
+		if h := &e.holders[i]; h.tx == tx {
+			if h.mode < mode {
+				h.mode = mode
+			}
+			return
+		}
+	}
+	e.holders = append(e.holders, holder{tx, mode})
+	list, ok := m.held[tx]
+	if !ok {
+		if n := len(m.freeHeld); n > 0 {
+			list, m.freeHeld = m.freeHeld[n-1], m.freeHeld[:n-1]
+		}
+	}
+	m.held[tx] = append(list, res)
 }
 
 // promoteLocked grants queued waiters strictly in FIFO order, stopping at
@@ -140,9 +198,7 @@ func (m *Manager) promoteLocked(res Resource, e *entry) {
 		m.grantLocked(e, w.tx, res, w.mode)
 		close(w.ready)
 	}
-	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(m.table, res)
-	}
+	m.dropIfIdleLocked(res, e)
 }
 
 // Acquire obtains res in the given mode for tx, blocking until it is granted
@@ -150,13 +206,10 @@ func (m *Manager) promoteLocked(res Resource, e *entry) {
 // Exclusive over a held Shared lock upgrades it.
 func (m *Manager) Acquire(tx uint64, res Resource, mode Mode) error {
 	m.mu.Lock()
-	e := m.table[res]
-	if e == nil {
-		e = &entry{holders: map[uint64]Mode{}}
-		m.table[res] = e
-	}
-	held, holds := e.holders[tx]
-	if holds && (held == Exclusive || held == mode) {
+	e := m.entryLocked(res)
+	held := e.modeOf(tx)
+	holds := held != 0
+	if held == Exclusive || held == mode {
 		m.mu.Unlock()
 		return nil // already strong enough
 	}
@@ -209,19 +262,13 @@ func (m *Manager) Acquire(tx uint64, res Resource, mode Mode) error {
 func (m *Manager) TryAcquire(tx uint64, res Resource, mode Mode) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.table[res]
-	if e == nil {
-		e = &entry{holders: map[uint64]Mode{}}
-		m.table[res] = e
-	}
-	held, holds := e.holders[tx]
-	if holds && (held == Exclusive || held == mode) {
+	e := m.entryLocked(res)
+	held := e.modeOf(tx)
+	if held == Exclusive || held == mode {
 		return true
 	}
-	if !compatible(e, tx, mode) || (!holds && len(e.queue) > 0) {
-		if len(e.holders) == 0 && len(e.queue) == 0 {
-			delete(m.table, res)
-		}
+	if !compatible(e, tx, mode) || (held == 0 && len(e.queue) > 0) {
+		m.dropIfIdleLocked(res, e)
 		return false
 	}
 	m.grantLocked(e, tx, res, mode)
@@ -233,7 +280,7 @@ func (m *Manager) Holds(tx uint64, res Resource) Mode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.table[res]; e != nil {
-		return e.holders[tx]
+		return e.modeOf(tx)
 	}
 	return 0
 }
@@ -243,13 +290,27 @@ func (m *Manager) Holds(tx uint64, res Resource) Mode {
 func (m *Manager) ReleaseAll(tx uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for res := range m.held[tx] {
-		if e := m.table[res]; e != nil {
-			delete(e.holders, tx)
-			m.promoteLocked(res, e)
+	list, ok := m.held[tx]
+	if !ok {
+		return
+	}
+	for _, res := range list {
+		e := m.table[res]
+		if e == nil {
+			continue
 		}
+		for i, h := range e.holders {
+			if h.tx == tx {
+				last := len(e.holders) - 1
+				e.holders[i] = e.holders[last]
+				e.holders = e.holders[:last]
+				break
+			}
+		}
+		m.promoteLocked(res, e)
 	}
 	delete(m.held, tx)
+	m.freeHeld = append(m.freeHeld, list[:0])
 }
 
 // Stats reports lifetime grant and wait counts.

@@ -97,7 +97,3 @@ type DB interface {
 // chargeIter accounts a transient iterator allocation (the paper's malloc
 // bucket in Table 7); both systems pay it identically.
 func chargeIter(db DB) { db.Clock().Charge(sim.CtrIterAlloc, 1) }
-
-// chargePartSet accounts one visited-set operation (Table 7's part set
-// bucket).
-func chargePartSet(db DB) { db.Clock().Charge(sim.CtrPartSetOp, 1) }

@@ -14,15 +14,16 @@ import (
 // eDB runs the benchmark over the E baseline: 16-byte OID pointers,
 // interpreter-mediated dereferences and updates.
 type eDB struct {
-	s    *epvm.Store
-	lays [numTypes]schema.Layout
-	idx  map[string]*btree.Tree
-	err  error
+	s     *epvm.Store
+	clock *sim.Clock
+	lays  [numTypes]schema.Layout
+	idx   map[string]*btree.Tree
+	err   error
 }
 
 // NewE wraps an EPVM session as a benchmark driver.
 func NewE(s *epvm.Store) DB {
-	return &eDB{s: s, lays: Layouts(esm.OIDSize), idx: map[string]*btree.Tree{}}
+	return &eDB{s: s, clock: s.Clock(), lays: Layouts(esm.OIDSize), idx: map[string]*btree.Tree{}}
 }
 
 // Name implements the DB interface for E.
@@ -35,7 +36,7 @@ func (db *eDB) Err() error { return db.err }
 func (db *eDB) ClearErr() { db.err = nil }
 
 // Clock implements the DB interface for E.
-func (db *eDB) Clock() *sim.Clock { return db.s.Clock() }
+func (db *eDB) Clock() *sim.Clock { return db.clock }
 
 func (db *eDB) latch(err error) {
 	if err != nil && db.err == nil {

@@ -3,6 +3,8 @@ package oo7
 import (
 	"fmt"
 	"math/rand"
+
+	"quickstore/internal/sim"
 )
 
 // The OO7 operations (Section 4.2). Each runs inside its own transaction
@@ -41,40 +43,100 @@ func run(db DB, op func() (int, error)) (int, error) {
 	return n, db.Commit()
 }
 
-// traverseGraph depth-first-searches a composite part's atomic-part graph
-// from its root part, calling visit for each part seen for the first time
-// in this search. It returns the number of parts visited. A transient
-// "iterator" is charged per node and a part-id set operation per check,
-// mirroring the transient-structure costs of Table 7.
-func traverseGraph(db DB, comp Ref, visit func(part Ref)) int {
-	root := db.GetRef(comp, TCompositePart, CompRootPart)
-	visited := make(map[int32]bool)
-	var dfs func(part Ref) int
-	dfs = func(part Ref) int {
-		chargePartSet(db)
-		id := db.GetI32(part, TAtomicPart, APartID)
-		if visited[id] {
-			return 0
-		}
-		visited[id] = true
-		if visit != nil {
-			visit(part)
-		}
-		chargeIter(db)
-		count := 1
-		for _, f := range [3]int{APartConn0, APartConn1, APartConn2} {
-			conn := db.GetRef(part, TAtomicPart, f)
-			if conn == NilRef {
-				continue
-			}
-			count += dfs(db.GetRef(conn, TConnection, ConnTo))
-		}
-		return count
-	}
+// graphWalker depth-first-searches atomic-part graphs for one operation. It
+// owns the operation's visited set, so the thousands of searches in a
+// traversal share one allocation.
+type graphWalker struct {
+	db    DB
+	clock *sim.Clock
+	seen  partSet
+	visit func(part Ref)
+}
+
+func newGraphWalker(db DB) *graphWalker {
+	return &graphWalker{db: db, clock: db.Clock()}
+}
+
+// traverse searches comp's atomic-part graph from its root part, calling
+// visit for each part seen for the first time in this search. It returns
+// the number of parts visited. A transient "iterator" is charged per node
+// and a part-id set operation per check, mirroring the transient-structure
+// costs of Table 7.
+func (w *graphWalker) traverse(comp Ref, visit func(part Ref)) int {
+	root := w.db.GetRef(comp, TCompositePart, CompRootPart)
 	if root == NilRef {
 		return 0
 	}
-	return dfs(root)
+	w.seen.reset()
+	w.visit = visit
+	return w.dfs(root)
+}
+
+func (w *graphWalker) dfs(part Ref) int {
+	w.clock.Charge(sim.CtrPartSetOp, 1) // Table 7's part set bucket
+	id := w.db.GetI32(part, TAtomicPart, APartID)
+	if w.seen.visited(id) {
+		return 0
+	}
+	if w.visit != nil {
+		w.visit(part)
+	}
+	w.clock.Charge(sim.CtrIterAlloc, 1) // and its malloc bucket
+	count := 1
+	for _, f := range [3]int{APartConn0, APartConn1, APartConn2} {
+		conn := w.db.GetRef(part, TAtomicPart, f)
+		if conn == NilRef {
+			continue
+		}
+		count += w.dfs(w.db.GetRef(conn, TConnection, ConnTo))
+	}
+	return count
+}
+
+// partSet is a set of atomic-part ids that empties in O(1): an id is a
+// member while its stamp equals the current epoch. The generator numbers
+// parts densely from 1, so the stamps are a slice indexed by id; anything
+// else a damaged database could hold goes to a map.
+type partSet struct {
+	stamp []uint32
+	far   map[int32]uint32
+	epoch uint32
+}
+
+// maxDensePartID bounds the stamp slice (64 MB of stamps).
+const maxDensePartID = 1 << 24
+
+func (s *partSet) reset() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: old stamps would read as current
+		clear(s.stamp)
+		clear(s.far)
+		s.epoch = 1
+	}
+}
+
+// visited reports whether id is in the set, adding it if not.
+func (s *partSet) visited(id int32) bool {
+	if id < 0 || id >= maxDensePartID {
+		if s.far[id] == s.epoch {
+			return true
+		}
+		if s.far == nil {
+			s.far = map[int32]uint32{}
+		}
+		s.far[id] = s.epoch
+		return false
+	}
+	if int(id) >= len(s.stamp) {
+		grown := make([]uint32, max(2*len(s.stamp), int(id)+1, 1024))
+		copy(grown, s.stamp)
+		s.stamp = grown
+	}
+	if s.stamp[id] == s.epoch {
+		return true
+	}
+	s.stamp[id] = s.epoch
+	return false
 }
 
 // forEachBaseAssembly walks the assembly hierarchy depth-first from the
@@ -115,13 +177,14 @@ func forEachBaseAssembly(db DB, fn func(base Ref)) error {
 func T1(db DB) (int, error) {
 	return run(db, func() (int, error) {
 		total := 0
+		w := newGraphWalker(db)
 		err := forEachBaseAssembly(db, func(base Ref) {
 			for _, f := range [3]int{BAsmComp0, BAsmComp1, BAsmComp2} {
 				comp := db.GetRef(base, TBaseAssembly, f)
 				if comp == NilRef {
 					continue
 				}
-				total += traverseGraph(db, comp, nil)
+				total += w.traverse(comp, nil)
 			}
 		})
 		return total, err
@@ -163,6 +226,12 @@ func T2(db DB, kind UpdateKind) (int, error) {
 			db.SetI32(part, TAtomicPart, APartY, db.GetI32(part, TAtomicPart, APartY)+1)
 			updates++
 		}
+		bump4 := func(part Ref) {
+			for i := 0; i < 4; i++ {
+				bump(part)
+			}
+		}
+		w := newGraphWalker(db)
 		err := forEachBaseAssembly(db, func(base Ref) {
 			for _, f := range [3]int{BAsmComp0, BAsmComp1, BAsmComp2} {
 				comp := db.GetRef(base, TBaseAssembly, f)
@@ -171,17 +240,13 @@ func T2(db DB, kind UpdateKind) (int, error) {
 				}
 				switch kind {
 				case VariantA:
-					traverseGraph(db, comp, nil)
+					w.traverse(comp, nil)
 					root := db.GetRef(comp, TCompositePart, CompRootPart)
 					bump(root)
 				case VariantB:
-					traverseGraph(db, comp, bump)
+					w.traverse(comp, bump)
 				case VariantC:
-					traverseGraph(db, comp, func(p Ref) {
-						for i := 0; i < 4; i++ {
-							bump(p)
-						}
-					})
+					w.traverse(comp, bump4)
 				}
 			}
 		})
@@ -202,6 +267,12 @@ func T3(db DB, kind UpdateKind) (int, error) {
 			idx.InsertInt(int64(old+1), part)
 			updates++
 		}
+		bump4 := func(part Ref) {
+			for i := 0; i < 4; i++ {
+				bump(part)
+			}
+		}
+		w := newGraphWalker(db)
 		err := forEachBaseAssembly(db, func(base Ref) {
 			for _, f := range [3]int{BAsmComp0, BAsmComp1, BAsmComp2} {
 				comp := db.GetRef(base, TBaseAssembly, f)
@@ -210,16 +281,12 @@ func T3(db DB, kind UpdateKind) (int, error) {
 				}
 				switch kind {
 				case VariantA:
-					traverseGraph(db, comp, nil)
+					w.traverse(comp, nil)
 					bump(db.GetRef(comp, TCompositePart, CompRootPart))
 				case VariantB:
-					traverseGraph(db, comp, bump)
+					w.traverse(comp, bump)
 				case VariantC:
-					traverseGraph(db, comp, func(p Ref) {
-						for i := 0; i < 4; i++ {
-							bump(p)
-						}
-					})
+					w.traverse(comp, bump4)
 				}
 			}
 		})

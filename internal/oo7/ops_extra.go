@@ -222,11 +222,12 @@ func StructuralDelete(db DB) (int, error) {
 		idxID := db.Index(IdxPartID)
 		idxDate := db.Index(IdxPartDate)
 		deleted := 0
+		w := newGraphWalker(db)
 		for link != NilRef {
 			comp := db.GetRef(link, TExtraLink, ExtraComp)
 			// Collect the part graph.
 			var parts, conns []Ref
-			traverseGraph(db, comp, func(part Ref) {
+			w.traverse(comp, func(part Ref) {
 				parts = append(parts, part)
 				for _, f := range [3]int{APartConn0, APartConn1, APartConn2} {
 					if c := db.GetRef(part, TAtomicPart, f); c != NilRef {

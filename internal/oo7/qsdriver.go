@@ -16,18 +16,19 @@ import (
 // addresses; every field access is a protected virtual-memory access. With
 // padded layouts this is the paper's QS-B system.
 type qsDB struct {
-	name string
-	s    *core.Store
-	sp   *vmem.Space
-	lays [numTypes]schema.Layout
-	idx  map[string]*btree.Tree
-	err  error
+	name  string
+	s     *core.Store
+	sp    *vmem.Space
+	clock *sim.Clock
+	lays  [numTypes]schema.Layout
+	idx   map[string]*btree.Tree
+	err   error
 }
 
 // NewQS wraps a QuickStore session as a benchmark driver. padded selects
 // the QS-B object layouts.
 func NewQS(s *core.Store, padded bool) DB {
-	db := &qsDB{s: s, sp: s.Space(), idx: map[string]*btree.Tree{}}
+	db := &qsDB{s: s, sp: s.Space(), clock: s.Clock(), idx: map[string]*btree.Tree{}}
 	if padded {
 		db.name = "QS-B"
 		db.lays = PaddedLayouts()
@@ -48,7 +49,7 @@ func (db *qsDB) Err() error { return db.err }
 func (db *qsDB) ClearErr() { db.err = nil }
 
 // Clock implements the DB interface for QuickStore.
-func (db *qsDB) Clock() *sim.Clock { return db.s.Clock() }
+func (db *qsDB) Clock() *sim.Clock { return db.clock }
 
 func (db *qsDB) latch(err error) {
 	if err != nil && db.err == nil {
@@ -120,14 +121,14 @@ func (db *qsDB) Delete(r Ref, t TypeID) {
 func (db *qsDB) GetI32(r Ref, t TypeID, field int) int32 {
 	v, err := db.sp.ReadU32(db.addr(r, t, field))
 	db.latch(err)
-	db.Clock().Charge(sim.CtrFieldRead, 1)
+	db.clock.Charge(sim.CtrFieldRead, 1)
 	return int32(v)
 }
 
 // SetI32 implements the DB interface for QuickStore.
 func (db *qsDB) SetI32(r Ref, t TypeID, field int, v int32) {
 	db.latch(db.sp.WriteU32(db.addr(r, t, field), uint32(v)))
-	db.Clock().Charge(sim.CtrFieldWrite, 1)
+	db.clock.Charge(sim.CtrFieldWrite, 1)
 }
 
 // GetRef is the QuickStore dereference: one ordinary 8-byte load through
@@ -135,39 +136,39 @@ func (db *qsDB) SetI32(r Ref, t TypeID, field int, v int32) {
 func (db *qsDB) GetRef(r Ref, t TypeID, field int) Ref {
 	v, err := db.sp.ReadU64(db.addr(r, t, field))
 	db.latch(err)
-	db.Clock().Charge(sim.CtrDeref, 1)
+	db.clock.Charge(sim.CtrDeref, 1)
 	return Ref(v)
 }
 
 // SetRef implements the DB interface for QuickStore.
 func (db *qsDB) SetRef(r Ref, t TypeID, field int, v Ref) {
 	db.latch(db.sp.WriteU64(db.addr(r, t, field), uint64(v)))
-	db.Clock().Charge(sim.CtrFieldWrite, 1)
+	db.clock.Charge(sim.CtrFieldWrite, 1)
 }
 
 // GetBytes implements the DB interface for QuickStore.
 func (db *qsDB) GetBytes(r Ref, t TypeID, field int, buf []byte) {
 	db.latch(db.sp.ReadInto(db.addr(r, t, field), buf))
-	db.Clock().Charge(sim.CtrFieldRead, 1)
+	db.clock.Charge(sim.CtrFieldRead, 1)
 }
 
 // SetBytes implements the DB interface for QuickStore.
 func (db *qsDB) SetBytes(r Ref, t TypeID, field int, data []byte) {
 	db.latch(db.sp.WriteBytes(db.addr(r, t, field), data))
-	db.Clock().Charge(sim.CtrFieldWrite, 1)
+	db.clock.Charge(sim.CtrFieldWrite, 1)
 }
 
 // SetTail implements the DB interface for QuickStore.
 func (db *qsDB) SetTail(r Ref, t TypeID, data []byte) {
 	db.latch(db.sp.WriteBytes(vmem.Addr(r)+vmem.Addr(db.lays[t].Size), data))
-	db.Clock().Charge(sim.CtrFieldWrite, 1)
+	db.clock.Charge(sim.CtrFieldWrite, 1)
 }
 
 // GetTailByte implements the DB interface for QuickStore.
 func (db *qsDB) GetTailByte(r Ref, t TypeID, i int) byte {
 	b, err := db.sp.ReadU8(vmem.Addr(r) + vmem.Addr(db.lays[t].Size+i))
 	db.latch(err)
-	db.Clock().Charge(sim.CtrByteScan, 1)
+	db.clock.Charge(sim.CtrByteScan, 1)
 	return b
 }
 
@@ -180,7 +181,7 @@ func (db *qsDB) WriteLarge(r Ref, data []byte, off uint64) {
 func (db *qsDB) ReadLargeByte(r Ref, off uint64) byte {
 	b, err := db.sp.ReadU8(vmem.Addr(r) + vmem.Addr(off))
 	db.latch(err)
-	db.Clock().Charge(sim.CtrByteScan, 1)
+	db.clock.Charge(sim.CtrByteScan, 1)
 	return b
 }
 

@@ -34,11 +34,17 @@ type Region struct{ Off, N int }
 // two records, bytes 1, 3 and 5 become one. Bytes past the shorter buffer
 // (page growth) form one final region.
 func Regions(old, cur []byte, hdr int) []Region {
+	return AppendRegions(nil, old, cur, hdr)
+}
+
+// AppendRegions appends what Regions returns to dst, so a commit that diffs
+// hundreds of pages can reuse one slice.
+func AppendRegions(dst []Region, old, cur []byte, hdr int) []Region {
 	n := len(cur)
 	if len(old) < n {
 		n = len(old)
 	}
-	var regs []Region
+	regs, first := dst, len(dst)
 	i := 0
 	for i < n {
 		i = skipEqual(old, cur, i, n)
@@ -46,7 +52,7 @@ func Regions(old, cur []byte, hdr int) []Region {
 			break
 		}
 		j := skipDiff(old, cur, i+1, n)
-		if len(regs) > 0 {
+		if len(regs) > first {
 			last := &regs[len(regs)-1]
 			gap := i - (last.Off + last.N)
 			if 2*gap <= hdr {

@@ -202,3 +202,23 @@ func FuzzEncodeApply(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendRegionsKeepsPrefix: the regions found are appended after what
+// dst already holds, and the merge rule never reaches back into that prefix
+// even when the first new region starts right next to it.
+func TestAppendRegionsKeepsPrefix(t *testing.T) {
+	old := make([]byte, 256)
+	cur := append([]byte(nil), old...)
+	cur[10], cur[12], cur[200] = 1, 1, 1
+	want := Regions(old, cur, 16)
+	prefix := []Region{{Off: 0, N: 10}}
+	got := AppendRegions(prefix, old, cur, 16)
+	if len(got) != 1+len(want) || got[0] != prefix[0] {
+		t.Fatalf("AppendRegions = %v, want %v followed by %v", got, prefix, want)
+	}
+	for i, r := range want {
+		if got[1+i] != r {
+			t.Fatalf("AppendRegions = %v, want %v followed by %v", got, prefix, want)
+		}
+	}
+}

@@ -152,13 +152,39 @@ func DefaultCostModel() CostModel {
 }
 
 // Clock is a deterministic simulated clock: events are counted and charged
-// model costs; Elapsed is the sum. Clock is safe for concurrent use.
+// model costs; Elapsed is the sum.
+//
+// A clock has one owner goroutine — the session's application thread, the
+// only one the paper's client process has — and two ways in:
+//
+//   - Charge, AddMicros, Reset and every reader (Count, Micros,
+//     ElapsedMicros, Snapshot) belong to the owner. Charge is a plain add
+//     with no lock and no atomic: it sits under every persistent
+//     dereference, where the store must cost a load, not a mutex.
+//   - ChargeShared and SharedCount are for everyone else: page-server
+//     handlers (which share the session's clock in the single-process
+//     experiment harness and run on prefetch workers and connection
+//     goroutines), and anything else that is not the owner. They serialize
+//     on mu and account into a lane of their own.
+//
+// Readers add the two lanes counter by counter. Each lane accumulates its
+// microseconds eagerly, charge by charge, rather than multiplying count by
+// cost at report time: the paper tables print these floats, and summing
+// them in any other order would move their last digits. A reader that is
+// not the owner must be ordered after the owner's charges by something else
+// (the harness reads between operations); a clock nobody owns — a server
+// with no co-located session — is read through SharedCount.
 type Clock struct {
-	mu     sync.Mutex
-	model  CostModel
+	model CostModel
+
+	// Owner lane: touched only by the owner goroutine.
 	counts [NumCounters]int64
 	micros [NumCounters]float64
 	extra  float64 // uncategorised microseconds added via AddMicros
+
+	mu           sync.Mutex
+	sharedCounts [NumCounters]int64
+	sharedMicros [NumCounters]float64
 }
 
 // NewClock returns a clock using the given cost model.
@@ -167,74 +193,69 @@ func NewClock(model CostModel) *Clock {
 }
 
 // Charge records n events of class c and advances the clock by n times the
-// model cost of c.
+// model cost of c. Owner goroutine only; see ChargeShared.
 func (k *Clock) Charge(c Counter, n int64) {
-	if n == 0 {
-		return
-	}
-	k.mu.Lock()
 	k.counts[c] += n
 	k.micros[c] += float64(n) * k.model[c]
+}
+
+// ChargeShared is Charge for goroutines that do not own the clock.
+func (k *Clock) ChargeShared(c Counter, n int64) {
+	k.mu.Lock()
+	k.sharedCounts[c] += n
+	k.sharedMicros[c] += float64(n) * k.model[c]
 	k.mu.Unlock()
 }
 
 // AddMicros advances the clock by us microseconds without counting an event.
-func (k *Clock) AddMicros(us float64) {
-	k.mu.Lock()
-	k.extra += us
-	k.mu.Unlock()
-}
+func (k *Clock) AddMicros(us float64) { k.extra += us }
 
 // Count returns the number of events recorded for c.
-func (k *Clock) Count(c Counter) int64 {
+func (k *Clock) Count(c Counter) int64 { return k.counts[c] + k.SharedCount(c) }
+
+// SharedCount returns the events recorded for c through ChargeShared alone.
+// Unlike the other readers it is safe on any goroutine.
+func (k *Clock) SharedCount(c Counter) int64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.counts[c]
+	return k.sharedCounts[c]
 }
 
 // Micros returns the microseconds charged to counter c so far.
 func (k *Clock) Micros(c Counter) float64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.micros[c]
+	return k.micros[c] + k.sharedMicros[c]
 }
 
 // ElapsedMicros returns the total simulated time in microseconds.
-func (k *Clock) ElapsedMicros() float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	t := k.extra
-	for _, us := range k.micros {
-		t += us
-	}
-	return t
-}
+func (k *Clock) ElapsedMicros() float64 { return k.Snapshot().ElapsedMicros() }
 
 // Snapshot captures the clock's current counters and times.
 func (k *Clock) Snapshot() Snapshot {
+	s := Snapshot{counts: k.counts, micros: k.micros, extra: k.extra}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	s := Snapshot{extra: k.extra}
-	s.counts = k.counts
-	s.micros = k.micros
+	for c := range s.counts {
+		s.counts[c] += k.sharedCounts[c]
+		s.micros[c] += k.sharedMicros[c]
+	}
 	return s
 }
 
 // Reset zeroes all counters and the clock.
 func (k *Clock) Reset() {
-	k.mu.Lock()
 	k.counts = [NumCounters]int64{}
 	k.micros = [NumCounters]float64{}
 	k.extra = 0
+	k.mu.Lock()
+	k.sharedCounts = [NumCounters]int64{}
+	k.sharedMicros = [NumCounters]float64{}
 	k.mu.Unlock()
 }
 
 // Model returns a copy of the clock's cost model.
-func (k *Clock) Model() CostModel {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.model
-}
+func (k *Clock) Model() CostModel { return k.model }
 
 // Snapshot is an immutable copy of a Clock's state, used to compute
 // per-phase deltas (cold vs hot, per-traversal, per-commit).

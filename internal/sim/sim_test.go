@@ -123,13 +123,90 @@ func TestClockConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				k.Charge(CtrClientRead, 1)
+				k.ChargeShared(CtrClientRead, 1)
 			}
 		}()
 	}
 	wg.Wait()
 	if got := k.Count(CtrClientRead); got != 8000 {
 		t.Fatalf("concurrent count = %d", got)
+	}
+	if got := k.SharedCount(CtrClientRead); got != 8000 {
+		t.Fatalf("shared count = %d", got)
+	}
+}
+
+// TestClockOwnerAndSharedLanes is the ownership contract under -race: the
+// owner charges and reads without a lock while other goroutines charge the
+// same counter through the synchronized entry.
+func TestClockOwnerAndSharedLanes(t *testing.T) {
+	const workers, each = 4, 2000
+	k := NewClock(DefaultCostModel())
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				k.ChargeShared(CtrServerBufferHit, 1)
+				k.ChargeShared(CtrServerDiskRead, 2)
+			}
+		}()
+	}
+	var last int64
+	for j := 0; j < each; j++ {
+		k.Charge(CtrServerBufferHit, 1)
+		k.Charge(CtrDeref, 3)
+		s := k.Snapshot()
+		if n := s.Count(CtrServerBufferHit); n < last || n < int64(j+1) {
+			t.Fatalf("snapshot went backwards: %d after %d (own charges %d)", n, last, j+1)
+		} else {
+			last = n
+		}
+		if s.Count(CtrDeref) != int64(3*(j+1)) {
+			t.Fatalf("owner lane count = %d, want %d", s.Count(CtrDeref), 3*(j+1))
+		}
+	}
+	wg.Wait()
+	if got, want := k.Count(CtrServerBufferHit), int64((workers+1)*each); got != want {
+		t.Fatalf("buffer hits = %d, want %d", got, want)
+	}
+	if got, want := k.SharedCount(CtrServerDiskRead), int64(2*workers*each); got != want {
+		t.Fatalf("shared disk reads = %d, want %d", got, want)
+	}
+}
+
+// TestClockLanesSumLikeOneClock: a costed counter charged through both
+// entries reads exactly what a single accumulator charged in the same order
+// gives — the property that keeps the paper tables byte-identical.
+func TestClockLanesSumLikeOneClock(t *testing.T) {
+	m := DefaultCostModel()
+	k := NewClock(m)
+	var count int64
+	var micros float64
+	for i := 0; i < 5000; i++ {
+		n := int64(i%3 + 1)
+		if i%4 == 0 {
+			k.Charge(CtrServerBufferHit, n)
+		} else {
+			k.ChargeShared(CtrServerBufferHit, n)
+		}
+		count += n
+		micros += float64(n) * m[CtrServerBufferHit]
+	}
+	k.Charge(CtrFieldRead, 7) // a fractional cost, owner lane only
+	if got := k.Count(CtrServerBufferHit); got != count {
+		t.Fatalf("count = %d, want %d", got, count)
+	}
+	if got := k.Micros(CtrServerBufferHit); got != micros {
+		t.Fatalf("micros = %v, want %v", got, micros)
+	}
+	if got, want := k.ElapsedMicros(), micros+7*m[CtrFieldRead]; got != want {
+		t.Fatalf("elapsed = %v, want %v", got, want)
+	}
+	k.Reset()
+	if k.Count(CtrServerBufferHit) != 0 || k.SharedCount(CtrServerBufferHit) != 0 || k.ElapsedMicros() != 0 {
+		t.Fatal("Reset left a lane behind")
 	}
 }
 

@@ -13,7 +13,10 @@
 //
 // The Space never allocates backing memory of its own: like the paper's
 // mmap file trick (Section 3.2), mapping a huge address range costs only
-// bookkeeping.
+// bookkeeping — and the bookkeeping is sized by what is mapped, not by the
+// range: the frame table is two-level with chunks allocated on first use,
+// and the mapped frames are listed so reprotecting "the whole space" visits
+// only them.
 package vmem
 
 import (
@@ -106,13 +109,24 @@ var (
 
 type frame struct {
 	prot Prot
+	pos  int32  // index in Space.mapped while data != nil
 	data []byte // nil when the frame is reserved but unmapped
 }
+
+// The frame table is split into chunks of chunkFrames entries (32 KB each),
+// allocated the first time a frame in them is mapped or protected.
+const (
+	chunkShift  = 10
+	chunkFrames = 1 << chunkShift
+	chunkMask   = chunkFrames - 1
+)
 
 // Space is one process's simulated persistent address region.
 type Space struct {
 	base     Addr
-	frames   []frame
+	nframes  uint64
+	chunks   []*[chunkFrames]frame
+	mapped   []*frame // every frame with data != nil, in no particular order
 	handler  FaultHandler
 	clock    *sim.Clock
 	inFault  bool
@@ -129,14 +143,19 @@ func NewSpace(base Addr, maxFrames int, clock *sim.Clock) *Space {
 	if clock == nil {
 		clock = sim.NewClock(sim.CostModel{})
 	}
-	return &Space{base: base, frames: make([]frame, maxFrames), clock: clock}
+	return &Space{
+		base:    base,
+		nframes: uint64(maxFrames),
+		chunks:  make([]*[chunkFrames]frame, (maxFrames+chunkMask)>>chunkShift),
+		clock:   clock,
+	}
 }
 
 // Base returns the first address of the space.
 func (s *Space) Base() Addr { return s.base }
 
 // MaxFrames returns the number of frames the space covers.
-func (s *Space) MaxFrames() int { return len(s.frames) }
+func (s *Space) MaxFrames() int { return int(s.nframes) }
 
 // SetHandler installs the page-fault handler.
 func (s *Space) SetHandler(h FaultHandler) { s.handler = h }
@@ -147,21 +166,37 @@ func (s *Space) Faults() int64 { return s.faults }
 // Accesses returns the number of loads/stores issued through the space.
 func (s *Space) Accesses() int64 { return s.accesses }
 
-func (s *Space) frameIndex(a Addr) (int, error) {
-	if a < s.base {
-		return 0, fmt.Errorf("%w: %#x < base %#x", ErrOutOfRange, a, s.base)
-	}
-	i := int((a - s.base) >> FrameShift)
-	if i >= len(s.frames) {
-		return 0, fmt.Errorf("%w: %#x beyond %d frames", ErrOutOfRange, a, len(s.frames))
-	}
-	return i, nil
-}
+// frameNo returns a's frame number; an address below base wraps to a huge
+// number, so one comparison against nframes covers both ends of the range.
+func (s *Space) frameNo(a Addr) uint64 { return uint64(a-s.base) >> FrameShift }
 
 // Contains reports whether a falls inside the space.
-func (s *Space) Contains(a Addr) bool {
-	_, err := s.frameIndex(a)
-	return err == nil
+func (s *Space) Contains(a Addr) bool { return s.frameNo(a) < s.nframes }
+
+func (s *Space) rangeErr(a Addr) error {
+	if a < s.base {
+		return fmt.Errorf("%w: %#x < base %#x", ErrOutOfRange, a, s.base)
+	}
+	return fmt.Errorf("%w: %#x beyond %d frames", ErrOutOfRange, a, s.nframes)
+}
+
+// frameAt returns the table entry of the frame holding a, or nil when no
+// frame of its chunk was ever mapped or protected. With alloc set the chunk
+// is created instead.
+func (s *Space) frameAt(a Addr, alloc bool) (*frame, error) {
+	i := s.frameNo(a)
+	if i >= s.nframes {
+		return nil, s.rangeErr(a)
+	}
+	c := s.chunks[i>>chunkShift]
+	if c == nil {
+		if !alloc {
+			return nil, nil
+		}
+		c = new([chunkFrames]frame)
+		s.chunks[i>>chunkShift] = c
+	}
+	return &c[i&chunkMask], nil
 }
 
 // Map binds the frame at frameAddr to data (one page of backing store,
@@ -175,97 +210,124 @@ func (s *Space) Map(frameAddr Addr, data []byte, prot Prot) error {
 	if len(data) != FrameSize {
 		return fmt.Errorf("vmem: Map with %d-byte backing", len(data))
 	}
-	i, err := s.frameIndex(frameAddr)
+	f, err := s.frameAt(frameAddr, true)
 	if err != nil {
 		return err
 	}
-	s.frames[i] = frame{prot: prot, data: data}
+	if f.data == nil {
+		f.pos = int32(len(s.mapped))
+		s.mapped = append(s.mapped, f)
+	}
+	f.prot, f.data = prot, data
 	return nil
 }
 
 // Unmap removes the frame's backing store and protection.
 func (s *Space) Unmap(frameAddr Addr) error {
-	i, err := s.frameIndex(frameAddr)
-	if err != nil {
+	f, err := s.frameAt(frameAddr, false)
+	if err != nil || f == nil {
 		return err
 	}
-	s.frames[i] = frame{}
+	if f.data != nil {
+		last := s.mapped[len(s.mapped)-1]
+		s.mapped[f.pos] = last
+		last.pos = f.pos
+		s.mapped = s.mapped[:len(s.mapped)-1]
+	}
+	*f = frame{}
 	return nil
 }
 
 // Protect changes the frame's protection without touching its mapping.
 func (s *Space) Protect(frameAddr Addr, prot Prot) error {
-	i, err := s.frameIndex(frameAddr)
+	f, err := s.frameAt(frameAddr, true)
 	if err != nil {
 		return err
 	}
-	s.frames[i].prot = prot
+	f.prot = prot
 	return nil
 }
 
 // ProtOf returns the frame's current protection.
 func (s *Space) ProtOf(frameAddr Addr) (Prot, error) {
-	i, err := s.frameIndex(frameAddr)
-	if err != nil {
+	f, err := s.frameAt(frameAddr, false)
+	if err != nil || f == nil {
 		return ProtNone, err
 	}
-	return s.frames[i].prot, nil
+	return f.prot, nil
 }
 
 // Mapped returns the frame's backing slice (nil when unmapped), regardless
 // of protection. The fault handler uses this; applications do not.
 func (s *Space) Mapped(frameAddr Addr) ([]byte, error) {
-	i, err := s.frameIndex(frameAddr)
-	if err != nil {
+	f, err := s.frameAt(frameAddr, false)
+	if err != nil || f == nil {
 		return nil, err
 	}
-	return s.frames[i].data, nil
+	return f.data, nil
 }
 
 // ProtectAll sets every mapped frame's protection to prot in one operation —
 // the single mmap call QuickStore's simplified clock uses to reprotect the
 // whole persistent address space when a sweep finds no victim (Section 3.5).
 func (s *Space) ProtectAll(prot Prot) {
-	for i := range s.frames {
-		if s.frames[i].data != nil {
-			s.frames[i].prot = prot
-		}
+	for _, f := range s.mapped {
+		f.prot = prot
 	}
 }
 
 // resolve returns the backing bytes for an n-byte access at a, dispatching
-// the fault handler when protection forbids it.
+// the fault handler when protection forbids it. The path every mapped
+// access takes is the range check, the table entry, the protection check
+// and the slice; errors and faults are built out of line.
 func (s *Space) resolve(a Addr, n int, acc Access) ([]byte, error) {
 	off := a.Offset()
-	if off+n > FrameSize {
-		return nil, fmt.Errorf("%w: %#x+%d", ErrCrossesFrame, a, n)
+	i := s.frameNo(a)
+	if off+n > FrameSize || i >= s.nframes {
+		return nil, s.badAccess(a, n)
 	}
-	i, err := s.frameIndex(a)
+	s.accesses++
+	if c := s.chunks[i>>chunkShift]; c != nil {
+		if f := &c[i&chunkMask]; f.prot.allows(acc) && f.data != nil {
+			return f.data[off : off+n], nil
+		}
+	}
+	return s.fault(a, n, acc)
+}
+
+func (s *Space) badAccess(a Addr, n int) error {
+	if a.Offset()+n > FrameSize {
+		return fmt.Errorf("%w: %#x+%d", ErrCrossesFrame, a, n)
+	}
+	return s.rangeErr(a)
+}
+
+// fault runs the handler for a forbidden access at a (already counted and
+// known to be in range) and retries it once.
+func (s *Space) fault(a Addr, n int, acc Access) ([]byte, error) {
+	if s.handler == nil {
+		return nil, fmt.Errorf("%w: %v at %#x", ErrNoHandler, acc, a)
+	}
+	if s.inFault {
+		return nil, fmt.Errorf("%w: %v at %#x", ErrRecursive, acc, a)
+	}
+	s.faults++
+	s.clock.Charge(sim.CtrPageFaultTrap, 1)
+	s.inFault = true
+	err := s.handler(a, acc)
+	s.inFault = false
 	if err != nil {
 		return nil, err
 	}
-	s.accesses++
-	f := &s.frames[i]
-	if !f.prot.allows(acc) || f.data == nil {
-		if s.handler == nil {
-			return nil, fmt.Errorf("%w: %v at %#x", ErrNoHandler, acc, a)
+	f, _ := s.frameAt(a, false)
+	if f == nil || !f.prot.allows(acc) || f.data == nil {
+		prot := ProtNone
+		if f != nil {
+			prot = f.prot
 		}
-		if s.inFault {
-			return nil, fmt.Errorf("%w: %v at %#x", ErrRecursive, acc, a)
-		}
-		s.faults++
-		s.clock.Charge(sim.CtrPageFaultTrap, 1)
-		s.inFault = true
-		err := s.handler(a, acc)
-		s.inFault = false
-		if err != nil {
-			return nil, err
-		}
-		f = &s.frames[i]
-		if !f.prot.allows(acc) || f.data == nil {
-			return nil, fmt.Errorf("%w: %v at %#x (prot %v)", ErrStillFaulted, acc, a, f.prot)
-		}
+		return nil, fmt.Errorf("%w: %v at %#x (prot %v)", ErrStillFaulted, acc, a, prot)
 	}
+	off := a.Offset()
 	return f.data[off : off+n], nil
 }
 

@@ -273,3 +273,128 @@ func TestReadYourWritesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProtectAllVisitsOnlyMappedAfterChurn drives Map/Unmap/remap across
+// chunk boundaries against a model and checks that the mapped list — all
+// ProtectAll walks — holds exactly the mapped frames, and that a frame only
+// ever protected, never mapped, is left alone.
+func TestProtectAllVisitsOnlyMappedAfterChurn(t *testing.T) {
+	const frames = 5 * chunkFrames
+	s := NewSpace(testBase, frames, nil)
+	backing := make([]byte, FrameSize)
+	addr := func(i int) Addr { return testBase + Addr(i)<<FrameShift }
+	model := map[int]bool{}
+	x := uint32(1)
+	for step := 0; step < 20000; step++ {
+		x = x*1664525 + 1013904223
+		i := int(x>>8) % frames
+		if x&3 == 0 {
+			if err := s.Unmap(addr(i)); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, i)
+		} else {
+			if err := s.Map(addr(i), backing, ProtRead); err != nil {
+				t.Fatal(err)
+			}
+			model[i] = true
+		}
+	}
+	bystander := -1
+	for i := 0; i < frames; i++ {
+		if !model[i] {
+			bystander = i
+			break
+		}
+	}
+	if err := s.Protect(addr(bystander), ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.mapped) != len(model) {
+		t.Fatalf("mapped list holds %d frames, %d are mapped", len(s.mapped), len(model))
+	}
+	for pos, f := range s.mapped {
+		if f.data == nil || int(f.pos) != pos {
+			t.Fatalf("mapped[%d]: data nil=%v, pos %d", pos, f.data == nil, f.pos)
+		}
+	}
+	s.ProtectAll(ProtNone)
+	for i := 0; i < frames; i++ {
+		p, err := s.ProtOf(addr(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ProtNone
+		if i == bystander {
+			want = ProtRead
+		}
+		if p != want {
+			t.Fatalf("frame %d (mapped=%v): prot %v after ProtectAll, want %v", i, model[i], p, want)
+		}
+		if d, _ := s.Mapped(addr(i)); (d != nil) != model[i] {
+			t.Fatalf("frame %d: mapped=%v, model says %v", i, d != nil, model[i])
+		}
+	}
+}
+
+// TestHugeSpaceCostsKilobytes: reserving the default 8 GB region (1<<20
+// frames) must not allocate a table entry per frame.
+func TestHugeSpaceCostsKilobytes(t *testing.T) {
+	clock := sim.NewClock(sim.CostModel{})
+	backing := make([]byte, FrameSize)
+	var s *Space
+	perSpace := testing.AllocsPerRun(5, func() {
+		s = NewSpace(testBase, 1<<20, clock)
+		if err := s.Map(testBase+(1<<19)<<FrameShift, backing, ProtRead); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSpace > 8 {
+		t.Fatalf("NewSpace + one Map made %v allocations", perSpace)
+	}
+	if n := len(s.chunks)*8 + chunkFrames*32; n >= 1<<20 {
+		t.Fatalf("a 1<<20-frame space with one mapped frame holds %d bytes of table", n)
+	}
+	if s.MaxFrames() != 1<<20 || !s.Contains(testBase+(1<<20-1)<<FrameShift) || s.Contains(testBase+(1<<20)<<FrameShift) {
+		t.Fatal("sparse table changed the space's extent")
+	}
+}
+
+// TestCountersOnScriptedSequence pins what Accesses and Faults count: every
+// in-range, in-frame access once (whether or not it then faults or fails),
+// every handler dispatch once, and nothing for rejected addresses.
+func TestCountersOnScriptedSequence(t *testing.T) {
+	s := newSpace()
+	backing := make([]byte, FrameSize)
+	s.SetHandler(func(a Addr, acc Access) error {
+		if a.FrameBase() == testBase+3*FrameSize {
+			return errors.New("no such page")
+		}
+		prot := ProtRead
+		if acc == AccessWrite {
+			prot = ProtWrite
+		}
+		return s.Map(a.FrameBase(), backing, prot)
+	})
+	steps := []struct {
+		do               func() error
+		accesses, faults int64
+	}{
+		{func() error { _, err := s.ReadU32(testBase + 8); return err }, 1, 1},                    // read fault
+		{func() error { _, err := s.ReadU64(testBase + 16); return err }, 2, 1},                   // mapped read
+		{func() error { return s.WriteU32(testBase+8, 1) }, 3, 2},                                 // write fault
+		{func() error { return s.WriteU8(testBase+9, 2) }, 4, 2},                                  // mapped write
+		{func() error { _, err := s.ReadU8(testBase - 1); return err }, 4, 2},                     // below base
+		{func() error { _, err := s.ReadU8(testBase + 64*FrameSize); return err }, 4, 2},          // past the end
+		{func() error { _, err := s.ReadU64(testBase + FrameSize - 4); return err }, 4, 2},        // crosses a frame
+		{func() error { _, err := s.ReadU8(testBase + 3*FrameSize); return err }, 5, 3},           // handler fails
+		{func() error { return s.ReadInto(testBase+FrameSize, make([]byte, 32)) }, 6, 4},          // second frame
+		{func() error { s.ProtectAll(ProtNone); _, err := s.ReadU8(testBase); return err }, 7, 5}, // reprotected
+	}
+	for i, st := range steps {
+		_ = st.do() // errors are part of the script
+		if s.Accesses() != st.accesses || s.Faults() != st.faults {
+			t.Fatalf("step %d: accesses=%d faults=%d, want %d/%d", i, s.Accesses(), s.Faults(), st.accesses, st.faults)
+		}
+	}
+}
