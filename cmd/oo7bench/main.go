@@ -14,8 +14,9 @@
 // "-exp verify" asserts the paper's headline shape claims programmatically
 // (one PASS/FAIL line each) and exits nonzero if any fails; it requires the
 // full small-database scale and is not part of "all". "-exp prefetch"
-// measures the mapping-object prefetch extension (off in every paper table)
-// and is likewise not part of "all".
+// compares demand paging (what every paper table uses) with mapping-object
+// read-ahead (what every other session gets) and is likewise not part of
+// "all".
 //
 // "-clients N" runs only the multi-client concurrency bench: a wall-clock
 // sweep of 1..N concurrent sessions against one page server, against a

@@ -42,7 +42,7 @@
 // header-bearing page checking slotted-page invariants and, for QuickStore
 // data pages, the meta-object and its mapping/bitmap references; stats
 // opens the store and prints the page server's statistics snapshot
-// (OpStats), including the prefetch service, group-commit, and — when the
+// (OpStats), including read-ahead batches served, group-commit, and — when the
 // server is a replication leader — quorum-commit and election counters.
 // With -addr it queries a running server over TCP instead of opening a
 // local volume, which is how cluster replication lag is observed live.
@@ -640,8 +640,8 @@ func logSummary(records, bytes, payload int64) string {
 }
 
 // stats opens the store (running restart recovery if the log demands it)
-// and prints the server's OpStats snapshot, with the prefetch hit/wasted
-// ratio an operator tuning the prefetcher needs. With addr it queries a
+// and prints the server's OpStats snapshot, with this session's read-ahead
+// hit/wasted ratio. With addr it queries a
 // running server over TCP instead — the only way to see live replication
 // state, since a local open never has a cluster attached.
 func stats(path, addr, shardSpec string) error {
@@ -663,7 +663,7 @@ func stats(path, addr, shardSpec string) error {
 	printServerStats(ss)
 
 	cs := st.Stats()
-	fmt.Printf("session:        %d prefetches issued, %d hits, %d wasted", cs.PrefetchIssued, cs.PrefetchHits, cs.PrefetchWasted)
+	fmt.Printf("session:        %d pages read ahead, %d hits, %d wasted", cs.PrefetchIssued, cs.PrefetchHits, cs.PrefetchWasted)
 	if cs.PrefetchIssued > 0 {
 		fmt.Printf(" (%.1f%% hit, %.1f%% wasted)",
 			100*float64(cs.PrefetchHits)/float64(cs.PrefetchIssued),
@@ -707,8 +707,7 @@ func printServerStats(ss *esm.ServerStats) {
 	fmt.Printf("volume:         %d allocated data pages\n", ss.AllocatedPages)
 	fmt.Printf("log:            %s\n", logSummary(ss.LogRecords, ss.LogBytes, -1))
 	fmt.Printf("disk:           %d reads, %d writes\n", ss.DiskReads, ss.DiskWrites)
-	fmt.Printf("prefetch:       %d pages served in batches, %d background disk reads\n",
-		ss.PrefetchPages, ss.PrefetchReads)
+	fmt.Printf("read-ahead:     %d pages served in batches\n", ss.PrefetchPages)
 	fmt.Printf("commit:         %d commits, %d log forces, %d piggybacked", ss.Commits, ss.LogForces, ss.LogPiggybacks)
 	if ss.Commits > 0 {
 		fmt.Printf(" (%.2f forces/commit)", float64(ss.LogForces)/float64(ss.Commits))

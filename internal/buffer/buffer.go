@@ -26,10 +26,10 @@ type Frame struct {
 	Pin   int
 	Dirty bool
 	Ref   bool // reference bit for the traditional clock policy
-	// Prefetched marks a speculative pre-read frame installed by the
-	// prefetcher (internal/prefetch) that no caller has used yet. The flag
-	// is cleared on first real use (ConsumePrefetched); a frame evicted or
-	// dropped with the flag still set was a wasted prefetch.
+	// Prefetched marks a speculative frame installed by read-ahead
+	// (internal/prefetch) that no caller has used yet. The flag is cleared on
+	// first real use (ConsumePrefetched); a frame evicted or dropped with the
+	// flag still set was a wasted read.
 	Prefetched bool
 	// LSN is the coherence token the server vended with this page image
 	// (the LSN of the commit that produced it). Zero means unversioned:
@@ -68,6 +68,14 @@ type Pool struct {
 	misses  int64
 	evicted int64
 
+	// Occupancy, kept so that finding room is a field read instead of a scan
+	// of every frame: empty counts frames holding no page, and no frame below
+	// lowEmpty is empty. spec counts frames whose Prefetched flag is set;
+	// specUsed and specWasted are the verdicts such frames have received.
+	empty, lowEmpty      int
+	spec                 int
+	specUsed, specWasted int64
+
 	// FlushFn, if set, is called to write back a dirty page before its
 	// frame is reused.
 	FlushFn func(pid disk.PageID, data []byte) error
@@ -90,6 +98,7 @@ func New(nframes int, policy Policy) *Pool {
 		frames: make([]Frame, nframes),
 		index:  make(map[disk.PageID]int, nframes),
 		policy: policy,
+		empty:  nframes,
 	}
 	backing := make([]byte, nframes*disk.PageSize)
 	for i := range p.frames {
@@ -138,102 +147,122 @@ func (p *Pool) Put(pid disk.PageID, load func(buf []byte) error) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	f := &p.frames[i]
-	if err := load(f.Data); err != nil {
+	if err := load(p.frames[i].Data); err != nil {
 		return 0, err
 	}
-	f.Page = pid
-	f.Dirty = false
-	f.Ref = true
-	f.Pin = 0
-	f.Prefetched = false
-	f.LSN = 0
-	f.Stale = false
-	f.Unlogged = false
-	p.index[pid] = i
+	p.occupy(i, pid)
+	p.frames[i].Ref = true
 	return i, nil
 }
 
-// PutPrefetched installs a speculative pre-read page image. Unlike Put it
-// never displaces demand-loaded pages: it uses an empty frame or evicts
-// another not-yet-used prefetched frame, and reports ok=false (page
-// dropped) when neither exists, so speculation can never push hot pages
-// out of the pool. The frame is installed with the reference bit clear and
-// Prefetched set; if the page is already resident the call is a no-op with
-// ok=false.
-func (p *Pool) PutPrefetched(pid disk.PageID, data []byte) (idx int, ok bool) {
-	if _, resident := p.index[pid]; resident {
-		return 0, false
-	}
-	i := -1
-	for j := range p.frames {
-		if p.frames[j].Page == disk.InvalidPage {
-			i = j
-			break
-		}
-	}
-	if i < 0 {
-		for j := range p.frames {
-			f := &p.frames[j]
-			if f.Prefetched && f.Pin == 0 {
-				if err := p.Evict(j); err != nil {
-					return 0, false
-				}
-				i = j
-				break
-			}
-		}
-	}
-	if i < 0 {
-		return 0, false
-	}
-	f := &p.frames[i]
-	copy(f.Data, data)
-	f.Page = pid
-	f.Dirty = false
-	f.Ref = false
-	f.Pin = 0
-	f.Prefetched = true
-	f.LSN = 0
-	f.Stale = false
-	f.Unlogged = false
+// Empty returns the number of frames holding no page.
+func (p *Pool) Empty() int { return p.empty }
+
+// Speculation reports the speculative frames outstanding (installed by
+// PutPrefetched, not yet used) and how many have so far been used and wasted.
+func (p *Pool) Speculation() (outstanding int, used, wasted int64) {
+	return p.spec, p.specUsed, p.specWasted
+}
+
+// occupy makes the empty frame i hold pid, clean and unreferenced.
+func (p *Pool) occupy(i int, pid disk.PageID) {
+	p.frames[i] = Frame{Page: pid, Data: p.frames[i].Data}
 	p.index[pid] = i
+	p.empty--
+}
+
+// vacate empties frame i and tells the hooks its page has left the pool.
+func (p *Pool) vacate(i int) {
+	f := &p.frames[i]
+	pid, wasted := f.Page, f.Prefetched
+	delete(p.index, pid)
+	*f = Frame{Page: disk.InvalidPage, Data: f.Data}
+	p.empty++
+	if i < p.lowEmpty {
+		p.lowEmpty = i
+	}
+	if wasted {
+		p.spec--
+		p.specWasted++
+		if p.OnPrefetchDrop != nil {
+			p.OnPrefetchDrop(pid)
+		}
+	}
+	if p.OnEvict != nil {
+		p.OnEvict(pid, i)
+	}
+}
+
+// PutPrefetched installs a speculative page image read ahead of any use. It
+// takes an empty frame only — speculation never displaces a resident page —
+// and reports ok=false (image dropped) when there is none or the page is
+// already resident. The frame is installed with the reference bit clear and
+// Prefetched set.
+func (p *Pool) PutPrefetched(pid disk.PageID, data []byte) (idx int, ok bool) {
+	if _, resident := p.index[pid]; resident || p.empty == 0 {
+		return 0, false
+	}
+	i := p.firstEmpty()
+	copy(p.frames[i].Data, data)
+	p.occupy(i, pid)
+	p.frames[i].Prefetched = true
+	p.spec++
 	return i, true
 }
 
 // ConsumePrefetched clears frame i's Prefetched flag, reporting whether it
 // was set — i.e. whether this access is the first real use of a
-// speculative pre-read frame (the caller owes the deferred transfer cost).
+// speculative frame.
 func (p *Pool) ConsumePrefetched(i int) bool {
 	f := &p.frames[i]
 	if !f.Prefetched {
 		return false
 	}
 	f.Prefetched = false
+	p.spec--
+	p.specUsed++
 	return true
 }
 
+// DropSpeculative evicts every speculative frame that was never used (they
+// are clean, and pinned ones stay), so that read-ahead that did not pay off
+// leaves no trace in the pool.
+func (p *Pool) DropSpeculative() {
+	for i := 0; p.spec > 0 && i < len(p.frames); i++ {
+		if f := &p.frames[i]; f.Prefetched && f.Pin == 0 {
+			p.evicted++
+			p.vacate(i)
+		}
+	}
+}
+
+// firstEmpty returns the lowest-numbered empty frame; p.empty must be > 0.
+func (p *Pool) firstEmpty() int {
+	for p.frames[p.lowEmpty].Page != disk.InvalidPage {
+		p.lowEmpty++
+	}
+	return p.lowEmpty
+}
+
 // freeFrame returns an empty frame, evicting one if necessary. Speculative
-// prefetched frames that were never used are preferred victims: they cost
-// nothing to reread and should never outlive demand-loaded pages.
+// frames that were never used are preferred victims: they cost nothing to
+// reread and should never outlive demand-loaded pages.
 func (p *Pool) freeFrame() (int, error) {
-	for i := range p.frames {
-		if p.frames[i].Page == disk.InvalidPage {
-			return i, nil
+	if p.empty > 0 {
+		return p.firstEmpty(), nil
+	}
+	i := -1
+	for j := 0; p.spec > 0 && j < len(p.frames); j++ {
+		if f := &p.frames[j]; f.Prefetched && f.Pin == 0 {
+			i = j
+			break
 		}
 	}
-	for i := range p.frames {
-		f := &p.frames[i]
-		if f.Prefetched && f.Pin == 0 {
-			if err := p.Evict(i); err != nil {
-				return 0, err
-			}
-			return i, nil
+	if i < 0 {
+		var err error
+		if i, err = p.policy.Victim(p); err != nil {
+			return 0, err
 		}
-	}
-	i, err := p.policy.Victim(p)
-	if err != nil {
-		return 0, err
 	}
 	if err := p.Evict(i); err != nil {
 		return 0, err
@@ -256,23 +285,8 @@ func (p *Pool) Evict(i int) error {
 			return err
 		}
 	}
-	pid := f.Page
-	wasted := f.Prefetched
-	delete(p.index, pid)
-	f.Page = disk.InvalidPage
-	f.Dirty = false
-	f.Ref = false
-	f.Prefetched = false
-	f.LSN = 0
-	f.Stale = false
-	f.Unlogged = false
 	p.evicted++
-	if wasted && p.OnPrefetchDrop != nil {
-		p.OnPrefetchDrop(pid)
-	}
-	if p.OnEvict != nil {
-		p.OnEvict(pid, i)
-	}
+	p.vacate(i)
 	return nil
 }
 
@@ -321,25 +335,8 @@ func (p *Pool) FlushAll() error {
 // DropAll empties the pool without flushing (used to make caches cold).
 func (p *Pool) DropAll() {
 	for i := range p.frames {
-		f := &p.frames[i]
-		if f.Page != disk.InvalidPage {
-			pid := f.Page
-			wasted := f.Prefetched
-			delete(p.index, pid)
-			f.Page = disk.InvalidPage
-			f.Dirty = false
-			f.Ref = false
-			f.Pin = 0
-			f.Prefetched = false
-			f.LSN = 0
-			f.Stale = false
-			f.Unlogged = false
-			if wasted && p.OnPrefetchDrop != nil {
-				p.OnPrefetchDrop(pid)
-			}
-			if p.OnEvict != nil {
-				p.OnEvict(pid, i)
-			}
+		if p.frames[i].Page != disk.InvalidPage {
+			p.vacate(i)
 		}
 	}
 }

@@ -386,9 +386,10 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 }
 
 // Snapshot copies pid's current image into dst (PageSize bytes) without
-// touching the reference bit or the hit counters, the access discipline of
-// speculative batch reads (OpReadPages): served from the pool when
-// resident, but never perturbing replacement state.
+// touching the reference bit or the hit counters: the access discipline of
+// snapshot reads, coherence validation and before-image capture, which are
+// served from the pool when the page is resident but never perturb
+// replacement state.
 func (p *LatchPool) Snapshot(pid disk.PageID, dst []byte) bool {
 	s := p.stripe(pid)
 	s.mu.Lock()

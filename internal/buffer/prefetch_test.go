@@ -57,7 +57,7 @@ func TestPutPrefetchedNeverEvictsDemandPages(t *testing.T) {
 	}
 }
 
-func TestPutPrefetchedEvictsOlderPrefetch(t *testing.T) {
+func TestPutPrefetchedTakesEmptyFramesOnly(t *testing.T) {
 	var dropped []disk.PageID
 	p := New(2, nil)
 	p.OnPrefetchDrop = func(pid disk.PageID) { dropped = append(dropped, pid) }
@@ -65,24 +65,94 @@ func TestPutPrefetchedEvictsOlderPrefetch(t *testing.T) {
 	if _, ok := p.PutPrefetched(2, pageImage(2)); !ok {
 		t.Fatal("install failed")
 	}
-	// Pool full; the unused speculative frame for page 2 is the victim.
-	if _, ok := p.PutPrefetched(3, pageImage(3)); !ok {
-		t.Fatal("install over older prefetch failed")
+	// Pool full: speculation displaces nothing, not even older speculation.
+	if _, ok := p.PutPrefetched(3, pageImage(3)); ok {
+		t.Fatal("speculative install displaced a resident page")
 	}
-	if _, ok := p.Lookup(2); ok {
-		t.Fatal("older prefetched page still resident")
+	if _, ok := p.Lookup(2); !ok {
+		t.Fatal("older speculative page evicted by a refused install")
 	}
-	if _, ok := p.Lookup(3); !ok {
-		t.Fatal("newer prefetched page missing")
+	if len(dropped) != 0 {
+		t.Fatalf("OnPrefetchDrop calls: %v (want none)", dropped)
 	}
-	if len(dropped) != 1 || dropped[0] != 2 {
-		t.Fatalf("OnPrefetchDrop calls: %v (want [2])", dropped)
+}
+
+// TestOccupancyCounts follows the counters that replace the frame scans:
+// Empty, the lowest-empty-frame choice, and the speculation verdicts.
+func TestOccupancyCounts(t *testing.T) {
+	p := New(4, nil)
+	check := func(step string, empty, outstanding int, used, wasted int64) {
+		t.Helper()
+		o, u, w := p.Speculation()
+		if p.Empty() != empty || o != outstanding || u != used || w != wasted {
+			t.Fatalf("%s: empty=%d outstanding=%d used=%d wasted=%d, want %d %d %d %d",
+				step, p.Empty(), o, u, w, empty, outstanding, used, wasted)
+		}
+		n := 0
+		for i := 0; i < p.Len(); i++ {
+			if p.Frame(i).Page == disk.InvalidPage {
+				n++
+			}
+		}
+		if n != p.Empty() {
+			t.Fatalf("%s: %d empty frames, Empty() = %d", step, n, p.Empty())
+		}
 	}
-	// A consumed (used) prefetched frame is no longer a speculation victim.
-	i, _ := p.Lookup(3)
-	p.ConsumePrefetched(i)
-	if _, ok := p.PutPrefetched(4, pageImage(4)); ok {
-		t.Fatal("speculation displaced a consumed page")
+	check("new", 4, 0, 0, 0)
+	p.Put(1, loadTag(1))
+	p.PutPrefetched(2, pageImage(2))
+	p.PutPrefetched(3, pageImage(3))
+	check("filled", 1, 2, 0, 0)
+	i2, _ := p.Lookup(2)
+	p.ConsumePrefetched(i2)
+	check("used", 1, 1, 1, 0)
+	// Frames are handed out lowest index first, also after an eviction
+	// below the frames filled since (the paper tables depend on it).
+	i1, _ := p.Lookup(1)
+	if err := p.Evict(i1); err != nil {
+		t.Fatal(err)
+	}
+	check("evicted", 2, 1, 1, 0)
+	if i, _ := p.Put(4, loadTag(4)); i != i1 {
+		t.Fatalf("page 4 went to frame %d, want the lowest empty frame %d", i, i1)
+	}
+	if i, _ := p.Put(5, loadTag(5)); i != 3 {
+		t.Fatalf("page 5 went to frame %d, want 3", i)
+	}
+	check("full", 0, 1, 1, 0)
+	// A load that fails leaves its frame empty and findable.
+	p.DropSpeculative()
+	check("dropped", 1, 0, 1, 1)
+	if _, err := p.Put(6, func([]byte) error { return ErrNotCached }); err == nil {
+		t.Fatal("failed load reported success")
+	}
+	check("failed load", 1, 0, 1, 1)
+	p.DropAll()
+	check("drop all", 4, 0, 1, 1)
+}
+
+func TestDropSpeculativeKeepsUsedAndPinned(t *testing.T) {
+	var dropped, evicted []disk.PageID
+	p := New(4, nil)
+	p.OnPrefetchDrop = func(pid disk.PageID) { dropped = append(dropped, pid) }
+	p.OnEvict = func(pid disk.PageID, _ int) { evicted = append(evicted, pid) }
+	p.Put(1, loadTag(1))
+	for pid := disk.PageID(2); pid <= 4; pid++ {
+		p.PutPrefetched(pid, pageImage(byte(pid)))
+	}
+	i2, _ := p.Lookup(2)
+	p.ConsumePrefetched(i2)
+	i3, _ := p.Lookup(3)
+	p.Pin(i3)
+	p.DropSpeculative()
+	p.Unpin(i3)
+	if len(dropped) != 1 || dropped[0] != 4 || len(evicted) != 1 || evicted[0] != 4 {
+		t.Fatalf("dropped %v evicted %v, want [4] [4]", dropped, evicted)
+	}
+	for _, pid := range []disk.PageID{1, 2, 3} {
+		if _, ok := p.Lookup(pid); !ok {
+			t.Fatalf("page %d left the pool", pid)
+		}
 	}
 }
 
@@ -153,7 +223,7 @@ func TestConcurrentPinUnpinEvict(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				pid := disk.PageID(1 + rng.Intn(pages))
 				mu.Lock()
-				switch rng.Intn(6) {
+				switch rng.Intn(7) {
 				case 0, 1: // demand load + touch
 					if i, err := p.Put(pid, loadTag(byte(pid))); err == nil {
 						if p.Frame(i).Data[0] != byte(pid) {
@@ -178,6 +248,11 @@ func TestConcurrentPinUnpinEvict(t *testing.T) {
 					if i, ok := p.Lookup(pid); ok {
 						p.ConsumePrefetched(i)
 					}
+				case 6: // end of a transaction
+					p.DropSpeculative()
+				}
+				if p.Resident()+p.Empty() != frames {
+					t.Errorf("resident %d + empty %d != frames %d", p.Resident(), p.Empty(), frames)
 				}
 				if p.Resident() > frames {
 					t.Errorf("resident %d > frames %d", p.Resident(), frames)
@@ -205,5 +280,14 @@ func TestConcurrentPinUnpinEvict(t *testing.T) {
 	}
 	if seen != p.Resident() {
 		t.Errorf("%d occupied frames vs %d indexed", seen, p.Resident())
+	}
+	spec := 0
+	for i := 0; i < p.Len(); i++ {
+		if p.Frame(i).Prefetched {
+			spec++
+		}
+	}
+	if o, _, _ := p.Speculation(); o != spec {
+		t.Errorf("%d speculative frames vs %d counted", spec, o)
 	}
 }

@@ -52,11 +52,13 @@ func (s *Store) handleFault(a vmem.Addr, acc vmem.Access) error {
 		if err != nil {
 			return err
 		}
+		if s.pf != nil {
+			s.pf.Missed(d.Pid)
+		}
 	} else if s.c.ConsumePrefetch(idx) {
-		// First real use of a speculatively pre-read page: the fault is a
-		// buffer hit instead of a synchronous server round trip. The page
-		// was never seen this transaction, so swizzle checking below treats
-		// it like a fresh read.
+		// First real use of a page read ahead: the fault is a buffer hit
+		// instead of a server round trip. The page was never seen this
+		// transaction, so swizzle checking below treats it like a fresh read.
 		resident = false
 	}
 	pool.Pin(idx)
@@ -222,17 +224,17 @@ func (s *Store) applyMapping(d *PageDesc, data []byte, meta metaObject, entries 
 			return err
 		}
 	}
-	return s.prefetchReferenced(d, entries)
+	return s.readAhead(entries)
 }
 
-// prefetchReferenced turns the mapping object just processed into read-ahead:
-// every referenced disk page that is neither resident nor already requested
-// is enqueued, then the queue is pumped — batches are fetched concurrently
-// (OpReadPages) while this thread waits, and the images land in the client
-// pool as speculative frames. The mapping object is the paper's own data
-// structure; using it as the prefetch oracle adds no I/O of its own.
-func (s *Store) prefetchReferenced(d *PageDesc, entries []mapEntry) error {
-	if !s.pf.Enabled() {
+// readAhead asks, in one round trip, for every page the mapping object just
+// processed names that is not resident; the images land in the client pool
+// as speculative frames (internal/prefetch decides how many). The mapping
+// object is the paper's own data structure; using it as the oracle adds no
+// I/O of its own. A snapshot session reads on demand: a batch read ships
+// current images, not the snapshot's.
+func (s *Store) readAhead(entries []mapEntry) error {
+	if s.pf == nil || s.snapTx {
 		return nil
 	}
 	for _, e := range entries {

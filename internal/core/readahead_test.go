@@ -1,0 +1,375 @@
+package core_test
+
+import (
+	"sync"
+	"testing"
+
+	"quickstore/internal/core"
+	"quickstore/internal/disk"
+	"quickstore/internal/esm"
+	"quickstore/internal/harness"
+	"quickstore/internal/oo7"
+	"quickstore/internal/sim"
+	"quickstore/internal/wal"
+)
+
+// countingTransport counts what crosses the wire on behalf of one session:
+// calls by op, response bytes, and how often each page image was shipped by
+// a page-reading op.
+type countingTransport struct {
+	esm.Transport
+	calls   map[esm.Op]int
+	bytesIn int
+	shipped map[disk.PageID]int
+}
+
+func newCounting(srv *esm.Server) *countingTransport {
+	return &countingTransport{Transport: esm.NewInProcTransport(srv),
+		calls: map[esm.Op]int{}, shipped: map[disk.PageID]int{}}
+}
+
+func (c *countingTransport) Call(req *esm.Request) (*esm.Response, error) {
+	resp, err := c.Transport.Call(req)
+	c.calls[req.Op]++
+	if err != nil {
+		return resp, err
+	}
+	c.bytesIn += len(resp.Data)
+	switch req.Op {
+	case esm.OpReadPage, esm.OpSnapRead:
+		if len(resp.Data) == disk.PageSize {
+			c.shipped[disk.PageID(req.Page)]++
+		}
+	case esm.OpReadPages:
+		for i := 0; i+4 <= len(req.Data); i += 4 {
+			c.shipped[disk.PageID(uint32(req.Data[i])|uint32(req.Data[i+1])<<8|uint32(req.Data[i+2])<<16|uint32(req.Data[i+3])<<24)]++
+		}
+	}
+	return resp, err
+}
+
+func (c *countingTransport) reset() {
+	clear(c.calls)
+	clear(c.shipped)
+	c.bytesIn = 0
+}
+
+func (c *countingTransport) total() int {
+	n := 0
+	for _, k := range c.calls {
+		n += k
+	}
+	return n
+}
+
+func (c *countingTransport) pages() int {
+	n := 0
+	for _, k := range c.shipped {
+		n += k
+	}
+	return n
+}
+
+func (c *countingTransport) shippedTwice() (pids []disk.PageID) {
+	for pid, k := range c.shipped {
+		if k > 1 {
+			pids = append(pids, pid)
+		}
+	}
+	return pids
+}
+
+// The OO7 small database is built once for the tests below; every test opens
+// sessions of its own against a server whose cache it drops first.
+var smallDB = sync.OnceValues(func() (*harness.Env, error) {
+	return harness.Build(harness.SysQS, oo7.Small())
+})
+
+func coldSession(t *testing.T, pool int, cfg core.Config) (oo7.DB, *countingTransport) {
+	t.Helper()
+	env, err := smallDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Cold(); err != nil {
+		t.Fatal(err)
+	}
+	tr := newCounting(env.Srv)
+	st, err := core.Open(esm.NewClient(tr, esm.ClientConfig{BufferPages: pool}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.reset()
+	return oo7.NewQS(st, false), tr
+}
+
+func TestReadAheadColdT1RoundTrips(t *testing.T) {
+	demand, dtr := coldSession(t, 0, core.Config{DemandPaging: true})
+	want, err := oo7.T1(demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, tr := coldSession(t, 0, core.Config{})
+	got, err := oo7.T1(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("T1 = %d with read-ahead, %d on demand", got, want)
+	}
+	t.Logf("cold T1: demand %d calls %d pages; read-ahead %d calls (%d batches) %d pages",
+		dtr.total(), dtr.pages(), tr.total(), tr.calls[esm.OpReadPages], tr.pages())
+	if n := tr.total(); n > 150 {
+		t.Errorf("cold T1 took %d transport calls, want <= 150 (demand paging: %d)", n, dtr.total())
+	}
+	if twice := tr.shippedTwice(); len(twice) != 0 {
+		t.Errorf("pages shipped more than once: %v", twice)
+	}
+	if tr.pages() > dtr.pages() {
+		t.Errorf("read-ahead shipped %d pages, demand paging %d", tr.pages(), dtr.pages())
+	}
+}
+
+func TestReadAheadSmallPoolPagesOnDemand(t *testing.T) {
+	run := func(cfg core.Config) (calls, bytes int) {
+		db, tr := coldSession(t, 128, cfg)
+		for i := 0; i < 2; i++ { // the first T1 fills the pool
+			if _, err := oo7.T1(db); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.reset()
+		if _, err := oo7.T1(db); err != nil {
+			t.Fatal(err)
+		}
+		return tr.total(), tr.bytesIn
+	}
+	dc, db := run(core.Config{DemandPaging: true})
+	ac, ab := run(core.Config{})
+	if ac != dc || ab != db {
+		t.Errorf("warm T1 on a 128-frame pool: %d calls %d bytes with read-ahead, %d calls %d bytes on demand", ac, ab, dc, db)
+	}
+}
+
+func TestReadAheadSparseTraversalShipsLittle(t *testing.T) {
+	env, err := smallDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand, dtr := coldSession(t, 0, core.Config{DemandPaging: true})
+	want, err := oo7.T7(demand, env.Params, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, tr := coldSession(t, 0, core.Config{})
+	got, err := oo7.T7(db, env.Params, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("T7 = %d with read-ahead, %d on demand", got, want)
+	}
+	t.Logf("cold T7: demand %d pages; read-ahead %d pages in %d calls", dtr.pages(), tr.pages(), tr.total())
+	if n := tr.pages(); n > 64 {
+		t.Errorf("cold T7 shipped %d pages, want <= 64 (demand paging: %d)", n, dtr.pages())
+	}
+}
+
+// star is a hub object holding references to starLeaves leaf objects, each on
+// a page of its own, so that the hub page's mapping object names every leaf
+// page. A leaf is {value uint32}; the hub is an array of references.
+const starLeaves = 8
+
+type star struct {
+	t   *testing.T
+	srv *esm.Server
+}
+
+func newStar(t *testing.T) *star {
+	t.Helper()
+	srv, err := esm.NewServer(disk.NewMemVolume(), wal.NewMemLog(), esm.ServerConfig{MVCC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.New(esm.NewClient(esm.NewInProcTransport(srv), esm.ClientConfig{}), core.Config{BulkLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	cl := st.NewCluster()
+	offs := make([]int, starLeaves)
+	for i := range offs {
+		offs[i] = 8 * i
+	}
+	hub, err := st.Alloc(cl, 8*starLeaves, offs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < starLeaves; i++ {
+		cl.Break()
+		leaf, err := st.Alloc(cl, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Space().WriteU32(leaf, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Space().WriteU64(hub+core.Ref(8*i), uint64(leaf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.SetRoot("hub", hub); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return &star{t: t, srv: srv}
+}
+
+// starSession is one session on the star, counted on the wire and on a clock
+// of its own.
+type starSession struct {
+	t     *testing.T
+	st    *core.Store
+	tr    *countingTransport
+	clock *sim.Clock
+}
+
+func (s *star) open() *starSession {
+	s.t.Helper()
+	tr := newCounting(s.srv)
+	clock := sim.NewClock(sim.CostModel{})
+	st, err := core.Open(esm.NewClient(tr, esm.ClientConfig{Clock: clock}), core.Config{})
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return &starSession{t: s.t, st: st, tr: tr, clock: clock}
+}
+
+func (s *starSession) must(err error) {
+	s.t.Helper()
+	if err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// leaf returns the reference of leaf i, faulting the hub page in if need be.
+func (s *starSession) leaf(i int) core.Ref {
+	s.t.Helper()
+	hub, err := s.st.Root("hub")
+	s.must(err)
+	ref, err := s.st.Space().ReadU64(hub + core.Ref(8*i))
+	s.must(err)
+	return core.Ref(ref)
+}
+
+func (s *starSession) value(i int) uint32 {
+	s.t.Helper()
+	v, err := s.st.Space().ReadU32(s.leaf(i))
+	s.must(err)
+	return v
+}
+
+func (s *starSession) setAll(v uint32) {
+	s.t.Helper()
+	s.must(s.st.Begin())
+	for i := 0; i < starLeaves; i++ {
+		s.must(s.st.Space().WriteU32(s.leaf(i), v))
+	}
+	s.must(s.st.Commit())
+}
+
+// TestReadAheadSnapshotSessionReadsOnDemand: inside a snapshot session a
+// batch read would ship current images, which the snapshot read path then has
+// to evict and fetch again as of the snapshot. Read-ahead is off there: every
+// page crosses once, through OpSnapRead, and shows the snapshot's bytes also
+// after a peer has committed over it.
+func TestReadAheadSnapshotSessionReadsOnDemand(t *testing.T) {
+	db := newStar(t)
+	r, w := db.open(), db.open()
+	r.must(r.st.BeginSnapshot())
+	w.setAll(200)
+	r.leaf(0) // the hub page is in; its mapping object names every leaf page
+	for i := 0; i < starLeaves; i++ {
+		if v := r.value(i); v != 100 {
+			t.Errorf("leaf %d reads %d inside the snapshot, want 100", i, v)
+		}
+	}
+	r.must(r.st.EndSnapshot())
+	if n := r.tr.calls[esm.OpReadPages]; n != 0 {
+		t.Errorf("%d batch reads inside a snapshot session", n)
+	}
+	if twice := r.tr.shippedTwice(); len(twice) != 0 {
+		t.Errorf("pages shipped more than once: %v", twice)
+	}
+	// A transaction on the same session reads ahead again, and current bytes.
+	r.tr.reset()
+	r.must(r.st.Begin())
+	for i := 0; i < starLeaves; i++ {
+		if v := r.value(i); v != 200 {
+			t.Errorf("leaf %d reads %d after the snapshot, want 200", i, v)
+		}
+	}
+	r.must(r.st.Commit())
+	if n := r.tr.calls[esm.OpReadPages]; n != 1 {
+		t.Errorf("%d batch reads for the leaves of one hub, want 1", n)
+	}
+}
+
+// TestReadAheadFramesStayCoherent: a frame that arrived in a batch carries
+// its coherence token like one that arrived alone, so that when a peer
+// commits over the page, Begin validation repairs it, and a lock grant over a
+// still-speculative copy refreshes it before this session's write builds on
+// it.
+func TestReadAheadFramesStayCoherent(t *testing.T) {
+	db := newStar(t)
+	a, b := db.open(), db.open()
+
+	a.must(a.st.Begin())
+	for i := 0; i < starLeaves; i++ {
+		if v := a.value(i); v != 100 {
+			t.Fatalf("leaf %d = %d, want 100", i, v)
+		}
+	}
+	a.must(a.st.Commit())
+	if hits := a.clock.Count(sim.CtrPrefetchHit); hits != starLeaves {
+		t.Fatalf("%d of %d leaves were read-ahead hits", hits, starLeaves)
+	}
+	b.setAll(200)
+	a.tr.reset()
+	a.must(a.st.Begin()) // validation repairs the eight frames in place
+	for i := 0; i < starLeaves; i++ {
+		if v := a.value(i); v != 200 {
+			t.Errorf("leaf %d = %d in A's warm cache after B's commit, want 200", i, v)
+		}
+	}
+	a.must(a.st.Commit())
+	if n := a.tr.pages(); n != 0 {
+		t.Errorf("%d whole pages refetched; validation should have repaired the frames", n)
+	}
+
+	// Mid-transaction: C holds leaf 3 as a speculative frame, B commits over
+	// it, C write-faults the page and then increments the value. C's
+	// exclusive grant finds the copy stale and refreshes it first.
+	c := db.open()
+	c.must(c.st.Begin())
+	c.leaf(0)
+	if out, _, _ := c.st.Client().Pool().Speculation(); out != starLeaves {
+		t.Fatalf("%d speculative frames after the hub fault, want %d", out, starLeaves)
+	}
+	b.setAll(300)
+	ref := c.leaf(3)
+	c.must(c.st.Space().WriteU32(ref+4, 1))
+	v, err := c.st.Space().ReadU32(ref)
+	c.must(err)
+	c.must(c.st.Space().WriteU32(ref, v+1))
+	c.must(c.st.Commit())
+	b.must(b.st.Begin())
+	if got := b.value(3); got != 301 {
+		t.Errorf("leaf 3 = %d after B's 300 and C's increment, want 301", got)
+	}
+	b.must(b.st.Commit())
+}

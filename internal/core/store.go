@@ -90,18 +90,10 @@ type Config struct {
 	// comparison: how much log volume diffing saves).
 	WholeObjectLogging bool
 
-	// Prefetch enables the asynchronous mapping-object-driven prefetcher
-	// (internal/prefetch): pages named by a faulted page's mapping object
-	// are read ahead in batches and landed in the client pool as
-	// speculative frames. Off by default; the paper's configuration.
-	Prefetch bool
-	// PrefetchDepth bounds the hint queue between pumps (0 = default).
-	PrefetchDepth int
-	// PrefetchBatch is the number of pages per OpReadPages frame (0 = default).
-	PrefetchBatch int
-	// PrefetchWorkers is the fixed fan-out of concurrent batch fetches
-	// per pump (0 = default).
-	PrefetchWorkers int
+	// DemandPaging turns mapping-object read-ahead (internal/prefetch) off:
+	// every fault fetches its one page, the 1994 protocol the paper's tables
+	// price. Only the experiment harness sets it (DESIGN.md §8).
+	DemandPaging bool
 }
 
 func (c *Config) fill() {
@@ -145,8 +137,8 @@ type Store struct {
 	relocations int64
 
 	rng    *rand.Rand
-	policy *SimplifiedClock // nil under the traditional-clock ablation
-	pf     *prefetch.Prefetcher
+	policy *SimplifiedClock     // nil under the traditional-clock ablation
+	pf     *prefetch.Prefetcher // nil under demand paging
 
 	// Scratch buffers of the fault and commit paths, each valid only inside
 	// the call that fills it: decoded mapping entries (processMapping), a
@@ -233,21 +225,11 @@ func newStore(c *esm.Client, cfg Config) (*Store, error) {
 	// mapping object slots), or a redo-only restart — and every replication
 	// follower at promotion — recovers slotless metadata pages.
 	c.LogStructure = true
-	s.pf = prefetch.New(prefetch.Config{
-		Enabled:   cfg.Prefetch,
-		Depth:     cfg.PrefetchDepth,
-		BatchSize: cfg.PrefetchBatch,
-		Workers:   cfg.PrefetchWorkers,
-	}, s.clock, prefetch.Funcs{
-		Resident: func(pid disk.PageID) bool { _, ok := pool.Lookup(pid); return ok },
-		Fetch:    c.ReadPagesBatch,
-		Install:  c.InstallPrefetched,
-	})
+	if !cfg.DemandPaging {
+		s.pf = prefetch.New(s.clock, pool, c.ReadAhead)
+	}
 	return s, nil
 }
-
-// Prefetcher exposes the store's prefetcher (introspection/tests).
-func (s *Store) Prefetcher() *prefetch.Prefetcher { return s.pf }
 
 func (s *Store) initClusters() {
 	s.mapCluster = s.c.NewCluster(s.mapFile)
@@ -394,6 +376,12 @@ func (s *Store) endTx() {
 	clear(s.freshPages)
 	s.rec.reset()
 	s.inTx = false
+	if s.pf != nil {
+		// What this transaction read ahead and never touched was a wrong
+		// guess: it leaves the pool, and the window hears about the waste.
+		s.c.Pool().DropSpeculative()
+		s.pf.Reset()
+	}
 }
 
 // --- Virtual frame allocation (Section 3.3) --------------------------------
@@ -493,8 +481,6 @@ func (s *Store) residentData(d *PageDesc) ([]byte, int, error) {
 // onEvict revokes the virtual-memory mapping of an evicted data page
 // (Figure 1b: access to frame A is disabled when page a leaves the pool).
 func (s *Store) onEvict(pid disk.PageID, frame int) {
-	// An evicted page may be referenced again later; let it be re-prefetched.
-	s.pf.Forget(pid)
 	d, ok := s.byPid[pid]
 	if !ok {
 		return

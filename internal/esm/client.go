@@ -55,17 +55,15 @@ type ClientConfig struct {
 // client buffer pool; pages are accessed in place in pool frames, exactly
 // as ESM clients do in the paper. A Client is not safe for concurrent use:
 // it models one application process. The Transport underneath, however, is
-// shared freely: the prefetch pump's worker goroutines call ReadPagesBatch
-// while the session's main thread faults pages, and several sessions may
-// ride one multiplexed TCP connection — transports pipeline concurrent
-// calls instead of serializing them.
+// shared freely: several sessions may ride one multiplexed TCP connection —
+// transports pipeline concurrent calls instead of serializing them.
 type Client struct {
 	tr    Transport
 	clock *sim.Clock
 	pool  *buffer.Pool
 
 	retry   RetryPolicy
-	retries atomic.Int64 // requests re-sent after a transient fault (atomic: retryable calls run on prefetch workers too)
+	retries atomic.Int64 // requests re-sent after a transient fault
 
 	tx      uint64
 	pending []byte // serialized log batch (count in first 4 bytes)
@@ -283,9 +281,8 @@ func (c *Client) validateResident() error {
 }
 
 // validateChunkCall ships one OpValidatePages batch and applies its
-// verdicts: repairs land in the frames in place (a repaired prefetched
-// frame keeps its Prefetched flag — the deferred-cost accounting is
-// orthogonal to coherence), stale frames without a repair are evicted.
+// verdicts: repairs land in the frames in place, stale frames without a
+// repair are evicted.
 func (c *Client) validateChunkCall(idxs []int, entries []byte) error {
 	resp, err := c.call(&Request{Op: OpValidatePages, Tx: c.tx, N: uint64(len(idxs)), Data: entries})
 	if err != nil {
@@ -517,30 +514,26 @@ func (c *Client) fetchSnapPage(pid disk.PageID) (int, error) {
 	return i, nil
 }
 
-// ConsumePrefetch settles the deferred cost of frame i if it holds a
-// speculative pre-read page that is now being used for real. The background
-// batch already paid the disk wait off the critical path, so consumption
-// charges only the network + server CPU leg of the transfer
-// (CtrServerBufferHit) — the overlapped-I/O accounting described in the
-// prefetch design notes. Reports whether this access was a prefetch hit.
+// ConsumePrefetch reports whether this access is the first real use of a
+// frame read ahead of it, and clears the mark. The transfer was paid for when
+// the batch was served, so a hit costs nothing more.
 func (c *Client) ConsumePrefetch(i int) bool {
 	if !c.pool.ConsumePrefetched(i) {
 		return false
 	}
 	c.clock.Charge(sim.CtrPrefetchHit, 1)
-	c.clock.Charge(sim.CtrServerBufferHit, 1)
 	return true
 }
 
-// ReadPagesBatch fetches a batch of page images with one OpReadPages round
-// trip and returns them in request order, along with their coherence
-// tokens (nil when the session runs uncoherent). It never touches the
-// client pool, so the prefetcher may call it from worker goroutines while
-// the session's main thread is blocked in the pump; installation
-// (InstallPrefetched) stays on the main thread.
-func (c *Client) ReadPagesBatch(pids []disk.PageID) ([][]byte, []uint64, error) {
-	if len(pids) == 0 {
-		return nil, nil, nil
+// ReadAhead fetches pids with one OpReadPages round trip and lands each
+// image in an empty pool frame as a speculative frame (buffer.PutPrefetched),
+// stamped with its coherence token so the next Begin's validation treats it
+// like any other warm frame. An image the pool has no empty frame for, or
+// whose page is already resident, is dropped. Outside a transaction it does
+// nothing: a snapshot session must not be handed current images.
+func (c *Client) ReadAhead(pids []disk.PageID) error {
+	if len(pids) == 0 || c.tx == 0 {
+		return nil
 	}
 	payload := make([]byte, 4*len(pids))
 	for i, pid := range pids {
@@ -554,44 +547,21 @@ func (c *Client) ReadPagesBatch(pids []disk.PageID) ([][]byte, []uint64, error) 
 	}
 	resp, err := c.call(req)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if len(resp.Data) != rec*len(pids) {
-		return nil, nil, fmt.Errorf("esm: ReadPages returned %d bytes for %d pages", len(resp.Data), len(pids))
+		return fmt.Errorf("esm: ReadPages returned %d bytes for %d pages", len(resp.Data), len(pids))
 	}
-	images := make([][]byte, len(pids))
-	var tokens []uint64
-	if c.coherent {
-		tokens = make([]uint64, len(pids))
-	}
-	for i := range pids {
-		p := i * rec
-		got := disk.PageID(binary.LittleEndian.Uint32(resp.Data[p:]))
-		if got != pids[i] {
-			return nil, nil, fmt.Errorf("esm: ReadPages record %d is page %d, want %d", i, got, pids[i])
+	for i, pid := range pids {
+		r := resp.Data[i*rec : (i+1)*rec]
+		if got := disk.PageID(binary.LittleEndian.Uint32(r)); got != pid {
+			return fmt.Errorf("esm: ReadPages record %d is page %d, want %d", i, got, pid)
 		}
-		p += 4
-		if c.coherent {
-			tokens[i] = c.noteToken(pids[i], binary.LittleEndian.Uint64(resp.Data[p:]))
-			p += 8
+		if f, ok := c.pool.PutPrefetched(pid, r[rec-disk.PageSize:]); ok && c.coherent {
+			c.pool.Frame(f).LSN = c.noteToken(pid, binary.LittleEndian.Uint64(r[4:]))
 		}
-		images[i] = resp.Data[p : p+disk.PageSize : p+disk.PageSize]
 	}
-	return images, tokens, nil
-}
-
-// InstallPrefetched lands a pre-read page image in the client pool as a
-// speculative frame (see buffer.PutPrefetched for the non-displacement
-// rules), stamped with its coherence token so the next Begin's validation
-// treats it like any other warm frame. No time is charged here: the cost
-// of a useful prefetch is settled at consumption, and a dropped one counts
-// only as waste.
-func (c *Client) InstallPrefetched(pid disk.PageID, data []byte, token uint64) bool {
-	i, ok := c.pool.PutPrefetched(pid, data)
-	if ok && c.coherent {
-		c.pool.Frame(i).LSN = c.noteToken(pid, token)
-	}
-	return ok
+	return nil
 }
 
 // ServerStats fetches the server's statistics snapshot (OpStats).

@@ -68,8 +68,7 @@ type muxReq struct {
 // batched socket writes by a dedicated writer goroutine (group commit for
 // the network), and a reader goroutine demultiplexes responses to the
 // waiting calls by sequence number. One socket therefore keeps many
-// requests in flight at once — a prefetch pump's batch reads overlap with
-// foreground page faults, and whole sessions can share the connection —
+// requests in flight at once — whole sessions can share the connection —
 // where the lock-step transport would serialize full round trips.
 //
 // Failure semantics: any socket error, malformed inbound frame, or response

@@ -32,10 +32,9 @@ const (
 	// OpReadPages is the batched page-read protocol: one request/response
 	// frame for N pages. The request carries the page ids as little-endian
 	// u32s in Data (count in N); the response carries N (u32 pid, 8K image)
-	// records. It exists for the asynchronous prefetcher
-	// (internal/prefetch): batch reads are served without disturbing the
-	// server buffer pool, so a client speculating on future accesses never
-	// changes what a non-speculating client would observe.
+	// records (with a coherence token between the two under
+	// ReadVersioned). It is mapping-object read-ahead's round trip
+	// (internal/prefetch); the server reads each page as OpReadPage would.
 	OpReadPages
 	// Replication ops (internal/repl). OpReplAppend ships a durable WAL
 	// byte chunk (Tx = leader term, N = start LSN, Data = ship payload)
@@ -371,9 +370,8 @@ type Response struct {
 
 // Transport delivers requests to a server and returns responses. The
 // in-process, multiplexed-TCP, and lock-step-TCP transports all satisfy it.
-// A Transport is safe for concurrent use by multiple goroutines (sessions):
-// one socket may carry a prefetch pump's batch reads interleaved with
-// foreground faults, or several whole client sessions.
+// A Transport is safe for concurrent use by multiple goroutines: one socket
+// may carry several whole client sessions.
 type Transport interface {
 	Call(req *Request) (*Response, error)
 	Close() error

@@ -338,7 +338,6 @@ type ServerStats struct {
 	DiskReads      int64 `json:"disk_reads"`
 	DiskWrites     int64 `json:"disk_writes"`
 	PrefetchPages  int64 `json:"prefetch_pages_served"`
-	PrefetchReads  int64 `json:"prefetch_disk_reads"`
 	Commits        int64 `json:"commits"`
 	LogForces      int64 `json:"log_forces"`
 	LogPiggybacks  int64 `json:"log_piggybacks"`
@@ -788,7 +787,6 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			DiskReads:      s.clock.SharedCount(sim.CtrServerDiskRead),
 			DiskWrites:     s.clock.SharedCount(sim.CtrServerDiskWrite),
 			PrefetchPages:  s.prefetchPages.Load(),
-			PrefetchReads:  s.clock.SharedCount(sim.CtrPrefetchDiskRead),
 			Commits:        s.commits.Load(),
 			LogForces:      s.log.Forces(),
 			LogPiggybacks:  s.log.Piggybacks(),
@@ -876,19 +874,9 @@ func (s *Server) readPageVersioned(req *Request) (*Response, error) {
 		return &Response{Page: req.Page, N: ver1, Mode: PageCurrent}, nil
 	}
 	out := make([]byte, disk.PageSize)
-	ref, loaded, err := s.pool.Load(pid, func(buf []byte) error {
-		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
-		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
-		return s.vol.ReadPage(pid, buf)
-	})
-	if err != nil {
+	if err := s.loadPage(pid, out); err != nil {
 		return nil, err
 	}
-	if !loaded {
-		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
-	}
-	ref.Read(func(data []byte) { copy(out, data) })
-	ref.Release()
 	token, current, base := s.coh.answer(pid, req.N, out, ver1, pending1)
 	if req.Tx != 0 {
 		s.coh.noteServed(req.Tx, pid, token)
@@ -1145,16 +1133,10 @@ func (s *Server) checkpoint() error {
 	return s.fault.Hit(faultinject.PtCheckpointAfterTruncate)
 }
 
-// readPagesBatch serves one OpReadPages frame: every requested page is
-// returned in request order, copied from the server pool when resident
-// (Snapshot, so reference bits stay untouched) and read straight from the
-// volume otherwise. The server pool is deliberately bypassed for the
-// volume reads: prefetch traffic must not install or evict server frames,
-// both because speculative reads should not pollute the server's working
-// set and because it keeps concurrent batch fetches from perturbing the
-// deterministic pool state the experiments depend on. Background disk
-// reads are counted (CtrPrefetchDiskRead) but charge no foreground time —
-// they overlap with client computation.
+// readPagesBatch serves one OpReadPages frame: every requested page, in
+// request order, read the way readPage reads one — through the pool, so a
+// read-ahead warms the server's cache for the next client like a demand read
+// does, and charged per page what a demand read is charged.
 func (s *Server) readPagesBatch(req *Request) (*Response, error) {
 	if len(req.Data)%4 != 0 || uint64(len(req.Data)/4) != req.N {
 		return nil, fmt.Errorf("esm: malformed ReadPages payload (%d bytes for %d pages)", len(req.Data), req.N)
@@ -1164,64 +1146,64 @@ func (s *Server) readPagesBatch(req *Request) (*Response, error) {
 	rec := 4 + disk.PageSize
 	if versioned {
 		// Versioned batch records carry the page's coherence token
-		// between the id and the image, so speculative pre-reads enter
-		// the client cache revalidatable like any demand-loaded page.
+		// between the id and the image, so speculative frames enter the
+		// client cache revalidatable like any demand-loaded page.
 		rec += 8
 	}
-	out := make([]byte, 0, n*rec)
+	out := make([]byte, n*rec)
 	for i := 0; i < n; i++ {
 		pid := disk.PageID(binary.LittleEndian.Uint32(req.Data[i*4:]))
-		var tmp [8]byte
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(pid))
-		out = append(out, tmp[:4]...)
-		tokenAt := -1
-		if versioned {
-			tokenAt = len(out)
-			out = append(out, tmp[:]...) // placeholder, filled below
-		}
+		r := out[i*rec : (i+1)*rec]
+		binary.LittleEndian.PutUint32(r, uint32(pid))
 		var ver1 uint64
 		var pending1 int
 		if versioned {
 			ver1, pending1 = s.coh.probe(pid)
 		}
-		out = out[:len(out)+disk.PageSize]
-		dst := out[len(out)-disk.PageSize:]
-		if !s.pool.Snapshot(pid, dst) {
-			if err := s.vol.ReadPage(pid, dst); err != nil {
-				return nil, fmt.Errorf("esm: ReadPages(%d): %w", pid, err)
-			}
-			s.clock.ChargeShared(sim.CtrPrefetchDiskRead, 1)
+		img := r[rec-disk.PageSize:]
+		if err := s.loadPage(pid, img); err != nil {
+			return nil, fmt.Errorf("esm: ReadPages(%d): %w", pid, err)
 		}
 		if versioned {
-			token, _, _ := s.coh.answer(pid, 0, dst, ver1, pending1)
-			binary.LittleEndian.PutUint64(out[tokenAt:], token)
+			token, _, _ := s.coh.answer(pid, 0, img, ver1, pending1)
+			binary.LittleEndian.PutUint64(r[4:], token)
 			if req.Tx != 0 {
 				s.coh.noteServed(req.Tx, pid, token)
 			}
 		}
-		s.prefetchPages.Add(1)
 	}
+	s.prefetchPages.Add(int64(n))
 	return &Response{N: req.N, Data: out}, nil
 }
 
 func (s *Server) readPage(pid disk.PageID) (*Response, error) {
 	out := make([]byte, disk.PageSize)
+	if err := s.loadPage(pid, out); err != nil {
+		return nil, err
+	}
+	return &Response{Page: uint32(pid), Data: out}, nil
+}
+
+// loadPage copies pid's image into dst through the server pool and charges
+// the cost model one page transfer: the one read path of every page-shipping
+// op.
+func (s *Server) loadPage(pid disk.PageID, dst []byte) error {
 	ref, loaded, err := s.pool.Load(pid, func(buf []byte) error {
 		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
 		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
 		return s.vol.ReadPage(pid, buf)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !loaded {
 		// Buffer hit — or a ride on another session's in-flight read of
 		// the same page (the dedup makes it cost the same as a hit).
 		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
 	}
-	ref.Read(func(data []byte) { copy(out, data) })
+	ref.Read(func(data []byte) { copy(dst, data) })
 	ref.Release()
-	return &Response{Page: uint32(pid), Data: out}, nil
+	return nil
 }
 
 // captureBefore files the page's current image, once per (transaction,

@@ -42,9 +42,10 @@ type SessionOpts struct {
 	// Ablation knobs (DESIGN.md §7).
 	TraditionalClock   bool
 	WholeObjectLogging bool
-	// Prefetch enables QuickStore's mapping-object-driven prefetcher
-	// (internal/prefetch). Off in every paper-table experiment.
-	Prefetch bool
+	// ReadAhead leaves QuickStore's mapping-object read-ahead on, as every
+	// session outside this harness has it. The zero value asks for demand
+	// paging, the 1994 protocol the paper tables price.
+	ReadAhead bool
 }
 
 // Env is one generated OO7 database for one system: a server over an
@@ -95,7 +96,7 @@ func (e *Env) open(opts SessionOpts, bulk bool) (oo7.DB, error) {
 			RelocSeed:          opts.RelocSeed,
 			TraditionalClock:   opts.TraditionalClock,
 			WholeObjectLogging: opts.WholeObjectLogging,
-			Prefetch:           opts.Prefetch,
+			DemandPaging:       !opts.ReadAhead,
 		}
 		var s *core.Store
 		var err error

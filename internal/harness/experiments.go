@@ -34,8 +34,9 @@ var ExperimentNames = []string{
 // Verify ("-exp verify") is intentionally not part of "all": its assertions
 // hold at full benchmark scale (oo7.Small and up), not at the reduced test
 // configurations the suite also supports. Likewise "prefetch" is not part of
-// "all": it measures the prefetch extension (off by default), so keeping it
-// out preserves byte-identical "-exp all" output against the paper baseline.
+// "all": it compares demand paging with mapping-object read-ahead, which is
+// beyond the paper, so keeping it out preserves byte-identical "-exp all"
+// output against the paper baseline.
 // "concurrency" (also reachable as "oo7bench -clients N") is excluded for the
 // same reason plus one more: it measures wall-clock time, so its numbers are
 // inherently nondeterministic.

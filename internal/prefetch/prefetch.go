@@ -1,217 +1,160 @@
-// Package prefetch implements QuickStore's asynchronous, mapping-object-
-// driven page prefetcher.
+// Package prefetch implements QuickStore's mapping-object read-ahead: the
+// default fault path of core.Store.
 //
 // The oracle is free: every QuickStore page carries a mapping object — an
 // array of <virtual range, disk OID> entries naming exactly the disk pages
 // the page's pointers refer to — and the fault handler already walks it on
-// every fault (Section 3.3 of the paper). The prefetcher turns that walk
-// into a read-ahead hint: referenced pages that are neither resident nor
-// previously requested are enqueued, then fetched in the background with
-// the batched OpReadPages protocol op (one request/response frame for N
-// pages) and landed in the client pool as speculative, not-yet-used frames.
-// The next fault on such a page is a buffer hit instead of a synchronous
-// server round trip.
+// every fault (Section 3.3 of the paper). Read-ahead turns that walk into
+// one round trip: the referenced pages that are not resident are asked for
+// in a single batched OpReadPages frame and land in the client pool as
+// speculative, not-yet-used frames. The next fault on such a page is a
+// buffer hit instead of a round trip of its own.
 //
-// Determinism rules (the experiment harness depends on byte-identical
-// output across runs):
+// Everything runs on the session's thread, inside the fault: a pump is a
+// plain call and nothing is in flight between pumps. Hints the pool has no
+// room for yet wait in a bounded queue until the transaction ends.
 //
-//   - Enqueue order is the mapping-object entry order, which is itself
-//     deterministic; the queue dedups against residency and a
-//     previously-requested set.
-//   - Pump is a synchronous scatter-gather: the session's main thread
-//     blocks while a fixed fan-out of worker goroutines fetch the batches
-//     concurrently, then installs the results in issue order (ordered
-//     drain). Goroutine scheduling can change wall-clock overlap but never
-//     the observable pool state or counter totals. The concurrent fetches
-//     ride whatever Transport the session uses: in-process they call the
-//     server directly; over TCP they pipeline through the session's shared
-//     multiplexed connection (DESIGN.md §13), so a pump's batches coalesce
-//     into shared frames-in-flight rather than serializing on the socket.
-//   - The server side of OpReadPages never mutates the server buffer pool
-//     (resident pages are copied out via LatchPool.Snapshot, absent ones
-//     read straight from the volume), so concurrent batch fetches — from
-//     this pump's workers or from other client sessions on the concurrent
-//     server — cannot perturb server pool state either.
+// There is nothing to tune. How much is asked for follows from what the
+// client pool shows:
 //
-// Cost accounting models overlapped I/O: enqueue/batch/background-disk
-// events are counted at zero foreground cost, and a consumed prefetched
-// page is charged only the network + server CPU leg of its transfer
-// (CtrServerBufferHit) at consumption time — the disk wait happened off
-// the critical path.
+//   - never more pages than the pool has empty frames. A pool in steady-state
+//     replacement has none, so a working set larger than the cache is paged
+//     on demand exactly as without read-ahead;
+//   - never more speculative frames outstanding (installed, not yet used)
+//     than a window that starts at InitialWindow, grows by one for every
+//     speculative frame that is used and shrinks by one for every one that
+//     is wasted — evicted unused, or still unused when its transaction ends,
+//     at which point it leaves the pool. A queued page that has to be
+//     fetched on demand after all also widens the window by one: that costs
+//     no wire, so a window that waste has shut can reopen. A traversal that
+//     uses what it is sent is soon sent everything its mapping objects name;
+//     a sparse one wastes at most a window's worth of wire;
+//   - no round trip that is not worth one (see Pump).
 package prefetch
 
 import (
+	"slices"
+
+	"quickstore/internal/buffer"
 	"quickstore/internal/disk"
 	"quickstore/internal/sim"
 )
 
-// Defaults used when Config fields are zero.
 const (
-	DefaultDepth     = 64
-	DefaultBatchSize = 8
-	DefaultWorkers   = 4
+	// MaxFrame caps the pages in one OpReadPages round trip (a 256 KB
+	// response, which a transport's reused frame buffers grow to and keep);
+	// a pump with more hints than that loops.
+	MaxFrame = 32
+	// InitialWindow is a new session's bound on outstanding speculative
+	// frames; MaxWindow is as far as use can raise it.
+	InitialWindow = 8
+	MaxWindow     = 512
+	// MaxQueue bounds the hints kept for when the window has room.
+	MaxQueue = 512
 )
 
-// Config tunes a Prefetcher.
-type Config struct {
-	Enabled   bool
-	Depth     int // max pages queued between pumps; excess hints are dropped
-	BatchSize int // pages per OpReadPages frame
-	Workers   int // concurrent batch fetches per pump (fixed fan-out)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Depth <= 0 {
-		c.Depth = DefaultDepth
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers
-	}
-	return c
-}
-
-// Funcs are the prefetcher's bindings to the owning session. All four are
-// required when the prefetcher is enabled. Fetch may be called from worker
-// goroutines; the other three run only on the session's main thread.
-type Funcs struct {
-	// Resident reports whether pid is already in the client pool.
-	Resident func(pid disk.PageID) bool
-	// Fetch performs one batched read (esm.Client.ReadPagesBatch). The
-	// returned tokens are the pages' coherence versions (nil or zeros
-	// when the session runs uncoherent).
-	Fetch func(pids []disk.PageID) ([][]byte, []uint64, error)
-	// Install lands one pre-read image (esm.Client.InstallPrefetched),
-	// reporting false when the pool had no room for speculation.
-	Install func(pid disk.PageID, data []byte, token uint64) bool
-}
-
-// Prefetcher accumulates page hints between faults and fetches them in
-// batches at pump points. It is not internally synchronized: Enqueue and
-// Pump run on the session's single application thread, and Pump blocks
-// that thread until its workers finish.
+// Prefetcher keeps the read-ahead hints of one transaction and fetches them.
+// It is not synchronized: Enqueue, Pump and Reset run on the session's single
+// application thread.
 type Prefetcher struct {
-	cfg   Config
 	clock *sim.Clock
-	fn    Funcs
+	pool  *buffer.Pool
+	fetch func(pids []disk.PageID) error
 
-	queue     []disk.PageID
-	requested map[disk.PageID]bool
+	queue []disk.PageID // hints not yet fetched, oldest first
+	frame []disk.PageID // the round trip being assembled
+
+	window       int   // bound on outstanding speculative frames
+	used, wasted int64 // pool verdicts already folded into window
 }
 
-// New builds a prefetcher. A nil clock means events are not counted.
-func New(cfg Config, clock *sim.Clock, fn Funcs) *Prefetcher {
+// New builds the read-ahead of the session that owns pool. fetch performs one
+// batched read and lands the images in pool as speculative frames
+// (esm.Client.ReadAhead). A nil clock means events are not counted.
+func New(clock *sim.Clock, pool *buffer.Pool, fetch func(pids []disk.PageID) error) *Prefetcher {
 	if clock == nil {
 		clock = sim.NewClock(sim.CostModel{})
 	}
-	return &Prefetcher{
-		cfg:       cfg.withDefaults(),
-		clock:     clock,
-		fn:        fn,
-		requested: map[disk.PageID]bool{},
-	}
+	return &Prefetcher{clock: clock, pool: pool, fetch: fetch, window: InitialWindow}
 }
 
-// Enabled reports whether the prefetcher is active.
-func (p *Prefetcher) Enabled() bool { return p != nil && p.cfg.Enabled }
+// Window returns the current bound on outstanding speculative frames.
+func (p *Prefetcher) Window() int {
+	p.room()
+	return p.window
+}
 
-// Enqueue records a read-ahead hint for pid. Hints for resident or
-// already-requested pages are ignored; hints past the depth cap are
-// dropped (the queue bounds speculative memory, not correctness).
+// room folds the pool's verdicts since the last look into the window and
+// returns how many pages may be asked for now.
+func (p *Prefetcher) room() int {
+	outstanding, used, wasted := p.pool.Speculation()
+	p.window += int((used - p.used) - (wasted - p.wasted))
+	p.window = min(max(p.window, 0), MaxWindow)
+	p.used, p.wasted = used, wasted
+	return min(p.window-outstanding, p.pool.Empty())
+}
+
+// Enqueue records a read-ahead hint for pid. Hints for resident pages and
+// for pages already queued are ignored, as is every hint while the pool has
+// no empty frame (steady-state replacement pays nothing for read-ahead); a
+// full queue forgets its oldest hint.
 func (p *Prefetcher) Enqueue(pid disk.PageID) {
-	if !p.Enabled() || pid == disk.InvalidPage {
+	if pid == disk.InvalidPage || p.pool.Empty() == 0 {
 		return
 	}
-	if p.requested[pid] || (p.fn.Resident != nil && p.fn.Resident(pid)) {
+	if _, resident := p.pool.Lookup(pid); resident || slices.Contains(p.queue, pid) {
 		return
 	}
-	if len(p.queue) >= p.cfg.Depth {
-		return
+	if len(p.queue) == MaxQueue {
+		p.queue = p.queue[:copy(p.queue, p.queue[1:])]
 	}
-	p.requested[pid] = true
 	p.queue = append(p.queue, pid)
-	p.clock.Charge(sim.CtrPrefetchIssued, 1)
 }
 
-// Forget drops pid from the previously-requested set, making it eligible
-// for prefetch again. The owning session calls it when a page leaves the
-// client pool, so a page evicted and later referenced again can be
-// re-prefetched.
-func (p *Prefetcher) Forget(pid disk.PageID) {
-	if p == nil {
-		return
+// Missed tells the read-ahead that pid had to be fetched on demand. If pid was
+// queued, a wider window would have had it here already: the window grows,
+// which is also how one that waste has shut reopens without costing a page.
+func (p *Prefetcher) Missed(pid disk.PageID) {
+	if i := slices.Index(p.queue, pid); i >= 0 {
+		p.queue = slices.Delete(p.queue, i, i+1)
+		p.window = min(p.window+1, MaxWindow)
 	}
-	delete(p.requested, pid)
 }
 
 // Pending reports the number of queued, not-yet-fetched hints.
 func (p *Prefetcher) Pending() int { return len(p.queue) }
 
-// Pump drains the queue: the hints are cut into BatchSize batches, at most
-// Workers batches are fetched concurrently (each one OpReadPages round
-// trip), and once every fetch has returned the images are installed in
-// issue order on the calling thread. The scatter-gather is synchronous, so
-// by the time Pump returns the speculative frames are in the pool and no
-// prefetch work remains in flight.
+// Reset forgets the queued hints; they do not outlive their transaction.
+func (p *Prefetcher) Reset() { p.queue = p.queue[:0] }
+
+// Pump fetches queued hints, oldest first, as far as the pool has room: one
+// round trip for up to MaxFrame of them, more only beyond that. It waits
+// until a round trip is worth making: one that carries a single page saves
+// nothing, and a window freed one frame at a time is not to be refilled one
+// page at a time, so there must be room for every queued hint or for half
+// the window.
 func (p *Prefetcher) Pump() error {
-	if !p.Enabled() || len(p.queue) == 0 {
+	budget := p.room()
+	if n := min(budget, len(p.queue)); n < 2 || (n < len(p.queue) && n < p.window/2) {
 		return nil
 	}
-	pending := p.queue
-	p.queue = nil
-
-	var batches [][]disk.PageID
-	for len(pending) > 0 {
-		n := p.cfg.BatchSize
-		if n > len(pending) {
-			n = len(pending)
-		}
-		batches = append(batches, pending[:n])
-		pending = pending[n:]
-	}
-	p.clock.Charge(sim.CtrPrefetchBatch, int64(len(batches)))
-
-	type result struct {
-		images [][]byte
-		tokens []uint64
-		err    error
-	}
-	results := make([]result, len(batches))
-	// Fixed fan-out: worker w owns batches w, w+Workers, w+2*Workers, ...
-	// The assignment depends only on the issue order, never on scheduling.
-	workers := p.cfg.Workers
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	done := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for b := w; b < len(batches); b += workers {
-				images, tokens, err := p.fn.Fetch(batches[b])
-				results[b] = result{images, tokens, err}
+	var err error
+	next := 0 // queue[:next] has been asked for or found resident
+	for err == nil && budget > 0 && next < len(p.queue) {
+		p.frame = p.frame[:0]
+		for ; len(p.frame) < min(budget, MaxFrame) && next < len(p.queue); next++ {
+			if _, resident := p.pool.Lookup(p.queue[next]); !resident {
+				p.frame = append(p.frame, p.queue[next])
 			}
-			done <- w
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-
-	// Ordered drain: install strictly in issue order regardless of which
-	// worker finished first.
-	for b, batch := range batches {
-		if results[b].err != nil {
-			return results[b].err
 		}
-		for i, pid := range batch {
-			var token uint64
-			if results[b].tokens != nil {
-				token = results[b].tokens[i]
-			}
-			p.fn.Install(pid, results[b].images[i], token)
+		if len(p.frame) == 0 {
+			break
 		}
+		budget -= len(p.frame)
+		p.clock.Charge(sim.CtrPrefetchIssued, int64(len(p.frame)))
+		p.clock.Charge(sim.CtrPrefetchBatch, 1)
+		err = p.fetch(p.frame)
 	}
-	return nil
+	p.queue = p.queue[:copy(p.queue, p.queue[next:])]
+	return err
 }

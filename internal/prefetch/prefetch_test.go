@@ -2,202 +2,305 @@ package prefetch
 
 import (
 	"errors"
-	"sync"
+	"slices"
 	"testing"
 
+	"quickstore/internal/buffer"
 	"quickstore/internal/disk"
 	"quickstore/internal/sim"
 )
 
-// harness binds a Prefetcher to in-memory fakes and records every Fetch and
-// Install in order.
+// harness binds a Prefetcher to a real client pool and a fake server: fetch
+// records each round trip and lands the images the way esm.Client.ReadAhead
+// does.
 type harness struct {
-	mu        sync.Mutex
-	resident  map[disk.PageID]bool
-	batches   [][]disk.PageID
-	installed []disk.PageID
-	fetchErr  error
+	pool     *buffer.Pool
+	clock    *sim.Clock
+	p        *Prefetcher
+	frames   [][]disk.PageID
+	fetchErr error
 }
 
-func (h *harness) funcs() Funcs {
-	return Funcs{
-		Resident: func(pid disk.PageID) bool { return h.resident[pid] },
-		Fetch: func(pids []disk.PageID) ([][]byte, []uint64, error) {
-			h.mu.Lock()
-			h.batches = append(h.batches, append([]disk.PageID(nil), pids...))
-			h.mu.Unlock()
-			if h.fetchErr != nil {
-				return nil, nil, h.fetchErr
-			}
-			out := make([][]byte, len(pids))
-			tokens := make([]uint64, len(pids))
-			for i, pid := range pids {
-				out[i] = []byte{byte(pid)}
-				tokens[i] = uint64(pid) * 100
-			}
-			return out, tokens, nil
-		},
-		Install: func(pid disk.PageID, data []byte, token uint64) bool {
-			if len(data) != 1 || data[0] != byte(pid) {
-				panic("image/page mismatch")
-			}
-			if token != uint64(pid)*100 {
-				panic("token/page mismatch")
-			}
-			h.installed = append(h.installed, pid)
-			return true
-		},
+func newHarness(poolFrames int) *harness {
+	h := &harness{pool: buffer.New(poolFrames, nil), clock: sim.NewClock(sim.CostModel{})}
+	h.p = New(h.clock, h.pool, func(pids []disk.PageID) error {
+		h.frames = append(h.frames, slices.Clone(pids))
+		if h.fetchErr != nil {
+			return h.fetchErr
+		}
+		for _, pid := range pids {
+			h.pool.PutPrefetched(pid, []byte{byte(pid)})
+		}
+		return nil
+	})
+	return h
+}
+
+// hint enqueues pages lo..hi and pumps.
+func (h *harness) hint(t *testing.T, lo, hi disk.PageID) {
+	t.Helper()
+	for pid := lo; pid <= hi; pid++ {
+		h.p.Enqueue(pid)
 	}
-}
-
-func newTest(cfg Config, h *harness) (*Prefetcher, *sim.Clock) {
-	cfg.Enabled = true
-	clock := sim.NewClock(sim.CostModel{})
-	if h.resident == nil {
-		h.resident = map[disk.PageID]bool{}
-	}
-	return New(cfg, clock, h.funcs()), clock
-}
-
-func TestDisabledIsInert(t *testing.T) {
-	h := &harness{}
-	clock := sim.NewClock(sim.CostModel{})
-	p := New(Config{Enabled: false}, clock, h.funcs())
-	p.Enqueue(7)
-	if err := p.Pump(); err != nil {
+	if err := h.p.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.batches) != 0 || p.Pending() != 0 {
-		t.Errorf("disabled prefetcher did work: batches=%v pending=%d", h.batches, p.Pending())
+}
+
+// use consumes the speculative frames of pages lo..hi, as faults on them do.
+func (h *harness) use(t *testing.T, lo, hi disk.PageID) {
+	t.Helper()
+	for pid := lo; pid <= hi; pid++ {
+		i, ok := h.pool.Lookup(pid)
+		if !ok || !h.pool.ConsumePrefetched(i) {
+			t.Fatalf("page %d is not a speculative frame", pid)
+		}
 	}
-	if n := clock.Count(sim.CtrPrefetchIssued); n != 0 {
-		t.Errorf("issued = %d, want 0", n)
+}
+
+// widen uses what is sent, as a dense traversal does, until the window is at
+// least w; the pages it uses (numbered from a million) stay resident.
+func (h *harness) widen(t *testing.T, w int) {
+	t.Helper()
+	for next := disk.PageID(1 << 20); h.p.Window() < w; {
+		n := disk.PageID(h.p.Window())
+		h.hint(t, next, next+n-1)
+		h.use(t, next, next+n-1)
+		next += n
 	}
-	var nilP *Prefetcher
-	if nilP.Enabled() {
-		t.Error("nil prefetcher reports enabled")
+	h.frames = nil
+}
+
+func (h *harness) fetched() (pids []disk.PageID) {
+	for _, f := range h.frames {
+		pids = append(pids, f...)
 	}
-	nilP.Forget(1) // must not panic
+	return pids
+}
+
+func TestEmptyPumpIsFree(t *testing.T) {
+	h := newHarness(8)
+	if err := h.p.Pump(); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.frames) != 0 || h.clock.Count(sim.CtrPrefetchBatch) != 0 {
+		t.Error("empty pump issued a round trip")
+	}
 }
 
 func TestEnqueueDedupAndDepth(t *testing.T) {
-	h := &harness{resident: map[disk.PageID]bool{5: true}}
-	p, clock := newTest(Config{Depth: 3}, h)
+	h := newHarness(8)
+	h.pool.Put(5, func([]byte) error { return nil })
 
-	p.Enqueue(disk.InvalidPage) // ignored
-	p.Enqueue(5)                // resident: ignored
-	p.Enqueue(1)
-	p.Enqueue(1) // duplicate: ignored
-	p.Enqueue(2)
-	p.Enqueue(3)
-	p.Enqueue(4) // over depth: dropped, stays eligible
-	if got := p.Pending(); got != 3 {
-		t.Fatalf("pending = %d, want 3", got)
+	h.p.Enqueue(disk.InvalidPage) // ignored
+	h.p.Enqueue(5)                // resident: ignored
+	h.p.Enqueue(1)
+	h.p.Enqueue(1) // already queued: ignored
+	h.p.Enqueue(2)
+	if got := h.p.Pending(); got != 2 {
+		t.Fatalf("pending = %d, want 2", got)
 	}
-	if n := clock.Count(sim.CtrPrefetchIssued); n != 3 {
-		t.Errorf("issued = %d, want 3", n)
+	if n := h.clock.Count(sim.CtrPrefetchIssued); n != 0 {
+		t.Errorf("issued = %d before any pump, want 0", n)
 	}
-	if err := p.Pump(); err != nil {
-		t.Fatal(err)
+	h.p.Reset()
+	if got := h.p.Pending(); got != 0 {
+		t.Fatalf("pending after Reset = %d", got)
 	}
-	p.Enqueue(4) // room again after the pump
-	if got := p.Pending(); got != 1 {
-		t.Errorf("pending after pump = %d, want 1", got)
+	// A full queue forgets its oldest hint, not its newest.
+	for pid := disk.PageID(100); pid < 100+MaxQueue+3; pid++ {
+		h.p.Enqueue(pid)
 	}
-	p.Enqueue(1) // already requested this session: still deduped
-	if got := p.Pending(); got != 1 {
-		t.Errorf("requested-set dedup failed, pending = %d", got)
+	if got := h.p.Pending(); got != MaxQueue {
+		t.Fatalf("pending = %d, want the cap %d", got, MaxQueue)
 	}
-	p.Forget(1)
-	p.Enqueue(1) // eligible again after Forget (e.g. eviction)
-	if got := p.Pending(); got != 2 {
-		t.Errorf("pending after Forget+Enqueue = %d, want 2", got)
+	h.p.Enqueue(100) // forgotten, so eligible again
+	if got := h.p.Pending(); got != MaxQueue {
+		t.Fatalf("pending = %d after re-hinting a forgotten page", got)
 	}
 }
 
 func TestPumpBatchingAndOrderedDrain(t *testing.T) {
-	h := &harness{}
-	p, clock := newTest(Config{Depth: 100, BatchSize: 4, Workers: 3}, h)
-	var want []disk.PageID
-	for pid := disk.PageID(1); pid <= 10; pid++ {
-		p.Enqueue(pid)
-		want = append(want, pid)
+	h := newHarness(1024)
+	h.widen(t, 150) // the window covers a burst of several frames
+	batches := h.clock.Count(sim.CtrPrefetchBatch)
+	h.hint(t, 2000, 2149)
+	// 150 pages, MaxFrame to a round trip: full frames and a rest, in hint order.
+	want := (150 + MaxFrame - 1) / MaxFrame
+	if len(h.frames) != want {
+		t.Fatalf("%d frames, want %d: %v", len(h.frames), want, h.frames)
 	}
-	if err := p.Pump(); err != nil {
-		t.Fatal(err)
-	}
-	// 10 pages at batch size 4 -> batches of 4, 4, 2.
-	if n := clock.Count(sim.CtrPrefetchBatch); n != 3 {
-		t.Errorf("batches charged = %d, want 3", n)
-	}
-	// Fetches may complete in any order (that's the point of the fan-out);
-	// only the multiset of batch shapes is fixed.
-	sizes := map[int]int{}
-	for _, b := range h.batches {
-		sizes[len(b)]++
-	}
-	if len(h.batches) != 3 || sizes[4] != 2 || sizes[2] != 1 {
-		t.Errorf("batch shapes = %v, want two of 4 and one of 2", h.batches)
-	}
-	// Installs must follow issue order no matter which worker fetched what.
-	if len(h.installed) != len(want) {
-		t.Fatalf("installed %d pages, want %d", len(h.installed), len(want))
-	}
-	for i, pid := range want {
-		if h.installed[i] != pid {
-			t.Fatalf("install order %v, want %v", h.installed, want)
+	for i, f := range h.frames {
+		if n := min(MaxFrame, 150-i*MaxFrame); len(f) != n {
+			t.Fatalf("frame %d carries %d pages, want %d", i, len(f), n)
 		}
 	}
-	if p.Pending() != 0 {
-		t.Errorf("queue not drained: %d", p.Pending())
+	if n := h.clock.Count(sim.CtrPrefetchBatch) - batches; int(n) != want {
+		t.Errorf("round trips charged = %d, want %d", n, want)
 	}
-}
-
-func TestPumpOrderedDrainManyRounds(t *testing.T) {
-	// Determinism under real goroutine scheduling: repeat a wide pump many
-	// times and require the identical install sequence every round.
-	for round := 0; round < 50; round++ {
-		h := &harness{}
-		p, _ := newTest(Config{Depth: 1000, BatchSize: 3, Workers: 8}, h)
-		for pid := disk.PageID(1); pid <= 100; pid++ {
-			p.Enqueue(pid)
+	for i, pid := range h.fetched() {
+		if pid != disk.PageID(2000+i) {
+			t.Fatalf("fetch order %v", h.fetched())
 		}
-		if err := p.Pump(); err != nil {
-			t.Fatal(err)
-		}
-		for i := range h.installed {
-			if h.installed[i] != disk.PageID(i+1) {
-				t.Fatalf("round %d: install %d is page %d", round, i, h.installed[i])
-			}
-		}
+	}
+	if h.p.Pending() != 0 {
+		t.Errorf("queue not drained: %d", h.p.Pending())
 	}
 }
 
 func TestPumpFetchError(t *testing.T) {
-	h := &harness{fetchErr: errors.New("boom")}
-	p, _ := newTest(Config{Depth: 10, BatchSize: 2, Workers: 2}, h)
-	p.Enqueue(1)
-	p.Enqueue(2)
-	p.Enqueue(3)
-	if err := p.Pump(); err == nil {
+	h := newHarness(8)
+	h.fetchErr = errors.New("boom")
+	h.p.Enqueue(1)
+	h.p.Enqueue(2)
+	h.p.Enqueue(3)
+	if err := h.p.Pump(); err == nil {
 		t.Fatal("fetch error not surfaced")
 	}
-	if len(h.installed) != 0 {
-		t.Errorf("installed pages despite fetch error: %v", h.installed)
+	if h.pool.Resident() != 0 {
+		t.Errorf("pages installed despite the fetch error")
 	}
 	// The failed pump must not leave the queue stuck.
-	if p.Pending() != 0 {
-		t.Errorf("pending = %d after failed pump", p.Pending())
+	if h.p.Pending() != 0 {
+		t.Errorf("pending = %d after failed pump", h.p.Pending())
 	}
 }
 
-func TestEmptyPumpIsFree(t *testing.T) {
-	h := &harness{}
-	p, clock := newTest(Config{}, h)
-	if err := p.Pump(); err != nil {
-		t.Fatal(err)
+func TestReadAheadOneRoundTripPerPump(t *testing.T) {
+	h := newHarness(256)
+	h.widen(t, 20)
+	issued := h.clock.Count(sim.CtrPrefetchIssued)
+	h.hint(t, 1, 20)
+	if len(h.frames) != 1 || len(h.frames[0]) != 20 {
+		t.Fatalf("20 hints went out as %v, want one frame of 20", h.frames)
 	}
-	if len(h.batches) != 0 || clock.Count(sim.CtrPrefetchBatch) != 0 {
-		t.Error("empty pump issued batches")
+	if n := h.clock.Count(sim.CtrPrefetchIssued) - issued; n != 20 {
+		t.Errorf("issued = %d, want 20", n)
+	}
+}
+
+func TestReadAheadNeverExceedsEmptyFrames(t *testing.T) {
+	h := newHarness(128)
+	h.widen(t, 32)
+	for pid := disk.PageID(1); h.pool.Empty() > 24; pid++ {
+		h.pool.Put(pid, func([]byte) error { return nil })
+	}
+	resident := h.pool.Resident()
+	h.hint(t, 1000, 1099) // 24 empty frames, fewer than the window
+	if got := h.fetched(); len(got) != 24 {
+		t.Fatalf("asked for %d pages with 24 empty frames", len(got))
+	}
+	if h.pool.Empty() != 0 {
+		t.Fatalf("empty = %d", h.pool.Empty())
+	}
+	// A full pool pages on demand: nothing is asked for, nothing is evicted.
+	h.frames = nil
+	h.use(t, 1000, 1023)
+	h.hint(t, 2000, 2060)
+	if len(h.frames) != 0 {
+		t.Fatalf("full pool, yet asked for %v", h.frames)
+	}
+	if got := h.pool.Resident(); got != resident+24 {
+		t.Fatalf("resident = %d, want %d: read-ahead evicted something", got, resident+24)
+	}
+}
+
+func TestReadAheadWindowFollowsUseAndWaste(t *testing.T) {
+	const w0, k = InitialWindow, InitialWindow / 2
+	h := newHarness(1024)
+	h.hint(t, 1, 200)
+	if got := len(h.fetched()); got != w0 {
+		t.Fatalf("first burst fetched %d pages, want the initial window %d", got, w0)
+	}
+	// The window is full: further hints wait.
+	h.frames = nil
+	h.hint(t, 300, 310)
+	if len(h.frames) != 0 {
+		t.Fatalf("window full, yet asked for %v", h.frames)
+	}
+	// Every use widens it by one and frees a frame of it.
+	h.use(t, 1, k)
+	if w := h.p.Window(); w != w0+k {
+		t.Fatalf("window = %d after %d uses, want %d", w, k, w0+k)
+	}
+	h.hint(t, 400, 400)
+	if got := len(h.fetched()); got != 2*k {
+		t.Fatalf("refill fetched %d pages, want %d (%d freed + %d grown)", got, 2*k, k, k)
+	}
+	// The transaction ends with w0+k frames never used: they leave the pool
+	// and the window shrinks by as many.
+	h.pool.DropSpeculative()
+	h.p.Reset()
+	if w := h.p.Window(); w != 0 {
+		t.Fatalf("window = %d after wasting all of it, want 0", w)
+	}
+	if h.pool.Resident() != k {
+		t.Fatalf("resident = %d, want the %d pages that were used", h.pool.Resident(), k)
+	}
+	// A shut window asks for nothing...
+	h.frames = nil
+	h.hint(t, 500, 520)
+	if len(h.frames) != 0 {
+		t.Fatalf("window shut, yet asked for %v", h.frames)
+	}
+	// ...until queued pages turn out to be needed.
+	h.p.Missed(500)
+	h.p.Missed(501)
+	h.p.Missed(9999) // never hinted: no evidence
+	if w := h.p.Window(); w != 2 {
+		t.Fatalf("window = %d after two queued pages were demanded, want 2", w)
+	}
+	h.hint(t, 502, 502)
+	if got := h.fetched(); len(got) != 2 || got[0] != 502 || got[1] != 503 {
+		t.Fatalf("reopened window fetched %v, want [502 503]", got)
+	}
+}
+
+func TestReadAheadWaitsForARoundTripsWorth(t *testing.T) {
+	h := newHarness(1024)
+	h.widen(t, 32)
+	h.hint(t, 1, 100) // fetches 1..32, 33..100 stay queued
+	h.frames = nil
+	// One frame freed at a time must not become one page fetched at a time:
+	// after u uses the window is 32+u with 32-u outstanding, room for 2u.
+	for pid := disk.PageID(1); pid <= 10; pid++ {
+		h.use(t, pid, pid)
+		h.hint(t, pid, pid) // a fault's pump with nothing new to hint
+	}
+	if len(h.frames) != 0 {
+		t.Fatalf("window of %d refilled in dribbles: %v", h.p.Window(), h.frames)
+	}
+	h.use(t, 11, 11) // window 43, 21 outstanding, room 22 >= 43/2
+	h.hint(t, 11, 11)
+	if len(h.frames) != 1 || len(h.frames[0]) != 22 {
+		t.Fatalf("refill = %v, want one frame of 22", h.frames)
+	}
+	// A lone hint is never worth a round trip of its own.
+	g := newHarness(64)
+	g.hint(t, 7, 7)
+	if len(g.frames) != 0 {
+		t.Fatalf("one hint went out alone: %v", g.frames)
+	}
+}
+
+// TestReadAheadRehintsDroppedPage is the sticky-requested regression: a page
+// whose image was dropped (or never fetched) for lack of room used to stay
+// in a session-lifetime "requested" set, which only eviction cleared — and a
+// page that was never resident is never evicted — so it was never hinted
+// again. Nothing is remembered across pumps now but the queue itself.
+func TestReadAheadRehintsDroppedPage(t *testing.T) {
+	h := newHarness(4)
+	for pid := disk.PageID(1); pid <= 4; pid++ {
+		h.pool.Put(pid, func([]byte) error { return nil })
+	}
+	h.hint(t, 10, 11) // no room: nothing fetched
+	if len(h.frames) != 0 {
+		t.Fatalf("fetched %v into a full pool", h.frames)
+	}
+	h.p.Reset() // the transaction ends
+	h.pool.DropAll()
+	h.hint(t, 10, 11)
+	if got := h.fetched(); len(got) != 2 {
+		t.Fatalf("pages dropped once were not hinted again: fetched %v", got)
 	}
 }

@@ -33,9 +33,8 @@ type Config struct {
 // presumed-abort two-phase protocol with the first-touched shard as
 // coordinator.
 //
-// A Router carries one session's transaction state but is safe for the
-// session's internal concurrency (prefetch workers issue reads in
-// parallel with the mainline).
+// A Router carries one session's transaction state but is safe for
+// concurrent calls from that session.
 type Router struct {
 	trs      []esm.Transport
 	affinity int
@@ -779,7 +778,6 @@ func (r *Router) aggregateStats(req *esm.Request) (*esm.Response, error) {
 		agg.DiskReads += st.DiskReads
 		agg.DiskWrites += st.DiskWrites
 		agg.PrefetchPages += st.PrefetchPages
-		agg.PrefetchReads += st.PrefetchReads
 		agg.Commits += st.Commits
 		agg.LogForces += st.LogForces
 		agg.LogPiggybacks += st.LogPiggybacks

@@ -62,17 +62,13 @@ const (
 	CtrCommitFlushPage // dirty pages forced to the server at commit (costed)
 	CtrSideBufferCopy  // EPVM object copies into the side buffer (costed)
 
-	// Asynchronous prefetch subsystem (internal/prefetch). The prefetcher's
-	// work overlaps with client computation, so none of these carry a
-	// foreground cost in the default model: a consumed prefetched page is
-	// charged the network + server CPU leg of its transfer (via
-	// CtrServerBufferHit) at consumption time, while the background disk
-	// reads behind it are counted here without advancing the clock.
-	CtrPrefetchIssued   // pages handed to the prefetcher (enqueued into a batch)
-	CtrPrefetchBatch    // batched OpReadPages round trips issued
-	CtrPrefetchHit      // faults satisfied by a pre-read frame (no server round trip)
-	CtrPrefetchWasted   // pre-read frames evicted or dropped before any use
-	CtrPrefetchDiskRead // background server disk reads on behalf of prefetch batches
+	// Mapping-object read-ahead (internal/prefetch). Bookkeeping only: the
+	// server charges a page read ahead exactly what it charges a demand
+	// read, when it serves it.
+	CtrPrefetchIssued // pages asked for ahead of any use
+	CtrPrefetchBatch  // OpReadPages round trips issued
+	CtrPrefetchHit    // faults satisfied by a speculative frame (no server round trip)
+	CtrPrefetchWasted // speculative frames evicted, dropped or retired before any use
 
 	// Application-level work, used for the hot (in-memory) results and the
 	// Table 7 CPU profile.
@@ -94,7 +90,7 @@ var counterNames = [NumCounters]string{
 	"sw.interp.call", "sw.residency.check", "sw.bigptr.deref",
 	"rec.copy", "rec.lock.upgrade", "rec.page.diff", "rec.diff.byte", "rec.log.record",
 	"rec.log.byte", "rec.map.update", "rec.commit.flush", "rec.side.copy",
-	"pf.issued", "pf.batch", "pf.hit", "pf.wasted", "pf.disk.read",
+	"pf.issued", "pf.batch", "pf.hit", "pf.wasted",
 	"app.deref", "app.field.read", "app.field.write", "app.iter.alloc", "app.part.set",
 	"app.index.op", "app.byte.scan",
 }
@@ -163,8 +159,8 @@ func DefaultCostModel() CostModel {
 //     dereference, where the store must cost a load, not a mutex.
 //   - ChargeShared and SharedCount are for everyone else: page-server
 //     handlers (which share the session's clock in the single-process
-//     experiment harness and run on prefetch workers and connection
-//     goroutines), and anything else that is not the owner. They serialize
+//     experiment harness and run on connection goroutines), and anything
+//     else that is not the owner. They serialize
 //     on mu and account into a lane of their own.
 //
 // Readers add the two lanes counter by counter. Each lane accumulates its

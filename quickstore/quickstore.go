@@ -70,17 +70,6 @@ type Options struct {
 	RelocateFraction float64
 	// RelocSeed seeds the relocation-injection randomness.
 	RelocSeed int64
-	// Prefetch enables the asynchronous mapping-object-driven prefetcher
-	// (internal/prefetch): pages referenced by a faulted page are read
-	// ahead in batches and the next fault on them is a buffer hit. Off by
-	// default (the paper's configuration).
-	Prefetch bool
-	// PrefetchDepth, PrefetchBatch, and PrefetchWorkers tune the
-	// prefetcher's queue depth, pages per batched read, and concurrent
-	// fetch fan-out (0 = package defaults).
-	PrefetchDepth   int
-	PrefetchBatch   int
-	PrefetchWorkers int
 	// MVCC enables the server's version store so Snapshot sessions work:
 	// read-only views at one consistent commit point that never touch the
 	// lock manager (DESIGN.md §15). Off by default (the paper's
@@ -173,10 +162,6 @@ func attach(vol disk.Volume, log *wal.Log, srv *esm.Server, clock *sim.Clock, op
 		Relocation:          opts.Relocation,
 		RelocateFraction:    opts.RelocateFraction,
 		RelocSeed:           opts.RelocSeed,
-		Prefetch:            opts.Prefetch,
-		PrefetchDepth:       opts.PrefetchDepth,
-		PrefetchBatch:       opts.PrefetchBatch,
-		PrefetchWorkers:     opts.PrefetchWorkers,
 	}
 	var cs *core.Store
 	var err error
@@ -356,10 +341,10 @@ type Stats struct {
 	MappedPages  int   // page descriptors in the current mapping
 	Relocations  int64 // page ranges assigned new addresses
 	LogRecords   int64 // log records generated
-	// Prefetcher activity (zero unless Options.Prefetch is on).
-	PrefetchIssued int64 // pages handed to the prefetcher
-	PrefetchHits   int64 // faults satisfied by a pre-read frame
-	PrefetchWasted int64 // pre-read frames dropped before any use
+	// Mapping-object read-ahead, the default fault path (DESIGN.md §8).
+	PrefetchIssued int64 // pages asked for ahead of any use
+	PrefetchHits   int64 // faults satisfied by a speculative frame
+	PrefetchWasted int64 // speculative frames never used
 	SimulatedMs    float64
 }
 
@@ -367,15 +352,15 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	snap := s.clock.Snapshot()
 	return Stats{
-		Faults:       s.core.Space().Faults(),
-		Accesses:     s.core.Space().Accesses(),
-		ClientReads:  snap.Count(sim.CtrClientRead),
-		DiskReads:    snap.Count(sim.CtrServerDiskRead),
-		SwizzledPtrs: snap.Count(sim.CtrSwizzledPtr),
-		MmapCalls:    snap.Count(sim.CtrMmapCall),
-		MappedPages:  s.core.DescCount(),
-		Relocations:  s.core.Relocations(),
-		LogRecords:   snap.Count(sim.CtrLogRecord),
+		Faults:         s.core.Space().Faults(),
+		Accesses:       s.core.Space().Accesses(),
+		ClientReads:    snap.Count(sim.CtrClientRead),
+		DiskReads:      snap.Count(sim.CtrServerDiskRead),
+		SwizzledPtrs:   snap.Count(sim.CtrSwizzledPtr),
+		MmapCalls:      snap.Count(sim.CtrMmapCall),
+		MappedPages:    s.core.DescCount(),
+		Relocations:    s.core.Relocations(),
+		LogRecords:     snap.Count(sim.CtrLogRecord),
 		PrefetchIssued: snap.Count(sim.CtrPrefetchIssued),
 		PrefetchHits:   snap.Count(sim.CtrPrefetchHit),
 		PrefetchWasted: snap.Count(sim.CtrPrefetchWasted),
@@ -385,7 +370,7 @@ func (s *Store) Stats() Stats {
 
 // ServerStats fetches the embedded page server's statistics snapshot
 // (the OpStats protocol op): pool occupancy and hit rates, log volume,
-// disk I/O, and pages served to the prefetcher.
+// disk I/O, and pages served in read-ahead batches.
 func (s *Store) ServerStats() (*esm.ServerStats, error) {
 	return s.client.ServerStats()
 }
