@@ -299,7 +299,7 @@ func statsShards(spec string) error {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		fmt.Printf("=== shard %d/%d ===\n", i, r.NumShards())
-		printServerStats(&ss)
+		printServerStats(&ss, nil)
 	}
 	resp, err := r.Call(&esm.Request{Op: esm.OpStats})
 	if err != nil {
@@ -313,7 +313,7 @@ func statsShards(spec string) error {
 		return err
 	}
 	fmt.Printf("=== cluster (%d shards, summed) ===\n", r.NumShards())
-	printServerStats(&agg)
+	printServerStats(&agg, nil)
 	return nil
 }
 
@@ -660,9 +660,8 @@ func stats(path, addr, shardSpec string) error {
 	if err != nil {
 		return err
 	}
-	printServerStats(ss)
-
 	cs := st.Stats()
+	printServerStats(ss, &cs)
 	fmt.Printf("session:        %d pages read ahead, %d hits, %d wasted", cs.PrefetchIssued, cs.PrefetchHits, cs.PrefetchWasted)
 	if cs.PrefetchIssued > 0 {
 		fmt.Printf(" (%.1f%% hit, %.1f%% wasted)",
@@ -693,11 +692,13 @@ func statsRemote(addr string) error {
 	if err := json.Unmarshal(resp.Data, &ss); err != nil {
 		return err
 	}
-	printServerStats(&ss)
+	printServerStats(&ss, nil)
 	return nil
 }
 
-func printServerStats(ss *esm.ServerStats) {
+// printServerStats prints a server's counters; cs, when the caller has a
+// session of its own on that server, adds the session's side of lock-ahead.
+func printServerStats(ss *esm.ServerStats, cs *quickstore.Stats) {
 	fmt.Printf("server buffer:  %d/%d pages resident\n", ss.Resident, ss.BufferPages)
 	fmt.Printf("pool:           %d hits, %d misses, %d evicted", ss.PoolHits, ss.PoolMisses, ss.PoolEvicted)
 	if total := ss.PoolHits + ss.PoolMisses; total > 0 {
@@ -708,6 +709,11 @@ func printServerStats(ss *esm.ServerStats) {
 	fmt.Printf("log:            %s\n", logSummary(ss.LogRecords, ss.LogBytes, -1))
 	fmt.Printf("disk:           %d reads, %d writes\n", ss.DiskReads, ss.DiskWrites)
 	fmt.Printf("read-ahead:     %d pages served in batches\n", ss.PrefetchPages)
+	fmt.Printf("lock-ahead:     %d granted, %d refused", ss.LockAheadGranted, ss.LockAheadRefused)
+	if cs != nil {
+		fmt.Printf("; client used %d, wasted %d", cs.LockAheadUsed, cs.LockAheadWasted)
+	}
+	fmt.Println()
 	fmt.Printf("commit:         %d commits, %d log forces, %d piggybacked", ss.Commits, ss.LogForces, ss.LogPiggybacks)
 	if ss.Commits > 0 {
 		fmt.Printf(" (%.2f forces/commit)", float64(ss.LogForces)/float64(ss.Commits))

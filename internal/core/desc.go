@@ -36,8 +36,12 @@ type PageDesc struct {
 	IsLarge  bool
 	Accessed bool   // the range has been faulted in (mapped) at least once
 	SeenTx   uint64 // transaction sequence that last processed this page's mapping
-	XLocked  bool   // exclusive page lock held this transaction
+	XLockTx  uint64 // transaction sequence that last took the exclusive page lock
 	Dirtied  bool   // write access granted this transaction
+	// PrevWrite is the page's place in the write order of the session's last
+	// update transaction — Store.lastWrites[PrevWrite] is this descriptor if
+	// it was written then, something else or out of range if not.
+	PrevWrite int
 
 	Pid      disk.PageID // resident disk page (valid when FrameIdx >= 0)
 	FrameIdx int         // client buffer frame, -1 when not resident

@@ -15,12 +15,14 @@ import (
 
 // countingTransport counts what crosses the wire on behalf of one session:
 // calls by op, response bytes, and how often each page image was shipped by
-// a page-reading op.
+// a page-reading op. before, if set, sees every request first and may answer
+// it itself (a fault the test injects); lockahead_test.go uses it.
 type countingTransport struct {
 	esm.Transport
 	calls   map[esm.Op]int
 	bytesIn int
 	shipped map[disk.PageID]int
+	before  func(req *esm.Request) *esm.Response
 }
 
 func newCounting(srv *esm.Server) *countingTransport {
@@ -29,8 +31,13 @@ func newCounting(srv *esm.Server) *countingTransport {
 }
 
 func (c *countingTransport) Call(req *esm.Request) (*esm.Response, error) {
-	resp, err := c.Transport.Call(req)
 	c.calls[req.Op]++
+	if c.before != nil {
+		if resp := c.before(req); resp != nil {
+			return resp, nil
+		}
+	}
+	resp, err := c.Transport.Call(req)
 	if err != nil {
 		return resp, err
 	}
@@ -177,7 +184,8 @@ func TestReadAheadSparseTraversalShipsLittle(t *testing.T) {
 
 // star is a hub object holding references to starLeaves leaf objects, each on
 // a page of its own, so that the hub page's mapping object names every leaf
-// page. A leaf is {value uint32}; the hub is an array of references.
+// page. A leaf is {value uint32}; the hub is an array of references followed
+// by one plain word (a counter for tests that update the hub page itself).
 const starLeaves = 8
 
 type star struct {
@@ -185,7 +193,10 @@ type star struct {
 	srv *esm.Server
 }
 
-func newStar(t *testing.T) *star {
+func newStar(t *testing.T) *star { return newStarOf(t, starLeaves) }
+
+// newStarOf builds a star of n leaves.
+func newStarOf(t *testing.T, n int) *star {
 	t.Helper()
 	srv, err := esm.NewServer(disk.NewMemVolume(), wal.NewMemLog(), esm.ServerConfig{MVCC: true})
 	if err != nil {
@@ -199,15 +210,15 @@ func newStar(t *testing.T) *star {
 		t.Fatal(err)
 	}
 	cl := st.NewCluster()
-	offs := make([]int, starLeaves)
+	offs := make([]int, n)
 	for i := range offs {
 		offs[i] = 8 * i
 	}
-	hub, err := st.Alloc(cl, 8*starLeaves, offs)
+	hub, err := st.Alloc(cl, 8*n+8, offs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < starLeaves; i++ {
+	for i := 0; i < n; i++ {
 		cl.Break()
 		leaf, err := st.Alloc(cl, 8, nil)
 		if err != nil {

@@ -175,20 +175,15 @@ func (s *Store) logFreshPages() error {
 // transaction (Section 3.6: updates can change the set of pages referenced
 // by pointers on a page). Fresh pages get their first mapping object here.
 func (s *Store) updateMappings() error {
-	seen := map[disk.PageID]bool{}
-	// Iterate over a snapshot: creating mapping objects can dirty more
-	// (metadata) pages, but those are not QuickStore data pages.
-	work := make([]*PageDesc, 0, len(s.dirtied))
-	for _, d := range s.dirtied {
-		if d.IsLarge || seen[d.Pid] {
-			continue
-		}
-		seen[d.Pid] = true
-		work = append(work, d)
-	}
-	for _, d := range work {
-		if err := s.updateMapping(d); err != nil {
-			return err
+	// A descriptor joins s.dirtied once per transaction (Dirtied guards it)
+	// and no two share a page, so each page is visited once. Creating mapping
+	// objects dirties metadata pages, which never join the list; the bound is
+	// fixed up front all the same.
+	for i, n := 0, len(s.dirtied); i < n; i++ {
+		if d := s.dirtied[i]; !d.IsLarge {
+			if err := s.updateMapping(d); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -136,6 +136,12 @@ type Store struct {
 	freshPages  map[disk.PageID]*PageDesc
 	relocations int64
 
+	// Lock-ahead (lockAhead): the pages the last update transaction wrote, in
+	// the order it first wrote them, and how many locks may be held on a
+	// guess at once.
+	lastWrites []*PageDesc
+	la         lockWindow
+
 	rng    *rand.Rand
 	policy *SimplifiedClock     // nil under the traditional-clock ablation
 	pf     *prefetch.Prefetcher // nil under demand paging
@@ -143,11 +149,12 @@ type Store struct {
 	// Scratch buffers of the fault and commit paths, each valid only inside
 	// the call that fills it: decoded mapping entries (processMapping), a
 	// page's referenced set and its encoding (updateMapping), diff regions
-	// (diffAndLog).
+	// (diffAndLog), a lock-ahead list (lockAhead).
 	mapEntries []mapEntry
 	refSet     []mapEntry
 	mapBlob    []byte
 	regs       []pagedelta.Region
+	aheadPids  []disk.PageID
 
 	// Diagnostics.
 	swizzleChecks int64
@@ -210,6 +217,7 @@ func newStore(c *esm.Client, cfg Config) (*Store, error) {
 		rng:        rand.New(rand.NewSource(cfg.RelocSeed)),
 	}
 	s.rec.cap = cfg.RecoveryBufferBytes
+	s.la = lockWindow{size: lockWindowInitial, cut: -1}
 	s.space = vmem.NewSpace(cfg.Base, cfg.MaxFrames, s.clock)
 	s.space.SetHandler(s.handleFault)
 	pool := c.Pool()
@@ -343,6 +351,7 @@ func (s *Store) Abort() error {
 	s.rec.reset()
 	for pid, d := range s.freshPages {
 		d.RecIdx = -1
+		d.Pid = disk.InvalidPage // the page is dead: nothing to lock ahead of a retry
 		if d.FrameIdx >= 0 {
 			_ = s.space.Unmap(d.Lo)
 			d.FrameIdx = -1
@@ -362,17 +371,22 @@ func (s *Store) Abort() error {
 }
 
 func (s *Store) endTx() {
-	for _, d := range s.dirtied {
+	for i, d := range s.dirtied {
 		if d.FrameIdx >= 0 {
 			// Downgrade so the next transaction's first update faults
 			// again (new lock, new recovery copy).
 			_ = s.space.Protect(d.Lo, vmem.ProtRead)
 		}
 		d.Dirtied = false
-		d.XLocked = false
 		d.RecIdx = -1
+		d.PrevWrite = i
 	}
-	s.dirtied = s.dirtied[:0]
+	if len(s.dirtied) > 0 {
+		// What was written is the guess at what the next update transaction
+		// — a retry, if this one aborted — will write.
+		s.dirtied, s.lastWrites = s.lastWrites[:0], s.dirtied
+	}
+	s.la.cut = -1
 	clear(s.freshPages)
 	s.rec.reset()
 	s.inTx = false
@@ -986,18 +1000,81 @@ func (s *Store) CheckTree() error { return s.tree.check() }
 // records. After such a refresh the page is faulted back in here, so its new
 // image's mapping object is processed before anything reads its pointers;
 // refreshed reports that this happened.
+//
+// The lock costs a round trip only if the transaction does not hold it yet,
+// and that round trip asks for more than d (lockAhead). The paper's protocol
+// pays one per updated page, and that is what the cost model is charged.
 func (s *Store) lockPageX(d *PageDesc) (refreshed bool, err error) {
-	if d.XLocked {
+	if d.XLockTx == s.txSeq {
 		return false, nil
 	}
 	wasMapped := d.FrameIdx >= 0
-	if err := s.c.Lock(lock.KindPage, uint32(d.Pid), lock.Exclusive); err != nil {
+	if err := s.c.LockPageAhead(d.Pid, s.lockAhead(d)); err != nil {
 		return false, err
 	}
 	s.clock.Charge(sim.CtrLockUpgrade, 1)
-	d.XLocked = true
+	d.XLockTx = s.txSeq
 	if wasMapped && d.FrameIdx < 0 {
 		return true, s.handleFault(d.Lo, vmem.AccessRead)
 	}
 	return false, nil
+}
+
+// The lock-ahead window bounds the locks a transaction holds on a guess —
+// granted ahead and not asked for yet. It grows by one for every such lock
+// that is asked for and shrinks by one for every one that reaches transaction
+// end unasked, so a session that rewrites what it wrote is soon sent its whole
+// write set's locks in one round trip, and one that does not stops asking.
+const (
+	lockWindowInitial = 8
+	lockWindowMax     = 512
+)
+
+type lockWindow struct {
+	size         int
+	used, wasted int64 // client verdicts already folded into size
+	// cut is where in lastWrites this transaction's last list stopped for
+	// want of room (-1: no list yet, or it took everything).
+	cut int
+}
+
+// lockAhead picks the pages to ask for along with d's exclusive lock: when d
+// was written by the session's last update transaction, the pages that
+// transaction wrote after it, as many as the window has room for. It asks for
+// nothing if d's lock needs no round trip, and only on this evidence: a
+// transaction that starts rewriting the last one's pages will probably go on
+// to. A lock taken ahead is a real lock — it makes a peer wait until this
+// transaction ends, used or not — which is why the window closes on waste.
+func (s *Store) lockAhead(d *PageDesc) []disk.PageID {
+	i := d.PrevWrite
+	if i >= len(s.lastWrites) || s.lastWrites[i] != d ||
+		s.c.LockHeld(lock.KindPage, uint32(d.Pid)) == lock.Exclusive {
+		return nil
+	}
+	w := &s.la
+	outstanding, used, wasted := s.c.LocksAhead()
+	w.size += int((used - w.used) - (wasted - w.wasted))
+	w.used, w.wasted = used, wasted
+	if w.cut >= 0 && i >= w.cut {
+		// d was left off the last list for want of room: a wider window would
+		// have saved this round trip. Costing nothing, this is also how a
+		// window that waste has shut reopens.
+		w.size++
+	}
+	w.size = min(max(w.size, 0), lockWindowMax)
+	room := w.size - outstanding
+	pids := s.aheadPids[:0]
+	w.cut = -1
+	for j, cd := range s.lastWrites[i+1:] {
+		if cd.XLockTx == s.txSeq || cd.Pid == disk.InvalidPage {
+			continue
+		}
+		if len(pids) >= room {
+			w.cut = i + 1 + j
+			break
+		}
+		pids = append(pids, cd.Pid)
+	}
+	s.aheadPids = pids
+	return pids
 }

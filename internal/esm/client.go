@@ -69,6 +69,23 @@ type Client struct {
 	pending []byte // serialized log batch (count in first 4 bytes)
 	nrecs   uint32
 
+	// held is the open transaction's lock table: what the server has granted
+	// it, at the strongest mode asked for. Locks live until transaction end
+	// (strict 2PL), so asking again for one of them needs no round trip. A
+	// lock that arrived on another's lock-ahead list is marked ahead until
+	// something asks for it: aheadOut counts the marked ones, aheadUsed and
+	// aheadWasted how many were later asked for and how many reached
+	// transaction end unasked. endTx empties the table.
+	held                   map[lock.Resource]heldLock
+	aheadOut               int
+	aheadUsed, aheadWasted int64
+
+	// Scratch reused across calls: a lock-ahead list's pages and wire
+	// entries (lock), the frames a commit cleaned (Commit).
+	lockPids    []disk.PageID
+	lockEntries []byte
+	cleaned     []int
+
 	// snap, when nonzero, is the LSN of the open read-only snapshot
 	// session (BeginSnapshot): page faults go through OpSnapRead and
 	// bypass the lock manager entirely. Mutually exclusive with tx.
@@ -119,6 +136,12 @@ type Client struct {
 	LogStructure bool
 }
 
+// heldLock is one entry of the transaction's lock table.
+type heldLock struct {
+	mode  lock.Mode
+	ahead bool // granted on a lock-ahead list and not asked for since
+}
+
 // NewClient opens a session over tr.
 func NewClient(tr Transport, cfg ClientConfig) *Client {
 	if cfg.BufferPages == 0 {
@@ -127,7 +150,8 @@ func NewClient(tr Transport, cfg ClientConfig) *Client {
 	if cfg.Clock == nil {
 		cfg.Clock = sim.NewClock(sim.CostModel{})
 	}
-	c := &Client{tr: tr, clock: cfg.Clock, retry: cfg.Retry, rawPages: map[disk.PageID]bool{}, coherent: !cfg.NoCoherence}
+	c := &Client{tr: tr, clock: cfg.Clock, retry: cfg.Retry, rawPages: map[disk.PageID]bool{}, coherent: !cfg.NoCoherence,
+		held: map[lock.Resource]heldLock{}}
 	if st, ok := tr.(ShardStamper); ok {
 		c.stamper = st
 	}
@@ -391,6 +415,17 @@ func (c *Client) EndSnapshot() error {
 
 // Tx returns the current transaction id (0 when none).
 func (c *Client) Tx() uint64 { return c.tx }
+
+// endTx forgets the transaction and its locks: the server releases them all
+// when it commits or aborts, and a commit whose outcome is unknown must not
+// leave the next transaction believing it holds anything. Locks taken ahead
+// that nothing asked for were wasted.
+func (c *Client) endTx() {
+	c.tx = 0
+	c.aheadWasted += int64(c.aheadOut)
+	c.aheadOut = 0
+	clear(c.held)
+}
 
 // FetchPage brings pid into the client pool (a page-shipping request to the
 // server on a miss) and returns its frame index. The frame data may be
@@ -752,7 +787,7 @@ func (c *Client) Commit() error {
 		return err
 	}
 	var payload []byte
-	var cleaned []int
+	cleaned := c.cleaned[:0]
 	for i := 0; i < c.pool.Len(); i++ {
 		f := c.pool.Frame(i)
 		if f.Page == disk.InvalidPage || !f.Dirty {
@@ -771,8 +806,9 @@ func (c *Client) Commit() error {
 		c.clock.Charge(sim.CtrClientWrite, 1)
 		c.clock.Charge(sim.CtrCommitFlushPage, 1)
 	}
+	c.cleaned = cleaned
 	resp, err := c.call(&Request{Op: OpCommit, Tx: c.tx, Data: payload})
-	c.tx = 0
+	c.endTx()
 	if err != nil {
 		return err
 	}
@@ -850,41 +886,133 @@ func (c *Client) Abort() error {
 		}
 	}
 	_, err := c.call(&Request{Op: OpAbort, Tx: c.tx})
-	c.tx = 0
+	c.endTx()
 	return err
 }
 
-// Lock acquires a lock from the server's lock manager. For page locks the
-// cached frame's coherence token rides along, and the grant response says
-// whether that cached copy is still current as of the moment the lock was
-// granted — closing the window where a page validated at Begin goes stale
-// while this transaction waits for its lock. A stale grant revalidates the
-// frame before Lock returns (one versioned read; OnRefresh fires if bytes
-// changed), so nothing reached through the lock can be pre-grant data: the
-// object layer reads resident pages through its own mappings, not through
-// FetchPage, and would never see a flag left for the next fetch.
+// Lock acquires a lock from the server's lock manager, unless the transaction
+// already holds it at least as strongly: locks are kept until transaction end,
+// so that answer needs no round trip. For page locks the cached frame's
+// coherence token rides along, and the grant response says whether that cached
+// copy is still current as of the moment the lock was granted — closing the
+// window where a page validated at Begin goes stale while this transaction
+// waits for its lock. A stale grant revalidates the frame before Lock returns
+// (one versioned read; OnRefresh fires if bytes changed), so nothing reached
+// through the lock can be pre-grant data: the object layer reads resident
+// pages through its own mappings, not through FetchPage, and would never see a
+// flag left for the next fetch.
 func (c *Client) Lock(kind lock.Kind, id uint32, mode lock.Mode) error {
-	if c.tx == 0 {
-		return ErrNoTx
+	return c.lock(kind, id, mode, nil)
+}
+
+// LockPageAhead is Lock(lock.KindPage, pid, lock.Exclusive) whose round trip,
+// if it needs one, also asks for exclusive locks on the pages of ahead — each
+// granted only if no other transaction holds or awaits it, so the call waits
+// for pid alone. What is granted joins the lock table like any other lock (it
+// is one: held until transaction end) and answers a later Lock for that page;
+// LocksAhead reports how that went. A granted page whose cached copy turned
+// out stale is revalidated before the call returns, as for pid itself.
+func (c *Client) LockPageAhead(pid disk.PageID, ahead []disk.PageID) error {
+	return c.lock(lock.KindPage, uint32(pid), lock.Exclusive, ahead)
+}
+
+// LockHeld reports the mode in which the open transaction holds the lock
+// (0 if it does not).
+func (c *Client) LockHeld(kind lock.Kind, id uint32) lock.Mode {
+	return c.held[lock.Resource{Kind: kind, ID: uint64(id)}].mode
+}
+
+// LocksAhead reports the locks granted on lock-ahead lists: how many the open
+// transaction holds that nothing has asked for yet, and, over the session, how
+// many were asked for later and how many reached transaction end unasked.
+func (c *Client) LocksAhead() (outstanding int, used, wasted int64) {
+	return c.aheadOut, c.aheadUsed, c.aheadWasted
+}
+
+// cleanFrame finds the clean cached copy of pid a lock grant would vouch for
+// (-1 if none) and the token to send for it: 0 for a copy already known to
+// need revalidation.
+func (c *Client) cleanFrame(pid disk.PageID) (frame int, token uint64) {
+	if !c.coherent {
+		return -1, 0
 	}
-	req := &Request{Op: OpLock, Tx: c.tx, Page: id, Mode: uint8(kind)<<4 | uint8(mode)}
-	frame := -1 // the clean cached copy the grant vouches for, if any
-	if c.coherent && kind == lock.KindPage {
-		if i, ok := c.pool.Lookup(disk.PageID(id)); ok {
-			if f := c.pool.Frame(i); !f.Dirty {
-				frame = i
-				if !f.Stale {
-					req.N = f.LSN
-				}
+	i, ok := c.pool.Lookup(pid)
+	if !ok {
+		return -1, 0
+	}
+	f := c.pool.Frame(i)
+	if f.Dirty {
+		return -1, 0
+	}
+	if f.Stale {
+		return i, 0
+	}
+	return i, f.LSN
+}
+
+// granted enters a lock the server has just granted into the lock table,
+// first revalidating the clean cached copy of a page it covers if the grant
+// found it stale: a lock is not the transaction's to use before that.
+func (c *Client) granted(res lock.Resource, h heldLock, stale bool) error {
+	if res.Kind == lock.KindPage {
+		if frame, _ := c.cleanFrame(disk.PageID(res.ID)); frame >= 0 && (stale || c.pool.Frame(frame).Stale) {
+			if err := c.revalidateFrame(frame); err != nil {
+				return err
 			}
 		}
 	}
+	if h.ahead && !c.held[res].ahead {
+		c.aheadOut++
+	}
+	c.held[res] = h
+	return nil
+}
+
+func (c *Client) lock(kind lock.Kind, id uint32, mode lock.Mode, ahead []disk.PageID) error {
+	if c.tx == 0 {
+		return ErrNoTx
+	}
+	res := lock.Resource{Kind: kind, ID: uint64(id)}
+	h := c.held[res]
+	if h.ahead {
+		h.ahead = false
+		c.held[res] = h
+		c.aheadOut--
+		c.aheadUsed++
+	}
+	if h.mode >= mode {
+		return nil
+	}
+	req := &Request{Op: OpLock, Tx: c.tx, Page: id, Mode: uint8(kind)<<4 | uint8(mode)}
+	if kind == lock.KindPage {
+		_, req.N = c.cleanFrame(disk.PageID(id))
+	}
+	c.lockPids, c.lockEntries = c.lockPids[:0], c.lockEntries[:0]
+	for _, pid := range ahead {
+		if c.held[lock.PageRes(uint32(pid))].mode >= mode {
+			continue
+		}
+		_, token := c.cleanFrame(pid)
+		c.lockPids = append(c.lockPids, pid)
+		c.lockEntries = AppendValidateEntry(c.lockEntries, uint32(pid), token)
+	}
+	req.Data = c.lockEntries
 	resp, err := c.call(req)
 	if err != nil {
 		return err
 	}
-	if frame >= 0 && (resp.Mode&RespStale != 0 || c.pool.Frame(frame).Stale) {
-		return c.revalidateFrame(frame)
+	if len(resp.Data) != len(c.lockPids) {
+		return fmt.Errorf("esm: lock response has %d verdicts for %d lock-ahead entries", len(resp.Data), len(c.lockPids))
+	}
+	if err := c.granted(res, heldLock{mode: mode}, resp.Mode&RespStale != 0); err != nil {
+		return err
+	}
+	for i, pid := range c.lockPids {
+		if v := resp.Data[i]; v != LockAheadRefused {
+			if err := c.granted(lock.PageRes(uint32(pid)), heldLock{mode: mode, ahead: true}, v == LockAheadStale); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -20,6 +20,15 @@ const (
 	OpWritePage
 	OpAllocPages
 	OpFreePages
+	// OpLock acquires the lock Mode names (kind in the high nibble, mode in
+	// the low) on Page, waiting for it if need be; for a page lock N carries
+	// the token of the client's cached copy (RespStale answers it). Data is
+	// empty or the lock-ahead list: (u32 pid, u64 token) entries — the
+	// OpValidatePages request shape — naming further pages to lock in the
+	// same mode only if that costs no wait. The response's Data then holds
+	// one LockAhead* verdict byte per entry, in request order. A page lock on
+	// disk.InvalidPage demands nothing — the list is all there is to it (the
+	// shard router's request to the shards that do not own the demanded page).
 	OpLock
 	OpLog
 	OpCreateFile
@@ -223,8 +232,21 @@ const (
 	RespHintsAll uint8 = 0x40
 )
 
-// ValidateReqEntryBytes is the wire size of one OpValidatePages request
-// entry: u32 page id + u64 token.
+// Verdicts on the entries of an OpLock lock-ahead list.
+const (
+	// LockAheadRefused: the lock could not be had without waiting (a peer
+	// holds or awaits the page); nothing was taken.
+	LockAheadRefused uint8 = 0
+	// LockAheadGranted: the lock is held and the entry's token is current.
+	LockAheadGranted uint8 = 1
+	// LockAheadStale: the lock is held, but the page has a newer committed
+	// version than the entry's token: the client revalidates its copy before
+	// it counts the lock as its own.
+	LockAheadStale uint8 = 2
+)
+
+// ValidateReqEntryBytes is the wire size of one (pid, token) request entry
+// of OpValidatePages and of OpLock's lock-ahead list: u32 page id + u64 token.
 const ValidateReqEntryBytes = 4 + 8
 
 // AppendValidateEntry marshals one (pid, token) request entry onto dst.

@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"quickstore/internal/disk"
+	"quickstore/internal/lock"
+	"quickstore/internal/wal"
 )
 
 // allOps enumerates every defined protocol operation.
@@ -296,6 +300,112 @@ func FuzzUnmarshalRequest(f *testing.F) {
 		}
 		if !reflect.DeepEqual(req, again) {
 			t.Fatalf("round trip drifted:\n got %+v\nwant %+v", again, req)
+		}
+	})
+}
+
+// lockAheadServer is a fresh server with one open transaction, for throwing
+// OpLock requests at.
+func lockAheadServer(t testing.TB) (*Server, uint64) {
+	t.Helper()
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, srv.Handle(&Request{Op: OpBegin}).N
+}
+
+// TestLockAheadPayload: an OpLock without a list is byte for byte the request
+// it always was and is answered without Data; with a list, the request
+// survives the wire and is answered with one verdict per entry.
+func TestLockAheadPayload(t *testing.T) {
+	plain := &Request{Op: OpLock, Tx: 3, Page: 9, N: 77, Mode: uint8(lock.KindPage)<<4 | uint8(lock.Exclusive)}
+	empty := *plain
+	empty.Data = []byte{}
+	if !bytes.Equal(plain.marshal(), empty.marshal()) {
+		t.Error("an empty lock-ahead list changes the request's bytes")
+	}
+
+	srv, tx := lockAheadServer(t)
+	req := &Request{Op: OpLock, Tx: tx, Page: 9, Mode: plain.Mode}
+	if resp := srv.Handle(req); resp.Err != "" || resp.Data != nil {
+		t.Fatalf("plain lock answered %+v", resp)
+	}
+	for _, pid := range []uint32{10, 11, 0xFFFFFFFF} {
+		req.Data = AppendValidateEntry(req.Data, pid, uint64(pid)*3)
+	}
+	wired, err := unmarshalRequest(req.marshal())
+	if err != nil || !reflect.DeepEqual(wired, req) {
+		t.Fatalf("request round trip: %+v, %v", wired, err)
+	}
+	resp := srv.Handle(wired)
+	// Nothing has committed over these pages, so every token still stands
+	// (core's lock-ahead tests drive the stale verdict end to end).
+	if want := []byte{LockAheadGranted, LockAheadGranted, LockAheadGranted}; resp.Err != "" || !bytes.Equal(resp.Data, want) {
+		t.Fatalf("verdicts %v (err %q), want %v", resp.Data, resp.Err, want)
+	}
+	again, err := unmarshalResponse(resp.marshal())
+	if err != nil || !reflect.DeepEqual(again, resp) {
+		t.Fatalf("response round trip: %+v, %v", again, err)
+	}
+
+	// A ragged list is refused whole, before anything is locked.
+	req.Page, req.Data = 20, append(AppendValidateEntry(nil, 21, 0), 1)
+	if resp := srv.Handle(req); resp.Err == "" {
+		t.Error("ragged lock-ahead list accepted")
+	}
+	if srv.LockHeld(tx, lock.PageRes(20)) != 0 || srv.LockHeld(tx, lock.PageRes(21)) != 0 {
+		t.Error("a refused request left locks behind")
+	}
+	// A list makes sense on page locks only.
+	req.Mode, req.Data = uint8(lock.KindFile)<<4|uint8(lock.Shared), AppendValidateEntry(nil, 21, 0)
+	if resp := srv.Handle(req); resp.Err == "" {
+		t.Error("lock-ahead list on a file lock accepted")
+	}
+}
+
+// FuzzLockAheadRequest throws arbitrary lock-ahead lists at the server while a
+// peer holds a few pages: the answer is an error or exactly one verdict per
+// entry, a granted entry is held and one the peer holds never is, and the call
+// comes back — no entry waits.
+func FuzzLockAheadRequest(f *testing.F) {
+	f.Add(uint32(1), uint64(0), []byte{})
+	f.Add(uint32(1), uint64(5), AppendValidateEntry(AppendValidateEntry(nil, 2, 0), 3, 9))
+	f.Add(uint32(0), uint64(0), AppendValidateEntry(nil, 2, 1))
+	f.Add(uint32(4), uint64(0), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, page uint32, token uint64, data []byte) {
+		if page >= 2 && page < 4 {
+			page += 2 // the demanded page may wait; keep it off the peer's
+		}
+		srv, tx := lockAheadServer(t)
+		peer := srv.Handle(&Request{Op: OpBegin}).N
+		for pid := uint32(2); pid < 4; pid++ {
+			if err := srv.locks.Acquire(peer, lock.PageRes(pid), lock.Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mode := uint8(lock.KindPage)<<4 | uint8(lock.Exclusive)
+		resp := srv.Handle(&Request{Op: OpLock, Tx: tx, Page: page, N: token, Mode: mode, Data: data})
+		if resp.Err != "" {
+			if len(data)%ValidateReqEntryBytes == 0 {
+				t.Fatalf("well-formed list refused: %s", resp.Err)
+			}
+			return
+		}
+		pids, _, err := ParseValidateEntries(data, uint64(len(resp.Data)))
+		if err != nil {
+			t.Fatalf("%d verdicts for a %d-byte list: %v", len(resp.Data), len(data), err)
+		}
+		for i, pid := range pids {
+			held := srv.LockHeld(tx, lock.PageRes(pid)) == lock.Exclusive
+			switch v := resp.Data[i]; {
+			case v > LockAheadStale:
+				t.Fatalf("entry %d: verdict %d", i, v)
+			case (v != LockAheadRefused) != held && pid != page:
+				t.Fatalf("entry %d (page %d): verdict %d, held %v", i, pid, v, held)
+			case pid >= 2 && pid < 4 && v != LockAheadRefused:
+				t.Fatalf("entry %d: the peer's page %d was granted", i, pid)
+			}
 		}
 	})
 }

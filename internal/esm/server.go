@@ -202,13 +202,18 @@ type Server struct {
 	// snapshot sessions opened and pages served on the lock-free snapshot
 	// path; pagesLogApplied/pagesInstalled count the two ways a
 	// transaction's bytes reach the pool (appendLogBatch page runs,
-	// installPage images). Atomics: stats reads race concurrent ops by design.
+	// installPage images); lockAheadGranted/lockAheadRefused count the
+	// verdicts on OpLock lock-ahead entries. Atomics: stats reads race
+	// concurrent ops by design.
 	prefetchPages   atomic.Int64
 	commits         atomic.Int64
 	snapBegins      atomic.Int64
 	snapReads       atomic.Int64
 	pagesLogApplied atomic.Int64
 	pagesInstalled  atomic.Int64
+
+	lockAheadGranted atomic.Int64
+	lockAheadRefused atomic.Int64
 
 	// Transport-layer counters, maintained by Serve across every TCP
 	// connection (the in-proc transport never touches them). Atomics for
@@ -352,8 +357,13 @@ type ServerStats struct {
 
 	// Lock-manager traffic. The snapshot-read acceptance check is a delta
 	// of LockGrants across a read sweep: the MVCC path must leave it flat.
-	LockGrants int64 `json:"lock_grants"`
-	LockWaits  int64 `json:"lock_waits"`
+	// LockAheadGranted/LockAheadRefused count the entries of OpLock
+	// lock-ahead lists: locks handed out without a round trip of their own
+	// (each is also a LockGrants grant), and those a peer stood in the way of.
+	LockGrants       int64 `json:"lock_grants"`
+	LockWaits        int64 `json:"lock_waits"`
+	LockAheadGranted int64 `json:"lock_ahead_granted,omitempty"`
+	LockAheadRefused int64 `json:"lock_ahead_refused,omitempty"`
 
 	// Snapshot-read counters; MVCC carries the version-store internals
 	// and is present only when ServerConfig.MVCC is on.
@@ -700,24 +710,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return nil, s.vol.Free(disk.PageID(req.Page), int(req.N))
 
 	case OpLock:
-		kind := lock.Kind(req.Mode >> 4)
-		mode := lock.Mode(req.Mode & 0xF)
-		if err := s.locks.Acquire(req.Tx, lock.Resource{Kind: kind, ID: uint64(req.Page)}, mode); err != nil {
-			return nil, err
-		}
-		// Piggybacked staleness check (DESIGN.md §18): a page-lock request
-		// carries the token of the client's cached copy in N. Commits
-		// clear their version-table and pending state before releasing
-		// locks, so a version probe after the grant is authoritative: a
-		// mismatch means a committed writer got in since the client cached
-		// the page, and the client must revalidate before reading the
-		// frame. This closes the mid-transaction hole Begin-validation
-		// cannot see (cache page, then another client commits, then we
-		// lock it).
-		if kind == lock.KindPage && req.N != 0 && !s.coh.isCurrent(disk.PageID(req.Page), req.N) {
-			return &Response{Mode: RespStale}, nil
-		}
-		return nil, nil
+		return s.lockPages(req)
 
 	case OpCreateFile:
 		s.mu.Lock()
@@ -794,19 +787,21 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			PagesLogApplied: s.pagesLogApplied.Load(),
 			PagesInstalled:  s.pagesInstalled.Load(),
 
-			LockGrants:     grants,
-			LockWaits:      waits,
-			SnapBegins:     s.snapBegins.Load(),
-			SnapReads:      s.snapReads.Load(),
-			NetInFlightHW:  s.netInFlightHW.Load(),
-			NetFlushes:     s.netFlushes.Load(),
-			NetFrames:      s.netFrames.Load(),
-			NetBytesOut:    s.netBytesOut.Load(),
-			CohValidates:   s.cohValidates.Load(),
-			CohNotModified: s.cohNotModified.Load(),
-			CohDeltas:      s.cohDeltas.Load(),
-			CohDeltaBytes:  s.cohDeltaBytes.Load(),
-			CohFulls:       s.cohFulls.Load(),
+			LockGrants:       grants,
+			LockWaits:        waits,
+			LockAheadGranted: s.lockAheadGranted.Load(),
+			LockAheadRefused: s.lockAheadRefused.Load(),
+			SnapBegins:       s.snapBegins.Load(),
+			SnapReads:        s.snapReads.Load(),
+			NetInFlightHW:    s.netInFlightHW.Load(),
+			NetFlushes:       s.netFlushes.Load(),
+			NetFrames:        s.netFrames.Load(),
+			NetBytesOut:      s.netBytesOut.Load(),
+			CohValidates:     s.cohValidates.Load(),
+			CohNotModified:   s.cohNotModified.Load(),
+			CohDeltas:        s.cohDeltas.Load(),
+			CohDeltaBytes:    s.cohDeltaBytes.Load(),
+			CohFulls:         s.cohFulls.Load(),
 		}
 		if q := s.replWaiter(); q != nil {
 			st.Repl = q.ReplStats()
@@ -854,6 +849,64 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return s.validatePages(req)
 	}
 	return nil, fmt.Errorf("esm: unknown op %v", req.Op)
+}
+
+// lockPages serves OpLock. The demanded resource is acquired first and may
+// wait (a timeout is ErrDeadlock; the transaction aborts) — a page lock on
+// disk.InvalidPage demands nothing and only has its list tried; the entries of the
+// lock-ahead list are then tried in order and never wait — TryAcquire takes a
+// lock only if no other transaction holds or awaits it — so lock-ahead adds
+// no wait-for edge from this transaction to any other.
+func (s *Server) lockPages(req *Request) (*Response, error) {
+	kind := lock.Kind(req.Mode >> 4)
+	mode := lock.Mode(req.Mode & 0xF)
+	var pids []uint32
+	var tokens []uint64
+	if len(req.Data) > 0 {
+		if kind != lock.KindPage {
+			return nil, fmt.Errorf("esm: lock-ahead list on a %d-kind lock", kind)
+		}
+		var err error
+		if pids, tokens, err = ParseValidateEntries(req.Data, uint64(len(req.Data)/ValidateReqEntryBytes)); err != nil {
+			return nil, err
+		}
+	}
+	if demanded := kind != lock.KindPage || disk.PageID(req.Page) != disk.InvalidPage; demanded {
+		if err := s.locks.Acquire(req.Tx, lock.Resource{Kind: kind, ID: uint64(req.Page)}, mode); err != nil {
+			return nil, err
+		}
+	}
+	// Piggybacked staleness check (DESIGN.md §18): a page-lock request
+	// carries the token of the client's cached copy — N for the demanded
+	// page, one per lock-ahead entry. Commits clear their version-table and
+	// pending state before releasing locks, so a version probe after the
+	// grant is authoritative: a mismatch means a committed writer got in
+	// since the client cached the page, and the client must revalidate before
+	// reading the frame. This closes the mid-transaction hole
+	// Begin-validation cannot see (cache page, then another client commits,
+	// then we lock it).
+	resp := &Response{}
+	if kind == lock.KindPage && req.N != 0 && !s.coh.isCurrent(disk.PageID(req.Page), req.N) {
+		resp.Mode = RespStale
+	}
+	if len(pids) == 0 {
+		return resp, nil
+	}
+	resp.Data = make([]byte, len(pids))
+	granted := int64(0)
+	for i, pid := range pids {
+		if !s.locks.TryAcquire(req.Tx, lock.PageRes(pid), mode) {
+			continue // LockAheadRefused
+		}
+		granted++
+		resp.Data[i] = LockAheadGranted
+		if tokens[i] != 0 && !s.coh.isCurrent(disk.PageID(pid), tokens[i]) {
+			resp.Data[i] = LockAheadStale
+		}
+	}
+	s.lockAheadGranted.Add(granted)
+	s.lockAheadRefused.Add(int64(len(pids)) - granted)
+	return resp, nil
 }
 
 // readPageVersioned serves a ReadVersioned OpReadPage: the request's N is
@@ -1559,3 +1612,8 @@ func (s *Server) Volume() disk.Volume { return s.vol }
 
 // Log exposes the write-ahead log for tests and crash-recovery drills.
 func (s *Server) Log() *wal.Log { return s.log }
+
+// LockHeld reports the mode in which tx holds res in the server's lock
+// manager (0 if it does not), for tests of what a transaction had locked
+// when its log records arrived.
+func (s *Server) LockHeld(tx uint64, res lock.Resource) lock.Mode { return s.locks.Holds(tx, res) }

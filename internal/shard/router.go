@@ -198,6 +198,9 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 		kind := lock.Kind(req.Mode >> 4)
 		switch kind {
 		case lock.KindPage:
+			if len(req.Data) > 0 {
+				return r.lockPages(req)
+			}
 			return r.pageOp(req, ShardOfPage(req.Page), LocalPage(req.Page))
 		case lock.KindFile:
 			return r.pageOp(req, ShardOfFile(req.Page), LocalFile(req.Page))
@@ -386,6 +389,82 @@ func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
 		}
 	}
 	return &esm.Response{N: max}, nil
+}
+
+// lockPages routes a page lock that carries a lock-ahead list. The demanded
+// page goes to its shard as in pageOp, with the entries that shard owns. The
+// entries of every other shard the transaction has already begun on go there
+// in a request that demands nothing (page disk.InvalidPage), so the caller
+// waits for the demanded page alone; the verdicts come back in request order.
+// Entries of a shard the transaction has not touched are refused here: a lock
+// taken on a guess must not enlist a participant and turn a one-phase commit
+// into two-phase commit.
+func (r *Router) lockPages(req *esm.Request) (*esm.Response, error) {
+	pids, tokens, err := esm.ParseValidateEntries(req.Data, uint64(len(req.Data)/esm.ValidateReqEntryBytes))
+	if err != nil {
+		return nil, err
+	}
+	t, err := r.tx(req.Tx)
+	if err != nil {
+		return nil, err
+	}
+	home := ShardOfPage(req.Page)
+	if _, err := r.localFor(t, home); err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	byShard := map[int][]int{home: nil} // shard -> indexes into the request order
+	locals := map[int]uint64{}
+	for i, pid := range pids {
+		shard := ShardOfPage(pid)
+		if local, ok := t.local[shard]; ok {
+			byShard[shard] = append(byShard[shard], i)
+			locals[shard] = local
+		}
+	}
+	locals[home] = t.local[home]
+	t.mu.Unlock()
+
+	type result struct {
+		shard int
+		idx   []int
+		resp  *esm.Response
+		err   error
+	}
+	results := make(chan result, len(byShard))
+	for shard, idx := range byShard {
+		fwd := &esm.Request{Op: esm.OpLock, Tx: locals[shard], Page: uint32(disk.InvalidPage), Mode: req.Mode}
+		if shard == home {
+			fwd.Page, fwd.N = LocalPage(req.Page), req.N
+		}
+		for _, i := range idx {
+			fwd.Data = esm.AppendValidateEntry(fwd.Data, LocalPage(pids[i]), tokens[i])
+		}
+		go func(shard int, idx []int, fwd *esm.Request) {
+			resp, err := r.call(shard, fwd)
+			if err == nil && resp.Err != "" {
+				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
+			}
+			if err == nil && len(resp.Data) != len(idx) {
+				err = fmt.Errorf("shard %d: lock response has %d verdicts for %d entries", shard, len(resp.Data), len(idx))
+			}
+			results <- result{shard: shard, idx: idx, resp: resp, err: err}
+		}(shard, idx, fwd)
+	}
+	out := &esm.Response{Data: make([]byte, len(pids))} // esm.LockAheadRefused unless a shard says otherwise
+	for range byShard {
+		res := <-results
+		if res.err != nil {
+			return nil, res.err
+		}
+		if res.shard == home {
+			out.Mode = res.resp.Mode
+		}
+		for k, i := range res.idx {
+			out.Data[i] = res.resp.Data[k]
+		}
+	}
+	return out, nil
 }
 
 // validatePages splits a warm-cache validation batch by each entry's page
@@ -783,6 +862,8 @@ func (r *Router) aggregateStats(req *esm.Request) (*esm.Response, error) {
 		agg.LogPiggybacks += st.LogPiggybacks
 		agg.LockGrants += st.LockGrants
 		agg.LockWaits += st.LockWaits
+		agg.LockAheadGranted += st.LockAheadGranted
+		agg.LockAheadRefused += st.LockAheadRefused
 		agg.SnapBegins += st.SnapBegins
 		agg.SnapReads += st.SnapReads
 		agg.NetInFlightHW += st.NetInFlightHW

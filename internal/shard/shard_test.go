@@ -562,3 +562,84 @@ func TestSnapshotOpsSingleShardOnly(t *testing.T) {
 		t.Fatal("cross-shard snapshot begin succeeded")
 	}
 }
+
+// TestLockAheadListSplitsByShard: a page lock's lock-ahead list is split by
+// shard. The demanded page's shard gets its entries with the demand; a shard
+// the transaction has begun on gets its entries in a request that demands
+// nothing; a shard it has not touched gets none — a guess must not widen the
+// commit — and the verdicts come back in the order of the list.
+func TestLockAheadListSplitsByShard(t *testing.T) {
+	srvs, r := newCluster(t, 2, Config{Affinity: -1})
+	pid := func(shard int, local uint32) disk.PageID { return disk.PageID(GlobalPage(shard, local)) }
+	stats := func(shard int) *esm.ServerStats {
+		t.Helper()
+		st, err := esm.NewClient(esm.NewInProcTransport(srvs[shard]), esm.ClientConfig{BufferPages: 8}).ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	held := func(c *esm.Client, want ...disk.PageID) {
+		t.Helper()
+		for _, p := range []disk.PageID{pid(0, 10), pid(0, 11), pid(0, 12), pid(1, 10), pid(1, 11), pid(1, 12)} {
+			wantMode := lock.Mode(0)
+			for _, w := range want {
+				if w == p {
+					wantMode = lock.Exclusive
+				}
+			}
+			if got := c.LockHeld(lock.KindPage, uint32(p)); got != wantMode {
+				t.Errorf("page %d of shard %d: held %v, want %v", LocalPage(uint32(p)), ShardOfPage(uint32(p)), got, wantMode)
+			}
+		}
+	}
+	// A peer holds shard 1's page 12 throughout.
+	peer := esm.NewClient(esm.NewInProcTransport(srvs[1]), esm.ClientConfig{BufferPages: 8})
+	if err := peer.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Lock(lock.KindPage, 12, lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+
+	c := esm.NewClient(r, esm.ClientConfig{BufferPages: 8})
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LockPageAhead(pid(0, 10), []disk.PageID{pid(1, 11), pid(0, 11)}); err != nil {
+		t.Fatal(err)
+	}
+	held(c, pid(0, 10), pid(0, 11))
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.SingleCommits != 1 || st.CrossCommits != 0 {
+		t.Fatalf("router stats %+v: the lock-ahead list enlisted shard 1", st)
+	}
+	if st := stats(1); st.LockGrants != 1 || st.LockAheadGranted+st.LockAheadRefused != 0 {
+		t.Fatalf("shard 1 saw %d grants, %d+%d lock-ahead entries; want the peer's grant only", st.LockGrants, st.LockAheadGranted, st.LockAheadRefused)
+	}
+
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Lock(lock.KindPage, uint32(pid(1, 10)), lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LockPageAhead(pid(0, 10), []disk.PageID{pid(1, 11), pid(0, 11), pid(1, 12), pid(0, 12)}); err != nil {
+		t.Fatal(err)
+	}
+	held(c, pid(1, 10), pid(0, 10), pid(1, 11), pid(0, 11), pid(0, 12))
+	if st := stats(0); st.LockAheadGranted != 3 || st.LockAheadRefused != 0 {
+		t.Errorf("shard 0 counted %d granted, %d refused; want 3, 0", st.LockAheadGranted, st.LockAheadRefused)
+	}
+	if st := stats(1); st.LockAheadGranted != 1 || st.LockAheadRefused != 1 || st.LockWaits != 0 {
+		t.Errorf("shard 1 counted %d granted, %d refused, %d waits; want 1, 1, 0", st.LockAheadGranted, st.LockAheadRefused, st.LockWaits)
+	}
+	if err := c.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}

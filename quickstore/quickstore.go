@@ -345,12 +345,17 @@ type Stats struct {
 	PrefetchIssued int64 // pages asked for ahead of any use
 	PrefetchHits   int64 // faults satisfied by a speculative frame
 	PrefetchWasted int64 // speculative frames never used
-	SimulatedMs    float64
+	// Lock-ahead, the write-fault path (DESIGN.md §18): exclusive page locks
+	// that arrived with another page's lock request.
+	LockAheadUsed   int64 // later asked for: a round trip saved
+	LockAheadWasted int64 // held to transaction end unasked
+	SimulatedMs     float64
 }
 
 // Stats reports the session's counters.
 func (s *Store) Stats() Stats {
 	snap := s.clock.Snapshot()
+	_, lockUsed, lockWasted := s.client.LocksAhead()
 	return Stats{
 		Faults:         s.core.Space().Faults(),
 		Accesses:       s.core.Space().Accesses(),
@@ -364,7 +369,10 @@ func (s *Store) Stats() Stats {
 		PrefetchIssued: snap.Count(sim.CtrPrefetchIssued),
 		PrefetchHits:   snap.Count(sim.CtrPrefetchHit),
 		PrefetchWasted: snap.Count(sim.CtrPrefetchWasted),
-		SimulatedMs:    snap.ElapsedMicros() / 1000,
+
+		LockAheadUsed:   lockUsed,
+		LockAheadWasted: lockWasted,
+		SimulatedMs:     snap.ElapsedMicros() / 1000,
 	}
 }
 
