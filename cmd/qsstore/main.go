@@ -607,19 +607,24 @@ func info(path string) error {
 		return err
 	}
 	defer logf.Close()
-	var byType [8]int64
-	var payload int64
+	var byType [wal.RecDecision + 1]int64
+	var payload, regions int64
 	_ = logf.Iterate(func(r wal.Record) bool {
 		if int(r.Type) < len(byType) {
 			byType[r.Type]++
 		}
-		payload += int64(len(r.Old) + len(r.New))
+		for it := r.Regions(); it.Next(); {
+			payload += int64(len(it.Old) + len(it.New))
+			if r.Type == wal.RecUpdate {
+				regions++
+			}
+		}
 		return true
 	})
 	fmt.Printf("log:         %s\n", logSummary(logf.Records(), logf.Bytes(), payload))
-	fmt.Printf("  begins=%d updates=%d commits=%d aborts=%d clrs=%d\n",
-		byType[wal.RecBegin], byType[wal.RecUpdate], byType[wal.RecCommit],
-		byType[wal.RecAbort], byType[wal.RecCLR])
+	fmt.Printf("  begins=%d updates=%d (%d regions) commits=%d aborts=%d clrs=%d prepares=%d decisions=%d\n",
+		byType[wal.RecBegin], byType[wal.RecUpdate], regions, byType[wal.RecCommit],
+		byType[wal.RecAbort], byType[wal.RecCLR], byType[wal.RecPrepare], byType[wal.RecDecision])
 	return nil
 }
 

@@ -142,10 +142,10 @@ func (s *Store) diffAndLog(d *PageDesc, cur []byte) {
 }
 
 // logWholePage emits a redo-only record carrying a fresh page's entire
-// image (there is no before-image to diff against).
+// image (there is no before-image to diff against). The cost model prices the
+// image as two half-page records, as the paper's ESM would have written it;
+// the log holds one record of two regions.
 func (s *Store) logWholePage(pid disk.PageID, data []byte) {
-	// Split in two records because a record length field is 16 bits and a
-	// page is exactly 8K.
 	half := len(data) / 2
 	s.c.LogUpdate(pid, 0, nil, data[:half])
 	s.c.LogUpdate(pid, half, nil, data[half:])

@@ -66,8 +66,17 @@ type Client struct {
 	retries atomic.Int64 // requests re-sent after a transient fault
 
 	tx      uint64
-	pending []byte // serialized log batch (count in first 4 bytes)
-	nrecs   uint32
+	pending []byte // serialized log batch (count in first 4 bytes), reused across flushes
+	nrecs   uint32 // records in the batch, the open one included
+
+	// open is the update record LogUpdate is folding regions into, not yet
+	// in pending: a LogUpdate for the same page at or past openEnd (the end
+	// of its last region) joins it, anything else closes it. Its first
+	// region's images are copies in openImg; its More is scratch too.
+	open    wal.Record
+	openImg []byte
+	openEnd int
+	isOpen  bool
 
 	// held is the open transaction's lock table: what the server has granted
 	// it, at the strongest mode asked for. Locks live until transaction end
@@ -689,18 +698,35 @@ func (c *Client) stampLSN(pid disk.PageID, data []byte) {
 	binary.LittleEndian.PutUint64(data[:8], lsn)
 }
 
-// LogUpdate buffers a physical update record (before/after images for the
-// byte range at off on page pid) for the current transaction, in the
-// encoding the server's log will hold it in. old is empty or as long as new.
+// LogUpdate logs a physical update (before/after images for the byte range
+// at off on page pid) for the current transaction, in the encoding the
+// server's log will hold it in. old is empty or as long as new. Consecutive
+// updates of one page that do not run backwards — a page's diff, a fresh
+// page's two halves — become regions of one record: one header, one
+// checksum, one append at the server. The cost model is charged per region:
+// internal/sim prices the paper's protocol, one header per range.
 func (c *Client) LogUpdate(pid disk.PageID, off int, old, new []byte) {
-	c.pending = wal.AppendUpdate(c.pending, uint32(pid), uint16(off), old, new)
-	c.nrecs++
+	if c.isOpen && c.open.Page == uint32(pid) && off >= c.openEnd {
+		c.open.More = wal.AppendRegion(c.open.More, off-c.openEnd, old, new)
+	} else {
+		c.closeRecord()
+		c.openImg = append(append(c.openImg[:0], old...), new...)
+		c.open = wal.Record{Page: uint32(pid), Off: uint16(off), Old: c.openImg[:len(old)], New: c.openImg[len(old):], More: c.open.More[:0]}
+		c.isOpen = true
+		c.nrecs++
+	}
+	c.openEnd = off + len(new)
 	c.clock.Charge(sim.CtrLogRecord, 1)
 	c.clock.Charge(sim.CtrLogByte, int64(len(old)+len(new)))
 }
 
-// PendingLogRecords reports the number of buffered, unshipped log records.
-func (c *Client) PendingLogRecords() int { return int(c.nrecs) }
+// closeRecord moves the open record, if any, into the pending batch.
+func (c *Client) closeRecord() {
+	if c.isOpen {
+		c.pending = wal.AppendBody(c.pending, &c.open)
+		c.isOpen = false
+	}
+}
 
 // structBefore copies the frame's current bytes when structural logging is
 // on, so the mutation about to happen can be diffed against them.
@@ -761,9 +787,16 @@ func (c *Client) FlushLog() error {
 	if c.nrecs == 0 {
 		return nil
 	}
+	c.closeRecord()
 	binary.LittleEndian.PutUint32(c.pending[:4], c.nrecs)
 	resp, err := c.call(&Request{Op: OpLog, Tx: c.tx, Data: c.pending})
-	c.pending = make([]byte, 4)
+	if answered := remoteError(""); err == nil || errors.As(err, &answered) {
+		c.pending = c.pending[:4]
+	} else {
+		// A transport that failed mid-call (a poisoned mux) may still be
+		// encoding the request: the buffer is its to keep.
+		c.pending = make([]byte, 4)
+	}
 	c.nrecs = 0
 	if err != nil {
 		return err
@@ -864,8 +897,7 @@ func (c *Client) Abort() error {
 	if c.tx == 0 {
 		return ErrNoTx
 	}
-	c.pending = make([]byte, 4)
-	c.nrecs = 0
+	c.pending, c.nrecs, c.isOpen = c.pending[:4], 0, false
 	for i := 0; i < c.pool.Len(); i++ {
 		f := c.pool.Frame(i)
 		if f.Page != disk.InvalidPage && f.Dirty {

@@ -10,11 +10,11 @@ import (
 	"quickstore/internal/wal"
 )
 
-// logBatch builds an OpLog payload from records (Page, Off, Old, New).
+// logBatch builds an OpLog payload from records (Page, Off, Old, New, More).
 func logBatch(recs ...wal.Record) []byte {
 	bodies := make([][]byte, len(recs))
-	for i, r := range recs {
-		bodies[i] = wal.AppendUpdate(nil, r.Page, r.Off, r.Old, r.New)
+	for i := range recs {
+		bodies[i] = wal.AppendBody(nil, &recs[i])
 	}
 	return rawBatch(bodies...)
 }
@@ -63,15 +63,16 @@ func poolImage(t testing.TB, srv *Server, pid disk.PageID) []byte {
 }
 
 // TestLogBatchRedoneAtServer: an OpLog batch alone changes the server's
-// page — each record's after-image lands at its offset, the page LSN follows
-// the last record — and an abort undoes it from the before-images.
+// page — every region's after-image of each record lands at its offset, the
+// page LSN follows the last record — and an abort undoes it from the
+// before-images.
 func TestLogBatchRedoneAtServer(t *testing.T) {
 	srv, pid := logBatchServer(t, 2)
 	tx := beginTx(t, srv)
 	zeros := make([]byte, 5)
 	resp := srv.Handle(&Request{Op: OpLog, Tx: tx, Data: logBatch(
-		wal.Record{Type: wal.RecUpdate, Page: uint32(pid), Off: 100, Old: zeros, New: []byte("hello")},
-		wal.Record{Type: wal.RecUpdate, Page: uint32(pid), Off: 200, Old: zeros, New: []byte("world")},
+		wal.Record{Type: wal.RecUpdate, Page: uint32(pid), Off: 100, Old: zeros, New: []byte("hello"),
+			More: wal.AppendRegion(nil, 95, zeros, []byte("world"))}, // at 200
 		wal.Record{Type: wal.RecUpdate, Page: uint32(pid + 1), Off: disk.PageSize - 5, Old: zeros, New: []byte("edge!")},
 	)})
 	if resp.Err != "" {
@@ -164,16 +165,20 @@ func TestAbortReadsOnlyItsOwnChain(t *testing.T) {
 	}
 }
 
-// poisonBatches are batches the server must refuse: appended, either of the
-// first two would fail the server's own redo and every later restart; the
-// rest are not the encoding (wal.AppendUpdate) at all. A before-image of
+// poisonBatches are batches the server must refuse: appended, any of the
+// first three would fail the server's own redo and every later restart; the
+// rest are not the encoding (wal.AppendBody) at all. A before-image of
 // another length than its after-image, and a record that is not an update,
 // were poison once; the encoding can no longer say either.
 func poisonBatches(pid uint32) map[string][]byte {
-	good := wal.AppendUpdate(nil, pid, 64, []byte{0, 0}, []byte{1, 2})
+	good := wal.AppendBody(nil, &wal.Record{Page: pid, Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}})
 	return map[string][]byte{
-		"after-image past the page":        rawBatch(good, wal.AppendUpdate(nil, pid, disk.PageSize-1, nil, []byte{1, 2})),
-		"before-image past the page":       rawBatch(good, wal.AppendUpdate(nil, pid, disk.PageSize-1, []byte{1, 2}, []byte{3, 4})),
+		"after-image past the page":  rawBatch(good, wal.AppendBody(nil, &wal.Record{Page: pid, Off: disk.PageSize - 1, New: []byte{1, 2}})),
+		"before-image past the page": rawBatch(good, wal.AppendBody(nil, &wal.Record{Page: pid, Off: disk.PageSize - 1, Old: []byte{1, 2}, New: []byte{3, 4}})),
+		"a later region past the page": rawBatch(good, wal.AppendBody(nil, &wal.Record{Page: pid, Off: 8000, Old: []byte{0}, New: []byte{1},
+			More: wal.AppendRegion(nil, 190, []byte{0, 0}, []byte{1, 2})})), // [8191,8193)
+		"region list shorter than it says": rawBatch(good, []byte{byte(pid), 8, 1, 1 << 1, 7, 9, 4, 1 << 1, 7}),
+		"region list flag with no list":    rawBatch(good, []byte{byte(pid), 8, 1, 1 << 1, 7}),
 		"before-image flag with no image":  rawBatch(good, []byte{byte(pid), 8, 1}),
 		"page id spelled with spare bytes": rawBatch(good, []byte{byte(pid) | 0x80, 0x00, 8, 2, 7}),
 		"offset past any page":             rawBatch(good, []byte{byte(pid), 0x80, 0x80, 0x04, 2, 7}),
@@ -215,6 +220,8 @@ func FuzzLogBatch(f *testing.F) {
 	f.Add(logBatch())
 	f.Add(logBatch(wal.Record{Type: wal.RecUpdate, Page: 2, Off: 16, Old: []byte{0, 0}, New: []byte{7, 7}}))
 	f.Add(logBatch(wal.Record{Type: wal.RecUpdate, Page: 900, Off: 16, New: []byte{7}})) // past the volume
+	f.Add(logBatch(pageRun(2, 0x40), pageRun(3, 0x60), wal.Record{Page: 2, Off: 64, Old: bytes.Repeat([]byte{0x40}, 5), New: []byte("again")}))
+	f.Add(logBatch(wal.Record{Page: 1, Off: 8100, New: []byte{1}, More: wal.AppendRegion(wal.AppendRegion(nil, 0, nil, nil), 80, []byte{0}, []byte{2})}))
 	for _, b := range poisonBatches(2) {
 		f.Add(b)
 	}

@@ -1334,16 +1334,17 @@ func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (*buffer.PageRef, error)
 // needs to be shipped (Client.Commit skips it).
 //
 // A batch is count u32, then count update bodies in the log's own encoding
-// (wal.AppendUpdate): the one codec serves the wire and the log, and a batch
+// (wal.AppendBody): the one codec serves the wire and the log, and a batch
 // can name nothing but updates. The whole batch is checked before anything is
 // appended: a record whose range leaves the page would otherwise sit in the
 // log and fail this redo and every later restart. Images are not copied out
-// of the request (wal.Log.Append serializes them before returning). Records
-// of one page arrive consecutively (the client logs a page's diff in one
-// go), so each run of them takes the page's content latch once; the page
-// LSN follows each record's LSN and the frame is left dirty, so the WAL rule
-// on the steal path holds as for an installed page. Before a transaction's
-// first change to a page its image is captured exactly as for an install.
+// of the request (wal.Log.Append serializes them before returning). A record
+// is one page's run of regions (the client folds a page's diff into one), and
+// it is the unit here as in recovery: one append, one content latch held
+// across all its regions, one page LSN; the frame is left dirty, so the WAL
+// rule on the steal path holds as for an installed page. Before a
+// transaction's first change to a page its image is captured exactly as for
+// an install.
 func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
 	if len(data) < 4 {
 		return 0, errShortMessage
@@ -1363,26 +1364,19 @@ func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
 	last := s.lastTxLSN[tx]
 	s.mu.Unlock()
 	var err error
-	i, p := 0, 4 // advanced inside the latched closure below
-	for i < count {
+	for i, p := 0, 4; i < count; i++ {
 		rec, n, _ := wal.DecodeUpdate(data[p:]) // checked above
-		pid := rec.Page
+		p += n
 		var ref *buffer.PageRef
-		if ref, err = s.pinForRedo(tx, disk.PageID(pid)); err != nil {
+		if ref, err = s.pinForRedo(tx, disk.PageID(rec.Page)); err != nil {
 			break
 		}
+		rec.Tx, rec.PrevLSN = tx, last
 		ref.Write(func(page []byte) {
-			for rec.Page == pid {
-				rec.Tx, rec.PrevLSN = tx, last
-				rec.LSN = s.log.Append(rec)
-				rec.Redo(page, setPageLSN)
-				last = rec.LSN
-				if i, p = i+1, p+n; i == count {
-					return
-				}
-				rec, n, _ = wal.DecodeUpdate(data[p:])
-			}
+			rec.LSN = s.log.Append(rec)
+			rec.Redo(page, setPageLSN)
 		})
+		last = rec.LSN
 		ref.MarkDirty()
 		ref.Release()
 		s.pagesLogApplied.Add(1)
@@ -1503,8 +1497,12 @@ func (s *Server) abort(tx uint64) error {
 			return fmt.Errorf("esm: abort of tx %d: %w", tx, err)
 		}
 		lsn = r.PrevLSN
-		if r.Type != wal.RecUpdate || len(r.Old) == 0 {
+		if r.Type != wal.RecUpdate {
 			continue
+		}
+		clr, ok := r.Compensation()
+		if !ok {
+			continue // redo-only
 		}
 		pid := disk.PageID(r.Page)
 		ref, _, err := s.pool.Load(pid, func(buf []byte) error {
@@ -1514,20 +1512,20 @@ func (s *Server) abort(tx uint64) error {
 		if err != nil {
 			return err
 		}
-		// The undo reads the page LSN and applies the before-image under
-		// one exclusive content latch; the aborting transaction still
-		// holds its page locks, but batch reads may snapshot concurrently.
+		// The undo reads the page LSN and applies every before-image of
+		// the record under one exclusive content latch; the aborting
+		// transaction still holds its page locks, but batch reads may
+		// snapshot concurrently.
 		applied := false
 		ref.Write(func(data []byte) {
 			if wal.LSN(pageLSNOf(data)) < r.LSN {
 				return // never applied here
 			}
-			clr := s.log.Append(wal.Record{Tx: tx, Type: wal.RecCLR, Page: r.Page, Off: r.Off, New: r.Old})
-			copy(data[int(r.Off):int(r.Off)+len(r.Old)], r.Old)
-			setPageLSN(data, uint64(clr))
+			clr.LSN = s.log.Append(clr)
+			clr.Redo(data, setPageLSN)
 			// Still under the content latch: any token vended for the page
 			// before this undo must stop matching the moment the bytes move.
-			s.coh.bump(pid, uint64(clr))
+			s.coh.bump(pid, uint64(clr.LSN))
 			applied = true
 		})
 		if applied {

@@ -124,7 +124,9 @@ func (n *Node) snapReadPage(pid disk.PageID, snap wal.LSN) ([]byte, error) {
 			continue // already reflected in the installed image
 		}
 		if r.Type == wal.RecCLR || committed[r.Tx] {
-			copy(buf[int(r.Off):int(r.Off)+len(r.New)], r.New)
+			for it := r.Regions(); it.Next(); {
+				copy(buf[it.Off:], it.New)
+			}
 		}
 	}
 	// Undo backward: updates that reached the installed image but whose
@@ -135,10 +137,10 @@ func (n *Node) snapReadPage(pid disk.PageID, snap wal.LSN) ([]byte, error) {
 		if r.Type != wal.RecUpdate || committed[r.Tx] || aborted[r.Tx] {
 			continue
 		}
-		if r.LSN > pageLSN || len(r.Old) == 0 {
-			continue // never reached the image, or redo-only
+		if r.LSN > pageLSN {
+			continue // never reached the image
 		}
-		copy(buf[int(r.Off):int(r.Off)+len(r.Old)], r.Old)
+		r.Undo(buf) // a redo-only region has no before-image and stays
 	}
 	return buf, nil
 }

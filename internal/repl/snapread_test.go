@@ -302,3 +302,143 @@ func TestSnapshotSessionAcrossFailover(t *testing.T) {
 		t.Fatalf("end snapshot: %v", err)
 	}
 }
+
+// writeRegions overwrites value at each of offs on page pid within c's open
+// transaction, one LogUpdate per offset: ascending offsets on one page, so the
+// client folds them into one multi-region record.
+func writeRegions(t *testing.T, c *esm.Client, pid disk.PageID, offs []int, value string) {
+	t.Helper()
+	i, err := c.FetchPage(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := c.PageData(i)
+	for _, off := range offs {
+		old := append([]byte(nil), data[off:off+len(value)]...)
+		copy(data[off:], value)
+		c.LogUpdate(pid, off, old, []byte(value))
+	}
+	if err := c.MarkDirty(pid); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A follower reconstructs a page at a snapshot LSN from records that each
+// carry several regions, and a record is visible whole or not at all: a
+// transaction unresolved at the snapshot has every region of its record
+// undone from the installed image, one committed by then but shipped after
+// the install has every region redone, and a snapshot standing between two
+// such records of one page sees all of the first and none of the second.
+func TestFollowerSnapReadBetweenRegionRecords(t *testing.T) {
+	nodes := newCluster(t, 1, 1)
+	leader := nodes[0].node
+	offs := []int{100, 300, 500}
+	wc := esm.NewClient(leader.Transport(), esm.ClientConfig{BufferPages: 8})
+	defer wc.Close()
+	if err := wc.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	pid, err := wc.AllocPages(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRegions(t, wc, pid, offs, "aaaa")
+	if err := wc.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The follower attaching below is fed by snapshot install: the image it
+	// gets holds transaction B's record, shipped and redone at the leader
+	// but not committed.
+	if err := leader.CurrentServer().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	writeRegions(t, wc, pid, offs, "bbbb")
+	if err := wc.FlushLog(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.CurrentServer().Checkpoint(); err != nil { // B's bytes reach the volume
+		t.Fatal(err)
+	}
+
+	fVol, fLog := disk.NewMemVolume(), wal.NewMemLog()
+	f := NewFollower(fVol, fLog, testCfg("n2", 1, nil))
+	defer f.Close()
+	f.AddPeer("n1", "", leader.Transport())
+	leader.AddPeer("n2", "", f.Transport())
+	caughtUp := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for fLog.FlushedLSN() != leader.DurableLSN() {
+			if time.Now().After(deadline) {
+				t.Fatal("follower never caught up")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	caughtUp()
+	installed := make([]byte, disk.PageSize)
+	if err := fVol.ReadPage(pid, installed); err != nil {
+		t.Fatal(err)
+	}
+	if string(installed[300:304]) != "bbbb" {
+		t.Fatalf("setup: the installed image does not hold the uncommitted record (%q)", installed[300:304])
+	}
+	begin := func() uint64 {
+		t.Helper()
+		resp := f.Handle(&esm.Request{Op: esm.OpBeginSnapshot})
+		if resp.Err != "" {
+			t.Fatalf("follower snap begin: %s", resp.Err)
+		}
+		return resp.N
+	}
+	check := func(at uint64, want ...string) {
+		t.Helper()
+		r := f.Handle(&esm.Request{Op: esm.OpSnapRead, Page: uint32(pid), N: at})
+		if r.Err != "" {
+			t.Fatalf("follower snap read at %d: %s", at, r.Err)
+		}
+		for i, off := range append(offs, 700) {
+			if got := string(r.Data[off : off+4]); got != want[i] {
+				t.Errorf("snapshot at %d, offset %d: %q, want %q (all of a record or none of it)", at, off, got, want[i])
+			}
+		}
+	}
+	const zero = "\x00\x00\x00\x00"
+	beforeB := begin()
+	check(beforeB, "aaaa", "aaaa", "aaaa", zero) // B unresolved: every region undone
+
+	if err := wc.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp()
+	afterB := begin()
+	if err := wc.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	writeRegions(t, wc, pid, []int{100, 500, 700}, "dddd")
+	if err := wc.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp()
+	check(beforeB, "aaaa", "aaaa", "aaaa", zero)   // B's commit is beyond it
+	check(afterB, "bbbb", "bbbb", "bbbb", zero)    // between B's record and D's: all of B, none of D
+	check(begin(), "dddd", "bbbb", "dddd", "dddd") // D arrived by log: every region redone
+	var runs, regions int
+	if err := fLog.Iterate(func(r wal.Record) bool {
+		if r.Type == wal.RecUpdate && r.Page == uint32(pid) {
+			runs++
+			for it := r.Regions(); it.Next(); {
+				regions++
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 2 || regions != 6 {
+		t.Errorf("the follower's log holds %d update records of %d regions for the page, want B's and D's, 3 regions each", runs, regions)
+	}
+}

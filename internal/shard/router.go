@@ -343,7 +343,8 @@ func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
 		if parts[shard] == nil {
 			parts[shard] = make([]byte, 4)
 		}
-		parts[shard] = wal.AppendUpdate(parts[shard], LocalPage(rec.Page), rec.Off, rec.Old, rec.New)
+		rec.Page = LocalPage(rec.Page)
+		parts[shard] = wal.AppendBody(parts[shard], &rec)
 		counts[shard]++
 		p += n
 	}

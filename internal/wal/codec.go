@@ -23,13 +23,27 @@ import (
 //	crc     4 bytes   CRC32 (IEEE) of the record's LSN as 8 little-endian
 //	                  bytes followed by every byte above
 //
-// The update body, also one record of an OpLog batch on the wire:
+// The update body, also one record of an OpLog batch on the wire: one or more
+// byte ranges (regions) of one page, disjoint and in ascending offset order.
 //
 //	page    uvarint   page id
-//	off     uvarint   byte offset within the page (fits Record.Off)
+//	off     uvarint   byte offset of the first region (fits Record.Off)
+//	list    1 byte    lenList, present only when more regions follow the first
 //	len     uvarint   len(New)<<1 | hasOld
 //	old     len bytes before-image, present only with hasOld
 //	new     len bytes after-image
+//	tail    uvarint   byte length of the regions that follow; only with list
+//	then, tail bytes of:
+//	gap     uvarint   bytes between the previous region's end and this one
+//	len, old, new     as above
+//
+// lenList is the one value a len field cannot hold (a before-image of no
+// bytes), so a one-region body pays nothing for the list it does not have: it
+// is byte for byte what it was when a record held one region. A gap, not an
+// offset, is stored, so regions that overlap or run backwards cannot be
+// written down, and redo and undo may apply a record's regions in any order.
+// The record is the unit of both: one checksum covers every region, so a torn
+// record is pruned whole, and one page LSN answers for all of them.
 //
 // A record carries no LSN: its LSN is where it stands, and the checksum seed
 // ties the bytes to that position, so a record left over from an older log
@@ -42,6 +56,10 @@ import (
 // fields. Records that name no page and carry no image (begin, commit,
 // abort, checkpoint, decision) leave it clear and pay nothing for the body.
 const kindBody = 0x80
+
+// lenList, where the first region's len field would stand, says a region list
+// follows that region.
+const lenList = 1
 
 // ErrCorrupt reports bytes that do not decode as the record expected at
 // their position: a checksum mismatch, a malformed field, or a record cut
@@ -60,11 +78,10 @@ func recordCRC(lsn LSN, b []byte) uint32 {
 	return crc32.Update(^crc, crc32.IEEETable, b)
 }
 
-// AppendUpdate appends one update body to dst: the record format's tail and
-// the OpLog batch's unit. A before-image is either absent or exactly as long
-// as the after-image — the format has one length — and anything else is a
-// caller bug.
-func AppendUpdate(dst []byte, page uint32, off uint16, old, new []byte) []byte {
+// appendImages appends a region's len, old and new fields. A before-image is
+// either absent or exactly as long as the after-image — the format has one
+// length — and anything else is a caller bug.
+func appendImages(dst, old, new []byte) []byte {
 	if len(old) != 0 && len(old) != len(new) {
 		panic(fmt.Sprintf("wal: %d-byte before-image for a %d-byte after-image", len(old), len(new)))
 	}
@@ -72,17 +89,38 @@ func AppendUpdate(dst []byte, page uint32, off uint16, old, new []byte) []byte {
 	if len(old) != 0 {
 		n |= 1
 	}
-	dst = binary.AppendUvarint(dst, uint64(page))
-	dst = binary.AppendUvarint(dst, uint64(off))
 	dst = binary.AppendUvarint(dst, n)
 	dst = append(dst, old...)
 	return append(dst, new...)
 }
 
+// AppendBody appends r's update body to dst: the record format's tail and the
+// OpLog batch's unit.
+func AppendBody(dst []byte, r *Record) []byte {
+	dst = binary.AppendUvarint(dst, uint64(r.Page))
+	dst = binary.AppendUvarint(dst, uint64(r.Off))
+	if len(r.More) == 0 {
+		return appendImages(dst, r.Old, r.New)
+	}
+	dst = append(dst, lenList)
+	dst = appendImages(dst, r.Old, r.New)
+	dst = binary.AppendUvarint(dst, uint64(len(r.More)))
+	return append(dst, r.More...)
+}
+
+// AppendRegion appends one more region to more, a Record.More under
+// construction: it starts gap bytes past the end of the region before it.
+func AppendRegion(more []byte, gap int, old, new []byte) []byte {
+	if gap < 0 || gap > math.MaxUint16 {
+		panic(fmt.Sprintf("wal: region gap %d out of range", gap))
+	}
+	return appendImages(binary.AppendUvarint(more, uint64(gap)), old, new)
+}
+
 // DecodeUpdate decodes the update body at the head of buf into a RecUpdate
-// record and returns the body's length. Old and New alias buf. The input is
-// untrusted (a client's batch, a log file): a malformed or truncated body is
-// ErrCorrupt.
+// record and returns the body's length. Old, New and More alias buf. The
+// input is untrusted (a client's batch, a log file): a malformed or truncated
+// body is ErrCorrupt.
 func DecodeUpdate(buf []byte) (Record, int, error) {
 	r := Record{Type: RecUpdate}
 	n, ok := r.decodeBody(buf, 0)
@@ -102,9 +140,91 @@ func uvarint(buf []byte, p int, max uint64) (uint64, int, bool) {
 	return v, p + n, true
 }
 
-// decodeBody fills r's Page, Off, Old and New from the update body at buf[p:]
-// and returns the position just past it. The images alias buf, capped so an
-// append through them cannot reach the bytes that follow.
+// decodeImages reads the len, old and new fields at buf[p:] and returns the
+// position just past them. The images alias buf, capped so an append through
+// them cannot reach the bytes that follow.
+func decodeImages(buf []byte, p int) (old, new []byte, end int, ok bool) {
+	n, p, ok := uvarint(buf, p, math.MaxUint64)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	hasOld, size := n&1 != 0, n>>1
+	if hasOld {
+		if size == 0 || size > uint64(len(buf)-p) {
+			return nil, nil, 0, false
+		}
+		old = buf[p : p+int(size) : p+int(size)]
+		p += int(size)
+	}
+	if size > uint64(len(buf)-p) {
+		return nil, nil, 0, false
+	}
+	if size > 0 {
+		new = buf[p : p+int(size) : p+int(size)]
+	}
+	return old, new, p + int(size), true
+}
+
+// Region is one byte range of an update record: its offset within the page,
+// its before-image (empty when the region is redo-only) and its after-image.
+type Region struct {
+	Off      int
+	Old, New []byte
+}
+
+// RegionIter walks an update record's regions in place, in offset order:
+//
+//	for it := r.Regions(); it.Next(); {
+//		copy(page[it.Off:], it.New)
+//	}
+//
+// The images alias the record's. Nothing is allocated.
+type RegionIter struct {
+	Region
+	more    []byte
+	started bool
+}
+
+// Regions returns an iterator standing before r's first region.
+func (r *Record) Regions() RegionIter {
+	return RegionIter{Region: Region{Off: int(r.Off), Old: r.Old, New: r.New}, more: r.More}
+}
+
+// Next advances to the next region and reports whether there is one. A More
+// that does not decode ends the walk; Err tells the two endings apart.
+func (it *RegionIter) Next() bool {
+	if !it.started {
+		it.started = true
+		return true
+	}
+	if len(it.more) == 0 {
+		return false
+	}
+	gap, p, ok := uvarint(it.more, 0, math.MaxUint16)
+	if !ok {
+		return false
+	}
+	old, new, p, ok := decodeImages(it.more, p)
+	if !ok {
+		return false
+	}
+	it.Region = Region{Off: it.Off + len(it.New) + int(gap), Old: old, New: new}
+	it.more = it.more[p:]
+	return true
+}
+
+// Err reports, once Next has returned false, whether the walk stopped short
+// of the record's last byte.
+func (it *RegionIter) Err() error {
+	if len(it.more) != 0 {
+		return fmt.Errorf("%w: malformed region list", ErrCorrupt)
+	}
+	return nil
+}
+
+// decodeBody fills r's Page, Off, Old, New and More from the update body at
+// buf[p:] and returns the position just past it, having walked the whole
+// region list: what it accepts, Regions walks to the end.
 func (r *Record) decodeBody(buf []byte, p int) (int, bool) {
 	page, p, ok := uvarint(buf, p, math.MaxUint32)
 	if !ok {
@@ -114,31 +234,28 @@ func (r *Record) decodeBody(buf []byte, p int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	n, p, ok := uvarint(buf, p, math.MaxUint64)
-	if !ok {
-		return 0, false
-	}
 	r.Page, r.Off = uint32(page), uint16(off)
-	hasOld, size := n&1 != 0, n>>1
-	if hasOld {
-		if size == 0 || size > uint64(len(buf)-p) {
-			return 0, false
-		}
-		r.Old = buf[p : p+int(size) : p+int(size)]
-		p += int(size)
+	list := p < len(buf) && buf[p] == lenList
+	if list {
+		p++
 	}
-	if size > uint64(len(buf)-p) {
+	if r.Old, r.New, p, ok = decodeImages(buf, p); !ok || !list {
+		return p, ok
+	}
+	size, p, ok := uvarint(buf, p, uint64(len(buf)))
+	if !ok || size == 0 || size > uint64(len(buf)-p) {
 		return 0, false
 	}
-	if size > 0 {
-		r.New = buf[p : p+int(size) : p+int(size)]
+	r.More = buf[p : p+int(size) : p+int(size)]
+	it := r.Regions()
+	for it.Next() {
 	}
-	return p + int(size), true
+	return p + int(size), it.Err() == nil
 }
 
 // appendRecord serializes r, whose LSN is set, onto dst. What the format
 // cannot express only a bug can ask for: a type outside 1..127, a PrevLSN not
-// below the record's own LSN, a before-image of another length (AppendUpdate).
+// below the record's own LSN, a before-image of another length (appendImages).
 func appendRecord(dst []byte, r *Record) []byte {
 	if r.Type == 0 || r.Type >= kindBody {
 		panic(fmt.Sprintf("wal: record type %d out of range", uint8(r.Type)))
@@ -148,7 +265,7 @@ func appendRecord(dst []byte, r *Record) []byte {
 		panic(fmt.Sprintf("wal: PrevLSN %d is not below the record's LSN %d", uint64(prev), uint64(lsn)))
 	}
 	start := len(dst)
-	body := r.Page != 0 || r.Off != 0 || len(r.Old) != 0 || len(r.New) != 0
+	body := r.Page != 0 || r.Off != 0 || len(r.Old) != 0 || len(r.New) != 0 || len(r.More) != 0
 	kind := byte(r.Type)
 	if body {
 		kind |= kindBody
@@ -161,14 +278,14 @@ func appendRecord(dst []byte, r *Record) []byte {
 	dst = binary.AppendUvarint(dst, r.Tx)
 	dst = binary.AppendUvarint(dst, back)
 	if body {
-		dst = AppendUpdate(dst, r.Page, r.Off, r.Old, r.New)
+		dst = AppendBody(dst, r)
 	}
 	return binary.LittleEndian.AppendUint32(dst, recordCRC(lsn, dst[start:]))
 }
 
 // decode decodes the record standing at lsn from the head of buf and returns
-// its length. Old and New alias buf; callers that hand the record out copy
-// them. Every length and offset is checked against buf before use, and
+// its length. Old, New and More alias buf; callers that hand the record out
+// copy them. Every length and offset is checked against buf before use, and
 // nothing is allocated, so arbitrary bytes cost at most one pass over buf.
 func decode(buf []byte, lsn LSN) (Record, int, error) {
 	if len(buf) == 0 {

@@ -89,8 +89,13 @@ func (t RecType) String() string {
 // record counts. It is not the size of a record in this log (see codec.go).
 const HeaderBytes = 50
 
-// Record is one log record. For RecUpdate and RecCLR, Page/Off/Old/New
-// describe a physical byte-range update.
+// Record is one log record. For RecUpdate and RecCLR it describes a physical
+// update of one page: one or more disjoint byte ranges in ascending offset
+// order, applied and undone together. Page/Off/Old/New are the first range;
+// More holds the rest in the log's own encoding (codec.go), so a record of
+// twenty ranges is decoded, carried and re-encoded without a slice of twenty
+// anything. Build More with AppendRegion and read a record's ranges with
+// Regions; a record with More == nil has the one range its fields name.
 type Record struct {
 	LSN     LSN     // assigned by Append
 	PrevLSN LSN     // previous record of the same transaction
@@ -98,32 +103,71 @@ type Record struct {
 	Type    RecType // record type
 	Page    uint32  // page id for updates
 	Off     uint16  // byte offset within the page
-	Old     []byte  // before image (empty for redo-only records)
+	Old     []byte  // before image (empty for a redo-only region)
 	New     []byte  // after image
+	More    []byte  // encoded regions after the first
 }
 
-// CheckRange reports whether the record's byte range fits a page of pageSize
-// bytes and its before-image, when present, is as long as its after-image.
-// The page server checks it before appending an update record, so that
-// neither its own redo of the record nor a later restart can index past the
-// page; Recover checks it again because the log file is outside input.
+// CheckRange reports whether every region of the record fits a page of
+// pageSize bytes, each before-image present is as long as its after-image,
+// and More decodes to its end. The page server checks it before appending an
+// update record, so that neither its own redo of the record nor a later
+// restart can index past the page; Recover checks it again because the log
+// file is outside input.
 func (r *Record) CheckRange(pageSize int) error {
-	if int(r.Off)+len(r.New) > pageSize {
-		return fmt.Errorf("wal: %v record for page %d covers [%d,%d), past the %d-byte page", r.Type, r.Page, r.Off, int(r.Off)+len(r.New), pageSize)
+	it := r.Regions()
+	for it.Next() {
+		if it.Off+len(it.New) > pageSize {
+			return fmt.Errorf("wal: %v record for page %d covers [%d,%d), past the %d-byte page", r.Type, r.Page, it.Off, it.Off+len(it.New), pageSize)
+		}
+		if len(it.Old) != 0 && len(it.Old) != len(it.New) {
+			return fmt.Errorf("wal: %v record for page %d has a %d-byte before-image for a %d-byte after-image", r.Type, r.Page, len(it.Old), len(it.New))
+		}
 	}
-	if len(r.Old) != 0 && len(r.Old) != len(r.New) {
-		return fmt.Errorf("wal: %v record for page %d has a %d-byte before-image for a %d-byte after-image", r.Type, r.Page, len(r.Old), len(r.New))
-	}
-	return nil
+	return it.Err()
 }
 
-// Redo applies the record's after-image to its page and stamps the page with
-// the record's LSN: the one redo step, run by restart recovery for records
-// whose effect is missing and by the page server for every update record as
-// it is appended. The caller has checked the range (CheckRange).
+// Redo applies every region's after-image to the page and stamps the page
+// with the record's LSN: the one redo step, run by restart recovery for
+// records whose effect is missing, by the page server for every update record
+// as it is appended, and — on a compensation record — by every undo. The
+// caller has checked the range (CheckRange) and holds the page exclusively, so
+// no reader sees some regions applied and others not.
 func (r *Record) Redo(pageBuf []byte, setPageLSN func(pageBuf []byte, lsn uint64)) {
-	copy(pageBuf[r.Off:], r.New)
+	for it := r.Regions(); it.Next(); {
+		copy(pageBuf[it.Off:], it.New)
+	}
 	setPageLSN(pageBuf, uint64(r.LSN))
+}
+
+// Undo applies every before-image the record carries to the page. Redo-only
+// regions have none and stay as they are.
+func (r *Record) Undo(pageBuf []byte) {
+	for it := r.Regions(); it.Next(); {
+		copy(pageBuf[it.Off:], it.Old)
+	}
+}
+
+// Compensation returns the record that undoes r: a RecCLR for the same
+// transaction and page whose after-images are r's before-images, region for
+// region. Appending it and redoing it onto the page is the undo. ok is false
+// when r carries no before-image — a redo-only record has nothing to undo.
+// The result owns its More and aliases r's before-images.
+func (r *Record) Compensation() (clr Record, ok bool) {
+	clr = Record{Tx: r.Tx, Type: RecCLR, Page: r.Page}
+	end := 0
+	for it := r.Regions(); it.Next(); {
+		switch {
+		case len(it.Old) == 0:
+			continue
+		case !ok:
+			clr.Off, clr.New, ok = uint16(it.Off), it.Old, true
+		default:
+			clr.More = AppendRegion(clr.More, it.Off-end, nil, it.Old)
+		}
+		end = it.Off + len(it.Old)
+	}
+	return clr, ok
 }
 
 // Log is an append-only write-ahead log. Records live in memory until Flush
@@ -274,8 +318,13 @@ func (l *Log) ReadAt(lsn LSN) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("wal: read at %d: %w", uint64(lsn), err)
 	}
-	rec.Old, rec.New = bytes.Clone(rec.Old), bytes.Clone(rec.New)
+	rec.own()
 	return rec, nil
+}
+
+// own gives r its own copies of the images a decode left aliasing the log.
+func (r *Record) own() {
+	r.Old, r.New, r.More = bytes.Clone(r.Old), bytes.Clone(r.New), bytes.Clone(r.More)
 }
 
 // Flush forces all appended records to the backing file, if any.
@@ -472,7 +521,7 @@ func (l *Log) Iterate(fn func(Record) bool) error {
 		if err != nil {
 			return err
 		}
-		rec.Old, rec.New = bytes.Clone(rec.Old), bytes.Clone(rec.New)
+		rec.own()
 		if !fn(rec) {
 			return nil
 		}
@@ -716,8 +765,12 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 	// from truncation by FirstLSN, until the coordinator's verdict arrives.
 	for i := len(updates) - 1; i >= 0; i-- {
 		r := updates[i]
-		if r.Type != RecUpdate || !losers[r.Tx] || len(r.Old) == 0 {
+		if r.Type != RecUpdate || !losers[r.Tx] {
 			continue
+		}
+		clr, ok := r.Compensation()
+		if !ok {
+			continue // redo-only
 		}
 		if err := store.ReadPage(r.Page, buf); err != nil {
 			return nil, nil, nil, err
@@ -725,9 +778,8 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 		if LSN(pageLSNOf(buf)) < r.LSN {
 			continue // update never reached the page
 		}
-		copy(buf[int(r.Off):int(r.Off)+len(r.Old)], r.Old)
-		clr := l.Append(Record{Tx: r.Tx, Type: RecCLR, Page: r.Page, Off: r.Off, New: append([]byte(nil), r.Old...)})
-		setPageLSN(buf, uint64(clr))
+		clr.LSN = l.Append(clr)
+		clr.Redo(buf, setPageLSN)
 		if err := store.WritePage(r.Page, buf); err != nil {
 			return nil, nil, nil, err
 		}
