@@ -10,13 +10,13 @@
 //	                   [-shard-id n -shard-map spec [-resolve-every d]]
 //	qsstore crashdrill [-repl|-shards] [-point name] [-victim coord|participant]
 //	                   [-seeds n] [-seed n] [-hit n] [-short] [-torn] [-dir path]
-//	qsstore replbench  [-out path]
 //
 // serve opens the volume (running restart recovery if the log demands it)
 // and exposes the page server over TCP: each accepted connection speaks the
 // multiplexed framed protocol, so one socket can carry many pipelined
-// client sessions ("oo7bench -addr" is the matching load generator). The
-// process serves until killed; committed state is durable via the WAL, so
+// client sessions (bench/run.sh --workload cluster_commit drives load at a
+// cluster of them; "stats -addr" observes one live). The process serves
+// until killed; committed state is durable via the WAL, so
 // no orderly shutdown is required.
 //
 // With -shard-id and -shard-map the server serves one shard of a
@@ -60,11 +60,6 @@
 // crash point (-point; default: the full victim x point matrix), both
 // shards restarted and swept, and every cross-shard transaction checked
 // for atomicity — committed on both shards or neither, never mixed.
-//
-// replbench measures quorum-commit throughput against a single-node
-// baseline at 1, 2, and 4 sessions and writes the sweep to
-// BENCH_repl.json; it exits non-zero if replication costs more than half
-// the baseline throughput at any point.
 package main
 
 import (
@@ -106,14 +101,13 @@ func main() {
 	replicaOf := fs.String("replica-of", "", "serve: follow the leader at this address (requires -node-id)")
 	quorum := fs.Int("quorum", 0, "serve: replicas that must hold a commit durable before ack (0 = majority)")
 	addr := fs.String("addr", "", "stats: query a running server at host:port instead of opening -db")
-	out := fs.String("out", "BENCH_repl.json", "replbench: output path for the sweep")
 	shardID := fs.Int("shard-id", -1, "serve: serve this shard of the -shard-map cluster")
 	shardMap := fs.String("shard-map", "", "serve/stats: comma-separated shard endpoint list (entries may be addr|addr|addr replica groups)")
 	resolveEvery := fs.Duration("resolve-every", 15*time.Second, "serve: period of the in-doubt resolution sweep in sharded mode")
 	victim := fs.String("victim", "", "crashdrill -shards: which shard dies, coord or participant (default: both in a matrix)")
 	shardDrillFlag := fs.Bool("shards", false, "crashdrill: drill a 2-shard 2PC cluster (coordinator/participant kill + resolution sweep)")
 	fs.Parse(os.Args[2:])
-	if *db == "" && *addr == "" && *shardMap == "" && cmd != "crashdrill" && cmd != "replbench" {
+	if *db == "" && *addr == "" && *shardMap == "" && cmd != "crashdrill" {
 		fmt.Fprintln(os.Stderr, "qsstore: -db is required")
 		os.Exit(2)
 	}
@@ -137,8 +131,6 @@ func main() {
 		} else {
 			err = crashdrill(*point, *seed, *seeds, *hitN, *short, *torn, *dir)
 		}
-	case "replbench":
-		err = replBench(*out)
 	default:
 		usage()
 	}
@@ -154,7 +146,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       qsstore serve -db <path> [-listen host:port] [-node-id name [-replica-of host:port] [-quorum n]]")
 	fmt.Fprintln(os.Stderr, "                     [-shard-id n -shard-map spec [-resolve-every d]]")
 	fmt.Fprintln(os.Stderr, "       qsstore crashdrill [-repl|-shards] [-point name] [-victim coord|participant] [-seeds n] [-seed n] [-hit n] [-short] [-torn] [-dir path]")
-	fmt.Fprintln(os.Stderr, "       qsstore replbench [-out path]")
 	os.Exit(2)
 }
 
@@ -542,40 +533,6 @@ func replDrill(point string, seed int64, seeds, hitN int) error {
 		runs, crashes, failovers, violations)
 	if violations > 0 {
 		return fmt.Errorf("%d replication invariants violated", violations)
-	}
-	return nil
-}
-
-// replBench sweeps quorum-commit throughput against the single-node
-// baseline and writes the result where CI archives it. The 2x acceptance
-// floor is the replication design's budget: batched shipping and the
-// piggybacked quorum wait must keep the protocol overhead within one
-// doubling of the commit path.
-func replBench(out string) error {
-	rep, err := harness.RunReplBench(harness.ReplBenchOpts{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %14s %14s %8s %12s %14s\n",
-		"sessions", "single ops/s", "quorum ops/s", "ratio", "ship rounds", "quorum wait")
-	bad := 0
-	for _, p := range rep.Points {
-		fmt.Printf("%-10d %14.0f %14.0f %8.2f %12d %12.1fms\n",
-			p.Sessions, p.SingleOpsPerSec, p.QuorumOpsPerSec, p.Ratio, p.ShipRounds, p.QuorumWaitMs)
-		if p.Ratio < 0.5 {
-			bad++
-		}
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if bad > 0 {
-		return fmt.Errorf("%d session counts fell below half the single-node throughput", bad)
 	}
 	return nil
 }

@@ -65,7 +65,6 @@ type latchFrame struct {
 	ref        bool
 	dirty      bool
 	dirtyEpoch uint64 // pool epoch at the clean→dirty transition
-	prefetched bool
 	content    sync.RWMutex
 }
 
@@ -186,17 +185,6 @@ func (r *PageRef) MarkDirty() {
 	r.s.mu.Unlock()
 }
 
-// ConsumePrefetched clears the frame's speculative flag, reporting whether
-// this reference is the first real use of a prefetched page.
-func (r *PageRef) ConsumePrefetched() bool {
-	r.s.mu.Lock()
-	f := &r.s.frames[r.idx]
-	was := f.prefetched
-	f.prefetched = false
-	r.s.mu.Unlock()
-	return was
-}
-
 // Release drops the pin. The reference must not be used afterwards.
 func (r *PageRef) Release() {
 	if r.pool == nil {
@@ -277,7 +265,6 @@ func (p *LatchPool) Load(pid disk.PageID, load func(buf []byte) error) (ref *Pag
 				f.page = pid
 				f.dirty = false
 				f.ref = true
-				f.prefetched = false
 				s.index[pid] = idx
 				delete(s.inflight, pid)
 				s.mu.Unlock()
@@ -299,11 +286,10 @@ func (p *LatchPool) Load(pid disk.PageID, load func(buf []byte) error) (ref *Pag
 }
 
 // reserveFrame returns a free frame in s, pinned (pin=1) so no concurrent
-// loader can claim it. Preference order matches Pool.freeFrame: empty
-// frames, then never-used prefetched frames, then the stripe's clock
-// victim. Dirty victims are written back with the stripe latch released;
-// an in-flight entry makes concurrent loads of the victim page wait for
-// the write-back before rereading it from the volume.
+// loader can claim it: an empty frame if there is one, else the stripe's
+// clock victim. Dirty victims are written back with the stripe latch
+// released; an in-flight entry makes concurrent loads of the victim page
+// wait for the write-back before rereading it from the volume.
 func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 	for spin := 0; ; spin++ {
 		s.mu.Lock()
@@ -316,29 +302,20 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 				return i, nil
 			}
 		}
-		for i := range s.frames {
+		n := len(s.frames)
+		for scanned := 0; scanned < 2*n; scanned++ {
+			i := s.hand
+			s.hand = (s.hand + 1) % n
 			f := &s.frames[i]
-			if f.prefetched && f.pin == 0 {
-				victim = i
-				break
+			if f.pin != 0 {
+				continue
 			}
-		}
-		if victim < 0 {
-			n := len(s.frames)
-			for scanned := 0; scanned < 2*n; scanned++ {
-				i := s.hand
-				s.hand = (s.hand + 1) % n
-				f := &s.frames[i]
-				if f.pin != 0 {
-					continue
-				}
-				if f.ref {
-					f.ref = false
-					continue
-				}
-				victim = i
-				break
+			if f.ref {
+				f.ref = false
+				continue
 			}
+			victim = i
+			break
 		}
 		if victim < 0 {
 			s.mu.Unlock()
@@ -376,7 +353,6 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 		f.page = disk.InvalidPage
 		f.dirty = false
 		f.ref = false
-		f.prefetched = false
 		s.mu.Unlock()
 		p.evicted.Add(1)
 		p.resident.Add(-1)
@@ -407,56 +383,6 @@ func (p *LatchPool) Snapshot(pid disk.PageID, dst []byte) bool {
 	s.mu.Lock()
 	f.pin--
 	s.mu.Unlock()
-	return true
-}
-
-// PutPrefetched installs a speculative pre-read page image under the same
-// non-displacement rules as Pool.PutPrefetched: only an empty frame or
-// another never-used prefetched frame may hold it, and the install is
-// dropped (ok=false) when the page is resident, has I/O in flight, or no
-// such frame exists. Prefetched frames are always clean, so the install
-// never does I/O and runs entirely under the stripe latch.
-func (p *LatchPool) PutPrefetched(pid disk.PageID, data []byte) bool {
-	s := p.stripe(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, resident := s.index[pid]; resident {
-		return false
-	}
-	if s.inflight[pid] != nil {
-		return false
-	}
-	victim := -1
-	for i := range s.frames {
-		f := &s.frames[i]
-		if f.page == disk.InvalidPage && f.pin == 0 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		for i := range s.frames {
-			f := &s.frames[i]
-			if f.prefetched && f.pin == 0 {
-				delete(s.index, f.page)
-				p.evicted.Add(1)
-				p.resident.Add(-1)
-				victim = i
-				break
-			}
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	f := &s.frames[victim]
-	copy(f.data, data)
-	f.page = pid
-	f.dirty = false
-	f.ref = false
-	f.prefetched = true
-	s.index[pid] = victim
-	p.resident.Add(1)
 	return true
 }
 
@@ -500,7 +426,6 @@ func (p *LatchPool) Evict(pid disk.PageID) (bool, error) {
 	f.page = disk.InvalidPage
 	f.dirty = false
 	f.ref = false
-	f.prefetched = false
 	f.pin = 0
 	s.mu.Unlock()
 	p.evicted.Add(1)
@@ -618,7 +543,6 @@ func (p *LatchPool) DropAll() {
 			f.page = disk.InvalidPage
 			f.dirty = false
 			f.ref = false
-			f.prefetched = false
 			p.resident.Add(-1)
 		}
 		s.mu.Unlock()

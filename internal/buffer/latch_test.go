@@ -214,59 +214,6 @@ func TestLatchPoolParallelStress(t *testing.T) {
 	}
 }
 
-// TestLatchPoolPrefetchConsumeVsEvict is the satellite race between
-// consuming a prefetched frame and evicting it: installers plant
-// speculative pages, readers consume them, and loaders churn the pool so
-// prefetched frames are constantly chosen as victims.
-func TestLatchPoolPrefetchConsumeVsEvict(t *testing.T) {
-	const (
-		frames  = 16
-		pages   = 64
-		workers = 6
-		iters   = 1500
-	)
-	p := NewLatchPool(frames)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			img := make([]byte, disk.PageSize)
-			rng := rand.New(rand.NewSource(int64(100 + w)))
-			for i := 0; i < iters; i++ {
-				pid := disk.PageID(1 + rng.Intn(pages)) // 0 is InvalidPage, never cached
-				switch rng.Intn(3) {
-				case 0:
-					binary.LittleEndian.PutUint32(img, uint32(pid))
-					p.PutPrefetched(pid, img)
-				case 1:
-					if ref, ok := p.Get(pid); ok {
-						ref.ConsumePrefetched()
-						ref.Read(func([]byte) {})
-						ref.Release()
-					}
-				default:
-					ref, _, err := p.Load(pid, func(buf []byte) error {
-						binary.LittleEndian.PutUint32(buf, uint32(pid))
-						return nil
-					})
-					if err != nil {
-						t.Errorf("Load(%d): %v", pid, err)
-						return
-					}
-					ref.Read(func(data []byte) {
-						if got := disk.PageID(binary.LittleEndian.Uint32(data)); got != pid {
-							t.Errorf("frame for page %d holds image of page %d", pid, got)
-						}
-					})
-					ref.Release()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // TestLatchPoolStripes pins the stripe sizing: tiny pools collapse to one
 // stripe (still correct, no parallelism) and big pools cap at 64.
 func TestLatchPoolStripes(t *testing.T) {

@@ -42,13 +42,6 @@ type ClientConfig struct {
 	Policy      buffer.Policy // replacement policy; nil = traditional clock
 	Clock       *sim.Clock    // cost-model clock; nil = free clock
 	Retry       RetryPolicy   // transient-fault retry; zero value disables
-
-	// NoCoherence disables the warm-cache coherence protocol: no Begin
-	// revalidation, no versioned reads, no invalidation hints. Resident
-	// frames are then reused blindly across transactions — correct only
-	// when this client is the sole writer (the protocol's off switch for
-	// the full-refetch baseline in benchmarks).
-	NoCoherence bool
 }
 
 // Client is one application session against the page server. It owns the
@@ -115,11 +108,10 @@ type Client struct {
 	stamper  ShardStamper         // per-shard LSN source when the transport shards (nil otherwise)
 	rawPages map[disk.PageID]bool // large-object data pages: never LSN-stamped
 
-	// Warm-cache coherence (DESIGN.md §18). coherent gates the whole
-	// protocol; sid is the server-minted hint session (0 until the first
-	// Begin, always 0 under sharding); pinLeaks counts frames Abort found
-	// still pinned — an object-layer bug Abort used to paper over.
-	coherent bool
+	// Warm-cache coherence (DESIGN.md §18). sid is the server-minted hint
+	// session (0 until the first Begin, always 0 under sharding); pinLeaks
+	// counts frames Abort found still pinned — an object-layer bug Abort
+	// used to paper over.
 	sid      uint64
 	pinLeaks int64
 
@@ -159,7 +151,7 @@ func NewClient(tr Transport, cfg ClientConfig) *Client {
 	if cfg.Clock == nil {
 		cfg.Clock = sim.NewClock(sim.CostModel{})
 	}
-	c := &Client{tr: tr, clock: cfg.Clock, retry: cfg.Retry, rawPages: map[disk.PageID]bool{}, coherent: !cfg.NoCoherence,
+	c := &Client{tr: tr, clock: cfg.Clock, retry: cfg.Retry, rawPages: map[disk.PageID]bool{},
 		held: map[lock.Resource]heldLock{}}
 	if st, ok := tr.(ShardStamper); ok {
 		c.stamper = st
@@ -239,11 +231,11 @@ func (c *Client) call(req *Request) (*Response, error) {
 // Retries reports how many requests were re-sent after transient faults.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
-// Begin starts a transaction. With coherence on it also revalidates the
-// whole resident set against the server's version table in one batched
-// OpValidatePages round trip: current frames are kept as-is, stale ones
-// are repaired in place (delta patch or full image) or evicted, so
-// everything still resident afterwards is the last committed image.
+// Begin starts a transaction and revalidates the whole resident set
+// against the server's version table in one batched OpValidatePages round
+// trip: current frames are kept as-is, stale ones are repaired in place
+// (delta patch or full image) or evicted, so everything still resident
+// afterwards is the last committed image.
 func (c *Client) Begin() error {
 	if c.tx != 0 {
 		return fmt.Errorf("esm: transaction %d already active", c.tx)
@@ -252,7 +244,7 @@ func (c *Client) Begin() error {
 		return fmt.Errorf("esm: snapshot session at %d open; end it before writing", c.snap)
 	}
 	req := &Request{Op: OpBegin}
-	if c.coherent && c.stamper == nil {
+	if c.stamper == nil {
 		// Hint sessions are single-server only: the shard Router begins
 		// distributed transactions itself and never forwards session ids.
 		req.Mode = BeginSession
@@ -266,10 +258,8 @@ func (c *Client) Begin() error {
 	if req.Mode&BeginSession != 0 {
 		c.sid = uint64(resp.Page)
 	}
-	if c.coherent {
-		if err := c.validateResident(); err != nil {
-			return fmt.Errorf("esm: revalidating warm cache: %w", err)
-		}
+	if err := c.validateResident(); err != nil {
+		return fmt.Errorf("esm: revalidating warm cache: %w", err)
 	}
 	return nil
 }
@@ -281,7 +271,7 @@ const validateChunk = 512
 // validateResident revalidates every clean resident frame at Begin. No
 // sim-clock time is charged anywhere on this path — warm hits were free
 // in the uncoherent model too, and the protocol's cost is measured in
-// wire bytes (the warm-cache bench), not simulated I/O.
+// wire bytes (TestWarmCacheShipsFewerBytes), not simulated I/O.
 func (c *Client) validateResident() error {
 	idxs := make([]int, 0, validateChunk)
 	entries := make([]byte, 0, validateChunk*ValidateReqEntryBytes)
@@ -448,7 +438,7 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 	}
 	if i, ok := c.pool.Get(pid); ok {
 		c.ConsumePrefetch(i)
-		if c.coherent && c.pool.Frame(i).Stale && !c.pool.Frame(i).Dirty {
+		if c.pool.Frame(i).Stale && !c.pool.Frame(i).Dirty {
 			if err := c.revalidateFrame(i); err != nil {
 				return 0, err
 			}
@@ -458,11 +448,7 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 	var token uint64
 	i, err := c.pool.Put(pid, func(buf []byte) error {
 		c.clock.Charge(sim.CtrClientRead, 1)
-		req := &Request{Op: OpReadPage, Tx: c.tx, Page: uint32(pid)}
-		if c.coherent {
-			req.Mode = ReadVersioned
-		}
-		resp, err := c.call(req)
+		resp, err := c.call(&Request{Op: OpReadPage, Tx: c.tx, Page: uint32(pid), Mode: ReadVersioned})
 		if err != nil {
 			return err
 		}
@@ -473,9 +459,7 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if c.coherent {
-		c.pool.Frame(i).LSN = c.noteToken(pid, token)
-	}
+	c.pool.Frame(i).LSN = c.noteToken(pid, token)
 	return i, nil
 }
 
@@ -583,16 +567,11 @@ func (c *Client) ReadAhead(pids []disk.PageID) error {
 	for i, pid := range pids {
 		binary.LittleEndian.PutUint32(payload[i*4:], uint32(pid))
 	}
-	req := &Request{Op: OpReadPages, Tx: c.tx, N: uint64(len(pids)), Data: payload}
-	rec := 4 + disk.PageSize
-	if c.coherent {
-		req.Mode = ReadVersioned
-		rec += 8
-	}
-	resp, err := c.call(req)
+	resp, err := c.call(&Request{Op: OpReadPages, Tx: c.tx, N: uint64(len(pids)), Mode: ReadVersioned, Data: payload})
 	if err != nil {
 		return err
 	}
+	const rec = 4 + 8 + disk.PageSize // page id, coherence token, image
 	if len(resp.Data) != rec*len(pids) {
 		return fmt.Errorf("esm: ReadPages returned %d bytes for %d pages", len(resp.Data), len(pids))
 	}
@@ -601,7 +580,7 @@ func (c *Client) ReadAhead(pids []disk.PageID) error {
 		if got := disk.PageID(binary.LittleEndian.Uint32(r)); got != pid {
 			return fmt.Errorf("esm: ReadPages record %d is page %d, want %d", i, got, pid)
 		}
-		if f, ok := c.pool.PutPrefetched(pid, r[rec-disk.PageSize:]); ok && c.coherent {
+		if f, ok := c.pool.PutPrefetched(pid, r[rec-disk.PageSize:]); ok {
 			c.pool.Frame(f).LSN = c.noteToken(pid, binary.LittleEndian.Uint64(r[4:]))
 		}
 	}
@@ -848,40 +827,38 @@ func (c *Client) Commit() error {
 	if resp.N > c.lastSeen {
 		c.lastSeen = resp.N // read-your-writes floor for snapshot begins
 	}
-	if c.coherent {
-		// Invalidation hints piggybacked on the commit ack: pages this
-		// session caches that other transactions committed over. Advisory
-		// only — Begin validation is the correctness backstop — but acting
-		// on them here turns the next Begin's repair into a cheap delta.
-		if resp.Mode&RespHintsAll != 0 {
-			for i := 0; i < c.pool.Len(); i++ {
-				if f := c.pool.Frame(i); f.Page != disk.InvalidPage {
-					f.Stale = true
-				}
-			}
-		} else if resp.Mode&RespHints != 0 {
-			for off := 0; off+4 <= len(resp.Data); off += 4 {
-				pid := disk.PageID(binary.LittleEndian.Uint32(resp.Data[off:]))
-				if i, ok := c.pool.Lookup(pid); ok {
-					c.pool.Frame(i).Stale = true
-				}
+	// Invalidation hints piggybacked on the commit ack: pages this
+	// session caches that other transactions committed over. Advisory
+	// only — Begin validation is the correctness backstop — but acting
+	// on them here turns the next Begin's repair into a cheap delta.
+	if resp.Mode&RespHintsAll != 0 {
+		for i := 0; i < c.pool.Len(); i++ {
+			if f := c.pool.Frame(i); f.Page != disk.InvalidPage {
+				f.Stale = true
 			}
 		}
-		// The cleaned frames hold exactly the bytes the server just
-		// committed, whether it received them whole or rebuilt them from
-		// their records: stamp them with the commit token so the next
-		// Begin answers "not modified" for them. Under sharding the single
-		// response LSN is not the per-shard commit LSN, so the frames stay
-		// unversioned and revalidate as full reads.
-		tok := resp.N
-		if c.stamper != nil {
-			tok = 0
+	} else if resp.Mode&RespHints != 0 {
+		for off := 0; off+4 <= len(resp.Data); off += 4 {
+			pid := disk.PageID(binary.LittleEndian.Uint32(resp.Data[off:]))
+			if i, ok := c.pool.Lookup(pid); ok {
+				c.pool.Frame(i).Stale = true
+			}
 		}
-		for _, i := range cleaned {
-			f := c.pool.Frame(i)
-			f.LSN = c.noteToken(f.Page, tok)
-			f.Stale = false
-		}
+	}
+	// The cleaned frames hold exactly the bytes the server just
+	// committed, whether it received them whole or rebuilt them from
+	// their records: stamp them with the commit token so the next
+	// Begin answers "not modified" for them. Under sharding the single
+	// response LSN is not the per-shard commit LSN, so the frames stay
+	// unversioned and revalidate as full reads.
+	tok := resp.N
+	if c.stamper != nil {
+		tok = 0
+	}
+	for _, i := range cleaned {
+		f := c.pool.Frame(i)
+		f.LSN = c.noteToken(f.Page, tok)
+		f.Stale = false
 	}
 	return nil
 }
@@ -965,9 +942,6 @@ func (c *Client) LocksAhead() (outstanding int, used, wasted int64) {
 // (-1 if none) and the token to send for it: 0 for a copy already known to
 // need revalidation.
 func (c *Client) cleanFrame(pid disk.PageID) (frame int, token uint64) {
-	if !c.coherent {
-		return -1, 0
-	}
 	i, ok := c.pool.Lookup(pid)
 	if !ok {
 		return -1, 0

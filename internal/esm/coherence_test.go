@@ -1,6 +1,7 @@
 package esm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -403,27 +404,126 @@ func TestRawPagesStayUnversioned(t *testing.T) {
 	}
 }
 
-// TestNoCoherenceOptOut: a session with NoCoherence set must behave like
-// the legacy protocol — no tokens retained, no validation traffic.
-func TestNoCoherenceOptOut(t *testing.T) {
-	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
+// meteredTransport counts the framed wire size of every request and
+// response it carries: what the in-process call would cost on a socket.
+type meteredTransport struct {
+	tr    Transport
+	bytes int64
+}
+
+func (m *meteredTransport) Call(req *Request) (*Response, error) {
+	m.bytes += int64(frameHdrSize + len(req.marshal()))
+	resp, err := m.tr.Call(req)
+	if resp != nil {
+		m.bytes += int64(frameHdrSize + len(resp.marshal()))
+	}
+	return resp, err
+}
+
+func (m *meteredTransport) Close() error { return m.tr.Close() }
+
+// TestWarmCacheShipsFewerBytes: a reader that keeps its cache warm across
+// 20 rounds, while a writer commits over 10% of 128 shared objects before
+// each one, must never read a stale value — and must move at least 5x
+// fewer framed bytes than a reader that could not trust its cache and
+// refetched every page each round (rounds x pages x PageSize).
+func TestWarmCacheShipsFewerBytes(t *testing.T) {
+	const (
+		objects = 128
+		size    = 1024
+		rounds  = 20
+		dirty   = objects / 10
+	)
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := seedCohObject(t, srv, "legacy-1")
-	c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8, NoCoherence: true})
-	if got := readCohObject(t, c, oid, 8); got != "legacy-1" {
-		t.Fatalf("read: %q", got)
+	writer := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 64})
+	if err := writer.Begin(); err != nil {
+		t.Fatal(err)
 	}
-	if i, ok := c.Pool().Lookup(oid.Page); ok {
-		if lsn := c.Pool().Frame(i).LSN; lsn != 0 {
-			t.Errorf("uncoherent session retained token %d", lsn)
+	fid, err := writer.CreateFile("warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := writer.NewCluster(fid)
+	oids := make([]OID, objects)
+	oracle := make([]uint64, objects)
+	pages := map[disk.PageID]bool{}
+	for i := range oids {
+		oid, data, err := writer.CreateObject(cl, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle[i] = uint64(i)
+		binary.LittleEndian.PutUint64(data, oracle[i])
+		oids[i] = oid
+		pages[oid.Page] = true
+	}
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	meter := &meteredTransport{tr: NewInProcTransport(srv)}
+	reader := NewClient(meter, ClientConfig{BufferPages: 256})
+	stale := 0
+	readAll := func() {
+		t.Helper()
+		if err := reader.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for i, oid := range oids {
+			data, _, err := reader.ReadObject(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if binary.LittleEndian.Uint64(data) != oracle[i] {
+				stale++
+			}
+		}
+		if err := reader.Commit(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := cohStats(t, c)
-	if st.CohValidates != 0 {
-		t.Errorf("uncoherent session sent %d validations", st.CohValidates)
+	readAll() // the cold fetch is the same with or without a warm cache
+	meter.bytes = 0
+	st0 := cohStats(t, writer)
+
+	for r := 1; r <= rounds; r++ {
+		if err := writer.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < dirty; k++ {
+			i := (r*dirty + k) % objects
+			data, off, frame, err := writer.ReadObjectAt(oids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := append([]byte(nil), data[:8]...)
+			oracle[i] = uint64(r)<<32 | uint64(i)
+			binary.LittleEndian.PutUint64(data, oracle[i])
+			writer.Pool().MarkDirty(frame)
+			writer.LogUpdate(oids[i].Page, off, old, append([]byte(nil), data[:8]...))
+		}
+		if err := writer.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		readAll()
 	}
+
+	if stale != 0 {
+		t.Fatalf("warm reader saw %d stale values", stale)
+	}
+	if st := cohStats(t, writer); st.CohDeltas+st.CohFulls == st0.CohDeltas+st0.CohFulls {
+		t.Fatal("no frame was repaired: the writer's commits never reached the warm cache")
+	}
+	refetch := int64(rounds * len(pages) * disk.PageSize)
+	if meter.bytes*5 > refetch {
+		t.Fatalf("warm reader moved %d bytes, want <= 1/5 of refetching %d pages x %d rounds (%d)",
+			meter.bytes, len(pages), rounds, refetch)
+	}
+	t.Logf("%d pages, %d rounds: %d bytes warm vs %d refetched (%.1fx)",
+		len(pages), rounds, meter.bytes, refetch, float64(refetch)/float64(meter.bytes))
 }
 
 // TestVersionTableSurvivesRestart: tokens handed out before a crash must

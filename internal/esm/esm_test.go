@@ -400,7 +400,7 @@ func TestIOAccounting(t *testing.T) {
 	}
 }
 
-func TestTCPTransport(t *testing.T) {
+func TestDialTCPRoundTrip(t *testing.T) {
 	srv, _, _ := newPair(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

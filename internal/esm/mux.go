@@ -21,7 +21,7 @@ import (
 // stream.
 var ErrTransportBroken = errors.New("esm: transport broken")
 
-// DefaultCallTimeout bounds one call's network I/O on the TCP transports
+// DefaultCallTimeout bounds one call's network I/O on the TCP transport
 // when the dialer does not choose its own limit.
 const DefaultCallTimeout = 30 * time.Second
 
@@ -68,8 +68,7 @@ type muxReq struct {
 // batched socket writes by a dedicated writer goroutine (group commit for
 // the network), and a reader goroutine demultiplexes responses to the
 // waiting calls by sequence number. One socket therefore keeps many
-// requests in flight at once — whole sessions can share the connection —
-// where the lock-step transport would serialize full round trips.
+// requests in flight at once — whole sessions can share the connection.
 //
 // Failure semantics: any socket error, malformed inbound frame, or response
 // bearing an unknown/duplicate sequence number poisons the connection (see
@@ -310,98 +309,4 @@ func (t *MuxTransport) Close() error {
 	}
 	t.wg.Wait()
 	return nil
-}
-
-// TCPTransport is the serial lock-step transport: every call holds one
-// mutex across a full write→flush→read round trip, so concurrent callers
-// queue behind each other's network and server latency.
-//
-// It survives only as the A/B baseline for the transport benchmark
-// (harness.RunConcurrencyBench's TCP mode, BENCH_net.json) — it speaks the
-// same seq-framed wire protocol as MuxTransport, against the same server,
-// isolating exactly what pipelining buys. New code should use DialTCP.
-type TCPTransport struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	rd      *bufio.Reader
-	buf     []byte // reused marshal+frame buffer
-	scratch *[]byte
-	seq     uint64
-	err     error // poison cause; non-nil => broken
-	timeout time.Duration
-}
-
-// DialTCPLockstep connects a lock-step transport (benchmark baseline, see
-// TCPTransport) with the default call timeout.
-func DialTCPLockstep(addr string) (*TCPTransport, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewLockstepTransport(conn, DefaultCallTimeout), nil
-}
-
-// NewLockstepTransport runs the lock-step protocol over an existing
-// connection. timeout <= 0 disables deadlines.
-func NewLockstepTransport(conn net.Conn, timeout time.Duration) *TCPTransport {
-	return &TCPTransport{
-		conn:    conn,
-		rd:      bufio.NewReaderSize(conn, 64<<10),
-		scratch: getBuf(),
-		timeout: timeout,
-	}
-}
-
-// Call implements Transport. A mid-call I/O failure poisons the
-// connection: the stream may hold half a frame, so resuming would hand the
-// next call some earlier call's bytes. Poisoned transports fail every
-// subsequent call with ErrTransportBroken.
-func (t *TCPTransport) Call(req *Request) (*Response, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return nil, brokenErr(t.err)
-	}
-	t.seq++
-	t.buf = appendRequestFrame(t.buf[:0], t.seq, req)
-	if t.timeout > 0 {
-		t.conn.SetDeadline(time.Now().Add(t.timeout))
-	}
-	if _, err := t.conn.Write(t.buf); err != nil {
-		return nil, t.poisonLocked(fmt.Errorf("write: %v", err))
-	}
-	seq, body, err := readMuxFrame(t.rd, t.scratch)
-	if err != nil {
-		return nil, t.poisonLocked(fmt.Errorf("read: %v", err))
-	}
-	if seq != t.seq {
-		return nil, t.poisonLocked(fmt.Errorf("response seq %d, want %d", seq, t.seq))
-	}
-	resp := new(Response)
-	if err := resp.unmarshal(body, true); err != nil {
-		return nil, t.poisonLocked(err)
-	}
-	return resp, nil
-}
-
-// poisonLocked records the cause, closes the socket, and returns the
-// broken-transport error for the failing call itself. Callers hold t.mu.
-func (t *TCPTransport) poisonLocked(cause error) error {
-	t.err = cause
-	t.conn.Close()
-	return brokenErr(cause)
-}
-
-// Close implements Transport.
-func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err == nil {
-		t.err = errors.New("transport closed")
-	}
-	if t.scratch != nil {
-		putBuf(t.scratch)
-		t.scratch = nil
-	}
-	return t.conn.Close()
 }

@@ -262,56 +262,32 @@ func TestMuxIdleConnectionDoesNotTimeOut(t *testing.T) {
 	}
 }
 
-// TestLockstepSeqMismatchPoisons: the lock-step baseline verifies the
-// response seq; a desynchronized stream poisons instead of silently
-// feeding one call another call's bytes — the bug this PR's fix removes.
-func TestLockstepSeqMismatchPoisons(t *testing.T) {
-	cli, srvConn := net.Pipe()
-	go func() {
-		if _, _, err := readOneFrame(srvConn); err != nil {
-			return
-		}
-		srvConn.Write(appendResponseFrame(nil, 42, &Response{})) // wrong seq
-	}()
-	tr := NewLockstepTransport(cli, time.Second)
-	defer tr.Close()
-	_, err := tr.Call(&Request{Op: OpBegin})
-	wantBroken(t, err)
-	_, err = tr.Call(&Request{Op: OpBegin})
-	wantBroken(t, err)
-}
-
 // TestLockstepMidCallIOErrorPoisons is the regression test for the
 // desynchronized-stream bug: a mid-call I/O failure must leave the
 // transport refusing further calls, and — per the PR 2 retry policy — the
 // client must NOT re-send even retryable requests over it (a transport
-// error means the session is gone, not a transient server fault).
+// error means the session is gone, not a transient server fault). The name
+// and the "mux" subtest are historical: the lock-step transport and its
+// subtest are gone, and mux is the only transport left.
 func TestLockstepMidCallIOErrorPoisons(t *testing.T) {
-	for _, mode := range []string{"lockstep", "mux"} {
-		t.Run(mode, func(t *testing.T) {
-			cli, srvConn := net.Pipe()
-			go func() {
-				readOneFrame(srvConn)
-				srvConn.Close() // die mid-call, after consuming the request
-			}()
-			var tr Transport
-			if mode == "lockstep" {
-				tr = NewLockstepTransport(cli, time.Second)
-			} else {
-				tr = NewMuxTransport(cli, time.Second)
-			}
-			defer tr.Close()
-			c := NewClient(tr, ClientConfig{
-				BufferPages: 4,
-				Retry:       RetryPolicy{MaxAttempts: 5},
-			})
-			err := c.Begin()
-			wantBroken(t, err)
-			if got := c.Retries(); got != 0 {
-				t.Fatalf("client retried %d times over a broken transport", got)
-			}
+	t.Run("mux", func(t *testing.T) {
+		cli, srvConn := net.Pipe()
+		go func() {
+			readOneFrame(srvConn)
+			srvConn.Close() // die mid-call, after consuming the request
+		}()
+		tr := NewMuxTransport(cli, time.Second)
+		defer tr.Close()
+		c := NewClient(tr, ClientConfig{
+			BufferPages: 4,
+			Retry:       RetryPolicy{MaxAttempts: 5},
 		})
-	}
+		err := c.Begin()
+		wantBroken(t, err)
+		if got := c.Retries(); got != 0 {
+			t.Fatalf("client retried %d times over a broken transport", got)
+		}
+	})
 }
 
 // transientReadHook fails the first `fails` page reads of pid with the

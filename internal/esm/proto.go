@@ -359,17 +359,6 @@ func ParseValidateResponse(data []byte, want int) (stale []bool, repairs []Valid
 	return stale, repairs, nil
 }
 
-// RequestWireSize is the framed size of a request on the wire, for byte
-// accounting in benchmarks and transports that meter traffic.
-func RequestWireSize(r *Request) int {
-	return frameHdrSize + 28 + len(r.Name) + len(r.Data)
-}
-
-// ResponseWireSize is the framed size of a response on the wire.
-func ResponseWireSize(r *Response) int {
-	return frameHdrSize + 19 + len(r.Err) + len(r.Data)
-}
-
 // Request is one client-to-server message.
 type Request struct {
 	Op   Op
@@ -391,7 +380,7 @@ type Response struct {
 }
 
 // Transport delivers requests to a server and returns responses. The
-// in-process, multiplexed-TCP, and lock-step-TCP transports all satisfy it.
+// in-process and multiplexed-TCP transports both satisfy it.
 // A Transport is safe for concurrent use by multiple goroutines: one socket
 // may carry several whole client sessions.
 type Transport interface {

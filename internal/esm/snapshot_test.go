@@ -1,10 +1,17 @@
 package esm
 
 import (
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/lock"
 	"quickstore/internal/wal"
 )
 
@@ -117,6 +124,148 @@ func TestSnapshotReadsAreStableAndLockFree(t *testing.T) {
 	}
 	st := srv.mv.Stats()
 	if st.Pins != 0 {
+		t.Fatalf("pins leaked: %+v", st)
+	}
+}
+
+// The same two properties with readers and writers running at once (the
+// -race variant): 4 snapshot readers race 2 writers that commit one value
+// across all pages per transaction, locking them in page order. Every
+// snapshot must see one writer transaction whole — the same value on every
+// page — and the same bytes again when its pages are refetched from the
+// server after more commits; and the lock manager must grant exactly the
+// writers' own locks, none to the readers.
+func TestSnapshotReadsStableUnderConcurrentWriters(t *testing.T) {
+	const (
+		readers, sessions = 4, 15
+		writers, txns     = 2, 20
+		npages, off       = 4, 512
+	)
+	srv, mk := newSnapServer(t, -1)
+	setup := mk()
+	if err := setup.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := setup.AllocPages(npages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	pids := make([]disk.PageID, npages)
+	for i := range pids {
+		pids[i] = first + disk.PageID(i)
+		commitBytes(t, setup, pids[i], off, "\x00\x00\x00\x00\x00\x00\x00\x00")
+	}
+
+	grants0, _ := srv.locks.Stats()
+	var writerLocks atomic.Int64
+	writer := func(w int) error {
+		c := mk()
+		for n := 1; n <= txns; n++ {
+			if err := c.Begin(); err != nil {
+				return err
+			}
+			var val [8]byte
+			binary.LittleEndian.PutUint64(val[:], uint64(w)<<32|uint64(n))
+			for _, pid := range pids {
+				if err := c.Lock(lock.KindPage, uint32(pid), lock.Exclusive); err != nil {
+					return err
+				}
+				writerLocks.Add(1)
+				i, err := c.FetchPage(pid)
+				if err != nil {
+					return err
+				}
+				data := c.PageData(i)
+				old := append([]byte(nil), data[off:off+8]...)
+				copy(data[off:], val[:])
+				c.LogUpdate(pid, off, old, val[:])
+				if err := c.MarkDirty(pid); err != nil {
+					return err
+				}
+			}
+			if err := c.Commit(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// readAll reads every page's value in the open snapshot session,
+	// refetching from the server when evict is set.
+	readAll := func(c *Client, evict bool) ([]uint64, error) {
+		vals := make([]uint64, npages)
+		for k, pid := range pids {
+			if i, ok := c.Pool().Lookup(pid); ok && evict {
+				if err := c.Pool().Evict(i); err != nil {
+					return nil, err
+				}
+			}
+			i, err := c.FetchPage(pid)
+			if err != nil {
+				return nil, err
+			}
+			vals[k] = binary.LittleEndian.Uint64(c.PageData(i)[off:])
+		}
+		return vals, nil
+	}
+	reader := func() error {
+		c := mk()
+		for n := 0; n < sessions; n++ {
+			if err := c.BeginSnapshot(); err != nil {
+				return err
+			}
+			vals, err := readAll(c, false)
+			if err != nil {
+				return err
+			}
+			for _, v := range vals[1:] {
+				if v != vals[0] {
+					return fmt.Errorf("snapshot %d saw a torn write: %x", c.Snapshot(), vals)
+				}
+			}
+			runtime.Gosched() // let writers commit past the snapshot
+			again, err := readAll(c, true)
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(again, vals) {
+				return fmt.Errorf("snapshot %d moved: %x then %x", c.Snapshot(), vals, again)
+			}
+			if err := c.EndSnapshot(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	errs := make(chan error, readers+writers)
+	var wg sync.WaitGroup
+	for w := 1; w <= writers; w++ {
+		wg.Add(1)
+		go func(w int) { defer wg.Done(); errs <- writer(w) }(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); errs <- reader() }()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	grants1, _ := srv.locks.Stats()
+	if got, want := grants1-grants0, writerLocks.Load(); got != want {
+		t.Fatalf("lock manager granted %d locks, the writers took %d: snapshot readers took %d",
+			got, want, got-want)
+	}
+	if want := int64(writers * txns * npages); writerLocks.Load() != want {
+		t.Fatalf("writers took %d locks, want %d", writerLocks.Load(), want)
+	}
+	if st := srv.mv.Stats(); st.Pins != 0 {
 		t.Fatalf("pins leaked: %+v", st)
 	}
 }

@@ -37,9 +37,6 @@ var ExperimentNames = []string{
 // "all": it compares demand paging with mapping-object read-ahead, which is
 // beyond the paper, so keeping it out preserves byte-identical "-exp all"
 // output against the paper baseline.
-// "concurrency" (also reachable as "oo7bench -clients N") is excluded for the
-// same reason plus one more: it measures wall-clock time, so its numbers are
-// inherently nondeterministic.
 
 // Suite runs experiments, caching generated databases and measurements that
 // several tables share.
@@ -208,7 +205,6 @@ func (s *Suite) dispatch() map[string]func() error {
 		"extras":    s.Extras,
 		"verify":    s.Verify,
 		"prefetch":  s.PrefetchExp,
-		"concurrency": func() error { return s.ConcurrencyExp(ConcurrencyOpts{}) },
 	}
 }
 

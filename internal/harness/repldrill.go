@@ -324,157 +324,3 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 	}
 	return rep, nil
 }
-
-// ReplBenchOpts configures the quorum-commit throughput comparison.
-type ReplBenchOpts struct {
-	Sessions       []int // client-session sweep; nil = 1, 2, 4
-	TxnsPerSession int   // committed transactions per session; 0 = 30
-
-	// Injected device latencies, as in ConcurrencyOpts: without them every
-	// in-memory commit is a few microseconds and the ratio would measure
-	// scheduler noise rather than the replication protocol.
-	FlushDelay time.Duration // per physical log force; 0 = 240µs
-}
-
-// ReplBenchPoint is one measured session count.
-type ReplBenchPoint struct {
-	Sessions        int     `json:"sessions"`
-	SingleOpsPerSec float64 `json:"single_ops_per_sec"` // unreplicated baseline
-	QuorumOpsPerSec float64 `json:"quorum_ops_per_sec"` // 3-node cluster, quorum 2
-	Ratio           float64 `json:"ratio"`              // quorum / single
-	ShipRounds      int64   `json:"ship_rounds"`        // leader ship rounds during the run
-	QuorumWaitMs    float64 `json:"quorum_wait_ms"`     // total time commits spent gated
-}
-
-// ReplBenchReport is the full sweep, serialized into BENCH_repl.json.
-type ReplBenchReport struct {
-	Points []ReplBenchPoint `json:"points"`
-}
-
-// RunReplBench measures quorum-commit throughput against a single-node
-// baseline at each session count. Both sides run the same commit-heavy
-// workload (one counter bump per transaction, one counter per session) over
-// in-memory devices with an injected log-force latency; the replicated side
-// adds a 3-node cluster with quorum 2, so the measured gap is the ship
-// round trip and the quorum wait — which group commit and batched shipping
-// are supposed to amortize as sessions grow.
-func RunReplBench(opts ReplBenchOpts) (*ReplBenchReport, error) {
-	if len(opts.Sessions) == 0 {
-		opts.Sessions = []int{1, 2, 4}
-	}
-	if opts.TxnsPerSession == 0 {
-		opts.TxnsPerSession = 30
-	}
-	if opts.FlushDelay == 0 {
-		opts.FlushDelay = 240 * time.Microsecond
-	}
-	rep := &ReplBenchReport{}
-	for _, sessions := range opts.Sessions {
-		single, _, _, err := replBenchRun(opts, sessions, false)
-		if err != nil {
-			return nil, err
-		}
-		quorum, rounds, waitNs, err := replBenchRun(opts, sessions, true)
-		if err != nil {
-			return nil, err
-		}
-		rep.Points = append(rep.Points, ReplBenchPoint{
-			Sessions:        sessions,
-			SingleOpsPerSec: single,
-			QuorumOpsPerSec: quorum,
-			Ratio:           ratio(quorum, single),
-			ShipRounds:      rounds,
-			QuorumWaitMs:    float64(waitNs) / 1e6,
-		})
-	}
-	return rep, nil
-}
-
-// replBenchRun measures one configuration: commits per second over the
-// given session count, optionally behind a 3-node quorum-2 cluster.
-func replBenchRun(opts ReplBenchOpts, sessions int, replicated bool) (opsPerSec float64, shipRounds, quorumWaitNs int64, err error) {
-	mkLog := func() *wal.Log {
-		l := wal.NewMemLog()
-		l.FlushHook = func(pending int) (int, error) {
-			time.Sleep(opts.FlushDelay)
-			return pending, nil
-		}
-		return l
-	}
-	scfg := esm.ServerConfig{BufferPages: 64, CommitWindow: time.Millisecond}
-	srv, err := esm.NewServer(disk.NewMemVolume(), mkLog(), scfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var tr esm.Transport = esm.NewInProcTransport(srv)
-	var leader *repl.Node
-	if replicated {
-		cfg := func(id string) repl.Config {
-			return repl.Config{
-				ID:                id,
-				Quorum:            2,
-				HeartbeatInterval: 50 * time.Millisecond,
-				QuorumTimeout:     10 * time.Second,
-				Server:            esm.ServerConfig{BufferPages: 64},
-			}
-		}
-		leader = repl.NewLeader(srv, cfg("n1"))
-		followers := []*repl.Node{
-			repl.NewFollower(disk.NewMemVolume(), mkLog(), cfg("n2")),
-			repl.NewFollower(disk.NewMemVolume(), mkLog(), cfg("n3")),
-		}
-		all := append([]*repl.Node{leader}, followers...)
-		for i, a := range all {
-			for j, b := range all {
-				if i != j {
-					a.AddPeer(b.ID(), "", b.Transport())
-				}
-			}
-		}
-		defer func() {
-			for _, n := range all {
-				_ = n.Close()
-			}
-		}()
-		tr = leader.Transport()
-	}
-
-	errs := make(chan error, sessions)
-	start := time.Now()
-	for s := 0; s < sessions; s++ {
-		go func(s int) {
-			c := esm.NewClient(tr, esm.ClientConfig{BufferPages: 8})
-			name := fmt.Sprintf("bench.c%d", s)
-			for t := 0; t < opts.TxnsPerSession; t++ {
-				if err := c.Begin(); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := c.Counter(name, 1); err != nil {
-					errs <- err
-					return
-				}
-				if err := c.Commit(); err != nil {
-					errs <- err
-					return
-				}
-			}
-			errs <- nil
-		}(s)
-	}
-	for s := 0; s < sessions; s++ {
-		if e := <-errs; e != nil && err == nil {
-			err = e
-		}
-	}
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	elapsed := time.Since(start).Seconds()
-	ops := float64(sessions * opts.TxnsPerSession)
-	if leader != nil {
-		st := leader.ReplStats()
-		shipRounds, quorumWaitNs = st.ShipRounds, st.QuorumWaitNs
-	}
-	return ops / elapsed, shipRounds, quorumWaitNs, nil
-}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"testing"
-	"time"
 
 	"quickstore/internal/faultinject"
 )
@@ -48,31 +47,6 @@ func TestReplDrillCrashPoints(t *testing.T) {
 			if !rep.FailedOver {
 				t.Fatalf("%s seed %d: no failover: %+v", pt, seed, rep)
 			}
-		}
-	}
-}
-
-// TestReplBenchSmoke exercises the throughput comparison end to end with a
-// tiny workload; the acceptance ratio is checked by the CI bench run, not
-// here, where the numbers are noise.
-func TestReplBenchSmoke(t *testing.T) {
-	rep, err := RunReplBench(ReplBenchOpts{
-		Sessions:       []int{1, 2},
-		TxnsPerSession: 5,
-		FlushDelay:     50 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
-	}
-	for _, p := range rep.Points {
-		if p.SingleOpsPerSec <= 0 || p.QuorumOpsPerSec <= 0 {
-			t.Fatalf("degenerate measurement: %+v", p)
-		}
-		if p.ShipRounds == 0 {
-			t.Fatalf("replicated run shipped nothing: %+v", p)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,6 +94,14 @@ func newCluster(t *testing.T, n int, cfg Config) ([]*esm.Server, *Router) {
 // name (and, via affinity, whose pages) live on the given shard.
 func makeObject(t *testing.T, trs []esm.Transport, shard, nShards int, val byte) (esm.OID, string) {
 	t.Helper()
+	name := NameOnShard(fmt.Sprintf("obj.%d", shard), shard, nShards)
+	return makeNamedObject(t, trs, shard, name, val), name
+}
+
+// makeNamedObject is makeObject with the file (and root) name chosen by
+// the caller; name must hash to shard.
+func makeNamedObject(t *testing.T, trs []esm.Transport, shard int, name string, val byte) esm.OID {
+	t.Helper()
 	r, err := NewRouter(trs, Config{Affinity: shard})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +110,6 @@ func makeObject(t *testing.T, trs []esm.Transport, shard, nShards int, val byte)
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	name := NameOnShard(fmt.Sprintf("obj.%d", shard), shard, nShards)
 	fid, err := c.CreateFile(name)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +133,7 @@ func makeObject(t *testing.T, trs []esm.Transport, shard, nShards int, val byte)
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return oid, name
+	return oid
 }
 
 // update rewrites the first 8 bytes of the object through an open session.
@@ -641,5 +649,108 @@ func TestLockAheadListSplitsByShard(t *testing.T) {
 	}
 	if err := peer.Abort(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runConcurrentSessions drives 4 concurrent sessions x 12 transactions
+// against n in-process shards. Each session owns one object on its home
+// shard and one on the next; every transaction updates the first, every
+// 3rd also the second. It returns the sessions' summed router counters and
+// the 2PC state left on the servers.
+func runConcurrentSessions(t *testing.T, n int) (st RouterStats, leftover int) {
+	t.Helper()
+	const sessions, txns, crossEvery = 4, 12, 3
+	srvs, _ := newCluster(t, n, Config{})
+	trs := transports(srvs)
+	objs := make([][2]esm.OID, sessions)
+	for s := range objs {
+		for k := range objs[s] {
+			sh := (s + k) % n
+			objs[s][k] = makeNamedObject(t, trs, sh, NameOnShard(fmt.Sprintf("s%d.%d", s, k), sh, n), byte(s))
+		}
+	}
+	touch := func(c *esm.Client, oid esm.OID, val byte) error {
+		data, off, frame, err := c.ReadObjectAt(oid)
+		if err != nil {
+			return err
+		}
+		old := append([]byte(nil), data[:8]...)
+		copy(data, bytes.Repeat([]byte{val}, 8))
+		c.Pool().MarkDirty(frame)
+		c.LogUpdate(oid.Page, off, old, append([]byte(nil), data[:8]...))
+		return nil
+	}
+	session := func(s int) (RouterStats, error) {
+		r, err := NewRouter(trs, Config{Affinity: s % n})
+		if err != nil {
+			return RouterStats{}, err
+		}
+		c := esm.NewClient(r, esm.ClientConfig{BufferPages: 8})
+		for tx := 1; tx <= txns; tx++ {
+			if err := c.Begin(); err != nil {
+				return RouterStats{}, err
+			}
+			if err := touch(c, objs[s][0], byte(tx)); err != nil {
+				return RouterStats{}, err
+			}
+			if tx%crossEvery == 0 {
+				if err := touch(c, objs[s][1], byte(tx)); err != nil {
+					return RouterStats{}, err
+				}
+			}
+			if err := c.Commit(); err != nil {
+				return RouterStats{}, err
+			}
+		}
+		return r.Stats(), nil
+	}
+
+	stats := make([]RouterStats, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			stats[s], errs[s] = session(s)
+		}(s)
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", s, err)
+		}
+		st.SingleCommits += stats[s].SingleCommits
+		st.CrossCommits += stats[s].CrossCommits
+		st.Prepares += stats[s].Prepares
+		st.Unresolved += stats[s].Unresolved
+	}
+	for _, srv := range srvs {
+		leftover += srv.InDoubtCount() + srv.DecisionCount()
+	}
+	return st, leftover
+}
+
+// TestConcurrentSessionsCrossShardCounts: concurrent sessions on two shards
+// commit every 3rd transaction through presumed-abort 2PC — one cross
+// commit and two prepares each — and everything else one-phase, leaving no
+// 2PC state behind. The same workload on a one-shard map prepares nothing.
+func TestConcurrentSessionsCrossShardCounts(t *testing.T) {
+	st, leftover := runConcurrentSessions(t, 2)
+	if st.CrossCommits != 16 || st.Prepares != 32 || st.SingleCommits != 32 {
+		t.Errorf("2 shards: %d cross commits, %d prepares, %d single commits; want 16, 32, 32",
+			st.CrossCommits, st.Prepares, st.SingleCommits)
+	}
+	if leftover != 0 || st.Unresolved != 0 {
+		t.Errorf("2 shards: %d in-doubt transactions or decisions left on the servers, %d unresolved",
+			leftover, st.Unresolved)
+	}
+	st, leftover = runConcurrentSessions(t, 1)
+	if st.Prepares != 0 || st.CrossCommits != 0 || st.SingleCommits != 48 {
+		t.Errorf("1 shard: %d prepares, %d cross commits, %d single commits; want 0, 0, 48",
+			st.Prepares, st.CrossCommits, st.SingleCommits)
+	}
+	if leftover != 0 || st.Unresolved != 0 {
+		t.Errorf("1 shard: %d 2PC entries left, %d unresolved", leftover, st.Unresolved)
 	}
 }
