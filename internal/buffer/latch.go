@@ -365,25 +365,32 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 // touching the reference bit or the hit counters: the access discipline of
 // snapshot reads, coherence validation and before-image capture, which are
 // served from the pool when the page is resident but never perturb
-// replacement state.
+// replacement state. A miss means the volume holds the newest image, so it
+// waits out I/O in flight on pid first: a page being written back by an
+// eviction is in neither the index nor, yet, the volume.
 func (p *LatchPool) Snapshot(pid disk.PageID, dst []byte) bool {
 	s := p.stripe(pid)
-	s.mu.Lock()
-	i, ok := s.index[pid]
-	if !ok {
+	for {
+		s.mu.Lock()
+		if i, ok := s.index[pid]; ok {
+			f := &s.frames[i]
+			f.pin++
+			s.mu.Unlock()
+			f.content.RLock()
+			copy(dst, f.data)
+			f.content.RUnlock()
+			s.mu.Lock()
+			f.pin--
+			s.mu.Unlock()
+			return true
+		}
+		fl := s.inflight[pid]
 		s.mu.Unlock()
-		return false
+		if fl == nil {
+			return false
+		}
+		fl.done.Wait()
 	}
-	f := &s.frames[i]
-	f.pin++
-	s.mu.Unlock()
-	f.content.RLock()
-	copy(dst, f.data)
-	f.content.RUnlock()
-	s.mu.Lock()
-	f.pin--
-	s.mu.Unlock()
-	return true
 }
 
 // Evict removes pid from the pool if resident and unpinned, writing it

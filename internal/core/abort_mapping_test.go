@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"quickstore/internal/disk"
@@ -15,13 +14,13 @@ func serverImages(t *testing.T, srv *esm.Server, n uint32) map[disk.PageID][]byt
 	t.Helper()
 	out := map[disk.PageID][]byte{}
 	for pid := uint32(2); pid < n; pid++ { // 0 is the volume header, 1 the catalog
-		var req [4]byte
-		binary.LittleEndian.PutUint32(req[:], pid)
-		resp := srv.Handle(&esm.Request{Op: esm.OpReadPages, N: 1, Data: req[:]})
-		if resp.Err != "" {
-			t.Fatalf("page %d: %s", pid, resp.Err)
+		req := esm.AppendPageEntry(nil, pid, 0)
+		resp := srv.Handle(&esm.Request{Op: esm.OpReadPages, Page: pid, Data: req})
+		a := esm.ReadAnswers(req, resp.Data)
+		if resp.Err != "" || !a.Next() || !a.Answered {
+			t.Fatalf("page %d: %s %v", pid, resp.Err, a.Err())
 		}
-		out[disk.PageID(pid)] = resp.Data[4:]
+		out[disk.PageID(pid)] = a.Data
 	}
 	return out
 }

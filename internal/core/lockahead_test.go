@@ -32,9 +32,13 @@ func recordLocks(t *testing.T, tr *countingTransport) *[]lockCall {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ahead, _, err := esm.ParseValidateEntries(req.Data, uint64(len(req.Data)/esm.ValidateReqEntryBytes))
+		n, err := esm.PageEntryCount(req.Data)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ahead := make([]uint32, n)
+		for i := range ahead {
+			ahead[i], _ = esm.PageEntry(req.Data, i)
 		}
 		calls = append(calls, lockCall{disk.PageID(req.Page), ahead, slices.Clone(resp.Data)})
 		return resp
@@ -101,7 +105,7 @@ func TestLockAheadHotT2BRoundTrips(t *testing.T) {
 	var lists []int
 	tr.before = func(req *esm.Request) *esm.Response {
 		if req.Op == esm.OpLock {
-			lists = append(lists, len(req.Data)/esm.ValidateReqEntryBytes)
+			lists = append(lists, len(req.Data)/esm.PageEntryBytes)
 		}
 		if req.Op != esm.OpLog {
 			return nil
@@ -392,7 +396,7 @@ func TestExclusiveLockMarkDoesNotOutliveItsTransaction(t *testing.T) {
 	a.must(a.st.Commit())
 
 	b.tr.before = func(req *esm.Request) *esm.Response {
-		if req.Op == esm.OpReadPage && disk.PageID(req.Page) != hubPage {
+		if req.Op == esm.OpReadPages && req.Mode&esm.ReadCheck == 0 && disk.PageID(req.Page) != hubPage {
 			return &esm.Response{Err: "injected read failure"}
 		}
 		return nil

@@ -14,12 +14,15 @@ import (
 )
 
 // countingTransport counts what crosses the wire on behalf of one session:
-// calls by op, response bytes, and how often each page image was shipped by
-// a page-reading op. before, if set, sees every request first and may answer
-// it itself (a fault the test injects); lockahead_test.go uses it.
+// calls by op, read-ahead batches (reads of two pages or more), response
+// bytes, and how often each page image was shipped whole to a read (Begin
+// validation's repairs are not counted). before, if set, sees every request
+// first and may answer it itself (a fault the test injects);
+// lockahead_test.go uses it.
 type countingTransport struct {
 	esm.Transport
 	calls   map[esm.Op]int
+	batches int
 	bytesIn int
 	shipped map[disk.PageID]int
 	before  func(req *esm.Request) *esm.Response
@@ -42,14 +45,14 @@ func (c *countingTransport) Call(req *esm.Request) (*esm.Response, error) {
 		return resp, err
 	}
 	c.bytesIn += len(resp.Data)
-	switch req.Op {
-	case esm.OpReadPage, esm.OpSnapRead:
-		if len(resp.Data) == disk.PageSize {
-			c.shipped[disk.PageID(req.Page)]++
+	if req.Op == esm.OpReadPages && req.Mode&esm.ReadCheck == 0 {
+		if len(req.Data) >= 2*esm.PageEntryBytes {
+			c.batches++
 		}
-	case esm.OpReadPages:
-		for i := 0; i+4 <= len(req.Data); i += 4 {
-			c.shipped[disk.PageID(uint32(req.Data[i])|uint32(req.Data[i+1])<<8|uint32(req.Data[i+2])<<16|uint32(req.Data[i+3])<<24)]++
+		for a := esm.ReadAnswers(req.Data, resp.Data); a.Next(); {
+			if a.Answered && a.Kind == esm.PageFull && len(a.Data) == disk.PageSize {
+				c.shipped[disk.PageID(a.Page)]++
+			}
 		}
 	}
 	return resp, err
@@ -58,7 +61,7 @@ func (c *countingTransport) Call(req *esm.Request) (*esm.Response, error) {
 func (c *countingTransport) reset() {
 	clear(c.calls)
 	clear(c.shipped)
-	c.bytesIn = 0
+	c.batches, c.bytesIn = 0, 0
 }
 
 func (c *countingTransport) total() int {
@@ -125,7 +128,7 @@ func TestReadAheadColdT1RoundTrips(t *testing.T) {
 		t.Fatalf("T1 = %d with read-ahead, %d on demand", got, want)
 	}
 	t.Logf("cold T1: demand %d calls %d pages; read-ahead %d calls (%d batches) %d pages",
-		dtr.total(), dtr.pages(), tr.total(), tr.calls[esm.OpReadPages], tr.pages())
+		dtr.total(), dtr.pages(), tr.total(), tr.batches, tr.pages())
 	if n := tr.total(); n > 150 {
 		t.Errorf("cold T1 took %d transport calls, want <= 150 (demand paging: %d)", n, dtr.total())
 	}
@@ -296,7 +299,7 @@ func (s *starSession) setAll(v uint32) {
 // TestReadAheadSnapshotSessionReadsOnDemand: inside a snapshot session a
 // batch read would ship current images, which the snapshot read path then has
 // to evict and fetch again as of the snapshot. Read-ahead is off there: every
-// page crosses once, through OpSnapRead, and shows the snapshot's bytes also
+// page crosses once, read as of the snapshot, and shows the snapshot's bytes also
 // after a peer has committed over it.
 func TestReadAheadSnapshotSessionReadsOnDemand(t *testing.T) {
 	db := newStar(t)
@@ -310,7 +313,7 @@ func TestReadAheadSnapshotSessionReadsOnDemand(t *testing.T) {
 		}
 	}
 	r.must(r.st.EndSnapshot())
-	if n := r.tr.calls[esm.OpReadPages]; n != 0 {
+	if n := r.tr.batches; n != 0 {
 		t.Errorf("%d batch reads inside a snapshot session", n)
 	}
 	if twice := r.tr.shippedTwice(); len(twice) != 0 {
@@ -325,7 +328,7 @@ func TestReadAheadSnapshotSessionReadsOnDemand(t *testing.T) {
 		}
 	}
 	r.must(r.st.Commit())
-	if n := r.tr.calls[esm.OpReadPages]; n != 1 {
+	if n := r.tr.batches; n != 1 {
 		t.Errorf("%d batch reads for the leaves of one hub, want 1", n)
 	}
 }

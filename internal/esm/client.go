@@ -82,15 +82,15 @@ type Client struct {
 	aheadOut               int
 	aheadUsed, aheadWasted int64
 
-	// Scratch reused across calls: a lock-ahead list's pages and wire
-	// entries (lock), the frames a commit cleaned (Commit).
-	lockPids    []disk.PageID
+	// Scratch reused across calls: a lock-ahead list (lock), an OpReadPages
+	// request's entries (readPages), the frames a commit cleaned (Commit).
 	lockEntries []byte
+	readEntries []byte
 	cleaned     []int
 
 	// snap, when nonzero, is the LSN of the open read-only snapshot
-	// session (BeginSnapshot): page faults go through OpSnapRead and
-	// bypass the lock manager entirely. Mutually exclusive with tx.
+	// session (BeginSnapshot): page faults read as of it and bypass the
+	// lock manager entirely. Mutually exclusive with tx.
 	// snapFetched tracks pages fetched as of snap, so residency from an
 	// earlier transaction (possibly newer than the snapshot) is refetched
 	// and snapshot-time images are dropped when the session ends.
@@ -170,15 +170,16 @@ func (c *Client) Pool() *buffer.Pool { return c.pool }
 // Clock returns the session's cost-model clock.
 func (c *Client) Clock() *sim.Clock { return c.clock }
 
-// retryable reports whether req may be re-sent verbatim after a transient
-// fault. Only requests with no server-side effects qualify: re-reading a
-// page or re-acquiring an already-held lock is harmless, but replaying
-// OpLog, OpCounter, or a page install would double-apply it (the first
-// attempt may have taken effect before the fault surfaced).
-func retryable(op Op) bool {
+// RetryableOp reports whether op may be re-sent verbatim after a transient
+// fault or a transport failure: the client's own retry and the replication
+// Director's failover between cluster nodes both ask. Only requests with no
+// server-side effects qualify: re-reading a page or re-acquiring an
+// already-held lock is harmless, but replaying OpLog, OpCounter, or a page
+// install would double-apply it (the first attempt may have taken effect
+// before the fault surfaced).
+func RetryableOp(op Op) bool {
 	switch op {
-	case OpReadPage, OpReadPages, OpGetRoot, OpOpenFile, OpStats, OpLock,
-		OpBeginSnapshot, OpSnapRead, OpValidatePages:
+	case OpReadPages, OpGetRoot, OpOpenFile, OpStats, OpLock, OpBeginSnapshot:
 		// The snapshot ops are read-only; re-beginning pins the same (or a
 		// newer) snapshot and re-reading a page at a pinned LSN is stable.
 		// OpEndSnapshot is deliberately absent: replaying it would unpin a
@@ -188,19 +189,13 @@ func retryable(op Op) bool {
 	return false
 }
 
-// RetryableOp reports whether op may be re-sent verbatim after a transport
-// failure, per the same no-server-side-effects rule the client's own retry
-// uses. The replication Director consults it when failing over between
-// cluster nodes.
-func RetryableOp(op Op) bool { return retryable(op) }
-
 // call sends a request and surfaces server errors as Go errors. Idempotent
 // requests that fail with a transient fault are retried under the
 // session's RetryPolicy with doubling backoff; crashes and every other
 // error surface immediately.
 func (c *Client) call(req *Request) (*Response, error) {
 	attempts := 1
-	if c.retry.MaxAttempts > 1 && retryable(req.Op) {
+	if c.retry.MaxAttempts > 1 && RetryableOp(req.Op) {
 		attempts = c.retry.MaxAttempts
 	}
 	backoff := c.retry.Backoff
@@ -231,11 +226,11 @@ func (c *Client) call(req *Request) (*Response, error) {
 // Retries reports how many requests were re-sent after transient faults.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
-// Begin starts a transaction and revalidates the whole resident set
-// against the server's version table in one batched OpValidatePages round
-// trip: current frames are kept as-is, stale ones are repaired in place
-// (delta patch or full image) or evicted, so everything still resident
-// afterwards is the last committed image.
+// Begin starts a transaction and revalidates the resident set against the
+// server's version table in one ReadCheck OpReadPages round trip: current
+// frames are kept as-is, stale ones are repaired in place (delta patch or
+// full image) or evicted, so every tokened frame still resident afterwards
+// is the last committed image.
 func (c *Client) Begin() error {
 	if c.tx != 0 {
 		return fmt.Errorf("esm: transaction %d already active", c.tx)
@@ -264,89 +259,68 @@ func (c *Client) Begin() error {
 	return nil
 }
 
-// validateChunk caps the entries in one OpValidatePages request so a huge
+// validateChunk caps the entries in one ReadCheck request so a huge
 // resident set cannot produce an unbounded frame.
 const validateChunk = 512
 
-// validateResident revalidates every clean resident frame at Begin. No
-// sim-clock time is charged anywhere on this path — warm hits were free
-// in the uncoherent model too, and the protocol's cost is measured in
-// wire bytes (TestWarmCacheShipsFewerBytes), not simulated I/O.
+// validateResident revalidates every clean tokened resident frame at Begin.
+// No sim-clock time is charged anywhere on this path — warm hits were free
+// in the uncoherent model too, and the protocol's cost is measured in wire
+// bytes (TestWarmCacheShipsFewerBytes), not simulated I/O.
 func (c *Client) validateResident() error {
 	idxs := make([]int, 0, validateChunk)
-	entries := make([]byte, 0, validateChunk*ValidateReqEntryBytes)
+	c.readEntries = c.readEntries[:0]
 	for i := 0; i < c.pool.Len(); i++ {
+		// A frame with token 0 is unversioned (a sharded commit, a read that
+		// overlapped another transaction's pending write, a raw large-object
+		// page — see noteToken). The server can never prove such a frame
+		// current, so shipping it would force a full repair every Begin. An
+		// unlocked read still trusts it; a lock grant revalidates it first
+		// (granted), and commit-piggybacked hints mark it Stale when a peer
+		// writes it.
 		f := c.pool.Frame(i)
-		if f.Page == disk.InvalidPage || f.Dirty {
+		if f.Page == disk.InvalidPage || f.Dirty || f.LSN == 0 {
 			continue
 		}
-		// Token 0 means unversioned (raw large-object pages discard their
-		// tokens — see noteToken). The server can never prove such a frame
-		// current, so shipping it would force a full repair every Begin.
-		// These frames keep the legacy trust model; commit-piggybacked
-		// invalidation hints still mark them Stale when a peer writes them.
-		if f.LSN == 0 {
-			continue
-		}
-		entries = AppendValidateEntry(entries, uint32(f.Page), f.LSN)
+		c.readEntries = AppendPageEntry(c.readEntries, uint32(f.Page), f.LSN)
 		idxs = append(idxs, i)
 		if len(idxs) == validateChunk {
-			if err := c.validateChunkCall(idxs, entries); err != nil {
+			if err := c.validateChunkCall(idxs); err != nil {
 				return err
 			}
-			idxs, entries = idxs[:0], entries[:0]
+			idxs, c.readEntries = idxs[:0], c.readEntries[:0]
 		}
 	}
 	if len(idxs) == 0 {
 		return nil
 	}
-	return c.validateChunkCall(idxs, entries)
+	return c.validateChunkCall(idxs)
 }
 
-// validateChunkCall ships one OpValidatePages batch and applies its
-// verdicts: repairs land in the frames in place, stale frames without a
-// repair are evicted.
-func (c *Client) validateChunkCall(idxs []int, entries []byte) error {
-	resp, err := c.call(&Request{Op: OpValidatePages, Tx: c.tx, N: uint64(len(idxs)), Data: entries})
+// validateChunkCall ships one ReadCheck batch — the frames idxs, whose
+// entries are in readEntries — and applies its verdicts: answers land in
+// the frames in place, stale frames without a usable answer are evicted.
+func (c *Client) validateChunkCall(idxs []int) error {
+	a, err := c.readPages(0, ReadCheck)
 	if err != nil {
 		return err
 	}
-	stale, repairs, err := ParseValidateResponse(resp.Data, len(idxs))
-	if err != nil {
-		return err
-	}
-	repairBy := make(map[uint32]*ValidateRepair, len(repairs))
-	for i := range repairs {
-		repairBy[repairs[i].Page] = &repairs[i]
-	}
-	for k, i := range idxs {
+	for a.Next() {
+		i := idxs[a.Index]
 		f := c.pool.Frame(i)
-		if !stale[k] {
+		if !a.Stale {
 			f.Stale = false
 			continue
 		}
-		rep := repairBy[uint32(f.Page)]
-		if rep != nil {
-			repaired := false
-			switch rep.Kind {
-			case PageFull:
-				if len(rep.Patch) == len(f.Data) {
-					copy(f.Data, rep.Patch)
-					repaired = true
-				}
-			case PageDelta:
-				repaired = pagedelta.Apply(f.Data, rep.Patch) == nil
+		if applyAnswer(f.Data, &a) == nil {
+			f.LSN = c.noteToken(f.Page, a.Token)
+			f.Stale = false
+			if c.OnRefresh != nil {
+				c.OnRefresh(f.Page, i)
 			}
-			if repaired {
-				f.LSN = c.noteToken(f.Page, rep.Token)
-				f.Stale = false
-				if c.OnRefresh != nil {
-					c.OnRefresh(f.Page, i)
-				}
-				continue
-			}
+			continue
 		}
-		// No repair (or a malformed one): drop the frame; the next access
+		// No answer (or a malformed one): drop the frame; the next access
 		// refetches the committed image.
 		if f.Pin != 0 {
 			f.Stale = true // pinned across Begin — revalidated on next fetch
@@ -356,7 +330,7 @@ func (c *Client) validateChunkCall(idxs []int, entries []byte) error {
 			return err
 		}
 	}
-	return nil
+	return a.Err()
 }
 
 // BeginSnapshot opens a read-only snapshot session: every page fault until
@@ -392,7 +366,7 @@ func (c *Client) LastSeenLSN() uint64 { return c.lastSeen }
 // EndSnapshot closes the snapshot session. Pages fetched as of the
 // snapshot are evicted — they are stale for any later transaction — and
 // the server's pin is released. The unpin is best-effort by design (see
-// retryable): if the server became unreachable, the local session still
+// RetryableOp): if the server became unreachable, the local session still
 // closes and the error reports why reclamation may lag.
 func (c *Client) EndSnapshot() error {
 	if c.snap == 0 {
@@ -428,73 +402,123 @@ func (c *Client) endTx() {
 
 // FetchPage brings pid into the client pool (a page-shipping request to the
 // server on a miss) and returns its frame index. The frame data may be
-// mutated in place; call MarkDirty afterwards.
+// mutated in place; call MarkDirty afterwards. Inside a snapshot session the
+// page is read as of the snapshot: a resident frame left over from an
+// earlier transaction may be NEWER than the snapshot, so anything not
+// fetched under this snapshot is dropped and refetched as of it.
 func (c *Client) FetchPage(pid disk.PageID) (int, error) {
-	if c.snap != 0 {
-		return c.fetchSnapPage(pid)
-	}
-	if c.tx == 0 {
+	if c.tx == 0 && c.snap == 0 {
 		return 0, ErrNoTx
 	}
 	if i, ok := c.pool.Get(pid); ok {
-		c.ConsumePrefetch(i)
-		if c.pool.Frame(i).Stale && !c.pool.Frame(i).Dirty {
-			if err := c.revalidateFrame(i); err != nil {
-				return 0, err
+		switch {
+		case c.snap == 0:
+			c.ConsumePrefetch(i)
+			if f := c.pool.Frame(i); f.Stale && !f.Dirty {
+				if err := c.revalidateFrame(i); err != nil {
+					return 0, err
+				}
 			}
+			return i, nil
+		case c.snapFetched[pid]:
+			return i, nil
 		}
-		return i, nil
+		if err := c.pool.Evict(i); err != nil {
+			return 0, err
+		}
 	}
 	var token uint64
 	i, err := c.pool.Put(pid, func(buf []byte) error {
 		c.clock.Charge(sim.CtrClientRead, 1)
-		resp, err := c.call(&Request{Op: OpReadPage, Tx: c.tx, Page: uint32(pid), Mode: ReadVersioned})
+		a, err := c.readPage(pid, 0, c.snap)
 		if err != nil {
 			return err
 		}
-		copy(buf, resp.Data)
-		token = resp.N
-		return nil
+		token = a.Token
+		return applyAnswer(buf, &a)
 	})
 	if err != nil {
 		return 0, err
 	}
 	c.pool.Frame(i).LSN = c.noteToken(pid, token)
+	if c.snap != 0 {
+		c.snapFetched[pid] = true
+	}
 	return i, nil
 }
 
-// revalidateFrame refreshes a resident frame the server flagged stale (a
-// piggybacked invalidation hint, or a lock grant over a copy that is or may
-// be stale): one versioned read that comes back as not-modified, a delta
-// patch, or a full image.
-// Only the full-image answer charges a client read — the other two are
-// exactly the warm hit the uncoherent model never charged for.
+// revalidateFrame refreshes a resident frame that is or may be stale (a
+// piggybacked invalidation hint, a lock grant over a stale or unversioned
+// copy): one read presenting the frame's token, which comes back as
+// current, a delta patch, or a full image. Only the full image charges a
+// client read — the other two are exactly the warm hit the uncoherent model
+// never charged for.
 func (c *Client) revalidateFrame(i int) error {
 	f := c.pool.Frame(i)
-	resp, err := c.call(&Request{Op: OpReadPage, Tx: c.tx, Page: uint32(f.Page), N: f.LSN, Mode: ReadVersioned})
+	a, err := c.readPage(f.Page, f.LSN, 0)
 	if err != nil {
 		return err
 	}
-	refreshed := false
-	switch resp.Mode {
-	case PageCurrent:
-	case PageDelta:
-		if err := pagedelta.Apply(f.Data, resp.Data); err != nil {
-			return fmt.Errorf("esm: delta repair of page %d: %w", f.Page, err)
+	if a.Stale {
+		if err := applyAnswer(f.Data, &a); err != nil {
+			return err
 		}
-		refreshed = true
-	default: // PageFull
-		if len(resp.Data) != len(f.Data) {
-			return fmt.Errorf("esm: versioned read of page %d returned %d bytes", f.Page, len(resp.Data))
+		if a.Kind == PageFull {
+			c.clock.Charge(sim.CtrClientRead, 1)
 		}
-		c.clock.Charge(sim.CtrClientRead, 1)
-		copy(f.Data, resp.Data)
-		refreshed = true
 	}
-	f.LSN = c.noteToken(f.Page, resp.N)
+	f.LSN = c.noteToken(f.Page, a.Token)
 	f.Stale = false
-	if refreshed && c.OnRefresh != nil {
+	if a.Stale && c.OnRefresh != nil {
 		c.OnRefresh(f.Page, i)
+	}
+	return nil
+}
+
+// readPages sends the entries in readEntries, one or more, as one
+// OpReadPages request — live or as of snap, mode 0 or ReadCheck — and
+// returns the walk of its answer.
+func (c *Client) readPages(snap wal.LSN, mode uint8) (PageAnswers, error) {
+	req := &Request{Op: OpReadPages, Tx: c.tx, N: uint64(snap), Mode: mode, Data: c.readEntries}
+	req.Page, _ = PageEntry(req.Data, 0)
+	resp, err := c.call(req)
+	if err != nil {
+		if _, answered := err.(remoteError); !answered {
+			// A transport that failed mid-call (a poisoned mux) may still
+			// be encoding the request: the buffer is its to keep.
+			c.readEntries = nil
+		}
+		return PageAnswers{}, err
+	}
+	return ReadAnswers(req.Data, resp.Data), nil
+}
+
+// readPage reads one page, presenting token for the copy the client holds
+// (0 for none), and returns the walk standing on its entry.
+func (c *Client) readPage(pid disk.PageID, token uint64, snap wal.LSN) (PageAnswers, error) {
+	c.readEntries = AppendPageEntry(c.readEntries[:0], uint32(pid), token)
+	a, err := c.readPages(snap, 0)
+	if err == nil && !a.Next() {
+		err = a.Err()
+	}
+	return a, err
+}
+
+// applyAnswer brings page to the image a stale entry's answer carries: a
+// full image is copied over it, a delta patched onto the bytes the entry's
+// token named. A missing or malformed answer leaves page untouched.
+func applyAnswer(page []byte, a *PageAnswers) error {
+	switch {
+	case !a.Answered:
+		return fmt.Errorf("esm: page %d is stale and was not answered", a.Page)
+	case a.Kind == PageDelta:
+		if err := pagedelta.Apply(page, a.Data); err != nil {
+			return fmt.Errorf("esm: delta repair of page %d: %w", a.Page, err)
+		}
+	case a.Kind == PageFull && len(a.Data) == len(page):
+		copy(page, a.Data)
+	default:
+		return fmt.Errorf("esm: page %d answered with %d bytes of kind %d", a.Page, len(a.Data), a.Kind)
 	}
 	return nil
 }
@@ -511,35 +535,6 @@ func (c *Client) noteToken(pid disk.PageID, token uint64) uint64 {
 		return 0
 	}
 	return token
-}
-
-// fetchSnapPage serves a page fault inside a snapshot session. A resident
-// frame left over from an earlier transaction may be NEWER than the
-// snapshot, so anything not fetched under this snapshot is dropped and
-// refetched as of it.
-func (c *Client) fetchSnapPage(pid disk.PageID) (int, error) {
-	if i, ok := c.pool.Get(pid); ok {
-		if c.snapFetched[pid] {
-			return i, nil
-		}
-		if err := c.pool.Evict(i); err != nil {
-			return 0, err
-		}
-	}
-	i, err := c.pool.Put(pid, func(buf []byte) error {
-		c.clock.Charge(sim.CtrClientRead, 1)
-		resp, err := c.call(&Request{Op: OpSnapRead, Page: uint32(pid), N: uint64(c.snap)})
-		if err != nil {
-			return err
-		}
-		copy(buf, resp.Data)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.snapFetched[pid] = true
-	return i, nil
 }
 
 // ConsumePrefetch reports whether this access is the first real use of a
@@ -563,28 +558,23 @@ func (c *Client) ReadAhead(pids []disk.PageID) error {
 	if len(pids) == 0 || c.tx == 0 {
 		return nil
 	}
-	payload := make([]byte, 4*len(pids))
-	for i, pid := range pids {
-		binary.LittleEndian.PutUint32(payload[i*4:], uint32(pid))
+	c.readEntries = c.readEntries[:0]
+	for _, pid := range pids {
+		c.readEntries = AppendPageEntry(c.readEntries, uint32(pid), 0)
 	}
-	resp, err := c.call(&Request{Op: OpReadPages, Tx: c.tx, N: uint64(len(pids)), Mode: ReadVersioned, Data: payload})
+	a, err := c.readPages(0, 0)
 	if err != nil {
 		return err
 	}
-	const rec = 4 + 8 + disk.PageSize // page id, coherence token, image
-	if len(resp.Data) != rec*len(pids) {
-		return fmt.Errorf("esm: ReadPages returned %d bytes for %d pages", len(resp.Data), len(pids))
-	}
-	for i, pid := range pids {
-		r := resp.Data[i*rec : (i+1)*rec]
-		if got := disk.PageID(binary.LittleEndian.Uint32(r)); got != pid {
-			return fmt.Errorf("esm: ReadPages record %d is page %d, want %d", i, got, pid)
+	for a.Next() {
+		if !a.Answered || a.Kind != PageFull || len(a.Data) != disk.PageSize {
+			return fmt.Errorf("esm: read-ahead of page %d not answered with its image", a.Page)
 		}
-		if f, ok := c.pool.PutPrefetched(pid, r[rec-disk.PageSize:]); ok {
-			c.pool.Frame(f).LSN = c.noteToken(pid, binary.LittleEndian.Uint64(r[4:]))
+		if f, ok := c.pool.PutPrefetched(disk.PageID(a.Page), a.Data); ok {
+			c.pool.Frame(f).LSN = c.noteToken(disk.PageID(a.Page), a.Token)
 		}
 	}
-	return nil
+	return a.Err()
 }
 
 // ServerStats fetches the server's statistics snapshot (OpStats).
@@ -769,7 +759,7 @@ func (c *Client) FlushLog() error {
 	c.closeRecord()
 	binary.LittleEndian.PutUint32(c.pending[:4], c.nrecs)
 	resp, err := c.call(&Request{Op: OpLog, Tx: c.tx, Data: c.pending})
-	if answered := remoteError(""); err == nil || errors.As(err, &answered) {
+	if _, answered := err.(remoteError); err == nil || answered {
 		c.pending = c.pending[:4]
 	} else {
 		// A transport that failed mid-call (a poisoned mux) may still be
@@ -850,7 +840,7 @@ func (c *Client) Commit() error {
 	// their records: stamp them with the commit token so the next
 	// Begin answers "not modified" for them. Under sharding the single
 	// response LSN is not the per-shard commit LSN, so the frames stay
-	// unversioned and revalidate as full reads.
+	// unversioned: a lock grant refetches them whole.
 	tok := resp.N
 	if c.stamper != nil {
 		tok = 0
@@ -905,8 +895,9 @@ func (c *Client) Abort() error {
 // coherence token rides along, and the grant response says whether that cached
 // copy is still current as of the moment the lock was granted — closing the
 // window where a page validated at Begin goes stale while this transaction
-// waits for its lock. A stale grant revalidates the frame before Lock returns
-// (one versioned read; OnRefresh fires if bytes changed), so nothing reached
+// waits for its lock. A stale grant, or one over a copy without a token,
+// revalidates the frame before Lock returns (one read presenting the token;
+// OnRefresh fires if bytes changed), so nothing reached
 // through the lock can be pre-grant data: the object layer reads resident
 // pages through its own mappings, not through FetchPage, and would never see a
 // flag left for the next fetch.
@@ -958,10 +949,12 @@ func (c *Client) cleanFrame(pid disk.PageID) (frame int, token uint64) {
 
 // granted enters a lock the server has just granted into the lock table,
 // first revalidating the clean cached copy of a page it covers if the grant
-// found it stale: a lock is not the transaction's to use before that.
+// found it stale, or could not tell: a copy without a token (0) cannot be
+// vouched for, since the grant checks only tokens. A lock is not the
+// transaction's to use before that.
 func (c *Client) granted(res lock.Resource, h heldLock, stale bool) error {
 	if res.Kind == lock.KindPage {
-		if frame, _ := c.cleanFrame(disk.PageID(res.ID)); frame >= 0 && (stale || c.pool.Frame(frame).Stale) {
+		if frame, token := c.cleanFrame(disk.PageID(res.ID)); frame >= 0 && (stale || token == 0) {
 			if err := c.revalidateFrame(frame); err != nil {
 				return err
 			}
@@ -993,29 +986,28 @@ func (c *Client) lock(kind lock.Kind, id uint32, mode lock.Mode, ahead []disk.Pa
 	if kind == lock.KindPage {
 		_, req.N = c.cleanFrame(disk.PageID(id))
 	}
-	c.lockPids, c.lockEntries = c.lockPids[:0], c.lockEntries[:0]
+	c.lockEntries = c.lockEntries[:0]
 	for _, pid := range ahead {
 		if c.held[lock.PageRes(uint32(pid))].mode >= mode {
 			continue
 		}
 		_, token := c.cleanFrame(pid)
-		c.lockPids = append(c.lockPids, pid)
-		c.lockEntries = AppendValidateEntry(c.lockEntries, uint32(pid), token)
+		c.lockEntries = AppendPageEntry(c.lockEntries, uint32(pid), token)
 	}
 	req.Data = c.lockEntries
 	resp, err := c.call(req)
 	if err != nil {
 		return err
 	}
-	if len(resp.Data) != len(c.lockPids) {
-		return fmt.Errorf("esm: lock response has %d verdicts for %d lock-ahead entries", len(resp.Data), len(c.lockPids))
+	if len(resp.Data)*PageEntryBytes != len(c.lockEntries) {
+		return fmt.Errorf("esm: lock response has %d verdicts for %d lock-ahead entries", len(resp.Data), len(c.lockEntries)/PageEntryBytes)
 	}
 	if err := c.granted(res, heldLock{mode: mode}, resp.Mode&RespStale != 0); err != nil {
 		return err
 	}
-	for i, pid := range c.lockPids {
-		if v := resp.Data[i]; v != LockAheadRefused {
-			if err := c.granted(lock.PageRes(uint32(pid)), heldLock{mode: mode, ahead: true}, v == LockAheadStale); err != nil {
+	for i, v := range resp.Data {
+		if pid, _ := PageEntry(c.lockEntries, i); v != LockAheadRefused {
+			if err := c.granted(lock.PageRes(pid), heldLock{mode: mode, ahead: true}, v == LockAheadStale); err != nil {
 				return err
 			}
 		}

@@ -3,7 +3,9 @@ package esm
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"quickstore/internal/disk"
 	"quickstore/internal/lock"
@@ -118,7 +120,7 @@ func TestTwoClientStaleReadRegression(t *testing.T) {
 
 	st := cohStats(t, a)
 	if st.CohValidates == 0 {
-		t.Error("no OpValidatePages reached the server")
+		t.Error("no ReadCheck request reached the server")
 	}
 	if st.CohDeltas+st.CohFulls == 0 {
 		t.Error("no validation ever repaired a stale frame")
@@ -565,19 +567,157 @@ func TestVersionTableSurvivesRestart(t *testing.T) {
 	// Present A's pre-restart token to the restarted server. The page
 	// changed after the token was handed out, so "not modified" here would
 	// be a silent stale read — the staleness invariant's worst violation.
-	resp := srv2.Handle(&Request{Op: OpReadPage, Page: uint32(oid.Page), N: oldToken, Mode: ReadVersioned})
-	if resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	if resp.Mode == PageCurrent {
+	a1 := readOne(t, srv2, uint32(oid.Page), oldToken)
+	if !a1.Stale {
 		t.Fatal("restarted server validated a pre-restart token for a changed page")
 	}
-	if resp.Mode == PageFull && len(resp.Data) != disk.PageSize {
-		t.Fatalf("full versioned read returned %d bytes", len(resp.Data))
+	if a1.Kind == PageFull && len(a1.Data) != disk.PageSize {
+		t.Fatalf("full read returned %d bytes", len(a1.Data))
 	}
 	// A fresh session sees the committed value.
 	a2 := NewClient(NewInProcTransport(srv2), ClientConfig{BufferPages: 8})
 	if got := readCohObject(t, a2, oid, 8); got != "restart2" {
 		t.Fatalf("restarted server served %q, want restart2", got)
+	}
+}
+
+// TestLockRevalidatesUnversionedFrame: a read that overlaps another
+// transaction's pending write is cached without a token, and Begin
+// validation skips such frames. When B aborts the write that A read
+// unlocked, A's later shared lock on the page must not vouch for the copy:
+// the grant refetches it, and A reads the committed bytes, not B's aborted
+// ones.
+func TestLockRevalidatesUnversionedFrame(t *testing.T) {
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := seedCohObject(t, srv, "commit-1")
+	a := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+
+	if err := b.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Lock(lock.KindPage, uint32(oid.Page), lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	obj, off, idx, err := b.ReadObjectAt(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(obj, "aborted!")
+	b.Pool().MarkDirty(idx)
+	b.LogUpdate(oid.Page, off, []byte("commit-1"), []byte("aborted!"))
+	if err := b.FlushLog(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := readCohObject(t, a, oid, 8); got != "aborted!" {
+		t.Fatalf("A's unlocked read saw %q, want B's pending bytes", got)
+	}
+	if i, ok := a.Pool().Lookup(oid.Page); !ok || a.Pool().Frame(i).LSN != 0 {
+		t.Fatal("a read over a pending write left a resident frame with a token")
+	}
+	if err := b.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Lock(lock.KindPage, uint32(oid.Page), lock.Shared); err != nil {
+		t.Fatal(err)
+	}
+	obj, _, err = a.ReadObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(obj[:8]); got != "commit-1" {
+		t.Fatalf("A read %q under a shared lock, want the committed commit-1", got)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeBackGate holds one page's write-back open: the first write of page
+// once armed waits hold before it lands, and reads of the page meanwhile are
+// counted — each of them saw the image the write is about to replace.
+type writeBackGate struct {
+	mu         sync.Mutex
+	page       uint32
+	armed      bool
+	writing    bool
+	readDuring int
+	hold       time.Duration
+	started    chan struct{}
+}
+
+func (g *writeBackGate) BeforeRead(id uint32) error {
+	g.mu.Lock()
+	if g.writing && id == g.page {
+		g.readDuring++
+	}
+	g.mu.Unlock()
+	return nil
+}
+
+func (g *writeBackGate) BeforeWrite(id uint32, _ int) (int, error) {
+	g.mu.Lock()
+	if !g.armed || id != g.page {
+		g.mu.Unlock()
+		return 0, nil
+	}
+	g.armed, g.writing = false, true
+	g.mu.Unlock()
+	close(g.started)
+	time.Sleep(g.hold)
+	g.mu.Lock()
+	g.writing = false
+	g.mu.Unlock()
+	return 0, nil
+}
+
+// TestValidationDuringEvictionWriteBack: while the server evicts a dirty
+// page, the page is in neither its pool's index nor, until the write-back
+// lands, on the volume. Begin validation reads through the non-perturbing
+// pool snapshot and falls back to the volume; a fallback taken during the
+// write-back serves the image the write is replacing, labelled with the
+// current token, and the warm client reads a committed value that has been
+// overwritten. The snapshot must wait for the write-back instead.
+func TestValidationDuringEvictionWriteBack(t *testing.T) {
+	gate := &writeBackGate{hold: 100 * time.Millisecond, started: make(chan struct{})}
+	srv, err := NewServer(disk.WithHook(disk.NewMemVolume(), gate), wal.NewMemLog(), ServerConfig{BufferPages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := seedCohObject(t, srv, "evict-v1")
+	a := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	if got := readCohObject(t, a, oid, 8); got != "evict-v1" {
+		t.Fatalf("A's first read: %q", got)
+	}
+	updateCohObject(t, b, oid, "evict-v1", "evict-v2") // the server's one frame: the page, dirty
+
+	// Reading another page evicts the object's page; its write-back is held.
+	gate.mu.Lock()
+	gate.page, gate.armed = uint32(oid.Page), true
+	gate.mu.Unlock()
+	evicted := make(chan *Response)
+	go func() {
+		evicted <- srv.Handle(&Request{Op: OpReadPages, Page: uint32(CatalogPage), Data: AppendPageEntry(nil, uint32(CatalogPage), 0)})
+	}()
+	<-gate.started
+	if got := readCohObject(t, a, oid, 8); got != "evict-v2" {
+		t.Errorf("A read %q after validating during the write-back, want evict-v2", got)
+	}
+	if resp := <-evicted; resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if gate.readDuring != 0 {
+		t.Errorf("the page was read from the volume %d times while its write-back was in flight", gate.readDuring)
 	}
 }

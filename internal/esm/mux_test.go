@@ -417,7 +417,7 @@ func assertFramingAllocFree(t testing.TB) {
 	}
 }
 
-// BenchmarkTransportCall measures one OpReadPage round trip over a real
+// BenchmarkTransportCall measures one single-page OpReadPages round trip over a real
 // loopback socket on the multiplexed transport, and (as a guard, not a
 // measurement) asserts the pooled framing path stays allocation-free.
 func BenchmarkTransportCall(b *testing.B) {
@@ -432,7 +432,7 @@ func BenchmarkTransportCall(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer tr.Close()
-	req := &Request{Op: OpReadPage, Page: uint32(pid)}
+	req := &Request{Op: OpReadPages, Page: uint32(pid), Data: AppendPageEntry(nil, uint32(pid), 0)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -464,7 +464,7 @@ func BenchmarkTransportCallPipelined(b *testing.B) {
 	b.SetParallelism(16)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		req := &Request{Op: OpReadPage, Page: uint32(pid)}
+		req := &Request{Op: OpReadPages, Page: uint32(pid), Data: AppendPageEntry(nil, uint32(pid), 0)}
 		for pb.Next() {
 			if _, err := tr.Call(req); err != nil {
 				b.Fatal(err)

@@ -16,6 +16,8 @@ const (
 	OpBegin Op = iota + 1
 	OpCommit
 	OpAbort
+	// OpReadPage is reserved: page reads are OpReadPages. The value stays
+	// taken so that no later op reuses it; a server answers it as unknown.
 	OpReadPage
 	OpWritePage
 	OpAllocPages
@@ -23,10 +25,10 @@ const (
 	// OpLock acquires the lock Mode names (kind in the high nibble, mode in
 	// the low) on Page, waiting for it if need be; for a page lock N carries
 	// the token of the client's cached copy (RespStale answers it). Data is
-	// empty or the lock-ahead list: (u32 pid, u64 token) entries — the
-	// OpValidatePages request shape — naming further pages to lock in the
-	// same mode only if that costs no wait. The response's Data then holds
-	// one LockAhead* verdict byte per entry, in request order. A page lock on
+	// empty or the lock-ahead list: page entries (AppendPageEntry), the
+	// OpReadPages request shape, naming further pages to lock in the same
+	// mode only if that costs no wait. The response's Data then holds one
+	// LockAhead* verdict byte per entry, in request order. A page lock on
 	// disk.InvalidPage demands nothing — the list is all there is to it (the
 	// shard router's request to the shards that do not own the demanded page).
 	OpLock
@@ -38,12 +40,15 @@ const (
 	OpCounter
 	OpCheckpoint
 	OpStats
-	// OpReadPages is the batched page-read protocol: one request/response
-	// frame for N pages. The request carries the page ids as little-endian
-	// u32s in Data (count in N); the response carries N (u32 pid, 8K image)
-	// records (with a coherence token between the two under
-	// ReadVersioned). It is mapping-object read-ahead's round trip
-	// (internal/prefetch); the server reads each page as OpReadPage would.
+	// OpReadPages is the one page-read op: "these pages, as of N; I hold
+	// these tokens". Data is a list of page entries (AppendPageEntry), token
+	// 0 for a page the client holds nothing of; Page repeats the first
+	// entry's id. N is the snapshot LSN to read at, 0 for the live pages.
+	// Mode is 0 or ReadCheck. The answer (AppendAnswerHead, AppendAnswer,
+	// ReadAnswers) marks each entry current or stale and carries, in request
+	// order, one image or delta patch per stale entry. A demand fault, a
+	// revalidation and a snapshot read are batches of one; mapping-object
+	// read-ahead (internal/prefetch) and Begin validation are longer ones.
 	OpReadPages
 	// Replication ops (internal/repl). OpReplAppend ships a durable WAL
 	// byte chunk (Tx = leader term, N = start LSN, Data = ship payload)
@@ -55,14 +60,15 @@ const (
 	OpReplAppend
 	OpReplAck
 	OpReplSnapshot
-	// Snapshot-read ops (internal/mvcc). OpBeginSnapshot opens a read-only
-	// snapshot session: the request's N carries the client's last-seen
-	// commit LSN (read-your-writes floor; 0 for none), the response's N is
-	// the snapshot LSN S the server pinned. OpSnapRead reads one page as of
-	// S (Page = pid, N = S) without touching the lock manager. OpEndSnapshot
-	// unpins S. Begin and read are idempotent and may be retried or
-	// re-routed across replicas; End is not (a replay would double-unpin),
-	// so a lost End ack is left to the version store's byte cap to absorb.
+	// Snapshot-session ops (internal/mvcc). OpBeginSnapshot opens a
+	// read-only snapshot session: the request's N carries the client's
+	// last-seen commit LSN (read-your-writes floor; 0 for none), the
+	// response's N is the snapshot LSN S the server pinned; the session's
+	// pages are read by OpReadPages with N = S, which never touches the lock
+	// manager. OpEndSnapshot unpins S. Begin and read are idempotent and may
+	// be retried or re-routed across replicas; End is not (a replay would
+	// double-unpin), so a lost End ack is left to the version store's byte
+	// cap to absorb. OpSnapRead is reserved, like OpReadPage.
 	OpBeginSnapshot
 	OpSnapRead
 	OpEndSnapshot
@@ -77,15 +83,8 @@ const (
 	OpPrepare
 	OpCommitDecision
 	OpResolveTx
-	// OpValidatePages is the warm-cache coherence batch (DESIGN.md §18):
-	// at Begin the client revalidates its whole resident set in one round
-	// trip. The request's Data carries repeated (u32 pid, u64 token)
-	// entries (count in N, Tx set when a transaction is open); the
-	// response's Data opens with a stale-bitmap — bit i set means entry
-	// i's cached copy is no longer current — followed by repair entries
-	// (delta patch or full image plus the new token) for the stale pages
-	// the server could repair. A stale page without a repair entry must be
-	// evicted. Validation is read-only and idempotent, so it is retryable.
+	// OpValidatePages is reserved, like OpReadPage: Begin validation is an
+	// OpReadPages with ReadCheck.
 	OpValidatePages
 )
 
@@ -184,12 +183,14 @@ func ParseResolveEntries(data []byte) (coordShards []uint32, coordTxs, localTxs 
 // (e.g. it carries a not-yet-committed stolen install) is served with
 // token 0 and refetched next time.
 
-// OpReadPage request mode flags.
+// OpReadPages request mode flags.
 const (
-	// ReadVersioned marks a versioned read: Request.N carries the token of
-	// the client's cached copy (0 for none) and the response may be
-	// PageCurrent or PageDelta instead of a full image.
-	ReadVersioned uint8 = 1
+	// ReadCheck marks Begin validation: the entries name the client's clean
+	// resident frames. The server answers without disturbing its pool or
+	// charging the cost model, and leaves a stale entry unanswered when it
+	// has no committed image to repair it from (another transaction's
+	// install is pending on the page): the client evicts that frame.
+	ReadCheck uint8 = 1
 )
 
 // OpBegin request mode flags.
@@ -202,17 +203,12 @@ const (
 	BeginSession uint8 = 1
 )
 
-// Versioned-read response kinds (low nibble of Response.Mode on
-// OpReadPage and inside OpValidatePages repair entries). Response.N
-// carries the new token.
+// Kinds of an OpReadPages answer.
 const (
-	// PageFull: Data is the complete page image. Also the zero value, so
-	// unversioned reads are wire-compatible with older clients.
+	// PageFull: the answer is the complete page image.
 	PageFull uint8 = 0
-	// PageCurrent: the client's cached copy is current; Data is empty.
-	PageCurrent uint8 = 1
-	// PageDelta: Data is a pagedelta patch transforming the client's
-	// cached image into the current one.
+	// PageDelta: the answer is a pagedelta patch transforming the image the
+	// entry's token named into the current one.
 	PageDelta uint8 = 2
 )
 
@@ -245,119 +241,142 @@ const (
 	LockAheadStale uint8 = 2
 )
 
-// ValidateReqEntryBytes is the wire size of one (pid, token) request entry
-// of OpValidatePages and of OpLock's lock-ahead list: u32 page id + u64 token.
-const ValidateReqEntryBytes = 4 + 8
+// PageEntryBytes is the wire size of one page entry, the element of an
+// OpReadPages request and of OpLock's lock-ahead list: u32 page id, u64 token.
+const PageEntryBytes = 4 + 8
 
-// AppendValidateEntry marshals one (pid, token) request entry onto dst.
-func AppendValidateEntry(dst []byte, pid uint32, token uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], pid)
-	dst = append(dst, tmp[:4]...)
-	binary.LittleEndian.PutUint64(tmp[:], token)
-	return append(dst, tmp[:]...)
+// AppendPageEntry marshals one (pid, token) page entry onto dst.
+func AppendPageEntry(dst []byte, pid uint32, token uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, pid)
+	return binary.LittleEndian.AppendUint64(dst, token)
 }
 
-// ParseValidateEntries decodes an OpValidatePages request payload,
-// enforcing that the entry count matches the request's declared N.
-func ParseValidateEntries(data []byte, want uint64) (pids []uint32, tokens []uint64, err error) {
-	if len(data)%ValidateReqEntryBytes != 0 {
-		return nil, nil, fmt.Errorf("esm: validate payload %d bytes, not a multiple of %d", len(data), ValidateReqEntryBytes)
+// PageEntryCount checks that data is a whole list of page entries and
+// returns how many it holds.
+func PageEntryCount(data []byte) (int, error) {
+	if len(data)%PageEntryBytes != 0 {
+		return 0, fmt.Errorf("esm: page entry list of %d bytes, not a multiple of %d", len(data), PageEntryBytes)
 	}
-	n := len(data) / ValidateReqEntryBytes
-	if uint64(n) != want {
-		return nil, nil, fmt.Errorf("esm: validate payload has %d entries, request declares %d", n, want)
-	}
-	pids = make([]uint32, n)
-	tokens = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		off := i * ValidateReqEntryBytes
-		pids[i] = binary.LittleEndian.Uint32(data[off:])
-		tokens[i] = binary.LittleEndian.Uint64(data[off+4:])
-	}
-	return pids, tokens, nil
+	return len(data) / PageEntryBytes, nil
 }
 
-// ValidateRepair is one OpValidatePages response repair entry: how the
-// client brings a stale cached page current without a separate read.
-type ValidateRepair struct {
-	Page  uint32
-	Kind  uint8  // PageDelta or PageFull
-	Token uint64 // the version the repair produces (0: uncacheable)
-	Patch []byte // pagedelta patch (PageDelta) or full image (PageFull)
+// PageEntry decodes entry i of a list PageEntryCount accepted.
+func PageEntry(data []byte, i int) (pid uint32, token uint64) {
+	e := data[i*PageEntryBytes:]
+	return binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint64(e[4:])
 }
 
-// AppendValidateResponse marshals an OpValidatePages response payload:
-// u32 bit count, the stale bitmap, then each repair entry as
-// u32 pid | u8 kind | u64 token | u32 len | payload.
-func AppendValidateResponse(dst []byte, stale []bool, repairs []ValidateRepair) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(stale)))
-	dst = append(dst, tmp[:4]...)
-	bitmapAt := len(dst)
-	dst = append(dst, make([]byte, (len(stale)+7)/8)...)
-	for i, s := range stale {
-		if s {
-			dst[bitmapAt+i/8] |= 1 << (i % 8)
-		}
-	}
-	for _, r := range repairs {
-		binary.LittleEndian.PutUint32(tmp[:4], r.Page)
-		dst = append(dst, tmp[:4]...)
-		dst = append(dst, r.Kind)
-		binary.LittleEndian.PutUint64(tmp[:], r.Token)
-		dst = append(dst, tmp[:]...)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(r.Patch)))
-		dst = append(dst, tmp[:4]...)
-		dst = append(dst, r.Patch...)
-	}
-	return dst
+// An OpReadPages answer is
+//
+//	u32 n | stale bitmap, (n+7)/8 bytes | answers
+//
+// where n is the number of request entries, bit i of the bitmap says entry
+// i's token is not current, and each answer is
+//
+//	u32 pid | u8 kind | u64 token | u32 len | payload
+//
+// one per stale entry, in request order. An entry's answer carries its new
+// token (0: uncacheable). Only a ReadCheck entry may stay unanswered.
+const answerHeadBytes = 4 + 1 + 8 + 4
+
+// AppendAnswerHead appends the head of the answer to n entries, marking
+// none stale, and returns the buffer and the offset of its bitmap.
+func AppendAnswerHead(dst []byte, n int) (out []byte, bitmap int) {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	bitmap = len(dst)
+	return append(dst, make([]byte, (n+7)/8)...), bitmap
 }
 
-// ParseValidateResponse decodes an OpValidatePages response payload. The
-// declared bit count must equal want — the number of entries the client
-// sent — so a lying or truncated bitmap can never silently mark fewer
-// pages stale than the client asked about.
-func ParseValidateResponse(data []byte, want int) (stale []bool, repairs []ValidateRepair, err error) {
-	if len(data) < 4 {
-		return nil, nil, errShortMessage
-	}
-	nbits := int(binary.LittleEndian.Uint32(data[0:]))
-	if nbits != want {
-		return nil, nil, fmt.Errorf("esm: validate response declares %d bits, expected %d", nbits, want)
-	}
-	p := 4
-	bmLen := (nbits + 7) / 8
-	if len(data) < p+bmLen {
-		return nil, nil, errShortMessage
-	}
-	stale = make([]bool, nbits)
-	for i := range stale {
-		stale[i] = data[p+i/8]&(1<<(i%8)) != 0
-	}
-	p += bmLen
-	for p < len(data) {
-		if len(data)-p < 17 {
-			return nil, nil, fmt.Errorf("esm: truncated validate repair header at %d", p)
-		}
-		r := ValidateRepair{
-			Page:  binary.LittleEndian.Uint32(data[p:]),
-			Kind:  data[p+4],
-			Token: binary.LittleEndian.Uint64(data[p+5:]),
-		}
-		plen := int(binary.LittleEndian.Uint32(data[p+13:]))
-		p += 17
-		if len(data)-p < plen {
-			return nil, nil, fmt.Errorf("esm: truncated validate repair payload at %d (want %d, have %d)", p, plen, len(data)-p)
-		}
-		if plen > 0 {
-			r.Patch = append([]byte(nil), data[p:p+plen]...)
-		}
-		p += plen
-		repairs = append(repairs, r)
-	}
-	return stale, repairs, nil
+// MarkStale marks entry i stale in the answer whose bitmap is at dst[bitmap:].
+func MarkStale(dst []byte, bitmap, i int) { dst[bitmap+i/8] |= 1 << (i % 8) }
+
+// AppendAnswer appends the answer to a stale entry.
+func AppendAnswer(dst []byte, pid uint32, kind uint8, token uint64, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, pid)
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint64(dst, token)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
 }
+
+// PageAnswers walks an OpReadPages answer together with the request entries
+// it answers, one entry per Next, in request order, like wal.RegionIter;
+// Err then tells a malformed answer from the end. Data aliases the answer,
+// and nothing is allocated. The declared entry count must match the
+// request's, so a short bitmap can never pass entries off as current, and an
+// answer must name the page of a stale entry.
+type PageAnswers struct {
+	Index    int    // the request entry Next stands on
+	Page     uint32 // its page id
+	Stale    bool   // the token it presented is not current
+	Answered bool   // a stale entry's answer follows: Kind, Token and Data
+	Kind     uint8  // PageFull or PageDelta
+	Token    uint64 // the answer's token; for an unanswered entry, the one it presented
+	Data     []byte // the image or patch
+
+	req, bitmap, rest []byte
+	n                 int
+	err               error
+}
+
+// ReadAnswers returns the walk of answer, the answer to the OpReadPages
+// request whose entries are req.
+func ReadAnswers(req, answer []byte) PageAnswers {
+	a := PageAnswers{Index: -1, req: req}
+	if a.n, a.err = PageEntryCount(req); a.err != nil {
+		return a
+	}
+	switch bm := 4 + (a.n+7)/8; {
+	case len(answer) < bm:
+		a.err = errShortMessage
+	case binary.LittleEndian.Uint32(answer) != uint32(a.n):
+		a.err = fmt.Errorf("esm: read answer declares %d entries, the request has %d", binary.LittleEndian.Uint32(answer), a.n)
+	default:
+		a.bitmap, a.rest = answer[4:bm], answer[bm:]
+	}
+	return a
+}
+
+// Next advances to the next request entry and reports whether there is one.
+// A malformed answer ends the walk; Err tells the two endings apart.
+func (a *PageAnswers) Next() bool {
+	if a.err != nil || a.Index+1 > a.n {
+		return false
+	}
+	a.Index++
+	if a.Index == a.n {
+		if len(a.rest) != 0 {
+			a.err = fmt.Errorf("esm: %d bytes of read answers no stale entry takes", len(a.rest))
+		}
+		return false
+	}
+	a.Page, a.Token = PageEntry(a.req, a.Index)
+	a.Stale = a.bitmap[a.Index/8]&(1<<(a.Index%8)) != 0
+	a.Answered, a.Kind, a.Data = false, PageFull, nil
+	if !a.Stale || len(a.rest) == 0 {
+		return true
+	}
+	if len(a.rest) < answerHeadBytes {
+		a.err = fmt.Errorf("esm: truncated read answer head for entry %d", a.Index)
+		return false
+	}
+	if binary.LittleEndian.Uint32(a.rest) != a.Page {
+		return true // unanswered: the answer is a later stale entry's
+	}
+	n := binary.LittleEndian.Uint32(a.rest[13:])
+	if uint64(len(a.rest)-answerHeadBytes) < uint64(n) {
+		a.err = fmt.Errorf("esm: truncated read answer for page %d (%d of %d bytes)", a.Page, len(a.rest)-answerHeadBytes, n)
+		return false
+	}
+	a.Answered, a.Kind, a.Token = true, a.rest[4], binary.LittleEndian.Uint64(a.rest[5:])
+	a.Data = a.rest[answerHeadBytes : answerHeadBytes+int(n) : answerHeadBytes+int(n)]
+	a.rest = a.rest[answerHeadBytes+int(n):]
+	return true
+}
+
+// Err reports, once Next has returned false, whether the walk stopped on a
+// malformed answer rather than after the last entry.
+func (a *PageAnswers) Err() error { return a.err }
 
 // Request is one client-to-server message.
 type Request struct {
@@ -375,7 +394,7 @@ type Response struct {
 	Err  string
 	Page uint32
 	N    uint64
-	Mode uint8 // versioned-read kind / invalidation flags (coherence)
+	Mode uint8 // invalidation flags (coherence)
 	Data []byte
 }
 

@@ -15,15 +15,21 @@ import (
 
 // allOps enumerates every defined protocol operation.
 var allOps = []Op{
-	OpBegin, OpCommit, OpAbort, OpReadPage, OpWritePage, OpAllocPages,
+	OpBegin, OpCommit, OpAbort, OpWritePage, OpAllocPages,
 	OpFreePages, OpLock, OpLog, OpCreateFile, OpOpenFile, OpGetRoot,
 	OpSetRoot, OpCounter, OpCheckpoint, OpStats, OpReadPages,
-	OpPrepare, OpCommitDecision, OpResolveTx, OpValidatePages,
+	OpReplAppend, OpReplAck, OpReplSnapshot,
+	OpBeginSnapshot, OpEndSnapshot,
+	OpPrepare, OpCommitDecision, OpResolveTx,
 }
+
+// reservedOps are the retired page-read encodings: declared, named, and
+// never sent — OpReadPages replaced all three.
+var reservedOps = []Op{OpReadPage, OpSnapRead, OpValidatePages}
 
 func TestOpStrings(t *testing.T) {
 	seen := map[string]bool{}
-	for _, op := range allOps {
+	for _, op := range append(append([]Op(nil), allOps...), reservedOps...) {
 		s := op.String()
 		if s == "" || strings.HasPrefix(s, "Op(") {
 			t.Errorf("op %d has no name (%q)", op, s)
@@ -36,19 +42,25 @@ func TestOpStrings(t *testing.T) {
 	if got := Op(200).String(); got != "Op(200)" {
 		t.Errorf("out-of-range op name = %q", got)
 	}
+	srv, _ := lockAheadServer(t)
+	for _, op := range reservedOps {
+		if resp := srv.Handle(&Request{Op: op, Page: 1}); !strings.Contains(resp.Err, "unknown op") {
+			t.Errorf("reserved op %v answered %+v, want an unknown-op error", op, resp)
+		}
+	}
 }
 
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []Request{
 		{},
 		{Op: OpBegin},
-		{Op: OpReadPage, Tx: 42, Page: 7},
+		{Op: OpReadPages, Tx: 42, Page: 7, Mode: ReadCheck, Data: AppendPageEntry(nil, 7, 99)},
 		{Op: OpWritePage, Tx: 1, Page: 9, Data: bytes.Repeat([]byte{0xAB}, 8192)},
 		{Op: OpLock, Tx: 3, Page: 11, Mode: 0x21},
 		{Op: OpGetRoot, Name: "root/name with spaces \x00 and NULs"},
 		{Op: OpCounter, Name: "ctr", N: 1<<63 + 17},
 		{Op: OpSetRoot, Name: strings.Repeat("n", 65535), N: 5, Data: []byte{1, 2, 3}},
-		{Op: OpReadPages, Tx: 9, N: 3, Data: []byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}},
+		{Op: OpReadPages, Tx: 9, N: 3, Data: AppendPageEntry(AppendPageEntry(nil, 1, 0), 2, 0)},
 	}
 	for _, op := range allOps {
 		cases = append(cases, Request{Op: op, Tx: uint64(op), Page: uint32(op), N: uint64(op) * 3, Mode: uint8(op), Name: op.String(), Data: []byte(op.String())})
@@ -75,8 +87,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Page: 1234, N: 99},
 		{Err: "e", Page: 1, N: 2, Data: []byte{9, 8, 7}},
 		{Data: bytes.Repeat([]byte{0x5A}, 3*8192)},
-		{Page: 7, N: 0xDEAD, Mode: PageCurrent},
-		{Page: 7, N: 0xBEEF, Mode: PageDelta, Data: []byte{0, 0, 2, 0, 9, 9}},
+		{Data: AppendAnswer([]byte{1, 0, 0, 0, 1}, 7, PageDelta, 0xBEEF, []byte{0, 0, 2, 0, 9, 9})},
 		{N: 3, Mode: RespHints | RespStale, Data: []byte{1, 0, 0, 0}},
 	}
 	for i, want := range cases {
@@ -136,7 +147,7 @@ func TestUnmarshalLyingLengths(t *testing.T) {
 func TestMuxFrameRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpBegin},
-		{Op: OpReadPage, Tx: 9, Page: 77},
+		{Op: OpReadPages, Tx: 9, Page: 77, Data: AppendPageEntry(nil, 77, 0)},
 		{Op: OpWritePage, Tx: 1, Page: 3, Data: bytes.Repeat([]byte{0x5C}, 8192)},
 		{Op: OpSetRoot, Name: "root", N: 2, Data: []byte{1, 2, 3}},
 	}
@@ -228,7 +239,7 @@ func FuzzMuxFrameStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendRequestFrame(nil, 1, &Request{Op: OpBegin}))
 	f.Add(appendResponseFrame(nil, 99, &Response{Err: "x", Data: []byte{1}}))
-	f.Add(appendRequestFrame(appendRequestFrame(nil, 1, &Request{Op: OpReadPage, Page: 5}), 2, &Request{Op: OpCommit}))
+	f.Add(appendRequestFrame(appendRequestFrame(nil, 1, &Request{Op: OpReadPages, Page: 5, Data: AppendPageEntry(nil, 5, 0)}), 2, &Request{Op: OpCommit}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Add([]byte{8, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}) // empty body, seq only
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -288,7 +299,7 @@ func FuzzUnmarshalRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Request{Op: OpBegin}).marshal())
 	f.Add((&Request{Op: OpSetRoot, Name: "seed", Data: []byte{1, 2, 3}}).marshal())
-	f.Add((&Request{Op: OpReadPages, N: 2, Data: []byte{1, 0, 0, 0, 2, 0, 0, 0}}).marshal())
+	f.Add((&Request{Op: OpReadPages, N: 2, Data: AppendPageEntry(AppendPageEntry(nil, 1, 0), 2, 0)}).marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := unmarshalRequest(data)
 		if err != nil {
@@ -332,7 +343,7 @@ func TestLockAheadPayload(t *testing.T) {
 		t.Fatalf("plain lock answered %+v", resp)
 	}
 	for _, pid := range []uint32{10, 11, 0xFFFFFFFF} {
-		req.Data = AppendValidateEntry(req.Data, pid, uint64(pid)*3)
+		req.Data = AppendPageEntry(req.Data, pid, uint64(pid)*3)
 	}
 	wired, err := unmarshalRequest(req.marshal())
 	if err != nil || !reflect.DeepEqual(wired, req) {
@@ -350,7 +361,7 @@ func TestLockAheadPayload(t *testing.T) {
 	}
 
 	// A ragged list is refused whole, before anything is locked.
-	req.Page, req.Data = 20, append(AppendValidateEntry(nil, 21, 0), 1)
+	req.Page, req.Data = 20, append(AppendPageEntry(nil, 21, 0), 1)
 	if resp := srv.Handle(req); resp.Err == "" {
 		t.Error("ragged lock-ahead list accepted")
 	}
@@ -358,7 +369,7 @@ func TestLockAheadPayload(t *testing.T) {
 		t.Error("a refused request left locks behind")
 	}
 	// A list makes sense on page locks only.
-	req.Mode, req.Data = uint8(lock.KindFile)<<4|uint8(lock.Shared), AppendValidateEntry(nil, 21, 0)
+	req.Mode, req.Data = uint8(lock.KindFile)<<4|uint8(lock.Shared), AppendPageEntry(nil, 21, 0)
 	if resp := srv.Handle(req); resp.Err == "" {
 		t.Error("lock-ahead list on a file lock accepted")
 	}
@@ -370,8 +381,8 @@ func TestLockAheadPayload(t *testing.T) {
 // comes back — no entry waits.
 func FuzzLockAheadRequest(f *testing.F) {
 	f.Add(uint32(1), uint64(0), []byte{})
-	f.Add(uint32(1), uint64(5), AppendValidateEntry(AppendValidateEntry(nil, 2, 0), 3, 9))
-	f.Add(uint32(0), uint64(0), AppendValidateEntry(nil, 2, 1))
+	f.Add(uint32(1), uint64(5), AppendPageEntry(AppendPageEntry(nil, 2, 0), 3, 9))
+	f.Add(uint32(0), uint64(0), AppendPageEntry(nil, 2, 1))
 	f.Add(uint32(4), uint64(0), []byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, page uint32, token uint64, data []byte) {
 		if page >= 2 && page < 4 {
@@ -387,16 +398,16 @@ func FuzzLockAheadRequest(f *testing.F) {
 		mode := uint8(lock.KindPage)<<4 | uint8(lock.Exclusive)
 		resp := srv.Handle(&Request{Op: OpLock, Tx: tx, Page: page, N: token, Mode: mode, Data: data})
 		if resp.Err != "" {
-			if len(data)%ValidateReqEntryBytes == 0 {
+			if len(data)%PageEntryBytes == 0 {
 				t.Fatalf("well-formed list refused: %s", resp.Err)
 			}
 			return
 		}
-		pids, _, err := ParseValidateEntries(data, uint64(len(resp.Data)))
-		if err != nil {
+		if n, err := PageEntryCount(data); err != nil || n != len(resp.Data) {
 			t.Fatalf("%d verdicts for a %d-byte list: %v", len(resp.Data), len(data), err)
 		}
-		for i, pid := range pids {
+		for i := range resp.Data {
+			pid, _ := PageEntry(data, i)
 			held := srv.LockHeld(tx, lock.PageRes(pid)) == lock.Exclusive
 			switch v := resp.Data[i]; {
 			case v > LockAheadStale:

@@ -188,21 +188,21 @@ type Server struct {
 	catMu      sync.Mutex
 	catWritten uint64
 
-	// Coherence counters: validation batches served, not-modified
+	// Coherence counters: ReadCheck requests served, not-modified
 	// answers, delta repairs (and their encoded bytes), and full-page
-	// ships on versioned paths. Atomics: stats reads race ops by design.
+	// answers to live reads. Atomics: stats reads race ops by design.
 	cohValidates   atomic.Int64
 	cohNotModified atomic.Int64
 	cohDeltas      atomic.Int64
 	cohDeltaBytes  atomic.Int64
 	cohFulls       atomic.Int64
 
-	// prefetchPages counts pages served through OpReadPages batches;
-	// commits counts committed transactions; snapBegins/snapReads count
-	// snapshot sessions opened and pages served on the lock-free snapshot
-	// path; pagesLogApplied/pagesInstalled count the two ways a
-	// transaction's bytes reach the pool (appendLogBatch page runs,
-	// installPage images); lockAheadGranted/lockAheadRefused count the
+	// prefetchPages counts the entries of live OpReadPages requests of two
+	// or more (read-ahead batches); commits counts committed transactions;
+	// snapBegins/snapReads count snapshot sessions opened and pages served
+	// on the lock-free snapshot path; pagesLogApplied/pagesInstalled count
+	// the two ways a transaction's bytes reach the pool (appendLogBatch page
+	// runs, installPage images); lockAheadGranted/lockAheadRefused count the
 	// verdicts on OpLock lock-ahead entries. Atomics: stats reads race
 	// concurrent ops by design.
 	prefetchPages   atomic.Int64
@@ -383,10 +383,11 @@ type ServerStats struct {
 	// quorum-commit, shipping, and election telemetry.
 	Repl *ReplStats `json:"repl,omitempty"`
 
-	// Warm-cache coherence traffic. CohNotModified counts validation and
-	// versioned-read answers that shipped no page bytes; CohDeltas pages
-	// repaired by patch (CohDeltaBytes patch payload total); CohFulls
-	// versioned answers that fell back to a whole-page image.
+	// Warm-cache coherence traffic. CohValidates counts ReadCheck requests
+	// (Begin validations); CohNotModified live read entries answered
+	// "current", which ship no page bytes; CohDeltas entries answered by
+	// patch (CohDeltaBytes patch payload total); CohFulls live read entries
+	// answered with a whole-page image.
 	CohValidates   int64 `json:"coh_validates,omitempty"`
 	CohNotModified int64 `json:"coh_not_modified,omitempty"`
 	CohDeltas      int64 `json:"coh_deltas,omitempty"`
@@ -654,11 +655,8 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		}
 		return resp, nil
 
-	case OpReadPage:
-		if req.Mode&ReadVersioned != 0 {
-			return s.readPageVersioned(req)
-		}
-		return s.readPage(disk.PageID(req.Page))
+	case OpReadPages:
+		return s.readPages(req)
 
 	case OpWritePage:
 		if len(req.Data) != disk.PageSize {
@@ -816,14 +814,8 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		}
 		return &Response{N: uint64(st.Resident), Data: blob}, nil
 
-	case OpReadPages:
-		return s.readPagesBatch(req)
-
 	case OpBeginSnapshot:
 		return s.beginSnapshot(wal.LSN(req.N))
-
-	case OpSnapRead:
-		return s.snapRead(disk.PageID(req.Page), wal.LSN(req.N))
 
 	case OpEndSnapshot:
 		return s.endSnapshot(wal.LSN(req.N))
@@ -844,9 +836,6 @@ func (s *Server) handle(req *Request) (*Response, error) {
 
 	case OpResolveTx:
 		return s.resolveTx(req)
-
-	case OpValidatePages:
-		return s.validatePages(req)
 	}
 	return nil, fmt.Errorf("esm: unknown op %v", req.Op)
 }
@@ -860,16 +849,12 @@ func (s *Server) handle(req *Request) (*Response, error) {
 func (s *Server) lockPages(req *Request) (*Response, error) {
 	kind := lock.Kind(req.Mode >> 4)
 	mode := lock.Mode(req.Mode & 0xF)
-	var pids []uint32
-	var tokens []uint64
-	if len(req.Data) > 0 {
-		if kind != lock.KindPage {
-			return nil, fmt.Errorf("esm: lock-ahead list on a %d-kind lock", kind)
-		}
-		var err error
-		if pids, tokens, err = ParseValidateEntries(req.Data, uint64(len(req.Data)/ValidateReqEntryBytes)); err != nil {
-			return nil, err
-		}
+	n, err := PageEntryCount(req.Data)
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 && kind != lock.KindPage {
+		return nil, fmt.Errorf("esm: lock-ahead list on a %d-kind lock", kind)
 	}
 	if demanded := kind != lock.KindPage || disk.PageID(req.Page) != disk.InvalidPage; demanded {
 		if err := s.locks.Acquire(req.Tx, lock.Resource{Kind: kind, ID: uint64(req.Page)}, mode); err != nil {
@@ -889,135 +874,172 @@ func (s *Server) lockPages(req *Request) (*Response, error) {
 	if kind == lock.KindPage && req.N != 0 && !s.coh.isCurrent(disk.PageID(req.Page), req.N) {
 		resp.Mode = RespStale
 	}
-	if len(pids) == 0 {
+	if n == 0 {
 		return resp, nil
 	}
-	resp.Data = make([]byte, len(pids))
+	resp.Data = make([]byte, n)
 	granted := int64(0)
-	for i, pid := range pids {
+	for i := range resp.Data {
+		pid, token := PageEntry(req.Data, i)
 		if !s.locks.TryAcquire(req.Tx, lock.PageRes(pid), mode) {
 			continue // LockAheadRefused
 		}
 		granted++
 		resp.Data[i] = LockAheadGranted
-		if tokens[i] != 0 && !s.coh.isCurrent(disk.PageID(pid), tokens[i]) {
+		if token != 0 && !s.coh.isCurrent(disk.PageID(pid), token) {
 			resp.Data[i] = LockAheadStale
 		}
 	}
 	s.lockAheadGranted.Add(granted)
-	s.lockAheadRefused.Add(int64(len(pids)) - granted)
+	s.lockAheadRefused.Add(int64(n) - granted)
 	return resp, nil
 }
 
-// readPageVersioned serves a ReadVersioned OpReadPage: the request's N is
-// the token of the client's cached copy. A token match answers a few
-// bytes of "current"; a known previous image answers a pagedelta patch;
-// anything else ships the full page with its token. The fast not-modified
-// path charges nothing to the cost model — coherence traffic must leave
-// the paper experiments' deterministic counters untouched — while the
-// byte-shipping paths charge exactly what a legacy read would.
-func (s *Server) readPageVersioned(req *Request) (*Response, error) {
-	pid := disk.PageID(req.Page)
-	ver1, pending1 := s.coh.probe(pid)
-	if pending1 == 0 && req.N != 0 && ver1 == req.N {
-		s.cohNotModified.Add(1)
-		if req.Tx != 0 {
-			s.coh.noteServed(req.Tx, pid, ver1)
-		}
-		return &Response{Page: req.Page, N: ver1, Mode: PageCurrent}, nil
-	}
-	out := make([]byte, disk.PageSize)
-	if err := s.loadPage(pid, out); err != nil {
-		return nil, err
-	}
-	token, current, base := s.coh.answer(pid, req.N, out, ver1, pending1)
-	if req.Tx != 0 {
-		s.coh.noteServed(req.Tx, pid, token)
-	}
-	if current {
-		s.cohNotModified.Add(1)
-		return &Response{Page: req.Page, N: token, Mode: PageCurrent}, nil
-	}
-	if base != nil {
-		if patch := pagedelta.Encode(base, out); patch != nil {
-			s.cohDeltas.Add(1)
-			s.cohDeltaBytes.Add(int64(len(patch)))
-			return &Response{Page: req.Page, N: token, Mode: PageDelta, Data: patch}, nil
-		}
-	}
-	s.cohFulls.Add(1)
-	return &Response{Page: req.Page, N: token, Mode: PageFull, Data: out}, nil
-}
-
-// validatePages serves one OpValidatePages batch: for every (pid, token)
-// entry the client's resident set holds, decide current vs stale, and
-// repair stale entries in place with a delta patch or a full image where
-// a committed image is safely available. Stale entries without a repair
-// (an uncommitted install pending on the page, an unstable interleaving,
-// a page the volume lost) must be evicted by the client. The whole path
-// reads through the non-perturbing pool snapshot and charges nothing to
-// the cost model: validation is coherence traffic, not simulated I/O, and
-// must not shift the deterministic experiment counters.
-func (s *Server) validatePages(req *Request) (*Response, error) {
-	pids, tokens, err := ParseValidateEntries(req.Data, req.N)
+// readPages serves OpReadPages, building every answer straight into one
+// response buffer. Each entry is served by one of three policies:
+//
+//   - as of a snapshot (N != 0): snapRead;
+//   - under ReadCheck (Begin validation): checkPage;
+//   - otherwise, a demand fault, revalidation or read-ahead: fetchPage.
+func (s *Server) readPages(req *Request) (*Response, error) {
+	n, err := PageEntryCount(req.Data)
 	if err != nil {
 		return nil, err
 	}
-	s.cohValidates.Add(1)
-	stale := make([]bool, len(pids))
-	var repairs []ValidateRepair
-	buf := make([]byte, disk.PageSize)
-	for i, pid32 := range pids {
-		pid := disk.PageID(pid32)
-		token := tokens[i]
-		if s.coh.isCurrent(pid, token) {
-			s.cohNotModified.Add(1)
-			if req.Tx != 0 {
-				s.coh.noteServed(req.Tx, pid, token)
-			}
-			continue
+	snap, check := wal.LSN(req.N), req.Mode&ReadCheck != 0
+	size := n * (answerHeadBytes + disk.PageSize) // every entry answered whole
+	switch {
+	case snap != 0:
+		if s.mv == nil {
+			return nil, ErrMVCCDisabled
 		}
-		stale[i] = true
-		ver1, pending1 := s.coh.probe(pid)
-		if pending1 > 0 {
-			// The frame may hold another transaction's uncommitted bytes;
-			// there is no committed image to repair from without a lock.
-			continue
+		if snap < s.snapFloor {
+			return nil, fmt.Errorf("esm: snapshot read at %d: %w (server reopened at %d)", snap, mvcc.ErrSnapshotTooOld, s.snapFloor)
 		}
-		if !s.pool.Snapshot(pid, buf) {
-			if err := s.vol.ReadPage(pid, buf); err != nil {
-				continue
-			}
-		}
-		newTok, current, base := s.coh.answer(pid, token, buf, ver1, pending1)
-		if current {
-			stale[i] = false
-			s.cohNotModified.Add(1)
-			continue
-		}
-		if newTok == 0 {
-			continue
-		}
-		rep := ValidateRepair{Page: pid32, Token: newTok}
-		if base != nil {
-			if patch := pagedelta.Encode(base, buf); patch != nil {
-				rep.Kind = PageDelta
-				rep.Patch = patch
-				s.cohDeltas.Add(1)
-				s.cohDeltaBytes.Add(int64(len(patch)))
-			}
-		}
-		if rep.Patch == nil {
-			rep.Kind = PageFull
-			rep.Patch = append([]byte(nil), buf...)
-			s.cohFulls.Add(1)
-		}
-		if req.Tx != 0 {
-			s.coh.noteServed(req.Tx, pid, newTok)
-		}
-		repairs = append(repairs, rep)
+	case check:
+		s.cohValidates.Add(1)
+		size = 0 // mostly current
+	case n >= 2:
+		s.prefetchPages.Add(int64(n))
 	}
-	return &Response{N: req.N, Data: AppendValidateResponse(nil, stale, repairs)}, nil
+	out, bitmap := AppendAnswerHead(make([]byte, 0, 4+(n+7)/8+size), n)
+	for i := 0; i < n; i++ {
+		pid, token := PageEntry(req.Data, i)
+		stale := true
+		switch {
+		case snap != 0:
+			out, err = s.snapRead(out, disk.PageID(pid), snap)
+		case check:
+			out, stale = s.checkPage(out, req.Tx, disk.PageID(pid), token)
+		default:
+			out, stale, err = s.fetchPage(out, req.Tx, disk.PageID(pid), token)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if stale {
+			MarkStale(out, bitmap, i)
+		}
+	}
+	return &Response{Data: out}, nil
+}
+
+// pageSlot appends an answer for pid with a page-sized payload and returns
+// the buffer and that payload for the caller to fill; sealAnswer then fixes
+// the answer's kind and token.
+func pageSlot(out []byte, pid disk.PageID) ([]byte, []byte) {
+	at := len(out)
+	out = append(out, make([]byte, answerHeadBytes+disk.PageSize)...)
+	binary.LittleEndian.PutUint32(out[at:], uint32(pid))
+	binary.LittleEndian.PutUint32(out[at+13:], disk.PageSize)
+	return out, out[at+answerHeadBytes:]
+}
+
+// sealAnswer finishes the answer pageSlot opened at out[at:], whose payload
+// holds the page's current image: a delta patch against base replaces the
+// image when it is the smaller, and the answer carries token.
+func (s *Server) sealAnswer(out []byte, at int, base []byte, token uint64) []byte {
+	out[at+4] = PageFull
+	binary.LittleEndian.PutUint64(out[at+5:], token)
+	if base != nil {
+		if patch := pagedelta.Encode(base, out[at+answerHeadBytes:]); patch != nil {
+			s.cohDeltas.Add(1)
+			s.cohDeltaBytes.Add(int64(len(patch)))
+			out[at+4] = PageDelta
+			binary.LittleEndian.PutUint32(out[at+13:], uint32(len(patch)))
+			return append(out[:at+answerHeadBytes], patch...)
+		}
+	}
+	s.cohFulls.Add(1)
+	return out
+}
+
+// fetchPage serves a page a transaction reads: the entry's token is that of
+// the client's cached copy (0 for none). A token match answers "current"
+// and ships nothing; a known previous image answers a pagedelta patch;
+// anything else ships the full page with its token. The page is read
+// through the server pool (loadPage), so a read-ahead warms the cache for
+// the next client like a demand read does. The not-modified fast path
+// charges nothing to the cost model — coherence traffic must leave the
+// paper experiments' deterministic counters untouched — while the
+// byte-shipping paths charge exactly one page transfer.
+func (s *Server) fetchPage(out []byte, tx uint64, pid disk.PageID, token uint64) ([]byte, bool, error) {
+	ver1, pending1 := s.coh.probe(pid)
+	if pending1 == 0 && token != 0 && ver1 == token {
+		s.cohNotModified.Add(1)
+		s.coh.noteServed(tx, pid, ver1)
+		return out, false, nil
+	}
+	at := len(out)
+	out, img := pageSlot(out, pid)
+	if err := s.loadPage(pid, img); err != nil {
+		return nil, false, fmt.Errorf("esm: read of page %d: %w", pid, err)
+	}
+	newTok, current, base := s.coh.answer(pid, token, img, ver1, pending1)
+	s.coh.noteServed(tx, pid, newTok)
+	if current {
+		s.cohNotModified.Add(1)
+		return out[:at], false, nil
+	}
+	return s.sealAnswer(out, at, base, newTok), true, nil
+}
+
+// checkPage serves a ReadCheck entry, one clean resident frame at Begin:
+// decide current vs stale, and repair a stale frame in place with a delta
+// patch or a full image where a committed image is safely available. A
+// stale entry without a repair (an uncommitted install pending on the page,
+// an unstable interleaving, a page the volume lost) stays unanswered, and
+// the client evicts the frame. The path reads through the non-perturbing
+// pool snapshot and charges nothing to the cost model: validation is
+// coherence traffic, not simulated I/O, and must not shift the
+// deterministic experiment counters.
+func (s *Server) checkPage(out []byte, tx uint64, pid disk.PageID, token uint64) ([]byte, bool) {
+	if s.coh.isCurrent(pid, token) {
+		s.cohNotModified.Add(1)
+		s.coh.noteServed(tx, pid, token)
+		return out, false
+	}
+	ver1, pending1 := s.coh.probe(pid)
+	if pending1 > 0 {
+		// The frame may hold another transaction's uncommitted bytes;
+		// there is no committed image to repair from without a lock.
+		return out, true
+	}
+	at := len(out)
+	out, img := pageSlot(out, pid)
+	if !s.pool.Snapshot(pid, img) && s.vol.ReadPage(pid, img) != nil {
+		return out[:at], true
+	}
+	newTok, current, base := s.coh.answer(pid, token, img, ver1, pending1)
+	if current {
+		s.cohNotModified.Add(1)
+		return out[:at], false
+	}
+	if newTok == 0 {
+		return out[:at], true
+	}
+	s.coh.noteServed(tx, pid, newTok)
+	return s.sealAnswer(out, at, base, newTok), true
 }
 
 // beginSnapshot opens a read-only snapshot session at the newest commit
@@ -1050,40 +1072,34 @@ func (s *Server) beginSnapshot(lastSeen wal.LSN) (*Response, error) {
 }
 
 // snapRead serves one page as of snapshot LSN snap, without consulting the
-// lock manager. The live frame is read first (non-perturbing, like batch
-// reads: Snapshot leaves reference bits alone and volume reads bypass the
-// pool), the version store second. A concurrent writer captures its
-// before-image under the store lock before overwriting the frame under the
-// content latch, so in either interleaving the bytes for snap are found:
-// if the live read saw the new bytes the capture already happened, and if
-// it saw the old bytes the pending version holds those same old bytes.
-func (s *Server) snapRead(pid disk.PageID, snap wal.LSN) (*Response, error) {
-	if s.mv == nil {
-		return nil, ErrMVCCDisabled
-	}
-	if snap < s.snapFloor {
-		return nil, fmt.Errorf("esm: SnapRead(%d) at %d: %w (server reopened at %d)",
-			pid, snap, mvcc.ErrSnapshotTooOld, s.snapFloor)
-	}
-	out := make([]byte, disk.PageSize)
-	if s.pool.Snapshot(pid, out) {
+// lock manager. The live frame is read first (non-perturbing: Snapshot
+// leaves reference bits alone and volume reads bypass the pool), the
+// version store second. A concurrent writer captures its before-image under
+// the store lock before overwriting the frame under the content latch, so
+// in either interleaving the bytes for snap are found: if the live read saw
+// the new bytes the capture already happened, and if it saw the old bytes
+// the pending version holds those same old bytes. The answer is a full
+// image without a token: a snapshot copy is never revalidated.
+func (s *Server) snapRead(out []byte, pid disk.PageID, snap wal.LSN) ([]byte, error) {
+	out, img := pageSlot(out, pid)
+	if s.pool.Snapshot(pid, img) {
 		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
 	} else {
-		if err := s.vol.ReadPage(pid, out); err != nil {
-			return nil, fmt.Errorf("esm: SnapRead(%d): %w", pid, err)
+		if err := s.vol.ReadPage(pid, img); err != nil {
+			return nil, fmt.Errorf("esm: snapshot read of page %d: %w", pid, err)
 		}
 		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
 		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
 	}
-	img, err := s.mv.Lookup(uint32(pid), snap)
+	old, err := s.mv.Lookup(uint32(pid), snap)
 	if err != nil {
 		return nil, err
 	}
-	if img != nil {
-		copy(out, img)
+	if old != nil {
+		copy(img, old)
 	}
 	s.snapReads.Add(1)
-	return &Response{Page: uint32(pid), Data: out}, nil
+	return out, nil
 }
 
 // endSnapshot releases the pin taken by beginSnapshot. Not idempotent — a
@@ -1186,60 +1202,9 @@ func (s *Server) checkpoint() error {
 	return s.fault.Hit(faultinject.PtCheckpointAfterTruncate)
 }
 
-// readPagesBatch serves one OpReadPages frame: every requested page, in
-// request order, read the way readPage reads one — through the pool, so a
-// read-ahead warms the server's cache for the next client like a demand read
-// does, and charged per page what a demand read is charged.
-func (s *Server) readPagesBatch(req *Request) (*Response, error) {
-	if len(req.Data)%4 != 0 || uint64(len(req.Data)/4) != req.N {
-		return nil, fmt.Errorf("esm: malformed ReadPages payload (%d bytes for %d pages)", len(req.Data), req.N)
-	}
-	versioned := req.Mode&ReadVersioned != 0
-	n := int(req.N)
-	rec := 4 + disk.PageSize
-	if versioned {
-		// Versioned batch records carry the page's coherence token
-		// between the id and the image, so speculative frames enter the
-		// client cache revalidatable like any demand-loaded page.
-		rec += 8
-	}
-	out := make([]byte, n*rec)
-	for i := 0; i < n; i++ {
-		pid := disk.PageID(binary.LittleEndian.Uint32(req.Data[i*4:]))
-		r := out[i*rec : (i+1)*rec]
-		binary.LittleEndian.PutUint32(r, uint32(pid))
-		var ver1 uint64
-		var pending1 int
-		if versioned {
-			ver1, pending1 = s.coh.probe(pid)
-		}
-		img := r[rec-disk.PageSize:]
-		if err := s.loadPage(pid, img); err != nil {
-			return nil, fmt.Errorf("esm: ReadPages(%d): %w", pid, err)
-		}
-		if versioned {
-			token, _, _ := s.coh.answer(pid, 0, img, ver1, pending1)
-			binary.LittleEndian.PutUint64(r[4:], token)
-			if req.Tx != 0 {
-				s.coh.noteServed(req.Tx, pid, token)
-			}
-		}
-	}
-	s.prefetchPages.Add(int64(n))
-	return &Response{N: req.N, Data: out}, nil
-}
-
-func (s *Server) readPage(pid disk.PageID) (*Response, error) {
-	out := make([]byte, disk.PageSize)
-	if err := s.loadPage(pid, out); err != nil {
-		return nil, err
-	}
-	return &Response{Page: uint32(pid), Data: out}, nil
-}
-
 // loadPage copies pid's image into dst through the server pool and charges
-// the cost model one page transfer: the one read path of every page-shipping
-// op.
+// the cost model one page transfer: the read path of every page a
+// transaction reads.
 func (s *Server) loadPage(pid disk.PageID, dst []byte) error {
 	ref, loaded, err := s.pool.Load(pid, func(buf []byte) error {
 		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
@@ -1266,7 +1231,7 @@ func (s *Server) loadPage(pid disk.PageID, dst []byte) error {
 // bytes; the coherence table raises the page's pending count (versioned
 // reads stop vending tokens for it) and keeps the image as the delta base
 // the commit will publish. The capture reads through the same
-// non-perturbing path as batch reads (pool snapshot, else the volume).
+// non-perturbing path as Begin validation (pool snapshot, else the volume).
 func (s *Server) captureBefore(tx uint64, pid disk.PageID) error {
 	if tx == 0 || s.coh.captured(tx, pid) {
 		return nil
@@ -1514,7 +1479,7 @@ func (s *Server) abort(tx uint64) error {
 		}
 		// The undo reads the page LSN and applies every before-image of
 		// the record under one exclusive content latch; the aborting
-		// transaction still holds its page locks, but batch reads may
+		// transaction still holds its page locks, but unlocked reads may
 		// snapshot concurrently.
 		applied := false
 		ref.Write(func(data []byte) {

@@ -55,12 +55,13 @@ func TestServerConcurrentReadDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := srv.Handle(&Request{Op: OpReadPage, Page: uint32(pid)})
+			entries := AppendPageEntry(nil, uint32(pid), 0)
+			resp := srv.Handle(&Request{Op: OpReadPages, Page: uint32(pid), Data: entries})
 			if resp.Err != "" {
-				t.Errorf("ReadPage: %s", resp.Err)
+				t.Errorf("read: %s", resp.Err)
 				return
 			}
-			if len(resp.Data) != disk.PageSize || resp.Data[100] != 0xAB {
+			if a := ReadAnswers(entries, resp.Data); !a.Next() || len(a.Data) != disk.PageSize || a.Data[100] != 0xAB {
 				t.Error("reader got a wrong page image")
 			}
 		}()
@@ -175,17 +176,13 @@ func TestServerStatsUnderConcurrency(t *testing.T) {
 				default:
 				}
 				pid := uint32(base) + uint32((g*7+i)%32)
-				if resp := srv.Handle(&Request{Op: OpReadPage, Page: pid}); resp.Err != "" {
+				if resp := srv.Handle(&Request{Op: OpReadPages, Page: pid, Data: AppendPageEntry(nil, pid, 0)}); resp.Err != "" {
 					t.Errorf("read: %s", resp.Err)
 					return
 				}
 				// Batch reads exercise the prefetch counter too.
-				var payload [4]byte
-				payload[0] = byte(pid)
-				payload[1] = byte(pid >> 8)
-				payload[2] = byte(pid >> 16)
-				payload[3] = byte(pid >> 24)
-				if resp := srv.Handle(&Request{Op: OpReadPages, N: 1, Data: payload[:]}); resp.Err != "" {
+				batch := AppendPageEntry(AppendPageEntry(nil, pid, 0), uint32(base), 0)
+				if resp := srv.Handle(&Request{Op: OpReadPages, Page: pid, Data: batch}); resp.Err != "" {
 					t.Errorf("batch read: %s", resp.Err)
 					return
 				}

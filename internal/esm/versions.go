@@ -276,8 +276,8 @@ func (c *cohState) answer(pid disk.PageID, clientToken uint64, cur []byte, ver1 
 	ver2, pending2 := c.ver[pid], c.pending[pid]
 	if ver1 != ver2 || pending1 != pending2 || pending2 > 0 {
 		// The bytes were copied concurrently with an install or an undo:
-		// they may not be any committed image. Serve them (the legacy
-		// unversioned read would have too) but refuse to version them.
+		// they may not be any committed image. Serve them, but refuse to
+		// version them: token 0.
 		return 0, false, nil
 	}
 	token = ver2
@@ -342,7 +342,8 @@ func (c *cohState) dropTx(tx uint64) {
 	c.mu.Unlock()
 }
 
-// noteServed records that tx's session now caches pid at token.
+// noteServed records that tx's session now caches pid at token: nothing
+// for a read outside a transaction (tx 0) or a session.
 func (c *cohState) noteServed(tx uint64, pid disk.PageID, token uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

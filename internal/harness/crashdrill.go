@@ -481,32 +481,30 @@ func drillVerify(opts DrillOpts, rep *DrillReport, objs []*drillObj, workers int
 	// a silent stale read. A delta answer must reconstruct exactly the
 	// committed image when applied over the cached bytes.
 	for _, f := range cohFrames {
-		full := srv2.Handle(&esm.Request{Op: esm.OpReadPage, Page: uint32(f.pid)})
-		if full.Err != "" {
-			rep.violate("coherence sweep: page %d unreadable after restart: %s", f.pid, full.Err)
+		// One request: the page with nothing held (the committed image),
+		// then the page presenting the frame's token.
+		entries := esm.AppendPageEntry(esm.AppendPageEntry(nil, uint32(f.pid), 0), uint32(f.pid), f.token)
+		resp := srv2.Handle(&esm.Request{Op: esm.OpReadPages, Page: uint32(f.pid), Data: entries})
+		a := esm.ReadAnswers(entries, resp.Data)
+		whole := resp.Err == "" && a.Next() && a.Answered && a.Kind == esm.PageFull
+		full := a.Data
+		if !whole || !a.Next() || a.Stale && !a.Answered {
+			rep.violate("coherence sweep: page %d unreadable after restart: %s %v", f.pid, resp.Err, a.Err())
 			continue
 		}
-		resp := srv2.Handle(&esm.Request{Op: esm.OpReadPage, Page: uint32(f.pid), N: f.token, Mode: esm.ReadVersioned})
-		if resp.Err != "" {
-			rep.violate("coherence sweep: versioned read of page %d: %s", f.pid, resp.Err)
-			continue
+		got, how := f.img, "not-modified" // what the cached copy becomes
+		if a.Stale {
+			got, how = a.Data, "full"
 		}
-		switch resp.Mode {
-		case esm.PageCurrent:
-			if !bytes.Equal(f.img[8:], full.Data[8:]) {
-				rep.violate("coherence sweep: recovery served not-modified for page %d (token %#x) but the committed bytes differ", f.pid, f.token)
-			}
-		case esm.PageDelta:
-			patched := append([]byte(nil), f.img...)
-			if err := pagedelta.Apply(patched, resp.Data); err != nil {
+		if a.Kind == esm.PageDelta {
+			got, how = append([]byte(nil), f.img...), "delta"
+			if err := pagedelta.Apply(got, a.Data); err != nil {
 				rep.violate("coherence sweep: delta repair of page %d unappliable: %v", f.pid, err)
-			} else if !bytes.Equal(patched[8:], full.Data[8:]) {
-				rep.violate("coherence sweep: delta repair of page %d does not reconstruct the committed image", f.pid)
+				continue
 			}
-		case esm.PageFull:
-			if !bytes.Equal(resp.Data[8:], full.Data[8:]) {
-				rep.violate("coherence sweep: full versioned read of page %d disagrees with the committed image", f.pid)
-			}
+		}
+		if !bytes.Equal(got[8:], full[8:]) {
+			rep.violate("coherence sweep: recovery served %s for page %d (token %#x) but the result is not the committed image", how, f.pid, f.token)
 		}
 	}
 

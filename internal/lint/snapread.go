@@ -7,13 +7,14 @@ import (
 )
 
 // snapRoots names the snapshot-read entry points: the esm server's
-// snapshot-session handlers and the repl follower's point-in-time read
-// path. Everything statically reachable from these functions must stay off
-// the lock manager — lock-freedom for readers is the MVCC contract
-// (DESIGN.md §15), and one stray Acquire reintroduces reader/writer
-// convoys the whole subsystem exists to remove.
+// snapshot-session handlers, its page-read handler (which serves snapshot
+// reads, and never locks for any read), and the repl follower's
+// point-in-time read path. Everything statically reachable from these
+// functions must stay off the lock manager — lock-freedom for readers is the
+// MVCC contract (DESIGN.md §15), and one stray Acquire reintroduces
+// reader/writer convoys the whole subsystem exists to remove.
 var snapRoots = map[string]map[string]bool{
-	"internal/esm":  {"beginSnapshot": true, "snapRead": true, "endSnapshot": true},
+	"internal/esm":  {"beginSnapshot": true, "readPages": true, "snapRead": true, "endSnapshot": true},
 	"internal/repl": {"handleSnapBegin": true, "handleSnapRead": true, "snapReadPage": true},
 }
 

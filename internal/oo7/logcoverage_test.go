@@ -122,17 +122,17 @@ func (e *coverageEnv) run(name string, op func(DB) (int, error)) {
 }
 
 // serverImage returns the server's current image of pid: the pool frame
-// when resident, else the volume (OpReadPages reads exactly that way and
-// touches neither replacement state nor the lock manager).
+// when resident, else the volume (OpReadPages reads through the pool and
+// touches no lock).
 func (e *coverageEnv) serverImage(pid disk.PageID) []byte {
 	e.t.Helper()
-	var req [4]byte
-	binary.LittleEndian.PutUint32(req[:], uint32(pid))
-	resp := e.srv.Handle(&esm.Request{Op: esm.OpReadPages, N: 1, Data: req[:]})
-	if resp.Err != "" {
-		e.t.Fatalf("server image of page %d: %s", pid, resp.Err)
+	req := esm.AppendPageEntry(nil, uint32(pid), 0)
+	resp := e.srv.Handle(&esm.Request{Op: esm.OpReadPages, Page: uint32(pid), Data: req})
+	a := esm.ReadAnswers(req, resp.Data)
+	if resp.Err != "" || !a.Next() || !a.Answered {
+		e.t.Fatalf("server image of page %d: %s %v", pid, resp.Err, a.Err())
 	}
-	return resp.Data[4:]
+	return a.Data
 }
 
 // compare checks every clean resident client frame, except the pages skip

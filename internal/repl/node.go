@@ -311,37 +311,30 @@ func (n *Node) Handle(req *esm.Request) *esm.Response {
 			return n.handleRegister(req)
 		}
 		return &esm.Response{Err: fmt.Sprintf("repl: unknown ack mode %d", req.Mode)}
-	case esm.OpBeginSnapshot, esm.OpSnapRead, esm.OpEndSnapshot:
-		// Snapshot reads are served on every role: the leader answers from
-		// its version store, a follower by per-page point-in-time recovery
-		// over its installed volume plus shipped WAL (snapread.go). This is
-		// what keeps read-only sessions available across a failover.
-		n.mu.Lock()
-		role, srv := n.role, n.srv
-		n.mu.Unlock()
-		if role == RoleLeader && srv != nil {
-			return srv.Handle(req)
-		}
-		switch req.Op {
-		case esm.OpBeginSnapshot:
-			return n.handleSnapBegin(req)
-		case esm.OpSnapRead:
-			return n.handleSnapRead(req)
-		default:
-			return &esm.Response{} // follower snapshots pin nothing
-		}
 	}
 	n.mu.Lock()
 	role, srv := n.role, n.srv
 	leaderID, leaderAddr := n.leaderID, n.members[n.leaderID]
 	n.mu.Unlock()
-	if role != RoleLeader || srv == nil {
-		if leaderID == n.cfg.ID {
-			leaderID = "" // deposed mid-flight; don't redirect to ourselves
-		}
-		return &esm.Response{Err: notLeaderError(leaderID, leaderAddr)}
+	if role == RoleLeader && srv != nil {
+		return srv.Handle(req)
 	}
-	return srv.Handle(req)
+	// Snapshot sessions are served on every role: the leader answers from
+	// its version store, a follower by per-page point-in-time recovery over
+	// its installed volume plus shipped WAL (snapread.go). This is what keeps
+	// read-only sessions available across a failover.
+	switch {
+	case req.Op == esm.OpBeginSnapshot:
+		return n.handleSnapBegin(req)
+	case req.Op == esm.OpEndSnapshot:
+		return &esm.Response{} // follower snapshots pin nothing
+	case req.Op == esm.OpReadPages && req.N != 0:
+		return n.handleSnapRead(req)
+	}
+	if leaderID == n.cfg.ID {
+		leaderID = "" // deposed mid-flight; don't redirect to ourselves
+	}
+	return &esm.Response{Err: notLeaderError(leaderID, leaderAddr)}
 }
 
 // adoptTermLocked moves the node to a newer term, stepping down from any

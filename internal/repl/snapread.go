@@ -56,13 +56,25 @@ func (n *Node) handleSnapBegin(req *esm.Request) *esm.Response {
 	return &esm.Response{N: uint64(s)}
 }
 
-// handleSnapRead answers OpSnapRead on a non-leader.
+// handleSnapRead answers a snapshot OpReadPages (N = the snapshot LSN) on a
+// non-leader, in the leader's format: every entry stale, answered with its
+// full image and no token.
 func (n *Node) handleSnapRead(req *esm.Request) *esm.Response {
-	out, err := n.snapReadPage(disk.PageID(req.Page), wal.LSN(req.N))
+	count, err := esm.PageEntryCount(req.Data)
 	if err != nil {
 		return &esm.Response{Err: err.Error()}
 	}
-	return &esm.Response{Page: req.Page, Data: out}
+	out, bitmap := esm.AppendAnswerHead(nil, count)
+	for i := 0; i < count; i++ {
+		pid, _ := esm.PageEntry(req.Data, i)
+		img, err := n.snapReadPage(disk.PageID(pid), wal.LSN(req.N))
+		if err != nil {
+			return &esm.Response{Err: err.Error()}
+		}
+		esm.MarkStale(out, bitmap, i)
+		out = esm.AppendAnswer(out, pid, esm.PageFull, 0, img)
+	}
+	return &esm.Response{Data: out}
 }
 
 // snapReadPage reconstructs page pid as of snapshot LSN snap.

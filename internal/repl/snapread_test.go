@@ -158,11 +158,7 @@ func TestFollowerSnapReadUndoesUnresolvedTx(t *testing.T) {
 	snapOld := resp.N
 	read := func(at uint64) []byte {
 		t.Helper()
-		r := f.Handle(&esm.Request{Op: esm.OpSnapRead, Page: uint32(pid), N: at})
-		if r.Err != "" {
-			t.Fatalf("follower snap read at %d: %s", at, r.Err)
-		}
-		return r.Data[off : off+len(base)]
+		return readPage(t, f, pid, 0, at).Data[off : off+len(base)]
 	}
 	if got := read(snapOld); string(got) != string(base) {
 		t.Fatalf("unresolved tx leaked into snapshot: %q, want %q", got, base)
@@ -396,12 +392,9 @@ func TestFollowerSnapReadBetweenRegionRecords(t *testing.T) {
 	}
 	check := func(at uint64, want ...string) {
 		t.Helper()
-		r := f.Handle(&esm.Request{Op: esm.OpSnapRead, Page: uint32(pid), N: at})
-		if r.Err != "" {
-			t.Fatalf("follower snap read at %d: %s", at, r.Err)
-		}
+		img := readPage(t, f, pid, 0, at).Data
 		for i, off := range append(offs, 700) {
-			if got := string(r.Data[off : off+4]); got != want[i] {
+			if got := string(img[off : off+4]); got != want[i] {
 				t.Errorf("snapshot at %d, offset %d: %q, want %q (all of a record or none of it)", at, off, got, want[i])
 			}
 		}
@@ -440,5 +433,54 @@ func TestFollowerSnapReadBetweenRegionRecords(t *testing.T) {
 	}
 	if runs != 2 || regions != 6 {
 		t.Errorf("the follower's log holds %d update records of %d regions for the page, want B's and D's, 3 regions each", runs, regions)
+	}
+}
+
+// TestFollowerReadPagesRoundTrip: a snapshot read of several pages is
+// answered by a follower in the leader's format — every entry stale and
+// answered with its whole image and no token, in request order — while a
+// live read (N = 0) stays leader-only.
+func TestFollowerReadPagesRoundTrip(t *testing.T) {
+	nodes := newCluster(t, 3, 2)
+	leader, f := nodes[0].node, nodes[1].node
+	const off = 100
+	want := []byte("both-pages")
+	pid1, pid2, seen := commitPages(t, leader.Transport(), off, want)
+	waitConverged(t, nodes)
+
+	entries := esm.AppendPageEntry(esm.AppendPageEntry(nil, uint32(pid2), 0), uint32(pid1), 0)
+	images := map[string][][]byte{}
+	for name, n := range map[string]*Node{"leader": leader, "follower": f} {
+		begin := n.Handle(&esm.Request{Op: esm.OpBeginSnapshot, N: seen})
+		if begin.Err != "" {
+			t.Fatalf("%s: snapshot begin: %s", name, begin.Err)
+		}
+		resp := n.Handle(&esm.Request{Op: esm.OpReadPages, Page: uint32(pid2), N: begin.N, Data: entries})
+		if resp.Err != "" {
+			t.Fatalf("%s: snapshot read: %s", name, resp.Err)
+		}
+		a := esm.ReadAnswers(entries, resp.Data)
+		for _, pid := range []disk.PageID{pid2, pid1} {
+			if !a.Next() || !a.Stale || !a.Answered || a.Kind != esm.PageFull || a.Token != 0 || len(a.Data) != disk.PageSize {
+				t.Fatalf("%s: page %d: stale %v answered %v kind %d token %d, %d bytes (%v); want its whole image without a token",
+					name, pid, a.Stale, a.Answered, a.Kind, a.Token, len(a.Data), a.Err())
+			}
+			if got := a.Data[off : off+len(want)]; string(got) != string(want) {
+				t.Errorf("%s: page %d reads %q, want %q", name, pid, got, want)
+			}
+			images[name] = append(images[name], a.Data[8:])
+		}
+		if a.Next() || a.Err() != nil {
+			t.Fatalf("%s: answer runs past the request: %v", name, a.Err())
+		}
+		n.Handle(&esm.Request{Op: esm.OpEndSnapshot, N: begin.N})
+	}
+	for i := range images["leader"] {
+		if string(images["leader"][i]) != string(images["follower"][i]) {
+			t.Errorf("entry %d: the follower's reconstruction differs from the leader's image", i)
+		}
+	}
+	if resp := f.Handle(&esm.Request{Op: esm.OpReadPages, Page: uint32(pid2), Data: entries}); !IsNotLeader(resp.Err) {
+		t.Errorf("follower answered a live read: %+v", resp)
 	}
 }

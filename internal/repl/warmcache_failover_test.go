@@ -18,6 +18,23 @@ type cachedFrame struct {
 	img   []byte
 }
 
+// readPage reads pid from h with one OpReadPages request — presenting
+// token, as of snapshot snap (0: live) — and returns the walk standing on its
+// entry.
+func readPage(t *testing.T, h esm.Handler, pid disk.PageID, token, snap uint64) esm.PageAnswers {
+	t.Helper()
+	entries := esm.AppendPageEntry(nil, uint32(pid), token)
+	resp := h.Handle(&esm.Request{Op: esm.OpReadPages, Page: uint32(pid), N: snap, Data: entries})
+	if resp.Err != "" {
+		t.Fatalf("page %d read: %s", pid, resp.Err)
+	}
+	a := esm.ReadAnswers(entries, resp.Data)
+	if !a.Next() {
+		t.Fatalf("page %d read: %v", pid, a.Err())
+	}
+	return a
+}
+
 // TestWarmCacheTokensAcrossFailover: coherence tokens minted by the old
 // leader are commit LSNs; the promoted follower rebuilds its version
 // table from page-header LSNs, which never coincide with commit-record
@@ -89,11 +106,7 @@ func TestWarmCacheTokensAcrossFailover(t *testing.T) {
 	write(s2, "v2")
 	changed := 0
 	for _, f := range frames {
-		resp, err := leader.Transport().Call(&esm.Request{Op: esm.OpReadPage, Page: uint32(f.pid)})
-		if err != nil {
-			t.Fatalf("page %d reread: %v", f.pid, err)
-		}
-		if !bytes.Equal(f.img[8:], resp.Data[8:]) {
+		if !bytes.Equal(f.img[8:], readPage(t, leader, f.pid, 0, 0).Data[8:]) {
 			changed++
 		}
 	}
@@ -122,30 +135,22 @@ func TestWarmCacheTokensAcrossFailover(t *testing.T) {
 	// promotion — what matters is that the warm cache converges on the
 	// new leader's committed state, never on anything older.)
 	for _, f := range frames {
-		full, err := best.node.Transport().Call(&esm.Request{Op: esm.OpReadPage, Page: uint32(f.pid)})
-		if err != nil {
-			t.Fatalf("page %d full read: %v", f.pid, err)
-		}
-		resp, err := best.node.Transport().Call(&esm.Request{
-			Op: esm.OpReadPage, Page: uint32(f.pid), N: f.token, Mode: esm.ReadVersioned,
-		})
-		if err != nil {
-			t.Fatalf("page %d versioned read: %v", f.pid, err)
-		}
-		if resp.Mode == esm.PageCurrent {
+		full := readPage(t, best.node, f.pid, 0, 0).Data
+		a := readPage(t, best.node, f.pid, f.token, 0)
+		if !a.Stale {
 			t.Fatalf("page %d: promoted leader validated a pre-failover token as current", f.pid)
 		}
-		img := resp.Data
-		if resp.Mode == esm.PageDelta {
+		img := a.Data
+		if a.Kind == esm.PageDelta {
 			img = append([]byte(nil), f.img...)
-			if err := pagedelta.Apply(img, resp.Data); err != nil {
+			if err := pagedelta.Apply(img, a.Data); err != nil {
 				t.Fatalf("page %d: bad delta: %v", f.pid, err)
 			}
 		}
 		if len(img) != disk.PageSize {
 			t.Fatalf("page %d: repair produced %d bytes", f.pid, len(img))
 		}
-		if !bytes.Equal(img[8:], full.Data[8:]) {
+		if !bytes.Equal(img[8:], full[8:]) {
 			t.Fatalf("page %d: repair after failover does not match the committed image", f.pid)
 		}
 	}

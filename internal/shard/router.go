@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -154,6 +156,14 @@ func (r *Router) tx(gid uint64) (*routedTx, error) {
 	return t, nil
 }
 
+// footprint copies the shards the transaction has begun on, in the order it
+// touched them, and its local id on each.
+func (t *routedTx) footprint() (order []int, locals map[int]uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.order), maps.Clone(t.local)
+}
+
 // localFor returns the shard-local transaction id for gid on shard,
 // beginning one lazily at first touch. The first shard touched becomes
 // the transaction's commit coordinator.
@@ -191,17 +201,14 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 	case esm.OpAbort:
 		return r.abort(req.Tx)
 
-	case esm.OpReadPage, esm.OpWritePage, esm.OpFreePages:
+	case esm.OpWritePage, esm.OpFreePages:
 		return r.pageOp(req, ShardOfPage(req.Page), LocalPage(req.Page))
 
 	case esm.OpLock:
 		kind := lock.Kind(req.Mode >> 4)
 		switch kind {
 		case lock.KindPage:
-			if len(req.Data) > 0 {
-				return r.lockPages(req)
-			}
-			return r.pageOp(req, ShardOfPage(req.Page), LocalPage(req.Page))
+			return r.lockPages(req)
 		case lock.KindFile:
 			return r.pageOp(req, ShardOfFile(req.Page), LocalFile(req.Page))
 		}
@@ -215,9 +222,6 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 
 	case esm.OpReadPages:
 		return r.readPages(req)
-
-	case esm.OpValidatePages:
-		return r.validatePages(req)
 
 	case esm.OpCreateFile, esm.OpOpenFile:
 		shard := ShardOfName(req.Name, len(r.trs))
@@ -250,7 +254,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 	case esm.OpStats:
 		return r.aggregateStats(req)
 
-	case esm.OpBeginSnapshot, esm.OpSnapRead, esm.OpEndSnapshot:
+	case esm.OpBeginSnapshot, esm.OpEndSnapshot:
 		// Shard 0's prefix is zero, so on a one-shard cluster global and
 		// local ids coincide and snapshots pass straight through. A
 		// cross-shard consistent snapshot needs a coordinated LSN vector;
@@ -264,7 +268,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 }
 
 // pageOp forwards a page-addressed request to its shard with the id
-// localized, re-globalizing the response's page id.
+// localized, beginning the transaction there if need be.
 func (r *Router) pageOp(req *esm.Request, shard int, local uint32) (*esm.Response, error) {
 	fwd := *req
 	fwd.Page = local
@@ -278,16 +282,7 @@ func (r *Router) pageOp(req *esm.Request, shard int, local uint32) (*esm.Respons
 			return nil, err
 		}
 	}
-	resp, err := r.call(shard, &fwd)
-	if err != nil || resp.Err != "" {
-		return resp, err
-	}
-	if req.Op == esm.OpReadPage {
-		out := *resp
-		out.Page = GlobalPage(shard, resp.Page)
-		return &out, nil
-	}
-	return resp, nil
+	return r.call(shard, &fwd)
 }
 
 // alloc routes a page allocation: to the session's affinity shard when
@@ -299,18 +294,7 @@ func (r *Router) alloc(req *esm.Request) (*esm.Response, error) {
 	if shard < 0 {
 		shard = int(r.rr.Add(1)-1) % len(r.trs)
 	}
-	fwd := *req
-	if req.Tx != 0 {
-		t, err := r.tx(req.Tx)
-		if err != nil {
-			return nil, err
-		}
-		fwd.Tx, err = r.localFor(t, shard)
-		if err != nil {
-			return nil, err
-		}
-	}
-	resp, err := r.call(shard, &fwd)
+	resp, err := r.pageOp(req, shard, req.Page)
 	if err != nil || resp.Err != "" {
 		return resp, err
 	}
@@ -323,76 +307,115 @@ func (r *Router) alloc(req *esm.Request) (*esm.Response, error) {
 }
 
 // logBatch splits an OpLog batch by each record's page shard, rewrites
-// page ids local, and fans the per-shard batches out concurrently. Each
-// shard's returned LSN is recorded as the transaction's page stamp for
-// that shard (see StampLSN); the response carries the maximum.
+// page ids local, and fans the per-shard batches out concurrently. A shard
+// the batch reaches for the first time begins the transaction there, in the
+// order of the records. Each shard's returned LSN is recorded as the
+// transaction's page stamp for that shard (see StampLSN); the response
+// carries the maximum.
 func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
 	if len(req.Data) < 4 {
 		return nil, fmt.Errorf("shard: short log batch (%d bytes)", len(req.Data))
 	}
+	t, err := r.tx(req.Tx)
+	if err != nil {
+		return nil, err
+	}
 	count := int(binary.LittleEndian.Uint32(req.Data))
-	parts := map[int][]byte{}
-	counts := map[int]uint32{}
+	reqs := map[int]*esm.Request{}
 	p := 4
 	for i := 0; i < count; i++ {
 		rec, n, err := wal.DecodeUpdate(req.Data[p:])
 		if err != nil {
 			return nil, fmt.Errorf("shard: log batch record %d: %w", i, err)
 		}
+		p += n
 		shard := ShardOfPage(rec.Page)
-		if parts[shard] == nil {
-			parts[shard] = make([]byte, 4)
+		fwd := reqs[shard]
+		if fwd == nil {
+			local, err := r.localFor(t, shard)
+			if err != nil {
+				return nil, err
+			}
+			fwd = &esm.Request{Op: esm.OpLog, Tx: local, Data: make([]byte, 4)}
+			reqs[shard] = fwd
 		}
 		rec.Page = LocalPage(rec.Page)
-		parts[shard] = wal.AppendBody(parts[shard], &rec)
-		counts[shard]++
-		p += n
+		fwd.Data = wal.AppendBody(fwd.Data, &rec)
+		binary.LittleEndian.PutUint32(fwd.Data, binary.LittleEndian.Uint32(fwd.Data)+1)
 	}
-	t, err := r.tx(req.Tx)
+	resps, err := r.fanOut(reqs)
 	if err != nil {
 		return nil, err
 	}
-	type result struct {
-		shard int
-		lsn   uint64
-		err   error
-	}
-	results := make(chan result, len(parts))
-	for shard, data := range parts {
-		binary.LittleEndian.PutUint32(data[:4], counts[shard])
-		local, err := r.localFor(t, shard)
-		if err != nil {
-			return nil, err
-		}
-		go func(shard int, local uint64, data []byte) {
-			resp, err := r.call(shard, &esm.Request{Op: esm.OpLog, Tx: local, Data: data})
-			if err == nil && resp.Err != "" {
-				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
-			}
-			if err != nil {
-				results <- result{shard: shard, err: err}
-				return
-			}
-			results <- result{shard: shard, lsn: resp.N}
-		}(shard, local, data)
-	}
 	var max uint64
-	for range parts {
-		res := <-results
-		if res.err != nil {
-			return nil, res.err
-		}
-		t.mu.Lock()
-		t.lastLSN[res.shard] = res.lsn
-		t.mu.Unlock()
-		if res.lsn > max {
-			max = res.lsn
+	t.mu.Lock()
+	for shard, resp := range resps {
+		t.lastLSN[shard] = resp.N
+		if resp.N > max {
+			max = resp.N
 		}
 	}
+	t.mu.Unlock()
 	return &esm.Response{N: max}, nil
 }
 
-// lockPages routes a page lock that carries a lock-ahead list. The demanded
+// fanOut sends reqs[shard] to every shard in reqs concurrently. It returns
+// the responses of the shards that answered without error, and the first
+// error, a remote one included.
+func (r *Router) fanOut(reqs map[int]*esm.Request) (map[int]*esm.Response, error) {
+	type result struct {
+		shard int
+		resp  *esm.Response
+		err   error
+	}
+	results := make(chan result, len(reqs))
+	for shard, req := range reqs {
+		go func(shard int, req *esm.Request) {
+			resp, err := r.call(shard, req)
+			if err == nil && resp.Err != "" {
+				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
+			}
+			results <- result{shard: shard, resp: resp, err: err}
+		}(shard, req)
+	}
+	resps := make(map[int]*esm.Response, len(reqs))
+	var first error
+	for range reqs {
+		res := <-results
+		if res.err == nil {
+			resps[res.shard] = res.resp
+		} else if first == nil {
+			first = res.err
+		}
+	}
+	return resps, first
+}
+
+// splitEntries partitions a page entry list of n entries by each entry's
+// shard: per shard, the request indexes of its entries, in order, and a
+// request of kind op carrying them with page ids made local. keep, if not
+// nil, picks the shards that get one.
+func splitEntries(op esm.Op, data []byte, n int, keep func(shard int) bool) (map[int][]int, map[int]*esm.Request) {
+	idx := map[int][]int{}
+	reqs := map[int]*esm.Request{}
+	for i := 0; i < n; i++ {
+		pid, token := esm.PageEntry(data, i)
+		shard := ShardOfPage(pid)
+		if keep != nil && !keep(shard) {
+			continue
+		}
+		fwd := reqs[shard]
+		if fwd == nil {
+			fwd = &esm.Request{Op: op, Page: LocalPage(pid)}
+			reqs[shard] = fwd
+		}
+		idx[shard] = append(idx[shard], i)
+		fwd.Data = esm.AppendPageEntry(fwd.Data, LocalPage(pid), token)
+	}
+	return idx, reqs
+}
+
+// lockPages routes a page lock and its lock-ahead list, if any. The demanded
 // page goes to its shard as in pageOp, with the entries that shard owns. The
 // entries of every other shard the transaction has already begun on go there
 // in a request that demands nothing (page disk.InvalidPage), so the caller
@@ -401,7 +424,7 @@ func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
 // taken on a guess must not enlist a participant and turn a one-phase commit
 // into two-phase commit.
 func (r *Router) lockPages(req *esm.Request) (*esm.Response, error) {
-	pids, tokens, err := esm.ParseValidateEntries(req.Data, uint64(len(req.Data)/esm.ValidateReqEntryBytes))
+	n, err := esm.PageEntryCount(req.Data)
 	if err != nil {
 		return nil, err
 	}
@@ -413,192 +436,87 @@ func (r *Router) lockPages(req *esm.Request) (*esm.Response, error) {
 	if _, err := r.localFor(t, home); err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	byShard := map[int][]int{home: nil} // shard -> indexes into the request order
-	locals := map[int]uint64{}
-	for i, pid := range pids {
-		shard := ShardOfPage(pid)
-		if local, ok := t.local[shard]; ok {
-			byShard[shard] = append(byShard[shard], i)
-			locals[shard] = local
-		}
+	_, locals := t.footprint()
+	idx, reqs := splitEntries(esm.OpLock, req.Data, n, func(shard int) bool { return locals[shard] != 0 })
+	if reqs[home] == nil {
+		reqs[home] = &esm.Request{Op: esm.OpLock}
 	}
-	locals[home] = t.local[home]
-	t.mu.Unlock()
-
-	type result struct {
-		shard int
-		idx   []int
-		resp  *esm.Response
-		err   error
+	for shard, fwd := range reqs {
+		fwd.Tx, fwd.Page, fwd.Mode = locals[shard], uint32(disk.InvalidPage), req.Mode
 	}
-	results := make(chan result, len(byShard))
-	for shard, idx := range byShard {
-		fwd := &esm.Request{Op: esm.OpLock, Tx: locals[shard], Page: uint32(disk.InvalidPage), Mode: req.Mode}
-		if shard == home {
-			fwd.Page, fwd.N = LocalPage(req.Page), req.N
-		}
-		for _, i := range idx {
-			fwd.Data = esm.AppendValidateEntry(fwd.Data, LocalPage(pids[i]), tokens[i])
-		}
-		go func(shard int, idx []int, fwd *esm.Request) {
-			resp, err := r.call(shard, fwd)
-			if err == nil && resp.Err != "" {
-				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
-			}
-			if err == nil && len(resp.Data) != len(idx) {
-				err = fmt.Errorf("shard %d: lock response has %d verdicts for %d entries", shard, len(resp.Data), len(idx))
-			}
-			results <- result{shard: shard, idx: idx, resp: resp, err: err}
-		}(shard, idx, fwd)
+	reqs[home].Page, reqs[home].N = LocalPage(req.Page), req.N
+	resps, err := r.fanOut(reqs)
+	if err != nil {
+		return nil, err
 	}
-	out := &esm.Response{Data: make([]byte, len(pids))} // esm.LockAheadRefused unless a shard says otherwise
-	for range byShard {
-		res := <-results
-		if res.err != nil {
-			return nil, res.err
+	out := &esm.Response{Mode: resps[home].Mode, Data: make([]byte, n)} // esm.LockAheadRefused unless a shard says otherwise
+	for shard, resp := range resps {
+		if len(resp.Data) != len(idx[shard]) {
+			return nil, fmt.Errorf("shard %d: lock response has %d verdicts for %d entries", shard, len(resp.Data), len(idx[shard]))
 		}
-		if res.shard == home {
-			out.Mode = res.resp.Mode
-		}
-		for k, i := range res.idx {
-			out.Data[i] = res.resp.Data[k]
+		for k, i := range idx[shard] {
+			out.Data[i] = resp.Data[k]
 		}
 	}
 	return out, nil
 }
 
-// validatePages splits a warm-cache validation batch by each entry's page
-// shard, rewrites page ids local, fans out concurrently, and reassembles
-// one stale bitmap in request order with repair page ids re-globalized.
-// The per-shard requests carry no transaction id: validation is read-only
-// and hint sessions do not exist under sharding, so enlisting untouched
-// shards into the 2PC cohort for it would only widen commits.
-func (r *Router) validatePages(req *esm.Request) (*esm.Response, error) {
-	pids, tokens, err := esm.ParseValidateEntries(req.Data, req.N)
+// readPages splits an OpReadPages request by each entry's page shard, fans
+// the parts out concurrently, and reassembles one answer in request order
+// with page ids made global again. A part carries the transaction's local id
+// only to a shard the transaction has already begun on: a read never
+// enlists a shard, since reading alone gives a shard nothing to commit, and
+// enlisting it would only widen the commit. Snapshot reads (N != 0) pass
+// through only on a one-shard cluster, as BeginSnapshot does.
+func (r *Router) readPages(req *esm.Request) (*esm.Response, error) {
+	if req.N != 0 && len(r.trs) != 1 {
+		return nil, fmt.Errorf("shard: snapshot reads not supported on a %d-shard cluster (snapshots are per-shard)", len(r.trs))
+	}
+	n, err := esm.PageEntryCount(req.Data)
 	if err != nil {
 		return nil, err
 	}
-	byShard := map[int][]int{} // shard -> indexes into the request order
-	for i, pid := range pids {
-		byShard[ShardOfPage(pid)] = append(byShard[ShardOfPage(pid)], i)
-	}
-	type result struct {
-		shard   int
-		idx     []int
-		stale   []bool
-		repairs []esm.ValidateRepair
-		err     error
-	}
-	results := make(chan result, len(byShard))
-	for shard, idx := range byShard {
-		entries := make([]byte, 0, len(idx)*esm.ValidateReqEntryBytes)
-		for _, i := range idx {
-			entries = esm.AppendValidateEntry(entries, LocalPage(pids[i]), tokens[i])
+	var locals map[int]uint64
+	if req.Tx != 0 {
+		t, err := r.tx(req.Tx)
+		if err != nil {
+			return nil, err
 		}
-		go func(shard int, idx []int, entries []byte) {
-			resp, err := r.call(shard, &esm.Request{Op: esm.OpValidatePages, N: uint64(len(idx)), Data: entries})
-			if err == nil && resp.Err != "" {
-				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
-			}
-			if err != nil {
-				results <- result{shard: shard, err: err}
-				return
-			}
-			stale, repairs, err := esm.ParseValidateResponse(resp.Data, len(idx))
-			results <- result{shard: shard, idx: idx, stale: stale, repairs: repairs, err: err}
-		}(shard, idx, entries)
+		_, locals = t.footprint()
 	}
-	stale := make([]bool, len(pids))
-	repairAt := make(map[int]*esm.ValidateRepair, len(pids)) // request index -> repair
-	for range byShard {
-		res := <-results
-		if res.err != nil {
-			return nil, res.err
-		}
-		localIdx := map[uint32]int{} // local pid -> request index, this shard
-		for k, i := range res.idx {
-			stale[i] = res.stale[k]
-			localIdx[LocalPage(pids[i])] = i
-		}
-		for k := range res.repairs {
-			rep := res.repairs[k]
-			i, ok := localIdx[rep.Page]
-			if !ok {
-				return nil, fmt.Errorf("shard %d: validate repair for unrequested page %d", res.shard, rep.Page)
-			}
-			rep.Page = pids[i]
-			repairAt[i] = &rep
-		}
+	_, reqs := splitEntries(esm.OpReadPages, req.Data, n, nil)
+	for shard, fwd := range reqs {
+		fwd.Tx, fwd.N, fwd.Mode = locals[shard], req.N, req.Mode
 	}
-	var repairs []esm.ValidateRepair
-	for i := range pids {
-		if rep := repairAt[i]; rep != nil {
-			repairs = append(repairs, *rep)
-		}
+	resps, err := r.fanOut(reqs)
+	if err != nil {
+		return nil, err
 	}
-	return &esm.Response{N: req.N, Data: esm.AppendValidateResponse(nil, stale, repairs)}, nil
-}
-
-// readPages splits a batch read by shard, fans out, and reassembles the
-// page images in request order with global ids.
-func (r *Router) readPages(req *esm.Request) (*esm.Response, error) {
-	if len(req.Data)%4 != 0 || uint64(len(req.Data)/4) != req.N {
-		return nil, fmt.Errorf("shard: malformed ReadPages payload (%d bytes for %d pages)", len(req.Data), req.N)
+	parts := make(map[int]*esm.PageAnswers, len(resps))
+	for shard, resp := range resps {
+		a := esm.ReadAnswers(reqs[shard].Data, resp.Data)
+		parts[shard] = &a
 	}
-	n := int(req.N)
-	byShard := map[int][]int{} // shard -> indexes into the request order
-	pids := make([]uint32, n)
+	out, bitmap := esm.AppendAnswerHead(nil, n)
 	for i := 0; i < n; i++ {
-		pids[i] = binary.LittleEndian.Uint32(req.Data[i*4:])
-		shard := ShardOfPage(pids[i])
-		byShard[shard] = append(byShard[shard], i)
-	}
-	// Versioned batch records carry an extra 8-byte coherence token
-	// between the id and the image (see esm.Server.readPagesBatch).
-	rec := 4 + disk.PageSize
-	if req.Mode&esm.ReadVersioned != 0 {
-		rec += 8
-	}
-	out := make([]byte, n*rec)
-	type result struct {
-		shard int
-		idx   []int
-		resp  *esm.Response
-		err   error
-	}
-	results := make(chan result, len(byShard))
-	for shard, idx := range byShard {
-		payload := make([]byte, 0, len(idx)*4)
-		for _, i := range idx {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], LocalPage(pids[i]))
-			payload = append(payload, b[:]...)
+		pid, _ := esm.PageEntry(req.Data, i)
+		a := parts[ShardOfPage(pid)]
+		if !a.Next() {
+			return nil, fmt.Errorf("shard %d: %v", ShardOfPage(pid), a.Err())
 		}
-		go func(shard int, idx []int, payload []byte) {
-			resp, err := r.call(shard, &esm.Request{Op: esm.OpReadPages, N: uint64(len(idx)), Mode: req.Mode, Data: payload})
-			if err == nil && resp.Err != "" {
-				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
-			}
-			results <- result{shard: shard, idx: idx, resp: resp, err: err}
-		}(shard, idx, payload)
-	}
-	for range byShard {
-		res := <-results
-		if res.err != nil {
-			return nil, res.err
+		if a.Stale {
+			esm.MarkStale(out, bitmap, i)
 		}
-		if len(res.resp.Data) != len(res.idx)*rec {
-			return nil, fmt.Errorf("shard %d: ReadPages returned %d bytes for %d pages", res.shard, len(res.resp.Data), len(res.idx))
-		}
-		for j, i := range res.idx {
-			src := res.resp.Data[j*rec : (j+1)*rec]
-			dst := out[i*rec : (i+1)*rec]
-			copy(dst, src)
-			binary.LittleEndian.PutUint32(dst[:4], GlobalPage(res.shard, binary.LittleEndian.Uint32(src[:4])))
+		if a.Answered {
+			out = esm.AppendAnswer(out, pid, a.Kind, a.Token, a.Data)
 		}
 	}
-	return &esm.Response{N: req.N, Data: out}, nil
+	for shard, a := range parts {
+		if a.Next() || a.Err() != nil {
+			return nil, fmt.Errorf("shard %d: read answer past its request: %v", shard, a.Err())
+		}
+	}
+	return &esm.Response{Data: out}, nil
 }
 
 // StampLSN implements esm.ShardStamper: the page stamp for pid is the
@@ -662,13 +580,7 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 			return nil, err
 		}
 	}
-	t.mu.Lock()
-	participants := append([]int(nil), t.order...)
-	locals := make(map[int]uint64, len(t.local))
-	for s, id := range t.local {
-		locals[s] = id
-	}
-	t.mu.Unlock()
+	participants, locals := t.footprint()
 
 	if len(participants) == 0 {
 		//qsvet:ignore quorumack read-only transaction: no shard was ever touched, there is nothing to make durable
@@ -690,39 +602,13 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	// Phase 1: prepare every participant concurrently. Any failure aborts
 	// the transaction everywhere — no decision record is ever written, so
 	// abort is the presumed outcome at every participant.
-	type vote struct {
-		shard int
-		err   error
-	}
-	votes := make(chan vote, len(participants))
+	prepares := make(map[int]*esm.Request, len(participants))
 	for _, shard := range participants {
-		mode := uint8(0)
-		if shard == coord {
-			mode = esm.PrepareModeCoord
-		}
-		go func(shard int, mode uint8) {
-			resp, err := r.call(shard, &esm.Request{
-				Op:   esm.OpPrepare,
-				Tx:   locals[shard],
-				Page: uint32(coord),
-				N:    coordLocal,
-				Mode: mode,
-				Data: parts[shard],
-			})
-			if err == nil && resp.Err != "" {
-				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
-			}
-			votes <- vote{shard: shard, err: err}
-		}(shard, mode)
+		prepares[shard] = &esm.Request{Op: esm.OpPrepare, Tx: locals[shard], Page: uint32(coord), N: coordLocal, Data: parts[shard]}
 	}
+	prepares[coord].Mode = esm.PrepareModeCoord
 	r.stats.prepares.Add(int64(len(participants)))
-	var prepareErr error
-	for range participants {
-		if v := <-votes; v.err != nil && prepareErr == nil {
-			prepareErr = v.err
-		}
-	}
-	if prepareErr != nil {
+	if _, prepareErr := r.fanOut(prepares); prepareErr != nil {
 		r.stats.prepareFails.Add(1)
 		for _, shard := range participants {
 			_, _ = r.call(shard, &esm.Request{Op: esm.OpAbort, Tx: locals[shard]})
@@ -752,25 +638,12 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	decisionLSN := resp.N
 
 	// Phase 2, fan-out: deliver the verdict to the other participants.
-	acks := make(chan vote, len(participants)-1)
-	for _, shard := range participants {
-		if shard == coord {
-			continue
-		}
-		go func(shard int) {
-			resp, err := r.call(shard, &esm.Request{Op: esm.OpCommitDecision, Tx: locals[shard], Mode: esm.DecisionCommit})
-			if err == nil && resp.Err != "" {
-				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
-			}
-			acks <- vote{shard: shard, err: err}
-		}(shard)
+	verdicts := make(map[int]*esm.Request, len(participants)-1)
+	for _, shard := range participants[1:] {
+		verdicts[shard] = &esm.Request{Op: esm.OpCommitDecision, Tx: locals[shard], Mode: esm.DecisionCommit}
 	}
-	missed := 0
-	for i := 0; i < len(participants)-1; i++ {
-		if a := <-acks; a.err != nil {
-			missed++
-		}
-	}
+	acks, _ := r.fanOut(verdicts)
+	missed := len(verdicts) - len(acks)
 	r.stats.crossCommits.Add(1)
 	if missed > 0 {
 		// Still a successful commit — the decision is durable. The missed
@@ -791,7 +664,7 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	return &esm.Response{N: decisionLSN}, nil
 }
 
-// abort rolls the transaction back on every touched shard.
+// abort rolls the transaction back on every touched shard, concurrently.
 func (r *Router) abort(gid uint64) (*esm.Response, error) {
 	t, err := r.tx(gid)
 	if err != nil {
@@ -802,26 +675,14 @@ func (r *Router) abort(gid uint64) (*esm.Response, error) {
 		delete(r.txs, gid)
 		r.mu.Unlock()
 	}()
-	t.mu.Lock()
-	participants := append([]int(nil), t.order...)
-	locals := make(map[int]uint64, len(t.local))
-	for s, id := range t.local {
-		locals[s] = id
-	}
-	t.mu.Unlock()
+	participants, locals := t.footprint()
 	r.stats.aborts.Add(1)
-	var firstErr error
+	aborts := make(map[int]*esm.Request, len(participants))
 	for _, shard := range participants {
-		resp, err := r.call(shard, &esm.Request{Op: esm.OpAbort, Tx: locals[shard]})
-		if err == nil && resp.Err != "" {
-			err = fmt.Errorf("shard %d: %s", shard, resp.Err)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		aborts[shard] = &esm.Request{Op: esm.OpAbort, Tx: locals[shard]}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if _, err := r.fanOut(aborts); err != nil {
+		return nil, err
 	}
 	return &esm.Response{}, nil
 }
