@@ -36,8 +36,8 @@ type Frame struct {
 	// the frame always revalidates as a full read. Maintained by the ESM
 	// client; the pool only clears it on install/evict.
 	LSN uint64
-	// Stale marks a frame the server has flagged out of date (piggybacked
-	// invalidation hint or a stale lock grant). The next access must
+	// Stale marks a frame Begin validation found out of date but could not
+	// repair in place because it was pinned. The next access must
 	// revalidate against the server before trusting the bytes.
 	Stale bool
 	// Unlogged marks a frame some caller changed without declaring the

@@ -108,11 +108,8 @@ type Client struct {
 	stamper  ShardStamper         // per-shard LSN source when the transport shards (nil otherwise)
 	rawPages map[disk.PageID]bool // large-object data pages: never LSN-stamped
 
-	// Warm-cache coherence (DESIGN.md §18). sid is the server-minted hint
-	// session (0 until the first Begin, always 0 under sharding); pinLeaks
-	// counts frames Abort found still pinned — an object-layer bug Abort
-	// used to paper over.
-	sid      uint64
+	// pinLeaks counts frames Abort found still pinned — an object-layer bug
+	// Abort used to paper over.
 	pinLeaks int64
 
 	// BeforeSteal, if set, runs before a dirty page leaves the pool
@@ -238,21 +235,11 @@ func (c *Client) Begin() error {
 	if c.snap != 0 {
 		return fmt.Errorf("esm: snapshot session at %d open; end it before writing", c.snap)
 	}
-	req := &Request{Op: OpBegin}
-	if c.stamper == nil {
-		// Hint sessions are single-server only: the shard Router begins
-		// distributed transactions itself and never forwards session ids.
-		req.Mode = BeginSession
-		req.N = c.sid
-	}
-	resp, err := c.call(req)
+	resp, err := c.call(&Request{Op: OpBegin})
 	if err != nil {
 		return err
 	}
 	c.tx = resp.N
-	if req.Mode&BeginSession != 0 {
-		c.sid = uint64(resp.Page)
-	}
 	if err := c.validateResident(); err != nil {
 		return fmt.Errorf("esm: revalidating warm cache: %w", err)
 	}
@@ -272,12 +259,10 @@ func (c *Client) validateResident() error {
 	c.readEntries = c.readEntries[:0]
 	for i := 0; i < c.pool.Len(); i++ {
 		// A frame with token 0 is unversioned (a sharded commit, a read that
-		// overlapped another transaction's pending write, a raw large-object
-		// page — see noteToken). The server can never prove such a frame
-		// current, so shipping it would force a full repair every Begin. An
-		// unlocked read still trusts it; a lock grant revalidates it first
-		// (granted), and commit-piggybacked hints mark it Stale when a peer
-		// writes it.
+		// overlapped another transaction's pending write). The server can
+		// never prove such a frame current, so shipping it would force a
+		// full repair every Begin. An unlocked read still trusts it; a lock
+		// grant revalidates it first (granted).
 		f := c.pool.Frame(i)
 		if f.Page == disk.InvalidPage || f.Dirty || f.LSN == 0 {
 			continue
@@ -313,7 +298,7 @@ func (c *Client) validateChunkCall(idxs []int) error {
 			continue
 		}
 		if applyAnswer(f.Data, &a) == nil {
-			f.LSN = c.noteToken(f.Page, a.Token)
+			f.LSN = a.Token
 			f.Stale = false
 			if c.OnRefresh != nil {
 				c.OnRefresh(f.Page, i)
@@ -440,19 +425,19 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.pool.Frame(i).LSN = c.noteToken(pid, token)
+	c.pool.Frame(i).LSN = token
 	if c.snap != 0 {
 		c.snapFetched[pid] = true
 	}
 	return i, nil
 }
 
-// revalidateFrame refreshes a resident frame that is or may be stale (a
-// piggybacked invalidation hint, a lock grant over a stale or unversioned
-// copy): one read presenting the frame's token, which comes back as
-// current, a delta patch, or a full image. Only the full image charges a
-// client read — the other two are exactly the warm hit the uncoherent model
-// never charged for.
+// revalidateFrame refreshes a resident frame that is or may be stale (one
+// Begin validation could not repair while it was pinned, a lock grant over a
+// stale or unversioned copy): one read presenting the frame's token, which
+// comes back as current, a delta patch, or a full image. Only the full image
+// charges a client read — the other two are exactly the warm hit the
+// uncoherent model never charged for.
 func (c *Client) revalidateFrame(i int) error {
 	f := c.pool.Frame(i)
 	a, err := c.readPage(f.Page, f.LSN, 0)
@@ -467,7 +452,7 @@ func (c *Client) revalidateFrame(i int) error {
 			c.clock.Charge(sim.CtrClientRead, 1)
 		}
 	}
-	f.LSN = c.noteToken(f.Page, a.Token)
+	f.LSN = a.Token
 	f.Stale = false
 	if a.Stale && c.OnRefresh != nil {
 		c.OnRefresh(f.Page, i)
@@ -523,20 +508,6 @@ func applyAnswer(page []byte, a *PageAnswers) error {
 	return nil
 }
 
-// noteToken filters a server-vended coherence token before the client
-// retains it. Raw (headerless large-object) pages carry object data where
-// header-bearing pages carry their LSN, so the server's header-fallback
-// token for them is arbitrary bytes that a later commit LSN could collide
-// with — a false "not modified". Only the client knows which pages are
-// raw, so it drops their tokens: a raw page always revalidates as a full
-// read.
-func (c *Client) noteToken(pid disk.PageID, token uint64) uint64 {
-	if c.rawPages[pid] {
-		return 0
-	}
-	return token
-}
-
 // ConsumePrefetch reports whether this access is the first real use of a
 // frame read ahead of it, and clears the mark. The transfer was paid for when
 // the batch was served, so a hit costs nothing more.
@@ -571,7 +542,7 @@ func (c *Client) ReadAhead(pids []disk.PageID) error {
 			return fmt.Errorf("esm: read-ahead of page %d not answered with its image", a.Page)
 		}
 		if f, ok := c.pool.PutPrefetched(disk.PageID(a.Page), a.Data); ok {
-			c.pool.Frame(f).LSN = c.noteToken(disk.PageID(a.Page), a.Token)
+			c.pool.Frame(f).LSN = a.Token
 		}
 	}
 	return a.Err()
@@ -817,24 +788,6 @@ func (c *Client) Commit() error {
 	if resp.N > c.lastSeen {
 		c.lastSeen = resp.N // read-your-writes floor for snapshot begins
 	}
-	// Invalidation hints piggybacked on the commit ack: pages this
-	// session caches that other transactions committed over. Advisory
-	// only — Begin validation is the correctness backstop — but acting
-	// on them here turns the next Begin's repair into a cheap delta.
-	if resp.Mode&RespHintsAll != 0 {
-		for i := 0; i < c.pool.Len(); i++ {
-			if f := c.pool.Frame(i); f.Page != disk.InvalidPage {
-				f.Stale = true
-			}
-		}
-	} else if resp.Mode&RespHints != 0 {
-		for off := 0; off+4 <= len(resp.Data); off += 4 {
-			pid := disk.PageID(binary.LittleEndian.Uint32(resp.Data[off:]))
-			if i, ok := c.pool.Lookup(pid); ok {
-				c.pool.Frame(i).Stale = true
-			}
-		}
-	}
 	// The cleaned frames hold exactly the bytes the server just
 	// committed, whether it received them whole or rebuilt them from
 	// their records: stamp them with the commit token so the next
@@ -847,7 +800,7 @@ func (c *Client) Commit() error {
 	}
 	for _, i := range cleaned {
 		f := c.pool.Frame(i)
-		f.LSN = c.noteToken(f.Page, tok)
+		f.LSN = tok
 		f.Stale = false
 	}
 	return nil

@@ -1,6 +1,7 @@
 package esm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -256,9 +257,24 @@ func TestLockResponseStaleFlag(t *testing.T) {
 	}
 }
 
-// TestCommitHintsMarkFramesStale: B's commit over a page A's session is
-// known to cache queues an invalidation hint, and A's own commit response
-// piggybacks it — the frame is marked stale without any extra round trip.
+// commitTap records the responses to the commits a client sends.
+type commitTap struct {
+	Transport
+	acks []*Response
+}
+
+func (c *commitTap) Call(req *Request) (*Response, error) {
+	resp, err := c.Transport.Call(req)
+	if req.Op == OpCommit && resp != nil {
+		c.acks = append(c.acks, resp)
+	}
+	return resp, err
+}
+
+// TestCommitHintsMarkFramesStale: B commits over a page A caches while A's
+// transaction is open. A's commit response is the commit LSN alone — no page
+// list rides on it and no frame is flagged — and A's next Begin repairs the
+// frame in place.
 func TestCommitHintsMarkFramesStale(t *testing.T) {
 	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
 	if err != nil {
@@ -266,7 +282,8 @@ func TestCommitHintsMarkFramesStale(t *testing.T) {
 	}
 	oid := seedCohObject(t, srv, "hint-v1")
 
-	a := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	tap := &commitTap{Transport: NewInProcTransport(srv)}
+	a := NewClient(tap, ClientConfig{BufferPages: 8})
 	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
 
 	if err := a.Begin(); err != nil {
@@ -279,16 +296,23 @@ func TestCommitHintsMarkFramesStale(t *testing.T) {
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if ack := tap.acks[len(tap.acks)-1]; ack.Mode != 0 || len(ack.Data) != 0 || ack.N == 0 {
+		t.Errorf("commit response %+v, want the commit LSN alone", ack)
+	}
 	i, ok := a.Pool().Lookup(oid.Page)
 	if !ok {
 		t.Fatal("page not resident after A's commit")
 	}
-	if !a.Pool().Frame(i).Stale {
-		t.Error("commit response carried no invalidation hint for the page")
+	if a.Pool().Frame(i).Stale {
+		t.Error("A's commit flagged the frame")
 	}
-	// The flagged frame revalidates on the next transaction.
+	st0 := cohStats(t, a)
 	if got := readCohObject(t, a, oid, 7); got != "hint-v2" {
-		t.Fatalf("A read %q after hint, want hint-v2", got)
+		t.Fatalf("A read %q after B's commit, want hint-v2", got)
+	}
+	if st1 := cohStats(t, a); st1.CohDeltas+st1.CohFulls != st0.CohDeltas+st0.CohFulls+1 {
+		t.Errorf("Begin repaired %d frames, want the one B committed over",
+			st1.CohDeltas+st1.CohFulls-st0.CohDeltas-st0.CohFulls)
 	}
 }
 
@@ -331,16 +355,10 @@ func TestAbortPinLeakCounter(t *testing.T) {
 	}
 }
 
-// TestRawPagesStayUnversioned: raw large-object data pages carry object
-// bytes where header pages carry an LSN, so the client must never retain
-// tokens for them — and Begin validation must skip them instead of
-// full-repairing them every transaction.
-func TestRawPagesStayUnversioned(t *testing.T) {
-	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 16})
+// seedLargeObject commits a large object holding payload (a whole number of
+// pages) and returns its OID and descriptor.
+func seedLargeObject(t *testing.T, c *Client, payload []byte) (OID, LargeInfo) {
+	t.Helper()
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,54 +366,87 @@ func TestRawPagesStayUnversioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := c.NewCluster(fid)
-	large, info, err := c.CreateLarge(cl, 3*disk.PageSize, 0)
+	large, info, err := c.CreateLarge(c.NewCluster(fid), uint64(len(payload)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 3*disk.PageSize)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
 	if err := c.LargeWriteAt(large, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRoot("raw", large, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	return large, info
+}
+
+// writeLargeObject overwrites the large object with payload in one committed
+// transaction.
+func writeLargeObject(t *testing.T, c *Client, large OID, payload []byte) {
+	t.Helper()
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LargeWriteAt(large, payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readLargeObject reads the large object's first n bytes in one committed
+// transaction.
+func readLargeObject(t *testing.T, c *Client, large OID, n int) []byte {
+	t.Helper()
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, n)
+	if err := c.LargeReadAt(large, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestRawPagesStayUnversioned: raw large-object data pages carry object
+// bytes where header pages carry an LSN, yet the frames holding them carry
+// real coherence tokens like any other — and repeated Begins over them, with
+// no writer in between, answer "current" instead of repairing them every
+// transaction.
+func TestRawPagesStayUnversioned(t *testing.T) {
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 16})
+	payload := make([]byte, 3*disk.PageSize)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	large, info := seedLargeObject(t, c, payload)
 
 	readBack := func() {
 		t.Helper()
-		if err := c.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(payload))
-		if err := c.LargeReadAt(large, got, 0); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != payload[i] {
-				t.Fatalf("large object byte %d: %d != %d", i, got[i], payload[i])
-			}
-		}
-		if err := c.Commit(); err != nil {
-			t.Fatal(err)
+		if got := readLargeObject(t, c, large, len(payload)); !bytes.Equal(got, payload) {
+			t.Fatal("large object read back different bytes")
 		}
 	}
 	readBack()
 	for p := uint32(0); p < info.Pages; p++ {
 		pid := info.First + disk.PageID(p)
-		if i, ok := c.Pool().Lookup(pid); ok {
-			if lsn := c.Pool().Frame(i).LSN; lsn != 0 {
-				t.Errorf("raw page %d retained token %d", pid, lsn)
-			}
+		i, ok := c.Pool().Lookup(pid)
+		if !ok {
+			t.Fatalf("raw page %d not resident", pid)
+		}
+		if c.Pool().Frame(i).LSN == 0 {
+			t.Errorf("raw page %d holds no token", pid)
 		}
 	}
 	// Repeated transactions over the resident raw pages must not trigger
-	// a repair storm: unversioned frames are skipped at Begin.
+	// a repair storm: their tokens validate as current at Begin.
 	st0 := cohStats(t, c)
 	readBack()
 	readBack()
@@ -403,6 +454,37 @@ func TestRawPagesStayUnversioned(t *testing.T) {
 	if st1.CohFulls != st0.CohFulls || st1.CohDeltas != st0.CohDeltas {
 		t.Errorf("raw pages were repaired every Begin: fulls %d->%d deltas %d->%d",
 			st0.CohFulls, st1.CohFulls, st0.CohDeltas, st1.CohDeltas)
+	}
+	if st1.CohNotModified <= st0.CohNotModified {
+		t.Error("Begin validation answered no raw frame as current")
+	}
+}
+
+// TestRawPagesRevalidatedAtBegin: A keeps a large object's raw data pages
+// warm, B overwrites the object and commits, and A's next transaction must
+// read B's bytes — Begin validation covers raw frames like any other.
+func TestRawPagesRevalidatedAtBegin(t *testing.T) {
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 3 * disk.PageSize
+	seeder := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 16})
+	large, _ := seedLargeObject(t, seeder, bytes.Repeat([]byte{1}, size))
+
+	a := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 16})
+	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 16})
+	if got := readLargeObject(t, a, large, size); !bytes.Equal(got, bytes.Repeat([]byte{1}, size)) {
+		t.Fatal("A's first read is not the seeded object")
+	}
+	for round := byte(2); round <= 4; round++ {
+		writeLargeObject(t, b, large, bytes.Repeat([]byte{round}, size))
+		got := readLargeObject(t, a, large, size)
+		for i, v := range got {
+			if v != round {
+				t.Fatalf("round %d: A read byte %d = %d, want %d (stale raw frame)", round, i, v, round)
+			}
+		}
 	}
 }
 
@@ -531,7 +613,9 @@ func TestWarmCacheShipsFewerBytes(t *testing.T) {
 // TestVersionTableSurvivesRestart: tokens handed out before a crash must
 // never validate as current after restart if the page changed — and the
 // restarted server must still serve correct bytes for tokens it cannot
-// prove current.
+// prove current. The restart mints a new epoch instead of scanning the
+// volume: over a checkpointed volume it reads the catalog page and nothing
+// else.
 func TestVersionTableSurvivesRestart(t *testing.T) {
 	vol := disk.NewMemVolume()
 	logf := wal.NewMemLog()
@@ -553,16 +637,33 @@ func TestVersionTableSurvivesRestart(t *testing.T) {
 		t.Fatal("no token before restart")
 	}
 	// Writer commits over the page; a checkpoint truncates the log so the
-	// restart's version table cannot lean on the log tail; then the server
-	// "restarts" (recovery rebuilds the table from the page headers).
+	// restart cannot lean on the log tail; then the server "restarts".
 	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
 	updateCohObject(t, b, oid, "restart1", "restart2")
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := OpenServer(vol, logf, ServerConfig{BufferPages: 64})
+	reads := &countingHook{}
+	srv2, err := OpenServer(disk.WithHook(vol, reads), logf, ServerConfig{BufferPages: 64})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := reads.reads.Load(); n != 1 {
+		t.Errorf("restart read %d pages, want the catalog page alone", n)
+	}
+	// No token handed out before the restart — a commit LSN either client
+	// holds, or the old epoch any untouched page was served under — is the
+	// new epoch.
+	handed := map[uint64]bool{srv.coh.epoch: true}
+	for _, c := range []*Client{a, b} {
+		for i := 0; i < c.Pool().Len(); i++ {
+			if f := c.Pool().Frame(i); f.Page != disk.InvalidPage {
+				handed[f.LSN] = true
+			}
+		}
+	}
+	if handed[srv2.coh.epoch] {
+		t.Fatalf("the restart's epoch %#x was handed out before it", srv2.coh.epoch)
 	}
 	// Present A's pre-restart token to the restarted server. The page
 	// changed after the token was handed out, so "not modified" here would

@@ -177,7 +177,8 @@ func ParseResolveEntries(data []byte) (coordShards []uint32, coordTxs, localTxs 
 // Warm-cache coherence wire pieces (DESIGN.md §18).
 //
 // A page *token* is the server's version stamp for a page image: the LSN
-// of the commit (or CLR) that produced it. Tokens are opaque to the
+// of the commit (or CLR) that produced it, or the server's boot epoch for
+// a page nothing has changed since it booted. Tokens are opaque to the
 // client and compared only for equality; token 0 means "unversioned" and
 // never matches, so a page whose current image cannot safely be cached
 // (e.g. it carries a not-yet-committed stolen install) is served with
@@ -193,16 +194,6 @@ const (
 	ReadCheck uint8 = 1
 )
 
-// OpBegin request mode flags.
-const (
-	// BeginSession asks the server to track this client as a coherence
-	// session: Request.N carries the session id from a previous Begin (0
-	// to mint one) and the response's Page returns it. Sessions exist only
-	// for invalidation hints; a server that dropped the session silently
-	// mints a new one.
-	BeginSession uint8 = 1
-)
-
 // Kinds of an OpReadPages answer.
 const (
 	// PageFull: the answer is the complete page image.
@@ -212,21 +203,10 @@ const (
 	PageDelta uint8 = 2
 )
 
-// Piggybacked-invalidation flags (high nibble of Response.Mode on
-// OpLock and OpCommit responses).
-const (
-	// RespStale on a page-lock response: the token the lock request
-	// carried in Request.N no longer matches the page's current version,
-	// so the client must revalidate its cached copy before reading it.
-	RespStale uint8 = 0x10
-	// RespHints on a commit response: Data carries repeated u32 page ids
-	// the session is known to cache whose versions have moved on.
-	RespHints uint8 = 0x20
-	// RespHintsAll on a commit response: the server lost track of the
-	// session's cached set (bounded map overflowed); every resident frame
-	// must be treated as possibly stale.
-	RespHintsAll uint8 = 0x40
-)
+// RespStale on a page-lock response (Response.Mode): the token the lock
+// request carried in Request.N no longer matches the page's current
+// version, so the client must revalidate its cached copy before reading it.
+const RespStale uint8 = 0x10
 
 // Verdicts on the entries of an OpLock lock-ahead list.
 const (

@@ -88,7 +88,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Err: "e", Page: 1, N: 2, Data: []byte{9, 8, 7}},
 		{Data: bytes.Repeat([]byte{0x5A}, 3*8192)},
 		{Data: AppendAnswer([]byte{1, 0, 0, 0, 1}, 7, PageDelta, 0xBEEF, []byte{0, 0, 2, 0, 9, 9})},
-		{N: 3, Mode: RespHints | RespStale, Data: []byte{1, 0, 0, 0}},
+		{N: 3, Mode: RespStale, Data: []byte{1, 0, 0, 0}},
 	}
 	for i, want := range cases {
 		got, err := unmarshalResponse(want.marshal())
@@ -342,17 +342,24 @@ func TestLockAheadPayload(t *testing.T) {
 	if resp := srv.Handle(req); resp.Err != "" || resp.Data != nil {
 		t.Fatalf("plain lock answered %+v", resp)
 	}
-	for _, pid := range []uint32{10, 11, 0xFFFFFFFF} {
-		req.Data = AppendPageEntry(req.Data, pid, uint64(pid)*3)
+	if resp := srv.Handle(&Request{Op: OpAllocPages, N: 12}); resp.Err != "" {
+		t.Fatal(resp.Err)
 	}
+	// Tokens a read handed out still stand: nothing has committed over these
+	// pages. Token 0 vouches for nothing and is granted plainly; a made-up
+	// token is no page's version (core's lock-ahead tests drive the stale
+	// verdict end to end).
+	for _, pid := range []uint32{10, 11} {
+		req.Data = AppendPageEntry(req.Data, pid, readOne(t, srv, pid, 0).Token)
+	}
+	req.Data = AppendPageEntry(req.Data, 0xFFFFFFFF, 0)
+	req.Data = AppendPageEntry(req.Data, 12, 36)
 	wired, err := unmarshalRequest(req.marshal())
 	if err != nil || !reflect.DeepEqual(wired, req) {
 		t.Fatalf("request round trip: %+v, %v", wired, err)
 	}
 	resp := srv.Handle(wired)
-	// Nothing has committed over these pages, so every token still stands
-	// (core's lock-ahead tests drive the stale verdict end to end).
-	if want := []byte{LockAheadGranted, LockAheadGranted, LockAheadGranted}; resp.Err != "" || !bytes.Equal(resp.Data, want) {
+	if want := []byte{LockAheadGranted, LockAheadGranted, LockAheadGranted, LockAheadStale}; resp.Err != "" || !bytes.Equal(resp.Data, want) {
 		t.Fatalf("verdicts %v (err %q), want %v", resp.Data, resp.Err, want)
 	}
 	again, err := unmarshalResponse(resp.marshal())

@@ -165,7 +165,7 @@ type Server struct {
 	mv *mvcc.Store
 
 	// coh is the warm-cache coherence state (DESIGN.md §18): the per-page
-	// version table, delta bases, and session hint maps. Its own lock is
+	// version table, its boot epoch, and delta bases. Its own lock is
 	// taken under mu (commit/abort bookkeeping) and under frame content
 	// latches (abort undo), never the other way around.
 	coh *cohState
@@ -423,10 +423,6 @@ func NewServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error)
 // and running restart recovery from the log. It runs before the server is
 // shared, so no locking applies yet.
 func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error) {
-	s, err := newServerCommon(vol, log, cfg)
-	if err != nil {
-		return nil, err
-	}
 	buf := make([]byte, disk.PageSize)
 	if err := vol.ReadPage(CatalogPage, buf); err != nil {
 		return nil, err
@@ -435,13 +431,25 @@ func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error
 	if int(n) > disk.PageSize-4 {
 		return nil, fmt.Errorf("esm: corrupt catalog (length %d)", n)
 	}
-	if err := json.Unmarshal(buf[4:4+n], &s.cat); err != nil {
+	var cat catalog
+	if err := json.Unmarshal(buf[4:4+n], &cat); err != nil {
 		return nil, fmt.Errorf("esm: corrupt catalog: %w", err)
 	}
 	_, _, indoubt, err := wal.Recover(log, volStore{vol}, disk.PageSize, pageLSNOf, setPageLSN)
 	if err != nil {
 		return nil, fmt.Errorf("esm: restart recovery: %w", err)
 	}
+	// Recovery flushed the log, so its durable end is final: the server is
+	// built only now, and its warm-cache epoch (newCohState) is that end.
+	// Every token handed out before the restart misses against it — no
+	// survivor of a crash or a replication failover (a promoted follower
+	// comes through here too) is told "not modified" about bytes recovery
+	// changed, and no page is read to make it so.
+	s, err := newServerCommon(vol, log, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.cat = cat
 	// 2PC participant transactions whose verdict is unknown stay alive
 	// across the restart: locks re-acquired, records pinned against
 	// truncation, resolution deferred to an OpResolveTx inquiry. Remembered
@@ -472,12 +480,6 @@ func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error
 	// failover promotion: no previously acknowledged commit has a higher LSN.
 	s.lastCommitLSN = log.FlushedLSN()
 	s.snapFloor = s.lastCommitLSN
-	// The warm-cache version table restarts from the recovered pages'
-	// own header LSNs; every token handed out before the crash misses
-	// against it, so no survivor can be told "not modified" about bytes
-	// recovery changed. A promoted replication follower comes through
-	// here too, carrying the table across failover.
-	s.rebuildVersionTable()
 	return s, nil
 }
 
@@ -500,7 +502,7 @@ func newServerCommon(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, 
 		firstTxLSN: map[uint64]wal.LSN{},
 		prepared:   map[uint64]*preparedTx{},
 		decisions:  map[uint64]wal.LSN{},
-		coh:        newCohState(),
+		coh:        newCohState(log.FlushedLSN()),
 	}
 	if cfg.MVCC {
 		s.mv = mvcc.New(cfg.MVCCMaxBytes)
@@ -649,11 +651,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		s.lastTxLSN[tx] = first
 		s.firstTxLSN[tx] = first
 		s.mu.Unlock()
-		resp := &Response{N: tx}
-		if req.Mode&BeginSession != 0 {
-			resp.Page = uint32(s.coh.bindSession(req.N, tx))
-		}
-		return resp, nil
+		return &Response{N: tx}, nil
 
 	case OpReadPages:
 		return s.readPages(req)
@@ -676,23 +674,10 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The commit LSN rides back so sessions can track their last-seen
-		// commit for read-your-writes snapshot begins. Invalidation hints
-		// piggyback alongside: pages this session is known to cache that
-		// other transactions have committed over since.
-		resp := &Response{N: uint64(lsn)}
-		if pids, all := s.coh.takeHints(req.Tx); all {
-			resp.Mode |= RespHintsAll
-		} else if len(pids) > 0 {
-			resp.Mode |= RespHints
-			var tmp [4]byte
-			for _, pid := range pids {
-				binary.LittleEndian.PutUint32(tmp[:], uint32(pid))
-				resp.Data = append(resp.Data, tmp[:]...)
-			}
-		}
-		s.coh.dropTx(req.Tx)
-		return resp, nil
+		// The commit LSN rides back: it is the token of every page the
+		// commit installed, and the session's last-seen commit for
+		// read-your-writes snapshot begins.
+		return &Response{N: uint64(lsn)}, nil
 
 	case OpAbort:
 		return nil, s.abort(req.Tx)
@@ -930,9 +915,9 @@ func (s *Server) readPages(req *Request) (*Response, error) {
 		case snap != 0:
 			out, err = s.snapRead(out, disk.PageID(pid), snap)
 		case check:
-			out, stale = s.checkPage(out, req.Tx, disk.PageID(pid), token)
+			out, stale = s.checkPage(out, disk.PageID(pid), token)
 		default:
-			out, stale, err = s.fetchPage(out, req.Tx, disk.PageID(pid), token)
+			out, stale, err = s.fetchPage(out, disk.PageID(pid), token)
 		}
 		if err != nil {
 			return nil, err
@@ -983,11 +968,10 @@ func (s *Server) sealAnswer(out []byte, at int, base []byte, token uint64) []byt
 // charges nothing to the cost model — coherence traffic must leave the
 // paper experiments' deterministic counters untouched — while the
 // byte-shipping paths charge exactly one page transfer.
-func (s *Server) fetchPage(out []byte, tx uint64, pid disk.PageID, token uint64) ([]byte, bool, error) {
+func (s *Server) fetchPage(out []byte, pid disk.PageID, token uint64) ([]byte, bool, error) {
 	ver1, pending1 := s.coh.probe(pid)
 	if pending1 == 0 && token != 0 && ver1 == token {
 		s.cohNotModified.Add(1)
-		s.coh.noteServed(tx, pid, ver1)
 		return out, false, nil
 	}
 	at := len(out)
@@ -995,8 +979,7 @@ func (s *Server) fetchPage(out []byte, tx uint64, pid disk.PageID, token uint64)
 	if err := s.loadPage(pid, img); err != nil {
 		return nil, false, fmt.Errorf("esm: read of page %d: %w", pid, err)
 	}
-	newTok, current, base := s.coh.answer(pid, token, img, ver1, pending1)
-	s.coh.noteServed(tx, pid, newTok)
+	newTok, current, base := s.coh.answer(pid, token, ver1, pending1)
 	if current {
 		s.cohNotModified.Add(1)
 		return out[:at], false, nil
@@ -1013,10 +996,9 @@ func (s *Server) fetchPage(out []byte, tx uint64, pid disk.PageID, token uint64)
 // pool snapshot and charges nothing to the cost model: validation is
 // coherence traffic, not simulated I/O, and must not shift the
 // deterministic experiment counters.
-func (s *Server) checkPage(out []byte, tx uint64, pid disk.PageID, token uint64) ([]byte, bool) {
+func (s *Server) checkPage(out []byte, pid disk.PageID, token uint64) ([]byte, bool) {
 	if s.coh.isCurrent(pid, token) {
 		s.cohNotModified.Add(1)
-		s.coh.noteServed(tx, pid, token)
 		return out, false
 	}
 	ver1, pending1 := s.coh.probe(pid)
@@ -1030,7 +1012,7 @@ func (s *Server) checkPage(out []byte, tx uint64, pid disk.PageID, token uint64)
 	if !s.pool.Snapshot(pid, img) && s.vol.ReadPage(pid, img) != nil {
 		return out[:at], true
 	}
-	newTok, current, base := s.coh.answer(pid, token, img, ver1, pending1)
+	newTok, current, base := s.coh.answer(pid, token, ver1, pending1)
 	if current {
 		s.cohNotModified.Add(1)
 		return out[:at], false
@@ -1038,7 +1020,6 @@ func (s *Server) checkPage(out []byte, tx uint64, pid disk.PageID, token uint64)
 	if newTok == 0 {
 		return out[:at], true
 	}
-	s.coh.noteServed(tx, pid, newTok)
 	return s.sealAnswer(out, at, base, newTok), true
 }
 

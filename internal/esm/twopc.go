@@ -152,10 +152,7 @@ func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 		s.mv.Commit(tx, lsn)
 	}
 	// The version table moves with the decision LSN, same as commit().
-	// Sharded clients never open coherence sessions, so the hint state
-	// commitTx retains is dropped immediately.
 	s.coh.commitTx(tx, uint64(lsn))
-	s.coh.dropTx(tx)
 	s.mu.Unlock()
 	if err := s.fault.Hit(faultinject.PtDecisionBeforeFlush); err != nil {
 		return 0, err

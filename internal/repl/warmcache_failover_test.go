@@ -36,12 +36,13 @@ func readPage(t *testing.T, h esm.Handler, pid disk.PageID, token, snap uint64) 
 }
 
 // TestWarmCacheTokensAcrossFailover: coherence tokens minted by the old
-// leader are commit LSNs; the promoted follower rebuilds its version
-// table from page-header LSNs, which never coincide with commit-record
-// positions. A warm client reconnecting after failover must therefore
-// never get a "not modified" answer for its pre-failover tokens — every
-// page revalidates by repair, and the repaired bytes must be the
-// committed post-update image, not anything older.
+// leader are commit LSNs or its boot epoch; the promoted follower starts an
+// empty version table under an epoch of its own — the top bit over its
+// durable log end, which holds commits the old leader made after it booted,
+// so it equals neither kind. A warm client reconnecting after failover must therefore never get
+// a "not modified" answer for its pre-failover tokens — every page
+// revalidates by repair, and the repaired bytes must be the committed
+// post-update image, not anything older.
 func TestWarmCacheTokensAcrossFailover(t *testing.T) {
 	nodes := newCluster(t, 3, 2)
 	leader := nodes[0].node
