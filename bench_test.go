@@ -526,7 +526,7 @@ func BenchmarkExtrasFullOO7(b *testing.B) {
 // same names run the assertions under plain `go test ./...`.
 
 // Allocation budgets. A hot T1 allocates its graph walker and visited-set
-// growth plus what one Begin/Commit round trip costs (30 today). A faulting
+// growth plus what one Begin/Commit round trip costs (13 today). A faulting
 // T1 is bounded per fault. In steady-state replacement on a 128-page pool
 // every fault is a round trip of its own (4.0 today: request, response and
 // its page image, server pool in-flight marker and page reference). Cold on

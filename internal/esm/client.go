@@ -83,10 +83,18 @@ type Client struct {
 	aheadUsed, aheadWasted int64
 
 	// Scratch reused across calls: a lock-ahead list (lock), an OpReadPages
-	// request's entries (readPages), the frames a commit cleaned (Commit).
+	// request's entries (readPages), the frames a Begin's ReadCheck names
+	// (queueCheck), the frames a commit cleaned (Commit).
 	lockEntries []byte
 	readEntries []byte
+	checkIdxs   []int
 	cleaned     []int
+
+	// horizon is the change-feed position the last Begin was told (all zero
+	// for none); stalePids names the frames a Begin's ReadCheck left Stale
+	// because they were pinned, which the next Begin checks again.
+	horizon   [HorizonBytes]byte
+	stalePids []disk.PageID
 
 	// snap, when nonzero, is the LSN of the open read-only snapshot
 	// session (BeginSnapshot): page faults read as of it and bypass the
@@ -223,11 +231,18 @@ func (c *Client) call(req *Request) (*Response, error) {
 // Retries reports how many requests were re-sent after transient faults.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
-// Begin starts a transaction and revalidates the resident set against the
-// server's version table in one ReadCheck OpReadPages round trip: current
-// frames are kept as-is, stale ones are repaired in place (delta patch or
-// full image) or evicted, so every tokened frame still resident afterwards
-// is the last committed image.
+// Begin starts a transaction and brings the resident set up to date with the
+// server's version table. The request carries the change-feed horizon the
+// previous Begin was told, and the answer lists the pages whose version moved
+// since (DESIGN.md §18, "Change feed"): one ReadCheck OpReadPages round trip
+// then checks just the listed frames whose token differs, plus any frame an
+// earlier Begin left Stale because it was pinned — and with none of those,
+// Begin is one round trip. An answer without a usable feed (a session's first
+// Begin, another server, a trimmed ring, a shard router, a malformed answer)
+// falls back to checking every clean tokened frame. Either way current frames
+// are kept as-is and stale ones are repaired in place (delta patch or full
+// image) or evicted, so every tokened frame still resident afterwards is the
+// last committed image.
 func (c *Client) Begin() error {
 	if c.tx != 0 {
 		return fmt.Errorf("esm: transaction %d already active", c.tx)
@@ -235,28 +250,103 @@ func (c *Client) Begin() error {
 	if c.snap != 0 {
 		return fmt.Errorf("esm: snapshot session at %d open; end it before writing", c.snap)
 	}
-	resp, err := c.call(&Request{Op: OpBegin})
+	resp, err := c.call(&Request{Op: OpBegin, Data: c.horizon[:]})
 	if err != nil {
 		return err
 	}
 	c.tx = resp.N
-	if err := c.validateResident(); err != nil {
+	if err := c.validate(resp); err != nil {
 		return fmt.Errorf("esm: revalidating warm cache: %w", err)
 	}
 	return nil
 }
 
 // validateChunk caps the entries in one ReadCheck request so a huge
-// resident set cannot produce an unbounded frame.
+// resident set cannot produce an unbounded frame. It also caps the pages a
+// change-feed answer lists: past it the server answers "too old".
 const validateChunk = 512
 
-// validateResident revalidates every clean tokened resident frame at Begin.
-// No sim-clock time is charged anywhere on this path — warm hits were free
-// in the uncoherent model too, and the protocol's cost is measured in wire
-// bytes (TestWarmCacheShipsFewerBytes), not simulated I/O.
+// validate brings the resident set up to date after the Begin answered by
+// resp. No sim-clock time is charged anywhere on this path — warm hits were
+// free in the uncoherent model too, and the protocol's cost is measured in
+// wire bytes (TestWarmCacheShipsFewerBytes), not simulated I/O.
+func (c *Client) validate(resp *Response) error {
+	list, ok := feedList(resp)
+	// The answer's horizon — a "too old" one too: the full check below runs
+	// after the server read it — becomes the session's only once the check
+	// succeeds. Until then the next Begin presents none.
+	var next [HorizonBytes]byte
+	if ok || resp.Mode&RespStale != 0 && len(resp.Data) == HorizonBytes {
+		copy(next[:], resp.Data)
+	}
+	c.horizon = [HorizonBytes]byte{}
+	stale := c.stalePids
+	c.stalePids = nil
+	var err error
+	if ok {
+		err = c.checkFeed(list, stale)
+	} else {
+		err = c.validateResident()
+	}
+	if err == nil {
+		c.horizon = next
+	}
+	return err
+}
+
+// checkFeed checks the frames a change-feed list names whose token differs
+// from the listed one, and the frames of stale still flagged Stale, in one
+// ReadCheck; every other frame kept its version since the last horizon.
+func (c *Client) checkFeed(list []byte, stale []disk.PageID) error {
+	for _, pid := range stale {
+		if i, ok := c.pool.Lookup(pid); ok {
+			if f := c.pool.Frame(i); f.Stale && !f.Dirty && f.LSN != 0 {
+				if err := c.queueCheck(i); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for k := 0; k < len(list)/PageEntryBytes; k++ {
+		pid, token := PageEntry(list, k)
+		i, ok := c.pool.Lookup(disk.PageID(pid))
+		if !ok {
+			continue
+		}
+		// A Stale frame was queued above; a token-0 frame is never vouched
+		// for at Begin (validateResident).
+		if f := c.pool.Frame(i); !f.Stale && !f.Dirty && f.LSN != 0 && f.LSN != token {
+			if err := c.queueCheck(i); err != nil {
+				return err
+			}
+		}
+	}
+	return c.flushCheck()
+}
+
+// feedList returns the change-feed entries of a Begin answer, and whether
+// the answer carries a usable feed: a horizon, then a whole list of at most
+// validateChunk page entries, none naming an invalid page. Anything else —
+// "too old", a bare answer, a malformed one — is not used.
+func feedList(resp *Response) ([]byte, bool) {
+	if resp.Mode&RespStale != 0 || len(resp.Data) < HorizonBytes {
+		return nil, false
+	}
+	list := resp.Data[HorizonBytes:]
+	n, err := PageEntryCount(list)
+	if err != nil || n > validateChunk {
+		return nil, false
+	}
+	for k := 0; k < n; k++ {
+		if pid, _ := PageEntry(list, k); disk.PageID(pid) == disk.InvalidPage {
+			return nil, false
+		}
+	}
+	return list, true
+}
+
+// validateResident checks every clean tokened resident frame at Begin.
 func (c *Client) validateResident() error {
-	idxs := make([]int, 0, validateChunk)
-	c.readEntries = c.readEntries[:0]
 	for i := 0; i < c.pool.Len(); i++ {
 		// A frame with token 0 is unversioned (a sharded commit, a read that
 		// overlapped another transaction's pending write). The server can
@@ -267,25 +357,38 @@ func (c *Client) validateResident() error {
 		if f.Page == disk.InvalidPage || f.Dirty || f.LSN == 0 {
 			continue
 		}
-		c.readEntries = AppendPageEntry(c.readEntries, uint32(f.Page), f.LSN)
-		idxs = append(idxs, i)
-		if len(idxs) == validateChunk {
-			if err := c.validateChunkCall(idxs); err != nil {
-				return err
-			}
-			idxs, c.readEntries = idxs[:0], c.readEntries[:0]
+		if err := c.queueCheck(i); err != nil {
+			return err
 		}
 	}
+	return c.flushCheck()
+}
+
+// queueCheck adds frame i to the Begin's ReadCheck batch, shipping the batch
+// once it holds validateChunk entries.
+func (c *Client) queueCheck(i int) error {
+	if len(c.checkIdxs) == 0 {
+		c.readEntries = c.readEntries[:0] // the last read's entries
+	}
+	f := c.pool.Frame(i)
+	c.readEntries = AppendPageEntry(c.readEntries, uint32(f.Page), f.LSN)
+	c.checkIdxs = append(c.checkIdxs, i)
+	if len(c.checkIdxs) < validateChunk {
+		return nil
+	}
+	return c.flushCheck()
+}
+
+// flushCheck ships the queued ReadCheck batch, if any — the frames
+// checkIdxs, whose entries are in readEntries — empties the queue, and
+// applies the verdicts: answers land in the frames in place, stale frames
+// without a usable answer are evicted.
+func (c *Client) flushCheck() error {
+	idxs := c.checkIdxs
 	if len(idxs) == 0 {
 		return nil
 	}
-	return c.validateChunkCall(idxs)
-}
-
-// validateChunkCall ships one ReadCheck batch — the frames idxs, whose
-// entries are in readEntries — and applies its verdicts: answers land in
-// the frames in place, stale frames without a usable answer are evicted.
-func (c *Client) validateChunkCall(idxs []int) error {
+	c.checkIdxs = idxs[:0]
 	a, err := c.readPages(0, ReadCheck)
 	if err != nil {
 		return err
@@ -308,7 +411,10 @@ func (c *Client) validateChunkCall(idxs []int) error {
 		// No answer (or a malformed one): drop the frame; the next access
 		// refetches the committed image.
 		if f.Pin != 0 {
-			f.Stale = true // pinned across Begin — revalidated on next fetch
+			// Pinned across Begin: revalidated on the next fetch, and
+			// checked again by the next Begin.
+			f.Stale = true
+			c.stalePids = append(c.stalePids, f.Page)
 			continue
 		}
 		if err := c.pool.Evict(i); err != nil {

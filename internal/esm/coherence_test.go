@@ -128,10 +128,10 @@ func TestTwoClientStaleReadRegression(t *testing.T) {
 	}
 }
 
-// TestBeginValidationNotModified: with no writer in between, Begin
-// validation must keep the resident frames — same token, no repair bytes,
-// and no simulated read charge (warm hits were free before coherence and
-// must stay free).
+// TestBeginValidationNotModified: with no writer in between, Begin must keep
+// the resident frames — same token, no repair bytes, no simulated read
+// charge (warm hits were free before coherence and must stay free) — and,
+// the change feed having nothing to report, send no ReadCheck at all.
 func TestBeginValidationNotModified(t *testing.T) {
 	clock := sim.NewClock(sim.DefaultCostModel())
 	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64, Clock: clock})
@@ -140,7 +140,8 @@ func TestBeginValidationNotModified(t *testing.T) {
 	}
 	oid := seedCohObject(t, srv, "steady")
 
-	c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8, Clock: clock})
+	tap := &meteredTransport{tr: NewInProcTransport(srv)}
+	c := NewClient(tap, ClientConfig{BufferPages: 8, Clock: clock})
 	if got := readCohObject(t, c, oid, 6); got != "steady" {
 		t.Fatalf("first read: %q", got)
 	}
@@ -155,14 +156,16 @@ func TestBeginValidationNotModified(t *testing.T) {
 
 	st0 := cohStats(t, c)
 	reads0 := clock.Count(sim.CtrClientRead)
+	tap.checked = nil
 	for round := 0; round < 3; round++ {
 		if got := readCohObject(t, c, oid, 6); got != "steady" {
 			t.Fatalf("round %d: %q", round, got)
 		}
 	}
 	st1 := cohStats(t, c)
-	if st1.CohValidates <= st0.CohValidates {
-		t.Error("Begin did not validate the resident set")
+	if len(tap.checked) != 0 || st1.CohValidates != st0.CohValidates {
+		t.Errorf("unchanged Begins sent %d ReadCheck requests naming pages %v, want none",
+			st1.CohValidates-st0.CohValidates, tap.checked)
 	}
 	if st1.CohDeltas != st0.CohDeltas || st1.CohFulls != st0.CohFulls {
 		t.Errorf("unmodified frames were repaired: deltas %d->%d fulls %d->%d",
@@ -414,8 +417,8 @@ func readLargeObject(t *testing.T, c *Client, large OID, n int) []byte {
 // TestRawPagesStayUnversioned: raw large-object data pages carry object
 // bytes where header pages carry an LSN, yet the frames holding them carry
 // real coherence tokens like any other — and repeated Begins over them, with
-// no writer in between, answer "current" instead of repairing them every
-// transaction.
+// no writer in between, keep them as they are instead of repairing them
+// every transaction.
 func TestRawPagesStayUnversioned(t *testing.T) {
 	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
 	if err != nil {
@@ -446,7 +449,13 @@ func TestRawPagesStayUnversioned(t *testing.T) {
 		}
 	}
 	// Repeated transactions over the resident raw pages must not trigger
-	// a repair storm: their tokens validate as current at Begin.
+	// a repair storm: their tokens stay current across Begins.
+	tokens := map[disk.PageID]uint64{}
+	for p := uint32(0); p < info.Pages; p++ {
+		pid := info.First + disk.PageID(p)
+		i, _ := c.Pool().Lookup(pid)
+		tokens[pid] = c.Pool().Frame(i).LSN
+	}
 	st0 := cohStats(t, c)
 	readBack()
 	readBack()
@@ -455,8 +464,10 @@ func TestRawPagesStayUnversioned(t *testing.T) {
 		t.Errorf("raw pages were repaired every Begin: fulls %d->%d deltas %d->%d",
 			st0.CohFulls, st1.CohFulls, st0.CohDeltas, st1.CohDeltas)
 	}
-	if st1.CohNotModified <= st0.CohNotModified {
-		t.Error("Begin validation answered no raw frame as current")
+	for pid, token := range tokens {
+		if i, ok := c.Pool().Lookup(pid); !ok || c.Pool().Frame(i).LSN != token || !srv.coh.isCurrent(pid, token) {
+			t.Errorf("raw page %d lost its current token %d across Begins", pid, token)
+		}
 	}
 }
 
@@ -488,18 +499,34 @@ func TestRawPagesRevalidatedAtBegin(t *testing.T) {
 	}
 }
 
-// meteredTransport counts the framed wire size of every request and
-// response it carries: what the in-process call would cost on a socket.
+// meteredTransport counts the calls it carries and the framed wire size of
+// every request and response — what the in-process call would cost on a
+// socket — with the OpBegin share apart, and records the page of every
+// ReadCheck entry sent.
 type meteredTransport struct {
-	tr    Transport
-	bytes int64
+	tr         Transport
+	calls      int64
+	bytes      int64
+	beginBytes int64
+	checked    []uint32
 }
 
 func (m *meteredTransport) Call(req *Request) (*Response, error) {
-	m.bytes += int64(frameHdrSize + len(req.marshal()))
+	n := int64(frameHdrSize + len(req.marshal()))
+	if req.Op == OpReadPages && req.Mode&ReadCheck != 0 {
+		for i := 0; i < len(req.Data)/PageEntryBytes; i++ {
+			pid, _ := PageEntry(req.Data, i)
+			m.checked = append(m.checked, pid)
+		}
+	}
 	resp, err := m.tr.Call(req)
 	if resp != nil {
-		m.bytes += int64(frameHdrSize + len(resp.marshal()))
+		n += int64(frameHdrSize + len(resp.marshal()))
+	}
+	m.calls++
+	m.bytes += n
+	if req.Op == OpBegin {
+		m.beginBytes += n
 	}
 	return resp, err
 }

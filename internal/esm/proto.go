@@ -13,6 +13,14 @@ type Op uint8
 
 // Protocol operations.
 const (
+	// OpBegin opens a transaction; the response's N is its id. Data is empty
+	// or the change-feed horizon the session's previous Begin was told
+	// (HorizonBytes; all zero for none). With a horizon, the response's Data
+	// is the current horizon followed by one page entry (AppendPageEntry)
+	// per page whose version moved since, carrying its current token — or,
+	// under Mode RespStale, the horizon alone: the feed cannot answer that
+	// horizon, and the client validates its whole resident set (DESIGN.md
+	// §18, "Change feed").
 	OpBegin Op = iota + 1
 	OpCommit
 	OpAbort
@@ -206,6 +214,8 @@ const (
 // RespStale on a page-lock response (Response.Mode): the token the lock
 // request carried in Request.N no longer matches the page's current
 // version, so the client must revalidate its cached copy before reading it.
+// On an OpBegin response: the horizon the request carried is too old for
+// the change feed, so the client validates every cached frame.
 const RespStale uint8 = 0x10
 
 // Verdicts on the entries of an OpLock lock-ahead list.

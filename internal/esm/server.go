@@ -188,10 +188,12 @@ type Server struct {
 	catMu      sync.Mutex
 	catWritten uint64
 
-	// Coherence counters: ReadCheck requests served, not-modified
-	// answers, delta repairs (and their encoded bytes), and full-page
-	// answers to live reads. Atomics: stats reads race ops by design.
+	// Coherence counters: ReadCheck requests served, Begin horizons
+	// answered "too old", not-modified answers, delta repairs (and their
+	// encoded bytes), and full-page answers to live reads. Atomics: stats
+	// reads race ops by design.
 	cohValidates   atomic.Int64
+	cohFeedStale   atomic.Int64
 	cohNotModified atomic.Int64
 	cohDeltas      atomic.Int64
 	cohDeltaBytes  atomic.Int64
@@ -384,11 +386,15 @@ type ServerStats struct {
 	Repl *ReplStats `json:"repl,omitempty"`
 
 	// Warm-cache coherence traffic. CohValidates counts ReadCheck requests
-	// (Begin validations); CohNotModified live read entries answered
-	// "current", which ship no page bytes; CohDeltas entries answered by
-	// patch (CohDeltaBytes patch payload total); CohFulls live read entries
-	// answered with a whole-page image.
+	// (Begin validations); CohFeedStale Begin horizons the change feed
+	// answered "too old" — another server's, trimmed out of the ring, or
+	// more changed pages than one ReadCheck takes — each of which cost the
+	// session a validation of its whole resident set; CohNotModified live
+	// read entries answered "current", which ship no page bytes; CohDeltas
+	// entries answered by patch (CohDeltaBytes patch payload total);
+	// CohFulls live read entries answered with a whole-page image.
 	CohValidates   int64 `json:"coh_validates,omitempty"`
+	CohFeedStale   int64 `json:"coh_feed_stale,omitempty"`
 	CohNotModified int64 `json:"coh_not_modified,omitempty"`
 	CohDeltas      int64 `json:"coh_deltas,omitempty"`
 	CohDeltaBytes  int64 `json:"coh_delta_bytes,omitempty"`
@@ -643,6 +649,9 @@ func (s *Server) handle(req *Request) (*Response, error) {
 	}
 	switch req.Op {
 	case OpBegin:
+		if len(req.Data) != 0 && len(req.Data) != HorizonBytes {
+			return nil, fmt.Errorf("esm: begin horizon of %d bytes, want %d", len(req.Data), HorizonBytes)
+		}
 		s.mu.Lock()
 		tx := s.cat.NextTx
 		s.cat.NextTx++
@@ -651,7 +660,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		s.lastTxLSN[tx] = first
 		s.firstTxLSN[tx] = first
 		s.mu.Unlock()
-		return &Response{N: tx}, nil
+		return s.beginFeed(tx, req.Data), nil
 
 	case OpReadPages:
 		return s.readPages(req)
@@ -781,6 +790,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			NetFrames:        s.netFrames.Load(),
 			NetBytesOut:      s.netBytesOut.Load(),
 			CohValidates:     s.cohValidates.Load(),
+			CohFeedStale:     s.cohFeedStale.Load(),
 			CohNotModified:   s.cohNotModified.Load(),
 			CohDeltas:        s.cohDeltas.Load(),
 			CohDeltaBytes:    s.cohDeltaBytes.Load(),
@@ -823,6 +833,28 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return s.resolveTx(req)
 	}
 	return nil, fmt.Errorf("esm: unknown op %v", req.Op)
+}
+
+// beginFeed builds the response to an OpBegin for tx. A request without a
+// horizon gets the bare transaction id. One with a horizon gets the change
+// feed since it (cohState.feedSince) in Data, or, when the feed cannot
+// answer it, the current horizon alone under RespStale: the client then
+// validates its whole resident set. A "none" horizon (all zero, a session's
+// first Begin) is not counted as a too-old answer.
+func (s *Server) beginFeed(tx uint64, horizon []byte) *Response {
+	resp := &Response{N: tx}
+	if len(horizon) == 0 {
+		return resp
+	}
+	var ok bool
+	resp.Data, ok = s.coh.feedSince(horizon, validateChunk)
+	if !ok {
+		resp.Mode = RespStale
+		if binary.LittleEndian.Uint64(horizon) != 0 {
+			s.cohFeedStale.Add(1)
+		}
+	}
+	return resp
 }
 
 // lockPages serves OpLock. The demanded resource is acquired first and may

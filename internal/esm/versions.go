@@ -1,6 +1,8 @@
 package esm
 
 import (
+	"encoding/binary"
+	"math/rand/v2"
 	"sync"
 
 	"quickstore/internal/disk"
@@ -9,7 +11,8 @@ import (
 
 // Warm-cache coherence state (DESIGN.md §18). cohState is the server-side
 // half of the inter-transaction cache-coherence protocol: a per-page
-// version table (the token of the last committed image), a bounded
+// version table (the token of the last committed image), a change feed
+// of the version table's writes in the order they happened, a bounded
 // previous-image cache backing delta shipping, and per-transaction install
 // captures.
 //
@@ -19,6 +22,15 @@ import (
 // once recovery is done. Clients treat tokens as opaque and compare only for
 // equality. Token 0 is "unversioned": it never matches, so anything served
 // under it must be refetched rather than reused.
+//
+// Change feed: setVerLocked, the one writer of ver (bump, commitTx,
+// abortTx), also appends the (pid, token) it wrote to a ring of feedCap
+// entries. A horizon (feed id, seq) names a position in it; a Begin
+// presenting the horizon the previous Begin was told learns which pages
+// changed since (feedSince) instead of re-proving every cached frame. The
+// feed id is drawn at random per cohState, so no horizon of one server
+// instance — an earlier boot, a promoted follower at the same durable end —
+// is ever answered by another.
 //
 // Staleness invariant: the server answers "not modified" for (pid, token)
 // only when token equals the page's current committed version, i.e. only
@@ -46,6 +58,13 @@ type cohState struct {
 	ver   map[disk.PageID]uint64
 	epoch uint64
 
+	// feed is the change-feed ring, allocated on the first version write;
+	// entry seq s (1-based) sits at feed[(s-1)%feedCap]. feedHead is the
+	// seq of the newest entry, feedID the random name of this feed.
+	feed     []feedEntry
+	feedHead uint64
+	feedID   uint64
+
 	// pending counts uncommitted installs per page (the steal path ships
 	// dirty pages mid-transaction). While pending, the frame's bytes are
 	// not the committed image, so versioned reads serve token 0 and
@@ -69,6 +88,19 @@ type cohState struct {
 	capBytes  int
 }
 
+type feedEntry struct {
+	pid   disk.PageID
+	token uint64
+}
+
+// feedCap is the change feed's length in entries (16 bytes each: 64 KB).
+// A horizon more than feedCap version writes old is answered "too old".
+const feedCap = 4096
+
+// HorizonBytes is the wire size of a change-feed horizon: u64 feed id, u64
+// seq. An all-zero horizon means "none".
+const HorizonBytes = 8 + 8
+
 type cohCapture struct {
 	img   []byte // committed image before the first install (nil if over cap)
 	token uint64 // the token that image was current at
@@ -85,9 +117,14 @@ const cohCacheBytes = 4 << 20
 // newCohState starts a version table for a server whose log is durable
 // through durable, with recovery (if any) already done.
 func newCohState(durable wal.LSN) *cohState {
+	id := rand.Uint64()
+	for id == 0 {
+		id = rand.Uint64() // 0 is the client's "no horizon"
+	}
 	return &cohState{
 		ver:      map[disk.PageID]uint64{},
 		epoch:    1<<63 | uint64(durable),
+		feedID:   id,
 		pending:  map[disk.PageID]int{},
 		captures: map[uint64]map[disk.PageID]*cohCapture{},
 		prev:     map[disk.PageID]*cohPrev{},
@@ -101,6 +138,53 @@ func (c *cohState) verLocked(pid disk.PageID) uint64 {
 		return v
 	}
 	return c.epoch
+}
+
+// setVerLocked moves a page's version to token and records the move in the
+// change feed.
+func (c *cohState) setVerLocked(pid disk.PageID, token uint64) {
+	c.ver[pid] = token
+	if c.feed == nil {
+		c.feed = make([]feedEntry, feedCap)
+	}
+	c.feed[c.feedHead%feedCap] = feedEntry{pid: pid, token: token}
+	c.feedHead++
+}
+
+// feedSince answers a Begin's horizon: the current horizon and, when the
+// presented one (a HorizonBytes slice) is answerable, one page entry
+// (AppendPageEntry) for every page whose version was written after it,
+// carrying the page's current token. A page written twice since is listed
+// once: an entry is emitted only while its token is still the page's
+// version. ok is false — "too old", the answer is the horizon alone — when
+// the horizon is another feed's, is ahead of this one, lies past the ring's
+// reach, or more than max pages qualify.
+func (c *cohState) feedSince(horizon []byte, max int) (dst []byte, ok bool) {
+	id, seq := binary.LittleEndian.Uint64(horizon), binary.LittleEndian.Uint64(horizon[8:])
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ok = id == c.feedID && seq <= c.feedHead && c.feedHead-seq <= feedCap
+	size := HorizonBytes
+	if ok {
+		size += PageEntryBytes * int(min(c.feedHead-seq, uint64(max)))
+	}
+	dst = binary.LittleEndian.AppendUint64(make([]byte, 0, size), c.feedID)
+	dst = binary.LittleEndian.AppendUint64(dst, c.feedHead)
+	if !ok {
+		return dst, false
+	}
+	n := 0
+	for s := seq; s < c.feedHead; s++ {
+		e := c.feed[s%feedCap]
+		if c.ver[e.pid] != e.token {
+			continue // written again since: a later entry carries it
+		}
+		if n++; n > max {
+			return dst[:HorizonBytes], false
+		}
+		dst = AppendPageEntry(dst, uint32(e.pid), e.token)
+	}
+	return dst, true
 }
 
 // probe returns the page's (version, pending) pair. Used as a seqlock
@@ -124,7 +208,7 @@ func (c *cohState) probe(pid disk.PageID) (ver uint64, pending int) {
 // around a latched copy.
 func (c *cohState) bump(pid disk.PageID, token uint64) {
 	c.mu.Lock()
-	c.ver[pid] = token
+	c.setVerLocked(pid, token)
 	c.mu.Unlock()
 }
 
@@ -182,7 +266,7 @@ func (c *cohState) commitTx(tx, lsn uint64) {
 			c.putPrevLocked(pid, &cohPrev{fromToken: cpt.token, img: cpt.img})
 			c.imgBytes -= len(cpt.img)
 		}
-		c.ver[pid] = lsn
+		c.setVerLocked(pid, lsn)
 		c.decPendingLocked(pid)
 	}
 	delete(c.captures, tx)
@@ -201,7 +285,7 @@ func (c *cohState) abortTx(tx, abortLSN uint64) {
 		if cpt.img != nil {
 			c.imgBytes -= len(cpt.img)
 		}
-		c.ver[pid] = abortLSN
+		c.setVerLocked(pid, abortLSN)
 		c.decPendingLocked(pid)
 	}
 	delete(c.captures, tx)
