@@ -383,7 +383,7 @@ func TestBeginFeedTooOld(t *testing.T) {
 
 	t.Run("too-many-changed", func(t *testing.T) {
 		c := newCohState(0)
-		h, ok := c.feedSince(make([]byte, HorizonBytes), validateChunk)
+		h, ok := c.feedSince(nil, make([]byte, HorizonBytes), validateChunk)
 		if ok || len(h) != HorizonBytes {
 			t.Fatalf("a none horizon answered ok=%v with %d bytes", ok, len(h))
 		}
@@ -392,22 +392,22 @@ func TestBeginFeedTooOld(t *testing.T) {
 			c.setVerLocked(pid, 10)
 		}
 		c.mu.Unlock()
-		if out, ok := c.feedSince(h, validateChunk); !ok || len(out) != HorizonBytes+validateChunk*PageEntryBytes {
+		if out, ok := c.feedSince(nil, h, validateChunk); !ok || len(out) != HorizonBytes+validateChunk*PageEntryBytes {
 			t.Fatalf("%d changed pages: ok=%v, %d bytes", validateChunk, ok, len(out))
 		}
 		c.mu.Lock()
 		c.setVerLocked(validateChunk+1, 11)
 		c.mu.Unlock()
-		if out, ok := c.feedSince(h, validateChunk); ok || len(out) != HorizonBytes {
+		if out, ok := c.feedSince(nil, h, validateChunk); ok || len(out) != HorizonBytes {
 			t.Fatalf("%d changed pages: ok=%v, %d bytes, want too old", validateChunk+1, ok, len(out))
 		}
 		// A page written twice since is listed once, with its newest token.
-		now, _ := c.feedSince(h, validateChunk+1)
+		now, _ := c.feedSince(nil, h, validateChunk+1)
 		c.mu.Lock()
 		c.setVerLocked(3, 12)
 		c.setVerLocked(3, 13)
 		c.mu.Unlock()
-		out, ok := c.feedSince(now[:HorizonBytes], validateChunk)
+		out, ok := c.feedSince(nil, now[:HorizonBytes], validateChunk)
 		if !ok || len(out) != HorizonBytes+PageEntryBytes {
 			t.Fatalf("a page written twice: ok=%v, %d bytes", ok, len(out))
 		}
@@ -416,7 +416,7 @@ func TestBeginFeedTooOld(t *testing.T) {
 		}
 		// A horizon ahead of the feed is not this feed's.
 		ahead := binary.LittleEndian.AppendUint64(slices.Clone(out[:8]), c.feedHead+1)
-		if _, ok := c.feedSince(ahead, validateChunk); ok {
+		if _, ok := c.feedSince(nil, ahead, validateChunk); ok {
 			t.Fatal("a horizon ahead of the feed was answered")
 		}
 	})

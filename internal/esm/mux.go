@@ -78,8 +78,9 @@ type MuxTransport struct {
 	conn    net.Conn
 	timeout time.Duration
 
-	reqCh chan muxReq
-	quit  chan struct{} // closed exactly once, on poison/close
+	reqCh      chan muxReq
+	quit       chan struct{} // closed exactly once, on poison/close
+	writerDone chan struct{} // closed when the writer goroutine returns
 
 	mu     sync.Mutex // guards calls, err, quitClosed
 	calls  map[uint64]*muxCall
@@ -117,11 +118,12 @@ func DialTCPTimeout(addr string, timeout time.Duration) (*MuxTransport, error) {
 // connection (tests use net.Pipe). timeout <= 0 disables deadlines.
 func NewMuxTransport(conn net.Conn, timeout time.Duration) *MuxTransport {
 	t := &MuxTransport{
-		conn:    conn,
-		timeout: timeout,
-		reqCh:   make(chan muxReq, maxCoalesce),
-		quit:    make(chan struct{}),
-		calls:   map[uint64]*muxCall{},
+		conn:       conn,
+		timeout:    timeout,
+		reqCh:      make(chan muxReq, maxCoalesce),
+		quit:       make(chan struct{}),
+		writerDone: make(chan struct{}),
+		calls:      map[uint64]*muxCall{},
 	}
 	t.wg.Add(2)
 	go t.writer()
@@ -169,7 +171,9 @@ func (t *MuxTransport) poison(cause error) {
 }
 
 // Call implements Transport. It is safe for concurrent use; each call
-// blocks only its own goroutine while the connection pipelines others.
+// blocks only its own goroutine while the connection pipelines others. When
+// it returns, with an answer or with an error, nothing of the transport
+// reads req any longer. The answer is pooled: Release it once done.
 func (t *MuxTransport) Call(req *Request) (*Response, error) {
 	seq := t.seq.Add(1)
 	c := muxCallPool.Get().(*muxCall)
@@ -210,6 +214,10 @@ func (t *MuxTransport) Call(req *Request) (*Response, error) {
 	muxCallPool.Put(c)
 	t.callsDone.Add(1)
 	if res.err != nil {
+		// The writer may have taken req off the queue and be encoding it
+		// still: it exits within one flush of the poison, and only then is
+		// req the caller's again.
+		<-t.writerDone
 		return nil, res.err
 	}
 	return res.resp, nil
@@ -222,6 +230,7 @@ func (t *MuxTransport) Call(req *Request) (*Response, error) {
 // does not allocate in steady state.
 func (t *MuxTransport) writer() {
 	defer t.wg.Done()
+	defer close(t.writerDone)
 	buf := make([]byte, 0, 64<<10)
 	for {
 		var first muxReq
@@ -263,18 +272,34 @@ func (t *MuxTransport) writer() {
 func (t *MuxTransport) reader() {
 	defer t.wg.Done()
 	rd := bufio.NewReaderSize(t.conn, 64<<10)
-	scratch := getBuf()
-	defer putBuf(scratch)
+	hdr := make([]byte, frameHdrSize)
 	for {
-		seq, body, err := readMuxFrame(rd, scratch)
+		// Each frame body lands in a pooled buffer and is decoded in place
+		// into a pooled Response, which owns the buffer when its Data lies
+		// in it: the caller's Release hands both back.
+		seq, n, err := readFrameHead(rd, hdr)
 		if err != nil {
 			t.poison(fmt.Errorf("read: %v", err))
 			return
 		}
-		resp := new(Response)
-		if err := resp.unmarshal(body, true); err != nil {
+		frame := getBuf()
+		body, err := readFrameBody(rd, frame, n)
+		if err != nil {
+			putBuf(frame)
+			t.poison(fmt.Errorf("read: %v", err))
+			return
+		}
+		resp := pooledResponse()
+		if err := resp.unmarshal(body, false); err != nil {
+			putBuf(frame)
+			resp.Release()
 			t.poison(fmt.Errorf("response for seq %d: %v", seq, err))
 			return
+		}
+		if resp.Data != nil {
+			resp.buf = frame
+		} else {
+			putBuf(frame)
 		}
 		t.mu.Lock()
 		c, ok := t.calls[seq]
@@ -290,6 +315,7 @@ func (t *MuxTransport) reader() {
 		}
 		t.mu.Unlock()
 		if !ok {
+			resp.Release()
 			t.poison(fmt.Errorf("response for unknown or duplicate seq %d", seq))
 			return
 		}

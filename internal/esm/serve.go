@@ -40,10 +40,16 @@ func netStatsServer(h Handler) *Server {
 //
 // Each connection runs the multiplexed protocol: a reader goroutine decodes
 // frames and hands each request to a worker goroutine (at most serveWorkers
-// in flight per connection), and a writer goroutine coalesces completed
-// responses into single writev-style socket flushes. Responses are sent as
-// workers finish — out of request order when a fast request overtakes a
-// slow one — and the client's demux matches them back up by seq.
+// per connection, started as the load asks for them and kept for the life
+// of the connection), and a writer goroutine coalesces completed responses
+// into single writev-style socket flushes. Responses are sent as workers
+// finish — out of request order when a fast request overtakes a slow one —
+// and the client's demux matches them back up by seq.
+//
+// A worker decodes every request it serves into the one Request it keeps,
+// so a Handler may keep neither the Request nor any slice of its Data past
+// Handle (strings, Name included, are its own). It releases each response
+// (Response.Release) once the response is framed.
 func Serve(l net.Listener, h Handler) {
 	for {
 		conn, err := l.Accept()
@@ -52,6 +58,13 @@ func Serve(l net.Listener, h Handler) {
 		}
 		go serveConn(conn, h)
 	}
+}
+
+// serveJob is one request frame on its way from the reader to a worker.
+type serveJob struct {
+	seq   uint64
+	frame *[]byte // pooled buffer body lies in; the worker hands it back
+	body  []byte
 }
 
 func serveConn(conn net.Conn, h Handler) {
@@ -64,43 +77,74 @@ func serveConn(conn net.Conn, h Handler) {
 	writerDone := make(chan struct{})
 	go serveWriter(conn, srv, respCh, writerDone)
 
+	// A worker serves the job it is started with, then every job it
+	// receives until jobs closes. It decodes each request into the one
+	// Request it keeps and releases each response once it is framed.
+	jobs := make(chan serveJob)
 	var workers sync.WaitGroup
-	sem := make(chan struct{}, serveWorkers)
-	rd := bufio.NewReaderSize(conn, 256<<10)
-	for {
-		// Each frame gets its own pooled buffer: the worker decodes the
-		// request in place (no-copy unmarshal) and owns the buffer until
-		// its response is framed.
-		frame := getBuf()
-		seq, body, err := readMuxFrame(rd, frame)
-		if err != nil {
-			putBuf(frame)
-			break
-		}
-		srv.noteNetRequest()
-		sem <- struct{}{}
-		workers.Add(1)
-		go func(seq uint64, frame *[]byte, body []byte) {
-			defer workers.Done()
-			defer func() { <-sem }()
-			defer srv.doneNetRequest()
+	worker := func(job serveJob) {
+		defer workers.Done()
+		var req Request
+		for ok := true; ok; job, ok = <-jobs {
 			var resp *Response
-			var req Request
-			if err := req.unmarshal(body, false); err != nil {
+			if err := req.unmarshal(job.body, false); err != nil {
 				resp = &Response{Err: err.Error()}
 			} else {
 				resp = h.Handle(&req)
 			}
 			out := getBuf()
-			*out = appendResponseFrame((*out)[:0], seq, resp)
-			putBuf(frame) // handlers never retain request data past Handle
+			*out = appendResponseFrame((*out)[:0], job.seq, resp)
+			resp.Release()
+			putBuf(job.frame) // handlers never retain request data past Handle
 			select {
 			case respCh <- out:
 			case <-writerDone:
 				putBuf(out)
 			}
-		}(seq, frame, body)
+			srv.doneNetRequest()
+			// Keep nothing of the frame, which is back in the pool, alive
+			// while idle; the next frame is decoded into a zeroed Request.
+			req, job = Request{}, serveJob{}
+		}
 	}
+
+	// A frame goes to an idle worker if one is waiting, else to a new one
+	// while fewer than serveWorkers run, else to the first to come free:
+	// a slow request never holds up the ones behind it unless serveWorkers
+	// are in flight.
+	started := 0
+	rd := bufio.NewReaderSize(conn, 256<<10)
+	hdr := make([]byte, frameHdrSize)
+	for {
+		// Each frame body gets its own pooled buffer: the worker decodes
+		// the request in place (no-copy unmarshal) and owns the buffer
+		// until its response is framed.
+		seq, n, err := readFrameHead(rd, hdr)
+		if err != nil {
+			break
+		}
+		frame := getBuf()
+		body, err := readFrameBody(rd, frame, n)
+		if err != nil {
+			putBuf(frame)
+			break
+		}
+		srv.noteNetRequest()
+		job := serveJob{seq: seq, frame: frame, body: body}
+		select {
+		case jobs <- job:
+			continue
+		default:
+		}
+		if started < serveWorkers {
+			started++
+			workers.Add(1)
+			go worker(job)
+			continue
+		}
+		jobs <- job
+	}
+	close(jobs)
 	workers.Wait()
 	close(respCh)
 	<-writerDone
@@ -112,11 +156,15 @@ func serveConn(conn net.Conn, h Handler) {
 // writer keeps draining so no worker is left stuck on respCh.
 func serveWriter(conn net.Conn, srv *Server, respCh <-chan *[]byte, done chan<- struct{}) {
 	defer close(done)
-	vecs := make(net.Buffers, 0, serveWorkers)
+	// WriteTo consumes the vector it writes, backing array and all, so each
+	// flush builds its vector afresh over backing: appending to the consumed
+	// one would allocate a new array every flush.
+	backing := make(net.Buffers, serveWorkers)
+	var vecs net.Buffers
 	used := make([]*[]byte, 0, serveWorkers)
 	broken := false
 	for first := range respCh {
-		vecs = vecs[:0]
+		vecs = backing[:0]
 		used = used[:0]
 		vecs = append(vecs, *first)
 		used = append(used, first)
@@ -148,5 +196,6 @@ func serveWriter(conn net.Conn, srv *Server, respCh <-chan *[]byte, done chan<- 
 		for _, b := range used {
 			putBuf(b)
 		}
+		clear(used) // the buffers are the pool's again: pin none while idle
 	}
 }

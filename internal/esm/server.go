@@ -836,18 +836,21 @@ func (s *Server) handle(req *Request) (*Response, error) {
 }
 
 // beginFeed builds the response to an OpBegin for tx. A request without a
-// horizon gets the bare transaction id. One with a horizon gets the change
+// horizon gets the bare transaction id. One with a horizon gets, in a pooled
+// buffer the response owns (Response.Release), the change
 // feed since it (cohState.feedSince) in Data, or, when the feed cannot
 // answer it, the current horizon alone under RespStale: the client then
 // validates its whole resident set. A "none" horizon (all zero, a session's
 // first Begin) is not counted as a too-old answer.
 func (s *Server) beginFeed(tx uint64, horizon []byte) *Response {
-	resp := &Response{N: tx}
 	if len(horizon) == 0 {
-		return resp
+		return &Response{N: tx}
 	}
+	resp := pooledResponse()
+	resp.N, resp.buf = tx, getBuf()
 	var ok bool
-	resp.Data, ok = s.coh.feedSince(horizon, validateChunk)
+	*resp.buf, ok = s.coh.feedSince((*resp.buf)[:0], horizon, validateChunk)
+	resp.Data = *resp.buf
 	if !ok {
 		resp.Mode = RespStale
 		if binary.LittleEndian.Uint64(horizon) != 0 {
@@ -913,7 +916,8 @@ func (s *Server) lockPages(req *Request) (*Response, error) {
 }
 
 // readPages serves OpReadPages, building every answer straight into one
-// response buffer. Each entry is served by one of three policies:
+// pooled response buffer (the Response owns it: see Release). Each entry is
+// served by one of three policies:
 //
 //   - as of a snapshot (N != 0): snapRead;
 //   - under ReadCheck (Begin validation): checkPage;
@@ -939,7 +943,13 @@ func (s *Server) readPages(req *Request) (*Response, error) {
 	case n >= 2:
 		s.prefetchPages.Add(int64(n))
 	}
-	out, bitmap := AppendAnswerHead(make([]byte, 0, 4+(n+7)/8+size), n)
+	resp := pooledResponse()
+	resp.buf = getBuf()
+	out := *resp.buf
+	if need := 4 + (n+7)/8 + size; cap(out) < need {
+		out = make([]byte, 0, need)
+	}
+	out, bitmap := AppendAnswerHead(out, n)
 	for i := 0; i < n; i++ {
 		pid, token := PageEntry(req.Data, i)
 		stale := true
@@ -952,13 +962,15 @@ func (s *Server) readPages(req *Request) (*Response, error) {
 			out, stale, err = s.fetchPage(out, disk.PageID(pid), token)
 		}
 		if err != nil {
+			resp.Release()
 			return nil, err
 		}
 		if stale {
 			MarkStale(out, bitmap, i)
 		}
 	}
-	return &Response{Data: out}, nil
+	*resp.buf, resp.Data = out, out
+	return resp, nil
 }
 
 // pageSlot appends an answer for pid with a page-sized payload and returns
@@ -1290,9 +1302,9 @@ func (s *Server) installPage(tx uint64, pid disk.PageID, data []byte) error {
 // volume's geometry starts from zeroes, as its capture did. Nothing is
 // charged to the cost model: internal/sim prices the protocol in which the
 // client ships this page at commit.
-func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (*buffer.PageRef, error) {
+func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (buffer.PageRef, error) {
 	if err := s.captureBefore(tx, pid); err != nil {
-		return nil, err
+		return buffer.PageRef{}, err
 	}
 	ref, _, err := s.pool.Load(pid, func(buf []byte) error {
 		err := s.vol.ReadPage(pid, buf)
@@ -1345,7 +1357,7 @@ func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
 	for i, p := 0, 4; i < count; i++ {
 		rec, n, _ := wal.DecodeUpdate(data[p:]) // checked above
 		p += n
-		var ref *buffer.PageRef
+		var ref buffer.PageRef
 		if ref, err = s.pinForRedo(tx, disk.PageID(rec.Page)); err != nil {
 			break
 		}

@@ -3,6 +3,7 @@ package esm
 import (
 	"encoding/binary"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"quickstore/internal/disk"
@@ -158,17 +159,19 @@ func (c *cohState) setVerLocked(pid disk.PageID, token uint64) {
 // once: an entry is emitted only while its token is still the page's
 // version. ok is false — "too old", the answer is the horizon alone — when
 // the horizon is another feed's, is ahead of this one, lies past the ring's
-// reach, or more than max pages qualify.
-func (c *cohState) feedSince(horizon []byte, max int) (dst []byte, ok bool) {
+// reach, or more than max pages qualify. The answer is appended to dst.
+func (c *cohState) feedSince(dst, horizon []byte, max int) ([]byte, bool) {
 	id, seq := binary.LittleEndian.Uint64(horizon), binary.LittleEndian.Uint64(horizon[8:])
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ok = id == c.feedID && seq <= c.feedHead && c.feedHead-seq <= feedCap
+	ok := id == c.feedID && seq <= c.feedHead && c.feedHead-seq <= feedCap
 	size := HorizonBytes
 	if ok {
 		size += PageEntryBytes * int(min(c.feedHead-seq, uint64(max)))
 	}
-	dst = binary.LittleEndian.AppendUint64(make([]byte, 0, size), c.feedID)
+	dst = slices.Grow(dst, size)
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, c.feedID)
 	dst = binary.LittleEndian.AppendUint64(dst, c.feedHead)
 	if !ok {
 		return dst, false
@@ -180,7 +183,7 @@ func (c *cohState) feedSince(horizon []byte, max int) (dst []byte, ok bool) {
 			continue // written again since: a later entry carries it
 		}
 		if n++; n > max {
-			return dst[:HorizonBytes], false
+			return dst[:at+HorizonBytes], false
 		}
 		dst = AppendPageEntry(dst, uint32(e.pid), e.token)
 	}

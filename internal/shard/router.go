@@ -458,6 +458,7 @@ func (r *Router) lockPages(req *esm.Request) (*esm.Response, error) {
 			out.Data[i] = resp.Data[k]
 		}
 	}
+	releaseAll(resps)
 	return out, nil
 }
 
@@ -516,7 +517,15 @@ func (r *Router) readPages(req *esm.Request) (*esm.Response, error) {
 			return nil, fmt.Errorf("shard %d: read answer past its request: %v", shard, a.Err())
 		}
 	}
+	releaseAll(resps)
 	return &esm.Response{Data: out}, nil
+}
+
+// releaseAll releases the shard answers a reassembled answer was copied from.
+func releaseAll(resps map[int]*esm.Response) {
+	for _, resp := range resps {
+		resp.Release()
+	}
 }
 
 // StampLSN implements esm.ShardStamper: the page stamp for pid is the

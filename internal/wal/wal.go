@@ -209,10 +209,12 @@ type Log struct {
 	closed  bool
 }
 
-// gcBatch is one group-commit batch: the leader closes done after its
-// force; err is written before the close.
+// gcBatch is one group-commit batch: the leader marks done after its
+// force; err is written before that. The completion signal is a WaitGroup
+// inside the struct rather than a channel beside it: every commit that
+// forces makes one of these.
 type gcBatch struct {
-	done chan struct{}
+	done sync.WaitGroup
 	err  error
 }
 
@@ -464,7 +466,7 @@ func (l *Log) FlushCommit(lsn LSN) error {
 		if b := l.gcActive; b != nil {
 			l.piggybacks++
 			l.mu.Unlock()
-			<-b.done
+			b.done.Wait()
 			if b.err != nil {
 				return b.err
 			}
@@ -472,7 +474,8 @@ func (l *Log) FlushCommit(lsn LSN) error {
 			// before FlushCommit was called); loop to verify durability.
 			continue
 		}
-		b := &gcBatch{done: make(chan struct{})}
+		b := new(gcBatch)
+		b.done.Add(1)
 		l.gcActive = b
 		window := l.commitWindow
 		l.mu.Unlock()
@@ -484,7 +487,7 @@ func (l *Log) FlushCommit(lsn LSN) error {
 		l.gcActive = nil
 		l.mu.Unlock()
 		b.err = err
-		close(b.done)
+		b.done.Done()
 		return err
 	}
 }
