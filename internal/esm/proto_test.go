@@ -427,3 +427,19 @@ func FuzzLockAheadRequest(f *testing.F) {
 		}
 	})
 }
+
+// readMuxFrame reads one whole frame from r the way the connection readers
+// do, head then body; the body aliases *scratch. The head is staged in
+// scratch too: a local array would escape through the io.Reader and cost
+// the framing tests an allocation per frame.
+func readMuxFrame(r io.Reader, scratch *[]byte) (seq uint64, body []byte, err error) {
+	if cap(*scratch) < frameHdrSize {
+		*scratch = make([]byte, 0, 16<<10)
+	}
+	seq, n, err := readFrameHead(r, (*scratch)[:frameHdrSize])
+	if err != nil {
+		return 0, nil, err
+	}
+	body, err = readFrameBody(r, scratch, n)
+	return seq, body, err
+}

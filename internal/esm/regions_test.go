@@ -324,9 +324,9 @@ func equalInts(a, b []int) bool {
 }
 
 // TestFlushLogReusesItsBuffer: the pending batch's buffer is kept across
-// flushes the server answered — successfully or with an error — and given up
-// when the transport failed, since a transport that failed mid-call may still
-// be reading it.
+// flushes, whether the server answered — successfully or with an error — or
+// the transport failed: no Transport reads a request once its Call has
+// returned, so a failed batch is dropped and its buffer built over.
 func TestFlushLogReusesItsBuffer(t *testing.T) {
 	srv, pid := logBatchServer(t, 1)
 	tap := &batchTap{Transport: NewInProcTransport(srv)}
@@ -364,8 +364,9 @@ func TestFlushLogReusesItsBuffer(t *testing.T) {
 		t.Fatal("the buffer was dropped after an answered error")
 	}
 	tap.fail = errors.New("connection reset")
-	if next, err := flush(64); err == nil || next == first {
-		t.Fatalf("after a transport failure (err %v) the next batch reuses the buffer the transport may hold", err)
+	if next, err := flush(64); err == nil || next != first || len(c.pending) != 4 || c.nrecs != 0 {
+		t.Fatalf("after a transport failure (err %v): buffer moved %v, %d pending bytes, %d records",
+			err, next != first, len(c.pending), c.nrecs)
 	}
 	tap.fail = nil
 }
