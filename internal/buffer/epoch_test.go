@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,100 +116,147 @@ func TestFlushBeforeFailureRestoresStamp(t *testing.T) {
 	}
 }
 
-// A checkpoint that meets a frame an eviction is still writing back waits
-// for that write-back instead of writing the frame itself: the frame is the
-// incoming page's the moment the write-back ends, and that page's fill
-// takes no content latch, so a second write of the victim from the frame
-// could put the incoming page's bytes in the victim's place on the volume.
-func TestFlushBeforeWaitsOutEvictionWriteBack(t *testing.T) {
-	const victim, pinned, incoming = disk.PageID(1), disk.PageID(2), disk.PageID(3)
-	fill := func(b byte, done chan struct{}) func([]byte) error {
+// heldEviction is a two-frame pool caught mid-eviction: page 1 (the
+// victim) is dirty with 0xAA bytes from before epoch e, page 2 is pinned,
+// and a load of page 3 is evicting page 1, its write-back held until
+// release is closed.
+type heldEviction struct {
+	p       *LatchPool
+	e       uint64
+	release chan struct{}
+	landed  atomic.Bool  // the held write-back has returned
+	loaded  chan error   // page 3's Load
+	reads   atomic.Int64 // loader calls: the pool's volume reads
+	mu      sync.Mutex
+	later   []string // every write after the held one
+}
+
+const victim, pinned, incoming = disk.PageID(1), disk.PageID(2), disk.PageID(3)
+
+func holdEviction(t *testing.T) *heldEviction {
+	t.Helper()
+	h := &heldEviction{p: NewLatchPool(2), release: make(chan struct{}), loaded: make(chan error, 1)}
+	fill := func(b byte) func([]byte) error {
 		return func(buf []byte) error {
+			h.reads.Add(1)
 			for i := range buf {
 				buf[i] = b
-			}
-			if done != nil {
-				close(done)
 			}
 			return nil
 		}
 	}
-	evicting, release, filled := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	// reached is told once the checkpoint meets the evicting frame: it
-	// either starts to wait out the write-back or writes the frame itself.
-	reached := make(chan string, 2)
-	var mu sync.Mutex
-	calls, bad := 0, 0
-	p := NewLatchPool(2)
-	p.evictionWait = func(pid disk.PageID) { reached <- fmt.Sprintf("waits out the eviction of page %d", pid) }
-	p.FlushFn = func(pid disk.PageID, data []byte) error {
-		mu.Lock()
-		calls++
-		first := calls == 1
-		mu.Unlock()
+	evicting, first := make(chan struct{}), true
+	h.p.FlushFn = func(pid disk.PageID, data []byte) error {
+		h.mu.Lock()
 		if first {
-			// The eviction's write-back of the victim.
+			first = false
+			h.mu.Unlock()
 			close(evicting)
-			<-release
-		} else {
-			// Any later write: let the incoming page's fill land first.
-			reached <- fmt.Sprintf("writes page %d", pid)
-			select {
-			case <-filled:
-			case <-time.After(time.Second):
-			}
+			<-h.release
+			h.landed.Store(true)
+			return nil
 		}
-		if pid == victim && data[0] != 0xAA {
-			mu.Lock()
-			bad++
-			mu.Unlock()
-		}
+		h.later = append(h.later, fmt.Sprintf("page %d with 0x%X bytes", pid, data[0]))
+		h.mu.Unlock()
 		return nil
 	}
-	a, _, err := p.Load(victim, fill(0xAA, nil))
+	a, _, err := h.p.Load(victim, fill(0x11))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.Write(func(data []byte) {
+		for i := range data {
+			data[i] = 0xAA
+		}
+	})
 	a.MarkDirty()
 	a.Release()
-	hold, _, err := p.Load(pinned, fill(0xBB, nil)) // pinned: the victim is the only candidate
+	hold, _, err := h.p.Load(pinned, fill(0xBB)) // pinned: the victim is the only candidate
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hold.Release()
-	e := p.AdvanceEpoch()
-
-	loaded := make(chan error, 1)
+	t.Cleanup(hold.Release)
+	h.e = h.p.AdvanceEpoch()
 	go func() {
-		ref, _, err := p.Load(incoming, fill(0xCC, filled))
+		ref, _, err := h.p.Load(incoming, fill(0xCC))
 		if err == nil {
 			ref.Release()
 		}
-		loaded <- err
+		h.loaded <- err
 	}()
 	<-evicting
-	flushed := make(chan error, 1)
-	go func() { flushed <- p.FlushBefore(e) }()
-	// Let the eviction finish only once the checkpoint has met its frame. A
-	// checkpoint that writes the frame is held in FlushFn until the fill has
-	// landed, so it writes the incoming page's bytes.
-	select {
-	case how := <-reached:
-		t.Logf("the checkpoint %s", how)
-	case <-time.After(10 * time.Second):
-		t.Fatal("the checkpoint never reached the evicting frame")
+	return h
+}
+
+// A checkpoint that meets a frame an eviction is still writing back waits
+// for that write-back instead of writing the frame itself, and does not
+// return before it lands. The frame is the incoming page's the moment the
+// write-back ends, and that page's fill takes no content latch, so a second
+// write of the victim from the frame could put the incoming page's bytes in
+// the victim's place on the volume; a checkpoint that returned early would
+// let the log be cut behind pre-cut bytes not yet on the volume.
+func TestFlushBeforeWaitsOutEvictionWriteBack(t *testing.T) {
+	h := holdEviction(t)
+	type result struct {
+		err    error
+		landed bool
 	}
-	close(release)
-	if err := <-loaded; err != nil {
+	flushed := make(chan result, 1)
+	go func() {
+		err := h.p.FlushBefore(h.e)
+		flushed <- result{err, h.landed.Load()}
+	}()
+	waitParked(t, "flushBounded") // the checkpoint waits on the writing-back frame
+	close(h.release)
+	if err := <-h.loaded; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-flushed; err != nil {
-		t.Fatal(err)
+	r := <-flushed
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if bad != 0 {
-		t.Fatalf("page %d was written with another page's bytes %d times", victim, bad)
+	if !r.landed {
+		t.Fatal("FlushBefore returned while the eviction's write-back of a pre-cut page was still held")
 	}
-	if n := p.DirtyBefore(e); n != 0 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.later) != 0 {
+		t.Fatalf("the checkpoint wrote %v itself", h.later)
+	}
+	if n := h.p.DirtyBefore(h.e); n != 0 {
 		t.Fatalf("checkpoint left %d pre-cut dirty frames", n)
+	}
+}
+
+// A Snapshot of a page whose eviction write-back is held copies the frame's
+// dirty bytes in place at once: the page stays indexed until the write
+// lands, so its caller never falls back to the volume's older image.
+func TestSnapshotDuringEvictionWriteBack(t *testing.T) {
+	h := holdEviction(t)
+	snapped := make(chan bool, 1)
+	var img [disk.PageSize]byte
+	go func() { snapped <- h.p.Snapshot(victim, img[:]) }()
+	select {
+	case ok := <-snapped:
+		if !ok {
+			t.Fatal("Snapshot missed a page whose write-back is in flight")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Snapshot waited for the held write-back")
+	}
+	for i, b := range img {
+		if b != 0xAA {
+			t.Fatalf("Snapshot byte %d = 0x%X, want the dirty 0xAA", i, b)
+		}
+	}
+	if n := h.reads.Load(); n != 2 {
+		t.Fatalf("%d volume reads before the write-back landed, want 2 (the victim's and the pinned page's)", n)
+	}
+	close(h.release)
+	if err := <-h.loaded; err != nil {
+		t.Fatal(err)
+	}
+	if h.p.Snapshot(victim, img[:]) {
+		t.Fatal("Snapshot hit the victim after its eviction")
 	}
 }

@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,11 +18,16 @@ import (
 //   - Each frame carries a pin count (guarded by the stripe latch) and a
 //     content latch (an RWMutex over the page bytes), so readers copying a
 //     page out overlap each other and exclude only writers.
+//   - Each frame is in one state: free, filling, resident or writing back.
+//     The stripe index maps a page to its frame in every state but free,
+//     and a missing page from the moment its loader claims it, so
+//     concurrent loads of one page issue one disk read, and a page an
+//     eviction is writing back keeps its bytes and its index entry until
+//     the write-back lands.
 //   - All I/O — demand loads and eviction write-backs — happens with no
-//     stripe latch held. A per-page in-flight table dedups concurrent
-//     loads (two clients faulting the same page issue one disk read) and
-//     makes loads of an evicting page wait for its write-back, so the
-//     reload cannot read the stale disk image.
+//     stripe latch held. A caller that needs a page claimed, filling or
+//     writing back waits on the stripe's condition variable and looks
+//     again.
 //
 // Lock order within the pool: stripe latch → frame content latch. FlushFn
 // runs with only a content read latch held, so it may take the WAL and
@@ -38,10 +42,6 @@ type LatchPool struct {
 	// (and during FlushAll). Set it before the pool is shared.
 	FlushFn func(pid disk.PageID, data []byte) error
 
-	// evictionWait, if set, is called as a flush starts to wait out an
-	// eviction's write-back of pid; tests order against it.
-	evictionWait func(pid disk.PageID)
-
 	// epoch is the fuzzy-checkpoint clock: every clean→dirty transition
 	// stamps the frame with the current value, and AdvanceEpoch starts a
 	// new generation so a checkpoint can flush exactly the pages dirtied
@@ -55,14 +55,33 @@ type LatchPool struct {
 }
 
 type latchStripe struct {
-	mu       sync.Mutex
-	frames   []latchFrame
-	index    map[disk.PageID]int
-	hand     int
-	inflight map[disk.PageID]*inflight
+	mu     sync.Mutex
+	frames []latchFrame
+	index  map[disk.PageID]int // page → frame, or unframed
+	hand   int
+	// moved (locked by mu) is broadcast whenever a frame leaves filling or
+	// writing back, a claim is dropped, or a writing-back frame's last pin
+	// goes.
+	moved sync.Cond
 }
 
+// unframed is the index entry of a page its loader has claimed but not yet
+// framed: it may still be writing a victim back.
+const unframed = -1
+
+// frameState is where a frame is in its life. A frame leaves filling only
+// by its loader's hand and writing back only by its evictor's.
+type frameState uint8
+
+const (
+	frameFree        frameState = iota // holds no page
+	frameFilling                       // its loader fills it with no latch held
+	frameResident                      // holds its page; hits pin it
+	frameWritingBack                   // an eviction is writing its dirty page back
+)
+
 type latchFrame struct {
+	state      frameState
 	page       disk.PageID
 	data       []byte
 	pin        int
@@ -70,23 +89,6 @@ type latchFrame struct {
 	dirty      bool
 	dirtyEpoch uint64 // pool epoch at the clean→dirty transition
 	content    sync.RWMutex
-}
-
-// inflight marks a page with I/O in progress: a demand load filling a
-// frame, or an eviction writing one back. Waiters block on done, then
-// re-examine the stripe. err is written before done is released. The
-// completion signal is a WaitGroup inside the struct rather than a channel
-// beside it: every miss and every eviction makes one of these.
-type inflight struct {
-	done sync.WaitGroup
-	err  error
-	load bool // a demand load (waiters may adopt err); else an eviction
-}
-
-func newInflight(load bool) *inflight {
-	fl := &inflight{load: load}
-	fl.done.Add(1)
-	return fl
 }
 
 // maxReserveSpins bounds the retry loop when every frame in a stripe is
@@ -116,7 +118,7 @@ func NewLatchPool(nframes int) *LatchPool {
 		s := &p.stripes[i]
 		s.frames = make([]latchFrame, n)
 		s.index = make(map[disk.PageID]int, n)
-		s.inflight = map[disk.PageID]*inflight{}
+		s.moved.L = &s.mu
 		for j := range s.frames {
 			s.frames[j].data = backing[next*disk.PageSize : (next+1)*disk.PageSize : (next+1)*disk.PageSize]
 			next++
@@ -147,7 +149,7 @@ func (p *LatchPool) Stats() (hits, misses, evicted int64) {
 // a page access allocates nothing. The frame cannot be evicted or reused
 // while the reference is held. Access the bytes through Read/Write (which
 // take the frame's content latch) and call Release exactly once when done,
-// on the variable Load or Get filled, not on a copy.
+// on the variable Load filled, not on a copy.
 type PageRef struct {
 	pool *LatchPool
 	s    *latchStripe
@@ -206,113 +208,90 @@ func (r *PageRef) Release() {
 	r.pool = nil
 }
 
-// Get returns a pinned reference to pid if resident, setting the reference
-// bit. It does not wait for in-flight loads; use Load for read-through.
-func (p *LatchPool) Get(pid disk.PageID) (PageRef, bool) {
-	s := p.stripe(pid)
-	s.mu.Lock()
-	i, ok := s.index[pid]
-	if !ok {
-		s.mu.Unlock()
-		return PageRef{}, false
+// find returns the frame pid is indexed to once that frame is resident, or
+// also writing back if writingBack is set, waiting out the other states;
+// ok is false if pid is not indexed. Caller holds s.mu.
+func (s *latchStripe) find(pid disk.PageID, writingBack bool) (i int, ok bool) {
+	for {
+		if i, ok = s.index[pid]; !ok {
+			return 0, false
+		}
+		if i != unframed {
+			if st := s.frames[i].state; st == frameResident || writingBack && st == frameWritingBack {
+				return i, true
+			}
+		}
+		s.moved.Wait()
 	}
-	f := &s.frames[i]
-	f.ref = true
-	f.pin++
-	s.mu.Unlock()
-	p.hits.Add(1)
-	return PageRef{pool: p, s: s, idx: i, pid: pid}, true
 }
 
 // Load returns a pinned reference to pid, calling load to fill a frame on
 // a miss. loaded reports whether this call performed the load: a caller
 // that rode another client's in-flight load of the same page gets
-// loaded=false (its I/O was deduplicated), exactly like a hit. The load
+// loaded=false (its I/O was deduplicated), exactly like a hit. A page an
+// eviction is writing back is waited for and then missed. If the load it
+// rode fails, a caller loads the page itself with its own loader. The load
 // callback and any eviction write-back run with no stripe latch held.
 func (p *LatchPool) Load(pid disk.PageID, load func(buf []byte) error) (ref PageRef, loaded bool, err error) {
 	s := p.stripe(pid)
-	for {
-		s.mu.Lock()
-		if i, ok := s.index[pid]; ok {
-			f := &s.frames[i]
-			f.ref = true
-			f.pin++
-			s.mu.Unlock()
-			p.hits.Add(1)
-			return PageRef{pool: p, s: s, idx: i, pid: pid}, false, nil
-		}
-		if fl := s.inflight[pid]; fl != nil {
-			isLoad := fl.load
-			s.mu.Unlock()
-			fl.done.Wait()
-			if isLoad && fl.err != nil {
-				// The load we were riding failed; adopt its error, as if
-				// our own read had failed.
-				return PageRef{}, false, fl.err
-			}
-			continue
-		}
-		fl := newInflight(true)
-		s.inflight[pid] = fl
+	s.mu.Lock()
+	if i, ok := s.find(pid, false); ok {
+		f := &s.frames[i]
+		f.ref = true
+		f.pin++
 		s.mu.Unlock()
-
-		idx, rerr := p.reserveFrame(s)
-		if rerr == nil {
-			f := &s.frames[idx]
-			rerr = load(f.data) // frame is reserved: no latch needed for the fill
-			if rerr != nil {
-				s.mu.Lock()
-				f.pin-- // release the reservation
-				delete(s.inflight, pid)
-				s.mu.Unlock()
-			} else {
-				s.mu.Lock()
-				f.page = pid
-				f.dirty = false
-				f.ref = true
-				s.index[pid] = idx
-				delete(s.inflight, pid)
-				s.mu.Unlock()
-				p.misses.Add(1)
-				p.resident.Add(1)
-			}
-		} else {
-			s.mu.Lock()
-			delete(s.inflight, pid)
-			s.mu.Unlock()
-		}
-		fl.err = rerr
-		fl.done.Done()
-		if rerr != nil {
-			return PageRef{}, true, rerr
-		}
-		return PageRef{pool: p, s: s, idx: idx, pid: pid}, true, nil
+		p.hits.Add(1)
+		return PageRef{pool: p, s: s, idx: i, pid: pid}, false, nil
 	}
+	s.index[pid] = unframed
+	s.mu.Unlock()
+
+	idx, err := p.reserveFrame(s, pid)
+	var f *latchFrame
+	if err == nil {
+		f = &s.frames[idx]
+		err = load(f.data) // the frame is filling: nobody else touches its bytes
+	}
+	s.mu.Lock()
+	if err != nil {
+		delete(s.index, pid)
+		if f != nil {
+			f.state, f.pin = frameFree, 0
+		}
+	} else {
+		f.state, f.ref = frameResident, true
+	}
+	s.moved.Broadcast()
+	s.mu.Unlock()
+	if err != nil {
+		return PageRef{}, true, err
+	}
+	p.misses.Add(1)
+	p.resident.Add(1)
+	return PageRef{pool: p, s: s, idx: idx, pid: pid}, true, nil
 }
 
-// reserveFrame returns a free frame in s, pinned (pin=1) so no concurrent
-// loader can claim it: an empty frame if there is one, else the stripe's
-// clock victim. Dirty victims are written back with the stripe latch
-// released; an in-flight entry makes concurrent loads of the victim page
-// wait for the write-back before rereading it from the volume.
-func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
+// reserveFrame frames pid, which the caller has claimed, and returns its
+// frame filling and pinned once for the caller: an empty frame if there is
+// one, else the stripe's clock victim. A dirty victim is written back with
+// the stripe latch released, resident in every other way until the write
+// lands; if the write fails the victim stays resident and dirty.
+func (p *LatchPool) reserveFrame(s *latchStripe, pid disk.PageID) (int, error) {
 	for spin := 0; ; spin++ {
 		s.mu.Lock()
 		victim := -1
 		for i := range s.frames {
-			f := &s.frames[i]
-			if f.page == disk.InvalidPage && f.pin == 0 {
-				f.pin = 1
-				s.mu.Unlock()
-				return i, nil
+			if s.frames[i].state == frameFree {
+				victim = i
+				break
 			}
 		}
 		n := len(s.frames)
-		for scanned := 0; scanned < 2*n; scanned++ {
+		for scanned := 0; victim < 0 && scanned < 2*n; scanned++ {
 			i := s.hand
 			s.hand = (s.hand + 1) % n
 			f := &s.frames[i]
-			if f.pin != 0 {
+			if f.state != frameResident || f.pin != 0 {
 				continue
 			}
 			if f.ref {
@@ -320,7 +299,6 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 				continue
 			}
 			victim = i
-			break
 		}
 		if victim < 0 {
 			s.mu.Unlock()
@@ -331,37 +309,33 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 			continue
 		}
 		f := &s.frames[victim]
-		vpid := f.page
-		dirty := f.dirty
-		f.pin = 1
-		delete(s.index, vpid)
-		fl := newInflight(false)
-		s.inflight[vpid] = fl
-		s.mu.Unlock()
-
-		var werr error
-		if dirty && p.FlushFn != nil {
-			f.content.RLock()
-			werr = p.FlushFn(vpid, f.data)
-			f.content.RUnlock()
+		if f.state == frameResident {
+			if f.dirty && p.FlushFn != nil {
+				vpid := f.page
+				f.state = frameWritingBack
+				s.mu.Unlock()
+				f.content.RLock()
+				werr := p.FlushFn(vpid, f.data)
+				f.content.RUnlock()
+				s.mu.Lock()
+				if werr != nil {
+					f.state = frameResident
+					s.moved.Broadcast()
+					s.mu.Unlock()
+					return 0, werr
+				}
+				for f.pin > 0 {
+					s.moved.Wait() // a Snapshot is still copying the victim out
+				}
+			}
+			delete(s.index, f.page)
+			p.evicted.Add(1)
+			p.resident.Add(-1)
 		}
-		s.mu.Lock()
-		delete(s.inflight, vpid)
-		if werr != nil {
-			// The write-back failed: the page stays resident and dirty.
-			s.index[vpid] = victim
-			f.pin = 0
-			s.mu.Unlock()
-			fl.done.Done()
-			return 0, werr
-		}
-		f.page = disk.InvalidPage
-		f.dirty = false
-		f.ref = false
+		f.state, f.page, f.pin, f.ref, f.dirty = frameFilling, pid, 1, false, false
+		s.index[pid] = victim
+		s.moved.Broadcast()
 		s.mu.Unlock()
-		p.evicted.Add(1)
-		p.resident.Add(-1)
-		fl.done.Done()
 		return victim, nil
 	}
 }
@@ -370,80 +344,29 @@ func (p *LatchPool) reserveFrame(s *latchStripe) (int, error) {
 // touching the reference bit or the hit counters: the access discipline of
 // snapshot reads, coherence validation and before-image capture, which are
 // served from the pool when the page is resident but never perturb
-// replacement state. A miss means the volume holds the newest image, so it
-// waits out I/O in flight on pid first: a page being written back by an
-// eviction is in neither the index nor, yet, the volume.
+// replacement state. A page an eviction is writing back is copied in place:
+// its bytes are the newest until the write lands. A page being loaded is
+// waited for; a miss means the volume holds the newest image.
 func (p *LatchPool) Snapshot(pid disk.PageID, dst []byte) bool {
 	s := p.stripe(pid)
-	for {
-		s.mu.Lock()
-		if i, ok := s.index[pid]; ok {
-			f := &s.frames[i]
-			f.pin++
-			s.mu.Unlock()
-			f.content.RLock()
-			copy(dst, f.data)
-			f.content.RUnlock()
-			s.mu.Lock()
-			f.pin--
-			s.mu.Unlock()
-			return true
-		}
-		fl := s.inflight[pid]
-		s.mu.Unlock()
-		if fl == nil {
-			return false
-		}
-		fl.done.Wait()
-	}
-}
-
-// Evict removes pid from the pool if resident and unpinned, writing it
-// back first when dirty. It reports whether the page was evicted.
-func (p *LatchPool) Evict(pid disk.PageID) (bool, error) {
-	s := p.stripe(pid)
 	s.mu.Lock()
-	i, ok := s.index[pid]
+	i, ok := s.find(pid, true)
 	if !ok {
 		s.mu.Unlock()
-		return false, nil
+		return false
 	}
 	f := &s.frames[i]
-	if f.pin != 0 {
-		s.mu.Unlock()
-		return false, fmt.Errorf("buffer: evicting pinned page %d", pid)
-	}
-	dirty := f.dirty
-	f.pin = 1
-	delete(s.index, pid)
-	fl := newInflight(false)
-	s.inflight[pid] = fl
+	f.pin++
 	s.mu.Unlock()
-
-	var werr error
-	if dirty && p.FlushFn != nil {
-		f.content.RLock()
-		werr = p.FlushFn(pid, f.data)
-		f.content.RUnlock()
-	}
+	f.content.RLock()
+	copy(dst, f.data)
+	f.content.RUnlock()
 	s.mu.Lock()
-	delete(s.inflight, pid)
-	if werr != nil {
-		s.index[pid] = i
-		f.pin = 0
-		s.mu.Unlock()
-		fl.done.Done()
-		return false, werr
+	if f.pin--; f.pin == 0 && f.state == frameWritingBack {
+		s.moved.Broadcast() // its evictor waits to hand the frame on
 	}
-	f.page = disk.InvalidPage
-	f.dirty = false
-	f.ref = false
-	f.pin = 0
 	s.mu.Unlock()
-	p.evicted.Add(1)
-	p.resident.Add(-1)
-	fl.done.Done()
-	return true, nil
+	return true
 }
 
 // FlushAll writes back every dirty page without evicting. Dirty flags are
@@ -472,15 +395,15 @@ func (p *LatchPool) FlushBefore(e uint64) error {
 }
 
 // DirtyBefore counts frames still dirty from a generation below e; zero
-// means FlushBefore(e) has fully drained the pre-e generation.
+// means FlushBefore(e) has fully drained the pre-e generation. A frame an
+// eviction is writing back stays dirty until its write lands.
 func (p *LatchPool) DirtyBefore(e uint64) int {
 	n := 0
 	for si := range p.stripes {
 		s := &p.stripes[si]
 		s.mu.Lock()
 		for i := range s.frames {
-			f := &s.frames[i]
-			if f.page != disk.InvalidPage && f.dirty && f.dirtyEpoch < e {
+			if f := &s.frames[i]; f.dirty && f.dirtyEpoch < e {
 				n++
 			}
 		}
@@ -494,11 +417,10 @@ func (p *LatchPool) DirtyBefore(e uint64) int {
 // re-dirtied the frame mid-flush its new stamp must not hide the fact that
 // pre-bound bytes never reached the volume.
 //
-// A frame an eviction is writing back (its page already out of the index)
-// is waited for, not written: the moment that write-back ends the frame is
-// its new page's, and the fill of that page takes no content latch, so a
-// second write of the victim from this frame could carry the new page's
-// bytes to the victim's place on the volume.
+// Only resident frames are written. A frame an eviction is writing back is
+// waited for and looked at again: the checkpoint may not finish before its
+// pre-bound bytes are on the volume, and once they are the frame belongs
+// to another page (or, if the write failed, is resident and dirty again).
 func (p *LatchPool) flushBounded(bound uint64) error {
 	if p.FlushFn == nil {
 		for si := range p.stripes {
@@ -518,20 +440,12 @@ func (p *LatchPool) flushBounded(bound uint64) error {
 		s.mu.Lock()
 		for i := 0; i < len(s.frames); i++ {
 			f := &s.frames[i]
-			if f.page == disk.InvalidPage || !f.dirty || f.dirtyEpoch >= bound {
+			if !f.dirty || f.dirtyEpoch >= bound {
 				continue
 			}
-			if j, ok := s.index[f.page]; !ok || j != i {
-				if fl := s.inflight[f.page]; fl != nil {
-					pid := f.page
-					s.mu.Unlock()
-					if p.evictionWait != nil {
-						p.evictionWait(pid)
-					}
-					fl.done.Wait()
-					s.mu.Lock()
-					i-- // look at the frame again: written back, or restored
-				}
+			if f.state == frameWritingBack {
+				s.moved.Wait()
+				i--
 				continue
 			}
 			pid := f.page
@@ -559,7 +473,7 @@ func (p *LatchPool) flushBounded(bound uint64) error {
 }
 
 // DropAll empties the pool without flushing (used to make caches cold).
-// Pinned frames and pages with I/O in flight are skipped; callers drop
+// Pinned frames and frames with I/O in progress are skipped; callers drop
 // caches only on quiesced servers, where neither exists.
 func (p *LatchPool) DropAll() {
 	for si := range p.stripes {
@@ -567,11 +481,11 @@ func (p *LatchPool) DropAll() {
 		s.mu.Lock()
 		for i := range s.frames {
 			f := &s.frames[i]
-			if f.page == disk.InvalidPage || f.pin != 0 {
+			if f.state != frameResident || f.pin != 0 {
 				continue
 			}
 			delete(s.index, f.page)
-			f.page = disk.InvalidPage
+			f.state = frameFree
 			f.dirty = false
 			f.ref = false
 			p.resident.Add(-1)

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"quickstore/internal/disk"
 )
@@ -125,8 +128,10 @@ func TestLatchPoolLoadDedup(t *testing.T) {
 	}
 }
 
-// TestLatchPoolLoadErrorPropagates checks that a failed load reaches both
-// the loader and any rider deduped onto it, and leaves no residue.
+// TestLatchPoolLoadErrorPropagates checks that a failed load reaches its
+// loader and leaves no residue, and that a rider waiting on a fill that
+// fails does not adopt its error: the page is un-indexed and the rider
+// loads it with its own loader, whose error is the one it gets.
 func TestLatchPoolLoadErrorPropagates(t *testing.T) {
 	p := NewLatchPool(4)
 	boom := errors.New("bad sector")
@@ -139,10 +144,66 @@ func TestLatchPoolLoadErrorPropagates(t *testing.T) {
 		t.Fatalf("retry Load = loaded=%v err=%v, want fresh load", loaded, err)
 	}
 	ref.Release()
+
+	const pid = disk.PageID(11)
+	started, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := p.Load(pid, func([]byte) error {
+			close(started)
+			<-release
+			return boom
+		})
+		first <- err
+	}()
+	<-started
+	refused := errors.New("the rider's own read failed")
+	rider := make(chan error, 1)
+	go func() {
+		_, _, err := p.Load(pid, func([]byte) error { return refused })
+		rider <- err
+	}()
+	waitParked(t, "Load") // the rider waits on the filling frame
+	close(release)
+	if err := <-first; !errors.Is(err, boom) {
+		t.Fatalf("held fill's Load error = %v, want %v", err, boom)
+	}
+	if err := <-rider; !errors.Is(err, refused) {
+		t.Fatalf("rider's Load error = %v, want its own loader's %v", err, refused)
+	}
+	s := p.stripe(pid)
+	s.mu.Lock()
+	_, indexed := s.index[pid]
+	s.mu.Unlock()
+	if indexed {
+		t.Fatalf("page %d left indexed after both its fills failed", pid)
+	}
+	ref, loaded, err = p.Load(pid, func(buf []byte) error { return nil })
+	if err != nil || !loaded {
+		t.Fatalf("Load after the failed fills = loaded=%v err=%v, want fresh load", loaded, err)
+	}
+	ref.Release()
 }
 
-// TestLatchPoolParallelStress is the satellite -race stress: goroutines
-// hammer Load/Get/Snapshot/Write/MarkDirty/Release across stripes while
+// waitParked polls the goroutine stacks until one is parked on a stripe's
+// condition variable inside the LatchPool method fn: the one wait a test
+// cannot see from outside the pool.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "(*LatchPool)."+fn+"(") {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine parked in LatchPool.%s", fn)
+}
+
+// TestLatchPoolParallelStress is the -race stress: goroutines hammer
+// Load/Snapshot/Write/MarkDirty/Release across stripes while
 // capacity pressure forces constant eviction, and every read must observe
 // a consistent page image (the content latch forbids torn reads).
 func TestLatchPoolParallelStress(t *testing.T) {

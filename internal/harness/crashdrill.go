@@ -261,9 +261,9 @@ func RunCrashDrill(opts DrillOpts) (*DrillReport, error) {
 	for i := range objs {
 		objs[i].worker = i / per
 	}
-	var attempts int64
+	var attempts atomic.Int64
 	if workers > 1 {
-		var retries int64
+		var retries atomic.Int64
 		var repMu sync.Mutex
 		var wg sync.WaitGroup
 		for wk := 0; wk < workers; wk++ {
@@ -283,9 +283,9 @@ func RunCrashDrill(opts DrillOpts) (*DrillReport, error) {
 		wg.Wait()
 		joinCk()
 		rep.Crashed = plane.Crashed()
-		rep.Retries = atomic.LoadInt64(&retries)
+		rep.Retries = retries.Load()
 		rep.Trace = plane.Trace()
-		return drillVerify(opts, rep, objs, workers, atomic.LoadInt64(&attempts), volPath, logPath, vol, logf, nil)
+		return drillVerify(opts, rep, objs, workers, attempts.Load(), volPath, logPath, vol, logf, nil)
 	}
 
 	w := esm.NewClient(esm.NewInProcTransport(srv), esm.ClientConfig{
@@ -312,7 +312,7 @@ workload:
 			w.LogUpdate(objs[i].oid.Page, off, old, append([]byte(nil), data[:12]...))
 			proposed[i] = v
 		}
-		atomic.AddInt64(&attempts, 1)
+		attempts.Add(1)
 		if _, err := w.Counter("drill.count", 1); err != nil {
 			break
 		}
@@ -353,7 +353,7 @@ workload:
 	if drillDebugCoh != nil {
 		drillDebugCoh(len(cohFrames))
 	}
-	return drillVerify(opts, rep, objs, workers, atomic.LoadInt64(&attempts), volPath, logPath, vol, logf, cohFrames)
+	return drillVerify(opts, rep, objs, workers, attempts.Load(), volPath, logPath, vol, logf, cohFrames)
 }
 
 // drillWorker is one concurrent workload session: seeded update
@@ -362,13 +362,13 @@ workload:
 // the transaction for recovery to roll back; a commit cut off mid-protocol
 // marks the worker's objects in doubt.
 func drillWorker(srv *esm.Server, part []*drillObj, wk int, opts DrillOpts,
-	rep *DrillReport, repMu *sync.Mutex, attempts, retries *int64) {
+	rep *DrillReport, repMu *sync.Mutex, attempts, retries *atomic.Int64) {
 	rng := rand.New(rand.NewSource(opts.Seed + 7919*int64(wk+1)))
 	w := esm.NewClient(esm.NewInProcTransport(srv), esm.ClientConfig{
 		BufferPages: 3, // steal-prone: dirty pages ship mid-transaction
 		Retry:       esm.RetryPolicy{MaxAttempts: 4},
 	})
-	defer func() { atomic.AddInt64(retries, w.Retries()) }()
+	defer func() { retries.Add(w.Retries()) }()
 	for t := 1; t <= opts.Txns; t++ {
 		if err := w.Begin(); err != nil {
 			return
@@ -391,7 +391,7 @@ func drillWorker(srv *esm.Server, part []*drillObj, wk int, opts DrillOpts,
 			w.LogUpdate(part[i].oid.Page, off, old, append([]byte(nil), data[:12]...))
 			proposed[part[i]] = v
 		}
-		atomic.AddInt64(attempts, 1)
+		attempts.Add(1)
 		if _, err := w.Counter("drill.count", 1); err != nil {
 			return
 		}

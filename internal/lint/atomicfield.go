@@ -6,124 +6,23 @@ import (
 	"go/types"
 )
 
-// atomicFuncs is the sync/atomic call family whose first argument
-// addresses the word being accessed atomically.
-var atomicFuncs = map[string]bool{
-	"AddInt32": true, "AddInt64": true, "AddUint32": true, "AddUint64": true, "AddUintptr": true,
-	"LoadInt32": true, "LoadInt64": true, "LoadUint32": true, "LoadUint64": true, "LoadUintptr": true, "LoadPointer": true,
-	"StoreInt32": true, "StoreInt64": true, "StoreUint32": true, "StoreUint64": true, "StoreUintptr": true, "StorePointer": true,
-	"SwapInt32": true, "SwapInt64": true, "SwapUint32": true, "SwapUint64": true, "SwapUintptr": true,
-	"CompareAndSwapInt32": true, "CompareAndSwapInt64": true, "CompareAndSwapUint32": true,
-	"CompareAndSwapUint64": true, "CompareAndSwapUintptr": true, "CompareAndSwapPointer": true,
-}
-
-// AnalyzerAtomicField enforces atomic-access discipline: a field or
-// variable that is accessed through sync/atomic anywhere must never be
-// read or written with a plain load/store elsewhere — the mix is a data
-// race the race detector only catches when the schedule cooperates
-// (the server's stats counters are read while ops run, by design;
-// see internal/esm/server.go). One level of address-passing is followed:
-// a *int64 parameter used atomically inside its function marks `&x`
-// arguments at that parameter's call sites as atomic words too.
-//
-// Composite-literal keys (zero-value construction before the value is
-// shared) are exempt; everything else needs an atomic access or a
-// `//qsvet:ignore atomicfield` directive with a reason.
+// AnalyzerAtomicField enforces atomic-access discipline by type: a word
+// shared between goroutines is an atomic.Int64 (Uint32, Bool, Pointer, …),
+// never a plain integer handed to the sync/atomic functions. A typed atomic
+// cannot be read or written plainly, so no mix of atomic and plain access —
+// a data race the race detector catches only when the schedule cooperates
+// (the server's stats counters are read while ops run, by design) — can be
+// written at all. Every call of a sync/atomic package function (AddInt64,
+// LoadUint32, …) in non-test code is flagged.
 func AnalyzerAtomicField() *Analyzer {
 	return &Analyzer{
 		Name: "atomicfield",
-		Doc:  "flag plain reads/writes of fields and variables that are accessed via sync/atomic elsewhere",
+		Doc:  "flag calls of the sync/atomic functions: shared words are typed atomics",
 		Run:  runAtomicField,
 	}
 }
 
-// atomicParam identifies a pointer parameter used atomically inside its
-// function: call sites passing &x to it make x an atomic word.
-type atomicParam struct {
-	fnID  string
-	index int
-}
-
 func runAtomicField(prog *Program, report func(pos token.Pos, format string, args ...interface{})) {
-	atomicAt := map[types.Object]token.Pos{} // object -> first atomic access
-	sanctioned := map[*ast.Ident]bool{}      // idents that ARE the atomic access
-	params := map[types.Object]atomicParam{} // pointer param -> owner/index
-	paramAtomic := map[string]map[int]bool{} // fnID -> param index used atomically
-
-	// Stage 1: map every function's parameters, then find direct atomic
-	// accesses (&x.f or &v as the address argument) and atomic pointer
-	// parameters.
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Type.Params == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				idx := 0
-				for _, field := range fd.Type.Params.List {
-					for _, name := range field.Names {
-						if obj := pkg.Info.Defs[name]; obj != nil {
-							if _, isPtr := obj.Type().(*types.Pointer); isPtr {
-								params[obj] = atomicParam{fnID: fn.FullName(), index: idx}
-							}
-						}
-						idx++
-					}
-					if len(field.Names) == 0 {
-						idx++
-					}
-				}
-			}
-		}
-	}
-	markAddr := func(pkg *Package, arg ast.Expr) {
-		un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-		if !ok || un.Op != token.AND {
-			// A bare pointer argument: if it is an atomic pointer
-			// parameter's use the object is tracked at its call sites.
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-				if p, isParam := params[pkg.Info.Uses[id]]; isParam {
-					if paramAtomic[p.fnID] == nil {
-						paramAtomic[p.fnID] = map[int]bool{}
-					}
-					paramAtomic[p.fnID][p.index] = true
-				}
-			}
-			return
-		}
-		obj, id := addrTarget(pkg, un.X)
-		if obj == nil {
-			return
-		}
-		if _, seen := atomicAt[obj]; !seen {
-			atomicAt[obj] = un.Pos()
-		}
-		sanctioned[id] = true
-	}
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				fn := staticCallee(pkg, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || !atomicFuncs[fn.Name()] {
-					return true
-				}
-				markAddr(pkg, call.Args[0])
-				return true
-			})
-		}
-	}
-
-	// Stage 2: propagate through one level of address passing — `&x`
-	// handed to a parameter that is used atomically marks x.
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -132,82 +31,12 @@ func runAtomicField(prog *Program, report func(pos token.Pos, format string, arg
 					return true
 				}
 				fn := staticCallee(pkg, call)
-				if fn == nil {
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
 					return true
 				}
-				idxs := paramAtomic[fn.FullName()]
-				if len(idxs) == 0 {
-					return true
-				}
-				for i, arg := range call.Args {
-					if !idxs[i] || i >= len(call.Args) {
-						continue
-					}
-					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-					if !ok || un.Op != token.AND {
-						continue
-					}
-					if obj, id := addrTarget(pkg, un.X); obj != nil {
-						if _, seen := atomicAt[obj]; !seen {
-							atomicAt[obj] = un.Pos()
-						}
-						sanctioned[id] = true
-					}
-				}
+				report(call.Pos(), "atomic.%s on a plain word: declare it as a sync/atomic type instead", fn.Name())
 				return true
 			})
 		}
 	}
-	if len(atomicAt) == 0 {
-		return
-	}
-
-	// Stage 3: any other use of an atomic object is a plain access.
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			skipKeys := map[*ast.Ident]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if cl, ok := n.(*ast.CompositeLit); ok {
-					for _, elt := range cl.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								skipKeys[id] = true
-							}
-						}
-					}
-				}
-				return true
-			})
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok || sanctioned[id] || skipKeys[id] {
-					return true
-				}
-				obj := pkg.Info.Uses[id]
-				if obj == nil {
-					return true
-				}
-				if first, isAtomic := atomicAt[obj]; isAtomic {
-					report(id.Pos(), "plain access of %s, which is accessed atomically (e.g. at %s): use sync/atomic consistently",
-						obj.Name(), prog.PosString(first))
-				}
-				return true
-			})
-		}
-	}
-}
-
-// addrTarget resolves the operand of a & expression to the object being
-// addressed (a struct field or a variable) and the identifier naming it.
-func addrTarget(pkg *Package, expr ast.Expr) (types.Object, *ast.Ident) {
-	switch expr := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		if selInfo, ok := pkg.Info.Selections[expr]; ok {
-			return selInfo.Obj(), expr.Sel
-		}
-		return pkg.Info.Uses[expr.Sel], expr.Sel
-	case *ast.Ident:
-		return pkg.Info.Uses[expr], expr
-	}
-	return nil, nil
 }

@@ -20,11 +20,11 @@ var ioFuncs = map[string]map[string]bool{
 	},
 }
 
-// AnalyzerLatchIO enforces PR 3's buffer-pool rule: all disk and log I/O
+// AnalyzerLatchIO enforces the buffer pool's rule: all disk and log I/O
 // happens with no pool latch held (internal/buffer/latch.go — demand loads
-// and eviction write-backs run outside the stripe latch, with per-page
-// in-flight dedup standing in for the latch). A call made while a stripe
-// latch or frame content latch is held is flagged if it is, or can
+// and eviction write-backs run outside the stripe latch, while the frame's
+// filling or writing-back state stands in for the latch). A call made while
+// a stripe latch or frame content latch is held is flagged if it is, or can
 // statically reach, a disk/wal I/O function. Dynamic calls (the pool's
 // FlushFn field, closures passed as parameters) are outside the static
 // call graph and are not followed.

@@ -1,50 +1,36 @@
-// Package stats is an atomicfield fixture: counters accessed both through
-// sync/atomic and with plain loads/stores.
+// Package stats is an atomicfield fixture: counters kept in plain words
+// through the sync/atomic functions, and in typed atomics.
 package stats
 
 import "sync/atomic"
 
-// Counters mixes an atomically-maintained field with a plain one.
+// Counters keeps one counter in a plain word and one in a typed atomic.
 type Counters struct {
 	hits   int64
-	misses int64
+	misses atomic.Int64
 }
 
-// RecordHit makes hits an atomic word.
+// RecordHit updates a plain word through the function family: a finding,
+// since nothing stops a plain read of hits elsewhere.
 func (c *Counters) RecordHit() {
 	atomic.AddInt64(&c.hits, 1)
 }
 
-// BadRead reads hits without atomic: a data race with RecordHit.
-func (c *Counters) BadRead() int64 {
-	return c.hits
-}
-
-// GoodRead reads hits atomically: no finding.
-func (c *Counters) GoodRead() int64 {
+// Hits reads it the same way: a finding.
+func (c *Counters) Hits() int64 {
 	return atomic.LoadInt64(&c.hits)
 }
 
-// AddMiss touches misses, which is only ever accessed plainly: no finding.
-func (c *Counters) AddMiss() {
-	c.misses++
+// RecordMiss uses the typed atomic's methods: no finding.
+func (c *Counters) RecordMiss() int64 {
+	c.misses.Add(1)
+	return c.misses.Load()
 }
 
-// bump counts through a pointer: callers passing &x make x an atomic word.
-func bump(p *int64) {
-	atomic.AddInt64(p, 1)
-}
+var total uint32
 
-var total int64
-
-// BadMixed propagates atomic use through bump, then reads total plainly.
-func BadMixed() int64 {
-	bump(&total)
-	return total
-}
-
-// Snapshot documents a deliberate plain read via the directive.
-func Snapshot() int64 {
+// Snapshot documents a deliberate function call via the directive.
+func Snapshot() uint32 {
 	//qsvet:ignore atomicfield fixture: demonstrating the suppression directive
-	return total
+	return atomic.LoadUint32(&total)
 }

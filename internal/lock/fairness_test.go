@@ -170,6 +170,46 @@ func TestTimeoutUnblocksQueueBehind(t *testing.T) {
 	m.ReleaseAll(3)
 }
 
+// TestTimeoutsExpireInDeadlineOrder drives the order the runtime may pick
+// under load: an X waiter queued behind an S holder and an S waiter queued
+// behind it have both passed their deadlines, and the later one's timer is
+// handled first. It must fail the expired writer ahead of it and be
+// granted, not time out behind a waiter that had already expired.
+func TestTimeoutsExpireInDeadlineOrder(t *testing.T) {
+	m := New(time.Hour) // the waiters' own timers never fire here
+	res := PageRes(4)
+	if err := m.Acquire(1, res, Shared); err != nil {
+		t.Fatal(err)
+	}
+	writerDone := make(chan error, 1)
+	go func() { writerDone <- m.Acquire(2, res, Exclusive) }()
+	waitForQueued(t, m, 1)
+	readerDone := make(chan error, 1)
+	go func() { readerDone <- m.Acquire(3, res, Shared) }()
+	waitForQueued(t, m, 2)
+
+	m.mu.Lock()
+	e := m.table[res]
+	writer, reader := e.queue[0], e.queue[1]
+	now := time.Now()
+	writer.deadline, reader.deadline = now.Add(-2*time.Millisecond), now.Add(-time.Millisecond)
+	m.mu.Unlock()
+	if err := m.expire(res, e, reader); err != nil {
+		t.Fatalf("the later waiter's expiry: %v, want it granted", err)
+	}
+	if err := <-writerDone; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("writer err = %v, want ErrDeadlock", err)
+	}
+	if err := <-readerDone; err != nil {
+		t.Fatalf("reader err = %v, want granted", err)
+	}
+	if got := m.Holds(3, res); got != Shared {
+		t.Fatalf("reader holds %v, want S", got)
+	}
+	m.ReleaseAll(1)
+	m.ReleaseAll(3)
+}
+
 // TestUpgradeDoesNotQueueBehindWriter pins the one sanctioned barge: a
 // Shared holder upgrading to Exclusive goes to the queue front, because
 // waiting behind another X request would deadlock against its own S hold.

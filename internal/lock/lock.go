@@ -68,11 +68,14 @@ func FileRes(fid uint32) Resource { return Resource{Kind: KindFile, ID: uint64(f
 var ErrDeadlock = errors.New("lock: wait timeout (presumed deadlock)")
 
 // waiter is one queued Acquire. ready is closed (under Manager.mu) when
-// the lock has been granted to the waiter.
+// the waiter leaves the queue: granted, or failed by the expiry of a waiter
+// behind it (err is set before the close).
 type waiter struct {
-	tx    uint64
-	mode  Mode
-	ready chan struct{}
+	tx       uint64
+	mode     Mode
+	deadline time.Time
+	ready    chan struct{}
+	err      error
 }
 
 // holder is one transaction's grant on a resource, at its strongest mode.
@@ -221,7 +224,7 @@ func (m *Manager) Acquire(tx uint64, res Resource, mode Mode) error {
 		return nil
 	}
 	m.waits++
-	w := &waiter{tx: tx, mode: mode, ready: make(chan struct{})}
+	w := &waiter{tx: tx, mode: mode, deadline: time.Now().Add(m.timeout), ready: make(chan struct{})}
 	if holds {
 		// Upgrades queue at the front: they hold Shared, so anything
 		// queued ahead that needs Exclusive can never run first anyway.
@@ -235,14 +238,40 @@ func (m *Manager) Acquire(tx uint64, res Resource, mode Mode) error {
 	defer timer.Stop()
 	select {
 	case <-w.ready:
-		return nil
+		return w.err
 	case <-timer.C:
 	}
+	return m.expire(res, e, w)
+}
+
+// expire handles w's timer firing. Timers of waiters queued on one
+// resource may run in any order, so w first fails every waiter ahead of it
+// whose deadline has passed, then promotes: a waiter is never failed behind
+// one that had already expired. Only if w is still not granted does it
+// leave the queue itself.
+func (m *Manager) expire(res Resource, e *entry, w *waiter) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	select {
 	case <-w.ready:
-		return nil // granted in the race with the timeout
+		return w.err // granted, or failed, before we got the lock; e may be recycled
+	default:
+	}
+	now := time.Now()
+	for i := 0; e.queue[i] != w; {
+		q := e.queue[i]
+		if now.Before(q.deadline) {
+			i++
+			continue
+		}
+		q.err = timeoutError(q, res)
+		close(q.ready)
+		e.queue = append(e.queue[:i], e.queue[i+1:]...)
+	}
+	m.promoteLocked(res, e)
+	select {
+	case <-w.ready:
+		return nil // the promotion granted us
 	default:
 	}
 	for i, q := range e.queue {
@@ -253,7 +282,11 @@ func (m *Manager) Acquire(tx uint64, res Resource, mode Mode) error {
 	}
 	// Our departure may unblock waiters that were queued behind us.
 	m.promoteLocked(res, e)
-	return fmt.Errorf("%w: tx %d wants %v on %v", ErrDeadlock, tx, mode, res)
+	return timeoutError(w, res)
+}
+
+func timeoutError(w *waiter, res Resource) error {
+	return fmt.Errorf("%w: tx %d wants %v on %v", ErrDeadlock, w.tx, w.mode, res)
 }
 
 // TryAcquire is Acquire without blocking; it reports whether the lock was
