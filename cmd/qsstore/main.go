@@ -124,12 +124,16 @@ func main() {
 	case "serve":
 		err = serve(*db, *listen, *nodeID, *replicaOf, *quorum, *shardMap, *shardID, *resolveEvery)
 	case "crashdrill":
+		var pt faultinject.Point
+		if pt, err = faultinject.ParsePoint(*point); err != nil {
+			break
+		}
 		if *shardDrillFlag {
-			err = shardDrill(*point, *victim, *seed, *hitN, *dir)
+			err = shardDrill(pt, *victim, *seed, *hitN, *dir)
 		} else if *replDrillFlag {
-			err = replDrill(*point, *seed, *seeds, *hitN)
+			err = replDrill(pt, *seed, *seeds, *hitN)
 		} else {
-			err = crashdrill(*point, *seed, *seeds, *hitN, *short, *torn, *dir)
+			err = crashdrill(pt, *seed, *seeds, *hitN, *short, *torn, *dir)
 		}
 	default:
 		usage()
@@ -310,7 +314,7 @@ func statsShards(spec string) error {
 
 // shardDrill runs the sharded 2PC crash drill: one cell with -point or
 // -victim, the full victim x point kill matrix otherwise.
-func shardDrill(point, victim string, seed int64, hitN int, dir string) error {
+func shardDrill(point faultinject.Point, victim string, seed int64, hitN int, dir string) error {
 	scratch, err := os.MkdirTemp(dir, "qssharddrill-*")
 	if err != nil {
 		return err
@@ -318,7 +322,7 @@ func shardDrill(point, victim string, seed int64, hitN int, dir string) error {
 	defer os.RemoveAll(scratch)
 
 	printReport := func(rep *harness.ShardDrillReport) {
-		pt := rep.Point
+		pt := rep.Point.String()
 		if pt == "" {
 			pt = "(quiescent kill)"
 		}
@@ -335,7 +339,7 @@ func shardDrill(point, victim string, seed int64, hitN int, dir string) error {
 		}
 	}
 
-	if point != "" || victim != "" {
+	if point != 0 || victim != "" {
 		if victim == "" {
 			victim = "coord"
 		}
@@ -399,7 +403,7 @@ func registerWithLeader(node *repl.Node, leaderAddr string, dial func(string) (e
 
 // crashdrill runs one drill (with -point) or sweeps the full crash-point
 // catalogue, reporting every recovery-invariant violation.
-func crashdrill(point string, seed int64, seeds, hitN int, short, torn bool, dir string) error {
+func crashdrill(point faultinject.Point, seed int64, seeds, hitN int, short, torn bool, dir string) error {
 	run := func(opts harness.DrillOpts) (*harness.DrillReport, error) {
 		scratch, err := os.MkdirTemp(dir, "qsdrill-*")
 		if err != nil {
@@ -410,7 +414,7 @@ func crashdrill(point string, seed int64, seeds, hitN int, short, torn bool, dir
 		return harness.RunCrashDrill(opts)
 	}
 
-	if point != "" {
+	if point != 0 {
 		rep, err := run(harness.DrillOpts{
 			Seed: seed, Point: point, HitN: hitN,
 			ShortFlush: short, TornWrite: torn, AbortEvery: 3,
@@ -435,7 +439,7 @@ func crashdrill(point string, seed int64, seeds, hitN int, short, torn bool, dir
 		return nil
 	}
 
-	points := append([]string{""}, faultinject.AllPoints()...)
+	points := append([]faultinject.Point{0}, faultinject.AllPoints()...)
 	runs, crashes, violations := 0, 0, 0
 	for _, pt := range points {
 		for _, hit := range []int{1, 3} {
@@ -454,7 +458,7 @@ func crashdrill(point string, seed int64, seeds, hitN int, short, torn bool, dir
 				}
 				for _, v := range rep.Violations {
 					violations++
-					name := pt
+					name := pt.String()
 					if name == "" {
 						name = "(no crash)"
 					}
@@ -474,8 +478,8 @@ func crashdrill(point string, seed int64, seeds, hitN int, short, torn bool, dir
 // 3-node in-memory cluster whose leader is killed at the armed crash point,
 // after which a follower must win the election holding every quorum-acked
 // commit. With no -point it sweeps the full crash-point catalogue.
-func replDrill(point string, seed int64, seeds, hitN int) error {
-	if point != "" {
+func replDrill(point faultinject.Point, seed int64, seeds, hitN int) error {
+	if point != 0 {
 		rep, err := harness.RunReplDrill(harness.ReplDrillOpts{Seed: seed, Point: point, HitN: hitN})
 		if err != nil {
 			return err
@@ -497,11 +501,11 @@ func replDrill(point string, seed int64, seeds, hitN int) error {
 		return nil
 	}
 
-	points := append([]string{""}, faultinject.AllPoints()...)
+	points := append([]faultinject.Point{0}, faultinject.AllPoints()...)
 	runs, crashes, failovers, violations := 0, 0, 0, 0
 	for _, pt := range points {
 		for _, hit := range []int{1, 2} {
-			if pt == "" && hit > 1 {
+			if pt == 0 && hit > 1 {
 				continue // the quiescent kill has no point to re-hit
 			}
 			for s := int64(0); s < int64(seeds); s++ {
@@ -520,7 +524,7 @@ func replDrill(point string, seed int64, seeds, hitN int) error {
 				}
 				for _, v := range rep.Violations {
 					violations++
-					name := pt
+					name := pt.String()
 					if name == "" {
 						name = "(quiescent kill)"
 					}

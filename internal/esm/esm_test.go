@@ -49,6 +49,33 @@ func TestTxLifecycle(t *testing.T) {
 	}
 }
 
+// OpSetRoot carries exactly one OID. A payload of any other length from
+// the wire is refused and leaves the root as it was, rather than setting
+// it to the nil OID (short) or to a prefix of the bytes (long).
+func TestSetRootRejectsMalformedOID(t *testing.T) {
+	srv, c, _ := newPair(t)
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	oid := OID{Page: 3, Slot: 5}
+	if err := c.SetRoot("r", oid, 7); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, OIDSize - 1, OIDSize + 1} {
+		data := bytes.Repeat([]byte{0xab}, n)
+		if resp := srv.Handle(&Request{Op: OpSetRoot, Name: "r", N: 9, Data: data}); resp.Err == "" {
+			t.Errorf("OpSetRoot with a %d-byte OID accepted", n)
+		}
+		got, aux, err := c.GetRoot("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != oid || aux != 7 {
+			t.Fatalf("after a %d-byte OpSetRoot the root is %v aux=%d, want %v aux=7", n, got, aux, oid)
+		}
+	}
+}
+
 func TestObjectCreateReadAcrossSessions(t *testing.T) {
 	srv, c, _ := newPair(t)
 	if err := c.Begin(); err != nil {

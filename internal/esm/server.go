@@ -177,8 +177,9 @@ type Server struct {
 	// with ErrSnapshotTooOld; the session re-begins a fresh snapshot.
 	snapFloor wal.LSN
 
-	// repl, when non-nil, gates every commit ack on a replication quorum
-	// (set via SetRepl; read under mu).
+	// repl gates every commit and prepare ack on a replication quorum
+	// (set via SetRepl; read under mu). A server with no replicas holds
+	// soloQuorum, whose wait returns at once.
 	repl QuorumWaiter
 
 	// catVersion (under mu) counts catalog mutations; catWritten (under
@@ -293,6 +294,14 @@ type QuorumWaiter interface {
 	ReplStats() *ReplStats
 }
 
+// soloQuorum is the quorum gate of a server with no replicas: the local
+// log force is the whole quorum, so the wait returns at once, and there
+// is no replication telemetry to report.
+type soloQuorum struct{}
+
+func (soloQuorum) WaitQuorum(wal.LSN, uint64) error { return nil }
+func (soloQuorum) ReplStats() *ReplStats            { return nil }
+
 // SetRepl attaches the replication quorum gate. Call before the server
 // serves traffic (or from the repl node's own promotion path, which owns
 // the server exclusively until it publishes it).
@@ -302,10 +311,12 @@ func (s *Server) SetRepl(q QuorumWaiter) {
 	s.mu.Unlock()
 }
 
-func (s *Server) replWaiter() QuorumWaiter {
+// quorumGate returns the quorum gate together with the catalog version an
+// ack must see installed on the quorum, read under one hold of mu.
+func (s *Server) quorumGate() (QuorumWaiter, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repl
+	return s.repl, s.catVersion
 }
 
 // CatalogBlob returns the catalog's current version and serialization.
@@ -509,6 +520,7 @@ func newServerCommon(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, 
 		prepared:   map[uint64]*preparedTx{},
 		decisions:  map[uint64]wal.LSN{},
 		coh:        newCohState(log.FlushedLSN()),
+		repl:       soloQuorum{},
 	}
 	if cfg.MVCC {
 		s.mv = mvcc.New(cfg.MVCCMaxBytes)
@@ -735,10 +747,11 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return &Response{N: e.Aux, Data: append([]byte(nil), e.OID[:]...)}, nil
 
 	case OpSetRoot:
-		var e rootEntry
-		if len(req.Data) >= OIDSize {
-			copy(e.OID[:], req.Data)
+		if len(req.Data) != OIDSize {
+			return nil, fmt.Errorf("esm: root OID of %d bytes, want %d", len(req.Data), OIDSize)
 		}
+		var e rootEntry
+		copy(e.OID[:], req.Data)
 		e.Aux = req.N
 		s.mu.Lock()
 		s.cat.Roots[req.Name] = e
@@ -796,9 +809,8 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			CohDeltaBytes:    s.cohDeltaBytes.Load(),
 			CohFulls:         s.cohFulls.Load(),
 		}
-		if q := s.replWaiter(); q != nil {
-			st.Repl = q.ReplStats()
-		}
+		q, _ := s.quorumGate()
+		st.Repl = q.ReplStats()
 		if s.mv != nil {
 			mst := s.mv.Stats()
 			st.MVCC = &mst
@@ -1440,20 +1452,16 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 	// never WAL-logged, so it ships out of band and is tracked by version).
 	// The wait piggybacks on the shipper's batching the same way
 	// FlushCommit piggybacks on group commit: a burst of commits costs one
-	// replication round-trip.
-	if q := s.replWaiter(); q != nil {
-		s.mu.Lock()
-		catV := s.catVersion
-		s.mu.Unlock()
-		if err := s.fault.Hit(faultinject.PtReplBeforeQuorum); err != nil {
-			return 0, err
-		}
-		if err := q.WaitQuorum(lsn, catV); err != nil {
-			return 0, err
-		}
-		if err := s.fault.Hit(faultinject.PtReplAfterQuorum); err != nil {
-			return 0, err
-		}
+	// replication round-trip. A single-node server passes straight through.
+	q, catV := s.quorumGate()
+	if err := s.fault.Hit(faultinject.PtReplBeforeQuorum); err != nil {
+		return 0, err
+	}
+	if err := q.WaitQuorum(lsn, catV); err != nil {
+		return 0, err
+	}
+	if err := s.fault.Hit(faultinject.PtReplAfterQuorum); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	delete(s.active, tx)

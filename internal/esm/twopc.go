@@ -93,13 +93,9 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 	if err := s.writeCatalogIfDirty(); err != nil {
 		return 0, err
 	}
-	if q := s.replWaiter(); q != nil {
-		s.mu.Lock()
-		catV := s.catVersion
-		s.mu.Unlock()
-		if err := q.WaitQuorum(lsn, catV); err != nil {
-			return 0, err
-		}
+	q, catV := s.quorumGate()
+	if err := q.WaitQuorum(lsn, catV); err != nil {
+		return 0, err
 	}
 	return lsn, nil
 }
@@ -166,13 +162,9 @@ func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 	if err := s.writeCatalogIfDirty(); err != nil {
 		return 0, err
 	}
-	if q := s.replWaiter(); q != nil {
-		s.mu.Lock()
-		catV := s.catVersion
-		s.mu.Unlock()
-		if err := q.WaitQuorum(lsn, catV); err != nil {
-			return 0, err
-		}
+	q, catV := s.quorumGate()
+	if err := q.WaitQuorum(lsn, catV); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	delete(s.active, tx)

@@ -50,17 +50,10 @@ func IsTransient(err error) bool {
 	return err != nil && (errors.Is(err, ErrTransient) || strings.Contains(err.Error(), ErrTransient.Error()))
 }
 
-// The named fault points (Pt* constants and AllPoints) live in points.go,
-// generated from the registry table in gen/main.go.
+// The named fault points (the Point type, its Pt* constants and
+// AllPoints) live in points.go, generated from the registry table in
+// gen/main.go.
 //go:generate go run ./gen
-
-type crashArm struct {
-	remaining int // hits left before the crash fires
-}
-
-type transientArm struct {
-	remaining int // hits left that fail transiently
-}
 
 // Plane is one deterministic fault-injection plane. The zero value is not
 // usable; construct with New. A nil *Plane is inert: every method is a
@@ -69,28 +62,23 @@ type Plane struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	crashed   bool
-	arms      map[string]*crashArm
-	transient map[string]*transientArm
-	tornMin   int // torn-write prefix bounds (bytes of the new image that land)
+	arms      [numPoints]int // hits left before the point's crash fires; 0 = unarmed
+	transient [numPoints]int // hits left that fail transiently
+	tornMin   int            // torn-write prefix bounds (bytes of the new image that land)
 	tornMax   int
 	shortTail bool // crash inside a log flush keeps only a prefix durable
-	hits      map[string]int
+	hits      [numPoints]int
 	trace     []string
 }
 
 // New creates a plane whose randomized choices (which byte a write tears
 // at, how much of a log flush survives) are driven by seed.
 func New(seed int64) *Plane {
-	return &Plane{
-		rng:       rand.New(rand.NewSource(seed)),
-		arms:      map[string]*crashArm{},
-		transient: map[string]*transientArm{},
-		hits:      map[string]int{},
-	}
+	return &Plane{rng: rand.New(rand.NewSource(seed))}
 }
 
 // ArmCrash schedules a crash at the n-th future hit of point (n >= 1).
-func (p *Plane) ArmCrash(point string, n int) {
+func (p *Plane) ArmCrash(point Point, n int) {
 	if p == nil {
 		return
 	}
@@ -99,17 +87,17 @@ func (p *Plane) ArmCrash(point string, n int) {
 	if n < 1 {
 		n = 1
 	}
-	p.arms[point] = &crashArm{remaining: n}
+	p.arms[point] = n
 }
 
 // ArmTransient makes the next `times` hits of point fail with ErrTransient.
-func (p *Plane) ArmTransient(point string, times int) {
+func (p *Plane) ArmTransient(point Point, times int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.transient[point] = &transientArm{remaining: times}
+	p.transient[point] = times
 }
 
 // SetTornWrite bounds the prefix of the new page image that reaches the
@@ -140,7 +128,7 @@ func (p *Plane) SetShortFlush(on bool) {
 // Hit records one arrival at point and returns the injected fault, if any:
 // nil, ErrTransient (heals after its budget), or ErrCrash (permanent until
 // Reset — the process is dead).
-func (p *Plane) Hit(point string) error {
+func (p *Plane) Hit(point Point) error {
 	if p == nil {
 		return nil
 	}
@@ -149,19 +137,19 @@ func (p *Plane) Hit(point string) error {
 	return p.hitLocked(point)
 }
 
-func (p *Plane) hitLocked(point string) error {
+func (p *Plane) hitLocked(point Point) error {
 	if p.crashed {
 		return ErrCrash
 	}
 	p.hits[point]++
-	if t := p.transient[point]; t != nil && t.remaining > 0 {
-		t.remaining--
+	if p.transient[point] > 0 {
+		p.transient[point]--
 		p.trace = append(p.trace, fmt.Sprintf("transient@%s#%d", point, p.hits[point]))
 		return fmt.Errorf("%w (point %s)", ErrTransient, point)
 	}
-	if a := p.arms[point]; a != nil {
-		a.remaining--
-		if a.remaining <= 0 {
+	if p.arms[point] > 0 {
+		p.arms[point]--
+		if p.arms[point] == 0 {
 			p.crashed = true
 			p.trace = append(p.trace, fmt.Sprintf("crash@%s#%d", point, p.hits[point]))
 			return fmt.Errorf("%w (point %s)", ErrCrash, point)
@@ -189,15 +177,15 @@ func (p *Plane) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.crashed = false
-	p.arms = map[string]*crashArm{}
-	p.transient = map[string]*transientArm{}
+	p.arms = [numPoints]int{}
+	p.transient = [numPoints]int{}
 	p.tornMin, p.tornMax = 0, 0
 	p.shortTail = false
 }
 
 // Hits returns how many times point has been reached (crashed hits after
 // the latch are not counted).
-func (p *Plane) Hits(point string) int {
+func (p *Plane) Hits(point Point) int {
 	if p == nil {
 		return 0
 	}

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -125,5 +126,33 @@ func TestNilPlaneIsInert(t *testing.T) {
 	p.Reset()
 	if p.Crashed() {
 		t.Fatal("nil plane crashed")
+	}
+}
+
+// Every registered point round-trips through its name, and a name the
+// registry does not know is refused, so a misspelled -point never arms
+// nothing.
+func TestPointNamesRoundTrip(t *testing.T) {
+	seen := map[string]bool{}
+	for _, pt := range AllPoints() {
+		name := pt.String()
+		if name == "" || seen[name] {
+			t.Fatalf("point %d has an empty or duplicate name %q", pt, name)
+		}
+		seen[name] = true
+		got, err := ParsePoint(name)
+		if err != nil || got != pt {
+			t.Fatalf("ParsePoint(%q) = (%v, %v), want %v", name, got, err, pt)
+		}
+	}
+	if got, err := ParsePoint(""); err != nil || got != 0 {
+		t.Fatalf(`ParsePoint("") = (%v, %v), want the zero Point`, got, err)
+	}
+	_, err := ParsePoint("commit.before-flush")
+	if err == nil {
+		t.Fatal("unknown point name accepted")
+	}
+	if !strings.Contains(err.Error(), PtCommitBeforeFlush.String()) {
+		t.Fatalf("error does not list the valid names: %v", err)
 	}
 }

@@ -22,9 +22,9 @@ import (
 // file-backed store, a fault plane armed at one named point, a simulated
 // process kill, and an invariant sweep over the recovered store.
 type DrillOpts struct {
-	Seed  int64  // drives the workload, the fault plane, and the values
-	Point string // crash point to arm (faultinject.Pt*); "" = no crash
-	HitN  int    // fire the crash on the n-th hit of Point; 0 = first
+	Seed  int64             // drives the workload, the fault plane, and the values
+	Point faultinject.Point // crash point to arm; zero = no crash
+	HitN  int               // fire the crash on the n-th hit of Point; 0 = first
 
 	TornWrite  bool // sub-page torn page write at the crash (detection mode)
 	ShortFlush bool // the crashing log flush persists only a prefix
@@ -218,7 +218,7 @@ func RunCrashDrill(opts DrillOpts) (*DrillReport, error) {
 	if opts.Transient > 0 {
 		plane.ArmTransient(faultinject.PtDiskRead, opts.Transient)
 	}
-	if opts.Point != "" {
+	if opts.Point != 0 {
 		plane.ArmCrash(opts.Point, opts.HitN)
 	}
 

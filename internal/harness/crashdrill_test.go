@@ -18,14 +18,14 @@ import (
 // aborting transactions. Every combination must recover with zero
 // invariant violations.
 func TestCrashDrill(t *testing.T) {
-	points := append([]string{""}, faultinject.AllPoints()...)
+	points := append([]faultinject.Point{0}, faultinject.AllPoints()...)
 	runs, crashes, committed := 0, 0, 0
 	for _, pt := range points {
 		for _, hitN := range []int{1, 3} {
 			for _, short := range []bool{false, true} {
 				for seed := int64(1); seed <= 4; seed++ {
 					opts := DrillOpts{
-						Seed:       seed*997 + int64(hitN)*31 + int64(len(pt)),
+						Seed:       seed*997 + int64(hitN)*31 + int64(len(pt.String())),
 						Point:      pt,
 						HitN:       hitN,
 						ShortFlush: short,
@@ -70,13 +70,13 @@ func TestCrashDrill(t *testing.T) {
 // and cross-worker page locks. Recovery must resolve each worker's in-doubt
 // transaction atomically and independently.
 func TestCrashDrillConcurrent(t *testing.T) {
-	points := append([]string{""}, faultinject.AllPoints()...)
+	points := append([]faultinject.Point{0}, faultinject.AllPoints()...)
 	runs, crashes, committed, inDoubt := 0, 0, 0, 0
 	for _, pt := range points {
 		for _, hitN := range []int{1, 4} {
 			for seed := int64(1); seed <= 2; seed++ {
 				opts := DrillOpts{
-					Seed:       seed*499 + int64(hitN)*17 + int64(len(pt)),
+					Seed:       seed*499 + int64(hitN)*17 + int64(len(pt.String())),
 					Point:      pt,
 					HitN:       hitN,
 					Workers:    4,
@@ -253,8 +253,8 @@ func TestCrashDrillOO7(t *testing.T) {
 // old quiescent checkpoint truncated such a transaction's records while
 // its pages sat dirty only in the pool).
 func TestCheckpointUnderLoadDrill(t *testing.T) {
-	points := []string{
-		"",
+	points := []faultinject.Point{
+		0,
 		faultinject.PtCheckpointBeforeSync,
 		faultinject.PtCheckpointBeforeTruncate,
 		faultinject.PtCheckpointAfterTruncate,
@@ -264,7 +264,7 @@ func TestCheckpointUnderLoadDrill(t *testing.T) {
 		for _, hitN := range []int{1, 2} {
 			for seed := int64(1); seed <= 3; seed++ {
 				opts := DrillOpts{
-					Seed:         seed*733 + int64(hitN)*13 + int64(len(pt)),
+					Seed:         seed*733 + int64(hitN)*13 + int64(len(pt.String())),
 					Point:        pt,
 					HitN:         hitN,
 					Workers:      4,

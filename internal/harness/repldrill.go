@@ -19,9 +19,9 @@ import (
 // an explicit failover to the most-durable follower, and a sweep through a
 // Director verifying that no quorum-acked commit was lost.
 type ReplDrillOpts struct {
-	Seed  int64  // drives the workload, the fault plane, and the values
-	Point string // crash point to arm on the leader (faultinject.Pt*); "" = kill after the workload
-	HitN  int    // fire the crash on the n-th hit of Point; 0 = first
+	Seed  int64             // drives the workload, the fault plane, and the values
+	Point faultinject.Point // crash point to arm on the leader; zero = kill after the workload
+	HitN  int               // fire the crash on the n-th hit of Point; 0 = first
 
 	Txns int // update transactions to attempt; 0 = 12
 	Keys int // oracle objects (named roots); 0 = 6
@@ -30,16 +30,16 @@ type ReplDrillOpts struct {
 // ReplDrillReport is the outcome of one replicated drill. Violations lists
 // every broken replication invariant; a clean drill has none.
 type ReplDrillReport struct {
-	Point      string   // the armed crash point ("" = quiescent kill)
-	Crashed    bool     // the armed point fired during the workload
-	ForcedKill bool     // the point never fired; the leader was killed after the workload
-	Committed  int      // transactions whose commit was quorum-acked
-	InDoubt    bool     // one commit was cut off mid-protocol by the crash
-	FailedOver bool     // a follower won the election
-	NewLeader  string   // the elected node's ID
-	Term       uint64   // the cluster term after failover
-	Violations []string // broken invariants (empty = drill passed)
-	Trace      []string // leader fault-plane trace, for reproducing a failure
+	Point      faultinject.Point // the armed crash point (zero = quiescent kill)
+	Crashed    bool              // the armed point fired during the workload
+	ForcedKill bool              // the point never fired; the leader was killed after the workload
+	Committed  int               // transactions whose commit was quorum-acked
+	InDoubt    bool              // one commit was cut off mid-protocol by the crash
+	FailedOver bool              // a follower won the election
+	NewLeader  string            // the elected node's ID
+	Term       uint64            // the cluster term after failover
+	Violations []string          // broken invariants (empty = drill passed)
+	Trace      []string          // leader fault-plane trace, for reproducing a failure
 }
 
 func (r *ReplDrillReport) violate(format string, args ...interface{}) {
@@ -154,7 +154,7 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 		return nil, fmt.Errorf("repl drill baseline: %w", err)
 	}
 
-	if opts.Point != "" {
+	if opts.Point != 0 {
 		plane.ArmCrash(opts.Point, opts.HitN)
 	}
 

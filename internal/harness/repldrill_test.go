@@ -28,7 +28,7 @@ func TestReplDrillQuiescentKill(t *testing.T) {
 // replication points most likely to split an acked commit from its quorum.
 // The full registry matrix runs from the CLI (qsstore crashdrill -repl).
 func TestReplDrillCrashPoints(t *testing.T) {
-	points := []string{
+	points := []faultinject.Point{
 		faultinject.PtCommitBeforeFlush,
 		faultinject.PtCommitAfterFlush,
 		faultinject.PtReplBeforeQuorum,

@@ -19,19 +19,19 @@ import (
 // named 2PC crash point, restart recovery of both shards, a resolution
 // sweep, and an atomicity oracle over the recovered values.
 type ShardDrillOpts struct {
-	Seed   int64  // drives the fault plane trace
-	Victim string // which shard dies: "coord" (shard 0) or "participant" (shard 1)
-	Point  string // crash point to arm on the victim (faultinject.Pt*); "" = kill after the workload
-	HitN   int    // fire the crash on the n-th hit of Point; 0 = first
-	Txns   int    // cross-shard transactions to attempt; 0 = 8
-	Dir    string // scratch directory for the volumes and logs
+	Seed   int64             // drives the fault plane trace
+	Victim string            // which shard dies: "coord" (shard 0) or "participant" (shard 1)
+	Point  faultinject.Point // crash point to arm on the victim; zero = kill after the workload
+	HitN   int               // fire the crash on the n-th hit of Point; 0 = first
+	Txns   int               // cross-shard transactions to attempt; 0 = 8
+	Dir    string            // scratch directory for the volumes and logs
 }
 
 // ShardDrillReport is the outcome of one sharded drill. Violations lists
 // every broken cross-shard invariant; a clean drill has none.
 type ShardDrillReport struct {
 	Victim     string               // the armed victim shard
-	Point      string               // the armed crash point ("" = quiescent kill)
+	Point      faultinject.Point    // the armed crash point (zero = quiescent kill)
 	Crashed    bool                 // the armed point fired during the workload
 	Committed  int                  // transactions whose 2PC commit was acknowledged
 	InDoubt    bool                 // one commit was cut off mid-protocol
@@ -46,7 +46,7 @@ func (r *ShardDrillReport) violate(format string, args ...interface{}) {
 
 // ShardCrashPoints is the kill matrix's point list: every 2PC protocol
 // step on both sides of the prepare/decision exchange.
-var ShardCrashPoints = []string{
+var ShardCrashPoints = []faultinject.Point{
 	faultinject.PtPrepareAfterInstall,
 	faultinject.PtPrepareBeforeFlush,
 	faultinject.PtPrepareAfterFlush,
@@ -153,7 +153,7 @@ func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
 		}
 	}
 
-	if opts.Point != "" {
+	if opts.Point != 0 {
 		shards[victim].plane.ArmCrash(opts.Point, opts.HitN)
 	}
 
@@ -197,7 +197,7 @@ func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
 	if shards[victim].plane != nil {
 		rep.Trace = shards[victim].plane.Trace()
 	}
-	if opts.Point != "" && !rep.Crashed {
+	if opts.Point != 0 && !rep.Crashed {
 		rep.violate("armed point %s never fired", opts.Point)
 	}
 
@@ -321,7 +321,7 @@ func RunShardDrillMatrix(seed int64, dir string) ([]*ShardDrillReport, error) {
 	var reps []*ShardDrillReport
 	for _, victim := range []string{"coord", "participant"} {
 		for _, point := range ShardCrashPoints {
-			sub := filepath.Join(dir, fmt.Sprintf("%s-%s", victim, pathSafe(point)))
+			sub := filepath.Join(dir, fmt.Sprintf("%s-%s", victim, pathSafe(point.String())))
 			if err := os.MkdirAll(sub, 0o755); err != nil {
 				return nil, err
 			}

@@ -5,39 +5,20 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
-// planePointFuncs are the faultinject.Plane methods whose first argument
-// names a crash point. Hit and hitLocked are the liveness sites: a
-// registered point no Hit reaches is dead instrumentation.
-var planePointFuncs = map[string]bool{
-	"Hit": true, "hitLocked": true, "ArmCrash": true, "ArmTransient": true, "Hits": true,
-}
-
-var planeHitFuncs = map[string]bool{"Hit": true, "hitLocked": true}
-
-// AnalyzerCrashPoint enforces the crash-point registry discipline
-// (internal/faultinject/points.go, generated — see gen/main.go):
-//
-//   - a constant point name passed to Plane.Hit/ArmCrash/ArmTransient/Hits
-//     must be one of the registry's Pt* constants; an unknown name is a
-//     typo that silently never fires (the drill would "pass" by testing
-//     nothing);
-//   - raw string literals spelling a registered point name — at those
-//     calls or anywhere else outside internal/faultinject — must use the
-//     Pt* constant instead, so renames stay mechanical;
-//   - every registered point must be Hit somewhere: a point that is armed
-//     by drills but never hit is dead instrumentation and the drill matrix
-//     silently skips the state it claims to cover.
-//
-// Dynamic point expressions (DrillOpts.Point, AllPoints() iteration) are
-// not checkable and pass through.
+// AnalyzerCrashPoint enforces the one crash-point registry rule the
+// compiler cannot (internal/faultinject/points.go, generated — see
+// gen/main.go): every registered point must be hit somewhere. A point the
+// drills arm but no Plane.Hit reaches is dead instrumentation, and the
+// drill matrix silently skips the state it claims to cover. The other
+// rules need no analyzer: a point is a constant of the faultinject.Point
+// type, so an unknown name or a raw string fails to compile.
 func AnalyzerCrashPoint() *Analyzer {
 	return &Analyzer{
 		Name: "crashpoint",
-		Doc:  "crash-point names must be registry constants: flag typos, raw literals, and dead points",
+		Doc:  "every registered crash point must be hit by instrumentation: flag dead points",
 		Run:  runCrashPoint,
 	}
 }
@@ -48,27 +29,24 @@ func runCrashPoint(prog *Program, report func(pos token.Pos, format string, args
 	if fi == nil {
 		return // module has no fault plane (partial fixtures)
 	}
-	// The registry: package-level Pt* string constants.
-	constName := map[string]string{}      // point value -> const name
-	constPos := map[string]token.Pos{}    // point value -> declaration
-	constObj := map[types.Object]string{} // const object -> point value
+	pointType, ok := fi.Types.Scope().Lookup("Point").(*types.TypeName)
+	if !ok {
+		return
+	}
+	// The registry: package-level Pt* constants of type Point, by value.
+	registered := map[uint64]*types.Const{}
 	scope := fi.Types.Scope()
 	for _, name := range scope.Names() {
 		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || !strings.HasPrefix(name, "Pt") || c.Val().Kind() != constant.String {
+		if !ok || !strings.HasPrefix(name, "Pt") || !types.Identical(c.Type(), pointType.Type()) {
 			continue
 		}
-		v := constant.StringVal(c.Val())
-		constName[v] = name
-		constPos[v] = c.Pos()
-		constObj[c] = v
-	}
-	if len(constName) == 0 {
-		return
+		if v, exact := constant.Uint64Val(c.Val()); exact {
+			registered[v] = c
+		}
 	}
 
-	live := map[string]bool{}       // point value -> reached by a Hit
-	handled := map[token.Pos]bool{} // literal positions already diagnosed
+	live := map[uint64]bool{}
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -78,72 +56,22 @@ func runCrashPoint(prog *Program, report func(pos token.Pos, format string, args
 				}
 				fn := staticCallee(pkg, call)
 				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != registryPkg ||
-					!planePointFuncs[fn.Name()] || recvTypeName(fn) != "Plane" {
+					(fn.Name() != "Hit" && fn.Name() != "hitLocked") || recvTypeName(fn) != "Plane" {
 					return true
 				}
-				arg := ast.Unparen(call.Args[0])
-				tv, ok := pkg.Info.Types[arg]
-				if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-					return true // dynamic point: not statically checkable
-				}
-				v := constant.StringVal(tv.Value)
-				handled[arg.Pos()] = true
-				name, registered := constName[v]
-				if !registered {
-					report(arg.Pos(), "unknown crash point %q: not a registered Pt* constant (internal/faultinject/points.go) — typos here silently never fire", v)
-					return true
-				}
-				if planeHitFuncs[fn.Name()] {
-					live[v] = true
-				}
-				if !usesRegistryConst(pkg, arg, constObj) {
-					report(arg.Pos(), "crash point %q spelled as a raw string: use faultinject.%s so renames stay mechanical", v, name)
+				if tv := pkg.Info.Types[call.Args[0]]; tv.Value != nil {
+					if v, exact := constant.Uint64Val(tv.Value); exact {
+						live[v] = true
+					}
 				}
 				return true
 			})
 		}
 	}
 
-	// Raw registry names anywhere else outside the registry package.
-	for _, pkg := range prog.Packages {
-		if pkg.Path == registryPkg || strings.HasPrefix(pkg.Path, registryPkg+"/") {
-			continue
-		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING || handled[lit.Pos()] {
-					return true
-				}
-				v, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					return true
-				}
-				if name, registered := constName[v]; registered {
-					report(lit.Pos(), "crash point %q spelled as a raw string: use faultinject.%s", v, name)
-				}
-				return true
-			})
-		}
-	}
-
-	for v, name := range constName {
+	for v, c := range registered {
 		if !live[v] {
-			report(constPos[v], "crash point %s (%q) is registered but never hit: dead instrumentation the drill matrix silently skips", name, v)
+			report(c.Pos(), "crash point %s is registered but never hit: dead instrumentation the drill matrix silently skips", c.Name())
 		}
 	}
-}
-
-// usesRegistryConst reports whether arg is (a reference to) one of the
-// registry constants, rather than an equal-valued literal or local const.
-func usesRegistryConst(pkg *Package, arg ast.Expr, constObj map[types.Object]string) bool {
-	switch arg := arg.(type) {
-	case *ast.Ident:
-		_, ok := constObj[pkg.Info.Uses[arg]]
-		return ok
-	case *ast.SelectorExpr:
-		_, ok := constObj[pkg.Info.Uses[arg.Sel]]
-		return ok
-	}
-	return false
 }

@@ -762,6 +762,15 @@ func builtinMakeType(pkg *Package, call *ast.CallExpr) *types.Named {
 	return named
 }
 
+// namedType unwraps pointers and aliases down to the named type, if any.
+func namedType(t types.Type) *types.Named {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
 // namedCompositeType resolves a composite literal to its named struct
 // type, if it has one.
 func namedCompositeType(pkg *Package, lit *ast.CompositeLit) *types.Named {

@@ -1,7 +1,9 @@
-// Package esm is the ackorder fixture: a 2PC dispatch with a vote acked
-// before its force (the seeded bug), an inline ack with no force at all,
-// clean force-dominated paths, and the coordinator decision-before-forget
-// rule exercised both ways.
+// Package esm is the ackorder fixture: a 2PC dispatch whose acks must wait
+// behind two gates, the WAL force (every ack op) and the quorum wait
+// (commit and vote). It seeds an inline ack with neither gate, a decision
+// acked before its force, a vote with no quorum wait, a quorum wait behind
+// a nil-waiter guard, and a suppressed maintenance commit, beside clean
+// force- and quorum-dominated paths.
 package esm
 
 import "quickstore/internal/wal"
@@ -38,8 +40,15 @@ type Transport interface {
 	Call(req *Request) (*Response, error)
 }
 
+// QuorumWaiter mirrors the real gate: WaitQuorum returns once a quorum of
+// replicas holds the log durable through lsn.
+type QuorumWaiter interface {
+	WaitQuorum(lsn wal.LSN) error
+}
+
 type Server struct {
-	log *wal.Log
+	log  *wal.Log
+	repl QuorumWaiter
 }
 
 func (s *Server) handle(req *Request) (*Response, error) {
@@ -51,12 +60,27 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Response{N: uint64(lsn)}, nil // dominated by s.prepare: clean
+		return &Response{N: uint64(lsn)}, nil // dominated by s.prepare: clean here
 	case OpCommit:
 		if req.Tx == 0 {
-			return &Response{}, nil // acked with no force anywhere: violation
+			return &Response{}, nil // acked with no force and no quorum wait: violation of both
 		}
-		lsn, err := s.commit(req)
+		var lsn wal.LSN
+		var err error
+		switch req.Mode {
+		case 1:
+			lsn, err = s.commitGuarded(req)
+		case 2:
+			lsn, err = s.commitMaint(req)
+		default:
+			lsn, err = s.commit(req)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &Response{N: uint64(lsn)}, nil
+	case OpCommitDecision:
+		lsn, err := s.decide(req)
 		if err != nil {
 			return nil, err
 		}
@@ -65,15 +89,13 @@ func (s *Server) handle(req *Request) (*Response, error) {
 	return nil, nil
 }
 
-// prepare logs the vote but acks one path before forcing it: a crash
-// after that ack revokes a vote the coordinator already counted.
+// prepare forces its vote but never waits for the quorum: a leader
+// failover can forget a vote the coordinator already counted. Violation
+// (quorum gate).
 func (s *Server) prepare(req *Request) (wal.LSN, error) {
 	lsn, err := s.log.Append(nil)
 	if err != nil {
 		return 0, err
-	}
-	if req.Mode == 9 {
-		return lsn, nil // vote acked before the force below: violation
 	}
 	if err := s.log.FlushCommit(lsn); err != nil {
 		return 0, err
@@ -81,7 +103,24 @@ func (s *Server) prepare(req *Request) (wal.LSN, error) {
 	return lsn, nil
 }
 
-// commit forces before every ack: clean.
+// decide acks one path before its force: a crash after that ack revokes
+// a decision the participants were told. Violation (WAL force). The
+// quorum gate does not cover OpCommitDecision.
+func (s *Server) decide(req *Request) (wal.LSN, error) {
+	lsn, err := s.log.Append(nil)
+	if err != nil {
+		return 0, err
+	}
+	if req.Mode == 9 {
+		return lsn, nil // acked before the force below: violation
+	}
+	if err := s.log.FlushCommit(lsn); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// commit forces and waits for the quorum before every ack: clean.
 func (s *Server) commit(req *Request) (wal.LSN, error) {
 	lsn, err := s.log.Append(nil)
 	if err != nil {
@@ -90,5 +129,40 @@ func (s *Server) commit(req *Request) (wal.LSN, error) {
 	if err := s.log.FlushCommit(lsn); err != nil {
 		return 0, err
 	}
+	if err := s.repl.WaitQuorum(lsn); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// commitGuarded waits for the quorum only when a waiter is attached: the
+// path around the guard acks without it. Violation (quorum gate).
+func (s *Server) commitGuarded(req *Request) (wal.LSN, error) {
+	lsn, err := s.log.Append(nil)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.log.FlushCommit(lsn); err != nil {
+		return 0, err
+	}
+	if q := s.repl; q != nil {
+		if err := q.WaitQuorum(lsn); err != nil {
+			return 0, err
+		}
+	}
+	return lsn, nil
+}
+
+// commitMaint is a deliberate pre-replication maintenance path; the
+// directive keeps its quorum finding out of the report.
+func (s *Server) commitMaint(req *Request) (wal.LSN, error) {
+	lsn, err := s.log.Append(nil)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.log.FlushCommit(lsn); err != nil {
+		return 0, err
+	}
+	//qsvet:ignore ackorder maintenance path runs before replication attaches
 	return lsn, nil
 }

@@ -3,26 +3,12 @@ package srv
 
 import "quickstore/internal/faultinject"
 
-func drive(p *faultinject.Plane) error {
-	// Registry constant: fine, and makes PtDiskWrite live.
-	p.ArmCrash(faultinject.PtDiskWrite, 1)
+// drive hits PtDiskWrite, making it live; PtDead is only armed.
+func drive(p *faultinject.Plane, pt faultinject.Point) error {
+	p.ArmCrash(faultinject.PtDead, 1)
 	if err := p.Hit(faultinject.PtDiskWrite); err != nil {
 		return err
 	}
-	// Typo'd name: not in the registry, would silently never fire.
-	if err := p.Hit("disk.wrote"); err != nil {
-		return err
-	}
-	// Registered name spelled as a raw string.
-	return p.Hit("disk.write")
+	// A dynamic point makes no particular point live.
+	return p.Hit(pt)
 }
-
-// defaultPoint spells a registered name as a raw string outside any call.
-var defaultPoint = "disk.write"
-
-// docExample acknowledges a deliberate literal via the directive.
-//
-//qsvet:ignore crashpoint fixture: demonstrating the suppression directive
-var docExample = "disk.write"
-
-var _, _ = defaultPoint, docExample

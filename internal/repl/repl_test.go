@@ -98,8 +98,8 @@ func waitConverged(t *testing.T, nodes []*testNode) {
 }
 
 func kill(tn *testNode) {
-	tn.plane.ArmCrash("test.kill", 1)
-	tn.plane.Hit("test.kill")
+	tn.plane.ArmCrash(faultinject.PtDiskRead, 1)
+	tn.plane.Hit(faultinject.PtDiskRead)
 }
 
 // openStore attaches a full QuickStore session through tr; the core layer's

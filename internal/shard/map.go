@@ -36,14 +36,14 @@ const (
 // a name — is a pure function of the map, so any two clients with the
 // same map agree on placement with no coordination.
 type Map struct {
-	// Addrs is the endpoint table, one entry per shard; an entry may be a
+	// addrs is the endpoint table, one entry per shard; an entry may be a
 	// single address or a "|"-separated replica group (the Router then
-	// follows that shard's leader through a repl.Director). Per the
-	// no-plain-access rule (qsvet's shardmap check), only package shard
-	// reads this field: every consumer goes through the Router or the
-	// Dial helpers, so no call path can address a shard endpoint without
-	// consulting the map.
-	Addrs []string
+	// follows that shard's leader through a repl.Director). It is
+	// unexported so the only way in is ParseMap and the only way out is
+	// the Router or the Dial helpers: no caller can address a shard
+	// endpoint without consulting the map, or build a table ParseMap did
+	// not validate.
+	addrs []string
 }
 
 // ParseMap parses a comma-separated shard map spec, e.g.
@@ -56,16 +56,16 @@ func ParseMap(spec string) (Map, error) {
 		if part == "" {
 			return Map{}, fmt.Errorf("shard: empty endpoint in map spec %q", spec)
 		}
-		m.Addrs = append(m.Addrs, part)
+		m.addrs = append(m.addrs, part)
 	}
-	if len(m.Addrs) > MaxShards {
-		return Map{}, fmt.Errorf("shard: %d shards exceeds the %d-shard id space", len(m.Addrs), MaxShards)
+	if len(m.addrs) > MaxShards {
+		return Map{}, fmt.Errorf("shard: %d shards exceeds the %d-shard id space", len(m.addrs), MaxShards)
 	}
 	return m, nil
 }
 
 // NumShards returns the cluster width.
-func (m Map) NumShards() int { return len(m.Addrs) }
+func (m Map) NumShards() int { return len(m.addrs) }
 
 // ShardOfPage returns the shard owning global page id pid.
 func ShardOfPage(pid uint32) int { return int(pid >> localBits) }
@@ -124,18 +124,17 @@ type Dialer func(addr string) (esm.Transport, error)
 
 // DialTransports opens one transport per shard from the map: a plain
 // transport for single-address entries, a repl.Director following the
-// group's leader for replica groups. This is the only sanctioned path
-// from the address table to connections — dialing a shard any other way
-// bypasses the map and is flagged by qsvet's shardmap check.
+// group's leader for replica groups. This is the only path from the
+// address table to connections.
 func (m Map) DialTransports(dial Dialer) ([]esm.Transport, error) {
-	trs := make([]esm.Transport, 0, len(m.Addrs))
+	trs := make([]esm.Transport, 0, len(m.addrs))
 	fail := func(err error) ([]esm.Transport, error) {
 		for _, tr := range trs {
 			_ = tr.Close()
 		}
 		return nil, err
 	}
-	for i, spec := range m.Addrs {
+	for i, spec := range m.addrs {
 		group := strings.Split(spec, "|")
 		if len(group) == 1 {
 			tr, err := dial(group[0])

@@ -592,7 +592,6 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	participants, locals := t.footprint()
 
 	if len(participants) == 0 {
-		//qsvet:ignore quorumack read-only transaction: no shard was ever touched, there is nothing to make durable
 		return &esm.Response{}, nil // touched nothing; nothing to resolve
 	}
 	if len(participants) == 1 {
@@ -659,7 +658,6 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 		// participants are in doubt until resolved, and the coordinator
 		// keeps the decision remembered for their inquiry.
 		r.stats.unresolved.Add(int64(missed))
-		//qsvet:ignore quorumack client-side fan-out: durability is the acked coordinator decision; each shard server runs its own quorum gate before acking
 		return &esm.Response{N: decisionLSN}, nil
 	}
 	// Phase 2.5: every participant holds the outcome; the coordinator may
@@ -669,7 +667,6 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	if _, ferr := r.call(coord, &esm.Request{Op: esm.OpResolveTx, Tx: coordLocal, Mode: esm.ResolveModeForget}); ferr == nil {
 		r.stats.forgets.Add(1)
 	}
-	//qsvet:ignore quorumack client-side fan-out: durability is the acked coordinator decision; each shard server runs its own quorum gate before acking
 	return &esm.Response{N: decisionLSN}, nil
 }
 

@@ -281,6 +281,20 @@ func OpenFileLog(path string) (*Log, error) {
 	// checksums were seeded with other LSNs).
 	buf := raw[fileHeaderBytes:]
 	valid, recs := validPrefix(buf, LSN(1+l.base), len(buf))
+	// Cut the rejected tail off the file, durably, before anything is
+	// appended. Left in place, a new record of the same length could land
+	// on a torn one and make the stale record after it decode again: its
+	// LSN is its file position and its checksum seed still matches.
+	if valid < len(buf) {
+		if err := f.Truncate(int64(fileHeaderBytes + valid)); err != nil {
+			f.Close()
+			return nil, err
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
 	l.buf = buf[:valid]
 	l.flushed = valid
 	l.records = recs

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -68,6 +69,59 @@ func TestFileLogPersistenceAndTornTail(t *testing.T) {
 	defer l2.Close()
 	if l2.Records() != 2 {
 		t.Fatalf("recovered %d records, want 2 (commit was never forced)", l2.Records())
+	}
+}
+
+// A torn record must not come back. The open cuts the rejected tail off
+// the file: otherwise a later record of the same length lands on the torn
+// one, and the stale record after it decodes again at its old position,
+// its checksum seed (the LSN) unchanged.
+func TestTornTailCutBeforeNextAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, err := CreateFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append(Record{Tx: 7, Type: RecBegin})
+	l.Append(Record{Tx: 7, Type: RecCommit})
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[fileHeaderBytes+1] ^= 0x01 // inside the Begin: its checksum no longer matches
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l2.Records() != 0 {
+		t.Fatalf("torn log kept %d records, want 0", l2.Records())
+	}
+	l2.Append(Record{Tx: 9, Type: RecBegin})
+	if err := l2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+
+	l3, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	var got []Record
+	if err := l3.Iterate(func(r Record) bool { got = append(got, r); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Tx != 9 || got[0].Type != RecBegin {
+		t.Fatalf("reopened log holds %+v, want only tx 9's Begin", got)
 	}
 }
 
