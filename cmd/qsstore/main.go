@@ -51,7 +51,9 @@
 // on scratch volumes: seeded update workloads killed at named crash
 // points, restarted, and checked against the recovery invariants. With no
 // -point it sweeps every named point; with -point it runs one drill and
-// prints its report. The exit status is non-zero if any invariant broke.
+// prints its report. The exit status is non-zero if any invariant broke,
+// and for input that would drill nothing (-seeds or -hit below 1, or a
+// -victim other than coord or participant).
 // With -repl the drill runs against a 3-node replication cluster instead
 // (DESIGN.md §14): the leader is killed at the armed point, a follower is
 // elected, and every quorum-acked commit must survive the failover.
@@ -68,6 +70,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"quickstore/internal/disk"
@@ -124,17 +128,7 @@ func main() {
 	case "serve":
 		err = serve(*db, *listen, *nodeID, *replicaOf, *quorum, *shardMap, *shardID, *resolveEvery)
 	case "crashdrill":
-		var pt faultinject.Point
-		if pt, err = faultinject.ParsePoint(*point); err != nil {
-			break
-		}
-		if *shardDrillFlag {
-			err = shardDrill(pt, *victim, *seed, *hitN, *dir)
-		} else if *replDrillFlag {
-			err = replDrill(pt, *seed, *seeds, *hitN)
-		} else {
-			err = crashdrill(pt, *seed, *seeds, *hitN, *short, *torn, *dir)
-		}
+		err = crashdrill(*point, *victim, *seed, *seeds, *hitN, *short, *torn, *replDrillFlag, *shardDrillFlag, *dir)
 	default:
 		usage()
 	}
@@ -312,73 +306,6 @@ func statsShards(spec string) error {
 	return nil
 }
 
-// shardDrill runs the sharded 2PC crash drill: one cell with -point or
-// -victim, the full victim x point kill matrix otherwise.
-func shardDrill(point faultinject.Point, victim string, seed int64, hitN int, dir string) error {
-	scratch, err := os.MkdirTemp(dir, "qssharddrill-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(scratch)
-
-	printReport := func(rep *harness.ShardDrillReport) {
-		pt := rep.Point.String()
-		if pt == "" {
-			pt = "(quiescent kill)"
-		}
-		fmt.Printf("victim:     %s at %s (seed %d)\n", rep.Victim, pt, seed)
-		fmt.Printf("crashed:    %v\n", rep.Crashed)
-		fmt.Printf("committed:  %d cross-shard transactions, in-doubt=%v\n", rep.Committed, rep.InDoubt)
-		fmt.Printf("resolved:   %d in doubt -> %d committed, %d aborted, %d pending\n",
-			rep.Resolved.InDoubt, rep.Resolved.Committed, rep.Resolved.Aborted, rep.Resolved.Pending)
-		if len(rep.Trace) > 0 {
-			fmt.Printf("trace:      %v\n", rep.Trace)
-		}
-		for _, v := range rep.Violations {
-			fmt.Printf("VIOLATION:  %s\n", v)
-		}
-	}
-
-	if point != 0 || victim != "" {
-		if victim == "" {
-			victim = "coord"
-		}
-		rep, err := harness.RunShardDrill(harness.ShardDrillOpts{
-			Seed: seed, Victim: victim, Point: point, HitN: hitN, Dir: scratch,
-		})
-		if err != nil {
-			return err
-		}
-		printReport(rep)
-		if len(rep.Violations) > 0 {
-			return fmt.Errorf("%d cross-shard invariants violated", len(rep.Violations))
-		}
-		fmt.Println("all cross-shard invariants held")
-		return nil
-	}
-
-	reps, err := harness.RunShardDrillMatrix(seed, scratch)
-	if err != nil {
-		return err
-	}
-	crashes, violations := 0, 0
-	for _, rep := range reps {
-		if rep.Crashed {
-			crashes++
-		}
-		for _, v := range rep.Violations {
-			violations++
-			fmt.Printf("VIOLATION [victim=%s point=%s]: %s\n", rep.Victim, rep.Point, v)
-		}
-	}
-	fmt.Printf("sharded crash drill: %d cells, %d crashed at armed points, %d violations\n",
-		len(reps), crashes, violations)
-	if violations > 0 {
-		return fmt.Errorf("%d cross-shard invariants violated", violations)
-	}
-	return nil
-}
-
 // registerWithLeader announces a follower to the leader, retrying until it
 // answers: cluster nodes are typically started in arbitrary order, so the
 // leader may not be up yet. The leader dials back the follower's advertised
@@ -401,144 +328,131 @@ func registerWithLeader(node *repl.Node, leaderAddr string, dial func(string) (e
 	}
 }
 
-// crashdrill runs one drill (with -point) or sweeps the full crash-point
-// catalogue, reporting every recovery-invariant violation.
-func crashdrill(point faultinject.Point, seed int64, seeds, hitN int, short, torn bool, dir string) error {
-	run := func(opts harness.DrillOpts) (*harness.DrillReport, error) {
-		scratch, err := os.MkdirTemp(dir, "qsdrill-*")
-		if err != nil {
-			return nil, err
+// crashdrill runs one drill of the chosen kind (with -point, or -victim
+// under -shards) and prints its report, or sweeps the kind's matrix and
+// prints each violation and a summary.
+func crashdrill(point, victimName string, seed int64, seeds, hitN int, short, torn, replicated, sharded bool, dir string) error {
+	pt, err := faultinject.ParsePoint(point)
+	if err != nil {
+		return err
+	}
+	if seeds < 1 {
+		return fmt.Errorf("-seeds %d: a sweep needs at least one seed", seeds)
+	}
+	if hitN < 1 {
+		return fmt.Errorf("-hit %d: hits count from 1", hitN)
+	}
+	victim := slices.Index(harness.VictimNames, victimName)
+	if victimName == "" {
+		victim = 0
+	} else if victim < 0 {
+		return fmt.Errorf("unknown -victim %q (valid: %s)", victimName, strings.Join(harness.VictimNames, ", "))
+	}
+	scratch, err := os.MkdirTemp(dir, "qsdrill-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(scratch)
+
+	// cell is one drill of the chosen kind.
+	cell := func(pt faultinject.Point, hit int, seed int64, transient int) harness.Cell {
+		name := pt.String()
+		if name == "" {
+			name = "(none)"
 		}
-		defer os.RemoveAll(scratch)
-		opts.Dir = scratch
-		return harness.RunCrashDrill(opts)
+		c := harness.Cell{Label: fmt.Sprintf("point=%s hit=%d seed=%d", name, hit, seed)}
+		switch {
+		case sharded:
+			c.Label = fmt.Sprintf("victim=%s %s", harness.VictimNames[victim], c.Label)
+			c.Run = func(dir string) (*harness.DrillReport, error) {
+				return harness.RunShardDrill(harness.ShardDrillOpts{Seed: seed, Victim: victim, Point: pt, HitN: hit, Dir: dir})
+			}
+		case replicated:
+			c.Run = func(string) (*harness.DrillReport, error) {
+				return harness.RunReplDrill(harness.ReplDrillOpts{Seed: seed, Point: pt, HitN: hit})
+			}
+		default:
+			c.Run = func(dir string) (*harness.DrillReport, error) {
+				return harness.RunCrashDrill(harness.DrillOpts{
+					Seed: seed, Point: pt, HitN: hit, Transient: transient,
+					ShortFlush: short, TornWrite: torn, AbortEvery: 3, Dir: dir,
+				})
+			}
+		}
+		return c
 	}
 
-	if point != 0 {
-		rep, err := run(harness.DrillOpts{
-			Seed: seed, Point: point, HitN: hitN,
-			ShortFlush: short, TornWrite: torn, AbortEvery: 3,
-		})
+	if pt != 0 || sharded && victimName != "" {
+		c := cell(pt, hitN, seed, 0)
+		rep, err := c.Run(scratch)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("point:      %s (hit %d, seed %d)\n", point, hitN, seed)
-		fmt.Printf("crashed:    %v\n", rep.Crashed)
-		fmt.Printf("committed:  %d transactions, %d aborted, in-doubt=%v\n",
-			rep.Committed, rep.Aborted, rep.InDoubt)
-		if len(rep.Trace) > 0 {
-			fmt.Printf("trace:      %v\n", rep.Trace)
-		}
-		for _, v := range rep.Violations {
-			fmt.Printf("VIOLATION:  %s\n", v)
-		}
+		printReport(c.Label, rep)
 		if len(rep.Violations) > 0 {
-			return fmt.Errorf("%d recovery invariants violated", len(rep.Violations))
+			return fmt.Errorf("%d invariants violated", len(rep.Violations))
 		}
-		fmt.Println("all recovery invariants held")
+		fmt.Println("all invariants held")
 		return nil
 	}
 
-	points := append([]faultinject.Point{0}, faultinject.AllPoints()...)
-	runs, crashes, violations := 0, 0, 0
-	for _, pt := range points {
-		for _, hit := range []int{1, 3} {
-			for s := int64(0); s < int64(seeds); s++ {
-				rep, err := run(harness.DrillOpts{
-					Seed: seed + s*997 + int64(hit), Point: pt, HitN: hit,
-					ShortFlush: short, TornWrite: torn, AbortEvery: 3,
-					Transient: int(s%2) * 2,
-				})
-				if err != nil {
-					return err
+	title, unit := "crash drill", "runs"
+	var cells []harness.Cell
+	if sharded {
+		title, unit, cells = "sharded crash drill", "cells", harness.ShardCells(seed)
+	} else {
+		hits := []int{1, 3}
+		if replicated {
+			title, hits = "replicated crash drill", []int{1, 2}
+		}
+		for _, pt := range append([]faultinject.Point{0}, faultinject.AllPoints()...) {
+			for _, hit := range hits {
+				if replicated && pt == 0 && hit > 1 {
+					continue // the quiescent kill has no point to re-hit
 				}
-				runs++
-				if rep.Crashed {
-					crashes++
-				}
-				for _, v := range rep.Violations {
-					violations++
-					name := pt.String()
-					if name == "" {
-						name = "(no crash)"
-					}
-					fmt.Printf("VIOLATION [%s hit=%d seed=%d]: %s\n", name, hit, seed+s*997+int64(hit), v)
+				for s := int64(0); s < int64(seeds); s++ {
+					cells = append(cells, cell(pt, hit, seed+s*997+int64(hit), int(s%2)*2))
 				}
 			}
 		}
 	}
-	fmt.Printf("crash drill: %d runs, %d crashed, %d violations\n", runs, crashes, violations)
-	if violations > 0 {
-		return fmt.Errorf("%d recovery invariants violated", violations)
+	tally, err := harness.Sweep(scratch, cells, func(c harness.Cell, rep *harness.DrillReport) {
+		for _, v := range rep.Violations {
+			fmt.Printf("VIOLATION [%s]: %s\n", c.Label, v)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: %d %s, %d crashed", title, tally.Runs, unit, tally.Crashed)
+	if tally.Failovers > 0 {
+		fmt.Printf(", %d failovers", tally.Failovers)
+	}
+	fmt.Printf(", %d violations\n", tally.Violations)
+	if tally.Violations > 0 {
+		return fmt.Errorf("%d invariants violated", tally.Violations)
 	}
 	return nil
 }
 
-// replDrill runs the replicated leader-kill drill (DESIGN.md §14): a
-// 3-node in-memory cluster whose leader is killed at the armed crash point,
-// after which a follower must win the election holding every quorum-acked
-// commit. With no -point it sweeps the full crash-point catalogue.
-func replDrill(point faultinject.Point, seed int64, seeds, hitN int) error {
-	if point != 0 {
-		rep, err := harness.RunReplDrill(harness.ReplDrillOpts{Seed: seed, Point: point, HitN: hitN})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("point:      %s (hit %d, seed %d)\n", point, hitN, seed)
-		fmt.Printf("crashed:    %v (forced kill: %v)\n", rep.Crashed, rep.ForcedKill)
-		fmt.Printf("committed:  %d quorum-acked transactions, in-doubt=%v\n", rep.Committed, rep.InDoubt)
-		fmt.Printf("failover:   elected=%v leader=%q term=%d\n", rep.FailedOver, rep.NewLeader, rep.Term)
-		if len(rep.Trace) > 0 {
-			fmt.Printf("trace:      %v\n", rep.Trace)
-		}
-		for _, v := range rep.Violations {
-			fmt.Printf("VIOLATION:  %s\n", v)
-		}
-		if len(rep.Violations) > 0 {
-			return fmt.Errorf("%d replication invariants violated", len(rep.Violations))
-		}
-		fmt.Println("all replication invariants held")
-		return nil
+// printReport prints one drill's report.
+func printReport(label string, rep *harness.DrillReport) {
+	fmt.Printf("drill:      %s\n", label)
+	fmt.Printf("crashed:    %v\n", rep.Crashed)
+	fmt.Printf("committed:  %d transactions, %d aborted, in-doubt=%v\n", rep.Committed, rep.Aborted, rep.InDoubt)
+	if rep.NewLeader != "" {
+		fmt.Printf("failover:   elected %q at term %d (forced kill: %v)\n", rep.NewLeader, rep.Term, rep.ForcedKill)
 	}
-
-	points := append([]faultinject.Point{0}, faultinject.AllPoints()...)
-	runs, crashes, failovers, violations := 0, 0, 0, 0
-	for _, pt := range points {
-		for _, hit := range []int{1, 2} {
-			if pt == 0 && hit > 1 {
-				continue // the quiescent kill has no point to re-hit
-			}
-			for s := int64(0); s < int64(seeds); s++ {
-				rep, err := harness.RunReplDrill(harness.ReplDrillOpts{
-					Seed: seed + s*997 + int64(hit), Point: pt, HitN: hit,
-				})
-				if err != nil {
-					return err
-				}
-				runs++
-				if rep.Crashed {
-					crashes++
-				}
-				if rep.FailedOver {
-					failovers++
-				}
-				for _, v := range rep.Violations {
-					violations++
-					name := pt.String()
-					if name == "" {
-						name = "(quiescent kill)"
-					}
-					fmt.Printf("VIOLATION [%s hit=%d seed=%d]: %s\n", name, hit, seed+s*997+int64(hit), v)
-				}
-			}
-		}
+	if r := rep.Resolved; r != nil {
+		fmt.Printf("resolved:   %d in doubt -> %d committed, %d aborted, %d pending\n",
+			r.InDoubt, r.Committed, r.Aborted, r.Pending)
 	}
-	fmt.Printf("replicated crash drill: %d runs, %d crashed at armed points, %d failovers, %d violations\n",
-		runs, crashes, failovers, violations)
-	if violations > 0 {
-		return fmt.Errorf("%d replication invariants violated", violations)
+	if len(rep.Trace) > 0 {
+		fmt.Printf("trace:      %v\n", rep.Trace)
 	}
-	return nil
+	for _, v := range rep.Violations {
+		fmt.Printf("VIOLATION:  %s\n", v)
+	}
 }
 
 func createStore(path string) error {

@@ -140,7 +140,7 @@ func TestBeginValidationNotModified(t *testing.T) {
 	}
 	oid := seedCohObject(t, srv, "steady")
 
-	tap := &meteredTransport{tr: NewInProcTransport(srv)}
+	tap := &wireTap{tr: NewInProcTransport(srv)}
 	c := NewClient(tap, ClientConfig{BufferPages: 8, Clock: clock})
 	if got := readCohObject(t, c, oid, 6); got != "steady" {
 		t.Fatalf("first read: %q", got)
@@ -499,39 +499,54 @@ func TestRawPagesRevalidatedAtBegin(t *testing.T) {
 	}
 }
 
-// meteredTransport counts the calls it carries and the framed wire size of
-// every request and response — what the in-process call would cost on a
-// socket — with the OpBegin share apart, and records the page of every
-// ReadCheck entry sent.
-type meteredTransport struct {
+// wireTap carries calls to tr and records what crosses it: the calls and
+// their exact framed size on a socket (frame header plus marshaled request
+// and response), the OpBegin share apart, the page of every ReadCheck
+// entry sent, the Data bytes of OpCommit requests, and a copy of every
+// OpLog payload. While fail is set, OpLog calls fail with it instead.
+type wireTap struct {
 	tr         Transport
 	calls      int64
 	bytes      int64
 	beginBytes int64
 	checked    []uint32
+	commitData int
+	batches    [][]byte
+	fail       error
+	scratch    []byte // marshal buffer, reused across calls
 }
 
-func (m *meteredTransport) Call(req *Request) (*Response, error) {
-	n := int64(frameHdrSize + len(req.marshal()))
-	if req.Op == OpReadPages && req.Mode&ReadCheck != 0 {
+func (w *wireTap) Call(req *Request) (*Response, error) {
+	switch {
+	case req.Op == OpReadPages && req.Mode&ReadCheck != 0:
 		for i := 0; i < len(req.Data)/PageEntryBytes; i++ {
 			pid, _ := PageEntry(req.Data, i)
-			m.checked = append(m.checked, pid)
+			w.checked = append(w.checked, pid)
+		}
+	case req.Op == OpCommit:
+		w.commitData += len(req.Data)
+	case req.Op == OpLog:
+		w.batches = append(w.batches, bytes.Clone(req.Data))
+		if w.fail != nil {
+			return nil, w.fail
 		}
 	}
-	resp, err := m.tr.Call(req)
+	w.scratch = req.appendTo(w.scratch[:0])
+	n := int64(frameHdrSize + len(w.scratch))
+	resp, err := w.tr.Call(req)
 	if resp != nil {
-		n += int64(frameHdrSize + len(resp.marshal()))
+		w.scratch = resp.appendTo(w.scratch[:0])
+		n += int64(frameHdrSize + len(w.scratch))
 	}
-	m.calls++
-	m.bytes += n
+	w.calls++
+	w.bytes += n
 	if req.Op == OpBegin {
-		m.beginBytes += n
+		w.beginBytes += n
 	}
 	return resp, err
 }
 
-func (m *meteredTransport) Close() error { return m.tr.Close() }
+func (w *wireTap) Close() error { return w.tr.Close() }
 
 // TestWarmCacheShipsFewerBytes: a reader that keeps its cache warm across
 // 20 rounds, while a writer commits over 10% of 128 shared objects before
@@ -575,7 +590,7 @@ func TestWarmCacheShipsFewerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meter := &meteredTransport{tr: NewInProcTransport(srv)}
+	meter := &wireTap{tr: NewInProcTransport(srv)}
 	reader := NewClient(meter, ClientConfig{BufferPages: 256})
 	stale := 0
 	readAll := func() {

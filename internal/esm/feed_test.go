@@ -148,7 +148,7 @@ func agrees(t *testing.T, c *Client, srv *Server) {
 }
 
 // checkedPages returns the pages of the tap's ReadCheck entries, sorted.
-func checkedPages(m *meteredTransport) []disk.PageID {
+func checkedPages(m *wireTap) []disk.PageID {
 	var out []disk.PageID
 	for _, pid := range m.checked {
 		out = append(out, disk.PageID(pid))
@@ -230,7 +230,7 @@ func TestBeginFeedRepairsOnlyChanged(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newFeedFixture(t, 48)
-			tap := &meteredTransport{tr: NewInProcTransport(fx.srv)}
+			tap := &wireTap{tr: NewInProcTransport(fx.srv)}
 			a := NewClient(tap, ClientConfig{BufferPages: 64})
 			b := NewClient(NewInProcTransport(fx.srv), ClientConfig{BufferPages: 64})
 			oracle := fx.readAll(t, a)
@@ -260,7 +260,7 @@ func TestBeginFeedRepairsOnlyChanged(t *testing.T) {
 func TestBeginFeedTooOld(t *testing.T) {
 	t.Run("ring-overflow", func(t *testing.T) {
 		fx := newFeedFixture(t, 48)
-		tap := &meteredTransport{tr: NewInProcTransport(fx.srv)}
+		tap := &wireTap{tr: NewInProcTransport(fx.srv)}
 		a := NewClient(tap, ClientConfig{BufferPages: 64})
 		b := NewClient(NewInProcTransport(fx.srv), ClientConfig{BufferPages: 64})
 		oracle := fx.readAll(t, a)
@@ -304,7 +304,7 @@ func TestBeginFeedTooOld(t *testing.T) {
 		}
 		fx := seedFeedFixture(t, srv, 48)
 		cur := srv
-		tap := &meteredTransport{tr: switchTo(&cur)}
+		tap := &wireTap{tr: switchTo(&cur)}
 		a := NewClient(tap, ClientConfig{BufferPages: 64})
 		oracle := fx.readAll(t, a)
 		fx.readAll(t, a)
@@ -360,7 +360,7 @@ func TestBeginFeedTooOld(t *testing.T) {
 			t.Fatalf("twin feeds stand at %d and %d", h0, h1)
 		}
 		cur := fxs[0].srv
-		tap := &meteredTransport{tr: switchTo(&cur)}
+		tap := &wireTap{tr: switchTo(&cur)}
 		a := NewClient(tap, ClientConfig{BufferPages: 64})
 		fxs[0].readAll(t, a)
 		fxs[0].readAll(t, a) // A's horizon: twin 0's head, which is twin 1's too
@@ -432,7 +432,7 @@ func TestHotBeginOneRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := &meteredTransport{tr: NewInProcTransport(srv)}
+	tap := &wireTap{tr: NewInProcTransport(srv)}
 	c := NewClient(tap, ClientConfig{BufferPages: 600})
 	first, err := c.AllocPages(frames)
 	if err != nil {
@@ -480,7 +480,7 @@ func TestBeginRechecksPinnedStaleFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx := seedFeedFixture(t, srv, 48)
-	tap := &meteredTransport{tr: NewInProcTransport(srv)}
+	tap := &wireTap{tr: NewInProcTransport(srv)}
 	a := NewClient(tap, ClientConfig{BufferPages: 64})
 	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 64})
 	oracle := fx.readAll(t, a)
@@ -552,7 +552,7 @@ func TestBeginMalformedFeedFallsBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newFeedFixture(t, 48)
 			mangle := false
-			tap := &meteredTransport{tr: transportFunc(func(req *Request) (*Response, error) {
+			tap := &wireTap{tr: transportFunc(func(req *Request) (*Response, error) {
 				resp := fx.srv.Handle(req)
 				if req.Op == OpBegin && mangle {
 					resp.Data = tc.mangle(slices.Clone(resp.Data))
@@ -592,7 +592,7 @@ func TestBeginMalformedFeedFallsBack(t *testing.T) {
 func TestBeginFailedCheckKeepsNoHorizon(t *testing.T) {
 	fx := newFeedFixture(t, 48)
 	fail := false
-	tap := &meteredTransport{tr: transportFunc(func(req *Request) (*Response, error) {
+	tap := &wireTap{tr: transportFunc(func(req *Request) (*Response, error) {
 		if fail && req.Op == OpReadPages && req.Mode&ReadCheck != 0 {
 			fail = false
 			return &Response{Err: "injected check failure"}, nil

@@ -269,26 +269,6 @@ func FuzzLogBatch(f *testing.F) {
 	})
 }
 
-// wireCounter estimates what each call would put on a socket: the frame
-// header plus the marshaled request and response (proto.go's layouts).
-type wireCounter struct {
-	Transport
-	bytes         int64
-	commitPayload int
-}
-
-func (w *wireCounter) Call(req *Request) (*Response, error) {
-	resp, err := w.Transport.Call(req)
-	w.bytes += 12 + 28 + int64(len(req.Name)+len(req.Data))
-	if resp != nil {
-		w.bytes += 12 + 19 + int64(len(resp.Err)+len(resp.Data))
-	}
-	if req.Op == OpCommit {
-		w.commitPayload += len(req.Data)
-	}
-	return resp, err
-}
-
 // BenchmarkCommitLoggedPages measures one commit of 64 dirty frames whose
 // every change was declared logged (MarkDirtyLogged plus a LogUpdate each):
 // the log batch, the server's redo of it, the commit record and its force.
@@ -297,7 +277,7 @@ func (w *wireCounter) Call(req *Request) (*Response, error) {
 func BenchmarkCommitLoggedPages(b *testing.B) {
 	const npages = 64
 	srv, first := logBatchServer(b, npages)
-	tr := &wireCounter{Transport: NewInProcTransport(srv)}
+	tr := &wireTap{tr: NewInProcTransport(srv)}
 	c := NewClient(tr, ClientConfig{BufferPages: 2 * npages})
 	old := make([]byte, 16)
 	cur := make([]byte, 16)
@@ -326,8 +306,8 @@ func BenchmarkCommitLoggedPages(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if tr.commitPayload != 0 {
-		b.Fatalf("%d bytes of page images in commit requests; covered frames must not ship", tr.commitPayload)
+	if tr.commitData != 0 {
+		b.Fatalf("%d bytes of page images in commit requests; covered frames must not ship", tr.commitData)
 	}
 	if got := binary.LittleEndian.Uint64(poolImage(b, srv, first)[512:]); got != uint64(b.N) {
 		b.Fatalf("server page holds %d after %d commits", got, b.N)

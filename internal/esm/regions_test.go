@@ -191,24 +191,6 @@ func TestRegionRecordAtRestart(t *testing.T) {
 	}
 }
 
-// batchTap keeps a copy of every OpLog payload that crosses it, and fails
-// calls while fail is set.
-type batchTap struct {
-	Transport
-	batches [][]byte
-	fail    error
-}
-
-func (b *batchTap) Call(req *Request) (*Response, error) {
-	if req.Op == OpLog {
-		b.batches = append(b.batches, bytes.Clone(req.Data))
-		if b.fail != nil {
-			return nil, b.fail
-		}
-	}
-	return b.Transport.Call(req)
-}
-
 // decodeBatch returns the records of an OpLog payload, regions materialised
 // as (offset, after-image) pairs.
 func decodeBatch(t *testing.T, data []byte) (pages []uint32, regions [][]int) {
@@ -240,7 +222,7 @@ func decodeBatch(t *testing.T, data []byte) (pages []uint32, regions [][]int) {
 func TestLogUpdateFoldsPageRuns(t *testing.T) {
 	srv, pid := logBatchServer(t, 2)
 	clock := sim.NewClock(sim.CostModel{})
-	tap := &batchTap{Transport: NewInProcTransport(srv)}
+	tap := &wireTap{tr: NewInProcTransport(srv)}
 	c := NewClient(tap, ClientConfig{BufferPages: 4, Clock: clock})
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
@@ -329,7 +311,7 @@ func equalInts(a, b []int) bool {
 // returned, so a failed batch is dropped and its buffer built over.
 func TestFlushLogReusesItsBuffer(t *testing.T) {
 	srv, pid := logBatchServer(t, 1)
-	tap := &batchTap{Transport: NewInProcTransport(srv)}
+	tap := &wireTap{tr: NewInProcTransport(srv)}
 	c := NewClient(tap, ClientConfig{BufferPages: 4})
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,12 @@
 package harness
 
 import (
-	"path/filepath"
 	"testing"
 
-	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/faultinject"
 	"quickstore/internal/oo7"
 	"quickstore/internal/sim"
-	"quickstore/internal/wal"
 )
 
 // TestCrashDrill runs the full drill matrix: every named crash point (plus
@@ -157,25 +154,14 @@ func TestCrashDrillDetectsTornPageWrites(t *testing.T) {
 // commit point, restart recovery, and the structural invariant that the
 // T1 traversal sees exactly the same graph as before the crash.
 func TestCrashDrillOO7(t *testing.T) {
-	dir := t.TempDir()
-	vol, err := disk.CreateFileVolume(filepath.Join(dir, "vol"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logf, err := wal.CreateFileLog(filepath.Join(dir, "log"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	plane := faultinject.New(23)
-	hv := disk.WithHook(vol, plane)
-	logf.FlushHook = plane.FlushHook()
 	clock := sim.NewClock(sim.DefaultCostModel())
-	srv, err := esm.NewServer(hv, logf, esm.ServerConfig{Clock: clock, Fault: plane})
+	node, err := newDrillNode(t.TempDir(), plane, esm.ServerConfig{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := oo7.SmallTest()
-	e := &Env{Sys: SysQS, Params: p, Clock: clock, Srv: srv}
+	e := &Env{Sys: SysQS, Params: p, Clock: clock, Srv: node.srv}
 	gen, err := e.open(SessionOpts{BufferPages: 64}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +169,7 @@ func TestCrashDrillOO7(t *testing.T) {
 	if err := oo7.Generate(gen, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Checkpoint(); err != nil {
+	if err := node.srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,25 +191,14 @@ func TestCrashDrillOO7(t *testing.T) {
 	if _, err := oo7.T2(db, oo7.VariantA); !faultinject.IsCrash(err) {
 		t.Fatalf("T2 through an armed commit point returned %v", err)
 	}
-	if err := vol.Abandon(); err != nil {
+	if err := node.kill(); err != nil {
 		t.Fatal(err)
 	}
-	_ = logf.Close()
-
-	vol2, err := disk.OpenFileVolume(filepath.Join(dir, "vol"))
+	srv2, err := node.restart(esm.ServerConfig{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer vol2.Close()
-	log2, err := wal.OpenFileLog(filepath.Join(dir, "log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log2.Close()
-	srv2, err := esm.OpenServer(vol2, log2, esm.ServerConfig{Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer node.close()
 	e2 := &Env{Sys: SysQS, Params: p, Clock: clock, Srv: srv2}
 	db2, err := e2.Session(SessionOpts{BufferPages: 64})
 	if err != nil {
@@ -307,8 +282,6 @@ func TestCheckpointUnderLoadDrill(t *testing.T) {
 // passes vacuously.
 func TestCrashDrillCoherenceSweepNonVacuous(t *testing.T) {
 	total := 0
-	drillDebugCoh = func(n int) { total += n }
-	defer func() { drillDebugCoh = nil }()
 	for seed := int64(1); seed <= 5; seed++ {
 		rep, err := RunCrashDrill(DrillOpts{Seed: seed, Point: faultinject.PtCohAfterBump, Dir: t.TempDir()})
 		if err != nil {
@@ -317,6 +290,7 @@ func TestCrashDrillCoherenceSweepNonVacuous(t *testing.T) {
 		if !rep.Crashed {
 			t.Errorf("seed %d: coherence.after-bump never fired", seed)
 		}
+		total += rep.WarmFrames
 		for _, v := range rep.Violations {
 			t.Errorf("seed %d: %s", seed, v)
 		}

@@ -27,46 +27,12 @@ type ReplDrillOpts struct {
 	Keys int // oracle objects (named roots); 0 = 6
 }
 
-// ReplDrillReport is the outcome of one replicated drill. Violations lists
-// every broken replication invariant; a clean drill has none.
-type ReplDrillReport struct {
-	Point      faultinject.Point // the armed crash point (zero = quiescent kill)
-	Crashed    bool              // the armed point fired during the workload
-	ForcedKill bool              // the point never fired; the leader was killed after the workload
-	Committed  int               // transactions whose commit was quorum-acked
-	InDoubt    bool              // one commit was cut off mid-protocol by the crash
-	FailedOver bool              // a follower won the election
-	NewLeader  string            // the elected node's ID
-	Term       uint64            // the cluster term after failover
-	Violations []string          // broken invariants (empty = drill passed)
-	Trace      []string          // leader fault-plane trace, for reproducing a failure
-}
-
-func (r *ReplDrillReport) violate(format string, args ...interface{}) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-// replKey is one oracle-tracked named object.
-type replKey struct {
-	name      string
-	ref       core.Ref
-	committed uint64 // last value whose commit was quorum-acked
-	inDoubt   uint64 // value proposed by the in-doubt transaction, if any
-	touched   bool   // the in-doubt transaction updated this key
-}
-
-// replDrillNode is one cluster member's storage plus its repl node.
-type replDrillNode struct {
-	log  *wal.Log
-	node *repl.Node
-}
-
 // RunReplDrill executes one replicated drill. The workload runs through the
 // full QuickStore (core) layer so the diff-based commit logs every changed
 // page byte — exactly what a follower needs to reconstruct pages from the
 // shipped log at promotion. The returned error reports harness problems;
 // invariant breaks go in the report instead.
-func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
+func RunReplDrill(opts ReplDrillOpts) (*DrillReport, error) {
 	if opts.Txns == 0 {
 		opts.Txns = 12
 	}
@@ -77,16 +43,16 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 		opts.HitN = 1
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	rep := &ReplDrillReport{Point: opts.Point}
+	rep := &DrillReport{}
 
-	// The leader gets the full fault wiring — hooked volume, hooked log
-	// flush, plane in both the server and the repl node — so disk, wal,
-	// commit, steal, and repl.* points all fire on its paths. Followers run
+	// The leader is the fault-wired node, with the plane in its repl node
+	// too, so the repl.* points fire on its paths as well. Followers run
 	// clean: the drill kills exactly one node.
 	plane := faultinject.New(opts.Seed)
-	leaderVol := disk.WithHook(disk.NewMemVolume(), plane)
-	leaderLog := wal.NewMemLog()
-	leaderLog.FlushHook = plane.FlushHook()
+	leader, err := newDrillNode("", plane, esm.ServerConfig{BufferPages: 8})
+	if err != nil {
+		return nil, err
+	}
 	nodeCfg := func(id string, pl *faultinject.Plane) repl.Config {
 		return repl.Config{
 			ID:                id,
@@ -97,36 +63,27 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 			Fault:             pl,
 		}
 	}
-	srv, err := esm.NewServer(leaderVol, leaderLog, esm.ServerConfig{BufferPages: 8, Fault: plane})
-	if err != nil {
-		return nil, err
-	}
-	nodes := []*replDrillNode{{log: leaderLog}}
-	nodes[0].node = repl.NewLeader(srv, nodeCfg("n1", plane))
-	for i := 2; i <= 3; i++ {
-		fLog := wal.NewMemLog()
-		nodes = append(nodes, &replDrillNode{
-			log:  fLog,
-			node: repl.NewFollower(disk.NewMemVolume(), fLog, nodeCfg(fmt.Sprintf("n%d", i), nil)),
-		})
+	logs := []*wal.Log{leader.log, wal.NewMemLog(), wal.NewMemLog()}
+	nodes := []*repl.Node{repl.NewLeader(leader.srv, nodeCfg("n1", plane))}
+	for i := 1; i < 3; i++ {
+		nodes = append(nodes, repl.NewFollower(disk.NewMemVolume(), logs[i], nodeCfg(fmt.Sprintf("n%d", i+1), nil)))
 	}
 	for i, a := range nodes {
 		for j, b := range nodes {
 			if i != j {
-				a.node.AddPeer(b.node.ID(), "", b.node.Transport())
+				a.AddPeer(b.ID(), "", b.Transport())
 			}
 		}
 	}
 	defer func() {
-		for _, dn := range nodes {
-			_ = dn.node.Close()
+		for _, n := range nodes {
+			_ = n.Close()
 		}
 	}()
 
 	// Baseline: every key committed and quorum-acked before any fault is
 	// armed. Failures here are harness problems, not invariant breaks.
-	leader := nodes[0].node
-	st, err := core.New(esm.NewClient(leader.Transport(), esm.ClientConfig{BufferPages: 32}), core.Config{})
+	st, err := core.New(esm.NewClient(nodes[0].Transport(), esm.ClientConfig{BufferPages: 32}), core.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("repl drill baseline: %w", err)
 	}
@@ -134,21 +91,21 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 		return nil, fmt.Errorf("repl drill baseline: %w", err)
 	}
 	cl := st.NewCluster()
-	keys := make([]*replKey, opts.Keys)
+	keys := make(oracle, opts.Keys)
+	refs := make([]core.Ref, opts.Keys)
 	buf := make([]byte, 16)
 	for i := range keys {
-		k := &replKey{name: fmt.Sprintf("k%d", i), committed: rng.Uint64()}
-		if k.ref, err = st.Alloc(cl, 16, nil); err != nil {
+		keys[i].committed = rng.Uint64()
+		if refs[i], err = st.Alloc(cl, 16, nil); err != nil {
 			return nil, fmt.Errorf("repl drill baseline: %w", err)
 		}
-		putValue(buf, k.committed)
-		if err := st.Space().WriteBytes(k.ref, buf); err != nil {
+		putValue(buf, keys[i].committed)
+		if err := st.Space().WriteBytes(refs[i], buf); err != nil {
 			return nil, fmt.Errorf("repl drill baseline: %w", err)
 		}
-		if err := st.SetRoot(k.name, k.ref); err != nil {
+		if err := st.SetRoot(fmt.Sprintf("k%d", i), refs[i]); err != nil {
 			return nil, fmt.Errorf("repl drill baseline: %w", err)
 		}
-		keys[i] = k
 	}
 	if err := st.Commit(); err != nil {
 		return nil, fmt.Errorf("repl drill baseline: %w", err)
@@ -166,27 +123,24 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 			break
 		}
 		picked := rng.Perm(len(keys))[:1+rng.Intn(3)]
-		proposed := map[*replKey]uint64{}
-		preCommitErr := false
+		vals := map[int]uint64{}
+		var err error
 		for _, i := range picked {
 			v := rng.Uint64()
 			putValue(buf, v)
-			if err := st.Space().WriteBytes(keys[i].ref, buf); err != nil {
-				preCommitErr = true
+			if err = st.Space().WriteBytes(refs[i], buf); err != nil {
 				break
 			}
-			proposed[keys[i]] = v
+			vals[i] = v
 		}
-		if preCommitErr {
+		if err != nil {
 			// The transaction never reached commit: recovery must roll it
 			// back wholesale, so the oracle keeps the committed values.
 			break
 		}
-		err := st.Commit()
+		err = st.Commit()
 		if err == nil {
-			for k, v := range proposed {
-				k.committed = v
-			}
+			keys.acked(vals)
 			rep.Committed++
 			continue
 		}
@@ -195,13 +149,9 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 			return rep, nil
 		}
 		// Cut off mid-commit: the new leader's recovery decides whether
-		// this transaction happened, and must pick one outcome for all of
-		// its keys.
+		// this transaction happened.
 		rep.InDoubt = true
-		for k, v := range proposed {
-			k.inDoubt = v
-			k.touched = true
-		}
+		keys.cutOff(vals)
 		break
 	}
 	rep.Crashed = plane.Crashed()
@@ -217,31 +167,30 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 
 	// Failover: promote the follower with the longest durable log. With
 	// quorum 2 of 3 it is guaranteed to hold every acked commit.
-	best, other := nodes[1], nodes[2]
-	if other.log.FlushedLSN() > best.log.FlushedLSN() {
+	best, other := 1, 2
+	if logs[other].FlushedLSN() > logs[best].FlushedLSN() {
 		best, other = other, best
 	}
-	if err := best.node.Campaign(); err != nil {
-		if err2 := other.node.Campaign(); err2 != nil {
+	if err := nodes[best].Campaign(); err != nil {
+		if err2 := nodes[other].Campaign(); err2 != nil {
 			rep.violate("no follower could be elected: %v / %v", err, err2)
 			return rep, nil
 		}
 		best = other
 	}
-	rep.FailedOver = true
-	rep.NewLeader = best.node.ID()
-	rep.Term = best.node.Term()
+	rep.NewLeader = nodes[best].ID()
+	rep.Term = nodes[best].Term()
 	if rep.Term < 2 {
 		rep.violate("failover did not advance the term: %d", rep.Term)
 	}
 
 	// Verification runs the way a real client would come back: through a
 	// Director over every endpoint, which routes around the dead leader.
-	d := repl.NewDirector([]repl.Endpoint{
-		{ID: "n1", Tr: nodes[0].node.Transport()},
-		{ID: "n2", Tr: nodes[1].node.Transport()},
-		{ID: "n3", Tr: nodes[2].node.Transport()},
-	}, repl.DirectorConfig{})
+	var eps []repl.Endpoint
+	for _, n := range nodes {
+		eps = append(eps, repl.Endpoint{ID: n.ID(), Tr: n.Transport()})
+	}
+	d := repl.NewDirector(eps, repl.DirectorConfig{})
 	defer d.Close()
 	vs, err := core.Open(esm.NewClient(d, esm.ClientConfig{BufferPages: 32}), core.Config{})
 	if err != nil {
@@ -252,38 +201,15 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 		rep.violate("begin on new leader: %v", err)
 		return rep, nil
 	}
-	sawCommitted, sawProposed := false, false
-	for _, k := range keys {
-		ref, err := vs.Root(k.name)
+	keys.verify(rep, func(i int) ([]byte, error) {
+		ref, err := vs.Root(fmt.Sprintf("k%d", i))
 		if err != nil {
-			rep.violate("%s: root lost after failover: %v", k.name, err)
-			continue
+			return nil, fmt.Errorf("root lost after failover: %w", err)
 		}
-		if err := vs.Space().ReadInto(ref, buf); err != nil {
-			rep.violate("%s: unreadable after failover: %v", k.name, err)
-			continue
-		}
-		got, ok := getValue(buf)
-		if !ok {
-			rep.violate("%s: checksum broken after failover (value %#x)", k.name, got)
-			continue
-		}
-		switch {
-		case got == k.committed:
-			if k.touched {
-				sawCommitted = true
-			}
-		case k.touched && got == k.inDoubt:
-			sawProposed = true
-		default:
-			rep.violate("%s: quorum-acked value lost: got %#x want %#x", k.name, got, k.committed)
-		}
-	}
+		return buf, vs.Space().ReadInto(ref, buf)
+	})
 	if err := vs.Abort(); err != nil {
 		rep.violate("abort verify txn: %v", err)
-	}
-	if sawCommitted && sawProposed {
-		rep.violate("in-doubt transaction resolved non-atomically: some keys rolled back, some committed")
 	}
 
 	// Liveness: the surviving pair is still a quorum; a fresh commit must
@@ -294,7 +220,7 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 	}
 	const sentinel = 0xFEEDFACECAFEBEEF
 	putValue(buf, sentinel)
-	ref, err := vs.Root(keys[0].name)
+	ref, err := vs.Root("k0")
 	if err == nil {
 		err = vs.Space().WriteBytes(ref, buf)
 	}
@@ -314,7 +240,7 @@ func RunReplDrill(opts ReplDrillOpts) (*ReplDrillReport, error) {
 			rep.violate("abort final read txn: %v", err)
 		}
 	}()
-	if ref, err = vs.Root(keys[0].name); err == nil {
+	if ref, err = vs.Root("k0"); err == nil {
 		err = vs.Space().ReadInto(ref, buf)
 	}
 	if err != nil {

@@ -16,7 +16,7 @@ func TestReplDrillQuiescentKill(t *testing.T) {
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations: %v\ntrace: %v", rep.Violations, rep.Trace)
 	}
-	if !rep.ForcedKill || !rep.FailedOver {
+	if !rep.ForcedKill || rep.NewLeader == "" {
 		t.Fatalf("drill did not fail over: %+v", rep)
 	}
 	if rep.Committed != 12 {
@@ -44,7 +44,7 @@ func TestReplDrillCrashPoints(t *testing.T) {
 			if len(rep.Violations) != 0 {
 				t.Fatalf("%s seed %d: violations %v\ntrace: %v", pt, seed, rep.Violations, rep.Trace)
 			}
-			if !rep.FailedOver {
+			if rep.NewLeader == "" {
 				t.Fatalf("%s seed %d: no failover: %+v", pt, seed, rep)
 			}
 		}

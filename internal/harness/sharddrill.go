@@ -2,14 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
-	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/faultinject"
 	"quickstore/internal/shard"
-	"quickstore/internal/wal"
 )
 
 // ShardDrillOpts configures one sharded crash drill: a two-shard
@@ -20,29 +17,16 @@ import (
 // sweep, and an atomicity oracle over the recovered values.
 type ShardDrillOpts struct {
 	Seed   int64             // drives the fault plane trace
-	Victim string            // which shard dies: "coord" (shard 0) or "participant" (shard 1)
+	Victim int               // the shard that dies, an index into VictimNames
 	Point  faultinject.Point // crash point to arm on the victim; zero = kill after the workload
 	HitN   int               // fire the crash on the n-th hit of Point; 0 = first
 	Txns   int               // cross-shard transactions to attempt; 0 = 8
 	Dir    string            // scratch directory for the volumes and logs
 }
 
-// ShardDrillReport is the outcome of one sharded drill. Violations lists
-// every broken cross-shard invariant; a clean drill has none.
-type ShardDrillReport struct {
-	Victim     string               // the armed victim shard
-	Point      faultinject.Point    // the armed crash point (zero = quiescent kill)
-	Crashed    bool                 // the armed point fired during the workload
-	Committed  int                  // transactions whose 2PC commit was acknowledged
-	InDoubt    bool                 // one commit was cut off mid-protocol
-	Resolved   shard.ResolveOutcome // what the post-restart sweep settled
-	Violations []string             // broken invariants (empty = drill passed)
-	Trace      []string             // victim fault-plane trace, for reproducing a failure
-}
-
-func (r *ShardDrillReport) violate(format string, args ...interface{}) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
+// VictimNames names the sharded drill's shards by index: shard 0
+// coordinates every transaction, shard 1 participates.
+var VictimNames = []string{"coord", "participant"}
 
 // ShardCrashPoints is the kill matrix's point list: every 2PC protocol
 // step on both sides of the prepare/decision exchange.
@@ -54,75 +38,43 @@ var ShardCrashPoints = []faultinject.Point{
 	faultinject.PtDecisionAfterFlush,
 }
 
-// shardDrillShard is one shard's on-disk state plus its live server.
-type shardDrillShard struct {
-	volPath, logPath string
-	vol              *disk.FileVolume
-	log              *wal.Log
-	srv              *esm.Server
-	plane            *faultinject.Plane
-}
-
 // RunShardDrill executes one sharded drill. The returned error reports
-// harness problems (unusable scratch dir); invariant breaks go in the
-// report instead.
-func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
+// harness problems (unusable scratch dir, no such victim); invariant
+// breaks go in the report instead.
+func RunShardDrill(opts ShardDrillOpts) (*DrillReport, error) {
 	if opts.Txns == 0 {
 		opts.Txns = 8
 	}
 	if opts.HitN == 0 {
 		opts.HitN = 1
 	}
-	if opts.Victim == "" {
-		opts.Victim = "coord"
+	if opts.Victim < 0 || opts.Victim >= len(VictimNames) {
+		return nil, fmt.Errorf("shard drill: victim %d is not a shard of the %d-shard cluster", opts.Victim, len(VictimNames))
 	}
-	victim := 0
-	if opts.Victim == "participant" {
-		victim = 1
-	}
-	rep := &ShardDrillReport{Victim: opts.Victim, Point: opts.Point}
+	rep := &DrillReport{}
 
-	// Two file-backed shards. Only the victim gets the fault wiring: the
+	// Two file-backed shards. Only the victim gets the fault plane: the
 	// drill kills exactly one shard mid-protocol (then powers off both).
-	shards := make([]*shardDrillShard, 2)
-	for i := range shards {
-		sd := &shardDrillShard{
-			volPath: filepath.Join(opts.Dir, fmt.Sprintf("vol%d", i)),
-			logPath: filepath.Join(opts.Dir, fmt.Sprintf("log%d", i)),
+	plane := faultinject.New(opts.Seed)
+	nodes := make([]*drillNode, len(VictimNames))
+	trs := make([]esm.Transport, len(nodes))
+	for i := range nodes {
+		var pl *faultinject.Plane
+		if i == opts.Victim {
+			pl = plane
 		}
-		vol, err := disk.CreateFileVolume(sd.volPath)
+		n, err := newDrillNode(filepath.Join(opts.Dir, fmt.Sprintf("shard%d", i)), pl, esm.ServerConfig{BufferPages: 8})
 		if err != nil {
 			return nil, err
 		}
-		logf, err := wal.CreateFileLog(sd.logPath)
-		if err != nil {
-			return nil, err
-		}
-		sd.vol, sd.log = vol, logf
-		cfg := esm.ServerConfig{BufferPages: 8}
-		var hooked disk.Volume = vol
-		if i == victim {
-			sd.plane = faultinject.New(opts.Seed)
-			hooked = disk.WithHook(vol, sd.plane)
-			logf.FlushHook = sd.plane.FlushHook()
-			cfg.Fault = sd.plane
-		}
-		srv, err := esm.NewServer(hooked, logf, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sd.srv = srv
-		shards[i] = sd
-	}
-	trs := func() []esm.Transport {
-		return []esm.Transport{esm.NewInProcTransport(shards[0].srv), esm.NewInProcTransport(shards[1].srv)}
+		nodes[i], trs[i] = n, esm.NewInProcTransport(n.srv)
 	}
 
 	// Baseline: one oracle object per shard, committed and checkpointed
 	// before the fault is armed. Both start at sequence 0.
-	oids := make([]esm.OID, 2)
+	oids := make([]esm.OID, len(nodes))
 	for sh := range oids {
-		r, err := shard.NewRouter(trs(), shard.Config{Affinity: sh})
+		r, err := shard.NewRouter(trs, shard.Config{Affinity: sh})
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +82,7 @@ func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
 		if err := c.Begin(); err != nil {
 			return nil, err
 		}
-		fid, err := c.CreateFile(shard.NameOnShard(fmt.Sprintf("sdrill.%d", sh), sh, 2))
+		fid, err := c.CreateFile(shard.NameOnShard(fmt.Sprintf("sdrill.%d", sh), sh, len(nodes)))
 		if err != nil {
 			return nil, err
 		}
@@ -147,116 +99,94 @@ func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
 		}
 		oids[sh] = oid
 	}
-	for _, sd := range shards {
-		if err := sd.srv.Checkpoint(); err != nil {
+	for _, n := range nodes {
+		if err := n.srv.Checkpoint(); err != nil {
 			return nil, err
 		}
 	}
 
 	if opts.Point != 0 {
-		shards[victim].plane.ArmCrash(opts.Point, opts.HitN)
+		plane.ArmCrash(opts.Point, opts.HitN)
 	}
 
 	// Workload: every transaction writes sequence t to BOTH objects —
 	// shard 0 first, so shard 0 coordinates — and commits through 2PC.
-	// The first error is the crash cutting the protocol off.
-	router, err := shard.NewRouter(trs(), shard.Config{Affinity: 0})
+	// The first error is the crash cutting the protocol off. The two
+	// objects are one oracle group, so the oracle's all-or-nothing rule is
+	// cross-shard atomicity.
+	keys := make(oracle, len(oids))
+	router, err := shard.NewRouter(trs, shard.Config{Affinity: 0})
 	if err != nil {
 		return nil, err
 	}
 	w := esm.NewClient(router, esm.ClientConfig{BufferPages: 4})
-	inFlight := 0
 	for t := 1; t <= opts.Txns; t++ {
 		if err := w.Begin(); err != nil {
 			break
 		}
-		ok := true
-		for sh := 0; sh < 2; sh++ {
-			data, off, frame, err := w.ReadObjectAt(oids[sh])
-			if err != nil {
-				ok = false
+		vals := map[int]uint64{}
+		for sh := range oids {
+			if err = writeValue(w, oids[sh], uint64(t)); err != nil {
 				break
 			}
-			old := append([]byte(nil), data[:12]...)
-			putValue(data, uint64(t))
-			w.Pool().MarkDirty(frame)
-			w.LogUpdate(oids[sh].Page, off, old, append([]byte(nil), data[:12]...))
+			vals[sh] = uint64(t)
 		}
-		if !ok {
-			inFlight = t
-			break
+		if err != nil {
+			break // never reached commit: recovery must roll it back
 		}
 		if err := w.Commit(); err != nil {
-			inFlight = t
 			rep.InDoubt = true
+			keys.cutOff(vals)
 			break
 		}
-		rep.Committed = t
+		keys.acked(vals)
+		rep.Committed++
 	}
-	rep.Crashed = shards[victim].plane != nil && shards[victim].plane.Crashed()
-	if shards[victim].plane != nil {
-		rep.Trace = shards[victim].plane.Trace()
-	}
+	rep.Crashed = plane.Crashed()
+	rep.Trace = plane.Trace()
 	if opts.Point != 0 && !rep.Crashed {
 		rep.violate("armed point %s never fired", opts.Point)
 	}
 
 	// Power failure: kill both shards with no orderly shutdown, then
 	// restart each the way a fresh process would.
-	for _, sd := range shards {
-		if err := sd.vol.Abandon(); err != nil {
+	for _, n := range nodes {
+		if err := n.kill(); err != nil {
 			return nil, err
 		}
-		_ = sd.log.Close()
 	}
-	rtrs := make([]esm.Transport, 2)
-	rsrvs := make([]*esm.Server, 2)
-	for i, sd := range shards {
-		vol, err := disk.OpenFileVolume(sd.volPath)
+	trs = make([]esm.Transport, len(nodes)) // the routers above keep the old slice
+	for i, n := range nodes {
+		srv, err := n.restart(esm.ServerConfig{BufferPages: 16})
 		if err != nil {
-			rep.violate("shard %d: reopen volume: %v", i, err)
+			rep.violate("shard %d: %v", i, err)
 			return rep, nil
 		}
-		defer vol.Close()
-		logf, err := wal.OpenFileLog(sd.logPath)
-		if err != nil {
-			rep.violate("shard %d: reopen log: %v", i, err)
-			return rep, nil
-		}
-		defer logf.Close()
-		srv, err := esm.OpenServer(vol, logf, esm.ServerConfig{BufferPages: 16})
-		if err != nil {
-			rep.violate("shard %d: restart recovery: %v", i, err)
-			return rep, nil
-		}
-		rsrvs[i] = srv
-		rtrs[i] = esm.NewInProcTransport(srv)
+		defer n.close()
+		trs[i] = esm.NewInProcTransport(srv)
 	}
 
 	// Presumed abort: a restarted coordinator must answer every inquiry
 	// immediately — never Pending — so one sweep settles everything.
-	out, err := shard.ResolveAll(rtrs)
+	out, err := shard.ResolveAll(trs)
 	if err != nil {
 		rep.violate("resolution sweep: %v", err)
 		return rep, nil
 	}
-	rep.Resolved = out
+	rep.Resolved = &out
 	if out.Pending != 0 {
 		rep.violate("coordinator answered Pending for %d transactions after restart", out.Pending)
 	}
-	for i, srv := range rsrvs {
-		if n := srv.InDoubtCount(); n != 0 {
-			rep.violate("shard %d still holds %d in-doubt transactions after the sweep", i, n)
+	for i, n := range nodes {
+		if c := n.srv.InDoubtCount(); c != 0 {
+			rep.violate("shard %d still holds %d in-doubt transactions after the sweep", i, c)
 		}
 	}
-	if n := rsrvs[0].DecisionCount(); n != 0 {
-		rep.violate("coordinator still remembers %d decisions after a clean sweep", n)
+	if c := nodes[0].srv.DecisionCount(); c != 0 {
+		rep.violate("coordinator still remembers %d decisions after a clean sweep", c)
 	}
 
-	// Atomicity oracle: both objects must hold the SAME sequence — the
-	// cross-shard transaction either happened on both shards or neither —
-	// and that sequence must cover every acknowledged commit.
-	vr, err := shard.NewRouter(rtrs, shard.Config{Affinity: 0})
+	vr, err := shard.NewRouter(trs, shard.Config{Affinity: 0})
 	if err != nil {
 		return nil, err
 	}
@@ -265,28 +195,10 @@ func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
 		rep.violate("post-recovery begin: %v", err)
 		return rep, nil
 	}
-	seqs := make([]uint64, 2)
-	for sh := range oids {
-		data, _, err := v.ReadObject(oids[sh])
-		if err != nil {
-			rep.violate("shard %d oracle object unreadable: %v", sh, err)
-			return rep, nil
-		}
-		got, ckOK := getValue(data)
-		if !ckOK {
-			rep.violate("shard %d oracle object checksum broken", sh)
-		}
-		seqs[sh] = got
-	}
-	if seqs[0] != seqs[1] {
-		rep.violate("ATOMICITY: shard 0 at seq %d, shard 1 at seq %d — a cross-shard commit applied on one shard only", seqs[0], seqs[1])
-	}
-	if seqs[0] < uint64(rep.Committed) {
-		rep.violate("DURABILITY: recovered seq %d below last acknowledged commit %d", seqs[0], rep.Committed)
-	}
-	if inFlight > 0 && seqs[0] > uint64(inFlight) {
-		rep.violate("recovered seq %d beyond any attempted transaction %d", seqs[0], inFlight)
-	}
+	keys.verify(rep, func(i int) ([]byte, error) {
+		data, _, err := v.ReadObject(oids[i])
+		return data, err
+	})
 
 	// The cluster must accept new cross-shard work: every lock the
 	// in-doubt transaction held has to be gone.
@@ -298,15 +210,10 @@ func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
 		return rep, nil
 	}
 	for sh := range oids {
-		data, off, frame, err := v.ReadObjectAt(oids[sh])
-		if err != nil {
+		if err := writeValue(v, oids[sh], uint64(opts.Txns)+1); err != nil {
 			rep.violate("post-recovery update read shard %d: %v", sh, err)
 			return rep, nil
 		}
-		old := append([]byte(nil), data[:12]...)
-		putValue(data, seqs[0]+1)
-		v.Pool().MarkDirty(frame)
-		v.LogUpdate(oids[sh].Page, off, old, append([]byte(nil), data[:12]...))
 	}
 	if err := v.Commit(); err != nil {
 		rep.violate("post-recovery cross-shard commit failed: %v", err)
@@ -314,39 +221,22 @@ func RunShardDrill(opts ShardDrillOpts) (*ShardDrillReport, error) {
 	return rep, nil
 }
 
-// RunShardDrillMatrix runs the full kill matrix — each victim shard at
-// every 2PC crash point — returning one report per cell. dir gets one
-// scratch subdirectory per cell.
-func RunShardDrillMatrix(seed int64, dir string) ([]*ShardDrillReport, error) {
-	var reps []*ShardDrillReport
-	for _, victim := range []string{"coord", "participant"} {
-		for _, point := range ShardCrashPoints {
-			sub := filepath.Join(dir, fmt.Sprintf("%s-%s", victim, pathSafe(point.String())))
-			if err := os.MkdirAll(sub, 0o755); err != nil {
-				return nil, err
-			}
-			rep, err := RunShardDrill(ShardDrillOpts{
-				Seed:   seed,
-				Victim: victim,
-				Point:  point,
-				Dir:    sub,
+// ShardCells is the 2PC kill matrix as sweep cells: each victim shard
+// killed at every 2PC crash point, one seed per cell counting up from seed.
+func ShardCells(seed int64) []Cell {
+	var cells []Cell
+	for victim, name := range VictimNames {
+		for _, pt := range ShardCrashPoints {
+			opts := ShardDrillOpts{Seed: seed, Victim: victim, Point: pt}
+			cells = append(cells, Cell{
+				Label: fmt.Sprintf("victim=%s point=%s seed=%d", name, pt, seed),
+				Run: func(dir string) (*DrillReport, error) {
+					opts.Dir = dir
+					return RunShardDrill(opts)
+				},
 			})
-			if err != nil {
-				return nil, fmt.Errorf("%s at %s: %w", victim, point, err)
-			}
-			reps = append(reps, rep)
 			seed++
 		}
 	}
-	return reps, nil
-}
-
-func pathSafe(s string) string {
-	out := []byte(s)
-	for i := range out {
-		if out[i] == '/' || out[i] == '.' {
-			out[i] = '_'
-		}
-	}
-	return string(out)
+	return cells
 }

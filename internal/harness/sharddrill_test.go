@@ -10,34 +10,30 @@ import (
 // cross-shard transaction resolved atomically — committed on both shards
 // or neither — across every cut of the protocol.
 func TestShardCrashDrillMatrix(t *testing.T) {
-	reps, err := RunShardDrillMatrix(20260808, t.TempDir())
+	tally, err := Sweep(t.TempDir(), ShardCells(20260808), func(c Cell, rep *DrillReport) {
+		for _, v := range rep.Violations {
+			t.Errorf("%s: %s", c.Label, v)
+		}
+		if len(rep.Violations) > 0 && len(rep.Trace) > 0 {
+			t.Logf("%s trace: %v", c.Label, rep.Trace)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed := 0
-	for _, rep := range reps {
-		if rep.Crashed {
-			crashed++
-		}
-		for _, v := range rep.Violations {
-			t.Errorf("victim=%s point=%s: %s", rep.Victim, rep.Point, v)
-		}
-		if t.Failed() && len(rep.Trace) > 0 {
-			t.Logf("victim=%s point=%s trace: %v", rep.Victim, rep.Point, rep.Trace)
-		}
+	if want := len(VictimNames) * len(ShardCrashPoints); tally.Runs != want {
+		t.Fatalf("matrix ran %d cells, want %d", tally.Runs, want)
 	}
-	if len(reps) != 2*len(ShardCrashPoints) {
-		t.Fatalf("matrix ran %d cells, want %d", len(reps), 2*len(ShardCrashPoints))
-	}
-	if crashed != len(reps) {
-		t.Errorf("only %d/%d armed points fired", crashed, len(reps))
+	if tally.Crashed != tally.Runs {
+		t.Errorf("only %d/%d armed points fired", tally.Crashed, tally.Runs)
 	}
 }
 
 // TestShardDrillQuiescentKill power-fails both shards with no armed fault:
-// everything acknowledged must survive, nothing should be in doubt.
+// everything acknowledged must survive, nothing should be in doubt. A
+// victim outside the cluster is a harness error, not a drill.
 func TestShardDrillQuiescentKill(t *testing.T) {
-	rep, err := RunShardDrill(ShardDrillOpts{Seed: 7, Victim: "coord", Dir: t.TempDir()})
+	rep, err := RunShardDrill(ShardDrillOpts{Seed: 7, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +43,12 @@ func TestShardDrillQuiescentKill(t *testing.T) {
 	if rep.Committed == 0 {
 		t.Error("no transaction committed in the quiescent drill")
 	}
-	if rep.Resolved.InDoubt != 0 {
-		t.Errorf("quiescent kill left %d in-doubt transactions", rep.Resolved.InDoubt)
+	if rep.Resolved == nil || rep.Resolved.InDoubt != 0 {
+		t.Errorf("quiescent kill left in-doubt transactions: %+v", rep.Resolved)
+	}
+	for _, victim := range []int{-1, len(VictimNames)} {
+		if _, err := RunShardDrill(ShardDrillOpts{Victim: victim, Dir: t.TempDir()}); err == nil {
+			t.Errorf("victim %d: drill ran on a shard the cluster does not have", victim)
+		}
 	}
 }
