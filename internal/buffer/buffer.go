@@ -194,15 +194,31 @@ func (p *Pool) vacate(i int) {
 }
 
 // PutPrefetched installs a speculative page image read ahead of any use. It
-// takes an empty frame only — speculation never displaces a resident page —
-// and reports ok=false (image dropped) when there is none or the page is
-// already resident. The frame is installed with the reference bit clear and
-// Prefetched set.
+// takes an empty frame if there is one; in a full pool it takes the frame the
+// replacement policy would have given the next miss anyway. Speculation never
+// steals and never cannibalises itself: when there is no victim, or it is
+// pinned, dirty or an unused speculative frame, the image is dropped instead
+// (ok=false), as it is when the page is already resident. The frame is installed with the
+// reference bit clear and Prefetched set.
 func (p *Pool) PutPrefetched(pid disk.PageID, data []byte) (idx int, ok bool) {
-	if _, resident := p.index[pid]; resident || p.empty == 0 {
+	if _, resident := p.index[pid]; resident {
 		return 0, false
 	}
-	i := p.firstEmpty()
+	var i int
+	if p.empty > 0 {
+		i = p.firstEmpty()
+	} else {
+		v, err := p.policy.Victim(p)
+		if err != nil {
+			return 0, false
+		}
+		if f := &p.frames[v]; f.Pin != 0 || f.Dirty || f.Prefetched {
+			return 0, false
+		}
+		p.evicted++
+		p.vacate(v)
+		i = v
+	}
 	copy(p.frames[i].Data, data)
 	p.occupy(i, pid)
 	p.frames[i].Prefetched = true
@@ -244,25 +260,17 @@ func (p *Pool) firstEmpty() int {
 	return p.lowEmpty
 }
 
-// freeFrame returns an empty frame, evicting one if necessary. Speculative
-// frames that were never used are preferred victims: they cost nothing to
-// reread and should never outlive demand-loaded pages.
+// freeFrame returns an empty frame, evicting the policy's victim if there is
+// none. An unused speculative frame gets no special treatment: it is the
+// policy's to judge like any other page, so demand misses do not evict the
+// read-ahead a traversal is about to use.
 func (p *Pool) freeFrame() (int, error) {
 	if p.empty > 0 {
 		return p.firstEmpty(), nil
 	}
-	i := -1
-	for j := 0; p.spec > 0 && j < len(p.frames); j++ {
-		if f := &p.frames[j]; f.Prefetched && f.Pin == 0 {
-			i = j
-			break
-		}
-	}
-	if i < 0 {
-		var err error
-		if i, err = p.policy.Victim(p); err != nil {
-			return 0, err
-		}
+	i, err := p.policy.Victim(p)
+	if err != nil {
+		return 0, err
 	}
 	if err := p.Evict(i); err != nil {
 		return 0, err

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -140,8 +143,13 @@ func TestReadAheadColdT1RoundTrips(t *testing.T) {
 	}
 }
 
-func TestReadAheadSmallPoolPagesOnDemand(t *testing.T) {
-	run := func(cfg core.Config) (calls, bytes int) {
+// TestReadAheadSmallPoolFewerRoundTrips: a pool in steady-state replacement
+// still reads ahead, each speculative page taking the frame the replacement
+// policy would have given the next miss. A warm T1 on a 128-frame pool (the
+// database is 722 pages) pays a third fewer round trips than demand paging,
+// for a few percent more bytes.
+func TestReadAheadSmallPoolFewerRoundTrips(t *testing.T) {
+	run := func(cfg core.Config) (calls, bytes, pages int) {
 		db, tr := coldSession(t, 128, cfg)
 		for i := 0; i < 2; i++ { // the first T1 fills the pool
 			if _, err := oo7.T1(db); err != nil {
@@ -152,12 +160,98 @@ func TestReadAheadSmallPoolPagesOnDemand(t *testing.T) {
 		if _, err := oo7.T1(db); err != nil {
 			t.Fatal(err)
 		}
-		return tr.total(), tr.bytesIn
+		return tr.total(), tr.bytesIn, tr.pages()
 	}
-	dc, db := run(core.Config{DemandPaging: true})
-	ac, ab := run(core.Config{})
-	if ac != dc || ab != db {
-		t.Errorf("warm T1 on a 128-frame pool: %d calls %d bytes with read-ahead, %d calls %d bytes on demand", ac, ab, dc, db)
+	dc, db, dp := run(core.Config{DemandPaging: true})
+	ac, ab, ap := run(core.Config{})
+	t.Logf("warm T1 on a 128-frame pool: demand %d calls %d pages %d bytes; read-ahead %d calls %d pages %d bytes",
+		dc, dp, db, ac, ap, ab)
+	if ac > 1300 {
+		t.Errorf("read-ahead made %d calls, want <= 1300 (demand paging: %d)", ac, dc)
+	}
+	if float64(ab) > 1.08*float64(db) {
+		t.Errorf("read-ahead shipped %d bytes, more than 1.08 x demand paging's %d", ab, db)
+	}
+}
+
+// TestReadAheadSmallPoolT2BMatchesDemandPaging: T2B on a 128-frame pool
+// steals dirty pages mid-transaction, and read-ahead now evicts into such a
+// pool too. It must change nothing that commits: the same updates, the same
+// committed x values, and no speculative install ever writes a page back —
+// speculation never steals.
+func TestReadAheadSmallPoolT2BMatchesDemandPaging(t *testing.T) {
+	env, err := smallDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run commits one T2B and returns its update count, how much it raised the
+	// committed x-sum, and how many dirty pages it stole.
+	run := func(cfg core.Config) (updates int, dx int64, steals int) {
+		if err := env.Cold(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := core.Open(esm.NewClient(esm.NewInProcTransport(env.Srv), esm.ClientConfig{BufferPages: 128}), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := st.Client().Pool()
+		flush := pool.FlushFn
+		pool.FlushFn = func(pid disk.PageID, data []byte) error {
+			steals++
+			if onStack("(*Pool).PutPrefetched") {
+				t.Errorf("a speculative install wrote page %d back", pid)
+			}
+			return flush(pid, data)
+		}
+		db := oo7.NewQS(st, false)
+		before := xSum(t, db)
+		if updates, err = oo7.T2(db, oo7.VariantB); err != nil {
+			t.Fatal(err)
+		}
+		return updates, xSum(t, db) - before, steals
+	}
+	du, ddx, dsteals := run(core.Config{DemandPaging: true})
+	au, adx, asteals := run(core.Config{})
+	t.Logf("T2B on a 128-frame pool: demand %d updates, x-sum +%d, %d steals; read-ahead %d updates, x-sum +%d, %d steals",
+		du, ddx, dsteals, au, adx, asteals)
+	if au != du || adx != ddx {
+		t.Errorf("read-ahead: %d updates raised the x-sum by %d; demand paging: %d updates, %d", au, adx, du, ddx)
+	}
+	if asteals == 0 {
+		t.Error("no dirty page was stolen: the pool is not under pressure")
+	}
+}
+
+// xSum is the committed sum of every atomic part's x, read through the
+// part-id index in a transaction of its own.
+func xSum(t *testing.T, db oo7.DB) int64 {
+	t.Helper()
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	db.Index(oo7.IdxPartID).ScanInt(math.MinInt64, math.MaxInt64, func(_ int64, r oo7.Ref) bool {
+		sum += int64(db.GetI32(r, oo7.TAtomicPart, oo7.APartX))
+		return true
+	})
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// onStack reports whether a function whose name ends in fn is a caller.
+func onStack(fn string) bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, fn) {
+			return true
+		}
+		if !more {
+			return false
+		}
 	}
 }
 

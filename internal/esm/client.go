@@ -661,11 +661,12 @@ func (c *Client) ConsumePrefetch(i int) bool {
 }
 
 // ReadAhead fetches pids with one OpReadPages round trip and lands each
-// image in an empty pool frame as a speculative frame (buffer.PutPrefetched),
-// stamped with its coherence token so the next Begin's validation treats it
-// like any other warm frame. An image the pool has no empty frame for, or
-// whose page is already resident, is dropped. Outside a transaction it does
-// nothing: a snapshot session must not be handed current images.
+// image in the pool as a speculative frame (buffer.PutPrefetched: an empty
+// frame, or the replacement policy's clean, unpinned victim), stamped with its
+// coherence token so the next Begin's validation treats it like any other
+// warm frame. An image the pool has no such frame for, or whose page is
+// already resident, is dropped. Outside a transaction it does nothing: a
+// snapshot session must not be handed current images.
 func (c *Client) ReadAhead(pids []disk.PageID) error {
 	if len(pids) == 0 || c.tx == 0 {
 		return nil

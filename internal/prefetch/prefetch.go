@@ -11,15 +11,17 @@
 // buffer hit instead of a round trip of its own.
 //
 // Everything runs on the session's thread, inside the fault: a pump is a
-// plain call and nothing is in flight between pumps. Hints the pool has no
+// plain call and nothing is in flight between pumps. Hints the window has no
 // room for yet wait in a bounded queue until the transaction ends.
 //
 // There is nothing to tune. How much is asked for follows from what the
 // client pool shows:
 //
-//   - never more pages than the pool has empty frames. A pool in steady-state
-//     replacement has none, so a working set larger than the cache is paged
-//     on demand exactly as without read-ahead;
+//   - a speculative page takes an empty frame, or else the frame the pool's
+//     replacement policy would have given the next miss (buffer.PutPrefetched:
+//     never a pinned or dirty one, never another unused speculative frame).
+//     A working set larger than the cache is read ahead too, in steady-state
+//     replacement;
 //   - never more speculative frames outstanding (installed, not yet used)
 //     than a window that starts at InitialWindow, grows by one for every
 //     speculative frame that is used and shrinks by one for every one that
@@ -28,7 +30,9 @@
 //     fetched on demand after all also widens the window by one: that costs
 //     no wire, so a window that waste has shut can reopen. A traversal that
 //     uses what it is sent is soon sent everything its mapping objects name;
-//     a sparse one wastes at most a window's worth of wire;
+//     a sparse one wastes at most a window's worth of wire. The window never
+//     exceeds MaxWindow, nor what the pool can hold: its empty frames, or
+//     1/PoolShare of its frames once fewer are empty;
 //   - no round trip that is not worth one (see Pump).
 package prefetch
 
@@ -49,6 +53,9 @@ const (
 	// frames; MaxWindow is as far as use can raise it.
 	InitialWindow = 8
 	MaxWindow     = 512
+	// PoolShare bounds the window by the pool: once fewer than 1/PoolShare
+	// of its frames are empty, at most that share may be speculative.
+	PoolShare = 3
 	// MaxQueue bounds the hints kept for when the window has room.
 	MaxQueue = 512
 )
@@ -84,22 +91,24 @@ func (p *Prefetcher) Window() int {
 	return p.window
 }
 
-// room folds the pool's verdicts since the last look into the window and
-// returns how many pages may be asked for now.
+// room folds the pool's verdicts since the last look into the window, bounds
+// it by what the pool can hold, and returns how many pages may be asked for
+// now.
 func (p *Prefetcher) room() int {
 	outstanding, used, wasted := p.pool.Speculation()
+	limit := min(MaxWindow, max(p.pool.Len()/PoolShare, p.pool.Empty()))
 	p.window += int((used - p.used) - (wasted - p.wasted))
-	p.window = min(max(p.window, 0), MaxWindow)
+	p.window = min(max(p.window, 0), limit)
 	p.used, p.wasted = used, wasted
-	return min(p.window-outstanding, p.pool.Empty())
+	return max(p.window-outstanding, 0)
 }
 
 // Enqueue records a read-ahead hint for pid. Hints for resident pages and
-// for pages already queued are ignored, as is every hint while the pool has
-// no empty frame (steady-state replacement pays nothing for read-ahead); a
-// full queue forgets its oldest hint.
+// for pages already queued are ignored; a full queue forgets its oldest hint.
+// A pool with no empty frame takes hints too: each page fetched then takes
+// the replacement policy's victim (buffer.PutPrefetched).
 func (p *Prefetcher) Enqueue(pid disk.PageID) {
-	if pid == disk.InvalidPage || p.pool.Empty() == 0 {
+	if pid == disk.InvalidPage {
 		return
 	}
 	if _, resident := p.pool.Lookup(pid); resident || slices.Contains(p.queue, pid) {
@@ -127,7 +136,7 @@ func (p *Prefetcher) Pending() int { return len(p.queue) }
 // Reset forgets the queued hints; they do not outlive their transaction.
 func (p *Prefetcher) Reset() { p.queue = p.queue[:0] }
 
-// Pump fetches queued hints, oldest first, as far as the pool has room: one
+// Pump fetches queued hints, oldest first, as far as the window has room: one
 // round trip for up to MaxFrame of them, more only beyond that. It waits
 // until a round trip is worth making: one that carries a single page saves
 // nothing, and a window freed one frame at a time is not to be refilled one

@@ -179,29 +179,49 @@ func TestReadAheadOneRoundTripPerPump(t *testing.T) {
 	}
 }
 
-func TestReadAheadNeverExceedsEmptyFrames(t *testing.T) {
-	h := newHarness(128)
-	h.widen(t, 32)
-	for pid := disk.PageID(1); h.pool.Empty() > 24; pid++ {
-		h.pool.Put(pid, func([]byte) error { return nil })
+// TestReadAheadWindowBoundedByPool: while the pool has empty frames the window
+// may fill them all; once it has none, speculation evicts the policy's
+// victims but never holds more than a third of the frames, and the window
+// shrinks to that bound, so half of it is a refill the pump can still wait for.
+func TestReadAheadWindowBoundedByPool(t *testing.T) {
+	const frames, bound = 128, 128 / PoolShare
+	h := newHarness(frames)
+	h.widen(t, 64) // 8+16+32 pages used and resident, 72 frames empty
+	h.hint(t, 1000, 1099)
+	if got := len(h.fetched()); got != 64 {
+		t.Fatalf("asked for %d pages, want the window of 64 (more than a third of the pool, fewer than its empty frames)", got)
 	}
-	resident := h.pool.Resident()
-	h.hint(t, 1000, 1099) // 24 empty frames, fewer than the window
-	if got := h.fetched(); len(got) != 24 {
-		t.Fatalf("asked for %d pages with 24 empty frames", len(got))
+	if _, _, evicted := h.pool.Stats(); evicted != 0 || h.pool.Empty() != 8 {
+		t.Fatalf("%d evicted, %d empty: read-ahead into empty frames evicted something", evicted, h.pool.Empty())
 	}
-	if h.pool.Empty() != 0 {
-		t.Fatalf("empty = %d", h.pool.Empty())
+	h.p.Reset()
+	h.use(t, 1000, 1063)
+	if w := h.p.Window(); w != bound {
+		t.Fatalf("window = %d with 8 empty frames, want a third of the pool: %d", w, bound)
 	}
-	// A full pool pages on demand: nothing is asked for, nothing is evicted.
+
+	// The pool fills: the rest of a window's worth evicts.
 	h.frames = nil
-	h.use(t, 1000, 1023)
-	h.hint(t, 2000, 2060)
-	if len(h.frames) != 0 {
-		t.Fatalf("full pool, yet asked for %v", h.frames)
+	h.hint(t, 2000, 2099)
+	if got := len(h.fetched()); got != bound {
+		t.Fatalf("asked for %d pages, want the window %d", got, bound)
 	}
-	if got := h.pool.Resident(); got != resident+24 {
-		t.Fatalf("resident = %d, want %d: read-ahead evicted something", got, resident+24)
+	if out, _, _ := h.pool.Speculation(); out != bound || h.pool.Resident() != frames {
+		t.Fatalf("outstanding %d, resident %d; want %d, %d", out, h.pool.Resident(), bound, frames)
+	}
+	h.frames = nil
+	h.hint(t, 3000, 3010)
+	if len(h.frames) != 0 {
+		t.Fatalf("window full, yet asked for %v", h.frames)
+	}
+	// Using half the window is a round trip's worth.
+	h.use(t, 2000, 2000+bound/2-1)
+	h.hint(t, 3000, 3000)
+	if got := h.fetched(); len(got) != bound/2 || got[0] != 2000+bound {
+		t.Fatalf("refill fetched %v, want %d pages from %d", got, bound/2, 2000+bound)
+	}
+	if out, _, _ := h.pool.Speculation(); out != bound {
+		t.Fatalf("outstanding %d, want %d", out, bound)
 	}
 }
 
@@ -289,18 +309,31 @@ func TestReadAheadWaitsForARoundTripsWorth(t *testing.T) {
 // page that was never resident is never evicted — so it was never hinted
 // again. Nothing is remembered across pumps now but the queue itself.
 func TestReadAheadRehintsDroppedPage(t *testing.T) {
-	h := newHarness(4)
-	for pid := disk.PageID(1); pid <= 4; pid++ {
-		h.pool.Put(pid, func([]byte) error { return nil })
+	h := newHarness(8)
+	for pid := disk.PageID(1); pid <= 8; pid++ {
+		i, _ := h.pool.Put(pid, func([]byte) error { return nil })
+		h.pool.Pin(i)
 	}
-	h.hint(t, 10, 11) // no room: nothing fetched
-	if len(h.frames) != 0 {
-		t.Fatalf("fetched %v into a full pool", h.frames)
+	h.hint(t, 10, 11) // every frame pinned: asked for, and dropped
+	if got := h.fetched(); len(got) != 2 || h.pool.Resident() != 8 {
+		t.Fatalf("fetched %v; resident %d", got, h.pool.Resident())
+	}
+	if _, ok := h.pool.Lookup(10); ok {
+		t.Fatal("page 10 displaced a pinned frame")
 	}
 	h.p.Reset() // the transaction ends
-	h.pool.DropAll()
+	for pid := disk.PageID(1); pid <= 8; pid++ {
+		i, _ := h.pool.Lookup(pid)
+		h.pool.Unpin(i)
+	}
+	h.frames = nil
 	h.hint(t, 10, 11)
 	if got := h.fetched(); len(got) != 2 {
 		t.Fatalf("pages dropped once were not hinted again: fetched %v", got)
+	}
+	for _, pid := range []disk.PageID{10, 11} {
+		if _, ok := h.pool.Lookup(pid); !ok {
+			t.Fatalf("page %d not installed once there was room", pid)
+		}
 	}
 }
