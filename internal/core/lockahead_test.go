@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"quickstore/internal/esm"
 	"quickstore/internal/lock"
 	"quickstore/internal/oo7"
-	"quickstore/internal/wal"
 )
 
 // lockCall is one OpLock as it crossed the wire: the demanded page, the pages
@@ -107,16 +105,14 @@ func TestLockAheadHotT2BRoundTrips(t *testing.T) {
 		if req.Op == esm.OpLock {
 			lists = append(lists, len(req.Data)/esm.PageEntryBytes)
 		}
-		if req.Op != esm.OpLog {
+		if req.Op != esm.OpLog && req.Op != esm.OpCommit {
 			return nil
 		}
-		data := req.Data[4:]
-		for n := binary.LittleEndian.Uint32(req.Data); n > 0; n-- {
-			rec, size, err := wal.DecodeUpdate(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data = data[size:]
+		pl, err := esm.ReadPayload(req.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
 			if pid := disk.PageID(rec.Page); wrote[pid] {
 				logged[pid] = true
 				if env.Srv.LockHeld(req.Tx, lock.PageRes(rec.Page)) != lock.Exclusive {

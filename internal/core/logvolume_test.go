@@ -1,21 +1,20 @@
 package core_test
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"quickstore/internal/core"
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/oo7"
-	"quickstore/internal/wal"
 )
 
 // TestLogVolumeHotT2B: a hot T2B on OO7 small writes one update record per
 // page run, not one per diff region — at most the pages it wrote plus a few
 // (mapping objects, a page diffed twice) — and at most 150 KB of log, where
-// one record per region wrote 9,802 records and 218 KB. Every OpLog batch's
-// leading count is the number of records the server appended for it.
+// one record per region wrote 9,802 records and 218 KB. Every batch's
+// leading count, in an OpLog or riding the OpCommit, is the number of update
+// records the server appended for it.
 func TestLogVolumeHotT2B(t *testing.T) {
 	env, err := smallDB()
 	if err != nil {
@@ -30,28 +29,31 @@ func TestLogVolumeHotT2B(t *testing.T) {
 	pages := map[disk.PageID]bool{}
 	var batched, regions int64
 	tr.before = func(req *esm.Request) *esm.Response {
-		if req.Op != esm.OpLog {
+		if req.Op != esm.OpLog && req.Op != esm.OpCommit {
 			return nil
 		}
-		n := binary.LittleEndian.Uint32(req.Data)
-		data := req.Data[4:]
-		for i := n; i > 0; i-- {
-			rec, size, err := wal.DecodeUpdate(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data = data[size:]
+		pl, err := esm.ReadPayload(req.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
+			n++
 			pages[disk.PageID(rec.Page)] = true
 			for it := rec.Regions(); it.Next(); {
 				regions++
 			}
 		}
+		want := n
+		if req.Op == esm.OpCommit {
+			want++ // the commit record
+		}
 		before := log.Records()
 		resp := env.Srv.Handle(req)
-		if got := log.Records() - before; got != int64(n) {
-			t.Errorf("a batch counting %d records made the server append %d", n, got)
+		if got := log.Records() - before; got != want {
+			t.Errorf("a %v batch counting %d records made the server append %d", req.Op, n, got)
 		}
-		batched += int64(n)
+		batched += n
 		return resp
 	}
 	records, bytes := log.Records(), log.Bytes()

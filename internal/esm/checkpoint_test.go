@@ -1,7 +1,6 @@
 package esm
 
 import (
-	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -50,12 +49,9 @@ func (h *commitDuringWrite) run() error {
 	if resp.Err != "" {
 		return errors.New(resp.Err)
 	}
-	img := make([]byte, disk.PageSize)
-	binary.LittleEndian.PutUint64(img[:8], resp.N) // pageLSN = update LSN
+	img := make([]byte, disk.PageSize) // the server stamps its page LSN
 	copy(img[h.off:], h.value)
-	payload := make([]byte, 0, 4+disk.PageSize)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(h.target))
-	payload = append(payload, img...)
+	payload := AppendPayloadPage(logBatch(), uint32(h.target), false, img)
 	resp = h.srv.Handle(&Request{Op: OpCommit, Tx: tx, Data: payload})
 	if resp.Err != "" {
 		return errors.New(resp.Err)

@@ -117,8 +117,7 @@ type Client struct {
 	uniqueNext uint64
 	uniqueEnd  uint64
 
-	lastLSN  uint64
-	stamper  ShardStamper         // per-shard LSN source when the transport shards (nil otherwise)
+	sharded  bool                 // the transport shards (ShardStamper): no commit LSN is every page's token
 	rawPages map[disk.PageID]bool // large-object data pages: never LSN-stamped
 
 	// pinLeaks counts frames Abort found still pinned — an object-layer bug
@@ -163,9 +162,7 @@ func NewClient(tr Transport, cfg ClientConfig) *Client {
 	}
 	c := &Client{tr: tr, clock: cfg.Clock, retry: cfg.Retry, req: new(Request),
 		rawPages: map[disk.PageID]bool{}, held: map[lock.Resource]heldLock{}}
-	if st, ok := tr.(ShardStamper); ok {
-		c.stamper = st
-	}
+	_, c.sharded = tr.(ShardStamper)
 	c.pool = buffer.New(cfg.BufferPages, cfg.Policy)
 	c.pool.FlushFn = c.stealPage
 	c.pool.OnPrefetchDrop = func(disk.PageID) { c.clock.Charge(sim.CtrPrefetchWasted, 1) }
@@ -725,63 +722,38 @@ func (c *Client) MarkDirty(pid disk.PageID) error {
 }
 
 // stealPage lets a dirty page leave the client pool mid-transaction: the
-// owner first emits the log records that cover it (WAL) and the log batch
-// ships. A frame whose every change was declared logged needs nothing
-// more — the server redid those records onto its own copy — so only an
-// Unlogged frame is sent whole. Header-bearing pages are stamped with the
-// last log sequence number so restart recovery can decide redo/undo
-// correctly; raw large-object data pages carry no header and are never
-// stamped. The cost model is charged a page write either way: internal/sim
-// prices the paper's protocol, which ships every stolen page.
+// owner first emits the log records that cover it (WAL), and the batch
+// ships in an OpLog, with the page after it only if the frame is Unlogged
+// (the server redoes the records onto its own copy). The cost model is
+// charged a page write either way: internal/sim prices the paper's
+// protocol, which ships every stolen page.
 func (c *Client) stealPage(pid disk.PageID, data []byte) error {
 	if c.BeforeSteal != nil {
 		if err := c.BeforeSteal(pid, data); err != nil {
 			return err
 		}
 	}
-	if err := c.FlushLog(); err != nil {
-		return err
-	}
-	c.stampLSN(pid, data)
 	c.clock.Charge(sim.CtrClientWrite, 1)
-	if i, ok := c.pool.Lookup(pid); ok && !c.pool.Frame(i).Unlogged {
-		return nil
+	c.sealBatch()
+	if i, ok := c.pool.Lookup(pid); !ok || c.pool.Frame(i).Unlogged {
+		c.pending = AppendPayloadPage(c.pending, uint32(pid), c.rawPages[pid], data)
 	}
-	req := c.request(OpWritePage)
-	req.Tx, req.Page, req.Data = c.tx, uint32(pid), data
-	_, err := c.callN(req)
-	return err
+	return c.FlushLog()
 }
 
-// MarkRawPages records a run of raw (headerless, large-object) data pages
-// so LSN stamping skips them.
+// MarkRawPages records a run of raw (headerless, large-object) data pages,
+// which the commit payload names raw so the server never stamps them.
 func (c *Client) MarkRawPages(first disk.PageID, n uint32) {
 	for i := uint32(0); i < n; i++ {
 		c.rawPages[first+disk.PageID(i)] = true
 	}
 }
 
-// ShardStamper is implemented by sharding transports (internal/shard's
-// Router): the scalar lastLSN a single-server session stamps into its
-// pages is wrong under sharding, where each shard assigns LSNs
-// independently — a shard-A LSN stamped onto a shard-B page would make
-// shard B's recovery skip redo of committed updates (stamp too high) or
-// its runtime abort skip undo (stamp too low). StampLSN returns the last
-// log LSN the transaction was assigned on the shard that owns pid, or 0
-// when it logged nothing there.
+// ShardStamper marks a sharding transport (internal/shard's Router), where
+// one commit LSN is no page's token. Servers stamp the pages they install
+// (Server.installPage), so StampLSN has no stamp to give and returns 0.
 type ShardStamper interface {
 	StampLSN(tx uint64, pid disk.PageID) uint64
-}
-
-func (c *Client) stampLSN(pid disk.PageID, data []byte) {
-	lsn := c.lastLSN
-	if c.stamper != nil {
-		lsn = c.stamper.StampLSN(c.tx, pid)
-	}
-	if lsn == 0 || c.rawPages[pid] {
-		return
-	}
-	binary.LittleEndian.PutUint64(data[:8], lsn)
 }
 
 // LogUpdate logs a physical update (before/after images for the byte range
@@ -867,52 +839,47 @@ func (c *Client) logStructDiff(pid disk.PageID, before []byte, idx int) {
 	}
 }
 
-// FlushLog ships buffered log records to the server and records the last
-// assigned log sequence number (used to stamp shipped pages).
-func (c *Client) FlushLog() error {
-	if c.nrecs == 0 {
-		return nil
-	}
+// sealBatch closes the open record and writes the record count into the
+// pending batch; whole pages may follow it (AppendPayloadPage).
+func (c *Client) sealBatch() {
 	c.closeRecord()
 	binary.LittleEndian.PutUint32(c.pending[:4], c.nrecs)
-	req := c.request(OpLog)
-	req.Tx, req.Data = c.tx, c.pending
-	lsn, err := c.callN(req)
-	c.pending, c.nrecs = c.pending[:4], 0
-	if err != nil {
-		return err
-	}
-	c.lastLSN = lsn
-	return nil
 }
 
-// Commit ships the remaining log records to the server, which redoes them
-// onto its own pages, and with the commit request only the dirty frames
-// some caller changed without declaring the change logged (Frame.Unlogged:
-// bulk loads, raw large-object pages, B-tree pages); the server forces the
-// log. Every dirty frame is cleaned and keeps its place: the client cache
-// stays warm, matching the paper's hot re-runs. The cost model is charged
-// for every dirty frame, shipped or not — it prices the paper's protocol.
+// FlushLog ships the pending payload, if any, in an OpLog. Only a steal
+// needs it (stealPage): Commit carries the last batch itself.
+func (c *Client) FlushLog() error {
+	c.sealBatch()
+	if len(c.pending) == 4 {
+		return nil
+	}
+	req := c.request(OpLog)
+	req.Tx, req.Data = c.tx, c.pending
+	_, err := c.callN(req)
+	c.pending, c.nrecs = c.pending[:4], 0
+	return err
+}
+
+// Commit sends the transaction's last log batch with the commit request,
+// then only the dirty frames some caller changed without declaring the
+// change logged (Frame.Unlogged: bulk loads, raw large-object pages, B-tree
+// pages), built in the reused pending buffer; a commit with neither sends
+// empty Data. Every dirty frame is cleaned and keeps its place: the client
+// cache stays warm, matching the paper's hot re-runs. The cost model is
+// charged for every dirty frame, shipped or not.
 func (c *Client) Commit() error {
 	if c.tx == 0 {
 		return ErrNoTx
 	}
-	if err := c.FlushLog(); err != nil {
-		return err
-	}
-	var payload []byte
+	c.sealBatch()
 	cleaned := c.cleaned[:0]
 	for i := 0; i < c.pool.Len(); i++ {
 		f := c.pool.Frame(i)
 		if f.Page == disk.InvalidPage || !f.Dirty {
 			continue
 		}
-		c.stampLSN(f.Page, f.Data)
 		if f.Unlogged {
-			var pidb [4]byte
-			binary.LittleEndian.PutUint32(pidb[:], uint32(f.Page))
-			payload = append(payload, pidb[:]...)
-			payload = append(payload, f.Data...)
+			c.pending = AppendPayloadPage(c.pending, uint32(f.Page), c.rawPages[f.Page], f.Data)
 		}
 		f.Dirty = false
 		f.Unlogged = false
@@ -922,8 +889,12 @@ func (c *Client) Commit() error {
 	}
 	c.cleaned = cleaned
 	req := c.request(OpCommit)
-	req.Tx, req.Data = c.tx, payload
+	req.Tx = c.tx
+	if len(c.pending) > 4 {
+		req.Data = c.pending
+	}
 	lsn, err := c.callN(req)
+	c.pending, c.nrecs = c.pending[:4], 0
 	c.endTx()
 	if err != nil {
 		return err
@@ -931,14 +902,14 @@ func (c *Client) Commit() error {
 	if lsn > c.lastSeen {
 		c.lastSeen = lsn // read-your-writes floor for snapshot begins
 	}
-	// The cleaned frames hold exactly the bytes the server just
-	// committed, whether it received them whole or rebuilt them from
-	// their records: stamp them with the commit token so the next
-	// Begin answers "not modified" for them. Under sharding the single
+	// The cleaned frames hold the bytes the server just committed (but
+	// for its page LSN stamps), whether it received them whole or rebuilt
+	// them from their records: stamp them with the commit token so the
+	// next Begin answers "not modified" for them. Under sharding the single
 	// response LSN is not the per-shard commit LSN, so the frames stay
 	// unversioned: a lock grant refetches them whole.
 	tok := lsn
-	if c.stamper != nil {
+	if c.sharded {
 		tok = 0
 	}
 	for _, i := range cleaned {

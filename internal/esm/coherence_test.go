@@ -502,8 +502,9 @@ func TestRawPagesRevalidatedAtBegin(t *testing.T) {
 // wireTap carries calls to tr and records what crosses it: the calls and
 // their exact framed size on a socket (frame header plus marshaled request
 // and response), the OpBegin share apart, the page of every ReadCheck
-// entry sent, the Data bytes of OpCommit requests, and a copy of every
-// OpLog payload. While fail is set, OpLog calls fail with it instead.
+// entry sent, the page-image bytes of OpCommit payloads, and a copy of
+// every non-empty commit payload, whether an OpLog, OpCommit or OpPrepare
+// carries it. While fail is set, those calls fail with it instead.
 type wireTap struct {
 	tr         Transport
 	calls      int64
@@ -523,9 +524,16 @@ func (w *wireTap) Call(req *Request) (*Response, error) {
 			pid, _ := PageEntry(req.Data, i)
 			w.checked = append(w.checked, pid)
 		}
-	case req.Op == OpCommit:
-		w.commitData += len(req.Data)
-	case req.Op == OpLog:
+	case (req.Op == OpLog || req.Op == OpCommit || req.Op == OpPrepare) && len(req.Data) != 0:
+		pl, err := ReadPayload(req.Data)
+		if err != nil {
+			return nil, err
+		}
+		for _, _, image, ok := pl.Page(); ok; _, _, image, ok = pl.Page() {
+			if req.Op == OpCommit {
+				w.commitData += len(image)
+			}
+		}
 		w.batches = append(w.batches, bytes.Clone(req.Data))
 		if w.fail != nil {
 			return nil, w.fail

@@ -1,0 +1,341 @@
+package esm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"testing"
+
+	"quickstore/internal/disk"
+	"quickstore/internal/faultinject"
+	"quickstore/internal/wal"
+)
+
+// payloadValid is the tests' own reading of the commit payload format:
+// empty, or a record count, that many update records the checks accept,
+// and whole page entries with a raw byte of 0 or 1. It returns the record
+// count too.
+func payloadValid(data []byte) (records int, valid bool) {
+	if len(data) == 0 {
+		return 0, true
+	}
+	if len(data) < 4 {
+		return 0, false
+	}
+	records, p := int(binary.LittleEndian.Uint32(data)), 4
+	for i := 0; i < records; i++ {
+		rec, n, err := wal.DecodeUpdate(data[p:])
+		if err != nil || rec.CheckRange(disk.PageSize) != nil {
+			return 0, false
+		}
+		p += n
+	}
+	const entry = 4 + 1 + disk.PageSize
+	if len(data[p:])%entry != 0 {
+		return 0, false
+	}
+	for q := p; q < len(data); q += entry {
+		if data[q+4] > 1 {
+			return 0, false
+		}
+	}
+	return records, true
+}
+
+// recordsOf counts tx's records of type typ in the log.
+func recordsOf(t testing.TB, log *wal.Log, tx uint64, typ wal.RecType) (n int, last wal.LSN) {
+	t.Helper()
+	if err := log.Iterate(func(r wal.Record) bool {
+		if r.Tx == tx && r.Type == typ {
+			n, last = n+1, r.LSN
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n, last
+}
+
+// TestPayloadSplitRoundTrip: a payload split by page parity comes apart into
+// one payload per part, each carrying its own records in order and then its
+// own pages, with the ids route wrote; parts are listed in first-touch order.
+func TestPayloadSplitRoundTrip(t *testing.T) {
+	img := func(b byte) []byte { return bytes.Repeat([]byte{b}, disk.PageSize) }
+	data := logBatch(
+		wal.Record{Page: 3, Off: 10, Old: []byte{0}, New: []byte{1}},
+		wal.Record{Page: 4, Off: 20, New: []byte{2}},
+		wal.Record{Page: 5, Off: 30, Old: []byte{0}, New: []byte{3}},
+	)
+	data = AppendPayloadPage(data, 8, false, img(8))
+	data = AppendPayloadPage(data, 7, true, img(7))
+	parts, order, err := SplitPayload(data, func(pid uint32) int { return int(pid % 2) }, func(pid uint32) uint32 { return pid * 10 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
+		t.Fatalf("parts in order %v, want [1 0]", order)
+	}
+	for part, want := range map[int]struct {
+		recs  []uint32
+		pages []uint32
+		raw   []bool
+	}{1: {[]uint32{30, 50}, []uint32{70}, []bool{true}}, 0: {[]uint32{40}, []uint32{80}, []bool{false}}} {
+		pl, err := ReadPayload(parts[part])
+		if err != nil {
+			t.Fatalf("part %d: %v", part, err)
+		}
+		var recs, pages []uint32
+		var raw []bool
+		for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
+			recs = append(recs, rec.Page)
+		}
+		for pid, r, image, ok := pl.Page(); ok; pid, r, image, ok = pl.Page() {
+			if !bytes.Equal(image, img(byte(pid/10))) {
+				t.Fatalf("part %d: page %d carries another page's image", part, pid)
+			}
+			pages, raw = append(pages, pid), append(raw, r)
+		}
+		if !slices.Equal(recs, want.recs) || !slices.Equal(pages, want.pages) || !slices.Equal(raw, want.raw) {
+			t.Fatalf("part %d: records %v pages %v raw %v, want %v %v %v", part, recs, pages, raw, want.recs, want.pages, want.raw)
+		}
+	}
+	if empty, order, err := SplitPayload(nil, func(uint32) int { return 0 }, func(pid uint32) uint32 { return pid }); err != nil || len(empty) != 0 || len(order) != 0 {
+		t.Fatalf("an empty payload split into %d parts (%v)", len(empty), err)
+	}
+}
+
+// TestCommitOfUnknownTxAppliesNothing: a commit or a prepare for a
+// transaction the server never began, or one that already finished, is
+// refused before anything is applied — no record, no capture, no installed
+// page, no force.
+func TestCommitOfUnknownTxAppliesNothing(t *testing.T) {
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64, MVCC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := srv.Volume().Allocate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := beginTx(t, srv)
+	if resp := srv.Handle(&Request{Op: OpCommit, Tx: finished}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	payload := AppendPayloadPage(logBatch(wal.Record{Page: uint32(pid), Off: 64, Old: make([]byte, 3), New: []byte("abc")}),
+		uint32(pid), false, bytes.Repeat([]byte{0xEE}, disk.PageSize))
+	for _, tx := range []uint64{finished, finished + 1000} {
+		for _, req := range []*Request{
+			{Op: OpCommit, Tx: tx, Data: payload},
+			{Op: OpCommit, Tx: tx},
+			{Op: OpPrepare, Tx: tx, N: tx, Data: payload},
+			{Op: OpPrepare, Tx: tx, N: tx},
+		} {
+			records, forces, captures := srv.log.Records(), srv.log.Forces(), srv.mv.Stats().Captures
+			resp := srv.Handle(req)
+			if resp.Err == "" {
+				t.Fatalf("%v of tx %d (%d payload bytes) accepted", req.Op, tx, len(req.Data))
+			}
+			if got := srv.log.Records(); got != records {
+				t.Fatalf("%v of tx %d appended %d records", req.Op, tx, got-records)
+			}
+			if got := srv.log.Forces(); got != forces {
+				t.Fatalf("%v of tx %d forced the log", req.Op, tx)
+			}
+			if got := srv.mv.Stats().Captures; got != captures {
+				t.Fatalf("%v of tx %d filed %d before-images", req.Op, tx, got-captures)
+			}
+			if img := poolImage(t, srv, pid); !bytes.Equal(img, make([]byte, disk.PageSize)) {
+				t.Fatalf("%v of tx %d changed page %d", req.Op, tx, pid)
+			}
+		}
+	}
+}
+
+// TestCommitPayloadPoisonAppendsNothing: a bad record or a malformed page
+// section anywhere in an OpCommit or OpPrepare payload rejects the whole
+// payload: no update, no installed page, no RecCommit or RecPrepare. The
+// transaction stays live, so an abort still ends it.
+func TestCommitPayloadPoisonAppendsNothing(t *testing.T) {
+	srv, pid := logBatchServer(t, 1)
+	poison := poisonBatches(uint32(pid))
+	good := logBatch(wal.Record{Page: uint32(pid), Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}})
+	page := bytes.Repeat([]byte{0xAB}, disk.PageSize)
+	poison["page section cut short"] = AppendPayloadPage(good, uint32(pid), false, page)[:len(good)+4+1+100]
+	bad := AppendPayloadPage(good, uint32(pid), false, page)
+	bad[len(good)+4] = 2
+	poison["page section raw byte 2"] = bad
+	poison["record after a page"] = append(AppendPayloadPage(good, uint32(pid), false, page), good[4:]...)
+	for name, data := range poison {
+		for _, op := range []Op{OpCommit, OpPrepare} {
+			tx := beginTx(t, srv)
+			records := srv.log.Records()
+			resp := srv.Handle(&Request{Op: op, Tx: tx, N: tx, Data: data})
+			if resp.Err == "" {
+				t.Fatalf("%v %s: accepted", op, name)
+			}
+			if got := srv.log.Records(); got != records {
+				t.Fatalf("%v %s: %d records appended by a rejected payload", op, name, got-records)
+			}
+			if img := poolImage(t, srv, pid); !bytes.Equal(img, make([]byte, disk.PageSize)) {
+				t.Fatalf("%v %s: a rejected payload changed page %d", op, name, pid)
+			}
+			if resp := srv.Handle(&Request{Op: OpAbort, Tx: tx}); resp.Err != "" {
+				t.Fatalf("%v %s: abort after the refusal: %s", op, name, resp.Err)
+			}
+			for _, typ := range []wal.RecType{wal.RecUpdate, wal.RecCommit, wal.RecPrepare} {
+				if n, _ := recordsOf(t, srv.log, tx, typ); n != 0 {
+					t.Fatalf("%v %s: %d %v records for the refused tx", op, name, n, typ)
+				}
+			}
+		}
+	}
+	if _, err := OpenServer(srv.vol, srv.log, ServerConfig{BufferPages: 16}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCommitStampsInstalledPagesOverTheirRecords: one commit carries a
+// record and an Unlogged whole image of the same page. The server stamps
+// the image at install time, after it redid the record, so the page LSN
+// never sits below it; a raw page keeps its first bytes. A crash at
+// PtCommitAfterInstall, once the installed page reached the volume, then
+// undoes the record at restart.
+func TestCommitStampsInstalledPagesOverTheirRecords(t *testing.T) {
+	plane := faultinject.New(40)
+	vol := disk.NewMemVolume()
+	logf := wal.NewMemLog()
+	srv, oid := seedObject(t, disk.WithHook(vol, plane), logf, ServerConfig{BufferPages: 64, Fault: plane})
+	var off int
+	write := func(srv *Server, value string) (*Client, uint64) {
+		c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		obj, idx, err := c.ReadObject(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := string(obj[:8])
+		copy(obj, value)
+		c.Pool().MarkDirty(idx) // Unlogged: the frame ships whole
+		off = pageOffOf(t, c, oid)
+		c.LogUpdate(oid.Page, off, []byte(old), []byte(value))
+		return c, c.Tx()
+	}
+
+	c, tx := write(srv, "version2")
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	_, recLSN := recordsOf(t, logf, tx, wal.RecUpdate)
+	if lsn := pageLSNOf(poolImage(t, srv, oid.Page)); recLSN == 0 || wal.LSN(lsn) < recLSN {
+		t.Fatalf("installed page stamped %d, below its record's LSN %d", lsn, recLSN)
+	}
+
+	raw := bytes.Repeat([]byte{0xC3}, disk.PageSize)
+	rtx := beginTx(t, srv)
+	rawPid, err := srv.Volume().Allocate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := srv.Handle(&Request{Op: OpCommit, Tx: rtx, Data: AppendPayloadPage(logBatch(), uint32(rawPid), true, raw)}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	if !bytes.Equal(poolImage(t, srv, rawPid), raw) {
+		t.Fatal("a raw page was stamped")
+	}
+
+	c, _ = write(srv, "version3")
+	plane.ArmCrash(faultinject.PtCommitAfterInstall, 1)
+	if err := c.Commit(); !faultinject.IsCrash(err) {
+		t.Fatalf("commit through a crash point returned %v", err)
+	}
+	plane.Reset()
+	if err := srv.FlushPool(); err != nil { // the installed page reaches the volume
+		t.Fatal(err)
+	}
+	img := make([]byte, disk.PageSize)
+	if err := vol.ReadPage(oid.Page, img); err != nil {
+		t.Fatal(err)
+	}
+	if string(img[off:off+8]) != "version3" {
+		t.Fatalf("setup: the installed page is not on the volume (%q)", img[off:off+8])
+	}
+	logf.DiscardUnflushed()
+	srv2, err := OpenServer(vol, logf, ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readSeeded(t, srv2, oid); got != "version2" {
+		t.Fatalf("after a crash before the commit record: %q, want %q", got, "version2")
+	}
+}
+
+// FuzzCommitPayload throws arbitrary commit payloads at OpCommit and
+// OpPrepare: no panic; a payload the format refuses (payloadValid) appends
+// nothing, changes no page and leaves the transaction abortable; an
+// accepted one appended every record and its commit or prepare record; and
+// the log left behind restarts.
+func FuzzCommitPayload(f *testing.F) {
+	f.Add(false, []byte{})
+	f.Add(true, logBatch())
+	f.Add(false, logBatch(wal.Record{Page: 2, Off: 16, Old: []byte{0, 0}, New: []byte{7, 7}}))
+	f.Add(true, logBatch(pageRun(2, 0x40), pageRun(3, 0x60)))
+	f.Add(false, AppendPayloadPage(logBatch(pageRun(2, 0x40)), 2, false, bytes.Repeat([]byte{9}, disk.PageSize)))
+	f.Add(true, AppendPayloadPage(logBatch(), 3, true, bytes.Repeat([]byte{5}, disk.PageSize)))
+	for _, b := range poisonBatches(2) {
+		f.Add(false, b)
+	}
+	f.Fuzz(func(t *testing.T, prepare bool, data []byte) {
+		srv, first := logBatchServer(t, 4)
+		tx := beginTx(t, srv)
+		op, done := OpCommit, wal.RecCommit
+		if prepare {
+			op, done = OpPrepare, wal.RecPrepare
+		}
+		var images [4][]byte
+		for i := range images {
+			images[i] = poolImage(t, srv, first+disk.PageID(i))
+		}
+		records := srv.log.Records()
+		resp := srv.Handle(&Request{Op: op, Tx: tx, N: tx, Data: data})
+		n, valid := payloadValid(data)
+		switch {
+		case !valid:
+			if resp.Err == "" {
+				t.Fatal("a malformed payload was accepted")
+			}
+			if got := srv.log.Records(); got != records {
+				t.Fatalf("a rejected payload appended %d records", got-records)
+			}
+			for i := range images {
+				if !bytes.Equal(poolImage(t, srv, first+disk.PageID(i)), images[i]) {
+					t.Fatalf("a rejected payload changed page %d", first+disk.PageID(i))
+				}
+			}
+			if resp := srv.Handle(&Request{Op: OpAbort, Tx: tx}); resp.Err != "" {
+				t.Fatalf("abort after a refused payload: %s", resp.Err)
+			}
+		case resp.Err == "":
+			if got := srv.log.Records() - records; got != int64(n)+1 {
+				t.Fatalf("an accepted payload of %d records appended %d", n, got)
+			}
+			if k, _ := recordsOf(t, srv.log, tx, done); k != 1 {
+				t.Fatalf("%d %v records after an accepted %v", k, done, op)
+			}
+		}
+		var maxPage uint32
+		_ = srv.log.Iterate(func(r wal.Record) bool {
+			if r.Type == wal.RecUpdate && r.Page > maxPage {
+				maxPage = r.Page
+			}
+			return true
+		})
+		if maxPage > 4096 {
+			return // recovery grows the volume over every page the log names
+		}
+		if _, err := OpenServer(srv.vol, srv.log, ServerConfig{BufferPages: 16}); err != nil {
+			t.Fatalf("restart over the fuzzed log: %v", err)
+		}
+	})
+}

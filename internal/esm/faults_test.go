@@ -173,7 +173,7 @@ func TestStealWritesForceWALFirst(t *testing.T) {
 // through an armed fault plane: a crash before the log force loses the
 // transaction, a crash after it keeps the transaction, and in both cases
 // the client saw an error — the classic "ack lost, outcome decided by the
-// log" split.
+// log" split. The batch the commit carries goes with it, all or nothing.
 func TestCommitCrashPoints(t *testing.T) {
 	plane := faultinject.New(42)
 	vol := disk.NewMemVolume()
@@ -230,6 +230,100 @@ func TestCommitCrashPoints(t *testing.T) {
 	}
 	if got := readSeeded(t, srv3, oid); got != "version3" {
 		t.Fatalf("forced commit lost at the crash: %q, want %q", got, "version3")
+	}
+
+	// A commit whose batch holds records on two pages, every change
+	// declared logged: no whole page rides along. A crash before the
+	// commit record loses all of the batch, even once its pages reached the
+	// volume; a crash after the force keeps all of it, though no page did.
+	seed := NewClient(NewInProcTransport(srv3), ClientConfig{BufferPages: 8})
+	if err := seed.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	cl := seed.NewCluster(1)
+	var oids [2]OID
+	for i := range oids {
+		var data []byte
+		if oids[i], data, err = seed.CreateObject(cl, 7000); err != nil { // a page each
+			t.Fatal(err)
+		}
+		copy(data, "batch-v1")
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv3.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	values := func(srv *Server) (got [2]string) {
+		r := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+		if err := r.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for i, oid := range oids {
+			data, _, err := r.ReadObject(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = string(data[:8])
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	var offs [2]int
+	crashBatch := func(srv *Server, pt faultinject.Point, value string) {
+		c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for i, oid := range oids {
+			data, off, idx, err := c.ReadObjectAt(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs[i] = off
+			old := string(data[:8])
+			copy(data, value)
+			c.Pool().MarkDirtyLogged(idx)
+			c.LogUpdate(oid.Page, off, []byte(old), []byte(value))
+		}
+		plane.ArmCrash(pt, 1)
+		if err := c.Commit(); !faultinject.IsCrash(err) {
+			t.Fatalf("commit through %v returned %v", pt, err)
+		}
+		plane.Reset()
+	}
+	crashBatch(srv3, faultinject.PtCommitAfterInstall, "batch-v2")
+	if err := srv3.FlushPool(); err != nil { // the batch's pages reach the volume
+		t.Fatal(err)
+	}
+	img := make([]byte, disk.PageSize)
+	for i, oid := range oids {
+		if err := vol.ReadPage(oid.Page, img); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(img[offs[i] : offs[i]+8]); got != "batch-v2" {
+			t.Fatalf("setup: page %d not written back with the batch (%q)", oid.Page, got)
+		}
+	}
+	logf.DiscardUnflushed()
+	srv4, err := OpenServer(hv, logf, ServerConfig{BufferPages: 64, Fault: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := values(srv4); got != [2]string{"batch-v1", "batch-v1"} {
+		t.Fatalf("a batch survived a crash before its commit record: %q", got)
+	}
+	crashBatch(srv4, faultinject.PtCommitAfterFlush, "batch-v3")
+	logf.DiscardUnflushed()
+	srv5, err := OpenServer(hv, logf, ServerConfig{BufferPages: 64, Fault: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := values(srv5); got != [2]string{"batch-v3", "batch-v3"} {
+		t.Fatalf("a forced commit's batch was lost at the crash: %q", got)
 	}
 }
 

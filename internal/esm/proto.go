@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"quickstore/internal/disk"
+	"quickstore/internal/wal"
 )
 
 // Op enumerates protocol operations between the client and the page server.
@@ -22,10 +25,13 @@ const (
 	// horizon, and the client validates its whole resident set (DESIGN.md
 	// §18, "Change feed").
 	OpBegin Op = iota + 1
+	// OpCommit commits the transaction; Data is its last commit payload
+	// (ReadPayload), the response's N the commit LSN.
 	OpCommit
 	OpAbort
-	// OpReadPage is reserved: page reads are OpReadPages. The value stays
-	// taken so that no later op reuses it; a server answers it as unknown.
+	// OpReadPage and OpWritePage are reserved: page reads are OpReadPages,
+	// and a stolen page rides an OpLog. The values stay taken so that no
+	// later op reuses them; a server answers them as unknown.
 	OpReadPage
 	OpWritePage
 	OpAllocPages
@@ -40,6 +46,8 @@ const (
 	// disk.InvalidPage demands nothing — the list is all there is to it (the
 	// shard router's request to the shards that do not own the demanded page).
 	OpLock
+	// OpLog ships a commit payload (ReadPayload) mid-transaction: a steal's
+	// records, and the stolen page itself when it ships whole.
 	OpLog
 	OpCreateFile
 	OpOpenFile
@@ -81,10 +89,10 @@ const (
 	OpSnapRead
 	OpEndSnapshot
 	// Two-phase commit ops (internal/shard). OpPrepare votes a participant
-	// into the prepared state: Data carries the shard-local commit page
-	// payload, Page the coordinator's shard id, N the coordinator-local
-	// transaction id, and Mode the PrepareModeCoord flag on the
-	// coordinator's own prepare. OpCommitDecision delivers the verdict
+	// into the prepared state: Data carries the shard's part of the commit
+	// payload (SplitPayload), Page the coordinator's shard id, N the
+	// coordinator-local transaction id, and Mode the PrepareModeCoord flag
+	// on the coordinator's own prepare. OpCommitDecision delivers the verdict
 	// (Mode bits: commit, coordinator). OpResolveTx is the presumed-abort
 	// inquiry: Mode selects inquire / forget / list (see ResolveMode*).
 	// None are idempotent, so none are retryable across replicas.
@@ -254,6 +262,115 @@ func PageEntryCount(data []byte) (int, error) {
 func PageEntry(data []byte, i int) (pid uint32, token uint64) {
 	e := data[i*PageEntryBytes:]
 	return binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint64(e[4:])
+}
+
+// A commit payload is the Data of OpLog, OpCommit and OpPrepare: empty, or a
+// log batch followed by a page section. The batch is a u32 count, then that
+// many update bodies in the log's own encoding (wal.AppendBody). The page
+// section holds one entry per page shipped whole: u32 page id, one byte that
+// is 1 for a raw large-object page (no header, so never LSN-stamped) and 0
+// otherwise, then the image.
+const payloadPageBytes = 4 + 1 + disk.PageSize
+
+// Payload walks a commit payload ReadPayload checked: Record yields its
+// records in order, then Page its whole pages.
+type Payload struct {
+	records int    // records not yet yielded
+	rest    []byte // their bodies, then the page section
+}
+
+// ReadPayload checks a commit payload whole — every record decodes and stays
+// inside its page, every page entry is whole — and returns a walk over it.
+func ReadPayload(data []byte) (Payload, error) {
+	if len(data) == 0 {
+		return Payload{}, nil
+	}
+	if len(data) < 4 {
+		return Payload{}, errShortMessage
+	}
+	count, p := int(binary.LittleEndian.Uint32(data)), 4
+	for i := 0; i < count; i++ {
+		rec, n, err := wal.DecodeUpdate(data[p:])
+		if err != nil {
+			return Payload{}, fmt.Errorf("esm: log batch record %d: %w", i, err)
+		}
+		if err := rec.CheckRange(disk.PageSize); err != nil {
+			return Payload{}, err
+		}
+		p += n
+	}
+	for q := p; q < len(data); q += payloadPageBytes {
+		if len(data)-q < payloadPageBytes || data[q+4] > 1 {
+			return Payload{}, fmt.Errorf("esm: malformed page section entry at byte %d", q)
+		}
+	}
+	return Payload{records: count, rest: data[4:]}, nil
+}
+
+// Record returns the next record, false once every record was read. The
+// record's images alias the payload.
+func (p *Payload) Record() (wal.Record, bool) {
+	if p.records == 0 {
+		return wal.Record{}, false
+	}
+	rec, n, _ := wal.DecodeUpdate(p.rest) // checked by ReadPayload
+	p.rest, p.records = p.rest[n:], p.records-1
+	return rec, true
+}
+
+// Page returns the next whole page, skipping the records not yet read: its
+// id, whether it is raw, and its image, aliasing the payload.
+func (p *Payload) Page() (pid uint32, raw bool, image []byte, ok bool) {
+	for p.records != 0 {
+		p.Record()
+	}
+	if len(p.rest) == 0 {
+		return 0, false, nil, false
+	}
+	e := p.rest[:payloadPageBytes]
+	p.rest = p.rest[payloadPageBytes:]
+	return binary.LittleEndian.Uint32(e), e[4] == 1, e[5:], true
+}
+
+// AppendPayloadPage appends one whole page to the commit payload dst, which
+// holds its whole log batch already (a count of 0 for none).
+func AppendPayloadPage(dst []byte, pid uint32, raw bool, image []byte) []byte {
+	var flag byte
+	if raw {
+		flag = 1
+	}
+	return append(append(binary.LittleEndian.AppendUint32(dst, pid), flag), image...)
+}
+
+// SplitPayload checks a commit payload and partitions it: each record and
+// each page goes to the part its id names, under the id that id gives it.
+// Each part is a commit payload of its own; order lists the parts in the
+// order the payload first reaches them.
+func SplitPayload(data []byte, part func(pid uint32) int, id func(pid uint32) uint32) (parts map[int][]byte, order []int, err error) {
+	pl, err := ReadPayload(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	parts = map[int][]byte{}
+	to := func(pid uint32) int {
+		k := part(pid)
+		if parts[k] == nil {
+			parts[k], order = make([]byte, 4), append(order, k)
+		}
+		return k
+	}
+	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
+		k := to(rec.Page)
+		rec.Page = id(rec.Page)
+		b := wal.AppendBody(parts[k], &rec)
+		binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+1)
+		parts[k] = b
+	}
+	for pid, raw, image, ok := pl.Page(); ok; pid, raw, image, ok = pl.Page() {
+		k := to(pid)
+		parts[k] = AppendPayloadPage(parts[k], id(pid), raw, image)
+	}
+	return parts, order, nil
 }
 
 // An OpReadPages answer is

@@ -2,7 +2,6 @@ package esm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -191,25 +190,23 @@ func TestRegionRecordAtRestart(t *testing.T) {
 	}
 }
 
-// decodeBatch returns the records of an OpLog payload, regions materialised
-// as (offset, after-image) pairs.
+// decodeBatch returns the records of a commit payload that carries no whole
+// page, regions materialised as (offset, after-image) pairs.
 func decodeBatch(t *testing.T, data []byte) (pages []uint32, regions [][]int) {
 	t.Helper()
-	p := 4
-	for n := binary.LittleEndian.Uint32(data); n > 0; n-- {
-		rec, size, err := wal.DecodeUpdate(data[p:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		p += size
+	pl, err := ReadPayload(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
 		var offs []int
 		for it := rec.Regions(); it.Next(); {
 			offs = append(offs, it.Off)
 		}
 		pages, regions = append(pages, rec.Page), append(regions, offs)
 	}
-	if p != len(data) {
-		t.Fatalf("batch has %d bytes after its last record", len(data)-p)
+	if pid, _, _, ok := pl.Page(); ok {
+		t.Fatalf("batch carries page %d whole after its last record", pid)
 	}
 	return pages, regions
 }

@@ -204,7 +204,7 @@ type Server struct {
 	// or more (read-ahead batches); commits counts committed transactions;
 	// snapBegins/snapReads count snapshot sessions opened and pages served
 	// on the lock-free snapshot path; pagesLogApplied/pagesInstalled count
-	// the two ways a transaction's bytes reach the pool (appendLogBatch page
+	// the two ways a transaction's bytes reach the pool (applyPayload page
 	// runs, installPage images); lockAheadGranted/lockAheadRefused count the
 	// verdicts on OpLock lock-ahead entries. Atomics: stats reads race
 	// concurrent ops by design.
@@ -361,7 +361,7 @@ type ServerStats struct {
 	LogPiggybacks  int64 `json:"log_piggybacks"`
 
 	// How transactions' bytes reached the pool. PagesLogApplied counts page
-	// runs redone from OpLog batches (the page itself never crossed the
+	// runs redone from log batches (the page itself never crossed the
 	// wire); PagesInstalled counts whole page images received by steal,
 	// commit, or prepare. A log-covered workload sliding back to whole-image
 	// shipping shows up as the second growing against the first.
@@ -677,14 +677,8 @@ func (s *Server) handle(req *Request) (*Response, error) {
 	case OpReadPages:
 		return s.readPages(req)
 
-	case OpWritePage:
-		if len(req.Data) != disk.PageSize {
-			return nil, fmt.Errorf("esm: write of %d bytes", len(req.Data))
-		}
-		return nil, s.installPage(req.Tx, disk.PageID(req.Page), req.Data)
-
 	case OpLog:
-		lsn, err := s.appendLogBatch(req.Tx, req.Data)
+		lsn, err := s.applyPayload(req.Tx, req.Data)
 		if err != nil {
 			return nil, err
 		}
@@ -1291,7 +1285,10 @@ func (s *Server) captureBefore(tx uint64, pid disk.PageID) error {
 // installPage places a shipped page image in the server pool, dirty: the
 // path of every page the client could not vouch for as log-covered (bulk
 // loads, raw large-object pages, B-tree pages, plain MarkDirty callers).
-func (s *Server) installPage(tx uint64, pid disk.PageID, data []byte) error {
+// Under the content latch a page with a header is stamped with the log's
+// last LSN (End-1, its last byte), so no record already redone onto it
+// stands above its stamp for restart redo and undo; a raw page is not.
+func (s *Server) installPage(tx uint64, pid disk.PageID, raw bool, data []byte) error {
 	if err := s.captureBefore(tx, pid); err != nil {
 		return err
 	}
@@ -1302,7 +1299,12 @@ func (s *Server) installPage(tx uint64, pid disk.PageID, data []byte) error {
 	if err != nil {
 		return err
 	}
-	ref.Write(func(dst []byte) { copy(dst, data) }) // Load skips the fill when already resident
+	ref.Write(func(dst []byte) { // Load skips the fill when already resident
+		copy(dst, data)
+		if !raw {
+			setPageLSN(dst, uint64(s.log.End()-1))
+		}
+	})
 	ref.MarkDirty()
 	ref.Release()
 	s.pagesInstalled.Add(1)
@@ -1329,46 +1331,25 @@ func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (buffer.PageRef, error) 
 	return ref, err
 }
 
-// appendLogBatch appends a transaction's update records to the log and
-// redoes each onto the server's own copy of its page, the step restart
-// recovery performs for records whose effect is missing: the records carry
-// byte-exact after-images, so a page whose every change was logged never
-// needs to be shipped (Client.Commit skips it).
-//
-// A batch is count u32, then count update bodies in the log's own encoding
-// (wal.AppendBody): the one codec serves the wire and the log, and a batch
-// can name nothing but updates. The whole batch is checked before anything is
-// appended: a record whose range leaves the page would otherwise sit in the
-// log and fail this redo and every later restart. Images are not copied out
-// of the request (wal.Log.Append serializes them before returning). A record
-// is one page's run of regions (the client folds a page's diff into one), and
-// it is the unit here as in recovery: one append, one content latch held
-// across all its regions, one page LSN; the frame is left dirty, so the WAL
-// rule on the steal path holds as for an installed page. Before a
-// transaction's first change to a page its image is captured exactly as for
-// an install.
-func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
-	if len(data) < 4 {
-		return 0, errShortMessage
-	}
-	count := int(binary.LittleEndian.Uint32(data))
-	for i, p := 0, 4; i < count; i++ {
-		rec, n, err := wal.DecodeUpdate(data[p:])
-		if err != nil {
-			return 0, fmt.Errorf("esm: log batch record %d: %w", i, err)
-		}
-		if err := rec.CheckRange(disk.PageSize); err != nil {
-			return 0, err
-		}
-		p += n
+// applyPayload is the one decode-and-apply step of OpLog, OpCommit and
+// OpPrepare. It checks the whole payload (ReadPayload) and that tx is active
+// before it appends anything. Then it appends and redoes each record onto
+// the server's own page, as restart recovery would (one content latch and
+// one page LSN per record, the frame left dirty), and last installs the
+// whole pages, whose stamps then cover those records. It returns tx's last
+// LSN.
+func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
+	pl, err := ReadPayload(data)
+	if err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
-	last := s.lastTxLSN[tx]
+	active, last := s.active[tx], s.lastTxLSN[tx]
 	s.mu.Unlock()
-	var err error
-	for i, p := 0, 4; i < count; i++ {
-		rec, n, _ := wal.DecodeUpdate(data[p:]) // checked above
-		p += n
+	if !active {
+		return 0, fmt.Errorf("esm: payload for unknown tx %d", tx)
+	}
+	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
 		var ref buffer.PageRef
 		if ref, err = s.pinForRedo(tx, disk.PageID(rec.Page)); err != nil {
 			break
@@ -1386,26 +1367,25 @@ func (s *Server) appendLogBatch(tx uint64, data []byte) (wal.LSN, error) {
 	s.mu.Lock()
 	s.lastTxLSN[tx] = last
 	s.mu.Unlock()
-	return last, err
-}
-
-// commit installs the pages the client shipped whole (Data = repeated u32
-// pid + 8K image — only frames it could not vouch for as log-covered; the
-// rest were already redone from their records by appendLogBatch), appends
-// the commit record, and forces the log through it via the group-commit
-// path: concurrent committers share one physical force. The commit LSN is
-// returned so the ack can carry it to the session (read-your-writes floor
-// for later snapshot begins).
-func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
-	const rec = 4 + disk.PageSize
-	if len(data)%rec != 0 {
-		return 0, fmt.Errorf("esm: malformed commit payload (%d bytes)", len(data))
+	if err != nil {
+		return 0, err
 	}
-	for p := 0; p < len(data); p += rec {
-		pid := disk.PageID(binary.LittleEndian.Uint32(data[p:]))
-		if err := s.installPage(tx, pid, data[p+4:p+rec]); err != nil {
+	for pid, raw, image, ok := pl.Page(); ok; pid, raw, image, ok = pl.Page() {
+		if err := s.installPage(tx, disk.PageID(pid), raw, image); err != nil {
 			return 0, err
 		}
+	}
+	return last, nil
+}
+
+// commit applies the transaction's last commit payload (applyPayload),
+// appends the commit record, and forces the log through it via the
+// group-commit path: concurrent committers share one physical force. The
+// commit LSN is returned so the ack can carry it to the session
+// (read-your-writes floor for later snapshot begins).
+func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
+	if _, err := s.applyPayload(tx, data); err != nil {
+		return 0, err
 	}
 	if err := s.fault.Hit(faultinject.PtCommitAfterInstall); err != nil {
 		return 0, err
@@ -1474,7 +1454,7 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 }
 
 // abort undoes every update record the transaction shipped — each was
-// redone onto its page as it arrived (appendLogBatch), so each is undone
+// redone onto its page as it arrived (applyPayload), so each is undone
 // from its before-image, newest first, under a CLR — then releases the
 // transaction's locks. Records still buffered at the client die with it;
 // whole images it installed without records (raw large-object pages) have

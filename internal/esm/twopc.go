@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"quickstore/internal/disk"
 	"quickstore/internal/faultinject"
 	"quickstore/internal/lock"
 	"quickstore/internal/wal"
@@ -29,23 +28,17 @@ type preparedTx struct {
 	recovered  bool    // survived a restart; eligible for external resolution
 }
 
-// prepare votes transaction tx into the prepared state: the shipped dirty
-// pages (Data, same layout as commit) are installed, a RecPrepare is
-// appended and forced, and the transaction's locks stay held. coordShard
-// and coordTx name the coordinator; mode carries PrepareModeCoord on the
-// coordinator's own prepare. After a successful prepare the transaction
-// can no longer be aborted unilaterally by a crash of this server alone —
-// restart holds it in doubt until the coordinator's verdict arrives.
+// prepare votes transaction tx into the prepared state: its last commit
+// payload (Data, as for commit; a cross-shard router sends each shard its
+// part) is applied (applyPayload), a RecPrepare is appended and forced, and
+// the transaction's locks stay held. coordShard and coordTx name the
+// coordinator; mode carries PrepareModeCoord on the coordinator's own
+// prepare. After a successful prepare the transaction can no longer be
+// aborted unilaterally by a crash of this server alone — restart holds it
+// in doubt until the coordinator's verdict arrives.
 func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint8, data []byte) (wal.LSN, error) {
-	const rec = 4 + disk.PageSize
-	if len(data)%rec != 0 {
-		return 0, fmt.Errorf("esm: malformed prepare payload (%d bytes)", len(data))
-	}
-	for p := 0; p < len(data); p += rec {
-		pid := disk.PageID(binary.LittleEndian.Uint32(data[p:]))
-		if err := s.installPage(tx, pid, data[p+4:p+rec]); err != nil {
-			return 0, err
-		}
+	if _, err := s.applyPayload(tx, data); err != nil {
+		return 0, err
 	}
 	if err := s.fault.Hit(faultinject.PtPrepareAfterInstall); err != nil {
 		return 0, err
@@ -57,10 +50,6 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 	coordTxB := make([]byte, 8)
 	binary.LittleEndian.PutUint64(coordTxB, coordTx)
 	s.mu.Lock()
-	if !s.active[tx] {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("esm: prepare of unknown tx %d", tx)
-	}
 	lsn := s.log.Append(wal.Record{
 		PrevLSN: s.lastTxLSN[tx],
 		Tx:      tx,

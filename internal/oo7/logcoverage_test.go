@@ -2,7 +2,6 @@ package oo7
 
 import (
 	"bytes"
-	"encoding/binary"
 	"path/filepath"
 	"testing"
 
@@ -25,29 +24,25 @@ import (
 // and records which pages travelled how.
 type wireTap struct {
 	esm.Transport
-	logged      map[disk.PageID]bool // named by an update record in an OpLog batch
+	logged      map[disk.PageID]bool // named by an update record in a batch
 	whole       map[disk.PageID]bool // shipped as an image: steal or commit payload
-	commitBytes int                  // commit payload bytes since the last reset
+	commitBytes int                  // commit page-image bytes since the last reset
 }
 
 func (w *wireTap) Call(req *esm.Request) (*esm.Response, error) {
-	switch req.Op {
-	case esm.OpLog:
-		n := int(binary.LittleEndian.Uint32(req.Data))
-		for i, p := 0, 4; i < n; i++ {
-			rec, size, err := wal.DecodeUpdate(req.Data[p:])
-			if err != nil {
-				return nil, err
-			}
-			w.logged[disk.PageID(rec.Page)] = true
-			p += size
+	if req.Op == esm.OpLog || req.Op == esm.OpCommit {
+		pl, err := esm.ReadPayload(req.Data)
+		if err != nil {
+			return nil, err
 		}
-	case esm.OpWritePage:
-		w.whole[disk.PageID(req.Page)] = true
-	case esm.OpCommit:
-		w.commitBytes += len(req.Data)
-		for p := 0; p < len(req.Data); p += 4 + disk.PageSize {
-			w.whole[disk.PageID(binary.LittleEndian.Uint32(req.Data[p:]))] = true
+		for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
+			w.logged[disk.PageID(rec.Page)] = true
+		}
+		for pid, _, image, ok := pl.Page(); ok; pid, _, image, ok = pl.Page() {
+			w.whole[disk.PageID(pid)] = true
+			if req.Op == esm.OpCommit {
+				w.commitBytes += len(image)
+			}
 		}
 	}
 	return w.Transport.Call(req)

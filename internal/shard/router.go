@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -13,7 +12,6 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/lock"
-	"quickstore/internal/wal"
 )
 
 // Config tunes a Router.
@@ -59,13 +57,11 @@ type Router struct {
 
 // routedTx tracks one global transaction's footprint: the lazily-begun
 // local transaction per touched shard (order preserves first touch — the
-// first shard is the commit coordinator) and the last log LSN each shard
-// assigned the transaction (the per-shard page stamp).
+// first shard is the commit coordinator).
 type routedTx struct {
-	mu      sync.Mutex
-	local   map[int]uint64
-	order   []int
-	lastLSN map[int]uint64
+	mu    sync.Mutex
+	local map[int]uint64
+	order []int
 }
 
 // RouterStats is a snapshot of the Router's protocol counters.
@@ -191,7 +187,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 	case esm.OpBegin:
 		gid := r.nextTx.Add(1)
 		r.mu.Lock()
-		r.txs[gid] = &routedTx{local: map[int]uint64{}, lastLSN: map[int]uint64{}}
+		r.txs[gid] = &routedTx{local: map[int]uint64{}}
 		r.mu.Unlock()
 		return &esm.Response{N: gid}, nil
 
@@ -201,7 +197,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 	case esm.OpAbort:
 		return r.abort(req.Tx)
 
-	case esm.OpWritePage, esm.OpFreePages:
+	case esm.OpFreePages:
 		return r.pageOp(req, ShardOfPage(req.Page), LocalPage(req.Page))
 
 	case esm.OpLock:
@@ -306,57 +302,42 @@ func (r *Router) alloc(req *esm.Request) (*esm.Response, error) {
 	return &out, nil
 }
 
-// logBatch splits an OpLog batch by each record's page shard, rewrites
-// page ids local, and fans the per-shard batches out concurrently. A shard
-// the batch reaches for the first time begins the transaction there, in the
-// order of the records. Each shard's returned LSN is recorded as the
-// transaction's page stamp for that shard (see StampLSN); the response
-// carries the maximum.
+// splitPayload splits transaction gid's commit payload by page shard, ids
+// made local, beginning the transaction on each shard it reaches first, in
+// that order. It returns the parts and the transaction's footprint.
+func (r *Router) splitPayload(gid uint64, data []byte) (parts map[int][]byte, order []int, locals map[int]uint64, err error) {
+	t, err := r.tx(gid)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	parts, reached, err := esm.SplitPayload(data, ShardOfPage, LocalPage)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("shard: %w", err)
+	}
+	for _, shard := range reached {
+		if _, err := r.localFor(t, shard); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	order, locals = t.footprint()
+	return parts, order, locals, nil
+}
+
+// logBatch splits a steal's OpLog payload by shard and fans the parts out
+// concurrently.
 func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
-	if len(req.Data) < 4 {
-		return nil, fmt.Errorf("shard: short log batch (%d bytes)", len(req.Data))
-	}
-	t, err := r.tx(req.Tx)
+	parts, _, locals, err := r.splitPayload(req.Tx, req.Data)
 	if err != nil {
 		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(req.Data))
-	reqs := map[int]*esm.Request{}
-	p := 4
-	for i := 0; i < count; i++ {
-		rec, n, err := wal.DecodeUpdate(req.Data[p:])
-		if err != nil {
-			return nil, fmt.Errorf("shard: log batch record %d: %w", i, err)
-		}
-		p += n
-		shard := ShardOfPage(rec.Page)
-		fwd := reqs[shard]
-		if fwd == nil {
-			local, err := r.localFor(t, shard)
-			if err != nil {
-				return nil, err
-			}
-			fwd = &esm.Request{Op: esm.OpLog, Tx: local, Data: make([]byte, 4)}
-			reqs[shard] = fwd
-		}
-		rec.Page = LocalPage(rec.Page)
-		fwd.Data = wal.AppendBody(fwd.Data, &rec)
-		binary.LittleEndian.PutUint32(fwd.Data, binary.LittleEndian.Uint32(fwd.Data)+1)
+	reqs := make(map[int]*esm.Request, len(parts))
+	for shard, data := range parts {
+		reqs[shard] = &esm.Request{Op: esm.OpLog, Tx: locals[shard], Data: data}
 	}
-	resps, err := r.fanOut(reqs)
-	if err != nil {
+	if _, err := r.fanOut(reqs); err != nil {
 		return nil, err
 	}
-	var max uint64
-	t.mu.Lock()
-	for shard, resp := range resps {
-		t.lastLSN[shard] = resp.N
-		if resp.N > max {
-			max = resp.N
-		}
-	}
-	t.mu.Unlock()
-	return &esm.Response{N: max}, nil
+	return &esm.Response{}, nil
 }
 
 // fanOut sends reqs[shard] to every shard in reqs concurrently. It returns
@@ -528,38 +509,8 @@ func releaseAll(resps map[int]*esm.Response) {
 	}
 }
 
-// StampLSN implements esm.ShardStamper: the page stamp for pid is the
-// last log LSN the transaction was assigned on pid's owning shard, not
-// the session-wide scalar — LSN spaces are per shard.
-func (r *Router) StampLSN(gid uint64, pid disk.PageID) uint64 {
-	r.mu.Lock()
-	t := r.txs[gid]
-	r.mu.Unlock()
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastLSN[ShardOfPage(uint32(pid))]
-}
-
-// splitCommitPayload partitions a commit's page payload (repeated u32
-// global pid + page image) into per-shard payloads with local ids.
-func splitCommitPayload(data []byte) (map[int][]byte, error) {
-	const rec = 4 + disk.PageSize
-	if len(data)%rec != 0 {
-		return nil, fmt.Errorf("shard: malformed commit payload (%d bytes)", len(data))
-	}
-	parts := map[int][]byte{}
-	for p := 0; p < len(data); p += rec {
-		pid := binary.LittleEndian.Uint32(data[p:])
-		shard := ShardOfPage(pid)
-		entry := append([]byte(nil), data[p:p+rec]...)
-		binary.LittleEndian.PutUint32(entry[:4], LocalPage(pid))
-		parts[shard] = append(parts[shard], entry...)
-	}
-	return parts, nil
-}
+// StampLSN implements esm.ShardStamper: servers stamp what they install.
+func (r *Router) StampLSN(uint64, disk.PageID) uint64 { return 0 }
 
 // commit resolves a transaction: one-phase when a single shard was
 // touched, presumed-abort two-phase otherwise. The first-touched shard
@@ -568,34 +519,25 @@ func splitCommitPayload(data []byte) (map[int][]byte, error) {
 // verdict fans out. A participant that misses its verdict is left
 // prepared — in doubt — for the resolver (ResolveAll / OpResolveTx).
 func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
-	t, err := r.tx(req.Tx)
-	if err != nil {
-		return nil, err
-	}
 	defer func() {
 		r.mu.Lock()
 		delete(r.txs, req.Tx)
 		r.mu.Unlock()
 	}()
-	parts, err := splitCommitPayload(req.Data)
+	// Every shard the payload reaches is a participant (it will be already —
+	// pages are only dirtied under that shard's locks — but a commit must
+	// never silently drop a part of its payload).
+	parts, participants, locals, err := r.splitPayload(req.Tx, req.Data)
 	if err != nil {
 		return nil, err
 	}
-	// Ensure every shard with shipped pages is a participant (it will be
-	// already — pages are only dirtied under that shard's locks — but a
-	// commit must never silently drop a payload).
-	for shard := range parts {
-		if _, err := r.localFor(t, shard); err != nil {
-			return nil, err
-		}
-	}
-	participants, locals := t.footprint()
 
 	if len(participants) == 0 {
 		return &esm.Response{}, nil // touched nothing; nothing to resolve
 	}
 	if len(participants) == 1 {
-		// One-phase fast path, untouched semantics: the ordinary commit.
+		// One-phase fast path: the ordinary commit, carrying the shard's
+		// part of the payload.
 		shard := participants[0]
 		resp, err := r.call(shard, &esm.Request{Op: esm.OpCommit, Tx: locals[shard], Data: parts[shard]})
 		if err == nil && resp.Err == "" {

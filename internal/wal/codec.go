@@ -23,7 +23,7 @@ import (
 //	crc     4 bytes   CRC32 (IEEE) of the record's LSN as 8 little-endian
 //	                  bytes followed by every byte above
 //
-// The update body, also one record of an OpLog batch on the wire: one or more
+// The update body, also one record of a log batch on the wire: one or more
 // byte ranges (regions) of one page, disjoint and in ascending offset order.
 //
 //	page    uvarint   page id
@@ -95,7 +95,7 @@ func appendImages(dst, old, new []byte) []byte {
 }
 
 // AppendBody appends r's update body to dst: the record format's tail and the
-// OpLog batch's unit.
+// wire log batch's unit.
 func AppendBody(dst []byte, r *Record) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Page))
 	dst = binary.AppendUvarint(dst, uint64(r.Off))
