@@ -482,7 +482,7 @@ func info(path string) error {
 		return err
 	}
 	defer logf.Close()
-	var byType [wal.RecDecision + 1]int64
+	var byType [wal.RecCatalog + 1]int64
 	var payload, regions int64
 	_ = logf.Iterate(func(r wal.Record) bool {
 		if int(r.Type) < len(byType) {
@@ -497,9 +497,10 @@ func info(path string) error {
 		return true
 	})
 	fmt.Printf("log:         %s\n", logSummary(logf.Records(), logf.Bytes(), payload))
-	fmt.Printf("  begins=%d updates=%d (%d regions) commits=%d aborts=%d clrs=%d prepares=%d decisions=%d\n",
+	fmt.Printf("  begins=%d updates=%d (%d regions) commits=%d aborts=%d clrs=%d prepares=%d decisions=%d catalogs=%d\n",
 		byType[wal.RecBegin], byType[wal.RecUpdate], regions, byType[wal.RecCommit],
-		byType[wal.RecAbort], byType[wal.RecCLR], byType[wal.RecPrepare], byType[wal.RecDecision])
+		byType[wal.RecAbort], byType[wal.RecCLR], byType[wal.RecPrepare], byType[wal.RecDecision],
+		byType[wal.RecCatalog])
 	return nil
 }
 
@@ -648,7 +649,7 @@ func verify(path string) error {
 		case page.TypeBTree:
 			btree++
 		default:
-			other++ // raw large-object data, free, or catalog pages
+			other++ // raw large-object data, free, or the reserved page 1
 		}
 	}
 	fmt.Printf("verified %d pages: %d slotted (%d live objects), %d btree, %d other, %d bad\n",

@@ -206,8 +206,8 @@ func TestCheckpointCrashAfterCutKeepsLSNBase(t *testing.T) {
 	overwriteSeeded(t, srv, oid, "original", "version2")
 	stamped := logf.End() // the object's page carries an LSN just below this
 
-	// The checkpoint flushes the page, cuts the quiescent log to nothing,
-	// and dies.
+	// The checkpoint flushes the page, cuts the quiescent log down to the
+	// catalog image it appended, and dies.
 	plane.ArmCrash(faultinject.PtCheckpointAfterTruncate, 1)
 	if resp := srv.Handle(&Request{Op: OpCheckpoint}); resp.Err == "" {
 		t.Fatal("setup: the checkpoint did not reach its crash point")
@@ -215,8 +215,8 @@ func TestCheckpointCrashAfterCutKeepsLSNBase(t *testing.T) {
 	crash(vol, logf)
 
 	vol, logf = reopen()
-	if logf.Records() != 0 {
-		t.Fatalf("setup: the cut left %d records; the base would be recoverable from them", logf.Records())
+	if logf.Records() != 1 {
+		t.Fatalf("setup: the cut left %d records, want the catalog image alone", logf.Records())
 	}
 	if logf.End() < stamped {
 		t.Errorf("log reopened at LSN %d, below LSN %d already stamped into pages", logf.End(), stamped)

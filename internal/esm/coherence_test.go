@@ -664,8 +664,8 @@ func TestWarmCacheShipsFewerBytes(t *testing.T) {
 // never validate as current after restart if the page changed — and the
 // restarted server must still serve correct bytes for tokens it cannot
 // prove current. The restart mints a new epoch instead of scanning the
-// volume: over a checkpointed volume it reads the catalog page and nothing
-// else.
+// volume, and the catalog comes from the log: over a checkpointed volume it
+// reads no page at all.
 func TestVersionTableSurvivesRestart(t *testing.T) {
 	vol := disk.NewMemVolume()
 	logf := wal.NewMemLog()
@@ -698,8 +698,8 @@ func TestVersionTableSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reads.reads.Load(); n != 1 {
-		t.Errorf("restart read %d pages, want the catalog page alone", n)
+	if n := reads.reads.Load(); n != 0 {
+		t.Errorf("restart read %d pages, want none", n)
 	}
 	// No token handed out before the restart — a commit LSN either client
 	// holds, or the old epoch any untouched page was served under — is the
@@ -857,7 +857,7 @@ func TestValidationDuringEvictionWriteBack(t *testing.T) {
 	gate.mu.Unlock()
 	evicted := make(chan *Response)
 	go func() {
-		evicted <- srv.Handle(&Request{Op: OpReadPages, Page: uint32(CatalogPage), Data: AppendPageEntry(nil, uint32(CatalogPage), 0)})
+		evicted <- srv.Handle(&Request{Op: OpReadPages, Page: uint32(reservedPage), Data: AppendPageEntry(nil, uint32(reservedPage), 0)})
 	}()
 	<-gate.started
 	if got := readCohObject(t, a, oid, 8); got != "evict-v2" {

@@ -49,16 +49,20 @@ func SnapshotBehindError(serving, saw uint64) string {
 // DefaultServerBufferPages matches the paper's 36MB server pool.
 const DefaultServerBufferPages = 4608
 
-// CatalogPage is the fixed page holding the serialized catalog. Exported
-// for internal/repl: the catalog is written straight to the volume rather
-// than WAL-logged, so replication must ship its page image out of band
-// (piggybacked on ship frames) and install it at the same place.
-const CatalogPage disk.PageID = 1
+// reservedPage is page 1: NewServer allocates it so that data pages start
+// at page 2, and nothing reads or writes it.
+const reservedPage disk.PageID = 1
+
+// maxCatalogBytes bounds the catalog's serialized image to what fits in one
+// page beside a 4-byte length.
+const maxCatalogBytes = disk.PageSize - 4
 
 // catalog is the server's persistent name service: named roots (OID plus an
 // auxiliary word, which QuickStore uses for the root's virtual address),
 // persistent counters (QuickStore's global frame counter lives here), and
-// the file table.
+// the file table. It is durable through the log alone: every change appends
+// the whole image as a wal.RecCatalog record (logCatalogLocked), and
+// OpenServer takes the last image in the log.
 type catalog struct {
 	Roots    map[string]rootEntry `json:"roots"`
 	Counters map[string]uint64    `json:"counters"`
@@ -70,6 +74,17 @@ type catalog struct {
 type rootEntry struct {
 	OID [OIDSize]byte `json:"oid"`
 	Aux uint64        `json:"aux"`
+}
+
+// newCatalog is the catalog of a fresh store.
+func newCatalog() catalog {
+	return catalog{
+		Roots:    map[string]rootEntry{},
+		Counters: map[string]uint64{},
+		Files:    map[string]uint32{},
+		NextFile: 1,
+		NextTx:   1,
+	}
 }
 
 // ServerConfig tunes a Server.
@@ -117,15 +132,16 @@ type ServerConfig struct {
 //   - log (wal.Log) and vol (disk.Volume) carry their own locks; commit
 //     forces go through the log's group-commit path.
 //   - locks (lock.Manager) is internally synchronized with FIFO waiters.
-//   - mu — the one narrow server lock — guards only the catalog maps and
-//     the transaction tables (active, lastTxLSN, catVersion).
-//   - catMu serializes catalog page write-back (see writeCatalogIfDirty).
+//   - mu — the one narrow server lock — guards only the catalog and the
+//     transaction tables (active, lastTxLSN, firstTxLSN, ...). A catalog
+//     change appends its image to the log under the same hold of mu, so
+//     log order is change order.
 //
-// Lock order: catMu → mu → (wal.Log.mu | volume lock). Pool stripe latches
-// and frame content latches are taken with neither mu nor catMu held; the
-// pool's FlushFn (steal write-back) runs under a frame content latch and
-// takes the log and volume locks, never mu. sim.Clock, faultinject.Plane,
-// and lock.Manager locks are leaves.
+// Lock order: mu → (wal.Log.mu | volume lock). Pool stripe latches and
+// frame content latches are taken without mu held; the pool's FlushFn
+// (steal write-back) runs under a frame content latch and takes the log
+// and volume locks, never mu. sim.Clock, faultinject.Plane, and
+// lock.Manager locks are leaves.
 type Server struct {
 	mu    sync.Mutex
 	vol   disk.Volume
@@ -181,13 +197,6 @@ type Server struct {
 	// (set via SetRepl; read under mu). A server with no replicas holds
 	// soloQuorum, whose wait returns at once.
 	repl QuorumWaiter
-
-	// catVersion (under mu) counts catalog mutations; catWritten (under
-	// catMu) is the highest version written to the catalog page. Commits
-	// skip the catalog write when nothing changed since the last one.
-	catVersion uint64
-	catMu      sync.Mutex
-	catWritten uint64
 
 	// Coherence counters: ReadCheck requests served, Begin horizons
 	// answered "too old", not-modified answers, delta repairs (and their
@@ -282,15 +291,13 @@ type ReplStats struct {
 }
 
 // QuorumWaiter gates commit acknowledgements on replication. WaitQuorum
-// returns once the log is durable through lsn AND the catalog is installed
-// at version catVersion or newer on the configured quorum of replicas
-// (counting the local one) — the catalog is a direct volume-page write,
-// never WAL-logged, so it is quorum-tracked by version rather than by LSN.
-// A WaitQuorum error means the commit must NOT be acked — the caller's
-// client sees the transaction as in doubt. Implemented by internal/repl's
-// Node; wired with SetRepl.
+// returns once the log is durable through lsn on the configured quorum of
+// replicas (counting the local one); that covers every record below lsn,
+// catalog records included. A WaitQuorum error means the commit must NOT
+// be acked — the caller's client sees the transaction as in doubt.
+// Implemented by internal/repl's Node; wired with SetRepl.
 type QuorumWaiter interface {
-	WaitQuorum(lsn wal.LSN, catVersion uint64) error
+	WaitQuorum(lsn wal.LSN) error
 	ReplStats() *ReplStats
 }
 
@@ -299,8 +306,8 @@ type QuorumWaiter interface {
 // is no replication telemetry to report.
 type soloQuorum struct{}
 
-func (soloQuorum) WaitQuorum(wal.LSN, uint64) error { return nil }
-func (soloQuorum) ReplStats() *ReplStats            { return nil }
+func (soloQuorum) WaitQuorum(wal.LSN) error { return nil }
+func (soloQuorum) ReplStats() *ReplStats    { return nil }
 
 // SetRepl attaches the replication quorum gate. Call before the server
 // serves traffic (or from the repl node's own promotion path, which owns
@@ -311,35 +318,11 @@ func (s *Server) SetRepl(q QuorumWaiter) {
 	s.mu.Unlock()
 }
 
-// quorumGate returns the quorum gate together with the catalog version an
-// ack must see installed on the quorum, read under one hold of mu.
-func (s *Server) quorumGate() (QuorumWaiter, uint64) {
+// quorumGate returns the quorum gate, read under mu.
+func (s *Server) quorumGate() QuorumWaiter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repl, s.catVersion
-}
-
-// CatalogBlob returns the catalog's current version and serialization.
-// The replication shipper piggybacks it on ship frames when the version
-// moved: catalog durability is a direct volume-page write, not a WAL
-// record, so followers cannot recover it from shipped log bytes alone.
-func (s *Server) CatalogBlob() (uint64, []byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob, err := json.Marshal(&s.cat)
-	return s.catVersion, blob, err
-}
-
-// SetCatalogVersionFloor raises the catalog version counter to at least v.
-// The counter restarts at zero on every open; a promoted replication
-// follower carries the cluster's version lineage forward through it so
-// cross-term version comparisons stay monotone.
-func (s *Server) SetCatalogVersionFloor(v uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.catVersion < v {
-		s.catVersion = v
-	}
+	return s.repl
 }
 
 // ServerStats is the JSON payload returned in OpStats responses; it backs
@@ -412,8 +395,8 @@ type ServerStats struct {
 	CohFulls       int64 `json:"coh_fulls,omitempty"`
 }
 
-// NewServer creates a server over a fresh volume: the catalog page is
-// allocated and initialized.
+// NewServer creates a server over a fresh volume: the reserved page is
+// allocated and the empty catalog's image is the log's first record.
 func NewServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error) {
 	s, err := newServerCommon(vol, log, cfg)
 	if err != nil {
@@ -423,35 +406,19 @@ func NewServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	if pid != CatalogPage {
-		return nil, fmt.Errorf("esm: catalog page allocated at %d, want %d", pid, CatalogPage)
+	if pid != reservedPage {
+		return nil, fmt.Errorf("esm: reserved page allocated at %d, want %d", pid, reservedPage)
 	}
-	s.cat = catalog{
-		Roots:    map[string]rootEntry{},
-		Counters: map[string]uint64{},
-		Files:    map[string]uint32{},
-		NextFile: 1,
-		NextTx:   1,
-	}
-	return s, s.writeCatalogLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cat = newCatalog()
+	return s, s.logCatalogLocked()
 }
 
-// OpenServer attaches a server to an existing volume, loading the catalog
-// and running restart recovery from the log. It runs before the server is
-// shared, so no locking applies yet.
+// OpenServer attaches a server to an existing volume, running restart
+// recovery from the log and taking the catalog from the last image in it.
+// It runs before the server is shared, so no locking applies yet.
 func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error) {
-	buf := make([]byte, disk.PageSize)
-	if err := vol.ReadPage(CatalogPage, buf); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(buf[:4])
-	if int(n) > disk.PageSize-4 {
-		return nil, fmt.Errorf("esm: corrupt catalog (length %d)", n)
-	}
-	var cat catalog
-	if err := json.Unmarshal(buf[4:4+n], &cat); err != nil {
-		return nil, fmt.Errorf("esm: corrupt catalog: %w", err)
-	}
 	_, _, indoubt, err := wal.Recover(log, volStore{vol}, disk.PageSize, pageLSNOf, setPageLSN)
 	if err != nil {
 		return nil, fmt.Errorf("esm: restart recovery: %w", err)
@@ -466,31 +433,43 @@ func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error
 	if err != nil {
 		return nil, err
 	}
-	s.cat = cat
-	// 2PC participant transactions whose verdict is unknown stay alive
-	// across the restart: locks re-acquired, records pinned against
-	// truncation, resolution deferred to an OpResolveTx inquiry. Remembered
-	// coordinator decisions resurface from their RecDecision records — a
-	// forget is memory-only, so a restart conservatively re-remembers.
-	if err := s.registerInDoubt(indoubt); err != nil {
-		return nil, err
-	}
-	_ = log.Iterate(func(r wal.Record) bool {
-		if r.Type == wal.RecDecision {
+	// One pass over the recovered log finds the last catalog image, the
+	// highest transaction id (never reused), and the remembered coordinator
+	// decisions: they resurface from their RecDecision records, since a
+	// forget is memory-only and a restart conservatively re-remembers.
+	var img []byte
+	var maxTx uint64
+	if err := log.Iterate(func(r wal.Record) bool {
+		switch r.Type {
+		case wal.RecCatalog:
+			img = r.New
+		case wal.RecDecision:
 			//qsvet:ignore guardedfield restart path: Iterate runs synchronously inside OpenServer, before the server is shared with any other goroutine
 			s.decisions[r.Tx] = r.LSN
 		}
+		maxTx = max(maxTx, r.Tx+1)
 		return true
-	})
-	// Never reuse transaction ids seen in the log.
-	maxTx := s.cat.NextTx
-	_ = log.Iterate(func(r wal.Record) bool {
-		if r.Tx >= maxTx {
-			maxTx = r.Tx + 1
+	}); err != nil {
+		return nil, fmt.Errorf("esm: reading the recovered log: %w", err)
+	}
+	s.cat = newCatalog()
+	switch {
+	case img != nil:
+		if err := json.Unmarshal(img, &s.cat); err != nil {
+			return nil, fmt.Errorf("esm: corrupt catalog image: %w", err)
 		}
-		return true
-	})
-	s.cat.NextTx = maxTx
+	case log.StartLSN() > 1:
+		// A checkpoint appends an image before it cuts the log, so a
+		// truncated log without one is not this store's.
+		return nil, errors.New("esm: the truncated log holds no catalog image")
+	}
+	s.cat.NextTx = max(s.cat.NextTx, maxTx)
+	// 2PC participant transactions whose verdict is unknown stay alive
+	// across the restart: locks re-acquired, records pinned against
+	// truncation, resolution deferred to an OpResolveTx inquiry.
+	if err := s.registerInDoubt(indoubt); err != nil {
+		return nil, err
+	}
 	// Everything the recovered log resolved is reflected in live pages, so
 	// the durable end of the log is a valid (and maximal) snapshot point.
 	// Starting here keeps read-your-writes monotone across a restart or a
@@ -577,7 +556,7 @@ func (vs volStore) WritePage(id uint32, buf []byte) error {
 	return err
 }
 
-// pageLSNOf reads the LSN of a header-bearing (slotted/btree/catalog) page.
+// pageLSNOf reads the LSN of a header-bearing (slotted/btree) page.
 // Raw large-object data pages never appear in byte-range log records: they
 // always ship whole (steal, commit, prepare), so redo and recovery only
 // ever consult the LSN of header-bearing pages.
@@ -587,55 +566,31 @@ func pageLSNOf(buf []byte) uint64 {
 
 func setPageLSN(buf []byte, lsn uint64) { binary.LittleEndian.PutUint64(buf[:8], lsn) }
 
-// writeCatalogLocked serializes the catalog to its page. Callers either
-// own the server exclusively (construction) or hold mu; the write itself
-// goes to the internally synchronized volume.
-func (s *Server) writeCatalogLocked() error {
-	blob, err := json.Marshal(&s.cat)
+// logCatalogLocked appends the image of the catalog, just changed under
+// mu, to the log. Nothing forces it: the next commit on this server forces
+// and quorum-gates every lower LSN, so the change is durable with that
+// commit. An image over maxCatalogBytes is refused and not logged: the op
+// that made the change then puts the catalog back as it was.
+func (s *Server) logCatalogLocked() error {
+	img, err := json.Marshal(&s.cat)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, disk.PageSize)
-	if len(blob)+4 > disk.PageSize {
-		return fmt.Errorf("esm: catalog too large (%d bytes)", len(blob))
+	if len(img) > maxCatalogBytes {
+		return fmt.Errorf("esm: catalog too large (%d bytes)", len(img))
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(blob)))
-	copy(buf[4:], blob)
-	return s.vol.WritePage(CatalogPage, buf)
+	s.log.Append(wal.Record{Type: wal.RecCatalog, New: img})
+	return nil
 }
 
-// writeCatalogIfDirty makes catalog changes durable if any happened since
-// the last write. Snapshotting the blob under mu and writing under catMu
-// keeps commits from serializing on the catalog page write unless they
-// actually changed the catalog; the version check under catMu drops writes
-// that a later snapshot already covered.
-func (s *Server) writeCatalogIfDirty() error {
-	s.mu.Lock()
-	v := s.catVersion
-	s.mu.Unlock()
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	if s.catWritten >= v {
-		return nil
+// restoreEntry undoes a refused change to m[k]: old is what it held, had
+// whether it held anything.
+func restoreEntry[V any](m map[string]V, k string, old V, had bool) {
+	if had {
+		m[k] = old
+	} else {
+		delete(m, k)
 	}
-	s.mu.Lock()
-	v = s.catVersion
-	blob, err := json.Marshal(&s.cat)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, disk.PageSize)
-	if len(blob)+4 > disk.PageSize {
-		return fmt.Errorf("esm: catalog too large (%d bytes)", len(blob))
-	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(blob)))
-	copy(buf[4:], blob)
-	if err := s.vol.WritePage(CatalogPage, buf); err != nil {
-		return err
-	}
-	s.catWritten = v
-	return nil
 }
 
 // Handle executes one protocol request. It never returns a nil response;
@@ -719,7 +674,11 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		id := s.cat.NextFile
 		s.cat.NextFile++
 		s.cat.Files[req.Name] = id
-		s.catVersion++
+		if err := s.logCatalogLocked(); err != nil {
+			s.cat.NextFile--
+			delete(s.cat.Files, req.Name)
+			return nil, err
+		}
 		return &Response{N: uint64(id)}, nil
 
 	case OpOpenFile:
@@ -748,17 +707,27 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		copy(e.OID[:], req.Data)
 		e.Aux = req.N
 		s.mu.Lock()
+		defer s.mu.Unlock()
+		old, had := s.cat.Roots[req.Name]
 		s.cat.Roots[req.Name] = e
-		s.catVersion++
-		s.mu.Unlock()
+		if err := s.logCatalogLocked(); err != nil {
+			restoreEntry(s.cat.Roots, req.Name, old, had)
+			return nil, err
+		}
 		return nil, nil
 
 	case OpCounter:
 		s.mu.Lock()
-		old := s.cat.Counters[req.Name]
+		defer s.mu.Unlock()
+		old, had := s.cat.Counters[req.Name]
+		if req.N == 0 {
+			return &Response{N: old}, nil // a read: nothing to log
+		}
 		s.cat.Counters[req.Name] = old + req.N
-		s.catVersion++
-		s.mu.Unlock()
+		if err := s.logCatalogLocked(); err != nil {
+			restoreEntry(s.cat.Counters, req.Name, old, had)
+			return nil, err
+		}
 		return &Response{N: old}, nil
 
 	case OpCheckpoint:
@@ -803,8 +772,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			CohDeltaBytes:    s.cohDeltaBytes.Load(),
 			CohFulls:         s.cohFulls.Load(),
 		}
-		q, _ := s.quorumGate()
-		st.Repl = q.ReplStats()
+		st.Repl = s.quorumGate().ReplStats()
 		if s.mv != nil {
 			mst := s.mv.Stats()
 			st.MVCC = &mst
@@ -1163,9 +1131,10 @@ func (s *Server) endSnapshot(snap wal.LSN) (*Response, error) {
 //     records survive the cut — so hot pages cannot stall the walk by
 //     being redirtied. Write-back failures restore the old stamp; retry
 //     until the generation drains or give up without truncating.
-//  4. Force the catalog and the log, sync the volume, and only then cut
-//     the log prefix (TruncateBefore keeps LSNs intact) and append a
-//     fresh checkpoint record to re-anchor the LSN base for reopen.
+//  4. Force the log, sync the volume, and only then cut the log prefix
+//     (TruncateBefore keeps LSNs intact). The catalog's image, appended
+//     under mu with the cut chosen, lies at or above the cut, so the
+//     retained log always holds one for OpenServer.
 //
 // The previous implementation truncated the whole log behind a
 // quiescence check (len(active) == 0 under mu). The check did not cover
@@ -1192,7 +1161,11 @@ func (s *Server) checkpoint() error {
 			cut = lsn
 		}
 	}
+	err := s.logCatalogLocked()
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	epoch := s.pool.AdvanceEpoch()
 	for tries := 0; ; tries++ {
 		err := s.pool.FlushBefore(epoch)
@@ -1205,12 +1178,6 @@ func (s *Server) checkpoint() error {
 			}
 			return err
 		}
-	}
-	s.mu.Lock()
-	s.catVersion++ // force the write: a checkpoint always persists the catalog
-	s.mu.Unlock()
-	if err := s.writeCatalogIfDirty(); err != nil {
-		return err
 	}
 	if err := s.log.Flush(); err != nil {
 		return err
@@ -1381,8 +1348,11 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 // commit applies the transaction's last commit payload (applyPayload),
 // appends the commit record, and forces the log through it via the
 // group-commit path: concurrent committers share one physical force. The
-// commit LSN is returned so the ack can carry it to the session
-// (read-your-writes floor for later snapshot begins).
+// force and the quorum wait cover every lower LSN, so catalog changes
+// (files, roots, counters) made on this server before the commit record
+// was appended are durable with the transaction. The commit LSN is
+// returned so the ack can carry it to the session (read-your-writes floor
+// for later snapshot begins).
 func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 	if _, err := s.applyPayload(tx, data); err != nil {
 		return 0, err
@@ -1419,25 +1389,17 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 	if err := s.fault.Hit(faultinject.PtCommitAfterFlush); err != nil {
 		return 0, err
 	}
-	// Catalog changes (files, roots, counters) become durable with the
-	// transaction, not just at checkpoints — and before the quorum gate
-	// below, so the replicated ack covers them too.
-	if err := s.writeCatalogIfDirty(); err != nil {
-		return 0, err
-	}
 	// Quorum-before-ack: with replication attached, local durability is not
 	// commit durability — the ack waits until a quorum of replicas reports
-	// the log durable through this commit's LSN and the catalog installed
-	// at this commit's version (the catalog is a direct volume-page write,
-	// never WAL-logged, so it ships out of band and is tracked by version).
-	// The wait piggybacks on the shipper's batching the same way
-	// FlushCommit piggybacks on group commit: a burst of commits costs one
-	// replication round-trip. A single-node server passes straight through.
-	q, catV := s.quorumGate()
+	// the log durable through this commit's LSN. The wait piggybacks on the
+	// shipper's batching the same way FlushCommit piggybacks on group
+	// commit: a burst of commits costs one replication round-trip. A
+	// single-node server passes straight through.
+	q := s.quorumGate()
 	if err := s.fault.Hit(faultinject.PtReplBeforeQuorum); err != nil {
 		return 0, err
 	}
-	if err := q.WaitQuorum(lsn, catV); err != nil {
+	if err := q.WaitQuorum(lsn); err != nil {
 		return 0, err
 	}
 	if err := s.fault.Hit(faultinject.PtReplAfterQuorum); err != nil {

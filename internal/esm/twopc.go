@@ -79,11 +79,7 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 	// attached, the vote is not cast until a quorum holds the prepare
 	// record — otherwise a leader failover could forget a vote the
 	// coordinator already counted.
-	if err := s.writeCatalogIfDirty(); err != nil {
-		return 0, err
-	}
-	q, catV := s.quorumGate()
-	if err := q.WaitQuorum(lsn, catV); err != nil {
+	if err := s.quorumGate().WaitQuorum(lsn); err != nil {
 		return 0, err
 	}
 	return lsn, nil
@@ -95,8 +91,8 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 // durable verdict participants will ask for; on a plain participant it
 // logs an ordinary RecCommit. Abort (no DecisionCommit bit) takes the
 // normal abort path: under presumed abort the verdict needs no record of
-// its own. The commit tail mirrors commit(): force, catalog, quorum gate,
-// then lock release.
+// its own. The commit tail mirrors commit(): force, quorum gate, then lock
+// release.
 func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 	if mode&DecisionCommit == 0 {
 		return 0, s.abort(tx)
@@ -148,11 +144,7 @@ func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 	if err := s.fault.Hit(faultinject.PtDecisionAfterFlush); err != nil {
 		return 0, err
 	}
-	if err := s.writeCatalogIfDirty(); err != nil {
-		return 0, err
-	}
-	q, catV := s.quorumGate()
-	if err := q.WaitQuorum(lsn, catV); err != nil {
+	if err := s.quorumGate().WaitQuorum(lsn); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()

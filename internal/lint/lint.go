@@ -4,8 +4,8 @@
 //
 // The analyzers enforce the invariants the storage manager's correctness
 // hangs on but neither the compiler nor a general-purpose tool checks —
-// the documented lock order (DESIGN.md §10: catMu → mu → wal/volume,
-// latches apart from both), the "all disk I/O outside latches" rule,
+// the documented lock order (DESIGN.md §10: mu → wal/volume, latches
+// apart from mu), the "all disk I/O outside latches" rule,
 // atomic-access discipline on stats counters, unchecked errors on
 // durability-critical calls, that every registered crash point is hit
 // (internal/faultinject/points.go), and gate-before-ack on the commit

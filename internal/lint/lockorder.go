@@ -5,24 +5,24 @@ import "go/token"
 // AnalyzerLockOrder enforces the documented lock hierarchy of the page
 // server (internal/esm/server.go, DESIGN.md §10):
 //
-//	catMu → mu → (wal.Log.mu | volume lock) → lock manager → leaves
+//	mu → (wal.Log.mu | volume lock) → lock manager → leaves
 //
 // with the buffer pool's latches (stripe latches, frame content latches)
-// standing apart from the server locks: a latch may never be acquired
-// while mu or catMu is held, and neither server lock may be acquired
-// while a latch is held (the pool's FlushFn may take the WAL and volume
-// locks under a content latch, which the ranks permit).
+// standing apart from the server lock: a latch may never be acquired
+// while mu is held, and mu may never be acquired while a latch is held
+// (the pool's FlushFn may take the WAL and volume locks under a content
+// latch, which the ranks permit).
 //
 // The check builds a per-function lock-acquisition summary — a linear
 // source-order walk that tracks the held set through Lock/Unlock pairs —
 // and propagates acquisitions through the static call graph, so a
-// function that calls a helper which takes catMu while the caller holds
-// mu is flagged at the call site. Re-entrant acquisition of the same
+// function that calls a helper which takes mu while the caller holds a
+// latch is flagged at the call site. Re-entrant acquisition of the same
 // classified lock is flagged as a deadlock.
 func AnalyzerLockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
-		Doc:  "enforce the documented lock order (catMu → mu → wal/volume; latches apart from server locks) and flag re-entrant acquisitions",
+		Doc:  "enforce the documented lock order (mu → wal/volume; latches apart from the server lock) and flag re-entrant acquisitions",
 		Run:  runLockOrder,
 	}
 }
@@ -79,11 +79,11 @@ func lockPairViolation(held, next *lockClass, sameLock bool) string {
 	case sameLock:
 		return "re-entrant acquisition deadlocks (sync mutexes are not recursive)"
 	case next.latch && held.server:
-		return "pool latches must be taken with neither mu nor catMu held (DESIGN.md §10)"
+		return "pool latches must be taken without mu held (DESIGN.md §10)"
 	case next.server && held.latch:
-		return "the server locks must never be taken under a pool latch (steal write-backs take wal/volume only)"
+		return "the server lock must never be taken under a pool latch (steal write-backs take wal/volume only)"
 	case next.rank < held.rank:
-		return "documented order is catMu → mu → wal/volume → lock manager → leaves"
+		return "documented order is mu → wal/volume → lock manager → leaves"
 	}
 	return ""
 }

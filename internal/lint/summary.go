@@ -13,12 +13,12 @@ import (
 // Rank encodes the acquisition order: a lock may only be acquired while
 // every held classified lock has a strictly lower rank. Latches (pool
 // stripe latches and frame content latches) additionally may never be
-// combined with the server's catalog/transaction locks in either order.
+// combined with the server's lock in either order.
 type lockClass struct {
 	name   string
 	rank   int
 	latch  bool // buffer pool stripe or frame content latch
-	server bool // esm.Server.mu / esm.Server.catMu
+	server bool // esm.Server.mu
 }
 
 // lockSpec locates one classified lock field in the module source.
@@ -30,11 +30,10 @@ type lockSpec struct {
 }
 
 // lockSpecs is the documented lock hierarchy of the storage manager.
-// The ranks encode: catMu → mu → (wal.Log.mu | volume) with the lock
-// manager, cost clock, and fault plane as leaves; pool latches sit apart
-// from the server locks (PR 3: latches are taken with neither mu nor
-// catMu held, and FlushFn under a content latch takes wal/volume, never
-// mu). The replication, MVCC, and shard-router locks are leaves of their
+// The ranks encode: mu → (wal.Log.mu | volume) with the lock manager,
+// cost clock, and fault plane as leaves; pool latches sit apart from the
+// server lock (latches are taken without mu held, and FlushFn under a
+// content latch takes wal/volume, never mu). The replication, MVCC, and shard-router locks are leaves of their
 // own components: repl releases Node.mu before re-entering the server,
 // the version store is called under Server.mu (20 < 26), and the router's
 // locks only ever wrap interface calls the static graph cannot follow.
@@ -43,7 +42,6 @@ type lockSpec struct {
 // holding the exclusive latch), so it ranks above both and acquires
 // nothing itself.
 var lockSpecs = []lockSpec{
-	{"internal/esm", "Server", "catMu", lockClass{name: "esm.Server.catMu", rank: 10, server: true}},
 	{"internal/repl", "Node", "mu", lockClass{name: "repl.Node.mu", rank: 15}},
 	{"internal/repl", "Director", "mu", lockClass{name: "repl.Director.mu", rank: 16}},
 	{"internal/esm", "Server", "mu", lockClass{name: "esm.Server.mu", rank: 20, server: true}},

@@ -7,28 +7,10 @@ import (
 	"quickstore/internal/buffer"
 )
 
-// Server carries the two server locks of the documented hierarchy:
-// catMu orders before mu.
+// Server carries the server lock of the documented hierarchy.
 type Server struct {
-	mu    sync.Mutex
-	catMu sync.Mutex
-	pool  *buffer.LatchPool
-}
-
-// badOrder acquires catMu under mu: the documented order is catMu first.
-func (s *Server) badOrder() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-}
-
-// goodOrder follows the documented order: no finding.
-func (s *Server) goodOrder() {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	mu   sync.Mutex
+	pool *buffer.LatchPool
 }
 
 // lockedHelper re-locks mu; calling it with mu held deadlocks.
@@ -72,6 +54,6 @@ func (s *Server) suppressed() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//qsvet:ignore lockorder fixture: demonstrating the suppression directive
-	s.catMu.Lock()
-	s.catMu.Unlock()
+	s.pool.Acquire(0)
+	s.pool.Release(0)
 }

@@ -100,7 +100,6 @@ type peer struct {
 	addr  string
 	tr    esm.Transport
 	match wal.LSN // highest durable LSN the peer has acked
-	catV  uint64  // catalog version last acked
 }
 
 // Node is one member of a replication cluster. It satisfies esm.Handler:
@@ -122,12 +121,6 @@ type Node struct {
 	votedTerm uint64
 	votedFor  string
 	leaderID  string
-	// catV is the newest catalog version this node holds locally: what the
-	// leader last shipped us (follower), or what our own server last
-	// reported (leader). The catalog is not WAL-logged, so elections must
-	// compare it alongside the durable LSN — a follower whose log covers an
-	// acked commit may still miss the catalog write that commit acked with.
-	catV      uint64
 	srv       *esm.Server // non-nil while (or after) leading
 	peers     map[string]*peer
 	members   map[string]string // id → addr, including self
@@ -405,17 +398,6 @@ func (n *Node) handleAppend(req *esm.Request) *esm.Response {
 			// backs its cursor up to the LSN we report and reships.
 		}
 	}
-	if !needSnap && len(p.Catalog) > 0 {
-		if err := n.installCatalog(p.Catalog); err != nil {
-			return &esm.Response{Err: err.Error()}
-		}
-		// Overwrite, not max: the installed content IS this version, and a
-		// deposed leader rejoining must shed the inflated count of catalog
-		// writes it never got acked.
-		n.mu.Lock()
-		n.catV = p.CatVersion
-		n.mu.Unlock()
-	}
 	resp := &esm.Response{N: uint64(n.log.FlushedLSN())}
 	if needSnap {
 		resp.Page = 1
@@ -475,29 +457,7 @@ func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 	if err := n.vol.Sync(); err != nil {
 		return &esm.Response{Err: err.Error()}
 	}
-	n.mu.Lock()
-	n.catV = p.CatVersion
-	n.mu.Unlock()
 	return &esm.Response{N: uint64(n.log.FlushedLSN())}
-}
-
-// installCatalog writes the leader's serialized catalog to the catalog
-// page, growing the volume when the follower is brand new.
-func (n *Node) installCatalog(blob []byte) error {
-	if len(blob)+4 > disk.PageSize {
-		return fmt.Errorf("repl: catalog blob too large (%d bytes)", len(blob))
-	}
-	buf := make([]byte, disk.PageSize)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(blob)))
-	copy(buf[4:], blob)
-	err := n.vol.WritePage(esm.CatalogPage, buf)
-	if errors.Is(err, disk.ErrPageOutOfRange) {
-		if gerr := n.vol.Grow(uint32(esm.CatalogPage) + 1); gerr != nil {
-			return gerr
-		}
-		err = n.vol.WritePage(esm.CatalogPage, buf)
-	}
-	return err
 }
 
 func (n *Node) handleStatus() *esm.Response {
@@ -514,23 +474,18 @@ func (n *Node) handleStatus() *esm.Response {
 }
 
 // handleVote answers a vote request: grant iff the candidate's term is
-// current-or-newer, its durable LSN AND catalog version are at least ours
-// (no acked commit — log bytes or the catalog write it acked with — can be
-// lost by electing it), and we have not voted for someone else this term.
-// Granting resets the election clock.
+// current-or-newer, its durable LSN is at least ours (no acked commit, nor
+// the catalog records below it, can be lost by electing it), and we have
+// not voted for someone else this term. Granting resets the election clock.
 func (n *Node) handleVote(req *esm.Request) *esm.Response {
 	term, cand, candDurable := req.Tx, req.Name, wal.LSN(req.N)
-	var candCatV uint64
-	if len(req.Data) >= 8 {
-		candCatV = binary.LittleEndian.Uint64(req.Data)
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if term > n.term {
 		n.adoptTermLocked(term)
 	}
 	granted := uint64(0)
-	if term >= n.term && candDurable >= n.log.FlushedLSN() && candCatV >= n.catV &&
+	if term >= n.term && candDurable >= n.log.FlushedLSN() &&
 		(n.votedTerm != term || n.votedFor == cand) {
 		n.votedTerm, n.votedFor = term, cand
 		n.lastShip = time.Now()
@@ -577,18 +532,14 @@ func (n *Node) handleRegister(req *esm.Request) *esm.Response {
 }
 
 // WaitQuorum implements esm.QuorumWaiter: it returns once the log is
-// durable through lsn and the catalog installed at catV or newer on the
-// configured quorum of replicas, and errs if the node loses leadership
-// (fenced), closes, or times out first — in all of which cases the commit
-// must not be acked.
-func (n *Node) WaitQuorum(lsn wal.LSN, catV uint64) error {
+// durable through lsn on the configured quorum of replicas, and errs if the
+// node loses leadership (fenced), closes, or times out first — in all of
+// which cases the commit must not be acked.
+func (n *Node) WaitQuorum(lsn wal.LSN) error {
 	start := time.Now()
 	deadline := start.Add(n.cfg.QuorumTimeout)
 	n.mu.Lock()
 	term := n.term
-	if catV > n.catV {
-		n.catV = catV // the commit being gated wrote this version locally
-	}
 	for {
 		if n.closed {
 			n.mu.Unlock()
@@ -598,7 +549,7 @@ func (n *Node) WaitQuorum(lsn wal.LSN, catV uint64) error {
 			n.mu.Unlock()
 			return ErrFenced
 		}
-		if n.quorumReachedLocked(lsn, catV) {
+		if n.quorumReachedLocked(lsn) {
 			break
 		}
 		gen := n.quorumGen
@@ -636,13 +587,13 @@ func (n *Node) quorumSizeLocked() int {
 	return len(n.members)/2 + 1
 }
 
-func (n *Node) quorumReachedLocked(lsn wal.LSN, catV uint64) bool {
+func (n *Node) quorumReachedLocked(lsn wal.LSN) bool {
 	count := 0
 	if n.log.FlushedLSN() > lsn {
-		count++ // the leader wrote its own catalog before the gate
+		count++
 	}
 	for _, p := range n.peers {
-		if p.match > lsn && p.catV >= catV {
+		if p.match > lsn {
 			count++
 		}
 	}
@@ -704,7 +655,7 @@ func (n *Node) shipRound() {
 		n.mu.Unlock()
 		return
 	}
-	term, srv := n.term, n.srv
+	term := n.term
 	peers := make([]*peer, 0, len(n.peers))
 	for _, p := range n.peers {
 		peers = append(peers, p)
@@ -714,23 +665,12 @@ func (n *Node) shipRound() {
 
 	durable := n.log.FlushedLSN()
 	if len(peers) > 0 {
-		// Catalog read AFTER the durable cut: its version is at least that
-		// of any commit the shipped log covers.
-		catV, catBlob, err := srv.CatalogBlob()
-		if err != nil {
-			catBlob = nil
-		}
-		n.mu.Lock()
-		if catV > n.catV {
-			n.catV = catV
-		}
-		n.mu.Unlock()
 		var wg sync.WaitGroup
 		for _, p := range peers {
 			wg.Add(1)
 			go func(p *peer) {
 				defer wg.Done()
-				n.shipPeer(p, term, durable, catV, catBlob, members)
+				n.shipPeer(p, term, durable, members)
 			}(p)
 		}
 		wg.Wait()
@@ -744,7 +684,7 @@ func (n *Node) shipRound() {
 // shipPeer brings one follower up to this round's durable target,
 // chunk-by-chunk, falling back to a snapshot when the follower's cursor is
 // compacted or its bytes diverge.
-func (n *Node) shipPeer(p *peer, term uint64, durable wal.LSN, catV uint64, catBlob []byte, members []Member) {
+func (n *Node) shipPeer(p *peer, term uint64, durable wal.LSN, members []Member) {
 	if err := n.cfg.Fault.Hit(faultinject.PtReplShip); err != nil {
 		// Crash latches the node dead (Handle refuses everything);
 		// transient models follower lag / a partition: skip the round.
@@ -755,15 +695,10 @@ func (n *Node) shipPeer(p *peer, term uint64, durable wal.LSN, catV uint64, catB
 	for iter := 0; iter < 64; iter++ {
 		n.mu.Lock()
 		from := p.match
-		sentCat := p.catV
 		n.mu.Unlock()
 		if from < 1 {
 			from = 1
 		}
-		// Never ship log beyond this round's durable cut: a follower must
-		// not ack an LSN whose commit may have written a catalog version
-		// newer than the one riding in this payload, or elections could
-		// prefer a long-log follower holding a stale catalog.
 		var chunk []byte
 		var err error
 		if from < durable {
@@ -777,10 +712,7 @@ func (n *Node) shipPeer(p *peer, term uint64, durable wal.LSN, catV uint64, catB
 				return
 			}
 		}
-		payload := shipPayload{LeaderDurable: durable, CatVersion: catV, Log: chunk, Members: members}
-		if len(catBlob) > 0 && sentCat < catV {
-			payload.Catalog = catBlob
-		}
+		payload := shipPayload{LeaderDurable: durable, Log: chunk, Members: members}
 		resp, cerr := p.tr.Call(&esm.Request{
 			Op:   esm.OpReplAppend,
 			Tx:   term,
@@ -798,9 +730,6 @@ func (n *Node) shipPeer(p *peer, term uint64, durable wal.LSN, catV uint64, catB
 		n.mu.Lock()
 		if ack > p.match {
 			p.match = ack
-		}
-		if payload.Catalog != nil {
-			p.catV = catV
 		}
 		n.mu.Unlock()
 		n.stats.shipBytes.Add(int64(len(chunk)))
@@ -847,7 +776,6 @@ func (n *Node) sendSnapshot(p *peer, term uint64, members []Member) {
 	if ack := wal.LSN(resp.N); ack > p.match {
 		p.match = ack
 	}
-	p.catV = snap.CatVersion
 	n.mu.Unlock()
 	n.stats.snapshots.Add(1)
 }
@@ -877,7 +805,6 @@ func (n *Node) buildSnapshot(srv *esm.Server, members []Member) (*snapPayload, e
 	}
 	snap.LogStart = start
 	snap.Log = logBytes
-	snap.CatVersion, _, _ = srv.CatalogBlob()
 	return snap, nil
 }
 
@@ -922,12 +849,9 @@ func (n *Node) Campaign() error {
 	n.role = RoleCandidate
 	n.votedTerm, n.votedFor = term, n.cfg.ID
 	members := n.membersSnapshotLocked()
-	catV := n.catV
 	n.mu.Unlock()
 
 	durable := n.log.FlushedLSN()
-	catData := make([]byte, 8)
-	binary.LittleEndian.PutUint64(catData, catV)
 	votes := 1 // our own
 	for _, m := range members {
 		if m.ID == n.cfg.ID {
@@ -943,7 +867,6 @@ func (n *Node) Campaign() error {
 			Tx:   term,
 			N:    uint64(durable),
 			Name: n.cfg.ID,
-			Data: catData,
 		})
 		if err != nil || resp.Err != "" {
 			continue // dead or unreachable voter
@@ -1004,15 +927,9 @@ func (n *Node) promote(term uint64) error {
 	// old term, and only shipping from zero lets AppendRaw catch it.
 	for _, p := range n.peers {
 		p.match = 0
-		p.catV = 0
 	}
-	catV := n.catV
 	n.signalQuorumLocked()
 	n.mu.Unlock()
-	// Carry the catalog version lineage across the term boundary: the new
-	// server counts from what this follower last installed, so version
-	// comparisons (quorum gate, votes) stay monotone across leaders.
-	srv.SetCatalogVersionFloor(catV)
 	srv.SetRepl(n)
 	n.stats.elections.Add(1)
 	n.kickShipper()

@@ -47,14 +47,10 @@ type Member struct {
 }
 
 // shipPayload is the body of an OpReplAppend request. The log chunk starts
-// at the LSN in the request's N field; Catalog, when non-nil, is the
-// leader's serialized catalog (the catalog is a direct volume-page write on
-// the leader, never WAL-logged, so it must ride out of band).
+// at the LSN in the request's N field.
 type shipPayload struct {
 	LeaderDurable wal.LSN
-	CatVersion    uint64
 	Log           []byte
-	Catalog       []byte
 	Members       []Member
 }
 
@@ -62,12 +58,11 @@ type shipPayload struct {
 // durable log from LogStart plus every volume page image, replacing the
 // follower's state wholesale.
 type snapPayload struct {
-	LogStart   wal.LSN
-	CatVersion uint64
-	Log        []byte
-	NumPages   uint32 // leader volume geometry; follower pages beyond this are zeroed
-	Pages      []pageImage
-	Members    []Member
+	LogStart wal.LSN
+	Log      []byte
+	NumPages uint32 // leader volume geometry; follower pages beyond this are zeroed
+	Pages    []pageImage
+	Members  []Member
 }
 
 type pageImage struct {
@@ -175,11 +170,9 @@ func (c *cursor) members() []Member {
 }
 
 func (p *shipPayload) marshal() []byte {
-	dst := make([]byte, 0, 32+len(p.Log)+len(p.Catalog))
+	dst := make([]byte, 0, 32+len(p.Log))
 	dst = appendU64(dst, uint64(p.LeaderDurable))
-	dst = appendU64(dst, p.CatVersion)
 	dst = appendBytes(dst, p.Log)
-	dst = appendBytes(dst, p.Catalog)
 	return appendMembers(dst, p.Members)
 }
 
@@ -187,9 +180,7 @@ func parseShip(buf []byte) (*shipPayload, error) {
 	c := cursor{buf: buf}
 	p := &shipPayload{
 		LeaderDurable: wal.LSN(c.u64()),
-		CatVersion:    c.u64(),
 		Log:           c.bytes(),
-		Catalog:       c.bytes(),
 	}
 	p.Members = c.members()
 	if c.err != nil {
@@ -201,7 +192,6 @@ func parseShip(buf []byte) (*shipPayload, error) {
 func (p *snapPayload) marshal(pageSize int) []byte {
 	dst := make([]byte, 0, 32+len(p.Log)+len(p.Pages)*(4+pageSize))
 	dst = appendU64(dst, uint64(p.LogStart))
-	dst = appendU64(dst, p.CatVersion)
 	dst = appendBytes(dst, p.Log)
 	dst = appendU32(dst, p.NumPages)
 	dst = appendU32(dst, uint32(len(p.Pages)))
@@ -215,9 +205,8 @@ func (p *snapPayload) marshal(pageSize int) []byte {
 func parseSnap(buf []byte, pageSize int) (*snapPayload, error) {
 	c := cursor{buf: buf}
 	p := &snapPayload{
-		LogStart:   wal.LSN(c.u64()),
-		CatVersion: c.u64(),
-		Log:        c.bytes(),
+		LogStart: wal.LSN(c.u64()),
+		Log:      c.bytes(),
 	}
 	p.NumPages = c.u32()
 	n := int(c.u32())

@@ -11,9 +11,7 @@ import (
 func sampleShip() *shipPayload {
 	return &shipPayload{
 		LeaderDurable: 4242,
-		CatVersion:    7,
 		Log:           []byte("fifty-byte-header records would live here"),
-		Catalog:       []byte(`{"roots":{}}`),
 		Members: []Member{
 			{ID: "n1", Addr: "127.0.0.1:7070"},
 			{ID: "n2", Addr: "127.0.0.1:7071"},
@@ -31,10 +29,9 @@ func sampleSnap(pageSize int) *snapPayload {
 		return b
 	}
 	return &snapPayload{
-		LogStart:   1001,
-		CatVersion: 3,
-		Log:        []byte("log tail"),
-		NumPages:   5,
+		LogStart: 1001,
+		Log:      []byte("log tail"),
+		NumPages: 5,
 		Pages: []pageImage{
 			{ID: 1, Data: mk(0xAA)},
 			{ID: 3, Data: mk(0x55)},
@@ -58,7 +55,7 @@ func TestShipPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LeaderDurable != 9 || len(got.Log) != 0 || len(got.Catalog) != 0 || got.Members != nil {
+	if got.LeaderDurable != 9 || len(got.Log) != 0 || got.Members != nil {
 		t.Fatalf("heartbeat round trip: %+v", got)
 	}
 }

@@ -225,19 +225,14 @@ func TestFailoverPreservesAckedCommits(t *testing.T) {
 	kill(nodes[0])
 
 	// Elect the follower with the longest durable log; with quorum 2 it is
-	// guaranteed to hold every acked commit. It may still be denied when
-	// the OTHER follower holds a newer catalog (the catalog ships out of
-	// band) — then that one must win instead.
-	best, other := nodes[1], nodes[2]
-	if other.log.FlushedLSN() > best.log.FlushedLSN() {
-		best, other = other, best
+	// guaranteed to hold every acked commit, catalog records included, and
+	// the vote compares nothing else, so its first campaign wins.
+	best := nodes[1]
+	if nodes[2].log.FlushedLSN() > best.log.FlushedLSN() {
+		best = nodes[2]
 	}
 	if err := best.node.Campaign(); err != nil {
-		t.Logf("campaign on %s denied (%v); trying %s", best.node.ID(), err, other.node.ID())
-		best = other
-		if err := best.node.Campaign(); err != nil {
-			t.Fatalf("campaign: %v", err)
-		}
+		t.Fatalf("campaign on %s: %v", best.node.ID(), err)
 	}
 	if best.node.Role() != RoleLeader {
 		t.Fatalf("campaign won but role = %v", best.node.Role())
@@ -269,6 +264,55 @@ func TestFailoverPreservesAckedCommits(t *testing.T) {
 	}
 	if st := best.node.ReplStats(); st.Elections != 1 {
 		t.Fatalf("elections = %d, want 1", st.Elections)
+	}
+}
+
+// TestCatalogReachesPromotedFollowerThroughTheLog: a root and a file set on
+// the leader before an acked commit are catalog records below the commit's
+// LSN, so the quorum that acks the commit holds them, and a promoted
+// follower reads them back from its own log. No snapshot is involved.
+func TestCatalogReachesPromotedFollowerThroughTheLog(t *testing.T) {
+	nodes := newCluster(t, 3, 2)
+	leader := nodes[0].node
+	c := esm.NewClient(leader.Transport(), esm.ClientConfig{BufferPages: 8})
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	fid, err := c.CreateFile("cat.file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := esm.OID{Page: 9, Slot: 2, Unique: 3, File: fid}
+	if err := c.SetRoot("cat.root", root, 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := leader.ReplStats(); st.SnapshotsSent != 0 {
+		t.Fatalf("leader sent %d snapshots, want 0", st.SnapshotsSent)
+	}
+	kill(nodes[0])
+
+	best := nodes[1]
+	if nodes[2].log.FlushedLSN() > best.log.FlushedLSN() {
+		best = nodes[2]
+	}
+	if err := best.node.Campaign(); err != nil {
+		t.Fatalf("campaign on %s: %v", best.node.ID(), err)
+	}
+	v := esm.NewClient(best.node.Transport(), esm.ClientConfig{BufferPages: 8})
+	if err := v.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if got, aux, err := v.GetRoot("cat.root"); err != nil || got != root || aux != 42 {
+		t.Fatalf("root on the promoted follower = %v/%d, %v; want %v/42", got, aux, err, root)
+	}
+	if got, err := v.OpenFile("cat.file"); err != nil || got != fid {
+		t.Fatalf("file on the promoted follower = %d, %v; want %d", got, err, fid)
+	}
+	if err := v.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -385,7 +429,7 @@ func TestWaitQuorumFencedOnStepDown(t *testing.T) {
 	kill(nodes[2])
 	done := make(chan error, 1)
 	go func() {
-		done <- leader.WaitQuorum(leader.DurableLSN(), 0)
+		done <- leader.WaitQuorum(leader.DurableLSN())
 	}()
 	// A campaign from n2 deposes the leader; the in-flight wait must
 	// resolve to a fence, not hang until timeout.

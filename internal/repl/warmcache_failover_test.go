@@ -130,11 +130,9 @@ func TestWarmCacheTokensAcrossFailover(t *testing.T) {
 
 	// Present every pre-failover token to the promoted leader. No token
 	// may validate as current, and every repair must reconstruct exactly
-	// the image the new leader itself serves as committed. (The old
-	// leader's bytes are not the reference: the catalog ships out of
-	// band, so a few directory bytes may legitimately differ across the
-	// promotion — what matters is that the warm cache converges on the
-	// new leader's committed state, never on anything older.)
+	// the image the new leader itself serves as committed: what matters
+	// is that the warm cache converges on the new leader's committed
+	// state, never on anything older.
 	for _, f := range frames {
 		full := readPage(t, best.node, f.pid, 0, 0).Data
 		a := readPage(t, best.node, f.pid, f.token, 0)

@@ -21,7 +21,7 @@ func TestRecordRoundTripBoundaries(t *testing.T) {
 	const lsn = LSN(1 << 20)
 	prevs := []LSN{NilLSN, lsn - 1, lsn - 128, 1}
 	n := 0
-	for typ := RecBegin; typ <= RecDecision; typ++ {
+	for typ := RecBegin; typ <= RecCatalog; typ++ {
 		for _, tx := range txs {
 			for _, page := range pages {
 				for _, off := range offs {

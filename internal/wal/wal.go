@@ -50,6 +50,10 @@ const (
 	// under presumed abort no record at all means "abort", so aborts log
 	// nothing beyond the usual RecAbort.
 	RecDecision
+	// RecCatalog carries the page server's whole catalog (roots, files,
+	// counters) as its serialized image in New, with Tx 0. Each catalog
+	// change appends one, and the last in the log is the catalog.
+	RecCatalog
 )
 
 // PrepareCoord, set in a RecPrepare's Off field, marks the prepare written
@@ -78,6 +82,8 @@ func (t RecType) String() string {
 		return "PREPARE"
 	case RecDecision:
 		return "DECISION"
+	case RecCatalog:
+		return "CATALOG"
 	}
 	return fmt.Sprintf("RecType(%d)", uint8(t))
 }
