@@ -872,3 +872,219 @@ func TestValidationDuringEvictionWriteBack(t *testing.T) {
 		t.Errorf("the page was read from the volume %d times while its write-back was in flight", gate.readDuring)
 	}
 }
+
+// writeCohObject overwrites the object's first bytes with val inside the
+// open transaction of c. A logged write ships as a log record; an unlogged
+// one dirties the frame through plain MarkDirty, so the commit installs the
+// whole page.
+func writeCohObject(t *testing.T, c *Client, oid OID, old, val string, logged bool) {
+	t.Helper()
+	obj, off, idx, err := c.ReadObjectAt(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(obj[:len(old)]); got != old {
+		t.Fatalf("writer read %q, want %q", got, old)
+	}
+	copy(obj, val)
+	if !logged {
+		c.Pool().MarkDirty(idx)
+		return
+	}
+	c.Pool().MarkDirtyLogged(idx)
+	c.LogUpdate(oid.Page, off, []byte(old), []byte(val))
+}
+
+// frameMatchesServer fails the test unless c's frame of pid equals a full
+// read of the page from srv, all of its bytes, header included.
+func frameMatchesServer(t *testing.T, c *Client, srv *Server, pid disk.PageID) {
+	t.Helper()
+	i, ok := c.Pool().Lookup(pid)
+	if !ok {
+		t.Fatalf("page %d not resident", pid)
+	}
+	full := readOne(t, srv, uint32(pid), 0)
+	if full.Kind != PageFull || !bytes.Equal(c.Pool().Frame(i).Data, full.Data) {
+		t.Fatalf("repaired frame of page %d differs from a full read at byte %d", pid, mismatch(c.Pool().Frame(i).Data, full.Data))
+	}
+}
+
+// repairOf presents token for pid to srv, brings a copy of img (the bytes
+// token names) to the answer, checks the result against a full read, and
+// returns the answer's kind.
+func repairOf(t *testing.T, srv *Server, pid disk.PageID, img []byte, token uint64) uint8 {
+	t.Helper()
+	a := readOne(t, srv, uint32(pid), token)
+	if !a.Stale {
+		t.Fatalf("token %#x of page %d still current", token, pid)
+	}
+	got := bytes.Clone(img)
+	if err := applyAnswer(got, &a); err != nil {
+		t.Fatal(err)
+	}
+	if full := readOne(t, srv, uint32(pid), 0); !bytes.Equal(got, full.Data) {
+		t.Fatalf("repaired copy of page %d differs from a full read at byte %d", pid, mismatch(got, full.Data))
+	}
+	return a.Kind
+}
+
+// TestDeltaRepairAcrossCommits: the page-change index patches a cached copy
+// from whatever committed version it holds — several commits back, across an
+// aborted writer's undo, over a whole-image install — and refuses a token
+// older than its floor, which a checkpoint or a restart raises, with the
+// full page. Every repaired copy equals a full read byte for byte.
+func TestDeltaRepairAcrossCommits(t *testing.T) {
+	type fixture struct {
+		srv  *Server
+		vol  disk.Volume
+		log  *wal.Log
+		oid  OID
+		a, b *Client
+	}
+	setup := func(t *testing.T) *fixture {
+		fx := &fixture{vol: disk.NewMemVolume(), log: wal.NewMemLog()}
+		var err error
+		if fx.srv, err = NewServer(fx.vol, fx.log, ServerConfig{BufferPages: 64}); err != nil {
+			t.Fatal(err)
+		}
+		fx.oid = seedCohObject(t, fx.srv, "value-v1")
+		fx.a = NewClient(NewInProcTransport(fx.srv), ClientConfig{BufferPages: 8})
+		fx.b = NewClient(NewInProcTransport(fx.srv), ClientConfig{BufferPages: 8})
+		if got := readCohObject(t, fx.a, fx.oid, 8); got != "value-v1" {
+			t.Fatalf("A's first read: %q", got)
+		}
+		return fx
+	}
+	commit := func(t *testing.T, c *Client, oid OID, old, val string, logged bool) {
+		t.Helper()
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		writeCohObject(t, c, oid, old, val, logged)
+		if err := c.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// repairedByOnePatch reads through A and checks that its Begin repaired
+	// exactly one frame, by patch, to the server's bytes.
+	repairedByOnePatch := func(t *testing.T, fx *fixture, want string) {
+		t.Helper()
+		st0 := cohStats(t, fx.a)
+		if got := readCohObject(t, fx.a, fx.oid, len(want)); got != want {
+			t.Fatalf("A read %q, want %q", got, want)
+		}
+		st1 := cohStats(t, fx.a)
+		if st1.CohDeltas != st0.CohDeltas+1 || st1.CohFulls != st0.CohFulls {
+			t.Fatalf("deltas %d -> %d, fulls %d -> %d: want one patch and no full page",
+				st0.CohDeltas, st1.CohDeltas, st0.CohFulls, st1.CohFulls)
+		}
+		if grew := st1.CohDeltaBytes - st0.CohDeltaBytes; grew >= disk.PageSize/8 {
+			t.Errorf("the patch carried %d bytes", grew)
+		}
+		frameMatchesServer(t, fx.a, fx.srv, fx.oid.Page)
+	}
+
+	t.Run("two-commits-behind", func(t *testing.T) {
+		fx := setup(t)
+		commit(t, fx.b, fx.oid, "value-v1", "value-v2", true)
+		commit(t, fx.b, fx.oid, "value-v2", "value-v3", true)
+		repairedByOnePatch(t, fx, "value-v3")
+	})
+
+	t.Run("aborted-writer", func(t *testing.T) {
+		fx := setup(t)
+		if err := fx.b.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		writeCohObject(t, fx.b, fx.oid, "value-v1", "value-xx", true)
+		if err := fx.b.FlushLog(); err != nil { // the server redoes the record
+			t.Fatal(err)
+		}
+		if err := fx.b.Abort(); err != nil { // and undoes it under a CLR
+			t.Fatal(err)
+		}
+		repairedByOnePatch(t, fx, "value-v1")
+	})
+
+	t.Run("whole-image-install", func(t *testing.T) {
+		fx := setup(t)
+		commit(t, fx.b, fx.oid, "value-v1", "value-v2", false)
+		repairedByOnePatch(t, fx, "value-v2")
+	})
+
+	// held returns A's copy of the object's page and its token.
+	held := func(t *testing.T, fx *fixture) ([]byte, uint64) {
+		i, ok := fx.a.Pool().Lookup(fx.oid.Page)
+		if !ok {
+			t.Fatal("page not resident")
+		}
+		f := fx.a.Pool().Frame(i)
+		return bytes.Clone(f.Data), f.LSN
+	}
+
+	// A token at or above floor that was never this page's version — one
+	// a dead leader vended for a commit its successor never received —
+	// names bytes the index cannot reach.
+	t.Run("token-never-vended", func(t *testing.T) {
+		fx := setup(t)
+		img, token := held(t, fx)
+		commit(t, fx.b, fx.oid, "value-v1", "value-v2", true)
+		if kind := repairOf(t, fx.srv, fx.oid.Page, img, token+1); kind != PageFull {
+			t.Fatalf("a token the page never had: answer kind %d, want the full page", kind)
+		}
+	})
+
+	t.Run("token-before-checkpoint", func(t *testing.T) {
+		fx := setup(t)
+		img, token := held(t, fx)
+		commit(t, fx.b, fx.oid, "value-v1", "value-v2", true)
+		if kind := repairOf(t, fx.srv, fx.oid.Page, img, token); kind != PageDelta {
+			t.Fatalf("before the checkpoint: answer kind %d, want a patch", kind)
+		}
+		if err := fx.srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if kind := repairOf(t, fx.srv, fx.oid.Page, img, token); kind != PageFull {
+			t.Fatalf("after the checkpoint: answer kind %d, want the full page", kind)
+		}
+		if n := cohStats(t, fx.a).CohIndexEntries; n != 0 {
+			t.Errorf("a quiet checkpoint left %d index entries", n)
+		}
+	})
+
+	t.Run("token-before-restart", func(t *testing.T) {
+		fx := setup(t)
+		img, token := held(t, fx)
+		commit(t, fx.b, fx.oid, "value-v1", "value-v2", true)
+		// The seed installed its new pages whole, so only the pool holds
+		// them; write them back (the log stays whole) and restart.
+		if err := fx.srv.FlushPool(); err != nil {
+			t.Fatal(err)
+		}
+		srv2, err := OpenServer(fx.vol, fx.log, ServerConfig{BufferPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind := repairOf(t, srv2, fx.oid.Page, img, token); kind != PageFull {
+			t.Fatalf("a pre-restart token: answer kind %d, want the full page", kind)
+		}
+		// A copy served under the new boot's epoch is patched from it.
+		fresh := readOne(t, srv2, uint32(fx.oid.Page), 0)
+		if fresh.Token != srv2.coh.epoch {
+			t.Fatalf("an untouched page served under token %#x, want the epoch %#x", fresh.Token, srv2.coh.epoch)
+		}
+		img2 := bytes.Clone(fresh.Data)
+		commit(t, NewClient(NewInProcTransport(srv2), ClientConfig{BufferPages: 8}), fx.oid, "value-v2", "value-v3", true)
+		if kind := repairOf(t, srv2, fx.oid.Page, img2, srv2.coh.epoch); kind != PageDelta {
+			t.Fatalf("an epoch token: answer kind %d, want a patch", kind)
+		}
+		// Its checkpoint drops changes made since the boot: the epoch can no
+		// longer be patched from.
+		if err := srv2.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if kind := repairOf(t, srv2, fx.oid.Page, img2, srv2.coh.epoch); kind != PageFull {
+			t.Fatalf("an epoch token after a checkpoint: answer kind %d, want the full page", kind)
+		}
+	})
+}

@@ -306,3 +306,75 @@ func BenchmarkCommitLoggedPages(b *testing.B) {
 	b.ReportMetric(float64(tr.bytes)/float64(b.N), "wire-B/op")
 	b.ReportMetric(float64(srv.log.Bytes()-logBefore)/float64(b.N), "log-B/op")
 }
+
+// commitCost runs commits whose payload carries one update record on each
+// of npages distinct pages and returns the allocations and heap bytes one
+// Begin+Commit pair costs the server, averaged over the runs after a warm-up
+// that grows every reused buffer.
+func commitCost(t *testing.T, cfg ServerConfig, npages int) (allocs, bytes float64) {
+	t.Helper()
+	cfg.BufferPages = 2 * npages
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.Volume().Allocate(npages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]wal.Record, npages)
+	for i := range recs {
+		recs[i] = wal.Record{Type: wal.RecUpdate, Page: uint32(first) + uint32(i), Off: 512,
+			Old: []byte{0, 0, 0, 0}, New: []byte{1, 2, 3, 4}}
+	}
+	payload := logBatch(recs...)
+	pair := func() {
+		tx := beginTx(t, srv)
+		if resp := srv.Handle(&Request{Op: OpCommit, Tx: tx, Data: payload}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		pair()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / runs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+}
+
+// TestLoggedCommitCopiesNoPage: the server redoes a commit's update records
+// onto its pages without copying any page. With the version store off, a
+// commit over 8 pages and one over 64 cost the same small number of
+// allocations, and the extra pages cost far less than a page of heap each.
+// With it on, each page costs the one before-image copy the version store
+// keeps for snapshot readers: a page of heap per page.
+func TestLoggedCommitCopiesNoPage(t *testing.T) {
+	a8, b8 := commitCost(t, ServerConfig{}, 8)
+	a64, b64 := commitCost(t, ServerConfig{}, 64)
+	t.Logf("MVCC off: 8 pages %.1f allocs %.0f B, 64 pages %.1f allocs %.0f B", a8, b8, a64, b64)
+	if a8 > maxLoggedCommitAllocs || a64 > maxLoggedCommitAllocs {
+		t.Errorf("logged commits of 8 and 64 pages made %.1f and %.1f allocations, budget %d", a8, a64, maxLoggedCommitAllocs)
+	}
+	if a64 >= a8+1 {
+		t.Errorf("56 more logged pages cost %.1f more allocations, want none", a64-a8)
+	}
+	if perPage := (b64 - b8) / 56; perPage >= disk.PageSize/8 {
+		t.Errorf("each logged page costs %.0f heap bytes, a page copy's share", perPage)
+	}
+
+	m8, mb8 := commitCost(t, ServerConfig{MVCC: true}, 8)
+	m64, mb64 := commitCost(t, ServerConfig{MVCC: true}, 64)
+	t.Logf("MVCC on: 8 pages %.1f allocs %.0f B, 64 pages %.1f allocs %.0f B", m8, mb8, m64, mb64)
+	if perPage := (mb64 - mb8) / 56; perPage < disk.PageSize || perPage >= 2*disk.PageSize {
+		t.Errorf("with the version store on each logged page costs %.0f heap bytes, want one %d-byte copy", perPage, disk.PageSize)
+	}
+	if perPage := (m64 - m8) / 56; perPage < 1 {
+		t.Errorf("with the version store on each logged page costs %.2f allocations, want its copy", perPage)
+	}
+}

@@ -6,7 +6,8 @@ package esm
 // mux, a Begin+Commit pair (the commit's literal ack and its group-commit
 // batch) and three serve-writer flushes.
 const (
-	maxFetchAllocs       = 0
-	maxBeginCommitAllocs = 2
-	maxFlushesAllocs     = 0
+	maxFetchAllocs        = 0
+	maxBeginCommitAllocs  = 2
+	maxFlushesAllocs      = 0
+	maxLoggedCommitAllocs = 4
 )

@@ -8,7 +8,8 @@ package esm
 // Each budget still fails the unpooled costs (about 10 per round trip, and
 // one vector per flush).
 const (
-	maxFetchAllocs       = 8
-	maxBeginCommitAllocs = 12
-	maxFlushesAllocs     = 2
+	maxFetchAllocs        = 8
+	maxBeginCommitAllocs  = 12
+	maxFlushesAllocs      = 2
+	maxLoggedCommitAllocs = 12
 )

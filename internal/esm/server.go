@@ -15,7 +15,6 @@ import (
 	"quickstore/internal/faultinject"
 	"quickstore/internal/lock"
 	"quickstore/internal/mvcc"
-	"quickstore/internal/pagedelta"
 	"quickstore/internal/sim"
 	"quickstore/internal/wal"
 )
@@ -181,9 +180,9 @@ type Server struct {
 	mv *mvcc.Store
 
 	// coh is the warm-cache coherence state (DESIGN.md §18): the per-page
-	// version table, its boot epoch, and delta bases. Its own lock is
-	// taken under mu (commit/abort bookkeeping) and under frame content
-	// latches (abort undo), never the other way around.
+	// version table, its boot epoch, and the page-change index. Its own
+	// lock is taken under mu (commit/abort bookkeeping) and under frame
+	// content latches (abort undo), never the other way around.
 	coh *cohState
 
 	// snapFloor is the oldest snapshot LSN this server can serve
@@ -387,12 +386,16 @@ type ServerStats struct {
 	// read entries answered "current", which ship no page bytes; CohDeltas
 	// entries answered by patch (CohDeltaBytes patch payload total);
 	// CohFulls live read entries answered with a whole-page image.
-	CohValidates   int64 `json:"coh_validates,omitempty"`
-	CohFeedStale   int64 `json:"coh_feed_stale,omitempty"`
-	CohNotModified int64 `json:"coh_not_modified,omitempty"`
-	CohDeltas      int64 `json:"coh_deltas,omitempty"`
-	CohDeltaBytes  int64 `json:"coh_delta_bytes,omitempty"`
-	CohFulls       int64 `json:"coh_fulls,omitempty"`
+	// CohIndexEntries is the size of the page-change index the deltas are
+	// made from (changes and version marks since the last checkpoint); it
+	// has no byte cap, and a checkpoint empties it down to its cut.
+	CohValidates    int64 `json:"coh_validates,omitempty"`
+	CohFeedStale    int64 `json:"coh_feed_stale,omitempty"`
+	CohNotModified  int64 `json:"coh_not_modified,omitempty"`
+	CohDeltas       int64 `json:"coh_deltas,omitempty"`
+	CohDeltaBytes   int64 `json:"coh_delta_bytes,omitempty"`
+	CohFulls        int64 `json:"coh_fulls,omitempty"`
+	CohIndexEntries int64 `json:"coh_index_entries,omitempty"`
 }
 
 // NewServer creates a server over a fresh volume: the reserved page is
@@ -771,6 +774,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			CohDeltas:        s.cohDeltas.Load(),
 			CohDeltaBytes:    s.cohDeltaBytes.Load(),
 			CohFulls:         s.cohFulls.Load(),
+			CohIndexEntries:  int64(s.coh.indexEntries()),
 		}
 		st.Repl = s.quorumGate().ReplStats()
 		if s.mv != nil {
@@ -959,18 +963,22 @@ func pageSlot(out []byte, pid disk.PageID) ([]byte, []byte) {
 }
 
 // sealAnswer finishes the answer pageSlot opened at out[at:], whose payload
-// holds the page's current image: a delta patch against base replaces the
-// image when it is the smaller, and the answer carries token.
-func (s *Server) sealAnswer(out []byte, at int, base []byte, token uint64) []byte {
+// holds the page's current image, served under token. When a patch smaller
+// than the image brings the client's copy (token have) to it
+// (cohState.appendDelta), the patch is appended after the image and moved
+// down over it.
+func (s *Server) sealAnswer(out []byte, at int, pid disk.PageID, have, token uint64) []byte {
 	out[at+4] = PageFull
 	binary.LittleEndian.PutUint64(out[at+5:], token)
-	if base != nil {
-		if patch := pagedelta.Encode(base, out[at+answerHeadBytes:]); patch != nil {
+	img, end := at+answerHeadBytes, len(out)
+	if token != 0 {
+		if withPatch, ok := s.coh.appendDelta(out, out[img:end], pid, have); ok {
+			n := copy(withPatch[img:], withPatch[end:])
 			s.cohDeltas.Add(1)
-			s.cohDeltaBytes.Add(int64(len(patch)))
-			out[at+4] = PageDelta
-			binary.LittleEndian.PutUint32(out[at+13:], uint32(len(patch)))
-			return append(out[:at+answerHeadBytes], patch...)
+			s.cohDeltaBytes.Add(int64(n))
+			withPatch[at+4] = PageDelta
+			binary.LittleEndian.PutUint32(withPatch[at+13:], uint32(n))
+			return withPatch[:img+n]
 		}
 	}
 	s.cohFulls.Add(1)
@@ -979,10 +987,10 @@ func (s *Server) sealAnswer(out []byte, at int, base []byte, token uint64) []byt
 
 // fetchPage serves a page a transaction reads: the entry's token is that of
 // the client's cached copy (0 for none). A token match answers "current"
-// and ships nothing; a known previous image answers a pagedelta patch;
-// anything else ships the full page with its token. The page is read
-// through the server pool (loadPage), so a read-ahead warms the cache for
-// the next client like a demand read does. The not-modified fast path
+// and ships nothing; a token the page-change index can patch from answers a
+// pagedelta patch; anything else ships the full page with its token. The
+// page is read through the server pool (loadPage), so a read-ahead warms
+// the cache for the next client like a demand read does. The not-modified fast path
 // charges nothing to the cost model — coherence traffic must leave the
 // paper experiments' deterministic counters untouched — while the
 // byte-shipping paths charge exactly one page transfer.
@@ -997,12 +1005,12 @@ func (s *Server) fetchPage(out []byte, pid disk.PageID, token uint64) ([]byte, b
 	if err := s.loadPage(pid, img); err != nil {
 		return nil, false, fmt.Errorf("esm: read of page %d: %w", pid, err)
 	}
-	newTok, current, base := s.coh.answer(pid, token, ver1, pending1)
+	newTok, current := s.coh.answer(pid, token, ver1, pending1)
 	if current {
 		s.cohNotModified.Add(1)
 		return out[:at], false, nil
 	}
-	return s.sealAnswer(out, at, base, newTok), true, nil
+	return s.sealAnswer(out, at, pid, token, newTok), true, nil
 }
 
 // checkPage serves a ReadCheck entry, one clean resident frame at Begin:
@@ -1030,7 +1038,7 @@ func (s *Server) checkPage(out []byte, pid disk.PageID, token uint64) ([]byte, b
 	if !s.pool.Snapshot(pid, img) && s.vol.ReadPage(pid, img) != nil {
 		return out[:at], true
 	}
-	newTok, current, base := s.coh.answer(pid, token, ver1, pending1)
+	newTok, current := s.coh.answer(pid, token, ver1, pending1)
 	if current {
 		s.cohNotModified.Add(1)
 		return out[:at], false
@@ -1038,7 +1046,7 @@ func (s *Server) checkPage(out []byte, pid disk.PageID, token uint64) ([]byte, b
 	if newTok == 0 {
 		return out[:at], true
 	}
-	return s.sealAnswer(out, at, base, newTok), true
+	return s.sealAnswer(out, at, pid, token, newTok), true
 }
 
 // beginSnapshot opens a read-only snapshot session at the newest commit
@@ -1194,6 +1202,7 @@ func (s *Server) checkpoint() error {
 	if err := s.log.TruncateBefore(cut); err != nil {
 		return err
 	}
+	s.coh.dropBefore(uint64(cut))
 	// Nothing is written after the cut: the log file's header carries the
 	// LSN base, so even a log the cut emptied reopens where its LSN space
 	// left off and never hands out an LSN a page was stamped with before.
@@ -1222,54 +1231,62 @@ func (s *Server) loadPage(pid disk.PageID, dst []byte) error {
 	return nil
 }
 
-// captureBefore files the page's current image, once per (transaction,
-// page), before that transaction first changes the page's bytes in the
-// server pool — by a whole-image install or by applying its log records.
-// With the version store on, snapshot readers keep seeing the captured
-// bytes; the coherence table raises the page's pending count (versioned
-// reads stop vending tokens for it) and keeps the image as the delta base
-// the commit will publish. The capture reads through the same
+// captureBefore runs once per (transaction, page), before that transaction
+// first changes the page's bytes in the server pool — by a whole-image
+// install or by applying its log records. The coherence table raises the
+// page's pending count (versioned reads stop vending tokens for it). With
+// the version store on, the page's current image is copied for it, so
+// snapshot readers keep seeing the bytes the transaction overwrites: the
+// only page copy an update makes. The copy reads through the same
 // non-perturbing path as Begin validation (pool snapshot, else the volume).
 func (s *Server) captureBefore(tx uint64, pid disk.PageID) error {
-	if tx == 0 || s.coh.captured(tx, pid) {
+	if tx == 0 || s.coh.owns(tx, pid) {
 		return nil
 	}
-	before := make([]byte, disk.PageSize)
-	if !s.pool.Snapshot(pid, before) {
-		// A page past the volume's geometry has no committed image yet;
-		// its before-image is the all-zero buffer just made.
-		if err := s.vol.ReadPage(pid, before); err != nil && !errors.Is(err, disk.ErrPageOutOfRange) {
-			return err
-		}
-	}
 	if s.mv != nil {
-		s.mv.CaptureBefore(uint32(pid), tx, before)
+		before := pageScratch.Get().(*[]byte)
+		defer pageScratch.Put(before)
+		if !s.pool.Snapshot(pid, *before) {
+			// A page past the volume's geometry has no committed image
+			// yet; its before-image is all zeroes.
+			if err := s.vol.ReadPage(pid, *before); errors.Is(err, disk.ErrPageOutOfRange) {
+				clear(*before)
+			} else if err != nil {
+				return err
+			}
+		}
+		s.mv.CaptureBefore(uint32(pid), tx, *before)
 	}
-	s.coh.captureInstall(tx, pid, before)
+	s.coh.own(tx, pid)
 	return nil
 }
+
+// pageScratch recycles the page-sized buffer captureBefore reads a
+// before-image into for the version store, which keeps its own copy.
+var pageScratch = sync.Pool{New: func() any {
+	b := make([]byte, disk.PageSize)
+	return &b
+}}
 
 // installPage places a shipped page image in the server pool, dirty: the
 // path of every page the client could not vouch for as log-covered (bulk
 // loads, raw large-object pages, B-tree pages, plain MarkDirty callers).
-// Under the content latch a page with a header is stamped with the log's
-// last LSN (End-1, its last byte), so no record already redone onto it
-// stands above its stamp for restart redo and undo; a raw page is not.
+// Under the content latch the ranges where the image differs from the
+// frame's prior bytes enter the page-change index, and a page with a header
+// is stamped with the log's last LSN (End-1, its last byte), so no record
+// already redone onto it stands above its stamp for restart redo and undo;
+// a raw page is not stamped.
 func (s *Server) installPage(tx uint64, pid disk.PageID, raw bool, data []byte) error {
-	if err := s.captureBefore(tx, pid); err != nil {
-		return err
-	}
-	ref, _, err := s.pool.Load(pid, func(buf []byte) error {
-		copy(buf, data)
-		return nil
-	})
+	ref, err := s.pinForRedo(tx, pid)
 	if err != nil {
 		return err
 	}
-	ref.Write(func(dst []byte) { // Load skips the fill when already resident
+	ref.Write(func(dst []byte) {
+		key := uint64(s.log.End() - 1)
+		s.coh.noteInstall(pid, key, dst, data)
 		copy(dst, data)
 		if !raw {
-			setPageLSN(dst, uint64(s.log.End()-1))
+			setPageLSN(dst, key)
 		}
 	})
 	ref.MarkDirty()
@@ -1278,11 +1295,11 @@ func (s *Server) installPage(tx uint64, pid disk.PageID, raw bool, data []byte) 
 	return nil
 }
 
-// pinForRedo captures pid's image for tx (first change only) and pins the
-// page in the pool, reading it from the volume on a miss; a page past the
-// volume's geometry starts from zeroes, as its capture did. Nothing is
-// charged to the cost model: internal/sim prices the protocol in which the
-// client ships this page at commit.
+// pinForRedo runs captureBefore for tx and pid and pins the page in the
+// pool, reading it from the volume on a miss; a page past the volume's
+// geometry starts from zeroes, as its capture did. Nothing is charged to
+// the cost model: internal/sim prices the protocol in which the client
+// ships this page at commit.
 func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (buffer.PageRef, error) {
 	if err := s.captureBefore(tx, pid); err != nil {
 		return buffer.PageRef{}, err
@@ -1325,6 +1342,7 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 		ref.Write(func(page []byte) {
 			rec.LSN = s.log.Append(rec)
 			rec.Redo(page, setPageLSN)
+			s.coh.noteRecord(&rec)
 		})
 		last = rec.LSN
 		ref.MarkDirty()
@@ -1465,7 +1483,7 @@ func (s *Server) abort(tx uint64) error {
 			clr.Redo(data, setPageLSN)
 			// Still under the content latch: any token vended for the page
 			// before this undo must stop matching the moment the bytes move.
-			s.coh.bump(pid, uint64(clr.LSN))
+			s.coh.undone(&clr)
 			applied = true
 		})
 		if applied {

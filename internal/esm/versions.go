@@ -7,15 +7,16 @@ import (
 	"sync"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
 // Warm-cache coherence state (DESIGN.md §18). cohState is the server-side
 // half of the inter-transaction cache-coherence protocol: a per-page
 // version table (the token of the last committed image), a change feed
-// of the version table's writes in the order they happened, a bounded
-// previous-image cache backing delta shipping, and per-transaction install
-// captures.
+// of the version table's writes in the order they happened, a page-change
+// index backing delta shipping, and the pages each open transaction has
+// raised a pending count on.
 //
 // A page's token is its version-table entry — the LSN of the commit or CLR
 // that last changed it — or, for a page nothing has changed since this
@@ -32,6 +33,18 @@ import (
 // feed id is drawn at random per cohState, so no horizon of one server
 // instance — an earlier boot, a promoted follower at the same durable end —
 // is ever answered by another.
+//
+// Page-change index: every change to a page's bytes in the server pool —
+// a redone update record, a CLR, a whole-image install — appends one entry
+// (page, key LSN, the byte ranges it wrote) under mu before the content
+// latch that covers the change is released, and every version write appends
+// a mark keyed by the new token. A copy at token t therefore differs from
+// the page only within the ranges of the entries after t's mark, and a
+// delta is the current image's bytes over them (appendDelta): no page image
+// is ever kept. An epoch copy lacks the page's whole chain, which is
+// complete while floor (the key from which the index holds every change) is
+// at or below the epoch's LSN. A checkpoint drops what its log cut dropped
+// and raises floor.
 //
 // Staleness invariant: the server answers "not modified" for (pid, token)
 // only when token equals the page's current committed version, i.e. only
@@ -72,27 +85,44 @@ type cohState struct {
 	// validation refuses to repair from them.
 	pending map[disk.PageID]int
 
-	// captures holds, per open transaction, the committed image (and its
-	// token) of every page the transaction installed over — the base the
-	// commit turns into a prev entry for delta shipping. imgBytes tracks
-	// the total; past capBytes new captures drop the image (the version
-	// still bumps, only the delta is lost).
-	captures map[uint64]map[disk.PageID]*cohCapture
-	imgBytes int
+	// owned holds, per open transaction, the pages whose pending count it
+	// raised; commit and abort retire them. Retired sets wait in spare for
+	// the next transaction, so a page costs no allocation of its own.
+	owned map[uint64]map[disk.PageID]struct{}
+	spare []map[disk.PageID]struct{}
 
-	// prev caches one previous committed image per page, keyed by the
-	// token a client would still hold, so a stale cached copy can be
-	// repaired with a pagedelta patch instead of a full page. Bounded by
-	// capBytes; eviction is arbitrary (a miss only costs a full ship).
-	prev      map[disk.PageID]*cohPrev
-	prevBytes int
-	capBytes  int
+	// changes and spans are the page-change index, in the order entries
+	// were appended; newest maps a page to its latest entry, and floor is
+	// the lowest key the index is complete from. regs is appendDelta's
+	// scratch.
+	changes []change
+	spans   []span
+	newest  map[disk.PageID]int32
+	floor   uint64
+	regs    []pagedelta.Region
 }
 
 type feedEntry struct {
 	pid   disk.PageID
 	token uint64
 }
+
+// change is one page-change index entry: a change to pid's bytes, or with
+// no spans a version mark, keyed by an LSN; prev is the page's previous
+// entry (-1 for none), and spans[at:at+n] the byte ranges it wrote.
+type change struct {
+	pid   disk.PageID
+	prev  int32
+	key   uint64
+	at, n uint32
+}
+
+// span is one changed byte range of a page.
+type span struct{ off, n uint16 }
+
+// spanGap is the widest gap noteSpanLocked closes between two ranges of
+// one entry: pagedelta's run header, so merging never grows a delta.
+const spanGap = 4
 
 // feedCap is the change feed's length in entries (16 bytes each: 64 KB).
 // A horizon more than feedCap version writes old is answered "too old".
@@ -102,18 +132,8 @@ const feedCap = 4096
 // seq. An all-zero horizon means "none".
 const HorizonBytes = 8 + 8
 
-type cohCapture struct {
-	img   []byte // committed image before the first install (nil if over cap)
-	token uint64 // the token that image was current at
-}
-
-type cohPrev struct {
-	fromToken uint64 // the token of img
-	img       []byte // a full committed page image
-}
-
-// cohCacheBytes bounds capture + prev image memory.
-const cohCacheBytes = 4 << 20
+// epochBit marks a token as a boot epoch; its other bits are an LSN.
+const epochBit = 1 << 63
 
 // newCohState starts a version table for a server whose log is durable
 // through durable, with recovery (if any) already done.
@@ -123,13 +143,13 @@ func newCohState(durable wal.LSN) *cohState {
 		id = rand.Uint64() // 0 is the client's "no horizon"
 	}
 	return &cohState{
-		ver:      map[disk.PageID]uint64{},
-		epoch:    1<<63 | uint64(durable),
-		feedID:   id,
-		pending:  map[disk.PageID]int{},
-		captures: map[uint64]map[disk.PageID]*cohCapture{},
-		prev:     map[disk.PageID]*cohPrev{},
-		capBytes: cohCacheBytes,
+		ver:     map[disk.PageID]uint64{},
+		epoch:   epochBit | uint64(durable),
+		feedID:  id,
+		pending: map[disk.PageID]int{},
+		owned:   map[uint64]map[disk.PageID]struct{}{},
+		newest:  map[disk.PageID]int32{},
+		floor:   uint64(durable),
 	}
 }
 
@@ -142,9 +162,13 @@ func (c *cohState) verLocked(pid disk.PageID) uint64 {
 }
 
 // setVerLocked moves a page's version to token and records the move in the
-// change feed.
+// change feed and, unless the page's newest entry is already keyed token (a
+// CLR's), as a mark in the page-change index.
 func (c *cohState) setVerLocked(pid disk.PageID, token uint64) {
 	c.ver[pid] = token
+	if i, ok := c.newest[pid]; !ok || c.changes[i].key != token {
+		c.noteLocked(pid, token)
+	}
 	if c.feed == nil {
 		c.feed = make([]feedEntry, feedCap)
 	}
@@ -205,127 +229,158 @@ func (c *cohState) probe(pid disk.PageID) (ver uint64, pending int) {
 	return ver, pending
 }
 
-// bump moves a page's version to token. The abort undo calls it while
-// holding the page's exclusive content latch, right after rewriting the
-// bytes, so byte change and version change are atomic for readers probing
-// around a latched copy.
-func (c *cohState) bump(pid disk.PageID, token uint64) {
+// undone indexes a CLR the abort undo just redid onto its page and moves
+// the page's version to the CLR's LSN. The undo calls it while holding the
+// page's exclusive content latch, right after rewriting the bytes, so byte
+// change and version change are atomic for readers probing around a
+// latched copy.
+func (c *cohState) undone(clr *wal.Record) {
 	c.mu.Lock()
-	c.setVerLocked(pid, token)
+	c.noteRecordLocked(clr)
+	c.setVerLocked(disk.PageID(clr.Page), uint64(clr.LSN))
 	c.mu.Unlock()
 }
 
-// captureInstall records a transaction's first change to a page in the
-// server pool: before holds the committed image about to be overwritten,
-// and the table keeps that slice (the caller made it for this and must not
-// write to it afterwards). Must be called BEFORE the frame bytes change —
-// it raises pending, which is what keeps concurrent versioned reads from
-// caching the mid-transaction bytes. Later changes by the same transaction
-// (log records, then a steal, then commit) keep the first capture.
-func (c *cohState) captureInstall(tx uint64, pid disk.PageID, before []byte) {
+// noteRecord indexes an update record just redone onto its page: key its
+// LSN, one range per region. Called under the page's exclusive content
+// latch, in the same hold as the redo.
+func (c *cohState) noteRecord(r *wal.Record) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.captures[tx]
-	if m == nil {
-		m = map[disk.PageID]*cohCapture{}
-		c.captures[tx] = m
-	}
-	if _, ok := m[pid]; ok {
-		return
-	}
-	cpt := &cohCapture{token: c.verLocked(pid)}
-	if c.pending[pid] > 0 {
-		// Another transaction's install is still unresolved (only
-		// possible outside two-phase locking, e.g. a drill driving the
-		// server directly): the "committed base" is not trustworthy.
-		cpt.token = 0
-	}
-	if c.imgBytes+c.prevBytes+len(before) <= c.capBytes {
-		cpt.img = before
-		c.imgBytes += len(cpt.img)
-	}
-	m[pid] = cpt
-	c.pending[pid]++
+	c.noteRecordLocked(r)
+	c.mu.Unlock()
 }
 
-// captured reports whether tx already holds a capture of pid, so the caller
-// can skip reading a before-image captureInstall would only drop.
-func (c *cohState) captured(tx uint64, pid disk.PageID) bool {
+func (c *cohState) noteRecordLocked(r *wal.Record) {
+	c.noteLocked(disk.PageID(r.Page), uint64(r.LSN))
+	for it := r.Regions(); it.Next(); {
+		c.noteSpanLocked(it.Off, len(it.New))
+	}
+}
+
+// noteInstall indexes a whole image installed over prior under key, the
+// stamp the install writes: one range per run of 8-byte words where the two
+// differ. Whole words cost a delta at most 14 bytes per range, and spare
+// bulk loads, which install every page whole, a byte-exact diff's boundary
+// search. Called under the page's exclusive content latch, before the image
+// is copied over prior; pages are a whole number of words.
+func (c *cohState) noteInstall(pid disk.PageID, key uint64, prior, image []byte) {
+	word := func(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
 	c.mu.Lock()
-	_, ok := c.captures[tx][pid]
+	c.noteLocked(pid, key)
+	for i := 0; i+8 <= len(image); i += 8 {
+		if word(prior, i) == word(image, i) {
+			continue
+		}
+		j := i + 8
+		for j+8 <= len(image) && word(prior, j) != word(image, j) {
+			j += 8
+		}
+		c.noteSpanLocked(i, j-i)
+		i = j
+	}
+	c.mu.Unlock()
+}
+
+// noteLocked appends an entry with no ranges yet for pid under key.
+func (c *cohState) noteLocked(pid disk.PageID, key uint64) {
+	prev, ok := c.newest[pid]
+	if !ok {
+		prev = -1
+	}
+	c.newest[pid] = int32(len(c.changes))
+	c.changes = append(c.changes, change{pid: pid, prev: prev, key: key, at: uint32(len(c.spans))})
+}
+
+// noteSpanLocked adds the range [off, off+n) to the newest entry, closing a
+// gap of up to spanGap bytes after the entry's last range.
+func (c *cohState) noteSpanLocked(off, n int) {
+	if n == 0 {
+		return
+	}
+	e := &c.changes[len(c.changes)-1]
+	if e.n > 0 {
+		last := &c.spans[len(c.spans)-1]
+		if end := int(last.off) + int(last.n); off >= int(last.off) && off <= end+spanGap {
+			last.n = uint16(max(end, off+n) - int(last.off))
+			return
+		}
+	}
+	c.spans = append(c.spans, span{off: uint16(off), n: uint16(n)})
+	e.n++
+}
+
+// own raises pid's pending count on behalf of tx, once per (transaction,
+// page), BEFORE tx first changes the page's bytes in the server pool: it is
+// what keeps concurrent versioned reads from caching mid-transaction bytes.
+func (c *cohState) own(tx uint64, pid disk.PageID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.owned[tx]
+	if m == nil {
+		if n := len(c.spare); n > 0 {
+			m, c.spare = c.spare[n-1], c.spare[:n-1]
+		} else {
+			m = map[disk.PageID]struct{}{}
+		}
+		c.owned[tx] = m
+	}
+	if _, ok := m[pid]; !ok {
+		m[pid] = struct{}{}
+		c.pending[pid]++
+	}
+}
+
+// owns reports whether tx already raised pid's pending count.
+func (c *cohState) owns(tx uint64, pid disk.PageID) bool {
+	c.mu.Lock()
+	_, ok := c.owned[tx][pid]
 	c.mu.Unlock()
 	return ok
 }
 
-// commitTx retires a transaction's captures at commit: every installed
-// page's version becomes the commit LSN, its pre-commit image becomes the
-// page's prev entry (delta base for clients still holding the old
-// version), and pending drops.
+// commitTx retires a transaction's pages at commit: every page it changed
+// takes the commit LSN as its version, and its pending count drops.
 func (c *cohState) commitTx(tx, lsn uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for pid, cpt := range c.captures[tx] {
-		if cpt.img != nil {
-			c.putPrevLocked(pid, &cohPrev{fromToken: cpt.token, img: cpt.img})
-			c.imgBytes -= len(cpt.img)
-		}
-		c.setVerLocked(pid, lsn)
-		c.decPendingLocked(pid)
-	}
-	delete(c.captures, tx)
+	c.retireLocked(tx, lsn)
+	c.mu.Unlock()
 }
 
-// abortTx retires a transaction's captures at abort: every installed
-// page's version moves to abortLSN — a fresh token nobody holds — so
-// cached copies of anything the transaction touched are invalidated
-// outright. (The undo path already bumped undone pages to their CLR LSNs
-// under the content latch; this sweep covers installs the log had no
-// before-images for, e.g. stolen raw pages.)
+// abortTx retires a transaction's pages at abort: every page it changed
+// moves to abortLSN — a fresh token nobody holds — so cached copies of
+// anything the transaction touched are invalidated outright. (The undo path
+// already moved undone pages to their CLR LSNs under the content latch; this
+// sweep covers installs the log had no before-images for, e.g. stolen raw
+// pages.)
 func (c *cohState) abortTx(tx, abortLSN uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for pid, cpt := range c.captures[tx] {
-		if cpt.img != nil {
-			c.imgBytes -= len(cpt.img)
-		}
-		c.setVerLocked(pid, abortLSN)
-		c.decPendingLocked(pid)
-	}
-	delete(c.captures, tx)
+	c.retireLocked(tx, abortLSN)
+	c.mu.Unlock()
 }
 
-func (c *cohState) decPendingLocked(pid disk.PageID) {
-	if n := c.pending[pid]; n > 1 {
-		c.pending[pid] = n - 1
-	} else {
-		delete(c.pending, pid)
+func (c *cohState) retireLocked(tx, token uint64) {
+	m := c.owned[tx]
+	if m == nil {
+		return
 	}
-}
-
-func (c *cohState) putPrevLocked(pid disk.PageID, p *cohPrev) {
-	if old := c.prev[pid]; old != nil {
-		c.prevBytes -= len(old.img)
-	}
-	c.prev[pid] = p
-	c.prevBytes += len(p.img)
-	for pidE := range c.prev {
-		if c.prevBytes+c.imgBytes <= c.capBytes {
-			break
+	for pid := range m {
+		c.setVerLocked(pid, token)
+		if n := c.pending[pid]; n > 1 {
+			c.pending[pid] = n - 1
+		} else {
+			delete(c.pending, pid)
 		}
-		if pidE == pid {
-			continue
-		}
-		c.prevBytes -= len(c.prev[pidE].img)
-		delete(c.prev, pidE)
 	}
+	delete(c.owned, tx)
+	clear(m)
+	c.spare = append(c.spare, m)
 }
 
 // answer classifies a versioned read after the caller copied the page
 // bytes: ver1/pending1 are the probe taken before the copy. It returns the
-// token to serve (0: uncacheable), whether the client's copy is current,
-// and — when a delta is possible — the prev image to diff against. Called
-// with no latches held.
-func (c *cohState) answer(pid disk.PageID, clientToken, ver1 uint64, pending1 int) (token uint64, current bool, base []byte) {
+// token to serve (0: uncacheable) and whether the client's copy is current.
+// Called with no latches held.
+func (c *cohState) answer(pid disk.PageID, clientToken, ver1 uint64, pending1 int) (token uint64, current bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	token = c.verLocked(pid)
@@ -333,15 +388,82 @@ func (c *cohState) answer(pid disk.PageID, clientToken, ver1 uint64, pending1 in
 		// The bytes were copied concurrently with an install or an undo:
 		// they may not be any committed image. Serve them, but refuse to
 		// version them: token 0.
-		return 0, false, nil
+		return 0, false
 	}
-	if token == clientToken {
-		return token, true, nil
+	return token, token == clientToken
+}
+
+// appendDelta appends to dst a pagedelta patch that brings a copy of pid
+// at token have to cur, a committed image of the page read no earlier than
+// have: cur's bytes over every range the page's entries after have's mark
+// wrote, and over the header [0,8) whose page LSN the client's copy may
+// lack. ok is false, and dst unchanged, when the index cannot vouch for
+// have (a token below floor, or one whose mark it never held) or the patch
+// would be no smaller than cur.
+func (c *cohState) appendDelta(dst, cur []byte, pid disk.PageID, have uint64) (out []byte, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if have == 0 || have&^epochBit < c.floor {
+		return dst, false
 	}
-	if p := c.prev[pid]; p != nil && clientToken != 0 && p.fromToken == clientToken {
-		return token, false, p.img
+	c.regs = append(c.regs[:0], pagedelta.Region{Off: 0, N: 8})
+	i, found := c.newest[pid]
+	if !found {
+		i = -1
 	}
-	return token, false, nil
+	for ; i >= 0; i = c.changes[i].prev {
+		e := &c.changes[i]
+		if e.key == have {
+			break
+		}
+		for _, sp := range c.spans[e.at : e.at+e.n] {
+			c.regs = append(c.regs, pagedelta.Region{Off: int(sp.off), N: int(sp.n)})
+		}
+	}
+	if i < 0 && have != c.epoch {
+		return dst, false // a token this index has no mark of
+	}
+	if out = pagedelta.AppendRuns(dst, cur, c.regs); len(out)-len(dst) >= len(cur) {
+		return dst, false
+	}
+	return out, true
+}
+
+// dropBefore forgets the index entries keyed below cut, once a checkpoint
+// has cut the log there, and raises floor to it: a delta is never made
+// from a change the retained log no longer holds. Pages keep their entries'
+// order, so chains are relinked in one pass.
+func (c *cohState) dropBefore(cut uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cut <= c.floor {
+		return
+	}
+	c.floor = cut
+	clear(c.newest)
+	kept, spans := 0, 0
+	for _, e := range c.changes {
+		if e.key < cut {
+			continue
+		}
+		copy(c.spans[spans:], c.spans[e.at:e.at+e.n])
+		prev, ok := c.newest[e.pid]
+		if !ok {
+			prev = -1
+		}
+		c.newest[e.pid] = int32(kept)
+		c.changes[kept] = change{pid: e.pid, prev: prev, key: e.key, at: uint32(spans), n: e.n}
+		kept++
+		spans += int(e.n)
+	}
+	c.changes, c.spans = c.changes[:kept], c.spans[:spans]
+}
+
+// indexEntries is the number of entries the page-change index holds.
+func (c *cohState) indexEntries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.changes)
 }
 
 // isCurrent reports whether a cached (pid, token) copy still matches the

@@ -17,9 +17,11 @@
 package pagedelta
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Region is one modified byte range of a page.
@@ -137,21 +139,32 @@ func Encode(old, cur []byte) []byte {
 	if size == 0 || size >= len(cur) {
 		return nil
 	}
-	out := make([]byte, 0, size)
-	for _, r := range regs {
-		for off, n := r.Off, r.N; n > 0; {
-			run := n
-			if run > maxRun {
-				run = maxRun
-			}
-			out = binary.LittleEndian.AppendUint16(out, uint16(off))
-			out = binary.LittleEndian.AppendUint16(out, uint16(run))
-			out = append(out, cur[off:off+run]...)
+	return AppendRuns(make([]byte, 0, size), cur, regs)
+}
+
+// AppendRuns appends to dst the patch that writes cur's bytes over regions,
+// which may come in any order, overlap or touch: it sorts regions in place,
+// merges those whose gap is at most a run header (a separate run would cost
+// no less than carrying the gap), and splits what outgrows a run's u16
+// length. The result is well formed for Apply and brings any image that
+// already agrees with cur outside regions to cur. Every region must lie
+// within cur.
+func AppendRuns(dst, cur []byte, regions []Region) []byte {
+	slices.SortFunc(regions, func(a, b Region) int { return cmp.Compare(a.Off, b.Off) })
+	for i := 0; i < len(regions); {
+		off, end := regions[i].Off, regions[i].Off+regions[i].N
+		for i++; i < len(regions) && regions[i].Off <= end+runHdr; i++ {
+			end = max(end, regions[i].Off+regions[i].N)
+		}
+		for off < end {
+			run := min(end-off, maxRun)
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(off))
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(run))
+			dst = append(dst, cur[off:off+run]...)
 			off += run
-			n -= run
 		}
 	}
-	return out
+	return dst
 }
 
 // Apply patches page in place. Runs must be non-empty, strictly ordered,

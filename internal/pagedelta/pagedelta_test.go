@@ -3,6 +3,7 @@ package pagedelta
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -221,4 +222,118 @@ func TestAppendRegionsKeepsPrefix(t *testing.T) {
 			t.Fatalf("AppendRegions = %v, want %v followed by %v", got, prefix, want)
 		}
 	}
+}
+
+// TestAppendRunsMergesRegions: unsorted, overlapping and touching regions
+// become ascending, non-overlapping runs that Apply accepts and that bring
+// a page agreeing with cur outside the regions to cur; a region past a
+// run's u16 limit is split; and Encode, which now writes its runs through
+// AppendRuns, emits exactly what the earlier inline encoder did on the
+// inputs of the Encode tests above.
+func TestAppendRunsMergesRegions(t *testing.T) {
+	cur := make([]byte, 8192)
+	for i := range cur {
+		cur[i] = byte(i*7 + 1)
+	}
+	regs := []Region{{Off: 900, N: 10}, {Off: 0, N: 8}, {Off: 100, N: 20}, {Off: 110, N: 5},
+		{Off: 120, N: 4}, {Off: 128, N: 1}, {Off: 8000, N: 192}, {Off: 905, N: 2}, {Off: 50, N: 0}}
+	patch := AppendRuns([]byte("prefix"), cur, regs)
+	if string(patch[:6]) != "prefix" {
+		t.Fatalf("AppendRuns overwrote dst's prefix: %q", patch[:6])
+	}
+	patch = patch[6:]
+	// [0,8), [100,129) (touching at 120, gap 4 before 128), [900,910), [8000,8192).
+	want := [][2]int{{0, 8}, {100, 29}, {900, 10}, {8000, 192}}
+	var got [][2]int
+	for p := 0; p < len(patch); {
+		off, n := int(binary.LittleEndian.Uint16(patch[p:])), int(binary.LittleEndian.Uint16(patch[p+2:]))
+		got = append(got, [2]int{off, n})
+		p += runHdr + n
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("runs %v, want %v", got, want)
+	}
+	base := append([]byte(nil), cur...)
+	for _, r := range want {
+		clear(base[r[0] : r[0]+r[1]])
+	}
+	if err := Apply(base, patch); err != nil {
+		t.Fatalf("Apply rejected AppendRuns' patch: %v", err)
+	}
+	if !bytes.Equal(base, cur) {
+		t.Fatal("the patch does not reproduce cur over its regions")
+	}
+
+	big := make([]byte, maxRun+1)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	split := AppendRuns(nil, big, []Region{{Off: 0, N: len(big)}})
+	into := make([]byte, len(big))
+	if err := Apply(into, split); err != nil {
+		t.Fatalf("Apply rejected a split region: %v", err)
+	}
+	if !bytes.Equal(into, big) || len(split) != 2*runHdr+len(big) {
+		t.Fatalf("a %d-byte region became %d patch bytes, want two runs", len(big), len(split))
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	inputs := [][2][]byte{
+		{make([]byte, 10), make([]byte, 20)},
+		{make([]byte, 8192), bytes.Repeat([]byte{0xFF}, 8192)},
+	}
+	ident := make([]byte, 8192)
+	for i := range ident {
+		ident[i] = byte(i)
+	}
+	inputs = append(inputs, [2][]byte{ident, ident})
+	for trial := 0; trial < 500; trial++ {
+		size := []int{64, 512, 8192}[trial%3]
+		old := make([]byte, size)
+		rng.Read(old)
+		cur := append([]byte(nil), old...)
+		for m := rng.Intn(20); m > 0; m-- {
+			off := rng.Intn(size)
+			for i := 0; i < 1+rng.Intn(64) && off+i < size; i++ {
+				cur[off+i] = byte(rng.Int())
+			}
+		}
+		inputs = append(inputs, [2][]byte{old, cur})
+	}
+	for i, in := range inputs {
+		if got, want := Encode(in[0], in[1]), encodeInline(in[0], in[1]); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("input %d: Encode = %d bytes, the inline encoder %d", i, len(got), len(want))
+		}
+	}
+}
+
+// encodeInline is Encode as it was before AppendRuns existed, kept as the
+// reference its output must not drift from.
+func encodeInline(old, cur []byte) []byte {
+	if len(old) != len(cur) {
+		return nil
+	}
+	regs := Regions(old, cur, 2*runHdr)
+	size := 0
+	for _, r := range regs {
+		size += runHdr*(1+(r.N-1)/maxRun) + r.N
+	}
+	if size == 0 || size >= len(cur) {
+		return nil
+	}
+	out := make([]byte, 0, size)
+	for _, r := range regs {
+		for off, n := r.Off, r.N; n > 0; {
+			run := n
+			if run > maxRun {
+				run = maxRun
+			}
+			out = binary.LittleEndian.AppendUint16(out, uint16(off))
+			out = binary.LittleEndian.AppendUint16(out, uint16(run))
+			out = append(out, cur[off:off+run]...)
+			off += run
+			n -= run
+		}
+	}
+	return out
 }

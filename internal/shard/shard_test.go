@@ -10,6 +10,7 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/lock"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -489,6 +490,9 @@ func TestResolveSweepPresumesAbort(t *testing.T) {
 	if srvs[1].InDoubtCount() != 1 {
 		t.Fatalf("participant in-doubt = %d, want 1", srvs[1].InDoubtCount())
 	}
+	// An unlocked read caches the recovered page, in-doubt bytes and all,
+	// under the new boot's epoch.
+	cached := readPage(t, srvs[1], local, 0)
 
 	out, err := ResolveAll(trs)
 	if err != nil {
@@ -503,6 +507,36 @@ func TestResolveSweepPresumesAbort(t *testing.T) {
 	if got := readVal(t, trs, oid); got != 0x55 {
 		t.Fatalf("value after presumed abort = %#x, want the original", got)
 	}
+	// The prepare's records predate the boot, so the undo's CLR is the
+	// only change the page-change index holds: its ranges alone must bring
+	// the cached copy to the restored bytes.
+	repair := readPage(t, srvs[1], local, cached.Token)
+	img := bytes.Clone(cached.Data)
+	if repair.Kind != esm.PageDelta {
+		t.Fatalf("the epoch copy was answered with kind %d, want a patch", repair.Kind)
+	}
+	if err := pagedelta.Apply(img, repair.Data); err != nil {
+		t.Fatal(err)
+	}
+	if full := readPage(t, srvs[1], local, 0); !bytes.Equal(img, full.Data) {
+		t.Fatal("the patched epoch copy differs from a full read")
+	}
+}
+
+// readPage reads pid from srv with one OpReadPages request presenting
+// token, and returns the answer's entry.
+func readPage(t *testing.T, srv *esm.Server, pid uint32, token uint64) esm.PageAnswers {
+	t.Helper()
+	entries := esm.AppendPageEntry(nil, pid, token)
+	resp := srv.Handle(&esm.Request{Op: esm.OpReadPages, Page: pid, Data: entries})
+	if resp.Err != "" {
+		t.Fatalf("read of page %d: %s", pid, resp.Err)
+	}
+	a := esm.ReadAnswers(entries, resp.Data)
+	if !a.Next() || !a.Answered {
+		t.Fatalf("read of page %d: no answer (%v)", pid, a.Err())
+	}
+	return a
 }
 
 // In-doubt pages stay exclusively locked until resolution: a new
