@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 )
@@ -248,7 +249,10 @@ func (v *MemVolume) Close() error {
 // allocate implements run allocation shared by both volumes. Runs of n > 1
 // are always carved from fresh space (contiguity); single pages prefer the
 // free list. fetch returns a writable view of a page, flush persists it,
-// grow extends the underlying store to newTotal pages.
+// grow extends the underlying store to newTotal pages. The run's bounds
+// are checked in 64-bit arithmetic: n may come from the wire, and a run past
+// the last 32-bit page id would wrap the bump pointer onto pages already
+// handed out. A refused run changes nothing.
 func (c *volumeCore) allocate(n int, fetch func(PageID) ([]byte, error), flush func(PageID, []byte) error, grow func(uint32) error) (PageID, error) {
 	if n <= 0 {
 		return InvalidPage, fmt.Errorf("disk: allocate %d pages", n)
@@ -268,6 +272,9 @@ func (c *volumeCore) allocate(n int, fetch func(PageID) ([]byte, error), flush f
 		return pid, nil
 	}
 	first := PageID(c.nextFresh)
+	if uint64(c.nextFresh)+uint64(n) > math.MaxUint32 {
+		return InvalidPage, fmt.Errorf("disk: allocate %d pages at page %d: past the last page id", n, first)
+	}
 	newTotal := c.nextFresh + uint32(n)
 	if err := grow(newTotal); err != nil {
 		return InvalidPage, err
@@ -294,9 +301,12 @@ func (c *volumeCore) growLocked(n uint32) {
 	}
 }
 
+// free chains the run of n pages at id onto the free list. The run must lie
+// inside the volume and leave out the header page, checked in 64-bit
+// arithmetic like allocate's; a refused run changes nothing.
 func (c *volumeCore) free(id PageID, n int, fetch func(PageID) ([]byte, error), flush func(PageID, []byte) error) error {
-	if n <= 0 || id == InvalidPage || uint32(id)+uint32(n) > c.numPages {
-		return fmt.Errorf("%w: free [%d,%d)", ErrPageOutOfRange, id, uint32(id)+uint32(n))
+	if n <= 0 || id == InvalidPage || uint64(id)+uint64(n) > uint64(c.numPages) {
+		return fmt.Errorf("%w: free [%d,%d)", ErrPageOutOfRange, id, uint64(id)+uint64(n))
 	}
 	for i := n - 1; i >= 0; i-- {
 		pid := id + PageID(i)

@@ -191,7 +191,7 @@ func TestOversizedCatalogRefusedAtTheOp(t *testing.T) {
 		t.Fatalf("commit after a refused root: %v", err)
 	}
 	srv.mu.Lock()
-	active := len(srv.active)
+	active := len(srv.txs)
 	srv.mu.Unlock()
 	if active != 0 {
 		t.Fatalf("%d transactions still active after the commit", active)

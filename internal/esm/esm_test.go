@@ -2,7 +2,9 @@ package esm
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -47,7 +49,118 @@ func TestTxLifecycle(t *testing.T) {
 	if _, err := c.FetchPage(1); err != ErrNoTx {
 		t.Fatalf("fetch without tx: %v", err)
 	}
+
+	// Every way a transaction ends, on the server: each leaves no table
+	// entry and no lock held, and lets a checkpoint cut the log to its
+	// durable end.
+	vol, log := disk.NewMemVolume(), wal.NewMemLog()
+	srv, err := NewServer(vol, log, ServerConfig{BufferPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := vol.Allocate(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(i int) uint32 { return uint32(first) + uint32(i) }
+	call := func(srv *Server, req Request) *Response {
+		t.Helper()
+		resp := srv.Handle(&req)
+		if resp.Err != "" {
+			t.Fatalf("%v of tx %d: %s", req.Op, req.Tx, resp.Err)
+		}
+		return resp
+	}
+	// start begins a transaction that locks pid and ships an update of it.
+	start := func(srv *Server, pid uint32) uint64 {
+		t.Helper()
+		tx := beginTx(t, srv)
+		call(srv, Request{Op: OpLock, Tx: tx, Page: pid, Mode: uint8(lock.KindPage)<<4 | uint8(lock.Exclusive)})
+		call(srv, Request{Op: OpLog, Tx: tx, Data: logBatch(wal.Record{Page: pid, Off: 100, Old: []byte{0}, New: []byte{byte(tx)}})})
+		return tx
+	}
+	live := func(srv *Server, tx uint64) bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		_, ok := srv.txs[tx]
+		return ok
+	}
+	ended := func(srv *Server, how string, tx uint64, pid uint32) {
+		t.Helper()
+		if live(srv, tx) {
+			t.Errorf("%s: tx %d still in the transaction table", how, tx)
+		}
+		if m := srv.LockHeld(tx, lock.PageRes(pid)); m != 0 {
+			t.Errorf("%s: tx %d still holds page %d in mode %v", how, tx, pid, m)
+		}
+		durable := srv.Log().FlushedLSN()
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatalf("%s: checkpoint: %v", how, err)
+		}
+		if got := srv.Log().StartLSN(); got != durable {
+			t.Errorf("%s: checkpoint cut the log at %d, want its durable end %d", how, got, durable)
+		}
+	}
+
+	tx := start(srv, page(0))
+	call(srv, Request{Op: OpCommit, Tx: tx})
+	ended(srv, "commit", tx, page(0))
+
+	tx = start(srv, page(1))
+	call(srv, Request{Op: OpPrepare, Tx: tx, N: tx, Mode: PrepareModeCoord})
+	decision := wal.LSN(call(srv, Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCommit | DecisionCoord}).N)
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.StartLSN(); got > decision {
+		t.Fatalf("a remembered decision at %d did not pin the checkpoint cut (log starts at %d)", decision, got)
+	}
+	call(srv, Request{Op: OpResolveTx, Tx: tx, Mode: ResolveModeForget})
+	ended(srv, "coordinator decision, then forget", tx, page(1))
+
+	tx = start(srv, page(2))
+	call(srv, Request{Op: OpPrepare, Tx: tx, Page: 1, N: 77})
+	call(srv, Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCommit})
+	ended(srv, "participant decision", tx, page(2))
+
+	tx = start(srv, page(3))
+	call(srv, Request{Op: OpAbort, Tx: tx})
+	ended(srv, "abort", tx, page(3))
+
+	// A participant prepared when its server restarts is held in doubt,
+	// its page locked again, until a verdict settles it: a commit decision
+	// on one restart, an abort on the next.
+	for i, settle := range []Op{OpCommitDecision, OpAbort} {
+		pid := page(4 + i)
+		tx := start(srv, pid)
+		call(srv, Request{Op: OpPrepare, Tx: tx, Page: 1, N: 77})
+		if srv, err = OpenServer(vol, log, ServerConfig{BufferPages: 16}); err != nil {
+			t.Fatal(err)
+		}
+		if !live(srv, tx) || srv.InDoubtCount() != 1 || srv.LockHeld(tx, lock.PageRes(pid)) != lock.Exclusive {
+			t.Fatalf("restart: tx %d not held in doubt with its page locked", tx)
+		}
+		call(srv, Request{Op: settle, Tx: tx, Mode: DecisionCommit})
+		ended(srv, "recovered in doubt, then "+settle.String(), tx, pid)
+	}
+
+	// A commit whose quorum wait fails is in doubt to its client: it keeps
+	// its entry and its locks.
+	srv.SetRepl(failingQuorum{})
+	tx = start(srv, page(6))
+	if resp := srv.Handle(&Request{Op: OpCommit, Tx: tx}); resp.Err == "" {
+		t.Fatal("commit acknowledged without its quorum")
+	}
+	if !live(srv, tx) || srv.LockHeld(tx, lock.PageRes(page(6))) != lock.Exclusive {
+		t.Fatalf("a commit that failed its quorum wait gave up its entry or its lock")
+	}
 }
+
+// failingQuorum is a replication gate that never reaches its quorum.
+type failingQuorum struct{}
+
+func (failingQuorum) WaitQuorum(wal.LSN) error { return errors.New("no quorum") }
+func (failingQuorum) ReplStats() *ReplStats    { return nil }
 
 // OpSetRoot carries exactly one OID. A payload of any other length from
 // the wire is refused and leaves the root as it was, rather than setting
@@ -73,6 +186,65 @@ func TestSetRootRejectsMalformedOID(t *testing.T) {
 		if got != oid || aux != 7 {
 			t.Fatalf("after a %d-byte OpSetRoot the root is %v aux=%d, want %v aux=7", n, got, aux, oid)
 		}
+	}
+}
+
+// Page counts arriving in OpAllocPages and OpFreePages are checked in 64-bit
+// arithmetic: a run that would wrap the 32-bit page space, leave the volume
+// or include the header page is refused and changes nothing, on either
+// volume kind, and a file volume reopens cleanly afterwards.
+func TestWirePageCountsCannotWrapTheVolume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.vol")
+	fv, err := disk.CreateFileVolume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vol := range []disk.Volume{disk.NewMemVolume(), fv} {
+		srv, err := NewServer(vol, wal.NewMemLog(), ServerConfig{BufferPages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Pages 2..7 join the reserved page 1: the bump pointer stands at 8.
+		if r := srv.Handle(&Request{Op: OpAllocPages, N: 6}); r.Err != "" || r.Page != 2 {
+			t.Fatalf("%T: allocate 6 = page %d, %q", vol, r.Page, r.Err)
+		}
+		num, allocated := vol.NumPages(), vol.AllocatedPages()
+		for _, req := range []Request{
+			{Op: OpAllocPages, N: 1 << 32},
+			{Op: OpAllocPages, N: 1<<32 - 5},
+			{Op: OpAllocPages, N: 1 << 63},
+			{Op: OpAllocPages},
+			{Op: OpFreePages, Page: 5, N: 0xFFFFFFFD},
+			{Op: OpFreePages, Page: 0, N: 1},
+			{Op: OpFreePages, Page: 7, N: 2},
+			{Op: OpFreePages, Page: 5},
+		} {
+			if r := srv.Handle(&req); r.Err == "" {
+				t.Errorf("%T: %v of %d at page %d accepted", vol, req.Op, req.N, req.Page)
+			}
+			if vol.NumPages() != num || vol.AllocatedPages() != allocated {
+				t.Fatalf("%T: %v of %d at page %d moved the volume to %d pages, %d allocated (was %d, %d)",
+					vol, req.Op, req.N, req.Page, vol.NumPages(), vol.AllocatedPages(), num, allocated)
+			}
+		}
+		// The bump pointer did not move: the next runs are fresh pages.
+		for _, want := range []struct{ n, page uint64 }{{1, 8}, {2, 9}} {
+			if r := srv.Handle(&Request{Op: OpAllocPages, N: want.n}); r.Err != "" || uint64(r.Page) != want.page {
+				t.Fatalf("%T: allocate %d = page %d, %q; want page %d", vol, want.n, r.Page, r.Err, want.page)
+			}
+		}
+	}
+	num, allocated := fv.NumPages(), fv.AllocatedPages()
+	if err := fv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := disk.OpenFileVolume(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if re.NumPages() != num || re.AllocatedPages() != allocated {
+		t.Fatalf("reopened with %d pages, %d allocated; want %d, %d", re.NumPages(), re.AllocatedPages(), num, allocated)
 	}
 }
 

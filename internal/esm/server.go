@@ -131,10 +131,10 @@ type ServerConfig struct {
 //   - log (wal.Log) and vol (disk.Volume) carry their own locks; commit
 //     forces go through the log's group-commit path.
 //   - locks (lock.Manager) is internally synchronized with FIFO waiters.
-//   - mu — the one narrow server lock — guards only the catalog and the
-//     transaction tables (active, lastTxLSN, firstTxLSN, ...). A catalog
-//     change appends its image to the log under the same hold of mu, so
-//     log order is change order.
+//   - mu — the one narrow server lock — guards only the catalog, the
+//     transaction table (txs) and the commit state beside it (decisions,
+//     lastCommitLSN). A catalog change appends its image to the log under
+//     the same hold of mu, so log order is change order.
 //
 // Lock order: mu → (wal.Log.mu | volume lock). Pool stripe latches and
 // frame content latches are taken without mu held; the pool's FlushFn
@@ -151,23 +151,16 @@ type Server struct {
 	fault *faultinject.Plane
 	cat   catalog
 
-	lastTxLSN map[uint64]wal.LSN
-	active    map[uint64]bool
+	// txs (under mu) is the transaction table: one entry per live
+	// transaction, from its begin (or its restart as an in-doubt
+	// participant) until it retires.
+	txs map[uint64]txState
 
-	// prepared (under mu) holds 2PC participant transactions between
-	// prepare and decision — locks held, outcome owned by the coordinator.
-	// decisions (under mu) is the coordinator side: commit verdicts
+	// decisions (under mu) is the 2PC coordinator side: commit verdicts
 	// remembered for OpResolveTx inquiries until every participant
 	// acknowledged (ResolveModeForget); their RecDecision LSNs pin the
 	// checkpoint cut so the verdict survives re-crashes.
-	prepared  map[uint64]*preparedTx
 	decisions map[uint64]wal.LSN
-
-	// firstTxLSN (under mu) records each active transaction's begin-record
-	// LSN. The fuzzy checkpoint's log cut is the minimum over these: every
-	// record an in-flight transaction could still need for undo sits at or
-	// beyond its begin record.
-	firstTxLSN map[uint64]wal.LSN
 
 	// lastCommitLSN (under mu) is the LSN of the newest commit record.
 	// It is the snapshot point handed to OpBeginSnapshot: everything
@@ -234,6 +227,17 @@ type Server struct {
 	netFlushes    atomic.Int64
 	netFrames     atomic.Int64
 	netBytesOut   atomic.Int64
+}
+
+// txState is one entry of the transaction table. first is the LSN of the
+// transaction's earliest record (its begin record): the fuzzy checkpoint's
+// log cut never passes it, since every record the transaction could still
+// need for undo sits at or beyond it. last heads the transaction's PrevLSN
+// chain. prep is set by a prepare (or by restart, for an in-doubt
+// participant) and holds the 2PC participant state until the decision.
+type txState struct {
+	first, last wal.LSN
+	prep        *preparedTx
 }
 
 // noteNetRequest tracks a decoded request entering server-side dispatch.
@@ -422,7 +426,7 @@ func NewServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error)
 // recovery from the log and taking the catalog from the last image in it.
 // It runs before the server is shared, so no locking applies yet.
 func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error) {
-	_, _, indoubt, err := wal.Recover(log, volStore{vol}, disk.PageSize, pageLSNOf, setPageLSN)
+	rec, err := wal.Recover(log, volStore{vol}, disk.PageSize, pageLSNOf, setPageLSN)
 	if err != nil {
 		return nil, fmt.Errorf("esm: restart recovery: %w", err)
 	}
@@ -436,29 +440,15 @@ func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error
 	if err != nil {
 		return nil, err
 	}
-	// One pass over the recovered log finds the last catalog image, the
-	// highest transaction id (never reused), and the remembered coordinator
+	// Recovery's analysis pass also found the last catalog image, the next
+	// transaction id (ids are never reused), and the remembered coordinator
 	// decisions: they resurface from their RecDecision records, since a
 	// forget is memory-only and a restart conservatively re-remembers.
-	var img []byte
-	var maxTx uint64
-	if err := log.Iterate(func(r wal.Record) bool {
-		switch r.Type {
-		case wal.RecCatalog:
-			img = r.New
-		case wal.RecDecision:
-			//qsvet:ignore guardedfield restart path: Iterate runs synchronously inside OpenServer, before the server is shared with any other goroutine
-			s.decisions[r.Tx] = r.LSN
-		}
-		maxTx = max(maxTx, r.Tx+1)
-		return true
-	}); err != nil {
-		return nil, fmt.Errorf("esm: reading the recovered log: %w", err)
-	}
+	s.decisions = rec.Decisions
 	s.cat = newCatalog()
 	switch {
-	case img != nil:
-		if err := json.Unmarshal(img, &s.cat); err != nil {
+	case rec.Catalog != nil:
+		if err := json.Unmarshal(rec.Catalog, &s.cat); err != nil {
 			return nil, fmt.Errorf("esm: corrupt catalog image: %w", err)
 		}
 	case log.StartLSN() > 1:
@@ -466,11 +456,11 @@ func OpenServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error
 		// truncated log without one is not this store's.
 		return nil, errors.New("esm: the truncated log holds no catalog image")
 	}
-	s.cat.NextTx = max(s.cat.NextTx, maxTx)
+	s.cat.NextTx = max(s.cat.NextTx, rec.NextTx)
 	// 2PC participant transactions whose verdict is unknown stay alive
 	// across the restart: locks re-acquired, records pinned against
 	// truncation, resolution deferred to an OpResolveTx inquiry.
-	if err := s.registerInDoubt(indoubt); err != nil {
+	if err := s.registerInDoubt(rec.InDoubt); err != nil {
 		return nil, err
 	}
 	// Everything the recovered log resolved is reflected in live pages, so
@@ -490,19 +480,16 @@ func newServerCommon(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, 
 		cfg.Clock = sim.NewClock(sim.CostModel{})
 	}
 	s := &Server{
-		vol:        vol,
-		pool:       buffer.NewLatchPool(cfg.BufferPages),
-		log:        log,
-		locks:      lock.New(cfg.LockTimeout),
-		clock:      cfg.Clock,
-		fault:      cfg.Fault,
-		lastTxLSN:  map[uint64]wal.LSN{},
-		active:     map[uint64]bool{},
-		firstTxLSN: map[uint64]wal.LSN{},
-		prepared:   map[uint64]*preparedTx{},
-		decisions:  map[uint64]wal.LSN{},
-		coh:        newCohState(log.FlushedLSN()),
-		repl:       soloQuorum{},
+		vol:       vol,
+		pool:      buffer.NewLatchPool(cfg.BufferPages),
+		log:       log,
+		locks:     lock.New(cfg.LockTimeout),
+		clock:     cfg.Clock,
+		fault:     cfg.Fault,
+		txs:       map[uint64]txState{},
+		decisions: map[uint64]wal.LSN{},
+		coh:       newCohState(log.FlushedLSN()),
+		repl:      soloQuorum{},
 	}
 	if cfg.MVCC {
 		s.mv = mvcc.New(cfg.MVCCMaxBytes)
@@ -625,10 +612,8 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		s.mu.Lock()
 		tx := s.cat.NextTx
 		s.cat.NextTx++
-		s.active[tx] = true
 		first := s.log.Append(wal.Record{Tx: tx, Type: wal.RecBegin})
-		s.lastTxLSN[tx] = first
-		s.firstTxLSN[tx] = first
+		s.txs[tx] = txState{first: first, last: first}
 		s.mu.Unlock()
 		return s.beginFeed(tx, req.Data), nil
 
@@ -1144,30 +1129,25 @@ func (s *Server) endSnapshot(snap wal.LSN) (*Response, error) {
 //     under mu with the cut chosen, lies at or above the cut, so the
 //     retained log always holds one for OpenServer.
 //
-// The previous implementation truncated the whole log behind a
-// quiescence check (len(active) == 0 under mu). The check did not cover
-// the window between the pool flush and itself: a transaction that began
-// AND committed inside that window was invisible to the check, its pages
-// sat dirty only in the pool, and Truncate discarded the records that
-// could redo them — a crash then reverted a committed transaction. The
-// cut rule closes that window: such a transaction's records lie wholly at
-// or beyond the cut and survive.
+// Cutting the whole log behind a quiescence check (an empty transaction
+// table under mu) would not cover the window between the pool flush and
+// the check: a transaction that began AND committed inside that window is
+// invisible to the check, its pages sit dirty only in the pool, and the cut
+// discards the records that could redo them — a crash then reverts a
+// committed transaction. The cut rule closes that window: such a
+// transaction's records lie wholly at or beyond the cut and survive.
 func (s *Server) checkpoint() error {
 	s.mu.Lock()
 	cut := s.log.FlushedLSN()
-	for tx := range s.active {
-		if first, ok := s.firstTxLSN[tx]; ok && first < cut {
-			cut = first
-		}
+	for _, e := range s.txs {
+		cut = min(cut, e.first)
 	}
 	// Unforgotten commit decisions pin the cut too: a participant may
 	// still come asking, and after a re-crash the answer must be found in
 	// this log — truncating the RecDecision would turn a committed
 	// transaction into a presumed abort.
 	for _, lsn := range s.decisions {
-		if lsn < cut {
-			cut = lsn
-		}
+		cut = min(cut, lsn)
 	}
 	err := s.logCatalogLocked()
 	s.mu.Unlock()
@@ -1328,11 +1308,12 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 		return 0, err
 	}
 	s.mu.Lock()
-	active, last := s.active[tx], s.lastTxLSN[tx]
+	e, active := s.txs[tx]
 	s.mu.Unlock()
 	if !active {
 		return 0, fmt.Errorf("esm: payload for unknown tx %d", tx)
 	}
+	last := e.last
 	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
 		var ref buffer.PageRef
 		if ref, err = s.pinForRedo(tx, disk.PageID(rec.Page)); err != nil {
@@ -1350,7 +1331,7 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 		s.pagesLogApplied.Add(1)
 	}
 	s.mu.Lock()
-	s.lastTxLSN[tx] = last
+	s.setLastLocked(tx, last)
 	s.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -1379,21 +1360,7 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 		return 0, err
 	}
 	s.mu.Lock()
-	lsn := s.log.Append(wal.Record{PrevLSN: s.lastTxLSN[tx], Tx: tx, Type: wal.RecCommit})
-	s.lastTxLSN[tx] = lsn
-	if lsn > s.lastCommitLSN {
-		s.lastCommitLSN = lsn
-	}
-	if s.mv != nil {
-		// Under mu, atomically with lastCommitLSN: a snapshot beginning at
-		// this LSN must find these versions already retired to committed.
-		s.mv.Commit(tx, lsn)
-	}
-	// Same atomicity for the coherence table: the moment the commit LSN
-	// is chosen, the installed pages' versions move to it and their
-	// pending counts drop — a versioned read that sees the new bytes must
-	// also see the new version.
-	s.coh.commitTx(tx, uint64(lsn))
+	lsn := s.commitLocked(tx, wal.RecCommit)
 	s.mu.Unlock()
 	if err := s.fault.Hit(faultinject.PtCohAfterBump); err != nil {
 		return 0, err
@@ -1423,14 +1390,49 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 	if err := s.fault.Hit(faultinject.PtReplAfterQuorum); err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	delete(s.active, tx)
-	delete(s.lastTxLSN, tx)
-	delete(s.firstTxLSN, tx)
-	s.mu.Unlock()
-	s.locks.ReleaseAll(tx)
+	s.retire(tx)
 	s.commits.Add(1)
 	return lsn, nil
+}
+
+// setLastLocked makes lsn the head of tx's record chain. It writes the
+// entry back only while it exists: a transaction that ended meanwhile
+// never comes back into the table.
+func (s *Server) setLastLocked(tx uint64, lsn wal.LSN) {
+	if e, ok := s.txs[tx]; ok {
+		e.last = lsn
+		s.txs[tx] = e
+	}
+}
+
+// commitLocked is the end step commit and commitDecision share, run under
+// mu: it appends tx's end record of type rtype (RecCommit, or RecDecision on
+// a 2PC coordinator) on its chain and makes it the newest commit. The
+// version store and the coherence table move to the commit LSN in the same
+// hold of mu: a snapshot beginning at this LSN must find these versions
+// already retired to committed, and a versioned read that sees the new
+// bytes must also see the new version (the installed pages' pending counts
+// drop).
+func (s *Server) commitLocked(tx uint64, rtype wal.RecType) wal.LSN {
+	lsn := s.log.Append(wal.Record{PrevLSN: s.txs[tx].last, Tx: tx, Type: rtype})
+	s.setLastLocked(tx, lsn)
+	s.lastCommitLSN = max(s.lastCommitLSN, lsn)
+	if s.mv != nil {
+		s.mv.Commit(tx, lsn)
+	}
+	s.coh.commitTx(tx, uint64(lsn))
+	return lsn
+}
+
+// retire is the last step of every way a transaction ends — commit,
+// coordinator decision, abort: its table entry goes, then its locks. A
+// lock granted next finds the version table and the pending counts
+// already settled.
+func (s *Server) retire(tx uint64) {
+	s.mu.Lock()
+	delete(s.txs, tx)
+	s.mu.Unlock()
+	s.locks.ReleaseAll(tx)
 }
 
 // abort undoes every update record the transaction shipped — each was
@@ -1447,7 +1449,7 @@ func (s *Server) abort(tx uint64) error {
 	// first — the order undo wants. The chain cannot reach below the
 	// retained log: a live transaction's first record pins every cut.
 	s.mu.Lock()
-	lsn := s.lastTxLSN[tx]
+	lsn := s.txs[tx].last
 	s.mu.Unlock()
 	for lsn != wal.NilLSN {
 		r, err := s.log.ReadAt(lsn)
@@ -1495,7 +1497,7 @@ func (s *Server) abort(tx uint64) error {
 		return err
 	}
 	s.mu.Lock()
-	abortLSN := s.log.Append(wal.Record{PrevLSN: s.lastTxLSN[tx], Tx: tx, Type: wal.RecAbort})
+	abortLSN := s.log.Append(wal.Record{PrevLSN: s.txs[tx].last, Tx: tx, Type: wal.RecAbort})
 	s.mu.Unlock()
 	if err := s.fault.Hit(faultinject.PtAbortBeforeFlush); err != nil {
 		return err
@@ -1513,10 +1515,6 @@ func (s *Server) abort(tx uint64) error {
 		return err
 	}
 	s.mu.Lock()
-	delete(s.active, tx)
-	delete(s.lastTxLSN, tx)
-	delete(s.firstTxLSN, tx)
-	delete(s.prepared, tx) // a prepared participant aborting on the coordinator's verdict
 	if s.mv != nil {
 		// Only now: until the undo above finished, the pending
 		// before-images were still shielding snapshot readers from the
@@ -1531,7 +1529,7 @@ func (s *Server) abort(tx uint64) error {
 	// LSN is equally correct (monotone, never equals a vended token).
 	s.coh.abortTx(tx, uint64(abortLSN))
 	s.mu.Unlock()
-	s.locks.ReleaseAll(tx)
+	s.retire(tx) // a prepared participant too, aborting on the coordinator's verdict
 	return nil
 }
 

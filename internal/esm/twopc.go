@@ -18,14 +18,12 @@ import (
 // beyond the usual RecAbort and a restarted coordinator answers inquiries
 // for unknown transactions with "aborted".
 
-// preparedTx is one participant-side prepared transaction (under
-// Server.mu).
+// preparedTx is the participant side of a prepared transaction, held by its
+// transaction-table entry (txState.prep, under Server.mu).
 type preparedTx struct {
-	coordShard uint32  // shard id of the transaction's coordinator
-	coordTx    uint64  // coordinator-local transaction id
-	prepareLSN wal.LSN // the RecPrepare's LSN
-	coord      bool    // this server wrote the coordinator's prepare
-	recovered  bool    // survived a restart; eligible for external resolution
+	coordShard uint32 // shard id of the transaction's coordinator
+	coordTx    uint64 // coordinator-local transaction id
+	recovered  bool   // survived a restart; eligible for external resolution
 }
 
 // prepare votes transaction tx into the prepared state: its last commit
@@ -51,19 +49,16 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 	binary.LittleEndian.PutUint64(coordTxB, coordTx)
 	s.mu.Lock()
 	lsn := s.log.Append(wal.Record{
-		PrevLSN: s.lastTxLSN[tx],
+		PrevLSN: s.txs[tx].last,
 		Tx:      tx,
 		Type:    wal.RecPrepare,
 		Page:    coordShard,
 		Off:     flags,
 		New:     coordTxB,
 	})
-	s.lastTxLSN[tx] = lsn
-	s.prepared[tx] = &preparedTx{
-		coordShard: coordShard,
-		coordTx:    coordTx,
-		prepareLSN: lsn,
-		coord:      mode&PrepareModeCoord != 0,
+	if e, ok := s.txs[tx]; ok {
+		e.last, e.prep = lsn, &preparedTx{coordShard: coordShard, coordTx: coordTx}
+		s.txs[tx] = e
 	}
 	s.mu.Unlock()
 	if err := s.fault.Hit(faultinject.PtPrepareBeforeFlush); err != nil {
@@ -91,16 +86,15 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 // durable verdict participants will ask for; on a plain participant it
 // logs an ordinary RecCommit. Abort (no DecisionCommit bit) takes the
 // normal abort path: under presumed abort the verdict needs no record of
-// its own. The commit tail mirrors commit(): force, quorum gate, then lock
-// release.
+// its own. A commit shares commit()'s end step (commitLocked) and its
+// retire step; between them come the force and the quorum gate.
 func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 	if mode&DecisionCommit == 0 {
 		return 0, s.abort(tx)
 	}
 	coord := mode&DecisionCoord != 0
 	s.mu.Lock()
-	p := s.prepared[tx]
-	if p == nil {
+	if s.txs[tx].prep == nil {
 		if coord {
 			if lsn, ok := s.decisions[tx]; ok {
 				// Duplicate decision delivery (a resolver raced the
@@ -117,11 +111,7 @@ func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 	if coord {
 		rtype = wal.RecDecision
 	}
-	lsn := s.log.Append(wal.Record{PrevLSN: s.lastTxLSN[tx], Tx: tx, Type: rtype})
-	s.lastTxLSN[tx] = lsn
-	if lsn > s.lastCommitLSN {
-		s.lastCommitLSN = lsn
-	}
+	lsn := s.commitLocked(tx, rtype)
 	if coord {
 		// Remembered for OpResolveTx inquiries until every participant
 		// acknowledged the outcome (ResolveModeForget). Also pins the
@@ -129,11 +119,6 @@ func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 		// re-crashed coordinator still finds the verdict in its log.
 		s.decisions[tx] = lsn
 	}
-	if s.mv != nil {
-		s.mv.Commit(tx, lsn)
-	}
-	// The version table moves with the decision LSN, same as commit().
-	s.coh.commitTx(tx, uint64(lsn))
 	s.mu.Unlock()
 	if err := s.fault.Hit(faultinject.PtDecisionBeforeFlush); err != nil {
 		return 0, err
@@ -147,13 +132,7 @@ func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
 	if err := s.quorumGate().WaitQuorum(lsn); err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	delete(s.active, tx)
-	delete(s.lastTxLSN, tx)
-	delete(s.firstTxLSN, tx)
-	delete(s.prepared, tx)
-	s.mu.Unlock()
-	s.locks.ReleaseAll(tx)
+	s.retire(tx)
 	s.commits.Add(1)
 	return lsn, nil
 }
@@ -174,7 +153,7 @@ func (s *Server) resolveTx(req *Request) (*Response, error) {
 		if _, ok := s.decisions[req.Tx]; ok {
 			return &Response{N: ResolveCommitted}, nil
 		}
-		if s.active[req.Tx] || s.prepared[req.Tx] != nil {
+		if _, ok := s.txs[req.Tx]; ok {
 			// Still live here: the router is mid-protocol. The resolver
 			// must not presume abort while the verdict is being formed.
 			return &Response{N: ResolvePending}, nil
@@ -194,13 +173,13 @@ func (s *Server) resolveTx(req *Request) (*Response, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		var out []byte
-		for tx, p := range s.prepared {
-			if !p.recovered {
+		for tx, e := range s.txs {
+			if e.prep == nil || !e.prep.recovered {
 				// Live prepared transactions belong to their router;
 				// externally resolving one would race the decision fan-out.
 				continue
 			}
-			out = AppendResolveEntry(out, p.coordShard, p.coordTx, tx)
+			out = AppendResolveEntry(out, e.prep.coordShard, e.prep.coordTx, tx)
 		}
 		for tx := range s.decisions {
 			out = AppendResolveEntry(out, 0, tx, 0)
@@ -211,21 +190,17 @@ func (s *Server) resolveTx(req *Request) (*Response, error) {
 }
 
 // registerInDoubt installs restart recovery's in-doubt transactions into
-// the server's live state: held active (their records pin the checkpoint
-// cut through firstTxLSN), marked prepared-and-recovered (eligible for
-// external resolution), and their updated pages re-locked exclusively so
-// no new transaction reads or overwrites uncommitted data while the
+// the transaction table: their records pin the checkpoint cut through the
+// entry's first LSN, the entry's prep marks them recovered (eligible for
+// external resolution), and their updated pages are re-locked exclusively
+// so no new transaction reads or overwrites uncommitted data while the
 // verdict is outstanding. Runs before the server is shared.
 func (s *Server) registerInDoubt(indoubt map[uint64]*wal.InDoubt) error {
 	for tx, d := range indoubt {
-		s.active[tx] = true
-		s.firstTxLSN[tx] = d.FirstLSN
-		s.lastTxLSN[tx] = d.PrepareLSN
-		s.prepared[tx] = &preparedTx{
-			coordShard: d.CoordShard,
-			coordTx:    d.CoordTx,
-			prepareLSN: d.PrepareLSN,
-			recovered:  true,
+		s.txs[tx] = txState{
+			first: d.FirstLSN,
+			last:  d.PrepareLSN,
+			prep:  &preparedTx{coordShard: d.CoordShard, coordTx: d.CoordTx, recovered: true},
 		}
 		seen := map[uint32]bool{}
 		for _, pid := range d.Pages {
@@ -246,7 +221,13 @@ func (s *Server) registerInDoubt(indoubt map[uint64]*wal.InDoubt) error {
 func (s *Server) InDoubtCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.prepared)
+	n := 0
+	for _, e := range s.txs {
+		if e.prep != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // DecisionCount reports the number of remembered (unforgotten) commit

@@ -21,7 +21,7 @@ var mustFuncs = []mustSpec{
 	{"internal/wal", "Log", "Flush"},
 	{"internal/wal", "Log", "FlushTo"},
 	{"internal/wal", "Log", "FlushCommit"},
-	{"internal/wal", "Log", "Truncate"},
+	{"internal/wal", "Log", "TruncateBefore"},
 	{"internal/disk", "", "WritePage"},
 	{"internal/disk", "", "Sync"},
 	{"internal/disk", "", "Grow"},

@@ -23,7 +23,7 @@ func good(l *wal.Log) error {
 	if err := l.Flush(); err != nil {
 		return err
 	}
-	return l.Truncate(0)
+	return l.TruncateBefore(0)
 }
 
 // suppressed documents a best-effort flush on an already-failing path.

@@ -9,5 +9,5 @@ type Log struct{}
 // Flush forces the log to stable storage.
 func (l *Log) Flush() error { return nil }
 
-// Truncate discards the log prefix up to n.
-func (l *Log) Truncate(n int) error { return nil }
+// TruncateBefore discards the log prefix below n.
+func (l *Log) TruncateBefore(n int) error { return nil }

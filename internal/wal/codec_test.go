@@ -180,7 +180,7 @@ func TestFileLogCutAtEveryByte(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Truncate(); err != nil { // a non-zero base, held by the header alone
+	if err := l.TruncateBefore(l.End()); err != nil { // a non-zero base, held by the header alone
 		t.Fatal(err)
 	}
 	start := l.StartLSN()
@@ -426,7 +426,10 @@ func BenchmarkAppendUpdate(b *testing.B) {
 			rec.PrevLSN = l.Append(rec)
 		}
 		rec.PrevLSN = NilLSN
-		if err := l.Truncate(); err != nil {
+		if err := l.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.TruncateBefore(l.End()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -248,7 +248,7 @@ func TestRecoverRedoesEveryRegionOrNone(t *testing.T) {
 	if l.Records() != 3 {
 		t.Fatalf("%d records for begin, one page run, commit", l.Records())
 	}
-	if _, _, _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
+	if _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, 8192)
@@ -257,7 +257,7 @@ func TestRecoverRedoesEveryRegionOrNone(t *testing.T) {
 	if !bytes.Equal(store.page(rec.Page), want) {
 		t.Fatal("redo did not apply every region of the record")
 	}
-	if _, _, _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
+	if _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(store.page(rec.Page), want) {
@@ -268,7 +268,7 @@ func TestRecoverRedoesEveryRegionOrNone(t *testing.T) {
 	other := newMemStore()
 	setLSN(other.page(rec.Page), uint64(lsn))
 	stamped := bytes.Clone(other.page(rec.Page))
-	if _, _, _, err := Recover(l, other, 8192, lsnOf, setLSN); err != nil {
+	if _, err := Recover(l, other, 8192, lsnOf, setLSN); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(other.page(rec.Page), stamped) {
@@ -290,8 +290,8 @@ func TestRecoverUndoesEveryRegionUnderOneCLR(t *testing.T) {
 	page := store.page(rec.Page)
 	applyRegions(page, regs, true)
 	setLSN(page, uint64(lsn))
-	if _, losers, _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil || !losers[rec.Tx] {
-		t.Fatalf("losers %v, err %v", losers, err)
+	if got, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil || !got.Losers[rec.Tx] {
+		t.Fatalf("tx %d not rolled back: %+v, err %v", rec.Tx, got, err)
 	}
 	want := make([]byte, 8192)
 	applyRegions(want, regs, true)
@@ -319,7 +319,7 @@ func TestRecoverUndoesEveryRegionUnderOneCLR(t *testing.T) {
 		t.Fatal("undo did not restore every undoable region (or touched a redo-only one)")
 	}
 	records := l.Records()
-	if _, _, _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
+	if _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(page, want) || l.Records() != records {

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 )
 
-// This file is the replication face of the log: a subscription cursor over
-// the durable byte stream (what a leader ships), raw record splicing (what
-// a follower applies), and wholesale snapshot installation (how a follower
-// is seeded when its cursor has fallen off the retained generation).
+// This file is the replication face of the log: reads of the durable byte
+// stream and a signal when it grows (what a leader ships), raw record
+// splicing (what a follower applies), and wholesale snapshot installation
+// (how a follower is seeded when its position has fallen off the retained
+// generation).
 //
 // The shipping contract is byte identity: a follower's log holds exactly
 // the leader's serialized bytes at exactly the same LSNs, so "durable
@@ -45,21 +45,9 @@ func (l *Log) End() LSN {
 
 func (l *Log) endLocked() LSN { return LSN(1 + l.base + len(l.buf)) }
 
-// durableCondLocked lazily creates the durability broadcast condition; the
-// log has no constructor that could do it eagerly (NewMemLog is a literal).
-func (l *Log) durableCondLocked() *sync.Cond {
-	if l.durable == nil {
-		l.durable = sync.NewCond(&l.mu)
-	}
-	return l.durable
-}
-
-// signalDurableLocked wakes subscription waiters and notify channels after
-// the durable prefix (or the retained generation) changed.
+// signalDurableLocked signals the notify channels after the durable prefix
+// (or the retained generation) changed, or the log closed.
 func (l *Log) signalDurableLocked() {
-	if l.durable != nil {
-		l.durable.Broadcast()
-	}
 	for ch := range l.notify {
 		select {
 		case ch <- struct{}{}:
@@ -86,63 +74,6 @@ func (l *Log) StopNotify(ch chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.notify, ch)
-}
-
-// Subscription is a cursor over the log's durable byte stream. It is owned
-// by one consumer goroutine; the log it reads is shared.
-type Subscription struct {
-	l   *Log
-	pos LSN
-}
-
-// Subscribe opens a cursor positioned at from (NilLSN means the beginning
-// of LSN space). Whether the position is still retained is discovered at
-// the first Next — a cursor below StartLSN reports ErrCompacted.
-func (l *Log) Subscribe(from LSN) *Subscription {
-	if from == NilLSN {
-		from = 1
-	}
-	return &Subscription{l: l, pos: from}
-}
-
-// Pos returns the cursor position: the LSN of the next byte Next will return.
-func (s *Subscription) Pos() LSN { return s.pos }
-
-// Next returns the next durable chunk at the cursor — whole records only,
-// at most max bytes (0 = unlimited) — and advances past it. A nil chunk
-// means the cursor has caught up with the durable prefix. ErrCompacted
-// means the position was truncated away and the consumer needs a snapshot.
-func (s *Subscription) Next(max int) ([]byte, error) {
-	chunk, err := s.l.DurableFrom(s.pos, max)
-	if err != nil {
-		return nil, err
-	}
-	s.pos += LSN(len(chunk))
-	if len(chunk) == 0 {
-		return nil, nil
-	}
-	return chunk, nil
-}
-
-// Wait blocks until the log has durable content past the cursor (or the
-// cursor's position has been compacted — either way Next has something to
-// say). It returns false once the log is closed.
-func (s *Subscription) Wait() bool {
-	l := s.l
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.closed {
-			return false
-		}
-		if s.pos < LSN(1+l.base) {
-			return true // compacted: Next reports ErrCompacted
-		}
-		if s.pos < LSN(1+l.base+l.flushed) {
-			return true
-		}
-		l.durableCondLocked().Wait()
-	}
 }
 
 // DurableFrom copies durable log content beginning at the record boundary
@@ -232,9 +163,10 @@ func (l *Log) AppendRaw(start LSN, chunk []byte) error {
 
 // LoadSnapshot replaces the log's retained content wholesale: generations
 // before start are considered truncated (never to be reused, exactly as
-// Truncate guarantees), and content becomes the retained bytes, flushed to
-// the backing file. This is how a follower is seeded when incremental
-// shipping cannot reach it (fresh replica, or its cursor was compacted).
+// TruncateBefore guarantees), and content becomes the retained bytes,
+// flushed to the backing file. This is how a follower is seeded when
+// incremental shipping cannot reach it (fresh replica, or its position was
+// compacted).
 func (l *Log) LoadSnapshot(start LSN, content []byte) error {
 	if start == NilLSN {
 		return fmt.Errorf("wal: snapshot start at nil LSN")

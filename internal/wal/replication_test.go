@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func appendUpdate(l *Log, tx uint64, page uint32, payload byte) LSN {
@@ -23,11 +22,12 @@ func collect(t *testing.T, l *Log) []Record {
 }
 
 // A follower that splices every shipped chunk ends up with a byte-identical
-// log: same records, same LSNs, retransmits ignored.
+// log: same records, same LSNs, retransmits ignored. The shipper's position
+// is a plain LSN advanced by each chunk it reads.
 func TestSubscribeShipAppendRaw(t *testing.T) {
 	leader := NewMemLog()
 	follower := NewMemLog()
-	sub := leader.Subscribe(NilLSN)
+	pos := leader.StartLSN()
 
 	for i := 0; i < 5; i++ {
 		appendUpdate(leader, uint64(i+1), uint32(i), byte(i))
@@ -35,33 +35,34 @@ func TestSubscribeShipAppendRaw(t *testing.T) {
 	if err := leader.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	chunk, err := sub.Next(0)
+	chunk, err := leader.DurableFrom(pos, 0)
 	if err != nil || chunk == nil {
-		t.Fatalf("Next: chunk=%v err=%v", chunk, err)
+		t.Fatalf("DurableFrom: chunk=%v err=%v", chunk, err)
 	}
-	if err := follower.AppendRaw(1, chunk); err != nil {
+	if err := follower.AppendRaw(pos, chunk); err != nil {
 		t.Fatalf("AppendRaw: %v", err)
 	}
 	// Retransmit of the same chunk is a verified no-op.
-	if err := follower.AppendRaw(1, chunk); err != nil {
+	if err := follower.AppendRaw(pos, chunk); err != nil {
 		t.Fatalf("retransmit: %v", err)
 	}
 	if err := follower.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	pos += LSN(len(chunk))
 
 	appendUpdate(leader, 9, 9, 0xAA)
 	if err := leader.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	start := sub.Pos()
-	chunk, err = sub.Next(0)
+	chunk, err = leader.DurableFrom(pos, 0)
 	if err != nil || chunk == nil {
-		t.Fatalf("Next tail: chunk=%v err=%v", chunk, err)
+		t.Fatalf("DurableFrom tail: chunk=%v err=%v", chunk, err)
 	}
-	if err := follower.AppendRaw(start, chunk); err != nil {
+	if err := follower.AppendRaw(pos, chunk); err != nil {
 		t.Fatalf("AppendRaw tail: %v", err)
 	}
+	pos += LSN(len(chunk))
 
 	lr, fr := collect(t, leader), collect(t, follower)
 	if len(lr) != len(fr) || len(lr) != 6 {
@@ -76,12 +77,12 @@ func TestSubscribeShipAppendRaw(t *testing.T) {
 		t.Fatalf("ends differ: %d vs %d", follower.End(), leader.End())
 	}
 	// Caught up: nothing more durable.
-	if chunk, err := sub.Next(0); err != nil || chunk != nil {
-		t.Fatalf("caught-up Next: chunk=%v err=%v", chunk, err)
+	if chunk, err := leader.DurableFrom(pos, 0); err != nil || chunk != nil {
+		t.Fatalf("caught-up DurableFrom: chunk=%v err=%v", chunk, err)
 	}
 }
 
-// Next never splits a record and never returns unflushed bytes.
+// DurableFrom never splits a record and never returns unflushed bytes.
 func TestDurableFromBounds(t *testing.T) {
 	l := NewMemLog()
 	first := appendUpdate(l, 1, 1, 1)
@@ -91,30 +92,33 @@ func TestDurableFromBounds(t *testing.T) {
 	}
 	unflushed := appendUpdate(l, 3, 3, 3)
 
-	sub := l.Subscribe(first)
-	chunk, err := sub.Next(1) // smaller than one record: nothing fits
+	chunk, err := l.DurableFrom(first, 1) // smaller than one record: nothing fits
 	if err != nil || chunk != nil {
 		t.Fatalf("tiny cap: chunk=%v err=%v", chunk, err)
 	}
 	one := int(l.FlushedLSN()-first) / 2
-	chunk, err = sub.Next(one)
+	chunk, err = l.DurableFrom(first, one)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(chunk) != one {
 		t.Fatalf("capped chunk = %d bytes, want one record (%d)", len(chunk), one)
 	}
-	chunk, err = sub.Next(0)
+	pos := first + LSN(len(chunk))
+	chunk, err = l.DurableFrom(pos, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sub.Pos() != l.FlushedLSN() {
-		t.Fatalf("cursor %d did not stop at the durable prefix %d", sub.Pos(), l.FlushedLSN())
 	}
 	if len(chunk) != one {
 		t.Fatalf("second chunk = %d bytes, want the remaining record (%d)", len(chunk), one)
 	}
-	_ = unflushed // its bytes must never have been returned; the cursor stops at FlushedLSN
+	if pos += LSN(len(chunk)); pos != l.FlushedLSN() {
+		t.Fatalf("reads did not stop at the durable prefix: %d, want %d", pos, l.FlushedLSN())
+	}
+	// The unflushed record's bytes are never returned.
+	if chunk, err := l.DurableFrom(unflushed, 0); err != nil || chunk != nil {
+		t.Fatalf("unflushed record shipped: chunk=%v err=%v", chunk, err)
+	}
 }
 
 func TestAppendRawGapAndDivergence(t *testing.T) {
@@ -164,66 +168,69 @@ func TestAppendRawGapAndDivergence(t *testing.T) {
 	}
 }
 
+// A shipper's position inside a generation the log cut reads ErrCompacted.
 func TestSubscriptionCompactedAfterTruncate(t *testing.T) {
 	l := NewMemLog()
-	sub := l.Subscribe(NilLSN)
+	pos := l.StartLSN()
 	appendUpdate(l, 1, 1, 1)
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.Next(0); err != nil {
+	chunk, err := l.DurableFrom(pos, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	pos += LSN(len(chunk))
 	appendUpdate(l, 2, 2, 2)
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.TruncateBefore(l.End()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.Next(0); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("cursor in truncated generation: %v", err)
+	if _, err := l.DurableFrom(pos, 0); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("position in truncated generation: %v", err)
 	}
 }
 
-// Wait blocks until a flush lands and returns false once the log closes.
+// NotifyDurable signals a flush, a truncation and a close, and nothing
+// before them.
 func TestSubscriptionWait(t *testing.T) {
 	l := NewMemLog()
-	sub := l.Subscribe(NilLSN)
-	woke := make(chan bool, 1)
-	go func() { woke <- sub.Wait() }()
-	select {
-	case <-woke:
-		t.Fatal("Wait returned with nothing durable")
-	case <-time.After(20 * time.Millisecond):
+	ch := make(chan struct{}, 1)
+	l.NotifyDurable(ch)
+	signalled := func() bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
 	}
 	appendUpdate(l, 1, 1, 1)
+	if signalled() {
+		t.Fatal("signal with nothing durable")
+	}
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ok := <-woke:
-		if !ok {
-			t.Fatal("Wait returned closed")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Wait missed the flush broadcast")
+	if !signalled() {
+		t.Fatal("no signal after a flush")
 	}
-	chunk, err := sub.Next(0)
-	if err != nil || chunk == nil {
-		t.Fatalf("post-wait Next: %v %v", chunk, err)
+	if chunk, err := l.DurableFrom(l.StartLSN(), 0); err != nil || chunk == nil {
+		t.Fatalf("post-signal DurableFrom: %v %v", chunk, err)
 	}
-	go func() { woke <- sub.Wait() }()
+	if err := l.TruncateBefore(l.End()); err != nil {
+		t.Fatal(err)
+	}
+	if !signalled() {
+		t.Fatal("no signal after a truncation")
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ok := <-woke:
-		if ok {
-			t.Fatal("Wait returned true on a closed log")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Wait missed the close broadcast")
+	if !signalled() {
+		t.Fatal("no signal after a close")
 	}
 }
 
@@ -262,7 +269,7 @@ func TestLoadSnapshotFileRoundTrip(t *testing.T) {
 	if err := leader.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.Truncate(); err != nil {
+	if err := leader.TruncateBefore(leader.End()); err != nil {
 		t.Fatal(err)
 	}
 	tail := appendUpdate(leader, 9, 9, 9)

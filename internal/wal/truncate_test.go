@@ -146,8 +146,9 @@ func TestTruncateBeforeCrashBeforeRenameKeepsOldLog(t *testing.T) {
 	}
 }
 
-// Subscription cursors left below the cut observe compaction and must
-// reseed from a snapshot — the same contract as full Truncate.
+// A shipper whose position the cut left below the log's start is woken
+// (NotifyDurable), observes compaction and must reseed from a snapshot; one
+// at the cut reads on.
 func TestTruncateBeforeCompactsSubscriptions(t *testing.T) {
 	l := NewMemLog()
 	first := appendUpdate(l, 1, 1, 1)
@@ -156,8 +157,15 @@ func TestTruncateBeforeCompactsSubscriptions(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	ch := make(chan struct{}, 1)
+	l.NotifyDurable(ch)
 	if err := l.TruncateBefore(mid); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("no signal after the cut")
 	}
 	if _, err := l.DurableFrom(first, 0); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("DurableFrom below cut: err = %v, want ErrCompacted", err)

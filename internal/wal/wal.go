@@ -207,12 +207,11 @@ type Log struct {
 	forces       int64
 	piggybacks   int64
 
-	// Replication plumbing (replication.go): durable broadcasts to
-	// subscription cursors and registered notify channels, plus a closed
-	// flag so shippers blocked in Wait drain out at shutdown.
-	durable *sync.Cond
-	notify  map[chan struct{}]struct{}
-	closed  bool
+	// Replication plumbing (replication.go): channels signalled when the
+	// durable prefix moves (NotifyDurable), and a closed flag that refuses
+	// further splices once the log is shut.
+	notify map[chan struct{}]struct{}
+	closed bool
 }
 
 // gcBatch is one group-commit batch: the leader marks done after its
@@ -553,28 +552,6 @@ func (l *Log) Iterate(fn func(Record) bool) error {
 	return nil
 }
 
-// Truncate discards the entire log after a quiescent checkpoint (every
-// dirty page flushed, no active transactions): none of the records can be
-// needed for redo or undo anymore. The backing file, if any, is reset.
-func (l *Log) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// LSNs stamped into pages must stay comparable with future records:
-	// the truncated generation's LSN space is never reused, and the new
-	// file's header says so even though no record is left to.
-	base := l.base + len(l.buf)
-	if err := l.replaceFileLocked(base, nil); err != nil {
-		return err
-	}
-	l.base = base
-	l.buf = l.buf[:0]
-	l.flushed = 0
-	// Wake subscribers: cursors inside the discarded generation must learn
-	// they are compacted and fall back to a snapshot.
-	l.signalDurableLocked()
-	return nil
-}
-
 // replaceFileLocked atomically replaces the backing file, if any, with a
 // header for base followed by tail: written to a temp file, forced, and
 // renamed over the log. Rewriting in place could lose durable tail records
@@ -605,15 +582,15 @@ func (l *Log) replaceFileLocked(base int, tail []byte) error {
 }
 
 // TruncateBefore discards every whole record that lies strictly below lsn,
-// keeping the tail. This is the fuzzy checkpoint's truncation: unlike
-// Truncate it does not require a quiescent store — the caller chooses a cut
-// below which no record can be needed for redo (the covered pages are on
-// the volume) or undo (no active transaction began below it) and the live
-// tail keeps its LSNs. A cut inside the unflushed tail is clamped to the
-// durable prefix; a cut that lands mid-record backs up to the preceding
-// record boundary. Subscription cursors inside the discarded generation
-// observe ErrCompacted and fall back to a snapshot, exactly as with
-// Truncate.
+// keeping the tail. This is the fuzzy checkpoint's truncation: it does not
+// require a quiescent store — the caller chooses a cut below which no
+// record can be needed for redo (the covered pages are on the volume) or
+// undo (no active transaction began below it) and the live tail keeps its
+// LSNs; the LSN space below the cut is never reused. A cut inside the
+// unflushed tail is clamped to the durable prefix; a cut that lands
+// mid-record backs up to the preceding record boundary. A shipper reading
+// below the new start (DurableFrom) gets ErrCompacted and falls back to a
+// snapshot.
 func (l *Log) TruncateBefore(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -638,8 +615,8 @@ func (l *Log) TruncateBefore(lsn LSN) error {
 	l.base += boundary
 	l.buf = append([]byte(nil), l.buf[boundary:]...)
 	l.flushed -= boundary
-	// Wake subscribers: cursors below the new start must learn they are
-	// compacted and fall back to a snapshot.
+	// Wake shippers: one whose position lies below the new start must
+	// learn it is compacted and fall back to a snapshot.
 	l.signalDurableLocked()
 	return nil
 }
@@ -657,7 +634,7 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	l.signalDurableLocked() // unblock subscription Wait loops
+	l.signalDurableLocked() // wake shippers so they see the log is shut
 	if l.file != nil {
 		err := l.file.Close()
 		l.file = nil
@@ -687,6 +664,18 @@ type InDoubt struct {
 	Pages      []uint32
 }
 
+// Recovery is what restart recovery found in its one analysis pass over
+// the log, besides the pages it redid and undid.
+type Recovery struct {
+	Winners map[uint64]bool     // committed transactions (RecCommit or RecDecision)
+	Losers  map[uint64]bool     // transactions rolled back at restart
+	InDoubt map[uint64]*InDoubt // prepared participants with no verdict on this log
+
+	Catalog   []byte         // New of the last RecCatalog, nil if the log holds none
+	NextTx    uint64         // one past the highest transaction id in the log
+	Decisions map[uint64]LSN // each RecDecision's LSN, by transaction id
+}
+
 // Recover runs restart recovery against store: analysis (find winners),
 // redo of winner updates whose effects are missing (page LSN < record LSN),
 // then undo of loser updates in reverse LSN order, writing CLRs.
@@ -696,24 +685,32 @@ type InDoubt struct {
 // unresolved — no RecAbort is appended for them. A prepare carrying the
 // PrepareCoord flag with no RecDecision is presumed aborted (normal loser):
 // the decision record lives on the coordinator's own log, so its absence
-// there IS the verdict. pageSize is the store's page size in bytes (callers
-// pass disk.PageSize; wal cannot import disk without a cycle).
-func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byte) uint64, setPageLSN func(pageBuf []byte, lsn uint64)) (winners, losers map[uint64]bool, indoubt map[uint64]*InDoubt, err error) {
+// there IS the verdict. The same pass finds the page server's restart
+// state (Recovery.Catalog, NextTx, Decisions), so no caller reads the log
+// again. pageSize is the store's page size in bytes (callers pass
+// disk.PageSize; wal cannot import disk without a cycle).
+func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byte) uint64, setPageLSN func(pageBuf []byte, lsn uint64)) (*Recovery, error) {
 	if pageSize <= 0 {
-		return nil, nil, nil, fmt.Errorf("wal: invalid page size %d", pageSize)
+		return nil, fmt.Errorf("wal: invalid page size %d", pageSize)
 	}
-	winners = map[uint64]bool{}
-	losers = map[uint64]bool{}
+	rec := &Recovery{
+		Winners:   map[uint64]bool{},
+		Losers:    map[uint64]bool{},
+		InDoubt:   map[uint64]*InDoubt{},
+		Decisions: map[uint64]LSN{},
+	}
+	winners, losers, indoubt := rec.Winners, rec.Losers, rec.InDoubt
 	prepares := map[uint64]Record{}
 	firstLSN := map[uint64]LSN{}
 	var updates []Record
 	var rangeErr error
-	err = l.Iterate(func(r Record) bool {
+	err := l.Iterate(func(r Record) bool {
 		if r.Tx != 0 {
 			if _, ok := firstLSN[r.Tx]; !ok {
 				firstLSN[r.Tx] = r.LSN
 			}
 		}
+		rec.NextTx = max(rec.NextTx, r.Tx+1)
 		switch r.Type {
 		case RecBegin:
 			losers[r.Tx] = true
@@ -721,11 +718,16 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 			delete(losers, r.Tx)
 			delete(prepares, r.Tx)
 			winners[r.Tx] = true
+			if r.Type == RecDecision {
+				rec.Decisions[r.Tx] = r.LSN
+			}
 		case RecAbort:
 			delete(losers, r.Tx)
 			delete(prepares, r.Tx)
 		case RecPrepare:
 			prepares[r.Tx] = r
+		case RecCatalog:
+			rec.Catalog = r.New
 		case RecUpdate, RecCLR:
 			if rangeErr = r.CheckRange(pageSize); rangeErr != nil {
 				return false
@@ -738,12 +740,11 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 		err = rangeErr
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// In-doubt analysis: a prepared loser written by a participant stays in
 	// doubt; a prepared loser written by the coordinator itself (PrepareCoord)
 	// is presumed aborted — the missing decision record is the answer.
-	indoubt = map[uint64]*InDoubt{}
 	for tx, p := range prepares {
 		if !losers[tx] || p.Off&PrepareCoord != 0 {
 			continue
@@ -773,14 +774,14 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 			}
 		}
 		if err := store.ReadPage(r.Page, buf); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if LSN(pageLSNOf(buf)) >= r.LSN {
 			continue
 		}
 		r.Redo(buf, setPageLSN)
 		if err := store.WritePage(r.Page, buf); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	// Undo phase: roll back losers newest-first. In-doubt transactions are
@@ -796,7 +797,7 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 			continue // redo-only
 		}
 		if err := store.ReadPage(r.Page, buf); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if LSN(pageLSNOf(buf)) < r.LSN {
 			continue // update never reached the page
@@ -804,11 +805,11 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 		clr.LSN = l.Append(clr)
 		clr.Redo(buf, setPageLSN)
 		if err := store.WritePage(r.Page, buf); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	for tx := range losers {
 		l.Append(Record{Tx: tx, Type: RecAbort})
 	}
-	return winners, losers, indoubt, l.Flush()
+	return rec, l.Flush()
 }

@@ -165,10 +165,11 @@ func TestRecoverRedoWinner(t *testing.T) {
 	l.Append(Record{Tx: 1, Type: RecUpdate, Page: 5, Off: 100, Old: []byte{0, 0}, New: []byte{7, 8}})
 	l.Append(Record{Tx: 1, Type: RecCommit})
 	// Crash before the page ever reached disk: page 5 is all zeroes.
-	winners, losers, _, err := Recover(l, store, 8192, lsnOf, setLSN)
+	got, err := Recover(l, store, 8192, lsnOf, setLSN)
 	if err != nil {
 		t.Fatal(err)
 	}
+	winners, losers := got.Winners, got.Losers
 	if !winners[1] || len(losers) != 0 {
 		t.Fatalf("winners=%v losers=%v", winners, losers)
 	}
@@ -188,10 +189,11 @@ func TestRecoverUndoLoser(t *testing.T) {
 	p := store.page(9)
 	p[50], p[51] = 9, 9
 	setLSN(p, uint64(lsn))
-	winners, losers, _, err := Recover(l, store, 8192, lsnOf, setLSN)
+	got, err := Recover(l, store, 8192, lsnOf, setLSN)
 	if err != nil {
 		t.Fatal(err)
 	}
+	winners, losers := got.Winners, got.Losers
 	if len(winners) != 0 || !losers[2] {
 		t.Fatalf("winners=%v losers=%v", winners, losers)
 	}
@@ -216,11 +218,11 @@ func TestRecoverIdempotent(t *testing.T) {
 	l.Append(Record{Tx: 1, Type: RecBegin})
 	l.Append(Record{Tx: 1, Type: RecUpdate, Page: 3, Off: 40, Old: []byte{0}, New: []byte{5}})
 	l.Append(Record{Tx: 1, Type: RecCommit})
-	if _, _, _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
+	if _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
 		t.Fatal(err)
 	}
 	first := append([]byte(nil), store.page(3)...)
-	if _, _, _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
+	if _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, store.page(3)) {
@@ -238,10 +240,11 @@ func TestRecoverInDoubtParticipant(t *testing.T) {
 	l.Append(Record{Tx: 4, Type: RecBegin})
 	l.Append(Record{Tx: 4, Type: RecUpdate, Page: 6, Off: 200, Old: []byte{0, 0}, New: []byte{3, 4}})
 	prepLSN := l.Append(Record{Tx: 4, Type: RecPrepare, Page: 2, New: coordTx})
-	winners, losers, indoubt, err := Recover(l, store, 8192, lsnOf, setLSN)
+	got, err := Recover(l, store, 8192, lsnOf, setLSN)
 	if err != nil {
 		t.Fatal(err)
 	}
+	winners, losers, indoubt := got.Winners, got.Losers, got.InDoubt
 	if len(winners) != 0 || len(losers) != 0 {
 		t.Fatalf("winners=%v losers=%v", winners, losers)
 	}
@@ -285,10 +288,11 @@ func TestRecoverCoordinatorPresumesAbort(t *testing.T) {
 	l.Append(Record{Tx: 6, Type: RecUpdate, Page: 8, Off: 20, Old: []byte{0}, New: []byte{6}})
 	l.Append(Record{Tx: 6, Type: RecPrepare, Page: 0, Off: PrepareCoord})
 	l.Append(Record{Tx: 6, Type: RecDecision})
-	winners, losers, indoubt, err := Recover(l, store, 8192, lsnOf, setLSN)
+	got, err := Recover(l, store, 8192, lsnOf, setLSN)
 	if err != nil {
 		t.Fatal(err)
 	}
+	winners, losers, indoubt := got.Winners, got.Losers, got.InDoubt
 	if len(indoubt) != 0 {
 		t.Fatalf("coordinator prepares held in doubt: %v", indoubt)
 	}
@@ -300,6 +304,39 @@ func TestRecoverCoordinatorPresumesAbort(t *testing.T) {
 	}
 	if store.page(8)[20] != 6 {
 		t.Fatalf("decision redo missing: %d", store.page(8)[20])
+	}
+}
+
+// The analysis pass also returns the page server's restart state: the last
+// catalog image, one past the highest transaction id, and every decision
+// record's LSN.
+func TestRecoverFindsRestartState(t *testing.T) {
+	l := NewMemLog()
+	got, err := Recover(l, newMemStore(), 8192, lsnOf, setLSN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Catalog != nil || got.NextTx != 0 || len(got.Decisions) != 0 {
+		t.Fatalf("empty log: %+v", got)
+	}
+	l.Append(Record{Type: RecCatalog, New: []byte("first")})
+	l.Append(Record{Tx: 9, Type: RecBegin})
+	l.Append(Record{Tx: 9, Type: RecPrepare, Off: PrepareCoord})
+	decision := l.Append(Record{Tx: 9, Type: RecDecision})
+	l.Append(Record{Type: RecCatalog, New: []byte("second")})
+	l.Append(Record{Tx: 12, Type: RecBegin}) // a loser: its RecAbort adds no id
+	got, err = Recover(l, newMemStore(), 8192, lsnOf, setLSN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Catalog) != "second" {
+		t.Errorf("catalog %q, want the last image", got.Catalog)
+	}
+	if got.NextTx != 13 {
+		t.Errorf("NextTx %d, want 13", got.NextTx)
+	}
+	if len(got.Decisions) != 1 || got.Decisions[9] != decision {
+		t.Errorf("decisions %v, want tx 9 at %d", got.Decisions, decision)
 	}
 }
 
@@ -355,7 +392,7 @@ func TestRecoverReplaysHistory(t *testing.T) {
 			want[off] = val
 		}
 		l.Append(Record{Tx: tx, Type: RecCommit})
-		if _, _, _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
+		if _, err := Recover(l, store, 8192, lsnOf, setLSN); err != nil {
 			return false
 		}
 		p := store.page(2)
@@ -376,7 +413,7 @@ func TestTruncatePreservesLSNMonotonicity(t *testing.T) {
 	lsn1 := l.Append(Record{Tx: 1, Type: RecBegin})
 	l.Append(Record{Tx: 1, Type: RecCommit})
 	l.Flush()
-	if err := l.Truncate(); err != nil {
+	if err := l.TruncateBefore(l.End()); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -399,7 +436,7 @@ func TestTruncatedFileLogReopens(t *testing.T) {
 	l.Append(Record{Tx: 1, Type: RecBegin})
 	l.Append(Record{Tx: 1, Type: RecCommit})
 	l.Flush()
-	l.Truncate()
+	l.TruncateBefore(l.End())
 	lsnA := l.Append(Record{Tx: 2, Type: RecBegin})
 	l.Flush()
 	l.Close()
