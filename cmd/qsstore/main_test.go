@@ -76,7 +76,7 @@ func TestCrashdrillTallies(t *testing.T) {
 	}{
 		{nil, "crash drill: 192 runs, 112 crashed, 0 violations"},
 		{[]string{"-repl", "-seeds", "1"}, "replicated crash drill: 47 runs, 16 crashed, 47 failovers, 0 violations"},
-		{[]string{"-shards"}, "sharded crash drill: 10 cells, 10 crashed, 0 violations"},
+		{[]string{"-shards"}, "sharded crash drill: 8 cells, 8 crashed, 0 violations"},
 	} {
 		out, code := qsstore(t, append([]string{"crashdrill", "-dir", t.TempDir()}, tc.args...)...)
 		if code != 0 || !strings.Contains(out, tc.want+"\n") {

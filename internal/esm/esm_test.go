@@ -71,12 +71,21 @@ func TestTxLifecycle(t *testing.T) {
 		}
 		return resp
 	}
-	// start begins a transaction that locks pid and ships an update of it.
-	start := func(srv *Server, pid uint32) uint64 {
+	// lockTx begins a transaction that locks pid; part is its update of pid
+	// as a payload; start ships it.
+	lockTx := func(srv *Server, pid uint32) uint64 {
 		t.Helper()
 		tx := beginTx(t, srv)
 		call(srv, Request{Op: OpLock, Tx: tx, Page: pid, Mode: uint8(lock.KindPage)<<4 | uint8(lock.Exclusive)})
-		call(srv, Request{Op: OpLog, Tx: tx, Data: logBatch(wal.Record{Page: pid, Off: 100, Old: []byte{0}, New: []byte{byte(tx)}})})
+		return tx
+	}
+	part := func(tx uint64, pid uint32) []byte {
+		return logBatch(wal.Record{Page: pid, Off: 100, Old: []byte{0}, New: []byte{byte(tx)}})
+	}
+	start := func(srv *Server, pid uint32) uint64 {
+		t.Helper()
+		tx := lockTx(srv, pid)
+		call(srv, Request{Op: OpLog, Tx: tx, Data: part(tx, pid)})
 		return tx
 	}
 	live := func(srv *Server, tx uint64) bool {
@@ -106,9 +115,9 @@ func TestTxLifecycle(t *testing.T) {
 	call(srv, Request{Op: OpCommit, Tx: tx})
 	ended(srv, "commit", tx, page(0))
 
-	tx = start(srv, page(1))
-	call(srv, Request{Op: OpPrepare, Tx: tx, N: tx, Mode: PrepareModeCoord})
-	decision := wal.LSN(call(srv, Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCommit | DecisionCoord}).N)
+	// The coordinator does not prepare: its part rides its decision.
+	tx = lockTx(srv, page(1))
+	decision := wal.LSN(call(srv, Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCommit | DecisionCoord, Data: part(tx, page(1))}).N)
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +170,49 @@ type failingQuorum struct{}
 
 func (failingQuorum) WaitQuorum(wal.LSN) error { return errors.New("no quorum") }
 func (failingQuorum) ReplStats() *ReplStats    { return nil }
+
+// TestCoordinatorDecisionShapes: the coordinator does not prepare, so the
+// shapes a router that still prepared it would send are refused loudly,
+// appending nothing — a prepare carrying a mode, and a coordinator
+// decision for a prepared transaction — and so is a decision without the
+// commit verdict (an abort verdict is an OpAbort). A coordinator decision
+// delivered twice is answered with the one decision record.
+func TestCoordinatorDecisionShapes(t *testing.T) {
+	srv, pid := logBatchServer(t, 1)
+	refused := func(req Request, want string) {
+		t.Helper()
+		end := srv.Log().Records()
+		resp := srv.Handle(&req)
+		if !strings.Contains(resp.Err, want) {
+			t.Errorf("%v mode %d: error %q, want one naming %q", req.Op, req.Mode, resp.Err, want)
+		}
+		if n := srv.Log().Records() - end; n != 0 {
+			t.Errorf("%v mode %d: refused, yet %d records appended", req.Op, req.Mode, n)
+		}
+	}
+	tx := beginTx(t, srv)
+	refused(Request{Op: OpPrepare, Tx: tx, N: tx, Mode: 1}, "carries no mode")
+	refused(Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCoord}, "no commit verdict")
+	if r := srv.Handle(&Request{Op: OpPrepare, Tx: tx, Page: 1, N: 77}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	refused(Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCommit | DecisionCoord}, "does not prepare")
+	if srv.InDoubtCount() != 1 || srv.DecisionCount() != 0 {
+		t.Fatalf("a refused decision moved the prepared tx: %d in doubt, %d decisions", srv.InDoubtCount(), srv.DecisionCount())
+	}
+	if r := srv.Handle(&Request{Op: OpAbort, Tx: tx}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+
+	tx = beginTx(t, srv)
+	decide := &Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCommit | DecisionCoord,
+		Data: logBatch(wal.Record{Page: uint32(pid), Off: 100, Old: []byte{0}, New: []byte{1}})}
+	first := srv.Handle(decide)
+	again := srv.Handle(decide)
+	if first.Err != "" || again.Err != "" || again.N != first.N || srv.DecisionCount() != 1 {
+		t.Fatalf("decision %+v, again %+v, %d decisions; want one decision answered twice", first, again, srv.DecisionCount())
+	}
+}
 
 // OpSetRoot carries exactly one OID. A payload of any other length from
 // the wire is refused and leaves the root as it was, rather than setting

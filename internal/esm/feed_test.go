@@ -218,9 +218,6 @@ func TestBeginFeedRepairsOnlyChanged(t *testing.T) {
 				fx.overwrite(t, b, i, want[i])
 			}
 			tx := b.Tx()
-			if r := fx.srv.Handle(&Request{Op: OpPrepare, Tx: tx, N: tx, Mode: PrepareModeCoord}); r.Err != "" {
-				t.Fatal(r.Err)
-			}
 			if r := fx.srv.Handle(&Request{Op: OpCommitDecision, Tx: tx, Mode: DecisionCommit | DecisionCoord}); r.Err != "" {
 				t.Fatal(r.Err)
 			}

@@ -91,11 +91,13 @@ const (
 	// Two-phase commit ops (internal/shard). OpPrepare votes a participant
 	// into the prepared state: Data carries the shard's part of the commit
 	// payload (SplitPayload), Page the coordinator's shard id, N the
-	// coordinator-local transaction id, and Mode the PrepareModeCoord flag
-	// on the coordinator's own prepare. OpCommitDecision delivers the verdict
-	// (Mode bits: commit, coordinator). OpResolveTx is the presumed-abort
-	// inquiry: Mode selects inquire / forget / list (see ResolveMode*).
-	// None are idempotent, so none are retryable across replicas.
+	// coordinator-local transaction id; Mode must be zero. The coordinator
+	// never prepares. OpCommitDecision delivers the commit verdict (Mode
+	// bits: commit, coordinator); to the coordinator it is the commit of
+	// its own part, carried in Data like an OpCommit payload. An abort
+	// verdict is an OpAbort. OpResolveTx is the presumed-abort inquiry:
+	// Mode selects inquire / forget / list (see ResolveMode*). None are
+	// idempotent, so none are retryable across replicas.
 	OpPrepare
 	OpCommitDecision
 	OpResolveTx
@@ -118,21 +120,15 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// OpPrepare request mode flags.
-const (
-	// PrepareModeCoord marks the coordinator's own prepare. A restarted
-	// coordinator presumes abort for such a transaction when no decision
-	// record follows; participants hold theirs in doubt instead.
-	PrepareModeCoord uint8 = 1
-)
-
 // OpCommitDecision request mode flags.
 const (
-	// DecisionCommit carries the commit verdict; absent means abort.
+	// DecisionCommit carries the commit verdict. A decision without it is
+	// refused: an abort verdict travels as an OpAbort.
 	DecisionCommit uint8 = 1
-	// DecisionCoord addresses the coordinator itself: it logs the single
-	// RecDecision record (its own commit record) and remembers the verdict
-	// for OpResolveTx inquiries until forgotten.
+	// DecisionCoord addresses the coordinator itself, on its live,
+	// unprepared transaction: it applies its part of the payload (Data),
+	// logs the single RecDecision record (its own commit record) and
+	// remembers the verdict for OpResolveTx inquiries until forgotten.
 	DecisionCoord uint8 = 2
 )
 

@@ -628,7 +628,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return &Response{N: uint64(lsn)}, nil
 
 	case OpCommit:
-		lsn, err := s.commit(req.Tx, req.Data)
+		lsn, err := s.commit(req.Tx, req.Data, wal.RecCommit)
 		if err != nil {
 			return nil, err
 		}
@@ -779,14 +779,19 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return s.endSnapshot(wal.LSN(req.N))
 
 	case OpPrepare:
-		lsn, err := s.prepare(req.Tx, req.Page, req.N, req.Mode, req.Data)
+		if req.Mode != 0 {
+			// A router that still prepares its coordinator: its decision
+			// would find the transaction prepared and be refused anyway.
+			return nil, fmt.Errorf("esm: prepare of tx %d with mode %d: a prepare carries no mode (the coordinator does not prepare)", req.Tx, req.Mode)
+		}
+		lsn, err := s.prepare(req.Tx, req.Page, req.N, req.Data)
 		if err != nil {
 			return nil, err
 		}
 		return &Response{N: uint64(lsn)}, nil
 
 	case OpCommitDecision:
-		lsn, err := s.commitDecision(req.Tx, req.Mode)
+		lsn, err := s.commitDecision(req.Tx, req.Mode, req.Data)
 		if err != nil {
 			return nil, err
 		}
@@ -1344,15 +1349,16 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 	return last, nil
 }
 
-// commit applies the transaction's last commit payload (applyPayload),
-// appends the commit record, and forces the log through it via the
-// group-commit path: concurrent committers share one physical force. The
-// force and the quorum wait cover every lower LSN, so catalog changes
-// (files, roots, counters) made on this server before the commit record
-// was appended are durable with the transaction. The commit LSN is
-// returned so the ack can carry it to the session (read-your-writes floor
-// for later snapshot begins).
-func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
+// commit ends live transaction tx as committed: it applies the
+// transaction's last commit payload (applyPayload), appends the end record
+// of type rtype (commitLocked: RecCommit for an OpCommit, RecDecision for a
+// 2PC coordinator's decision) and makes it durable (endCommit). The force
+// and the quorum wait cover every lower LSN, so catalog changes (files,
+// roots, counters) made on this server before the end record was appended
+// are durable with the transaction. The commit LSN is returned so the ack
+// can carry it to the session (read-your-writes floor for later snapshot
+// begins).
+func (s *Server) commit(tx uint64, data []byte, rtype wal.RecType) (wal.LSN, error) {
 	if _, err := s.applyPayload(tx, data); err != nil {
 		return 0, err
 	}
@@ -1360,19 +1366,44 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 		return 0, err
 	}
 	s.mu.Lock()
-	lsn := s.commitLocked(tx, wal.RecCommit)
+	lsn := s.commitLocked(tx, rtype)
 	s.mu.Unlock()
 	if err := s.fault.Hit(faultinject.PtCohAfterBump); err != nil {
 		return 0, err
 	}
-	if err := s.fault.Hit(faultinject.PtCommitBeforeFlush); err != nil {
+	if err := s.endCommit(tx, lsn, rtype == wal.RecDecision); err != nil {
 		return 0, err
+	}
+	return lsn, nil
+}
+
+// endCommit is the durability tail of every commit: it forces the log
+// through tx's end record at lsn via the group-commit path (concurrent
+// committers share one physical force), waits for the quorum, then retires
+// tx. twoPC names a commit that ends a 2PC transaction (a coordinator's
+// decision, a participant's verdict), which crashes at the decision points
+// instead of the commit points. A failed force or quorum wait leaves tx's
+// entry and locks in place: the commit is in doubt to its client.
+func (s *Server) endCommit(tx uint64, lsn wal.LSN, twoPC bool) error {
+	var err error
+	if twoPC {
+		err = s.fault.Hit(faultinject.PtDecisionBeforeFlush)
+	} else {
+		err = s.fault.Hit(faultinject.PtCommitBeforeFlush)
+	}
+	if err != nil {
+		return err
 	}
 	if err := s.log.FlushCommit(lsn); err != nil {
-		return 0, err
+		return err
 	}
-	if err := s.fault.Hit(faultinject.PtCommitAfterFlush); err != nil {
-		return 0, err
+	if twoPC {
+		err = s.fault.Hit(faultinject.PtDecisionAfterFlush)
+	} else {
+		err = s.fault.Hit(faultinject.PtCommitAfterFlush)
+	}
+	if err != nil {
+		return err
 	}
 	// Quorum-before-ack: with replication attached, local durability is not
 	// commit durability — the ack waits until a quorum of replicas reports
@@ -1382,17 +1413,17 @@ func (s *Server) commit(tx uint64, data []byte) (wal.LSN, error) {
 	// single-node server passes straight through.
 	q := s.quorumGate()
 	if err := s.fault.Hit(faultinject.PtReplBeforeQuorum); err != nil {
-		return 0, err
+		return err
 	}
 	if err := q.WaitQuorum(lsn); err != nil {
-		return 0, err
+		return err
 	}
 	if err := s.fault.Hit(faultinject.PtReplAfterQuorum); err != nil {
-		return 0, err
+		return err
 	}
 	s.retire(tx)
 	s.commits.Add(1)
-	return lsn, nil
+	return nil
 }
 
 // setLastLocked makes lsn the head of tx's record chain. It writes the
@@ -1407,7 +1438,9 @@ func (s *Server) setLastLocked(tx uint64, lsn wal.LSN) {
 
 // commitLocked is the end step commit and commitDecision share, run under
 // mu: it appends tx's end record of type rtype (RecCommit, or RecDecision on
-// a 2PC coordinator) on its chain and makes it the newest commit. The
+// a 2PC coordinator) on its chain and makes it the newest commit. A
+// RecDecision is remembered in decisions in the same hold, so an inquiry
+// never finds the record appended and the verdict unknown. The
 // version store and the coherence table move to the commit LSN in the same
 // hold of mu: a snapshot beginning at this LSN must find these versions
 // already retired to committed, and a versioned read that sees the new
@@ -1421,6 +1454,13 @@ func (s *Server) commitLocked(tx uint64, rtype wal.RecType) wal.LSN {
 		s.mv.Commit(tx, lsn)
 	}
 	s.coh.commitTx(tx, uint64(lsn))
+	if rtype == wal.RecDecision {
+		// Remembered for OpResolveTx inquiries until every participant
+		// acknowledged the outcome (ResolveModeForget). Also pins the
+		// checkpoint cut: the record must survive truncation so a
+		// re-crashed coordinator still finds the verdict in its log.
+		s.decisions[tx] = lsn
+	}
 	return lsn
 }
 

@@ -9,14 +9,15 @@ import (
 	"quickstore/internal/wal"
 )
 
-// Two-phase commit participant state (internal/shard's presumed-abort
-// protocol, DESIGN.md §16). A cross-shard transaction commits in two
-// phases: every participant prepares (updates durable, locks held, outcome
-// open), then the coordinator logs a single RecDecision — its own commit
-// record — and the verdict fans out. Abort is the presumed outcome: no
-// decision record anywhere means abort, so the abort path logs nothing
-// beyond the usual RecAbort and a restarted coordinator answers inquiries
-// for unknown transactions with "aborted".
+// Two-phase commit state (internal/shard's presumed-abort protocol,
+// DESIGN.md §16). A cross-shard transaction commits in two phases: every
+// participant but the coordinator prepares (updates durable, locks held,
+// outcome open), then the coordinator commits its own part under a single
+// RecDecision — its commit record and the verdict at once — and the
+// verdict fans out. Abort is the presumed outcome: no decision record
+// anywhere means abort, so the abort path logs nothing beyond the usual
+// RecAbort and a restarted coordinator answers inquiries for unknown
+// transactions with "aborted".
 
 // preparedTx is the participant side of a prepared transaction, held by its
 // transaction-table entry (txState.prep, under Server.mu).
@@ -26,24 +27,20 @@ type preparedTx struct {
 	recovered  bool   // survived a restart; eligible for external resolution
 }
 
-// prepare votes transaction tx into the prepared state: its last commit
-// payload (Data, as for commit; a cross-shard router sends each shard its
-// part) is applied (applyPayload), a RecPrepare is appended and forced, and
-// the transaction's locks stay held. coordShard and coordTx name the
-// coordinator; mode carries PrepareModeCoord on the coordinator's own
-// prepare. After a successful prepare the transaction can no longer be
-// aborted unilaterally by a crash of this server alone — restart holds it
-// in doubt until the coordinator's verdict arrives.
-func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint8, data []byte) (wal.LSN, error) {
+// prepare votes participant transaction tx into the prepared state: its
+// last commit payload (Data, as for commit; a cross-shard router sends each
+// shard its part) is applied (applyPayload), a RecPrepare is appended and
+// forced, and the transaction's locks stay held. coordShard and coordTx
+// name the coordinator, which never prepares: its part rides its decision
+// (commitDecision). After a successful prepare the transaction can no
+// longer be aborted unilaterally by a crash of this server alone — restart
+// holds it in doubt until the coordinator's verdict arrives.
+func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, data []byte) (wal.LSN, error) {
 	if _, err := s.applyPayload(tx, data); err != nil {
 		return 0, err
 	}
 	if err := s.fault.Hit(faultinject.PtPrepareAfterInstall); err != nil {
 		return 0, err
-	}
-	var flags uint16
-	if mode&PrepareModeCoord != 0 {
-		flags |= wal.PrepareCoord
 	}
 	coordTxB := make([]byte, 8)
 	binary.LittleEndian.PutUint64(coordTxB, coordTx)
@@ -53,7 +50,6 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 		Tx:      tx,
 		Type:    wal.RecPrepare,
 		Page:    coordShard,
-		Off:     flags,
 		New:     coordTxB,
 	})
 	if e, ok := s.txs[tx]; ok {
@@ -80,60 +76,44 @@ func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, mode uint
 	return lsn, nil
 }
 
-// commitDecision applies the coordinator's verdict to a prepared
-// transaction. On the coordinator itself (DecisionCoord) a commit logs the
-// single RecDecision record — the transaction's commit record AND the
-// durable verdict participants will ask for; on a plain participant it
-// logs an ordinary RecCommit. Abort (no DecisionCommit bit) takes the
-// normal abort path: under presumed abort the verdict needs no record of
-// its own. A commit shares commit()'s end step (commitLocked) and its
-// retire step; between them come the force and the quorum gate.
-func (s *Server) commitDecision(tx uint64, mode uint8) (wal.LSN, error) {
+// commitDecision delivers a commit verdict; an abort verdict is an OpAbort.
+// On the coordinator (DecisionCoord) the transaction is live and never
+// prepared, and the decision is its commit: commit applies its part of the
+// payload (data) and logs the RecDecision — the transaction's commit
+// record AND the durable verdict participants will ask for. A duplicate
+// delivery is answered with the remembered decision. On a participant the
+// verdict ends a prepared transaction under an ordinary RecCommit, through
+// the same end step (commitLocked) and durability tail (endCommit) as
+// commit.
+func (s *Server) commitDecision(tx uint64, mode uint8, data []byte) (wal.LSN, error) {
 	if mode&DecisionCommit == 0 {
-		return 0, s.abort(tx)
+		return 0, fmt.Errorf("esm: decision for tx %d carries no commit verdict (an abort verdict is an OpAbort)", tx)
 	}
-	coord := mode&DecisionCoord != 0
 	s.mu.Lock()
-	if s.txs[tx].prep == nil {
-		if coord {
-			if lsn, ok := s.decisions[tx]; ok {
-				// Duplicate decision delivery (a resolver raced the
-				// router): the verdict is already durable.
-				s.mu.Unlock()
-				//qsvet:ignore ackorder the RecDecision this lsn names was already forced by the delivery that logged it; a duplicate ack re-promises durable state
-				return lsn, nil
-			}
+	e, live := s.txs[tx]
+	decided, dup := s.decisions[tx]
+	s.mu.Unlock()
+	if mode&DecisionCoord != 0 {
+		switch {
+		case e.prep != nil:
+			return 0, fmt.Errorf("esm: coordinator decision for prepared tx %d: a coordinator does not prepare, its part rides the decision", tx)
+		case !live && dup:
+			// Duplicate decision delivery (a resolver raced the router):
+			// the verdict is already durable.
+			//qsvet:ignore ackorder the RecDecision this lsn names was already forced by the delivery that logged it; a duplicate ack re-promises durable state
+			return decided, nil
 		}
-		s.mu.Unlock()
+		return s.commit(tx, data, wal.RecDecision)
+	}
+	if e.prep == nil {
 		return 0, fmt.Errorf("esm: commit decision for unprepared tx %d", tx)
 	}
-	rtype := wal.RecCommit
-	if coord {
-		rtype = wal.RecDecision
-	}
-	lsn := s.commitLocked(tx, rtype)
-	if coord {
-		// Remembered for OpResolveTx inquiries until every participant
-		// acknowledged the outcome (ResolveModeForget). Also pins the
-		// checkpoint cut: the record must survive truncation so a
-		// re-crashed coordinator still finds the verdict in its log.
-		s.decisions[tx] = lsn
-	}
+	s.mu.Lock()
+	lsn := s.commitLocked(tx, wal.RecCommit)
 	s.mu.Unlock()
-	if err := s.fault.Hit(faultinject.PtDecisionBeforeFlush); err != nil {
+	if err := s.endCommit(tx, lsn, true); err != nil {
 		return 0, err
 	}
-	if err := s.log.FlushCommit(lsn); err != nil {
-		return 0, err
-	}
-	if err := s.fault.Hit(faultinject.PtDecisionAfterFlush); err != nil {
-		return 0, err
-	}
-	if err := s.quorumGate().WaitQuorum(lsn); err != nil {
-		return 0, err
-	}
-	s.retire(tx)
-	s.commits.Add(1)
 	return lsn, nil
 }
 

@@ -12,8 +12,8 @@ import (
 
 // TestTwoPCRequestRoundTrip exercises the wire shapes the shard Router
 // actually sends: a participant prepare with a commit payload, the
-// coordinator's flagged prepare, both decision variants, and every
-// OpResolveTx mode.
+// coordinator's decision carrying its part of the payload, the
+// participant's verdict, and every OpResolveTx mode.
 func TestTwoPCRequestRoundTrip(t *testing.T) {
 	payload := make([]byte, 4+disk.PageSize)
 	for i := range payload {
@@ -21,10 +21,8 @@ func TestTwoPCRequestRoundTrip(t *testing.T) {
 	}
 	cases := []Request{
 		{Op: OpPrepare, Tx: 12, Page: 3, N: 77, Data: payload},
-		{Op: OpPrepare, Tx: 77, Page: 3, N: 77, Mode: PrepareModeCoord, Data: payload},
-		{Op: OpCommitDecision, Tx: 77, Mode: DecisionCommit | DecisionCoord},
+		{Op: OpCommitDecision, Tx: 77, Mode: DecisionCommit | DecisionCoord, Data: payload},
 		{Op: OpCommitDecision, Tx: 12, Mode: DecisionCommit},
-		{Op: OpCommitDecision, Tx: 12}, // abort verdict: commit bit off
 		{Op: OpResolveTx, Tx: 77, Mode: ResolveModeInquire},
 		{Op: OpResolveTx, Tx: 77, Mode: ResolveModeForget},
 		{Op: OpResolveTx, Mode: ResolveModeList},

@@ -28,14 +28,24 @@ type ShardDrillOpts struct {
 // coordinates every transaction, shard 1 participates.
 var VictimNames = []string{"coord", "participant"}
 
-// ShardCrashPoints is the kill matrix's point list: every 2PC protocol
-// step on both sides of the prepare/decision exchange.
-var ShardCrashPoints = []faultinject.Point{
-	faultinject.PtPrepareAfterInstall,
-	faultinject.PtPrepareBeforeFlush,
-	faultinject.PtPrepareAfterFlush,
-	faultinject.PtDecisionBeforeFlush,
-	faultinject.PtDecisionAfterFlush,
+// ShardCrashPoints is the kill matrix's point lists, one per victim
+// (VictimNames order): every 2PC protocol step the victim runs. The
+// coordinator does not prepare: its one round installs its part, then
+// forces its decision record. The participant prepares, then commits on
+// the verdict.
+var ShardCrashPoints = [][]faultinject.Point{
+	{
+		faultinject.PtCommitAfterInstall,
+		faultinject.PtDecisionBeforeFlush,
+		faultinject.PtDecisionAfterFlush,
+	},
+	{
+		faultinject.PtPrepareAfterInstall,
+		faultinject.PtPrepareBeforeFlush,
+		faultinject.PtPrepareAfterFlush,
+		faultinject.PtDecisionBeforeFlush,
+		faultinject.PtDecisionAfterFlush,
+	},
 }
 
 // RunShardDrill executes one sharded drill. The returned error reports
@@ -222,11 +232,12 @@ func RunShardDrill(opts ShardDrillOpts) (*DrillReport, error) {
 }
 
 // ShardCells is the 2PC kill matrix as sweep cells: each victim shard
-// killed at every 2PC crash point, one seed per cell counting up from seed.
+// killed at every 2PC crash point on its side, one seed per cell counting
+// up from seed.
 func ShardCells(seed int64) []Cell {
 	var cells []Cell
 	for victim, name := range VictimNames {
-		for _, pt := range ShardCrashPoints {
+		for _, pt := range ShardCrashPoints[victim] {
 			opts := ShardDrillOpts{Seed: seed, Victim: victim, Point: pt}
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("victim=%s point=%s seed=%d", name, pt, seed),

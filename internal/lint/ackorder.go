@@ -22,8 +22,9 @@ type ackGate struct {
 // (OpAbort — presumed abort still forces the record that lets recovery
 // answer inquiries). The quorum gate covers the acks a leader failover
 // must not lose (DESIGN.md §14): with replication attached, local
-// durability is not commit durability, and a vote the coordinator counted
-// is as binding as a commit.
+// durability is not commit durability, a vote the coordinator counted is
+// as binding as a commit, and a coordinator's decision record is the only
+// commit record of its own updates.
 var ackGates = []ackGate{
 	{
 		ops:  map[string]bool{"OpPrepare": true, "OpCommit": true, "OpCommitDecision": true, "OpAbort": true},
@@ -35,7 +36,7 @@ var ackGates = []ackGate{
 		},
 	},
 	{
-		ops:    map[string]bool{"OpPrepare": true, "OpCommit": true},
+		ops:    map[string]bool{"OpPrepare": true, "OpCommit": true, "OpCommitDecision": true},
 		name:   "a WaitQuorum gate",
 		risk:   "the ack can outrun quorum durability and be lost on failover",
 		isGate: func(_ *Program, fn *types.Func) bool { return fn.Name() == "WaitQuorum" },
@@ -53,9 +54,9 @@ var walForceNames = map[string]bool{
 // AnalyzerAckOrder enforces gate-before-ack on the commit surface
 // (DESIGN.md §14, §16): a participant's prepare vote, a commit or abort
 // ack, and a coordinator's decision ack must be dominated by the WAL force
-// that makes the promised state durable, and a commit or vote ack also by
-// the replication quorum wait (WaitQuorum) — an ungated ack is a promise a
-// crash or a failover can revoke. For each gate the check runs one
+// that makes the promised state durable, and a commit, vote or decision ack
+// also by the replication quorum wait (WaitQuorum) — an ungated ack is a
+// promise a crash or a failover can revoke. For each gate the check runs one
 // must-analysis over the CFG: the fact is true at a point only if every
 // path reaching it passed the gate, a gate function wrapping it, or — in
 // dispatch clauses — a call to an obligated implementation; literal
@@ -74,7 +75,7 @@ var walForceNames = map[string]bool{
 func AnalyzerAckOrder() *Analyzer {
 	return &Analyzer{
 		Name: "ackorder",
-		Doc:  "2PC vote/ack paths must be dominated by the WAL force and (commit, vote) the quorum wait, and coordinator decision records must dominate participant forget",
+		Doc:  "2PC vote/ack paths must be dominated by the WAL force and (commit, vote, decision) the quorum wait, and coordinator decision records must dominate participant forget",
 		Run:  runAckOrder,
 	}
 }

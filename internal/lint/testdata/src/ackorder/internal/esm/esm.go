@@ -1,9 +1,9 @@
 // Package esm is the ackorder fixture: a 2PC dispatch whose acks must wait
 // behind two gates, the WAL force (every ack op) and the quorum wait
-// (commit and vote). It seeds an inline ack with neither gate, a decision
-// acked before its force, a vote with no quorum wait, a quorum wait behind
-// a nil-waiter guard, and a suppressed maintenance commit, beside clean
-// force- and quorum-dominated paths.
+// (commit, vote and decision). It seeds an inline ack with neither gate, a
+// decision acked before its force and its quorum wait, a vote with no
+// quorum wait, a quorum wait behind a nil-waiter guard, and a suppressed
+// maintenance commit, beside clean force- and quorum-dominated paths.
 package esm
 
 import "quickstore/internal/wal"
@@ -103,18 +103,21 @@ func (s *Server) prepare(req *Request) (wal.LSN, error) {
 	return lsn, nil
 }
 
-// decide acks one path before its force: a crash after that ack revokes
-// a decision the participants were told. Violation (WAL force). The
-// quorum gate does not cover OpCommitDecision.
+// decide acks one path before its force and its quorum wait: a crash or a
+// failover after that ack revokes a decision the participants were told.
+// Violation (both gates).
 func (s *Server) decide(req *Request) (wal.LSN, error) {
 	lsn, err := s.log.Append(nil)
 	if err != nil {
 		return 0, err
 	}
 	if req.Mode == 9 {
-		return lsn, nil // acked before the force below: violation
+		return lsn, nil // acked before the force and the wait below: violation
 	}
 	if err := s.log.FlushCommit(lsn); err != nil {
+		return 0, err
+	}
+	if err := s.repl.WaitQuorum(lsn); err != nil {
 		return 0, err
 	}
 	return lsn, nil

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ type opRecorder struct {
 func (r *opRecorder) Call(req *esm.Request) (*esm.Response, error) {
 	r.mu.Lock()
 	r.ops = append(r.ops, req.Op)
-	if req.Op == esm.OpLog || req.Op == esm.OpCommit || req.Op == esm.OpPrepare {
+	if req.Op == esm.OpLog || req.Op == esm.OpCommit || req.Op == esm.OpPrepare || req.Op == esm.OpCommitDecision {
 		pl, err := esm.ReadPayload(req.Data)
 		if err != nil {
 			r.mu.Unlock()
@@ -42,9 +43,11 @@ func (r *opRecorder) reset() {
 
 // TestCommitPayloadSplitsByShard: through a 2-shard router the commit
 // carries the last log batch too. A single-shard commit is Begin and Commit
-// on its shard, the commit carrying the shard's record; a cross-shard
-// commit sends no OpLog either, and each participant's prepare carries its
-// own shard's records, page ids made local.
+// on its shard, the commit carrying the shard's record. A cross-shard
+// commit sends no OpLog either: the coordinator gets Begin, then its
+// decision carrying its own records, then the forget; the participant gets
+// Begin, a prepare carrying its records, then the verdict. Page ids are
+// made local.
 func TestCommitPayloadSplitsByShard(t *testing.T) {
 	srvs, _ := newCluster(t, 2, Config{})
 	trs := transports(srvs)
@@ -83,17 +86,19 @@ func TestCommitPayloadSplitsByShard(t *testing.T) {
 	}
 
 	run(oid0, oid1)
-	for shard, oid := range []esm.OID{oid0, oid1} {
-		rec := recs[shard]
-		if slices.Contains(rec.ops, esm.OpLog) || !slices.Contains(rec.ops, esm.OpPrepare) {
-			t.Fatalf("cross-shard commit sent shard %d %v, want a prepare and no OpLog", shard, rec.ops)
-		}
-		if got := rec.records[esm.OpPrepare]; len(got) != 1 || got[0] != LocalPage(uint32(oid.Page)) {
-			t.Fatalf("shard %d's prepare carried records for pages %v, want [%d]", shard, got, LocalPage(uint32(oid.Page)))
+	for shard, want := range [][]esm.Op{
+		{esm.OpBegin, esm.OpCommitDecision, esm.OpResolveTx},
+		{esm.OpBegin, esm.OpPrepare, esm.OpCommitDecision},
+	} {
+		if got := recs[shard].ops; !slices.Equal(got, want) {
+			t.Fatalf("cross-shard commit sent shard %d %v, want %v", shard, got, want)
 		}
 	}
-	if calls := len(recs[0].ops) + len(recs[1].ops); calls != 7 {
-		t.Fatalf("cross-shard commit took %d shard calls (%v, %v), want 7", calls, recs[0].ops, recs[1].ops)
+	for shard, carrier := range []esm.Op{esm.OpCommitDecision, esm.OpPrepare} {
+		want := map[esm.Op][]uint32{carrier: {LocalPage(uint32([]esm.OID{oid0, oid1}[shard].Page))}}
+		if got := recs[shard].records; !maps.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("shard %d's records by op: %v, want %v", shard, got, want)
+		}
 	}
 	for shard, want := range []byte{0x50, 0x51} {
 		if got := readVal(t, trs, []esm.OID{oid0, oid1}[shard]); got != want {

@@ -70,7 +70,7 @@ type RouterStats struct {
 	CrossCommits  int64 // two-phase cross-shard commits
 	Prepares      int64 // participant prepares sent (phase 1)
 	Aborts        int64 // transaction aborts fanned out
-	PrepareFails  int64 // phase-1 failures (aborted everywhere)
+	PrepareFails  int64 // phase-1 failures and refused coordinator parts (aborted everywhere)
 	Unresolved    int64 // committed, but a participant missed its verdict
 	Forgets       int64 // decisions forgotten after full acknowledgement
 }
@@ -173,12 +173,14 @@ func (r *Router) localFor(t *routedTx, shard int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if resp.Err != "" {
-		return 0, fmt.Errorf("shard %d: begin: %s", shard, resp.Err)
+	id, refused := resp.N, resp.Err
+	resp.Release()
+	if refused != "" {
+		return 0, fmt.Errorf("shard %d: begin: %s", shard, refused)
 	}
-	t.local[shard] = resp.N
+	t.local[shard] = id
 	t.order = append(t.order, shard)
-	return resp.N, nil
+	return id, nil
 }
 
 // Call implements esm.Transport: the full per-op routing table.
@@ -244,6 +246,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 			if resp.Err != "" {
 				return resp, nil
 			}
+			resp.Release()
 		}
 		return &esm.Response{}, nil
 
@@ -334,15 +337,18 @@ func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
 	for shard, data := range parts {
 		reqs[shard] = &esm.Request{Op: esm.OpLog, Tx: locals[shard], Data: data}
 	}
-	if _, err := r.fanOut(reqs); err != nil {
+	resps, err := r.fanOut(reqs)
+	releaseAll(resps)
+	if err != nil {
 		return nil, err
 	}
 	return &esm.Response{}, nil
 }
 
 // fanOut sends reqs[shard] to every shard in reqs concurrently. It returns
-// the responses of the shards that answered without error, and the first
-// error, a remote one included.
+// the responses of the shards that answered without error, which the caller
+// releases, and the first error, a remote one included (its response is
+// released here).
 func (r *Router) fanOut(reqs map[int]*esm.Request) (map[int]*esm.Response, error) {
 	type result struct {
 		shard int
@@ -355,6 +361,8 @@ func (r *Router) fanOut(reqs map[int]*esm.Request) (map[int]*esm.Response, error
 			resp, err := r.call(shard, req)
 			if err == nil && resp.Err != "" {
 				err = fmt.Errorf("shard %d: %s", shard, resp.Err)
+				resp.Release()
+				resp = nil
 			}
 			results <- result{shard: shard, resp: resp, err: err}
 		}(shard, req)
@@ -514,9 +522,9 @@ func (r *Router) StampLSN(uint64, disk.PageID) uint64 { return 0 }
 
 // commit resolves a transaction: one-phase when a single shard was
 // touched, presumed-abort two-phase otherwise. The first-touched shard
-// coordinates: every participant prepares (votes durably), then the
-// coordinator's single decision record commits the transaction and the
-// verdict fans out. A participant that misses its verdict is left
+// coordinates: every other participant prepares (votes durably), then the
+// coordinator commits its own part under its single decision record and
+// the verdict fans out. A participant that misses its verdict is left
 // prepared — in doubt — for the resolver (ResolveAll / OpResolveTx).
 func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	defer func() {
@@ -549,43 +557,56 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	coord := participants[0]
 	coordLocal := locals[coord]
 
-	// Phase 1: prepare every participant concurrently. Any failure aborts
-	// the transaction everywhere — no decision record is ever written, so
-	// abort is the presumed outcome at every participant.
-	prepares := make(map[int]*esm.Request, len(participants))
-	for _, shard := range participants {
+	// Phase 1: prepare every participant but the coordinator, concurrently.
+	// Any failure aborts the transaction everywhere — no decision record is
+	// ever written, so abort is the presumed outcome at every participant.
+	prepares := make(map[int]*esm.Request, len(participants)-1)
+	for _, shard := range participants[1:] {
 		prepares[shard] = &esm.Request{Op: esm.OpPrepare, Tx: locals[shard], Page: uint32(coord), N: coordLocal, Data: parts[shard]}
 	}
-	prepares[coord].Mode = esm.PrepareModeCoord
-	r.stats.prepares.Add(int64(len(participants)))
-	if _, prepareErr := r.fanOut(prepares); prepareErr != nil {
+	r.stats.prepares.Add(int64(len(prepares)))
+	votes, prepareErr := r.fanOut(prepares)
+	releaseAll(votes)
+	if prepareErr != nil {
 		r.stats.prepareFails.Add(1)
-		for _, shard := range participants {
-			_, _ = r.call(shard, &esm.Request{Op: esm.OpAbort, Tx: locals[shard]})
-		}
+		_ = r.abortAll(participants, locals)
 		return nil, fmt.Errorf("shard: prepare failed, transaction aborted: %w", prepareErr)
 	}
 
-	// Phase 2, decision point: the coordinator's RecDecision is the
-	// transaction's one durable commit record. Until it is forced the
-	// whole transaction can still abort; after it, the outcome is commit
-	// no matter who crashes.
+	// Phase 2, decision point: the coordinator applies its own part and
+	// appends its RecDecision, the transaction's one durable commit record.
+	// Until it is forced the whole transaction can still abort; after it,
+	// the outcome is commit no matter who crashes.
 	resp, err := r.call(coord, &esm.Request{
 		Op:   esm.OpCommitDecision,
 		Tx:   coordLocal,
 		Mode: esm.DecisionCommit | esm.DecisionCoord,
+		Data: parts[coord],
 	})
-	if err == nil && resp.Err != "" {
-		err = fmt.Errorf("shard %d: %s", coord, resp.Err)
-	}
 	if err != nil {
 		// The decision may or may not have been logged: the transaction is
 		// in doubt from this session's point of view. Participants stay
 		// prepared; the resolver settles them against the coordinator's
-		// log once it is back.
+		// log once it is back. Inquiring now would race a decision that may
+		// still be being appended.
 		return nil, fmt.Errorf("shard: commit outcome in doubt (coordinator decision failed): %w", err)
 	}
-	decisionLSN := resp.N
+	decisionLSN, refused := resp.N, resp.Err
+	resp.Release()
+	if refused != "" {
+		// The coordinator finished with the request and refused it. If it
+		// appended no decision record (its part was refused, say), the
+		// transaction ends here, everywhere: no participant is left
+		// prepared. Otherwise the decision is logged and only its ack was
+		// lost: in doubt, as above.
+		err := fmt.Errorf("shard %d: %s", coord, refused)
+		if !r.decisionAbsent(coord, coordLocal) {
+			return nil, fmt.Errorf("shard: commit outcome in doubt (coordinator decision failed): %w", err)
+		}
+		r.stats.prepareFails.Add(1)
+		_ = r.abortAll(participants, locals)
+		return nil, fmt.Errorf("shard: coordinator refused its part, transaction aborted: %w", err)
+	}
 
 	// Phase 2, fan-out: deliver the verdict to the other participants.
 	verdicts := make(map[int]*esm.Request, len(participants)-1)
@@ -594,6 +615,7 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	}
 	acks, _ := r.fanOut(verdicts)
 	missed := len(verdicts) - len(acks)
+	releaseAll(acks)
 	r.stats.crossCommits.Add(1)
 	if missed > 0 {
 		// Still a successful commit — the decision is durable. The missed
@@ -606,10 +628,24 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	// forget the decision (and unpin its checkpoint cut). Best-effort — a
 	// lost forget only delays truncation until the sweep resolver's next
 	// round.
-	if _, ferr := r.call(coord, &esm.Request{Op: esm.OpResolveTx, Tx: coordLocal, Mode: esm.ResolveModeForget}); ferr == nil {
+	if fresp, ferr := r.call(coord, &esm.Request{Op: esm.OpResolveTx, Tx: coordLocal, Mode: esm.ResolveModeForget}); ferr == nil {
+		fresp.Release()
 		r.stats.forgets.Add(1)
 	}
 	return &esm.Response{N: decisionLSN}, nil
+}
+
+// decisionAbsent asks coordinator shard coord whether it appended a
+// decision record for its transaction tx. Only a clean pending or aborted
+// answer says it did not; a committed answer, or an inquiry that fails,
+// leaves the outcome open.
+func (r *Router) decisionAbsent(coord int, tx uint64) bool {
+	resp, err := r.call(coord, &esm.Request{Op: esm.OpResolveTx, Tx: tx, Mode: esm.ResolveModeInquire})
+	if err != nil {
+		return false
+	}
+	defer resp.Release()
+	return resp.Err == "" && (resp.N == esm.ResolvePending || resp.N == esm.ResolveAborted)
 }
 
 // abort rolls the transaction back on every touched shard, concurrently.
@@ -625,14 +661,22 @@ func (r *Router) abort(gid uint64) (*esm.Response, error) {
 	}()
 	participants, locals := t.footprint()
 	r.stats.aborts.Add(1)
+	if err := r.abortAll(participants, locals); err != nil {
+		return nil, err
+	}
+	return &esm.Response{}, nil
+}
+
+// abortAll sends OpAbort to every shard in participants, concurrently, and
+// returns the first error.
+func (r *Router) abortAll(participants []int, locals map[int]uint64) error {
 	aborts := make(map[int]*esm.Request, len(participants))
 	for _, shard := range participants {
 		aborts[shard] = &esm.Request{Op: esm.OpAbort, Tx: locals[shard]}
 	}
-	if _, err := r.fanOut(aborts); err != nil {
-		return nil, err
-	}
-	return &esm.Response{}, nil
+	resps, err := r.fanOut(aborts)
+	releaseAll(resps)
+	return err
 }
 
 // aggregateStats sums the per-shard ServerStats into one cluster view.
@@ -653,7 +697,9 @@ func (r *Router) aggregateStats(req *esm.Request) (*esm.Response, error) {
 			return resp, nil
 		}
 		var st esm.ServerStats
-		if err := json.Unmarshal(resp.Data, &st); err != nil {
+		err = json.Unmarshal(resp.Data, &st)
+		resp.Release()
+		if err != nil {
 			return nil, fmt.Errorf("shard %d: stats: %w", shard, err)
 		}
 		agg.BufferPages += st.BufferPages

@@ -223,8 +223,8 @@ func TestCrossShardCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if st.CrossCommits != 1 || st.Prepares != 2 || st.SingleCommits != 0 {
-		t.Fatalf("stats = %+v, want one two-participant cross commit", st)
+	if st.CrossCommits != 1 || st.Prepares != 1 || st.SingleCommits != 0 {
+		t.Fatalf("stats = %+v, want one two-participant cross commit, the participant alone prepared", st)
 	}
 	if st.Forgets != 1 || st.Unresolved != 0 {
 		t.Fatalf("stats = %+v, want the decision forgotten in-line", st)
@@ -325,9 +325,10 @@ func TestStatsAggregate(t *testing.T) {
 }
 
 // prepareInDoubt hand-runs phase 1 of a cross-shard commit so the
-// participant is left prepared: coordinator tx on shard 0, participant tx
-// on shard 1 updating the given page, both prepared. Returns the two
-// local tx ids.
+// participant is left prepared: coordinator tx on shard 0, live and
+// unprepared (a coordinator never prepares), participant tx on shard 1
+// updating the given page, prepared; decide then commits the coordinator
+// under its decision record. Returns the two local tx ids.
 func prepareInDoubt(t *testing.T, trs []esm.Transport, pid uint32, off uint16, old, nw []byte, decide bool) (coordTx, partTx uint64) {
 	t.Helper()
 	call := func(shard int, req *esm.Request) *esm.Response {
@@ -349,7 +350,6 @@ func prepareInDoubt(t *testing.T, trs []esm.Transport, pid uint32, off uint16, o
 	call(1, &esm.Request{Op: esm.OpLog, Tx: partTx, Data: batch})
 
 	call(1, &esm.Request{Op: esm.OpPrepare, Tx: partTx, Page: 0, N: coordTx, Data: nil})
-	call(0, &esm.Request{Op: esm.OpPrepare, Tx: coordTx, Page: 0, N: coordTx, Mode: esm.PrepareModeCoord})
 	if decide {
 		call(0, &esm.Request{Op: esm.OpCommitDecision, Tx: coordTx, Mode: esm.DecisionCommit | esm.DecisionCoord})
 	}
@@ -479,13 +479,14 @@ func TestResolveSweepPresumesAbort(t *testing.T) {
 	nw := bytes.Repeat([]byte{0x77}, 8)
 	prepareInDoubt(t, trs, local, uint16(off), old, nw, false)
 
-	// Both sides crash before any decision: the coordinator's prepared
-	// transaction dies (presumed abort), the participant restarts in doubt.
+	// Both sides crash before any decision: the coordinator's transaction
+	// dies an ordinary loser (presumed abort), the participant restarts in
+	// doubt.
 	srvs[0] = reopen(t, vols[0], logs[0], esm.ServerConfig{})
 	srvs[1] = reopen(t, vols[1], logs[1], esm.ServerConfig{})
 	trs = transports(srvs)
 	if srvs[0].InDoubtCount() != 0 {
-		t.Fatal("coordinator held its own prepare in doubt; it must presume abort")
+		t.Fatal("coordinator held its own transaction in doubt; it must presume abort")
 	}
 	if srvs[1].InDoubtCount() != 1 {
 		t.Fatalf("participant in-doubt = %d, want 1", srvs[1].InDoubtCount())
@@ -767,12 +768,13 @@ func runConcurrentSessions(t *testing.T, n int) (st RouterStats, leftover int) {
 
 // TestConcurrentSessionsCrossShardCounts: concurrent sessions on two shards
 // commit every 3rd transaction through presumed-abort 2PC — one cross
-// commit and two prepares each — and everything else one-phase, leaving no
-// 2PC state behind. The same workload on a one-shard map prepares nothing.
+// commit and one prepare each, the participant's — and everything else
+// one-phase, leaving no 2PC state behind. The same workload on a one-shard
+// map prepares nothing.
 func TestConcurrentSessionsCrossShardCounts(t *testing.T) {
 	st, leftover := runConcurrentSessions(t, 2)
-	if st.CrossCommits != 16 || st.Prepares != 32 || st.SingleCommits != 32 {
-		t.Errorf("2 shards: %d cross commits, %d prepares, %d single commits; want 16, 32, 32",
+	if st.CrossCommits != 16 || st.Prepares != 16 || st.SingleCommits != 32 {
+		t.Errorf("2 shards: %d cross commits, %d prepares, %d single commits; want 16, 16, 32",
 			st.CrossCommits, st.Prepares, st.SingleCommits)
 	}
 	if leftover != 0 || st.Unresolved != 0 {

@@ -42,8 +42,9 @@ const (
 	RecCheckpoint // reserved: nothing writes it, but the numbers after it are on disk
 	// RecPrepare marks a transaction prepared as a 2PC participant: its
 	// updates are durable and its locks held, but the outcome belongs to
-	// the coordinator. Page carries the coordinator's shard id, New the
-	// coordinator-local transaction id, and Off the PrepareCoord flag.
+	// the coordinator. Page carries the coordinator's shard id and New the
+	// coordinator-local transaction id. Off is 0 (PrepareCoord in older
+	// logs).
 	RecPrepare
 	// RecDecision is the coordinator's commit verdict for a cross-shard
 	// transaction. It doubles as the coordinator's own commit record —
@@ -56,11 +57,11 @@ const (
 	RecCatalog
 )
 
-// PrepareCoord, set in a RecPrepare's Off field, marks the prepare written
-// by the coordinator itself. A restarted coordinator finding such a prepare
-// without a matching RecDecision presumes abort immediately (it is the one
-// shard that would know better); participants instead hold the transaction
-// in doubt until an OpResolveTx inquiry settles it.
+// PrepareCoord, set in a RecPrepare's Off field, marks a prepare written by
+// the coordinator itself. Coordinators no longer prepare (their part rides
+// the RecDecision), so nothing writes it; Recover still reads it, so that a
+// log written when they did recovers as it did: such a prepare without a
+// matching RecDecision is presumed aborted, an ordinary loser.
 const PrepareCoord uint16 = 1
 
 // String names the record type.
@@ -682,10 +683,10 @@ type Recovery struct {
 // It returns the sets of committed and rolled-back transaction ids, plus
 // the in-doubt set: transactions prepared as 2PC participants whose
 // coordinator decision is unknown. Those are redone like winners but left
-// unresolved — no RecAbort is appended for them. A prepare carrying the
-// PrepareCoord flag with no RecDecision is presumed aborted (normal loser):
-// the decision record lives on the coordinator's own log, so its absence
-// there IS the verdict. The same pass finds the page server's restart
+// unresolved — no RecAbort is appended for them. A coordinator's own
+// transaction with no RecDecision is an ordinary loser: the decision record
+// lives on the coordinator's own log, so its absence there IS the verdict.
+// The same pass finds the page server's restart
 // state (Recovery.Catalog, NextTx, Decisions), so no caller reads the log
 // again. pageSize is the store's page size in bytes (callers pass
 // disk.PageSize; wal cannot import disk without a cycle).
@@ -742,9 +743,10 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 	if err != nil {
 		return nil, err
 	}
-	// In-doubt analysis: a prepared loser written by a participant stays in
-	// doubt; a prepared loser written by the coordinator itself (PrepareCoord)
-	// is presumed aborted — the missing decision record is the answer.
+	// In-doubt analysis: a prepared loser stays in doubt. A coordinator
+	// never prepares; the PrepareCoord rule reads logs from when it did, in
+	// which its own prepared loser is presumed aborted — the missing
+	// decision record is the answer.
 	for tx, p := range prepares {
 		if !losers[tx] || p.Off&PrepareCoord != 0 {
 			continue

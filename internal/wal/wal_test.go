@@ -270,9 +270,11 @@ func TestRecoverInDoubtParticipant(t *testing.T) {
 	})
 }
 
-// The coordinator's own prepare without a decision record is presumed
+// A coordinator's transaction without a decision record is presumed
 // aborted at restart: it is a normal loser, undone with CLRs. A decision
-// record, conversely, commits the transaction outright.
+// record, conversely, commits the transaction outright. Coordinators no
+// longer prepare (txs 7 and 8); a log from when they did (txs 5 and 6, the
+// prepare flagged PrepareCoord) recovers the same way.
 func TestRecoverCoordinatorPresumesAbort(t *testing.T) {
 	l := NewMemLog()
 	store := newMemStore()
@@ -288,6 +290,15 @@ func TestRecoverCoordinatorPresumesAbort(t *testing.T) {
 	l.Append(Record{Tx: 6, Type: RecUpdate, Page: 8, Off: 20, Old: []byte{0}, New: []byte{6}})
 	l.Append(Record{Tx: 6, Type: RecPrepare, Page: 0, Off: PrepareCoord})
 	l.Append(Record{Tx: 6, Type: RecDecision})
+	// Tx 7: the coordinator's part, crash before its decision -> abort.
+	l.Append(Record{Tx: 7, Type: RecBegin})
+	lsn = l.Append(Record{Tx: 7, Type: RecUpdate, Page: 7, Off: 30, Old: []byte{2}, New: []byte{7}})
+	setLSN(p, uint64(lsn))
+	p[30] = 7
+	// Tx 8: the coordinator's part, then its decision -> winner.
+	l.Append(Record{Tx: 8, Type: RecBegin})
+	l.Append(Record{Tx: 8, Type: RecUpdate, Page: 8, Off: 40, Old: []byte{0}, New: []byte{8}})
+	l.Append(Record{Tx: 8, Type: RecDecision})
 	got, err := Recover(l, store, 8192, lsnOf, setLSN)
 	if err != nil {
 		t.Fatal(err)
@@ -296,14 +307,17 @@ func TestRecoverCoordinatorPresumesAbort(t *testing.T) {
 	if len(indoubt) != 0 {
 		t.Fatalf("coordinator prepares held in doubt: %v", indoubt)
 	}
-	if !losers[5] || !winners[6] {
+	if !losers[5] || !winners[6] || !losers[7] || !winners[8] {
 		t.Fatalf("winners=%v losers=%v", winners, losers)
 	}
-	if store.page(7)[10] != 1 {
-		t.Fatalf("presumed-abort undo missing: %d", store.page(7)[10])
+	if store.page(7)[10] != 1 || store.page(7)[30] != 2 {
+		t.Fatalf("presumed-abort undo missing: %d, %d", store.page(7)[10], store.page(7)[30])
 	}
-	if store.page(8)[20] != 6 {
-		t.Fatalf("decision redo missing: %d", store.page(8)[20])
+	if store.page(8)[20] != 6 || store.page(8)[40] != 8 {
+		t.Fatalf("decision redo missing: %d, %d", store.page(8)[20], store.page(8)[40])
+	}
+	if _, ok := got.Decisions[8]; !ok {
+		t.Fatalf("decisions = %v, want tx 8's", got.Decisions)
 	}
 }
 
