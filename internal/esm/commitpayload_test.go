@@ -194,6 +194,146 @@ func TestCommitPayloadPoisonAppendsNothing(t *testing.T) {
 	}
 }
 
+// TestBeginningCommitLeavesNothingBehind: an OpCommit with Tx TxBegin
+// begins the transaction it ends, and no later request can name that
+// transaction. A poison payload is refused before it exists: nothing is
+// appended or forced. A commit refused after its payload was applied (a
+// fault at PtCommitAfterInstall) is aborted before the answer: no
+// transaction-table entry is left, the page is undone and a checkpoint cuts
+// the log past its records. One refused after its commit record (a fault
+// at PtCohAfterBump or PtCommitBeforeFlush) keeps its outcome, the log's:
+// it is retired, not undone, so its records stay RecBegin, RecUpdate and
+// RecCommit, no entry is left and a checkpoint cuts past it. A success is
+// RecBegin, the records and RecCommit, under one force.
+func TestBeginningCommitLeavesNothingBehind(t *testing.T) {
+	plane := faultinject.New(1)
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64, Fault: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := srv.Volume().Allocate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.txs)
+	}
+	// lastTx is the id the newest begin handed out, and its records' types
+	// in log order.
+	lastTx := func() (uint64, []wal.RecType) {
+		srv.mu.Lock()
+		tx := srv.cat.NextTx - 1
+		srv.mu.Unlock()
+		var types []wal.RecType
+		if err := srv.log.Iterate(func(r wal.Record) bool {
+			if r.Tx == tx {
+				types = append(types, r.Type)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return tx, types
+	}
+	zero := make([]byte, disk.PageSize)
+
+	for name, data := range poisonBatches(uint32(pid)) {
+		records, forces := srv.log.Records(), srv.log.Forces()
+		if resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin, Data: data}); resp.Err == "" {
+			t.Fatalf("%s: accepted", name)
+		}
+		if got := srv.log.Records(); got != records {
+			t.Fatalf("%s: %d records appended by a rejected payload", name, got-records)
+		}
+		if srv.log.Forces() != forces || live() != 0 || !bytes.Equal(poolImage(t, srv, pid), zero) {
+			t.Fatalf("%s: a rejected payload forced the log, left %d transactions or changed page %d", name, live(), pid)
+		}
+	}
+
+	good := logBatch(wal.Record{Page: uint32(pid), Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}})
+	plane.ArmTransient(faultinject.PtCommitAfterInstall, 1)
+	if resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin, Data: good}); resp.Err == "" {
+		t.Fatal("a commit through a transient fault was accepted")
+	}
+	if plane.Hits(faultinject.PtCommitAfterInstall) != 1 {
+		t.Fatal("setup: the refused commit never reached PtCommitAfterInstall")
+	}
+	refused, types := lastTx()
+	if want := []wal.RecType{wal.RecBegin, wal.RecUpdate, wal.RecCLR, wal.RecAbort}; !slices.Equal(types, want) {
+		t.Fatalf("refused tx %d logged %v, want %v", refused, types, want)
+	}
+	if n := live(); n != 0 {
+		t.Fatalf("a refused beginning commit left %d transactions in the table", n)
+	}
+	if !bytes.Equal(poolImage(t, srv, pid)[8:], zero[8:]) { // past the page LSN
+		t.Fatal("a refused beginning commit left its update on the page")
+	}
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, types := lastTx(); len(types) != 0 {
+		t.Fatalf("a checkpoint kept the refused tx's records %v: something pins the cut", types)
+	}
+
+	// Refused after its commit record (before the force, or inside the
+	// force's path): the outcome is the log's, so the transaction is
+	// retired, never undone under a CLR and an abort record behind its
+	// commit record.
+	for i, point := range []faultinject.Point{faultinject.PtCohAfterBump, faultinject.PtCommitBeforeFlush} {
+		off, val := uint16(80+2*i), []byte{3, byte(4 + i)}
+		plane.ArmTransient(point, 1)
+		if resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin,
+			Data: logBatch(wal.Record{Page: uint32(pid), Off: off, Old: []byte{0, 0}, New: val})}); resp.Err == "" {
+			t.Fatalf("%v: a commit through a transient fault was accepted", point)
+		}
+		if plane.Hits(point) != 1 {
+			t.Fatalf("%v: setup: the refused commit never reached the point", point)
+		}
+		tx, types := lastTx()
+		if want := []wal.RecType{wal.RecBegin, wal.RecUpdate, wal.RecCommit}; !slices.Equal(types, want) {
+			t.Fatalf("%v: tx %d refused after its commit record logged %v, want %v", point, tx, types, want)
+		}
+		if n := live(); n != 0 {
+			t.Fatalf("%v: a commit refused after its commit record left %d transactions in the table", point, n)
+		}
+		if img := poolImage(t, srv, pid); !bytes.Equal(img[off:off+2], val) {
+			t.Fatalf("%v: page bytes %v after the commit record, want %v", point, img[off:off+2], val)
+		}
+		// A checkpoint cuts no further than the durable log end it starts
+		// from, and the refused commit was never forced.
+		if err := srv.log.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if _, types := lastTx(); len(types) != 0 {
+			t.Fatalf("%v: a checkpoint kept tx %d's records %v: something pins the cut", point, tx, types)
+		}
+	}
+
+	forces := srv.log.Forces()
+	resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin, Data: good})
+	if resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	tx, types := lastTx()
+	if want := []wal.RecType{wal.RecBegin, wal.RecUpdate, wal.RecCommit}; tx == refused || !slices.Equal(types, want) {
+		t.Fatalf("tx %d logged %v, want a new tx logging %v", tx, types, want)
+	}
+	if _, commit := recordsOf(t, srv.log, tx, wal.RecCommit); resp.N != uint64(commit) {
+		t.Fatalf("the commit answered LSN %d, its commit record is at %d", resp.N, commit)
+	}
+	if n := srv.log.Forces() - forces; n != 1 {
+		t.Fatalf("a beginning commit forced the log %d times, want 1", n)
+	}
+	if live() != 0 || !bytes.Equal(poolImage(t, srv, pid)[64:66], []byte{1, 2}) {
+		t.Fatalf("after the commit: %d transactions live, page bytes %v", live(), poolImage(t, srv, pid)[64:66])
+	}
+}
+
 // TestCommitStampsInstalledPagesOverTheirRecords: one commit carries a
 // record and an Unlogged whole image of the same page. The server stamps
 // the image at install time, after it redid the record, so the page LSN

@@ -214,6 +214,55 @@ func TestCoordinatorDecisionShapes(t *testing.T) {
 	}
 }
 
+// TestPreparedTxAcceptsOnlyItsVerdict: a prepared participant has voted,
+// and only its coordinator's verdict may end it. An OpCommit, an OpLog or a
+// second OpPrepare, with a payload or without, is refused, appends nothing
+// and leaves the transaction in doubt with its page as the prepare left it.
+// The verdict is then taken: a commit decision on one transaction, an
+// abort on another.
+func TestPreparedTxAcceptsOnlyItsVerdict(t *testing.T) {
+	srv, pid := logBatchServer(t, 1)
+	for i, verdict := range []Request{{Op: OpCommitDecision, Mode: DecisionCommit}, {Op: OpAbort}} {
+		off := uint16(100 + i)
+		voted := logBatch(wal.Record{Page: uint32(pid), Off: off, Old: []byte{0}, New: []byte{1}})
+		more := logBatch(wal.Record{Page: uint32(pid), Off: 200, Old: []byte{0}, New: []byte{2}})
+		tx := beginTx(t, srv)
+		if r := srv.Handle(&Request{Op: OpPrepare, Tx: tx, Page: 1, N: 77, Data: voted}); r.Err != "" {
+			t.Fatal(r.Err)
+		}
+		for _, req := range []Request{
+			{Op: OpCommit, Tx: tx},
+			{Op: OpCommit, Tx: tx, Data: more},
+			{Op: OpLog, Tx: tx},
+			{Op: OpLog, Tx: tx, Data: more},
+			{Op: OpPrepare, Tx: tx, Page: 1, N: 77},
+			{Op: OpPrepare, Tx: tx, Page: 1, N: 77, Data: more},
+		} {
+			records := srv.Log().Records()
+			if r := srv.Handle(&req); r.Err == "" {
+				t.Fatalf("%v of prepared tx %d (%d payload bytes) accepted", req.Op, tx, len(req.Data))
+			}
+			if n := srv.Log().Records() - records; n != 0 {
+				t.Fatalf("%v of prepared tx %d: refused, yet %d records appended", req.Op, tx, n)
+			}
+			if img := poolImage(t, srv, pid); srv.InDoubtCount() != 1 || img[off] != 1 || img[200] != 0 {
+				t.Fatalf("%v of prepared tx %d: %d in doubt, page bytes %d and %d; want 1, 1 and 0", req.Op, tx, srv.InDoubtCount(), img[off], img[200])
+			}
+		}
+		verdict.Tx = tx
+		if r := srv.Handle(&verdict); r.Err != "" {
+			t.Fatalf("verdict %v: %s", verdict.Op, r.Err)
+		}
+		committed := verdict.Op == OpCommitDecision
+		if n, _ := recordsOf(t, srv.Log(), tx, wal.RecCommit); srv.InDoubtCount() != 0 || (n == 1) != committed {
+			t.Fatalf("after verdict %v: %d in doubt, %d commit records", verdict.Op, srv.InDoubtCount(), n)
+		}
+		if img := poolImage(t, srv, pid); (img[off] == 1) != committed {
+			t.Fatalf("after verdict %v: the voted byte is %d", verdict.Op, img[off])
+		}
+	}
+}
+
 // OpSetRoot carries exactly one OID. A payload of any other length from
 // the wire is refused and leaves the root as it was, rather than setting
 // it to the nil OID (short) or to a prefix of the bytes (long).

@@ -26,7 +26,12 @@ const (
 	// §18, "Change feed").
 	OpBegin Op = iota + 1
 	// OpCommit commits the transaction; Data is its last commit payload
-	// (ReadPayload), the response's N the commit LSN.
+	// (ReadPayload), the response's N the commit LSN. With Tx TxBegin the
+	// commit begins the transaction it ends, in the same request: the
+	// payload is checked, then the transaction begins and commits. A
+	// refused one is ended before the answer, so nothing of it is left
+	// behind (the shard router's commit on a shard the transaction has not
+	// begun on).
 	OpCommit
 	OpAbort
 	// OpReadPage and OpWritePage are reserved: page reads are OpReadPages,
@@ -105,6 +110,10 @@ const (
 	// OpReadPages with ReadCheck.
 	OpValidatePages
 )
+
+// TxBegin is the transaction id of an OpCommit that begins its own
+// transaction. No server hands it out: ids count up from 1.
+const TxBegin = ^uint64(0)
 
 // String names the operation for diagnostics.
 func (o Op) String() string {

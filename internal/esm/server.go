@@ -600,22 +600,16 @@ func (s *Server) Handle(req *Request) *Response {
 func (s *Server) handle(req *Request) (*Response, error) {
 	if s.fault.Crashed() {
 		// An armed crash fired: the process is dead until the drill
-		// restarts it. Every request fails, including ones whose own
-		// path carries no instrumented point.
-		return nil, faultinject.ErrCrash
+		// restarts it. Every request fails unrun, including ones whose
+		// own path carries no instrumented point.
+		return nil, faultinject.ErrDown
 	}
 	switch req.Op {
 	case OpBegin:
 		if len(req.Data) != 0 && len(req.Data) != HorizonBytes {
 			return nil, fmt.Errorf("esm: begin horizon of %d bytes, want %d", len(req.Data), HorizonBytes)
 		}
-		s.mu.Lock()
-		tx := s.cat.NextTx
-		s.cat.NextTx++
-		first := s.log.Append(wal.Record{Tx: tx, Type: wal.RecBegin})
-		s.txs[tx] = txState{first: first, last: first}
-		s.mu.Unlock()
-		return s.beginFeed(tx, req.Data), nil
+		return s.beginFeed(s.beginTx(), req.Data), nil
 
 	case OpReadPages:
 		return s.readPages(req)
@@ -628,7 +622,13 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return &Response{N: uint64(lsn)}, nil
 
 	case OpCommit:
-		lsn, err := s.commit(req.Tx, req.Data, wal.RecCommit)
+		var lsn wal.LSN
+		var err error
+		if req.Tx == TxBegin {
+			lsn, err = s.commitBegun(req.Data)
+		} else {
+			lsn, err = s.commit(req.Tx, req.Data, wal.RecCommit)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -801,6 +801,20 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return s.resolveTx(req)
 	}
 	return nil, fmt.Errorf("esm: unknown op %v", req.Op)
+}
+
+// beginTx opens a transaction: the next id, its RecBegin (the head of its
+// record chain) and its transaction-table entry, whose first LSN pins the
+// checkpoint cut while it lives. OpBegin and a beginning OpCommit
+// (commitBegun) share it.
+func (s *Server) beginTx() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tx := s.cat.NextTx
+	s.cat.NextTx++
+	first := s.log.Append(wal.Record{Tx: tx, Type: wal.RecBegin})
+	s.txs[tx] = txState{first: first, last: first}
+	return tx
 }
 
 // beginFeed builds the response to an OpBegin for tx. A request without a
@@ -1301,8 +1315,10 @@ func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (buffer.PageRef, error) 
 }
 
 // applyPayload is the one decode-and-apply step of OpLog, OpCommit and
-// OpPrepare. It checks the whole payload (ReadPayload) and that tx is active
-// before it appends anything. Then it appends and redoes each record onto
+// OpPrepare. It checks the whole payload (ReadPayload), that tx is active
+// and that it is not prepared before it appends anything: a prepared
+// participant takes only its verdict (OpCommitDecision, OpAbort), never
+// more updates or a commit of its own. Then it appends and redoes each record onto
 // the server's own page, as restart recovery would (one content latch and
 // one page LSN per record, the frame left dirty), and last installs the
 // whole pages, whose stamps then cover those records. It returns tx's last
@@ -1317,6 +1333,9 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 	s.mu.Unlock()
 	if !active {
 		return 0, fmt.Errorf("esm: payload for unknown tx %d", tx)
+	}
+	if e.prep != nil {
+		return 0, fmt.Errorf("esm: payload for prepared tx %d: it awaits its coordinator's verdict", tx)
 	}
 	last := e.last
 	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
@@ -1357,7 +1376,9 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 // roots, counters) made on this server before the end record was appended
 // are durable with the transaction. The commit LSN is returned so the ack
 // can carry it to the session (read-your-writes floor for later snapshot
-// begins).
+// begins). With an error, the LSN returned is the end record's once that
+// was appended (the outcome is then the log's, in doubt to the client) and
+// 0 while the transaction is still open.
 func (s *Server) commit(tx uint64, data []byte, rtype wal.RecType) (wal.LSN, error) {
 	if _, err := s.applyPayload(tx, data); err != nil {
 		return 0, err
@@ -1369,12 +1390,39 @@ func (s *Server) commit(tx uint64, data []byte, rtype wal.RecType) (wal.LSN, err
 	lsn := s.commitLocked(tx, rtype)
 	s.mu.Unlock()
 	if err := s.fault.Hit(faultinject.PtCohAfterBump); err != nil {
-		return 0, err
+		return lsn, err
 	}
 	if err := s.endCommit(tx, lsn, rtype == wal.RecDecision); err != nil {
-		return 0, err
+		return lsn, err
 	}
 	return lsn, nil
+}
+
+// commitBegun is the one-phase commit of a transaction its own request
+// begins (OpCommit with Tx TxBegin). The payload is checked before the
+// transaction exists, so a malformed one appends nothing; then beginTx and
+// commit run as for any commit. No later request can name the transaction,
+// so a refused commit ends it before the answer: while it is open it is
+// aborted, which undoes what the payload applied; once its commit record
+// is appended the outcome is the log's, as for any commit whose force or
+// quorum wait failed, and its entry is only retired. A crashed server does
+// neither: its restart reads the log.
+func (s *Server) commitBegun(data []byte) (wal.LSN, error) {
+	if _, err := ReadPayload(data); err != nil {
+		return 0, err
+	}
+	tx := s.beginTx()
+	lsn, err := s.commit(tx, data, wal.RecCommit)
+	switch {
+	case err == nil || s.fault.Crashed():
+	case lsn != 0:
+		s.retire(tx)
+	default:
+		if aerr := s.abort(tx); aerr != nil {
+			err = errors.Join(err, fmt.Errorf("esm: ending the refused tx %d: %w", tx, aerr))
+		}
+	}
+	return lsn, err
 }
 
 // endCommit is the durability tail of every commit: it forces the log

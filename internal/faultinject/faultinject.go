@@ -36,12 +36,23 @@ import (
 var (
 	ErrCrash     = errors.New("faultinject: crash injected")
 	ErrTransient = errors.New("faultinject: transient I/O error")
+	// ErrDown is a crashed process's answer to a request it refused before
+	// running any of it (the crashed latch of esm.Server and repl.Node).
+	// It is a crash (IsCrash); IsDown tells it from a crash that fired
+	// inside a request, which may have run part of it.
+	ErrDown = fmt.Errorf("%w: process down, request not run", ErrCrash)
 )
 
 // IsCrash reports whether err is (or carries, possibly as a remote error
 // string) an injected crash.
 func IsCrash(err error) bool {
 	return err != nil && (errors.Is(err, ErrCrash) || strings.Contains(err.Error(), ErrCrash.Error()))
+}
+
+// IsDown reports whether err is (or carries) a crashed process's refusal of
+// a request it never ran.
+func IsDown(err error) bool {
+	return err != nil && (errors.Is(err, ErrDown) || strings.Contains(err.Error(), ErrDown.Error()))
 }
 
 // IsTransient reports whether err is (or carries) an injected transient

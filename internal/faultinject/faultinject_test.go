@@ -59,7 +59,13 @@ func TestClassifiersMatchRemoteStrings(t *testing.T) {
 	if !IsCrash(remoteCrash) {
 		t.Fatal("crash not recognized through a string round trip")
 	}
-	if IsTransient(nil) || IsCrash(nil) {
+	if remoteDown := errors.New("esm server: " + ErrDown.Error()); !IsDown(remoteDown) || !IsCrash(remoteDown) {
+		t.Fatal("a refusal unrun not recognized as down and a crash through a string round trip")
+	}
+	if fired := fmt.Errorf("%w (point %s)", ErrCrash, PtCommitAfterFlush); IsDown(fired) || IsDown(ErrCrash) {
+		t.Fatal("a crash that fired inside a request classified as a refusal unrun")
+	}
+	if IsTransient(nil) || IsCrash(nil) || IsDown(nil) {
 		t.Fatal("nil misclassified")
 	}
 	if IsTransient(errors.New("disk: page id out of range")) {

@@ -156,11 +156,15 @@ func (d *Director) Call(req *esm.Request) (*esm.Response, error) {
 			continue
 		}
 		if resp.Err != "" && faultinject.IsCrash(errors.New(resp.Err)) {
-			// A crashed node's latch refuses requests before executing
-			// them, so failing over a session-opening Begin is safe; any
-			// other non-idempotent op may have been the one the crash
-			// interrupted mid-flight — surface it as in doubt.
-			if req.Op == esm.OpBegin || esm.RetryableOp(req.Op) {
+			// Failing over a session-opening Begin is safe: at worst the
+			// dead node holds an id nobody uses. So is failing over a
+			// commit that begins its own transaction (esm.TxBegin) once
+			// the crashed node's latch refused it unrun (IsDown): nothing
+			// of it exists anywhere. Any other non-idempotent op, and a
+			// beginning commit the crash interrupted mid-flight, may have
+			// run — surface it as in doubt.
+			unrunBegin := req.Op == esm.OpCommit && req.Tx == esm.TxBegin && faultinject.IsDown(errors.New(resp.Err))
+			if req.Op == esm.OpBegin || esm.RetryableOp(req.Op) || unrunBegin {
 				lastErr = errors.New(resp.Err)
 				d.advance(idx)
 				continue

@@ -287,7 +287,7 @@ func (n *Node) Handle(req *esm.Request) *esm.Response {
 	if n.cfg.Fault.Crashed() {
 		// The drill killed this node: every op fails, exactly like the
 		// esm server's own crashed latch.
-		return &esm.Response{Err: faultinject.ErrCrash.Error()}
+		return &esm.Response{Err: faultinject.ErrDown.Error()}
 	}
 	switch req.Op {
 	case esm.OpReplAppend:

@@ -267,6 +267,86 @@ func TestFailoverPreservesAckedCommits(t *testing.T) {
 	}
 }
 
+// countingTransport counts the calls it forwards.
+type countingTransport struct {
+	esm.Transport
+	calls int
+}
+
+func (c *countingTransport) Call(req *esm.Request) (*esm.Response, error) {
+	c.calls++
+	return c.Transport.Call(req)
+}
+
+// brokenTransport fails every call, as a connection that died mid-request.
+type brokenTransport struct{}
+
+func (brokenTransport) Call(*esm.Request) (*esm.Response, error) {
+	return nil, errors.New("connection reset")
+}
+func (brokenTransport) Close() error { return nil }
+
+// TestDirectorFailsOverOnlyUnrunBeginningCommits: an OpCommit that begins
+// its own transaction (esm.TxBegin) fails over like an OpBegin when a
+// crashed node's latch refused it unrun — the next leader begins and
+// commits it. A transport error, or a crash that fired inside the commit
+// (here after its force), may have left it committed: it surfaces as in
+// doubt and no other node is asked. An ordinary commit names a local id
+// only its own node knows, so even a refusal unrun is not failed over.
+func TestDirectorFailsOverOnlyUnrunBeginningCommits(t *testing.T) {
+	nodes := newCluster(t, 3, 2)
+	commit := func(tx uint64) *esm.Request { return &esm.Request{Op: esm.OpCommit, Tx: tx} }
+
+	leader := &countingTransport{Transport: nodes[0].node.Transport()}
+	d := NewDirector([]Endpoint{{ID: "broken", Tr: brokenTransport{}}, {ID: "n1", Tr: leader}}, DirectorConfig{})
+	if _, err := d.Call(commit(esm.TxBegin)); err == nil || leader.calls != 0 {
+		t.Fatalf("a beginning commit lost to a transport error: err %v, %d calls failed over", err, leader.calls)
+	}
+
+	nodes[0].plane.ArmCrash(faultinject.PtCommitAfterFlush, 1)
+	follower := &countingTransport{Transport: nodes[1].node.Transport()}
+	d = NewDirector([]Endpoint{{ID: "n1", Tr: nodes[0].node.Transport()}, {ID: "n2", Tr: follower}}, DirectorConfig{})
+	resp, err := d.Call(commit(esm.TxBegin))
+	if err != nil || !faultinject.IsCrash(errors.New(resp.Err)) || faultinject.IsDown(errors.New(resp.Err)) || follower.calls != 0 {
+		t.Fatalf("a beginning commit crashed after its force: %+v, %v, %d calls failed over; want the crash, not failed over", resp, err, follower.calls)
+	}
+
+	d = NewDirector([]Endpoint{{ID: "n1", Tr: nodes[0].node.Transport()}, {ID: "n2", Tr: follower}}, DirectorConfig{})
+	resp, err = d.Call(commit(5))
+	if err != nil || !faultinject.IsDown(errors.New(resp.Err)) || follower.calls != 0 {
+		t.Fatalf("an ordinary commit refused unrun: %+v, %v, %d calls failed over; want the refusal, not failed over", resp, err, follower.calls)
+	}
+
+	best := nodes[1]
+	if nodes[2].log.FlushedLSN() > best.log.FlushedLSN() {
+		best = nodes[2]
+	}
+	if err := best.node.Campaign(); err != nil {
+		t.Fatalf("campaign on %s: %v", best.node.ID(), err)
+	}
+	d = NewDirector([]Endpoint{
+		{ID: "n1", Tr: nodes[0].node.Transport()},
+		{ID: "n2", Tr: nodes[1].node.Transport()},
+		{ID: "n3", Tr: nodes[2].node.Transport()},
+	}, DirectorConfig{})
+	resp, err = d.Call(commit(esm.TxBegin))
+	if err != nil || resp.Err != "" {
+		t.Fatalf("a beginning commit refused unrun by the dead leader was not failed over: %+v, %v", resp, err)
+	}
+	commits := 0
+	if err := best.log.Iterate(func(r wal.Record) bool {
+		if r.Type == wal.RecCommit && uint64(r.LSN) == resp.N {
+			commits++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if commits != 1 {
+		t.Fatalf("the new leader %s holds no commit record at the answered LSN %d", best.node.ID(), resp.N)
+	}
+}
+
 // TestCatalogReachesPromotedFollowerThroughTheLog: a root and a file set on
 // the leader before an acked commit are catalog records below the commit's
 // LSN, so the quorum that acks the commit holds them, and a promoted

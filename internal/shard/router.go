@@ -29,7 +29,8 @@ type Config struct {
 // deterministic rules and rewriting page/file ids between the global
 // (client) and local (server) id spaces. Transactions are begun lazily on
 // each shard at first touch; a commit that touched one shard forwards the
-// ordinary one-phase OpCommit, while a cross-shard commit runs the
+// ordinary one-phase OpCommit (beginning the transaction there itself,
+// esm.TxBegin, when nothing else did), while a cross-shard commit runs the
 // presumed-abort two-phase protocol with the first-touched shard as
 // coordinator.
 //
@@ -160,7 +161,7 @@ func (t *routedTx) footprint() (order []int, locals map[int]uint64) {
 	return slices.Clone(t.order), maps.Clone(t.local)
 }
 
-// localFor returns the shard-local transaction id for gid on shard,
+// localFor returns the shard-local transaction id for t on shard,
 // beginning one lazily at first touch. The first shard touched becomes
 // the transaction's commit coordinator.
 func (r *Router) localFor(t *routedTx, shard int) (uint64, error) {
@@ -181,6 +182,40 @@ func (r *Router) localFor(t *routedTx, shard int) (uint64, error) {
 	t.local[shard] = id
 	t.order = append(t.order, shard)
 	return id, nil
+}
+
+// beginOn begins t on each of shards it has not begun on yet, with one
+// concurrent OpBegin each (a steal's log batch, a cross-shard commit), and
+// records them in shards' order, as localFor would have one after another.
+// A shard whose begin failed is left out, so an abort reaches exactly the
+// begun ones.
+func (r *Router) beginOn(t *routedTx, shards []int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var begins map[int]*esm.Request // nil while every shard is begun
+	for _, shard := range shards {
+		if _, ok := t.local[shard]; !ok {
+			if begins == nil {
+				begins = map[int]*esm.Request{}
+			}
+			begins[shard] = &esm.Request{Op: esm.OpBegin}
+		}
+	}
+	if begins == nil {
+		return nil
+	}
+	resps, err := r.fanOut(begins)
+	for _, shard := range shards {
+		if resp := resps[shard]; resp != nil {
+			t.local[shard] = resp.N
+			t.order = append(t.order, shard)
+		}
+	}
+	releaseAll(resps)
+	if err != nil {
+		return fmt.Errorf("shard: begin: %w", err)
+	}
+	return nil
 }
 
 // Call implements esm.Transport: the full per-op routing table.
@@ -306,33 +341,31 @@ func (r *Router) alloc(req *esm.Request) (*esm.Response, error) {
 }
 
 // splitPayload splits transaction gid's commit payload by page shard, ids
-// made local, beginning the transaction on each shard it reaches first, in
-// that order. It returns the parts and the transaction's footprint.
-func (r *Router) splitPayload(gid uint64, data []byte) (parts map[int][]byte, order []int, locals map[int]uint64, err error) {
-	t, err := r.tx(gid)
+// made local. It returns the transaction, the parts and the shards the
+// payload reaches, in the order it reaches them; it begins nothing.
+func (r *Router) splitPayload(gid uint64, data []byte) (t *routedTx, parts map[int][]byte, reached []int, err error) {
+	t, err = r.tx(gid)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	parts, reached, err := esm.SplitPayload(data, ShardOfPage, LocalPage)
+	parts, reached, err = esm.SplitPayload(data, ShardOfPage, LocalPage)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("shard: %w", err)
 	}
-	for _, shard := range reached {
-		if _, err := r.localFor(t, shard); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	order, locals = t.footprint()
-	return parts, order, locals, nil
+	return t, parts, reached, nil
 }
 
-// logBatch splits a steal's OpLog payload by shard and fans the parts out
-// concurrently.
+// logBatch splits a steal's OpLog payload by shard, begins the transaction
+// on the shards it reaches first, and fans the parts out concurrently.
 func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
-	parts, _, locals, err := r.splitPayload(req.Tx, req.Data)
+	t, parts, reached, err := r.splitPayload(req.Tx, req.Data)
 	if err != nil {
 		return nil, err
 	}
+	if err := r.beginOn(t, reached); err != nil {
+		return nil, err
+	}
+	_, locals := t.footprint()
 	reqs := make(map[int]*esm.Request, len(parts))
 	for shard, data := range parts {
 		reqs[shard] = &esm.Request{Op: esm.OpLog, Tx: locals[shard], Data: data}
@@ -532,12 +565,18 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 		delete(r.txs, req.Tx)
 		r.mu.Unlock()
 	}()
-	// Every shard the payload reaches is a participant (it will be already —
-	// pages are only dirtied under that shard's locks — but a commit must
-	// never silently drop a part of its payload).
-	parts, participants, locals, err := r.splitPayload(req.Tx, req.Data)
+	// Every shard the payload reaches is a participant, after the shards
+	// the transaction already began on (the payload may reach one first:
+	// a page logged without a lock on its shard).
+	t, parts, reached, err := r.splitPayload(req.Tx, req.Data)
 	if err != nil {
 		return nil, err
+	}
+	participants, locals := t.footprint()
+	for _, shard := range reached {
+		if _, ok := locals[shard]; !ok {
+			participants = append(participants, shard)
+		}
 	}
 
 	if len(participants) == 0 {
@@ -545,13 +584,29 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	}
 	if len(participants) == 1 {
 		// One-phase fast path: the ordinary commit, carrying the shard's
-		// part of the payload.
+		// part of the payload. On a shard the transaction never began on
+		// (it wrote there without a lock), the commit begins it: one round
+		// trip, and a refused commit leaves nothing behind there.
 		shard := participants[0]
-		resp, err := r.call(shard, &esm.Request{Op: esm.OpCommit, Tx: locals[shard], Data: parts[shard]})
+		tx, begun := locals[shard]
+		if !begun {
+			tx = esm.TxBegin
+		}
+		resp, err := r.call(shard, &esm.Request{Op: esm.OpCommit, Tx: tx, Data: parts[shard]})
 		if err == nil && resp.Err == "" {
 			r.stats.singleCommits.Add(1)
 		}
 		return resp, err
+	}
+
+	// Two-phase: every participant needs its local id first. The begins
+	// the transaction still lacks go out in one fan-out; if one fails, the
+	// transaction ends on the shards it did begin on.
+	err = r.beginOn(t, participants)
+	participants, locals = t.footprint()
+	if err != nil {
+		_ = r.abortAll(participants, locals)
+		return nil, err
 	}
 
 	coord := participants[0]
