@@ -528,6 +528,12 @@ func pooledResponse() *Response {
 	return r
 }
 
+// PooledResponse returns an empty Response from the pool, for a Handler
+// outside this package whose answer should cost no allocation: whoever
+// holds it last calls Release (Serve's worker after framing it, or the
+// caller of an in-process Handle).
+func PooledResponse() *Response { return pooledResponse() }
+
 // Release sets Data to nil and hands the buffer it lay in, and a pooled
 // Response itself, back for reuse: nothing of the Response may be used
 // afterwards. A second Release is a no-op; so is one on a nil Response. A

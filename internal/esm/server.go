@@ -615,20 +615,18 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		return s.readPages(req)
 
 	case OpLog:
-		lsn, err := s.applyPayload(req.Tx, req.Data)
+		pl, last, err := s.checkPayload(req.Tx, req.Data)
+		if err != nil {
+			return nil, err
+		}
+		lsn, err := s.applyPayload(req.Tx, pl, last)
 		if err != nil {
 			return nil, err
 		}
 		return &Response{N: uint64(lsn)}, nil
 
 	case OpCommit:
-		var lsn wal.LSN
-		var err error
-		if req.Tx == TxBegin {
-			lsn, err = s.commitBegun(req.Data)
-		} else {
-			lsn, err = s.commit(req.Tx, req.Data, wal.RecCommit)
-		}
+		lsn, err := s.commitOp(req.Tx, req.Data)
 		if err != nil {
 			return nil, err
 		}
@@ -806,7 +804,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 // beginTx opens a transaction: the next id, its RecBegin (the head of its
 // record chain) and its transaction-table entry, whose first LSN pins the
 // checkpoint cut while it lives. OpBegin and a beginning OpCommit
-// (commitBegun) share it.
+// (commitOp) share it.
 func (s *Server) beginTx() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1314,30 +1312,36 @@ func (s *Server) pinForRedo(tx uint64, pid disk.PageID) (buffer.PageRef, error) 
 	return ref, err
 }
 
-// applyPayload is the one decode-and-apply step of OpLog, OpCommit and
-// OpPrepare. It checks the whole payload (ReadPayload), that tx is active
-// and that it is not prepared before it appends anything: a prepared
-// participant takes only its verdict (OpCommitDecision, OpAbort), never
-// more updates or a commit of its own. Then it appends and redoes each record onto
-// the server's own page, as restart recovery would (one content latch and
-// one page LSN per record, the frame left dirty), and last installs the
-// whole pages, whose stamps then cover those records. It returns tx's last
-// LSN.
-func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
+// checkPayload and applyPayload are the one decode-and-apply step of
+// OpLog, OpCommit, OpPrepare and a coordinator's OpCommitDecision.
+// checkPayload checks the whole payload (ReadPayload), that tx is active
+// and that it is not prepared, and appends nothing: a prepared participant
+// takes only its verdict (OpCommitDecision, OpAbort), never more updates or
+// a commit of its own. It returns the read payload and tx's last LSN.
+func (s *Server) checkPayload(tx uint64, data []byte) (Payload, wal.LSN, error) {
 	pl, err := ReadPayload(data)
 	if err != nil {
-		return 0, err
+		return Payload{}, 0, err
 	}
 	s.mu.Lock()
 	e, active := s.txs[tx]
 	s.mu.Unlock()
 	if !active {
-		return 0, fmt.Errorf("esm: payload for unknown tx %d", tx)
+		return Payload{}, 0, fmt.Errorf("esm: payload for unknown tx %d", tx)
 	}
 	if e.prep != nil {
-		return 0, fmt.Errorf("esm: payload for prepared tx %d: it awaits its coordinator's verdict", tx)
+		return Payload{}, 0, fmt.Errorf("esm: payload for prepared tx %d: it awaits its coordinator's verdict", tx)
 	}
-	last := e.last
+	return pl, e.last, nil
+}
+
+// applyPayload appends and redoes each record of a checked payload onto
+// the server's own page, as restart recovery would (one content latch and
+// one page LSN per record, the frame left dirty), chaining them behind
+// last, and then installs the whole pages, whose stamps cover those
+// records. It returns tx's last LSN.
+func (s *Server) applyPayload(tx uint64, pl Payload, last wal.LSN) (wal.LSN, error) {
+	var err error
 	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
 		var ref buffer.PageRef
 		if ref, err = s.pinForRedo(tx, disk.PageID(rec.Page)); err != nil {
@@ -1369,18 +1373,19 @@ func (s *Server) applyPayload(tx uint64, data []byte) (wal.LSN, error) {
 }
 
 // commit ends live transaction tx as committed: it applies the
-// transaction's last commit payload (applyPayload), appends the end record
-// of type rtype (commitLocked: RecCommit for an OpCommit, RecDecision for a
-// 2PC coordinator's decision) and makes it durable (endCommit). The force
-// and the quorum wait cover every lower LSN, so catalog changes (files,
-// roots, counters) made on this server before the end record was appended
-// are durable with the transaction. The commit LSN is returned so the ack
+// transaction's last commit payload, checked by the caller (applyPayload
+// behind last), appends the end record of type rtype (commitLocked:
+// RecCommit for an OpCommit, RecDecision for a 2PC coordinator's
+// decision) and makes it durable (endCommit). The force and the quorum
+// wait cover every lower LSN, so catalog changes (files, roots, counters)
+// made on this server before the end record was appended are durable with
+// the transaction. The commit LSN is returned so the ack
 // can carry it to the session (read-your-writes floor for later snapshot
 // begins). With an error, the LSN returned is the end record's once that
 // was appended (the outcome is then the log's, in doubt to the client) and
 // 0 while the transaction is still open.
-func (s *Server) commit(tx uint64, data []byte, rtype wal.RecType) (wal.LSN, error) {
-	if _, err := s.applyPayload(tx, data); err != nil {
+func (s *Server) commit(tx uint64, pl Payload, last wal.LSN, rtype wal.RecType) (wal.LSN, error) {
+	if _, err := s.applyPayload(tx, pl, last); err != nil {
 		return 0, err
 	}
 	if err := s.fault.Hit(faultinject.PtCommitAfterInstall); err != nil {
@@ -1398,29 +1403,42 @@ func (s *Server) commit(tx uint64, data []byte, rtype wal.RecType) (wal.LSN, err
 	return lsn, nil
 }
 
-// commitBegun is the one-phase commit of a transaction its own request
-// begins (OpCommit with Tx TxBegin). The payload is checked before the
-// transaction exists, so a malformed one appends nothing; then beginTx and
-// commit run as for any commit. No later request can name the transaction,
-// so a refused commit ends it before the answer: while it is open it is
-// aborted, which undoes what the payload applied; once its commit record
-// is appended the outcome is the log's, as for any commit whose force or
-// quorum wait failed, and its entry is only retired. A crashed server does
-// neither: its restart reads the log.
-func (s *Server) commitBegun(data []byte) (wal.LSN, error) {
-	if _, err := ReadPayload(data); err != nil {
-		return 0, err
+// commitOp is an OpCommit: the commit of live transaction tx, or, with
+// tx TxBegin, of a transaction the request begins itself (the check then
+// runs before it exists). A payload refused by its check leaves everything
+// as it was: nothing is appended, and an explicit transaction stays open.
+// Once the check passed, a refused commit ends its transaction before the
+// answer, since the client forgets a transaction whose commit failed:
+// while it is open it is aborted, which undoes what the payload applied
+// and releases its locks. Once its commit record is appended the outcome is
+// the log's, as for any commit whose force or quorum wait failed: a
+// transaction this request began, which no later request can name, is
+// retired; an explicit one keeps its entry and locks, in doubt. A crashed
+// server does neither: its restart reads the log.
+func (s *Server) commitOp(tx uint64, data []byte) (wal.LSN, error) {
+	begun := tx == TxBegin
+	if begun {
+		if _, err := ReadPayload(data); err != nil {
+			return 0, err
+		}
+		tx = s.beginTx()
 	}
-	tx := s.beginTx()
-	lsn, err := s.commit(tx, data, wal.RecCommit)
+	pl, last, err := s.checkPayload(tx, data)
+	if err != nil && !begun {
+		return 0, err // refused by its check: an explicit tx stays as it was
+	}
+	var lsn wal.LSN
+	if err == nil {
+		lsn, err = s.commit(tx, pl, last, wal.RecCommit)
+	}
 	switch {
 	case err == nil || s.fault.Crashed():
-	case lsn != 0:
-		s.retire(tx)
-	default:
+	case lsn == 0:
 		if aerr := s.abort(tx); aerr != nil {
 			err = errors.Join(err, fmt.Errorf("esm: ending the refused tx %d: %w", tx, aerr))
 		}
+	case begun:
+		s.retire(tx)
 	}
 	return lsn, err
 }

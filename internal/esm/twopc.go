@@ -29,14 +29,18 @@ type preparedTx struct {
 
 // prepare votes participant transaction tx into the prepared state: its
 // last commit payload (Data, as for commit; a cross-shard router sends each
-// shard its part) is applied (applyPayload), a RecPrepare is appended and
-// forced, and the transaction's locks stay held. coordShard and coordTx
-// name the coordinator, which never prepares: its part rides its decision
-// (commitDecision). After a successful prepare the transaction can no
+// shard its part) is checked and applied (checkPayload, applyPayload), a
+// RecPrepare is appended and forced, and the transaction's locks stay
+// held. coordShard and coordTx name the coordinator, which never prepares:
+// its part rides its decision (commitDecision). After a successful prepare the transaction can no
 // longer be aborted unilaterally by a crash of this server alone — restart
 // holds it in doubt until the coordinator's verdict arrives.
 func (s *Server) prepare(tx uint64, coordShard uint32, coordTx uint64, data []byte) (wal.LSN, error) {
-	if _, err := s.applyPayload(tx, data); err != nil {
+	pl, last, err := s.checkPayload(tx, data)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := s.applyPayload(tx, pl, last); err != nil {
 		return 0, err
 	}
 	if err := s.fault.Hit(faultinject.PtPrepareAfterInstall); err != nil {
@@ -103,7 +107,11 @@ func (s *Server) commitDecision(tx uint64, mode uint8, data []byte) (wal.LSN, er
 			//qsvet:ignore ackorder the RecDecision this lsn names was already forced by the delivery that logged it; a duplicate ack re-promises durable state
 			return decided, nil
 		}
-		return s.commit(tx, data, wal.RecDecision)
+		pl, last, err := s.checkPayload(tx, data)
+		if err != nil {
+			return 0, err
+		}
+		return s.commit(tx, pl, last, wal.RecDecision)
 	}
 	if e.prep == nil {
 		return 0, fmt.Errorf("esm: commit decision for unprepared tx %d", tx)

@@ -55,8 +55,8 @@ type Config struct {
 	// known membership.
 	Quorum int
 
-	// HeartbeatInterval paces the leader's empty ship rounds (which double
-	// as heartbeats) and the election monitor's clock. Default 250ms.
+	// HeartbeatInterval paces the frames a leader sends a caught-up
+	// follower (heartbeats) and the election monitor's clock. Default 250ms.
 	HeartbeatInterval time.Duration
 
 	// ElectionTimeout is how long a follower tolerates leader silence
@@ -93,13 +93,31 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// peer is the leader's view of one other node. All fields are guarded by
-// Node.mu; transports are called with the lock released.
+// peer is the leader's view of one other node and its shipper's state.
+// match and acked are guarded by Node.mu; chunk, frame and req belong to
+// the peer's shipper goroutine alone, which reuses them for every frame.
+// Transports are called with the lock released.
 type peer struct {
 	id    string
 	addr  string
 	tr    esm.Transport
-	match wal.LSN // highest durable LSN the peer has acked
+	match wal.LSN       // highest durable LSN the peer has acked
+	acked uint64        // membership version the peer holds; 0 until it acks one
+	wake  chan struct{} // capacity 1: the log's durable signal, a membership change, a promotion
+
+	chunk []byte
+	frame []byte
+	req   esm.Request
+}
+
+// quorumWaiter is one WaitQuorum call waiting for lsn to be quorum-held.
+// Its one answer is sent on done under Node.mu as it leaves Node.waiters.
+// The node keeps waiters no call is using, timer and channel included, so
+// a wait allocates nothing once as many calls as ever waited at once did.
+type quorumWaiter struct {
+	lsn   wal.LSN
+	done  chan error // capacity 1
+	timer *time.Timer
 }
 
 // Node is one member of a replication cluster. It satisfies esm.Handler:
@@ -123,20 +141,32 @@ type Node struct {
 	leaderID  string
 	srv       *esm.Server // non-nil while (or after) leading
 	peers     map[string]*peer
-	members   map[string]string // id → addr, including self
-	lastShip  time.Time         // last accepted ship/vote; the election clock
+	lastShip  time.Time // last accepted ship/vote; the election clock
 	closed    bool
-	quorumGen chan struct{} // closed and replaced on every quorum/role change
 
-	shipReq chan struct{}
-	stopc   chan struct{}
-	wg      sync.WaitGroup
+	// members is the membership (id → addr, including self). memberVer
+	// counts its changes; memberList is it as a list, built once per
+	// version and never modified. A follower records the leader's term
+	// and version of the list it last received (heldTerm, heldVer).
+	members    map[string]string
+	memberVer  uint64
+	memberList []Member
+	heldTerm   uint64
+	heldVer    uint64
+
+	waiters     []*quorumWaiter // WaitQuorum calls not yet answered
+	freeWaiters []*quorumWaiter
+	lsnScratch  []wal.LSN // quorumLSNLocked's selection buffer
+
+	stopc chan struct{}
+	wg    sync.WaitGroup
 
 	stats struct {
 		elections     atomic.Int64
 		quorumCommits atomic.Int64
 		quorumWaitNs  atomic.Int64
 		shipRounds    atomic.Int64
+		shippedEnd    atomic.Uint64 // the furthest log end a frame has carried
 		shipBytes     atomic.Int64
 		snapshots     atomic.Int64
 	}
@@ -149,13 +179,10 @@ func newNode(vol disk.Volume, log *wal.Log, cfg Config) *Node {
 		log:       log,
 		peers:     map[string]*peer{},
 		members:   map[string]string{cfg.ID: cfg.Addr},
+		memberVer: 1,
 		lastShip:  time.Now(),
-		quorumGen: make(chan struct{}),
-		shipReq:   make(chan struct{}, 1),
 		stopc:     make(chan struct{}),
 	}
-	n.wg.Add(1)
-	go n.shipper()
 	if n.cfg.ElectionTimeout > 0 {
 		n.wg.Add(1)
 		go n.electionLoop()
@@ -213,18 +240,47 @@ func (n *Node) CurrentServer() *esm.Server {
 }
 
 // AddPeer registers another cluster node by explicit transport (in-process
-// clusters and tests; TCP clusters use RegisterWith + the leader's Dial).
+// clusters and tests; TCP clusters use RegisterWith + the leader's Dial)
+// and starts its shipper.
 func (n *Node) AddPeer(id, addr string, tr esm.Transport) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.peers[id]; !ok {
-		n.peers[id] = &peer{id: id, addr: addr, tr: tr}
+		p := &peer{id: id, addr: addr, tr: tr, wake: make(chan struct{}, 1)}
+		n.peers[id] = p
+		if !n.closed {
+			n.wg.Add(1)
+			go n.shipper(p)
+		}
+	}
+	if n.setMemberLocked(id, addr) {
+		n.wakeShippersLocked()
+	}
+}
+
+// setMemberLocked records id's address and reports whether that changed
+// the membership, which then gets a new version.
+func (n *Node) setMemberLocked(id, addr string) bool {
+	if cur, ok := n.members[id]; ok && cur == addr {
+		return false
 	}
 	n.members[id] = addr
-	select {
-	case n.shipReq <- struct{}{}:
-	default:
+	n.memberVer++
+	n.memberList = nil
+	return true
+}
+
+// memberListLocked returns the membership as a list, built once per
+// version: callers share it and must not modify it.
+func (n *Node) memberListLocked() []Member {
+	if n.memberList == nil {
+		ms := make([]Member, 0, len(n.members))
+		for id, addr := range n.members {
+			ms = append(ms, Member{ID: id, Addr: addr})
+		}
+		n.memberList = ms
 	}
+	return n.memberList
 }
 
 // RegisterWith announces this follower to the leader reachable through tr;
@@ -266,7 +322,7 @@ func (n *Node) Close() error {
 	}
 	n.closed = true
 	close(n.stopc)
-	n.signalQuorumLocked()
+	n.failWaitersLocked(ErrClosed)
 	peers := make([]*peer, 0, len(n.peers))
 	for _, p := range n.peers {
 		peers = append(peers, p)
@@ -331,33 +387,48 @@ func (n *Node) Handle(req *esm.Request) *esm.Response {
 }
 
 // adoptTermLocked moves the node to a newer term, stepping down from any
-// leadership or candidacy. The quorum generation is signaled so in-flight
-// WaitQuorum calls observe the fence.
+// leadership or candidacy.
 func (n *Node) adoptTermLocked(term uint64) {
 	n.term = term
+	n.stepDownLocked()
+	n.leaderID = ""
+}
+
+// stepDownLocked makes the node a follower. In-flight WaitQuorum calls
+// are answered ErrFenced: this node can no longer ack a commit.
+func (n *Node) stepDownLocked() {
 	if n.role != RoleFollower {
 		n.role = RoleFollower
+		n.failWaitersLocked(ErrFenced)
 	}
-	n.leaderID = ""
-	n.signalQuorumLocked()
 }
 
-func (n *Node) signalQuorumLocked() {
-	close(n.quorumGen)
-	n.quorumGen = make(chan struct{})
+// followLocked records that this node follows the leader of term: it
+// votes for no other candidate in the term. Without it a node that never
+// heard from the leader could campaign at the leader's own term and win
+// the votes of nodes that follow it: two leaders in one term.
+func (n *Node) followLocked(term uint64) {
+	if n.votedTerm != term {
+		n.votedTerm, n.votedFor = term, n.leaderID
+	}
 }
 
-func (n *Node) kickShipper() {
-	select {
-	case n.shipReq <- struct{}{}:
-	default:
+func (n *Node) wakeShippersLocked() {
+	for _, p := range n.peers {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
 // handleAppend applies one shipped WAL chunk (follower side). The response
-// always reports the follower's durable LSN in N; Page is 1 when only a
-// snapshot can resynchronize this follower (compacted cursor or divergent
-// bytes). A stale term is fenced with an error.
+// always reports the follower's durable LSN in N; Page is ackSnapshot when
+// only a snapshot can resynchronize this follower (compacted cursor or
+// divergent bytes), and Mode is ackNeedMembers while it does not hold the
+// frame's membership version, which the leader then sends. The leader's
+// id rides (Name) with the member list. A stale term is fenced with an
+// error.
 func (n *Node) handleAppend(req *esm.Request) *esm.Response {
 	p, err := parseShip(req.Data)
 	if err != nil {
@@ -373,15 +444,19 @@ func (n *Node) handleAppend(req *esm.Request) *esm.Response {
 	if term > n.term {
 		n.adoptTermLocked(term)
 	}
-	if n.role != RoleFollower {
-		n.role = RoleFollower
-		n.signalQuorumLocked()
+	n.stepDownLocked()
+	if req.Name != "" {
+		n.leaderID = req.Name
 	}
-	n.leaderID = req.Name
+	n.followLocked(term)
 	n.lastShip = time.Now()
-	for _, m := range p.Members {
-		n.members[m.ID] = m.Addr
+	if p.Members != nil {
+		for _, m := range p.Members {
+			n.setMemberLocked(m.ID, m.Addr)
+		}
+		n.heldTerm, n.heldVer = term, p.MembersVer
 	}
+	needMembers := n.heldTerm != term || n.heldVer != p.MembersVer
 	n.mu.Unlock()
 
 	needSnap := false
@@ -398,9 +473,13 @@ func (n *Node) handleAppend(req *esm.Request) *esm.Response {
 			// backs its cursor up to the LSN we report and reships.
 		}
 	}
-	resp := &esm.Response{N: uint64(n.log.FlushedLSN())}
+	resp := esm.PooledResponse()
+	resp.N = uint64(n.log.FlushedLSN())
 	if needSnap {
-		resp.Page = 1
+		resp.Page = ackSnapshot
+	}
+	if needMembers {
+		resp.Mode = ackNeedMembers
 	}
 	return resp
 }
@@ -425,12 +504,14 @@ func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 	if term > n.term {
 		n.adoptTermLocked(term)
 	}
-	n.role = RoleFollower
+	n.stepDownLocked()
 	n.leaderID = req.Name
+	n.followLocked(term)
 	n.lastShip = time.Now()
 	for _, m := range p.Members {
-		n.members[m.ID] = m.Addr
+		n.setMemberLocked(m.ID, m.Addr)
 	}
+	n.heldTerm, n.heldVer = term, p.MembersVer
 	n.mu.Unlock()
 
 	if err := n.log.LoadSnapshot(p.LogStart, p.Log); err != nil {
@@ -534,48 +615,115 @@ func (n *Node) handleRegister(req *esm.Request) *esm.Response {
 // WaitQuorum implements esm.QuorumWaiter: it returns once the log is
 // durable through lsn on the configured quorum of replicas, and errs if the
 // node loses leadership (fenced), closes, or times out first — in all of
-// which cases the commit must not be acked.
+// which cases the commit must not be acked. It ships nothing itself: every
+// follower's shipper already woke when the leader forced lsn, and the ack
+// that makes lsn quorum-held answers this call (wakeWaitersLocked), so a
+// commit waits for the quorum-th fastest replica.
 func (n *Node) WaitQuorum(lsn wal.LSN) error {
 	start := time.Now()
-	deadline := start.Add(n.cfg.QuorumTimeout)
 	n.mu.Lock()
-	term := n.term
-	for {
-		if n.closed {
-			n.mu.Unlock()
-			return ErrClosed
-		}
-		if n.role != RoleLeader || n.term != term {
-			n.mu.Unlock()
-			return ErrFenced
-		}
-		if n.quorumReachedLocked(lsn) {
-			break
-		}
-		gen := n.quorumGen
+	switch {
+	case n.closed:
 		n.mu.Unlock()
-		n.kickShipper()
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return ErrQuorumTimeout
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-gen:
-		case <-t.C:
-			t.Stop()
-			return ErrQuorumTimeout
-		case <-n.stopc:
-			t.Stop()
-			return ErrClosed
-		}
-		t.Stop()
-		n.mu.Lock()
+		return ErrClosed
+	case n.role != RoleLeader:
+		n.mu.Unlock()
+		return ErrFenced
+	case n.quorumReachedLocked(lsn):
+		n.mu.Unlock()
+		n.noteQuorum(start)
+		return nil
 	}
+	w := n.waiterLocked(lsn)
 	n.mu.Unlock()
+	w.timer.Reset(n.cfg.QuorumTimeout)
+	var err error
+	select {
+	case err = <-w.done:
+	case <-w.timer.C:
+		n.mu.Lock()
+		if n.dropWaiterLocked(w) {
+			err = ErrQuorumTimeout
+		} else {
+			err = <-w.done // answered, under mu, as the timer fired: never blocks
+		}
+		n.mu.Unlock()
+	}
+	if !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
+	n.mu.Lock()
+	n.freeWaiters = append(n.freeWaiters, w)
+	n.mu.Unlock()
+	if err == nil {
+		n.noteQuorum(start)
+	}
+	return err
+}
+
+func (n *Node) noteQuorum(start time.Time) {
 	n.stats.quorumCommits.Add(1)
 	n.stats.quorumWaitNs.Add(time.Since(start).Nanoseconds())
-	return nil
+}
+
+// waiterLocked registers a waiter for lsn, reusing a free one.
+func (n *Node) waiterLocked(lsn wal.LSN) *quorumWaiter {
+	var w *quorumWaiter
+	if k := len(n.freeWaiters); k > 0 {
+		w = n.freeWaiters[k-1]
+		n.freeWaiters = n.freeWaiters[:k-1]
+	} else {
+		w = &quorumWaiter{done: make(chan error, 1), timer: time.NewTimer(time.Hour)}
+		w.timer.Stop()
+	}
+	w.lsn = lsn
+	n.waiters = append(n.waiters, w)
+	return w
+}
+
+// dropWaiterLocked removes w from the waiters, reporting whether it was
+// there (no answer was sent to it yet).
+func (n *Node) dropWaiterLocked(w *quorumWaiter) bool {
+	for i, x := range n.waiters {
+		if x == w {
+			last := len(n.waiters) - 1
+			n.waiters[i] = n.waiters[last]
+			n.waiters[last] = nil
+			n.waiters = n.waiters[:last]
+			return true
+		}
+	}
+	return false
+}
+
+// wakeWaitersLocked answers every waiter whose LSN a quorum now holds,
+// and no other.
+func (n *Node) wakeWaitersLocked() {
+	if len(n.waiters) == 0 {
+		return
+	}
+	q := n.quorumLSNLocked()
+	for i := 0; i < len(n.waiters); {
+		w := n.waiters[i]
+		if w.lsn >= q {
+			i++
+			continue
+		}
+		w.done <- nil // never blocks: one answer per wait, into capacity 1
+		n.dropWaiterLocked(w)
+	}
+}
+
+// failWaitersLocked answers every waiter with err.
+func (n *Node) failWaitersLocked(err error) {
+	for i, w := range n.waiters {
+		w.done <- err // never blocks, as in wakeWaitersLocked
+		n.waiters[i] = nil
+	}
+	n.waiters = n.waiters[:0]
 }
 
 // quorumSizeLocked is the replica count (including this node) that must
@@ -603,11 +751,11 @@ func (n *Node) quorumReachedLocked(lsn wal.LSN) bool {
 // quorumLSNLocked is the highest LSN durable on a full quorum: sort the
 // replicas' durable positions descending and take the quorum-th.
 func (n *Node) quorumLSNLocked() wal.LSN {
-	lsns := make([]wal.LSN, 0, 1+len(n.peers))
-	lsns = append(lsns, n.log.FlushedLSN())
+	lsns := append(n.lsnScratch[:0], n.log.FlushedLSN())
 	for _, p := range n.peers {
 		lsns = append(lsns, p.match)
 	}
+	n.lsnScratch = lsns
 	k := n.quorumSizeLocked()
 	if k > len(lsns) {
 		return wal.NilLSN
@@ -625,137 +773,157 @@ func (n *Node) quorumLSNLocked() wal.LSN {
 	return lsns[k-1]
 }
 
-// shipper is the single goroutine that runs replication rounds: it wakes
-// on new durable bytes (log notify), on explicit kicks from WaitQuorum,
-// and on the heartbeat tick (an empty round keeps follower election
-// clocks at bay). One round serves every commit that joined the batch —
-// the replication mirror of group commit.
-func (n *Node) shipper() {
+// shipper is follower p's one goroutine for the node's life. It ships
+// when the log's durable end moves (the log signals p.wake), when the
+// membership changes or the node is promoted (both signal p.wake too),
+// and on every heartbeat tick, which keeps the follower's election clock
+// at bay; it ships only while the node leads.
+func (n *Node) shipper(p *peer) {
 	defer n.wg.Done()
-	notify := make(chan struct{}, 1)
-	n.log.NotifyDurable(notify)
-	defer n.log.StopNotify(notify)
+	n.log.NotifyDurable(p.wake)
+	defer n.log.StopNotify(p.wake)
 	hb := time.NewTicker(n.cfg.HeartbeatInterval)
 	defer hb.Stop()
+	beat := true
 	for {
+		n.shipTo(p, beat)
 		select {
 		case <-n.stopc:
 			return
-		case <-notify:
-		case <-n.shipReq:
+		case <-p.wake:
+			beat = false
 		case <-hb.C:
+			beat = true
 		}
-		n.shipRound()
 	}
 }
 
-func (n *Node) shipRound() {
-	n.mu.Lock()
-	if n.closed || n.role != RoleLeader || n.srv == nil {
-		n.mu.Unlock()
-		return
-	}
-	term := n.term
-	peers := make([]*peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	members := n.membersSnapshotLocked()
-	n.mu.Unlock()
-
-	durable := n.log.FlushedLSN()
-	if len(peers) > 0 {
-		var wg sync.WaitGroup
-		for _, p := range peers {
-			wg.Add(1)
-			go func(p *peer) {
-				defer wg.Done()
-				n.shipPeer(p, term, durable, members)
-			}(p)
-		}
-		wg.Wait()
-		n.stats.shipRounds.Add(1)
-	}
-	n.mu.Lock()
-	n.signalQuorumLocked()
-	n.mu.Unlock()
-}
-
-// shipPeer brings one follower up to this round's durable target,
-// chunk-by-chunk, falling back to a snapshot when the follower's cursor is
-// compacted or its bytes diverge.
-func (n *Node) shipPeer(p *peer, term uint64, durable wal.LSN, members []Member) {
-	if err := n.cfg.Fault.Hit(faultinject.PtReplShip); err != nil {
-		// Crash latches the node dead (Handle refuses everything);
-		// transient models follower lag / a partition: skip the round.
-		return
-	}
+// shipTo brings follower p up to the leader's durable end, chunk by chunk,
+// falling back to a snapshot when the follower's position is compacted or
+// its bytes diverge. A follower already there and holding the membership
+// gets a frame only as a heartbeat (beat). A frame carries the member list
+// while the follower does not hold the current membership version.
+func (n *Node) shipTo(p *peer, beat bool) {
 	const maxChunk = 1 << 20
-	lastAck := wal.NilLSN
 	for iter := 0; iter < 64; iter++ {
 		n.mu.Lock()
-		from := p.match
+		if n.closed || n.role != RoleLeader || n.srv == nil {
+			n.mu.Unlock()
+			return
+		}
+		term, from, ver := n.term, p.match, n.memberVer
+		var members []Member
+		if p.acked != ver {
+			members = n.memberListLocked()
+		}
 		n.mu.Unlock()
 		if from < 1 {
 			from = 1
 		}
-		var chunk []byte
-		var err error
+		durable := n.log.FlushedLSN()
+		if from >= durable && members == nil && !beat {
+			return // caught up
+		}
+		if iter == 0 {
+			if err := n.cfg.Fault.Hit(faultinject.PtReplShip); err != nil {
+				// Crash latches the node dead (Handle refuses everything);
+				// transient models follower lag / a partition: skip the pass.
+				return
+			}
+		}
+		p.chunk = p.chunk[:0]
 		if from < durable {
 			budget := int(durable - from)
 			if budget > maxChunk {
 				budget = maxChunk
 			}
-			chunk, err = n.log.DurableFrom(from, budget)
-			if errors.Is(err, wal.ErrCompacted) {
-				n.sendSnapshot(p, term, members)
+			var err error
+			if p.chunk, err = n.log.AppendDurable(p.chunk, from, budget); errors.Is(err, wal.ErrCompacted) {
+				n.sendSnapshot(p, term)
 				return
 			}
 		}
-		payload := shipPayload{LeaderDurable: durable, Log: chunk, Members: members}
-		resp, cerr := p.tr.Call(&esm.Request{
-			Op:   esm.OpReplAppend,
-			Tx:   term,
-			N:    uint64(from),
-			Name: n.cfg.ID,
-			Data: payload.marshal(),
-		})
-		if cerr != nil || resp.Err != "" {
-			if cerr == nil && IsStaleTerm(resp.Err) {
+		payload := shipPayload{LeaderDurable: durable, Log: p.chunk, MembersVer: ver, Members: members}
+		p.frame = payload.appendTo(p.frame[:0])
+		p.req = esm.Request{Op: esm.OpReplAppend, Tx: term, N: uint64(from), Data: p.frame}
+		if members != nil {
+			p.req.Name = n.cfg.ID
+		}
+		resp, err := p.tr.Call(&p.req)
+		if err != nil || resp.Err != "" {
+			if err == nil && IsStaleTerm(resp.Err) {
 				n.observeFence(term)
 			}
-			return // unreachable or fenced: retry next round
+			resp.Release()
+			return // unreachable or fenced: retry on the next wake
 		}
 		ack := wal.LSN(resp.N)
+		snap, needMembers := resp.Page == ackSnapshot, resp.Mode&ackNeedMembers != 0
+		resp.Release()
+		n.noteShipped(from+wal.LSN(len(p.chunk)), len(p.chunk))
+
 		n.mu.Lock()
-		if ack > p.match {
-			p.match = ack
-		}
-		n.mu.Unlock()
-		n.stats.shipBytes.Add(int64(len(chunk)))
-		if resp.Page == 1 {
-			n.sendSnapshot(p, term, members)
+		if n.term != term || n.role != RoleLeader {
+			n.mu.Unlock()
 			return
 		}
-		if ack >= durable {
-			return // caught up to this round's target
+		progress := ack > p.match
+		if progress {
+			p.match = ack
+			n.wakeWaitersLocked()
 		}
-		if ack == lastAck {
-			return // no progress; avoid spinning (next round retries)
+		switch {
+		case needMembers:
+			progress = progress || members == nil // the next frame carries the list
+			p.acked = 0
+		case members != nil:
+			p.acked, progress = ver, true
 		}
-		lastAck = ack
+		done := p.match >= durable && p.acked == n.memberVer
+		n.mu.Unlock()
+		if snap {
+			n.sendSnapshot(p, term)
+			return
+		}
+		if done || !progress {
+			return // caught up, or stuck: the next wake retries
+		}
+		beat = false
 	}
 }
 
-// sendSnapshot performs a full state transfer to one follower.
-func (n *Node) sendSnapshot(p *peer, term uint64, members []Member) {
+// noteShipped counts a frame's log bytes, and a ship round when the frame
+// carried the log to an end no earlier frame reached: one durable advance
+// shipped to every follower is one round.
+func (n *Node) noteShipped(end wal.LSN, bytes int) {
+	if bytes == 0 {
+		return
+	}
+	n.stats.shipBytes.Add(int64(bytes))
+	for {
+		prev := n.stats.shippedEnd.Load()
+		if uint64(end) <= prev {
+			return
+		}
+		if n.stats.shippedEnd.CompareAndSwap(prev, uint64(end)) {
+			n.stats.shipRounds.Add(1)
+			return
+		}
+	}
+}
+
+// sendSnapshot performs a full state transfer to one follower. A snapshot
+// always carries the member list and its version, so the follower's ack
+// settles the version as a ship frame's would.
+func (n *Node) sendSnapshot(p *peer, term uint64) {
 	n.mu.Lock()
 	srv := n.srv
+	ver, members := n.memberVer, n.memberListLocked()
 	n.mu.Unlock()
 	if srv == nil {
 		return
 	}
-	snap, err := n.buildSnapshot(srv, members)
+	snap, err := n.buildSnapshot(srv, ver, members)
 	if err != nil {
 		return
 	}
@@ -773,10 +941,15 @@ func (n *Node) sendSnapshot(p *peer, term uint64, members []Member) {
 		return
 	}
 	n.mu.Lock()
-	if ack := wal.LSN(resp.N); ack > p.match {
-		p.match = ack
+	if n.term == term && n.role == RoleLeader {
+		p.acked = ver
+		if ack := wal.LSN(resp.N); ack > p.match {
+			p.match = ack
+			n.wakeWaitersLocked()
+		}
 	}
 	n.mu.Unlock()
+	resp.Release()
 	n.stats.snapshots.Add(1)
 }
 
@@ -785,12 +958,12 @@ func (n *Node) sendSnapshot(p *peer, term uint64, members []Member) {
 // then every volume page, then the log — cut last, so it covers the
 // pageLSN of anything flushed while pages were being read. Page images the
 // log postdates are simply re-redone on the follower at promotion.
-func (n *Node) buildSnapshot(srv *esm.Server, members []Member) (*snapPayload, error) {
+func (n *Node) buildSnapshot(srv *esm.Server, ver uint64, members []Member) (*snapPayload, error) {
 	if err := srv.FlushPool(); err != nil {
 		return nil, err
 	}
 	num := n.vol.NumPages()
-	snap := &snapPayload{NumPages: num, Members: members}
+	snap := &snapPayload{NumPages: num, MembersVer: ver, Members: members}
 	for pid := uint32(1); pid < num; pid++ {
 		buf := make([]byte, disk.PageSize)
 		if err := n.vol.ReadPage(disk.PageID(pid), buf); err != nil {
@@ -815,18 +988,9 @@ func (n *Node) observeFence(sawTerm uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.role == RoleLeader && n.term == sawTerm {
-		n.role = RoleFollower
+		n.stepDownLocked()
 		n.leaderID = ""
-		n.signalQuorumLocked()
 	}
-}
-
-func (n *Node) membersSnapshotLocked() []Member {
-	ms := make([]Member, 0, len(n.members))
-	for id, addr := range n.members {
-		ms = append(ms, Member{ID: id, Addr: addr})
-	}
-	return ms
 }
 
 // Campaign runs one election round: bump the term, vote for ourselves,
@@ -848,7 +1012,7 @@ func (n *Node) Campaign() error {
 	term := n.term
 	n.role = RoleCandidate
 	n.votedTerm, n.votedFor = term, n.cfg.ID
-	members := n.membersSnapshotLocked()
+	members := n.memberListLocked()
 	n.mu.Unlock()
 
 	durable := n.log.FlushedLSN()
@@ -924,15 +1088,15 @@ func (n *Node) promote(term uint64) error {
 	n.srv = srv
 	// Force a full reship (with overlap verification) to every peer: a
 	// follower that did not vote for us may hold a divergent tail from the
-	// old term, and only shipping from zero lets AppendRaw catch it.
+	// old term, and only shipping from zero lets AppendRaw catch it. The
+	// first frame of the term carries the member list.
 	for _, p := range n.peers {
-		p.match = 0
+		p.match, p.acked = 0, 0
 	}
-	n.signalQuorumLocked()
+	n.wakeShippersLocked()
 	n.mu.Unlock()
 	srv.SetRepl(n)
 	n.stats.elections.Add(1)
-	n.kickShipper()
 	return nil
 }
 

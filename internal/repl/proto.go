@@ -40,29 +40,45 @@ type Status struct {
 
 // Member is one cluster node as carried in ship and snapshot frames, so
 // followers learn the full membership (and can campaign against it) without
-// a separate configuration channel.
+// a separate configuration channel. A ship frame carries the list only
+// while the follower does not hold its version; a snapshot always does.
 type Member struct {
 	ID   string
 	Addr string // dialable address; "" for in-process members
 }
 
 // shipPayload is the body of an OpReplAppend request. The log chunk starts
-// at the LSN in the request's N field.
+// at the LSN in the request's N field. MembersVer is the version of the
+// leader's membership; Members is the list itself, or nil in a frame to a
+// follower that acked that version (a real list always names the leader).
 type shipPayload struct {
 	LeaderDurable wal.LSN
 	Log           []byte
+	MembersVer    uint64
 	Members       []Member
 }
 
+// The flags of an OpReplAppend answer, whose N is the follower's durable LSN.
+const (
+	// ackSnapshot, in Response.Page: only a snapshot can resynchronize
+	// the follower (its position is compacted or its bytes diverge).
+	ackSnapshot = 1
+	// ackNeedMembers, in Response.Mode: the follower does not hold the
+	// frame's membership version; the next frame carries the list.
+	ackNeedMembers = 1
+)
+
 // snapPayload is the body of an OpReplSnapshot request: the leader's full
 // durable log from LogStart plus every volume page image, replacing the
-// follower's state wholesale.
+// follower's state wholesale, and the member list with its version
+// (MembersVer), which the follower then holds.
 type snapPayload struct {
-	LogStart wal.LSN
-	Log      []byte
-	NumPages uint32 // leader volume geometry; follower pages beyond this are zeroed
-	Pages    []pageImage
-	Members  []Member
+	LogStart   wal.LSN
+	Log        []byte
+	NumPages   uint32 // leader volume geometry; follower pages beyond this are zeroed
+	Pages      []pageImage
+	MembersVer uint64
+	Members    []Member
 }
 
 type pageImage struct {
@@ -70,7 +86,10 @@ type pageImage struct {
 	Data []byte // exactly pageSize bytes
 }
 
-var errShortPayload = errors.New("repl: truncated payload")
+var (
+	errShortPayload    = errors.New("repl: truncated payload")
+	errTrailingPayload = errors.New("repl: bytes past the end of a ship frame")
+)
 
 func appendU32(dst []byte, v uint32) []byte {
 	var tmp [4]byte
@@ -155,6 +174,8 @@ func (c *cursor) bytes() []byte {
 	return c.take(int(n))
 }
 
+// members reads a member list; a count of 0 decodes to nil, allocating
+// nothing.
 func (c *cursor) members() []Member {
 	n := int(c.u16())
 	var ms []Member
@@ -169,22 +190,30 @@ func (c *cursor) members() []Member {
 	return ms
 }
 
-func (p *shipPayload) marshal() []byte {
-	dst := make([]byte, 0, 32+len(p.Log))
+// appendTo appends the frame to dst; with a dst of enough capacity it
+// allocates nothing.
+func (p *shipPayload) appendTo(dst []byte) []byte {
 	dst = appendU64(dst, uint64(p.LeaderDurable))
 	dst = appendBytes(dst, p.Log)
+	dst = appendU64(dst, p.MembersVer)
 	return appendMembers(dst, p.Members)
 }
 
-func parseShip(buf []byte) (*shipPayload, error) {
+// parseShip decodes a ship frame. Log aliases buf; a frame without a
+// member list allocates nothing. A parsed frame re-encodes to buf exactly.
+func parseShip(buf []byte) (shipPayload, error) {
 	c := cursor{buf: buf}
-	p := &shipPayload{
+	p := shipPayload{
 		LeaderDurable: wal.LSN(c.u64()),
 		Log:           c.bytes(),
+		MembersVer:    c.u64(),
 	}
 	p.Members = c.members()
+	if c.err == nil && c.off != len(buf) {
+		c.err = errTrailingPayload
+	}
 	if c.err != nil {
-		return nil, c.err
+		return shipPayload{}, c.err
 	}
 	return p, nil
 }
@@ -199,6 +228,7 @@ func (p *snapPayload) marshal(pageSize int) []byte {
 		dst = appendU32(dst, pg.ID)
 		dst = append(dst, pg.Data...)
 	}
+	dst = appendU64(dst, p.MembersVer)
 	return appendMembers(dst, p.Members)
 }
 
@@ -218,6 +248,7 @@ func parseSnap(buf []byte, pageSize int) (*snapPayload, error) {
 		}
 		p.Pages = append(p.Pages, pageImage{ID: id, Data: data})
 	}
+	p.MembersVer = c.u64()
 	p.Members = c.members()
 	if c.err != nil {
 		return nil, c.err

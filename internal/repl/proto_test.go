@@ -12,6 +12,7 @@ func sampleShip() *shipPayload {
 	return &shipPayload{
 		LeaderDurable: 4242,
 		Log:           []byte("fifty-byte-header records would live here"),
+		MembersVer:    7,
 		Members: []Member{
 			{ID: "n1", Addr: "127.0.0.1:7070"},
 			{ID: "n2", Addr: "127.0.0.1:7071"},
@@ -36,27 +37,48 @@ func sampleSnap(pageSize int) *snapPayload {
 			{ID: 1, Data: mk(0xAA)},
 			{ID: 3, Data: mk(0x55)},
 		},
-		Members: []Member{{ID: "n1", Addr: "a"}, {ID: "n2", Addr: "b"}},
+		MembersVer: 3,
+		Members:    []Member{{ID: "n1", Addr: "a"}, {ID: "n2", Addr: "b"}},
 	}
 }
 
+// TestShipPayloadRoundTrip: a frame with a member list, one without (what a
+// follower holding the membership version gets) and an empty heartbeat
+// each parse back to what was encoded and re-encode to the same bytes. A
+// frame without a list parses with no allocation, and bytes past the end
+// of a frame are refused.
 func TestShipPayloadRoundTrip(t *testing.T) {
-	p := sampleShip()
-	got, err := parseShip(p.marshal())
-	if err != nil {
-		t.Fatal(err)
+	withList := sampleShip()
+	bare := *withList
+	bare.Members = nil
+	for name, p := range map[string]*shipPayload{
+		"with members":    withList,
+		"without members": &bare,
+		"heartbeat":       {LeaderDurable: 9, MembersVer: 2},
+	} {
+		frame := p.appendTo(nil)
+		got, err := parseShip(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.LeaderDurable != p.LeaderDurable || !bytes.Equal(got.Log, p.Log) ||
+			got.MembersVer != p.MembersVer || !reflect.DeepEqual(got.Members, p.Members) {
+			t.Fatalf("%s: round trip mismatch:\n  in  %+v\n  out %+v", name, p, got)
+		}
+		if again := got.appendTo(nil); !bytes.Equal(again, frame) {
+			t.Fatalf("%s: a parsed frame re-encodes to %x, not %x", name, again, frame)
+		}
+		if _, err := parseShip(append(frame, 0)); err == nil {
+			t.Fatalf("%s: a trailing byte was accepted", name)
+		}
 	}
-	if !reflect.DeepEqual(p, got) {
-		t.Fatalf("round trip mismatch:\n  in  %+v\n  out %+v", p, got)
+	frame := bare.appendTo(nil)
+	if n := testing.AllocsPerRun(100, func() { _, _ = parseShip(frame) }); n != 0 {
+		t.Fatalf("parsing a frame without members: %v allocs, want 0", n)
 	}
-	// Empty payload fields survive too (heartbeat frames).
-	hb := &shipPayload{LeaderDurable: 9}
-	got, err = parseShip(hb.marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LeaderDurable != 9 || len(got.Log) != 0 || got.Members != nil {
-		t.Fatalf("heartbeat round trip: %+v", got)
+	buf := make([]byte, 0, 2*len(frame))
+	if n := testing.AllocsPerRun(100, func() { buf = bare.appendTo(buf[:0]) }); n != 0 {
+		t.Fatalf("encoding a frame into a large enough buffer: %v allocs, want 0", n)
 	}
 }
 
@@ -78,10 +100,13 @@ func TestSnapPayloadRoundTrip(t *testing.T) {
 // a truncated transfer must never install half a page set.
 func TestTruncatedFramesRejected(t *testing.T) {
 	const pageSize = 64
-	ship := sampleShip().marshal()
-	for n := 0; n < len(ship); n++ {
-		if _, err := parseShip(ship[:n]); err == nil {
-			t.Fatalf("parseShip accepted a %d/%d-byte prefix", n, len(ship))
+	bare := sampleShip()
+	bare.Members = nil
+	for _, ship := range [][]byte{sampleShip().appendTo(nil), bare.appendTo(nil)} {
+		for n := 0; n < len(ship); n++ {
+			if _, err := parseShip(ship[:n]); err == nil {
+				t.Fatalf("parseShip accepted a %d/%d-byte prefix", n, len(ship))
+			}
 		}
 	}
 	snap := sampleSnap(pageSize).marshal(pageSize)
@@ -117,22 +142,24 @@ func TestStatusRoundTripAndErrors(t *testing.T) {
 }
 
 func FuzzParseShip(f *testing.F) {
-	f.Add(sampleShip().marshal())
-	f.Add((&shipPayload{}).marshal())
+	bare := sampleShip()
+	bare.Members = nil
+	f.Add(sampleShip().appendTo(nil))
+	f.Add(bare.appendTo(nil))
+	f.Add((&shipPayload{}).appendTo(nil))
 	f.Add([]byte{})
-	f.Add(sampleShip().marshal()[:10])
+	f.Add(sampleShip().appendTo(nil)[:10])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := parseShip(data)
 		if err != nil {
 			return
 		}
-		// Whatever parsed must re-marshal to an equivalent payload.
-		q, err := parseShip(p.marshal())
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
+		// Whatever parsed re-encodes to exactly the bytes it came from.
+		if again := p.appendTo(nil); !bytes.Equal(again, data) {
+			t.Fatalf("a parsed frame re-encodes to %x, not %x", again, data)
 		}
-		if p.LeaderDurable != q.LeaderDurable || !bytes.Equal(p.Log, q.Log) {
-			t.Fatalf("marshal/parse not stable: %+v vs %+v", p, q)
+		if len(p.Members) == 0 && p.Members != nil {
+			t.Fatalf("a frame without members parsed to an empty, non-nil list")
 		}
 	})
 }

@@ -37,6 +37,13 @@ func testCfg(id string, quorum int, plane *faultinject.Plane) Config {
 // with in-process transports.
 func newCluster(t *testing.T, n, quorum int) []*testNode {
 	t.Helper()
+	return newWiredCluster(t, n, quorum, nil)
+}
+
+// newWiredCluster is newCluster with each node's transport to another
+// passed through wire(from, to, tr), when wire is not nil.
+func newWiredCluster(t *testing.T, n, quorum int, wire func(from, to string, tr esm.Transport) esm.Transport) []*testNode {
+	t.Helper()
 	nodes := make([]*testNode, n)
 	for i := range nodes {
 		tn := &testNode{
@@ -62,7 +69,11 @@ func newCluster(t *testing.T, n, quorum int) []*testNode {
 	for i, a := range nodes {
 		for j, b := range nodes {
 			if i != j {
-				a.node.AddPeer(b.node.ID(), "", b.node.Transport())
+				tr := b.node.Transport()
+				if wire != nil {
+					tr = wire(a.node.ID(), b.node.ID(), tr)
+				}
+				a.node.AddPeer(b.node.ID(), "", tr)
 			}
 		}
 	}
@@ -75,15 +86,15 @@ func newCluster(t *testing.T, n, quorum int) []*testNode {
 }
 
 // waitConverged blocks until every node's durable LSN matches the
-// leader's (nodes[0]).
+// leader's (nodes[0]) and every node follows the leader's term.
 func waitConverged(t *testing.T, nodes []*testNode) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		target := nodes[0].node.DurableLSN()
+		target, term := nodes[0].node.DurableLSN(), nodes[0].node.Term()
 		ok := true
 		for _, tn := range nodes[1:] {
-			if tn.log.FlushedLSN() != target {
+			if tn.log.FlushedLSN() != target || tn.node.Term() != term {
 				ok = false
 			}
 		}
@@ -295,6 +306,10 @@ func (brokenTransport) Close() error { return nil }
 // only its own node knows, so even a refusal unrun is not failed over.
 func TestDirectorFailsOverOnlyUnrunBeginningCommits(t *testing.T) {
 	nodes := newCluster(t, 3, 2)
+	// Both followers hear from the leader before it dies, so the one that
+	// campaigns does so in a later term than the dead leader's: in its
+	// term they follow it and vote for no one else.
+	waitConverged(t, nodes)
 	commit := func(tx uint64) *esm.Request { return &esm.Request{Op: esm.OpCommit, Tx: tx} }
 
 	leader := &countingTransport{Transport: nodes[0].node.Transport()}
@@ -419,7 +434,7 @@ func TestStaleLeaderIsFenced(t *testing.T) {
 		t.Fatalf("deposed leader still serving: %+v", resp)
 	}
 	// A ship frame stamped with the dead term is fenced.
-	resp = nodes[2].node.Handle(&esm.Request{Op: esm.OpReplAppend, Tx: 1, N: 1, Name: "n1", Data: (&shipPayload{}).marshal()})
+	resp = nodes[2].node.Handle(&esm.Request{Op: esm.OpReplAppend, Tx: 1, N: 1, Name: "n1", Data: (&shipPayload{}).appendTo(nil)})
 	if !IsStaleTerm(resp.Err) {
 		t.Fatalf("stale-term append accepted: %+v", resp)
 	}
@@ -464,6 +479,10 @@ func TestQuorumTimeoutWhenFollowersUnreachable(t *testing.T) {
 	}
 }
 
+// TestLateFollowerCatchesUpBySnapshot: a follower behind the leader's log
+// cut is brought up by a snapshot. The snapshot settles the membership
+// version too: no ship frame after it carries the member list or is
+// answered with a request for it.
 func TestLateFollowerCatchesUpBySnapshot(t *testing.T) {
 	nodes := newCluster(t, 1, 1)
 	leader := nodes[0].node
@@ -481,7 +500,8 @@ func TestLateFollowerCatchesUpBySnapshot(t *testing.T) {
 	f := NewFollower(fVol, fLog, testCfg("n2", 1, nil))
 	defer f.Close()
 	f.AddPeer("n1", "", leader.Transport())
-	leader.AddPeer("n2", "", f.Transport())
+	tap := &frameTap{Transport: f.Transport()}
+	leader.AddPeer("n2", "", tap)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for fLog.FlushedLSN() != leader.DurableLSN() || f.Role() != RoleFollower {
@@ -493,6 +513,18 @@ func TestLateFollowerCatchesUpBySnapshot(t *testing.T) {
 	}
 	if st := leader.ReplStats(); st.SnapshotsSent < 1 {
 		t.Fatalf("snapshots sent = %d, want >= 1", st.SnapshotsSent)
+	}
+	putValue(t, leader.Transport(), "new", "data")
+	waitFor(t, "the follower to catch up", func() bool { return fLog.FlushedLSN() == leader.DurableLSN() })
+	time.Sleep(50 * time.Millisecond) // a few heartbeats
+	frames := tap.since(0)
+	if len(frames) < 3 {
+		t.Fatalf("%d ship frames after the snapshot, want a commit's and heartbeats", len(frames))
+	}
+	for i, fr := range frames {
+		if fr.members || fr.askedForMembers {
+			t.Fatalf("frame %d after the snapshot: carried the list %v, asked for it %v", i, fr.members, fr.askedForMembers)
+		}
 	}
 	// Promote the snapshot-fed follower and read the data back from it.
 	if err := f.Campaign(); err != nil {
@@ -522,5 +554,27 @@ func TestWaitQuorumFencedOnStepDown(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("WaitQuorum hung after step-down")
+	}
+}
+
+// TestFollowerVotesForNoOneElseInItsLeadersTerm: a follower that follows
+// the leader of term 1 refuses its vote to a candidate campaigning in term
+// 1 (one that never heard from the leader), and grants it in term 2, so a
+// term has at most one leader.
+func TestFollowerVotesForNoOneElseInItsLeadersTerm(t *testing.T) {
+	nodes := newCluster(t, 3, 2)
+	waitConverged(t, nodes)
+	vote := func(term uint64) uint64 {
+		resp := nodes[2].node.Handle(&esm.Request{Op: esm.OpReplAck, Mode: ModeVote, Tx: term, N: uint64(nodes[0].node.DurableLSN()), Name: "n2"})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return resp.N
+	}
+	if vote(1) != 0 {
+		t.Fatal("a follower of term 1's leader voted for another candidate in term 1")
+	}
+	if vote(2) != 1 {
+		t.Fatal("the vote in term 2 was refused")
 	}
 }

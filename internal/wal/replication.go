@@ -81,29 +81,32 @@ func (l *Log) StopNotify(ch chan struct{}) {
 // boundary, so the chunk can be CRC-verified and spliced by AppendRaw. A
 // nil chunk means nothing durable lies past from.
 func (l *Log) DurableFrom(from LSN, max int) ([]byte, error) {
+	return l.AppendDurable(nil, from, max)
+}
+
+// AppendDurable is DurableFrom appending the chunk to dst, so a shipper can
+// reuse one buffer for every frame; dst comes back unchanged when nothing
+// durable lies past from.
+func (l *Log) AppendDurable(dst []byte, from LSN, max int) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	start := LSN(1 + l.base)
 	if from < start {
-		return nil, ErrCompacted
+		return dst, ErrCompacted
 	}
 	off := int(from - start)
 	if off >= l.flushed {
-		return nil, nil
+		return dst, nil
 	}
-	avail := l.buf[off:l.flushed]
-	// Walk record boundaries: the durable prefix can end mid-record after
-	// an injected torn flush (ship only what decodes), and a capped chunk
-	// must not split a record.
-	limit := len(avail)
-	if max > 0 && max < limit {
-		limit = max
+	// The durable prefix can end mid-record after an injected torn flush
+	// (ship only what decodes), and a capped chunk must not split a
+	// record.
+	limit := l.flushed
+	if max > 0 && max < limit-off {
+		limit = off + max
 	}
-	end, _ := validPrefix(avail, from, limit)
-	if end == 0 {
-		return nil, nil
-	}
-	return append([]byte(nil), avail[:end]...), nil
+	n, _ := validPrefix(l.buf[off:limit], from, limit-off)
+	return append(dst, l.buf[off:off+n]...), nil
 }
 
 // AppendRaw splices pre-serialized records — shipped from a peer log whose

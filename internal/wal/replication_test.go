@@ -121,6 +121,41 @@ func TestDurableFromBounds(t *testing.T) {
 	}
 }
 
+// AppendDurable appends the chunk DurableFrom would return to a caller's
+// buffer, allocating nothing once the buffer is large enough: a read from
+// a later record appends the rest, a read from inside a record appends
+// nothing, and a capped read still ends on a record edge.
+func TestAppendDurableAppendsToBuffer(t *testing.T) {
+	l := NewMemLog()
+	first := appendUpdate(l, 1, 1, 1)
+	second := appendUpdate(l, 2, 2, 2)
+	appendUpdate(l, 3, 3, 3)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := l.DurableFrom(first, 0)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("DurableFrom: %d bytes, %v", len(want), err)
+	}
+	buf := append(make([]byte, 0, 4*len(want)), "hdr"...)
+	got, err := l.AppendDurable(buf, first, 0)
+	if err != nil || string(got[:3]) != "hdr" || !bytes.Equal(got[3:], want) {
+		t.Fatalf("AppendDurable = %q, %v; want the header, then the DurableFrom chunk", got, err)
+	}
+	if got, _ := l.AppendDurable(buf, second, 0); !bytes.Equal(got[3:], want[second-first:]) {
+		t.Fatalf("read from the second record = %d bytes, want %d", len(got)-3, len(want)-int(second-first))
+	}
+	if got, _ := l.AppendDurable(buf, first+1, 0); len(got) != len(buf) {
+		t.Fatalf("a read from inside a record appended %d bytes", len(got)-len(buf))
+	}
+	if got, _ := l.AppendDurable(buf, first, int(second-first)+1); !bytes.Equal(got[3:], want[:second-first]) {
+		t.Fatalf("capped read = %d bytes, want the first record (%d)", len(got)-3, second-first)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = l.AppendDurable(buf, first, 0) }); n != 0 {
+		t.Fatalf("AppendDurable into a large enough buffer: %v allocs, want 0", n)
+	}
+}
+
 func TestAppendRawGapAndDivergence(t *testing.T) {
 	leader := NewMemLog()
 	appendUpdate(leader, 1, 1, 1)
@@ -142,19 +177,36 @@ func TestAppendRawGapAndDivergence(t *testing.T) {
 	if err := follower.AppendRaw(1, chunk); err != nil {
 		t.Fatal(err)
 	}
-	// Divergence: same LSNs, different bytes.
-	other := NewMemLog()
-	appendUpdate(other, 7, 7, 7)
-	appendUpdate(other, 8, 8, 8)
-	if err := other.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	stale, err := other.DurableFrom(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := follower.AppendRaw(1, stale); !errors.Is(err, ErrDiverged) {
-		t.Fatalf("divergent retransmit: %v", err)
+	// Divergence: same LSNs, different bytes. Two records of the
+	// follower's sizes are a full retransmit (the byte comparison); four
+	// longer ones overrun the follower's tail, which then ends inside a
+	// shipped record (the record-edge check).
+	for _, tc := range []struct {
+		name string
+		fill func(*Log)
+	}{
+		{"full retransmit", func(l *Log) {
+			appendUpdate(l, 7, 7, 7)
+			appendUpdate(l, 8, 8, 8)
+		}},
+		{"longer chunk", func(l *Log) {
+			for i := 0; i < 4; i++ {
+				l.Append(Record{Tx: 7, Type: RecUpdate, Page: 7, New: bytes.Repeat([]byte{7}, 23)})
+			}
+		}},
+	} {
+		other := NewMemLog()
+		tc.fill(other)
+		if err := other.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		stale, err := other.DurableFrom(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := follower.AppendRaw(1, stale); !errors.Is(err, ErrDiverged) {
+			t.Fatalf("divergent retransmit (%s): %v", tc.name, err)
+		}
 	}
 	// Corrupt content is rejected before any mutation.
 	bad := append([]byte(nil), chunk...)
