@@ -580,7 +580,8 @@ func statsRemote(addr string) error {
 // printServerStats prints a server's counters; cs, when the caller has a
 // session of its own on that server, adds the session's side of lock-ahead.
 func printServerStats(ss *esm.ServerStats, cs *quickstore.Stats) {
-	fmt.Printf("server buffer:  %d/%d pages resident\n", ss.Resident, ss.BufferPages)
+	fmt.Printf("server buffer:  %d/%d pages resident, %d frames allocated (%.1f MB)\n",
+		ss.Resident, ss.BufferPages, ss.PoolAllocatedPages, float64(ss.PoolAllocatedPages)*disk.PageSize/(1<<20))
 	fmt.Printf("pool:           %d hits, %d misses, %d evicted", ss.PoolHits, ss.PoolMisses, ss.PoolEvicted)
 	if total := ss.PoolHits + ss.PoolMisses; total > 0 {
 		fmt.Printf(" (%.1f%% hit rate)", 100*float64(ss.PoolHits)/float64(total))

@@ -18,8 +18,9 @@ var (
 	ErrNotCached = errors.New("buffer: page not resident")
 )
 
-// Frame is one buffer-pool slot. Data aliases the pool's backing storage
-// and remains valid while the page stays resident.
+// Frame is one buffer-pool slot. Data is the frame's page image, nil until
+// the frame first takes a page and its own from then on; it remains valid
+// while the page stays resident.
 type Frame struct {
 	Page  disk.PageID // InvalidPage when the frame is empty
 	Data  []byte
@@ -76,6 +77,8 @@ type Pool struct {
 	spec                 int
 	specUsed, specWasted int64
 
+	slab slab // frame images, handed out by firstEmpty
+
 	// FlushFn, if set, is called to write back a dirty page before its
 	// frame is reused.
 	FlushFn func(pid disk.PageID, data []byte) error
@@ -89,22 +92,19 @@ type Pool struct {
 }
 
 // New creates a pool of nframes 8K frames with the given policy
-// (nil selects the traditional clock).
+// (nil selects the traditional clock). The frames get their images as they
+// first take pages (slab.go).
 func New(nframes int, policy Policy) *Pool {
 	if policy == nil {
 		policy = Clock{}
 	}
-	p := &Pool{
+	return &Pool{
 		frames: make([]Frame, nframes),
 		index:  make(map[disk.PageID]int, nframes),
 		policy: policy,
 		empty:  nframes,
+		slab:   slab{limit: nframes},
 	}
-	backing := make([]byte, nframes*disk.PageSize)
-	for i := range p.frames {
-		p.frames[i].Data = backing[i*disk.PageSize : (i+1)*disk.PageSize : (i+1)*disk.PageSize]
-	}
-	return p
 }
 
 // Len returns the number of frames in the pool.
@@ -252,10 +252,14 @@ func (p *Pool) DropSpeculative() {
 	}
 }
 
-// firstEmpty returns the lowest-numbered empty frame; p.empty must be > 0.
+// firstEmpty returns the lowest-numbered empty frame, giving it an image if
+// it never had one; p.empty must be > 0.
 func (p *Pool) firstEmpty() int {
 	for p.frames[p.lowEmpty].Page != disk.InvalidPage {
 		p.lowEmpty++
+	}
+	if f := &p.frames[p.lowEmpty]; f.Data == nil {
+		f.Data = p.slab.image()
 	}
 	return p.lowEmpty
 }

@@ -42,6 +42,11 @@ type LatchPool struct {
 	// (and during FlushAll). Set it before the pool is shared.
 	FlushFn func(pid disk.PageID, data []byte) error
 
+	// slab hands a frame its image as it first leaves free (slab.go). Its
+	// lock is a leaf, taken under a stripe latch.
+	slabMu sync.Mutex
+	slab   slab
+
 	// epoch is the fuzzy-checkpoint clock: every clean→dirty transition
 	// stamps the frame with the current value, and AdvanceEpoch starts a
 	// new generation so a checkpoint can flush exactly the pages dirtied
@@ -96,8 +101,9 @@ type latchFrame struct {
 // so thousands of yields mean a real leak, not contention.
 const maxReserveSpins = 100000
 
-// NewLatchPool creates a pool of nframes 8K frames. The stripe count is
-// derived from the frame count: one latch per ~8 frames, capped at 64.
+// NewLatchPool creates a pool of nframes 8K frames, which get their images
+// as they first take pages. The stripe count is derived from the frame
+// count: one latch per ~8 frames, capped at 64.
 func NewLatchPool(nframes int) *LatchPool {
 	nstripes := 1
 	for nstripes*2 <= nframes/8 && nstripes*2 <= 64 {
@@ -107,9 +113,8 @@ func NewLatchPool(nframes int) *LatchPool {
 		stripes: make([]latchStripe, nstripes),
 		mask:    uint32(nstripes - 1),
 		nframes: nframes,
+		slab:    slab{limit: nframes},
 	}
-	backing := make([]byte, nframes*disk.PageSize)
-	next := 0
 	for i := range p.stripes {
 		n := nframes / nstripes
 		if i < nframes%nstripes {
@@ -119,10 +124,6 @@ func NewLatchPool(nframes int) *LatchPool {
 		s.frames = make([]latchFrame, n)
 		s.index = make(map[disk.PageID]int, n)
 		s.moved.L = &s.mu
-		for j := range s.frames {
-			s.frames[j].data = backing[next*disk.PageSize : (next+1)*disk.PageSize : (next+1)*disk.PageSize]
-			next++
-		}
 	}
 	return p
 }
@@ -139,6 +140,15 @@ func (p *LatchPool) Stripes() int { return len(p.stripes) }
 
 // Resident returns the number of pages currently cached.
 func (p *LatchPool) Resident() int { return int(p.resident.Load()) }
+
+// Allocated returns the number of frame images the pool has allocated, in
+// whole slabs: its memory is Allocated × PageSize, the high-water mark of
+// its resident pages rounded up to a slab, never more than Len.
+func (p *LatchPool) Allocated() int {
+	p.slabMu.Lock()
+	defer p.slabMu.Unlock()
+	return p.slab.allocated
+}
 
 // Stats reports hit/miss/eviction counts.
 func (p *LatchPool) Stats() (hits, misses, evicted int64) {
@@ -331,6 +341,10 @@ func (p *LatchPool) reserveFrame(s *latchStripe, pid disk.PageID) (int, error) {
 			delete(s.index, f.page)
 			p.evicted.Add(1)
 			p.resident.Add(-1)
+		} else if f.data == nil {
+			p.slabMu.Lock()
+			f.data = p.slab.image()
+			p.slabMu.Unlock()
 		}
 		f.state, f.page, f.pin, f.ref, f.dirty = frameFilling, pid, 1, false, false
 		s.index[pid] = victim

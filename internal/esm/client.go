@@ -17,7 +17,10 @@ import (
 	"quickstore/internal/wal"
 )
 
-// DefaultClientBufferPages matches the paper's 12MB client pool.
+// DefaultClientBufferPages is the client pool's capacity, the paper's 12 MB.
+// It bounds the pool's memory; what the pool holds is the high-water mark of
+// its resident pages in 64-frame slabs, since a frame gets its image on
+// first use.
 const DefaultClientBufferPages = 1536
 
 // ErrNoTx is returned for page operations outside a transaction.

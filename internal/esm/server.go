@@ -45,7 +45,10 @@ func SnapshotBehindError(serving, saw uint64) string {
 	return fmt.Sprintf("%s: serving at %d, client saw %d", snapshotBehindPrefix, serving, saw)
 }
 
-// DefaultServerBufferPages matches the paper's 36MB server pool.
+// DefaultServerBufferPages is the server pool's capacity, the paper's 36 MB.
+// It bounds the pool's memory; what the pool holds is the high-water mark of
+// its resident pages in 64-frame slabs, since a frame gets its image on
+// first use.
 const DefaultServerBufferPages = 4608
 
 // reservedPage is page 1: NewServer allocates it so that data pages start
@@ -330,21 +333,25 @@ func (s *Server) quorumGate() QuorumWaiter {
 
 // ServerStats is the JSON payload returned in OpStats responses; it backs
 // the `qsstore stats` subcommand.
+//
+// BufferPages is the pool's capacity; PoolAllocatedPages the frames it has
+// allocated images for (buffer.LatchPool.Allocated), its real footprint.
 type ServerStats struct {
-	BufferPages    int   `json:"buffer_pages"`
-	Resident       int   `json:"resident_pages"`
-	PoolHits       int64 `json:"pool_hits"`
-	PoolMisses     int64 `json:"pool_misses"`
-	PoolEvicted    int64 `json:"pool_evicted"`
-	AllocatedPages int   `json:"allocated_pages"`
-	LogRecords     int64 `json:"log_records"`
-	LogBytes       int64 `json:"log_bytes"`
-	DiskReads      int64 `json:"disk_reads"`
-	DiskWrites     int64 `json:"disk_writes"`
-	PrefetchPages  int64 `json:"prefetch_pages_served"`
-	Commits        int64 `json:"commits"`
-	LogForces      int64 `json:"log_forces"`
-	LogPiggybacks  int64 `json:"log_piggybacks"`
+	BufferPages        int   `json:"buffer_pages"`
+	Resident           int   `json:"resident_pages"`
+	PoolAllocatedPages int   `json:"pool_allocated_pages"`
+	PoolHits           int64 `json:"pool_hits"`
+	PoolMisses         int64 `json:"pool_misses"`
+	PoolEvicted        int64 `json:"pool_evicted"`
+	AllocatedPages     int   `json:"allocated_pages"`
+	LogRecords         int64 `json:"log_records"`
+	LogBytes           int64 `json:"log_bytes"`
+	DiskReads          int64 `json:"disk_reads"`
+	DiskWrites         int64 `json:"disk_writes"`
+	PrefetchPages      int64 `json:"prefetch_pages_served"`
+	Commits            int64 `json:"commits"`
+	LogForces          int64 `json:"log_forces"`
+	LogPiggybacks      int64 `json:"log_piggybacks"`
 
 	// How transactions' bytes reached the pool. PagesLogApplied counts page
 	// runs redone from log batches (the page itself never crossed the
@@ -723,20 +730,21 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		hits, misses, evicted := s.pool.Stats()
 		grants, waits := s.locks.Stats()
 		st := ServerStats{
-			BufferPages:    s.pool.Len(),
-			Resident:       s.pool.Resident(),
-			PoolHits:       hits,
-			PoolMisses:     misses,
-			PoolEvicted:    evicted,
-			AllocatedPages: int(s.vol.AllocatedPages()),
-			LogRecords:     s.log.Records(),
-			LogBytes:       s.log.Bytes(),
-			DiskReads:      s.clock.SharedCount(sim.CtrServerDiskRead),
-			DiskWrites:     s.clock.SharedCount(sim.CtrServerDiskWrite),
-			PrefetchPages:  s.prefetchPages.Load(),
-			Commits:        s.commits.Load(),
-			LogForces:      s.log.Forces(),
-			LogPiggybacks:  s.log.Piggybacks(),
+			BufferPages:        s.pool.Len(),
+			Resident:           s.pool.Resident(),
+			PoolAllocatedPages: s.pool.Allocated(),
+			PoolHits:           hits,
+			PoolMisses:         misses,
+			PoolEvicted:        evicted,
+			AllocatedPages:     int(s.vol.AllocatedPages()),
+			LogRecords:         s.log.Records(),
+			LogBytes:           s.log.Bytes(),
+			DiskReads:          s.clock.SharedCount(sim.CtrServerDiskRead),
+			DiskWrites:         s.clock.SharedCount(sim.CtrServerDiskWrite),
+			PrefetchPages:      s.prefetchPages.Load(),
+			Commits:            s.commits.Load(),
+			LogForces:          s.log.Forces(),
+			LogPiggybacks:      s.log.Piggybacks(),
 
 			PagesLogApplied: s.pagesLogApplied.Load(),
 			PagesInstalled:  s.pagesInstalled.Load(),

@@ -204,3 +204,44 @@ func serverStats(t *testing.T, srv *Server) (*ServerStats, error) {
 	c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 4})
 	return c.ServerStats()
 }
+
+// TestStatsPoolAllocatedPages pins the server pool's footprint in the stats:
+// a slab of frames at a time as pages are first read, and unchanged by
+// DropCaches, whose frames keep their images.
+func TestStatsPoolAllocatedPages(t *testing.T) {
+	vol := disk.NewMemVolume()
+	srv, err := NewServer(vol, wal.NewMemLog(), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := vol.Allocate(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < 100; i++ {
+		pid := uint32(base) + i
+		if resp := srv.Handle(&Request{Op: OpReadPages, Page: pid, Data: AppendPageEntry(nil, pid, 0)}); resp.Err != "" {
+			t.Fatalf("read %d: %s", pid, resp.Err)
+		}
+	}
+	st, err := serverStats(t, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BufferPages != DefaultServerBufferPages || st.Resident < 100 {
+		t.Fatalf("stats: %d/%d pages resident, want at least the 100 read of %d", st.Resident, st.BufferPages, DefaultServerBufferPages)
+	}
+	if want := (st.Resident + 63) / 64 * 64; st.PoolAllocatedPages != want {
+		t.Fatalf("pool_allocated_pages = %d with %d resident, want %d", st.PoolAllocatedPages, st.Resident, want)
+	}
+	if err := srv.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := serverStats(t, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Resident != 0 || after.PoolAllocatedPages != st.PoolAllocatedPages {
+		t.Fatalf("after DropCaches: %d resident, %d allocated, want 0 and %d", after.Resident, after.PoolAllocatedPages, st.PoolAllocatedPages)
+	}
+}

@@ -37,6 +37,8 @@ type lockSpec struct {
 // own components: repl releases Node.mu before re-entering the server,
 // the version store is called under Server.mu (20 < 26), and the router's
 // locks only ever wrap interface calls the static graph cannot follow.
+// The pool's slab lock is a leaf taken under a stripe latch when a frame
+// first gets its image.
 // The coherence version table (esm.cohState.mu) is taken under Server.mu
 // and under a frame content latch (the abort undo bumps versions while
 // holding the exclusive latch), so it ranks above both and acquires
@@ -46,6 +48,7 @@ var lockSpecs = []lockSpec{
 	{"internal/repl", "Director", "mu", lockClass{name: "repl.Director.mu", rank: 16}},
 	{"internal/esm", "Server", "mu", lockClass{name: "esm.Server.mu", rank: 20, server: true}},
 	{"internal/buffer", "latchStripe", "mu", lockClass{name: "buffer stripe latch", rank: 22, latch: true}},
+	{"internal/buffer", "LatchPool", "slabMu", lockClass{name: "buffer slab lock", rank: 23}},
 	{"internal/buffer", "latchFrame", "content", lockClass{name: "buffer frame content latch", rank: 24, latch: true}},
 	{"internal/mvcc", "Store", "mu", lockClass{name: "mvcc.Store.mu", rank: 26}},
 	{"internal/esm", "cohState", "mu", lockClass{name: "esm.cohState.mu", rank: 27}},

@@ -759,6 +759,7 @@ func (r *Router) aggregateStats(req *esm.Request) (*esm.Response, error) {
 		}
 		agg.BufferPages += st.BufferPages
 		agg.Resident += st.Resident
+		agg.PoolAllocatedPages += st.PoolAllocatedPages
 		agg.PoolHits += st.PoolHits
 		agg.PoolMisses += st.PoolMisses
 		agg.PoolEvicted += st.PoolEvicted
