@@ -601,8 +601,12 @@ func printServerStats(ss *esm.ServerStats, cs *quickstore.Stats) {
 		fmt.Printf(" (%.2f forces/commit)", float64(ss.LogForces)/float64(ss.Commits))
 	}
 	fmt.Printf("; %d page runs redone from the log, %d pages installed whole\n", ss.PagesLogApplied, ss.PagesInstalled)
-	fmt.Printf("coherence:      %d Begin checks, %d too-old Begin horizons; %d not modified, %d deltas (%d bytes), %d full pages; %d page-change index entries\n",
-		ss.CohValidates, ss.CohFeedStale, ss.CohNotModified, ss.CohDeltas, ss.CohDeltaBytes, ss.CohFulls, ss.CohIndexEntries)
+	fullAvg := int64(0)
+	if ss.CohFulls > 0 {
+		fullAvg = ss.CohFullBytes / ss.CohFulls
+	}
+	fmt.Printf("coherence:      %d Begin checks, %d too-old Begin horizons; %d not modified, %d deltas (%d bytes), %d full pages (%d bytes per image); %d page-change index entries\n",
+		ss.CohValidates, ss.CohFeedStale, ss.CohNotModified, ss.CohDeltas, ss.CohDeltaBytes, ss.CohFulls, fullAvg, ss.CohIndexEntries)
 	if r := ss.Repl; r != nil {
 		fmt.Printf("replication:    %s, term %d, leader %q, %d followers, quorum %d\n",
 			r.Role, r.Term, r.Leader, r.Followers, r.Quorum)

@@ -193,16 +193,18 @@ func (p *Pool) vacate(i int) {
 	}
 }
 
-// PutPrefetched installs a speculative page image read ahead of any use. It
-// takes an empty frame if there is one; in a full pool it takes the frame the
-// replacement policy would have given the next miss anyway. Speculation never
-// steals and never cannibalises itself: when there is no victim, or it is
-// pinned, dirty or an unused speculative frame, the image is dropped instead
-// (ok=false), as it is when the page is already resident. The frame is installed with the
-// reference bit clear and Prefetched set.
-func (p *Pool) PutPrefetched(pid disk.PageID, data []byte) (idx int, ok bool) {
+// PutPrefetched installs a speculative page image read ahead of any use,
+// which fill writes into the frame's image, as Put's loader does. It takes
+// an empty frame if there is one; in a full pool it takes the frame the
+// replacement policy would have given the next miss anyway. Speculation
+// never steals and never cannibalises itself: when there is no victim, or
+// it is pinned, dirty or an unused speculative frame, the image is dropped
+// instead (ok=false) and fill is not called, as it is not when the page is
+// already resident. The frame is installed with the reference bit clear and
+// Prefetched set; when fill fails it stays empty and the error is returned.
+func (p *Pool) PutPrefetched(pid disk.PageID, fill func(buf []byte) error) (idx int, ok bool, err error) {
 	if _, resident := p.index[pid]; resident {
-		return 0, false
+		return 0, false, nil
 	}
 	var i int
 	if p.empty > 0 {
@@ -210,20 +212,22 @@ func (p *Pool) PutPrefetched(pid disk.PageID, data []byte) (idx int, ok bool) {
 	} else {
 		v, err := p.policy.Victim(p)
 		if err != nil {
-			return 0, false
+			return 0, false, nil
 		}
 		if f := &p.frames[v]; f.Pin != 0 || f.Dirty || f.Prefetched {
-			return 0, false
+			return 0, false, nil
 		}
 		p.evicted++
 		p.vacate(v)
 		i = v
 	}
-	copy(p.frames[i].Data, data)
+	if err := fill(p.frames[i].Data); err != nil {
+		return 0, false, err
+	}
 	p.occupy(i, pid)
 	p.frames[i].Prefetched = true
 	p.spec++
-	return i, true
+	return i, true, nil
 }
 
 // ConsumePrefetched clears frame i's Prefetched flag, reporting whether it

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,9 +14,58 @@ func pageImage(tag byte) []byte {
 	return bytes.Repeat([]byte{tag}, disk.PageSize)
 }
 
+// putPrefetched installs img as pid's speculative image.
+func putPrefetched(p *Pool, pid disk.PageID, img []byte) (int, bool) {
+	i, ok, err := p.PutPrefetched(pid, func(buf []byte) error {
+		copy(buf, img)
+		return nil
+	})
+	if err != nil {
+		panic(err) // the fill above cannot fail
+	}
+	return i, ok
+}
+
+// TestPutPrefetchedFill: the image is written by the fill function, straight
+// into the frame it lands in. A page that lands nowhere is never filled, and
+// a fill that fails leaves its frame empty and returns its error.
+func TestPutPrefetchedFill(t *testing.T) {
+	p := New(2, nil)
+	fills := 0
+	fill := func(tag byte) func([]byte) error {
+		return func(buf []byte) error {
+			fills++
+			if tag == 0 {
+				return errors.New("bad image")
+			}
+			for k := range buf {
+				buf[k] = tag
+			}
+			return nil
+		}
+	}
+	i, ok, err := p.PutPrefetched(1, fill(0xA1))
+	if err != nil || !ok || fills != 1 || p.Frame(i).Data[disk.PageSize-1] != 0xA1 {
+		t.Fatalf("install: frame %d, %v, %v, %d fills", i, ok, err, fills)
+	}
+	if _, ok, err := p.PutPrefetched(1, fill(0xB2)); ok || err != nil || fills != 1 {
+		t.Fatalf("resident page: %v, %v, %d fills; want dropped unfilled", ok, err, fills)
+	}
+	if _, ok, err := p.PutPrefetched(2, fill(0)); ok || err == nil || fills != 2 {
+		t.Fatalf("failing fill: %v, %v, %d fills; want its error", ok, err, fills)
+	}
+	if _, resident := p.Lookup(2); resident || p.Empty() != 1 || p.Resident() != 1 {
+		t.Fatalf("after a failed fill: page 2 resident %v, empty %d, resident %d; want the frame empty",
+			resident, p.Empty(), p.Resident())
+	}
+	if o, _, _ := p.Speculation(); o != 1 {
+		t.Fatalf("%d speculative frames outstanding, want 1", o)
+	}
+}
+
 func TestPutPrefetchedBasics(t *testing.T) {
 	p := New(2, nil)
-	i, ok := p.PutPrefetched(1, pageImage(0xA1))
+	i, ok := putPrefetched(p, 1, pageImage(0xA1))
 	if !ok {
 		t.Fatal("install into empty pool failed")
 	}
@@ -24,7 +74,7 @@ func TestPutPrefetchedBasics(t *testing.T) {
 		t.Fatalf("bad speculative frame: %+v", f)
 	}
 	// Installing a resident page is a no-op.
-	if _, ok := p.PutPrefetched(1, pageImage(0xB2)); ok {
+	if _, ok := putPrefetched(p, 1, pageImage(0xB2)); ok {
 		t.Fatal("reinstalled a resident page")
 	}
 	if f.Data[0] != 0xA1 {
@@ -76,13 +126,13 @@ func TestPutPrefetchedNeverEvictsDemandPages(t *testing.T) {
 	i2, _ := p.Put(2, loadTag(2))
 	p.Pin(i1)
 	p.SetPolicy(victimAt(i1))
-	if _, ok := p.PutPrefetched(3, pageImage(3)); ok {
+	if _, ok := putPrefetched(p, 3, pageImage(3)); ok {
 		t.Fatal("speculative install displaced a pinned demand page")
 	}
 	p.Unpin(i1)
 	p.MarkDirty(i2)
 	p.SetPolicy(victimAt(i2))
-	if _, ok := p.PutPrefetched(3, pageImage(3)); ok {
+	if _, ok := putPrefetched(p, 3, pageImage(3)); ok {
 		t.Fatal("speculative install displaced a dirty demand page")
 	}
 	if p.Resident() != 2 || len(evicted) != 0 || speculationCount(t, p) != 0 {
@@ -105,7 +155,7 @@ func TestPutPrefetchedTakesEmptyFramesOnly(t *testing.T) {
 	p.OnPrefetchDrop = func(pid disk.PageID) { dropped = append(dropped, pid) }
 	i1, _ := p.Put(1, loadTag(1))
 	p.SetPolicy(victimAt(i1))
-	i2, ok := p.PutPrefetched(2, pageImage(2))
+	i2, ok := putPrefetched(p, 2, pageImage(2))
 	if !ok || i2 == i1 {
 		t.Fatalf("install = frame %d, %v; want the empty frame", i2, ok)
 	}
@@ -113,7 +163,7 @@ func TestPutPrefetchedTakesEmptyFramesOnly(t *testing.T) {
 		t.Fatalf("install evicted %v while a frame was empty", evicted)
 	}
 	p.SetPolicy(victimAt(i2))
-	if _, ok := p.PutPrefetched(3, pageImage(3)); ok {
+	if _, ok := putPrefetched(p, 3, pageImage(3)); ok {
 		t.Fatal("speculative install displaced older speculation")
 	}
 	if _, ok := p.Lookup(2); !ok {
@@ -134,7 +184,7 @@ func TestPutPrefetchedIntoFullPool(t *testing.T) {
 	for pid := disk.PageID(1); pid <= 3; pid++ {
 		p.Put(pid, loadTag(byte(pid)))
 	}
-	if _, ok := p.PutPrefetched(4, pageImage(4)); !ok {
+	if _, ok := putPrefetched(p, 4, pageImage(4)); !ok {
 		t.Fatal("install into the last empty frame failed")
 	}
 	frame := func(pid disk.PageID) int {
@@ -156,7 +206,7 @@ func TestPutPrefetchedIntoFullPool(t *testing.T) {
 
 	i1 := frame(1)
 	p.SetPolicy(victimAt(i1))
-	i, ok := p.PutPrefetched(9, pageImage(9))
+	i, ok := putPrefetched(p, 9, pageImage(9))
 	if !ok || i != i1 {
 		t.Fatalf("install = frame %d, %v; want the policy's victim %d", i, ok, i1)
 	}
@@ -168,7 +218,7 @@ func TestPutPrefetchedIntoFullPool(t *testing.T) {
 	}
 	check("installed", 2)
 	// A resident page is never installed twice, whatever the policy names.
-	if _, ok := p.PutPrefetched(3, pageImage(0xFF)); ok || p.Frame(frame(3)).Data[0] != 3 {
+	if _, ok := putPrefetched(p, 3, pageImage(0xFF)); ok || p.Frame(frame(3)).Data[0] != 3 {
 		t.Fatal("reinstalled a resident page")
 	}
 	check("resident", 2)
@@ -197,8 +247,8 @@ func TestOccupancyCounts(t *testing.T) {
 	}
 	check("new", 4, 0, 0, 0)
 	p.Put(1, loadTag(1))
-	p.PutPrefetched(2, pageImage(2))
-	p.PutPrefetched(3, pageImage(3))
+	putPrefetched(p, 2, pageImage(2))
+	putPrefetched(p, 3, pageImage(3))
 	check("filled", 1, 2, 0, 0)
 	i2, _ := p.Lookup(2)
 	p.ConsumePrefetched(i2)
@@ -235,7 +285,7 @@ func TestDropSpeculativeKeepsUsedAndPinned(t *testing.T) {
 	p.OnEvict = func(pid disk.PageID, _ int) { evicted = append(evicted, pid) }
 	p.Put(1, loadTag(1))
 	for pid := disk.PageID(2); pid <= 4; pid++ {
-		p.PutPrefetched(pid, pageImage(byte(pid)))
+		putPrefetched(p, pid, pageImage(byte(pid)))
 	}
 	i2, _ := p.Lookup(2)
 	p.ConsumePrefetched(i2)
@@ -261,7 +311,7 @@ func TestFreeFrameTakesPolicyVictimOverPrefetched(t *testing.T) {
 	p := New(2, nil)
 	p.OnPrefetchDrop = func(pid disk.PageID) { dropped = append(dropped, pid) }
 	p.Put(1, loadTag(1))
-	p.PutPrefetched(2, pageImage(2))
+	putPrefetched(p, 2, pageImage(2))
 	i1, _ := p.Lookup(1)
 	p.SetPolicy(victimAt(i1))
 	if i, err := p.Put(3, loadTag(3)); err != nil || i != i1 {
@@ -278,8 +328,8 @@ func TestDropAllCountsWastedPrefetches(t *testing.T) {
 	p := New(4, nil)
 	p.OnPrefetchDrop = func(pid disk.PageID) { dropped = append(dropped, pid) }
 	p.Put(1, loadTag(1))
-	p.PutPrefetched(2, pageImage(2))
-	p.PutPrefetched(3, pageImage(3))
+	putPrefetched(p, 2, pageImage(2))
+	putPrefetched(p, 3, pageImage(3))
 	i, _ := p.Lookup(3)
 	p.ConsumePrefetched(i) // page 3 was used; only page 2 is waste
 	p.DropAll()
@@ -338,7 +388,7 @@ func TestConcurrentPinUnpinEvict(t *testing.T) {
 						}
 					}
 				case 4: // speculative install
-					p.PutPrefetched(pid, pageImage(byte(pid)))
+					putPrefetched(p, pid, pageImage(byte(pid)))
 				case 5: // consume if prefetched
 					if i, ok := p.Lookup(pid); ok {
 						p.ConsumePrefetched(i)

@@ -17,10 +17,11 @@ func serverImages(t *testing.T, srv *esm.Server, n uint32) map[disk.PageID][]byt
 		req := esm.AppendPageEntry(nil, pid, 0)
 		resp := srv.Handle(&esm.Request{Op: esm.OpReadPages, Page: pid, Data: req})
 		a := esm.ReadAnswers(req, resp.Data)
-		if resp.Err != "" || !a.Next() || !a.Answered {
+		img := make([]byte, disk.PageSize)
+		if resp.Err != "" || !a.Next() || a.Kind != esm.PageFull || a.Apply(img) != nil {
 			t.Fatalf("page %d: %s %v", pid, resp.Err, a.Err())
 		}
-		out[disk.PageID(pid)] = a.Data
+		out[disk.PageID(pid)] = img
 	}
 	return out
 }

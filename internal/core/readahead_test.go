@@ -52,8 +52,9 @@ func (c *countingTransport) Call(req *esm.Request) (*esm.Response, error) {
 		if len(req.Data) >= 2*esm.PageEntryBytes {
 			c.batches++
 		}
+		img := make([]byte, disk.PageSize)
 		for a := esm.ReadAnswers(req.Data, resp.Data); a.Next(); {
-			if a.Answered && a.Kind == esm.PageFull && len(a.Data) == disk.PageSize {
+			if a.Answered && a.Kind == esm.PageFull && a.Apply(img) == nil {
 				c.shipped[disk.PageID(a.Page)]++
 			}
 		}
@@ -134,6 +135,9 @@ func TestReadAheadColdT1RoundTrips(t *testing.T) {
 		dtr.total(), dtr.pages(), tr.total(), tr.batches, tr.pages())
 	if n := tr.total(); n > 150 {
 		t.Errorf("cold T1 took %d transport calls, want <= 150 (demand paging: %d)", n, dtr.total())
+	}
+	if reads := dtr.calls[esm.OpReadPages]; tr.pages() == 0 || dtr.pages() != reads {
+		t.Fatalf("shipped %d pages with read-ahead, %d in %d demand reads: the tap misses images", tr.pages(), dtr.pages(), reads)
 	}
 	if twice := tr.shippedTwice(); len(twice) != 0 {
 		t.Errorf("pages shipped more than once: %v", twice)
@@ -274,8 +278,8 @@ func TestReadAheadSparseTraversalShipsLittle(t *testing.T) {
 		t.Fatalf("T7 = %d with read-ahead, %d on demand", got, want)
 	}
 	t.Logf("cold T7: demand %d pages; read-ahead %d pages in %d calls", dtr.pages(), tr.pages(), tr.total())
-	if n := tr.pages(); n > 64 {
-		t.Errorf("cold T7 shipped %d pages, want <= 64 (demand paging: %d)", n, dtr.pages())
+	if n := tr.pages(); n == 0 || n > 64 {
+		t.Errorf("cold T7 shipped %d pages, want 1..64 (demand paging: %d)", n, dtr.pages())
 	}
 }
 
@@ -410,6 +414,9 @@ func TestReadAheadSnapshotSessionReadsOnDemand(t *testing.T) {
 	if n := r.tr.batches; n != 0 {
 		t.Errorf("%d batch reads inside a snapshot session", n)
 	}
+	if n := r.tr.pages(); n < starLeaves {
+		t.Errorf("%d pages shipped to the snapshot session, want one per leaf at least (%d)", n, starLeaves)
+	}
 	if twice := r.tr.shippedTwice(); len(twice) != 0 {
 		t.Errorf("pages shipped more than once: %v", twice)
 	}
@@ -443,6 +450,9 @@ func TestReadAheadFramesStayCoherent(t *testing.T) {
 		}
 	}
 	a.must(a.st.Commit())
+	if n := a.tr.pages(); n < starLeaves {
+		t.Fatalf("the cold read shipped %d pages, want one per leaf at least (%d)", n, starLeaves)
+	}
 	if hits := a.clock.Count(sim.CtrPrefetchHit); hits != starLeaves {
 		t.Fatalf("%d of %d leaves were read-ahead hits", hits, starLeaves)
 	}

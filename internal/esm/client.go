@@ -12,7 +12,6 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/faultinject"
 	"quickstore/internal/lock"
-	"quickstore/internal/pagedelta"
 	"quickstore/internal/sim"
 	"quickstore/internal/wal"
 )
@@ -430,7 +429,7 @@ func (c *Client) flushCheck() error {
 			f.Stale = false
 			continue
 		}
-		if applyAnswer(f.Data, &a) == nil {
+		if a.Apply(f.Data) == nil {
 			f.LSN = a.Token
 			f.Stale = false
 			if c.OnRefresh != nil {
@@ -561,7 +560,7 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 			return err
 		}
 		token = a.Token
-		return applyAnswer(buf, &a)
+		return a.Apply(buf)
 	})
 	if err != nil {
 		return 0, err
@@ -587,7 +586,7 @@ func (c *Client) revalidateFrame(i int) error {
 		return err
 	}
 	if a.Stale {
-		if err := applyAnswer(f.Data, &a); err != nil {
+		if err := a.Apply(f.Data); err != nil {
 			return err
 		}
 		if a.Kind == PageFull {
@@ -630,25 +629,6 @@ func (c *Client) readPage(pid disk.PageID, token uint64, snap wal.LSN) (PageAnsw
 	return a, resp, err
 }
 
-// applyAnswer brings page to the image a stale entry's answer carries: a
-// full image is copied over it, a delta patched onto the bytes the entry's
-// token named. A missing or malformed answer leaves page untouched.
-func applyAnswer(page []byte, a *PageAnswers) error {
-	switch {
-	case !a.Answered:
-		return fmt.Errorf("esm: page %d is stale and was not answered", a.Page)
-	case a.Kind == PageDelta:
-		if err := pagedelta.Apply(page, a.Data); err != nil {
-			return fmt.Errorf("esm: delta repair of page %d: %w", a.Page, err)
-		}
-	case a.Kind == PageFull && len(a.Data) == len(page):
-		copy(page, a.Data)
-	default:
-		return fmt.Errorf("esm: page %d answered with %d bytes of kind %d", a.Page, len(a.Data), a.Kind)
-	}
-	return nil
-}
-
 // ConsumePrefetch reports whether this access is the first real use of a
 // frame read ahead of it, and clears the mark. The transfer was paid for when
 // the batch was served, so a hit costs nothing more.
@@ -660,13 +640,14 @@ func (c *Client) ConsumePrefetch(i int) bool {
 	return true
 }
 
-// ReadAhead fetches pids with one OpReadPages round trip and lands each
-// image in the pool as a speculative frame (buffer.PutPrefetched: an empty
-// frame, or the replacement policy's clean, unpinned victim), stamped with its
-// coherence token so the next Begin's validation treats it like any other
-// warm frame. An image the pool has no such frame for, or whose page is
-// already resident, is dropped. Outside a transaction it does nothing: a
-// snapshot session must not be handed current images.
+// ReadAhead fetches pids with one OpReadPages round trip and decodes each
+// image straight into the pool as a speculative frame (buffer.PutPrefetched:
+// an empty frame, or the replacement policy's clean, unpinned victim),
+// stamped with its coherence token so the next Begin's validation treats it
+// like any other warm frame. An image the pool has no such frame for, or
+// whose page is already resident, is dropped undecoded. Outside a
+// transaction it does nothing: a snapshot session must not be handed
+// current images.
 func (c *Client) ReadAhead(pids []disk.PageID) error {
 	if len(pids) == 0 || c.tx == 0 {
 		return nil
@@ -681,10 +662,14 @@ func (c *Client) ReadAhead(pids []disk.PageID) error {
 		return err
 	}
 	for a.Next() {
-		if !a.Answered || a.Kind != PageFull || len(a.Data) != disk.PageSize {
+		if !a.Answered || a.Kind != PageFull {
 			return fmt.Errorf("esm: read-ahead of page %d not answered with its image", a.Page)
 		}
-		if f, ok := c.pool.PutPrefetched(disk.PageID(a.Page), a.Data); ok {
+		f, ok, err := c.pool.PutPrefetched(disk.PageID(a.Page), a.Apply)
+		if err != nil {
+			return err
+		}
+		if ok {
 			c.pool.Frame(f).LSN = a.Token
 		}
 	}

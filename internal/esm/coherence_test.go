@@ -722,8 +722,10 @@ func TestVersionTableSurvivesRestart(t *testing.T) {
 	if !a1.Stale {
 		t.Fatal("restarted server validated a pre-restart token for a changed page")
 	}
-	if a1.Kind == PageFull && len(a1.Data) != disk.PageSize {
-		t.Fatalf("full read returned %d bytes", len(a1.Data))
+	if a1.Kind == PageFull {
+		if got, want := imageOf(t, a1), imageOf(t, readOne(t, srv2, uint32(oid.Page), 0)); !bytes.Equal(got, want) {
+			t.Fatalf("full read differs from a fresh one at byte %d", mismatch(got, want))
+		}
 	}
 	// A fresh session sees the committed value.
 	a2 := NewClient(NewInProcTransport(srv2), ClientConfig{BufferPages: 8})
@@ -903,9 +905,9 @@ func frameMatchesServer(t *testing.T, c *Client, srv *Server, pid disk.PageID) {
 	if !ok {
 		t.Fatalf("page %d not resident", pid)
 	}
-	full := readOne(t, srv, uint32(pid), 0)
-	if full.Kind != PageFull || !bytes.Equal(c.Pool().Frame(i).Data, full.Data) {
-		t.Fatalf("repaired frame of page %d differs from a full read at byte %d", pid, mismatch(c.Pool().Frame(i).Data, full.Data))
+	full := imageOf(t, readOne(t, srv, uint32(pid), 0))
+	if !bytes.Equal(c.Pool().Frame(i).Data, full) {
+		t.Fatalf("repaired frame of page %d differs from a full read at byte %d", pid, mismatch(c.Pool().Frame(i).Data, full))
 	}
 }
 
@@ -919,11 +921,11 @@ func repairOf(t *testing.T, srv *Server, pid disk.PageID, img []byte, token uint
 		t.Fatalf("token %#x of page %d still current", token, pid)
 	}
 	got := bytes.Clone(img)
-	if err := applyAnswer(got, &a); err != nil {
+	if err := a.Apply(got); err != nil {
 		t.Fatal(err)
 	}
-	if full := readOne(t, srv, uint32(pid), 0); !bytes.Equal(got, full.Data) {
-		t.Fatalf("repaired copy of page %d differs from a full read at byte %d", pid, mismatch(got, full.Data))
+	if full := imageOf(t, readOne(t, srv, uint32(pid), 0)); !bytes.Equal(got, full) {
+		t.Fatalf("repaired copy of page %d differs from a full read at byte %d", pid, mismatch(got, full))
 	}
 	return a.Kind
 }
@@ -1073,7 +1075,7 @@ func TestDeltaRepairAcrossCommits(t *testing.T) {
 		if fresh.Token != srv2.coh.epoch {
 			t.Fatalf("an untouched page served under token %#x, want the epoch %#x", fresh.Token, srv2.coh.epoch)
 		}
-		img2 := bytes.Clone(fresh.Data)
+		img2 := imageOf(t, fresh)
 		commit(t, NewClient(NewInProcTransport(srv2), ClientConfig{BufferPages: 8}), fx.oid, "value-v2", "value-v3", true)
 		if kind := repairOf(t, srv2, fx.oid.Page, img2, srv2.coh.epoch); kind != PageDelta {
 			t.Fatalf("an epoch token: answer kind %d, want a patch", kind)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -217,7 +218,11 @@ const (
 
 // Kinds of an OpReadPages answer.
 const (
-	// PageFull: the answer is the complete page image.
+	// PageFull: the answer is the complete page image, shipped without its
+	// zeros: a pagedelta sparse image (the runs of its non-zero bytes over
+	// an all-zero page; empty for an all-zero page), or the raw image when
+	// the runs would not be shorter. A payload of disk.PageSize bytes is
+	// raw, a shorter one sparse. PageAnswers.Apply decodes either.
 	PageFull uint8 = 0
 	// PageDelta: the answer is a pagedelta patch transforming the image the
 	// entry's token named into the current one.
@@ -388,7 +393,10 @@ func SplitPayload(data []byte, part func(pid uint32) int, id func(pid uint32) ui
 //	u32 pid | u8 kind | u64 token | u32 len | payload
 //
 // one per stale entry, in request order. An entry's answer carries its new
-// token (0: uncacheable). Only a ReadCheck entry may stay unanswered.
+// token (0: uncacheable) and, by kind, the page as a sparse image
+// (PageFull: shorter than disk.PageSize, or exactly that long when raw) or
+// as a patch of the copy the entry's token named (PageDelta). Only a
+// ReadCheck entry may stay unanswered.
 const answerHeadBytes = 4 + 1 + 8 + 4
 
 // AppendAnswerHead appends the head of the answer to n entries, marking
@@ -404,11 +412,26 @@ func MarkStale(dst []byte, bitmap, i int) { dst[bitmap+i/8] |= 1 << (i % 8) }
 
 // AppendAnswer appends the answer to a stale entry.
 func AppendAnswer(dst []byte, pid uint32, kind uint8, token uint64, payload []byte) []byte {
+	dst = appendAnswerHead(dst, pid, kind, token, len(payload))
+	return append(dst, payload...)
+}
+
+func appendAnswerHead(dst []byte, pid uint32, kind uint8, token uint64, n int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, pid)
 	dst = append(dst, kind)
 	dst = binary.LittleEndian.AppendUint64(dst, token)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// AppendFullAnswer appends the PageFull answer that ships img, a whole page,
+// as its sparse image (pagedelta.AppendImage), and returns the buffer and
+// the payload's length. Every full answer is built here.
+func AppendFullAnswer(dst []byte, pid uint32, token uint64, img []byte) ([]byte, int) {
+	at := len(dst)
+	dst = pagedelta.AppendImage(appendAnswerHead(dst, pid, PageFull, token, 0), img)
+	n := len(dst) - at - answerHeadBytes
+	binary.LittleEndian.PutUint32(dst[at+13:], uint32(n))
+	return dst, n
 }
 
 // PageAnswers walks an OpReadPages answer together with the request entries
@@ -489,6 +512,28 @@ func (a *PageAnswers) Next() bool {
 // Err reports, once Next has returned false, whether the walk stopped on a
 // malformed answer rather than after the last entry.
 func (a *PageAnswers) Err() error { return a.err }
+
+// Apply brings page, one page long, to the image the answer Next stands on
+// carries: a full answer's sparse or raw image is decoded over it, a delta
+// patched onto the bytes the entry's token named. A missing or malformed
+// answer is refused before any byte of page is written.
+func (a *PageAnswers) Apply(page []byte) error {
+	switch {
+	case !a.Answered:
+		return fmt.Errorf("esm: page %d is stale and was not answered", a.Page)
+	case a.Kind == PageDelta:
+		if err := pagedelta.Apply(page, a.Data); err != nil {
+			return fmt.Errorf("esm: delta repair of page %d: %w", a.Page, err)
+		}
+	case a.Kind == PageFull:
+		if err := pagedelta.ApplyImage(page, a.Data); err != nil {
+			return fmt.Errorf("esm: image of page %d: %w", a.Page, err)
+		}
+	default:
+		return fmt.Errorf("esm: page %d answered with %d bytes of kind %d", a.Page, len(a.Data), a.Kind)
+	}
+	return nil
+}
 
 // Request is one client-to-server message.
 type Request struct {

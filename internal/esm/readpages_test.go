@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"quickstore/internal/disk"
 )
 
 // readOne reads pid from h with one OpReadPages request, presenting token,
@@ -21,6 +23,20 @@ func readOne(t testing.TB, h Handler, pid uint32, token uint64) PageAnswers {
 		t.Fatalf("read of page %d: %v", pid, a.Err())
 	}
 	return a
+}
+
+// imageOf decodes the full image the answer a stands on carries, sparse or
+// raw, into a page of its own.
+func imageOf(t testing.TB, a PageAnswers) []byte {
+	t.Helper()
+	if !a.Answered || a.Kind != PageFull {
+		t.Fatalf("page %d: answered %v with kind %d, want a full image", a.Page, a.Answered, a.Kind)
+	}
+	img := make([]byte, disk.PageSize)
+	if err := a.Apply(img); err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
 
 // answer is one request entry's verdict, as a walk reports it.

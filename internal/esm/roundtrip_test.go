@@ -10,19 +10,32 @@ import (
 	"testing"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/page"
 )
 
 // TestRoundTripAllocs guards the real transport end to end: a Server behind
 // Serve on a loopback socket and a Client over DialTCP, so the count covers
 // both ends of every call — the client's request and answer, the mux's
 // framing and demux, the serve worker, the server's read and its answer. A
-// page fault that the warm server pool answers allocates nothing; a
-// Begin+Commit pair allocates the commit's literal ack and its group-commit
-// batch, nothing more.
+// page fault that the warm server pool answers allocates nothing, the
+// page's sparse image encoded and decoded included (a half-full slotted
+// page, so the answer has runs to write); a Begin+Commit pair allocates the
+// commit's literal ack and its group-commit batch, nothing more.
 func TestRoundTripAllocs(t *testing.T) {
 	srv, addr := startServer(t, ServerConfig{BufferPages: 64})
 	pid, err := srv.Volume().Allocate(1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, disk.PageSize)
+	for p := page.Init(img, page.TypeSlotted); disk.PageSize-p.FreeSpace() < disk.PageSize/2; {
+		_, off, err := p.Insert(56)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(img[off:], "a slotted object, its zero fields between its non-zero ones")
+	}
+	if err := srv.Volume().WritePage(pid, img); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := DialTCP(addr)
@@ -46,6 +59,16 @@ func TestRoundTripAllocs(t *testing.T) {
 	fetch() // the server pool now holds the page
 	if n := testing.AllocsPerRun(200, fetch); n > maxFetchAllocs {
 		t.Errorf("FetchPage of a page the client does not hold: %v allocs, budget %v", n, maxFetchAllocs)
+	}
+	if n, sent := srv.cohFulls.Load(), srv.cohFullBytes.Load(); n == 0 || sent == 0 || sent/n >= disk.PageSize*6/10 {
+		t.Errorf("%d fetches of the half-full page shipped %d bytes, want a sparse image each", n, sent)
+	}
+	i, err := c.FetchPage(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c.PageData(i), img) {
+		t.Errorf("the fetched frame differs from the page at byte %d", mismatch(c.PageData(i), img))
 	}
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
@@ -169,7 +192,8 @@ func TestMuxPooledAnswersUnaliased(t *testing.T) {
 		if resp.Err != "" || !a.Next() || !a.Answered {
 			return nil, fmt.Errorf("direct read of page %d: %s %v", pid, resp.Err, a.Err())
 		}
-		return bytes.Clone(a.Data), nil
+		img := make([]byte, disk.PageSize)
+		return img, a.Apply(img)
 	}
 
 	const sessions = 8

@@ -203,6 +203,7 @@ type Server struct {
 	cohDeltas      atomic.Int64
 	cohDeltaBytes  atomic.Int64
 	cohFulls       atomic.Int64
+	cohFullBytes   atomic.Int64
 
 	// prefetchPages counts the entries of live OpReadPages requests of two
 	// or more (read-ahead batches); commits counts committed transactions;
@@ -396,7 +397,9 @@ type ServerStats struct {
 	// session a validation of its whole resident set; CohNotModified live
 	// read entries answered "current", which ship no page bytes; CohDeltas
 	// entries answered by patch (CohDeltaBytes patch payload total);
-	// CohFulls live read entries answered with a whole-page image.
+	// CohFulls live read entries answered with a whole-page image
+	// (CohFullBytes their payload total: sparse images, raw where the
+	// runs would not be shorter).
 	// CohIndexEntries is the size of the page-change index the deltas are
 	// made from (changes and version marks since the last checkpoint); it
 	// has no byte cap, and a checkpoint empties it down to its cut.
@@ -406,6 +409,7 @@ type ServerStats struct {
 	CohDeltas       int64 `json:"coh_deltas,omitempty"`
 	CohDeltaBytes   int64 `json:"coh_delta_bytes,omitempty"`
 	CohFulls        int64 `json:"coh_fulls,omitempty"`
+	CohFullBytes    int64 `json:"coh_full_bytes,omitempty"`
 	CohIndexEntries int64 `json:"coh_index_entries,omitempty"`
 }
 
@@ -765,6 +769,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			CohDeltas:        s.cohDeltas.Load(),
 			CohDeltaBytes:    s.cohDeltaBytes.Load(),
 			CohFulls:         s.cohFulls.Load(),
+			CohFullBytes:     s.cohFullBytes.Load(),
 			CohIndexEntries:  int64(s.coh.indexEntries()),
 		}
 		st.Repl = s.quorumGate().ReplStats()
@@ -904,7 +909,8 @@ func (s *Server) lockPages(req *Request) (*Response, error) {
 }
 
 // readPages serves OpReadPages, building every answer straight into one
-// pooled response buffer (the Response owns it: see Release). Each entry is
+// pooled response buffer (the Response owns it: see Release). A page is
+// read into one pooled scratch image and encoded from there. Each entry is
 // served by one of three policies:
 //
 //   - as of a snapshot (N != 0): snapRead;
@@ -938,16 +944,22 @@ func (s *Server) readPages(req *Request) (*Response, error) {
 		out = make([]byte, 0, need)
 	}
 	out, bitmap := AppendAnswerHead(out, n)
+	scratch := getBuf()
+	defer putBuf(scratch)
+	if cap(*scratch) < disk.PageSize {
+		*scratch = make([]byte, 0, disk.PageSize)
+	}
+	img := (*scratch)[:disk.PageSize]
 	for i := 0; i < n; i++ {
 		pid, token := PageEntry(req.Data, i)
 		stale := true
 		switch {
 		case snap != 0:
-			out, err = s.snapRead(out, disk.PageID(pid), snap)
+			out, err = s.snapRead(out, disk.PageID(pid), snap, img)
 		case check:
-			out, stale = s.checkPage(out, disk.PageID(pid), token)
+			out, stale = s.checkPage(out, disk.PageID(pid), token, img)
 		default:
-			out, stale, err = s.fetchPage(out, disk.PageID(pid), token)
+			out, stale, err = s.fetchPage(out, disk.PageID(pid), token, img)
 		}
 		if err != nil {
 			resp.Release()
@@ -961,37 +973,26 @@ func (s *Server) readPages(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// pageSlot appends an answer for pid with a page-sized payload and returns
-// the buffer and that payload for the caller to fill; sealAnswer then fixes
-// the answer's kind and token.
-func pageSlot(out []byte, pid disk.PageID) ([]byte, []byte) {
-	at := len(out)
-	out = append(out, make([]byte, answerHeadBytes+disk.PageSize)...)
-	binary.LittleEndian.PutUint32(out[at:], uint32(pid))
-	binary.LittleEndian.PutUint32(out[at+13:], disk.PageSize)
-	return out, out[at+answerHeadBytes:]
-}
-
-// sealAnswer finishes the answer pageSlot opened at out[at:], whose payload
-// holds the page's current image, served under token. When a patch smaller
-// than the image brings the client's copy (token have) to it
-// (cohState.appendDelta), the patch is appended after the image and moved
-// down over it.
-func (s *Server) sealAnswer(out []byte, at int, pid disk.PageID, have, token uint64) []byte {
-	out[at+4] = PageFull
-	binary.LittleEndian.PutUint64(out[at+5:], token)
-	img, end := at+answerHeadBytes, len(out)
+// sealAnswer appends the answer that brings the client's copy of pid
+// (token have) to img, the page's current image, served under token: a
+// patch when one smaller than the image does it (cohState.appendDelta),
+// else the full image.
+func (s *Server) sealAnswer(out []byte, pid disk.PageID, img []byte, have, token uint64) []byte {
 	if token != 0 {
-		if withPatch, ok := s.coh.appendDelta(out, out[img:end], pid, have); ok {
-			n := copy(withPatch[img:], withPatch[end:])
+		at := len(out)
+		head := appendAnswerHead(out, uint32(pid), PageDelta, token, 0)
+		if withPatch, ok := s.coh.appendDelta(head, img, pid, have); ok {
+			n := len(withPatch) - at - answerHeadBytes
+			binary.LittleEndian.PutUint32(withPatch[at+13:], uint32(n))
 			s.cohDeltas.Add(1)
 			s.cohDeltaBytes.Add(int64(n))
-			withPatch[at+4] = PageDelta
-			binary.LittleEndian.PutUint32(withPatch[at+13:], uint32(n))
-			return withPatch[:img+n]
+			return withPatch
 		}
+		out = head[:at]
 	}
+	out, n := AppendFullAnswer(out, uint32(pid), token, img)
 	s.cohFulls.Add(1)
+	s.cohFullBytes.Add(int64(n))
 	return out
 }
 
@@ -1004,23 +1005,21 @@ func (s *Server) sealAnswer(out []byte, at int, pid disk.PageID, have, token uin
 // charges nothing to the cost model — coherence traffic must leave the
 // paper experiments' deterministic counters untouched — while the
 // byte-shipping paths charge exactly one page transfer.
-func (s *Server) fetchPage(out []byte, pid disk.PageID, token uint64) ([]byte, bool, error) {
+func (s *Server) fetchPage(out []byte, pid disk.PageID, token uint64, img []byte) ([]byte, bool, error) {
 	ver1, pending1 := s.coh.probe(pid)
 	if pending1 == 0 && token != 0 && ver1 == token {
 		s.cohNotModified.Add(1)
 		return out, false, nil
 	}
-	at := len(out)
-	out, img := pageSlot(out, pid)
 	if err := s.loadPage(pid, img); err != nil {
 		return nil, false, fmt.Errorf("esm: read of page %d: %w", pid, err)
 	}
 	newTok, current := s.coh.answer(pid, token, ver1, pending1)
 	if current {
 		s.cohNotModified.Add(1)
-		return out[:at], false, nil
+		return out, false, nil
 	}
-	return s.sealAnswer(out, at, pid, token, newTok), true, nil
+	return s.sealAnswer(out, pid, img, token, newTok), true, nil
 }
 
 // checkPage serves a ReadCheck entry, one clean resident frame at Begin:
@@ -1032,7 +1031,7 @@ func (s *Server) fetchPage(out []byte, pid disk.PageID, token uint64) ([]byte, b
 // pool snapshot and charges nothing to the cost model: validation is
 // coherence traffic, not simulated I/O, and must not shift the
 // deterministic experiment counters.
-func (s *Server) checkPage(out []byte, pid disk.PageID, token uint64) ([]byte, bool) {
+func (s *Server) checkPage(out []byte, pid disk.PageID, token uint64, img []byte) ([]byte, bool) {
 	if s.coh.isCurrent(pid, token) {
 		s.cohNotModified.Add(1)
 		return out, false
@@ -1043,20 +1042,18 @@ func (s *Server) checkPage(out []byte, pid disk.PageID, token uint64) ([]byte, b
 		// there is no committed image to repair from without a lock.
 		return out, true
 	}
-	at := len(out)
-	out, img := pageSlot(out, pid)
 	if !s.pool.Snapshot(pid, img) && s.vol.ReadPage(pid, img) != nil {
-		return out[:at], true
+		return out, true
 	}
 	newTok, current := s.coh.answer(pid, token, ver1, pending1)
 	if current {
 		s.cohNotModified.Add(1)
-		return out[:at], false
+		return out, false
 	}
 	if newTok == 0 {
-		return out[:at], true
+		return out, true
 	}
-	return s.sealAnswer(out, at, pid, token, newTok), true
+	return s.sealAnswer(out, pid, img, token, newTok), true
 }
 
 // beginSnapshot opens a read-only snapshot session at the newest commit
@@ -1097,8 +1094,7 @@ func (s *Server) beginSnapshot(lastSeen wal.LSN) (*Response, error) {
 // the new bytes the capture already happened, and if it saw the old bytes
 // the pending version holds those same old bytes. The answer is a full
 // image without a token: a snapshot copy is never revalidated.
-func (s *Server) snapRead(out []byte, pid disk.PageID, snap wal.LSN) ([]byte, error) {
-	out, img := pageSlot(out, pid)
+func (s *Server) snapRead(out []byte, pid disk.PageID, snap wal.LSN, img []byte) ([]byte, error) {
 	if s.pool.Snapshot(pid, img) {
 		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
 	} else {
@@ -1116,6 +1112,7 @@ func (s *Server) snapRead(out []byte, pid disk.PageID, snap wal.LSN) ([]byte, er
 		copy(img, old)
 	}
 	s.snapReads.Add(1)
+	out, _ = AppendFullAnswer(out, uint32(pid), 0, img)
 	return out, nil
 }
 

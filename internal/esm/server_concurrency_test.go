@@ -1,6 +1,7 @@
 package esm
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,7 +62,8 @@ func TestServerConcurrentReadDedup(t *testing.T) {
 				t.Errorf("read: %s", resp.Err)
 				return
 			}
-			if a := ReadAnswers(entries, resp.Data); !a.Next() || len(a.Data) != disk.PageSize || a.Data[100] != 0xAB {
+			got := make([]byte, disk.PageSize)
+			if a := ReadAnswers(entries, resp.Data); !a.Next() || a.Apply(got) != nil || !bytes.Equal(got, img) {
 				t.Error("reader got a wrong page image")
 			}
 		}()

@@ -10,7 +10,6 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/faultinject"
-	"quickstore/internal/pagedelta"
 )
 
 // DrillOpts configures one crash drill: a seeded update workload over a
@@ -323,20 +322,20 @@ func crashVerify(rep *DrillReport, node *drillNode, keys oracle, oids []esm.OID,
 		entries := esm.AppendPageEntry(esm.AppendPageEntry(nil, uint32(f.pid), 0), uint32(f.pid), f.token)
 		resp := srv.Handle(&esm.Request{Op: esm.OpReadPages, Page: uint32(f.pid), Data: entries})
 		a := esm.ReadAnswers(entries, resp.Data)
-		whole := resp.Err == "" && a.Next() && a.Answered && a.Kind == esm.PageFull
-		full := a.Data
+		full := make([]byte, disk.PageSize)
+		whole := resp.Err == "" && a.Next() && a.Kind == esm.PageFull && a.Apply(full) == nil
 		if !whole || !a.Next() || a.Stale && !a.Answered {
 			rep.violate("coherence sweep: page %d unreadable after restart: %s %v", f.pid, resp.Err, a.Err())
 			continue
 		}
 		got, how := f.img, "not-modified" // what the cached copy becomes
 		if a.Stale {
-			got, how = a.Data, "full"
-		}
-		if a.Kind == esm.PageDelta {
-			got, how = append([]byte(nil), f.img...), "delta"
-			if err := pagedelta.Apply(got, a.Data); err != nil {
-				rep.violate("coherence sweep: delta repair of page %d unappliable: %v", f.pid, err)
+			got, how = bytes.Clone(f.img), "full"
+			if a.Kind == esm.PageDelta {
+				how = "delta"
+			}
+			if err := a.Apply(got); err != nil {
+				rep.violate("coherence sweep: %s repair of page %d unappliable: %v", how, f.pid, err)
 				continue
 			}
 		}

@@ -124,10 +124,11 @@ func (e *coverageEnv) serverImage(pid disk.PageID) []byte {
 	req := esm.AppendPageEntry(nil, uint32(pid), 0)
 	resp := e.srv.Handle(&esm.Request{Op: esm.OpReadPages, Page: uint32(pid), Data: req})
 	a := esm.ReadAnswers(req, resp.Data)
-	if resp.Err != "" || !a.Next() || !a.Answered {
+	img := make([]byte, disk.PageSize)
+	if resp.Err != "" || !a.Next() || a.Kind != esm.PageFull || a.Apply(img) != nil {
 		e.t.Fatalf("server image of page %d: %s %v", pid, resp.Err, a.Err())
 	}
-	return a.Data
+	return img
 }
 
 // compare checks every clean resident client frame, except the pages skip

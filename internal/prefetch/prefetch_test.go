@@ -29,7 +29,10 @@ func newHarness(poolFrames int) *harness {
 			return h.fetchErr
 		}
 		for _, pid := range pids {
-			h.pool.PutPrefetched(pid, []byte{byte(pid)})
+			h.pool.PutPrefetched(pid, func(buf []byte) error {
+				buf[0] = byte(pid)
+				return nil
+			})
 		}
 		return nil
 	})

@@ -58,7 +58,7 @@ func (n *Node) handleSnapBegin(req *esm.Request) *esm.Response {
 
 // handleSnapRead answers a snapshot OpReadPages (N = the snapshot LSN) on a
 // non-leader, in the leader's format: every entry stale, answered with its
-// full image and no token.
+// full image (sparse, esm.AppendFullAnswer) and no token.
 func (n *Node) handleSnapRead(req *esm.Request) *esm.Response {
 	count, err := esm.PageEntryCount(req.Data)
 	if err != nil {
@@ -72,7 +72,7 @@ func (n *Node) handleSnapRead(req *esm.Request) *esm.Response {
 			return &esm.Response{Err: err.Error()}
 		}
 		esm.MarkStale(out, bitmap, i)
-		out = esm.AppendAnswer(out, pid, esm.PageFull, 0, img)
+		out, _ = esm.AppendFullAnswer(out, pid, 0, img)
 	}
 	return &esm.Response{Data: out}
 }

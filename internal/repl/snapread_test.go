@@ -158,7 +158,7 @@ func TestFollowerSnapReadUndoesUnresolvedTx(t *testing.T) {
 	snapOld := resp.N
 	read := func(at uint64) []byte {
 		t.Helper()
-		return readPage(t, f, pid, 0, at).Data[off : off+len(base)]
+		return fullImage(t, readPage(t, f, pid, 0, at))[off : off+len(base)]
 	}
 	if got := read(snapOld); string(got) != string(base) {
 		t.Fatalf("unresolved tx leaked into snapshot: %q, want %q", got, base)
@@ -392,7 +392,7 @@ func TestFollowerSnapReadBetweenRegionRecords(t *testing.T) {
 	}
 	check := func(at uint64, want ...string) {
 		t.Helper()
-		img := readPage(t, f, pid, 0, at).Data
+		img := fullImage(t, readPage(t, f, pid, 0, at))
 		for i, off := range append(offs, 700) {
 			if got := string(img[off : off+4]); got != want[i] {
 				t.Errorf("snapshot at %d, offset %d: %q, want %q (all of a record or none of it)", at, off, got, want[i])
@@ -461,14 +461,18 @@ func TestFollowerReadPagesRoundTrip(t *testing.T) {
 		}
 		a := esm.ReadAnswers(entries, resp.Data)
 		for _, pid := range []disk.PageID{pid2, pid1} {
-			if !a.Next() || !a.Stale || !a.Answered || a.Kind != esm.PageFull || a.Token != 0 || len(a.Data) != disk.PageSize {
+			if !a.Next() || !a.Stale || !a.Answered || a.Kind != esm.PageFull || a.Token != 0 {
 				t.Fatalf("%s: page %d: stale %v answered %v kind %d token %d, %d bytes (%v); want its whole image without a token",
 					name, pid, a.Stale, a.Answered, a.Kind, a.Token, len(a.Data), a.Err())
 			}
-			if got := a.Data[off : off+len(want)]; string(got) != string(want) {
+			img := make([]byte, disk.PageSize)
+			if err := a.Apply(img); err != nil {
+				t.Fatalf("%s: page %d: %v", name, pid, err)
+			}
+			if got := img[off : off+len(want)]; string(got) != string(want) {
 				t.Errorf("%s: page %d reads %q, want %q", name, pid, got, want)
 			}
-			images[name] = append(images[name], a.Data[8:])
+			images[name] = append(images[name], img[8:])
 		}
 		if a.Next() || a.Err() != nil {
 			t.Fatalf("%s: answer runs past the request: %v", name, a.Err())

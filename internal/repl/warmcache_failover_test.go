@@ -7,7 +7,6 @@ import (
 	"quickstore/internal/core"
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
-	"quickstore/internal/pagedelta"
 )
 
 // cachedFrame is one clean tokened page a warm client cache held before
@@ -33,6 +32,16 @@ func readPage(t *testing.T, h esm.Handler, pid disk.PageID, token, snap uint64) 
 		t.Fatalf("page %d read: %v", pid, a.Err())
 	}
 	return a
+}
+
+// fullImage decodes the full image the answer a stands on carries.
+func fullImage(t *testing.T, a esm.PageAnswers) []byte {
+	t.Helper()
+	img := make([]byte, disk.PageSize)
+	if a.Kind != esm.PageFull || a.Apply(img) != nil {
+		t.Fatalf("page %d: answered %v with kind %d and %d bytes, want its full image", a.Page, a.Answered, a.Kind, len(a.Data))
+	}
+	return img
 }
 
 // TestWarmCacheTokensAcrossFailover: coherence tokens minted by the old
@@ -107,7 +116,7 @@ func TestWarmCacheTokensAcrossFailover(t *testing.T) {
 	write(s2, "v2")
 	changed := 0
 	for _, f := range frames {
-		if !bytes.Equal(f.img[8:], readPage(t, leader, f.pid, 0, 0).Data[8:]) {
+		if !bytes.Equal(f.img[8:], fullImage(t, readPage(t, leader, f.pid, 0, 0))[8:]) {
 			changed++
 		}
 	}
@@ -134,20 +143,14 @@ func TestWarmCacheTokensAcrossFailover(t *testing.T) {
 	// is that the warm cache converges on the new leader's committed
 	// state, never on anything older.
 	for _, f := range frames {
-		full := readPage(t, best.node, f.pid, 0, 0).Data
+		full := fullImage(t, readPage(t, best.node, f.pid, 0, 0))
 		a := readPage(t, best.node, f.pid, f.token, 0)
 		if !a.Stale {
 			t.Fatalf("page %d: promoted leader validated a pre-failover token as current", f.pid)
 		}
-		img := a.Data
-		if a.Kind == esm.PageDelta {
-			img = append([]byte(nil), f.img...)
-			if err := pagedelta.Apply(img, a.Data); err != nil {
-				t.Fatalf("page %d: bad delta: %v", f.pid, err)
-			}
-		}
-		if len(img) != disk.PageSize {
-			t.Fatalf("page %d: repair produced %d bytes", f.pid, len(img))
+		img := bytes.Clone(f.img)
+		if err := a.Apply(img); err != nil {
+			t.Fatalf("page %d: bad repair of kind %d: %v", f.pid, a.Kind, err)
 		}
 		if !bytes.Equal(img[8:], full[8:]) {
 			t.Fatalf("page %d: repair after failover does not match the committed image", f.pid)

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/lock"
 	"quickstore/internal/pagedelta"
@@ -22,12 +24,13 @@ func (r *readRecorder) Call(req *esm.Request) (*esm.Response, error) {
 	return r.Transport.Call(req)
 }
 
-// readVerdict is one entry of a read answer, copied out of the walk.
+// readVerdict is one entry of a read answer, copied out of the walk: its
+// payload, and a full answer's image decoded.
 type readVerdict struct {
 	stale, answered bool
 	kind            uint8
 	token           uint64
-	data            []byte
+	data, img       []byte
 }
 
 // readThrough sends one OpReadPages request for the (pid, token) pairs
@@ -45,7 +48,14 @@ func readThrough(t *testing.T, h esm.Transport, tx uint64, mode uint8, pairs ...
 	var out []readVerdict
 	a := esm.ReadAnswers(entries, resp.Data)
 	for a.Next() {
-		out = append(out, readVerdict{a.Stale, a.Answered, a.Kind, a.Token, append([]byte(nil), a.Data...)})
+		v := readVerdict{a.Stale, a.Answered, a.Kind, a.Token, bytes.Clone(a.Data), nil}
+		if a.Answered && a.Kind == esm.PageFull {
+			v.img = make([]byte, disk.PageSize)
+			if err := a.Apply(v.img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out = append(out, v)
 	}
 	if err := a.Err(); err != nil {
 		t.Fatal(err)
@@ -68,7 +78,7 @@ func TestReadPagesRoundTripAcrossShards(t *testing.T) {
 	p0, p1 := uint64(oid0.Page), uint64(oid1.Page)
 	direct := func(shard int, pid uint64) []byte {
 		t.Helper()
-		return readThrough(t, trs[shard], 0, 0, uint64(LocalPage(uint32(pid))), 0)[0].data
+		return readThrough(t, trs[shard], 0, 0, uint64(LocalPage(uint32(pid))), 0)[0].img
 	}
 	recs := []*readRecorder{{Transport: trs[0]}, {Transport: trs[1]}}
 	r, err := NewRouter([]esm.Transport{recs[0], recs[1]}, Config{Affinity: -1})
@@ -83,7 +93,7 @@ func TestReadPagesRoundTripAcrossShards(t *testing.T) {
 
 	// A demand fetch: one entry, nothing held.
 	got := readThrough(t, r, tx, 0, p1, 0)
-	if len(got) != 1 || !got[0].stale || !got[0].answered || got[0].kind != esm.PageFull || !bytes.Equal(got[0].data, direct(1, p1)) {
+	if len(got) != 1 || !got[0].stale || !got[0].answered || got[0].kind != esm.PageFull || !bytes.Equal(got[0].img, direct(1, p1)) {
 		t.Fatalf("demand fetch through the router: %+v", got)
 	}
 	if recs[1].last.Tx != 0 || recs[1].last.Page != LocalPage(uint32(p1)) {
@@ -92,10 +102,10 @@ func TestReadPagesRoundTripAcrossShards(t *testing.T) {
 
 	// A read-ahead batch across both shards, in an order neither shard sees.
 	got = readThrough(t, r, tx, 0, p1, 0, p0, 0)
-	if len(got) != 2 || !bytes.Equal(got[0].data, direct(1, p1)) || !bytes.Equal(got[1].data, direct(0, p0)) {
+	if len(got) != 2 || !bytes.Equal(got[0].img, direct(1, p1)) || !bytes.Equal(got[1].img, direct(0, p0)) {
 		t.Fatal("read-ahead batch answers out of request order or wrong images")
 	}
-	tok0, tok1, img1 := got[1].token, got[0].token, got[0].data
+	tok0, tok1, img1 := got[1].token, got[0].token, got[0].img
 	if tok0 == 0 || tok1 == 0 {
 		t.Fatalf("tokens %d, %d: committed pages read without a token", tok0, tok1)
 	}
@@ -144,7 +154,7 @@ func TestReadPagesRoundTripAcrossShards(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			img = got[1].data
+			img = got[1].img
 		}
 		if !bytes.Equal(img[8:], want[8:]) {
 			t.Errorf("mode %d: the repair does not rebuild the committed image", mode)
@@ -201,5 +211,33 @@ func TestShardedCommitFramesRevalidatedUnderLock(t *testing.T) {
 	}
 	if got := readVal(t, trs, oid); got != 3 {
 		t.Fatalf("counter = %d after three increments, want 3", got)
+	}
+}
+
+// TestRouterSumsCoherenceStats: the router's OpStats answer sums its shards'
+// coherence counters, the payload bytes of their full answers among them.
+func TestRouterSumsCoherenceStats(t *testing.T) {
+	srvs, r := newCluster(t, 2, Config{Affinity: -1})
+	trs := transports(srvs)
+	oid0, _ := makeObject(t, trs, 0, 2, 0x10)
+	oid1, _ := makeObject(t, trs, 1, 2, 0x11)
+	readThrough(t, r, 0, 0, uint64(oid0.Page), 0, uint64(oid1.Page), 0)
+	stats := func(tr esm.Transport) esm.ServerStats {
+		st, err := esm.NewClient(tr, esm.ClientConfig{BufferPages: 1}).ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *st
+	}
+	got, s0, s1 := stats(r), stats(trs[0]), stats(trs[1])
+	if s0.CohFulls == 0 || s1.CohFulls == 0 || s0.CohFullBytes == 0 || s1.CohFullBytes == 0 {
+		t.Fatalf("setup: shard full answers %d (%d bytes) and %d (%d bytes), want some on each",
+			s0.CohFulls, s0.CohFullBytes, s1.CohFulls, s1.CohFullBytes)
+	}
+	want := []int64{s0.CohFulls + s1.CohFulls, s0.CohFullBytes + s1.CohFullBytes, s0.CohNotModified + s1.CohNotModified,
+		s0.CohValidates + s1.CohValidates, s0.CohDeltas + s1.CohDeltas, s0.CohIndexEntries + s1.CohIndexEntries}
+	have := []int64{got.CohFulls, got.CohFullBytes, got.CohNotModified, got.CohValidates, got.CohDeltas, got.CohIndexEntries}
+	if fmt.Sprint(have) != fmt.Sprint(want) {
+		t.Fatalf("router coherence stats %v, the shards' sums %v", have, want)
 	}
 }

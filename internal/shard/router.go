@@ -772,6 +772,8 @@ func (r *Router) aggregateStats(req *esm.Request) (*esm.Response, error) {
 		agg.Commits += st.Commits
 		agg.LogForces += st.LogForces
 		agg.LogPiggybacks += st.LogPiggybacks
+		agg.PagesLogApplied += st.PagesLogApplied
+		agg.PagesInstalled += st.PagesInstalled
 		agg.LockGrants += st.LockGrants
 		agg.LockWaits += st.LockWaits
 		agg.LockAheadGranted += st.LockAheadGranted
@@ -782,6 +784,14 @@ func (r *Router) aggregateStats(req *esm.Request) (*esm.Response, error) {
 		agg.NetFlushes += st.NetFlushes
 		agg.NetFrames += st.NetFrames
 		agg.NetBytesOut += st.NetBytesOut
+		agg.CohValidates += st.CohValidates
+		agg.CohFeedStale += st.CohFeedStale
+		agg.CohNotModified += st.CohNotModified
+		agg.CohDeltas += st.CohDeltas
+		agg.CohDeltaBytes += st.CohDeltaBytes
+		agg.CohFulls += st.CohFulls
+		agg.CohFullBytes += st.CohFullBytes
+		agg.CohIndexEntries += st.CohIndexEntries
 	}
 	blob, err := json.Marshal(&agg)
 	if err != nil {

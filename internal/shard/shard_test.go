@@ -10,7 +10,6 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/lock"
-	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -512,14 +511,14 @@ func TestResolveSweepPresumesAbort(t *testing.T) {
 	// only change the page-change index holds: its ranges alone must bring
 	// the cached copy to the restored bytes.
 	repair := readPage(t, srvs[1], local, cached.Token)
-	img := bytes.Clone(cached.Data)
+	img := pageImage(t, cached)
 	if repair.Kind != esm.PageDelta {
 		t.Fatalf("the epoch copy was answered with kind %d, want a patch", repair.Kind)
 	}
-	if err := pagedelta.Apply(img, repair.Data); err != nil {
+	if err := repair.Apply(img); err != nil {
 		t.Fatal(err)
 	}
-	if full := readPage(t, srvs[1], local, 0); !bytes.Equal(img, full.Data) {
+	if full := readPage(t, srvs[1], local, 0); !bytes.Equal(img, pageImage(t, full)) {
 		t.Fatal("the patched epoch copy differs from a full read")
 	}
 }
@@ -538,6 +537,19 @@ func readPage(t *testing.T, srv *esm.Server, pid uint32, token uint64) esm.PageA
 		t.Fatalf("read of page %d: no answer (%v)", pid, a.Err())
 	}
 	return a
+}
+
+// pageImage decodes the full image the answer a stands on carries.
+func pageImage(t *testing.T, a esm.PageAnswers) []byte {
+	t.Helper()
+	if a.Kind != esm.PageFull {
+		t.Fatalf("page %d answered with kind %d, want its full image", a.Page, a.Kind)
+	}
+	img := make([]byte, disk.PageSize)
+	if err := a.Apply(img); err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
 
 // In-doubt pages stay exclusively locked until resolution: a new
