@@ -66,7 +66,7 @@ type Client struct {
 	retries atomic.Int64 // requests re-sent after a transient fault
 
 	tx      uint64
-	pending []byte // serialized log batch (count in first 4 bytes), reused across flushes
+	pending []byte // serialized log batch (count in first 4 bytes), reused up to maxPooledBuf
 	nrecs   uint32 // records in the batch, the open one included
 
 	// open is the update record LogUpdate is folding regions into, not yet
@@ -844,8 +844,17 @@ func (c *Client) FlushLog() error {
 	req := c.request(OpLog)
 	req.Tx, req.Data = c.tx, c.pending
 	_, err := c.callN(req)
-	c.pending, c.nrecs = c.pending[:4], 0
+	c.resetPending()
 	return err
+}
+
+// resetPending empties the log batch. Like a pooled frame buffer, its buffer
+// is kept for the next batch unless a transaction grew it past maxPooledBuf.
+func (c *Client) resetPending() {
+	if cap(c.pending) > maxPooledBuf {
+		c.pending = make([]byte, 4)
+	}
+	c.pending, c.nrecs, c.isOpen = c.pending[:4], 0, false
 }
 
 // Commit sends the transaction's last log batch with the commit request,
@@ -882,7 +891,7 @@ func (c *Client) Commit() error {
 		req.Data = c.pending
 	}
 	lsn, err := c.callN(req)
-	c.pending, c.nrecs = c.pending[:4], 0
+	c.resetPending()
 	c.endTx()
 	if err != nil {
 		return err
@@ -919,7 +928,7 @@ func (c *Client) Abort() error {
 	if c.tx == 0 {
 		return ErrNoTx
 	}
-	c.pending, c.nrecs, c.isOpen = c.pending[:4], 0, false
+	c.resetPending()
 	for i := 0; i < c.pool.Len(); i++ {
 		f := c.pool.Frame(i)
 		if f.Page != disk.InvalidPage && f.Dirty {

@@ -82,10 +82,9 @@ type MuxTransport struct {
 	quit       chan struct{} // closed exactly once, on poison/close
 	writerDone chan struct{} // closed when the writer goroutine returns
 
-	mu     sync.Mutex // guards calls, err, quitClosed
-	calls  map[uint64]*muxCall
-	err    error // poison cause; non-nil => broken
-	closed bool
+	mu    sync.Mutex // guards calls and err
+	calls map[uint64]*muxCall
+	err   error // poison cause; non-nil => broken
 
 	seq        atomic.Uint64
 	callsDone  atomic.Int64
@@ -226,12 +225,11 @@ func (t *MuxTransport) Call(req *Request) (*Response, error) {
 // writer drains queued requests and coalesces them into single socket
 // writes: one flush carries every request that queued while the previous
 // flush was on the wire, mirroring the WAL's group-commit leader/follower
-// batching. The flush buffer is reused across flushes, so the encode path
-// does not allocate in steady state.
+// batching. Each flush borrows its buffer from bufPool and puts it back
+// once written, so an idle connection keeps none (as serveWriter does).
 func (t *MuxTransport) writer() {
 	defer t.wg.Done()
 	defer close(t.writerDone)
-	buf := make([]byte, 0, 64<<10)
 	for {
 		var first muxReq
 		select {
@@ -239,7 +237,8 @@ func (t *MuxTransport) writer() {
 		case <-t.quit:
 			return
 		}
-		buf = appendRequestFrame(buf[:0], first.seq, first.req)
+		out := getBuf()
+		buf := appendRequestFrame((*out)[:0], first.seq, first.req)
 		frames := int64(1)
 	coalesce:
 		for frames < maxCoalesce && len(buf) < 1<<20 {
@@ -254,7 +253,10 @@ func (t *MuxTransport) writer() {
 		if t.timeout > 0 {
 			t.conn.SetWriteDeadline(time.Now().Add(t.timeout))
 		}
-		if _, err := t.conn.Write(buf); err != nil {
+		_, err := t.conn.Write(buf)
+		*out = buf
+		putBuf(out)
+		if err != nil {
 			t.poison(fmt.Errorf("write: %v", err))
 			return
 		}
@@ -271,21 +273,14 @@ func (t *MuxTransport) writer() {
 // bytes to the wrong call.
 func (t *MuxTransport) reader() {
 	defer t.wg.Done()
-	rd := bufio.NewReaderSize(t.conn, 64<<10)
+	rd := bufio.NewReaderSize(t.conn, readWindow)
 	hdr := make([]byte, frameHdrSize)
 	for {
 		// Each frame body lands in a pooled buffer and is decoded in place
 		// into a pooled Response, which owns the buffer when its Data lies
 		// in it: the caller's Release hands both back.
-		seq, n, err := readFrameHead(rd, hdr)
+		seq, frame, body, err := readFrame(rd, hdr)
 		if err != nil {
-			t.poison(fmt.Errorf("read: %v", err))
-			return
-		}
-		frame := getBuf()
-		body, err := readFrameBody(rd, frame, n)
-		if err != nil {
-			putBuf(frame)
 			t.poison(fmt.Errorf("read: %v", err))
 			return
 		}
@@ -303,9 +298,7 @@ func (t *MuxTransport) reader() {
 		}
 		t.mu.Lock()
 		c, ok := t.calls[seq]
-		if ok {
-			delete(t.calls, seq)
-		}
+		delete(t.calls, seq)
 		if t.timeout > 0 && t.err == nil {
 			if len(t.calls) > 0 {
 				t.conn.SetReadDeadline(time.Now().Add(t.timeout))
@@ -324,15 +317,9 @@ func (t *MuxTransport) reader() {
 }
 
 // Close implements Transport. Outstanding calls fail with
-// ErrTransportBroken.
+// ErrTransportBroken; closing a broken or closed transport only waits.
 func (t *MuxTransport) Close() error {
-	t.mu.Lock()
-	alreadyClosed := t.closed
-	t.closed = true
-	t.mu.Unlock()
-	if !alreadyClosed {
-		t.poison(errors.New("transport closed"))
-	}
+	t.poison(errors.New("transport closed"))
 	t.wg.Wait()
 	return nil
 }

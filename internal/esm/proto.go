@@ -635,8 +635,12 @@ var errShortMessage = errors.New("esm: short protocol message")
 // Buffers that grew past maxPooledBuf are dropped instead of pooled.
 const maxPooledBuf = 4 << 20
 
+// readWindow is a fresh bufPool buffer's capacity and each connection reader's
+// bufio window, which a body this large or larger skips on its way to its buffer.
+const readWindow = 16 << 10
+
 var bufPool = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, 16<<10)
+	b := make([]byte, 0, readWindow)
 	return &b
 }}
 
@@ -650,43 +654,52 @@ func putBuf(p *[]byte) {
 	bufPool.Put(p)
 }
 
-// appendFrameHeader reserves the length word, appends seq, and returns the
-// extended buffer plus the offset where the length must be patched once the
-// body is in place.
+// appendFrameHeader appends a zero length word and seq, and returns the
+// extended buffer plus the offset where patchFrameLen writes the length
+// once the body is in place.
 func appendFrameHeader(dst []byte, seq uint64) ([]byte, int) {
 	lenAt := len(dst)
-	var hdr [frameHdrSize]byte
-	binary.LittleEndian.PutUint64(hdr[frameLenSize:], seq)
-	dst = append(dst, hdr[:]...)
-	return dst, lenAt
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	return binary.LittleEndian.AppendUint64(dst, seq), lenAt
 }
 
-func patchFrameLen(dst []byte, lenAt int) {
+func patchFrameLen(dst []byte, lenAt int) []byte {
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-frameLenSize))
+	return dst
 }
 
 // appendRequestFrame appends one complete framed request to dst. It never
-// allocates beyond growing dst, so a reused flush buffer makes the encode
+// allocates beyond growing dst, so a pooled flush buffer makes the encode
 // path allocation-free in steady state.
 func appendRequestFrame(dst []byte, seq uint64, r *Request) []byte {
 	dst, lenAt := appendFrameHeader(dst, seq)
-	dst = r.appendTo(dst)
-	patchFrameLen(dst, lenAt)
-	return dst
+	return patchFrameLen(r.appendTo(dst), lenAt)
 }
 
 // appendResponseFrame appends one complete framed response to dst.
 func appendResponseFrame(dst []byte, seq uint64, r *Response) []byte {
 	dst, lenAt := appendFrameHeader(dst, seq)
-	dst = r.appendTo(dst)
-	patchFrameLen(dst, lenAt)
-	return dst
+	return patchFrameLen(r.appendTo(dst), lenAt)
 }
 
-// readFrameHead reads a frame's length and seq into hdr, frameHdrSize
-// bytes, and returns the seq and the length of the body that follows. The
-// connection readers keep one hdr each and take a pooled buffer only once a
-// body is on its way, so an idle connection holds none.
+// readFrame reads one frame's head into hdr, then its body into a buffer
+// taken from bufPool only once the body is on its way, so an idle connection
+// holds none. The caller owns frame, which body lies in, and putBufs it.
+func readFrame(r io.Reader, hdr []byte) (seq uint64, frame *[]byte, body []byte, err error) {
+	seq, n, err := readFrameHead(r, hdr)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	frame = getBuf()
+	if body, err = readFrameBody(r, frame, n); err != nil {
+		putBuf(frame)
+		return 0, nil, nil, err
+	}
+	return seq, frame, body, nil
+}
+
+// readFrameHead reads a frame's length and seq into hdr and returns the seq
+// and the length of the body that follows.
 func readFrameHead(r io.Reader, hdr []byte) (seq uint64, bodyLen int, err error) {
 	if _, err := io.ReadFull(r, hdr[:frameLenSize]); err != nil {
 		return 0, 0, err
@@ -722,10 +735,7 @@ func readFrameBody(r io.Reader, scratch *[]byte, bodyLen int) ([]byte, error) {
 	const growStep = 1 << 20
 	buf = buf[:0]
 	for len(buf) < bodyLen {
-		chunk := bodyLen - len(buf)
-		if chunk > growStep {
-			chunk = growStep
-		}
+		chunk := min(bodyLen-len(buf), growStep)
 		start := len(buf)
 		buf = append(buf, make([]byte, chunk)...)
 		*scratch = buf

@@ -113,20 +113,14 @@ func serveConn(conn net.Conn, h Handler) {
 	// a slow request never holds up the ones behind it unless serveWorkers
 	// are in flight.
 	started := 0
-	rd := bufio.NewReaderSize(conn, 256<<10)
+	rd := bufio.NewReaderSize(conn, readWindow)
 	hdr := make([]byte, frameHdrSize)
 	for {
 		// Each frame body gets its own pooled buffer: the worker decodes
 		// the request in place (no-copy unmarshal) and owns the buffer
 		// until its response is framed.
-		seq, n, err := readFrameHead(rd, hdr)
+		seq, frame, body, err := readFrame(rd, hdr)
 		if err != nil {
-			break
-		}
-		frame := getBuf()
-		body, err := readFrameBody(rd, frame, n)
-		if err != nil {
-			putBuf(frame)
 			break
 		}
 		srv.noteNetRequest()

@@ -45,9 +45,9 @@ import (
 )
 
 const (
-	// MaxFrame caps the pages in one OpReadPages round trip (a 256 KB
-	// response, which a transport's reused frame buffers grow to and keep);
-	// a pump with more hints than that loops.
+	// MaxFrame caps the pages in one OpReadPages round trip (a response of
+	// at most 256 KB, in a pooled buffer no connection keeps once the
+	// frame is read); a pump with more hints than that loops.
 	MaxFrame = 32
 	// InitialWindow is a new session's bound on outstanding speculative
 	// frames; MaxWindow is as far as use can raise it.
