@@ -168,8 +168,9 @@ func TestTxLifecycle(t *testing.T) {
 // failingQuorum is a replication gate that never reaches its quorum.
 type failingQuorum struct{}
 
-func (failingQuorum) WaitQuorum(wal.LSN) error { return errors.New("no quorum") }
-func (failingQuorum) ReplStats() *ReplStats    { return nil }
+func (failingQuorum) WaitQuorum(wal.LSN) error  { return errors.New("no quorum") }
+func (failingQuorum) Checkpointed(_, _ wal.LSN) {}
+func (failingQuorum) ReplStats() *ReplStats     { return nil }
 
 // TestCoordinatorDecisionShapes: the coordinator does not prepare, so the
 // shapes a router that still prepared it would send are refused loudly,

@@ -10,4 +10,6 @@ const (
 	maxBeginCommitAllocs  = 2
 	maxFlushesAllocs      = 0
 	maxLoggedCommitAllocs = 4
+	// beyond the chunks a cut/regrow cycle of the page-change index fills
+	indexCycleExtraAllocs = 0
 )

@@ -728,16 +728,26 @@ func readFrameBody(r io.Reader, scratch *[]byte, bodyLen int) ([]byte, error) {
 		}
 		return buf, nil
 	}
-	// The buffer must grow. Grow it as bytes actually arrive, in bounded
-	// steps, rather than trusting the length prefix up front: a 12-byte
-	// header claiming a 1GB body must not commit a 1GB allocation before
-	// the peer has sent anything (the stream usually ends long before).
-	const growStep = 1 << 20
+	// The buffer must grow. Grow it as bytes actually arrive rather than
+	// trusting the length prefix up front: a 12-byte header claiming a 1GB
+	// body must not commit a 1GB allocation before the peer has sent
+	// anything (the stream usually ends long before). The first step is
+	// 1 MB, each next one doubles what arrived, and once doubling would
+	// reach half the body the buffer takes the whole of it: every step
+	// before the last sums to under bodyLen, so a body costs under twice
+	// its size, and bodyLen is committed only after a quarter of it came.
+	const firstStep = 1 << 20
 	buf = buf[:0]
 	for len(buf) < bodyLen {
-		chunk := min(bodyLen-len(buf), growStep)
-		start := len(buf)
-		buf = append(buf, make([]byte, chunk)...)
+		size := min(bodyLen, firstStep)
+		if len(buf) > 0 {
+			if size = 2 * len(buf); 2*size >= bodyLen {
+				size = bodyLen
+			}
+		}
+		grown := make([]byte, size)
+		start := copy(grown, buf)
+		buf = grown
 		*scratch = buf
 		if _, err := io.ReadFull(r, buf[start:]); err != nil {
 			return nil, err

@@ -12,4 +12,7 @@ const (
 	maxBeginCommitAllocs  = 12
 	maxFlushesAllocs      = 2
 	maxLoggedCommitAllocs = 12
+	// beyond the chunks a cut/regrow cycle of the page-change index fills:
+	// what the race runtime allocates around the collections they trigger
+	indexCycleExtraAllocs = 2
 )

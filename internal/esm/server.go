@@ -302,19 +302,25 @@ type ReplStats struct {
 // replicas (counting the local one); that covers every record below lsn,
 // catalog records included. A WaitQuorum error means the commit must NOT
 // be acked — the caller's client sees the transaction as in doubt.
-// Implemented by internal/repl's Node; wired with SetRepl.
+// Checkpointed hands the replicas a checkpoint's cut: the log now starts
+// at cut, and every transaction with a record below it ended below through,
+// the log's durable end at the checkpoint. It returns once the replicas it
+// waits for have cut there too, or gave up on; it never fails the
+// checkpoint. Implemented by internal/repl's Node; wired with SetRepl.
 type QuorumWaiter interface {
 	WaitQuorum(lsn wal.LSN) error
+	Checkpointed(cut, through wal.LSN)
 	ReplStats() *ReplStats
 }
 
 // soloQuorum is the quorum gate of a server with no replicas: the local
-// log force is the whole quorum, so the wait returns at once, and there
-// is no replication telemetry to report.
+// log force is the whole quorum, so the wait returns at once, there is no
+// replica to cut, and there is no replication telemetry to report.
 type soloQuorum struct{}
 
-func (soloQuorum) WaitQuorum(wal.LSN) error { return nil }
-func (soloQuorum) ReplStats() *ReplStats    { return nil }
+func (soloQuorum) WaitQuorum(wal.LSN) error  { return nil }
+func (soloQuorum) Checkpointed(_, _ wal.LSN) {}
+func (soloQuorum) ReplStats() *ReplStats     { return nil }
 
 // SetRepl attaches the replication quorum gate. Call before the server
 // serves traffic (or from the repl node's own promotion path, which owns
@@ -431,6 +437,13 @@ func NewServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error)
 	defer s.mu.Unlock()
 	s.cat = newCatalog()
 	return s, s.logCatalogLocked()
+}
+
+// RedoBefore brings a replica's volume up to every record of its log below
+// cut, its leader's checkpoint cut (wal.RedoBefore), with the page access
+// and page-header layout restart recovery uses.
+func RedoBefore(vol disk.Volume, log *wal.Log, cut, through wal.LSN) error {
+	return wal.RedoBefore(log, volStore{vol}, cut, through, disk.PageSize, pageLSNOf, setPageLSN)
 }
 
 // OpenServer attaches a server to an existing volume, running restart
@@ -1192,6 +1205,7 @@ func (s *Server) checkpoint() error {
 	if err := s.log.Flush(); err != nil {
 		return err
 	}
+	through := s.log.FlushedLSN()
 	if err := s.fault.Hit(faultinject.PtCheckpointBeforeSync); err != nil {
 		return err
 	}
@@ -1208,7 +1222,13 @@ func (s *Server) checkpoint() error {
 	// Nothing is written after the cut: the log file's header carries the
 	// LSN base, so even a log the cut emptied reopens where its LSN space
 	// left off and never hands out an LSN a page was stamped with before.
-	return s.fault.Hit(faultinject.PtCheckpointAfterTruncate)
+	if err := s.fault.Hit(faultinject.PtCheckpointAfterTruncate); err != nil {
+		return err
+	}
+	// The replicas cut where this log now starts: a replica cannot find
+	// the cut by itself (a forgotten decision is not logged).
+	s.quorumGate().Checkpointed(s.log.StartLSN(), through)
+	return nil
 }
 
 // loadPage copies pid's image into dst through the server pool and charges

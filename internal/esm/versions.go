@@ -2,6 +2,7 @@ package esm
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -92,12 +93,15 @@ type cohState struct {
 	spare []map[disk.PageID]struct{}
 
 	// changes and spans are the page-change index, in the order entries
-	// were appended; newest maps a page to its latest entry, and floor is
-	// the lowest key the index is complete from. regs is appendDelta's
-	// scratch.
-	changes []change
-	spans   []span
-	newest  map[disk.PageID]int32
+	// were appended; entries before position live were dropped by a
+	// checkpoint (their chunks are freed, or about to be) and read as no
+	// entry. newest maps a page to the position of its latest live entry,
+	// and floor is the lowest key the index is complete from. regs is
+	// appendDelta's scratch.
+	changes chunked[change]
+	spans   chunked[span]
+	live    uint64
+	newest  map[disk.PageID]uint64
 	floor   uint64
 	regs    []pagedelta.Region
 }
@@ -108,17 +112,74 @@ type feedEntry struct {
 }
 
 // change is one page-change index entry: a change to pid's bytes, or with
-// no spans a version mark, keyed by an LSN; prev is the page's previous
-// entry (-1 for none), and spans[at:at+n] the byte ranges it wrote.
+// no spans a version mark, keyed by an LSN. prev is how many positions back
+// the page's previous entry stands (0 for none), and the n spans from
+// position at (its low 32 bits, spanPos) are the byte ranges it wrote.
 type change struct {
 	pid   disk.PageID
-	prev  int32
+	prev  uint32
 	key   uint64
 	at, n uint32
 }
 
 // span is one changed byte range of a page.
 type span struct{ off, n uint16 }
+
+// The page-change index is stored in chunks of these many entries and
+// ranges (384 KB and 256 KB), sized so that T2B, whose checkpoint every 16
+// commits drops about 15,700 entries and 157,000 ranges, allocates four
+// chunks per cycle: what a checkpoint frees is regrown in few, large steps.
+const (
+	changeChunkShift = 14
+	spanChunkShift   = 16
+)
+
+// chunked is an append-only sequence of chunks of 1<<shift entries whose
+// leading chunks can be freed. Every entry keeps the position it was
+// appended at (0, 1, 2, ... over the sequence's life) for as long as it is
+// held, which is from base to next.
+type chunked[T any] struct {
+	shift      uint
+	base, next uint64
+	chunks     [][]T
+}
+
+// at returns the held entry at pos.
+func (q *chunked[T]) at(pos uint64) *T {
+	o := pos - q.base
+	return &q.chunks[o>>q.shift][o&(1<<q.shift-1)]
+}
+
+// push appends v, allocating a chunk when the last one is full.
+func (q *chunked[T]) push(v T) {
+	o := q.next - q.base
+	if o>>q.shift == uint64(len(q.chunks)) {
+		q.chunks = append(q.chunks, make([]T, 1<<q.shift))
+	}
+	q.chunks[o>>q.shift][o&(1<<q.shift-1)] = v
+	q.next++
+}
+
+// freeBefore frees the leading chunks that hold no entry at or past pos;
+// with pos at next, all of them.
+func (q *chunked[T]) freeBefore(pos uint64) {
+	k, size := 0, uint64(1)<<q.shift
+	for ; k < len(q.chunks) && q.base+size <= pos; k++ {
+		q.base += size
+	}
+	if pos >= q.next {
+		k, q.base = len(q.chunks), q.next
+	}
+	n := copy(q.chunks, q.chunks[k:])
+	clear(q.chunks[n:])
+	q.chunks = q.chunks[:n]
+}
+
+// spanPos is the position of a held span whose low 32 bits are at: a
+// change stores only those, and fewer than 2^32 spans are ever held.
+func (c *cohState) spanPos(at uint32) uint64 {
+	return c.spans.base + uint64(at-uint32(c.spans.base))
+}
 
 // spanGap is the widest gap noteSpanLocked closes between two ranges of
 // one entry: pagedelta's run header, so merging never grows a delta.
@@ -148,7 +209,9 @@ func newCohState(durable wal.LSN) *cohState {
 		feedID:  id,
 		pending: map[disk.PageID]int{},
 		owned:   map[uint64]map[disk.PageID]struct{}{},
-		newest:  map[disk.PageID]int32{},
+		changes: chunked[change]{shift: changeChunkShift},
+		spans:   chunked[span]{shift: spanChunkShift},
+		newest:  map[disk.PageID]uint64{},
 		floor:   uint64(durable),
 	}
 }
@@ -166,7 +229,7 @@ func (c *cohState) verLocked(pid disk.PageID) uint64 {
 // CLR's), as a mark in the page-change index.
 func (c *cohState) setVerLocked(pid disk.PageID, token uint64) {
 	c.ver[pid] = token
-	if i, ok := c.newest[pid]; !ok || c.changes[i].key != token {
+	if pos, ok := c.newest[pid]; !ok || c.changes.at(pos).key != token {
 		c.noteLocked(pid, token)
 	}
 	if c.feed == nil {
@@ -283,12 +346,12 @@ func (c *cohState) noteInstall(pid disk.PageID, key uint64, prior, image []byte)
 
 // noteLocked appends an entry with no ranges yet for pid under key.
 func (c *cohState) noteLocked(pid disk.PageID, key uint64) {
-	prev, ok := c.newest[pid]
-	if !ok {
-		prev = -1
+	var prev uint32
+	if p, ok := c.newest[pid]; ok && c.changes.next-p <= math.MaxUint32 {
+		prev = uint32(c.changes.next - p)
 	}
-	c.newest[pid] = int32(len(c.changes))
-	c.changes = append(c.changes, change{pid: pid, prev: prev, key: key, at: uint32(len(c.spans))})
+	c.newest[pid] = c.changes.next
+	c.changes.push(change{pid: pid, prev: prev, key: key, at: uint32(c.spans.next)})
 }
 
 // noteSpanLocked adds the range [off, off+n) to the newest entry, closing a
@@ -297,15 +360,15 @@ func (c *cohState) noteSpanLocked(off, n int) {
 	if n == 0 {
 		return
 	}
-	e := &c.changes[len(c.changes)-1]
+	e := c.changes.at(c.changes.next - 1)
 	if e.n > 0 {
-		last := &c.spans[len(c.spans)-1]
+		last := c.spans.at(c.spans.next - 1)
 		if end := int(last.off) + int(last.n); off >= int(last.off) && off <= end+spanGap {
 			last.n = uint16(max(end, off+n) - int(last.off))
 			return
 		}
 	}
-	c.spans = append(c.spans, span{off: uint16(off), n: uint16(n)})
+	c.spans.push(span{off: uint16(off), n: uint16(n)})
 	e.n++
 }
 
@@ -407,20 +470,21 @@ func (c *cohState) appendDelta(dst, cur []byte, pid disk.PageID, have uint64) (o
 		return dst, false
 	}
 	c.regs = append(c.regs[:0], pagedelta.Region{Off: 0, N: 8})
-	i, found := c.newest[pid]
-	if !found {
-		i = -1
-	}
-	for ; i >= 0; i = c.changes[i].prev {
-		e := &c.changes[i]
+	pos, found := c.newest[pid]
+	for found {
+		e := c.changes.at(pos)
 		if e.key == have {
 			break
 		}
-		for _, sp := range c.spans[e.at : e.at+e.n] {
+		for k, at := uint64(0), c.spanPos(e.at); k < uint64(e.n); k++ {
+			sp := c.spans.at(at + k)
 			c.regs = append(c.regs, pagedelta.Region{Off: int(sp.off), N: int(sp.n)})
 		}
+		// A page's first entry, or a link to a dropped one: no entry.
+		found = e.prev != 0 && pos-uint64(e.prev) >= c.live
+		pos -= uint64(e.prev)
 	}
-	if i < 0 && have != c.epoch {
+	if !found && have != c.epoch {
 		return dst, false // a token this index has no mark of
 	}
 	if out = pagedelta.AppendRuns(dst, cur, c.regs); len(out)-len(dst) >= len(cur) {
@@ -429,10 +493,11 @@ func (c *cohState) appendDelta(dst, cur []byte, pid disk.PageID, have uint64) (o
 	return out, true
 }
 
-// dropBefore forgets the index entries keyed below cut, once a checkpoint
-// has cut the log there, and raises floor to it: a delta is never made
-// from a change the retained log no longer holds. Pages keep their entries'
-// order, so chains are relinked in one pass.
+// dropBefore raises floor to cut, once a checkpoint has cut the log there
+// (a delta is never made from a change the retained log no longer holds),
+// drops the leading entries keyed below it and frees the chunks that hold
+// nothing else. A link to a dropped entry reads as no entry, which
+// appendDelta answers "cannot vouch".
 func (c *cohState) dropBefore(cut uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -440,30 +505,27 @@ func (c *cohState) dropBefore(cut uint64) {
 		return
 	}
 	c.floor = cut
-	clear(c.newest)
-	kept, spans := 0, 0
-	for _, e := range c.changes {
-		if e.key < cut {
-			continue
-		}
-		copy(c.spans[spans:], c.spans[e.at:e.at+e.n])
-		prev, ok := c.newest[e.pid]
-		if !ok {
-			prev = -1
-		}
-		c.newest[e.pid] = int32(kept)
-		c.changes[kept] = change{pid: e.pid, prev: prev, key: e.key, at: uint32(spans), n: e.n}
-		kept++
-		spans += int(e.n)
+	for c.live < c.changes.next && c.changes.at(c.live).key < cut {
+		c.live++
 	}
-	c.changes, c.spans = c.changes[:kept], c.spans[:spans]
+	spans := c.spans.next
+	if c.live < c.changes.next {
+		spans = c.spanPos(c.changes.at(c.live).at)
+	}
+	c.changes.freeBefore(c.live)
+	c.spans.freeBefore(spans)
+	for pid, pos := range c.newest {
+		if pos < c.live {
+			delete(c.newest, pid)
+		}
+	}
 }
 
 // indexEntries is the number of entries the page-change index holds.
 func (c *cohState) indexEntries() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.changes)
+	return int(c.changes.next - c.live)
 }
 
 // isCurrent reports whether a cached (pid, token) copy still matches the

@@ -16,7 +16,7 @@ var ioFuncs = map[string]map[string]bool{
 	},
 	"internal/wal": {
 		"Flush": true, "FlushTo": true, "FlushCommit": true,
-		"TruncateBefore": true, "Recover": true,
+		"TruncateBefore": true, "Recover": true, "RedoBefore": true,
 	},
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,6 +104,8 @@ type peer struct {
 	tr    esm.Transport
 	match wal.LSN       // highest durable LSN the peer has acked
 	acked uint64        // membership version the peer holds; 0 until it acks one
+	cut   wal.LSN       // the peer's log starts at or past it, as acked
+	down  bool          // the last call to the peer failed
 	wake  chan struct{} // capacity 1: the log's durable signal, a membership change, a promotion
 
 	chunk []byte
@@ -158,6 +161,20 @@ type Node struct {
 	freeWaiters []*quorumWaiter
 	lsnScratch  []wal.LSN // quorumLSNLocked's selection buffer
 
+	// cut and cutThrough are the leading term's last checkpoint
+	// (Checkpointed): a follower whose match reached cutThrough is sent
+	// both and cuts its log at cut. cutChanged, while a checkpoint waits
+	// for its followers, is closed and cleared when a peer acks a cut, a
+	// call to one fails, or the node stops leading.
+	cut, cutThrough wal.LSN
+	cutChanged      chan struct{}
+
+	// cutMu orders what rewrites this node's volume and log from below
+	// (a follower's cut, a snapshot install: write) against snapshot reads
+	// over them (read). floor is the lowest snapshot LSN the node serves.
+	cutMu sync.RWMutex
+	floor wal.LSN
+
 	stopc chan struct{}
 	wg    sync.WaitGroup
 
@@ -182,6 +199,13 @@ func newNode(vol disk.Volume, log *wal.Log, cfg Config) *Node {
 		memberVer: 1,
 		lastShip:  time.Now(),
 		stopc:     make(chan struct{}),
+		floor:     log.StartLSN(),
+	}
+	if n.floor > 1 {
+		// A cut or an install left the log short of its beginning, and
+		// which transactions its missing records belong to is not known
+		// here: serve only snapshots at the durable end or later.
+		n.floor = log.FlushedLSN() - 1
 	}
 	if n.cfg.ElectionTimeout > 0 {
 		n.wg.Add(1)
@@ -400,6 +424,8 @@ func (n *Node) stepDownLocked() {
 	if n.role != RoleFollower {
 		n.role = RoleFollower
 		n.failWaitersLocked(ErrFenced)
+		n.cut, n.cutThrough = 0, 0
+		n.signalCutLocked()
 	}
 }
 
@@ -474,14 +500,52 @@ func (n *Node) handleAppend(req *esm.Request) *esm.Response {
 		}
 	}
 	resp := esm.PooledResponse()
+	if p.Through != 0 && n.cutAt(p.Cut, p.Through) {
+		resp.Mode = ackCut
+	}
 	resp.N = uint64(n.log.FlushedLSN())
 	if needSnap {
 		resp.Page = ackSnapshot
 	}
 	if needMembers {
-		resp.Mode = ackNeedMembers
+		resp.Mode |= ackNeedMembers
 	}
 	return resp
+}
+
+// cutAt is a follower's half of its leader's checkpoint: once its log is
+// durable through through, it redoes every record below cut onto its
+// volume, syncs the volume, and only then cuts the log there, so that a
+// crash at any step leaves a log that still recovers the volume. A
+// snapshot at through or later finds every transaction with a record
+// below cut resolved, so through-1 becomes the lowest it serves. It reports
+// whether the log starts at or past cut.
+func (n *Node) cutAt(cut, through wal.LSN) bool {
+	if n.log.StartLSN() >= cut {
+		return true
+	}
+	if n.log.FlushedLSN() < through {
+		return false // not there yet: a later frame carries the cut again
+	}
+	n.cutMu.Lock()
+	defer n.cutMu.Unlock()
+	if n.log.StartLSN() >= cut {
+		return true
+	}
+	if err := esm.RedoBefore(n.vol, n.log, cut, through); err != nil {
+		return false
+	}
+	if err := n.vol.Sync(); err != nil {
+		return false
+	}
+	if err := n.cfg.Fault.Hit(faultinject.PtCheckpointBeforeTruncate); err != nil {
+		return false
+	}
+	if err := n.log.TruncateBefore(cut); err != nil {
+		return false
+	}
+	n.floor = max(n.floor, through-1)
+	return n.log.StartLSN() >= cut
 }
 
 // handleSnapshot installs a full state transfer: the log is replaced
@@ -514,9 +578,15 @@ func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 	n.heldTerm, n.heldVer = term, p.MembersVer
 	n.mu.Unlock()
 
+	n.cutMu.Lock()
+	defer n.cutMu.Unlock()
 	if err := n.log.LoadSnapshot(p.LogStart, p.Log); err != nil {
 		return &esm.Response{Err: err.Error()}
 	}
+	// The images may hold bytes of transactions whose records lie below
+	// LogStart and which ended only before the snapshot was built, when
+	// the log ended where it ends now: no earlier snapshot is served.
+	n.floor = n.log.FlushedLSN() - 1
 	if n.vol.NumPages() < p.NumPages {
 		if err := n.vol.Grow(p.NumPages); err != nil {
 			return &esm.Response{Err: err.Error()}
@@ -662,6 +732,82 @@ func (n *Node) WaitQuorum(lsn wal.LSN) error {
 		n.noteQuorum(start)
 	}
 	return err
+}
+
+// Checkpointed implements esm.QuorumWaiter: the leader's checkpoint has
+// cut its log at cut, and through was its durable end then. Every follower
+// whose match reaches through is sent the pair and cuts its own log there
+// (cutAt); the call returns once each follower that held the log at cut
+// when it was made has acked the cut or failed a call, or after
+// QuorumTimeout. A follower behind or down cuts when it catches up, by
+// ship frame or by snapshot.
+func (n *Node) Checkpointed(cut, through wal.LSN) {
+	n.cutMu.Lock()
+	n.floor = max(n.floor, through-1)
+	n.cutMu.Unlock()
+	n.mu.Lock()
+	if n.closed || n.role != RoleLeader || through <= n.cutThrough {
+		n.mu.Unlock()
+		return
+	}
+	term := n.term
+	n.cut, n.cutThrough = cut, through
+	var wait []*peer
+	for _, p := range n.peers {
+		if p.match >= cut && p.cut < cut && !p.down {
+			wait = append(wait, p)
+		}
+	}
+	n.wakeShippersLocked()
+	n.mu.Unlock()
+
+	timeout := time.NewTimer(n.cfg.QuorumTimeout)
+	defer timeout.Stop()
+	for {
+		n.mu.Lock()
+		waiting := n.term == term && n.role == RoleLeader && slices.ContainsFunc(wait, func(p *peer) bool {
+			return p.cut < cut && !p.down
+		})
+		if !waiting {
+			n.mu.Unlock()
+			return
+		}
+		if n.cutChanged == nil {
+			n.cutChanged = make(chan struct{})
+		}
+		changed := n.cutChanged
+		n.mu.Unlock()
+		select {
+		case <-changed:
+		case <-timeout.C:
+			return
+		case <-n.stopc:
+			return
+		}
+	}
+}
+
+// cutDueLocked reports whether p is to be sent the leader's cut: its log
+// is verified through cutThrough and it has not acked holding the cut.
+func (n *Node) cutDueLocked(p *peer) bool {
+	return n.cutThrough != 0 && p.match >= n.cutThrough && p.cut < n.cut
+}
+
+// peerFailed records that a call to p failed: a checkpoint no longer
+// waits for p's cut.
+func (n *Node) peerFailed(p *peer) {
+	n.mu.Lock()
+	p.down = true
+	n.signalCutLocked()
+	n.mu.Unlock()
+}
+
+// signalCutLocked wakes a checkpoint waiting on its followers' cuts.
+func (n *Node) signalCutLocked() {
+	if n.cutChanged != nil {
+		close(n.cutChanged)
+		n.cutChanged = nil
+	}
 }
 
 func (n *Node) noteQuorum(start time.Time) {
@@ -816,12 +962,16 @@ func (n *Node) shipTo(p *peer, beat bool) {
 		if p.acked != ver {
 			members = n.memberListLocked()
 		}
+		var cut, through wal.LSN
+		if n.cutDueLocked(p) {
+			cut, through = n.cut, n.cutThrough
+		}
 		n.mu.Unlock()
 		if from < 1 {
 			from = 1
 		}
 		durable := n.log.FlushedLSN()
-		if from >= durable && members == nil && !beat {
+		if from >= durable && members == nil && through == 0 && !beat {
 			return // caught up
 		}
 		if iter == 0 {
@@ -843,7 +993,7 @@ func (n *Node) shipTo(p *peer, beat bool) {
 				return
 			}
 		}
-		payload := shipPayload{LeaderDurable: durable, Log: p.chunk, MembersVer: ver, Members: members}
+		payload := shipPayload{LeaderDurable: durable, Log: p.chunk, MembersVer: ver, Members: members, Cut: cut, Through: through}
 		p.frame = payload.appendTo(p.frame[:0])
 		p.req = esm.Request{Op: esm.OpReplAppend, Tx: term, N: uint64(from), Data: p.frame}
 		if members != nil {
@@ -855,14 +1005,17 @@ func (n *Node) shipTo(p *peer, beat bool) {
 				n.observeFence(term)
 			}
 			resp.Release()
+			n.peerFailed(p)
 			return // unreachable or fenced: retry on the next wake
 		}
 		ack := wal.LSN(resp.N)
 		snap, needMembers := resp.Page == ackSnapshot, resp.Mode&ackNeedMembers != 0
+		cutHeld := through != 0 && resp.Mode&ackCut != 0
 		resp.Release()
 		n.noteShipped(from+wal.LSN(len(p.chunk)), len(p.chunk))
 
 		n.mu.Lock()
+		p.down = false
 		if n.term != term || n.role != RoleLeader {
 			n.mu.Unlock()
 			return
@@ -879,7 +1032,11 @@ func (n *Node) shipTo(p *peer, beat bool) {
 		case members != nil:
 			p.acked, progress = ver, true
 		}
-		done := p.match >= durable && p.acked == n.memberVer
+		if cutHeld && cut > p.cut {
+			p.cut, progress = cut, true
+			n.signalCutLocked()
+		}
+		done := p.match >= durable && p.acked == n.memberVer && !n.cutDueLocked(p)
 		n.mu.Unlock()
 		if snap {
 			n.sendSnapshot(p, term)
@@ -938,14 +1095,22 @@ func (n *Node) sendSnapshot(p *peer, term uint64) {
 		if err == nil && IsStaleTerm(resp.Err) {
 			n.observeFence(term)
 		}
+		n.peerFailed(p)
 		return
 	}
 	n.mu.Lock()
+	p.down = false
 	if n.term == term && n.role == RoleLeader {
 		p.acked = ver
 		if ack := wal.LSN(resp.N); ack > p.match {
 			p.match = ack
 			n.wakeWaitersLocked()
+		}
+		// The installed log starts where this one did, at or past its
+		// last cut.
+		if snap.LogStart > p.cut {
+			p.cut = snap.LogStart
+			n.signalCutLocked()
 		}
 	}
 	n.mu.Unlock()
@@ -1091,7 +1256,7 @@ func (n *Node) promote(term uint64) error {
 	// old term, and only shipping from zero lets AppendRaw catch it. The
 	// first frame of the term carries the member list.
 	for _, p := range n.peers {
-		p.match, p.acked = 0, 0
+		p.match, p.acked, p.cut = 0, 0, 0
 	}
 	n.wakeShippersLocked()
 	n.mu.Unlock()

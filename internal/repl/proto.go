@@ -51,11 +51,16 @@ type Member struct {
 // at the LSN in the request's N field. MembersVer is the version of the
 // leader's membership; Members is the list itself, or nil in a frame to a
 // follower that acked that version (a real list always names the leader).
+// Cut and Through are the leader's last checkpoint, in a frame to a
+// follower whose log is verified through Through and does not yet start at
+// Cut: the follower cuts its log there once it is durable through Through.
+// Through is 0 in every other frame.
 type shipPayload struct {
 	LeaderDurable wal.LSN
 	Log           []byte
 	MembersVer    uint64
 	Members       []Member
+	Cut, Through  wal.LSN
 }
 
 // The flags of an OpReplAppend answer, whose N is the follower's durable LSN.
@@ -66,6 +71,9 @@ const (
 	// ackNeedMembers, in Response.Mode: the follower does not hold the
 	// frame's membership version; the next frame carries the list.
 	ackNeedMembers = 1
+	// ackCut, in Response.Mode: the follower's log starts at or past the
+	// frame's Cut.
+	ackCut = 2
 )
 
 // snapPayload is the body of an OpReplSnapshot request: the leader's full
@@ -89,6 +97,7 @@ type pageImage struct {
 var (
 	errShortPayload    = errors.New("repl: truncated payload")
 	errTrailingPayload = errors.New("repl: bytes past the end of a ship frame")
+	errBadCut          = errors.New("repl: malformed cut in a ship frame")
 )
 
 func appendU32(dst []byte, v uint32) []byte {
@@ -191,12 +200,19 @@ func (c *cursor) members() []Member {
 }
 
 // appendTo appends the frame to dst; with a dst of enough capacity it
-// allocates nothing.
+// allocates nothing. The frame ends in a byte that says whether the cut
+// follows it.
 func (p *shipPayload) appendTo(dst []byte) []byte {
 	dst = appendU64(dst, uint64(p.LeaderDurable))
 	dst = appendBytes(dst, p.Log)
 	dst = appendU64(dst, p.MembersVer)
-	return appendMembers(dst, p.Members)
+	dst = appendMembers(dst, p.Members)
+	if p.Through == 0 {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dst = appendU64(dst, uint64(p.Cut))
+	return appendU64(dst, uint64(p.Through))
 }
 
 // parseShip decodes a ship frame. Log aliases buf; a frame without a
@@ -209,6 +225,12 @@ func parseShip(buf []byte) (shipPayload, error) {
 		MembersVer:    c.u64(),
 	}
 	p.Members = c.members()
+	if cut := c.take(1); cut != nil && cut[0] != 0 {
+		p.Cut, p.Through = wal.LSN(c.u64()), wal.LSN(c.u64())
+		if cut[0] != 1 || (c.err == nil && p.Through == 0) {
+			c.err = errBadCut
+		}
+	}
 	if c.err == nil && c.off != len(buf) {
 		c.err = errTrailingPayload
 	}

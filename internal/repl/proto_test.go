@@ -42,11 +42,20 @@ func sampleSnap(pageSize int) *snapPayload {
 	}
 }
 
+// sampleCut is sampleShip without its member list, carrying the leader's
+// checkpoint cut.
+func sampleCut() *shipPayload {
+	p := sampleShip()
+	p.Members, p.Cut, p.Through = nil, 3001, 4242
+	return p
+}
+
 // TestShipPayloadRoundTrip: a frame with a member list, one without (what a
-// follower holding the membership version gets) and an empty heartbeat
-// each parse back to what was encoded and re-encode to the same bytes. A
-// frame without a list parses with no allocation, and bytes past the end
-// of a frame are refused.
+// follower holding the membership version gets), one carrying a cut and an
+// empty heartbeat each parse back to what was encoded and re-encode to the
+// same bytes. A frame without a list parses with no allocation, and bytes
+// past the end of a frame are refused, as is a cut flag other than 1 or a
+// cut with no durable end.
 func TestShipPayloadRoundTrip(t *testing.T) {
 	withList := sampleShip()
 	bare := *withList
@@ -54,6 +63,7 @@ func TestShipPayloadRoundTrip(t *testing.T) {
 	for name, p := range map[string]*shipPayload{
 		"with members":    withList,
 		"without members": &bare,
+		"with a cut":      sampleCut(),
 		"heartbeat":       {LeaderDurable: 9, MembersVer: 2},
 	} {
 		frame := p.appendTo(nil)
@@ -62,7 +72,8 @@ func TestShipPayloadRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got.LeaderDurable != p.LeaderDurable || !bytes.Equal(got.Log, p.Log) ||
-			got.MembersVer != p.MembersVer || !reflect.DeepEqual(got.Members, p.Members) {
+			got.MembersVer != p.MembersVer || !reflect.DeepEqual(got.Members, p.Members) ||
+			got.Cut != p.Cut || got.Through != p.Through {
 			t.Fatalf("%s: round trip mismatch:\n  in  %+v\n  out %+v", name, p, got)
 		}
 		if again := got.appendTo(nil); !bytes.Equal(again, frame) {
@@ -70,6 +81,18 @@ func TestShipPayloadRoundTrip(t *testing.T) {
 		}
 		if _, err := parseShip(append(frame, 0)); err == nil {
 			t.Fatalf("%s: a trailing byte was accepted", name)
+		}
+	}
+	cut := sampleCut().appendTo(nil)
+	flag := len(cut) - 17
+	for name, bad := range map[string]func(b []byte){
+		"a cut flag of 2":           func(b []byte) { b[flag] = 2 },
+		"a cut with no durable end": func(b []byte) { clear(b[len(b)-8:]) },
+	} {
+		b := bytes.Clone(cut)
+		bad(b)
+		if _, err := parseShip(b); err == nil {
+			t.Errorf("%s was accepted", name)
 		}
 	}
 	frame := bare.appendTo(nil)
@@ -102,7 +125,7 @@ func TestTruncatedFramesRejected(t *testing.T) {
 	const pageSize = 64
 	bare := sampleShip()
 	bare.Members = nil
-	for _, ship := range [][]byte{sampleShip().appendTo(nil), bare.appendTo(nil)} {
+	for _, ship := range [][]byte{sampleShip().appendTo(nil), bare.appendTo(nil), sampleCut().appendTo(nil)} {
 		for n := 0; n < len(ship); n++ {
 			if _, err := parseShip(ship[:n]); err == nil {
 				t.Fatalf("parseShip accepted a %d/%d-byte prefix", n, len(ship))
@@ -149,14 +172,19 @@ func FuzzParseShip(f *testing.F) {
 	f.Add((&shipPayload{}).appendTo(nil))
 	f.Add([]byte{})
 	f.Add(sampleShip().appendTo(nil)[:10])
+	f.Add(sampleCut().appendTo(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := parseShip(data)
 		if err != nil {
 			return
 		}
-		// Whatever parsed re-encodes to exactly the bytes it came from.
+		// Whatever parsed re-encodes to exactly the bytes it came from,
+		// its cut and durable end included.
 		if again := p.appendTo(nil); !bytes.Equal(again, data) {
 			t.Fatalf("a parsed frame re-encodes to %x, not %x", again, data)
+		}
+		if p.Through == 0 && p.Cut != 0 {
+			t.Fatalf("a frame parsed to a cut at %d with no durable end", p.Cut)
 		}
 		if len(p.Members) == 0 && p.Members != nil {
 			t.Fatalf("a frame without members parsed to an empty, non-nil list")

@@ -14,25 +14,29 @@ import (
 //
 // A follower has no esm.Server (and so no version store), but it holds two
 // things that together determine every committed state up to its durable
-// LSN: the volume image from its last snapshot install, and the shipped WAL
-// suffix. A snapshot read at S is answered by per-page point-in-time
-// recovery: start from the installed page image, redo committed-at-S
-// updates the image predates, and undo updates of transactions unresolved
-// at S. This is O(log length) per page — the follower path trades
-// throughput for availability (it only carries reads while the leader is
-// unreachable), so correctness-first is the right cost model.
+// LSN: its volume and its shipped WAL suffix. A snapshot read at S is
+// answered by per-page point-in-time recovery: start from the volume's page
+// image, redo committed-at-S updates the image predates, and undo updates
+// of transactions unresolved at S. This is O(log length) per page — the
+// follower path trades throughput for availability (it only carries reads
+// while the leader is unreachable), so correctness-first is the right cost
+// model.
 //
-// Two invariants make the reconstruction sound:
-//
-//   - buildSnapshot ships the leader's log from the leader's own StartLSN,
-//     and checkpoints never truncate past the first record of an active
-//     transaction. So for any S >= StartLSN, the log holds the before-image
-//     of every update that could be unresolved at S.
-//   - The installed page images obey the WAL rule on the leader (pages are
-//     written back only after their records are durable), and DurableFrom
-//     ships everything durable. So pageLSN <= FlushedLSN at install, and
-//     the follower's volume never changes afterwards except by a newer
-//     install.
+// The volume changes under the log in two ways, each under cutMu's write
+// half: a snapshot install replaces both (leader page images, the leader's
+// log from its StartLSN), and a cut redoes the records below the leader's
+// checkpoint cut onto the volume and then drops them (Node.cutAt). Either
+// leaves image bytes whose records are gone, of transactions that may have
+// been unresolved at an S above the log's start: T updates a page at 10, U
+// begins at 80, T commits at 90, the cut is 80 — at S = 85 the image holds
+// T's bytes and no record is left to undo them. So a follower serves only
+// S >= floor, where every transaction with a record below the log's start
+// is resolved: through-1 after a cut at a checkpoint whose log was durable
+// through through, the durable end the leader built an install at, less
+// one. Above floor, the log holds the before-image of every update that
+// could be unresolved at S (the leader's cut never passes an open
+// transaction's first record), and the WAL rule on the leader keeps every
+// image's pageLSN at or below the durable end it shipped with.
 
 // handleSnapBegin answers OpBeginSnapshot on a non-leader. The snapshot
 // point is the follower's durable LSN; everything at or below it is
@@ -51,8 +55,8 @@ func (n *Node) handleSnapBegin(req *esm.Request) *esm.Response {
 	if req.N > uint64(s) {
 		return &esm.Response{Err: esm.SnapshotBehindError(uint64(s), req.N)}
 	}
-	// No pin: the follower's log only grows (a snapshot install can cut
-	// it, which snapReadPage detects via StartLSN and reports as too old).
+	// No pin: a cut or an install that raises the floor past s is
+	// reported by snapReadPage as too old.
 	return &esm.Response{N: uint64(s)}
 }
 
@@ -79,9 +83,12 @@ func (n *Node) handleSnapRead(req *esm.Request) *esm.Response {
 
 // snapReadPage reconstructs page pid as of snapshot LSN snap.
 func (n *Node) snapReadPage(pid disk.PageID, snap wal.LSN) ([]byte, error) {
-	if start := n.log.StartLSN(); snap < start {
-		// A snapshot install replaced our log since this snapshot began.
-		return nil, fmt.Errorf("repl: SnapRead(%d) at %d: snapshot too old (log starts at %d)", pid, snap, start)
+	n.cutMu.RLock()
+	defer n.cutMu.RUnlock()
+	if snap < n.floor {
+		// A cut or an install since this snapshot began took records it
+		// may need: their transactions may be unresolved at snap.
+		return nil, fmt.Errorf("repl: SnapRead(%d) at %d: snapshot too old (the follower serves %d and later)", pid, snap, n.floor)
 	}
 	if s := n.log.FlushedLSN(); snap >= s {
 		// The session began elsewhere at an LSN we haven't received (a

@@ -187,7 +187,9 @@ func (l *Log) LoadSnapshot(start LSN, content []byte) error {
 		return err
 	}
 	l.base = int(start) - 1
-	l.buf = append(l.buf[:0], content...)
+	// A buffer of the snapshot's size: the log it replaces may have been
+	// far longer, and none of it is kept.
+	l.buf = append([]byte(nil), content...)
 	l.flushed = 0
 	l.records = recs
 	l.bytes = int64(len(content))

@@ -373,3 +373,34 @@ func TestLoadSnapshotFileRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot not persisted: %v %v", fi, err)
 	}
 }
+
+// TestLoadSnapshotKeepsNoOldLog installs a one-record snapshot over a
+// follower log that held a megabyte: the log's buffer is the snapshot's
+// size afterwards, not the size of the log it replaced.
+func TestLoadSnapshotKeepsNoOldLog(t *testing.T) {
+	fl := NewMemLog()
+	for fl.Bytes() < 1<<20 {
+		appendUpdate(fl, 1, 1, 0xAA)
+	}
+	if err := fl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	leader := NewMemLog()
+	appendUpdate(leader, 2, 2, 0xBB)
+	if err := leader.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	content, err := leader.DurableFrom(leader.StartLSN(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.LoadSnapshot(leader.StartLSN(), content); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(fl.buf); c > 2*len(content) {
+		t.Fatalf("after a %d-byte snapshot the log keeps a %d KB buffer", len(content), c>>10)
+	}
+	if recs := collect(t, fl); len(recs) != 1 || recs[0].Tx != 2 {
+		t.Fatalf("the installed log holds %d records, want the snapshot's one", len(recs))
+	}
+}

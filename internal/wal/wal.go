@@ -16,9 +16,11 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -764,8 +766,8 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 		}
 		delete(losers, tx)
 	}
-	buf := make([]byte, pageSize)
 	// Redo phase: repeat history for winners, CLRs, and in-doubt prepares.
+	var replay []Record
 	for _, r := range updates {
 		if r.Type == RecUpdate && !winners[r.Tx] && !losers[r.Tx] && indoubt[r.Tx] == nil {
 			continue // aborted at runtime; undo already applied
@@ -775,17 +777,12 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 				d.Pages = append(d.Pages, r.Page)
 			}
 		}
-		if err := store.ReadPage(r.Page, buf); err != nil {
-			return nil, err
-		}
-		if LSN(pageLSNOf(buf)) >= r.LSN {
-			continue
-		}
-		r.Redo(buf, setPageLSN)
-		if err := store.WritePage(r.Page, buf); err != nil {
-			return nil, err
-		}
+		replay = append(replay, r)
 	}
+	if err := redo(store, replay, pageSize, pageLSNOf, setPageLSN); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, pageSize)
 	// Undo phase: roll back losers newest-first. In-doubt transactions are
 	// deliberately not here: their before-images stay in the log, protected
 	// from truncation by FirstLSN, until the coordinator's verdict arrives.
@@ -814,4 +811,96 @@ func Recover(l *Log, store PageStore, pageSize int, pageLSNOf func(pageBuf []byt
 		l.Append(Record{Tx: tx, Type: RecAbort})
 	}
 	return rec, l.Flush()
+}
+
+// redo is the one redo pass, run by restart recovery and by a replica's
+// log cut (RedoBefore): each record of recs — range-checked update records
+// and CLRs, in LSN order — is applied to its page unless the page already
+// holds it (its page LSN is at or past the record's). Each page is read
+// once and, if a record was applied, written once.
+func redo(store PageStore, recs []Record, pageSize int, pageLSNOf func(pageBuf []byte) uint64, setPageLSN func(pageBuf []byte, lsn uint64)) error {
+	order := make([]int, len(recs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(recs[a].Page, recs[b].Page) })
+	buf := make([]byte, pageSize)
+	for i := 0; i < len(order); {
+		pid := recs[order[i]].Page
+		if err := store.ReadPage(pid, buf); err != nil {
+			return err
+		}
+		applied := false
+		for ; i < len(order) && recs[order[i]].Page == pid; i++ {
+			if r := &recs[order[i]]; LSN(pageLSNOf(buf)) < r.LSN {
+				r.Redo(buf, setPageLSN)
+				applied = true
+			}
+		}
+		if applied {
+			if err := store.WritePage(pid, buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// RedoBefore brings store up to every record of l below cut, so that the
+// log can be cut there: it is a replica's half of its leader's checkpoint,
+// run once its log is durable through the leader's durable end at that
+// checkpoint (through). The leader pinned its cut at every open
+// transaction's first record, so every transaction with a record below cut
+// ended below through; a log in which one did not is refused, and nothing
+// is written. Recover's rule decides what is redone — a committed
+// transaction's updates and every CLR, not an aborted one's updates, whose
+// CLRs restored what they changed. The caller syncs store before it cuts
+// the log (TruncateBefore), so a crash between the two leaves a log that
+// recovers the same pages.
+func RedoBefore(l *Log, store PageStore, cut, through LSN, pageSize int, pageLSNOf func(pageBuf []byte) uint64, setPageLSN func(pageBuf []byte, lsn uint64)) error {
+	ended := map[uint64]bool{} // transaction → committed, for those that ended below through
+	below := map[uint64]bool{} // transactions with a record below cut
+	var recs []Record
+	var rangeErr error
+	err := l.Iterate(func(r Record) bool {
+		if r.LSN >= through {
+			return false
+		}
+		if r.LSN < cut && r.Tx != 0 {
+			below[r.Tx] = true
+		}
+		switch r.Type {
+		case RecCommit, RecDecision:
+			ended[r.Tx] = true
+		case RecAbort:
+			ended[r.Tx] = false
+		case RecUpdate, RecCLR:
+			if r.LSN >= cut {
+				break
+			}
+			if rangeErr = r.CheckRange(pageSize); rangeErr != nil {
+				return false
+			}
+			recs = append(recs, r)
+		}
+		return true
+	})
+	if err == nil {
+		err = rangeErr
+	}
+	if err != nil {
+		return err
+	}
+	for tx := range below {
+		if _, ok := ended[tx]; !ok {
+			return fmt.Errorf("wal: transaction %d has records below the cut at %d and no end below %d", tx, uint64(cut), uint64(through))
+		}
+	}
+	kept := recs[:0]
+	for _, r := range recs {
+		if r.Type == RecCLR || ended[r.Tx] {
+			kept = append(kept, r)
+		}
+	}
+	return redo(store, kept, pageSize, pageLSNOf, setPageLSN)
 }

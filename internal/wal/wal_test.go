@@ -469,3 +469,50 @@ func TestTruncatedFileLogReopens(t *testing.T) {
 		t.Fatalf("LSN went backwards across reopen: %d <= %d", lsnB, lsnA)
 	}
 }
+
+// TestRedoBeforeCutsOnlyResolvedHistory: RedoBefore brings a store up to a
+// cut through records that interleave on two pages — a committed
+// transaction's updates redone, an aborted one's left to its CLR, a record
+// at or past the cut left alone, each page written once — and refuses,
+// writing nothing, a cut below a transaction that has not ended below
+// through.
+func TestRedoBeforeCutsOnlyResolvedHistory(t *testing.T) {
+	l := NewMemLog()
+	l.Append(Record{Tx: 1, Type: RecBegin})
+	l.Append(Record{Tx: 2, Type: RecBegin})
+	l.Append(Record{Tx: 1, Type: RecUpdate, Page: 5, Off: 100, Old: []byte{0}, New: []byte{1}})
+	l.Append(Record{Tx: 2, Type: RecUpdate, Page: 6, Off: 100, Old: []byte{0}, New: []byte{2}})
+	l.Append(Record{Tx: 1, Type: RecUpdate, Page: 6, Off: 200, Old: []byte{0}, New: []byte{3}})
+	l.Append(Record{Tx: 2, Type: RecCLR, Page: 6, Off: 100, New: []byte{0}})
+	l.Append(Record{Tx: 2, Type: RecAbort})
+	l.Append(Record{Tx: 1, Type: RecCommit})
+	cut := l.Append(Record{Tx: 3, Type: RecBegin})
+	l.Append(Record{Tx: 3, Type: RecUpdate, Page: 5, Off: 300, Old: []byte{0}, New: []byte{4}})
+	through := l.End()
+	writes := 0
+	store := &countingStore{memStore: newMemStore(), writes: &writes}
+	if err := RedoBefore(l, store, cut, through, 8192, lsnOf, setLSN); err != nil {
+		t.Fatal(err)
+	}
+	p5, p6 := store.page(5), store.page(6)
+	if p5[100] != 1 || p6[200] != 3 || p6[100] != 0 || p5[300] != 0 || writes != 2 {
+		t.Fatalf("page 5 [100]=%d [300]=%d, page 6 [100]=%d [200]=%d, %d writes; want 1 0 0 3 and one write per page",
+			p5[100], p5[300], p6[100], p6[200], writes)
+	}
+
+	writes = 0
+	if err := RedoBefore(l, store, through, through, 8192, lsnOf, setLSN); err == nil || writes != 0 {
+		t.Fatalf("a cut past an open transaction's records: %v, %d writes; want a refusal and none", err, writes)
+	}
+}
+
+// countingStore is a memStore that counts page writes.
+type countingStore struct {
+	*memStore
+	writes *int
+}
+
+func (c *countingStore) WritePage(id uint32, buf []byte) error {
+	*c.writes++
+	return c.memStore.WritePage(id, buf)
+}
