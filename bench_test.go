@@ -527,22 +527,23 @@ func BenchmarkExtrasFullOO7(b *testing.B) {
 // same names run the assertions under plain `go test ./...`.
 
 // Allocation budgets. A hot T1 allocates its graph walker and visited-set
-// growth plus what one Begin/Commit round trip costs (7 today: the commit's
-// ack and its group-commit batch among them). A faulting T1 is bounded per
-// fault. In steady-state replacement on a 128-page pool every fault is a
-// round trip of its own, and a round trip allocates nothing — not in
-// process, not over the multiplexed transport (pooled answers, the session's
-// scratch request, long-lived serve workers; DESIGN.md §13): what a T1
-// allocates there is the hot T1's share spread over ~2,000 faults, so one
-// allocation more per fault breaks the budget. Cold on a pool that holds the
-// database, read-ahead shares a round trip between the pages a mapping object
-// names, and what is left per fault (2.2 today) is mostly a descriptor for
-// each such page and the server pool's in-flight marker on each miss. The
-// hot, paging and mux budgets are set per build (norace_test.go,
-// race_test.go): the race detector's sync.Pool drops a random share of what
-// is put back, so there a pooled round trip allocates by chance and the
-// looser budgets of before round trips were pooled apply.
-const maxAllocsPerColdFault = 4
+// growth plus what one Begin/Commit round trip costs (4 today: the commit's
+// group-commit batch among them; every answer a server builds is pooled). A
+// faulting T1 is bounded per fault. In steady-state replacement on a
+// 128-page pool every fault is a round trip of its own, and a round trip
+// allocates nothing — not in process, not over the multiplexed transport
+// (pooled answers, the session's scratch request, long-lived serve workers;
+// DESIGN.md §13): what a T1 allocates there is the hot T1's share spread over
+// ~2,000 faults, so one allocation more per fault breaks the budget. Cold on
+// a pool that holds the database, read-ahead shares a round trip between the
+// pages a mapping object names, and the descriptors of those pages come 64
+// to an allocation (Store.newDesc): what is left per fault (0.22 today) is
+// mostly a fresh session's tables growing once — descriptor maps, frame
+// table, pool slabs, scratch buffers. The budgets are
+// set per build (norace_test.go, race_test.go): the race detector's
+// sync.Pool drops a random share of what is put back, so there a pooled
+// round trip allocates by chance and the looser budgets of before round
+// trips were pooled apply.
 
 var (
 	hotEnvOnce sync.Once
@@ -689,20 +690,55 @@ func TestPagingT1AllocsOverMux(t *testing.T) {
 // pool load, versioned read (most of them in a read-ahead batch) — exactly
 // once.
 func TestColdFaultAllocs(t *testing.T) {
-	st, db := qsSession(t, 0)
-	if err := hotEnv.Srv.DropCaches(); err != nil {
+	checkColdFaultAllocs(t, 1, func() (*core.Store, oo7.DB) { return qsSession(t, 0) })
+}
+
+// TestColdFaultAllocsOverMux is TestColdFaultAllocs over the real transport,
+// three times, each on a fresh session of its own over esm.DialTCP: every
+// cold T1 starts from an empty descriptor table as well as empty caches.
+// What is counted spans both ends of the socket, as in
+// TestPagingT1AllocsOverMux; dialing and opening a session are not.
+func TestColdFaultAllocsOverMux(t *testing.T) {
+	sharedEnv(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	runT1(t, db)
-	runtime.ReadMemStats(&after)
-	faults := st.Space().Faults()
-	perFault := float64(after.Mallocs-before.Mallocs) / float64(faults)
-	t.Logf("cold T1: %d faults, %d allocations, %.2f per fault", faults, after.Mallocs-before.Mallocs, perFault)
-	if faults < 400 || perFault > maxAllocsPerColdFault {
-		t.Fatalf("cold T1: %.2f allocs per fault over %d faults, budget %d", perFault, faults, maxAllocsPerColdFault)
+	defer l.Close()
+	go esm.Serve(l, hotEnv.Srv)
+	checkColdFaultAllocs(t, 3, func() (*core.Store, oo7.DB) {
+		tr, err := esm.DialTCP(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		return openSession(t, esm.NewClient(tr, esm.ClientConfig{}))
+	})
+}
+
+// checkColdFaultAllocs runs one T1 on each of runs fresh sessions that open
+// returns, emptying the server's cache before each, and checks what the T1s
+// allocate per fault together against maxAllocsPerColdFault.
+func checkColdFaultAllocs(t *testing.T, runs int, open func() (*core.Store, oo7.DB)) {
+	t.Helper()
+	var allocs, faults uint64
+	for i := 0; i < runs; i++ {
+		st, db := open()
+		if err := hotEnv.Srv.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		runT1(t, db)
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+		faults += uint64(st.Space().Faults())
+	}
+	perFault := float64(allocs) / float64(faults)
+	t.Logf("cold T1 x%d: %d faults, %d allocations, %.2f per fault", runs, faults, allocs, perFault)
+	if faults < 400*uint64(runs) || perFault > maxAllocsPerColdFault {
+		t.Fatalf("cold T1: %.2f allocs per fault over %d faults, budget %v", perFault, faults, maxAllocsPerColdFault)
 	}
 }
 

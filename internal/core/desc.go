@@ -55,6 +55,26 @@ type PageDesc struct {
 	height      int
 }
 
+// descChunk is how many page descriptors one allocation holds.
+const descChunk = 64
+
+// newDesc returns a zeroed descriptor from the session's current chunk,
+// starting a new chunk when that one is full. The fault path makes one for
+// every page a mapping object names, so this is one allocation per
+// descChunk of them instead of one each. A slot is never handed out twice,
+// even after its descriptor leaves the tree: a pointer kept in lastWrites
+// or a cluster cursor stays distinct from every later descriptor. Pages a
+// transaction creates get their own allocations instead (Alloc), because
+// Abort drops theirs and a chunk slot would stay dead for the session.
+func (s *Store) newDesc() *PageDesc {
+	if len(s.descs) == cap(s.descs) {
+		s.descs = make([]PageDesc, 0, descChunk)
+		s.descChunks++
+	}
+	s.descs = s.descs[:len(s.descs)+1]
+	return &s.descs[len(s.descs)-1]
+}
+
 // Pages returns the number of virtual frames the descriptor covers.
 func (d *PageDesc) Pages() int { return int((d.Hi - d.Lo) >> vmem.FrameShift) }
 

@@ -114,7 +114,8 @@ func (s *Store) splitLarge(d *PageDesc, a vmem.Addr) (*PageDesc, error) {
 	frame := a.FrameBase()
 	s.tree.Remove(d)
 	mk := func(lo, hi vmem.Addr) *PageDesc {
-		return &PageDesc{
+		nd := s.newDesc()
+		*nd = PageDesc{
 			Lo: lo, Hi: hi,
 			ObjLo: d.ObjLo, ObjPages: d.ObjPages,
 			Phys:    d.Phys,
@@ -122,6 +123,7 @@ func (s *Store) splitLarge(d *PageDesc, a vmem.Addr) (*PageDesc, error) {
 			Pid:     disk.InvalidPage, FrameIdx: -1, RecIdx: -1,
 			SeenTx: d.SeenTx,
 		}
+		return nd
 	}
 	mid := mk(frame, frame+vmem.FrameSize)
 	if err := s.tree.Insert(mid); err != nil {
@@ -207,7 +209,8 @@ func (s *Store) applyMapping(d *PageDesc, data []byte, meta metaObject, entries 
 			reloc[e.ObjLo] = relocTarget{newLo: lo, pages: e.ObjPages}
 			s.relocations++
 		}
-		nd := &PageDesc{
+		nd := s.newDesc()
+		*nd = PageDesc{
 			Lo: lo, Hi: lo + vmem.Addr(uint64(e.ObjPages)<<vmem.FrameShift),
 			ObjLo: lo, ObjPages: e.ObjPages,
 			Phys:    e.OID,

@@ -121,6 +121,11 @@ type Store struct {
 	byOID map[esm.OID]*PageDesc
 	byPid map[disk.PageID]*PageDesc
 
+	// descs is the chunk newDesc takes descriptors from; descChunks counts
+	// the chunks the session has allocated.
+	descs      []PageDesc
+	descChunks int
+
 	largeGeom map[esm.OID]esm.LargeInfo
 
 	dataFile, mapFile, bmFile uint32

@@ -260,16 +260,25 @@ func TestLockResponseStaleFlag(t *testing.T) {
 	}
 }
 
-// commitTap records the responses to the commits a client sends.
+// commitTap records the answers to the commits a client sends. It copies
+// what it checks when Call returns: the client releases an answer once it
+// has read it, and a pooled one is reused.
 type commitTap struct {
 	Transport
-	acks []*Response
+	acks []commitAck
+}
+
+// commitAck is what one commit answer carried.
+type commitAck struct {
+	N         uint64
+	Mode      uint8
+	DataBytes int
 }
 
 func (c *commitTap) Call(req *Request) (*Response, error) {
 	resp, err := c.Transport.Call(req)
 	if req.Op == OpCommit && resp != nil {
-		c.acks = append(c.acks, resp)
+		c.acks = append(c.acks, commitAck{N: resp.N, Mode: resp.Mode, DataBytes: len(resp.Data)})
 	}
 	return resp, err
 }
@@ -299,7 +308,7 @@ func TestCommitHintsMarkFramesStale(t *testing.T) {
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if ack := tap.acks[len(tap.acks)-1]; ack.Mode != 0 || len(ack.Data) != 0 || ack.N == 0 {
+	if ack := tap.acks[len(tap.acks)-1]; ack.Mode != 0 || ack.DataBytes != 0 || ack.N == 0 {
 		t.Errorf("commit response %+v, want the commit LSN alone", ack)
 	}
 	i, ok := a.Pool().Lookup(oid.Page)

@@ -88,7 +88,8 @@ func serveConn(conn net.Conn, h Handler) {
 		for ok := true; ok; job, ok = <-jobs {
 			var resp *Response
 			if err := req.unmarshal(job.body, false); err != nil {
-				resp = &Response{Err: err.Error()}
+				resp = pooledResponse()
+				resp.Err = err.Error()
 			} else {
 				resp = h.Handle(&req)
 			}

@@ -613,11 +613,20 @@ func restoreEntry[V any](m map[string]V, k string, old V, had bool) {
 func (s *Server) Handle(req *Request) *Response {
 	resp, err := s.handle(req)
 	if err != nil {
-		return &Response{Err: err.Error()}
+		resp = pooledResponse()
+		resp.Err = err.Error()
+	} else if resp == nil {
+		resp = pooledResponse()
 	}
-	if resp == nil {
-		resp = &Response{}
-	}
+	return resp
+}
+
+// answerN returns a pooled Response carrying n: every answer a Server
+// builds comes from respPool, and whoever holds it last releases it
+// (Response.Release).
+func answerN(n uint64) *Response {
+	resp := pooledResponse()
+	resp.N = n
 	return resp
 }
 
@@ -647,7 +656,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Response{N: uint64(lsn)}, nil
+		return answerN(uint64(lsn)), nil
 
 	case OpCommit:
 		lsn, err := s.commitOp(req.Tx, req.Data)
@@ -657,7 +666,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		// The commit LSN rides back: it is the token of every page the
 		// commit installed, and the session's last-seen commit for
 		// read-your-writes snapshot begins.
-		return &Response{N: uint64(lsn)}, nil
+		return answerN(uint64(lsn)), nil
 
 	case OpAbort:
 		return nil, s.abort(req.Tx)
@@ -667,7 +676,9 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Response{Page: uint32(pid)}, nil
+		resp := pooledResponse()
+		resp.Page = uint32(pid)
+		return resp, nil
 
 	case OpFreePages:
 		return nil, s.vol.Free(disk.PageID(req.Page), int(req.N))
@@ -689,7 +700,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 			delete(s.cat.Files, req.Name)
 			return nil, err
 		}
-		return &Response{N: uint64(id)}, nil
+		return answerN(uint64(id)), nil
 
 	case OpOpenFile:
 		s.mu.Lock()
@@ -698,7 +709,7 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if !ok {
 			return nil, fmt.Errorf("esm: no file %q", req.Name)
 		}
-		return &Response{N: uint64(id)}, nil
+		return answerN(uint64(id)), nil
 
 	case OpGetRoot:
 		s.mu.Lock()
@@ -707,7 +718,11 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if !ok {
 			return nil, fmt.Errorf("esm: no root %q", req.Name)
 		}
-		return &Response{N: e.Aux, Data: append([]byte(nil), e.OID[:]...)}, nil
+		resp := answerN(e.Aux)
+		resp.buf = getBuf()
+		*resp.buf = append((*resp.buf)[:0], e.OID[:]...)
+		resp.Data = *resp.buf
+		return resp, nil
 
 	case OpSetRoot:
 		if len(req.Data) != OIDSize {
@@ -731,14 +746,14 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		defer s.mu.Unlock()
 		old, had := s.cat.Counters[req.Name]
 		if req.N == 0 {
-			return &Response{N: old}, nil // a read: nothing to log
+			return answerN(old), nil // a read: nothing to log
 		}
 		s.cat.Counters[req.Name] = old + req.N
 		if err := s.logCatalogLocked(); err != nil {
 			restoreEntry(s.cat.Counters, req.Name, old, had)
 			return nil, err
 		}
-		return &Response{N: old}, nil
+		return answerN(old), nil
 
 	case OpCheckpoint:
 		return nil, s.checkpoint()
@@ -794,7 +809,9 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Response{N: uint64(st.Resident), Data: blob}, nil
+		resp := answerN(uint64(st.Resident))
+		resp.Data = blob
+		return resp, nil
 
 	case OpBeginSnapshot:
 		return s.beginSnapshot(wal.LSN(req.N))
@@ -812,14 +829,14 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Response{N: uint64(lsn)}, nil
+		return answerN(uint64(lsn)), nil
 
 	case OpCommitDecision:
 		lsn, err := s.commitDecision(req.Tx, req.Mode, req.Data)
 		if err != nil {
 			return nil, err
 		}
-		return &Response{N: uint64(lsn)}, nil
+		return answerN(uint64(lsn)), nil
 
 	case OpResolveTx:
 		return s.resolveTx(req)
@@ -850,10 +867,10 @@ func (s *Server) beginTx() uint64 {
 // first Begin) is not counted as a too-old answer.
 func (s *Server) beginFeed(tx uint64, horizon []byte) *Response {
 	if len(horizon) == 0 {
-		return &Response{N: tx}
+		return answerN(tx)
 	}
-	resp := pooledResponse()
-	resp.N, resp.buf = tx, getBuf()
+	resp := answerN(tx)
+	resp.buf = getBuf()
 	var ok bool
 	*resp.buf, ok = s.coh.feedSince((*resp.buf)[:0], horizon, validateChunk)
 	resp.Data = *resp.buf
@@ -896,14 +913,18 @@ func (s *Server) lockPages(req *Request) (*Response, error) {
 	// reading the frame. This closes the mid-transaction hole
 	// Begin-validation cannot see (cache page, then another client commits,
 	// then we lock it).
-	resp := &Response{}
+	resp := pooledResponse()
 	if kind == lock.KindPage && req.N != 0 && !s.coh.isCurrent(disk.PageID(req.Page), req.N) {
 		resp.Mode = RespStale
 	}
 	if n == 0 {
 		return resp, nil
 	}
-	resp.Data = make([]byte, n)
+	// The verdicts go in a pooled buffer the answer owns, each
+	// LockAheadRefused (0) until granted.
+	resp.buf = getBuf()
+	*resp.buf = append((*resp.buf)[:0], make([]byte, n)...)
+	resp.Data = *resp.buf
 	granted := int64(0)
 	for i := range resp.Data {
 		pid, token := PageEntry(req.Data, i)
@@ -1095,7 +1116,7 @@ func (s *Server) beginSnapshot(lastSeen wal.LSN) (*Response, error) {
 	s.mv.Pin(snap)
 	s.mu.Unlock()
 	s.snapBegins.Add(1)
-	return &Response{N: uint64(snap)}, nil
+	return answerN(uint64(snap)), nil
 }
 
 // snapRead serves one page as of snapshot LSN snap, without consulting the
@@ -1670,6 +1691,7 @@ func (s *Server) abort(tx uint64) error {
 // log records across the cut.
 func (s *Server) Checkpoint() error {
 	r := s.Handle(&Request{Op: OpCheckpoint})
+	defer r.Release()
 	if r.Err != "" {
 		return fmt.Errorf("%s", r.Err)
 	}

@@ -139,17 +139,17 @@ func (s *Server) resolveTx(req *Request) (*Response, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if _, ok := s.decisions[req.Tx]; ok {
-			return &Response{N: ResolveCommitted}, nil
+			return answerN(ResolveCommitted), nil
 		}
 		if _, ok := s.txs[req.Tx]; ok {
 			// Still live here: the router is mid-protocol. The resolver
 			// must not presume abort while the verdict is being formed.
-			return &Response{N: ResolvePending}, nil
+			return answerN(ResolvePending), nil
 		}
 		// No decision, no live transaction: presumed abort. This is the
 		// case a restarted coordinator answers for every transaction it
 		// crashed out of before logging a decision.
-		return &Response{N: ResolveAborted}, nil
+		return answerN(ResolveAborted), nil
 
 	case ResolveModeForget:
 		s.mu.Lock()
@@ -172,7 +172,9 @@ func (s *Server) resolveTx(req *Request) (*Response, error) {
 		for tx := range s.decisions {
 			out = AppendResolveEntry(out, 0, tx, 0)
 		}
-		return &Response{N: uint64(len(out) / ResolveEntryBytes), Data: out}, nil
+		resp := answerN(uint64(len(out) / ResolveEntryBytes))
+		resp.Data = out
+		return resp, nil
 	}
 	return nil, fmt.Errorf("esm: unknown resolve mode %d", req.Mode)
 }

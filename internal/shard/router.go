@@ -218,6 +218,14 @@ func (r *Router) beginOn(t *routedTx, shards []int) error {
 	return nil
 }
 
+// answerN returns a pooled answer carrying n, for a Router that answers a
+// request itself: its caller releases it, as it does a shard's.
+func answerN(n uint64) *esm.Response {
+	resp := esm.PooledResponse()
+	resp.N = n
+	return resp
+}
+
 // Call implements esm.Transport: the full per-op routing table.
 func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 	switch req.Op {
@@ -226,7 +234,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 		r.mu.Lock()
 		r.txs[gid] = &routedTx{local: map[int]uint64{}}
 		r.mu.Unlock()
-		return &esm.Response{N: gid}, nil
+		return answerN(gid), nil
 
 	case esm.OpCommit:
 		return r.commit(req)
@@ -283,7 +291,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 			}
 			resp.Release()
 		}
-		return &esm.Response{}, nil
+		return esm.PooledResponse(), nil
 
 	case esm.OpStats:
 		return r.aggregateStats(req)
@@ -375,7 +383,7 @@ func (r *Router) logBatch(req *esm.Request) (*esm.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &esm.Response{}, nil
+	return esm.PooledResponse(), nil
 }
 
 // fanOut sends reqs[shard] to every shard in reqs concurrently. It returns
@@ -580,7 +588,7 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 	}
 
 	if len(participants) == 0 {
-		return &esm.Response{}, nil // touched nothing; nothing to resolve
+		return esm.PooledResponse(), nil // touched nothing; nothing to resolve
 	}
 	if len(participants) == 1 {
 		// One-phase fast path: the ordinary commit, carrying the shard's
@@ -677,7 +685,7 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 		// participants are in doubt until resolved, and the coordinator
 		// keeps the decision remembered for their inquiry.
 		r.stats.unresolved.Add(int64(missed))
-		return &esm.Response{N: decisionLSN}, nil
+		return answerN(decisionLSN), nil
 	}
 	// Phase 2.5: every participant holds the outcome; the coordinator may
 	// forget the decision (and unpin its checkpoint cut). Best-effort — a
@@ -687,7 +695,7 @@ func (r *Router) commit(req *esm.Request) (*esm.Response, error) {
 		fresp.Release()
 		r.stats.forgets.Add(1)
 	}
-	return &esm.Response{N: decisionLSN}, nil
+	return answerN(decisionLSN), nil
 }
 
 // decisionAbsent asks coordinator shard coord whether it appended a
@@ -719,7 +727,7 @@ func (r *Router) abort(gid uint64) (*esm.Response, error) {
 	if err := r.abortAll(participants, locals); err != nil {
 		return nil, err
 	}
-	return &esm.Response{}, nil
+	return esm.PooledResponse(), nil
 }
 
 // abortAll sends OpAbort to every shard in participants, concurrently, and

@@ -4,7 +4,8 @@ package bench
 
 // Allocation budgets of a plain build (bench_test.go says what they bound).
 const (
-	maxHotT1Allocs       = 16
-	maxAllocsPerFault    = 1
-	maxAllocsPerMuxFault = 1
+	maxHotT1Allocs        = 8
+	maxAllocsPerFault     = 1
+	maxAllocsPerMuxFault  = 1
+	maxAllocsPerColdFault = 0.5
 )

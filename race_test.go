@@ -8,7 +8,8 @@ package bench
 // budgets that held before round trips were pooled; the mux path gets the
 // in-process per-fault one, under the ~10 per fault it cost unpooled.
 const (
-	maxHotT1Allocs       = 64
-	maxAllocsPerFault    = 8
-	maxAllocsPerMuxFault = 8
+	maxHotT1Allocs        = 64
+	maxAllocsPerFault     = 8
+	maxAllocsPerMuxFault  = 8
+	maxAllocsPerColdFault = 4
 )
