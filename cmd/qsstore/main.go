@@ -42,7 +42,7 @@
 // header-bearing page checking slotted-page invariants and, for QuickStore
 // data pages, the meta-object and its mapping/bitmap references; stats
 // opens the store and prints the page server's statistics snapshot
-// (OpStats), including read-ahead batches served, group-commit, and — when the
+// (OpStats), including pages served in read-ahead reads, group-commit, and — when the
 // server is a replication leader — quorum-commit and election counters.
 // With -addr it queries a running server over TCP instead of opening a
 // local volume, which is how cluster replication lag is observed live.
@@ -590,7 +590,7 @@ func printServerStats(ss *esm.ServerStats, cs *quickstore.Stats) {
 	fmt.Printf("volume:         %d allocated data pages\n", ss.AllocatedPages)
 	fmt.Printf("log:            %s\n", logSummary(ss.LogRecords, ss.LogBytes, -1))
 	fmt.Printf("disk:           %d reads, %d writes\n", ss.DiskReads, ss.DiskWrites)
-	fmt.Printf("read-ahead:     %d pages served in batches\n", ss.PrefetchPages)
+	fmt.Printf("read-ahead:     %d pages served in reads of 2+ pages\n", ss.PrefetchPages)
 	fmt.Printf("lock-ahead:     %d granted, %d refused", ss.LockAheadGranted, ss.LockAheadRefused)
 	if cs != nil {
 		fmt.Printf("; client used %d, wasted %d", cs.LockAheadUsed, cs.LockAheadWasted)

@@ -47,13 +47,15 @@ func (s *Store) handleFault(a vmem.Addr, acc vmem.Access) error {
 	pool := s.c.Pool()
 	idx, resident := pool.Lookup(d.Pid)
 	if !resident {
+		// The read-ahead the window has room for rides in this round trip.
+		var ahead []disk.PageID
+		if s.pf != nil && !s.snapTx {
+			ahead = s.pf.Demand(d.Pid)
+		}
 		var err error
-		idx, err = s.c.FetchPage(d.Pid)
+		idx, err = s.c.FetchPage(d.Pid, ahead...)
 		if err != nil {
 			return err
-		}
-		if s.pf != nil {
-			s.pf.Missed(d.Pid)
 		}
 	} else if s.c.ConsumePrefetch(idx) {
 		// First real use of a page read ahead: the fault is a buffer hit

@@ -211,12 +211,15 @@ func Open(c *esm.Client, cfg Config) (*Store, error) {
 
 func newStore(c *esm.Client, cfg Config) (*Store, error) {
 	cfg.fill()
+	// A session's tables start at the size of what its pool can hold, so a
+	// cold session does not grow them again page by page.
+	pool := c.Pool()
 	s := &Store{
 		c:          c,
 		clock:      c.Clock(),
 		cfg:        cfg,
-		byOID:      map[esm.OID]*PageDesc{},
-		byPid:      map[disk.PageID]*PageDesc{},
+		byOID:      make(map[esm.OID]*PageDesc, pool.Len()),
+		byPid:      make(map[disk.PageID]*PageDesc, pool.Len()),
 		largeGeom:  map[esm.OID]esm.LargeInfo{},
 		freshPages: map[disk.PageID]*PageDesc{},
 		rng:        rand.New(rand.NewSource(cfg.RelocSeed)),
@@ -225,7 +228,7 @@ func newStore(c *esm.Client, cfg Config) (*Store, error) {
 	s.la = lockWindow{size: lockWindowInitial, cut: -1}
 	s.space = vmem.NewSpace(cfg.Base, cfg.MaxFrames, s.clock)
 	s.space.SetHandler(s.handleFault)
-	pool := c.Pool()
+	s.space.ExpectMapped(pool.Len())
 	pool.OnEvict = s.onEvict
 	c.OnRefresh = s.onRefresh
 	if !cfg.TraditionalClock {

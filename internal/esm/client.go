@@ -530,7 +530,12 @@ func (c *Client) endTx() {
 // page is read as of the snapshot: a resident frame left over from an
 // earlier transaction may be NEWER than the snapshot, so anything not
 // fetched under this snapshot is dropped and refetched as of it.
-func (c *Client) FetchPage(pid disk.PageID) (int, error) {
+//
+// A miss in a transaction may carry read-ahead: the pages of ahead are asked
+// for in the same request, after pid, and land as ReadAhead's do. pid is
+// installed first, as the demand frame it is, and stays pinned while they go
+// in. A snapshot session reads pid alone.
+func (c *Client) FetchPage(pid disk.PageID, ahead ...disk.PageID) (int, error) {
 	if c.tx == 0 && c.snap == 0 {
 		return 0, ErrNoTx
 	}
@@ -551,25 +556,33 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 			return 0, err
 		}
 	}
-	var token uint64
+	if c.snap != 0 {
+		ahead = nil
+	}
+	var a PageAnswers
+	var resp *Response
+	defer func() { resp.Release() }()
 	i, err := c.pool.Put(pid, func(buf []byte) error {
 		c.clock.Charge(sim.CtrClientRead, 1)
-		a, resp, err := c.readPage(pid, 0, c.snap)
-		defer resp.Release()
-		if err != nil {
+		var err error
+		if a, resp, err = c.readPage(pid, 0, c.snap, ahead); err != nil {
 			return err
 		}
-		token = a.Token
 		return a.Apply(buf)
 	})
 	if err != nil {
 		return 0, err
 	}
-	c.pool.Frame(i).LSN = token
+	c.pool.Frame(i).LSN = a.Token
 	if c.snap != 0 {
 		c.snapFetched[pid] = true
 	}
-	return i, nil
+	if len(ahead) != 0 {
+		c.pool.Pin(i)
+		err = c.putAhead(&a)
+		c.pool.Unpin(i)
+	}
+	return i, err
 }
 
 // revalidateFrame refreshes a resident frame that is or may be stale (one
@@ -580,7 +593,7 @@ func (c *Client) FetchPage(pid disk.PageID) (int, error) {
 // uncoherent model never charged for.
 func (c *Client) revalidateFrame(i int) error {
 	f := c.pool.Frame(i)
-	a, resp, err := c.readPage(f.Page, f.LSN, 0)
+	a, resp, err := c.readPage(f.Page, f.LSN, 0, nil)
 	defer resp.Release()
 	if err != nil {
 		return err
@@ -618,10 +631,13 @@ func (c *Client) readPages(snap wal.LSN, mode uint8) (PageAnswers, *Response, er
 }
 
 // readPage reads one page, presenting token for the copy the client holds
-// (0 for none), and returns the walk standing on its entry and the answer
-// to release.
-func (c *Client) readPage(pid disk.PageID, token uint64, snap wal.LSN) (PageAnswers, *Response, error) {
+// (0 for none), and the pages of ahead after it, and returns the walk
+// standing on pid's entry and the answer to release.
+func (c *Client) readPage(pid disk.PageID, token uint64, snap wal.LSN, ahead []disk.PageID) (PageAnswers, *Response, error) {
 	c.readEntries = AppendPageEntry(c.readEntries[:0], uint32(pid), token)
+	for _, p := range ahead {
+		c.readEntries = AppendPageEntry(c.readEntries, uint32(p), 0)
+	}
 	a, resp, err := c.readPages(snap, 0)
 	if err == nil && !a.Next() {
 		err = a.Err()
@@ -661,6 +677,11 @@ func (c *Client) ReadAhead(pids []disk.PageID) error {
 	if err != nil {
 		return err
 	}
+	return c.putAhead(&a)
+}
+
+// putAhead installs the rest of a's answers as speculative frames.
+func (c *Client) putAhead(a *PageAnswers) error {
 	for a.Next() {
 		if !a.Answered || a.Kind != PageFull {
 			return fmt.Errorf("esm: read-ahead of page %d not answered with its image", a.Page)

@@ -206,13 +206,14 @@ type Server struct {
 	cohFullBytes   atomic.Int64
 
 	// prefetchPages counts the entries of live OpReadPages requests of two
-	// or more (read-ahead batches); commits counts committed transactions;
-	// snapBegins/snapReads count snapshot sessions opened and pages served
-	// on the lock-free snapshot path; pagesLogApplied/pagesInstalled count
-	// the two ways a transaction's bytes reach the pool (applyPayload page
-	// runs, installPage images); lockAheadGranted/lockAheadRefused count the
-	// verdicts on OpLock lock-ahead entries. Atomics: stats reads race
-	// concurrent ops by design.
+	// or more, which carry read-ahead: a pump's batches, and demand reads
+	// with hints riding behind the demanded page (counted too); commits
+	// counts committed transactions; snapBegins/snapReads count snapshot
+	// sessions opened and pages served on the lock-free snapshot path;
+	// pagesLogApplied/pagesInstalled count the two ways a transaction's bytes
+	// reach the pool (applyPayload page runs, installPage images);
+	// lockAheadGranted/lockAheadRefused count the verdicts on OpLock
+	// lock-ahead entries. Atomics: stats reads race concurrent ops by design.
 	prefetchPages   atomic.Int64
 	commits         atomic.Int64
 	snapBegins      atomic.Int64

@@ -56,7 +56,7 @@ func (s *Suite) prefetchCold(medium bool, title string) error {
 			d(int64(on.Result)))
 	}
 	t.Notes = append(t.Notes,
-		"trips = page-read round trips (demand reads + read-ahead batches); pages = page images shipped (demand paging ships one per trip)",
+		"trips = page-read round trips (demand reads, read-ahead riding in some, + read-ahead batches); pages = page images shipped (demand paging ships one per trip)",
 		"the 1994 cost model prices a page transfer, not a round trip, so simulated ms moves only with the pages shipped; real-clock numbers are in CHANGES.md")
 	s.emit(t)
 	return nil

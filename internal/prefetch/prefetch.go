@@ -26,14 +26,18 @@
 //     than a window that starts at InitialWindow, grows by one for every
 //     speculative frame that is used and shrinks by one for every one that
 //     is wasted — evicted unused, or still unused when its transaction ends,
-//     at which point it leaves the pool. A queued page that has to be
-//     fetched on demand after all also widens the window by one: that costs
-//     no wire, so a window that waste has shut can reopen. A traversal that
-//     uses what it is sent is soon sent everything its mapping objects name;
-//     a sparse one wastes at most a window's worth of wire. The window never
-//     exceeds MaxWindow, nor what the pool can hold: its empty frames, or
-//     1/PoolShare of its frames once fewer are empty;
+//     at which point it leaves the pool. A queued page that the traversal
+//     reaches first, and that is fetched on demand, widens the window by two
+//     (see Demand): that costs no wire, so a window that waste has shut can
+//     reopen. A traversal that uses what it is sent is soon sent everything
+//     its mapping objects name; a sparse one wastes at most a window's worth
+//     of wire. The window never exceeds MaxWindow, nor what the pool can
+//     hold: its empty frames, or 1/PoolShare of its frames once fewer are
+//     empty;
 //   - no round trip that is not worth one (see Pump).
+//
+// A demand fetch carries read-ahead too: the queued hints the window has room
+// for ride in the demanded page's own round trip, after it (Demand).
 package prefetch
 
 import (
@@ -47,7 +51,8 @@ import (
 const (
 	// MaxFrame caps the pages in one OpReadPages round trip (a response of
 	// at most 256 KB, in a pooled buffer no connection keeps once the
-	// frame is read); a pump with more hints than that loops.
+	// frame is read), the demanded page of a demand read included; a pump
+	// with more hints than that loops.
 	MaxFrame = 32
 	// InitialWindow is a new session's bound on outstanding speculative
 	// frames; MaxWindow is as far as use can raise it.
@@ -120,14 +125,28 @@ func (p *Prefetcher) Enqueue(pid disk.PageID) {
 	p.queue = append(p.queue, pid)
 }
 
-// Missed tells the read-ahead that pid had to be fetched on demand. If pid was
-// queued, a wider window would have had it here already: the window grows,
-// which is also how one that waste has shut reopens without costing a page.
-func (p *Prefetcher) Missed(pid disk.PageID) {
+// Demand tells the read-ahead that pid is about to be fetched on demand and
+// returns the queued hints that ride along in the same round trip, after pid
+// (the slice is the Prefetcher's and valid until its next call). If pid was
+// queued, the window grows by two: the hint was right and is used, as a used
+// speculative frame counts, and the window held it back, so the miss is the
+// window's. That is also how a window that waste has shut reopens without
+// costing a page. Riders obey the window, and the pool's room as every
+// speculative page does; when some would take a victim instead of an empty
+// frame, they must also be worth a round trip of their own (see Pump).
+func (p *Prefetcher) Demand(pid disk.PageID) []disk.PageID {
 	if i := slices.Index(p.queue, pid); i >= 0 {
 		p.queue = slices.Delete(p.queue, i, i+1)
-		p.window = min(p.window+1, MaxWindow)
+		p.window = min(p.window+2, MaxWindow)
 	}
+	n := min(p.room(), len(p.queue))
+	// pid itself takes one of the empty frames.
+	if n == 0 || (n >= p.pool.Empty() && !p.worth(n)) {
+		return nil
+	}
+	p.dequeue(p.fill(0, min(n, MaxFrame-1)))
+	p.clock.Charge(sim.CtrPrefetchIssued, int64(len(p.frame)))
+	return p.frame
 }
 
 // Pending reports the number of queued, not-yet-fetched hints.
@@ -138,24 +157,16 @@ func (p *Prefetcher) Reset() { p.queue = p.queue[:0] }
 
 // Pump fetches queued hints, oldest first, as far as the window has room: one
 // round trip for up to MaxFrame of them, more only beyond that. It waits
-// until a round trip is worth making: one that carries a single page saves
-// nothing, and a window freed one frame at a time is not to be refilled one
-// page at a time, so there must be room for every queued hint or for half
-// the window.
+// until a round trip is worth making (worth).
 func (p *Prefetcher) Pump() error {
 	budget := p.room()
-	if n := min(budget, len(p.queue)); n < 2 || (n < len(p.queue) && n < p.window/2) {
+	if !p.worth(min(budget, len(p.queue))) {
 		return nil
 	}
 	var err error
 	next := 0 // queue[:next] has been asked for or found resident
 	for err == nil && budget > 0 && next < len(p.queue) {
-		p.frame = p.frame[:0]
-		for ; len(p.frame) < min(budget, MaxFrame) && next < len(p.queue); next++ {
-			if _, resident := p.pool.Lookup(p.queue[next]); !resident {
-				p.frame = append(p.frame, p.queue[next])
-			}
-		}
+		next = p.fill(next, min(budget, MaxFrame))
 		if len(p.frame) == 0 {
 			break
 		}
@@ -164,6 +175,31 @@ func (p *Prefetcher) Pump() error {
 		p.clock.Charge(sim.CtrPrefetchBatch, 1)
 		err = p.fetch(p.frame)
 	}
-	p.queue = p.queue[:copy(p.queue, p.queue[next:])]
+	p.dequeue(next)
 	return err
+}
+
+// worth reports whether n of the queued hints are worth a round trip: one
+// that carries a single page saves nothing, and a window freed one frame at a
+// time is not to be refilled one page at a time, so n must be every queued
+// hint or half the window.
+func (p *Prefetcher) worth(n int) bool {
+	return n >= 2 && (n == len(p.queue) || n >= p.window/2)
+}
+
+// fill makes frame the first up to limit queued hints from queue[next] on
+// that are not resident, and returns the index past the last one it looked at.
+func (p *Prefetcher) fill(next, limit int) int {
+	p.frame = p.frame[:0]
+	for ; len(p.frame) < limit && next < len(p.queue); next++ {
+		if _, resident := p.pool.Lookup(p.queue[next]); !resident {
+			p.frame = append(p.frame, p.queue[next])
+		}
+	}
+	return next
+}
+
+// dequeue forgets queue[:next].
+func (p *Prefetcher) dequeue(next int) {
+	p.queue = p.queue[:copy(p.queue, p.queue[next:])]
 }

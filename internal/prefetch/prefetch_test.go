@@ -50,6 +50,31 @@ func (h *harness) hint(t *testing.T, lo, hi disk.PageID) {
 	}
 }
 
+// demand fetches pid on demand as esm.Client.FetchPage does: one recorded
+// round trip with pid first, pid installed as a demand frame and pinned while
+// the riders Demand picked go in as speculative ones. It returns the riders.
+func (h *harness) demand(t *testing.T, pid disk.PageID) []disk.PageID {
+	t.Helper()
+	ahead := slices.Clone(h.p.Demand(pid))
+	h.frames = append(h.frames, append([]disk.PageID{pid}, ahead...))
+	i, err := h.pool.Put(pid, func(buf []byte) error {
+		buf[0] = byte(pid)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.pool.Pin(i)
+	defer h.pool.Unpin(i)
+	for _, a := range ahead {
+		h.pool.PutPrefetched(a, func(buf []byte) error {
+			buf[0] = byte(a)
+			return nil
+		})
+	}
+	return ahead
+}
+
 // use consumes the speculative frames of pages lo..hi, as faults on them do.
 func (h *harness) use(t *testing.T, lo, hi disk.PageID) {
 	t.Helper()
@@ -266,16 +291,80 @@ func TestReadAheadWindowFollowsUseAndWaste(t *testing.T) {
 	if len(h.frames) != 0 {
 		t.Fatalf("window shut, yet asked for %v", h.frames)
 	}
-	// ...until queued pages turn out to be needed.
-	h.p.Missed(500)
-	h.p.Missed(501)
-	h.p.Missed(9999) // never hinted: no evidence
-	if w := h.p.Window(); w != 2 {
-		t.Fatalf("window = %d after two queued pages were demanded, want 2", w)
+	// ...until a queued page turns out to be needed: the window opens by two,
+	// and the two pages it has room for ride in the demand read.
+	h.frames = nil
+	if ahead := h.demand(t, 500); !slices.Equal(ahead, []disk.PageID{501, 502}) || h.p.Window() != 2 {
+		t.Fatalf("demand of a queued page in a shut window: window %d, riders %v; want 2, [501 502]", h.p.Window(), ahead)
 	}
-	h.hint(t, 502, 502)
-	if got := h.fetched(); len(got) != 2 || got[0] != 502 || got[1] != 503 {
-		t.Fatalf("reopened window fetched %v, want [502 503]", got)
+}
+
+// TestDemandReadWidensWindow: a demanded page that was queued widens the
+// window by two (a right hint, used, and a miss the window caused); one never
+// hinted is no evidence. Either way the riders are what the window has room
+// for, oldest first, at most a frame's worth with the demanded page, and they
+// count as pages issued but not as a round trip of their own.
+func TestDemandReadWidensWindow(t *testing.T) {
+	h := newHarness(1024)
+	h.hint(t, 1, 100) // fetches 1..8, the initial window; 9..100 stay queued
+	h.frames = nil
+	if ahead := h.demand(t, 5000); len(ahead) != 0 || h.p.Window() != InitialWindow {
+		t.Fatalf("unqueued demand: window %d, riders %v; want %d, none", h.p.Window(), ahead, InitialWindow)
+	}
+	if ahead := h.demand(t, 50); !slices.Equal(ahead, []disk.PageID{9, 10}) || h.p.Window() != InitialWindow+2 {
+		t.Fatalf("queued demand: window %d, riders %v; want %d, [9 10]", h.p.Window(), ahead, InitialWindow+2)
+	}
+	if got := h.p.Pending(); got != 89 {
+		t.Errorf("pending = %d, want 89 (92 queued, less the demanded page and two riders)", got)
+	}
+	if i, c := h.clock.Count(sim.CtrPrefetchIssued), h.clock.Count(sim.CtrPrefetchBatch); i != 10 || c != 1 {
+		t.Errorf("issued %d in %d batches, want 10 in 1: riders are issued, their trip is the demand read's", i, c)
+	}
+
+	// A wide window fills one frame with the demanded page and MaxFrame-1 riders.
+	g := newHarness(1024)
+	g.widen(t, 2*MaxFrame)
+	for pid := disk.PageID(1); pid <= 3*MaxFrame; pid++ {
+		g.p.Enqueue(pid)
+	}
+	ahead := g.demand(t, 2)
+	if len(ahead) != MaxFrame-1 || ahead[0] != 1 || ahead[1] != 3 || ahead[MaxFrame-2] != MaxFrame {
+		t.Fatalf("riders %v, want %d pages from 1 to %d without 2", ahead, MaxFrame-1, MaxFrame)
+	}
+}
+
+// TestDemandReadRidersIntoFullPool: a rider that finds no empty frame takes
+// the replacement policy's victim, as a pumped page does, so riders into a
+// full pool must be worth a round trip of their own: at least two, and every
+// queued hint or half the window. With empty frames a lone rider goes.
+func TestDemandReadRidersIntoFullPool(t *testing.T) {
+	// setup puts 30 used pages in a pool of the given size, hints 1..20 and
+	// uses one of the 8 pages the pump fetched: room for 2 of the 12 queued.
+	setup := func(frames int) *harness {
+		h := newHarness(frames)
+		for pid := disk.PageID(1000); pid < 1030; pid++ {
+			h.pool.Put(pid, func([]byte) error { return nil })
+		}
+		h.hint(t, 1, 20) // the initial window: 1..8
+		h.use(t, 1, 1)
+		return h
+	}
+	full := setup(30) // a window of 9, bounded by the pool to 10
+	if full.pool.Empty() != 0 || full.p.Window() != InitialWindow+1 {
+		t.Fatalf("pool has %d empty frames, window %d", full.pool.Empty(), full.p.Window())
+	}
+	if ahead := full.demand(t, 999); len(ahead) != 0 {
+		t.Fatalf("2 riders of 12 queued, window %d, evicting: sent %v", full.p.Window(), ahead)
+	}
+	roomy := setup(64)
+	if ahead := roomy.demand(t, 999); !slices.Equal(ahead, []disk.PageID{9, 10}) {
+		t.Fatalf("riders into empty frames: %v, want [9 10]", ahead)
+	}
+	// Three more uses: a window of 10 (the pool's bound) with 4 outstanding
+	// has room for 6, more than half of it: worth a trip, and sent.
+	full.use(t, 2, 4)
+	if ahead := full.demand(t, 998); len(ahead) != 6 || ahead[0] != 9 || full.p.Window() != 10 {
+		t.Fatalf("window %d, riders %v: want 10 and 6 from 9", full.p.Window(), ahead)
 	}
 }
 

@@ -66,7 +66,7 @@ const (
 	// server charges a page read ahead exactly what it charges a demand
 	// read, when it serves it.
 	CtrPrefetchIssued // pages asked for ahead of any use
-	CtrPrefetchBatch  // OpReadPages round trips issued
+	CtrPrefetchBatch  // OpReadPages round trips a pump issued (riders go in the demand read's)
 	CtrPrefetchHit    // faults satisfied by a speculative frame (no server round trip)
 	CtrPrefetchWasted // speculative frames evicted, dropped or retired before any use
 

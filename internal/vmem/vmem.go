@@ -151,6 +151,14 @@ func NewSpace(base Addr, maxFrames int, clock *sim.Clock) *Space {
 	}
 }
 
+// ExpectMapped sizes the list of mapped frames for n of them, the most that
+// can be mapped at once when every mapping is a frame of an n-frame pool.
+func (s *Space) ExpectMapped(n int) {
+	if cap(s.mapped) < n {
+		s.mapped = append(make([]*frame, 0, n), s.mapped...)
+	}
+}
+
 // Base returns the first address of the space.
 func (s *Space) Base() Addr { return s.base }
 

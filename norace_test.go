@@ -7,5 +7,5 @@ const (
 	maxHotT1Allocs        = 8
 	maxAllocsPerFault     = 1
 	maxAllocsPerMuxFault  = 1
-	maxAllocsPerColdFault = 0.5
+	maxAllocsPerColdFault = 0.25
 )

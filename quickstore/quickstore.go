@@ -378,7 +378,7 @@ func (s *Store) Stats() Stats {
 
 // ServerStats fetches the embedded page server's statistics snapshot
 // (the OpStats protocol op): pool occupancy and hit rates, log volume,
-// disk I/O, and pages served in read-ahead batches.
+// disk I/O, and pages served in reads that carry read-ahead.
 func (s *Store) ServerStats() (*esm.ServerStats, error) {
 	return s.client.ServerStats()
 }
