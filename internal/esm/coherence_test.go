@@ -511,7 +511,7 @@ func TestRawPagesRevalidatedAtBegin(t *testing.T) {
 // wireTap carries calls to tr and records what crosses it: the calls and
 // their exact framed size on a socket (frame header plus marshaled request
 // and response), the OpBegin share apart, the page of every ReadCheck
-// entry sent, the page-image bytes of OpCommit payloads, and a copy of
+// entry sent, the page-section bytes of OpCommit payloads, and a copy of
 // every non-empty commit payload, whether an OpLog, OpCommit or OpPrepare
 // carries it. While fail is set, those calls fail with it instead.
 type wireTap struct {
@@ -540,7 +540,7 @@ func (w *wireTap) Call(req *Request) (*Response, error) {
 		}
 		for _, _, image, ok := pl.Page(); ok; _, _, image, ok = pl.Page() {
 			if req.Op == OpCommit {
-				w.commitData += len(image)
+				w.commitData += payloadPageHead + 4 + len(image) // head, length, image
 			}
 		}
 		w.batches = append(w.batches, bytes.Clone(req.Data))

@@ -3,18 +3,20 @@ package esm
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"slices"
 	"testing"
 
 	"quickstore/internal/disk"
 	"quickstore/internal/faultinject"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
 // payloadValid is the tests' own reading of the commit payload format:
 // empty, or a record count, that many update records the checks accept,
-// and whole page entries with a raw byte of 0 or 1. It returns the record
-// count too.
+// and whole page entries with a raw byte of 0 or 1 and a well-formed image
+// (imageValid). It returns the record count too.
 func payloadValid(data []byte) (records int, valid bool) {
 	if len(data) == 0 {
 		return 0, true
@@ -30,16 +32,79 @@ func payloadValid(data []byte) (records int, valid bool) {
 		}
 		p += n
 	}
-	const entry = 4 + 1 + disk.PageSize
-	if len(data[p:])%entry != 0 {
-		return 0, false
-	}
-	for q := p; q < len(data); q += entry {
-		if data[q+4] > 1 {
+	for q := p; q < len(data); {
+		if len(data)-q < 9 || data[q+4] > 1 {
 			return 0, false
 		}
+		n := int(binary.LittleEndian.Uint32(data[q+5:]))
+		q += 9
+		if n > len(data)-q || !imageValid(data[q:q+n]) {
+			return 0, false
+		}
+		q += n
 	}
 	return records, true
+}
+
+// imageValid is the tests' own reading of a page image: the raw page, or
+// runs (u16 off, u16 n, n bytes) that are non-empty, in order, apart and
+// inside the page.
+func imageValid(img []byte) bool {
+	if len(img) >= disk.PageSize {
+		return len(img) == disk.PageSize
+	}
+	for p, end := 0, 0; p < len(img); {
+		if len(img)-p < 4 {
+			return false
+		}
+		off, n := int(binary.LittleEndian.Uint16(img[p:])), int(binary.LittleEndian.Uint16(img[p+2:]))
+		if n == 0 || off < end || off+n > disk.PageSize || len(img)-p-4 < n {
+			return false
+		}
+		p, end = p+4+n, off+n
+	}
+	return true
+}
+
+// pageEntry is a page section entry for pid declaring an image of n bytes
+// and carrying image, whatever its length.
+func pageEntry(pid uint32, n int, image []byte) []byte {
+	e := append(binary.LittleEndian.AppendUint32(nil, pid), 0)
+	return append(binary.LittleEndian.AppendUint32(e, uint32(n)), image...)
+}
+
+// imageRun is one run of a sparse image: n bytes of v at off.
+func imageRun(off, n int, v byte) []byte {
+	r := binary.LittleEndian.AppendUint16(nil, uint16(off))
+	return append(binary.LittleEndian.AppendUint16(r, uint16(n)), bytes.Repeat([]byte{v}, n)...)
+}
+
+// sparsePage is a page holding one 128-byte object past its LSN header.
+func sparsePage() []byte {
+	pg := make([]byte, disk.PageSize)
+	copy(pg[100:], bytes.Repeat([]byte{0x6B}, 128))
+	return pg
+}
+
+// poisonPages are commit payloads of a good record and a good sparse page
+// of pid, followed by a page entry that is malformed, by what is wrong
+// with it.
+func poisonPages(pid uint32) map[string][]byte {
+	good := AppendPayloadPage(logBatch(wal.Record{Page: pid, Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}}), pid, false, sparsePage())
+	bad := func(n int, image []byte) []byte { return append(bytes.Clone(good), pageEntry(pid, n, image)...) }
+	overlap := append(imageRun(16, 8, 1), imageRun(20, 8, 2)...)
+	past := imageRun(disk.PageSize-4, 8, 3)
+	return map[string][]byte{
+		"overlapping image runs":         bad(len(overlap), overlap),
+		"an image run past the page":     bad(len(past), past),
+		"an image longer than a page":    bad(disk.PageSize+1, make([]byte, disk.PageSize+1)),
+		"an image length past the end":   bad(100, imageRun(16, 8, 4)),
+		"an image cut inside a run":      bad(10, imageRun(16, 8, 5)[:10]),
+		"an entry cut inside its head":   append(bytes.Clone(good), pageEntry(pid, 0, nil)[:7]...),
+		"an image of an empty run":       bad(4, imageRun(16, 0, 0)),
+		"a raw image one byte too short": bad(disk.PageSize-1, bytes.Repeat([]byte{6}, disk.PageSize-1)),
+		"records after the page section": append(bytes.Clone(good), good[4:]...),
+	}
 }
 
 // recordsOf counts tx's records of type typ in the log.
@@ -59,8 +124,17 @@ func recordsOf(t testing.TB, log *wal.Log, tx uint64, typ wal.RecType) (n int, l
 // TestPayloadSplitRoundTrip: a payload split by page parity comes apart into
 // one payload per part, each carrying its own records in order and then its
 // own pages, with the ids route wrote; parts are listed in first-touch order.
+// Each page image is copied through as it came: the one-object page sparse,
+// the dense one raw.
 func TestPayloadSplitRoundTrip(t *testing.T) {
-	img := func(b byte) []byte { return bytes.Repeat([]byte{b}, disk.PageSize) }
+	img := func(b byte) []byte { // dense (raw) for an odd b, one object (sparse) for an even one
+		pg := make([]byte, disk.PageSize)
+		if b%2 == 1 {
+			return bytes.Repeat([]byte{b}, disk.PageSize)
+		}
+		copy(pg[100:], bytes.Repeat([]byte{b}, 128))
+		return pg
+	}
 	data := logBatch(
 		wal.Record{Page: 3, Off: 10, Old: []byte{0}, New: []byte{1}},
 		wal.Record{Page: 4, Off: 20, New: []byte{2}},
@@ -90,8 +164,12 @@ func TestPayloadSplitRoundTrip(t *testing.T) {
 			recs = append(recs, rec.Page)
 		}
 		for pid, r, image, ok := pl.Page(); ok; pid, r, image, ok = pl.Page() {
-			if !bytes.Equal(image, img(byte(pid/10))) {
+			got := make([]byte, disk.PageSize)
+			if err := pagedelta.ApplyImage(got, image); err != nil || !bytes.Equal(got, img(byte(pid/10))) {
 				t.Fatalf("part %d: page %d carries another page's image", part, pid)
+			}
+			if sparse := pid/10%2 == 0; sparse != (len(image) < disk.PageSize) {
+				t.Fatalf("part %d: page %d split into a %d-byte image, want it sparse: %v", part, pid, len(image), sparse)
 			}
 			pages, raw = append(pages, pid), append(raw, r)
 		}
@@ -165,7 +243,11 @@ func TestCommitPayloadPoisonAppendsNothing(t *testing.T) {
 	bad[len(good)+4] = 2
 	poison["page section raw byte 2"] = bad
 	poison["record after a page"] = append(AppendPayloadPage(good, uint32(pid), false, page), good[4:]...)
+	maps.Copy(poison, poisonPages(uint32(pid)))
 	for name, data := range poison {
+		if _, valid := payloadValid(data); valid {
+			t.Fatalf("%s: the tests' reading of the format accepts it", name)
+		}
 		for _, op := range []Op{OpCommit, OpPrepare} {
 			tx := beginTx(t, srv)
 			records := srv.log.Records()
@@ -423,8 +505,13 @@ func FuzzCommitPayload(f *testing.F) {
 	f.Add(true, logBatch(pageRun(2, 0x40), pageRun(3, 0x60)))
 	f.Add(false, AppendPayloadPage(logBatch(pageRun(2, 0x40)), 2, false, bytes.Repeat([]byte{9}, disk.PageSize)))
 	f.Add(true, AppendPayloadPage(logBatch(), 3, true, bytes.Repeat([]byte{5}, disk.PageSize)))
+	f.Add(true, AppendPayloadPage(logBatch(), 2, false, sparsePage()))
+	f.Add(false, AppendPayloadPage(logBatch(), 3, false, make([]byte, disk.PageSize)))
 	for _, b := range poisonBatches(2) {
 		f.Add(false, b)
+	}
+	for _, b := range poisonPages(2) {
+		f.Add(true, b)
 	}
 	f.Fuzz(func(t *testing.T, prepare bool, data []byte) {
 		srv, first := logBatchServer(t, 4)

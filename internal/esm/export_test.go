@@ -7,3 +7,7 @@ func (s *Server) LiveTxs() int {
 	defer s.mu.Unlock()
 	return len(s.txs)
 }
+
+// FramedBytes is the size of req on a socket: frame header and marshaled
+// body, for the tests of package esm_test.
+func FramedBytes(req *Request) int { return frameHdrSize + len(req.marshal()) }

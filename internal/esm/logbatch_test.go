@@ -298,7 +298,7 @@ func BenchmarkCommitLoggedPages(b *testing.B) {
 	}
 	b.StopTimer()
 	if tr.commitData != 0 {
-		b.Fatalf("%d bytes of page images in commit requests; covered frames must not ship", tr.commitData)
+		b.Fatalf("%d page-section bytes in commit requests; covered frames must not ship", tr.commitData)
 	}
 	if got := binary.LittleEndian.Uint64(poolImage(b, srv, first)[512:]); got != uint64(b.N) {
 		b.Fatalf("server page holds %d after %d commits", got, b.N)

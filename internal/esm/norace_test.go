@@ -10,6 +10,4 @@ const (
 	maxBeginCommitAllocs  = 1
 	maxFlushesAllocs      = 0
 	maxLoggedCommitAllocs = 4
-	// beyond the chunks a cut/regrow cycle of the page-change index fills
-	indexCycleExtraAllocs = 0
 )

@@ -277,10 +277,15 @@ func PageEntry(data []byte, i int) (pid uint32, token uint64) {
 // A commit payload is the Data of OpLog, OpCommit and OpPrepare: empty, or a
 // log batch followed by a page section. The batch is a u32 count, then that
 // many update bodies in the log's own encoding (wal.AppendBody). The page
-// section holds one entry per page shipped whole: u32 page id, one byte that
-// is 1 for a raw large-object page (no header, so never LSN-stamped) and 0
-// otherwise, then the image.
-const payloadPageBytes = 4 + 1 + disk.PageSize
+// section holds one entry per page shipped whole:
+//
+//	u32 pid | u8 raw | u32 len | image
+//
+// where raw is 1 for a raw large-object page (no header, so never
+// LSN-stamped) and 0 otherwise, and len | image is the page's sized image
+// (pagedelta.AppendSizedImage): the sparse image, shorter than
+// disk.PageSize, or the page itself when sparse is not shorter.
+const payloadPageHead = 4 + 1
 
 // Payload walks a commit payload ReadPayload checked: Record yields its
 // records in order, then Page its whole pages.
@@ -290,7 +295,8 @@ type Payload struct {
 }
 
 // ReadPayload checks a commit payload whole — every record decodes and stays
-// inside its page, every page entry is whole — and returns a walk over it.
+// inside its page, every page entry is whole and its image well formed
+// (pagedelta.ReadSizedImage) — and returns a walk over it.
 func ReadPayload(data []byte) (Payload, error) {
 	if len(data) == 0 {
 		return Payload{}, nil
@@ -309,10 +315,15 @@ func ReadPayload(data []byte) (Payload, error) {
 		}
 		p += n
 	}
-	for q := p; q < len(data); q += payloadPageBytes {
-		if len(data)-q < payloadPageBytes || data[q+4] > 1 {
+	for q := p; q < len(data); {
+		if len(data)-q < payloadPageHead || data[q+4] > 1 {
 			return Payload{}, fmt.Errorf("esm: malformed page section entry at byte %d", q)
 		}
+		_, n, err := pagedelta.ReadSizedImage(data[q+payloadPageHead:], disk.PageSize)
+		if err != nil {
+			return Payload{}, fmt.Errorf("esm: page section entry at byte %d: %w", q, err)
+		}
+		q += payloadPageHead + n
 	}
 	return Payload{records: count, rest: data[4:]}, nil
 }
@@ -329,7 +340,8 @@ func (p *Payload) Record() (wal.Record, bool) {
 }
 
 // Page returns the next whole page, skipping the records not yet read: its
-// id, whether it is raw, and its image, aliasing the payload.
+// id, whether it is raw, and its sparse image, aliasing the payload, which
+// pagedelta.ApplyImage decodes.
 func (p *Payload) Page() (pid uint32, raw bool, image []byte, ok bool) {
 	for p.records != 0 {
 		p.Record()
@@ -337,25 +349,33 @@ func (p *Payload) Page() (pid uint32, raw bool, image []byte, ok bool) {
 	if len(p.rest) == 0 {
 		return 0, false, nil, false
 	}
-	e := p.rest[:payloadPageBytes]
-	p.rest = p.rest[payloadPageBytes:]
-	return binary.LittleEndian.Uint32(e), e[4] == 1, e[5:], true
+	e := p.rest
+	image, n, _ := pagedelta.ReadSizedImage(e[payloadPageHead:], disk.PageSize) // checked by ReadPayload
+	p.rest = e[payloadPageHead+n:]
+	return binary.LittleEndian.Uint32(e), e[4] == 1, image, true
 }
 
-// AppendPayloadPage appends one whole page to the commit payload dst, which
-// holds its whole log batch already (a count of 0 for none).
-func AppendPayloadPage(dst []byte, pid uint32, raw bool, image []byte) []byte {
+// AppendPayloadPage appends page, one whole page, as its sparse image to the
+// commit payload dst, which holds its whole log batch already (a count of 0
+// for none). Every page the payload ships is encoded here.
+func AppendPayloadPage(dst []byte, pid uint32, raw bool, page []byte) []byte {
+	return pagedelta.AppendSizedImage(appendPayloadHead(dst, pid, raw), page)
+}
+
+// appendPayloadHead appends the head of a page entry, before its image.
+func appendPayloadHead(dst []byte, pid uint32, raw bool) []byte {
 	var flag byte
 	if raw {
 		flag = 1
 	}
-	return append(append(binary.LittleEndian.AppendUint32(dst, pid), flag), image...)
+	return append(binary.LittleEndian.AppendUint32(dst, pid), flag)
 }
 
 // SplitPayload checks a commit payload and partitions it: each record and
-// each page goes to the part its id names, under the id that id gives it.
-// Each part is a commit payload of its own; order lists the parts in the
-// order the payload first reaches them.
+// each page goes to the part its id names, under the id that id gives it;
+// a page's image is copied through as it came. Each part is a commit
+// payload of its own; order lists the parts in the order the payload first
+// reaches them.
 func SplitPayload(data []byte, part func(pid uint32) int, id func(pid uint32) uint32) (parts map[int][]byte, order []int, err error) {
 	pl, err := ReadPayload(data)
 	if err != nil {
@@ -378,7 +398,7 @@ func SplitPayload(data []byte, part func(pid uint32) int, id func(pid uint32) ui
 	}
 	for pid, raw, image, ok := pl.Page(); ok; pid, raw, image, ok = pl.Page() {
 		k := to(pid)
-		parts[k] = AppendPayloadPage(parts[k], id(pid), raw, image)
+		parts[k] = pagedelta.AppendSized(appendPayloadHead(parts[k], id(pid), raw), image)
 	}
 	return parts, order, nil
 }

@@ -15,6 +15,7 @@ import (
 	"quickstore/internal/faultinject"
 	"quickstore/internal/lock"
 	"quickstore/internal/mvcc"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/sim"
 	"quickstore/internal/wal"
 )
@@ -1305,22 +1306,30 @@ func (s *Server) captureBefore(tx uint64, pid disk.PageID) error {
 	return nil
 }
 
-// pageScratch recycles the page-sized buffer captureBefore reads a
-// before-image into for the version store, which keeps its own copy.
+// pageScratch recycles the page-sized buffers captureBefore reads a
+// before-image into for the version store, which keeps its own copy, and
+// installPage decodes a shipped image into.
 var pageScratch = sync.Pool{New: func() any {
 	b := make([]byte, disk.PageSize)
 	return &b
 }}
 
-// installPage places a shipped page image in the server pool, dirty: the
-// path of every page the client could not vouch for as log-covered (bulk
-// loads, raw large-object pages, B-tree pages, plain MarkDirty callers).
-// Under the content latch the ranges where the image differs from the
-// frame's prior bytes enter the page-change index, and a page with a header
-// is stamped with the log's last LSN (End-1, its last byte), so no record
-// already redone onto it stands above its stamp for restart redo and undo;
-// a raw page is not stamped.
-func (s *Server) installPage(tx uint64, pid disk.PageID, raw bool, data []byte) error {
+// installPage places a shipped page in the server pool, dirty: the path of
+// every page the client could not vouch for as log-covered (bulk loads, raw
+// large-object pages, B-tree pages, plain MarkDirty callers). The page's
+// sparse image, checked by ReadPayload, is decoded into a pooled page
+// first. Under the content latch the ranges where the page differs from
+// the frame's prior bytes enter the page-change index, and a page with a
+// header is stamped with the log's last LSN (End-1, its last byte), so no
+// record already redone onto it stands above its stamp for restart redo
+// and undo; a raw page is not stamped.
+func (s *Server) installPage(tx uint64, pid disk.PageID, raw bool, image []byte) error {
+	buf := pageScratch.Get().(*[]byte)
+	defer pageScratch.Put(buf)
+	data := *buf
+	if err := pagedelta.ApplyImage(data, image); err != nil {
+		return err
+	}
 	ref, err := s.pinForRedo(tx, pid)
 	if err != nil {
 		return err

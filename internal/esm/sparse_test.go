@@ -3,6 +3,7 @@ package esm_test
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"testing"
 	"time"
 
@@ -346,5 +347,229 @@ func TestCohFullBytesCountsFullPayloads(t *testing.T) {
 	}
 	if sparse != wantSparse {
 		t.Errorf("%d sparse images of %d pages, want %d", sparse, pages, wantSparse)
+	}
+}
+
+// payloadTap records every request that carries a commit payload: its op,
+// its framed size and the length of each page image it ships.
+type payloadTap struct {
+	esm.Transport
+	mu   sync.Mutex
+	sent []shipped
+}
+
+type shipped struct {
+	op     esm.Op
+	bytes  int
+	images map[disk.PageID]int
+}
+
+func (p *payloadTap) Call(req *esm.Request) (*esm.Response, error) {
+	switch req.Op {
+	case esm.OpLog, esm.OpCommit, esm.OpPrepare, esm.OpCommitDecision:
+		pl, err := esm.ReadPayload(req.Data)
+		if err != nil {
+			return nil, err
+		}
+		s := shipped{op: req.Op, bytes: esm.FramedBytes(req), images: map[disk.PageID]int{}}
+		for pid, _, img, ok := pl.Page(); ok; pid, _, img, ok = pl.Page() {
+			s.images[disk.PageID(pid)] = len(img)
+		}
+		p.mu.Lock()
+		p.sent = append(p.sent, s)
+		p.mu.Unlock()
+	}
+	return p.Transport.Call(req)
+}
+
+// take returns what was recorded since the last take.
+func (p *payloadTap) take() []shipped {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.sent
+	p.sent = nil
+	return s
+}
+
+// dirtyWhole fetches pid into c's pool, lets fill write its frame and marks
+// the frame dirty without declaring the change logged, so it ships whole.
+// It returns the frame.
+func dirtyWhole(t *testing.T, c *esm.Client, pid disk.PageID, fill func(data []byte)) []byte {
+	t.Helper()
+	i, err := c.FetchPage(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(c.PageData(i))
+	if err := c.MarkDirty(pid); err != nil {
+		t.Fatal(err)
+	}
+	return c.PageData(i)
+}
+
+// oneObject formats a slotted page holding one 128-byte object of v bytes.
+func oneObject(t *testing.T, v byte) func(data []byte) {
+	return func(data []byte) {
+		p := page.Init(data, page.TypeSlotted)
+		_, off, err := p.Insert(128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data[off:off+128], bytes.Repeat([]byte{v}, 128))
+	}
+}
+
+// TestCommitShipsSparsePages: every whole page a commit payload carries
+// travels as its sparse image and installs as the client's frame. (a) An
+// unlogged frame holding one 128-byte object commits in a request under
+// 512 bytes, and the server's page is the client's frame but for the LSN
+// stamp. (b) A raw large-object page — dense, so raw on the wire too, or
+// partly written — installs byte for byte, unstamped. (c) An all-zero page
+// ships as an empty image. (d) A steal's OpLog carries the sparse page. (e)
+// A cross-shard commit through a 2-shard router installs each shard's page
+// as the client's frame but for the stamp, both halves shipping sparse.
+func TestCommitShipsSparsePages(t *testing.T) {
+	srv, err := esm.NewServer(disk.NewMemVolume(), wal.NewMemLog(), esm.ServerConfig{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &payloadTap{Transport: esm.NewInProcTransport(srv)}
+	c := esm.NewClient(tap, esm.ClientConfig{BufferPages: 8})
+	defer c.Close()
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.AllocPages(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, dense, part, zero := first, first+1, first+2, first+3
+	frame := bytes.Clone(dirtyWhole(t, c, obj, oneObject(t, 0x6B)))
+	tap.take()
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sent := tap.take()
+	if len(sent) != 1 || sent[0].op != esm.OpCommit || sent[0].images[obj] >= 512 {
+		t.Fatalf("(a) the commit sent %+v, want one OpCommit carrying page %d sparse", sent, obj)
+	}
+	if sent[0].bytes >= 512 {
+		t.Fatalf("(a) a commit of one 128-byte object took a %d-byte request, want under 512", sent[0].bytes)
+	}
+	t.Logf("(a) one 128-byte object: a %d-byte request, its page image %d bytes", sent[0].bytes, sent[0].images[obj])
+	got := serverImages(t, srv, []disk.PageID{obj})[0]
+	if binary.LittleEndian.Uint64(got) == 0 || !bytes.Equal(got[8:], frame[8:]) {
+		t.Fatalf("(a) the server's page (stamp %d) is not the client's frame", binary.LittleEndian.Uint64(got))
+	}
+
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	c.MarkRawPages(dense, 2)
+	want := map[disk.PageID][]byte{
+		dense: bytes.Clone(dirtyWhole(t, c, dense, func(data []byte) { copy(data, densePage()) })),
+		part:  bytes.Clone(dirtyWhole(t, c, part, func(data []byte) { copy(data, bytes.Repeat([]byte{0x3C}, 3000)) })),
+		zero:  bytes.Clone(dirtyWhole(t, c, zero, func([]byte) {})),
+	}
+	tap.take()
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sent = tap.take()
+	if len(sent) != 1 {
+		t.Fatalf("(b) the commit sent %+v, want one OpCommit", sent)
+	}
+	if n := sent[0].images; n[dense] != disk.PageSize || n[part] >= disk.PageSize/2 || n[zero] != 0 || len(n) != 3 {
+		t.Fatalf("(b, c) page images of %v bytes, want %d raw, under %d and 0", n, disk.PageSize, disk.PageSize/2)
+	}
+	for pid, img := range want {
+		if got := serverImages(t, srv, []disk.PageID{pid})[0]; pid != zero && !bytes.Equal(got, img) {
+			t.Fatalf("(b) raw page %d did not install byte for byte", pid)
+		} else if pid == zero && !bytes.Equal(got[8:], img[8:]) {
+			t.Fatalf("(c) the all-zero page %d did not install as zeros", pid)
+		}
+	}
+
+	// (d) A 2-frame pool holding two unlogged frames steals one to make room.
+	s := esm.NewClient(tap, esm.ClientConfig{BufferPages: 2})
+	defer s.Close()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := s.AllocPages(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[disk.PageID][]byte{
+		sp:     bytes.Clone(dirtyWhole(t, s, sp, oneObject(t, 0x21))),
+		sp + 1: bytes.Clone(dirtyWhole(t, s, sp+1, oneObject(t, 0x22))),
+	}
+	tap.take()
+	if _, err := s.FetchPage(sp + 2); err != nil {
+		t.Fatal(err)
+	}
+	sent = tap.take()
+	if len(sent) != 1 || sent[0].op != esm.OpLog || len(sent[0].images) != 1 {
+		t.Fatalf("(d) the fetch sent %+v, want one OpLog stealing one page", sent)
+	}
+	for pid, n := range sent[0].images {
+		if _, ok := frames[pid]; !ok || n >= 512 {
+			t.Fatalf("(d) the steal shipped page %d in %d bytes, want one of %d and %d under 512", pid, n, sp, sp+1)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for pid, img := range frames {
+		if got := serverImages(t, srv, []disk.PageID{pid})[0]; !bytes.Equal(got[8:], img[8:]) {
+			t.Fatalf("(d) page %d is not the client's frame", pid)
+		}
+	}
+
+	// (e) One page on each shard of a 2-shard router, committed together.
+	srvs := make([]*esm.Server, 2)
+	taps := make([]esm.Transport, 2)
+	local := make([]disk.PageID, 2)
+	for i := range srvs {
+		if srvs[i], err = esm.NewServer(disk.NewMemVolume(), wal.NewMemLog(), esm.ServerConfig{BufferPages: 16}); err != nil {
+			t.Fatal(err)
+		}
+		if local[i], err = srvs[i].Volume().Allocate(1); err != nil {
+			t.Fatal(err)
+		}
+		taps[i] = &payloadTap{Transport: esm.NewInProcTransport(srvs[i])}
+	}
+	r, err := shard.NewRouter(taps, shard.Config{Affinity: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := esm.NewClient(r, esm.ClientConfig{BufferPages: 8})
+	defer x.Close()
+	if err := x.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	images := make([][]byte, 2)
+	for i := range srvs {
+		images[i] = bytes.Clone(dirtyWhole(t, x, disk.PageID(shard.GlobalPage(i, uint32(local[i]))), oneObject(t, byte(0x41+i))))
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range srvs {
+		carried := 0
+		for _, s := range taps[i].(*payloadTap).take() {
+			if n, ok := s.images[local[i]]; ok {
+				carried++
+				if n >= 512 {
+					t.Fatalf("(e) shard %d's %v carried its page in %d bytes, want under 512", i, s.op, n)
+				}
+			}
+		}
+		if carried != 1 {
+			t.Fatalf("(e) shard %d was sent its page %d times, want once", i, carried)
+		}
+		if got := serverImages(t, srvs[i], local[i:i+1])[0]; !bytes.Equal(got[8:], images[i][8:]) {
+			t.Fatalf("(e) shard %d's page is not the client's frame", i)
+		}
 	}
 }

@@ -167,6 +167,45 @@ func TestApplyImageRefusesWithoutWriting(t *testing.T) {
 	}
 }
 
+// TestSizedImage: pages behind one another as sized images read back in
+// order, each image the one AppendImage makes, and a copied one is the same
+// bytes; a cut length, a length past the end or a malformed image is
+// refused.
+func TestSizedImage(t *testing.T) {
+	sparse := make([]byte, 64)
+	copy(sparse[8:], "object")
+	pages := [][]byte{bytes.Repeat([]byte{0xAA}, 64), sparse, make([]byte, 64)}
+	var msg []byte
+	for _, pg := range pages {
+		msg = AppendSizedImage(msg, pg)
+	}
+	var copied []byte
+	for i, rest := 0, msg; len(rest) > 0; i++ {
+		img, n, err := ReadSizedImage(rest, 64)
+		if err != nil {
+			t.Fatalf("page %d: %v", i, err)
+		}
+		if want := AppendImage(nil, pages[i]); !bytes.Equal(img, want) {
+			t.Fatalf("page %d: image %x, want %x", i, img, want)
+		}
+		copied, rest = AppendSized(copied, img), rest[n:]
+	}
+	if !bytes.Equal(copied, msg) {
+		t.Fatal("copying the images through changed the message")
+	}
+
+	for name, src := range map[string][]byte{
+		"a length cut short":       {3, 0, 0},
+		"a length past the end":    {9, 0, 0, 0, 1, 0, 1, 0},
+		"an image past the page":   AppendSized(nil, []byte{62, 0, 4, 0, 1, 2, 3, 4}),
+		"an image longer than one": AppendSized(nil, make([]byte, 65)),
+	} {
+		if _, _, err := ReadSizedImage(src, 64); err == nil {
+			t.Errorf("%s was accepted", name)
+		}
+	}
+}
+
 // FuzzImage: any image round-trips to itself through AppendImage and
 // ApplyImage, and arbitrary patch bytes never panic, never write past the
 // page, and leave it untouched when refused.

@@ -265,23 +265,73 @@ func imageWord(img []byte, i int) uint64 {
 	return w
 }
 
-// ApplyImage decodes a sparse image (or a raw one, as long as page) into
-// page. A malformed or over-long patch is refused before any byte of page
-// is written; an accepted one clears page and writes its runs.
-func ApplyImage(page, patch []byte) error {
+// checkImage reports whether patch is a well-formed image of a pageLen-byte
+// page: raw (exactly pageLen bytes) or a sparse patch whose runs stay
+// inside the page. A decoder that checks every image of a message first
+// can then apply them all without a refusal halfway.
+func checkImage(pageLen int, patch []byte) error {
 	switch {
-	case len(patch) == len(page):
+	case len(patch) == pageLen:
+		return nil
+	case len(patch) > pageLen:
+		return fmt.Errorf("pagedelta: image of %d bytes for a %d-byte page", len(patch), pageLen)
+	}
+	return validate(pageLen, patch)
+}
+
+// ApplyImage decodes a sparse image (or a raw one, as long as page) into
+// page. A malformed or over-long patch is refused (checkImage) before any
+// byte of page is written; an accepted one clears page and writes its runs.
+func ApplyImage(page, patch []byte) error {
+	if err := checkImage(len(page), patch); err != nil {
+		return err
+	}
+	if len(patch) == len(page) {
 		copy(page, patch)
 		return nil
-	case len(patch) > len(page):
-		return fmt.Errorf("pagedelta: image of %d bytes for a %d-byte page", len(patch), len(page))
-	}
-	if err := validate(len(page), patch); err != nil {
-		return err
 	}
 	clear(page)
 	writeRuns(page, patch)
 	return nil
+}
+
+// A sized image is an image behind its length, a little-endian u32: the
+// form every message that carries whole pages gives each of them (the
+// commit payload's page section, the replication snapshot stream).
+
+// AppendSizedImage appends page's image (AppendImage) to dst as a sized
+// image.
+func AppendSizedImage(dst, page []byte) []byte {
+	at := len(dst) + 4
+	dst = AppendImage(binary.LittleEndian.AppendUint32(dst, 0), page)
+	binary.LittleEndian.PutUint32(dst[at-4:], uint32(len(dst)-at))
+	return dst
+}
+
+// AppendSized appends image, an image already made (AppendImage, or read
+// by ReadSizedImage), to dst as a sized image: a message passed on copies
+// its pages through unchanged.
+func AppendSized(dst, image []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(image))), image...)
+}
+
+// ReadSizedImage reads the sized image src starts with, for a pageLen-byte
+// page: its image, checked (checkImage) and aliasing src, and the number of
+// bytes of src it took.
+func ReadSizedImage(src []byte, pageLen int) (image []byte, n int, err error) {
+	if len(src) < 4 {
+		return nil, 0, fmt.Errorf("pagedelta: sized image cut inside its length (%d bytes)", len(src))
+	}
+	size := binary.LittleEndian.Uint32(src)
+	if uint64(size) > uint64(len(src)-4) {
+		return nil, 0, fmt.Errorf("pagedelta: sized image of %d bytes, %d left", size, len(src)-4)
+	}
+	n = 4 + int(size)
+	image = src[4:n:n]
+	if err := checkImage(pageLen, image); err != nil {
+		return nil, 0, err
+	}
+	return image, n, nil
 }
 
 // validate walks the patch without writing, enforcing the format's

@@ -13,6 +13,7 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/faultinject"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -549,10 +550,10 @@ func (n *Node) cutAt(cut, through wal.LSN) bool {
 }
 
 // handleSnapshot installs a full state transfer: the log is replaced
-// wholesale and every shipped page image overwrites the local volume
-// (pages beyond the leader's geometry are zeroed — a rejoining deposed
-// leader must not keep divergent-future pages whose LSNs would confuse
-// redo).
+// wholesale and every shipped page, decoded into one buffer, overwrites the
+// local volume (pages beyond the leader's geometry are zeroed — a rejoining
+// deposed leader must not keep divergent-future pages whose LSNs would
+// confuse redo).
 func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 	p, err := parseSnap(req.Data, disk.PageSize)
 	if err != nil {
@@ -592,15 +593,19 @@ func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 			return &esm.Response{Err: err.Error()}
 		}
 	}
+	page := make([]byte, disk.PageSize)
 	for _, pg := range p.Pages {
-		if err := n.vol.WritePage(disk.PageID(pg.ID), pg.Data); err != nil {
+		if err := pagedelta.ApplyImage(page, pg.Data); err != nil { // checked by parseSnap
+			return &esm.Response{Err: err.Error()}
+		}
+		if err := n.vol.WritePage(disk.PageID(pg.ID), page); err != nil {
 			return &esm.Response{Err: err.Error()}
 		}
 	}
 	if myNum := n.vol.NumPages(); myNum > p.NumPages {
-		zero := make([]byte, disk.PageSize)
+		clear(page)
 		for pid := p.NumPages; pid < myNum; pid++ {
-			if err := n.vol.WritePage(disk.PageID(pid), zero); err != nil {
+			if err := n.vol.WritePage(disk.PageID(pid), page); err != nil {
 				return &esm.Response{Err: err.Error()}
 			}
 		}
@@ -1080,16 +1085,16 @@ func (n *Node) sendSnapshot(p *peer, term uint64) {
 	if srv == nil {
 		return
 	}
-	snap, err := n.buildSnapshot(srv, ver, members)
+	frame, start, err := n.buildSnapshot(srv, ver, members)
 	if err != nil {
 		return
 	}
 	resp, err := p.tr.Call(&esm.Request{
 		Op:   esm.OpReplSnapshot,
 		Tx:   term,
-		N:    uint64(snap.LogStart),
+		N:    uint64(start),
 		Name: n.cfg.ID,
-		Data: snap.marshal(disk.PageSize),
+		Data: frame,
 	})
 	if err != nil || resp.Err != "" {
 		if err == nil && IsStaleTerm(resp.Err) {
@@ -1108,8 +1113,8 @@ func (n *Node) sendSnapshot(p *peer, term uint64) {
 		}
 		// The installed log starts where this one did, at or past its
 		// last cut.
-		if snap.LogStart > p.cut {
-			p.cut = snap.LogStart
+		if start > p.cut {
+			p.cut = start
 			n.signalCutLocked()
 		}
 	}
@@ -1118,32 +1123,35 @@ func (n *Node) sendSnapshot(p *peer, term uint64) {
 	n.stats.snapshots.Add(1)
 }
 
-// buildSnapshot captures a fuzzy but consistent cut of the leader: pool
+// buildSnapshot captures a fuzzy but consistent cut of the leader as a
+// snapshot frame, and returns it with the LSN its log starts at: pool
 // flushed first (raw large-object pages have no log records to reship),
-// then every volume page, then the log — cut last, so it covers the
-// pageLSN of anything flushed while pages were being read. Page images the
-// log postdates are simply re-redone on the follower at promotion.
-func (n *Node) buildSnapshot(srv *esm.Server, ver uint64, members []Member) (*snapPayload, error) {
+// then every volume page, read into one buffer and encoded sparse straight
+// into the frame, then the log — cut last, so it covers the pageLSN of
+// anything flushed while pages were being read. Page images the log
+// postdates are simply re-redone on the follower at promotion.
+func (n *Node) buildSnapshot(srv *esm.Server, ver uint64, members []Member) ([]byte, wal.LSN, error) {
 	if err := srv.FlushPool(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	num := n.vol.NumPages()
-	snap := &snapPayload{NumPages: num, MembersVer: ver, Members: members}
+	pages := int(max(num, 1) - 1)
+	// Sized for every page raw, the most the pages can take: the frame is
+	// never regrown while they are encoded into it.
+	frame := appendSnapHead(make([]byte, 0, 8+pages*(8+disk.PageSize)), num, pages)
+	page := make([]byte, disk.PageSize)
 	for pid := uint32(1); pid < num; pid++ {
-		buf := make([]byte, disk.PageSize)
-		if err := n.vol.ReadPage(disk.PageID(pid), buf); err != nil {
-			return nil, err
+		if err := n.vol.ReadPage(disk.PageID(pid), page); err != nil {
+			return nil, 0, err
 		}
-		snap.Pages = append(snap.Pages, pageImage{ID: pid, Data: buf})
+		frame = appendSnapPage(frame, pid, page)
 	}
 	start := n.log.StartLSN()
 	logBytes, err := n.log.DurableFrom(start, 0)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	snap.LogStart = start
-	snap.Log = logBytes
-	return snap, nil
+	return appendSnapTail(frame, start, logBytes, ver, members), start, nil
 }
 
 // observeFence is the shipper noticing a follower on a newer term: step

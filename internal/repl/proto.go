@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"quickstore/internal/esm"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -76,22 +77,31 @@ const (
 	ackCut = 2
 )
 
-// snapPayload is the body of an OpReplSnapshot request: the leader's full
-// durable log from LogStart plus every volume page image, replacing the
-// follower's state wholesale, and the member list with its version
-// (MembersVer), which the follower then holds.
+// snapPayload is the body of an OpReplSnapshot request: every volume page of
+// the leader, its full durable log from LogStart, replacing the follower's
+// state wholesale, and the member list with its version (MembersVer), which
+// the follower then holds. The frame is
+//
+//	u32 NumPages | u32 n | n × (u32 id | u32 len | image) |
+//	u64 LogStart | u32 len | log | u64 MembersVer | members
+//
+// where each len | image is the page's sized image
+// (pagedelta.AppendSizedImage): the sparse image, shorter than a page, or
+// the page itself when sparse is not shorter. The
+// pages come first, so the leader encodes each one straight into the frame
+// as it reads it and cuts the log after the last (Node.buildSnapshot).
 type snapPayload struct {
-	LogStart   wal.LSN
-	Log        []byte
 	NumPages   uint32 // leader volume geometry; follower pages beyond this are zeroed
 	Pages      []pageImage
+	LogStart   wal.LSN
+	Log        []byte
 	MembersVer uint64
 	Members    []Member
 }
 
 type pageImage struct {
 	ID   uint32
-	Data []byte // exactly pageSize bytes
+	Data []byte // the page's image as it travels; pagedelta.ApplyImage decodes it
 }
 
 var (
@@ -240,36 +250,50 @@ func parseShip(buf []byte) (shipPayload, error) {
 	return p, nil
 }
 
-func (p *snapPayload) marshal(pageSize int) []byte {
-	dst := make([]byte, 0, 32+len(p.Log)+len(p.Pages)*(4+pageSize))
-	dst = appendU64(dst, uint64(p.LogStart))
-	dst = appendBytes(dst, p.Log)
-	dst = appendU32(dst, p.NumPages)
-	dst = appendU32(dst, uint32(len(p.Pages)))
-	for _, pg := range p.Pages {
-		dst = appendU32(dst, pg.ID)
-		dst = append(dst, pg.Data...)
-	}
-	dst = appendU64(dst, p.MembersVer)
-	return appendMembers(dst, p.Members)
+// appendSnapHead starts a snapshot frame of n pages of a volume of
+// numPages pages; n appendSnapPage calls and one appendSnapTail follow.
+func appendSnapHead(dst []byte, numPages uint32, n int) []byte {
+	return appendU32(appendU32(dst, numPages), uint32(n))
 }
 
+// appendSnapPage appends page id, one whole page, to a snapshot frame as its
+// sparse image. Every page the stream ships is encoded here.
+func appendSnapPage(dst []byte, id uint32, page []byte) []byte {
+	return pagedelta.AppendSizedImage(appendU32(dst, id), page)
+}
+
+// appendSnapTail ends a snapshot frame with the log from start and the
+// membership at version ver.
+func appendSnapTail(dst []byte, start wal.LSN, log []byte, ver uint64, members []Member) []byte {
+	dst = appendU64(dst, uint64(start))
+	dst = appendBytes(dst, log)
+	dst = appendU64(dst, ver)
+	return appendMembers(dst, members)
+}
+
+// parseSnap decodes a snapshot frame of pageSize-byte pages. Every page
+// image is checked (pagedelta.ReadSizedImage) before the frame is accepted, so
+// a malformed one is refused before the follower writes any page. Page
+// images and the log alias buf.
 func parseSnap(buf []byte, pageSize int) (*snapPayload, error) {
 	c := cursor{buf: buf}
-	p := &snapPayload{
-		LogStart: wal.LSN(c.u64()),
-		Log:      c.bytes(),
-	}
-	p.NumPages = c.u32()
+	p := &snapPayload{NumPages: c.u32()}
 	n := int(c.u32())
+	p.Pages = make([]pageImage, 0, min(n, len(buf)/8))
 	for i := 0; i < n; i++ {
 		id := c.u32()
-		data := c.take(pageSize)
 		if c.err != nil {
 			return nil, c.err
 		}
-		p.Pages = append(p.Pages, pageImage{ID: id, Data: data})
+		img, k, err := pagedelta.ReadSizedImage(c.buf[c.off:], pageSize)
+		if err != nil {
+			return nil, fmt.Errorf("repl: snapshot page %d: %w", id, err)
+		}
+		c.off += k
+		p.Pages = append(p.Pages, pageImage{ID: id, Data: img})
 	}
+	p.LogStart = wal.LSN(c.u64())
+	p.Log = c.bytes()
 	p.MembersVer = c.u64()
 	p.Members = c.members()
 	if c.err != nil {

@@ -2,9 +2,13 @@ package repl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
+	"quickstore/internal/disk"
+	"quickstore/internal/esm"
+	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -21,25 +25,74 @@ func sampleShip() *shipPayload {
 	}
 }
 
+// sampleSnap is a snapshot of pageSize-byte pages, each a whole page, as
+// marshalSnap takes them: one with no zero byte (raw on the wire), one
+// holding a few bytes (sparse) and one all zero (an empty image).
 func sampleSnap(pageSize int) *snapPayload {
-	mk := func(fill byte) []byte {
-		b := make([]byte, pageSize)
-		for i := range b {
-			b[i] = fill
-		}
-		return b
-	}
+	sparse := make([]byte, pageSize)
+	copy(sparse[8:], "object")
+	sparse[pageSize-1] = 0x7F
 	return &snapPayload{
-		LogStart: 1001,
-		Log:      []byte("log tail"),
 		NumPages: 5,
 		Pages: []pageImage{
-			{ID: 1, Data: mk(0xAA)},
-			{ID: 3, Data: mk(0x55)},
+			{ID: 1, Data: bytes.Repeat([]byte{0xAA}, pageSize)},
+			{ID: 2, Data: sparse},
+			{ID: 3, Data: make([]byte, pageSize)},
 		},
+		LogStart:   1001,
+		Log:        []byte("log tail"),
 		MembersVer: 3,
 		Members:    []Member{{ID: "n1", Addr: "a"}, {ID: "n2", Addr: "b"}},
 	}
+}
+
+// marshalSnap encodes p, whose Pages are whole pages, as the leader does.
+func marshalSnap(p *snapPayload) []byte {
+	dst := appendSnapHead(nil, p.NumPages, len(p.Pages))
+	for _, pg := range p.Pages {
+		dst = appendSnapPage(dst, pg.ID, pg.Data)
+	}
+	return appendSnapTail(dst, p.LogStart, p.Log, p.MembersVer, p.Members)
+}
+
+// decodeSnap is a parsed p with each page image decoded to its whole page.
+func decodeSnap(t testing.TB, p *snapPayload, pageSize int) *snapPayload {
+	t.Helper()
+	out := *p
+	out.Pages = nil
+	for _, pg := range p.Pages {
+		page := make([]byte, pageSize)
+		if err := pagedelta.ApplyImage(page, pg.Data); err != nil {
+			t.Fatalf("page %d: an accepted image does not decode: %v", pg.ID, err)
+		}
+		out.Pages = append(out.Pages, pageImage{ID: pg.ID, Data: page})
+	}
+	return &out
+}
+
+// badSnapImages are page images parseSnap must refuse, by what is wrong
+// with them, for pageSize-byte pages.
+func badSnapImages(pageSize int) map[string][]byte {
+	run := func(off, n int, data ...byte) []byte {
+		b := binary.LittleEndian.AppendUint16(nil, uint16(off))
+		return append(binary.LittleEndian.AppendUint16(b, uint16(n)), data...)
+	}
+	return map[string][]byte{
+		"a run past the page":       run(pageSize-1, 2, 1, 2),
+		"overlapping runs":          append(run(4, 2, 1, 2), run(5, 1, 3)...),
+		"an empty run":              run(4, 0),
+		"a cut run":                 run(4, 3, 1, 2),
+		"an image longer than page": make([]byte, pageSize+1),
+	}
+}
+
+// snapWithImage is a snapshot frame whose second page carries img as its
+// image.
+func snapWithImage(pageSize int, img []byte) []byte {
+	dst := appendSnapHead(nil, 4, 2)
+	dst = appendSnapPage(dst, 1, bytes.Repeat([]byte{0x11}, pageSize))
+	dst = pagedelta.AppendSized(appendU32(dst, 2), img)
+	return appendSnapTail(dst, 1, nil, 1, []Member{{ID: "n1"}})
 }
 
 // sampleCut is sampleShip without its member list, carrying the leader's
@@ -105,15 +158,55 @@ func TestShipPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapPayloadRoundTrip: a snapshot frame parses back to what was
+// encoded, each page as its sparse image — the page itself when it has no
+// zeros to lose, an empty image when it is all zero — that decodes to the
+// page. A frame with a malformed image is refused, and a follower handed
+// one writes no page and keeps its log.
 func TestSnapPayloadRoundTrip(t *testing.T) {
 	const pageSize = 64
 	p := sampleSnap(pageSize)
-	got, err := parseSnap(p.marshal(pageSize), pageSize)
+	got, err := parseSnap(marshalSnap(p), pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p, got) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", p, got)
+	if dec := decodeSnap(t, got, pageSize); !reflect.DeepEqual(p, dec) {
+		t.Fatalf("round trip mismatch: %+v vs %+v", p, dec)
+	}
+	for i, want := range []int{pageSize, 4 + 6 + 4 + 1, 0} {
+		if n := len(got.Pages[i].Data); n != want {
+			t.Errorf("page %d travels in %d bytes, want %d", got.Pages[i].ID, n, want)
+		}
+	}
+
+	for name, img := range badSnapImages(pageSize) {
+		if _, err := parseSnap(snapWithImage(pageSize, img), pageSize); err == nil {
+			t.Errorf("a snapshot with %s was accepted", name)
+		}
+	}
+	vol, log := disk.NewMemVolume(), wal.NewMemLog()
+	f := NewFollower(vol, log, testCfg("n2", 1, nil))
+	defer f.Close()
+	if err := vol.Grow(4); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]byte, disk.PageSize)
+	for name, img := range badSnapImages(disk.PageSize) {
+		resp := f.Handle(&esm.Request{Op: esm.OpReplSnapshot, Tx: 1, Name: "n1", Data: snapWithImage(disk.PageSize, img)})
+		if resp.Err == "" {
+			t.Fatalf("a follower installed a snapshot with %s", name)
+		}
+		for pid := disk.PageID(1); pid < 4; pid++ {
+			if err := vol.ReadPage(pid, before); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, make([]byte, disk.PageSize)) {
+				t.Fatalf("a snapshot with %s wrote page %d", name, pid)
+			}
+		}
+		if log.FlushedLSN() != 1 {
+			t.Fatalf("a snapshot with %s replaced the log", name)
+		}
 	}
 }
 
@@ -132,7 +225,7 @@ func TestTruncatedFramesRejected(t *testing.T) {
 			}
 		}
 	}
-	snap := sampleSnap(pageSize).marshal(pageSize)
+	snap := marshalSnap(sampleSnap(pageSize))
 	for n := 0; n < len(snap); n++ {
 		if _, err := parseSnap(snap[:n], pageSize); err == nil {
 			t.Fatalf("parseSnap accepted a %d/%d-byte prefix", n, len(snap))
@@ -192,24 +285,31 @@ func FuzzParseShip(f *testing.F) {
 	})
 }
 
+// FuzzParseSnap: arbitrary bytes never panic the snapshot parser; every
+// page image of an accepted frame decodes to a page, and the decoded
+// snapshot re-marshals to a frame that parses and decodes to the same
+// pages. Sparse, raw, empty and malformed images are among the seeds.
 func FuzzParseSnap(f *testing.F) {
 	const pageSize = 64
-	f.Add(sampleSnap(pageSize).marshal(pageSize))
+	full := marshalSnap(sampleSnap(pageSize))
+	f.Add(full)
 	f.Add([]byte{})
-	full := sampleSnap(pageSize).marshal(pageSize)
 	f.Add(full[:len(full)/2]) // truncated mid page image
+	for _, img := range badSnapImages(pageSize) {
+		f.Add(snapWithImage(pageSize, img))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := parseSnap(data, pageSize)
 		if err != nil {
 			return
 		}
-		for _, pg := range p.Pages {
-			if len(pg.Data) != pageSize {
-				t.Fatalf("page %d parsed with %d bytes", pg.ID, len(pg.Data))
-			}
-		}
-		if _, err := parseSnap(p.marshal(pageSize), pageSize); err != nil {
+		dec := decodeSnap(t, p, pageSize)
+		again, err := parseSnap(marshalSnap(dec), pageSize)
+		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
+		}
+		if redec := decodeSnap(t, again, pageSize); !reflect.DeepEqual(dec.Pages, redec.Pages) {
+			t.Fatal("a re-marshaled snapshot decodes to other pages")
 		}
 	})
 }

@@ -2,15 +2,18 @@ package repl
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"quickstore/internal/core"
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/faultinject"
+	"quickstore/internal/oo7"
 	"quickstore/internal/wal"
 )
 
@@ -270,4 +273,160 @@ func TestCommitWaitsOnlyForTheQuorum(t *testing.T) {
 	}
 	release()
 	waitConverged(t, nodes)
+}
+
+// snapTap records the size of every snapshot frame through it.
+type snapTap struct {
+	esm.Transport
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (s *snapTap) Call(req *esm.Request) (*esm.Response, error) {
+	if req.Op == esm.OpReplSnapshot {
+		s.mu.Lock()
+		s.sizes = append(s.sizes, len(req.Data))
+		s.mu.Unlock()
+	}
+	return s.Transport.Call(req)
+}
+
+// TestSnapshotShipsSparse: a leader volume of 1,024 pages, 16 of them
+// holding a 128-byte object, reaches a late follower in a snapshot frame
+// under 64 KB, where the pages raw are over 8 MB, and the follower's volume
+// is then the leader's byte for byte. Building the snapshot allocates far
+// fewer times than it has pages: each page is read into one buffer and
+// encoded straight into the frame.
+func TestSnapshotShipsSparse(t *testing.T) {
+	const numPages = 1024
+	nodes := newCluster(t, 1, 1)
+	leader, vol := nodes[0].node, nodes[0].vol
+	putValue(t, leader.Transport(), "old", "data")
+	checkpoint(t, leader) // a follower attaching now needs a snapshot
+	if err := vol.Grow(numPages); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(55))
+	page := make([]byte, disk.PageSize)
+	for i := 0; i < 16; i++ {
+		clear(page)
+		rng.Read(page[256*i : 256*i+128])
+		if err := vol.WritePage(disk.PageID(numPages-1-60*i), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fVol, fLog := disk.NewMemVolume(), wal.NewMemLog()
+	f := NewFollower(fVol, fLog, testCfg("n2", 1, nil))
+	defer f.Close()
+	f.AddPeer("n1", "", leader.Transport())
+	tap := &snapTap{Transport: f.Transport()}
+	leader.AddPeer("n2", "", tap)
+	waitFor(t, "the follower to install a snapshot", func() bool {
+		return leader.ReplStats().SnapshotsSent >= 1 && fLog.FlushedLSN() == leader.DurableLSN()
+	})
+	tap.mu.Lock()
+	sizes := slices.Clone(tap.sizes)
+	tap.mu.Unlock()
+	if len(sizes) == 0 || sizes[0] >= 64<<10 {
+		t.Fatalf("snapshot frames of %v bytes, want one under 64 KB (raw pages: %d bytes)", sizes, (numPages-1)*disk.PageSize)
+	}
+	if got := fVol.NumPages(); got != numPages {
+		t.Fatalf("follower volume of %d pages, want %d", got, numPages)
+	}
+	want := make([]byte, disk.PageSize)
+	for pid := disk.PageID(1); pid < numPages; pid++ {
+		if err := vol.ReadPage(pid, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := fVol.ReadPage(pid, page); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(page, want) {
+			t.Fatalf("follower page %d differs from the leader's", pid)
+		}
+	}
+
+	srv := leader.CurrentServer()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := leader.buildSnapshot(srv, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > numPages/16 {
+		t.Fatalf("building a snapshot of %d pages: %v allocs, want at most %d", numPages-1, allocs, numPages/16)
+	}
+	t.Logf("snapshot frame %d bytes; %v allocs to build", sizes[0], allocs)
+}
+
+// BenchmarkSnapshotOO7Small builds a leader's snapshot of the OO7 small
+// database (bulk-loaded, then checkpointed) and installs it on a follower,
+// each as a sub-benchmark. Both report the frame's size and the size of the
+// volume's pages raw. The follower's volume is checked against the
+// leader's once, before timing.
+func BenchmarkSnapshotOO7Small(b *testing.B) {
+	vol, log := disk.NewMemVolume(), wal.NewMemLog()
+	cfg := testCfg("n1", 1, nil)
+	srv, err := esm.NewServer(vol, log, cfg.Server)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leader := NewLeader(srv, cfg)
+	defer leader.Close()
+	st, err := core.New(esm.NewClient(leader.Transport(), esm.ClientConfig{}), core.Config{BulkLoad: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := oo7.Generate(oo7.NewQS(st, false), oo7.Small()); err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	frame, start, err := leader.buildSnapshot(srv, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := &esm.Request{Op: esm.OpReplSnapshot, Tx: leader.Term(), N: uint64(start), Name: "n1", Data: frame}
+	fVol := disk.NewMemVolume()
+	f := NewFollower(fVol, wal.NewMemLog(), testCfg("n2", 1, nil))
+	defer f.Close()
+	install := func(b *testing.B) {
+		if resp := f.Handle(req); resp.Err != "" {
+			b.Fatal(resp.Err)
+		}
+	}
+	install(b)
+	want, got := make([]byte, disk.PageSize), make([]byte, disk.PageSize)
+	for pid := disk.PageID(1); pid < disk.PageID(vol.NumPages()); pid++ {
+		if err := vol.ReadPage(pid, want); err != nil {
+			b.Fatal(err)
+		}
+		if err := fVol.ReadPage(pid, got); err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			b.Fatalf("follower page %d differs from the leader's", pid)
+		}
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(len(frame))/1024, "frame_kb")
+		b.ReportMetric(float64((vol.NumPages()-1)*disk.PageSize)/1024, "raw_kb")
+	}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := leader.buildSnapshot(srv, 1, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b)
+	})
+	b.Run("install", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			install(b)
+		}
+		report(b)
+	})
 }
