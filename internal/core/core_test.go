@@ -133,7 +133,7 @@ func TestCreateAndTraverseSameSession(t *testing.T) {
 		}
 	}
 	s.Commit()
-	if err := s.CheckTree(); err != nil {
+	if err := s.CheckDescs(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -332,7 +332,7 @@ func TestForcedRelocationSwizzles(t *testing.T) {
 	if n := d.Count(sim.CtrBitmapRead); n == 0 {
 		t.Error("swizzling read no bitmap objects")
 	}
-	if err := s2.CheckTree(); err != nil {
+	if err := s2.CheckDescs(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -459,7 +459,7 @@ func TestLargeObjectScanAndSplit(t *testing.T) {
 	if right == nil || right.Pages() != 2 {
 		t.Fatalf("right desc after split: %v", right)
 	}
-	if err := s2.CheckTree(); err != nil {
+	if err := s2.CheckDescs(); err != nil {
 		t.Fatal(err)
 	}
 	// Scan every byte (the T8 pattern) and verify content.
@@ -615,49 +615,96 @@ func TestDiffRegionsReconstructionProperty(t *testing.T) {
 	}
 }
 
-// Property: the descriptor tree stays balanced and ordered under random
-// insert/remove/find workloads.
+// Property: the descriptor table agrees with a model — a list of live
+// ranges — under random inserts, removals and large-object splits. An
+// overlapping insert is refused; Find at a range's first and last frame, one
+// frame below it and one past it answers as the model does; and the lowest
+// gap of n free frames is the model's. The table spans three chunks, the
+// last one partial, so ranges cross chunk boundaries and some chunks are
+// never allocated.
 func TestDescTreeProperty(t *testing.T) {
+	const frames = 2*tableSlots + 300
+	base := vmem.Addr(1 << 30)
+	at := func(i int) vmem.Addr { return base + vmem.Addr(i)<<vmem.FrameShift }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var tr descTree
-		live := map[vmem.Addr]*PageDesc{}
-		base := vmem.Addr(1 << 30)
-		for op := 0; op < 400; op++ {
-			switch rng.Intn(3) {
-			case 0, 1: // insert a random non-overlapping range
-				lo := base + vmem.Addr(rng.Intn(4000))*vmem.FrameSize
-				n := vmem.Addr(1 + rng.Intn(4))
-				d := &PageDesc{Lo: lo, Hi: lo + n*vmem.FrameSize}
-				if tr.FindOverlap(d.Lo, d.Hi) != nil {
-					if err := tr.Insert(d); err == nil {
-						return false // must reject overlap
-					}
-					continue
+		s := &Store{byAddr: newDescTable(base, frames), byOID: map[esm.OID]*PageDesc{}}
+		tab := &s.byAddr
+		var live []*PageDesc
+		model := func(a vmem.Addr) *PageDesc {
+			for _, d := range live {
+				if d.Contains(a) {
+					return d
 				}
-				if err := tr.Insert(d); err != nil {
+			}
+			return nil
+		}
+		drop := func(k int) *PageDesc {
+			d := live[k]
+			live = append(live[:k], live[k+1:]...)
+			return d
+		}
+		for op := 0; op < 300; op++ {
+			switch r := rng.Intn(10); {
+			case r < 6: // insert 1–16 frames anywhere, a few of them past the end
+				lo := at(rng.Intn(frames + 8))
+				d := &PageDesc{Lo: lo, Hi: lo + vmem.Addr(1+rng.Intn(16))<<vmem.FrameShift, IsLarge: true}
+				d.ObjLo, d.ObjPages = d.Lo, uint32(d.Pages())
+				taken := d.Hi > at(frames)
+				for a := d.Lo; a < d.Hi && !taken; a += vmem.FrameSize {
+					taken = model(a) != nil
+				}
+				if err := tab.Insert(d); (err != nil) != taken {
+					t.Logf("seed %d: insert %v with taken=%v: %v", seed, d, taken, err)
 					return false
 				}
-				live[lo] = d
-			case 2: // remove a random live descriptor
-				for lo, d := range live {
-					tr.Remove(d)
-					delete(live, lo)
-					break
+				if !taken {
+					live = append(live, d)
+				}
+			case r < 8 && len(live) > 0: // remove
+				tab.Remove(drop(rng.Intn(len(live))))
+			case len(live) > 0: // split at the first, middle or last frame
+				d := drop(rng.Intn(len(live)))
+				a := [3]vmem.Addr{d.Lo, d.Lo + vmem.Addr(d.Pages()/2)<<vmem.FrameShift, d.Hi - 1}[rng.Intn(3)]
+				mid, err := s.splitLarge(d, a)
+				if err != nil || !mid.Contains(a) || mid.Pages() != 1 {
+					t.Logf("seed %d: split %v at %#x: %v, %v", seed, d, a, mid, err)
+					return false
+				}
+				live = append(live, mid)
+				if mid.Lo > d.Lo {
+					live = append(live, tab.Find(d.Lo))
+				}
+				if mid.Hi < d.Hi {
+					live = append(live, tab.Find(mid.Hi))
 				}
 			}
-			if tr.check() != nil {
+			if err := tab.check(); err != nil || tab.n != len(live) {
+				t.Logf("seed %d op %d: %v; %d descriptors, model %d", seed, op, err, tab.n, len(live))
 				return false
 			}
 		}
-		if tr.Len() != len(live) {
-			return false
-		}
-		for lo, d := range live {
-			if got := tr.Find(lo + 1); got != d {
-				return false
+		for _, d := range live {
+			for _, a := range []vmem.Addr{d.Lo, d.Hi - 1, d.Lo - vmem.FrameSize, d.Hi} {
+				if tab.Find(a) != model(a) {
+					t.Logf("seed %d: Find(%#x) = %v, model %v", seed, a, tab.Find(a), model(a))
+					return false
+				}
 			}
-			if got := tr.Find(d.Hi - 1); got != d {
+		}
+		for n := uint32(1); n <= 64; n *= 2 {
+			want, ok := vmem.Addr(0), false
+			for i := 0; i+int(n) <= frames && !ok; i++ {
+				want, ok = at(i), true
+				for j := i; j < i+int(n) && ok; j++ {
+					ok = model(at(j)) == nil
+				}
+			}
+			if !ok {
+				want = 0
+			}
+			if got, gok := tab.gap(n); got != want || gok != ok {
+				t.Logf("seed %d: gap(%d) = %#x %v, model %#x %v", seed, n, got, gok, want, ok)
 				return false
 			}
 		}

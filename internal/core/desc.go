@@ -20,9 +20,10 @@ import (
 // records the virtual address range assigned to a disk page (or to a run of
 // unaccessed pages of a multi-page object), the physical disk address, the
 // access flags, and — when resident — the buffer frame and recovery-heap
-// pointer. Descriptors are organized two ways: a height-balanced (AVL)
-// binary tree keyed on the virtual address range, and a hash table keyed on
-// the physical address.
+// pointer. A Store finds a descriptor by the virtual frame of an address
+// (descTable, where the paper keeps a height-balanced tree over the ranges),
+// by physical address (the paper's hash table), and by the client-pool frame
+// its page is mapped from.
 type PageDesc struct {
 	Lo, Hi vmem.Addr // [Lo, Hi): assigned virtual address range
 	Phys   esm.OID   // small page: OID of its meta-object; large object: the object's OID
@@ -31,7 +32,6 @@ type PageDesc struct {
 	// descriptors; for small pages ObjLo == Lo and ObjPages == 1.
 	ObjLo    vmem.Addr
 	ObjPages uint32
-	PageOff  uint32 // object-relative page number of Lo (large objects)
 
 	IsLarge  bool
 	Accessed bool   // the range has been faulted in (mapped) at least once
@@ -46,13 +46,6 @@ type PageDesc struct {
 	Pid      disk.PageID // resident disk page (valid when FrameIdx >= 0)
 	FrameIdx int         // client buffer frame, -1 when not resident
 	RecIdx   int         // recovery-buffer slot, -1 when none
-
-	// Large-object geometry, cached from the ESM descriptor on first touch.
-	largeFirst disk.PageID
-	largeKnown bool
-
-	left, right *PageDesc
-	height      int
 }
 
 // descChunk is how many page descriptors one allocation holds.
@@ -60,9 +53,10 @@ const descChunk = 64
 
 // newDesc returns a zeroed descriptor from the session's current chunk,
 // starting a new chunk when that one is full. The fault path makes one for
-// every page a mapping object names, so this is one allocation per
-// descChunk of them instead of one each. A slot is never handed out twice,
-// even after its descriptor leaves the tree: a pointer kept in lastWrites
+// every page a mapping object names, and Root and RefForPage one for every
+// page they enter, so this is one allocation per descChunk of them instead
+// of one each. A slot is never handed out twice,
+// even after its descriptor leaves the table: a pointer kept in lastWrites
 // or a cluster cursor stays distinct from every later descriptor. Pages a
 // transaction creates get their own allocations instead (Alloc), because
 // Abort drops theirs and a chunk slot would stay dead for the session.
@@ -78,219 +72,115 @@ func (s *Store) newDesc() *PageDesc {
 // Pages returns the number of virtual frames the descriptor covers.
 func (d *PageDesc) Pages() int { return int((d.Hi - d.Lo) >> vmem.FrameShift) }
 
-// Contains reports whether a falls in the descriptor's range.
-func (d *PageDesc) Contains(a vmem.Addr) bool { return a >= d.Lo && a < d.Hi }
-
 // String formats the descriptor for diagnostics.
 func (d *PageDesc) String() string {
 	return fmt.Sprintf("desc[%#x,%#x) %v large=%v acc=%v", d.Lo, d.Hi, d.Phys, d.IsLarge, d.Accessed)
 }
 
-// descTree is the height-balanced binary tree over virtual address ranges
-// ("The table organizes page descriptors according to the range of virtual
-// memory addresses that they contain using a height balanced binary tree",
-// Section 3.3). Ranges never overlap.
-type descTree struct {
-	root *PageDesc
-	size int
+// descTable finds a descriptor by the number of a frame it covers. Section
+// 3.3 keeps descriptors in a height-balanced tree over their ranges; every
+// lookup here starts from an address, so a descriptor fills the slot of each
+// frame in its range instead, and finding one is an index. The slots come in
+// chunks allocated on first use, like vmem.Space's frame table.
+type descTable struct {
+	base    vmem.Addr
+	nframes uint64
+	chunks  []*[tableSlots]*PageDesc
+	n       int // descriptors held
 }
 
-func height(d *PageDesc) int {
-	if d == nil {
-		return 0
-	}
-	return d.height
-}
+const (
+	tableShift = 10
+	tableSlots = 1 << tableShift
+	tableMask  = tableSlots - 1
+)
 
-func fix(d *PageDesc) *PageDesc {
-	hl, hr := height(d.left), height(d.right)
-	if hl > hr {
-		d.height = hl + 1
-	} else {
-		d.height = hr + 1
-	}
-	switch bf := hl - hr; {
-	case bf > 1:
-		if height(d.left.left) < height(d.left.right) {
-			d.left = rotateLeft(d.left)
-		}
-		return rotateRight(d)
-	case bf < -1:
-		if height(d.right.right) < height(d.right.left) {
-			d.right = rotateRight(d.right)
-		}
-		return rotateLeft(d)
-	}
-	return d
-}
-
-func rotateRight(d *PageDesc) *PageDesc {
-	l := d.left
-	d.left = l.right
-	l.right = d
-	d.height = max(height(d.left), height(d.right)) + 1
-	l.height = max(height(l.left), height(l.right)) + 1
-	return l
-}
-
-func rotateLeft(d *PageDesc) *PageDesc {
-	r := d.right
-	d.right = r.left
-	r.left = d
-	d.height = max(height(d.left), height(d.right)) + 1
-	r.height = max(height(r.left), height(r.right)) + 1
-	return r
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Insert adds d to the tree. It returns an error if d overlaps an existing
-// range (a bookkeeping bug if it ever happens).
-func (t *descTree) Insert(d *PageDesc) error {
-	if d.Lo >= d.Hi {
-		return fmt.Errorf("core: empty descriptor range [%#x,%#x)", d.Lo, d.Hi)
-	}
-	if hit := t.FindOverlap(d.Lo, d.Hi); hit != nil {
-		return fmt.Errorf("core: range [%#x,%#x) overlaps %v", d.Lo, d.Hi, hit)
-	}
-	d.left, d.right, d.height = nil, nil, 1
-	t.root = insertNode(t.root, d)
-	t.size++
-	return nil
-}
-
-func insertNode(n, d *PageDesc) *PageDesc {
-	if n == nil {
-		return d
-	}
-	if d.Lo < n.Lo {
-		n.left = insertNode(n.left, d)
-	} else {
-		n.right = insertNode(n.right, d)
-	}
-	return fix(n)
-}
-
-// Remove deletes d (matched by Lo) from the tree.
-func (t *descTree) Remove(d *PageDesc) {
-	var removed bool
-	t.root, removed = removeNode(t.root, d.Lo)
-	if removed {
-		t.size--
+func newDescTable(base vmem.Addr, maxFrames int) descTable {
+	return descTable{
+		base:    base,
+		nframes: uint64(maxFrames),
+		chunks:  make([]*[tableSlots]*PageDesc, (maxFrames+tableMask)>>tableShift),
 	}
 }
 
-func removeNode(n *PageDesc, lo vmem.Addr) (*PageDesc, bool) {
-	if n == nil {
-		return nil, false
-	}
-	var removed bool
-	switch {
-	case lo < n.Lo:
-		n.left, removed = removeNode(n.left, lo)
-	case lo > n.Lo:
-		n.right, removed = removeNode(n.right, lo)
-	default:
-		removed = true
-		if n.left == nil {
-			return n.right, true
-		}
-		if n.right == nil {
-			return n.left, true
-		}
-		// Replace with the successor's contents by re-linking nodes.
-		succ := n.right
-		for succ.left != nil {
-			succ = succ.left
-		}
-		n.right, _ = removeNode(n.right, succ.Lo)
-		succ.left, succ.right = n.left, n.right
-		n = succ
-	}
-	return fix(n), removed
-}
+// frameNo returns a's frame number; an address below base wraps to a huge
+// number, so one comparison against nframes covers both ends of the table.
+func (t *descTable) frameNo(a vmem.Addr) uint64 { return uint64(a-t.base) >> vmem.FrameShift }
 
 // Find returns the descriptor whose range contains a, or nil.
-func (t *descTree) Find(a vmem.Addr) *PageDesc {
-	n := t.root
-	for n != nil {
-		switch {
-		case a < n.Lo:
-			n = n.left
-		case a >= n.Hi:
-			n = n.right
-		default:
-			return n
+func (t *descTable) Find(a vmem.Addr) *PageDesc {
+	if i := t.frameNo(a); i < t.nframes {
+		if c := t.chunks[i>>tableShift]; c != nil {
+			return c[i&tableMask]
 		}
 	}
 	return nil
 }
 
-// FindOverlap returns any descriptor overlapping [lo, hi), or nil.
-func (t *descTree) FindOverlap(lo, hi vmem.Addr) *PageDesc {
-	n := t.root
-	for n != nil {
-		switch {
-		case hi <= n.Lo:
-			n = n.left
-		case lo >= n.Hi:
-			n = n.right
-		default:
-			return n
-		}
+// free reports whether [lo, hi) is frame-aligned, inside the table and
+// covered by no descriptor.
+func (t *descTable) free(lo, hi vmem.Addr) bool {
+	if lo >= hi || lo&(vmem.FrameSize-1) != 0 || t.frameNo(lo) >= t.nframes || t.frameNo(hi-1) >= t.nframes {
+		return false
 	}
-	return nil
-}
-
-// Len returns the number of descriptors in the tree.
-func (t *descTree) Len() int { return t.size }
-
-// Walk visits descriptors in ascending address order; fn returning false
-// stops the walk.
-func (t *descTree) Walk(fn func(*PageDesc) bool) {
-	walk(t.root, fn)
-}
-
-func walk(n *PageDesc, fn func(*PageDesc) bool) bool {
-	if n == nil {
-		return true
-	}
-	return walk(n.left, fn) && fn(n) && walk(n.right, fn)
-}
-
-// check verifies AVL balance and range ordering (test helper).
-func (t *descTree) check() error {
-	var prev *PageDesc
-	ok := true
-	t.Walk(func(d *PageDesc) bool {
-		if prev != nil && d.Lo < prev.Hi {
-			ok = false
+	for a := lo; a < hi; a += vmem.FrameSize {
+		if t.Find(a) != nil {
 			return false
 		}
-		prev = d
-		return true
-	})
-	if !ok {
-		return fmt.Errorf("core: descTree ranges overlap or are unordered")
 	}
-	return checkBalance(t.root)
+	return true
 }
 
-func checkBalance(n *PageDesc) error {
-	if n == nil {
-		return nil
+// Insert fills d's slots. It returns an error if d's range is not free (a
+// bookkeeping bug if it ever happens).
+func (t *descTable) Insert(d *PageDesc) error {
+	if !t.free(d.Lo, d.Hi) {
+		return fmt.Errorf("core: range [%#x,%#x) is empty, outside the space or taken", d.Lo, d.Hi)
 	}
-	bf := height(n.left) - height(n.right)
-	if bf < -1 || bf > 1 {
-		return fmt.Errorf("core: descTree unbalanced at %v (bf=%d)", n, bf)
+	t.set(d, d)
+	t.n++
+	return nil
+}
+
+// Remove clears d's slots.
+func (t *descTable) Remove(d *PageDesc) {
+	if t.Find(d.Lo) == d {
+		t.set(d, nil)
+		t.n--
 	}
-	if err := checkBalance(n.left); err != nil {
-		return err
+}
+
+// set points the slots of d's range at v.
+func (t *descTable) set(d, v *PageDesc) {
+	for i := t.frameNo(d.Lo); i < t.frameNo(d.Hi); i++ {
+		c := t.chunks[i>>tableShift]
+		if c == nil {
+			c = new([tableSlots]*PageDesc)
+			t.chunks[i>>tableShift] = c
+		}
+		c[i&tableMask] = v
 	}
-	return checkBalance(n.right)
+}
+
+// gap returns the lowest address that starts n free frames, skipping a chunk
+// never allocated whole.
+func (t *descTable) gap(n uint32) (vmem.Addr, bool) {
+	var run uint64
+	for i := uint64(0); i < t.nframes; {
+		if c := t.chunks[i>>tableShift]; c == nil {
+			step := min(tableSlots-i&tableMask, t.nframes-i)
+			run, i = run+step, i+step
+		} else {
+			if c[i&tableMask] == nil {
+				run++
+			} else {
+				run = 0
+			}
+			i++
+		}
+		if run >= uint64(n) {
+			return t.base + vmem.Addr((i-run)<<vmem.FrameShift), true
+		}
+	}
+	return 0, false
 }

@@ -21,7 +21,7 @@ func (s *Store) handleFault(a vmem.Addr, acc vmem.Access) error {
 	if acc == vmem.AccessWrite && s.snapTx {
 		return ErrSnapshotReadOnly
 	}
-	d := s.tree.Find(a)
+	d := s.byAddr.Find(a)
 	if d == nil {
 		return fmt.Errorf("core: wild pointer %#x (no page descriptor)", a)
 	}
@@ -66,7 +66,7 @@ func (s *Store) handleFault(a vmem.Addr, acc vmem.Access) error {
 	pool.Pin(idx)
 	defer pool.Unpin(idx)
 	d.FrameIdx = idx
-	s.byPid[d.Pid] = d
+	s.byFrame[idx] = d
 	data := s.c.PageData(idx)
 
 	// Swizzling work is skipped for pages reread during the same
@@ -114,7 +114,7 @@ func (s *Store) pidFor(d *PageDesc) (disk.PageID, error) {
 // accessed and up to two descriptors for the remaining sub-sequences.
 func (s *Store) splitLarge(d *PageDesc, a vmem.Addr) (*PageDesc, error) {
 	frame := a.FrameBase()
-	s.tree.Remove(d)
+	s.byAddr.Remove(d)
 	mk := func(lo, hi vmem.Addr) *PageDesc {
 		nd := s.newDesc()
 		*nd = PageDesc{
@@ -128,16 +128,16 @@ func (s *Store) splitLarge(d *PageDesc, a vmem.Addr) (*PageDesc, error) {
 		return nd
 	}
 	mid := mk(frame, frame+vmem.FrameSize)
-	if err := s.tree.Insert(mid); err != nil {
+	if err := s.byAddr.Insert(mid); err != nil {
 		return nil, err
 	}
 	if frame > d.Lo {
-		if err := s.tree.Insert(mk(d.Lo, frame)); err != nil {
+		if err := s.byAddr.Insert(mk(d.Lo, frame)); err != nil {
 			return nil, err
 		}
 	}
 	if frame+vmem.FrameSize < d.Hi {
-		if err := s.tree.Insert(mk(frame+vmem.FrameSize, d.Hi)); err != nil {
+		if err := s.byAddr.Insert(mk(frame+vmem.FrameSize, d.Hi)); err != nil {
 			return nil, err
 		}
 	}
@@ -219,7 +219,7 @@ func (s *Store) applyMapping(d *PageDesc, data []byte, meta metaObject, entries 
 			IsLarge: e.IsLarge,
 			Pid:     disk.InvalidPage, FrameIdx: -1, RecIdx: -1,
 		}
-		if err := s.tree.Insert(nd); err != nil {
+		if err := s.byAddr.Insert(nd); err != nil {
 			return err
 		}
 		s.byOID[e.OID] = nd

@@ -132,7 +132,7 @@ func TestFrameAllocatorWraparound(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CheckTree(); err != nil {
+	if err := s.CheckDescs(); err != nil {
 		t.Fatal(err)
 	}
 }

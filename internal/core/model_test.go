@@ -244,7 +244,7 @@ func runModel(t *testing.T, seed int64) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CheckTree(); err != nil {
+	if err := s.CheckDescs(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -57,8 +57,8 @@ func (p *SimplifiedClock) Victim(pool *buffer.Pool) (int, error) {
 			if f.Pin != 0 {
 				continue
 			}
-			d, ok := p.s.byPid[f.Page]
-			if !ok {
+			d := p.s.byFrame[i]
+			if d == nil {
 				// Metadata page: ordinary reference-bit clock.
 				if f.Ref {
 					f.Ref = false

@@ -323,7 +323,7 @@ func (s *Store) referencedSet(data, bm []byte) ([]mapEntry, error) {
 		if ptr == 0 {
 			return true
 		}
-		td := s.tree.Find(ptr)
+		td := s.byAddr.Find(ptr)
 		if td == nil {
 			scanErr = fmt.Errorf("core: page pointer %#x at offset %d targets no descriptor", ptr, off)
 			return false

@@ -110,16 +110,22 @@ func (c *Config) fill() {
 
 // Store is one application session's view of a QuickStore database, layered
 // on an ESM client session. It is single-threaded, like the paper's client
-// process.
+// process. It finds a page descriptor three ways: by the virtual frame of an
+// address (byAddr), by the physical address of the page's object (byOID),
+// and by the client-pool frame the page is mapped from (byFrame).
 type Store struct {
 	c     *esm.Client
 	clock *sim.Clock
 	space *vmem.Space
 	cfg   Config
 
-	tree  descTree
-	byOID map[esm.OID]*PageDesc
-	byPid map[disk.PageID]*PageDesc
+	byAddr descTable
+	byOID  map[esm.OID]*PageDesc
+	// byFrame[i] is the descriptor whose page is mapped from pool frame i
+	// (its FrameIdx is i), nil for a frame holding anything else. A slot is
+	// set where FrameIdx is set; every page leaving the pool clears its slot
+	// through onEvict, and a frame refreshed in place through onRefresh.
+	byFrame []*PageDesc
 
 	// descs is the chunk newDesc takes descriptors from; descChunks counts
 	// the chunks the session has allocated.
@@ -218,8 +224,9 @@ func newStore(c *esm.Client, cfg Config) (*Store, error) {
 		c:          c,
 		clock:      c.Clock(),
 		cfg:        cfg,
+		byAddr:     newDescTable(cfg.Base, cfg.MaxFrames),
 		byOID:      make(map[esm.OID]*PageDesc, pool.Len()),
-		byPid:      make(map[disk.PageID]*PageDesc, pool.Len()),
+		byFrame:    make([]*PageDesc, pool.Len()),
 		largeGeom:  map[esm.OID]esm.LargeInfo{},
 		freshPages: map[disk.PageID]*PageDesc{},
 		rng:        rand.New(rand.NewSource(cfg.RelocSeed)),
@@ -357,16 +364,16 @@ func (s *Store) Abort() error {
 		return esm.ErrNoTx
 	}
 	s.rec.reset()
-	for pid, d := range s.freshPages {
+	for _, d := range s.freshPages {
 		d.RecIdx = -1
 		d.Pid = disk.InvalidPage // the page is dead: nothing to lock ahead of a retry
 		if d.FrameIdx >= 0 {
 			_ = s.space.Unmap(d.Lo)
+			s.byFrame[d.FrameIdx] = nil
 			d.FrameIdx = -1
 		}
-		s.tree.Remove(d)
+		s.byAddr.Remove(d)
 		delete(s.byOID, d.Phys)
-		delete(s.byPid, pid)
 	}
 	if err := s.c.Abort(); err != nil {
 		return err
@@ -411,7 +418,7 @@ func (s *Store) endTx() {
 // allocFrames reserves n contiguous virtual frames. Frame numbers come from
 // a persistent global counter so successive program runs never reuse
 // addresses unnecessarily; when the counter wraps past the end of the
-// space, the in-memory tree is scanned for a free gap.
+// space, the descriptor table is scanned for a free gap.
 func (s *Store) allocFrames(n uint32) (vmem.Addr, error) {
 	need := uint64(n)
 	if s.frameNext+need > s.frameEnd {
@@ -430,46 +437,18 @@ func (s *Store) allocFrames(n uint32) (vmem.Addr, error) {
 		s.frameNext += need
 		return lo, nil
 	}
-	// Wraparound: scan the tree for a gap of n frames (rare; the paper
+	// Wraparound: scan the table for a gap of n frames (rare; the paper
 	// notes it only matters when the database outgrows virtual memory).
-	return s.scanForGap(n)
-}
-
-func (s *Store) scanForGap(n uint32) (vmem.Addr, error) {
-	need := vmem.Addr(uint64(n) << vmem.FrameShift)
-	prevEnd := s.cfg.Base
-	var found vmem.Addr
-	s.tree.Walk(func(d *PageDesc) bool {
-		if d.Lo >= prevEnd+need {
-			found = prevEnd
-			return false
-		}
-		if d.Hi > prevEnd {
-			prevEnd = d.Hi
-		}
-		return true
-	})
-	if found == 0 {
-		limit := s.cfg.Base + vmem.Addr(uint64(s.cfg.MaxFrames)<<vmem.FrameShift)
-		if prevEnd+need <= limit {
-			found = prevEnd
-		}
+	if lo, ok := s.byAddr.gap(n); ok {
+		return lo, nil
 	}
-	if found == 0 {
-		return 0, fmt.Errorf("core: virtual address space exhausted (%d frames wanted)", n)
-	}
-	return found, nil
+	return 0, fmt.Errorf("core: virtual address space exhausted (%d frames wanted)", n)
 }
 
 // rangeFree reports whether [lo, lo+n frames) is inside the space and
 // unclaimed.
 func (s *Store) rangeFree(lo vmem.Addr, n uint32) bool {
-	hi := lo + vmem.Addr(uint64(n)<<vmem.FrameShift)
-	limit := s.cfg.Base + vmem.Addr(uint64(s.cfg.MaxFrames)<<vmem.FrameShift)
-	if lo < s.cfg.Base || hi > limit || lo&(vmem.FrameSize-1) != 0 {
-		return false
-	}
-	return s.tree.FindOverlap(lo, hi) == nil
+	return s.byAddr.free(lo, lo+vmem.Addr(uint64(n)<<vmem.FrameShift))
 }
 
 // --- Page residency helpers ------------------------------------------------
@@ -478,10 +457,7 @@ func (s *Store) rangeFree(lo vmem.Addr, n uint32) bool {
 // and remapping it (read access) if it was evicted. The page is NOT pinned.
 func (s *Store) residentData(d *PageDesc) ([]byte, int, error) {
 	if d.FrameIdx >= 0 {
-		if idx, ok := s.c.Pool().Lookup(d.Pid); ok && idx == d.FrameIdx {
-			return s.c.PageData(idx), idx, nil
-		}
-		d.FrameIdx = -1
+		return s.c.PageData(d.FrameIdx), d.FrameIdx, nil
 	}
 	if !d.Accessed || d.Pid == disk.InvalidPage {
 		return nil, 0, fmt.Errorf("core: %v has no disk page yet", d)
@@ -491,7 +467,7 @@ func (s *Store) residentData(d *PageDesc) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	d.FrameIdx = idx
-	s.byPid[d.Pid] = d
+	s.byFrame[idx] = d
 	data := s.c.PageData(idx)
 	if err := s.space.Map(d.Lo, data, vmem.ProtRead); err != nil {
 		return nil, 0, err
@@ -503,14 +479,14 @@ func (s *Store) residentData(d *PageDesc) ([]byte, int, error) {
 // onEvict revokes the virtual-memory mapping of an evicted data page
 // (Figure 1b: access to frame A is disabled when page a leaves the pool).
 func (s *Store) onEvict(pid disk.PageID, frame int) {
-	d, ok := s.byPid[pid]
-	if !ok {
+	d := s.byFrame[frame]
+	if d == nil {
 		return
 	}
 	_ = s.space.Unmap(d.Lo)
 	s.clock.Charge(sim.CtrMmapCall, 1)
 	d.FrameIdx = -1
-	delete(s.byPid, pid)
+	s.byFrame[frame] = nil
 }
 
 // onRefresh handles a coherence repair rewriting a resident frame in
@@ -521,15 +497,10 @@ func (s *Store) onEvict(pid disk.PageID, frame int) {
 // page still resident, and re-processes its mapping object (SeenTx zero
 // forces this even within the same transaction).
 func (s *Store) onRefresh(pid disk.PageID, frame int) {
-	d, ok := s.byPid[pid]
-	if !ok {
-		return
+	if d := s.byFrame[frame]; d != nil {
+		d.SeenTx = 0
+		s.onEvict(pid, frame)
 	}
-	_ = s.space.Unmap(d.Lo)
-	s.clock.Charge(sim.CtrMmapCall, 1)
-	d.FrameIdx = -1
-	d.SeenTx = 0
-	delete(s.byPid, pid)
 }
 
 // beforeSteal preserves write-ahead logging when a dirty page leaves the
@@ -537,21 +508,24 @@ func (s *Store) onRefresh(pid disk.PageID, frame int) {
 // log records are emitted before the frame is given up — they are then all
 // the server gets of it, unless the frame is Unlogged and ships whole.
 func (s *Store) beforeSteal(pid disk.PageID, data []byte) error {
+	var d *PageDesc
+	if i, ok := s.c.Pool().Lookup(pid); ok {
+		d = s.byFrame[i]
+	}
 	if s.cfg.BulkLoad {
 		delete(s.freshPages, pid)
-		if d, ok := s.byPid[pid]; ok {
+		if d != nil {
 			d.RecIdx = -1
 		}
 		return nil
 	}
-	if d, ok := s.freshPages[pid]; ok {
+	if fd, ok := s.freshPages[pid]; ok {
 		s.logWholePage(pid, data)
 		delete(s.freshPages, pid)
-		d.RecIdx = -1
+		fd.RecIdx = -1
 		return nil
 	}
-	d, ok := s.byPid[pid]
-	if !ok || d.RecIdx < 0 {
+	if d == nil || d.RecIdx < 0 {
 		return nil
 	}
 	s.diffAndLog(d, data)
@@ -566,7 +540,7 @@ func (s *Store) SetRoot(name string, ref Ref) error {
 	if ref == NilRef {
 		return s.c.SetRoot(name, esm.NilOID, 0)
 	}
-	d := s.tree.Find(ref)
+	d := s.byAddr.Find(ref)
 	if d == nil {
 		return fmt.Errorf("core: SetRoot(%q): %#x is not a persistent address", name, ref)
 	}
@@ -600,13 +574,14 @@ func (s *Store) Root(name string) (Ref, error) {
 		s.relocations++
 		lo = newLo
 	}
-	d := &PageDesc{
+	d := s.newDesc()
+	*d = PageDesc{
 		Lo: lo, Hi: lo + vmem.FrameSize,
 		ObjLo: lo, ObjPages: 1,
 		Phys:     oid,
 		FrameIdx: -1, RecIdx: -1,
 	}
-	if err := s.tree.Insert(d); err != nil {
+	if err := s.byAddr.Insert(d); err != nil {
 		return NilRef, err
 	}
 	s.byOID[oid] = d
@@ -639,7 +614,7 @@ func (s *Store) Alloc(cl *Cluster, size int, refOffsets []int) (Ref, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		// A cluster cursor can outlive its page: an abort removes the
 		// descriptors of pages created by the rolled-back transaction.
-		if cl.desc != nil && s.tree.Find(cl.desc.Lo) != cl.desc {
+		if cl.desc != nil && s.byAddr.Find(cl.desc.Lo) != cl.desc {
 			cl.desc = nil
 		}
 		if cl.desc == nil {
@@ -729,11 +704,11 @@ func (s *Store) newDataPage(cl *Cluster) error {
 		FrameIdx: idx,
 		RecIdx:   -1,
 	}
-	if err := s.tree.Insert(d); err != nil {
+	if err := s.byAddr.Insert(d); err != nil {
 		return err
 	}
 	s.byOID[d.Phys] = d
-	s.byPid[pid] = d
+	s.byFrame[idx] = d
 	if err := s.space.Map(lo, data, vmem.ProtWrite); err != nil {
 		return err
 	}
@@ -827,7 +802,7 @@ func (s *Store) AllocLarge(cl *Cluster, size uint64) (Ref, error) {
 		IsLarge: true,
 		Pid:     disk.InvalidPage, FrameIdx: -1, RecIdx: -1,
 	}
-	if err := s.tree.Insert(d); err != nil {
+	if err := s.byAddr.Insert(d); err != nil {
 		return NilRef, err
 	}
 	s.byOID[oid] = d
@@ -843,7 +818,7 @@ func (s *Store) Delete(ref Ref) error {
 	if !s.inTx {
 		return esm.ErrNoTx
 	}
-	d := s.tree.Find(ref)
+	d := s.byAddr.Find(ref)
 	if d == nil {
 		return fmt.Errorf("core: Delete(%#x): not a persistent address", ref)
 	}
@@ -899,7 +874,7 @@ func (s *Store) Delete(ref Ref) error {
 
 // LargeSize returns the byte size of the large object at ref.
 func (s *Store) LargeSize(ref Ref) (uint64, error) {
-	d := s.tree.Find(ref)
+	d := s.byAddr.Find(ref)
 	if d == nil || !d.IsLarge {
 		return 0, fmt.Errorf("core: %#x is not a large object", ref)
 	}
@@ -913,7 +888,7 @@ func (s *Store) LargeSize(ref Ref) (uint64, error) {
 // LargeWrite bulk-writes data into the large object at ref+off through the
 // storage manager (the loader's path; reads go through virtual memory).
 func (s *Store) LargeWrite(ref Ref, data []byte, off uint64) error {
-	d := s.tree.Find(ref)
+	d := s.byAddr.Find(ref)
 	if d == nil || !d.IsLarge {
 		return fmt.Errorf("core: %#x is not a large object", ref)
 	}
@@ -960,13 +935,14 @@ func (s *Store) RefForPage(pid disk.PageID, off int) (Ref, error) {
 		}
 		s.relocations++
 	}
-	d := &PageDesc{
+	d := s.newDesc()
+	*d = PageDesc{
 		Lo: lo, Hi: lo + vmem.FrameSize,
 		ObjLo: lo, ObjPages: 1,
 		Phys:     oid,
 		FrameIdx: -1, RecIdx: -1,
 	}
-	if err := s.tree.Insert(d); err != nil {
+	if err := s.byAddr.Insert(d); err != nil {
 		return NilRef, err
 	}
 	s.byOID[oid] = d
@@ -976,7 +952,7 @@ func (s *Store) RefForPage(pid disk.PageID, off int) (Ref, error) {
 // PageOf returns the disk page and page offset behind a small-object
 // reference (the inverse of RefForPage, used to build index entries).
 func (s *Store) PageOf(ref Ref) (disk.PageID, int, error) {
-	d := s.tree.Find(ref)
+	d := s.byAddr.Find(ref)
 	if d == nil {
 		return disk.InvalidPage, 0, fmt.Errorf("core: %#x is not a persistent address", ref)
 	}
@@ -989,16 +965,13 @@ func (s *Store) PageOf(ref Ref) (disk.PageID, int, error) {
 // --- Introspection ----------------------------------------------------------
 
 // DescCount returns the number of page descriptors in the current mapping.
-func (s *Store) DescCount() int { return s.tree.Len() }
+func (s *Store) DescCount() int { return s.byAddr.n }
 
 // Relocations returns how many page ranges have been relocated this session.
 func (s *Store) Relocations() int64 { return s.relocations }
 
 // FindDesc returns the descriptor covering ref (nil if none). Test hook.
-func (s *Store) FindDesc(ref Ref) *PageDesc { return s.tree.Find(ref) }
-
-// CheckTree validates the descriptor tree's invariants. Test hook.
-func (s *Store) CheckTree() error { return s.tree.check() }
+func (s *Store) FindDesc(ref Ref) *PageDesc { return s.byAddr.Find(ref) }
 
 // lockPageX obtains the exclusive page lock for d once per transaction. The
 // lock comes before the recovery copy: a grant that finds the cached page

@@ -350,9 +350,9 @@ func (p *Payload) Page() (pid uint32, raw bool, image []byte, ok bool) {
 		return 0, false, nil, false
 	}
 	e := p.rest
-	image, n, _ := pagedelta.ReadSizedImage(e[payloadPageHead:], disk.PageSize) // checked by ReadPayload
-	p.rest = e[payloadPageHead+n:]
-	return binary.LittleEndian.Uint32(e), e[4] == 1, image, true
+	n := payloadPageHead + 4 + int(binary.LittleEndian.Uint32(e[payloadPageHead:])) // ReadPayload checked the image
+	p.rest = e[n:]
+	return binary.LittleEndian.Uint32(e), e[4] == 1, e[payloadPageHead+4 : n : n], true
 }
 
 // AppendPayloadPage appends page, one whole page, as its sparse image to the
