@@ -742,6 +742,34 @@ func checkColdFaultAllocs(t *testing.T, runs int, open func() (*core.Store, oo7.
 	}
 }
 
+// TestColdSessionAllocs counts what a fresh session allocates from its
+// opening (esm.NewClient, core.Open) through its first T1, run cold: a
+// table the session sizes when it opens instead of growing it on the fault
+// path is counted here either way, so a cut in TestColdFaultAllocs that only
+// moved allocations into the opening shows up as none.
+func TestColdSessionAllocs(t *testing.T) {
+	sharedEnv(t)
+	const runs = 3
+	var allocs uint64
+	for i := 0; i < runs; i++ {
+		if err := hotEnv.Srv.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, db := qsSession(t, 0)
+		runT1(t, db)
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+	}
+	perSession := float64(allocs) / runs
+	t.Logf("session open + cold T1: %.0f allocations", perSession)
+	if perSession > maxColdSessionAllocs {
+		t.Fatalf("session open + cold T1: %.0f allocations, budget %v", perSession, maxColdSessionAllocs)
+	}
+}
+
 // BenchmarkHotDeref measures one mapped dereference plus one mapped scalar
 // read through the benchmark driver (two persistent accesses per op).
 func BenchmarkHotDeref(b *testing.B) {

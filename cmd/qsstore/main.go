@@ -654,7 +654,7 @@ func verify(path string) error {
 		case page.TypeBTree:
 			btree++
 		default:
-			other++ // raw large-object data, free, or the reserved page 1
+			other++ // raw large-object data or free; page 1, the root directory, is not walked
 		}
 	}
 	fmt.Printf("verified %d pages: %d slotted (%d live objects), %d btree, %d other, %d bad\n",

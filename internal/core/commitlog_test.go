@@ -9,9 +9,11 @@ import (
 )
 
 // TestHotT2BCommitCarriesTheLog: once lock-ahead has learned the write set,
-// a hot in-process T2B is Begin, GetRoot, Lock and Commit: four calls and no
-// OpLog, the commit carrying every update record the transaction wrote. On a
-// 128-frame pool T2B steals, and a steal still ships its batch in an OpLog.
+// a hot in-process T2B is Begin, Lock and Commit: three calls and no OpLog
+// (the root comes from the session's copy of the root directory, which the
+// Begin vouched for), the commit carrying every update record the
+// transaction wrote. On a 128-frame pool T2B steals, and a steal still ships
+// its batch in an OpLog.
 func TestHotT2BCommitCarriesTheLog(t *testing.T) {
 	env, err := smallDB()
 	if err != nil {
@@ -44,13 +46,13 @@ func TestHotT2BCommitCarriesTheLog(t *testing.T) {
 	}
 	tr.before = nil
 	t.Logf("hot T2B: %d calls %v, %d records carried by the commit", tr.total(), tr.calls, carried)
-	for _, op := range []esm.Op{esm.OpBegin, esm.OpGetRoot, esm.OpLock, esm.OpCommit} {
+	for _, op := range []esm.Op{esm.OpBegin, esm.OpLock, esm.OpCommit} {
 		if tr.calls[op] != 1 {
 			t.Errorf("hot T2B sent %d %v, want 1", tr.calls[op], op)
 		}
 	}
-	if n := tr.total(); n != 4 {
-		t.Errorf("hot T2B took %d calls %v, want 4: Begin, GetRoot, Lock, Commit", n, tr.calls)
+	if n := tr.total(); n != 3 {
+		t.Errorf("hot T2B took %d calls %v, want 3: Begin, Lock, Commit", n, tr.calls)
 	}
 	if appended := env.Srv.Log().Records() - records - 2; carried == 0 || carried != appended {
 		t.Errorf("the commit carried %d records, the server appended %d update records", carried, appended)

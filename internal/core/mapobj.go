@@ -71,6 +71,10 @@ type mapEntry struct {
 
 const mapEntrySize = 8 + 4 + 16 // 28 bytes
 
+// maxPageMapEntries is the most entries a mapping object on one page holds:
+// what a session's decode buffer (Store.mapEntries) is sized for at open.
+const maxPageMapEntries = (disk.PageSize - 4) / mapEntrySize
+
 // appendMapping appends the mapping object holding entries to dst.
 func appendMapping(dst []byte, entries []mapEntry) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))

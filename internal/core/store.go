@@ -229,6 +229,7 @@ func newStore(c *esm.Client, cfg Config) (*Store, error) {
 		byFrame:    make([]*PageDesc, pool.Len()),
 		largeGeom:  map[esm.OID]esm.LargeInfo{},
 		freshPages: map[disk.PageID]*PageDesc{},
+		mapEntries: make([]mapEntry, 0, maxPageMapEntries),
 		rng:        rand.New(rand.NewSource(cfg.RelocSeed)),
 	}
 	s.rec.cap = cfg.RecoveryBufferBytes
@@ -534,9 +535,13 @@ func (s *Store) beforeSteal(pid disk.PageID, data []byte) error {
 
 // --- Roots ------------------------------------------------------------------
 
-// SetRoot registers ref under a persistent name. The referenced object must
-// live on a small-object page. Setting NilRef clears the root.
+// SetRoot registers ref under a persistent name in the open transaction
+// (esm.Client.SetRoot). The referenced object must live on a small-object
+// page. Setting NilRef clears the root.
 func (s *Store) SetRoot(name string, ref Ref) error {
+	if s.snapTx {
+		return ErrSnapshotReadOnly
+	}
 	if ref == NilRef {
 		return s.c.SetRoot(name, esm.NilOID, 0)
 	}

@@ -1,6 +1,7 @@
 package esm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -57,10 +58,11 @@ func (v *powerVolume) powerLoss(t *testing.T) {
 	clear(v.pre)
 }
 
-// TestAckedRootSurvivesPowerLoss: a catalog change (root, file, counter)
-// followed by an acked commit survives a power loss that reverts every
-// volume write made since the last sync; only the forced log is left. The
-// store also opens, roots intact, when the old catalog page reads as zeroes.
+// TestAckedRootSurvivesPowerLoss: a catalog change (file, counter) or a
+// root, followed by an acked commit, survives a power loss that reverts
+// every volume write made since the last sync; only the forced log is left.
+// The root directory page (page 1) is redone from the log when its volume
+// copy reads as zeroes.
 func TestAckedRootSurvivesPowerLoss(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -135,20 +137,39 @@ func TestAckedRootSurvivesPowerLoss(t *testing.T) {
 	}
 	t.Run("ZeroedPage1", func(t *testing.T) {
 		vol, logf := disk.NewMemVolume(), wal.NewMemLog()
-		_, oid := seedObject(t, vol, logf, ServerConfig{BufferPages: 64})
-		if err := vol.WritePage(1, make([]byte, disk.PageSize)); err != nil {
+		srv, err := NewServer(vol, logf, ServerConfig{BufferPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+		oid := OID{Page: 9, Slot: 2}
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetRoot("obj", oid, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// The directory page reached the volume and was then lost to it
+		// (zeroed); no checkpoint cut the log that holds its records.
+		if err := srv.FlushPool(); err != nil {
+			t.Fatal(err)
+		}
+		if err := vol.WritePage(dirPage, make([]byte, disk.PageSize)); err != nil {
 			t.Fatal(err)
 		}
 		srv2, err := OpenServer(vol, logf, ServerConfig{BufferPages: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewClient(NewInProcTransport(srv2), ClientConfig{BufferPages: 8})
+		c = NewClient(NewInProcTransport(srv2), ClientConfig{BufferPages: 8})
 		if err := c.Begin(); err != nil {
 			t.Fatal(err)
 		}
-		if got, _, err := c.GetRoot("obj"); err != nil || got != oid {
-			t.Fatalf("root obj = %v, %v; want %v", got, err, oid)
+		if got, aux, err := c.GetRoot("obj"); err != nil || got != oid || aux != 4 {
+			t.Fatalf("root obj = %v/%d, %v; want %v/4", got, aux, err, oid)
 		}
 		if err := c.Commit(); err != nil {
 			t.Fatal(err)
@@ -156,10 +177,10 @@ func TestAckedRootSurvivesPowerLoss(t *testing.T) {
 	})
 }
 
-// TestOversizedCatalogRefusedAtTheOp: a root that would push the catalog
-// past its bound is refused when it is set, and the catalog stays as it
-// was; the transaction around it still commits and releases its locks,
-// and a checkpoint after it succeeds.
+// TestOversizedCatalogRefusedAtTheOp: a root the directory page has no
+// room for is refused when it is set, and the directory stays as it was;
+// the transaction around it, which set every root that fit, still commits
+// and releases its locks, and a checkpoint after it succeeds.
 func TestOversizedCatalogRefusedAtTheOp(t *testing.T) {
 	vol, logf := disk.NewMemVolume(), wal.NewMemLog()
 	srv, oid := seedObject(t, vol, logf, ServerConfig{BufferPages: 64, LockTimeout: 200 * time.Millisecond})
@@ -178,14 +199,14 @@ func TestOversizedCatalogRefusedAtTheOp(t *testing.T) {
 	for i := 0; i < 200 && refused == ""; i++ {
 		name := fmt.Sprintf("root-%03d-%s", i, strings.Repeat("x", 33)) // 42 bytes
 		if err := c.SetRoot(name, oid, uint64(i)); err != nil {
-			if !strings.Contains(err.Error(), "catalog too large") {
+			if !strings.Contains(err.Error(), "root directory full") {
 				t.Fatalf("SetRoot %d: %v", i, err)
 			}
 			refused = name
 		}
 	}
 	if refused == "" {
-		t.Fatal("200 roots of 42-byte names were all accepted; the catalog bound is not enforced at the op")
+		t.Fatal("200 roots of 42-byte names were all accepted; the directory bound is not enforced at SetRoot")
 	}
 	if err := c.Commit(); err != nil {
 		t.Fatalf("commit after a refused root: %v", err)
@@ -206,10 +227,135 @@ func TestOversizedCatalogRefusedAtTheOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := v.GetRoot(refused); err == nil {
-		t.Fatalf("refused root %q is in the catalog", refused)
+		t.Fatalf("refused root %q is in the directory", refused)
 	}
-	if _, _, err := v.GetRoot("obj"); err != nil {
+	for _, name := range []string{"obj", "root-000-" + strings.Repeat("x", 33)} {
+		if _, _, err := v.GetRoot(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUncommittedRootNeverRead: a root set in an open transaction is not
+// seen by another session — not while the transaction runs, not after one of
+// its dirty pages was stolen to the server mid-transaction (a steal ships no
+// directory record: page 1 on the server is untouched), and not after it
+// aborts. From the commit on the other session sees it.
+func TestUncommittedRootNeverRead(t *testing.T) {
+	srv, oid := seedObject(t, disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
+	moved := OID{Page: oid.Page, Slot: 9, File: oid.File}
+	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	sees := func(when string, want OID, wantNew bool) {
+		t.Helper()
+		if err := b.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := b.GetRoot("obj"); err != nil || got != want {
+			t.Errorf("%s: root obj = %v, %v; want %v", when, got, err, want)
+		}
+		if _, _, err := b.GetRoot("new"); (err == nil) != wantNew {
+			t.Errorf("%s: root new found = %v, want %v", when, err == nil, wantNew)
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sees("before", oid, false)
+
+	a := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 2})
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"obj", "new"} {
+		if err := a.SetRoot(name, moved, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := poolImage(t, srv, dirPage)
+	applied := srv.pagesLogApplied.Load()
+	obj, idx, err := a.ReadObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(nil), obj[:8]...)
+	copy(obj, "clobber!")
+	a.Pool().MarkDirty(idx)
+	a.LogUpdate(oid.Page, pageOffOf(t, a, oid), old, []byte("clobber!"))
+	cl := a.NewCluster(1)
+	for i := 0; i < 4; i++ {
+		if _, _, err := a.CreateObject(cl, 7000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if srv.pagesLogApplied.Load() == applied {
+		t.Fatal("no page was stolen mid-transaction")
+	}
+	if !bytes.Equal(poolImage(t, srv, dirPage), dir) {
+		t.Error("a steal shipped the open transaction's root directory records")
+	}
+	sees("in flight, after a steal", oid, false)
+	if err := a.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	sees("after the abort", oid, false)
+
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := a.GetRoot("obj"); err != nil || got != oid {
+		t.Fatalf("the aborting session's root obj = %v, %v; want %v", got, err, oid)
+	}
+	for _, name := range []string{"obj", "new"} {
+		if err := a.SetRoot(name, moved, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sees("after the commit", moved, true)
+}
+
+// TestStaleGrantRevalidatesDirectory: a session whose copy of the root
+// directory went stale after its Begin — another session committed a root
+// since — revalidates the copy when page 1's X lock is granted, before its
+// SetRoot edits it. Editing the stale copy would append its entry where the
+// other session's is, and that root would be lost at its commit.
+func TestStaleGrantRevalidatesDirectory(t *testing.T) {
+	srv, oid := seedObject(t, disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64})
+	a := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	b := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	for _, c := range []*Client{a, b} { // both copies warm and vouched for
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.GetRoot("obj"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.SetRoot("from-a", oid, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetRoot("from-b", oid, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	v := NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8})
+	if err := v.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for name, aux := range map[string]uint64{"obj": 0, "from-a": 1, "from-b": 2} {
+		if got, gotAux, err := v.GetRoot(name); err != nil || got != oid || gotAux != aux {
+			t.Errorf("root %s = %v/%d, %v; want %v/%d", name, got, gotAux, err, oid, aux)
+		}
 	}
 	if err := v.Commit(); err != nil {
 		t.Fatal(err)

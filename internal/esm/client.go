@@ -103,6 +103,9 @@ type Client struct {
 	horizon   [HorizonBytes]byte
 	stalePids []disk.PageID
 
+	// dir is the session's copy of the root directory (GetRoot, SetRoot).
+	dir rootDir
+
 	// snap, when nonzero, is the LSN of the open read-only snapshot
 	// session (BeginSnapshot): page faults read as of it and bypass the
 	// lock manager entirely. Mutually exclusive with tx.
@@ -188,7 +191,7 @@ func (c *Client) Clock() *sim.Clock { return c.clock }
 // before the fault surfaced).
 func RetryableOp(op Op) bool {
 	switch op {
-	case OpReadPages, OpGetRoot, OpOpenFile, OpStats, OpLock, OpBeginSnapshot:
+	case OpReadPages, OpOpenFile, OpStats, OpLock, OpBeginSnapshot:
 		// The snapshot ops are read-only; re-beginning pins the same (or a
 		// newer) snapshot and re-reading a page at a pinned LSN is stable.
 		// OpEndSnapshot is deliberately absent: replaying it would unpin a
@@ -310,16 +313,19 @@ func (c *Client) validate(resp *Response) error {
 	c.horizon = [HorizonBytes]byte{}
 	stale := c.stalePids
 	c.stalePids = nil
+	c.dir.valid = c.dir.token != 0
 	var err error
 	if ok {
 		err = c.checkFeed(list, stale)
 	} else {
 		err = c.validateResident()
 	}
-	if err == nil {
-		c.horizon = next
+	if err != nil {
+		c.dir.drop()
+		return err
 	}
-	return err
+	c.horizon = next
+	return nil
 }
 
 // checkFeed checks the frames a change-feed list names whose token differs
@@ -337,6 +343,14 @@ func (c *Client) checkFeed(list []byte, stale []disk.PageID) error {
 	}
 	for k := 0; k < len(list)/PageEntryBytes; k++ {
 		pid, token := PageEntry(list, k)
+		if disk.PageID(pid) == c.dir.pid {
+			if c.dir.token != 0 && c.dir.token != token {
+				if err := c.queueCheck(dirSlot); err != nil {
+					return err
+				}
+			}
+			continue
+		}
 		i, ok := c.pool.Lookup(disk.PageID(pid))
 		if !ok {
 			continue
@@ -373,8 +387,14 @@ func feedList(resp *Response) ([]byte, bool) {
 	return list, true
 }
 
-// validateResident checks every clean tokened resident frame at Begin.
+// validateResident checks every clean tokened resident frame at Begin, and
+// the directory slot.
 func (c *Client) validateResident() error {
+	if c.dir.token != 0 {
+		if err := c.queueCheck(dirSlot); err != nil {
+			return err
+		}
+	}
 	for i := 0; i < c.pool.Len(); i++ {
 		// A frame with token 0 is unversioned (a sharded commit, a read that
 		// overlapped another transaction's pending write). The server can
@@ -392,14 +412,18 @@ func (c *Client) validateResident() error {
 	return c.flushCheck()
 }
 
-// queueCheck adds frame i to the Begin's ReadCheck batch, shipping the batch
-// once it holds validateChunk entries.
+// queueCheck adds frame i, or the directory slot (dirSlot), to the Begin's
+// ReadCheck batch, shipping the batch once it holds validateChunk entries.
 func (c *Client) queueCheck(i int) error {
 	if len(c.checkIdxs) == 0 {
 		c.readEntries = c.readEntries[:0] // the last read's entries
 	}
-	f := c.pool.Frame(i)
-	c.readEntries = AppendPageEntry(c.readEntries, uint32(f.Page), f.LSN)
+	if i == dirSlot {
+		c.readEntries = AppendPageEntry(c.readEntries, uint32(c.dir.pid), c.dir.token)
+	} else {
+		f := c.pool.Frame(i)
+		c.readEntries = AppendPageEntry(c.readEntries, uint32(f.Page), f.LSN)
+	}
 	c.checkIdxs = append(c.checkIdxs, i)
 	if len(c.checkIdxs) < validateChunk {
 		return nil
@@ -417,13 +441,21 @@ func (c *Client) flushCheck() error {
 		return nil
 	}
 	c.checkIdxs = idxs[:0]
-	a, resp, err := c.readPages(0, ReadCheck)
+	a, resp, err := c.readPages(0, ReadCheck, "")
 	defer resp.Release()
 	if err != nil {
 		return err
 	}
 	for a.Next() {
 		i := idxs[a.Index]
+		if i == dirSlot {
+			if a.Stale && a.Apply(c.dir.data) != nil {
+				c.dir.drop()
+			} else {
+				c.dir.token = a.Token
+			}
+			continue
+		}
 		f := c.pool.Frame(i)
 		if !a.Stale {
 			f.Stale = false
@@ -496,6 +528,9 @@ func (c *Client) EndSnapshot() error {
 	}
 	snap := c.snap
 	c.snap = 0
+	if c.dir.snap != 0 {
+		c.dir.drop()
+	}
 	for pid := range c.snapFetched {
 		if i, ok := c.pool.Lookup(pid); ok {
 			if err := c.pool.Evict(i); err != nil {
@@ -516,12 +551,19 @@ func (c *Client) Tx() uint64 { return c.tx }
 // endTx forgets the transaction and its locks: the server releases them all
 // when it commits or aborts, and a commit whose outcome is unknown must not
 // leave the next transaction believing it holds anything. Locks taken ahead
-// that nothing asked for were wasted.
+// that nothing asked for were wasted. The directory slot is vouched for only
+// until then; a sharded session's copy is never checked at Begin (its next
+// read goes by name), so it keeps no token.
 func (c *Client) endTx() {
 	c.tx = 0
 	c.aheadWasted += int64(c.aheadOut)
 	c.aheadOut = 0
 	clear(c.held)
+	c.dir.valid = false
+	c.dir.edits = c.dir.edits[:0]
+	if c.sharded {
+		c.dir.token = 0
+	}
 }
 
 // FetchPage brings pid into the client pool (a page-shipping request to the
@@ -615,13 +657,14 @@ func (c *Client) revalidateFrame(i int) error {
 }
 
 // readPages sends the entries in readEntries, one or more, as one
-// OpReadPages request — live or as of snap, mode 0 or ReadCheck — and
-// returns the walk of its answer and the answer, which the caller releases
-// once the walk is done (a nil answer releases as a no-op).
-func (c *Client) readPages(snap wal.LSN, mode uint8) (PageAnswers, *Response, error) {
+// OpReadPages request — live or as of snap, mode 0 or ReadCheck, naming a
+// root for a sharded directory read — and returns the walk of its answer
+// and the answer, which the caller releases once the walk is done (a nil
+// answer releases as a no-op).
+func (c *Client) readPages(snap wal.LSN, mode uint8, root string) (PageAnswers, *Response, error) {
 	entries := c.readEntries
 	req := c.request(OpReadPages)
-	req.Tx, req.N, req.Mode, req.Data = c.tx, uint64(snap), mode, entries
+	req.Tx, req.N, req.Mode, req.Name, req.Data = c.tx, uint64(snap), mode, root, entries
 	req.Page, _ = PageEntry(entries, 0)
 	resp, err := c.call(req)
 	if err != nil {
@@ -638,7 +681,7 @@ func (c *Client) readPage(pid disk.PageID, token uint64, snap wal.LSN, ahead []d
 	for _, p := range ahead {
 		c.readEntries = AppendPageEntry(c.readEntries, uint32(p), 0)
 	}
-	a, resp, err := c.readPages(snap, 0)
+	a, resp, err := c.readPages(snap, 0, "")
 	if err == nil && !a.Next() {
 		err = a.Err()
 	}
@@ -672,7 +715,7 @@ func (c *Client) ReadAhead(pids []disk.PageID) error {
 	for _, pid := range pids {
 		c.readEntries = AppendPageEntry(c.readEntries, uint32(pid), 0)
 	}
-	a, resp, err := c.readPages(0, 0)
+	a, resp, err := c.readPages(0, 0, "")
 	defer resp.Release()
 	if err != nil {
 		return err
@@ -773,6 +816,14 @@ type ShardStamper interface {
 // checksum, one append at the server. The cost model is charged per region:
 // internal/sim prices the paper's protocol, one header per range.
 func (c *Client) LogUpdate(pid disk.PageID, off int, old, new []byte) {
+	c.appendUpdate(pid, off, old, new)
+	c.clock.Charge(sim.CtrLogRecord, 1)
+	c.clock.Charge(sim.CtrLogByte, int64(len(old)+len(new)))
+}
+
+// appendUpdate is LogUpdate without the charge: a root directory edit's
+// records, which the 1994 model never priced.
+func (c *Client) appendUpdate(pid disk.PageID, off int, old, new []byte) {
 	if c.isOpen && c.open.Page == uint32(pid) && off >= c.openEnd {
 		c.open.More = wal.AppendRegion(c.open.More, off-c.openEnd, old, new)
 	} else {
@@ -783,8 +834,6 @@ func (c *Client) LogUpdate(pid disk.PageID, off int, old, new []byte) {
 		c.nrecs++
 	}
 	c.openEnd = off + len(new)
-	c.clock.Charge(sim.CtrLogRecord, 1)
-	c.clock.Charge(sim.CtrLogByte, int64(len(old)+len(new)))
 }
 
 // closeRecord moves the open record, if any, into the pending batch.
@@ -889,6 +938,10 @@ func (c *Client) Commit() error {
 	if c.tx == 0 {
 		return ErrNoTx
 	}
+	edited := len(c.dir.edits) != 0
+	for _, e := range c.dir.edits {
+		c.appendUpdate(e.pid, e.off, e.old, e.new)
+	}
 	c.sealBatch()
 	cleaned := c.cleaned[:0]
 	for i := 0; i < c.pool.Len(); i++ {
@@ -915,6 +968,9 @@ func (c *Client) Commit() error {
 	c.resetPending()
 	c.endTx()
 	if err != nil {
+		if edited {
+			c.dir.drop()
+		}
 		return err
 	}
 	if lsn > c.lastSeen {
@@ -935,6 +991,9 @@ func (c *Client) Commit() error {
 		f.LSN = tok
 		f.Stale = false
 	}
+	if edited && c.dir.pid != disk.InvalidPage {
+		c.dir.token = tok // the slot holds what the commit wrote, as a cleaned frame does
+	}
 	return nil
 }
 
@@ -950,6 +1009,9 @@ func (c *Client) Abort() error {
 		return ErrNoTx
 	}
 	c.resetPending()
+	if len(c.dir.edits) != 0 {
+		c.dir.drop() // its SetRoots never left the session
+	}
 	for i := 0; i < c.pool.Len(); i++ {
 		f := c.pool.Frame(i)
 		if f.Page != disk.InvalidPage && f.Dirty {
@@ -1034,13 +1096,30 @@ func (c *Client) cleanFrame(pid disk.PageID) (frame int, token uint64) {
 	return i, f.LSN
 }
 
+// lockToken is the token a page lock request presents for the session's
+// copy of pid: the directory slot's, or cleanFrame's.
+func (c *Client) lockToken(pid disk.PageID) uint64 {
+	if pid == c.dir.pid {
+		return c.dir.token
+	}
+	_, token := c.cleanFrame(pid)
+	return token
+}
+
 // granted enters a lock the server has just granted into the lock table,
 // first revalidating the clean cached copy of a page it covers if the grant
 // found it stale, or could not tell: a copy without a token (0) cannot be
 // vouched for, since the grant checks only tokens. A lock is not the
 // transaction's to use before that.
 func (c *Client) granted(res lock.Resource, h heldLock, stale bool) error {
-	if res.Kind == lock.KindPage {
+	if res.Kind == lock.KindPage && disk.PageID(res.ID) == c.dir.pid {
+		if stale || c.dir.token == 0 {
+			if err := c.fillDir(c.dir.pid, c.dir.token, ""); err != nil {
+				return err
+			}
+		}
+		c.dir.valid = true
+	} else if res.Kind == lock.KindPage {
 		if frame, token := c.cleanFrame(disk.PageID(res.ID)); frame >= 0 && (stale || token == 0) {
 			if err := c.revalidateFrame(frame); err != nil {
 				return err
@@ -1071,15 +1150,14 @@ func (c *Client) lock(kind lock.Kind, id uint32, mode lock.Mode, ahead []disk.Pa
 	}
 	var token uint64
 	if kind == lock.KindPage {
-		_, token = c.cleanFrame(disk.PageID(id))
+		token = c.lockToken(disk.PageID(id))
 	}
 	entries := c.lockEntries[:0]
 	for _, pid := range ahead {
 		if c.held[lock.PageRes(uint32(pid))].mode >= mode {
 			continue
 		}
-		_, tok := c.cleanFrame(pid)
-		entries = AppendPageEntry(entries, uint32(pid), tok)
+		entries = AppendPageEntry(entries, uint32(pid), c.lockToken(pid))
 	}
 	c.lockEntries = entries
 	req := c.request(OpLock)
@@ -1140,29 +1218,6 @@ func (c *Client) OpenFile(name string) (uint32, error) {
 	req.Name = name
 	id, err := c.callN(req)
 	return uint32(id), err
-}
-
-// GetRoot fetches a persistent named root: an OID plus an auxiliary word.
-func (c *Client) GetRoot(name string) (OID, uint64, error) {
-	req := c.request(OpGetRoot)
-	req.Name = name
-	resp, err := c.call(req)
-	if err != nil {
-		return NilOID, 0, err
-	}
-	oid, aux := UnmarshalOID(resp.Data), resp.N
-	resp.Release()
-	return oid, aux, nil
-}
-
-// SetRoot stores a persistent named root.
-func (c *Client) SetRoot(name string, oid OID, aux uint64) error {
-	var buf [OIDSize]byte
-	oid.Marshal(buf[:])
-	req := c.request(OpSetRoot)
-	req.Name, req.N, req.Data = name, aux, buf[:]
-	_, err := c.callN(req)
-	return err
 }
 
 // Counter atomically adds delta to the named persistent counter and returns

@@ -863,12 +863,17 @@ func TestValidationDuringEvictionWriteBack(t *testing.T) {
 	updateCohObject(t, b, oid, "evict-v1", "evict-v2") // the server's one frame: the page, dirty
 
 	// Reading another page evicts the object's page; its write-back is held.
+	// (Not the root directory: its reads pass the pool by.)
+	other, err := a.AllocPages(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate.mu.Lock()
 	gate.page, gate.armed = uint32(oid.Page), true
 	gate.mu.Unlock()
 	evicted := make(chan *Response)
 	go func() {
-		evicted <- srv.Handle(&Request{Op: OpReadPages, Page: uint32(reservedPage), Data: AppendPageEntry(nil, uint32(reservedPage), 0)})
+		evicted <- srv.Handle(&Request{Op: OpReadPages, Page: uint32(other), Data: AppendPageEntry(nil, uint32(other), 0)})
 	}()
 	<-gate.started
 	if got := readCohObject(t, a, oid, 8); got != "evict-v2" {

@@ -2,6 +2,7 @@ package esm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"path/filepath"
@@ -264,9 +265,10 @@ func TestPreparedTxAcceptsOnlyItsVerdict(t *testing.T) {
 	}
 }
 
-// OpSetRoot carries exactly one OID. A payload of any other length from
-// the wire is refused and leaves the root as it was, rather than setting
-// it to the nil OID (short) or to a prefix of the bytes (long).
+// A root's OID is read only from a whole directory entry. An entry that
+// the page's length cuts short — here by a committed record that moved the
+// length back into the OID — is refused by GetRoot rather than read as the
+// nil OID or as a prefix of the bytes, and SetRoot refuses to write over it.
 func TestSetRootRejectsMalformedOID(t *testing.T) {
 	srv, c, _ := newPair(t)
 	if err := c.Begin(); err != nil {
@@ -276,17 +278,38 @@ func TestSetRootRejectsMalformedOID(t *testing.T) {
 	if err := c.SetRoot("r", oid, 7); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, OIDSize - 1, OIDSize + 1} {
-		data := bytes.Repeat([]byte{0xab}, n)
-		if resp := srv.Handle(&Request{Op: OpSetRoot, Name: "r", N: 9, Data: data}); resp.Err == "" {
-			t.Errorf("OpSetRoot with a %d-byte OID accepted", n)
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{1, 8, 8 + OIDSize/2} {
+		before := poolImage(t, srv, dirPage)
+		used := binary.LittleEndian.Uint16(before[dirUsedAt:])
+		shorter := binary.LittleEndian.AppendUint16(nil, used-uint16(cut))
+		rec := wal.Record{Page: uint32(dirPage), Off: dirUsedAt, Old: before[dirUsedAt : dirUsedAt+2], New: shorter}
+		payload := wal.AppendBody(binary.LittleEndian.AppendUint32(nil, 1), &rec)
+		if resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin, Data: payload}); resp.Err != "" {
+			t.Fatal(resp.Err)
 		}
-		got, aux, err := c.GetRoot("r")
-		if err != nil {
+		if err := c.Begin(); err != nil {
 			t.Fatal(err)
 		}
-		if got != oid || aux != 7 {
-			t.Fatalf("after a %d-byte OpSetRoot the root is %v aux=%d, want %v aux=7", n, got, aux, oid)
+		if got, aux, err := c.GetRoot("r"); err == nil {
+			t.Fatalf("cut %d: GetRoot of a cut-short entry = %v aux=%d, want an error", cut, got, aux)
+		}
+		if err := c.SetRoot("r", OID{Page: 4}, 9); err == nil {
+			t.Fatalf("cut %d: SetRoot over a cut-short entry accepted", cut)
+		}
+		if err := c.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if after := poolImage(t, srv, dirPage); !bytes.Equal(after[8:], append(shorter, before[dirHead:]...)) {
+			t.Fatalf("cut %d: the refused SetRoot changed the directory", cut)
+		}
+		binary.LittleEndian.PutUint16(before[dirUsedAt:], used) // the next cut starts from the whole entry
+		rec = wal.Record{Page: uint32(dirPage), Off: dirUsedAt, Old: shorter, New: before[dirUsedAt : dirUsedAt+2]}
+		payload = wal.AppendBody(binary.LittleEndian.AppendUint32(nil, 1), &rec)
+		if resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin, Data: payload}); resp.Err != "" {
+			t.Fatal(resp.Err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/sim"
 	"quickstore/internal/wal"
 )
 
@@ -463,6 +464,88 @@ func TestHotBeginOneRoundTrip(t *testing.T) {
 	}
 	if n := c.Pool().Resident(); n != frames {
 		t.Fatalf("%d frames resident, want %d", n, frames)
+	}
+}
+
+// TestHotRootNoRoundTrip: a warm session reads a root from its copy of the
+// root directory, which Begin's change feed vouched for, so Begin, GetRoot
+// and Commit are two calls, and the read allocates nothing. When another
+// session commits a new root, the next Begin checks the copy in its one
+// ReadCheck (page 1 alone) and GetRoot sees the new root without a call of
+// its own; the session's own SetRoot leaves its copy warm. None of it
+// charges the cost model a page read, a log record or a lock: the 1994 model
+// priced no root.
+func TestHotRootNoRoundTrip(t *testing.T) {
+	clock := sim.NewClock(sim.DefaultCostModel())
+	srv, err := NewServer(disk.NewMemVolume(), wal.NewMemLog(), ServerConfig{BufferPages: 64, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &wireTap{tr: NewInProcTransport(srv)}
+	c := NewClient(tap, ClientConfig{BufferPages: 16, Clock: clock})
+	set := func(s *Client, oid OID) {
+		t.Helper()
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetRoot("r", oid, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// round reads root r in a transaction of its own and returns its calls.
+	round := func(want OID) int64 {
+		t.Helper()
+		calls0 := tap.calls
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if got, aux, err := c.GetRoot("r"); err != nil || got != want || aux != 7 {
+			t.Fatalf("root r = %v/%d, %v; want %v/7", got, aux, err, want)
+		}
+		if err := c.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return tap.calls - calls0
+	}
+	set(NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8, Clock: clock}), OID{Page: 5})
+	if n := round(OID{Page: 5}); n != 3 {
+		t.Errorf("cold: Begin, GetRoot, Commit took %d calls, want 3 (the directory read)", n)
+	}
+	for i := 0; i < 3; i++ {
+		if n := round(OID{Page: 5}); n != 2 {
+			t.Errorf("warm round %d: Begin, GetRoot, Commit took %d calls, want 2", i, n)
+		}
+	}
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.GetRoot("r") }); n != 0 {
+		t.Errorf("a warm root read allocates %.1f times, want 0", n)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	set(NewClient(NewInProcTransport(srv), ClientConfig{BufferPages: 8, Clock: clock}), OID{Page: 6})
+	checked0 := len(tap.checked)
+	if n := round(OID{Page: 6}); n != 3 {
+		t.Errorf("after another session's SetRoot: %d calls, want 3 (Begin, its ReadCheck, Commit)", n)
+	}
+	if got := tap.checked[checked0:]; len(got) != 1 || got[0] != uint32(dirPage) {
+		t.Errorf("the Begin checked pages %v, want the directory alone", got)
+	}
+	set(c, OID{Page: 8})
+	if n := round(OID{Page: 8}); n != 2 {
+		t.Errorf("after the session's own SetRoot: %d calls, want 2", n)
+	}
+	for _, ctr := range []sim.Counter{sim.CtrClientRead, sim.CtrServerBufferHit, sim.CtrServerDiskRead,
+		sim.CtrLogRecord, sim.CtrLogByte, sim.CtrLockUpgrade} {
+		if n := clock.Count(ctr) + clock.SharedCount(ctr); n != 0 {
+			t.Errorf("the root reads and edits charged %v %d times, want 0", ctr, n)
+		}
 	}
 }
 

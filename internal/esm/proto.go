@@ -57,8 +57,11 @@ const (
 	OpLog
 	OpCreateFile
 	OpOpenFile
-	OpGetRoot
-	OpSetRoot
+	// Two values are retired: named roots are entries of the root directory
+	// page, read by OpReadPages and written by a commit's log records. The
+	// values stay taken, like OpReadPage's.
+	_
+	_
 	OpCounter
 	OpCheckpoint
 	OpStats
@@ -71,6 +74,9 @@ const (
 	// order, one image or delta patch per stale entry. A demand fault, a
 	// revalidation and a snapshot read are batches of one; mapping-object
 	// read-ahead (internal/prefetch) and Begin validation are longer ones.
+	// A sharded session's root lookup is a batch of one, the root directory
+	// page, with Name set to the root: a shard router sends it to the shard
+	// that owns the name and answers with that shard's page id in Page.
 	OpReadPages
 	// Replication ops (internal/repl). OpReplAppend ships a durable WAL
 	// byte chunk (Tx = leader term, N = start LSN, Data = ship payload)
@@ -119,12 +125,12 @@ const TxBegin = ^uint64(0)
 // String names the operation for diagnostics.
 func (o Op) String() string {
 	names := [...]string{"", "BEGIN", "COMMIT", "ABORT", "READ", "WRITE", "ALLOC",
-		"FREE", "LOCK", "LOG", "CREATEFILE", "OPENFILE", "GETROOT", "SETROOT",
+		"FREE", "LOCK", "LOG", "CREATEFILE", "OPENFILE", "", "",
 		"COUNTER", "CHECKPOINT", "STATS", "READPAGES",
 		"REPLAPPEND", "REPLACK", "REPLSNAPSHOT",
 		"BEGINSNAP", "SNAPREAD", "ENDSNAP",
 		"PREPARE", "DECIDE", "RESOLVETX", "VALIDATEPAGES"}
-	if int(o) < len(names) {
+	if int(o) < len(names) && names[o] != "" {
 		return names[o]
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
@@ -562,8 +568,8 @@ type Request struct {
 	Page uint32 // page id / file id, per op
 	N    uint64 // count / counter delta, per op
 	Mode uint8  // lock mode / resource kind / flags
-	Name string // root, counter, or file name
-	Data []byte // page image, log batch, or OID payload
+	Name string // counter or file name, or the root of a directory read
+	Data []byte // page entries, commit payload, or change-feed horizon, per op
 }
 
 // Response is one server-to-client message.

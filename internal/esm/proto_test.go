@@ -16,8 +16,8 @@ import (
 // allOps enumerates every defined protocol operation.
 var allOps = []Op{
 	OpBegin, OpCommit, OpAbort, OpWritePage, OpAllocPages,
-	OpFreePages, OpLock, OpLog, OpCreateFile, OpOpenFile, OpGetRoot,
-	OpSetRoot, OpCounter, OpCheckpoint, OpStats, OpReadPages,
+	OpFreePages, OpLock, OpLog, OpCreateFile, OpOpenFile,
+	OpCounter, OpCheckpoint, OpStats, OpReadPages,
 	OpReplAppend, OpReplAck, OpReplSnapshot,
 	OpBeginSnapshot, OpEndSnapshot,
 	OpPrepare, OpCommitDecision, OpResolveTx,
@@ -57,9 +57,9 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpReadPages, Tx: 42, Page: 7, Mode: ReadCheck, Data: AppendPageEntry(nil, 7, 99)},
 		{Op: OpWritePage, Tx: 1, Page: 9, Data: bytes.Repeat([]byte{0xAB}, 8192)},
 		{Op: OpLock, Tx: 3, Page: 11, Mode: 0x21},
-		{Op: OpGetRoot, Name: "root/name with spaces \x00 and NULs"},
+		{Op: OpOpenFile, Name: "root/name with spaces \x00 and NULs"},
 		{Op: OpCounter, Name: "ctr", N: 1<<63 + 17},
-		{Op: OpSetRoot, Name: strings.Repeat("n", 65535), N: 5, Data: []byte{1, 2, 3}},
+		{Op: OpCreateFile, Name: strings.Repeat("n", 65535), N: 5, Data: []byte{1, 2, 3}},
 		{Op: OpReadPages, Tx: 9, N: 3, Data: AppendPageEntry(AppendPageEntry(nil, 1, 0), 2, 0)},
 	}
 	for _, op := range allOps {
@@ -107,7 +107,7 @@ func TestResponseRoundTrip(t *testing.T) {
 // TestUnmarshalTruncated feeds every proper prefix of valid messages to the
 // decoders: all must fail cleanly, never panic, never succeed.
 func TestUnmarshalTruncated(t *testing.T) {
-	req := (&Request{Op: OpSetRoot, Tx: 1, Page: 2, N: 3, Mode: 4, Name: "abcdef", Data: []byte{1, 2, 3, 4, 5}}).marshal()
+	req := (&Request{Op: OpCreateFile, Tx: 1, Page: 2, N: 3, Mode: 4, Name: "abcdef", Data: []byte{1, 2, 3, 4, 5}}).marshal()
 	for n := 0; n < len(req); n++ {
 		if _, err := unmarshalRequest(req[:n]); err == nil {
 			t.Errorf("request truncated to %d bytes decoded successfully", n)
@@ -124,7 +124,7 @@ func TestUnmarshalTruncated(t *testing.T) {
 // TestUnmarshalLyingLengths covers messages whose embedded lengths point past
 // the end of the buffer.
 func TestUnmarshalLyingLengths(t *testing.T) {
-	req := (&Request{Op: OpGetRoot, Name: "abc"}).marshal()
+	req := (&Request{Op: OpOpenFile, Name: "abc"}).marshal()
 	bad := append([]byte(nil), req...)
 	bad[22] = 0xFF // nameLen low byte: name now claims to be longer than the buffer
 	bad[23] = 0xFF
@@ -149,7 +149,7 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 		{Op: OpBegin},
 		{Op: OpReadPages, Tx: 9, Page: 77, Data: AppendPageEntry(nil, 77, 0)},
 		{Op: OpWritePage, Tx: 1, Page: 3, Data: bytes.Repeat([]byte{0x5C}, 8192)},
-		{Op: OpSetRoot, Name: "root", N: 2, Data: []byte{1, 2, 3}},
+		{Op: OpCreateFile, Name: "root", N: 2, Data: []byte{1, 2, 3}},
 	}
 	var wire []byte
 	for i, r := range reqs {
@@ -199,7 +199,7 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 }
 
 func TestMuxFrameTruncated(t *testing.T) {
-	whole := appendRequestFrame(nil, 7, &Request{Op: OpGetRoot, Name: "abc"})
+	whole := appendRequestFrame(nil, 7, &Request{Op: OpOpenFile, Name: "abc"})
 	scratch := getBuf()
 	defer putBuf(scratch)
 	for n := 0; n < len(whole); n++ {
@@ -298,7 +298,7 @@ func FuzzUnmarshalResponse(f *testing.F) {
 func FuzzUnmarshalRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Request{Op: OpBegin}).marshal())
-	f.Add((&Request{Op: OpSetRoot, Name: "seed", Data: []byte{1, 2, 3}}).marshal())
+	f.Add((&Request{Op: OpCreateFile, Name: "seed", Data: []byte{1, 2, 3}}).marshal())
 	f.Add((&Request{Op: OpReadPages, N: 2, Data: AppendPageEntry(AppendPageEntry(nil, 1, 0), 2, 0)}).marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := unmarshalRequest(data)

@@ -52,37 +52,26 @@ func SnapshotBehindError(serving, saw uint64) string {
 // first use.
 const DefaultServerBufferPages = 4608
 
-// reservedPage is page 1: NewServer allocates it so that data pages start
-// at page 2, and nothing reads or writes it.
-const reservedPage disk.PageID = 1
-
 // maxCatalogBytes bounds the catalog's serialized image to what fits in one
 // page beside a 4-byte length.
 const maxCatalogBytes = disk.PageSize - 4
 
-// catalog is the server's persistent name service: named roots (OID plus an
-// auxiliary word, which QuickStore uses for the root's virtual address),
-// persistent counters (QuickStore's global frame counter lives here), and
-// the file table. It is durable through the log alone: every change appends
-// the whole image as a wal.RecCatalog record (logCatalogLocked), and
-// OpenServer takes the last image in the log.
+// catalog is the server's persistent name service: persistent counters
+// (QuickStore's global frame counter lives here), the file table and the
+// next transaction id. It is durable through the log alone: every change
+// appends the whole image as a wal.RecCatalog record (logCatalogLocked), and
+// OpenServer takes the last image in the log. Named roots are not here: they
+// are transactional data, entries of the root directory page (dirPage).
 type catalog struct {
-	Roots    map[string]rootEntry `json:"roots"`
-	Counters map[string]uint64    `json:"counters"`
-	Files    map[string]uint32    `json:"files"`
-	NextFile uint32               `json:"next_file"`
-	NextTx   uint64               `json:"next_tx"`
-}
-
-type rootEntry struct {
-	OID [OIDSize]byte `json:"oid"`
-	Aux uint64        `json:"aux"`
+	Counters map[string]uint64 `json:"counters"`
+	Files    map[string]uint32 `json:"files"`
+	NextFile uint32            `json:"next_file"`
+	NextTx   uint64            `json:"next_tx"`
 }
 
 // newCatalog is the catalog of a fresh store.
 func newCatalog() catalog {
 	return catalog{
-		Roots:    map[string]rootEntry{},
 		Counters: map[string]uint64{},
 		Files:    map[string]uint32{},
 		NextFile: 1,
@@ -421,8 +410,8 @@ type ServerStats struct {
 	CohIndexEntries int64 `json:"coh_index_entries,omitempty"`
 }
 
-// NewServer creates a server over a fresh volume: the reserved page is
-// allocated and the empty catalog's image is the log's first record.
+// NewServer creates a server over a fresh volume: the root directory page is
+// allocated, empty, and the empty catalog's image is the log's first record.
 func NewServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error) {
 	s, err := newServerCommon(vol, log, cfg)
 	if err != nil {
@@ -432,8 +421,8 @@ func NewServer(vol disk.Volume, log *wal.Log, cfg ServerConfig) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	if pid != reservedPage {
-		return nil, fmt.Errorf("esm: reserved page allocated at %d, want %d", pid, reservedPage)
+	if pid != dirPage {
+		return nil, fmt.Errorf("esm: root directory allocated at %d, want %d", pid, dirPage)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -599,16 +588,6 @@ func (s *Server) logCatalogLocked() error {
 	return nil
 }
 
-// restoreEntry undoes a refused change to m[k]: old is what it held, had
-// whether it held anything.
-func restoreEntry[V any](m map[string]V, k string, old V, had bool) {
-	if had {
-		m[k] = old
-	} else {
-		delete(m, k)
-	}
-}
-
 // Handle executes one protocol request. It never returns a nil response;
 // errors travel in Response.Err. Handle is safe for concurrent use: the
 // transport layer calls it from one goroutine per client connection.
@@ -713,36 +692,6 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		}
 		return answerN(uint64(id)), nil
 
-	case OpGetRoot:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		e, ok := s.cat.Roots[req.Name]
-		if !ok {
-			return nil, fmt.Errorf("esm: no root %q", req.Name)
-		}
-		resp := answerN(e.Aux)
-		resp.buf = getBuf()
-		*resp.buf = append((*resp.buf)[:0], e.OID[:]...)
-		resp.Data = *resp.buf
-		return resp, nil
-
-	case OpSetRoot:
-		if len(req.Data) != OIDSize {
-			return nil, fmt.Errorf("esm: root OID of %d bytes, want %d", len(req.Data), OIDSize)
-		}
-		var e rootEntry
-		copy(e.OID[:], req.Data)
-		e.Aux = req.N
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		old, had := s.cat.Roots[req.Name]
-		s.cat.Roots[req.Name] = e
-		if err := s.logCatalogLocked(); err != nil {
-			restoreEntry(s.cat.Roots, req.Name, old, had)
-			return nil, err
-		}
-		return nil, nil
-
 	case OpCounter:
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -752,7 +701,11 @@ func (s *Server) handle(req *Request) (*Response, error) {
 		}
 		s.cat.Counters[req.Name] = old + req.N
 		if err := s.logCatalogLocked(); err != nil {
-			restoreEntry(s.cat.Counters, req.Name, old, had)
+			if had {
+				s.cat.Counters[req.Name] = old
+			} else {
+				delete(s.cat.Counters, req.Name)
+			}
 			return nil, err
 		}
 		return answerN(old), nil
@@ -1131,13 +1084,14 @@ func (s *Server) beginSnapshot(lastSeen wal.LSN) (*Response, error) {
 // the pending version holds those same old bytes. The answer is a full
 // image without a token: a snapshot copy is never revalidated.
 func (s *Server) snapRead(out []byte, pid disk.PageID, snap wal.LSN, img []byte) ([]byte, error) {
-	if s.pool.Snapshot(pid, img) {
-		s.clock.ChargeShared(sim.CtrServerBufferHit, 1)
-	} else {
-		if err := s.vol.ReadPage(pid, img); err != nil {
-			return nil, fmt.Errorf("esm: snapshot read of page %d: %w", pid, err)
+	hit, err := s.peekPage(pid, img)
+	if err != nil {
+		return nil, fmt.Errorf("esm: snapshot read of page %d: %w", pid, err)
+	}
+	if pid != dirPage { // the root directory is free, as in loadPage
+		if !hit {
+			s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
 		}
-		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
 		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
 	}
 	old, err := s.mv.Lookup(uint32(pid), snap)
@@ -1256,8 +1210,14 @@ func (s *Server) checkpoint() error {
 
 // loadPage copies pid's image into dst through the server pool and charges
 // the cost model one page transfer: the read path of every page a
-// transaction reads.
+// transaction reads. The root directory is read past the pool and free
+// (peekPage): the 1994 model prices no root lookup, and a directory frame
+// would shift the replacement order of the paper's small-pool runs.
 func (s *Server) loadPage(pid disk.PageID, dst []byte) error {
+	if pid == dirPage {
+		_, err := s.peekPage(pid, dst)
+		return err
+	}
 	ref, loaded, err := s.pool.Load(pid, func(buf []byte) error {
 		s.clock.ChargeShared(sim.CtrServerDiskRead, 1)
 		s.clock.ChargeShared(sim.CtrServerBufferHit, 1) // network leg of the transfer
@@ -1276,14 +1236,30 @@ func (s *Server) loadPage(pid disk.PageID, dst []byte) error {
 	return nil
 }
 
+// peekPage copies pid's image into dst without touching the pool's
+// replacement state or charging the cost model: the pool's frame if the page
+// is resident (Snapshot), else the volume's copy, and all zeroes for a page
+// past the volume's geometry, which has no committed image yet. It reports
+// whether the pool had the page.
+func (s *Server) peekPage(pid disk.PageID, dst []byte) (bool, error) {
+	if s.pool.Snapshot(pid, dst) {
+		return true, nil
+	}
+	err := s.vol.ReadPage(pid, dst)
+	if errors.Is(err, disk.ErrPageOutOfRange) {
+		clear(dst)
+		return false, nil
+	}
+	return false, err
+}
+
 // captureBefore runs once per (transaction, page), before that transaction
 // first changes the page's bytes in the server pool — by a whole-image
 // install or by applying its log records. The coherence table raises the
 // page's pending count (versioned reads stop vending tokens for it). With
 // the version store on, the page's current image is copied for it, so
 // snapshot readers keep seeing the bytes the transaction overwrites: the
-// only page copy an update makes. The copy reads through the same
-// non-perturbing path as Begin validation (pool snapshot, else the volume).
+// only page copy an update makes. The copy reads through peekPage.
 func (s *Server) captureBefore(tx uint64, pid disk.PageID) error {
 	if tx == 0 || s.coh.owns(tx, pid) {
 		return nil
@@ -1291,14 +1267,8 @@ func (s *Server) captureBefore(tx uint64, pid disk.PageID) error {
 	if s.mv != nil {
 		before := pageScratch.Get().(*[]byte)
 		defer pageScratch.Put(before)
-		if !s.pool.Snapshot(pid, *before) {
-			// A page past the volume's geometry has no committed image
-			// yet; its before-image is all zeroes.
-			if err := s.vol.ReadPage(pid, *before); errors.Is(err, disk.ErrPageOutOfRange) {
-				clear(*before)
-			} else if err != nil {
-				return err
-			}
+		if _, err := s.peekPage(pid, *before); err != nil {
+			return err
 		}
 		s.mv.CaptureBefore(uint32(pid), tx, *before)
 	}

@@ -42,6 +42,24 @@ type DrillOpts struct {
 	// drill for the truncation boundary: a commit that lands anywhere in
 	// the checkpoint window must survive the crash.
 	Checkpointer bool
+
+	// Roots makes each workload transaction also name a root after its
+	// writes, which must commit and abort with them: present after restart
+	// if the commit was acknowledged, absent if it aborted, and, for a commit
+	// cut off by the crash, present exactly when its values survived. The
+	// last transaction is killed in flight between its SetRoot and its
+	// commit. For a single workload session.
+	Roots bool
+}
+
+// drillRoot is a root a workload transaction named: the object of its first
+// key, and the value it wrote there.
+type drillRoot struct {
+	name       string
+	oid        esm.OID
+	key        int
+	val        uint64
+	acked, cut bool // the transaction's commit was acknowledged; cut off
 }
 
 // payloadSize is the object size used by the drill: four objects to a
@@ -218,7 +236,9 @@ func RunCrashDrill(opts DrillOpts) (*DrillReport, error) {
 
 	var attempts int64
 	var warm []drillCohFrame
+	var roots []drillRoot
 	for _, r := range results {
+		roots = append(roots, r.roots...)
 		rep.Committed += r.Committed
 		rep.Aborted += r.Aborted
 		rep.InDoubt = rep.InDoubt || r.InDoubt
@@ -229,7 +249,7 @@ func RunCrashDrill(opts DrillOpts) (*DrillReport, error) {
 	rep.Crashed = plane.Crashed()
 	rep.Trace = plane.Trace()
 	rep.WarmFrames = len(warm)
-	return crashVerify(rep, node, keys, oids, attempts, warm)
+	return crashVerify(rep, node, keys, oids, attempts, warm, roots)
 }
 
 // workerResult is one workload session's share of the report.
@@ -237,6 +257,7 @@ type workerResult struct {
 	DrillReport                 // Committed, Aborted, InDoubt, Retries
 	attempts    int64           // transactions that reached their counter increment
 	warm        []drillCohFrame // the client's warm cache at the kill
+	roots       []drillRoot     // the roots its transactions named (DrillOpts.Roots)
 }
 
 // drillWorker is one workload session: seeded update transactions over
@@ -270,6 +291,13 @@ func drillWorker(srv *esm.Server, keys oracle, oids []esm.OID, lo, hi int, rng *
 			}
 			vals[lo+i] = v
 		}
+		if opts.Roots {
+			i := lo + picked[0]
+			r.roots = append(r.roots, drillRoot{name: fmt.Sprintf("drill.tx.%d.%d", lo, t), oid: oids[i], key: i, val: vals[i]})
+			if err := w.SetRoot(r.roots[len(r.roots)-1].name, oids[i], uint64(t)); err != nil || t == opts.Txns {
+				return r // in flight at the kill: its values and its root must be gone
+			}
+		}
 		r.attempts++
 		if _, err := w.Counter("drill.count", 1); err != nil {
 			return r
@@ -287,10 +315,16 @@ func drillWorker(srv *esm.Server, keys oracle, oids []esm.OID, lo, hi int, rng *
 			// transaction happened, independently of the other sessions'.
 			keys.cutOff(vals)
 			r.InDoubt = true
+			if opts.Roots {
+				r.roots[len(r.roots)-1].cut = true
+			}
 			return r
 		}
 		keys.acked(vals)
 		r.Committed++
+		if opts.Roots {
+			r.roots[len(r.roots)-1].acked = true
+		}
 	}
 	return r
 }
@@ -298,7 +332,7 @@ func drillWorker(srv *esm.Server, keys oracle, oids []esm.OID, lo, hi int, rng *
 // crashVerify kills the node, restarts it the way a fresh process would,
 // and sweeps every recovery invariant.
 func crashVerify(rep *DrillReport, node *drillNode, keys oracle, oids []esm.OID,
-	attempts int64, warm []drillCohFrame) (*DrillReport, error) {
+	attempts int64, warm []drillCohFrame, roots []drillRoot) (*DrillReport, error) {
 	if err := node.kill(); err != nil {
 		return nil, err
 	}
@@ -366,6 +400,20 @@ func crashVerify(rep *DrillReport, node *drillNode, keys oracle, oids []esm.OID,
 		data, _, err := v.ReadObject(oids[i])
 		return data, err
 	})
+
+	// Invariant: a transaction's root went the way of its writes.
+	for _, rt := range roots {
+		oid, _, err := v.GetRoot(rt.name)
+		present, want := err == nil && oid == rt.oid, rt.acked
+		if rt.cut {
+			data, _, err := v.ReadObject(oids[rt.key])
+			got, _ := getValue(data)
+			want = err == nil && got == rt.val
+		}
+		if present != want {
+			rep.violate("root %s present=%v after restart, want %v (acked %v, cut off %v)", rt.name, present, want, rt.acked, rt.cut)
+		}
+	}
 
 	// Invariant: the attempts counter survived within its bounds — every
 	// acked commit carried it to the catalog, and nothing can exceed the

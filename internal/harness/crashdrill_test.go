@@ -299,3 +299,32 @@ func TestCrashDrillCoherenceSweepNonVacuous(t *testing.T) {
 		t.Error("no coherence frames captured; the sweep is vacuous")
 	}
 }
+
+// TestCrashDrillKillsSetRootBeforeCommit: every workload transaction names a
+// root after its writes. Without a crash point the node is killed with the
+// last transaction between its SetRoot and its commit; with one armed on the
+// commit path, the third commit is cut off there, its directory records
+// applied but its commit record not (yet) durable. After restart each
+// acknowledged transaction's root is present, each aborted or in-flight
+// one's absent, and a cut-off one's present exactly when its values are.
+func TestCrashDrillKillsSetRootBeforeCommit(t *testing.T) {
+	points := []faultinject.Point{0, faultinject.PtCommitAfterInstall, faultinject.PtCohAfterBump,
+		faultinject.PtCommitBeforeFlush, faultinject.PtCommitAfterFlush}
+	for _, pt := range points {
+		for seed := int64(1); seed <= 3; seed++ {
+			rep, err := RunCrashDrill(DrillOpts{Seed: seed, Point: pt, HitN: 3, Txns: 6, AbortEvery: 4, Roots: true, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pt != 0 && !rep.Crashed {
+				t.Errorf("point=%q seed=%d: the point never fired", pt, seed)
+			}
+			if rep.Committed == 0 {
+				t.Errorf("point=%q seed=%d: no transaction committed; the root check is vacuous", pt, seed)
+			}
+			for _, v := range rep.Violations {
+				t.Errorf("point=%q seed=%d: %s (trace %v)", pt, seed, v, rep.Trace)
+			}
+		}
+	}
+}

@@ -87,7 +87,10 @@ func New(clock *sim.Clock, pool *buffer.Pool, fetch func(pids []disk.PageID) err
 	if clock == nil {
 		clock = sim.NewClock(sim.CostModel{})
 	}
-	return &Prefetcher{clock: clock, pool: pool, fetch: fetch, window: InitialWindow}
+	// The queue and the round trip under assembly are sized for their bounds
+	// once, so a fresh session does not regrow them on its fault path.
+	return &Prefetcher{clock: clock, pool: pool, fetch: fetch, window: InitialWindow,
+		queue: make([]disk.PageID, 0, MaxQueue), frame: make([]disk.PageID, 0, MaxFrame)}
 }
 
 // Window returns the current bound on outstanding speculative frames.

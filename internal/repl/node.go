@@ -1089,6 +1089,9 @@ func (n *Node) sendSnapshot(p *peer, term uint64) {
 	if err != nil {
 		return
 	}
+	// Counted as it goes out: the follower may install it, and be seen
+	// caught up, before this call returns.
+	n.stats.snapshots.Add(1)
 	resp, err := p.tr.Call(&esm.Request{
 		Op:   esm.OpReplSnapshot,
 		Tx:   term,
@@ -1120,7 +1123,6 @@ func (n *Node) sendSnapshot(p *peer, term uint64) {
 	}
 	n.mu.Unlock()
 	resp.Release()
-	n.stats.snapshots.Add(1)
 }
 
 // buildSnapshot captures a fuzzy but consistent cut of the leader as a

@@ -362,10 +362,11 @@ func TestDirectorFailsOverOnlyUnrunBeginningCommits(t *testing.T) {
 	}
 }
 
-// TestCatalogReachesPromotedFollowerThroughTheLog: a root and a file set on
-// the leader before an acked commit are catalog records below the commit's
-// LSN, so the quorum that acks the commit holds them, and a promoted
-// follower reads them back from its own log. No snapshot is involved.
+// TestCatalogReachesPromotedFollowerThroughTheLog: a file created on the
+// leader before an acked commit is a catalog record below the commit's LSN,
+// and a root set in it is a record of the commit itself, so the quorum that
+// acks the commit holds both, and a promoted follower reads them back from
+// its own log. No snapshot is involved.
 func TestCatalogReachesPromotedFollowerThroughTheLog(t *testing.T) {
 	nodes := newCluster(t, 3, 2)
 	leader := nodes[0].node
@@ -405,6 +406,61 @@ func TestCatalogReachesPromotedFollowerThroughTheLog(t *testing.T) {
 	}
 	if got, err := v.OpenFile("cat.file"); err != nil || got != fid {
 		t.Fatalf("file on the promoted follower = %d, %v; want %d", got, err, fid)
+	}
+	if err := v.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRootReadsBackOnPromotedFollower: a root committed on the leader reads
+// back on a promoted follower, and one whose transaction aborted on the
+// leader does not: the follower redoes the directory page's records from
+// the log it was shipped, commit and abort alike.
+func TestRootReadsBackOnPromotedFollower(t *testing.T) {
+	nodes := newCluster(t, 3, 2)
+	c := esm.NewClient(nodes[0].node.Transport(), esm.ClientConfig{BufferPages: 8})
+	kept, dropped := esm.OID{Page: 9, Slot: 1}, esm.OID{Page: 9, Slot: 2}
+	for _, commit := range []bool{true, false} {
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		oid := kept
+		if !commit {
+			oid = dropped
+		}
+		for _, name := range []string{"root.kept", fmt.Sprintf("root.%v", commit)} {
+			if err := c.SetRoot(name, oid, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		end := c.Commit
+		if !commit {
+			end = c.Abort
+		}
+		if err := end(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, nodes)
+	kill(nodes[0])
+	best := nodes[1]
+	if nodes[2].log.FlushedLSN() > best.log.FlushedLSN() {
+		best = nodes[2]
+	}
+	if err := best.node.Campaign(); err != nil {
+		t.Fatalf("campaign on %s: %v", best.node.ID(), err)
+	}
+	v := esm.NewClient(best.node.Transport(), esm.ClientConfig{BufferPages: 8})
+	if err := v.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"root.kept", "root.true"} {
+		if got, aux, err := v.GetRoot(name); err != nil || got != kept || aux != 5 {
+			t.Errorf("%s on the promoted follower = %v/%d, %v; want %v/5", name, got, aux, err, kept)
+		}
+	}
+	if got, _, err := v.GetRoot("root.false"); err == nil {
+		t.Errorf("the aborted root.false is on the promoted follower: %v", got)
 	}
 	if err := v.Commit(); err != nil {
 		t.Fatal(err)

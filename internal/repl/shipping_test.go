@@ -278,17 +278,25 @@ func TestCommitWaitsOnlyForTheQuorum(t *testing.T) {
 // snapTap records the size of every snapshot frame through it.
 type snapTap struct {
 	esm.Transport
-	mu    sync.Mutex
-	sizes []int
+	mu        sync.Mutex
+	sizes     []int
+	installed int // snapshot frames the follower answered: its pages are written
 }
 
 func (s *snapTap) Call(req *esm.Request) (*esm.Response, error) {
-	if req.Op == esm.OpReplSnapshot {
+	if req.Op != esm.OpReplSnapshot {
+		return s.Transport.Call(req)
+	}
+	s.mu.Lock()
+	s.sizes = append(s.sizes, len(req.Data))
+	s.mu.Unlock()
+	resp, err := s.Transport.Call(req)
+	if err == nil && resp.Err == "" {
 		s.mu.Lock()
-		s.sizes = append(s.sizes, len(req.Data))
+		s.installed++
 		s.mu.Unlock()
 	}
-	return s.Transport.Call(req)
+	return resp, err
 }
 
 // TestSnapshotShipsSparse: a leader volume of 1,024 pages, 16 of them
@@ -322,8 +330,12 @@ func TestSnapshotShipsSparse(t *testing.T) {
 	f.AddPeer("n1", "", leader.Transport())
 	tap := &snapTap{Transport: f.Transport()}
 	leader.AddPeer("n2", "", tap)
+	// The follower's log reaches the leader's durable end before its pages
+	// are written: wait for the install's answer.
 	waitFor(t, "the follower to install a snapshot", func() bool {
-		return leader.ReplStats().SnapshotsSent >= 1 && fLog.FlushedLSN() == leader.DurableLSN()
+		tap.mu.Lock()
+		defer tap.mu.Unlock()
+		return tap.installed >= 1 && fLog.FlushedLSN() == leader.DurableLSN()
 	})
 	tap.mu.Lock()
 	sizes := slices.Clone(tap.sizes)

@@ -277,7 +277,7 @@ func (r *Router) Call(req *esm.Request) (*esm.Response, error) {
 		out.N = uint64(GlobalFile(shard, uint32(resp.N)))
 		return &out, nil
 
-	case esm.OpGetRoot, esm.OpSetRoot, esm.OpCounter:
+	case esm.OpCounter:
 		return r.call(ShardOfName(req.Name, len(r.trs)), req)
 
 	case esm.OpCheckpoint:
@@ -498,7 +498,9 @@ func (r *Router) lockPages(req *esm.Request) (*esm.Response, error) {
 // only to a shard the transaction has already begun on: a read never
 // enlists a shard, since reading alone gives a shard nothing to commit, and
 // enlisting it would only widen the commit. Snapshot reads (N != 0) pass
-// through only on a one-shard cluster, as BeginSnapshot does.
+// through only on a one-shard cluster, as BeginSnapshot does. A root
+// directory read (Name set) goes whole to the shard that owns the name, and
+// its answer names that shard's directory page globally in Page.
 func (r *Router) readPages(req *esm.Request) (*esm.Response, error) {
 	if req.N != 0 && len(r.trs) != 1 {
 		return nil, fmt.Errorf("shard: snapshot reads not supported on a %d-shard cluster (snapshots are per-shard)", len(r.trs))
@@ -514,6 +516,16 @@ func (r *Router) readPages(req *esm.Request) (*esm.Response, error) {
 			return nil, err
 		}
 		_, locals = t.footprint()
+	}
+	if req.Name != "" {
+		shard := ShardOfName(req.Name, len(r.trs))
+		fwd := *req
+		fwd.Tx = locals[shard]
+		resp, err := r.call(shard, &fwd)
+		if err == nil {
+			resp.Page = GlobalPage(shard, req.Page)
+		}
+		return resp, err
 	}
 	_, reqs := splitEntries(esm.OpReadPages, req.Data, n, nil)
 	for shard, fwd := range reqs {

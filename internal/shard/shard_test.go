@@ -269,6 +269,10 @@ func TestCrossShardAbort(t *testing.T) {
 	}
 }
 
+// TestRootsAndCountersRouteByName: a counter and a root live on the shard
+// their name hashes to. Roots are entries of that shard's root directory
+// page, so eight roots set in one transaction commit across the shards they
+// land on, and a second session reads each back with one call routed by name.
 func TestRootsAndCountersRouteByName(t *testing.T) {
 	srvs, r := newCluster(t, 4, Config{Affinity: -1})
 	c := esm.NewClient(r, esm.ClientConfig{BufferPages: 8})
@@ -280,13 +284,20 @@ func TestRootsAndCountersRouteByName(t *testing.T) {
 		if _, err := c.Counter(name, uint64(i)+1); err != nil {
 			t.Fatal(err)
 		}
+		if err := c.SetRoot(fmt.Sprintf("root.%d", i), esm.OID{Page: disk.PageID(i + 2)}, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, aux, err := c.GetRoot("root.3"); err != nil || got.Page != 5 || aux != 3 {
+		t.Fatalf("root.3 inside its transaction = %v/%d, %v", got, aux, err)
 	}
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Each counter lives on exactly its hash shard; a second pass reads
-	// every one back through the router.
-	c2 := esm.NewClient(r, esm.ClientConfig{BufferPages: 8})
+	// Each counter and root lives on exactly its hash shard; a second pass
+	// reads every one back through the router.
+	tap := &callTap{Router: r}
+	c2 := esm.NewClient(tap, esm.ClientConfig{BufferPages: 8})
 	if err := c2.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +310,45 @@ func TestRootsAndCountersRouteByName(t *testing.T) {
 		if got != uint64(i)+1 {
 			t.Fatalf("counter %s = %d", name, got)
 		}
+		name = fmt.Sprintf("root.%d", i)
+		calls := tap.calls
+		oid, aux, err := c2.GetRoot(name)
+		if err != nil || oid.Page != disk.PageID(i+2) || aux != uint64(i) {
+			t.Fatalf("root %s = %v/%d, %v", name, oid, aux, err)
+		}
+		if n := tap.calls - calls; n != 1 {
+			t.Errorf("reading root %s took %d calls, want 1", name, n)
+		}
+		for shard, srv := range srvs {
+			entries := esm.AppendPageEntry(nil, 1, 0)
+			resp := srv.Handle(&esm.Request{Op: esm.OpReadPages, Page: 1, Data: entries})
+			a := esm.ReadAnswers(entries, resp.Data)
+			dir := make([]byte, disk.PageSize)
+			if !a.Next() || a.Apply(dir) != nil {
+				t.Fatalf("shard %d: directory unreadable: %s %v", shard, resp.Err, a.Err())
+			}
+			if has := bytes.Contains(dir, []byte(name)); has != (shard == ShardOfName(name, len(srvs))) {
+				t.Errorf("root %s on shard %d: %v (its name routes to shard %d)", name, shard, has, ShardOfName(name, len(srvs)))
+			}
+		}
 	}
 	if err := c2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	_ = srvs
+	if st := r.Stats(); st.CrossCommits != 1 {
+		t.Errorf("%d cross-shard commits, want 1: the roots' transaction", st.CrossCommits)
+	}
+}
+
+// callTap counts a Router's calls and keeps it a sharding transport.
+type callTap struct {
+	*Router
+	calls int
+}
+
+func (c *callTap) Call(req *esm.Request) (*esm.Response, error) {
+	c.calls++
+	return c.Router.Call(req)
 }
 
 func TestStatsAggregate(t *testing.T) {

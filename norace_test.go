@@ -7,5 +7,6 @@ const (
 	maxHotT1Allocs        = 8
 	maxAllocsPerFault     = 1
 	maxAllocsPerMuxFault  = 1
-	maxAllocsPerColdFault = 0.25
+	maxColdSessionAllocs  = 130
+	maxAllocsPerColdFault = 0.2
 )

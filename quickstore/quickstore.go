@@ -276,7 +276,10 @@ func (tx *Tx) AllocLarge(cl *Cluster, size uint64) (Ref, error) {
 	return tx.s.core.AllocLarge(cl, size)
 }
 
-// SetRoot names a persistent entry point.
+// SetRoot names a persistent entry point. The root is transactional data:
+// other sessions see it from the transaction's commit on, and an aborted
+// transaction leaves the name as it was. The directory holding roots is
+// one page; a root it has no room for is refused.
 func (tx *Tx) SetRoot(name string, r Ref) error { return tx.s.core.SetRoot(name, r) }
 
 // Root resolves a persistent entry point.

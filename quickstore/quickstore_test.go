@@ -86,6 +86,70 @@ func TestUpdateErrorAborts(t *testing.T) {
 	})
 }
 
+// TestAbortedSetRootIsUndone: a root is transactional data. SetRoot in a
+// transaction that aborts leaves the root as the last commit left it — a
+// renamed root keeps its old object, a new name does not exist — both in
+// the session that aborted and after the store is closed and reopened.
+func TestAbortedSetRootIsUndone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.qs")
+	st, err := quickstore.Create(path, quickstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b quickstore.Ref
+	if err := st.Update(func(tx *quickstore.Tx) error {
+		cl := tx.NewCluster()
+		if a, err = tx.Alloc(cl, 16, nil); err != nil {
+			return err
+		}
+		if b, err = tx.Alloc(cl, 16, nil); err != nil {
+			return err
+		}
+		return tx.SetRoot("r", a)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := st.Update(func(tx *quickstore.Tx) error {
+		if err := tx.SetRoot("r", b); err != nil {
+			return err
+		}
+		if err := tx.SetRoot("fresh", b); err != nil {
+			return err
+		}
+		if got, err := tx.Root("r"); err != nil || got != b {
+			t.Errorf("inside its transaction root r = %#x, %v; want %#x", got, err, b)
+		}
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("Update = %v, want %v", err, boom)
+	}
+	check := func(st *quickstore.Store, when string) {
+		t.Helper()
+		if err := st.View(func(tx *quickstore.Tx) error {
+			if got, err := tx.Root("r"); err != nil || got != a {
+				t.Errorf("%s: root r = %#x, %v; want %#x", when, got, err, a)
+			}
+			if got, err := tx.Root("fresh"); err == nil {
+				t.Errorf("%s: root fresh = %#x, want no such root", when, got)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(st, "after the abort")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := quickstore.Open(path, quickstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	check(st2, "after reopening")
+}
+
 func TestUpdatePanicAborts(t *testing.T) {
 	st, _ := quickstore.CreateMem(quickstore.Options{})
 	defer st.Close()
@@ -295,6 +359,9 @@ func TestSnapshotSession(t *testing.T) {
 		// Writes inside the snapshot session must be refused.
 		if err := tx.WriteU32(r, 99); !errors.Is(err, quickstore.ErrSnapshotReadOnly) {
 			t.Errorf("write inside snapshot: err = %v, want ErrSnapshotReadOnly", err)
+		}
+		if err := tx.SetRoot("n", quickstore.NilRef); !errors.Is(err, quickstore.ErrSnapshotReadOnly) {
+			t.Errorf("SetRoot inside snapshot: err = %v, want ErrSnapshotReadOnly", err)
 		}
 		return nil
 	})

@@ -11,5 +11,6 @@ const (
 	maxHotT1Allocs        = 64
 	maxAllocsPerFault     = 8
 	maxAllocsPerMuxFault  = 8
+	maxColdSessionAllocs  = 1000
 	maxAllocsPerColdFault = 4
 )
