@@ -12,8 +12,11 @@ import (
 // TestLogVolumeHotT2B: a hot T2B on OO7 small writes one update record per
 // page run, not one per diff region — at most the pages it wrote plus a few
 // (mapping objects, a page diffed twice) — and at most 150 KB of log, where
-// one record per region wrote 9,802 records and 218 KB. Every batch's
-// leading count, in an OpLog or riding the OpCommit, is the number of update
+// one record per region wrote 9,802 records and 218 KB. Its OpLog and
+// OpCommit requests carry at most 85 KB of data: the records without their
+// before-images, which the server writes into the log from its own pages
+// (127 KB while the client shipped both images). Every batch's leading
+// count, in an OpLog or riding the OpCommit, is the number of update
 // records the server appended for it.
 func TestLogVolumeHotT2B(t *testing.T) {
 	env, err := smallDB()
@@ -27,11 +30,12 @@ func TestLogVolumeHotT2B(t *testing.T) {
 	}
 	log := env.Srv.Log()
 	pages := map[disk.PageID]bool{}
-	var batched, regions int64
+	var batched, regions, sent int64
 	tr.before = func(req *esm.Request) *esm.Response {
 		if req.Op != esm.OpLog && req.Op != esm.OpCommit {
 			return nil
 		}
+		sent += int64(len(req.Data))
 		pl, err := esm.ReadPayload(req.Data)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +71,8 @@ func TestLogVolumeHotT2B(t *testing.T) {
 	}
 	appended := log.Records() - records - 2 // the begin and the commit record
 	kb := float64(log.Bytes()-bytes) / 1024
-	t.Logf("hot T2B: %d update records (%d regions) over %d pages, %.1f KB of log", appended, regions, len(pages), kb)
+	wireKB := float64(sent) / 1024
+	t.Logf("hot T2B: %d update records (%d regions) over %d pages, %.1f KB of log, %.1f KB of OpLog and OpCommit data", appended, regions, len(pages), kb, wireKB)
 	if appended != batched {
 		t.Errorf("the server appended %d update records, the batches counted %d", appended, batched)
 	}
@@ -79,5 +84,8 @@ func TestLogVolumeHotT2B(t *testing.T) {
 	}
 	if kb > 150 {
 		t.Errorf("hot T2B wrote %.1f KB of log, want <= 150", kb)
+	}
+	if wireKB > 85 {
+		t.Errorf("hot T2B sent %.1f KB in its OpLog and OpCommit requests, want <= 85", wireKB)
 	}
 }

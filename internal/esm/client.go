@@ -70,10 +70,11 @@ type Client struct {
 	nrecs   uint32 // records in the batch, the open one included
 
 	// open is the update record LogUpdate is folding regions into, not yet
-	// in pending: a LogUpdate for the same page at or past openEnd (the end
-	// of its last region) joins it, anything else closes it. Its first
-	// region's images are copies in openImg; its More is scratch too.
-	open    wal.Record
+	// in pending, in the wire form (no before-images): a LogUpdate for the
+	// same page at or past openEnd (the end of its last region) joins it,
+	// anything else closes it. Its first region's after-image is a copy in
+	// openImg; its More is scratch too.
+	open    wal.WireUpdate
 	openImg []byte
 	openEnd int
 	isOpen  bool
@@ -809,27 +810,30 @@ type ShardStamper interface {
 }
 
 // LogUpdate logs a physical update (before/after images for the byte range
-// at off on page pid) for the current transaction, in the encoding the
-// server's log will hold it in. old is empty or as long as new. Consecutive
-// updates of one page that do not run backwards — a page's diff, a fresh
-// page's two halves — become regions of one record: one header, one
-// checksum, one append at the server. The cost model is charged per region:
-// internal/sim prices the paper's protocol, one header per range.
+// at off on page pid) for the current transaction. old is empty (a redo-only
+// update) or as long as new. Only new is shipped: old says the update has
+// an undo, which the server writes into its log from its own copy of the
+// page, the bytes old holds (wal.WireUpdate). Consecutive updates of one
+// page that do not run backwards — a page's diff, a fresh page's two
+// halves — become regions of one record: one header, one checksum, one
+// append at the server. The cost model is charged per region, for both
+// images: internal/sim prices the paper's protocol, in which the client
+// ships both and one header per range.
 func (c *Client) LogUpdate(pid disk.PageID, off int, old, new []byte) {
-	c.appendUpdate(pid, off, old, new)
+	c.appendUpdate(pid, off, len(old) != 0, new)
 	c.clock.Charge(sim.CtrLogRecord, 1)
 	c.clock.Charge(sim.CtrLogByte, int64(len(old)+len(new)))
 }
 
 // appendUpdate is LogUpdate without the charge: a root directory edit's
 // records, which the 1994 model never priced.
-func (c *Client) appendUpdate(pid disk.PageID, off int, old, new []byte) {
+func (c *Client) appendUpdate(pid disk.PageID, off int, undo bool, new []byte) {
 	if c.isOpen && c.open.Page == uint32(pid) && off >= c.openEnd {
-		c.open.More = wal.AppendRegion(c.open.More, off-c.openEnd, old, new)
+		c.open.More = wal.AppendWireRegion(c.open.More, off-c.openEnd, undo, new)
 	} else {
 		c.closeRecord()
-		c.openImg = append(append(c.openImg[:0], old...), new...)
-		c.open = wal.Record{Page: uint32(pid), Off: uint16(off), Old: c.openImg[:len(old)], New: c.openImg[len(old):], More: c.open.More[:0]}
+		c.openImg = append(c.openImg[:0], new...)
+		c.open = wal.WireUpdate{Page: uint32(pid), Off: uint16(off), Undo: undo, New: c.openImg, More: c.open.More[:0]}
 		c.isOpen = true
 		c.nrecs++
 	}
@@ -839,7 +843,7 @@ func (c *Client) appendUpdate(pid disk.PageID, off int, old, new []byte) {
 // closeRecord moves the open record, if any, into the pending batch.
 func (c *Client) closeRecord() {
 	if c.isOpen {
-		c.pending = wal.AppendBody(c.pending, &c.open)
+		c.pending = wal.AppendWire(c.pending, &c.open)
 		c.isOpen = false
 	}
 }
@@ -940,7 +944,7 @@ func (c *Client) Commit() error {
 	}
 	edited := len(c.dir.edits) != 0
 	for _, e := range c.dir.edits {
-		c.appendUpdate(e.pid, e.off, e.old, e.new)
+		c.appendUpdate(e.pid, e.off, true, e.new)
 	}
 	c.sealBatch()
 	cleaned := c.cleaned[:0]

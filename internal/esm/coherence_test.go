@@ -540,7 +540,7 @@ func (w *wireTap) Call(req *Request) (*Response, error) {
 		}
 		for _, _, image, ok := pl.Page(); ok; _, _, image, ok = pl.Page() {
 			if req.Op == OpCommit {
-				w.commitData += payloadPageHead + 4 + len(image) // head, length, image
+				w.commitData += payloadPageHead + 4 + len(image.Bytes()) // head, length, image
 			}
 		}
 		w.batches = append(w.batches, bytes.Clone(req.Data))

@@ -9,7 +9,6 @@ import (
 
 	"quickstore/internal/disk"
 	"quickstore/internal/faultinject"
-	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -26,7 +25,7 @@ func payloadValid(data []byte) (records int, valid bool) {
 	}
 	records, p := int(binary.LittleEndian.Uint32(data)), 4
 	for i := 0; i < records; i++ {
-		rec, n, err := wal.DecodeUpdate(data[p:])
+		rec, n, err := wal.DecodeWire(data[p:])
 		if err != nil || rec.CheckRange(disk.PageSize) != nil {
 			return 0, false
 		}
@@ -165,11 +164,11 @@ func TestPayloadSplitRoundTrip(t *testing.T) {
 		}
 		for pid, r, image, ok := pl.Page(); ok; pid, r, image, ok = pl.Page() {
 			got := make([]byte, disk.PageSize)
-			if err := pagedelta.ApplyImage(got, image); err != nil || !bytes.Equal(got, img(byte(pid/10))) {
+			if image.Apply(got); !bytes.Equal(got, img(byte(pid/10))) {
 				t.Fatalf("part %d: page %d carries another page's image", part, pid)
 			}
-			if sparse := pid/10%2 == 0; sparse != (len(image) < disk.PageSize) {
-				t.Fatalf("part %d: page %d split into a %d-byte image, want it sparse: %v", part, pid, len(image), sparse)
+			if sparse := pid/10%2 == 0; sparse != (len(image.Bytes()) < disk.PageSize) {
+				t.Fatalf("part %d: page %d split into a %d-byte image, want it sparse: %v", part, pid, len(image.Bytes()), sparse)
 			}
 			pages, raw = append(pages, pid), append(raw, r)
 		}
@@ -503,6 +502,7 @@ func FuzzCommitPayload(f *testing.F) {
 	f.Add(true, logBatch())
 	f.Add(false, logBatch(wal.Record{Page: 2, Off: 16, Old: []byte{0, 0}, New: []byte{7, 7}}))
 	f.Add(true, logBatch(pageRun(2, 0x40), pageRun(3, 0x60)))
+	f.Add(false, AppendPayloadPage(wireBatch(), 3, false, sparsePage()))
 	f.Add(false, AppendPayloadPage(logBatch(pageRun(2, 0x40)), 2, false, bytes.Repeat([]byte{9}, disk.PageSize)))
 	f.Add(true, AppendPayloadPage(logBatch(), 3, true, bytes.Repeat([]byte{5}, disk.PageSize)))
 	f.Add(true, AppendPayloadPage(logBatch(), 2, false, sparsePage()))

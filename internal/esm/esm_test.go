@@ -286,7 +286,7 @@ func TestSetRootRejectsMalformedOID(t *testing.T) {
 		used := binary.LittleEndian.Uint16(before[dirUsedAt:])
 		shorter := binary.LittleEndian.AppendUint16(nil, used-uint16(cut))
 		rec := wal.Record{Page: uint32(dirPage), Off: dirUsedAt, Old: before[dirUsedAt : dirUsedAt+2], New: shorter}
-		payload := wal.AppendBody(binary.LittleEndian.AppendUint32(nil, 1), &rec)
+		payload := wireBody(binary.LittleEndian.AppendUint32(nil, 1), &rec)
 		if resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin, Data: payload}); resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
@@ -307,7 +307,7 @@ func TestSetRootRejectsMalformedOID(t *testing.T) {
 		}
 		binary.LittleEndian.PutUint16(before[dirUsedAt:], used) // the next cut starts from the whole entry
 		rec = wal.Record{Page: uint32(dirPage), Off: dirUsedAt, Old: shorter, New: before[dirUsedAt : dirUsedAt+2]}
-		payload = wal.AppendBody(binary.LittleEndian.AppendUint32(nil, 1), &rec)
+		payload = wireBody(binary.LittleEndian.AppendUint32(nil, 1), &rec)
 		if resp := srv.Handle(&Request{Op: OpCommit, Tx: TxBegin, Data: payload}); resp.Err != "" {
 			t.Fatal(resp.Err)
 		}

@@ -10,13 +10,27 @@ import (
 	"quickstore/internal/wal"
 )
 
-// logBatch builds an OpLog payload from records (Page, Off, Old, New, More).
+// logBatch builds an OpLog payload from records (Page, Off, Old, New, More)
+// as a client ships them (wireBody).
 func logBatch(recs ...wal.Record) []byte {
 	bodies := make([][]byte, len(recs))
 	for i := range recs {
-		bodies[i] = wal.AppendBody(nil, &recs[i])
+		bodies[i] = wireBody(nil, &recs[i])
 	}
 	return rawBatch(bodies...)
+}
+
+// wireBody appends rec's update body in the wire form (wal.AppendWire): its
+// regions, each marked Undo where rec has a before-image, which the server
+// takes from its own page; rec's before-images themselves are not sent.
+func wireBody(dst []byte, rec *wal.Record) []byte {
+	u := wal.WireUpdate{Page: rec.Page, Off: rec.Off, Undo: len(rec.Old) != 0, New: rec.New}
+	it := rec.Regions()
+	it.Next()
+	for end := it.Off + len(it.New); it.Next(); end = it.Off + len(it.New) {
+		u.More = wal.AppendWireRegion(u.More, it.Off-end, it.Undo, it.New)
+	}
+	return wal.AppendWire(dst, &u)
 }
 
 // rawBatch frames update bodies, well-formed or not, as an OpLog payload.
@@ -165,17 +179,27 @@ func TestAbortReadsOnlyItsOwnChain(t *testing.T) {
 	}
 }
 
+// wireBatch is a batch built straight in the wire form, as a client builds
+// one: a run of undoable regions with a redo-only one among them, and a
+// redo-only record at the page's end.
+func wireBatch() []byte {
+	u := wal.WireUpdate{Page: 2, Off: 16, Undo: true, New: []byte{7, 7}}
+	u.More = wal.AppendWireRegion(wal.AppendWireRegion(u.More, 30, false, []byte{8}), 0, true, []byte{9, 9, 9})
+	b := wal.AppendWire(binary.LittleEndian.AppendUint32(nil, 2), &u)
+	return wal.AppendWire(b, &wal.WireUpdate{Page: 3, Off: disk.PageSize - 2, New: []byte{1, 2}})
+}
+
 // poisonBatches are batches the server must refuse: appended, any of the
 // first three would fail the server's own redo and every later restart; the
-// rest are not the encoding (wal.AppendBody) at all. A before-image of
+// rest are not the encoding (wal.AppendWire) at all. A before-image of
 // another length than its after-image, and a record that is not an update,
 // were poison once; the encoding can no longer say either.
 func poisonBatches(pid uint32) map[string][]byte {
-	good := wal.AppendBody(nil, &wal.Record{Page: pid, Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}})
+	good := wireBody(nil, &wal.Record{Page: pid, Off: 64, Old: []byte{0, 0}, New: []byte{1, 2}})
 	return map[string][]byte{
-		"after-image past the page":  rawBatch(good, wal.AppendBody(nil, &wal.Record{Page: pid, Off: disk.PageSize - 1, New: []byte{1, 2}})),
-		"before-image past the page": rawBatch(good, wal.AppendBody(nil, &wal.Record{Page: pid, Off: disk.PageSize - 1, Old: []byte{1, 2}, New: []byte{3, 4}})),
-		"a later region past the page": rawBatch(good, wal.AppendBody(nil, &wal.Record{Page: pid, Off: 8000, Old: []byte{0}, New: []byte{1},
+		"after-image past the page":  rawBatch(good, wireBody(nil, &wal.Record{Page: pid, Off: disk.PageSize - 1, New: []byte{1, 2}})),
+		"before-image past the page": rawBatch(good, wireBody(nil, &wal.Record{Page: pid, Off: disk.PageSize - 1, Old: []byte{1, 2}, New: []byte{3, 4}})),
+		"a later region past the page": rawBatch(good, wireBody(nil, &wal.Record{Page: pid, Off: 8000, Old: []byte{0}, New: []byte{1},
 			More: wal.AppendRegion(nil, 190, []byte{0, 0}, []byte{1, 2})})), // [8191,8193)
 		"region list shorter than it says": rawBatch(good, []byte{byte(pid), 8, 1, 1 << 1, 7, 9, 4, 1 << 1, 7}),
 		"region list flag with no list":    rawBatch(good, []byte{byte(pid), 8, 1, 1 << 1, 7}),
@@ -222,6 +246,7 @@ func FuzzLogBatch(f *testing.F) {
 	f.Add(logBatch(wal.Record{Type: wal.RecUpdate, Page: 900, Off: 16, New: []byte{7}})) // past the volume
 	f.Add(logBatch(pageRun(2, 0x40), pageRun(3, 0x60), wal.Record{Page: 2, Off: 64, Old: bytes.Repeat([]byte{0x40}, 5), New: []byte("again")}))
 	f.Add(logBatch(wal.Record{Page: 1, Off: 8100, New: []byte{1}, More: wal.AppendRegion(wal.AppendRegion(nil, 0, nil, nil), 80, []byte{0}, []byte{2})}))
+	f.Add(wireBatch()) // the wire form written out: undoable and redo-only regions, none with its before-image
 	for _, b := range poisonBatches(2) {
 		f.Add(b)
 	}

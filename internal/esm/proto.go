@@ -282,8 +282,10 @@ func PageEntry(data []byte, i int) (pid uint32, token uint64) {
 
 // A commit payload is the Data of OpLog, OpCommit and OpPrepare: empty, or a
 // log batch followed by a page section. The batch is a u32 count, then that
-// many update bodies in the log's own encoding (wal.AppendBody). The page
-// section holds one entry per page shipped whole:
+// many update bodies in the wire form (wal.AppendWire): the log's encoding
+// less every before-image, which the server fills from its own page as it
+// logs the record (Server.applyPayload). The page section holds one entry
+// per page shipped whole:
 //
 //	u32 pid | u8 raw | u32 len | image
 //
@@ -297,7 +299,21 @@ const payloadPageHead = 4 + 1
 // records in order, then Page its whole pages.
 type Payload struct {
 	records int    // records not yet yielded
-	rest    []byte // their bodies, then the page section
+	rest    []byte // their bodies
+
+	// The whole pages, their images checked: the first two inline, so
+	// that a commit of up to two pages allocates nothing, the rest in more.
+	// Page yields page next of npages.
+	inline       [2]payloadPage
+	more         []payloadPage
+	next, npages int
+}
+
+// payloadPage is one entry of a payload's page section, its image checked.
+type payloadPage struct {
+	pid   uint32
+	raw   bool
+	image pagedelta.Image
 }
 
 // ReadPayload checks a commit payload whole — every record decodes and stays
@@ -312,7 +328,7 @@ func ReadPayload(data []byte) (Payload, error) {
 	}
 	count, p := int(binary.LittleEndian.Uint32(data)), 4
 	for i := 0; i < count; i++ {
-		rec, n, err := wal.DecodeUpdate(data[p:])
+		rec, n, err := wal.DecodeWire(data[p:])
 		if err != nil {
 			return Payload{}, fmt.Errorf("esm: log batch record %d: %w", i, err)
 		}
@@ -321,44 +337,52 @@ func ReadPayload(data []byte) (Payload, error) {
 		}
 		p += n
 	}
+	pl := Payload{records: count, rest: data[4:p]}
 	for q := p; q < len(data); {
 		if len(data)-q < payloadPageHead || data[q+4] > 1 {
 			return Payload{}, fmt.Errorf("esm: malformed page section entry at byte %d", q)
 		}
-		_, n, err := pagedelta.ReadSizedImage(data[q+payloadPageHead:], disk.PageSize)
+		image, n, err := pagedelta.ReadSizedImage(data[q+payloadPageHead:], disk.PageSize)
 		if err != nil {
 			return Payload{}, fmt.Errorf("esm: page section entry at byte %d: %w", q, err)
 		}
+		e := payloadPage{binary.LittleEndian.Uint32(data[q:]), data[q+4] == 1, image}
+		if pl.npages < len(pl.inline) {
+			pl.inline[pl.npages] = e
+		} else {
+			pl.more = append(pl.more, e)
+		}
+		pl.npages++
 		q += payloadPageHead + n
 	}
-	return Payload{records: count, rest: data[4:]}, nil
+	return pl, nil
 }
 
-// Record returns the next record, false once every record was read. The
-// record's images alias the payload.
-func (p *Payload) Record() (wal.Record, bool) {
+// Record returns the next record, in the wire form, false once every record
+// was read. The record's images alias the payload.
+func (p *Payload) Record() (wal.WireUpdate, bool) {
 	if p.records == 0 {
-		return wal.Record{}, false
+		return wal.WireUpdate{}, false
 	}
-	rec, n, _ := wal.DecodeUpdate(p.rest) // checked by ReadPayload
+	rec, n, _ := wal.DecodeWire(p.rest) // checked by ReadPayload
 	p.rest, p.records = p.rest[n:], p.records-1
 	return rec, true
 }
 
-// Page returns the next whole page, skipping the records not yet read: its
-// id, whether it is raw, and its sparse image, aliasing the payload, which
-// pagedelta.ApplyImage decodes.
-func (p *Payload) Page() (pid uint32, raw bool, image []byte, ok bool) {
-	for p.records != 0 {
-		p.Record()
+// Page returns the next whole page: its id, whether it is raw, and its
+// image, checked and aliasing the payload.
+func (p *Payload) Page() (pid uint32, raw bool, image pagedelta.Image, ok bool) {
+	if p.next == p.npages {
+		return 0, false, pagedelta.Image{}, false
 	}
-	if len(p.rest) == 0 {
-		return 0, false, nil, false
+	var e payloadPage
+	if p.next < len(p.inline) {
+		e = p.inline[p.next]
+	} else {
+		e = p.more[p.next-len(p.inline)]
 	}
-	e := p.rest
-	n := payloadPageHead + 4 + int(binary.LittleEndian.Uint32(e[payloadPageHead:])) // ReadPayload checked the image
-	p.rest = e[n:]
-	return binary.LittleEndian.Uint32(e), e[4] == 1, e[payloadPageHead+4 : n : n], true
+	p.next++
+	return e.pid, e.raw, e.image, true
 }
 
 // AppendPayloadPage appends page, one whole page, as its sparse image to the
@@ -398,13 +422,13 @@ func SplitPayload(data []byte, part func(pid uint32) int, id func(pid uint32) ui
 	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
 		k := to(rec.Page)
 		rec.Page = id(rec.Page)
-		b := wal.AppendBody(parts[k], &rec)
+		b := wal.AppendWire(parts[k], &rec)
 		binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+1)
 		parts[k] = b
 	}
 	for pid, raw, image, ok := pl.Page(); ok; pid, raw, image, ok = pl.Page() {
 		k := to(pid)
-		parts[k] = pagedelta.AppendSized(appendPayloadHead(parts[k], id(pid), raw), image)
+		parts[k] = pagedelta.AppendSized(appendPayloadHead(parts[k], id(pid), raw), image.Bytes())
 	}
 	return parts, order, nil
 }

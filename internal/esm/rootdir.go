@@ -61,11 +61,13 @@ type rootDir struct {
 	edits []dirEdit
 }
 
-// dirEdit is one byte run a SetRoot wrote on a directory page.
+// dirEdit is one byte run a SetRoot wrote on a directory page. Its
+// before-image is the server's to write: the log batch carries only new,
+// marked undoable (wal.WireUpdate).
 type dirEdit struct {
-	pid      disk.PageID
-	off      int
-	old, new []byte
+	pid disk.PageID
+	off int
+	new []byte
 }
 
 // dirSlot stands for the directory slot in a Begin's ReadCheck batch
@@ -89,8 +91,7 @@ func (d *rootDir) redo() {
 
 // edit writes b at off in the held page and keeps the run for the commit.
 func (d *rootDir) edit(off int, b []byte) {
-	old := append([]byte(nil), d.data[off:off+len(b)]...)
-	d.edits = append(d.edits, dirEdit{d.pid, off, old, b})
+	d.edits = append(d.edits, dirEdit{d.pid, off, b})
 	copy(d.data[off:], b)
 }
 

@@ -1287,19 +1287,17 @@ var pageScratch = sync.Pool{New: func() any {
 // installPage places a shipped page in the server pool, dirty: the path of
 // every page the client could not vouch for as log-covered (bulk loads, raw
 // large-object pages, B-tree pages, plain MarkDirty callers). The page's
-// sparse image, checked by ReadPayload, is decoded into a pooled page
-// first. Under the content latch the ranges where the page differs from
-// the frame's prior bytes enter the page-change index, and a page with a
+// image, checked by ReadPayload, is decoded into a pooled page first. Under
+// the content latch the ranges where the page differs from the frame's
+// prior bytes enter the page-change index, and a page with a
 // header is stamped with the log's last LSN (End-1, its last byte), so no
 // record already redone onto it stands above its stamp for restart redo
 // and undo; a raw page is not stamped.
-func (s *Server) installPage(tx uint64, pid disk.PageID, raw bool, image []byte) error {
+func (s *Server) installPage(tx uint64, pid disk.PageID, raw bool, image pagedelta.Image) error {
 	buf := pageScratch.Get().(*[]byte)
 	defer pageScratch.Put(buf)
 	data := *buf
-	if err := pagedelta.ApplyImage(data, image); err != nil {
-		return err
-	}
+	image.Apply(data)
 	ref, err := s.pinForRedo(tx, pid)
 	if err != nil {
 		return err
@@ -1365,7 +1363,9 @@ func (s *Server) checkPayload(tx uint64, data []byte) (Payload, wal.LSN, error) 
 // the server's own page, as restart recovery would (one content latch and
 // one page LSN per record, the frame left dirty), chaining them behind
 // last, and then installs the whole pages, whose stamps cover those
-// records. It returns tx's last LSN.
+// records. A record arrives without its before-images: under the content
+// latch, before the redo, the page holds them, and the append writes them
+// from there into the log (wal.Log.AppendFilled). It returns tx's last LSN.
 func (s *Server) applyPayload(tx uint64, pl Payload, last wal.LSN) (wal.LSN, error) {
 	var err error
 	for rec, ok := pl.Record(); ok; rec, ok = pl.Record() {
@@ -1373,13 +1373,11 @@ func (s *Server) applyPayload(tx uint64, pl Payload, last wal.LSN) (wal.LSN, err
 		if ref, err = s.pinForRedo(tx, disk.PageID(rec.Page)); err != nil {
 			break
 		}
-		rec.Tx, rec.PrevLSN = tx, last
 		ref.Write(func(page []byte) {
-			rec.LSN = s.log.Append(rec)
-			rec.Redo(page, setPageLSN)
-			s.coh.noteRecord(&rec)
+			last = s.log.AppendFilled(tx, last, &rec, page)
+			rec.Redo(page, last, setPageLSN)
+			s.coh.noteRecord(rec.Page, last, rec.Regions())
 		})
-		last = rec.LSN
 		ref.MarkDirty()
 		ref.Release()
 		s.pagesLogApplied.Add(1)

@@ -373,7 +373,7 @@ func (p *payloadTap) Call(req *esm.Request) (*esm.Response, error) {
 		}
 		s := shipped{op: req.Op, bytes: esm.FramedBytes(req), images: map[disk.PageID]int{}}
 		for pid, _, img, ok := pl.Page(); ok; pid, _, img, ok = pl.Page() {
-			s.images[disk.PageID(pid)] = len(img)
+			s.images[disk.PageID(pid)] = len(img.Bytes())
 		}
 		p.mu.Lock()
 		p.sent = append(p.sent, s)

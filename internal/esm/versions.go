@@ -299,23 +299,23 @@ func (c *cohState) probe(pid disk.PageID) (ver uint64, pending int) {
 // latched copy.
 func (c *cohState) undone(clr *wal.Record) {
 	c.mu.Lock()
-	c.noteRecordLocked(clr)
+	c.noteRecordLocked(clr.Page, clr.LSN, clr.Regions())
 	c.setVerLocked(disk.PageID(clr.Page), uint64(clr.LSN))
 	c.mu.Unlock()
 }
 
-// noteRecord indexes an update record just redone onto its page: key its
-// LSN, one range per region. Called under the page's exclusive content
-// latch, in the same hold as the redo.
-func (c *cohState) noteRecord(r *wal.Record) {
+// noteRecord indexes an update record just redone onto page: key its LSN,
+// one range per region. Called under the page's exclusive content latch, in
+// the same hold as the redo.
+func (c *cohState) noteRecord(page uint32, lsn wal.LSN, it wal.RegionIter) {
 	c.mu.Lock()
-	c.noteRecordLocked(r)
+	c.noteRecordLocked(page, lsn, it)
 	c.mu.Unlock()
 }
 
-func (c *cohState) noteRecordLocked(r *wal.Record) {
-	c.noteLocked(disk.PageID(r.Page), uint64(r.LSN))
-	for it := r.Regions(); it.Next(); {
+func (c *cohState) noteRecordLocked(page uint32, lsn wal.LSN, it wal.RegionIter) {
+	c.noteLocked(disk.PageID(page), uint64(lsn))
+	for it.Next() {
 		c.noteSpanLocked(it.Off, len(it.New))
 	}
 }

@@ -41,7 +41,7 @@ func (w *wireTap) Call(req *esm.Request) (*esm.Response, error) {
 		for pid, _, image, ok := pl.Page(); ok; pid, _, image, ok = pl.Page() {
 			w.whole[disk.PageID(pid)] = true
 			if req.Op == esm.OpCommit {
-				w.commitBytes += len(image)
+				w.commitBytes += len(image.Bytes())
 			}
 		}
 	}

@@ -168,8 +168,8 @@ func TestApplyImageRefusesWithoutWriting(t *testing.T) {
 }
 
 // TestSizedImage: pages behind one another as sized images read back in
-// order, each image the one AppendImage makes, and a copied one is the same
-// bytes; a cut length, a length past the end or a malformed image is
+// order, each image the one AppendImage makes and applying as its page, and
+// a copied one is the same bytes; a cut length, a length past the end or a malformed image is
 // refused.
 func TestSizedImage(t *testing.T) {
 	sparse := make([]byte, 64)
@@ -185,10 +185,14 @@ func TestSizedImage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
-		if want := AppendImage(nil, pages[i]); !bytes.Equal(img, want) {
-			t.Fatalf("page %d: image %x, want %x", i, img, want)
+		if want := AppendImage(nil, pages[i]); !bytes.Equal(img.Bytes(), want) {
+			t.Fatalf("page %d: image %x, want %x", i, img.Bytes(), want)
 		}
-		copied, rest = AppendSized(copied, img), rest[n:]
+		got := bytes.Repeat([]byte{0xEE}, 64)
+		if img.Apply(got); !bytes.Equal(got, pages[i]) {
+			t.Fatalf("page %d: the checked image applies as %x", i, got)
+		}
+		copied, rest = AppendSized(copied, img.Bytes()), rest[n:]
 	}
 	if !bytes.Equal(copied, msg) {
 		t.Fatal("copying the images through changed the message")

@@ -286,12 +286,7 @@ func ApplyImage(page, patch []byte) error {
 	if err := checkImage(len(page), patch); err != nil {
 		return err
 	}
-	if len(patch) == len(page) {
-		copy(page, patch)
-		return nil
-	}
-	clear(page)
-	writeRuns(page, patch)
+	Image{patch: patch, pageLen: len(page)}.Apply(page)
 	return nil
 }
 
@@ -315,23 +310,51 @@ func AppendSized(dst, image []byte) []byte {
 	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(image))), image...)
 }
 
+// Image is a page image ReadSizedImage checked: sparse or raw, well formed
+// for a page of its length. A message's decoder checks every image it
+// carries before anything is applied; Apply then writes one without a second
+// walk.
+type Image struct {
+	patch   []byte
+	pageLen int
+}
+
+// Bytes returns the image as it travels, aliasing the message it was read
+// from: AppendSized passes it on.
+func (im Image) Bytes() []byte { return im.patch }
+
+// Apply decodes the image into page, which must be as long as the page it
+// was checked for: a raw image is copied, a sparse one clears page and
+// writes its runs.
+func (im Image) Apply(page []byte) {
+	if len(page) != im.pageLen {
+		panic(fmt.Sprintf("pagedelta: image checked for a %d-byte page applied to %d bytes", im.pageLen, len(page)))
+	}
+	if len(im.patch) == len(page) {
+		copy(page, im.patch)
+		return
+	}
+	clear(page)
+	writeRuns(page, im.patch)
+}
+
 // ReadSizedImage reads the sized image src starts with, for a pageLen-byte
 // page: its image, checked (checkImage) and aliasing src, and the number of
 // bytes of src it took.
-func ReadSizedImage(src []byte, pageLen int) (image []byte, n int, err error) {
+func ReadSizedImage(src []byte, pageLen int) (image Image, n int, err error) {
 	if len(src) < 4 {
-		return nil, 0, fmt.Errorf("pagedelta: sized image cut inside its length (%d bytes)", len(src))
+		return Image{}, 0, fmt.Errorf("pagedelta: sized image cut inside its length (%d bytes)", len(src))
 	}
 	size := binary.LittleEndian.Uint32(src)
 	if uint64(size) > uint64(len(src)-4) {
-		return nil, 0, fmt.Errorf("pagedelta: sized image of %d bytes, %d left", size, len(src)-4)
+		return Image{}, 0, fmt.Errorf("pagedelta: sized image of %d bytes, %d left", size, len(src)-4)
 	}
 	n = 4 + int(size)
-	image = src[4:n:n]
-	if err := checkImage(pageLen, image); err != nil {
-		return nil, 0, err
+	patch := src[4:n:n]
+	if err := checkImage(pageLen, patch); err != nil {
+		return Image{}, 0, err
 	}
-	return image, n, nil
+	return Image{patch: patch, pageLen: pageLen}, n, nil
 }
 
 // validate walks the patch without writing, enforcing the format's

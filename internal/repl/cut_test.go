@@ -29,7 +29,7 @@ func call(t *testing.T, h esm.Handler, req esm.Request) *esm.Response {
 // update is a commit payload of one update record: new written at off of
 // pid over old.
 func update(pid disk.PageID, off int, old, new string) []byte {
-	body := wal.AppendBody(nil, &wal.Record{Type: wal.RecUpdate, Page: uint32(pid), Off: uint16(off), Old: []byte(old), New: []byte(new)})
+	body := wal.AppendWire(nil, &wal.WireUpdate{Page: uint32(pid), Off: uint16(off), Undo: old != "", New: []byte(new)})
 	return append(binary.LittleEndian.AppendUint32(nil, 1), body...)
 }
 

@@ -13,7 +13,6 @@ import (
 	"quickstore/internal/disk"
 	"quickstore/internal/esm"
 	"quickstore/internal/faultinject"
-	"quickstore/internal/pagedelta"
 	"quickstore/internal/wal"
 )
 
@@ -549,11 +548,14 @@ func (n *Node) cutAt(cut, through wal.LSN) bool {
 	return n.log.StartLSN() >= cut
 }
 
-// handleSnapshot installs a full state transfer: the log is replaced
-// wholesale and every shipped page, decoded into one buffer, overwrites the
-// local volume (pages beyond the leader's geometry are zeroed — a rejoining
-// deposed leader must not keep divergent-future pages whose LSNs would
-// confuse redo).
+// handleSnapshot installs a full state transfer: every shipped page
+// overwrites the local volume (pages beyond the leader's geometry are zeroed
+// — a rejoining deposed leader must not keep divergent-future pages whose
+// LSNs would confuse redo) and is synced, and only then is the log replaced
+// wholesale. So the durable end the node reports reaches the leader's only
+// once the volume holds the snapshot's pages: a crash mid-install leaves the
+// old log over a volume partly new, which the next install overwrites, never
+// a log whose records below LogStart are gone over stale pages.
 func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 	p, err := parseSnap(req.Data, disk.PageSize)
 	if err != nil {
@@ -581,13 +583,6 @@ func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 
 	n.cutMu.Lock()
 	defer n.cutMu.Unlock()
-	if err := n.log.LoadSnapshot(p.LogStart, p.Log); err != nil {
-		return &esm.Response{Err: err.Error()}
-	}
-	// The images may hold bytes of transactions whose records lie below
-	// LogStart and which ended only before the snapshot was built, when
-	// the log ended where it ends now: no earlier snapshot is served.
-	n.floor = n.log.FlushedLSN() - 1
 	if n.vol.NumPages() < p.NumPages {
 		if err := n.vol.Grow(p.NumPages); err != nil {
 			return &esm.Response{Err: err.Error()}
@@ -595,9 +590,7 @@ func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 	}
 	page := make([]byte, disk.PageSize)
 	for _, pg := range p.Pages {
-		if err := pagedelta.ApplyImage(page, pg.Data); err != nil { // checked by parseSnap
-			return &esm.Response{Err: err.Error()}
-		}
+		pg.Data.Apply(page)
 		if err := n.vol.WritePage(disk.PageID(pg.ID), page); err != nil {
 			return &esm.Response{Err: err.Error()}
 		}
@@ -613,6 +606,13 @@ func (n *Node) handleSnapshot(req *esm.Request) *esm.Response {
 	if err := n.vol.Sync(); err != nil {
 		return &esm.Response{Err: err.Error()}
 	}
+	if err := n.log.LoadSnapshot(p.LogStart, p.Log); err != nil {
+		return &esm.Response{Err: err.Error()}
+	}
+	// The images may hold bytes of transactions whose records lie below
+	// LogStart and which ended only before the snapshot was built, when
+	// the log ended where it ends now: no earlier snapshot is served.
+	n.floor = n.log.FlushedLSN() - 1
 	return &esm.Response{N: uint64(n.log.FlushedLSN())}
 }
 

@@ -101,7 +101,7 @@ type snapPayload struct {
 
 type pageImage struct {
 	ID   uint32
-	Data []byte // the page's image as it travels; pagedelta.ApplyImage decodes it
+	Data pagedelta.Image // the page's image as it travels, checked by parseSnap
 }
 
 var (

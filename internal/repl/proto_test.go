@@ -35,9 +35,9 @@ func sampleSnap(pageSize int) *snapPayload {
 	return &snapPayload{
 		NumPages: 5,
 		Pages: []pageImage{
-			{ID: 1, Data: bytes.Repeat([]byte{0xAA}, pageSize)},
-			{ID: 2, Data: sparse},
-			{ID: 3, Data: make([]byte, pageSize)},
+			{ID: 1, Data: wholePage(bytes.Repeat([]byte{0xAA}, pageSize))},
+			{ID: 2, Data: wholePage(sparse)},
+			{ID: 3, Data: wholePage(make([]byte, pageSize))},
 		},
 		LogStart:   1001,
 		Log:        []byte("log tail"),
@@ -46,11 +46,20 @@ func sampleSnap(pageSize int) *snapPayload {
 	}
 }
 
+// wholePage is page as an image of itself: raw, checked.
+func wholePage(page []byte) pagedelta.Image {
+	img, _, err := pagedelta.ReadSizedImage(pagedelta.AppendSized(nil, page), len(page))
+	if err != nil {
+		panic(err)
+	}
+	return img
+}
+
 // marshalSnap encodes p, whose Pages are whole pages, as the leader does.
 func marshalSnap(p *snapPayload) []byte {
 	dst := appendSnapHead(nil, p.NumPages, len(p.Pages))
 	for _, pg := range p.Pages {
-		dst = appendSnapPage(dst, pg.ID, pg.Data)
+		dst = appendSnapPage(dst, pg.ID, pg.Data.Bytes())
 	}
 	return appendSnapTail(dst, p.LogStart, p.Log, p.MembersVer, p.Members)
 }
@@ -62,10 +71,8 @@ func decodeSnap(t testing.TB, p *snapPayload, pageSize int) *snapPayload {
 	out.Pages = nil
 	for _, pg := range p.Pages {
 		page := make([]byte, pageSize)
-		if err := pagedelta.ApplyImage(page, pg.Data); err != nil {
-			t.Fatalf("page %d: an accepted image does not decode: %v", pg.ID, err)
-		}
-		out.Pages = append(out.Pages, pageImage{ID: pg.ID, Data: page})
+		pg.Data.Apply(page)
+		out.Pages = append(out.Pages, pageImage{ID: pg.ID, Data: wholePage(page)})
 	}
 	return &out
 }
@@ -174,7 +181,7 @@ func TestSnapPayloadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", p, dec)
 	}
 	for i, want := range []int{pageSize, 4 + 6 + 4 + 1, 0} {
-		if n := len(got.Pages[i].Data); n != want {
+		if n := len(got.Pages[i].Data.Bytes()); n != want {
 			t.Errorf("page %d travels in %d bytes, want %d", got.Pages[i].ID, n, want)
 		}
 	}

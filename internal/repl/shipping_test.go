@@ -371,6 +371,69 @@ func TestSnapshotShipsSparse(t *testing.T) {
 	t.Logf("snapshot frame %d bytes; %v allocs to build", sizes[0], allocs)
 }
 
+// parkHook holds the first page write of a hooked volume until release is
+// closed, once parked is closed.
+type parkHook struct {
+	once            sync.Once
+	parked, release chan struct{}
+	releaseOnce     sync.Once
+}
+
+func (h *parkHook) BeforeRead(uint32) error { return nil }
+
+func (h *parkHook) BeforeWrite(uint32, int) (int, error) {
+	h.once.Do(func() {
+		close(h.parked)
+		<-h.release
+	})
+	return 0, nil
+}
+
+func (h *parkHook) open() { h.releaseOnce.Do(func() { close(h.release) }) }
+
+// TestSnapshotInstallWritesPagesFirst: a follower installing a snapshot
+// writes and syncs the snapshot's pages before it loads the snapshot's log.
+// Parked at its first page write, its durable end has not reached the
+// leader's, so nothing counts it caught up over a volume of old pages, and
+// a crash there leaves its old log; once the install answers, its volume is
+// the leader's.
+func TestSnapshotInstallWritesPagesFirst(t *testing.T) {
+	nodes := newCluster(t, 1, 1)
+	leader, vol := nodes[0].node, nodes[0].vol
+	putValue(t, leader.Transport(), "old", "data")
+	checkpoint(t, leader) // a follower attaching now needs a snapshot
+
+	park := &parkHook{parked: make(chan struct{}), release: make(chan struct{})}
+	fVol, fLog := disk.NewMemVolume(), wal.NewMemLog()
+	f := NewFollower(disk.WithHook(fVol, park), fLog, testCfg("n2", 1, nil))
+	defer f.Close()
+	defer park.open() // before Close, which waits for the install
+	f.AddPeer("n1", "", leader.Transport())
+	leader.AddPeer("n2", "", f.Transport())
+	select {
+	case <-park.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower wrote no page of the snapshot")
+	}
+	if got, durable := fLog.FlushedLSN(), leader.DurableLSN(); got >= durable {
+		t.Fatalf("mid-install, before its first page write, the follower's log is durable to %d, the leader's end %d", got, durable)
+	}
+	park.open()
+	waitFor(t, "the follower to install the snapshot", func() bool { return fLog.FlushedLSN() == leader.DurableLSN() })
+	want, got := make([]byte, disk.PageSize), make([]byte, disk.PageSize)
+	for pid := disk.PageID(1); pid < disk.PageID(vol.NumPages()); pid++ {
+		if err := vol.ReadPage(pid, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := fVol.ReadPage(pid, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("follower page %d differs from the leader's once the install answered", pid)
+		}
+	}
+}
+
 // BenchmarkSnapshotOO7Small builds a leader's snapshot of the OO7 small
 // database (bulk-loaded, then checkpointed) and installs it on a follower,
 // each as a sub-benchmark. Both report the frame's size and the size of the

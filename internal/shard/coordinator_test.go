@@ -22,7 +22,7 @@ type poisonPart struct {
 func (p *poisonPart) Call(req *esm.Request) (*esm.Response, error) {
 	if req.Op == esm.OpCommitDecision && req.Mode&esm.DecisionCoord != 0 {
 		fwd := *req
-		fwd.Data = wal.AppendBody([]byte{1, 0, 0, 0}, &wal.Record{Page: p.page, Off: disk.PageSize - 4, Old: make([]byte, 8), New: make([]byte, 8)})
+		fwd.Data = wal.AppendWire([]byte{1, 0, 0, 0}, &wal.WireUpdate{Page: p.page, Off: disk.PageSize - 4, Undo: true, New: make([]byte, 8)})
 		return p.Transport.Call(&fwd)
 	}
 	return p.Transport.Call(req)

@@ -390,7 +390,7 @@ func prepareInDoubt(t *testing.T, trs []esm.Transport, pid uint32, off uint16, o
 	partTx = call(1, &esm.Request{Op: esm.OpBegin}).N
 
 	// One logged update on the participant.
-	batch := wal.AppendBody([]byte{1, 0, 0, 0}, &wal.Record{Page: pid, Off: off, Old: old, New: nw})
+	batch := wal.AppendWire([]byte{1, 0, 0, 0}, &wal.WireUpdate{Page: pid, Off: off, Undo: len(old) != 0, New: nw})
 	call(1, &esm.Request{Op: esm.OpLog, Tx: partTx, Data: batch})
 
 	call(1, &esm.Request{Op: esm.OpPrepare, Tx: partTx, Page: 0, N: coordTx, Data: nil})

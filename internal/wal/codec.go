@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the log's physical format: the one encoder and the one
-// decoder for a record, the update body they share with the OpLog wire batch,
-// and the file header.
+// decoder for a record, the update body in its two forms (the log's, and the
+// wire form a client ships in a commit payload), and the file header.
 //
 // A record, byte by byte (uvarints are minimal-length, as
 // binary.AppendUvarint writes them):
@@ -23,19 +23,27 @@ import (
 //	crc     4 bytes   CRC32 (IEEE) of the record's LSN as 8 little-endian
 //	                  bytes followed by every byte above
 //
-// The update body, also one record of a log batch on the wire: one or more
-// byte ranges (regions) of one page, disjoint and in ascending offset order.
+// The update body: one or more byte ranges (regions) of one page, disjoint
+// and in ascending offset order.
 //
 //	page    uvarint   page id
 //	off     uvarint   byte offset of the first region (fits Record.Off)
 //	list    1 byte    lenList, present only when more regions follow the first
 //	len     uvarint   len(New)<<1 | hasOld
-//	old     len bytes before-image, present only with hasOld
+//	old     len bytes before-image, present only with hasOld (log form only)
 //	new     len bytes after-image
 //	tail    uvarint   byte length of the regions that follow; only with list
 //	then, tail bytes of:
 //	gap     uvarint   bytes between the previous region's end and this one
 //	len, old, new     as above
+//
+// The body has two forms, one codec. The log form, which a record holds,
+// carries every old field. The wire form, one record of a commit payload's
+// log batch (WireUpdate), leaves every old field out: hasOld keeps its
+// meaning, "this region has an undo", and tells the page server to take the
+// region's before-image from its own page, which it writes into the log
+// form as it appends the record (Log.AppendFilled). A wire body is the log
+// body less its before-images, and its tail counts wire bytes.
 //
 // lenList is the one value a len field cannot hold (a before-image of no
 // bytes), so a one-region body pays nothing for the list it does not have: it
@@ -78,56 +86,131 @@ func recordCRC(lsn LSN, b []byte) uint32 {
 	return crc32.Update(^crc, crc32.IEEETable, b)
 }
 
-// appendImages appends a region's len, old and new fields. A before-image is
-// either absent or exactly as long as the after-image — the format has one
-// length — and anything else is a caller bug.
+// appendLen appends a region's len field: an n-byte after-image, with hasOld
+// set when the region has an undo.
+func appendLen(dst []byte, n int, undo bool) []byte {
+	v := uint64(n) << 1
+	if undo {
+		v |= 1
+	}
+	return binary.AppendUvarint(dst, v)
+}
+
+// appendImages appends a region's len, old and new fields in the log form. A
+// before-image is either absent or exactly as long as the after-image — the
+// format has one length — and anything else is a caller bug.
 func appendImages(dst, old, new []byte) []byte {
 	if len(old) != 0 && len(old) != len(new) {
 		panic(fmt.Sprintf("wal: %d-byte before-image for a %d-byte after-image", len(old), len(new)))
 	}
-	n := uint64(len(new)) << 1
-	if len(old) != 0 {
-		n |= 1
-	}
-	dst = binary.AppendUvarint(dst, n)
+	dst = appendLen(dst, len(new), len(old) != 0)
 	dst = append(dst, old...)
 	return append(dst, new...)
 }
 
-// AppendBody appends r's update body to dst: the record format's tail and the
-// wire log batch's unit.
-func AppendBody(dst []byte, r *Record) []byte {
-	dst = binary.AppendUvarint(dst, uint64(r.Page))
-	dst = binary.AppendUvarint(dst, uint64(r.Off))
-	if len(r.More) == 0 {
-		return appendImages(dst, r.Old, r.New)
+// appendWireImages appends a region's len and new fields in the wire form.
+// An undo of no bytes is what lenList spells, so asking for one is a bug.
+func appendWireImages(dst []byte, undo bool, new []byte) []byte {
+	if undo && len(new) == 0 {
+		panic("wal: an undo for a region of no bytes")
 	}
-	dst = append(dst, lenList)
-	dst = appendImages(dst, r.Old, r.New)
-	dst = binary.AppendUvarint(dst, uint64(len(r.More)))
-	return append(dst, r.More...)
+	return append(appendLen(dst, len(new), undo), new...)
+}
+
+// appendHead appends a body's page and off fields, and lenList when a
+// region list follows the first region.
+func appendHead(dst []byte, page uint32, off uint16, list bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(page))
+	dst = binary.AppendUvarint(dst, uint64(off))
+	if list {
+		dst = append(dst, lenList)
+	}
+	return dst
+}
+
+// appendTail appends a body's tail and the regions after the first, if any.
+func appendTail(dst, more []byte) []byte {
+	if len(more) == 0 {
+		return dst
+	}
+	return append(binary.AppendUvarint(dst, uint64(len(more))), more...)
+}
+
+// appendBody appends r's update body to dst in the log form.
+func appendBody(dst []byte, r *Record) []byte {
+	dst = appendImages(appendHead(dst, r.Page, r.Off, len(r.More) != 0), r.Old, r.New)
+	return appendTail(dst, r.More)
 }
 
 // AppendRegion appends one more region to more, a Record.More under
 // construction: it starts gap bytes past the end of the region before it.
 func AppendRegion(more []byte, gap int, old, new []byte) []byte {
+	return appendImages(appendGap(more, gap), old, new)
+}
+
+// appendGap appends a region's gap field, the start of every region after
+// the first.
+func appendGap(more []byte, gap int) []byte {
 	if gap < 0 || gap > math.MaxUint16 {
 		panic(fmt.Sprintf("wal: region gap %d out of range", gap))
 	}
-	return appendImages(binary.AppendUvarint(more, uint64(gap)), old, new)
+	return binary.AppendUvarint(more, uint64(gap))
 }
 
-// DecodeUpdate decodes the update body at the head of buf into a RecUpdate
-// record and returns the body's length. Old, New and More alias buf. The
-// input is untrusted (a client's batch, a log file): a malformed or truncated
-// body is ErrCorrupt.
-func DecodeUpdate(buf []byte) (Record, int, error) {
-	r := Record{Type: RecUpdate}
-	n, ok := r.decodeBody(buf, 0)
+// WireUpdate is an update body in the wire form: what a client ships of an
+// update record, every before-image left out. Page, Off and New name the
+// first region as Record's fields do; Undo says it has a before-image for
+// the page server to fill; More holds the regions after it in the wire form
+// (AppendWireRegion). A commit payload's log batch is a list of these.
+type WireUpdate struct {
+	Page uint32
+	Off  uint16
+	Undo bool
+	New  []byte
+	More []byte
+}
+
+// AppendWire appends u's body in the wire form to dst.
+func AppendWire(dst []byte, u *WireUpdate) []byte {
+	dst = appendWireImages(appendHead(dst, u.Page, u.Off, len(u.More) != 0), u.Undo, u.New)
+	return appendTail(dst, u.More)
+}
+
+// AppendWireRegion appends one more region to more, a WireUpdate.More under
+// construction: it starts gap bytes past the end of the region before it,
+// and undo says it has a before-image.
+func AppendWireRegion(more []byte, gap int, undo bool, new []byte) []byte {
+	return appendWireImages(appendGap(more, gap), undo, new)
+}
+
+// DecodeWire decodes the wire-form update body at the head of buf and returns
+// its length. New and More alias buf. The input is untrusted (a client's
+// batch): a malformed or truncated body is ErrCorrupt.
+func DecodeWire(buf []byte) (WireUpdate, int, error) {
+	page, first, more, n, ok := decodeBody(buf, 0, true)
 	if !ok {
-		return Record{}, 0, fmt.Errorf("%w: malformed update body", ErrCorrupt)
+		return WireUpdate{}, 0, fmt.Errorf("%w: malformed update body", ErrCorrupt)
 	}
-	return r, n, nil
+	return WireUpdate{Page: page, Off: uint16(first.Off), Undo: first.Undo, New: first.New, More: more}, n, nil
+}
+
+// Regions returns an iterator standing before u's first region. Its regions
+// carry no Old: Undo says which have one.
+func (u *WireUpdate) Regions() RegionIter {
+	return RegionIter{Region: Region{Off: int(u.Off), New: u.New, Undo: u.Undo}, more: u.More, wire: true}
+}
+
+// CheckRange reports whether every region of u fits a page of pageSize
+// bytes and More decodes to its end: Record.CheckRange for the wire form.
+func (u *WireUpdate) CheckRange(pageSize int) error {
+	return checkRegions(u.Regions(), RecUpdate, u.Page, pageSize)
+}
+
+// Redo applies every region's after-image to the page and stamps it with
+// lsn, the LSN Log.AppendFilled gave u: Record.Redo for the wire form.
+func (u *WireUpdate) Redo(pageBuf []byte, lsn LSN, setPageLSN func(pageBuf []byte, lsn uint64)) {
+	redoRegions(u.Regions(), pageBuf)
+	setPageLSN(pageBuf, uint64(lsn))
 }
 
 // uvarint reads the minimally encoded uvarint at buf[p:], no larger than max,
@@ -140,36 +223,44 @@ func uvarint(buf []byte, p int, max uint64) (uint64, int, bool) {
 	return v, p + n, true
 }
 
-// decodeImages reads the len, old and new fields at buf[p:] and returns the
-// position just past them. The images alias buf, capped so an append through
-// them cannot reach the bytes that follow.
-func decodeImages(buf []byte, p int) (old, new []byte, end int, ok bool) {
+// decodeImages reads the len, old and new fields at buf[p:] into the
+// region's Old, New and Undo — the wire form has no old field, and leaves
+// Old empty — and returns the position just past them. The images alias
+// buf, capped so an append through them cannot reach the bytes that follow.
+func decodeImages(buf []byte, p int, wire bool, r *Region) (end int, ok bool) {
 	n, p, ok := uvarint(buf, p, math.MaxUint64)
 	if !ok {
-		return nil, nil, 0, false
+		return 0, false
 	}
-	hasOld, size := n&1 != 0, n>>1
-	if hasOld {
-		if size == 0 || size > uint64(len(buf)-p) {
-			return nil, nil, 0, false
+	size := n >> 1
+	r.Undo, r.Old, r.New = n&1 != 0, nil, nil
+	if r.Undo && size == 0 {
+		return 0, false
+	}
+	if r.Undo && !wire {
+		if size > uint64(len(buf)-p) {
+			return 0, false
 		}
-		old = buf[p : p+int(size) : p+int(size)]
+		r.Old = buf[p : p+int(size) : p+int(size)]
 		p += int(size)
 	}
 	if size > uint64(len(buf)-p) {
-		return nil, nil, 0, false
+		return 0, false
 	}
 	if size > 0 {
-		new = buf[p : p+int(size) : p+int(size)]
+		r.New = buf[p : p+int(size) : p+int(size)]
 	}
-	return old, new, p + int(size), true
+	return p + int(size), true
 }
 
 // Region is one byte range of an update record: its offset within the page,
-// its before-image (empty when the region is redo-only) and its after-image.
+// its before-image and its after-image. Undo says the region has a
+// before-image: Old holds it in the log form and is empty in the wire form,
+// where the page server fills it. A redo-only region has none.
 type Region struct {
 	Off      int
 	Old, New []byte
+	Undo     bool
 }
 
 // RegionIter walks an update record's regions in place, in offset order:
@@ -182,12 +273,13 @@ type Region struct {
 type RegionIter struct {
 	Region
 	more    []byte
+	wire    bool // more is in the wire form
 	started bool
 }
 
 // Regions returns an iterator standing before r's first region.
 func (r *Record) Regions() RegionIter {
-	return RegionIter{Region: Region{Off: int(r.Off), Old: r.Old, New: r.New}, more: r.More}
+	return RegionIter{Region: Region{Off: int(r.Off), Old: r.Old, New: r.New, Undo: len(r.Old) != 0}, more: r.More}
 }
 
 // Next advances to the next region and reports whether there is one. A More
@@ -204,11 +296,11 @@ func (it *RegionIter) Next() bool {
 	if !ok {
 		return false
 	}
-	old, new, p, ok := decodeImages(it.more, p)
-	if !ok {
+	end := it.Off + len(it.New) + int(gap)
+	if p, ok = decodeImages(it.more, p, it.wire, &it.Region); !ok {
 		return false
 	}
-	it.Region = Region{Off: it.Off + len(it.New) + int(gap), Old: old, New: new}
+	it.Off = end
 	it.more = it.more[p:]
 	return true
 }
@@ -222,51 +314,49 @@ func (it *RegionIter) Err() error {
 	return nil
 }
 
-// decodeBody fills r's Page, Off, Old, New and More from the update body at
-// buf[p:] and returns the position just past it, having walked the whole
-// region list: what it accepts, Regions walks to the end.
-func (r *Record) decodeBody(buf []byte, p int) (int, bool) {
-	page, p, ok := uvarint(buf, p, math.MaxUint32)
+// decodeBody reads the update body at buf[p:] in the log or the wire form:
+// its page, its first region and the encoded regions after it, and the
+// position just past it, having walked the whole region list: what it
+// accepts, Regions walks to the end.
+func decodeBody(buf []byte, p int, wire bool) (page uint32, first Region, more []byte, end int, ok bool) {
+	pg, p, ok := uvarint(buf, p, math.MaxUint32)
 	if !ok {
-		return 0, false
+		return 0, Region{}, nil, 0, false
 	}
 	off, p, ok := uvarint(buf, p, math.MaxUint16)
 	if !ok {
-		return 0, false
+		return 0, Region{}, nil, 0, false
 	}
-	r.Page, r.Off = uint32(page), uint16(off)
+	page, first.Off = uint32(pg), int(off)
 	list := p < len(buf) && buf[p] == lenList
 	if list {
 		p++
 	}
-	if r.Old, r.New, p, ok = decodeImages(buf, p); !ok || !list {
-		return p, ok
+	if p, ok = decodeImages(buf, p, wire, &first); !ok || !list {
+		return page, first, nil, p, ok
 	}
 	size, p, ok := uvarint(buf, p, uint64(len(buf)))
 	if !ok || size == 0 || size > uint64(len(buf)-p) {
-		return 0, false
+		return 0, Region{}, nil, 0, false
 	}
-	r.More = buf[p : p+int(size) : p+int(size)]
-	it := r.Regions()
+	more = buf[p : p+int(size) : p+int(size)]
+	it := RegionIter{Region: first, more: more, wire: wire}
 	for it.Next() {
 	}
-	return p + int(size), it.Err() == nil
+	return page, first, more, p + int(size), it.Err() == nil
 }
 
-// appendRecord serializes r, whose LSN is set, onto dst. What the format
+// appendChain appends a record's kind, tx and back fields. What the format
 // cannot express only a bug can ask for: a type outside 1..127, a PrevLSN not
-// below the record's own LSN, a before-image of another length (appendImages).
-func appendRecord(dst []byte, r *Record) []byte {
-	if r.Type == 0 || r.Type >= kindBody {
-		panic(fmt.Sprintf("wal: record type %d out of range", uint8(r.Type)))
+// below the record's own LSN.
+func appendChain(dst []byte, t RecType, body bool, tx uint64, lsn, prev LSN) []byte {
+	if t == 0 || t >= kindBody {
+		panic(fmt.Sprintf("wal: record type %d out of range", uint8(t)))
 	}
-	lsn, prev := r.LSN, r.PrevLSN
 	if prev >= lsn {
 		panic(fmt.Sprintf("wal: PrevLSN %d is not below the record's LSN %d", uint64(prev), uint64(lsn)))
 	}
-	start := len(dst)
-	body := r.Page != 0 || r.Off != 0 || len(r.Old) != 0 || len(r.New) != 0 || len(r.More) != 0
-	kind := byte(r.Type)
+	kind := byte(t)
 	if body {
 		kind |= kindBody
 	}
@@ -275,12 +365,65 @@ func appendRecord(dst []byte, r *Record) []byte {
 		back = uint64(lsn - prev)
 	}
 	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, r.Tx)
-	dst = binary.AppendUvarint(dst, back)
+	dst = binary.AppendUvarint(dst, tx)
+	return binary.AppendUvarint(dst, back)
+}
+
+// appendRecord serializes r, whose LSN is set, onto dst. A before-image of
+// another length than its after-image panics (appendImages), as appendChain's
+// cases do.
+func appendRecord(dst []byte, r *Record) []byte {
+	start := len(dst)
+	body := r.Page != 0 || r.Off != 0 || len(r.Old) != 0 || len(r.New) != 0 || len(r.More) != 0
+	dst = appendChain(dst, r.Type, body, r.Tx, r.LSN, r.PrevLSN)
 	if body {
-		dst = AppendBody(dst, r)
+		dst = appendBody(dst, r)
+	}
+	return binary.LittleEndian.AppendUint32(dst, recordCRC(r.LSN, dst[start:]))
+}
+
+// appendFilled serializes u as tx's RecUpdate standing at lsn, behind prev,
+// in the log form: each region u marks Undo takes the bytes it covers in
+// page as its before-image. The result is byte for byte what appendRecord
+// writes for the Record that carries those bytes as its Old images.
+func appendFilled(dst []byte, lsn, prev LSN, tx uint64, u *WireUpdate, page []byte) []byte {
+	start := len(dst)
+	body := u.Page != 0 || u.Off != 0 || len(u.New) != 0 || len(u.More) != 0
+	dst = appendChain(dst, RecUpdate, body, tx, lsn, prev)
+	if body {
+		it := u.Regions()
+		it.Next()
+		dst = appendFill(appendHead(dst, u.Page, u.Off, len(u.More) != 0), &it.Region, page)
+		if len(u.More) != 0 {
+			// The tail counts the filled regions, which are shorter than
+			// twice More (each before-image is as long as an after-image
+			// inside it): reserve that number's width, write the regions,
+			// then the count, closing up any byte the reserve left over.
+			at := len(dst)
+			dst = binary.AppendUvarint(dst, uint64(2*len(u.More)))
+			reserved := len(dst) - at
+			for end := it.Off + len(it.New); it.Next(); end = it.Off + len(it.New) {
+				dst = appendFill(appendGap(dst, it.Off-end), &it.Region, page)
+			}
+			var size [binary.MaxVarintLen64]byte
+			n := binary.PutUvarint(size[:], uint64(len(dst)-at-reserved))
+			if n < reserved {
+				dst = dst[:at+n+copy(dst[at+n:], dst[at+reserved:])]
+			}
+			copy(dst[at:], size[:n])
+		}
 	}
 	return binary.LittleEndian.AppendUint32(dst, recordCRC(lsn, dst[start:]))
+}
+
+// appendFill appends a wire region's len, old and new fields in the log form,
+// its before-image read from page.
+func appendFill(dst []byte, r *Region, page []byte) []byte {
+	var old []byte
+	if r.Undo {
+		old = page[r.Off : r.Off+len(r.New)]
+	}
+	return appendImages(dst, old, r.New)
 }
 
 // decode decodes the record standing at lsn from the head of buf and returns
@@ -308,9 +451,11 @@ func decode(buf []byte, lsn LSN) (Record, int, error) {
 		r.PrevLSN = lsn - LSN(back)
 	}
 	if buf[0]&kindBody != 0 {
-		if p, ok = r.decodeBody(buf, p); !ok {
+		var first Region
+		if r.Page, first, r.More, p, ok = decodeBody(buf, p, false); !ok {
 			return Record{}, 0, ErrCorrupt
 		}
+		r.Off, r.Old, r.New = uint16(first.Off), first.Old, first.New
 	}
 	if len(buf)-p < 4 || recordCRC(lsn, buf[:p]) != binary.LittleEndian.Uint32(buf[p:]) {
 		return Record{}, 0, ErrCorrupt

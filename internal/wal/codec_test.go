@@ -84,6 +84,14 @@ func TestRecordSizePinned(t *testing.T) {
 			t.Errorf("%s record is %d bytes, budget %d", c.name, got, c.max)
 		}
 	}
+	// On the wire a record sheds exactly its before-images: a one-region
+	// body is len(Old) bytes shorter than its log body, and nothing else
+	// moves.
+	one := Record{Page: 700, Off: 8000, Old: five, New: five}
+	wire := AppendWire(nil, &WireUpdate{Page: 700, Off: 8000, Undo: true, New: five})
+	if log := appendBody(nil, &one); len(wire) != len(log)-len(one.Old) || !bytes.Equal(wire, append(log[:len(log)-2*len(five)], five...)) {
+		t.Errorf("one-region wire body %x, log body %x: want the log body less its %d-byte before-image", wire, log, len(one.Old))
+	}
 }
 
 // The decoder's input is outside input: every malformed shape is ErrCorrupt,
@@ -123,17 +131,40 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Fatalf("prefix of %d bytes: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
-	// The wire body shares the decoder and its bounds.
-	body := AppendBody(nil, &Record{Page: 3, Off: 64, Old: []byte{1, 2}, New: []byte{3, 4}})
-	if r, n, err := DecodeUpdate(body); err != nil || n != len(body) || r.Type != RecUpdate || r.Page != 3 || r.Off != 64 ||
+	// The update body, in both forms, shares the decoder and its bounds.
+	body := appendBody(nil, &Record{Page: 3, Off: 64, Old: []byte{1, 2}, New: []byte{3, 4}})
+	if r, n, err := decodeUpdate(body); err != nil || n != len(body) || r.Type != RecUpdate || r.Page != 3 || r.Off != 64 ||
 		!bytes.Equal(r.Old, []byte{1, 2}) || !bytes.Equal(r.New, []byte{3, 4}) {
 		t.Fatalf("update body round trip: %+v, %d bytes, err %v", r, n, err)
 	}
 	for cut := 0; cut < len(body); cut++ {
-		if _, _, err := DecodeUpdate(body[:cut]); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := decodeUpdate(body[:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("body prefix of %d bytes: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
+	wire := AppendWire(nil, &WireUpdate{Page: 3, Off: 64, Undo: true, New: []byte{3, 4}})
+	if u, n, err := DecodeWire(wire); err != nil || n != len(wire) || u.Page != 3 || u.Off != 64 || !u.Undo ||
+		!bytes.Equal(u.New, []byte{3, 4}) || u.More != nil {
+		t.Fatalf("wire body round trip: %+v, %d bytes, err %v", u, n, err)
+	}
+	for cut := 0; cut < len(wire); cut++ {
+		if _, _, err := DecodeWire(wire[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("wire body prefix of %d bytes: err = %v, want ErrCorrupt", cut, err)
+		}
+	}
+	// An undo flag on an empty region is lenList's spelling, in both forms.
+	if _, _, err := DecodeWire([]byte{3, 64, lenList}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("wire body with an undo of no bytes: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// decodeUpdate decodes a log-form update body, as decode does a record's.
+func decodeUpdate(buf []byte) (Record, int, error) {
+	page, first, more, n, ok := decodeBody(buf, 0, false)
+	if !ok {
+		return Record{}, 0, ErrCorrupt
+	}
+	return Record{Type: RecUpdate, Page: page, Off: uint16(first.Off), Old: first.Old, New: first.New, More: more}, n, nil
 }
 
 // The checksum is what the format says it is: CRC32 of the LSN's eight
@@ -365,6 +396,8 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(appendRecord(nil, &run), uint64(5000), uint64(9), uint64(300), byte(RecUpdate), uint32(700), uint16(64), []byte("region"), true)
 	f.Add([]byte{0x82, 5, 0, 3, 64, lenList, 3, 1, 2, 9, 10, 3, 3, 4, 0, 0, 0, 0}, // a tail length lying about its regions
 		uint64(1000), uint64(5), uint64(0), byte(RecCLR), uint32(3), uint16(64), []byte{}, false)
+	wireRun := wireOf(&run) // a wire body: the same run without its before-images
+	f.Add(AppendWire(nil, &wireRun), uint64(5000), uint64(9), uint64(300), byte(RecUpdate), uint32(700), uint16(64), []byte("wire"), false)
 	f.Fuzz(func(t *testing.T, raw []byte, lsn, tx, back uint64, typ byte, page uint32, off uint16, img []byte, withOld bool) {
 		if lsn == 0 {
 			lsn = 1
@@ -382,8 +415,26 @@ func FuzzRecordDecode(f *testing.F) {
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("decode error %v is not ErrCorrupt", err)
 		}
-		if _, n, err := DecodeUpdate(raw); err == nil && (n <= 0 || n > len(raw)) {
-			t.Fatalf("DecodeUpdate claimed %d of %d bytes", n, len(raw))
+		if _, n, err := decodeUpdate(raw); err == nil && (n <= 0 || n > len(raw)) {
+			t.Fatalf("decodeUpdate claimed %d of %d bytes", n, len(raw))
+		}
+		// The wire decoder takes the same arbitrary bytes: whatever it
+		// accepts lies inside them, walks to its end, and re-encodes to them.
+		if u, n, err := DecodeWire(raw); err == nil {
+			if n <= 0 || n > len(raw) {
+				t.Fatalf("DecodeWire claimed %d of %d bytes", n, len(raw))
+			}
+			it := u.Regions()
+			for it.Next() {
+			}
+			if it.Err() != nil {
+				t.Fatal("DecodeWire accepted a region list Regions cannot walk")
+			}
+			if again := AppendWire(nil, &u); !bytes.Equal(again, raw[:n]) {
+				t.Fatalf("decoded wire body re-encodes differently:\n got %x\nwant %x", again, raw[:n])
+			}
+		} else if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeWire error %v is not ErrCorrupt", err)
 		}
 
 		r := Record{LSN: LSN(lsn), Tx: tx, Type: RecType(typ%127 + 1), Page: page, Off: off}

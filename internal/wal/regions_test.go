@@ -89,27 +89,77 @@ func TestRegionListRoundTrip(t *testing.T) {
 		if last := want[len(want)-1]; got.CheckRange(last.Off+len(last.New)-1) == nil && len(last.New) > 0 {
 			t.Fatalf("%s: CheckRange accepted a page one byte too short", c.name)
 		}
-		// The wire body is the same bytes, minus the chain fields and CRC.
-		body := AppendBody(nil, &rec)
+		// The log body is the record's bytes, minus the chain fields and CRC.
+		body := appendBody(nil, &rec)
 		if !bytes.Contains(buf, body) {
-			t.Fatalf("%s: the log record does not hold the wire body verbatim", c.name)
+			t.Fatalf("%s: the log record does not hold its body verbatim", c.name)
 		}
-		fromWire, n, err := DecodeUpdate(append(body, 0xAA))
-		if err != nil || n != len(body) || !regionsEqual(regionsOf(&fromWire), want) || fromWire.Page != rec.Page {
-			t.Fatalf("%s: wire body: %d of %d bytes, err %v", c.name, n, len(body), err)
+		fromBody, n, err := decodeUpdate(append(body, 0xAA))
+		if err != nil || n != len(body) || !regionsEqual(regionsOf(&fromBody), want) || fromBody.Page != rec.Page {
+			t.Fatalf("%s: log body: %d of %d bytes, err %v", c.name, n, len(body), err)
 		}
-		// Every strict prefix is a torn tail, in both framings.
+		// The wire body is the log body less its before-images. It walks to
+		// the same regions, each marked Undo where it had an Old, and filled
+		// from a page that holds those before-images it logs as the record.
+		u := wireOf(&rec)
+		wire := AppendWire(nil, &u)
+		olds := 0
+		for _, r := range want {
+			olds += len(r.Old)
+		}
+		if len(wire) > len(body)-olds {
+			t.Fatalf("%s: a %d-byte wire body for a %d-byte log body with %d bytes of before-images", c.name, len(wire), len(body), olds)
+		}
+		fromWire, n, err := DecodeWire(append(wire, 0xAA))
+		if err != nil || n != len(wire) || fromWire.Page != rec.Page || !wireRegionsMatch(&fromWire, want) {
+			t.Fatalf("%s: wire body: %d of %d bytes, err %v", c.name, n, len(wire), err)
+		}
+		page := make([]byte, 8192)
+		applyRegions(page, want, false)
+		if filled := appendFilled(nil, lsn, rec.PrevLSN, rec.Tx, &fromWire, page); !bytes.Equal(filled, buf) {
+			t.Fatalf("%s: the wire body filled from the page logs as\n%x, want\n%x", c.name, filled, buf)
+		}
+		// Every strict prefix is a torn tail, in every framing.
 		for cut := 0; cut < len(buf); cut += 1 + len(buf)/97 {
 			if _, _, err := decode(buf[:cut], lsn); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s: %d-byte prefix: err = %v, want ErrCorrupt", c.name, cut, err)
 			}
 		}
 		for cut := 0; cut < len(body); cut += 1 + len(body)/97 {
-			if _, _, err := DecodeUpdate(body[:cut]); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := decodeUpdate(body[:cut]); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s: %d-byte body prefix: err = %v, want ErrCorrupt", c.name, cut, err)
 			}
 		}
+		for cut := 0; cut < len(wire); cut += 1 + len(wire)/97 {
+			if _, _, err := DecodeWire(wire[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: %d-byte wire prefix: err = %v, want ErrCorrupt", c.name, cut, err)
+			}
+		}
 	}
+}
+
+// wireOf is rec's body as a client ships it: its regions, each marked Undo
+// where it has a before-image, and no before-image.
+func wireOf(rec *Record) WireUpdate {
+	u := WireUpdate{Page: rec.Page, Off: rec.Off, Undo: len(rec.Old) != 0, New: rec.New}
+	it := rec.Regions()
+	it.Next()
+	for end := it.Off + len(it.New); it.Next(); end = it.Off + len(it.New) {
+		u.More = AppendWireRegion(u.More, it.Off-end, it.Undo, it.New)
+	}
+	return u
+}
+
+// wireRegionsMatch reports whether u walks to want's regions: the same
+// offsets and after-images, no before-image, Undo where want has one.
+func wireRegionsMatch(u *WireUpdate, want []Region) bool {
+	it := u.Regions()
+	for i := 0; i < len(want); i++ {
+		if !it.Next() || it.Off != want[i].Off || !bytes.Equal(it.New, want[i].New) || it.Old != nil || it.Undo != (len(want[i].Old) != 0) {
+			return false
+		}
+	}
+	return !it.Next() && it.Err() == nil
 }
 
 func regionsEqual(a, b []Region) bool {
@@ -128,7 +178,7 @@ func regionsEqual(a, b []Region) bool {
 // A one-region body is byte for byte what it was before records held lists:
 // the list costs a record that has none nothing.
 func TestOneRegionBodyIsUnchanged(t *testing.T) {
-	got := AppendBody(nil, &Record{Page: 700, Off: 8000, Old: []byte{1, 2, 3, 4, 5}, New: []byte{6, 7, 8, 9, 10}})
+	got := appendBody(nil, &Record{Page: 700, Off: 8000, Old: []byte{1, 2, 3, 4, 5}, New: []byte{6, 7, 8, 9, 10}})
 	want := binary.AppendUvarint(nil, 700)
 	want = binary.AppendUvarint(want, 8000)
 	want = append(want, 5<<1|1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
@@ -171,7 +221,7 @@ func TestRegionListRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 		if len(buf) > 7 {
-			if _, _, err := DecodeUpdate(buf[3 : len(buf)-4]); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := decodeUpdate(buf[3 : len(buf)-4]); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s as a wire body: err = %v, want ErrCorrupt", name, err)
 			}
 		}
@@ -192,11 +242,16 @@ func TestRegionListRejectsMalformed(t *testing.T) {
 	}
 }
 
-// Decoding a twenty-region record and walking its regions allocates nothing.
+// Decoding a twenty-region record and walking its regions allocates nothing,
+// and neither does taking its wire body in, filling its before-images from
+// the page into the log, and redoing it.
 func TestRegionListDecodeAllocatesNothing(t *testing.T) {
 	rec, _ := runRecord(20, 64, 60, 5, true)
 	rec.LSN = 4096
 	buf := appendRecord(nil, &rec)
+	u := wireOf(&rec)
+	wire := AppendWire(nil, &u)
+	logBuf := make([]byte, 0, len(buf))
 	page := make([]byte, 8192)
 	var regions, bytesSeen int
 	allocs := testing.AllocsPerRun(200, func() {
@@ -213,6 +268,12 @@ func TestRegionListDecodeAllocatesNothing(t *testing.T) {
 		}
 		r.Redo(page, setLSN)
 		r.Undo(page)
+		w, _, err := DecodeWire(wire)
+		if err != nil || w.CheckRange(len(page)) != nil {
+			panic("wire")
+		}
+		logBuf = appendFilled(logBuf[:0], rec.LSN, rec.PrevLSN, rec.Tx, &w, page)
+		w.Redo(page, rec.LSN, setLSN)
 	})
 	if allocs != 0 {
 		t.Fatalf("decoding and walking a 20-region record allocates %.1f times", allocs)

@@ -124,13 +124,16 @@ type Record struct {
 // restart can index past the page; Recover checks it again because the log
 // file is outside input.
 func (r *Record) CheckRange(pageSize int) error {
-	it := r.Regions()
+	return checkRegions(r.Regions(), r.Type, r.Page, pageSize)
+}
+
+func checkRegions(it RegionIter, t RecType, page uint32, pageSize int) error {
 	for it.Next() {
 		if it.Off+len(it.New) > pageSize {
-			return fmt.Errorf("wal: %v record for page %d covers [%d,%d), past the %d-byte page", r.Type, r.Page, it.Off, it.Off+len(it.New), pageSize)
+			return fmt.Errorf("wal: %v record for page %d covers [%d,%d), past the %d-byte page", t, page, it.Off, it.Off+len(it.New), pageSize)
 		}
 		if len(it.Old) != 0 && len(it.Old) != len(it.New) {
-			return fmt.Errorf("wal: %v record for page %d has a %d-byte before-image for a %d-byte after-image", r.Type, r.Page, len(it.Old), len(it.New))
+			return fmt.Errorf("wal: %v record for page %d has a %d-byte before-image for a %d-byte after-image", t, page, len(it.Old), len(it.New))
 		}
 	}
 	return it.Err()
@@ -139,14 +142,18 @@ func (r *Record) CheckRange(pageSize int) error {
 // Redo applies every region's after-image to the page and stamps the page
 // with the record's LSN: the one redo step, run by restart recovery for
 // records whose effect is missing, by the page server for every update record
-// as it is appended, and — on a compensation record — by every undo. The
-// caller has checked the range (CheckRange) and holds the page exclusively, so
-// no reader sees some regions applied and others not.
+// as it is appended (WireUpdate.Redo), and — on a compensation record — by
+// every undo. The caller has checked the range (CheckRange) and holds the
+// page exclusively, so no reader sees some regions applied and others not.
 func (r *Record) Redo(pageBuf []byte, setPageLSN func(pageBuf []byte, lsn uint64)) {
-	for it := r.Regions(); it.Next(); {
+	redoRegions(r.Regions(), pageBuf)
+	setPageLSN(pageBuf, uint64(r.LSN))
+}
+
+func redoRegions(it RegionIter, pageBuf []byte) {
+	for it.Next() {
 		copy(pageBuf[it.Off:], it.New)
 	}
-	setPageLSN(pageBuf, uint64(r.LSN))
 }
 
 // Undo applies every before-image the record carries to the page. Redo-only
@@ -322,6 +329,23 @@ func (l *Log) Append(r Record) LSN {
 	l.records++
 	l.bytes += int64(len(l.buf) - start)
 	return r.LSN
+}
+
+// AppendFilled adds u as tx's RecUpdate behind prev, in the log form, and
+// returns its LSN: each region u marks Undo takes its before-image from page,
+// the bytes the region covers now, encoded straight into the log (nothing is
+// allocated). The caller has checked u against len(page) (CheckRange), holds
+// the page's content latch, and redoes u onto it only after the append, so
+// the log holds the record a client shipping both images would have sent.
+func (l *Log) AppendFilled(tx uint64, prev LSN, u *WireUpdate, page []byte) LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn := l.endLocked()
+	start := len(l.buf)
+	l.buf = appendFilled(l.buf, lsn, prev, tx, u, page)
+	l.records++
+	l.bytes += int64(len(l.buf) - start)
+	return lsn
 }
 
 // ReadAt returns the record standing at lsn, checksum-verified, with its own
